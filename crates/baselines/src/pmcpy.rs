@@ -66,43 +66,29 @@ impl PioLibrary for PmemcpyLib {
         let mut pmem = self.map(comm, target)?;
         let (off, dims) = decomp.block(comm.rank() as u64);
         if comm.rank() == 0 {
-            if self.options.batch_puts {
-                // One group commit for all the dims records.
-                let mut batch = pmem.batch();
-                for name in vars {
-                    batch
-                        .alloc::<f64>(name, &decomp.global_dims)
-                        .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-                }
-                batch
-                    .commit()
-                    .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-            } else {
-                for name in vars {
-                    pmem.alloc::<f64>(name, &decomp.global_dims)
-                        .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-                }
-            }
-        }
-        comm.barrier();
-        if self.options.batch_puts {
-            // Group-commit the rank's whole output step: one pool
-            // transaction and one allocator pass for all variables.
+            // One group commit for all the dims records.
             let mut batch = pmem.batch();
-            for (v, name) in vars.iter().enumerate() {
+            for name in vars {
                 batch
-                    .store_block(name, &blocks[v], &off, &dims)
+                    .alloc::<f64>(name, &decomp.global_dims)
                     .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
             }
             batch
                 .commit()
                 .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-        } else {
-            for (v, name) in vars.iter().enumerate() {
-                pmem.store_block(name, &blocks[v], &off, &dims)
-                    .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-            }
         }
+        comm.barrier();
+        // Group-commit the rank's whole output step: one pool transaction
+        // and one allocator pass for all variables.
+        let mut batch = pmem.batch();
+        for (v, name) in vars.iter().enumerate() {
+            batch
+                .store_block(name, &blocks[v], &off, &dims)
+                .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
+        }
+        batch
+            .commit()
+            .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
         comm.barrier();
         pmem.munmap()
             .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
@@ -122,25 +108,18 @@ impl PioLibrary for PmemcpyLib {
         let mut out: Vec<Vec<f64>> = (0..vars.len())
             .map(|_| vec![0f64; elems as usize])
             .collect();
-        if self.options.batch_gets {
-            // Group the rank's whole restart step: one grouped metadata
-            // lookup for all variables, payloads streamed straight into the
-            // output blocks.
-            let mut batch = pmem.read_batch();
-            for (name, block) in vars.iter().zip(out.iter_mut()) {
-                batch
-                    .load_block_into(name, block, &off, &dims)
-                    .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-            }
+        // Group the rank's whole restart step: one grouped metadata lookup
+        // for all variables, payloads streamed straight into the output
+        // blocks.
+        let mut batch = pmem.read_batch();
+        for (name, block) in vars.iter().zip(out.iter_mut()) {
             batch
-                .commit()
+                .load_block_into(name, block, &off, &dims)
                 .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-        } else {
-            for (v, name) in vars.iter().enumerate() {
-                pmem.load_block(name, &mut out[v], &off, &dims)
-                    .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
-            }
         }
+        batch
+            .commit()
+            .map_err(|e| PioError::Pmemcpy(e.to_string()))?;
         comm.barrier();
         pmem.munmap()
             .map_err(|e| PioError::Pmemcpy(e.to_string()))?;

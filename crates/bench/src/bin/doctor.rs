@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pmemcpy-doctor examine <image> [--profile <name>] [--json] [--timeline] [--expect pass|fail]
-//! pmemcpy-doctor demo-clean --image <path> [--write-behind] [--resizable] [--json]
+//! pmemcpy-doctor demo-clean --image <path> [--write-behind] [--json]
 //! pmemcpy-doctor demo-crash <site> --image <path> [--json]
 //! ```
 //!
@@ -30,7 +30,7 @@ use std::sync::Arc;
 fn usage() -> String {
     "usage: pmemcpy-doctor examine <image> [--profile <name>] [--json] [--timeline] \
      [--expect pass|fail]\n\
-     \x20      pmemcpy-doctor demo-clean --image <path> [--write-behind] [--resizable] [--json]\n\
+     \x20      pmemcpy-doctor demo-clean --image <path> [--write-behind] [--json]\n\
      \x20      pmemcpy-doctor demo-crash <site> --image <path> [--json]\n\
      sites: wal::append wal::ckpt-drain wal::truncate wal::replay \
      ht::migrate ht::cursor-advance ht::count-fold (and the tx::* sites)"
@@ -44,7 +44,6 @@ struct Args {
     json: bool,
     timeline: bool,
     write_behind: bool,
-    resizable: bool,
     expect: Option<String>,
     profile: String,
 }
@@ -59,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         timeline: false,
         write_behind: false,
-        resizable: false,
         expect: None,
         profile: "optane-gen1".into(),
     };
@@ -68,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
             "--json" => a.json = true,
             "--timeline" => a.timeline = true,
             "--write-behind" => a.write_behind = true,
-            "--resizable" => a.resizable = true,
             "--image" => a.image = Some(it.next().ok_or("--image needs a path")?),
             "--profile" => a.profile = it.next().ok_or("--profile needs a name")?,
             "--expect" => {
@@ -113,7 +110,7 @@ fn verdict_to_exit(passed: bool, expect: Option<&str>) -> ExitCode {
 
 const DEMO_DEVICE_BYTES: usize = 16 << 20;
 
-fn demo_options(write_behind: bool, resizable: bool) -> Options {
+fn demo_options(write_behind: bool) -> Options {
     let mut opts = if write_behind {
         Options::write_behind()
     } else {
@@ -121,7 +118,6 @@ fn demo_options(write_behind: bool, resizable: bool) -> Options {
     };
     // Small enough that the demo workloads exercise splits quickly.
     opts.hashtable_buckets = 64;
-    opts.hashtable_resize = resizable || opts.hashtable_resize;
     opts
 }
 
@@ -145,7 +141,7 @@ fn demo_clean(a: &Args) -> Result<bool, String> {
         PersistenceMode::Fast,
     );
     let comm = Comm::new(World::new(machine, 1), 0);
-    let mut pmem = Pmem::with_options(demo_options(a.write_behind, a.resizable));
+    let mut pmem = Pmem::with_options(demo_options(a.write_behind));
     pmem.mmap(MmapTarget::DevDax(&dev), &comm)
         .map_err(|e| e.to_string())?;
     store_keys(&pmem, 0, 80).map_err(|e| e.to_string())?;
@@ -174,7 +170,6 @@ fn demo_crash(a: &Args) -> Result<bool, String> {
                 pmem_sim::flight::FAIL_SITES.join(" ")
             )
         })?;
-    let wal_site = site.starts_with("wal::");
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(
         Arc::clone(&machine),
@@ -182,10 +177,7 @@ fn demo_crash(a: &Args) -> Result<bool, String> {
         PersistenceMode::Tracked,
     );
     let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
-    let opts = demo_options(
-        wal_site,
-        site.starts_with("ht::") && site != "ht::count-fold",
-    );
+    let opts = demo_options(site.starts_with("wal::"));
     let mut pmem = Pmem::with_options(opts.clone());
     pmem.mmap(MmapTarget::DevDax(&dev), &comm)
         .map_err(|e| e.to_string())?;

@@ -13,11 +13,8 @@
 //!   ablate-layout      hashtable vs hierarchical layout
 //!   ablate-staging     direct-to-PMEM vs DRAM-staged serialization
 //!   ablate-fill        NetCDF fill vs NC_NOFILL
-//!   ablate-batching    group-commit write batches vs per-key commits
-//!   ablate-read-batching  batched reads + shadow index vs per-key gets
 //!   creation-storm     metadata storm: 8 ranks minting fresh keys; gates
 //!                      the resizable-hashtable chain-length bound
-//!   ablate-resize      incremental directory doubling vs fixed geometry
 //!   sweep-profiles     device-profile x flush-strategy grid: autotuned vs
 //!                      pinned clwb/ntstore per profile; gates that the
 //!                      autotuner always matches the best pinned strategy
@@ -144,12 +141,8 @@ fn run_command(
         "ablate-chunked" => ablate_chunked(real_bytes, mc)?,
         "ablate-buckets" => ablate_buckets(real_bytes, mc)?,
         "ablate-drain" => ablate_drain(real_bytes, mc)?,
-        "ablate-batching" => ablate_batching(real_bytes, mc)?,
-        "ablate-read-batching" => ablate_read_batching(real_bytes, mc)?,
         "creation-storm" => creation_storm(storm_keys, mc)?,
-        "ablate-resize" => ablate_resize(mc)?,
         "sweep-profiles" => sweep_profiles(procs, real_bytes, grid)?,
-        "tune" => tune_cmd(real_bytes)?,
         "volume" => volume_cmd(mc)?,
         "all" => {
             machine_cmd(mc);
@@ -164,12 +157,8 @@ fn run_command(
             ablate_chunked(real_bytes, mc)?;
             ablate_buckets(real_bytes, mc)?;
             ablate_drain(real_bytes, mc)?;
-            ablate_batching(real_bytes, mc)?;
-            ablate_read_batching(real_bytes, mc)?;
             creation_storm(storm_keys.min(16_384), mc)?;
-            ablate_resize(mc)?;
             sweep_profiles(&[8], real_bytes.min(8 << 20), grid)?;
-            tune_cmd(real_bytes)?;
             volume_cmd(mc)?;
         }
         other => {
@@ -788,96 +777,6 @@ fn ablate_drain(real_bytes: u64, mc: &MachineConfig) -> std::io::Result<()> {
     Ok(())
 }
 
-/// CI smoke gate: group-commit batching must never be slower than per-key
-/// commits on the paper's headline write cell. Exits nonzero on regression.
-fn ablate_batching(real_bytes: u64, mc: &MachineConfig) -> std::io::Result<()> {
-    println!("## Ablation: group-commit write batches vs per-key commits (PMCPY-A, 24 procs)");
-    let mut csv = String::from("mode,write_s,pool_txs,alloc_passes\n");
-    let mut times = [0f64; 2];
-    for (i, (name, batch_puts)) in [("batched", true), ("per-key", false)].iter().enumerate() {
-        let lib = PmemcpyLib::custom(
-            "PMCPY-A",
-            Options {
-                batch_puts: *batch_puts,
-                ..Options::default()
-            },
-        );
-        let cfg = CellConfig::paper_on(24, real_bytes, mc.clone());
-        let w = run_cell(&lib, Direction::Write, &cfg);
-        times[i] = w.time.as_secs_f64();
-        println!(
-            "{name:<8} write {:>8.3}s   pool_txs={:<6} alloc_passes={}",
-            w.time.as_secs_f64(),
-            w.stats.pool_txs,
-            w.stats.alloc_passes
-        );
-        csv.push_str(&format!(
-            "{name},{:.6},{},{}\n",
-            w.time.as_secs_f64(),
-            w.stats.pool_txs,
-            w.stats.alloc_passes
-        ));
-    }
-    write_file("results/ablate_batching.csv", &csv)?;
-    if times[0] > times[1] {
-        return Err(std::io::Error::other(format!(
-            "batching regression: batched write {:.6}s > per-key {:.6}s",
-            times[0], times[1]
-        )));
-    }
-    println!();
-    Ok(())
-}
-
-/// CI smoke gate: grouped read lookups (and the shadow index) must never be
-/// slower than per-key gets on the paper's headline read cell. Exits
-/// nonzero on regression.
-fn ablate_read_batching(real_bytes: u64, mc: &MachineConfig) -> std::io::Result<()> {
-    println!("## Ablation: batched reads + shadow index vs per-key gets (PMCPY-A, 24 procs)");
-    let mut csv = String::from("mode,read_s,pmem_bytes_read\n");
-    let mut times = [0f64; 4];
-    let rows = [
-        ("batched+cache", true, true),
-        ("batched", true, false),
-        ("per-key+cache", false, true),
-        ("per-key", false, false),
-    ];
-    for (i, (name, batch_gets, shadow_index)) in rows.iter().enumerate() {
-        let lib = PmemcpyLib::custom(
-            "PMCPY-A",
-            Options {
-                batch_gets: *batch_gets,
-                shadow_index: *shadow_index,
-                ..Options::default()
-            },
-        );
-        let mut cfg = CellConfig::paper_on(24, real_bytes, mc.clone());
-        cfg.verify = true;
-        let r = run_cell(&lib, Direction::Read, &cfg);
-        assert_eq!(r.mismatches, 0, "{name} read back corrupted data");
-        times[i] = r.time.as_secs_f64();
-        println!(
-            "{name:<14} read {:>8.3}s   pmem_bytes_read={}",
-            r.time.as_secs_f64(),
-            r.stats.pmem_bytes_read
-        );
-        csv.push_str(&format!(
-            "{name},{:.6},{}\n",
-            r.time.as_secs_f64(),
-            r.stats.pmem_bytes_read
-        ));
-    }
-    write_file("results/ablate_read_batching.csv", &csv)?;
-    if times[0] > times[3] {
-        return Err(std::io::Error::other(format!(
-            "read batching regression: batched+cache read {:.6}s > per-key {:.6}s",
-            times[0], times[3]
-        )));
-    }
-    println!();
-    Ok(())
-}
-
 /// Namespace shape of a finished storm, read back from the pool after the
 /// timed run (stats/metrics are snapshotted first, so the inspection walk
 /// never leaks into gated counters).
@@ -894,8 +793,6 @@ struct StormShape {
 /// the deterministic scheduler, then read back a sample for verification.
 /// Bit-reproducible by construction, so every counter is CI-gateable.
 fn run_storm_cell(
-    label: &str,
-    opts: Options,
     spec: workloads::StormSpec,
     mc: &MachineConfig,
 ) -> std::io::Result<(pmemcpy_bench::CellResult, StormShape)> {
@@ -912,14 +809,13 @@ fn run_storm_cell(
     let dev_size = (spec.total_keys() * 384 + (64 << 20)) as usize;
     let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
     let dev2 = Arc::clone(&device);
-    let opts2 = opts.clone();
     let results = run_world_mode(
         Arc::clone(&machine),
         spec.ranks as usize,
         SchedMode::Deterministic,
         move |comm| {
             let rank = comm.rank() as u64;
-            let mut pmem = Pmem::with_options(opts2.clone());
+            let mut pmem = Pmem::new();
             pmem.mmap(MmapTarget::DevDax(&dev2), &comm).unwrap();
             let mut i = 0;
             while i < spec.keys_per_rank {
@@ -958,8 +854,13 @@ fn run_storm_cell(
 
     // Inspect the finished namespace straight from the pool.
     let clock = Clock::new();
-    let shared = registry::shared_pool(&clock, &device, "pmemcpy", opts.hashtable_buckets)
-        .map_err(|e| std::io::Error::other(format!("storm reopen: {e}")))?;
+    let shared = registry::shared_pool(
+        &clock,
+        &device,
+        "pmemcpy",
+        Options::default().hashtable_buckets,
+    )
+    .map_err(|e| std::io::Error::other(format!("storm reopen: {e}")))?;
     let hist = shared.hashtable.chain_length_histogram(&clock);
     let len = shared.hashtable.len(&clock);
     registry::release_pool(&device);
@@ -988,7 +889,7 @@ fn run_storm_cell(
         contended,
     };
     let cell = pmemcpy_bench::CellResult {
-        library: label.to_string(),
+        library: "PMCPY-A".to_string(),
         direction: Direction::Write,
         nprocs: spec.ranks,
         device_profile: mc.profile_name.to_string(),
@@ -1017,7 +918,7 @@ fn creation_storm(keys_per_rank: u64, mc: &MachineConfig) -> std::io::Result<()>
         "## Creation storm: {} ranks x {} fresh keys (resizable metadata directory)",
         spec.ranks, spec.keys_per_rank
     );
-    let (cell, shape) = run_storm_cell("PMCPY-A", Options::default(), spec, mc)?;
+    let (cell, shape) = run_storm_cell(spec, mc)?;
     println!(
         "storm    write {:>8.3}s   keys={} splits={} chain_max={} chain_p99={} contended={}",
         cell.time.as_secs_f64(),
@@ -1067,80 +968,6 @@ fn creation_storm(keys_per_rank: u64, mc: &MachineConfig) -> std::io::Result<()>
             shape.max_chain
         )));
     }
-    println!();
-    Ok(())
-}
-
-/// Ablation for the resizable directory: the same storm against a table
-/// pinned at its initial 4096 buckets. Fixed geometry degenerates into
-/// long chains (every lookup and unlink walk pays for them); incremental
-/// doubling holds chains flat for a bounded migration surcharge.
-fn ablate_resize(mc: &MachineConfig) -> std::io::Result<()> {
-    println!("## Ablation: incremental directory doubling vs fixed geometry (8 ranks)");
-    let spec = workloads::StormSpec::new(8, 16_384, 8);
-    let rows = [
-        (
-            "fixed",
-            Options {
-                hashtable_resize: false,
-                ..Options::default()
-            },
-        ),
-        ("resizable", Options::default()),
-    ];
-    let mut csv =
-        String::from("mode,write_s,pool_txs,splits,chain_max,chain_p99,stripe_contended\n");
-    for (name, opts) in rows {
-        let (cell, shape) = run_storm_cell("PMCPY-A", opts, spec, mc)?;
-        println!(
-            "{name:<10} write {:>8.3}s   pool_txs={:<6} splits={:<3} chain_max={:<5} \
-             chain_p99={:<4} contended={}",
-            cell.time.as_secs_f64(),
-            cell.stats.pool_txs,
-            shape.splits,
-            shape.max_chain,
-            shape.chain_p99,
-            shape.contended,
-        );
-        csv.push_str(&format!(
-            "{name},{:.6},{},{},{},{},{}\n",
-            cell.time.as_secs_f64(),
-            cell.stats.pool_txs,
-            shape.splits,
-            shape.max_chain,
-            shape.chain_p99,
-            shape.contended,
-        ));
-        assert_eq!(shape.len, spec.total_keys(), "{name} storm lost keys");
-    }
-    write_file("results/ablate_resize.csv", &csv)?;
-    println!();
-    Ok(())
-}
-
-fn tune_cmd(real_bytes: u64) -> std::io::Result<()> {
-    use pmemcpy_bench::autotune::{best_of, coordinate_descent, pmemcpy_knobs};
-    println!("## Auto-tuning pMEMCPY (coordinate descent, write+read objective, 24 procs)");
-    let trace = coordinate_descent(&pmemcpy_knobs(), 24, real_bytes.min(16 << 20));
-    let mut csv = String::from("step,assignment,score_s\n");
-    for (i, step) in trace.iter().enumerate() {
-        let label: Vec<String> = step
-            .assignment
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        println!("  [{i:>2}] {:<50} {:>8.3}s", label.join(" "), step.score);
-        csv.push_str(&format!("{i},{},{:.6}\n", label.join(";"), step.score));
-    }
-    let best = best_of(&trace);
-    let label: Vec<String> = best
-        .assignment
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
-    println!("best: {} at {:.3}s", label.join(" "), best.score);
-    println!("(the spread is small: tuning cannot fix a data path — §1's argument)");
-    write_file("results/autotune.csv", &csv)?;
     println!();
     Ok(())
 }

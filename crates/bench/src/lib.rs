@@ -12,10 +12,10 @@
 //!   [`pmem_sim::MachineConfig::chameleon_skylake`].
 //!
 //! Run `cargo run -p pmemcpy-bench --bin figures -- all` to regenerate
-//! everything, or the Criterion benches for per-component microbenchmarks.
+//! everything; per-component microbenchmarks on both clocks live in the
+//! separate `benchmark/` package (`benchmark/run.sh --trace`).
 
 pub mod api_complexity;
-pub mod autotune;
 pub mod doctor;
 pub mod json;
 pub mod report;

@@ -134,8 +134,6 @@ impl Pmem {
                     shared,
                     serializer,
                     self.opts.map_sync,
-                    self.opts.shadow_index,
-                    self.opts.hashtable_resize,
                     flush_strategy,
                 );
                 let layout: Box<dyn Layout> = match write_behind {

@@ -20,24 +20,18 @@ pub struct HashtableLayout {
 
 impl HashtableLayout {
     /// Build over an already-interned pool. `map_sync` configures the data
-    /// mapping (the PMCPY-A/B switch); `shadow_index` toggles the DRAM
-    /// shadow of the persistent hashtable (see `Options::shadow_index`);
-    /// `flush_strategy` is the resolved put-path persist primitive (the
-    /// pool's autotuned verdict or an options pin).
-    #[allow(clippy::too_many_arguments)]
+    /// mapping (the PMCPY-A/B switch); `flush_strategy` is the resolved
+    /// put-path persist primitive (the pool's autotuned verdict or an
+    /// options pin).
     pub fn new(
         clock: &Clock,
         device: &Arc<PmemDevice>,
         shared: SharedPool,
         serializer: &'static dyn Serializer,
         map_sync: bool,
-        shadow_index: bool,
-        hashtable_resize: bool,
         flush_strategy: FlushStrategy,
     ) -> Self {
         let mapping = DaxMapping::new(clock, Arc::clone(device), 0, device.size(), map_sync);
-        shared.hashtable.set_shadow_enabled(shadow_index);
-        shared.hashtable.set_auto_resize(hashtable_resize);
         HashtableLayout {
             machine: Arc::clone(device.machine()),
             shared,

@@ -26,28 +26,11 @@ pub struct Options {
     pub map_sync: bool,
     /// Data layout policy.
     pub layout: DataLayout,
-    /// Buckets for the metadata hashtable (PmdkHashtable layout). With
-    /// `hashtable_resize` on this is only the starting size.
+    /// Starting bucket count of the metadata hashtable (PmdkHashtable
+    /// layout). The directory doubles incrementally once the live keys
+    /// exceed half of it, so pre-size to at least twice the expected key
+    /// count for a table that never splits.
     pub hashtable_buckets: u64,
-    /// Incrementally double the hashtable directory as keys accumulate
-    /// (PmdkHashtable layout): every mutation helps migrate a chunk of
-    /// buckets, crash-safe at any intermediate point. Off pins the
-    /// directory at `hashtable_buckets` forever (the fixed-geometry
-    /// ablation).
-    pub hashtable_resize: bool,
-    /// Group-commit multi-variable writes: collective `write()` paths stage
-    /// a rank's variables in a [`crate::WriteBatch`] and commit them through
-    /// one pool transaction / one allocator pass instead of one per key.
-    pub batch_puts: bool,
-    /// Group read lookups: collective `read()` paths stage a rank's
-    /// variables in a [`crate::ReadBatch`] and resolve them through one
-    /// grouped metadata lookup per batch instead of one per key.
-    pub batch_gets: bool,
-    /// Keep a DRAM-resident shadow of the persistent hashtable
-    /// (PmdkHashtable layout): repeat lookups of a live key skip the
-    /// persistent chain walk entirely. Write-through on every mutation and
-    /// rebuildable from the pool, so it never affects durability.
-    pub shadow_index: bool,
     /// Write-behind persistence (off by default, giving the paper's inline
     /// behavior): puts land in a volatile DRAM front index plus one fenced
     /// append of the whole commit group to a persistent WAL, and a
@@ -55,8 +38,7 @@ pub struct Options {
     /// layout, truncating the log under a crash-safe watermark. Durability
     /// is unchanged — every put is on PMEM before it returns — but the
     /// inline cost drops to a single streamed log append. Requires
-    /// [`DataLayout::PmdkHashtable`], `batch_puts`, and `shadow_index`
-    /// (checked by [`Options::validate`]).
+    /// [`DataLayout::PmdkHashtable`] (checked by [`Options::validate`]).
     pub write_behind: bool,
     /// Ring capacity in bytes of the write-behind WAL (ignored unless
     /// `write_behind` is on). One commit group must fit in half the ring.
@@ -79,10 +61,6 @@ impl Default for Options {
             map_sync: false,
             layout: DataLayout::PmdkHashtable,
             hashtable_buckets: 4096,
-            hashtable_resize: true,
-            batch_puts: true,
-            batch_gets: true,
-            shadow_index: true,
             write_behind: false,
             wal_capacity: 8 << 20,
             flush_strategy: None,
@@ -134,18 +112,6 @@ impl Options {
                         .into(),
                 ));
             }
-            if !self.batch_puts {
-                return Err(PmemCpyError::Config(
-                    "write_behind requires batch_puts: the WAL appends whole commit groups".into(),
-                ));
-            }
-            if !self.shadow_index {
-                return Err(PmemCpyError::Config(
-                    "write_behind requires shadow_index: checkpointed keys must stay cheap to \
-                     re-resolve after the front index drains"
-                        .into(),
-                ));
-            }
             if self.wal_capacity < MIN_WAL_CAPACITY {
                 return Err(PmemCpyError::Config(format!(
                     "wal_capacity {} is below the {MIN_WAL_CAPACITY}-byte minimum",
@@ -161,12 +127,29 @@ impl Options {
 mod tests {
     use super::*;
 
+    /// The defaults are the paper's configuration, and the option surface is
+    /// part of the design: the paper's three user choices plus the
+    /// write-behind and flush knobs. Destructuring without `..` makes an
+    /// eighth field a compile error here, so adding one is a decision a
+    /// reviewer has to answer for.
     #[test]
     fn defaults_match_the_paper() {
-        let o = Options::default();
-        assert_eq!(o.serializer, "bp4");
-        assert!(!o.map_sync);
-        assert_eq!(o.layout, DataLayout::PmdkHashtable);
+        let Options {
+            serializer,
+            map_sync,
+            layout,
+            hashtable_buckets,
+            write_behind,
+            wal_capacity,
+            flush_strategy,
+        } = Options::default();
+        assert_eq!(serializer, "bp4");
+        assert!(!map_sync);
+        assert_eq!(layout, DataLayout::PmdkHashtable);
+        assert_eq!(hashtable_buckets, 4096);
+        assert!(!write_behind);
+        assert_eq!(wal_capacity, 8 << 20);
+        assert_eq!(flush_strategy, None);
     }
 
     #[test]
@@ -187,14 +170,6 @@ mod tests {
     #[test]
     fn validate_rejects_bad_write_behind_combinations() {
         for bad in [
-            Options {
-                batch_puts: false,
-                ..Options::write_behind()
-            },
-            Options {
-                shadow_index: false,
-                ..Options::write_behind()
-            },
             Options {
                 layout: DataLayout::HierarchicalFiles,
                 ..Options::write_behind()

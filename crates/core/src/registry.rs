@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use pmdk_sim::{PersistentHashtable, PmemPool};
 use pmem_sim::{Clock, PmemDevice};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// Shared per-pool state handed to every rank.
 #[derive(Clone)]
@@ -24,13 +24,9 @@ pub struct SharedPool {
 
 type Key = usize; // device address identity
 
-fn registry() -> &'static Mutex<HashMap<Key, Weak<SharedPoolInner>>> {
-    static REG: OnceLock<Mutex<HashMap<Key, Weak<SharedPoolInner>>>> = OnceLock::new();
+fn registry() -> &'static Mutex<HashMap<Key, SharedPool>> {
+    static REG: OnceLock<Mutex<HashMap<Key, SharedPool>>> = OnceLock::new();
     REG.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-struct SharedPoolInner {
-    shared: SharedPool,
 }
 
 /// Get (or create on first call) the shared pool state for `device`.
@@ -50,10 +46,8 @@ pub fn shared_pool(
     // with the global registry locked.
     let _atomic = pmem_sim::atomic_section();
     let mut reg = registry().lock();
-    if let Some(weak) = reg.get(&key) {
-        if let Some(inner) = weak.upgrade() {
-            return Ok(inner.shared.clone());
-        }
+    if let Some(shared) = reg.get(&key) {
+        return Ok(shared.clone());
     }
     // First arrival (or the previous job fully unmapped): create/open.
     let pool = match PmemPool::open(clock, Arc::clone(device), layout_name) {
@@ -78,13 +72,7 @@ pub fn shared_pool(
         hashtable: Arc::new(hashtable),
         lock_registry: Arc::new(pmdk_sim::locks::LockRegistry::default()),
     };
-    let inner = Arc::new(SharedPoolInner {
-        shared: shared.clone(),
-    });
-    reg.insert(key, Arc::downgrade(&inner));
-    // Keep the interned entry alive as long as any SharedPool clone lives:
-    // stash the Arc inside the hashtable's pool via a leak-free side table.
-    holder().lock().insert(key, inner);
+    reg.insert(key, shared.clone());
     Ok(shared)
 }
 
@@ -115,14 +103,8 @@ pub fn write_behind_state(
 /// harmless if others still hold clones — their Arcs keep the data alive).
 pub fn release_pool(device: &Arc<PmemDevice>) {
     let key = Arc::as_ptr(device) as usize;
-    holder().lock().remove(&key);
     wb_holder().lock().remove(&key);
     registry().lock().remove(&key);
-}
-
-fn holder() -> &'static Mutex<HashMap<Key, Arc<SharedPoolInner>>> {
-    static HOLD: OnceLock<Mutex<HashMap<Key, Arc<SharedPoolInner>>>> = OnceLock::new();
-    HOLD.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 fn wb_holder() -> &'static Mutex<HashMap<Key, Arc<crate::write_behind::WriteBehindState>>> {

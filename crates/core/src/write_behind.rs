@@ -658,8 +658,6 @@ mod tests {
             shared,
             serializer,
             false,
-            true,
-            true,
             pmem_sim::FlushStrategy::Clwb,
         );
         (dev, WriteBehindLayout::new(inner, state))

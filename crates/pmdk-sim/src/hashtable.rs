@@ -264,9 +264,10 @@ pub struct PersistentHashtable {
     /// Volatile mirror of the last folded HDR_COUNT, so the split trigger
     /// never charges a pool read on the insert hot path.
     count_base: AtomicU64,
-    /// Gates incremental resize (ablations pin the geometry).
+    /// Unit tests pin a one-bucket table to build long chains.
+    #[cfg(test)]
     auto_resize: AtomicBool,
-    /// Gates the volatile shadow index (ablations turn it off).
+    /// Gates the volatile shadow index (see `set_shadow_enabled`).
     shadow_enabled: AtomicBool,
 }
 
@@ -386,11 +387,22 @@ impl PersistentHashtable {
         if dirty == 1 {
             // Crashed with unfolded per-stripe deltas: recount from the
             // chains (cheap 8-byte next-pointer hops) and fold + clear in
-            // ordered single-word persisted writes.
+            // ordered single-word persisted writes. A torn `next` may
+            // self-loop or point off the device, so every hop is bounded
+            // and range-checked before it is followed.
             let mut n = 0u64;
             for (slot, _) in ht.head_slots(ht.geo()) {
                 let mut entry = pool.read_u64(clock, slot);
+                let mut hops = 0u32;
                 while entry != 0 {
+                    hops += 1;
+                    if hops > MAX_PROBE_HOPS
+                        || entry.checked_add(ENT_KEY).is_none_or(|end| end > dev_size)
+                    {
+                        return Err(PmdkError::BadPool(format!(
+                            "torn hashtable chain at head slot {slot}: entry {entry} after {hops} hops"
+                        )));
+                    }
                     n += 1;
                     entry = pool.read_u64(clock, entry + ENT_NEXT);
                 }
@@ -412,6 +424,7 @@ impl PersistentHashtable {
             dirty_lock: Mutex::new(()),
             count_dirty: AtomicBool::new(false),
             count_base: AtomicU64::new(count),
+            #[cfg(test)]
             auto_resize: AtomicBool::new(true),
             shadow_enabled: AtomicBool::new(true),
         }
@@ -431,15 +444,11 @@ impl PersistentHashtable {
         self.geo().old_buckets != 0
     }
 
-    /// Enable/disable incremental resize. Ablations and fixed-geometry
-    /// tests turn it off; the directory then behaves exactly like the old
-    /// fixed-bucket table.
-    pub fn set_auto_resize(&self, enabled: bool) {
+    /// Pin the directory at its current geometry. Test-only: callers
+    /// outside this file pre-size `bucket_count` instead.
+    #[cfg(test)]
+    fn set_auto_resize(&self, enabled: bool) {
         self.auto_resize.store(enabled, Ordering::Relaxed);
-    }
-
-    pub fn auto_resize(&self) -> bool {
-        self.auto_resize.load(Ordering::Relaxed)
     }
 
     /// Number of live entries: the last folded count plus every stripe's
@@ -592,6 +601,7 @@ impl PersistentHashtable {
     /// directory — defers the split rather than failing the caller's
     /// operation.
     fn maybe_resize(&self, clock: &Clock) -> Result<()> {
+        #[cfg(test)]
         if !self.auto_resize.load(Ordering::Relaxed) {
             return Ok(());
         }
@@ -861,7 +871,9 @@ impl PersistentHashtable {
     // ---- volatile shadow index ----
 
     /// Enable/disable the shadow index at runtime; disabling drops every
-    /// cached entry (ablations compare cold chain walks against the cache).
+    /// cached entry. Nothing in the product turns the cache off — this
+    /// stays `pub` only because `benchmark/src/ladder.rs` (frozen) calls it
+    /// to time cold chain walks against the cache.
     pub fn set_shadow_enabled(&self, enabled: bool) {
         self.shadow_enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
@@ -869,10 +881,6 @@ impl PersistentHashtable {
                 s.shadow.lock().clear();
             }
         }
-    }
-
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow_enabled.load(Ordering::Relaxed)
     }
 
     /// Number of cached key → value locations (diagnostics).
@@ -1238,10 +1246,7 @@ impl PersistentHashtable {
         // Lookups help an in-flight split along too (the tentpole contract:
         // every operation migrates a chunk). A lookup must not fail, so
         // split errors defer rather than propagate.
-        if self.auto_resize.load(Ordering::Relaxed)
-            && self.splitting()
-            && self.help_migrate(clock).is_err()
-        {
+        if self.splitting() && self.help_migrate(clock).is_err() {
             self.pool
                 .device()
                 .machine()
@@ -1835,6 +1840,19 @@ mod tests {
             Err(PmdkError::BadPool(_))
         ));
         pool.write_u64(&clock, header + HDR_CURSOR, 0);
+        // Dirty-flag recount over a torn chain: a `next` that self-loops
+        // must not hang the open, one that points past the device must not
+        // trip the device's bounds assert.
+        let entry = ht.get_ref(&clock, b"k").unwrap().offset - ENT_KEY - 1;
+        for torn_next in [entry, pool.device().size() as u64 - 8] {
+            pool.write_u64(&clock, header + HDR_DIRTY, 1);
+            pool.write_u64(&clock, entry + ENT_NEXT, torn_next);
+            assert!(matches!(
+                PersistentHashtable::open(&clock, &pool, header),
+                Err(PmdkError::BadPool(_))
+            ));
+        }
+        pool.write_u64(&clock, entry + ENT_NEXT, 0);
         assert!(PersistentHashtable::open(&clock, &pool, header).is_ok());
     }
 

@@ -27,9 +27,7 @@ pub mod alloc;
 pub mod doctor;
 pub mod error;
 pub mod hashtable;
-pub mod inspect;
 pub mod layout;
-pub mod list;
 pub mod locks;
 pub mod log;
 pub mod pool;
@@ -38,7 +36,6 @@ pub mod tx;
 
 pub use error::{PmdkError, Result};
 pub use hashtable::PersistentHashtable;
-pub use list::PersistentList;
 pub use locks::PersistentMutex;
 pub use log::PersistentLog;
 pub use pool::{FailPointGuard, FailPoints, PmemPool};

@@ -5,8 +5,9 @@
 //!    rank virtual times, media counters, and split counts all match across
 //!    two identical runs;
 //! 2. the settled table keeps the longest chain within the design bound;
-//! 3. every key reads back byte-exact, and a fixed-geometry run stores the
-//!    same contents (splits move entries, never change them).
+//! 3. every key reads back byte-exact, and a pre-sized table that never
+//!    splits stores the same contents (splits move entries, never change
+//!    them).
 
 use mpi_sim::{run_world_mode, SchedMode};
 use pmem_sim::{Clock, Machine, PersistenceMode, PmemDevice, StatsSnapshot};
@@ -112,20 +113,15 @@ fn storm_is_bit_reproducible_and_chains_stay_bounded() {
 
 #[test]
 fn resizable_and_fixed_tables_store_identical_contents() {
-    // Same storm, directory pinned at the default 4096 buckets: chains get
-    // long, but every key must still read back byte-exact (the sampled
-    // verification inside run_storm), with zero splits.
+    // Same storm, directory pre-sized to twice the key count so the split
+    // trigger never fires: every key must still read back byte-exact (the
+    // sampled verification inside run_storm), with zero splits.
     let spec = StormSpec::new(RANKS, KEYS_PER_RANK, 8);
-    let (_, _, len, max_chain, buckets) = run_storm(Options {
-        hashtable_resize: false,
+    let presized = 2 * spec.total_keys();
+    let (_, _, len, _, buckets) = run_storm(Options {
+        hashtable_buckets: presized,
         ..Options::default()
     });
     assert_eq!(len, spec.total_keys());
-    assert_eq!(buckets, 4096, "fixed table must never grow");
-    // Load factor 2: the longest chain sits far above what a settled
-    // resizable table (load factor <= 0.5) would ever show.
-    assert!(
-        max_chain >= 4,
-        "fixed geometry at {len} keys over {buckets} buckets: implausible max chain {max_chain}"
-    );
+    assert_eq!(buckets, presized, "a pre-sized table must never split");
 }

@@ -5,7 +5,7 @@
 //!    recorder's last fail-point event names the fired site — under both
 //!    scheduler modes;
 //! 2. no false positives: every clean-pool `Options` combination
-//!    (inline/write-behind × fixed/resizable) diagnoses all-PASS, with the
+//!    (inline/write-behind × pre-sized/splitting) diagnoses all-PASS, with the
 //!    trailing `Unmount` event as the clean-shutdown witness;
 //! 3. a hierarchical-files dataset (the other layout — no pool on the
 //!    device) is rejected gracefully rather than mis-diagnosed.
@@ -23,16 +23,19 @@ use std::sync::Arc;
 
 const DEVICE_BYTES: usize = 16 << 20;
 
-/// Small table so resizable configs split quickly; small WAL is still
-/// plenty for the workloads here.
-fn opts(write_behind: bool, resizable: bool) -> Options {
+/// Small table so the 80-key clean workload and the split-site crash
+/// workloads cross the split trigger quickly.
+const SPLITTING_BUCKETS: u64 = 64;
+/// Twice the clean workload's 80 keys: a table that never splits.
+const PRESIZED_BUCKETS: u64 = 160;
+
+fn opts(write_behind: bool, buckets: u64) -> Options {
     let mut o = if write_behind {
         Options::write_behind()
     } else {
         Options::default()
     };
-    o.hashtable_buckets = 64;
-    o.hashtable_resize = resizable;
+    o.hashtable_buckets = buckets;
     o
 }
 
@@ -50,11 +53,7 @@ fn crash_pool_at(site: &'static str, mode: SchedMode) -> Arc<PmemDevice> {
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(Arc::clone(&machine), DEVICE_BYTES, PersistenceMode::Tracked);
     let dev_in = Arc::clone(&dev);
-    let wal_site = site.starts_with("wal::");
-    let o = opts(
-        wal_site,
-        site.starts_with("ht::") && site != "ht::count-fold",
-    );
+    let o = opts(site.starts_with("wal::"), SPLITTING_BUCKETS);
     run_world_mode(Arc::clone(&machine), 1, mode, move |comm| {
         let dev = &dev_in;
         let mut pmem = Pmem::with_options(o.clone());
@@ -166,13 +165,13 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
 fn clean_pools_pass_every_check() {
     for mode in [SchedMode::Deterministic, SchedMode::FreeThreaded] {
         for write_behind in [false, true] {
-            for resizable in [false, true] {
-                let ctx = format!("wb={write_behind} resize={resizable} ({mode:?})");
+            for buckets in [PRESIZED_BUCKETS, SPLITTING_BUCKETS] {
+                let ctx = format!("wb={write_behind} buckets={buckets} ({mode:?})");
                 let machine = Machine::chameleon();
                 let dev =
                     PmemDevice::new(Arc::clone(&machine), DEVICE_BYTES, PersistenceMode::Fast);
                 let dev_in = Arc::clone(&dev);
-                let o = opts(write_behind, resizable);
+                let o = opts(write_behind, buckets);
                 run_world_mode(Arc::clone(&machine), 1, mode, move |comm| {
                     let mut pmem = Pmem::with_options(o.clone());
                     pmem.mmap(MmapTarget::DevDax(&dev_in), &comm).unwrap();

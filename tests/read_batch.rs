@@ -20,11 +20,11 @@ use pmemcpy::{MmapTarget, Options, Pmem, PmemCpyError};
 use pmemcpy_bench::{run_cell_observed, CellConfig, Direction, RunReport};
 use std::sync::Arc;
 
-fn mapped_single(opts: Options) -> (Pmem, Comm, Arc<PmemDevice>) {
+fn mapped_single() -> (Pmem, Comm, Arc<PmemDevice>) {
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(Arc::clone(&machine), 64 << 20, PersistenceMode::Fast);
     let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
-    let mut pmem = Pmem::with_options(opts);
+    let mut pmem = Pmem::new();
     pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
     (pmem, comm, dev)
 }
@@ -43,7 +43,7 @@ fn write_reference_data(pmem: &Pmem) {
 /// return — scalars, slices, blocks, attrs, dims — on the default layout.
 #[test]
 fn batched_and_per_key_reads_are_byte_identical() {
-    let (mut pmem, _comm, _dev) = mapped_single(Options::default());
+    let (mut pmem, _comm, _dev) = mapped_single();
     write_reference_data(&pmem);
 
     // Per-key reference.
@@ -207,14 +207,7 @@ fn concurrent_gets_stay_consistent_under_both_sched_modes() {
 /// batched gets on: identical virtual times, counters, and BENCH JSON.
 #[test]
 fn read_cell_bench_report_is_bit_reproducible_with_cache_on() {
-    let lib = PmemcpyLib::custom(
-        "PMCPY-A",
-        Options {
-            batch_gets: true,
-            shadow_index: true,
-            ..Options::default()
-        },
-    );
+    let lib = PmemcpyLib::variant_a();
     let mut cfg = CellConfig::paper(8, 2 << 20);
     cfg.verify = true;
     let run = || {
@@ -241,10 +234,11 @@ fn read_cell_bench_report_is_bit_reproducible_with_cache_on() {
     assert_eq!(json(&a), json(&b), "BENCH JSON differs across runs");
 }
 
-/// The single-pass chain walk: with the shadow off (every lookup walks the
-/// persistent chain), resolving a key charges at most 3 pool metadata reads
-/// — bucket head, one combined entry header, key bytes. The old
-/// `stat`+`load_into` path walked twice with 3 reads per hop each.
+/// The single-pass chain walk: with the shadow cold (a reopened pool, so
+/// every first lookup walks the persistent chain), resolving a key charges
+/// at most 3 pool metadata reads — bucket head, one combined entry header,
+/// key bytes. The old `stat`+`load_into` path walked twice with 3 reads
+/// per hop each.
 #[test]
 fn cold_lookups_charge_at_most_three_pool_reads_per_key() {
     const N: usize = 32;
@@ -253,15 +247,16 @@ fn cold_lookups_charge_at_most_three_pool_reads_per_key() {
     assert!(machine.set_metrics(Arc::clone(&registry)));
     let dev = PmemDevice::new(Arc::clone(&machine), 64 << 20, PersistenceMode::Fast);
     let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
-    let mut pmem = Pmem::with_options(Options {
-        shadow_index: false,
-        ..Options::default()
-    });
+    let mut pmem = Pmem::new();
     pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
     for i in 0..N {
         pmem.store_slice(&format!("var{i}"), &[i as f64; 128])
             .unwrap();
     }
+    // Puts write through to the shadow; a remount reopens the pool, which
+    // leaves the cache cold.
+    pmem.munmap().unwrap();
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
     let before = registry.snapshot();
     for i in 0..N {
         let v = pmem.load_slice::<f64>(&format!("var{i}")).unwrap();
@@ -282,7 +277,7 @@ fn cold_lookups_charge_at_most_three_pool_reads_per_key() {
 /// record drain copies zero bytes through DRAM staging.
 #[test]
 fn stream_raw_stages_nothing_in_dram() {
-    let (mut pmem, _comm, dev) = mapped_single(Options::default());
+    let (mut pmem, _comm, dev) = mapped_single();
     let payload: Vec<f64> = (0..4096).map(|i| i as f64).collect();
     pmem.store_slice("big", &payload).unwrap();
     let before = dev.machine().stats.snapshot();
@@ -304,18 +299,17 @@ fn stream_raw_stages_nothing_in_dram() {
 /// machine, batched restart step finishes no later in virtual time.
 #[test]
 fn batched_reads_are_never_slower_than_per_key() {
-    let elapsed = |batch_gets: bool| {
-        let (mut pmem, comm, _dev) = mapped_single(Options {
-            batch_gets,
-            shadow_index: false,
-            ..Options::default()
-        });
+    let elapsed = |use_batch: bool| {
+        let (mut pmem, comm, dev) = mapped_single();
         for v in 0..12 {
             pmem.store_slice(&format!("var{v}"), &[v as f64; 2048])
                 .unwrap();
         }
+        // Remount so both sides resolve every key from a cold shadow.
+        pmem.munmap().unwrap();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
         let t0 = comm.now();
-        if batch_gets {
+        if use_batch {
             let mut batch = pmem.read_batch();
             let handles: Vec<_> = (0..12)
                 .map(|v| batch.load_slice::<f64>(&format!("var{v}")).unwrap())

@@ -30,15 +30,6 @@ fn resize_opts() -> Options {
     }
 }
 
-/// The ground truth: same keys through a table pinned at its initial
-/// geometry. A split must never change what is stored, only where.
-fn fixed_opts() -> Options {
-    Options {
-        hashtable_resize: false,
-        ..resize_opts()
-    }
-}
-
 fn single_rank(machine: &Arc<Machine>) -> Comm {
     Comm::new(World::new(Arc::clone(machine), 1), 0)
 }
@@ -67,17 +58,30 @@ fn arm_guarded<'a>(
     guard
 }
 
-/// Keys 0..n through a never-resizing table: the byte-level reference any
-/// crashed-and-recovered resizable table must match exactly.
+/// The ground truth: keys 0..n through a table pre-sized so the split
+/// trigger (`2 * live > buckets`) never fires — the byte-level reference
+/// any crashed-and-recovered resizable table must match exactly. A split
+/// must never change what is stored, only where.
 fn fixed_reference(n: u64) -> (Vec<String>, HashMap<String, Vec<u8>>) {
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(Arc::clone(&machine), 24 << 20, PersistenceMode::Fast);
     let comm = single_rank(&machine);
-    let mut pmem = Pmem::with_options(fixed_opts());
+    let buckets = 2 * n;
+    let mut pmem = Pmem::with_options(Options {
+        hashtable_buckets: buckets,
+        ..Options::default()
+    });
     pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
     for i in 0..n {
         put(&pmem, i).unwrap();
     }
+    let shared = registry::shared_pool(&Clock::new(), &dev, "pmemcpy", buckets).unwrap();
+    assert_eq!(
+        shared.hashtable.bucket_count(),
+        buckets,
+        "the reference table must never split"
+    );
+    drop(shared);
     let keys = pmem.keys().unwrap();
     let records = keys
         .iter()

@@ -186,7 +186,7 @@ fn invalid_write_behind_options_fail_at_mmap() {
     let dev = PmemDevice::new(Arc::clone(&machine), 8 << 20, PersistenceMode::Fast);
     let comm = single_rank(&machine);
     let mut pmem = Pmem::with_options(Options {
-        batch_puts: false,
+        wal_capacity: 0,
         ..Options::write_behind()
     });
     let err = pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap_err();
