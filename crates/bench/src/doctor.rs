@@ -11,9 +11,10 @@
 //! examining a crashed image never destroys the evidence.
 
 use pmdk_sim::doctor::{
-    read_flight, read_lanes, read_superblock, root_hashtable_header, walk_hashtable, walk_heap,
-    walk_log, HashtableReport, HeapReport, LaneSummary, LogReport, SuperblockReport,
+    read_flight, read_lanes, root_hashtable_header, walk_hashtable, walk_heap, walk_log,
+    HashtableReport, HeapReport, LaneSummary, LogReport,
 };
+use pmdk_sim::layout::{Superblock, POOL_MAGIC};
 use pmem_sim::flight::{site_name, EventCode, FlightEvent};
 use pmem_sim::trace::json_escape;
 use pmem_sim::{Machine, PersistenceMode, PmemDevice};
@@ -55,7 +56,7 @@ pub struct Verdict {
 /// Everything the doctor learned from one image.
 #[derive(Debug)]
 pub struct Diagnosis {
-    pub superblock: SuperblockReport,
+    pub superblock: Superblock,
     pub lanes: LaneSummary,
     pub heap: HeapReport,
     pub hashtable: Option<HashtableReport>,
@@ -98,12 +99,11 @@ fn subsystem_of_site(site: &str) -> &'static str {
 /// pool namespace); any structural damage *inside* a real pool is reported
 /// through verdicts instead.
 pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
-    let sb = read_superblock(dev);
-    if !sb.magic_ok {
+    let sb = Superblock::read(dev);
+    if sb.magic != POOL_MAGIC {
         return Err(format!(
-            "not a pmemcpy pool image: superblock magic {:#x} (expected {:#x})",
-            sb.magic,
-            pmdk_sim::layout::POOL_MAGIC
+            "not a pmemcpy pool image: superblock magic {:#x} (expected {POOL_MAGIC:#x})",
+            sb.magic
         ));
     }
     let lanes = read_lanes(dev);
@@ -168,12 +168,14 @@ pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
     push(
         &mut verdicts,
         "superblock",
-        sb.ok(),
+        sb.fault.is_none(),
         "pool",
-        format!(
-            "magic ok, layout \"{}\", generation {}, {} bytes",
-            sb.layout_name, sb.generation, sb.pool_size
-        ),
+        sb.fault.clone().unwrap_or_else(|| {
+            format!(
+                "magic ok, layout \"{}\", generation {}, {} bytes",
+                sb.layout_name, sb.generation, sb.pool_size
+            )
+        }),
     );
     // The profile recorded at the last mount must be a known one and must
     // match the device this examination models — a mismatch means the image
@@ -240,49 +242,47 @@ pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
     );
 
     if let Some(ht) = &hashtable {
+        let (hdr, g) = (ht.header, ht.header.geo);
         push(
             &mut verdicts,
             "hashtable",
             ht.ok(),
             "ht",
             if ht.ok() {
-                format!("{} buckets, {} reachable entries", ht.buckets, ht.reachable)
+                format!("{} buckets, {} reachable entries", g.buckets, ht.reachable)
             } else {
                 ht.errors.join("; ")
             },
         );
         // A dirty count is legal mid-run; a clean flag with a mismatch is
         // structural damage.
-        if ht.count_dirty {
+        if hdr.dirty != 0 {
             verdicts.push(Verdict {
                 check: "ht-count",
                 status: Status::Info,
                 subsystem: "ht",
                 detail: format!(
                     "count fold pending (persisted {}, reachable {})",
-                    ht.persisted_count, ht.reachable
+                    hdr.count, ht.reachable
                 ),
             });
         } else {
             push(
                 &mut verdicts,
                 "ht-count",
-                ht.persisted_count == ht.reachable,
+                hdr.count == ht.reachable,
                 "ht",
-                format!(
-                    "persisted {} vs reachable {}",
-                    ht.persisted_count, ht.reachable
-                ),
+                format!("persisted {} vs reachable {}", hdr.count, ht.reachable),
             );
         }
-        if ht.mid_split {
+        if g.old_buckets != 0 {
             verdicts.push(Verdict {
                 check: "ht-split",
                 status: Status::Info,
                 subsystem: "ht",
                 detail: format!(
                     "incremental split in flight: {} -> {} buckets, cursor {}",
-                    ht.old_buckets, ht.buckets, ht.cursor
+                    g.old_buckets, g.buckets, g.cursor
                 ),
             });
         }
@@ -429,21 +429,22 @@ pub fn render_text(d: &Diagnosis, timeline: bool) -> String {
     );
 
     if let Some(ht) = &d.hashtable {
+        let (hdr, g) = (ht.header, ht.header.geo);
         let _ = writeln!(out, "\n== hashtable ==");
         let _ = writeln!(
             out,
             "header {:#x}: {} buckets, persisted count {}{}, {} reachable",
             ht.header_off,
-            ht.buckets,
-            ht.persisted_count,
-            if ht.count_dirty { " (dirty)" } else { "" },
+            g.buckets,
+            hdr.count,
+            if hdr.dirty != 0 { " (dirty)" } else { "" },
             ht.reachable
         );
-        if ht.mid_split {
+        if g.old_buckets != 0 {
             let _ = writeln!(
                 out,
                 "mid-split: old table {} buckets at {:#x}, cursor {} ({} buckets migrated)",
-                ht.old_buckets, ht.old_heads, ht.cursor, ht.cursor
+                g.old_buckets, g.old_heads, g.cursor, g.cursor
             );
         }
         let _ = writeln!(out, "chain-length histogram (len: buckets):");
@@ -565,17 +566,18 @@ pub fn render_json(d: &Diagnosis) -> String {
         d.heap.errors.len()
     );
     if let Some(ht) = &d.hashtable {
+        let (hdr, g) = (ht.header, ht.header.geo);
         let _ = writeln!(
             out,
             "  \"hashtable\": {{\"buckets\": {}, \"persisted_count\": {}, \
              \"count_dirty\": {}, \"reachable\": {}, \"mid_split\": {}, \
              \"cursor\": {}, \"chain_histogram\": [{}]}},",
-            ht.buckets,
-            ht.persisted_count,
-            ht.count_dirty,
+            g.buckets,
+            hdr.count,
+            hdr.dirty != 0,
             ht.reachable,
-            ht.mid_split,
-            ht.cursor,
+            g.old_buckets != 0,
+            g.cursor,
             ht.chain_histogram
                 .iter()
                 .map(u64::to_string)

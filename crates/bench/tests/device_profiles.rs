@@ -5,7 +5,7 @@
 
 use baselines::PmemcpyLib;
 use mpi_sim::SchedMode;
-use pmdk_sim::doctor::read_superblock;
+use pmdk_sim::layout::Superblock;
 use pmem_sim::profile::{by_name, profile_id};
 use pmem_sim::{autotune_flush, Clock, FlushStrategy, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::Options;
@@ -75,7 +75,7 @@ fn autotuner_picks_expected_strategy_per_profile() {
         let pool = pmdk_sim::PmemPool::create(&Clock::new(), dev, "profiles").unwrap();
         assert_eq!(pool.flush_strategy(), strategy, "pool cache for {name}");
         assert_eq!(pool.device_profile_id(), profile_id(name));
-        let sb = read_superblock(pool.device());
+        let sb = Superblock::read(pool.device().as_ref());
         assert_eq!(sb.device_profile_name(), name);
         assert_eq!(sb.flush_strategy_name(), strategy.name());
     }

@@ -19,7 +19,6 @@ use std::sync::{Arc, OnceLock};
 pub struct SharedPool {
     pub pool: Arc<PmemPool>,
     pub hashtable: Arc<PersistentHashtable>,
-    pub lock_registry: Arc<pmdk_sim::locks::LockRegistry>,
 }
 
 type Key = usize; // device address identity
@@ -70,7 +69,6 @@ pub fn shared_pool(
     let shared = SharedPool {
         pool,
         hashtable: Arc::new(hashtable),
-        lock_registry: Arc::new(pmdk_sim::locks::LockRegistry::default()),
     };
     reg.insert(key, shared.clone());
     Ok(shared)

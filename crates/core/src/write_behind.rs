@@ -418,7 +418,7 @@ impl Layout for WriteBehindLayout {
         }
         // Drain opportunistically at half-full so appends rarely stall on a
         // synchronous full-ring drain.
-        if self.state.log.used(clock) * 2 >= self.state.log.capacity() {
+        if self.state.log.used(clock)? * 2 >= self.state.log.capacity() {
             self.run_checkpoint()?;
         }
         Ok(())

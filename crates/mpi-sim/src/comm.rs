@@ -488,12 +488,6 @@ impl Comm {
         let bytes = self.bcast(0, reduced.as_deref());
         f64::from_le_bytes(bytes[..8].try_into().unwrap())
     }
-
-    /// The maximum of all ranks' clocks, synchronized everywhere (job time).
-    pub fn max_time(&self) -> SimTime {
-        let t = self.allreduce_u64(self.now().as_nanos(), ReduceOp::Max);
-        SimTime::from_nanos(t)
-    }
 }
 
 const TAG_BARRIER: u64 = 1 << 40;

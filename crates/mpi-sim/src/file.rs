@@ -72,15 +72,6 @@ impl MpiFile {
         &self.path
     }
 
-    /// Collective preallocation (MPI_File_set_size).
-    pub fn set_size_all(&self, len: u64) -> Result<()> {
-        if self.comm.rank() == 0 {
-            self.fs.set_len(self.comm.clock(), self.fd, len)?;
-        }
-        self.comm.barrier();
-        Ok(())
-    }
-
     /// Independent write (MPI_File_write_at).
     pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.fs.write_at(self.comm.clock(), self.fd, offset, data)

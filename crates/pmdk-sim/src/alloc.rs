@@ -28,14 +28,6 @@ pub struct Heap {
     allocated: u64,
 }
 
-/// Persisted block header, decoded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockHeader {
-    pub state: u32,
-    pub size: u64,
-    pub prev_size: u64,
-}
-
 impl Heap {
     /// Format a fresh heap: one giant free block.
     pub fn format(clock: &Clock, device: &Arc<PmemDevice>, heap_start: u64, heap_end: u64) {
@@ -54,41 +46,23 @@ impl Heap {
         );
     }
 
-    /// Rebuild the volatile free list by walking block headers.
+    /// Rebuild the volatile free list from the shared heap walk; the first
+    /// implausible block refuses the mount.
     pub fn rebuild(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
         let mut free: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
         let mut allocated = 0;
-        let mut cursor = heap_start;
-        let mut prev_payload = 0u64;
-        // Every block holds at least one aligned payload unit; anything
-        // smaller at the tail is formatting slack, not a block.
-        while cursor + BLOCK_HEADER_SIZE + HEAP_ALIGN <= heap_end {
-            let h = read_header_untimed(&device, cursor)?;
-            if h.prev_size != prev_payload {
-                return Err(PmdkError::BadPool(format!(
-                    "heap chain broken at {cursor:#x}: prev_size {} != walked {}",
-                    h.prev_size, prev_payload
-                )));
-            }
-            match h.state {
-                BLOCK_FREE => {
-                    free.entry(h.size).or_default().insert(cursor);
+        let mut fault = Ok(());
+        walk_blocks(&device, heap_start, heap_end, |block| {
+            match block {
+                Ok((at, h)) if h.state == BLOCK_FREE => {
+                    free.entry(h.size).or_default().insert(at);
                 }
-                BLOCK_ALLOC => allocated += h.size,
-                s => {
-                    return Err(PmdkError::BadPool(format!(
-                        "block at {cursor:#x} has invalid state {s}"
-                    )))
-                }
+                Ok((_, h)) => allocated += h.size,
+                Err(e) => fault = Err(e),
             }
-            prev_payload = h.size;
-            cursor += BLOCK_HEADER_SIZE + h.size;
-        }
-        if heap_end - cursor >= BLOCK_HEADER_SIZE + HEAP_ALIGN {
-            return Err(PmdkError::BadPool(format!(
-                "heap walk ended early at {cursor:#x} (heap end {heap_end:#x})"
-            )));
-        }
+            fault.is_ok()
+        });
+        fault?;
         Ok(Heap {
             device,
             heap_start,
@@ -96,10 +70,6 @@ impl Heap {
             free,
             allocated,
         })
-    }
-
-    pub fn heap_bounds(&self) -> (u64, u64) {
-        (self.heap_start, self.heap_end)
     }
 
     pub fn allocated_bytes(&self) -> u64 {
@@ -317,16 +287,7 @@ impl Heap {
 
     /// Free the payload at `payload_off`, coalescing with free neighbours.
     pub fn free(&mut self, clock: &Clock, payload_off: u64) -> Result<()> {
-        let hdr_off = payload_off
-            .checked_sub(BLOCK_HEADER_SIZE)
-            .ok_or(PmdkError::BadPointer(payload_off))?;
-        if hdr_off < self.heap_start || hdr_off >= self.heap_end {
-            return Err(PmdkError::BadPointer(payload_off));
-        }
-        let h = read_header_untimed(&self.device, hdr_off)?;
-        if h.state != BLOCK_ALLOC {
-            return Err(PmdkError::BadPointer(payload_off));
-        }
+        let (hdr_off, h) = self.live_block(payload_off)?;
         self.allocated -= h.size;
 
         let mut start = hdr_off;
@@ -336,7 +297,7 @@ impl Heap {
         // Coalesce with physical predecessor if free.
         if h.prev_size != 0 {
             let prev_hdr = hdr_off - BLOCK_HEADER_SIZE - h.prev_size;
-            let ph = read_header_untimed(&self.device, prev_hdr)?;
+            let ph = BlockHeader::read(&self.device, prev_hdr)?;
             if ph.state == BLOCK_FREE {
                 self.remove_free(ph.size, prev_hdr);
                 start = prev_hdr;
@@ -349,7 +310,7 @@ impl Heap {
         // Coalesce with physical successor if free.
         let next_hdr = hdr_off + BLOCK_HEADER_SIZE + h.size;
         if next_hdr + BLOCK_HEADER_SIZE + HEAP_ALIGN <= self.heap_end {
-            let nh = read_header_untimed(&self.device, next_hdr)?;
+            let nh = BlockHeader::read(&self.device, next_hdr)?;
             if nh.state == BLOCK_FREE {
                 self.remove_free(nh.size, next_hdr);
                 payload += BLOCK_HEADER_SIZE + nh.size;
@@ -388,14 +349,21 @@ impl Heap {
 
     /// Usable payload size of a live allocation.
     pub fn usable_size(&self, payload_off: u64) -> Result<u64> {
+        Ok(self.live_block(payload_off)?.1.size)
+    }
+
+    /// Header (and its offset) of the live allocation whose payload starts
+    /// at `payload_off`; anything else is a bad pointer.
+    fn live_block(&self, payload_off: u64) -> Result<(u64, BlockHeader)> {
         let hdr_off = payload_off
             .checked_sub(BLOCK_HEADER_SIZE)
+            .filter(|h| (self.heap_start..self.heap_end).contains(h))
             .ok_or(PmdkError::BadPointer(payload_off))?;
-        let h = read_header_untimed(&self.device, hdr_off)?;
+        let h = BlockHeader::read(&self.device, hdr_off)?;
         if h.state != BLOCK_ALLOC {
             return Err(PmdkError::BadPointer(payload_off));
         }
-        Ok(h.size)
+        Ok((hdr_off, h))
     }
 
     /// Validate heap invariants (test support): walkable, sizes consistent,
@@ -467,23 +435,6 @@ fn write_header_unfenced(clock: &Clock, device: &Arc<PmemDevice>, hdr_off: u64, 
     let buf = encode_header(h);
     device.write_meta(clock, hdr_off as usize, &buf);
     device.flush(clock, hdr_off as usize, BLOCK_HEADER_SIZE as usize);
-}
-
-/// Decode a block header without charging time (open-time scans).
-pub(crate) fn read_header_untimed(device: &Arc<PmemDevice>, hdr_off: u64) -> Result<BlockHeader> {
-    let mut buf = [0u8; BLOCK_HEADER_SIZE as usize];
-    device.read_untimed(hdr_off as usize, &mut buf);
-    let magic = u32::from_le_bytes(buf[blk::MAGIC as usize..][..4].try_into().unwrap());
-    if magic != BLOCK_MAGIC {
-        return Err(PmdkError::BadPool(format!(
-            "bad block magic at {hdr_off:#x}"
-        )));
-    }
-    Ok(BlockHeader {
-        state: u32::from_le_bytes(buf[blk::STATE as usize..][..4].try_into().unwrap()),
-        size: u64::from_le_bytes(buf[blk::SIZE as usize..][..8].try_into().unwrap()),
-        prev_size: u64::from_le_bytes(buf[blk::PREV_SIZE as usize..][..8].try_into().unwrap()),
-    })
 }
 
 #[cfg(test)]

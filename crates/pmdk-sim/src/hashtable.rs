@@ -4,15 +4,9 @@
 //! hashtable with chaining. This utilizes the high parallelism and random
 //! access characteristics of PMEM."*
 //!
-//! On-pool layout:
-//!
-//! ```text
-//! header allocation: [bucket_count u64][entry_count u64][heads_off u64]
-//!                    [old_bucket_count u64][old_heads_off u64]
-//!                    [split_cursor u64][count_dirty u64]
-//! heads allocation:  [head u64 × bucket_count]        (separate alloc)
-//! entry allocation:  [hash u64][key_len u32][val_len u32][next u64][key][value]
-//! ```
+//! The on-pool layout (header, heads arrays, entries), its plausibility
+//! rules and the one chain walk live in [`crate::layout`], shared with the
+//! offline doctor; this file owns routing, the shadow cache and migration.
 //!
 //! The directory is **online-resizable**: when the live-entry estimate
 //! crosses `bucket_count / SPLIT_FACTOR`, a split doubles the directory by
@@ -57,6 +51,7 @@
 //! split.
 
 use crate::error::{PmdkError, Result};
+use crate::layout::*;
 use crate::pool::PmemPool;
 use parking_lot::Mutex;
 use pmem_sim::flight::EventCode;
@@ -64,23 +59,6 @@ use pmem_sim::{Clock, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-
-// On-device geometry is public so offline diagnostics (pmemcpy-doctor) can
-// walk a raw pool image without mounting it.
-pub const HDR_BUCKETS: u64 = 0;
-pub const HDR_COUNT: u64 = 8;
-pub const HDR_HEADS: u64 = 16;
-pub const HDR_OLD_BUCKETS: u64 = 24;
-pub const HDR_OLD_HEADS: u64 = 32;
-pub const HDR_CURSOR: u64 = 40;
-pub const HDR_DIRTY: u64 = 48;
-pub const HDR_SIZE: u64 = 56;
-
-pub const ENT_HASH: u64 = 0;
-pub const ENT_KLEN: u64 = 8;
-pub const ENT_VLEN: u64 = 12;
-pub const ENT_NEXT: u64 = 16;
-pub const ENT_KEY: u64 = 24;
 
 pub const STRIPES: usize = 64;
 
@@ -90,9 +68,6 @@ pub const STRIPES: usize = 64;
 /// creation-storm CI bound).
 const SPLIT_FACTOR: u64 = 2;
 
-/// Bound on unlocked chain walks: a torn `next` pointer may form a cycle,
-/// so hop counts beyond any plausible chain length are treated as torn.
-const MAX_PROBE_HOPS: u32 = 1 << 16;
 /// After this many seqlock retries a reader falls back to the stripe lock,
 /// so a busy writer cannot starve it indefinitely.
 const SEQLOCK_MAX_RETRIES: u32 = 8;
@@ -152,14 +127,9 @@ struct Route {
     sid: usize,
 }
 
-/// Snapshot of the table geometry (both directories + split cursor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Geo {
-    buckets: u64,
-    heads: u64,
-    old_buckets: u64,
-    old_heads: u64,
-    cursor: u64,
+/// The stripe guarding `bucket`'s chain (of either directory).
+fn stripe_of(bucket: u64) -> usize {
+    (bucket % STRIPES as u64) as usize
 }
 
 impl Geo {
@@ -169,14 +139,14 @@ impl Geo {
             if ob >= self.cursor {
                 return Route {
                     head_slot: self.old_heads + ob * 8,
-                    sid: (ob % STRIPES as u64) as usize,
+                    sid: stripe_of(ob),
                 };
             }
         }
         let b = hash % self.buckets;
         Route {
             head_slot: self.heads + b * 8,
-            sid: (b % STRIPES as u64) as usize,
+            sid: stripe_of(b),
         }
     }
 }
@@ -206,20 +176,10 @@ impl GeoCell {
     }
 }
 
-/// One entry's fixed-size header, fetched with a single 24-byte metadata
-/// read (the old walk paid one charged read per field).
-#[derive(Debug, Clone, Copy)]
-struct EntryHeader {
-    hash: u64,
-    klen: u32,
-    vlen: u32,
-    next: u64,
-}
-
-fn value_ref_of(entry: u64, hdr: &EntryHeader) -> ValueRef {
+fn value_ref_of(e: &Entry) -> ValueRef {
     ValueRef {
-        offset: entry + ENT_KEY + hdr.klen as u64,
-        len: hdr.vlen as u64,
+        offset: e.value_off(),
+        len: e.vlen as u64,
     }
 }
 
@@ -318,94 +278,26 @@ impl PersistentHashtable {
         ))
     }
 
-    /// Attach to an existing table at `header`, validating that the stored
-    /// geometry is plausible for this pool: a heads array (old or new) that
-    /// would run past the device, a cursor past the old table, or a new
-    /// table that is not the old one doubled all reject the header instead
-    /// of faulting later. If the table crashed with unfolded per-stripe
-    /// counts (dirty flag set), the count is recounted from the chains
-    /// here. The shadow index starts cold (lookups repopulate it lazily);
-    /// call [`PersistentHashtable::rebuild_shadow`] to warm it eagerly.
+    /// Attach to an existing table at `header`. The stored header must pass
+    /// [`TableHeader::check`] — the rules the doctor applies — or the mount
+    /// is refused. If the table crashed with unfolded per-stripe counts
+    /// (dirty flag set), the count is recounted from the chains here. The
+    /// shadow index starts cold (lookups repopulate it lazily); call
+    /// [`PersistentHashtable::rebuild_shadow`] to warm it eagerly.
     pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64) -> Result<Self> {
-        let dev_size = pool.device().size() as u64;
-        if header
-            .checked_add(HDR_SIZE)
-            .is_none_or(|end| end > dev_size)
-        {
-            return Err(PmdkError::BadPool(format!(
-                "hashtable header at {header} runs past the device"
-            )));
-        }
-        let word = |off| pool.read_u64(clock, header + off);
-        let buckets = word(HDR_BUCKETS);
-        let heads = word(HDR_HEADS);
-        let old_buckets = word(HDR_OLD_BUCKETS);
-        let old_heads = word(HDR_OLD_HEADS);
-        let cursor = word(HDR_CURSOR);
-        let dirty = word(HDR_DIRTY);
-        let fits = |off: u64, n: u64| {
-            n.checked_mul(8)
-                .and_then(|sz| off.checked_add(sz))
-                .is_some_and(|end| end <= dev_size)
-        };
-        if buckets == 0 || !fits(heads, buckets) {
-            return Err(PmdkError::BadPool(format!(
-                "implausible hashtable bucket count {buckets} (heads at {heads}, device {dev_size})"
-            )));
-        }
-        if old_buckets != 0 {
-            if buckets != old_buckets.wrapping_mul(2)
-                || cursor > old_buckets
-                || !fits(old_heads, old_buckets)
-            {
-                return Err(PmdkError::BadPool(format!(
-                    "implausible hashtable split state: old_buckets={old_buckets} cursor={cursor} buckets={buckets}"
-                )));
-            }
-        } else if old_heads != 0 || cursor != 0 {
-            return Err(PmdkError::BadPool(format!(
-                "implausible hashtable split state: no old table but old_heads={old_heads} cursor={cursor}"
-            )));
-        }
-        if dirty > 1 {
-            return Err(PmdkError::BadPool(format!(
-                "implausible hashtable dirty flag {dirty}"
-            )));
-        }
-        let ht = Self::attach(
-            pool,
-            header,
-            Geo {
-                buckets,
-                heads,
-                old_buckets,
-                old_heads,
-                cursor,
-            },
-            word(HDR_COUNT),
-        );
-        if dirty == 1 {
+        let src = pool.charged(clock);
+        let hdr = TableHeader::read(&src, header)?;
+        hdr.check(&src)?;
+        let ht = Self::attach(pool, header, hdr.geo, hdr.count);
+        if hdr.dirty == 1 {
             // Crashed with unfolded per-stripe deltas: recount from the
             // chains (cheap 8-byte next-pointer hops) and fold + clear in
-            // ordered single-word persisted writes. A torn `next` may
-            // self-loop or point off the device, so every hop is bounded
-            // and range-checked before it is followed.
+            // ordered single-word persisted writes.
             let mut n = 0u64;
-            for (slot, _) in ht.head_slots(ht.geo()) {
-                let mut entry = pool.read_u64(clock, slot);
-                let mut hops = 0u32;
-                while entry != 0 {
-                    hops += 1;
-                    if hops > MAX_PROBE_HOPS
-                        || entry.checked_add(ENT_KEY).is_none_or(|end| end > dev_size)
-                    {
-                        return Err(PmdkError::BadPool(format!(
-                            "torn hashtable chain at head slot {slot}: entry {entry} after {hops} hops"
-                        )));
-                    }
-                    n += 1;
-                    entry = pool.read_u64(clock, entry + ENT_NEXT);
-                }
+            for (slot, _) in hdr.geo.head_slots() {
+                let (links, end) = walk_chain(&src, slot, Fetch::Link, |_| true);
+                end?;
+                n += links;
             }
             pool.write_u64(clock, header + HDR_COUNT, n);
             pool.write_u64(clock, header + HDR_DIRTY, 0);
@@ -507,16 +399,6 @@ impl PersistentHashtable {
         self.geo.old_heads.store(g.old_heads, Ordering::Release);
         self.geo.cursor.store(g.cursor, Ordering::Release);
         self.geo.seq.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Every chain-head slot a key could live in under geometry `g`:
-    /// unmigrated old buckets first, then the whole new directory. Yields
-    /// `(head_slot, stripe_id)`.
-    fn head_slots(&self, g: Geo) -> impl Iterator<Item = (u64, usize)> {
-        let old = (g.cursor..g.old_buckets)
-            .map(move |b| (g.old_heads + b * 8, (b % STRIPES as u64) as usize));
-        let new = (0..g.buckets).map(move |b| (g.heads + b * 8, (b % STRIPES as u64) as usize));
-        old.chain(new)
     }
 
     /// Acquire stripe `id`, feeding the per-stripe heat map when metrics
@@ -721,23 +603,24 @@ impl PersistentHashtable {
         let _epoch = EpochWriteGuard::enter(sids.iter().map(|&i| &self.stripes[i]).collect());
 
         let mut entries_moved = 0u64;
+        let src = self.pool.charged(clock);
         let complete = self.pool.tx(clock, |tx| {
             self.pool.fail_check(clock, "ht::migrate")?;
             for b in start..end {
                 let old_slot = g.old_heads + b * 8;
                 let mut lo: Vec<(u64, u64)> = Vec::new(); // (entry, current next)
                 let mut hi: Vec<(u64, u64)> = Vec::new();
-                let mut entry = self.pool.read_u64(clock, old_slot);
-                while entry != 0 {
-                    let hdr = self.read_entry_header(clock, entry);
-                    if hdr.hash % g.buckets == b {
-                        lo.push((entry, hdr.next));
+                let (moved, end) = walk_chain(&src, old_slot, Fetch::Header, |e| {
+                    let half = if e.hash % g.buckets == b {
+                        &mut lo
                     } else {
-                        hi.push((entry, hdr.next));
-                    }
-                    entries_moved += 1;
-                    entry = hdr.next;
-                }
+                        &mut hi
+                    };
+                    half.push((e.at, e.next));
+                    true
+                });
+                end?;
+                entries_moved += moved;
                 // Both destination buckets are empty (nothing routes to
                 // new-table b or b+n until b is past the cursor), so each
                 // partition relinks in original order with a nul tail.
@@ -808,64 +691,34 @@ impl PersistentHashtable {
         Ok(())
     }
 
-    /// Fetch an entry's whole header with one charged metadata read.
-    fn read_entry_header(&self, clock: &Clock, entry: u64) -> EntryHeader {
-        let mut b = [0u8; ENT_KEY as usize];
-        self.pool.read_bytes(clock, entry, &mut b);
-        EntryHeader {
-            hash: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            klen: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            vlen: u32::from_le_bytes(b[12..16].try_into().unwrap()),
-            next: u64::from_le_bytes(b[16..24].try_into().unwrap()),
-        }
-    }
-
     /// Walk the chain at `head_slot` looking for `key` (writer side, caller
-    /// holds the stripe). Returns (predecessor_next_slot, entry, header).
-    fn find(
-        &self,
-        clock: &Clock,
-        head_slot: u64,
-        key: &[u8],
-        hash: u64,
-    ) -> Option<(u64, u64, EntryHeader)> {
+    /// holds the stripe). The match's `slot` is the predecessor pointer a
+    /// splice rewrites. A bad hop refuses the mutation.
+    fn find(&self, clock: &Clock, head_slot: u64, key: &[u8], hash: u64) -> Result<Option<Entry>> {
         let machine = self.pool.device().machine();
         let t0 = machine.trace_start(clock);
-        let out = self.find_inner(clock, head_slot, key, hash);
+        let src = self.pool.charged(clock);
+        let mut hit = None;
+        let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
+            if e.hash == hash && e.klen as usize == key.len() && e.key(&src) == key {
+                hit = Some(*e);
+            }
+            hit.is_none()
+        });
+        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
         machine.trace_finish(clock, t0, "pmdk", "ht.probe", None);
-        out
+        end.map(|()| hit)
     }
 
-    fn find_inner(
-        &self,
-        clock: &Clock,
-        head_slot: u64,
-        key: &[u8],
-        hash: u64,
-    ) -> Option<(u64, u64, EntryHeader)> {
-        let mut slot = head_slot;
-        let mut entry = self.pool.read_u64(clock, slot);
-        let mut hops = 0u64;
-        let mut out = None;
-        while entry != 0 {
-            hops += 1;
-            let hdr = self.read_entry_header(clock, entry);
-            if hdr.hash == hash && hdr.klen as usize == key.len() {
-                let mut kbuf = vec![0u8; key.len()];
-                self.pool.read_bytes(clock, entry + ENT_KEY, &mut kbuf);
-                if kbuf == key {
-                    out = Some((slot, entry, hdr));
-                    break;
-                }
-            }
-            slot = entry + ENT_NEXT;
-            entry = hdr.next;
+    /// Read-path degradation: these signatures cannot carry a `Result`, so
+    /// a walk that ended at a bad hop keeps what it saw and is counted.
+    /// Returns the entries it fetched.
+    fn degraded(&self, (hops, end): (u64, Result<()>)) -> u64 {
+        if end.is_err() {
+            let machine = self.pool.device().machine();
+            machine.metric_counter_add("ht.chain.torn", 1);
         }
-        self.pool
-            .device()
-            .machine()
-            .metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
-        out
+        hops
     }
 
     // ---- volatile shadow index ----
@@ -902,18 +755,15 @@ impl PersistentHashtable {
         // Snapshot the geometry under the resize lock so no bucket migrates
         // (changing its stripe) while the scan installs entries.
         let _resize = self.resize_lock.lock();
-        for (slot, sid) in self.head_slots(self.geo()) {
+        let src = self.pool.charged(clock);
+        for (slot, bucket) in self.geo().head_slots() {
+            let sid = stripe_of(bucket);
             let _guard = self.lock_stripe(sid);
             let mut shadow = self.stripes[sid].shadow.lock();
-            let mut entry = self.pool.read_u64(clock, slot);
-            while entry != 0 {
-                let hdr = self.read_entry_header(clock, entry);
-                let mut k = vec![0u8; hdr.klen as usize];
-                self.pool.read_bytes(clock, entry + ENT_KEY, &mut k);
-                shadow.insert(k, value_ref_of(entry, &hdr));
-                installed += 1;
-                entry = hdr.next;
-            }
+            installed += self.degraded(walk_chain(&src, slot, Fetch::Header, |e| {
+                shadow.insert(e.key(&src), value_ref_of(e));
+                true
+            }));
         }
         installed
     }
@@ -991,35 +841,38 @@ impl PersistentHashtable {
         stripe.shadow.lock().insert(key.to_vec(), vref);
     }
 
-    /// Insert (or replace) `key` with space for `val_len` value bytes, but do
-    /// not write the value: returns its [`ValueRef`] so the caller can
-    /// serialize *directly into PMEM* (the pMEMCPY zero-staging write path).
-    ///
-    /// Crash contract: the *structure* is atomic (old value or new entry,
-    /// never a torn chain), but the new value bytes are the caller's
-    /// responsibility — a crash between this call and the caller's persist
-    /// leaves the entry with unwritten contents, exactly like a crash in the
-    /// middle of a pMEMCPY `store`. Use [`PersistentHashtable::put`] for a
-    /// fully atomic key+value update.
-    pub fn put_reserve(&self, clock: &Clock, key: &[u8], val_len: u64) -> Result<ValueRef> {
-        let mut refs = self.put_reserve_many(clock, &[(key, val_len)])?;
-        Ok(refs.remove(0))
-    }
-
-    /// Group-commit variant of [`PersistentHashtable::put_reserve`]: reserve
-    /// space for every `(key, val_len)` in **one pool transaction** with
-    /// **one allocator pass** (`Tx::alloc_many`), stripe-grouped chain
-    /// splices (one snapshotted head write per touched bucket), and
-    /// volatile per-stripe count updates for the whole group.
+    /// Insert (or replace) every `(key, val_len)` with space for its value
+    /// bytes, but do not write them: the returned [`ValueRef`]s let the
+    /// caller serialize *directly into PMEM* (the pMEMCPY zero-staging write
+    /// path). The whole group takes **one pool transaction** with **one
+    /// allocator pass** (`Tx::alloc_many`), stripe-grouped chain splices
+    /// (one snapshotted head write per touched bucket), and volatile
+    /// per-stripe count updates.
     ///
     /// Crash contract: the transaction is the atomicity boundary — a crash
     /// anywhere before the lane commit point rolls the *entire group* back
-    /// (no key from the batch visible, every replaced entry intact). Value
-    /// bytes remain the caller's responsibility, as with `put_reserve`.
+    /// (no key from the batch visible, every replaced entry intact). The
+    /// value bytes are the caller's responsibility: a crash before the
+    /// caller's persist leaves the entry with unwritten contents, exactly
+    /// like a crash in the middle of a pMEMCPY `store`. Use
+    /// [`PersistentHashtable::put`] for a fully atomic key+value update.
     ///
     /// Duplicate keys within one batch are rejected: two reservations cannot
     /// both be linked under the same key atomically.
     pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
+        self.put_group(clock, reqs, None)
+    }
+
+    /// The one insert path. `value` (a one-request group: [`Self::put`])
+    /// lands inside the transaction, before the commit point; otherwise the
+    /// value bytes are the caller's to write.
+    fn put_group(
+        &self,
+        clock: &Clock,
+        reqs: &[(&[u8], u64)],
+        value: Option<&[u8]>,
+    ) -> Result<Vec<ValueRef>> {
+        debug_assert!(value.is_none() || reqs.len() == 1);
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
@@ -1084,11 +937,9 @@ impl PersistentHashtable {
                     // have moved this entry's predecessor.
                     for &i in idxs {
                         let (key, _) = reqs[i];
-                        if let Some((pred_slot, old_entry, old_hdr)) =
-                            self.find(clock, head_slot, key, hashes[i])
-                        {
-                            tx.set(pred_slot, &old_hdr.next.to_le_bytes())?;
-                            tx.free(old_entry)?;
+                        if let Some(old) = self.find(clock, head_slot, key, hashes[i])? {
+                            tx.set(old.slot, &old.next.to_le_bytes())?;
+                            tx.free(old.at)?;
                         } else {
                             live_delta[routes[i].sid] += 1;
                         }
@@ -1103,6 +954,9 @@ impl PersistentHashtable {
                         tx.write_new(entry + ENT_KLEN, &(key.len() as u32).to_le_bytes());
                         tx.write_new(entry + ENT_VLEN, &(val_len as u32).to_le_bytes());
                         tx.write_new(entry + ENT_KEY, key);
+                        if let Some(v) = value {
+                            tx.write_new(entry + ENT_KEY + key.len() as u64, v);
+                        }
                         tx.write_new(entry + ENT_NEXT, &head.to_le_bytes());
                         head = entry;
                     }
@@ -1130,85 +984,12 @@ impl PersistentHashtable {
         }
     }
 
-    fn insert_impl(
-        &self,
-        clock: &Clock,
-        key: &[u8],
-        val_len: u64,
-        value: Option<&[u8]>,
-    ) -> Result<ValueRef> {
-        assert!(val_len <= u32::MAX as u64, "values are capped at 4 GiB");
-        let hash = fnv1a(key);
-        self.maybe_resize(clock)?;
-        // Charges happen under the stripe lock: the deterministic scheduler
-        // must not park this thread while it holds the stripe.
-        let _atomic = pmem_sim::atomic_section();
-        let machine = self.pool.device().machine();
-        loop {
-            let r = self.geo().route(hash);
-            let _guard = self.lock_stripe(r.sid);
-            // Holding the stripe pins the route (migration locks it too).
-            if self.geo().route(hash) != r {
-                machine.metric_counter_add("ht.route.retries", 1);
-                continue;
-            }
-            let stripe = &self.stripes[r.sid];
-            let _epoch = EpochWriteGuard::enter(vec![stripe]);
-            self.shadow_invalidate(stripe, key);
-            let existing = self.find(clock, r.head_slot, key, hash);
-            let head_slot = r.head_slot;
-            let entry_size = ENT_KEY + key.len() as u64 + val_len;
-            let is_new = existing.is_none();
-            if is_new {
-                self.ensure_dirty(clock);
-            }
-
-            let value_off = self.pool.tx(clock, |tx| {
-                let entry = tx.alloc(entry_size)?;
-                // Fresh allocation: write fields without undo images.
-                tx.write_new(entry + ENT_HASH, &hash.to_le_bytes());
-                tx.write_new(entry + ENT_KLEN, &(key.len() as u32).to_le_bytes());
-                tx.write_new(entry + ENT_VLEN, &(val_len as u32).to_le_bytes());
-                tx.write_new(entry + ENT_KEY, key);
-                if let Some(v) = value {
-                    // Fully-atomic path: value bytes land before the commit point.
-                    tx.write_new(entry + ENT_KEY + key.len() as u64, v);
-                }
-                let old_head = self.pool.read_u64(clock, head_slot);
-                tx.write_new(entry + ENT_NEXT, &old_head.to_le_bytes());
-                // Linking the head is the visible commit point.
-                tx.set(head_slot, &entry.to_le_bytes())?;
-                if let Some((pred_slot, old_entry, old_hdr)) = existing {
-                    // Unlink + free the replaced entry in the same transaction.
-                    // The predecessor slot may be the old head we just rewrote;
-                    // re-read through the new chain.
-                    let pred_slot = if pred_slot == head_slot {
-                        entry + ENT_NEXT
-                    } else {
-                        pred_slot
-                    };
-                    tx.set(pred_slot, &old_hdr.next.to_le_bytes())?;
-                    tx.free(old_entry)?;
-                }
-                Ok(entry + ENT_KEY + key.len() as u64)
-            })?;
-            if is_new {
-                stripe.live.fetch_add(1, Ordering::Relaxed);
-            }
-            let vref = ValueRef {
-                offset: value_off,
-                len: val_len,
-            };
-            self.shadow_store(stripe, key, vref);
-            return Ok(vref);
-        }
-    }
-
     /// Insert (or replace) `key → value` atomically: on a crash at any point
     /// the table holds either the complete old mapping or the complete new
     /// one.
     pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
-        self.insert_impl(clock, key, value.len() as u64, Some(value))
+        let refs = self.put_group(clock, &[(key, value.len() as u64)], Some(value))?;
+        Ok(refs[0])
     }
 
     /// Locate `key`'s value without copying it. Lock-free: probes the
@@ -1217,21 +998,7 @@ impl PersistentHashtable {
     /// readers validate and retry, re-routing if a migration moved the
     /// bucket mid-walk).
     pub fn get_ref(&self, clock: &Clock, key: &[u8]) -> Option<ValueRef> {
-        let hash = fnv1a(key);
-        let mut out = [None];
-        let mut passes = 0u32;
-        loop {
-            passes += 1;
-            if passes > MAX_ROUTE_PASSES {
-                let _atomic = pmem_sim::atomic_section();
-                return self.get_ref_locked(clock, key, hash);
-            }
-            let r = self.geo().route(hash);
-            let stale = self.get_group(clock, &[key], &[hash], r, &[0], &mut out);
-            if stale.is_empty() {
-                return out[0];
-            }
-        }
+        self.resolve(clock, &[key])[0]
     }
 
     /// Batched lookup: resolve every key with one chain walk per touched
@@ -1241,8 +1008,6 @@ impl PersistentHashtable {
     /// Keys whose bucket migrates mid-walk come back as stale and re-route
     /// on the next pass. Results are positionally parallel to `keys`.
     pub fn get_ref_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
-        let mut out = vec![None; keys.len()];
-        let hashes: Vec<u64> = keys.iter().map(|k| fnv1a(k)).collect();
         // Lookups help an in-flight split along too (the tentpole contract:
         // every operation migrates a chunk). A lookup must not fail, so
         // split errors defer rather than propagate.
@@ -1252,6 +1017,14 @@ impl PersistentHashtable {
                 .machine()
                 .metric_counter_add("ht.split.deferred", 1);
         }
+        self.resolve(clock, keys)
+    }
+
+    /// The route-pass loop behind both lookups: group, walk, re-route what
+    /// a migration moved; after `MAX_ROUTE_PASSES` resolve under the lock.
+    fn resolve(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
+        let mut out = vec![None; keys.len()];
+        let hashes: Vec<u64> = keys.iter().map(|k| fnv1a(k)).collect();
         let mut pending: Vec<usize> = (0..keys.len()).collect();
         let mut passes = 0u32;
         while !pending.is_empty() {
@@ -1259,7 +1032,8 @@ impl PersistentHashtable {
             if passes > MAX_ROUTE_PASSES {
                 let _atomic = pmem_sim::atomic_section();
                 for &i in &pending {
-                    out[i] = self.get_ref_locked(clock, keys[i], hashes[i]);
+                    let (r, _guard) = self.lock_route(hashes[i]);
+                    out[i] = self.probe_held(clock, r.head_slot, keys[i], hashes[i]);
                 }
                 break;
             }
@@ -1291,25 +1065,69 @@ impl PersistentHashtable {
         out
     }
 
-    /// Locked single-key resolution (starvation fallback). Caller holds an
-    /// atomic section.
-    fn get_ref_locked(&self, clock: &Clock, key: &[u8], hash: u64) -> Option<ValueRef> {
+    /// Lock the stripe guarding `hash`'s chain. A migration may move the
+    /// bucket between routing and lock acquisition; holding the stripe pins
+    /// the route (migration locks it too), so one stable re-check suffices.
+    fn lock_route(&self, hash: u64) -> (Route, parking_lot::MutexGuard<'_, ()>) {
+        let machine = self.pool.device().machine();
         loop {
             let r = self.geo().route(hash);
-            let _guard = self.lock_stripe(r.sid);
-            if self.geo().route(hash) != r {
-                continue;
+            let guard = self.lock_stripe(r.sid);
+            if self.geo().route(hash) == r {
+                return (r, guard);
             }
-            return self
-                .find_inner(clock, r.head_slot, key, hash)
-                .map(|(_, entry, hdr)| value_ref_of(entry, &hdr));
+            machine.metric_counter_add("ht.route.retries", 1);
         }
     }
 
+    /// Resolve one key on a chain whose stripe the caller holds.
+    fn probe_held(&self, clock: &Clock, head_slot: u64, key: &[u8], hash: u64) -> Option<ValueRef> {
+        self.probe_chain_group(clock, &[key], &[hash], head_slot, &[0], true)
+            .and_then(|found| found[0])
+    }
+
+    /// The one seqlock read protocol. Run `walk(false)` without the stripe
+    /// mutex and accept its answer only if stripe `sid`'s epoch was even
+    /// before and unchanged after; otherwise — or when the walk itself saw a
+    /// torn read and answered `None` — charge a deterministic retry penalty
+    /// and go again (under SchedMode::Deterministic writers splice inside
+    /// atomic sections, so any retry pattern is itself reproducible). A busy
+    /// writer must not starve readers: after `SEQLOCK_MAX_RETRIES` take the
+    /// mutex and run `walk(true)`. Returns the answer and the epoch it was
+    /// validated against (`None` under the mutex).
+    fn seqlock_read<T>(
+        &self,
+        clock: &Clock,
+        sid: usize,
+        mut walk: impl FnMut(bool) -> Option<T>,
+    ) -> (T, Option<u64>) {
+        let stripe = &self.stripes[sid];
+        let machine = self.pool.device().machine();
+        for _ in 0..SEQLOCK_MAX_RETRIES {
+            let e1 = stripe.epoch.load(Ordering::Acquire);
+            if e1 & 1 == 0 {
+                if let Some(out) = walk(false) {
+                    if stripe.epoch.load(Ordering::Acquire) == e1 {
+                        return (out, Some(e1));
+                    }
+                }
+            }
+            machine.charge_compute_labeled(
+                clock,
+                SimTime::from_nanos(SEQLOCK_RETRY_NS),
+                "seqlock.retry",
+            );
+            machine.metric_counter_add("ht.seqlock.retries", 1);
+        }
+        let _atomic = pmem_sim::atomic_section();
+        let _guard = self.lock_stripe(sid);
+        (walk(true).expect("a walk under the mutex answers"), None)
+    }
+
     /// Resolve one route's worth of keys: shadow probes first, then a
-    /// single validated lock-free walk for the rest. Returns the indices
-    /// whose route diverged (their bucket migrated) — the caller re-routes
-    /// them; everything else lands in `out`.
+    /// single validated walk for the rest. Returns the indices whose route
+    /// diverged (their bucket migrated) — the caller re-routes them;
+    /// everything else lands in `out`.
     fn get_group(
         &self,
         clock: &Clock,
@@ -1332,73 +1150,28 @@ impl PersistentHashtable {
         }
         let machine = self.pool.device().machine();
         let t0 = machine.trace_start(clock);
-        let mut pool_reads = 0u64;
-        let mut retries = 0u32;
-        let stale = loop {
-            let e1 = stripe.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 0 {
-                if let Some(found) = self.probe_chain_group(
-                    clock,
-                    keys,
-                    hashes,
-                    route.head_slot,
-                    &pending,
-                    &mut pool_reads,
-                ) {
-                    if stripe.epoch.load(Ordering::Acquire) == e1 {
-                        // The chain was quiescent for the whole walk — but a
-                        // completed migration could have emptied this bucket
-                        // before we even read the epoch. Any key that no
-                        // longer routes here walks its new bucket instead.
-                        let g = self.geo();
-                        let mut diverged = Vec::new();
-                        for (&i, vref) in pending.iter().zip(&found) {
-                            if g.route(hashes[i]) == route {
-                                out[i] = *vref;
-                                if let Some(vref) = vref {
-                                    self.shadow_publish(stripe, keys[i], *vref, e1);
-                                }
-                            } else {
-                                diverged.push(i);
-                            }
-                        }
-                        if !diverged.is_empty() {
-                            machine.metric_counter_add("ht.route.retries", diverged.len() as u64);
-                        }
-                        break diverged;
-                    }
-                }
+        let (found, epoch) = self.seqlock_read(clock, route.sid, |locked| {
+            self.probe_chain_group(clock, keys, hashes, route.head_slot, &pending, locked)
+        });
+        // The chain was quiescent for the whole walk — but a completed
+        // migration could have emptied this bucket before we even read the
+        // epoch. Any key that no longer routes here walks its new bucket
+        // instead.
+        let g = self.geo();
+        let mut diverged = Vec::new();
+        for (&i, vref) in pending.iter().zip(&found) {
+            if g.route(hashes[i]) != route {
+                diverged.push(i);
+                continue;
             }
-            // Torn or raced: charge a deterministic retry penalty and walk
-            // again. Under SchedMode::Deterministic writers splice inside
-            // atomic sections, so any retry pattern is itself reproducible.
-            machine.charge_compute_labeled(
-                clock,
-                SimTime::from_nanos(SEQLOCK_RETRY_NS),
-                "seqlock.retry",
-            );
-            machine.metric_counter_add("ht.seqlock.retries", 1);
-            retries += 1;
-            if retries >= SEQLOCK_MAX_RETRIES {
-                // A busy writer must not starve readers: fall back to the
-                // mutex and walk a quiescent chain. Keys whose bucket moved
-                // re-route like in the lock-free path.
-                let _atomic = pmem_sim::atomic_section();
-                let _guard = self.lock_stripe(route.sid);
-                let g = self.geo();
-                let mut diverged = Vec::new();
-                for &i in &pending {
-                    if g.route(hashes[i]) == route {
-                        out[i] = self
-                            .find_inner(clock, route.head_slot, keys[i], hashes[i])
-                            .map(|(_, entry, hdr)| value_ref_of(entry, &hdr));
-                    } else {
-                        diverged.push(i);
-                    }
-                }
-                break diverged;
+            out[i] = *vref;
+            if let (Some(vref), Some(e1)) = (vref, epoch) {
+                self.shadow_publish(stripe, keys[i], *vref, e1);
             }
-        };
+        }
+        if !diverged.is_empty() {
+            machine.metric_counter_add("ht.route.retries", diverged.len() as u64);
+        }
         machine.trace_finish(
             clock,
             t0,
@@ -1406,17 +1179,14 @@ impl PersistentHashtable {
             "ht.probe",
             Some(("keys", pending.len() as u64)),
         );
-        if pool_reads > 0 {
-            machine.metric_counter_add("get.lookup.pool_reads", pool_reads);
-        }
-        stale
+        diverged
     }
 
-    /// One unlocked chain walk resolving a whole bucket group in a single
-    /// header pass. Returns `None` on a torn read (out-of-bounds entry or
-    /// implausible hop count — the epoch check then retries), otherwise
-    /// results positionally parallel to `group`. `pool_reads` counts
-    /// charged pool read ops (the `get.lookup.pool_reads` counter).
+    /// One chain walk resolving a whole bucket group in a single header
+    /// pass; results are positionally parallel to `group`. A bad hop on an
+    /// unlocked walk (`held == false`) is a race with a writer recycling the
+    /// pointer: answer `None` and let the epoch check retry. With the stripe
+    /// held it is damage: count it and keep what resolved before it.
     fn probe_chain_group(
         &self,
         clock: &Clock,
@@ -1424,113 +1194,66 @@ impl PersistentHashtable {
         hashes: &[u64],
         head_slot: u64,
         group: &[usize],
-        pool_reads: &mut u64,
+        held: bool,
     ) -> Option<Vec<Option<ValueRef>>> {
-        let device_size = self.pool.device().size() as u64;
+        let machine = self.pool.device().machine();
+        let src = self.pool.charged(clock);
         let mut found: Vec<Option<ValueRef>> = vec![None; group.len()];
         let mut unresolved = group.len();
-        *pool_reads += 1;
-        let mut entry = self.pool.read_u64(clock, head_slot);
-        let mut hops = 0u32;
-        while entry != 0 && unresolved > 0 {
-            // A concurrent writer may have recycled this pointer: bound
-            // every dereference so garbage is detected (and retried via the
-            // epoch) instead of faulting the simulated device.
-            if hops >= MAX_PROBE_HOPS
-                || entry
-                    .checked_add(ENT_KEY)
-                    .is_none_or(|end| end > device_size)
-            {
-                return None;
-            }
-            *pool_reads += 1;
-            let hdr = self.read_entry_header(clock, entry);
-            if (entry + ENT_KEY)
-                .checked_add(hdr.klen as u64 + hdr.vlen as u64)
-                .is_none_or(|end| end > device_size)
-            {
-                return None;
-            }
+        let mut key_reads = 0u64;
+        let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
             let mut kbuf: Option<Vec<u8>> = None;
             for (gi, &i) in group.iter().enumerate() {
-                if found[gi].is_some()
-                    || hdr.hash != hashes[i]
-                    || hdr.klen as usize != keys[i].len()
-                {
+                if found[gi].is_some() || e.hash != hashes[i] || e.klen as usize != keys[i].len() {
                     continue;
                 }
-                if kbuf.is_none() {
-                    // Key bytes are read once per entry even if several
-                    // group members share the hash.
-                    *pool_reads += 1;
-                    let mut b = vec![0u8; hdr.klen as usize];
-                    self.pool.read_bytes(clock, entry + ENT_KEY, &mut b);
-                    kbuf = Some(b);
-                }
-                if kbuf.as_deref() == Some(keys[i]) {
-                    found[gi] = Some(value_ref_of(entry, &hdr));
+                // Key bytes are read once per entry even if several group
+                // members share the hash.
+                let k = kbuf.get_or_insert_with(|| {
+                    key_reads += 1;
+                    e.key(&src)
+                });
+                if k.as_slice() == keys[i] {
+                    found[gi] = Some(value_ref_of(e));
                     unresolved -= 1;
                 }
             }
-            entry = hdr.next;
-            hops += 1;
+            unresolved > 0
+        });
+        // Charged pool read ops: the head, each header, each key fetch.
+        machine.metric_counter_add("get.lookup.pool_reads", 1 + hops + key_reads);
+        if end.is_err() && !held {
+            return None;
         }
-        self.pool
-            .device()
-            .machine()
-            .metric_hist_record("ht.chain_len", SimTime::from_nanos(hops as u64));
+        self.degraded((hops, end));
+        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
         Some(found)
     }
 
     /// Copy out `key`'s value. The byte copy sits *inside* the seqlock
     /// window: resolving a ref and then reading the bytes unvalidated would
     /// race a concurrent replace/remove that frees and recycles the value
-    /// region between the two (a torn read of reused memory). The route is
-    /// revalidated with the epoch so a migration mid-copy retries too.
+    /// region between the two (a torn read of reused memory).
     pub fn get(&self, clock: &Clock, key: &[u8]) -> Option<Vec<u8>> {
         let hash = fnv1a(key);
-        let machine = self.pool.device().machine();
-        let mut retries = 0u32;
         loop {
             let r = self.geo().route(hash);
-            let stripe = &self.stripes[r.sid];
-            let e1 = stripe.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 0 {
-                let copied = self.get_ref(clock, key).map(|vref| {
+            let (copied, _) = self.seqlock_read(clock, r.sid, |locked| {
+                let vref = if locked {
+                    self.probe_held(clock, r.head_slot, key, hash)
+                } else {
+                    self.get_ref(clock, key)
+                };
+                Some(vref.map(|vref| {
                     let mut buf = vec![0u8; vref.len as usize];
                     self.pool.read_bytes(clock, vref.offset, &mut buf);
                     buf
-                });
-                if stripe.epoch.load(Ordering::Acquire) == e1 && self.geo().route(hash) == r {
-                    return copied;
-                }
-            }
-            machine.charge_compute_labeled(
-                clock,
-                SimTime::from_nanos(SEQLOCK_RETRY_NS),
-                "seqlock.retry",
-            );
-            machine.metric_counter_add("ht.seqlock.retries", 1);
-            retries += 1;
-            if retries >= SEQLOCK_MAX_RETRIES {
-                // A busy writer must not starve readers: fall back to the
-                // mutex and copy from a quiescent chain.
-                let _atomic = pmem_sim::atomic_section();
-                loop {
-                    let r = self.geo().route(hash);
-                    let _guard = self.lock_stripe(r.sid);
-                    if self.geo().route(hash) != r {
-                        continue;
-                    }
-                    return self.find_inner(clock, r.head_slot, key, hash).map(
-                        |(_, entry, hdr)| {
-                            let vref = value_ref_of(entry, &hdr);
-                            let mut buf = vec![0u8; vref.len as usize];
-                            self.pool.read_bytes(clock, vref.offset, &mut buf);
-                            buf
-                        },
-                    );
-                }
+                }))
+            });
+            // The window guarded stripe `r.sid` only: if a migration moved
+            // the bucket, the copy ran unprotected — route again.
+            if self.geo().route(hash) == r {
+                return copied;
             }
         }
     }
@@ -1544,43 +1267,31 @@ impl PersistentHashtable {
         let hash = fnv1a(key);
         self.maybe_resize(clock)?;
         let _atomic = pmem_sim::atomic_section();
-        let machine = self.pool.device().machine();
-        loop {
-            let r = self.geo().route(hash);
-            let _guard = self.lock_stripe(r.sid);
-            if self.geo().route(hash) != r {
-                machine.metric_counter_add("ht.route.retries", 1);
-                continue;
-            }
-            let stripe = &self.stripes[r.sid];
-            let _epoch = EpochWriteGuard::enter(vec![stripe]);
-            self.shadow_invalidate(stripe, key);
-            let Some((pred_slot, entry, hdr)) = self.find(clock, r.head_slot, key, hash) else {
-                return Ok(false);
-            };
-            self.ensure_dirty(clock);
-            self.pool.tx(clock, |tx| {
-                tx.set(pred_slot, &hdr.next.to_le_bytes())?;
-                tx.free(entry)?;
-                Ok(())
-            })?;
-            stripe.live.fetch_sub(1, Ordering::Relaxed);
-            return Ok(true);
-        }
+        let (r, _guard) = self.lock_route(hash);
+        let stripe = &self.stripes[r.sid];
+        let _epoch = EpochWriteGuard::enter(vec![stripe]);
+        self.shadow_invalidate(stripe, key);
+        let Some(e) = self.find(clock, r.head_slot, key, hash)? else {
+            return Ok(false);
+        };
+        self.ensure_dirty(clock);
+        self.pool.tx(clock, |tx| {
+            tx.set(e.slot, &e.next.to_le_bytes())?;
+            tx.free(e.at)
+        })?;
+        stripe.live.fetch_sub(1, Ordering::Relaxed);
+        Ok(true)
     }
 
     /// All keys, in unspecified order. Not synchronized with writers.
     pub fn keys(&self, clock: &Clock) -> Vec<Vec<u8>> {
+        let src = self.pool.charged(clock);
         let mut out = vec![];
-        for (slot, _) in self.head_slots(self.geo()) {
-            let mut entry = self.pool.read_u64(clock, slot);
-            while entry != 0 {
-                let hdr = self.read_entry_header(clock, entry);
-                let mut k = vec![0u8; hdr.klen as usize];
-                self.pool.read_bytes(clock, entry + ENT_KEY, &mut k);
-                out.push(k);
-                entry = hdr.next;
-            }
+        for (slot, _) in self.geo().head_slots() {
+            self.degraded(walk_chain(&src, slot, Fetch::Header, |e| {
+                out.push(e.key(&src));
+                true
+            }));
         }
         out
     }
@@ -1590,14 +1301,10 @@ impl PersistentHashtable {
     /// storm workload's p99 comes from here). Not synchronized with
     /// writers.
     pub fn chain_length_histogram(&self, clock: &Clock) -> Vec<u64> {
+        let src = self.pool.charged(clock);
         let mut hist = vec![0u64];
-        for (slot, _) in self.head_slots(self.geo()) {
-            let mut len = 0usize;
-            let mut entry = self.pool.read_u64(clock, slot);
-            while entry != 0 {
-                len += 1;
-                entry = self.pool.read_u64(clock, entry + ENT_NEXT);
-            }
+        for (slot, _) in self.geo().head_slots() {
+            let len = self.degraded(walk_chain(&src, slot, Fetch::Link, |_| true)) as usize;
             if hist.len() <= len {
                 hist.resize(len + 1, 0);
             }
@@ -1826,6 +1533,15 @@ mod tests {
             Err(PmdkError::BadPool(_))
         ));
         pool.write_u64(&clock, header + HDR_BUCKETS, 16);
+        // Heads array on the device but below the heap (the doctor's rule,
+        // now open's too).
+        let heads = pool.read_u64(&clock, header + HDR_HEADS);
+        pool.write_u64(&clock, header + HDR_HEADS, 4096);
+        assert!(matches!(
+            PersistentHashtable::open(&clock, &pool, header),
+            Err(PmdkError::BadPool(_))
+        ));
+        pool.write_u64(&clock, header + HDR_HEADS, heads);
         // Split state that is not old×2.
         pool.write_u64(&clock, header + HDR_OLD_BUCKETS, 7);
         assert!(matches!(
@@ -1859,7 +1575,7 @@ mod tests {
     #[test]
     fn put_reserve_allows_direct_value_writes() {
         let (ht, pool, clock) = table(1 << 22, 16);
-        let vref = ht.put_reserve(&clock, b"array", 8).unwrap();
+        let vref = ht.put_reserve_many(&clock, &[(b"array", 8)]).unwrap()[0];
         pool.write_bytes(&clock, vref.offset, &42u64.to_le_bytes());
         let got = ht.get(&clock, b"array").unwrap();
         assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 42);

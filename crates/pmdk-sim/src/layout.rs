@@ -1,15 +1,39 @@
-//! On-device layout of a pmemobj-style pool.
+//! On-media format of a pmemobj-style pool — the **single** definition of
+//! every persisted structure's field offsets, decode, plausibility rules and
+//! traversal. The mounted paths (`pool`, `alloc`, `hashtable`, `log`) and the
+//! offline [`crate::doctor`] are its only callers, so they cannot disagree
+//! about what a valid image is.
 //!
 //! ```text
 //! offset 0        SUPERBLOCK (one page)
 //! offset 4096     LANE TABLE: LANES × LANE_SIZE transaction lanes
 //! lanes end       FLIGHT RECORDER: bounded crash-safe event ring
 //! flight end      HEAP: block-header-prefixed allocations
+//!
+//! hashtable header: [bucket_count u64][entry_count u64][heads_off u64]
+//!                   [old_bucket_count u64][old_heads_off u64]
+//!                   [split_cursor u64][count_dirty u64]
+//! hashtable heads:  [head u64 × bucket_count]           (separate alloc)
+//! hashtable entry:  [hash u64][key_len u32][val_len u32][next u64][key][value]
+//! log header:       [capacity u64][head u64][tail u64]  (offsets into the ring)
+//! log ring:         records of [len u32][crc u32][bytes], contiguous, no wrap
+//!                   of a single record (a WRAP marker skips the slack at the
+//!                   ring's end)
 //! ```
 //!
-//! All multi-byte integers are little-endian. The superblock is written once
-//! at `create` and validated at `open`; everything else is reconstructed or
-//! recovered from the device at `open` time.
+//! All multi-byte integers are little-endian. Readers are generic over a
+//! [`Bytes`] source — [`Charged`] for a mounted pool that pays for what it
+//! reads, a bare [`PmemDevice`] for the doctor — and every plausibility rule
+//! is arithmetic on words the reader fetched anyway, so it costs no virtual
+//! time.
+//!
+//! Cacheline failure-atomicity makes a torn pointer expected input. Callers
+//! share one rule: **mutating paths refuse** (a bad header or hop is
+//! `PmdkError::BadPool`), **read paths degrade** (end the walk at the bad
+//! hop and count it), and the doctor records the same message and goes on.
+
+use crate::error::{PmdkError, Result};
+use pmem_sim::{Clock, PmemDevice};
 
 /// Pool magic ("PMDKSIM1").
 pub const POOL_MAGIC: u64 = 0x504d_444b_5349_4d31;
@@ -118,6 +142,531 @@ pub const fn align_up(n: u64) -> u64 {
 /// Minimum pool size that leaves a non-trivial heap.
 pub const fn min_pool_size() -> u64 {
     heap_start() + 64 * 1024
+}
+
+fn bad<T>(msg: String) -> Result<T> {
+    Err(PmdkError::BadPool(msg))
+}
+
+// ---- byte sources ----
+
+/// How a format reader fetches bytes (static dispatch: the hot chain walks
+/// monomorphise over the source).
+pub trait Bytes {
+    /// Device size in bytes.
+    fn size(&self) -> u64;
+    /// Fetch metadata bytes at `off` (in range — callers check first).
+    fn read(&self, off: u64, dst: &mut [u8]);
+    /// Fetch payload bytes (log record bodies): byte-scaled when timed.
+    fn read_data(&self, off: u64, dst: &mut [u8]) {
+        self.read(off, dst)
+    }
+
+    fn u32_at(&self, off: u64) -> u32 {
+        let mut b = [0u8; 4];
+        self.read(off, &mut b);
+        u32::from_le_bytes(b)
+    }
+
+    fn u64_at(&self, off: u64) -> u64 {
+        let mut b = [0u8; 8];
+        self.read(off, &mut b);
+        u64::from_le_bytes(b)
+    }
+
+    /// Whether `[off, off + len)` lies inside the heap region.
+    fn in_heap(&self, off: u64, len: u64) -> bool {
+        off >= heap_start() && off.checked_add(len).is_some_and(|end| end <= self.size())
+    }
+}
+
+/// Untimed source: a raw image, no clock, no charges.
+impl Bytes for PmemDevice {
+    fn size(&self) -> u64 {
+        PmemDevice::size(self) as u64
+    }
+
+    fn read(&self, off: u64, dst: &mut [u8]) {
+        self.read_untimed(off as usize, dst);
+    }
+}
+
+/// Timed source: every fetch is a charged device read on `clock`.
+pub struct Charged<'a> {
+    pub device: &'a PmemDevice,
+    pub clock: &'a Clock,
+}
+
+impl Bytes for Charged<'_> {
+    fn size(&self) -> u64 {
+        self.device.size() as u64
+    }
+
+    fn read(&self, off: u64, dst: &mut [u8]) {
+        self.device.read_meta(self.clock, off as usize, dst);
+    }
+
+    fn read_data(&self, off: u64, dst: &mut [u8]) {
+        self.device.read(self.clock, off as usize, dst);
+    }
+}
+
+// ---- superblock ----
+
+/// The decoded superblock page.
+#[derive(Debug, Clone)]
+pub struct Superblock {
+    pub magic: u64,
+    pub pool_size: u64,
+    pub heap_start: u64,
+    pub root_off: u64,
+    pub root_size: u64,
+    pub layout_name: String,
+    pub generation: u64,
+    /// Device profile the pool was last mounted on (`pmem_sim::profile`
+    /// registry id; 0 = unknown / pre-profile pool).
+    pub device_profile_id: u32,
+    /// Autotuned put-path flush strategy cached at mount (`FlushStrategy`
+    /// code; 0 = not yet tuned).
+    pub flush_strategy_code: u32,
+    /// The first plausibility rule this page breaks on its device, if any.
+    pub fault: Option<String>,
+}
+
+impl Superblock {
+    /// Decode the superblock from one page-sized fetch.
+    pub fn read<B: Bytes>(src: &B) -> Superblock {
+        let mut page = vec![0u8; SUPERBLOCK_SIZE as usize];
+        if src.size() >= SUPERBLOCK_SIZE {
+            src.read(0, &mut page);
+        }
+        let word = |off: u64| u64::from_le_bytes(page[off as usize..][..8].try_into().unwrap());
+        let half = |off: u64| u32::from_le_bytes(page[off as usize..][..4].try_into().unwrap());
+        let (magic, pool_size, heap) = (word(sb::MAGIC), word(sb::POOL_SIZE), word(sb::HEAP_START));
+        let (root_off, root_size) = (word(sb::ROOT_OFF), word(sb::ROOT_SIZE));
+        let (name_len, size) = (word(sb::LAYOUT_LEN), src.size());
+        let fault = if magic != POOL_MAGIC {
+            Some("bad magic (pool not formatted?)".to_string())
+        } else if pool_size != size {
+            Some(format!("pool size {pool_size} != device size {size}"))
+        } else if heap != heap_start() {
+            Some(format!("heap recorded at {heap:#x}"))
+        } else if name_len > sb::LAYOUT_NAME_MAX {
+            Some(format!("implausible layout name length {name_len}"))
+        } else if root_off != 0 && !src.in_heap(root_off, root_size) {
+            Some(format!("root {root_off:#x}+{root_size} outside heap"))
+        } else {
+            None
+        };
+        let name = &page[sb::LAYOUT_NAME as usize..][..name_len.min(sb::LAYOUT_NAME_MAX) as usize];
+        Superblock {
+            magic,
+            pool_size,
+            heap_start: heap,
+            root_off,
+            root_size,
+            layout_name: String::from_utf8_lossy(name).into_owned(),
+            generation: word(sb::GENERATION),
+            device_profile_id: half(sb::DEVICE_PROFILE),
+            flush_strategy_code: half(sb::FLUSH_STRATEGY),
+            fault,
+        }
+    }
+
+    /// Human name of the recorded device profile ("unknown" for id 0 or an
+    /// unrecognised id).
+    pub fn device_profile_name(&self) -> &'static str {
+        pmem_sim::profile::profile_name_by_id(self.device_profile_id).unwrap_or("unknown")
+    }
+
+    /// Human name of the cached flush strategy ("unset" when not yet tuned).
+    pub fn flush_strategy_name(&self) -> &'static str {
+        pmem_sim::FlushStrategy::from_code(self.flush_strategy_code)
+            .map(|s| s.name())
+            .unwrap_or("unset")
+    }
+}
+
+// ---- heap block chain ----
+
+/// Persisted block header, decoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockHeader {
+    pub state: u32,
+    pub size: u64,
+    pub prev_size: u64,
+}
+
+impl BlockHeader {
+    /// Decode the header at `at` (untimed: neither the open-time rebuild
+    /// nor the doctor charges for heap scans).
+    pub fn read(dev: &PmemDevice, at: u64) -> Result<BlockHeader> {
+        if at.saturating_add(BLOCK_HEADER_SIZE) > dev.size() as u64 {
+            return bad(format!("block header {at:#x} runs past the device"));
+        }
+        let mut buf = [0u8; BLOCK_HEADER_SIZE as usize];
+        dev.read_untimed(at as usize, &mut buf);
+        let magic = u32::from_le_bytes(buf[blk::MAGIC as usize..][..4].try_into().unwrap());
+        if magic != BLOCK_MAGIC {
+            return bad(format!("bad block magic {magic:#x} at {at:#x}"));
+        }
+        Ok(BlockHeader {
+            state: u32::from_le_bytes(buf[blk::STATE as usize..][..4].try_into().unwrap()),
+            size: u64::from_le_bytes(buf[blk::SIZE as usize..][..8].try_into().unwrap()),
+            prev_size: u64::from_le_bytes(buf[blk::PREV_SIZE as usize..][..8].try_into().unwrap()),
+        })
+    }
+}
+
+/// The one physical heap walk: `visit` sees `(header offset, header)` per
+/// block in address order, or the violation found in its place, and answers
+/// whether to go on. An implausible magic or size ends the walk (the
+/// successor cannot be located); a broken `prev_size` link or unknown state
+/// does not, so the doctor lists every violation while `Heap::rebuild` stops
+/// at the first.
+pub fn walk_blocks(
+    dev: &PmemDevice,
+    start: u64,
+    end: u64,
+    mut visit: impl FnMut(Result<(u64, BlockHeader)>) -> bool,
+) {
+    let (mut at, mut prev_payload) = (start, 0u64);
+    // Every block holds at least one aligned payload unit; anything smaller
+    // at the tail is formatting slack, not a block.
+    while end.saturating_sub(at) >= BLOCK_HEADER_SIZE + HEAP_ALIGN {
+        // No alignment rule: a tail block's payload is whatever remained.
+        let located = BlockHeader::read(dev, at).and_then(|h| {
+            match (at + BLOCK_HEADER_SIZE).checked_add(h.size) {
+                Some(next) if h.size != 0 && next <= end => Ok((next, h)),
+                _ => bad(format!("block at {at:#x}: implausible size {}", h.size)),
+            }
+        });
+        let (next, h) = match located {
+            Ok(located) => located,
+            Err(e) => {
+                visit(Err(e));
+                return;
+            }
+        };
+        let block = if h.prev_size != prev_payload {
+            let prev = h.prev_size;
+            bad(format!(
+                "heap chain broken at {at:#x}: prev_size {prev} != walked {prev_payload}"
+            ))
+        } else if h.state != BLOCK_FREE && h.state != BLOCK_ALLOC {
+            bad(format!("block at {at:#x} has invalid state {}", h.state))
+        } else {
+            Ok((at, h))
+        };
+        if !visit(block) {
+            return;
+        }
+        (at, prev_payload) = (next, h.size);
+    }
+}
+
+// ---- hashtable header + entry chain ----
+
+pub const HDR_BUCKETS: u64 = 0;
+pub const HDR_COUNT: u64 = 8;
+pub const HDR_HEADS: u64 = 16;
+pub const HDR_OLD_BUCKETS: u64 = 24;
+pub const HDR_OLD_HEADS: u64 = 32;
+pub const HDR_CURSOR: u64 = 40;
+pub const HDR_DIRTY: u64 = 48;
+pub const HDR_SIZE: u64 = 56;
+
+pub const ENT_HASH: u64 = 0;
+pub const ENT_KLEN: u64 = 8;
+pub const ENT_VLEN: u64 = 12;
+pub const ENT_NEXT: u64 = 16;
+pub const ENT_KEY: u64 = 24;
+
+/// Bound on chain walks: a torn `next` pointer may form a cycle, so hop
+/// counts beyond any plausible chain length are treated as torn.
+const MAX_CHAIN_HOPS: u64 = 1 << 16;
+
+/// Hashtable geometry: both directories plus the split cursor — the five
+/// header words routing derives from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Geo {
+    pub buckets: u64,
+    pub heads: u64,
+    /// Non-zero while an incremental split is in flight.
+    pub old_buckets: u64,
+    pub old_heads: u64,
+    pub cursor: u64,
+}
+
+impl Geo {
+    /// Every chain-head slot a key could live in: unmigrated old buckets
+    /// first, then the whole new directory. Yields `(head_slot, bucket)`.
+    pub fn head_slots(self) -> impl Iterator<Item = (u64, u64)> {
+        let old = (self.cursor..self.old_buckets).map(move |b| (self.old_heads + b * 8, b));
+        old.chain((0..self.buckets).map(move |b| (self.heads + b * 8, b)))
+    }
+}
+
+/// The decoded hashtable header.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TableHeader {
+    pub geo: Geo,
+    /// Persisted entry count (authoritative only when `dirty` is 0).
+    pub count: u64,
+    pub dirty: u64,
+}
+
+impl TableHeader {
+    /// Fetch the seven header words, one 8-byte read each.
+    pub fn read<B: Bytes>(src: &B, header: u64) -> Result<TableHeader> {
+        if !src.in_heap(header, HDR_SIZE) {
+            return bad(format!("hashtable header {header:#x} outside heap"));
+        }
+        let word = |off| src.u64_at(header + off);
+        Ok(TableHeader {
+            geo: Geo {
+                buckets: word(HDR_BUCKETS),
+                heads: word(HDR_HEADS),
+                old_buckets: word(HDR_OLD_BUCKETS),
+                old_heads: word(HDR_OLD_HEADS),
+                cursor: word(HDR_CURSOR),
+            },
+            count: word(HDR_COUNT),
+            dirty: word(HDR_DIRTY),
+        })
+    }
+
+    /// Is the stored geometry plausible for this device? A heads array (old
+    /// or new) outside the heap, a cursor past the old table, a new table
+    /// that is not the old one doubled, split words without a split, or a
+    /// dirty flag that is not a flag reject the header before it can fault.
+    pub fn check<B: Bytes>(&self, src: &B) -> Result<()> {
+        let g = self.geo;
+        let fits = |off: u64, n: u64| n.checked_mul(8).is_some_and(|sz| src.in_heap(off, sz));
+        if g.buckets == 0 || !fits(g.heads, g.buckets) {
+            return bad(format!(
+                "implausible hashtable geometry: {} buckets, heads {:#x}",
+                g.buckets, g.heads
+            ));
+        }
+        let split_ok = if g.old_buckets != 0 {
+            g.old_buckets.checked_mul(2) == Some(g.buckets)
+                && g.cursor <= g.old_buckets
+                && fits(g.old_heads, g.old_buckets)
+        } else {
+            g.old_heads == 0 && g.cursor == 0
+        };
+        if !split_ok {
+            return bad(format!(
+                "implausible hashtable split state: old_buckets={} old_heads={:#x} cursor={} buckets={}",
+                g.old_buckets, g.old_heads, g.cursor, g.buckets
+            ));
+        }
+        if self.dirty > 1 {
+            return bad(format!("implausible hashtable dirty flag {}", self.dirty));
+        }
+        Ok(())
+    }
+}
+
+/// What a chain walk fetches per hop: counting walks need only the 8-byte
+/// `next`; matching walks take the whole 24-byte entry header in one read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fetch {
+    Link,
+    Header,
+}
+
+/// One chain entry's fixed-size header. Under [`Fetch::Link`] only `at`,
+/// `slot` and `next` are filled in.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Entry {
+    /// Device offset of the entry.
+    pub at: u64,
+    /// The pointer slot that named it (head slot or predecessor's `next`).
+    pub slot: u64,
+    pub hash: u64,
+    pub klen: u32,
+    pub vlen: u32,
+    pub next: u64,
+}
+
+impl Entry {
+    pub fn value_off(&self) -> u64 {
+        self.at + ENT_KEY + self.klen as u64
+    }
+
+    pub fn key<B: Bytes>(&self, src: &B) -> Vec<u8> {
+        let mut k = vec![0u8; self.klen as usize];
+        src.read(self.at + ENT_KEY, &mut k);
+        k
+    }
+}
+
+/// The one chain walk: follows `next` from `head_slot` (one 8-byte read of
+/// the head pointer), hop-bounded and range-checked before every
+/// dereference, handing each entry to `visit` until it answers `false`.
+/// Returns the entries fetched and how the walk ended: a bad hop ends the
+/// chain with the error.
+pub fn walk_chain<B: Bytes>(
+    src: &B,
+    head_slot: u64,
+    fetch: Fetch,
+    mut visit: impl FnMut(&Entry) -> bool,
+) -> (u64, Result<()>) {
+    let (mut slot, mut at, mut hops) = (head_slot, src.u64_at(head_slot), 0u64);
+    while at != 0 {
+        let torn = |hops: u64, what: &str| {
+            let msg = format!(
+                "torn hashtable chain at head slot {head_slot:#x}: entry {at:#x} {what} (hop {hops})"
+            );
+            (hops, bad(msg))
+        };
+        if hops >= MAX_CHAIN_HOPS {
+            return torn(hops, "suggests a cycle");
+        }
+        if !src.in_heap(at, ENT_KEY) {
+            return torn(hops, "outside heap");
+        }
+        hops += 1;
+        let mut e = Entry {
+            at,
+            slot,
+            ..Entry::default()
+        };
+        match fetch {
+            Fetch::Link => e.next = src.u64_at(at + ENT_NEXT),
+            Fetch::Header => {
+                let mut b = [0u8; ENT_KEY as usize];
+                src.read(at, &mut b);
+                e.hash = u64::from_le_bytes(b[0..8].try_into().unwrap());
+                e.klen = u32::from_le_bytes(b[8..12].try_into().unwrap());
+                e.vlen = u32::from_le_bytes(b[12..16].try_into().unwrap());
+                e.next = u64::from_le_bytes(b[16..24].try_into().unwrap());
+                if !src.in_heap(at, ENT_KEY + e.klen as u64 + e.vlen as u64) {
+                    return torn(hops, "body overruns the heap");
+                }
+            }
+        }
+        if !visit(&e) {
+            break;
+        }
+        (slot, at) = (at + ENT_NEXT, e.next);
+    }
+    (hops, Ok(()))
+}
+
+// ---- log ring ----
+
+pub const LOG_CAPACITY: u64 = 0;
+pub const LOG_HEAD: u64 = 8;
+pub const LOG_TAIL: u64 = 16;
+pub const LOG_HDR_LEN: u64 = 24;
+
+pub const REC_HDR: u64 = 8; // len u32 + crc u32
+pub const WRAP: u32 = u32::MAX;
+
+/// CRC-32 (IEEE, bitwise) — small and dependency-free; the log's records
+/// carry it so recovery can reject torn bytes defensively.
+pub fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in data {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+    }
+    !crc
+}
+
+/// Fetch and check a log's capacity word: the header and the whole ring
+/// must lie in the heap.
+pub fn log_capacity<B: Bytes>(src: &B, header: u64, ring: u64) -> Result<u64> {
+    if !src.in_heap(header, LOG_HDR_LEN) {
+        return bad(format!("log header {header:#x} outside heap"));
+    }
+    let capacity = src.u64_at(header + LOG_CAPACITY);
+    if capacity == 0 || !src.in_heap(ring, capacity) {
+        return bad(format!("implausible log capacity {capacity}"));
+    }
+    Ok(capacity)
+}
+
+/// Fetch a log's `(head, tail)` ring offsets; neither may exceed `capacity`
+/// (`tail == capacity` is legal: an append that exactly filled the ring).
+pub fn log_pointers<B: Bytes>(src: &B, header: u64, capacity: u64) -> Result<(u64, u64)> {
+    let head = src.u64_at(header + LOG_HEAD);
+    let tail = src.u64_at(header + LOG_TAIL);
+    if head > capacity || tail > capacity {
+        return bad(format!(
+            "log pointers outside ring: head {head} tail {tail} capacity {capacity}"
+        ));
+    }
+    Ok((head, tail))
+}
+
+/// One committed record: ring-relative offset of its header + body length.
+#[derive(Debug, Clone, Copy)]
+pub struct RingRecord {
+    pub at: u64,
+    pub len: u64,
+}
+
+impl RingRecord {
+    /// Fetch the body, then the stored CRC; returns the bytes and whether
+    /// they match.
+    pub fn body<B: Bytes>(&self, src: &B, ring: u64) -> (Vec<u8>, bool) {
+        let mut body = vec![0u8; self.len as usize];
+        src.read_data(ring + self.at + REC_HDR, &mut body);
+        let ok = crc32(&body) == src.u32_at(ring + self.at + 4);
+        (body, ok)
+    }
+}
+
+/// The one ring walk: committed records from `head` to `tail` (as
+/// [`log_pointers`] fetched them), one 4-byte length fetch per record,
+/// handing each to `visit` until it answers `false`. A WRAP marker (or
+/// trailing slack too small for a record header) sends the walk back to the
+/// ring's start — at most once, which bounds a walk whose tail sits on no
+/// record boundary. Returns the ring offset just past the last record
+/// visited and how the walk ended.
+pub fn walk_ring<B: Bytes>(
+    src: &B,
+    ring: u64,
+    capacity: u64,
+    (mut head, tail): (u64, u64),
+    mut visit: impl FnMut(RingRecord) -> bool,
+) -> (u64, Result<()>) {
+    let mut wrapped = false;
+    while head != tail {
+        let len = if capacity - head >= REC_HDR {
+            src.u32_at(ring + head)
+        } else {
+            WRAP
+        };
+        if len == WRAP {
+            if std::mem::replace(&mut wrapped, true) {
+                return (head, bad("double wrap marker".into()));
+            }
+            head = 0;
+            continue;
+        }
+        // Reject lengths that would walk past the ring (torn headers).
+        let len = len as u64;
+        if len == 0 || head + REC_HDR + len > capacity {
+            return (
+                head,
+                bad(format!("corrupt log record length {len} at ring+{head}")),
+            );
+        }
+        let rec = RingRecord { at: head, len };
+        head += REC_HDR + len;
+        if !visit(rec) {
+            break;
+        }
+    }
+    (head, Ok(()))
 }
 
 #[cfg(test)]

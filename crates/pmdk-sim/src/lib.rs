@@ -31,7 +31,6 @@ pub mod layout;
 pub mod locks;
 pub mod log;
 pub mod pool;
-pub mod ptr;
 pub mod tx;
 
 pub use error::{PmdkError, Result};
@@ -39,5 +38,4 @@ pub use hashtable::PersistentHashtable;
 pub use locks::PersistentMutex;
 pub use log::PersistentLog;
 pub use pool::{FailPointGuard, FailPoints, PmemPool};
-pub use ptr::{PPtr, PersistentValue};
 pub use tx::Tx;

@@ -9,44 +9,16 @@
 //! advance is the 8-byte atomic commit point), so a crash can only lose the
 //! in-flight record, never tear committed ones.
 //!
-//! On-pool layout:
-//!
-//! ```text
-//! header: [capacity u64][head u64][tail u64]      (offsets into the ring)
-//! ring:   records of [len u32][crc u32][bytes], contiguous, no wrap of a
-//!         single record (a WRAP marker skips the slack at the ring's end)
-//! ```
+//! The on-pool layout, its plausibility rules and the ring walk live in
+//! [`crate::layout`], shared with the offline doctor.
 
 use crate::error::{PmdkError, Result};
+use crate::layout::*;
 use crate::pool::PmemPool;
 use parking_lot::Mutex;
 use pmem_sim::flight::EventCode;
 use pmem_sim::Clock;
 use std::sync::Arc;
-
-// Header geometry is public so offline diagnostics (pmemcpy-doctor) can walk
-// a log ring without mounting the pool.
-pub const HDR_CAPACITY: u64 = 0;
-pub const HDR_HEAD: u64 = 8;
-pub const HDR_TAIL: u64 = 16;
-pub const HDR_LEN: u64 = 24;
-
-pub const REC_HDR: u64 = 8; // len u32 + crc u32
-pub const WRAP: u32 = u32::MAX;
-
-/// CRC-32 (IEEE, bitwise) — small and dependency-free; the log's records
-/// carry it so recovery can reject torn bytes defensively.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// A persistent append-only ring log.
 pub struct PersistentLog {
@@ -62,11 +34,11 @@ impl PersistentLog {
     /// Allocate a log with a ring of `capacity` bytes.
     pub fn create(clock: &Clock, pool: &Arc<PmemPool>, capacity: u64) -> Result<Self> {
         assert!(capacity >= 64, "ring too small to hold any record");
-        let header = pool.alloc(clock, HDR_LEN)?;
+        let header = pool.alloc(clock, LOG_HDR_LEN)?;
         let ring = pool.alloc(clock, capacity)?;
-        pool.write_u64(clock, header + HDR_CAPACITY, capacity);
-        pool.write_u64(clock, header + HDR_HEAD, 0);
-        pool.write_u64(clock, header + HDR_TAIL, 0);
+        pool.write_u64(clock, header + LOG_CAPACITY, capacity);
+        pool.write_u64(clock, header + LOG_HEAD, 0);
+        pool.write_u64(clock, header + LOG_TAIL, 0);
         // The caller persists `location()` wherever it roots its state;
         // `open` takes both offsets back.
         Ok(PersistentLog {
@@ -80,12 +52,7 @@ impl PersistentLog {
 
     /// Attach to an existing log.
     pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64, ring: u64) -> Result<Self> {
-        let capacity = pool.read_u64(clock, header + HDR_CAPACITY);
-        if capacity == 0 || capacity > pool.device().size() as u64 {
-            return Err(PmdkError::BadPool(format!(
-                "implausible log capacity {capacity}"
-            )));
-        }
+        let capacity = log_capacity(&pool.charged(clock), header, ring)?;
         Ok(PersistentLog {
             pool: Arc::clone(pool),
             header,
@@ -105,19 +72,18 @@ impl PersistentLog {
     }
 
     /// Bytes currently used (records + headers, including wrap slack).
-    pub fn used(&self, clock: &Clock) -> u64 {
-        let head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
-        if tail >= head {
+    pub fn used(&self, clock: &Clock) -> Result<u64> {
+        let (head, tail) = log_pointers(&self.pool.charged(clock), self.header, self.capacity)?;
+        Ok(if tail >= head {
             tail - head
         } else {
             self.capacity - head + tail
-        }
+        })
     }
 
     /// Append a record. Fails with `OutOfMemory` when the ring is full
-    /// (callers trim with [`PersistentLog::pop`] — the DStore pattern where
-    /// the DRAM store periodically truncates the log).
+    /// (callers trim with [`PersistentLog::truncate_front`] — the DStore
+    /// pattern where the DRAM store periodically truncates the log).
     pub fn append(&self, clock: &Clock, record: &[u8]) -> Result<()> {
         assert!(!record.is_empty(), "empty records are not representable");
         let need = REC_HDR + record.len() as u64;
@@ -129,8 +95,7 @@ impl PersistentLog {
         // deterministic scheduler park us while holding it.
         let _atomic = pmem_sim::atomic_section();
         let _g = self.append_lock.lock();
-        let head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let mut tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
+        let (head, mut tail) = log_pointers(&self.pool.charged(clock), self.header, self.capacity)?;
 
         // Wrap if the record will not fit before the ring's end.
         if tail + need > self.capacity {
@@ -172,7 +137,7 @@ impl PersistentLog {
         // the record simply does not exist after recovery.
         self.pool.fail_check(clock, "wal::append")?;
         self.pool
-            .write_u64(clock, self.header + HDR_TAIL, tail + need);
+            .write_u64(clock, self.header + LOG_TAIL, tail + need);
         self.pool.flight().record(
             clock,
             EventCode::WalAppend,
@@ -181,29 +146,6 @@ impl PersistentLog {
             tail + need,
         );
         Ok(())
-    }
-
-    /// Pop the oldest record (trim), returning it; `None` when empty.
-    pub fn pop(&self, clock: &Clock) -> Result<Option<Vec<u8>>> {
-        let _atomic = pmem_sim::atomic_section();
-        let _g = self.append_lock.lock();
-        let mut head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
-        if head == tail {
-            return Ok(None);
-        }
-        let (rec, len) = self.record_at(clock, &mut head, tail)?;
-        let Some(rec) = rec else { return Ok(None) };
-        let mut body = vec![0u8; len as usize];
-        self.read_body(clock, rec + REC_HDR, &mut body);
-        // Verify integrity before committing the head advance.
-        let stored_crc = self.pool.read_u32(clock, rec + 4);
-        if crc32(&body) != stored_crc {
-            return Err(PmdkError::BadPool("log record CRC mismatch".into()));
-        }
-        self.pool
-            .write_u64(clock, self.header + HDR_HEAD, head + REC_HDR + len);
-        Ok(Some(body))
     }
 
     /// Record bodies are data-plane traffic — the application payloads the
@@ -216,113 +158,54 @@ impl PersistentLog {
         dev.persist(clock, off as usize, body.len());
     }
 
-    fn read_body(&self, clock: &Clock, off: u64, body: &mut [u8]) {
-        self.pool.device().read(clock, off as usize, body);
-    }
-
-    /// Resolve the record at `*head`, skipping a WRAP marker (updates head).
-    fn record_at(&self, clock: &Clock, head: &mut u64, tail: u64) -> Result<(Option<u64>, u64)> {
-        if self.capacity - *head >= REC_HDR {
-            let len = self.pool.read_u32(clock, self.ring + *head);
-            if len == WRAP {
-                *head = 0;
-            } else {
-                self.check_len(*head, len)?;
-                return Ok((Some(self.ring + *head), len as u64));
-            }
-        } else {
-            *head = 0;
-        }
-        if *head == tail {
-            return Ok((None, 0));
-        }
-        let len = self.pool.read_u32(clock, self.ring + *head);
-        if len == WRAP {
-            return Err(PmdkError::BadPool("double wrap marker".into()));
-        }
-        self.check_len(*head, len)?;
-        Ok((Some(self.ring + *head), len as u64))
-    }
-
-    /// Reject lengths that would walk past the ring (torn/corrupt headers).
-    fn check_len(&self, head: u64, len: u32) -> Result<()> {
-        if len == 0 || head + REC_HDR + len as u64 > self.capacity {
-            return Err(PmdkError::BadPool(format!(
-                "corrupt log record length {len}"
-            )));
-        }
-        Ok(())
-    }
-
     /// Drop the `n` oldest records in one step — the checkpoint watermark
-    /// advance. Unlike repeated [`PersistentLog::pop`] there is exactly one
-    /// persisted head write, *after* every record to drop has been walked:
-    /// a crash anywhere before that commit leaves the head untouched, so a
-    /// re-drain simply replays the same (idempotently applied) records.
-    /// Returns how many records were actually dropped (≤ `n` if the log ran
-    /// dry first).
+    /// advance. There is exactly one persisted head write, *after* every
+    /// record to drop has been walked: a crash anywhere before that commit
+    /// leaves the head untouched, so a re-drain simply replays the same
+    /// (idempotently applied) records. Returns how many records were
+    /// actually dropped (≤ `n` if the log ran dry first).
     pub fn truncate_front(&self, clock: &Clock, n: usize) -> Result<usize> {
+        if n == 0 {
+            return Ok(0); // the walk consults its visitor only after a fetch
+        }
         let _atomic = pmem_sim::atomic_section();
         let _g = self.append_lock.lock();
-        let mut cursor = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
+        let src = self.pool.charged(clock);
+        let pointers = log_pointers(&src, self.header, self.capacity)?;
         let mut dropped = 0usize;
-        while dropped < n && cursor != tail {
-            let (rec, len) = self.record_at(clock, &mut cursor, tail)?;
-            if rec.is_none() {
-                break;
-            }
-            cursor += REC_HDR + len;
+        let (head, end) = walk_ring(&src, self.ring, self.capacity, pointers, |_| {
             dropped += 1;
-        }
+            dropped < n
+        });
+        end?;
         // Crash window: everything walked, watermark not yet advanced — the
         // records stay in the log and recovery re-applies them.
         self.pool.fail_check(clock, "wal::truncate")?;
         if dropped > 0 {
-            self.pool.write_u64(clock, self.header + HDR_HEAD, cursor);
+            self.pool.write_u64(clock, self.header + LOG_HEAD, head);
             self.pool
                 .flight()
-                .record(clock, EventCode::WalTruncate, 0, dropped as u64, cursor);
+                .record(clock, EventCode::WalTruncate, 0, dropped as u64, head);
         }
         Ok(dropped)
-    }
-
-    /// Number of committed records (walks the ring; tests and diagnostics).
-    pub fn record_count(&self, clock: &Clock) -> Result<usize> {
-        let _atomic = pmem_sim::atomic_section();
-        let _g = self.append_lock.lock();
-        let mut head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
-        let mut count = 0usize;
-        while head != tail {
-            let (rec, len) = self.record_at(clock, &mut head, tail)?;
-            if rec.is_none() {
-                break;
-            }
-            head += REC_HDR + len;
-            count += 1;
-        }
-        Ok(count)
     }
 
     /// Replay every committed record oldest-first (recovery / apply path).
     pub fn replay(&self, clock: &Clock) -> Result<Vec<Vec<u8>>> {
         let _atomic = pmem_sim::atomic_section();
         let _g = self.append_lock.lock();
-        let mut head = self.pool.read_u64(clock, self.header + HDR_HEAD);
-        let tail = self.pool.read_u64(clock, self.header + HDR_TAIL);
-        let mut out = vec![];
-        while head != tail {
-            let (rec, len) = self.record_at(clock, &mut head, tail)?;
-            let Some(rec) = rec else { break };
-            let mut body = vec![0u8; len as usize];
-            self.read_body(clock, rec + REC_HDR, &mut body);
-            let stored_crc = self.pool.read_u32(clock, rec + 4);
-            if crc32(&body) != stored_crc {
-                return Err(PmdkError::BadPool("log record CRC mismatch".into()));
-            }
+        let src = self.pool.charged(clock);
+        let pointers = log_pointers(&src, self.header, self.capacity)?;
+        let (mut out, mut crc_ok) = (vec![], true);
+        let (_, end) = walk_ring(&src, self.ring, self.capacity, pointers, |rec| {
+            let (body, ok) = rec.body(&src, self.ring);
             out.push(body);
-            head += REC_HDR + len;
+            crc_ok = ok;
+            crc_ok
+        });
+        end?;
+        if !crc_ok {
+            return Err(PmdkError::BadPool("log record CRC mismatch".into()));
         }
         Ok(out)
     }
@@ -341,6 +224,15 @@ mod tests {
         (log, pool, clock)
     }
 
+    /// Trim the oldest record the way production does (`truncate_front(1)`)
+    /// and hand it back, `None` when the log is empty.
+    fn trim_one(log: &PersistentLog, clock: &Clock) -> Option<Vec<u8>> {
+        let front = log.replay(clock).unwrap().into_iter().next();
+        let dropped = log.truncate_front(clock, 1).unwrap();
+        assert_eq!(dropped, front.is_some() as usize);
+        front
+    }
+
     #[test]
     fn append_replay_pop_fifo() {
         let (log, _pool, clock) = fixture(1024);
@@ -351,8 +243,8 @@ mod tests {
             log.replay(&clock).unwrap(),
             vec![b"first".to_vec(), b"second".to_vec(), b"third".to_vec()]
         );
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), b"first");
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), b"second");
+        assert_eq!(trim_one(&log, &clock).unwrap(), b"first");
+        assert_eq!(trim_one(&log, &clock).unwrap(), b"second");
         assert_eq!(log.replay(&clock).unwrap(), vec![b"third".to_vec()]);
     }
 
@@ -368,7 +260,7 @@ mod tests {
             }
             // Trim two records.
             for _ in 0..2 {
-                let got = log.pop(&clock).unwrap().unwrap();
+                let got = trim_one(&log, &clock).unwrap();
                 assert_eq!(got, expect_front.to_le_bytes());
                 expect_front += 1;
             }
@@ -392,11 +284,11 @@ mod tests {
             log.append(&clock, &[9u8; 8]),
             Err(PmdkError::OutOfMemory { .. })
         ));
-        // Trimming frees space again. Two pops: exact fill means the ring
+        // Trimming frees space again. Two trims: exact fill means the ring
         // was truly full, and reusing a single record's space would land
         // the new tail exactly on head — the reserved "empty" encoding.
-        log.pop(&clock).unwrap().unwrap();
-        log.pop(&clock).unwrap().unwrap();
+        trim_one(&log, &clock).unwrap();
+        trim_one(&log, &clock).unwrap();
         log.append(&clock, &[9u8; 8]).unwrap();
     }
 
@@ -411,10 +303,10 @@ mod tests {
         dev.persist(&clock, 0, dev.size());
         // Simulate the torn window: a record body written past the tail but
         // the tail commit never flushed.
-        let tail = pool.read_u64(&clock, h + HDR_TAIL);
+        let tail = pool.read_u64(&clock, h + LOG_TAIL);
         pool.write_bytes(&clock, r + tail, &9u32.to_le_bytes());
         pool.write_bytes(&clock, r + tail + REC_HDR, b"torn-rec!");
-        dev.write_untimed((h + HDR_TAIL) as usize, &(tail + REC_HDR + 9).to_le_bytes());
+        dev.write_untimed((h + LOG_TAIL) as usize, &(tail + REC_HDR + 9).to_le_bytes());
         // (the tail store above was NOT persisted)
         dev.crash();
         drop(log);
@@ -449,7 +341,7 @@ mod tests {
         let mut b = [0u8; 1];
         pool.read_bytes(&clock, ring + REC_HDR, &mut b);
         pool.write_bytes(&clock, ring + REC_HDR, &[b[0] ^ 0xFF]);
-        assert!(matches!(log.pop(&clock), Err(PmdkError::BadPool(_))));
+        assert!(matches!(log.replay(&clock), Err(PmdkError::BadPool(_))));
     }
 
     /// Regression: an append exactly filling the remaining capacity used to
@@ -462,40 +354,40 @@ mod tests {
         let b = vec![2u8; 56]; // need = 64: lands exactly on capacity
         log.append(&clock, &a).unwrap();
         log.append(&clock, &b).unwrap();
-        assert_eq!(log.used(&clock), 128);
+        assert_eq!(log.used(&clock).unwrap(), 128);
         assert!(matches!(
             log.append(&clock, &[3u8; 8]),
             Err(PmdkError::OutOfMemory { .. })
         ));
         assert_eq!(log.replay(&clock).unwrap(), vec![a.clone(), b.clone()]);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), a);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), b);
+        assert_eq!(trim_one(&log, &clock).unwrap(), a);
+        assert_eq!(trim_one(&log, &clock).unwrap(), b);
         // head==tail==capacity: empty, and the next append wraps cleanly.
-        assert_eq!(log.used(&clock), 0);
+        assert_eq!(log.used(&clock).unwrap(), 0);
         let c = vec![3u8; 8];
         log.append(&clock, &c).unwrap();
         assert_eq!(log.replay(&clock).unwrap(), vec![c.clone()]);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), c);
-        assert!(log.pop(&clock).unwrap().is_none());
+        assert_eq!(trim_one(&log, &clock).unwrap(), c);
+        assert!(trim_one(&log, &clock).is_none());
     }
 
-    /// Regression: pop/replay interleaving right after an exact-fill wrap
+    /// Regression: trim/replay interleaving right after an exact-fill wrap
     /// (head mid-ring, tail parked at capacity) must keep FIFO order.
     #[test]
-    fn pop_and_replay_interleave_after_exact_fill_wrap() {
+    fn trim_and_replay_interleave_after_exact_fill_wrap() {
         let (log, _pool, clock) = fixture(128);
         log.append(&clock, &[1u8; 56]).unwrap();
         log.append(&clock, &[2u8; 56]).unwrap(); // tail == capacity
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), vec![1u8; 56]);
-        // Wrapped append into the space the pop released.
+        assert_eq!(trim_one(&log, &clock).unwrap(), vec![1u8; 56]);
+        // Wrapped append into the space the trim released.
         log.append(&clock, &[3u8; 40]).unwrap();
         assert_eq!(
             log.replay(&clock).unwrap(),
             vec![vec![2u8; 56], vec![3u8; 40]]
         );
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), vec![2u8; 56]);
-        assert_eq!(log.pop(&clock).unwrap().unwrap(), vec![3u8; 40]);
-        assert!(log.pop(&clock).unwrap().is_none());
+        assert_eq!(trim_one(&log, &clock).unwrap(), vec![2u8; 56]);
+        assert_eq!(trim_one(&log, &clock).unwrap(), vec![3u8; 40]);
+        assert!(trim_one(&log, &clock).is_none());
     }
 
     #[test]
@@ -511,7 +403,7 @@ mod tests {
         );
         // Over-asking drains what is there and reports the true count.
         assert_eq!(log.truncate_front(&clock, 10).unwrap(), 2);
-        assert_eq!(log.record_count(&clock).unwrap(), 0);
+        assert_eq!(log.replay(&clock).unwrap().len(), 0);
     }
 
     #[test]
@@ -551,7 +443,7 @@ mod tests {
         );
     }
 
-    /// Deterministic randomized stress: interleaved append/pop/replay/
+    /// Deterministic randomized stress: interleaved append/trim/replay/
     /// truncate against a queue model, across capacities small enough to
     /// force frequent wraps and exact fills.
     #[test]
@@ -582,7 +474,7 @@ mod tests {
                             Err(e) => panic!("append: {e}"),
                         }
                     }
-                    5..=6 => assert_eq!(log.pop(&clock).unwrap(), model.pop_front()),
+                    5..=6 => assert_eq!(trim_one(&log, &clock), model.pop_front()),
                     7 => {
                         let n = (next_rand() % 3) as usize;
                         let dropped = log.truncate_front(&clock, n).unwrap();
@@ -597,7 +489,7 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(log.record_count(&clock).unwrap(), model.len());
+            assert_eq!(log.replay(&clock).unwrap().len(), model.len());
         }
     }
 }

@@ -185,40 +185,28 @@ impl PmemPool {
     /// transactions, rebuild the volatile allocator state.
     pub fn open(clock: &Clock, device: Arc<PmemDevice>, layout: &str) -> Result<Arc<Self>> {
         let size = device.size() as u64;
-        let mut sblk = vec![0u8; SUPERBLOCK_SIZE as usize];
-        device.read_meta(clock, 0, &mut sblk);
-        let magic = u64::from_le_bytes(sblk[sb::MAGIC as usize..][..8].try_into().unwrap());
-        if magic != POOL_MAGIC {
-            return Err(PmdkError::BadPool("bad magic (pool not formatted?)".into()));
+        let sblk = Superblock::read(&Charged {
+            device: &device,
+            clock,
+        });
+        if let Some(fault) = sblk.fault {
+            return Err(PmdkError::BadPool(fault));
         }
-        let recorded = u64::from_le_bytes(sblk[sb::POOL_SIZE as usize..][..8].try_into().unwrap());
-        if recorded != size {
-            return Err(PmdkError::BadPool(format!(
-                "pool recorded size {recorded} != device size {size}"
-            )));
-        }
-        let llen =
-            u64::from_le_bytes(sblk[sb::LAYOUT_LEN as usize..][..8].try_into().unwrap()) as usize;
-        let found = String::from_utf8_lossy(&sblk[sb::LAYOUT_NAME as usize..][..llen]).into_owned();
-        if found != layout {
+        if sblk.layout_name != layout {
             return Err(PmdkError::LayoutMismatch {
                 expected: layout.into(),
-                found,
+                found: sblk.layout_name,
             });
         }
 
-        let generation =
-            u64::from_le_bytes(sblk[sb::GENERATION as usize..][..8].try_into().unwrap()) + 1;
+        let generation = sblk.generation.wrapping_add(1);
         // Cached autotuner verdict: reuse it when the mounting machine's
         // profile matches what the pool was last tuned for; otherwise (or
         // for legacy/untuned pools) re-probe and persist the new verdict.
-        let stored_profile =
-            u32::from_le_bytes(sblk[sb::DEVICE_PROFILE as usize..][..4].try_into().unwrap());
-        let stored_strategy =
-            u32::from_le_bytes(sblk[sb::FLUSH_STRATEGY as usize..][..4].try_into().unwrap());
+        let stored_profile = sblk.device_profile_id;
         let current_profile = profile::profile_id(device.machine().profile_name());
         let (device_profile_id, flush_strategy, retune) =
-            match FlushStrategy::from_code(stored_strategy) {
+            match FlushStrategy::from_code(sblk.flush_strategy_code) {
                 Some(s) if stored_profile == current_profile => (stored_profile, s, false),
                 _ => (
                     current_profile,
@@ -419,6 +407,14 @@ impl PmemPool {
     /// Bulk read (metadata-timed).
     pub fn read_bytes(&self, clock: &Clock, off: u64, dst: &mut [u8]) {
         self.device.read_meta(clock, off as usize, dst);
+    }
+
+    /// This pool as a timed [`Bytes`] source for the shared format readers.
+    pub fn charged<'a>(&'a self, clock: &'a Clock) -> Charged<'a> {
+        Charged {
+            device: &self.device,
+            clock,
+        }
     }
 
     // ---- transactions ----

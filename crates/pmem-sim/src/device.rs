@@ -50,10 +50,6 @@ impl PmemDevice {
         &self.machine
     }
 
-    pub fn is_tracked(&self) -> bool {
-        self.tracker.is_some()
-    }
-
     // ---- untimed data plane (used by layers that model costs themselves) ----
 
     /// Store bytes without charging virtual time.

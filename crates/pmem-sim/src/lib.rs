@@ -8,9 +8,9 @@
 //! [`device::PmemDevice`] backed by host memory, while every operation also
 //! advances a per-rank virtual [`time::Clock`] according to the
 //! [`machine::Machine`] cost model. Shared resources (PMEM bandwidth, the
-//! DRAM bus, the fabric) are FCFS reservation [`server::Server`]s, which
-//! yields realistic contention, saturation and queueing without needing the
-//! paper's 24-core testbed.
+//! DRAM bus, the fabric) follow the machine's deterministic fluid-share
+//! model, which yields realistic contention and saturation without needing
+//! the paper's 24-core testbed.
 //!
 //! Layers above this crate:
 //! * `pmdk-sim` — PMDK-style pools, transactions, persistent data structures.
@@ -40,7 +40,6 @@ pub mod mmap;
 pub mod persistence;
 pub mod profile;
 pub mod rng;
-pub mod server;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -53,7 +52,6 @@ pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, PhaseScope};
 pub use mmap::DaxMapping;
 pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
 pub use rng::DetRng;
-pub use server::{BandwidthServer, Server};
 pub use stats::{Stats, StatsSnapshot};
 pub use time::{atomic_section, in_atomic_section, AtomicSection, Clock, ClockGate, SimTime};
 pub use trace::{

@@ -222,10 +222,6 @@ impl Machine {
         self.trace.set(sink).is_ok()
     }
 
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.get().is_some()
-    }
-
     /// Begin a span on `clock`: returns the current virtual instant, or
     /// `None` when tracing is disabled so callers skip all bookkeeping.
     #[inline]
@@ -260,14 +256,6 @@ impl Machine {
             dur: now.saturating_sub(start),
             arg,
         });
-    }
-
-    /// Record a fully-formed span (for callers that compute intervals
-    /// themselves). No-op when tracing is disabled.
-    pub fn trace_record(&self, span: TraceSpan) {
-        if let Some(sink) = self.trace.get() {
-            sink.record(span);
-        }
     }
 
     // ---- metrics ----
@@ -527,18 +515,6 @@ impl Machine {
         }
         clock.advance(self.cpu_scaled(per_page * n));
         self.obs_finish(clock, t0, "page_fault", Some(("pages", n)));
-    }
-
-    /// Fault accounting for a freshly-touched byte range of a DAX mapping:
-    /// one fault per modelled page.
-    pub fn charge_page_faults_bytes(&self, clock: &Clock, real_bytes: u64, map_sync: bool) {
-        if real_bytes == 0 {
-            return;
-        }
-        let pages = self
-            .scaled_bytes(real_bytes)
-            .div_ceil(self.config.page_size);
-        self.charge_page_faults(clock, pages, map_sync);
     }
 
     /// Flush a byte range of cachelines toward the persistence domain.
