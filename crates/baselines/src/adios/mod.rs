@@ -65,11 +65,11 @@ impl AdiosLike {
         }
         let machine = comm.machine();
         {
-            let _p = machine.phase_scope("serialize");
+            let _p = machine.phase(comm.clock(), "put", "serialize");
             machine.charge_serialize(comm.clock(), staging.len() as u64, Bp4.cpu_cost_factor());
         }
         {
-            let _p = machine.phase_scope("stage");
+            let _p = machine.phase(comm.clock(), "put", "stage");
             machine.metric_counter_add("stage.bytes", staging.len() as u64);
             machine.charge_dram_copy(comm.clock(), staging.len() as u64);
         }
@@ -200,11 +200,11 @@ impl PioLibrary for AdiosLike {
         // ...then deserialize out of the staging buffer into user arrays.
         let machine = comm.machine();
         {
-            let _p = machine.phase_scope("serialize");
+            let _p = machine.phase(comm.clock(), "get", "serialize");
             machine.charge_serialize(comm.clock(), staged.len() as u64, Bp4.cpu_cost_factor());
         }
         {
-            let _p = machine.phase_scope("stage");
+            let _p = machine.phase(comm.clock(), "get", "stage");
             machine.metric_counter_add("stage.bytes", staged.len() as u64);
             machine.charge_dram_copy(comm.clock(), staged.len() as u64);
         }

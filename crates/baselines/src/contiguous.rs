@@ -33,7 +33,7 @@ pub fn write_var_contiguous(
     // block in DRAM — the start of the rearrangement pMEMCPY never does.
     {
         let machine = comm.machine();
-        let _p = machine.phase_scope("rearrange");
+        let _p = machine.phase(comm.clock(), "put", "rearrange");
         machine.metric_counter_add("rearrange.bytes", bytes.len() as u64);
         machine.charge_dram_copy(comm.clock(), bytes.len() as u64);
     }
@@ -79,7 +79,7 @@ pub fn read_var_contiguous(
     }
     {
         let machine = comm.machine();
-        let _p = machine.phase_scope("rearrange");
+        let _p = machine.phase(comm.clock(), "get", "rearrange");
         machine.metric_counter_add("rearrange.bytes", elems * 8);
         machine.charge_dram_copy(comm.clock(), elems * 8);
     }

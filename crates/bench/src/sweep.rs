@@ -8,8 +8,8 @@
 use baselines::{PioLibrary, Target};
 use mpi_sim::{run_world_mode, SchedMode};
 use pmem_sim::{
-    Machine, MachineConfig, MetricsRegistry, MetricsSnapshot, PersistenceMode, PmemDevice, SimTime,
-    StatsSnapshot, TraceSink,
+    CollectingSink, Machine, MachineConfig, MetricsRegistry, MetricsSnapshot, PersistenceMode,
+    PmemDevice, SimTime, StatsSnapshot,
 };
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
@@ -141,7 +141,7 @@ pub fn run_cell_traced(
     lib: &dyn PioLibrary,
     direction: Direction,
     cfg: &CellConfig,
-    sink: Arc<dyn TraceSink>,
+    sink: Arc<CollectingSink>,
 ) -> CellResult {
     run_cell_observed(lib, direction, cfg, Some(sink), None)
 }
@@ -157,7 +157,7 @@ pub fn run_cell_observed(
     lib: &dyn PioLibrary,
     direction: Direction,
     cfg: &CellConfig,
-    sink: Option<Arc<dyn TraceSink>>,
+    sink: Option<Arc<CollectingSink>>,
     registry: Option<Arc<MetricsRegistry>>,
 ) -> CellResult {
     let once = run_cell_once(lib, direction, cfg, sink, registry);
@@ -188,7 +188,7 @@ fn run_cell_once(
     lib: &dyn PioLibrary,
     direction: Direction,
     cfg: &CellConfig,
-    sink: Option<Arc<dyn TraceSink>>,
+    sink: Option<Arc<CollectingSink>>,
     registry: Option<Arc<MetricsRegistry>>,
 ) -> CellOnce {
     let mut mc = cfg.machine.clone();

@@ -40,12 +40,12 @@ impl Pmem {
         let (layout, machine) = self.layout_and_machine()?;
         // The drain's activity traces on its own reserved lane.
         let drain_clock = Clock::with_lane(DRAIN_LANE);
-        let t0 = machine.trace_start(&drain_clock);
+        let mut span = machine.span(&drain_clock, "drain", "drain");
         target.mkdir_p(&drain_clock, dir)?;
         let mut keys = 0usize;
         let mut bytes = 0u64;
         for key in layout.keys(&drain_clock) {
-            let tk = machine.trace_start(&drain_clock);
+            let mut key_span = machine.span(&drain_clock, "drain", "drain.key");
             // Stream the record out in bounded chunks — no whole-record DRAM
             // staging; each chunk is pushed over the burst-buffer
             // interconnect and landed before the next is read.
@@ -62,15 +62,9 @@ impl Pmem {
             target.close(&drain_clock, fd)?;
             keys += 1;
             bytes += record_len;
-            machine.trace_finish(
-                &drain_clock,
-                tk,
-                "drain",
-                "drain.key",
-                Some(("bytes", record_len)),
-            );
+            key_span.set_arg("bytes", record_len);
         }
-        machine.trace_finish(&drain_clock, t0, "drain", "drain", Some(("bytes", bytes)));
+        span.set_arg("bytes", bytes);
         Ok(DrainReport {
             keys,
             bytes,
@@ -85,21 +79,7 @@ impl Pmem {
     pub fn restore_from_storage(&self, target: &Arc<SimFs>, dir: &str, key: &str) -> Result<()> {
         let (layout, machine) = self.layout_and_machine()?;
         let clock = self.clock()?;
-        let t0 = machine.trace_start(clock);
-        let out = self.restore_inner(layout, machine, clock, target, dir, key);
-        machine.trace_finish(clock, t0, "drain", "restore", None);
-        out
-    }
-
-    fn restore_inner(
-        &self,
-        layout: &dyn crate::layout::Layout,
-        machine: &Arc<pmem_sim::Machine>,
-        clock: &Clock,
-        target: &Arc<SimFs>,
-        dir: &str,
-        key: &str,
-    ) -> Result<()> {
+        let _span = machine.span(clock, "drain", "restore");
         let path = format!("{dir}/{}", sanitize(key));
         if !target.exists(&path) {
             return Err(PmemCpyError::NotFound(key.to_string()));

@@ -80,9 +80,8 @@ fn load_one_located(
     idx: usize,
     consumer: &mut dyn ReadConsumer,
 ) -> Result<VarHeader> {
-    let t1 = machine.trace_start(clock);
     let (hdr, bytes) = {
-        let _p = machine.phase_scope("get.memcpy");
+        let mut span = machine.phase(clock, "get", "get.memcpy");
         let mut src = MappingSource::new(&loc.mapping, clock, loc.offset, loc.len)?;
         let hdr = serializer.read_header(&mut src)?;
         let dst = consumer.dst(idx, &hdr)?;
@@ -99,15 +98,13 @@ fn load_one_located(
         // Deserialize straight from PMEM into the caller's buffer.
         serializer.read_payload(&mut src, dst)?;
         let bytes = dst.len() as u64;
+        span.set_arg("bytes", bytes);
         (hdr, bytes)
     };
-    machine.trace_finish(clock, t1, "get", "get.memcpy", Some(("bytes", bytes)));
-    let t2 = machine.trace_start(clock);
-    {
-        let _p = machine.phase_scope("get.deserialize");
-        machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
-    }
-    machine.trace_finish(clock, t2, "get", "get.deserialize", Some(("bytes", bytes)));
+    let _span = machine
+        .phase(clock, "get", "get.deserialize")
+        .arg("bytes", bytes);
+    machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
     Ok(hdr)
 }
 
@@ -149,18 +146,12 @@ pub trait Layout: Send + Sync {
                 slen: serializer.serialized_len(p.meta, p.payload.len() as u64),
             })
             .collect();
-        let t0 = machine.trace_start(clock);
         let reservations = {
-            let _p = machine.phase_scope("put.reserve");
+            let _span = machine
+                .phase(clock, "put", "put.reserve")
+                .arg("keys", puts.len() as u64);
             self.reserve_many(clock, &reqs)?
         };
-        machine.trace_finish(
-            clock,
-            t0,
-            "put",
-            "put.reserve",
-            Some(("keys", puts.len() as u64)),
-        );
         // Media accounting for write amplification: logical payload bytes in
         // vs record bytes hitting the media, both in modelled (byte-scaled)
         // units so the ratio is comparable with the machine's media counters.
@@ -173,42 +164,29 @@ pub trait Layout: Send + Sync {
         }
         for (put, resv) in puts.iter().zip(&reservations) {
             let bytes = put.payload.len() as u64;
-            let t1 = machine.trace_start(clock);
+            let record = resv.len as u64;
             {
-                let _p = machine.phase_scope("put.serialize");
+                let _span = machine
+                    .phase(clock, "put", "put.serialize")
+                    .arg("bytes", bytes);
                 machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
             }
-            machine.trace_finish(clock, t1, "put", "put.serialize", Some(("bytes", bytes)));
-            let t2 = machine.trace_start(clock);
             {
-                let _p = machine.phase_scope("put.memcpy");
+                let _span = machine
+                    .phase(clock, "put", "put.memcpy")
+                    .arg("bytes", record);
                 let mut sink = MappingSink::new(&resv.mapping, clock, resv.offset, resv.len)?;
                 serializer.write_var(put.meta, put.payload, &mut sink)?;
                 debug_assert_eq!(sink.written(), resv.len);
             }
-            machine.trace_finish(
-                clock,
-                t2,
-                "put",
-                "put.memcpy",
-                Some(("bytes", resv.len as u64)),
-            );
-            let t3 = machine.trace_start(clock);
-            {
-                let _p = machine.phase_scope("put.persist");
-                resv.mapping
-                    .persist_with(clock, resv.offset, resv.len, self.flush_strategy());
-                if resv.unmap_after_persist {
-                    resv.mapping.unmap(clock);
-                }
+            let _span = machine
+                .phase(clock, "put", "put.persist")
+                .arg("bytes", record);
+            resv.mapping
+                .persist_with(clock, resv.offset, resv.len, self.flush_strategy());
+            if resv.unmap_after_persist {
+                resv.mapping.unmap(clock);
             }
-            machine.trace_finish(
-                clock,
-                t3,
-                "put",
-                "put.persist",
-                Some(("bytes", resv.len as u64)),
-            );
         }
         Ok(())
     }
@@ -242,19 +220,12 @@ pub trait Layout: Send + Sync {
         }
         let serializer = self.serializer();
         let machine = Arc::clone(self.machine());
-        let t0 = machine.trace_start(clock);
         let located = {
-            let _p = machine.phase_scope("get.lookup");
-            self.locate_many(clock, keys)
+            let _span = machine
+                .phase(clock, "get", "get.lookup")
+                .arg("keys", keys.len() as u64);
+            self.locate_many(clock, keys)?
         };
-        machine.trace_finish(
-            clock,
-            t0,
-            "get",
-            "get.lookup",
-            Some(("keys", keys.len() as u64)),
-        );
-        let located = located?;
         let mut hdrs = Vec::with_capacity(located.len());
         let mut first_err: Option<PmemCpyError> = None;
         for (i, loc) in located.iter().enumerate() {

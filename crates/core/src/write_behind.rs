@@ -241,8 +241,7 @@ impl WriteBehindLayout {
         let _atomic = pmem_sim::atomic_section();
         let _ckpt = self.state.ckpt_lock.lock();
         let ckpt_clock = Clock::with_lane(CKPT_LANE);
-        let t0 = machine.trace_start(&ckpt_clock);
-        let _p = machine.phase_scope("ckpt.drain");
+        let mut span = machine.phase(&ckpt_clock, "ckpt", "ckpt.drain");
         let records = self.state.log.replay(&ckpt_clock)?;
         if records.is_empty() {
             return Ok(0);
@@ -288,13 +287,7 @@ impl WriteBehindLayout {
         }
         drop(front);
         machine.metric_counter_add("ckpt.drains", 1);
-        machine.trace_finish(
-            &ckpt_clock,
-            t0,
-            "ckpt",
-            "ckpt.drain",
-            Some(("records", drained as u64)),
-        );
+        span.set_arg("records", drained as u64);
         Ok(drained)
     }
 
@@ -380,9 +373,10 @@ impl Layout for WriteBehindLayout {
             machine.metric_counter_add("wal.bypass", 1);
             return self.inner.store_many(clock, puts);
         }
-        let t0 = machine.trace_start(clock);
-        let appended = {
-            let _p = machine.phase_scope("wal.append");
+        {
+            let _span = machine
+                .phase(clock, "put", "wal.append")
+                .arg("bytes", record.len() as u64);
             match self.state.log.append(clock, &record) {
                 Err(PmdkError::OutOfMemory { .. }) => {
                     // Ring full: drain on the checkpoint lane, retry once.
@@ -390,16 +384,8 @@ impl Layout for WriteBehindLayout {
                     self.state.log.append(clock, &record)
                 }
                 other => other,
-            }
-        };
-        machine.trace_finish(
-            clock,
-            t0,
-            "put",
-            "wal.append",
-            Some(("bytes", record.len() as u64)),
-        );
-        appended?;
+            }?;
+        }
         machine.metric_counter_add("wal.appends", 1);
         {
             let mut front = self.state.front.lock();
@@ -503,9 +489,10 @@ impl Layout for WriteBehindLayout {
         }
         for (i, hit) in hits.into_iter().enumerate() {
             let Some((meta, payload)) = hit else { continue };
-            let t0 = machine.trace_start(clock);
             let hdr = {
-                let _p = machine.phase_scope("get.front");
+                let _span = machine
+                    .phase(clock, "get", "get.front")
+                    .arg("bytes", payload.len() as u64);
                 // Decode through the serializer's own record format so the
                 // header (and any payload transform) is byte-equivalent to
                 // an inline-mode read.
@@ -529,13 +516,6 @@ impl Layout for WriteBehindLayout {
                 machine.metric_counter_add("wb.front_hits", 1);
                 hdr
             };
-            machine.trace_finish(
-                clock,
-                t0,
-                "get",
-                "get.front",
-                Some(("bytes", payload.len() as u64)),
-            );
             out[i] = Some(hdr);
         }
         Ok(out

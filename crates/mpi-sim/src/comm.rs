@@ -198,35 +198,16 @@ impl Comm {
 
     /// Blocking receive of the next message from `src` with `tag`.
     pub fn recv(&self, src: usize, tag: u64) -> Vec<u8> {
-        let t0 = self.machine().trace_start(&self.clock);
-        let data = self.recv_inner(src, tag);
-        self.machine().trace_finish(
-            &self.clock,
-            t0,
-            "mpi",
-            "recv.wait",
-            Some(("bytes", data.len() as u64)),
-        );
-        data
-    }
-
-    fn recv_inner(&self, src: usize, tag: u64) -> Vec<u8> {
         assert!(src < self.size(), "recv from rank {src} of {}", self.size());
+        let mut span = self.machine().span(&self.clock, "mpi", "recv.wait");
         let mbox = &self.world.mailboxes[self.rank];
-        match self.world.scheduler() {
+        let (data, delivery) = match self.world.scheduler() {
             // Deterministic mode: park on the scheduler, not the mailbox.
             // While this rank holds the token no sender can run, so the
             // check-then-block sequence cannot lose a wakeup.
             Some(sched) => loop {
-                if let Some((data, delivery)) = self.try_pop(src, tag) {
-                    // Virtual time: the message cannot be consumed before
-                    // it was delivered. (Charged with no locks held — the
-                    // advance is a yield point.) The jump is a wait, not
-                    // work: metrics attribute it to "mpi.wait".
-                    let w0 = self.machine().metrics_start(&self.clock);
-                    self.clock.advance_to(delivery);
-                    self.machine().metrics_wait(&self.clock, w0, "mpi.wait");
-                    return data;
+                if let Some(msg) = self.try_pop(src, tag) {
+                    break msg;
                 }
                 sched.block_on_recv(self.rank);
             },
@@ -235,19 +216,20 @@ impl Comm {
                 let mut queues = mbox.queues.lock();
                 loop {
                     self.world.check_poison();
-                    if let Some(q) = queues.get_mut(&(src, tag)) {
-                        if let Some((data, delivery)) = q.pop_front() {
-                            drop(queues);
-                            let w0 = self.machine().metrics_start(&self.clock);
-                            self.clock.advance_to(delivery);
-                            self.machine().metrics_wait(&self.clock, w0, "mpi.wait");
-                            return data;
-                        }
+                    if let Some(msg) = queues.get_mut(&(src, tag)).and_then(|q| q.pop_front()) {
+                        break msg;
                     }
                     mbox.signal.wait(&mut queues);
                 }
             }
-        }
+        };
+        // Virtual time: the message cannot be consumed before it was
+        // delivered. (Charged with no locks held — the advance is a yield
+        // point.) The jump is a wait, not work: it keeps its own label.
+        self.machine()
+            .charge_wait(&self.clock, delivery, "mpi.wait");
+        span.set_arg("bytes", data.len() as u64);
+        data
     }
 
     /// Pop the next queued message from `src` with `tag`, if any.
@@ -262,13 +244,7 @@ impl Comm {
     /// Dissemination barrier: ⌈log₂ P⌉ rounds of zero-byte messages. After
     /// the barrier every participant's clock reflects the slowest rank.
     pub fn barrier(&self) {
-        let t0 = self.machine().trace_start(&self.clock);
-        self.barrier_inner();
-        self.machine()
-            .trace_finish(&self.clock, t0, "mpi", "barrier", None);
-    }
-
-    fn barrier_inner(&self) {
+        let _span = self.machine().span(&self.clock, "mpi", "barrier");
         let p = self.size();
         if p == 1 {
             return;
@@ -287,19 +263,7 @@ impl Comm {
 
     /// Binomial-tree broadcast from `root`. Returns the payload on all ranks.
     pub fn bcast(&self, root: usize, data: Option<&[u8]>) -> Vec<u8> {
-        let t0 = self.machine().trace_start(&self.clock);
-        let out = self.bcast_inner(root, data);
-        self.machine().trace_finish(
-            &self.clock,
-            t0,
-            "mpi",
-            "bcast",
-            Some(("bytes", out.len() as u64)),
-        );
-        out
-    }
-
-    fn bcast_inner(&self, root: usize, data: Option<&[u8]>) -> Vec<u8> {
+        let mut span = self.machine().span(&self.clock, "mpi", "bcast");
         let p = self.size();
         // Rotate so the root is virtual rank 0.
         let vrank = (self.rank + p - root) % p;
@@ -311,10 +275,6 @@ impl Comm {
         } else {
             None
         };
-        if p == 1 {
-            return payload.expect("single-rank bcast");
-        }
-        let rounds = (p as f64).log2().ceil() as u32;
         // Receive first (non-roots), from the peer that owns our subtree.
         if vrank != 0 {
             let mut mask = 1usize;
@@ -330,7 +290,8 @@ impl Comm {
         }
         // Then forward down our subtree.
         let data = payload.expect("bcast payload must be set by now");
-        let mut mask = 1usize << (rounds - 1);
+        // Top bit of the ⌈log₂ P⌉-round tree (zero rounds for one rank).
+        let mut mask = p.next_power_of_two() >> 1;
         while mask > 0 {
             if vrank & (mask - 1) == 0 && vrank & mask == 0 {
                 let vdest = vrank | mask;
@@ -341,25 +302,17 @@ impl Comm {
             }
             mask >>= 1;
         }
+        span.set_arg("bytes", data.len() as u64);
         data
     }
 
     /// Gather variable-length buffers to `root`. Returns `Some(rank-ordered
     /// payloads)` on the root, `None` elsewhere.
     pub fn gatherv(&self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let t0 = self.machine().trace_start(&self.clock);
-        let out = self.gatherv_inner(root, data);
-        self.machine().trace_finish(
-            &self.clock,
-            t0,
-            "mpi",
-            "gatherv",
-            Some(("bytes", data.len() as u64)),
-        );
-        out
-    }
-
-    fn gatherv_inner(&self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
+        let _span = self
+            .machine()
+            .span(&self.clock, "mpi", "gatherv")
+            .arg("bytes", data.len() as u64);
         if self.rank == root {
             let mut out = vec![Vec::new(); self.size()];
             out[root] = data.to_vec();
@@ -393,15 +346,10 @@ impl Comm {
     /// receives from `rank-s`, which is balanced for any rank count (sends
     /// are buffered, so the blocking receive cannot deadlock).
     pub fn alltoallv(&self, sends: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        let t0 = self.machine().trace_start(&self.clock);
-        let sent: u64 = sends.iter().map(|b| b.len() as u64).sum();
-        let out = self.alltoallv_inner(sends);
-        self.machine()
-            .trace_finish(&self.clock, t0, "mpi", "alltoallv", Some(("bytes", sent)));
-        out
-    }
-
-    fn alltoallv_inner(&self, sends: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let _span = self
+            .machine()
+            .span(&self.clock, "mpi", "alltoallv")
+            .arg("bytes", sends.iter().map(|b| b.len() as u64).sum());
         assert_eq!(sends.len(), self.size(), "one send buffer per rank");
         let p = self.size();
         let mut out = vec![Vec::new(); p];
@@ -418,20 +366,8 @@ impl Comm {
     /// Scatter per-rank buffers from `root`: rank `i` receives `bufs[i]`.
     /// Non-roots pass `None`.
     pub fn scatterv(&self, root: usize, bufs: Option<&[Vec<u8>]>) -> Vec<u8> {
-        let t0 = self.machine().trace_start(&self.clock);
-        let out = self.scatterv_inner(root, bufs);
-        self.machine().trace_finish(
-            &self.clock,
-            t0,
-            "mpi",
-            "scatterv",
-            Some(("bytes", out.len() as u64)),
-        );
-        out
-    }
-
-    fn scatterv_inner(&self, root: usize, bufs: Option<&[Vec<u8>]>) -> Vec<u8> {
-        if self.rank == root {
+        let mut span = self.machine().span(&self.clock, "mpi", "scatterv");
+        let out = if self.rank == root {
             let bufs = bufs.expect("root must supply scatter buffers");
             assert_eq!(bufs.len(), self.size(), "one buffer per rank");
             for (dest, buf) in bufs.iter().enumerate() {
@@ -442,7 +378,9 @@ impl Comm {
             bufs[root].clone()
         } else {
             self.recv(root, TAG_SCATTER)
-        }
+        };
+        span.set_arg("bytes", out.len() as u64);
+        out
     }
 
     /// Reduce `value` across ranks with `op`; `Some(result)` on root.
@@ -550,7 +488,11 @@ mod tests {
         run_world(machine, 4, |comm| {
             if comm.rank() == 2 {
                 // One slow rank.
-                comm.clock().advance(SimTime::from_millis(5));
+                comm.machine().charge_compute_labeled(
+                    comm.clock(),
+                    SimTime::from_millis(5),
+                    "skew",
+                );
             }
             comm.barrier();
             assert!(

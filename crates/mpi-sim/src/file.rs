@@ -129,7 +129,7 @@ impl MpiFile {
         let staged: u64 = pieces.iter().map(|(_, d)| d.len() as u64).sum();
         if staged > 0 {
             let machine = self.comm.machine();
-            let _p = machine.phase_scope("rearrange");
+            let _p = machine.phase(self.comm.clock(), "mpi", "rearrange");
             machine.metric_counter_add("rearrange.bytes", staged);
             machine.charge_dram_copy(self.comm.clock(), staged);
         }
@@ -222,7 +222,7 @@ impl MpiFile {
         let placed: u64 = requests.iter().map(|r| r.len).sum();
         if placed > 0 {
             let machine = self.comm.machine();
-            let _p = machine.phase_scope("rearrange");
+            let _p = machine.phase(self.comm.clock(), "mpi", "rearrange");
             machine.metric_counter_add("rearrange.bytes", placed);
             machine.charge_dram_copy(self.comm.clock(), placed);
         }

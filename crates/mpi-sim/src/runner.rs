@@ -106,7 +106,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::Clock;
 
     #[test]
     fn results_come_back_in_rank_order() {
@@ -184,7 +183,8 @@ mod tests {
         let machine = Machine::chameleon();
         let (times, job) = run_timed(machine, 3, |comm| {
             let delay = SimTime::from_micros(comm.rank() as u64 * 100);
-            Clock::advance(comm.clock(), delay);
+            comm.machine()
+                .charge_compute_labeled(comm.clock(), delay, "delay");
         });
         assert_eq!(times.len(), 3);
         assert_eq!(job, SimTime::from_micros(200));

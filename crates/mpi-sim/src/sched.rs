@@ -6,8 +6,8 @@
 //! [`Scheduler`] removes the host from the picture: rank threads take turns,
 //! and the next turn always goes to the runnable rank with the **lowest
 //! virtual clock** (rank id breaks ties). Ranks hand the token back at every
-//! charge point — the [`pmem_sim::ClockGate`] hook fires on each
-//! `Clock::advance`/`advance_to` — and whenever they block in `recv`, so the
+//! charge point — the [`pmem_sim::ClockGate`] hook fires on every clock
+//! advance — and whenever they block in `recv`, so the
 //! whole multi-rank job becomes one deterministic sequential program. The
 //! same machine, the same configuration, any host core count: bit-identical
 //! results.

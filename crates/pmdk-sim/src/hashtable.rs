@@ -524,7 +524,7 @@ impl PersistentHashtable {
             .checked_mul(2)
             .ok_or_else(|| PmdkError::TxFailure("bucket count overflow".into()))?;
         let machine = self.pool.device().machine();
-        let _phase = machine.phase_scope("ht.resize");
+        let _phase = machine.phase(clock, "pmdk", "ht.resize");
         let new_heads = self.pool.tx(clock, |tx| {
             let new_heads = tx.alloc(doubled * 8)?;
             // Fresh allocation: zero it without undo images, in bounded
@@ -583,8 +583,10 @@ impl PersistentHashtable {
         let chunk = (n / STRIPES as u64).clamp(8, 128).min(n - start);
         let end = start + chunk;
         let machine = self.pool.device().machine();
-        let _phase = machine.phase_scope("ht.resize");
-        let t0 = machine.trace_start(clock);
+        let _phase = machine.phase(clock, "pmdk", "ht.resize");
+        let _span = machine
+            .span(clock, "pmdk", "ht.migrate")
+            .arg("buckets", chunk);
 
         // Source bucket b lives on stripe b%64; its lo half stays there,
         // its hi half moves to (b+n)%64. Lock both for the whole chunk.
@@ -687,7 +689,6 @@ impl PersistentHashtable {
         if entries_moved > 0 {
             machine.metric_counter_add("ht.entries_migrated", entries_moved);
         }
-        machine.trace_finish(clock, t0, "pmdk", "ht.migrate", Some(("buckets", chunk)));
         Ok(())
     }
 
@@ -696,7 +697,7 @@ impl PersistentHashtable {
     /// splice rewrites. A bad hop refuses the mutation.
     fn find(&self, clock: &Clock, head_slot: u64, key: &[u8], hash: u64) -> Result<Option<Entry>> {
         let machine = self.pool.device().machine();
-        let t0 = machine.trace_start(clock);
+        let _span = machine.span(clock, "pmdk", "ht.probe");
         let src = self.pool.charged(clock);
         let mut hit = None;
         let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
@@ -706,7 +707,6 @@ impl PersistentHashtable {
             hit.is_none()
         });
         machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
-        machine.trace_finish(clock, t0, "pmdk", "ht.probe", None);
         end.map(|()| hit)
     }
 
@@ -787,7 +787,7 @@ impl PersistentHashtable {
         }
         match hit {
             Some(vref) => {
-                let _cached = machine.phase_scope("get.lookup.cached");
+                let _cached = machine.phase(clock, "pmdk", "get.lookup.cached");
                 machine.charge_compute_labeled(
                     clock,
                     SimTime::from_nanos(SHADOW_HIT_NS),
@@ -1149,7 +1149,9 @@ impl PersistentHashtable {
             return Vec::new();
         }
         let machine = self.pool.device().machine();
-        let t0 = machine.trace_start(clock);
+        let _span = machine
+            .span(clock, "pmdk", "ht.probe")
+            .arg("keys", pending.len() as u64);
         let (found, epoch) = self.seqlock_read(clock, route.sid, |locked| {
             self.probe_chain_group(clock, keys, hashes, route.head_slot, &pending, locked)
         });
@@ -1172,13 +1174,6 @@ impl PersistentHashtable {
         if !diverged.is_empty() {
             machine.metric_counter_add("ht.route.retries", diverged.len() as u64);
         }
-        machine.trace_finish(
-            clock,
-            t0,
-            "pmdk",
-            "ht.probe",
-            Some(("keys", pending.len() as u64)),
-        );
         diverged
     }
 

@@ -297,12 +297,11 @@ impl PmemPool {
     /// is durable once this returns).
     pub fn alloc(&self, clock: &Clock, size: u64) -> Result<u64> {
         let machine = self.device.machine();
-        let t0 = machine.trace_start(clock);
+        let _span = machine.span(clock, "pmdk", "pool.alloc").arg("bytes", size);
         // Heap metadata writes charge the clock under the heap lock; keep
         // the deterministic scheduler from parking us while we hold it.
         let _atomic = pmem_sim::atomic_section();
         let out = self.heap.lock().alloc(clock, size);
-        machine.trace_finish(clock, t0, "pmdk", "pool.alloc", Some(("bytes", size)));
         out
     }
 
@@ -310,21 +309,19 @@ impl PmemPool {
     /// [`Heap::alloc_many`]). Offsets come back in request order.
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
         let machine = self.device.machine();
-        let t0 = machine.trace_start(clock);
+        let _span = machine
+            .span(clock, "pmdk", "pool.alloc")
+            .arg("bytes", sizes.iter().sum());
         let _atomic = pmem_sim::atomic_section();
         let out = self.heap.lock().alloc_many(clock, sizes);
-        let total: u64 = sizes.iter().sum();
-        machine.trace_finish(clock, t0, "pmdk", "pool.alloc", Some(("bytes", total)));
         out
     }
 
     /// Free a persistent allocation.
     pub fn free(&self, clock: &Clock, off: u64) -> Result<()> {
-        let machine = self.device.machine();
-        let t0 = machine.trace_start(clock);
+        let _span = self.device.machine().span(clock, "pmdk", "pool.free");
         let _atomic = pmem_sim::atomic_section();
         let out = self.heap.lock().free(clock, off);
-        machine.trace_finish(clock, t0, "pmdk", "pool.free", None);
         out
     }
 

@@ -167,23 +167,12 @@ impl<'a> Tx<'a> {
         body: impl FnOnce(&mut Tx<'_>) -> Result<T>,
     ) -> Result<T> {
         let machine = Arc::clone(pool.device().machine());
-        let t0 = machine.trace_start(clock);
-        let out = Self::run_inner(pool, clock, body);
-        machine.trace_finish(clock, t0, "pmdk", "tx", None);
-        out
-    }
-
-    fn run_inner<T>(
-        pool: &'a Arc<PmemPool>,
-        clock: &'a Clock,
-        body: impl FnOnce(&mut Tx<'_>) -> Result<T>,
-    ) -> Result<T> {
-        let machine = Arc::clone(pool.device().machine());
+        let _tx = machine.span(clock, "pmdk", "tx");
         let lane = pool.lanes.claim()?;
         machine.stats.pool_txs.fetch_add(1, Ordering::Relaxed);
         let lane_base = lane_offset(lane);
         {
-            let _p = machine.phase_scope("tx.begin");
+            let _p = machine.phase(clock, "pmdk", "tx.begin");
             pool.write_u32(clock, lane_base + lane::STATE, LANE_ACTIVE);
         }
         pool.flight().record(clock, EventCode::TxBegin, 0, lane, 0);
@@ -199,12 +188,10 @@ impl<'a> Tx<'a> {
             Ok(v) => {
                 machine.metric_counter_add("tx.commits", 1);
                 machine.metric_counter_add("tx.undo_bytes", tx.undo_used);
-                let tc = machine.trace_start(clock);
                 let committed = {
-                    let _p = machine.phase_scope("tx.commit");
+                    let _p = machine.phase(clock, "pmdk", "tx.commit");
                     tx.commit()
                 };
-                machine.trace_finish(clock, tc, "pmdk", "tx.commit", None);
                 match committed {
                     Ok(()) => {
                         pool.flight().record(clock, EventCode::TxCommit, 0, lane, 0);

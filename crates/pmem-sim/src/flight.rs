@@ -20,8 +20,8 @@
 //!   written through the device's untimed plane with an uncharged persist
 //!   ([`PmemDevice::persist_untimed`]): zero clock advances, zero machine
 //!   stats, zero metrics. A deterministic run produces byte-identical
-//!   reports whether the recorder is on or off — which is why it can stay
-//!   always-on by default.
+//!   reports with the recorder running — which is why it is unconditionally
+//!   on, with no switch.
 //!
 //! The ring lives in a fixed reserved region of the pool (between the lane
 //! table and the heap — see `pmdk_sim::layout`), so an offline reader finds
@@ -32,7 +32,6 @@
 use crate::device::PmemDevice;
 use crate::time::Clock;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Ring header magic ("FLTREC01").
@@ -49,98 +48,74 @@ pub mod hdr {
     pub const NEXT_SEQ: u64 = 16;
 }
 
-/// What happened. Codes are persisted as `u16`; renamed freely, renumbered
+/// The one table of flight events: variant, persisted `u16` code, timeline
+/// name. A new event is one line here; codes are renamed freely, renumbered
 /// never (old images must keep decoding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u16)]
-pub enum EventCode {
-    /// A handle mounted the pool (a = pool generation).
-    Mount = 1,
-    /// Clean unmount: checkpoint + quiesce completed. A pool whose last
-    /// event is not `Unmount` did not shut down cleanly.
-    Unmount = 2,
-    /// Pool open repaired interrupted transactions (a = lanes repaired).
-    Recovery = 3,
-    /// Transaction began (a = lane).
-    TxBegin = 4,
-    /// Transaction committed (a = lane).
-    TxCommit = 5,
-    /// Transaction aborted and rolled back (a = lane).
-    TxAbort = 6,
-    /// WAL record appended (a = record bytes, b = tail after).
-    WalAppend = 7,
-    /// WAL head advanced — the checkpoint watermark (a = records dropped,
-    /// b = head after).
-    WalTruncate = 8,
-    /// WAL replay completed at mount (a = records replayed).
-    WalReplay = 9,
-    /// Checkpoint drain started (a = records pending).
-    CkptBegin = 10,
-    /// Checkpoint drain finished (a = records drained).
-    CkptEnd = 11,
-    /// Directory split began (a = old bucket count, b = new bucket count).
-    SplitBegin = 12,
-    /// One migration chunk committed (a = cursor after, b = entries moved).
-    SplitChunk = 13,
-    /// Split finished: old table retired and freed (a = old bucket count).
-    SplitRetire = 14,
-    /// Per-stripe live counters folded into the header (a = folded count).
-    CountFold = 15,
-    /// An armed fail point fired — the simulated power-cut moment. `site`
-    /// names the site; this is usually the last event in a crashed image.
-    FailPoint = 16,
-    /// Active device profile + chosen flush strategy at mount
-    /// (a = profile id, b = strategy code — see `pmem_sim::profile`).
-    ProfileMount = 17,
+macro_rules! event_codes {
+    ($($(#[$doc:meta])* $variant:ident = $code:literal, $name:literal;)+) => {
+        /// What happened.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u16)]
+        pub enum EventCode {
+            $($(#[$doc])* $variant = $code,)+
+        }
+
+        impl EventCode {
+            pub fn from_u16(v: u16) -> Option<EventCode> {
+                match v {
+                    $($code => Some(EventCode::$variant),)+
+                    _ => None,
+                }
+            }
+
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventCode::$variant => $name,)+
+                }
+            }
+        }
+    };
 }
 
-impl EventCode {
-    pub fn from_u16(v: u16) -> Option<EventCode> {
-        use EventCode::*;
-        Some(match v {
-            1 => Mount,
-            2 => Unmount,
-            3 => Recovery,
-            4 => TxBegin,
-            5 => TxCommit,
-            6 => TxAbort,
-            7 => WalAppend,
-            8 => WalTruncate,
-            9 => WalReplay,
-            10 => CkptBegin,
-            11 => CkptEnd,
-            12 => SplitBegin,
-            13 => SplitChunk,
-            14 => SplitRetire,
-            15 => CountFold,
-            16 => FailPoint,
-            17 => ProfileMount,
-            _ => return None,
-        })
-    }
-
-    pub fn name(self) -> &'static str {
-        use EventCode::*;
-        match self {
-            Mount => "mount",
-            Unmount => "unmount",
-            Recovery => "recovery",
-            TxBegin => "tx.begin",
-            TxCommit => "tx.commit",
-            TxAbort => "tx.abort",
-            WalAppend => "wal.append",
-            WalTruncate => "wal.truncate",
-            WalReplay => "wal.replay",
-            CkptBegin => "ckpt.begin",
-            CkptEnd => "ckpt.end",
-            SplitBegin => "split.begin",
-            SplitChunk => "split.chunk",
-            SplitRetire => "split.retire",
-            CountFold => "count.fold",
-            FailPoint => "failpoint",
-            ProfileMount => "profile.mount",
-        }
-    }
+event_codes! {
+    /// A handle mounted the pool (a = pool generation).
+    Mount = 1, "mount";
+    /// Clean unmount: checkpoint + quiesce completed. A pool whose last
+    /// event is not `Unmount` did not shut down cleanly.
+    Unmount = 2, "unmount";
+    /// Pool open repaired interrupted transactions (a = lanes repaired).
+    Recovery = 3, "recovery";
+    /// Transaction began (a = lane).
+    TxBegin = 4, "tx.begin";
+    /// Transaction committed (a = lane).
+    TxCommit = 5, "tx.commit";
+    /// Transaction aborted and rolled back (a = lane).
+    TxAbort = 6, "tx.abort";
+    /// WAL record appended (a = record bytes, b = tail after).
+    WalAppend = 7, "wal.append";
+    /// WAL head advanced — the checkpoint watermark (a = records dropped,
+    /// b = head after).
+    WalTruncate = 8, "wal.truncate";
+    /// WAL replay completed at mount (a = records replayed).
+    WalReplay = 9, "wal.replay";
+    /// Checkpoint drain started (a = records pending).
+    CkptBegin = 10, "ckpt.begin";
+    /// Checkpoint drain finished (a = records drained).
+    CkptEnd = 11, "ckpt.end";
+    /// Directory split began (a = old bucket count, b = new bucket count).
+    SplitBegin = 12, "split.begin";
+    /// One migration chunk committed (a = cursor after, b = entries moved).
+    SplitChunk = 13, "split.chunk";
+    /// Split finished: old table retired and freed (a = old bucket count).
+    SplitRetire = 14, "split.retire";
+    /// Per-stripe live counters folded into the header (a = folded count).
+    CountFold = 15, "count.fold";
+    /// An armed fail point fired — the simulated power-cut moment. `site`
+    /// names the site; this is usually the last event in a crashed image.
+    FailPoint = 16, "failpoint";
+    /// Active device profile + chosen flush strategy at mount
+    /// (a = profile id, b = strategy code — see `pmem_sim::profile`).
+    ProfileMount = 17, "profile.mount";
 }
 
 /// Every fail-point site name, indexed by persisted id − 1 (0 = no site).
@@ -239,7 +214,6 @@ pub struct FlightRecorder {
     slots: u64,
     /// Serializes appends; holds the volatile mirror of `hdr::NEXT_SEQ`.
     next_seq: Mutex<u64>,
-    enabled: AtomicBool,
 }
 
 impl FlightRecorder {
@@ -258,7 +232,6 @@ impl FlightRecorder {
             base,
             slots,
             next_seq: Mutex::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
@@ -279,31 +252,13 @@ impl FlightRecorder {
             base,
             slots,
             next_seq: Mutex::new(next),
-            enabled: AtomicBool::new(true),
         }
-    }
-
-    /// Turn recording off/on (ablations; default on). The ring itself stays
-    /// intact either way.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn slots(&self) -> u64 {
-        self.slots
     }
 
     /// Append one event. The slot body is persisted before the header's
     /// `next_seq` advance (the commit point), so a crash between the two
     /// simply hides the torn slot. Costs nothing in virtual time.
     pub fn record(&self, clock: &Clock, code: EventCode, site: u16, a: u64, b: u64) {
-        if !self.enabled() {
-            return;
-        }
         let mut next = self.next_seq.lock();
         let seq = *next;
         let ev = FlightEvent {
@@ -454,18 +409,21 @@ mod tests {
         dev.write_untimed(4096, &[0xAB; 64]);
         let fr = FlightRecorder::attach_or_format(Arc::clone(&dev), 4096, REGION);
         assert!(fr.scan().is_empty());
-        assert_eq!(fr.slots(), 64);
+        assert_eq!(fr.slots, 64);
     }
 
     #[test]
-    fn disabled_recorder_writes_nothing() {
-        let (_dev, fr) = ring(PersistenceMode::Fast);
-        fr.set_enabled(false);
-        fr.record(&Clock::new(), EventCode::TxBegin, 0, 0, 0);
-        assert!(fr.scan().is_empty());
-        fr.set_enabled(true);
-        fr.record(&Clock::new(), EventCode::TxBegin, 0, 0, 0);
-        assert_eq!(fr.scan().len(), 1);
+    fn event_codes_round_trip_through_the_table() {
+        let codes: Vec<EventCode> = (0..=u16::MAX).filter_map(EventCode::from_u16).collect();
+        assert_eq!(codes.len(), 17);
+        for (v, c) in (1u16..).zip(&codes) {
+            assert_eq!(*c as u16, v, "codes are dense from 1");
+            assert_eq!(EventCode::from_u16(*c as u16), Some(*c));
+        }
+        let mut names: Vec<_> = codes.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), codes.len(), "event names must be unique");
     }
 
     #[test]

@@ -47,13 +47,13 @@ pub mod trace;
 pub use buffer::SharedBuffer;
 pub use device::{PersistenceMode, PmemDevice};
 pub use flight::{scan_ring, EventCode, FlightEvent, FlightRecorder};
-pub use machine::{Machine, MachineConfig};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, PhaseScope};
+pub use machine::{Machine, MachineConfig, Span};
+pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mmap::DaxMapping;
 pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
 pub use rng::DetRng;
 pub use stats::{Stats, StatsSnapshot};
 pub use time::{atomic_section, in_atomic_section, AtomicSection, Clock, ClockGate, SimTime};
 pub use trace::{
-    chrome_trace_json, CollectingSink, TraceSink, TraceSpan, TraceSummary, CKPT_LANE, DRAIN_LANE,
+    chrome_trace_json, CollectingSink, TraceSpan, TraceSummary, CKPT_LANE, DRAIN_LANE,
 };

@@ -14,12 +14,13 @@
 //! own clock, scaled by the CPU oversubscription factor when more ranks run
 //! than physical cores.
 
-use crate::metrics::{self, MetricsRegistry, PhaseScope};
+use crate::metrics::{self, MetricsRegistry};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::time::{Clock, SimTime};
-use crate::trace::{TraceSink, TraceSpan};
+use crate::trace::{CollectingSink, TraceSpan};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 /// Tunable hardware constants.
@@ -146,15 +147,6 @@ impl MachineConfig {
             byte_scale: 1,
         }
     }
-
-    /// A small machine useful for stressing contention effects in tests.
-    pub fn tiny(cores: usize) -> Self {
-        MachineConfig {
-            cores,
-            smt_threads: cores * 2,
-            ..Self::chameleon_skylake()
-        }
-    }
 }
 
 impl Default for MachineConfig {
@@ -173,11 +165,72 @@ pub struct Machine {
     /// Optional trace sink. Disabled (unset) by default; checking it costs
     /// one atomic load, so the instrumented paths are free when tracing is
     /// off. Spans only read clocks — they can never change virtual time.
-    trace: OnceLock<Arc<dyn TraceSink>>,
+    trace: OnceLock<Arc<CollectingSink>>,
     /// Optional metrics registry, same lifecycle and guarantees as `trace`:
     /// install-once, zero-cost when unset, and attribution only *reads*
     /// clocks so enabling metrics can never change a virtual-time result.
     metrics: OnceLock<Arc<MetricsRegistry>>,
+}
+
+/// Which phase label a charge's duration lands under.
+#[derive(Debug, Clone, Copy)]
+enum Attribution {
+    /// The innermost open [`Machine::phase`], else the primitive's name.
+    Innermost,
+    /// Always the primitive's own name (waits).
+    Own,
+}
+use Attribution::{Innermost, Own};
+
+/// RAII guard for one observed interval, opened by [`Machine::phase`] or
+/// [`Machine::span`]. Dropping it — on any exit path, early returns and `?`
+/// included — pops the phase label it pushed and records the trace span.
+#[must_use = "the interval ends when this guard is dropped"]
+#[derive(Debug)]
+pub struct Span<'a> {
+    /// Sink, clock and start instant; `None` when tracing is off.
+    trace: Option<(&'a CollectingSink, &'a Clock, SimTime)>,
+    /// Whether opening pushed `name` on this thread's phase stack.
+    label: bool,
+    cat: &'static str,
+    name: &'static str,
+    arg: Option<(&'static str, u64)>,
+    /// `!Send`: the guard marks a region of *this thread's* call stack.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Span<'_> {
+    /// Attach the span's numeric argument, e.g. `("bytes", 4096)`.
+    #[inline]
+    pub fn arg(mut self, key: &'static str, v: u64) -> Self {
+        self.set_arg(key, v);
+        self
+    }
+
+    /// [`Span::arg`] for a value known only once the interval has run.
+    #[inline]
+    pub fn set_arg(&mut self, key: &'static str, v: u64) {
+        self.arg = Some((key, v));
+    }
+}
+
+impl Drop for Span<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if self.label {
+            metrics::pop_phase();
+        }
+        if let Some((sink, clock, start)) = self.trace {
+            sink.record(TraceSpan {
+                cat: self.cat,
+                name: Cow::Borrowed(self.name),
+                lane: clock.lane(),
+                start,
+                dur: clock.now().saturating_sub(start),
+                arg: self.arg,
+            });
+        }
+    }
 }
 
 impl Machine {
@@ -207,58 +260,20 @@ impl Machine {
 
     /// Declare how many ranks are running (set by the MPI runner).
     pub fn set_active_ranks(&self, n: usize) {
-        self.active_ranks.store(n.max(1), Ordering::Relaxed);
+        self.active_ranks.store(n.max(1), Relaxed);
     }
 
     pub fn active_ranks(&self) -> usize {
-        self.active_ranks.load(Ordering::Relaxed)
+        self.active_ranks.load(Relaxed)
     }
 
-    // ---- tracing ----
+    // ---- the observation seam ----
 
-    /// Install a trace sink. Returns `false` if one was already installed
+    /// Install the trace sink. Returns `false` if one was already installed
     /// (the sink can only be set once per machine).
-    pub fn set_trace_sink(&self, sink: Arc<dyn TraceSink>) -> bool {
+    pub fn set_trace_sink(&self, sink: Arc<CollectingSink>) -> bool {
         self.trace.set(sink).is_ok()
     }
-
-    /// Begin a span on `clock`: returns the current virtual instant, or
-    /// `None` when tracing is disabled so callers skip all bookkeeping.
-    #[inline]
-    pub fn trace_start(&self, clock: &Clock) -> Option<SimTime> {
-        if self.trace.get().is_some() {
-            Some(clock.now())
-        } else {
-            None
-        }
-    }
-
-    /// Complete a span opened with [`Machine::trace_start`]. No-op when
-    /// tracing is disabled or `start` is `None`.
-    #[inline]
-    pub fn trace_finish(
-        &self,
-        clock: &Clock,
-        start: Option<SimTime>,
-        cat: &'static str,
-        name: impl Into<Cow<'static, str>>,
-        arg: Option<(&'static str, u64)>,
-    ) {
-        let (Some(start), Some(sink)) = (start, self.trace.get()) else {
-            return;
-        };
-        let now = clock.now();
-        sink.record(TraceSpan {
-            cat,
-            name: name.into(),
-            lane: clock.lane(),
-            start,
-            dur: now.saturating_sub(start),
-            arg,
-        });
-    }
-
-    // ---- metrics ----
 
     /// Install a metrics registry. Returns `false` if one was already
     /// installed (the registry can only be set once per machine).
@@ -270,22 +285,39 @@ impl Machine {
         self.metrics.get().is_some()
     }
 
-    /// The installed registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.get()
+    /// Open an *envelope* on `clock`: one `cat`/`name` trace span, recorded
+    /// when the guard drops. It never pushes a label, so the time inside
+    /// stays attributed to whatever phases and primitives run within it.
+    /// Inert — no clock read — when no trace sink is installed.
+    #[inline]
+    pub fn span<'a>(&'a self, clock: &'a Clock, cat: &'static str, name: &'static str) -> Span<'a> {
+        Span {
+            trace: self.trace.get().map(|sink| (&**sink, clock, clock.now())),
+            label: false,
+            cat,
+            name,
+            arg: None,
+            _not_send: PhantomData,
+        }
     }
 
-    /// Open a semantic phase label on the calling thread: until the guard
-    /// drops, every virtual nanosecond this thread charges is attributed
-    /// to `label` (innermost scope wins) instead of the primitive's name.
-    /// Inert — no thread-local traffic at all — when metrics are disabled.
+    /// Open a *phase* on `clock`: a [`Machine::span`] that also, when a
+    /// metrics registry is installed, makes `name` this thread's innermost
+    /// phase label — until the guard drops, every virtual nanosecond the
+    /// thread charges is attributed to `name` instead of the primitive's.
     #[inline]
-    pub fn phase_scope(&self, label: &'static str) -> PhaseScope {
+    pub fn phase<'a>(
+        &'a self,
+        clock: &'a Clock,
+        cat: &'static str,
+        name: &'static str,
+    ) -> Span<'a> {
+        let mut span = self.span(clock, cat, name);
         if self.metrics.get().is_some() {
-            PhaseScope::push(label)
-        } else {
-            PhaseScope::inert()
+            metrics::push_phase(name);
+            span.label = true;
         }
+        span
     }
 
     /// Add to a named counter; no-op when metrics are disabled.
@@ -306,71 +338,59 @@ impl Machine {
         }
     }
 
-    /// Begin measuring a wait (a clock jump not driven by a `charge_*`
-    /// primitive, e.g. a receiver synchronizing to a message's delivery
-    /// instant). Returns `None` when metrics are disabled.
+    /// Move `clock` forward by `dt` — the only place a clock moves — and
+    /// tell the installed sinks. Because every advance passes through here
+    /// exactly once, per-lane phase totals tile the rank's timeline. With
+    /// no sink the cost is two `OnceLock` loads: the observed half is kept
+    /// out of line so this half inlines into every primitive. Returns the
+    /// instant after the advance.
     #[inline]
-    pub fn metrics_start(&self, clock: &Clock) -> Option<SimTime> {
-        if self.metrics.get().is_some() {
-            Some(clock.now())
-        } else {
-            None
-        }
-    }
-
-    /// Attribute the time since [`Machine::metrics_start`] to `label`
-    /// (e.g. `"mpi.wait"`). Waits always keep their own label — they are
-    /// never folded into the surrounding phase scope — so reports can
-    /// separate load imbalance from attributed work.
-    #[inline]
-    pub fn metrics_wait(&self, clock: &Clock, t0: Option<SimTime>, label: &'static str) {
-        let (Some(t0), Some(m)) = (t0, self.metrics.get()) else {
-            return;
-        };
-        let dt = clock.now().saturating_sub(t0);
-        m.phase_add(clock.lane(), label, dt);
-        m.hist_record(label, dt);
-    }
-
-    /// Begin an observed interval: `Some(now)` when tracing *or* metrics
-    /// is enabled, `None` (all bookkeeping skipped) otherwise.
-    #[inline]
-    fn obs_start(&self, clock: &Clock) -> Option<SimTime> {
-        if self.trace.get().is_some() || self.metrics.get().is_some() {
-            Some(clock.now())
-        } else {
-            None
-        }
-    }
-
-    /// Close an observed interval opened with [`Machine::obs_start`]:
-    /// emits the "prim" trace span and attributes the virtual-time delta
-    /// to the innermost phase label (falling back to the primitive name).
-    /// Because every clock advance happens inside exactly one such
-    /// interval, per-lane phase totals tile the rank's timeline.
-    #[inline]
-    fn obs_finish(
+    fn charge(
         &self,
         clock: &Clock,
-        t0: Option<SimTime>,
         name: &'static str,
         arg: Option<(&'static str, u64)>,
-    ) {
-        let Some(t0) = t0 else {
-            return;
-        };
-        self.trace_finish(clock, Some(t0), "prim", name, arg);
-        if let Some(m) = self.metrics.get() {
-            let dt = clock.now().saturating_sub(t0);
-            m.phase_add(clock.lane(), metrics::current_phase().unwrap_or(name), dt);
-            m.hist_record(name, dt);
+        dt: SimTime,
+        attribution: Attribution,
+    ) -> SimTime {
+        let now = clock.advance(dt);
+        if self.trace.get().is_some() || self.metrics.get().is_some() {
+            self.report(clock.lane(), name, arg, now - dt, dt, attribution);
         }
+        now
     }
 
-    /// Close a primitive-level span (category "prim") with a byte argument.
-    #[inline]
-    fn prim_finish(&self, clock: &Clock, t0: Option<SimTime>, name: &'static str, bytes: u64) {
-        self.obs_finish(clock, t0, name, Some(("bytes", bytes)));
+    /// The observed half of [`Machine::charge`]: a "prim" trace span, `dt`
+    /// added to one phase label of the lane, one sample in the primitive's
+    /// histogram.
+    #[inline(never)]
+    fn report(
+        &self,
+        lane: u64,
+        name: &'static str,
+        arg: Option<(&'static str, u64)>,
+        start: SimTime,
+        dur: SimTime,
+        attribution: Attribution,
+    ) {
+        if let Some(sink) = self.trace.get() {
+            sink.record(TraceSpan {
+                cat: "prim",
+                name: Cow::Borrowed(name),
+                lane,
+                start,
+                dur,
+                arg,
+            });
+        }
+        if let Some(m) = self.metrics.get() {
+            let label = match attribution {
+                Innermost => metrics::current_phase().unwrap_or(name),
+                Own => name,
+            };
+            m.phase_add(lane, label, dur);
+            m.hist_record(name, dur);
+        }
     }
 
     /// Multiplier applied to CPU-bound work when more ranks than cores run.
@@ -392,18 +412,22 @@ impl Machine {
         bytes * self.config.byte_scale
     }
 
-    /// Fluid-share effective bandwidth for one rank: its per-core attended
-    /// bound (time-sliced when oversubscribed), capped by a fair share of
-    /// the aggregate.
+    /// Fluid-share cost of streaming `bytes` over a shared resource: the
+    /// per-operation latency plus the transfer at one rank's effective
+    /// bandwidth — its per-core attended bound (time-sliced when
+    /// oversubscribed), capped by a fair share of the aggregate.
     #[inline]
-    fn effective_bw(&self, core_bw: u64, aggregate_bw: u64) -> u64 {
+    fn stream(&self, latency: SimTime, bytes: u64, core_bw: u64, aggregate_bw: u64) -> SimTime {
         let share = aggregate_bw / self.active_ranks() as u64;
-        (core_bw / self.cpu_factor()).min(share).max(1)
+        let bw = (core_bw / self.cpu_factor()).min(share).max(1);
+        latency + SimTime::for_transfer(bytes, bw)
     }
 
-    /// Charge pure CPU work (e.g. encoding) to a rank.
-    pub fn charge_compute(&self, clock: &Clock, t: SimTime) {
-        clock.advance(self.cpu_scaled(t));
+    /// Charge a byte stream as primitive `name` (innermost-phase
+    /// attribution, `bytes` as the span argument).
+    #[inline]
+    fn charge_bytes(&self, clock: &Clock, name: &'static str, bytes: u64, dt: SimTime) -> SimTime {
+        self.charge(clock, name, Some(("bytes", bytes)), dt, Innermost)
     }
 
     /// Charge fixed CPU work as a named primitive, so the duration stays
@@ -411,58 +435,47 @@ impl Machine {
     /// falling back to `name`) and shows up in traces/histograms. Used by
     /// higher layers for DRAM index probes and seqlock retry penalties.
     pub fn charge_compute_labeled(&self, clock: &Clock, t: SimTime, name: &'static str) {
-        let t0 = self.obs_start(clock);
-        clock.advance(self.cpu_scaled(t));
-        self.obs_finish(clock, t0, name, None);
+        self.charge(clock, name, None, self.cpu_scaled(t), Innermost);
+    }
+
+    /// Wait until the instant `until` (no-op when it is already past): a
+    /// clock jump that is not work, e.g. a receiver synchronizing to a
+    /// message's delivery stamp. Waits always keep their *own* label — they
+    /// are never folded into the surrounding phase — so reports can
+    /// separate load imbalance from attributed work.
+    pub fn charge_wait(&self, clock: &Clock, until: SimTime, name: &'static str) {
+        let dt = until.saturating_sub(clock.now());
+        self.charge(clock, name, None, dt, Own);
     }
 
     /// CPU cost of serializing `bytes` through a format with the given
     /// relative cost factor (1.0 = the machine's base rate).
     pub fn charge_serialize(&self, clock: &Clock, bytes: u64, format_factor: f64) {
-        let t0 = self.obs_start(clock);
         let bytes = self.scaled_bytes(bytes);
         let ns = self.config.serialize_ns_per_byte * format_factor * bytes as f64;
-        self.charge_compute(clock, SimTime::from_secs_f64(ns / 1e9));
-        self.prim_finish(clock, t0, "serialize", bytes);
+        let dt = self.cpu_scaled(SimTime::from_secs_f64(ns / 1e9));
+        self.charge_bytes(clock, "serialize", bytes, dt);
     }
 
     /// A DRAM→DRAM copy of `bytes`: bound by the copying core and by a fair
     /// share of the memory bus.
     pub fn charge_dram_copy(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
-        let bytes = self.scaled_bytes(bytes);
-        self.stats
-            .dram_bytes_copied
-            .fetch_add(bytes, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.core_copy_bw, self.config.dram_bw);
-        clock.advance(self.config.dram_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "dram.copy", bytes);
+        let (c, bytes) = (&self.config, self.scaled_bytes(bytes));
+        self.stats.dram_bytes_copied.fetch_add(bytes, Relaxed);
+        let dt = self.stream(c.dram_latency, bytes, c.core_copy_bw, c.dram_bw);
+        self.charge_bytes(clock, "dram.copy", bytes, dt);
     }
 
     /// A store stream into PMEM media (the actual persist traffic): the rank
     /// streams at its attended per-core throughput, capped by its fair share
     /// of the device's aggregate write bandwidth.
     pub fn charge_pmem_write(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
-        let bytes = self.scaled_bytes(bytes);
-        self.stats
-            .pmem_bytes_written
-            .fetch_add(bytes, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.pmem_write_core_bw, self.config.pmem_write_bw);
-        clock.advance(self.config.pmem_write_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.write", bytes);
+        self.pmem_write(clock, "pmem.write", self.scaled_bytes(bytes));
     }
 
     /// A load stream out of PMEM media (same two bounds as writes).
     pub fn charge_pmem_read(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
-        let bytes = self.scaled_bytes(bytes);
-        self.stats
-            .pmem_bytes_read
-            .fetch_add(bytes, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.pmem_read_core_bw, self.config.pmem_read_bw);
-        clock.advance(self.config.pmem_read_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.read", bytes);
+        self.pmem_read(clock, "pmem.read", self.scaled_bytes(bytes));
     }
 
     /// Metadata store: like [`Machine::charge_pmem_write`] but *not*
@@ -470,32 +483,44 @@ impl Machine {
     /// headers, undo logs, hashtable entries) have fixed real sizes
     /// regardless of how large the modelled payload volume is.
     pub fn charge_pmem_write_meta(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
-        self.stats
-            .pmem_bytes_written
-            .fetch_add(bytes, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.pmem_write_core_bw, self.config.pmem_write_bw);
-        clock.advance(self.config.pmem_write_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.meta_write", bytes);
+        self.pmem_write(clock, "pmem.meta_write", bytes);
     }
 
     /// Metadata load: unscaled counterpart of [`Machine::charge_pmem_read`].
     pub fn charge_pmem_read_meta(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
-        self.stats
-            .pmem_bytes_read
-            .fetch_add(bytes, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.pmem_read_core_bw, self.config.pmem_read_bw);
-        clock.advance(self.config.pmem_read_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "pmem.meta_read", bytes);
+        self.pmem_read(clock, "pmem.meta_read", bytes);
+    }
+
+    #[inline]
+    fn pmem_write(&self, clock: &Clock, name: &'static str, bytes: u64) {
+        let c = &self.config;
+        self.stats.pmem_bytes_written.fetch_add(bytes, Relaxed);
+        let dt = self.stream(
+            c.pmem_write_latency,
+            bytes,
+            c.pmem_write_core_bw,
+            c.pmem_write_bw,
+        );
+        self.charge_bytes(clock, name, bytes, dt);
+    }
+
+    #[inline]
+    fn pmem_read(&self, clock: &Clock, name: &'static str, bytes: u64) {
+        let c = &self.config;
+        self.stats.pmem_bytes_read.fetch_add(bytes, Relaxed);
+        let dt = self.stream(
+            c.pmem_read_latency,
+            bytes,
+            c.pmem_read_core_bw,
+            c.pmem_read_bw,
+        );
+        self.charge_bytes(clock, name, bytes, dt);
     }
 
     /// One kernel crossing.
     pub fn charge_syscall(&self, clock: &Clock) {
-        let t0 = self.obs_start(clock);
-        self.stats.syscalls.fetch_add(1, Ordering::Relaxed);
-        clock.advance(self.cpu_scaled(self.config.syscall));
-        self.obs_finish(clock, t0, "syscall", None);
+        self.stats.syscalls.fetch_add(1, Relaxed);
+        self.charge_compute_labeled(clock, self.config.syscall, "syscall");
     }
 
     /// `n` minor faults on a DAX mapping; with `map_sync` each dirty page
@@ -504,32 +529,22 @@ impl Machine {
         if n == 0 {
             return;
         }
-        let t0 = self.obs_start(clock);
-        self.stats.page_faults.fetch_add(n, Ordering::Relaxed);
+        self.stats.page_faults.fetch_add(n, Relaxed);
         let mut per_page = self.config.page_fault;
         if map_sync {
-            self.stats
-                .map_sync_page_syncs
-                .fetch_add(n, Ordering::Relaxed);
+            self.stats.map_sync_page_syncs.fetch_add(n, Relaxed);
             per_page += self.config.map_sync_page;
         }
-        clock.advance(self.cpu_scaled(per_page * n));
-        self.obs_finish(clock, t0, "page_fault", Some(("pages", n)));
+        let dt = self.cpu_scaled(per_page * n);
+        self.charge(clock, "page_fault", Some(("pages", n)), dt, Innermost);
     }
 
     /// Flush a byte range of cachelines toward the persistence domain.
     /// Free (no time, no counter) on eADR profiles: the cache already sits
     /// inside the persistence domain, so no writeback is ever issued.
     pub fn charge_flush(&self, clock: &Clock, bytes: u64) {
-        if !self.config.needs_flush {
-            return;
-        }
-        let t0 = self.obs_start(clock);
-        self.stats.flush_calls.fetch_add(1, Ordering::Relaxed);
-        let lines = self.scaled_bytes(bytes).div_ceil(self.config.cacheline);
-        let t = self.config.flush_base + self.config.flush_per_line * lines;
-        clock.advance(self.cpu_scaled(t));
-        self.prim_finish(clock, t0, "flush", bytes);
+        let c = &self.config;
+        self.writeback(clock, "flush", bytes, c.flush_base, c.flush_per_line);
     }
 
     /// A streaming (non-temporal) persist of a byte range: one ntstore-style
@@ -537,81 +552,49 @@ impl Machine {
     /// `flush_calls` counter with [`Machine::charge_flush`] — both are one
     /// persist-initiation per call — and is likewise free on eADR profiles.
     pub fn charge_ntstore(&self, clock: &Clock, bytes: u64) {
+        let c = &self.config;
+        self.writeback(clock, "ntstore", bytes, c.ntstore_base, c.ntstore_per_line);
+    }
+
+    #[inline]
+    fn writeback(
+        &self,
+        clock: &Clock,
+        name: &'static str,
+        bytes: u64,
+        base: SimTime,
+        per_line: SimTime,
+    ) {
         if !self.config.needs_flush {
             return;
         }
-        let t0 = self.obs_start(clock);
-        self.stats.flush_calls.fetch_add(1, Ordering::Relaxed);
+        self.stats.flush_calls.fetch_add(1, Relaxed);
         let lines = self.scaled_bytes(bytes).div_ceil(self.config.cacheline);
-        let t = self.config.ntstore_base + self.config.ntstore_per_line * lines;
-        clock.advance(self.cpu_scaled(t));
-        self.prim_finish(clock, t0, "ntstore", bytes);
+        self.charge_bytes(clock, name, bytes, self.cpu_scaled(base + per_line * lines));
     }
 
     /// A store fence.
     pub fn charge_fence(&self, clock: &Clock) {
-        let t0 = self.obs_start(clock);
-        self.stats.fences.fetch_add(1, Ordering::Relaxed);
-        clock.advance(self.cpu_scaled(self.config.fence));
-        self.obs_finish(clock, t0, "fence", None);
+        self.stats.fences.fetch_add(1, Relaxed);
+        self.charge_compute_labeled(clock, self.config.fence, "fence");
     }
 
     /// One message over the node fabric; returns the delivery instant so the
-    /// receiver's clock can be synchronized by the caller.
+    /// receiver can [`Machine::charge_wait`] for it.
     pub fn charge_message(&self, sender: &Clock, bytes: u64) -> SimTime {
-        let t0 = self.obs_start(sender);
-        let bytes = self.scaled_bytes(bytes);
-        self.stats.net_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.stats.net_messages.fetch_add(1, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.net_bw, self.config.net_bw);
-        let delivery = sender.advance(self.config.net_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(sender, t0, "net.send", bytes);
-        delivery
+        let (c, bytes) = (&self.config, self.scaled_bytes(bytes));
+        self.stats.net_bytes.fetch_add(bytes, Relaxed);
+        self.stats.net_messages.fetch_add(1, Relaxed);
+        let dt = self.stream(c.net_latency, bytes, c.net_bw, c.net_bw);
+        self.charge_bytes(sender, "net.send", bytes, dt)
     }
 
     /// A write toward the burst-buffer / mass-storage tier.
     pub fn charge_storage_write(&self, clock: &Clock, bytes: u64) {
-        let t0 = self.obs_start(clock);
-        let bytes = self.scaled_bytes(bytes);
-        self.stats
-            .storage_bytes_written
-            .fetch_add(bytes, Ordering::Relaxed);
-        let bw = self.effective_bw(self.config.storage_bw, self.config.storage_bw);
-        clock.advance(self.config.storage_latency + SimTime::for_transfer(bytes, bw));
-        self.prim_finish(clock, t0, "storage.write", bytes);
-    }
-
-    /// Ideal busy time per shared resource (modelled bytes over aggregate
-    /// bandwidth) — a lower bound on the phase length each resource imposes.
-    pub fn utilization(&self) -> Vec<(&'static str, SimTime, u64)> {
-        let s = self.stats.snapshot();
-        vec![
-            (
-                "pmem-read",
-                SimTime::for_transfer(s.pmem_bytes_read, self.config.pmem_read_bw),
-                s.pmem_bytes_read,
-            ),
-            (
-                "pmem-write",
-                SimTime::for_transfer(s.pmem_bytes_written, self.config.pmem_write_bw),
-                s.pmem_bytes_written,
-            ),
-            (
-                "dram-bus",
-                SimTime::for_transfer(s.dram_bytes_copied, self.config.dram_bw),
-                s.dram_bytes_copied,
-            ),
-            (
-                "fabric",
-                SimTime::for_transfer(s.net_bytes, self.config.net_bw),
-                s.net_bytes,
-            ),
-            (
-                "storage",
-                SimTime::for_transfer(s.storage_bytes_written, self.config.storage_bw),
-                s.storage_bytes_written,
-            ),
-        ]
+        let (c, bytes) = (&self.config, self.scaled_bytes(bytes));
+        self.stats.storage_bytes_written.fetch_add(bytes, Relaxed);
+        let dt = self.stream(c.storage_latency, bytes, c.storage_bw, c.storage_bw);
+        self.charge_bytes(clock, "storage.write", bytes, dt);
     }
 
     /// Clear all counters (start of a fresh timed region).
@@ -726,11 +709,7 @@ mod tests {
         m.charge_pmem_write(&c, 1000);
         m.charge_syscall(&c);
         m.reset();
-        assert_eq!(m.stats.snapshot().pmem_bytes_written, 0);
-        assert!(m
-            .utilization()
-            .iter()
-            .all(|(_, busy, n)| *busy == SimTime::ZERO && *n == 0));
+        assert_eq!(m.stats.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
@@ -749,7 +728,7 @@ mod tests {
             m.charge_flush(&c, 4096);
             m.charge_fence(&c);
             m.charge_syscall(&c);
-            (c.now(), sink.spans())
+            (c.now(), sink.take())
         };
         let (t_off, _) = run(false);
         let (t_on, spans) = run(true);
@@ -782,7 +761,7 @@ mod tests {
             let c = Clock::with_lane(5);
             m.charge_serialize(&c, 4096, 1.0);
             {
-                let _p = m.phase_scope("put.memcpy");
+                let _p = m.phase(&c, "put", "put.memcpy");
                 m.charge_pmem_write(&c, 4096);
                 m.charge_flush(&c, 4096);
             }
@@ -805,27 +784,48 @@ mod tests {
     }
 
     #[test]
-    fn phase_scope_is_inert_when_metrics_are_off() {
+    fn guard_with_no_sink_pushes_no_label_and_records_no_span() {
+        use crate::trace::CollectingSink;
         let m = Machine::chameleon();
-        let _p = m.phase_scope("anything");
-        assert_eq!(crate::metrics::current_phase(), None);
+        let c = Clock::new();
+        {
+            let _p = m.phase(&c, "put", "anything");
+            assert_eq!(crate::metrics::current_phase(), None);
+            // Sinks installed while the guard is open do not see it either:
+            // it pushed nothing, so it must pop and record nothing.
+            let sink = CollectingSink::new();
+            assert!(m.set_trace_sink(sink.clone()));
+            assert!(m.set_metrics(crate::metrics::MetricsRegistry::new()));
+            crate::metrics::push_phase("outer");
+            drop(_p);
+            assert_eq!(crate::metrics::current_phase(), Some("outer"));
+            crate::metrics::pop_phase();
+            assert!(sink.is_empty());
+        }
     }
 
     #[test]
-    fn metrics_wait_records_clock_jumps() {
+    fn wait_records_clock_jumps_under_its_own_label() {
         use crate::metrics::MetricsRegistry;
         let m = Machine::chameleon();
         let reg = MetricsRegistry::new();
         assert!(m.set_metrics(reg.clone()));
         let c = Clock::with_lane(2);
-        let t0 = m.metrics_start(&c);
-        c.advance_to(SimTime::from_nanos(700));
-        m.metrics_wait(&c, t0, "mpi.wait");
+        m.charge_wait(&c, SimTime::from_nanos(700), "mpi.wait");
+        // An instant already past is a zero-length wait, not a step back.
+        m.charge_wait(&c, SimTime::from_nanos(300), "mpi.wait");
+        {
+            // Inside an open phase the jump still lands under its own label.
+            let _p = m.phase(&c, "mpi", "rearrange");
+            m.charge_wait(&c, SimTime::from_nanos(1_000), "mpi.wait");
+        }
         let s = reg.snapshot();
         assert_eq!(
             s.lane_phases(2),
-            vec![("mpi.wait", SimTime::from_nanos(700))]
+            vec![("mpi.wait", SimTime::from_nanos(1_000))],
+            "nothing under rearrange"
         );
+        assert_eq!(s.hists["mpi.wait"].count, 3);
         assert_eq!(s.lane_total(2), c.now());
     }
 
@@ -836,15 +836,5 @@ mod tests {
         m.charge_pmem_write(&c, 1234);
         let bytes = m.with_quiesced_stats(|s| s.pmem_bytes_written);
         assert_eq!(bytes, 1234);
-    }
-
-    #[test]
-    fn utilization_reports_all_servers() {
-        let m = Machine::chameleon();
-        let names: Vec<_> = m.utilization().iter().map(|(n, _, _)| *n).collect();
-        assert_eq!(
-            names,
-            ["pmem-read", "pmem-write", "dram-bus", "fabric", "storage"]
-        );
     }
 }

@@ -1,5 +1,5 @@
-//! Deterministic metrics: typed counters, gauges and virtual-time
-//! histograms in one registry, plus phase attribution of every charged
+//! Deterministic metrics: typed counters and virtual-time histograms in
+//! one registry, plus phase attribution of every charged
 //! virtual nanosecond.
 //!
 //! Like [`crate::trace`], the subsystem is disabled by default and
@@ -8,12 +8,12 @@
 //! bookkeeping. When a [`MetricsRegistry`] is installed, the machine's
 //! `charge_*` primitives attribute the virtual-time delta of every charge
 //! to the innermost active *phase label* on the calling thread (pushed by
-//! [`crate::machine::Machine::phase_scope`]), falling back to the
-//! primitive's own name. Because only charges attribute time — each delta
-//! exactly once — the per-lane phase totals *tile* the rank's timeline:
-//! they sum to the end-to-end virtual time minus explicitly-attributed
-//! waits, which is what makes the phase waterfall in the run reports add
-//! up instead of merely sampling.
+//! [`crate::machine::Machine::phase`]), falling back to the primitive's
+//! own name. Because only the machine's one private `charge` attributes
+//! time — each delta exactly once, waits under their own label — the
+//! per-lane phase totals *tile* the rank's timeline: they sum to the
+//! end-to-end virtual time, which is what makes the phase waterfall in the
+//! run reports add up instead of merely sampling.
 //!
 //! Determinism: all state lives in `BTreeMap`s (stable iteration order)
 //! and all recorded values are virtual — derived from [`SimTime`] deltas
@@ -26,7 +26,6 @@ use crate::trace::json_escape;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 // ---- thread-local phase-label stack ----
@@ -43,44 +42,13 @@ pub fn current_phase() -> Option<&'static str> {
     PHASE_STACK.with(|s| s.borrow().last().copied())
 }
 
-/// RAII guard for a semantic phase label. Created via
-/// [`crate::machine::Machine::phase_scope`]; inert (no push happened)
-/// when metrics are disabled.
-#[must_use = "the phase ends when this guard is dropped"]
-#[derive(Debug)]
-pub struct PhaseScope {
-    active: bool,
-    /// `!Send`: the scope marks a region of *this thread's* call stack.
-    _not_send: std::marker::PhantomData<*const ()>,
+/// Push / pop a label; only [`crate::machine::Span`] pairs them.
+pub(crate) fn push_phase(label: &'static str) {
+    PHASE_STACK.with(|s| s.borrow_mut().push(label));
 }
 
-impl PhaseScope {
-    /// An inert scope (metrics disabled): drop does nothing.
-    pub(crate) fn inert() -> Self {
-        PhaseScope {
-            active: false,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    /// Push `label` for the current thread.
-    pub(crate) fn push(label: &'static str) -> Self {
-        PHASE_STACK.with(|s| s.borrow_mut().push(label));
-        PhaseScope {
-            active: true,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-}
-
-impl Drop for PhaseScope {
-    fn drop(&mut self) {
-        if self.active {
-            PHASE_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
-    }
+pub(crate) fn pop_phase() {
+    PHASE_STACK.with(|s| s.borrow_mut().pop());
 }
 
 // ---- histogram ----
@@ -114,10 +82,11 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Bucket index for a duration: its bit length.
+    /// Bucket index for a duration: its bit length, saturating at the last
+    /// bucket (samples ≥ 2⁶³ ns share it with those ≥ 2⁶²).
     #[inline]
     pub fn bucket_of(d: SimTime) -> usize {
-        (64 - d.0.leading_zeros()) as usize % HIST_BUCKETS
+        ((64 - d.0.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
     }
 
     pub fn record(&mut self, d: SimTime) {
@@ -126,14 +95,6 @@ impl Histogram {
         self.min = self.min.min(d);
         self.max = self.max.max(d);
         self.buckets[Self::bucket_of(d)] += 1;
-    }
-
-    pub fn mean(&self) -> SimTime {
-        if self.count == 0 {
-            SimTime::ZERO
-        } else {
-            self.sum / self.count
-        }
     }
 
     /// `min` as recorded, or zero for an empty histogram.
@@ -151,7 +112,6 @@ impl Histogram {
 #[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, u64>,
     hists: BTreeMap<String, Histogram>,
     /// Accumulated virtual time per (lane, phase label).
     phases: BTreeMap<(u64, String), SimTime>,
@@ -181,28 +141,6 @@ impl MetricsRegistry {
             Some(v) => *v += n,
             None => {
                 inner.counters.insert(name.to_owned(), n);
-            }
-        }
-    }
-
-    /// Set a gauge to `v` (last write wins).
-    pub fn gauge_set(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock();
-        match inner.gauges.get_mut(name) {
-            Some(g) => *g = v,
-            None => {
-                inner.gauges.insert(name.to_owned(), v);
-            }
-        }
-    }
-
-    /// Raise a gauge to `v` if `v` is larger (high-water mark).
-    pub fn gauge_max(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock();
-        match inner.gauges.get_mut(name) {
-            Some(g) => *g = (*g).max(v),
-            None => {
-                inner.gauges.insert(name.to_owned(), v);
             }
         }
     }
@@ -239,19 +177,9 @@ impl MetricsRegistry {
         let inner = self.inner.lock();
         MetricsSnapshot {
             counters: inner.counters.clone(),
-            gauges: inner.gauges.clone(),
             hists: inner.hists.clone(),
             phases: inner.phases.clone(),
         }
-    }
-
-    /// Clear all recorded state (start of a fresh timed region).
-    pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.counters.clear();
-        inner.gauges.clear();
-        inner.hists.clear();
-        inner.phases.clear();
     }
 }
 
@@ -259,7 +187,6 @@ impl MetricsRegistry {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, u64>,
     pub hists: BTreeMap<String, Histogram>,
     pub phases: BTreeMap<(u64, String), SimTime>,
 }
@@ -291,18 +218,6 @@ impl MetricsSnapshot {
         self.lane_phases(lane).iter().map(|(_, t)| *t).sum()
     }
 
-    /// Phase label → time summed across all lanes, in stable order.
-    pub fn phase_totals(&self) -> Vec<(String, SimTime)> {
-        let mut totals: BTreeMap<&str, SimTime> = BTreeMap::new();
-        for ((_, name), t) in &self.phases {
-            *totals.entry(name.as_str()).or_insert(SimTime::ZERO) += *t;
-        }
-        totals
-            .into_iter()
-            .map(|(name, t)| (name.to_owned(), t))
-            .collect()
-    }
-
     /// Stable-schema JSON object. Key order is fixed by the BTreeMaps, so
     /// two identical runs produce byte-identical text.
     pub fn to_json(&self) -> String {
@@ -312,12 +227,9 @@ impl MetricsSnapshot {
             &mut out,
             self.counters.iter().map(|(k, v)| (k, v.to_string())),
         );
-        out.push_str("},\"gauges\":{");
-        push_map(
-            &mut out,
-            self.gauges.iter().map(|(k, v)| (k, v.to_string())),
-        );
-        out.push_str("},\"histograms\":{");
+        // Schema 2 has a "gauges" object; nothing ever set one, so it is
+        // emitted empty to keep committed reports byte-identical.
+        out.push_str("},\"gauges\":{},\"histograms\":{");
         push_map(&mut out, self.hists.iter().map(|(k, h)| (k, hist_json(h))));
         out.push_str("},\"phases\":{");
         // Group by lane: {"0": {"put.memcpy": ns, ...}, ...}
@@ -375,30 +287,6 @@ fn hist_json(h: &Histogram) -> String {
     out
 }
 
-impl fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (name, v) in &self.counters {
-            writeln!(f, "counter {name:<32} {v}")?;
-        }
-        for (name, v) in &self.gauges {
-            writeln!(f, "gauge   {name:<32} {v}")?;
-        }
-        for (name, h) in &self.hists {
-            writeln!(
-                f,
-                "hist    {name:<32} n={} mean={} max={}",
-                h.count,
-                h.mean(),
-                h.max
-            )?;
-        }
-        for (name, t) in self.phase_totals() {
-            writeln!(f, "phase   {name:<32} {t}")?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,7 +300,9 @@ mod tests {
         assert_eq!(Histogram::bucket_of(SimTime(4)), 3);
         assert_eq!(Histogram::bucket_of(SimTime(1023)), 10);
         assert_eq!(Histogram::bucket_of(SimTime(1024)), 11);
-        assert_eq!(Histogram::bucket_of(SimTime(u64::MAX)), 0); // wraps mod 64
+        // Saturates: a huge sample must not land in the zero-duration bucket.
+        assert_eq!(Histogram::bucket_of(SimTime(1 << 62)), 63);
+        assert_eq!(Histogram::bucket_of(SimTime(u64::MAX)), 63);
     }
 
     #[test]
@@ -422,7 +312,6 @@ mod tests {
         h.record(SimTime(30));
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, SimTime(40));
-        assert_eq!(h.mean(), SimTime(20));
         assert_eq!(h.min, SimTime(10));
         assert_eq!(h.max, SimTime(30));
         assert!(Histogram::default().min_or_zero() == SimTime::ZERO);
@@ -433,10 +322,6 @@ mod tests {
         let m = MetricsRegistry::new();
         m.counter_add("put.logical_bytes", 100);
         m.counter_add("put.logical_bytes", 50);
-        m.gauge_set("ranks", 8);
-        m.gauge_max("peak", 3);
-        m.gauge_max("peak", 9);
-        m.gauge_max("peak", 4);
         m.hist_record("pmem.write", SimTime(200));
         m.phase_add(0, "put.memcpy", SimTime(1000));
         m.phase_add(0, "put.memcpy", SimTime(500));
@@ -444,14 +329,10 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.counter("put.logical_bytes"), 150);
         assert_eq!(s.counter("missing"), 0);
-        assert_eq!(s.gauges["ranks"], 8);
-        assert_eq!(s.gauges["peak"], 9);
         assert_eq!(s.hists["pmem.write"].count, 1);
         assert_eq!(s.lanes(), vec![0, 1]);
         assert_eq!(s.lane_total(0), SimTime(1500));
-        assert_eq!(s.phase_totals(), vec![("put.memcpy".into(), SimTime(2200))]);
-        m.reset();
-        assert_eq!(m.snapshot(), MetricsSnapshot::default());
+        assert_eq!(s.lane_total(1), SimTime(700));
     }
 
     #[test]
@@ -480,16 +361,13 @@ mod tests {
     #[test]
     fn phase_stack_nests_innermost_wins() {
         assert_eq!(current_phase(), None);
-        let outer = PhaseScope::push("write");
+        push_phase("write");
         assert_eq!(current_phase(), Some("write"));
-        {
-            let _inner = PhaseScope::push("put.serialize");
-            assert_eq!(current_phase(), Some("put.serialize"));
-        }
+        push_phase("put.serialize");
+        assert_eq!(current_phase(), Some("put.serialize"));
+        pop_phase();
         assert_eq!(current_phase(), Some("write"));
-        drop(outer);
-        assert_eq!(current_phase(), None);
-        let _inert = PhaseScope::inert();
+        pop_phase();
         assert_eq!(current_phase(), None);
     }
 }

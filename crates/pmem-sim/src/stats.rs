@@ -104,13 +104,6 @@ stats_fields! {
     alloc_passes,
 }
 
-impl Stats {
-    #[inline]
-    pub fn add(&self, field: &AtomicU64, n: u64) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -281,20 +281,13 @@ impl Clock {
         SimTime(self.now.load(Ordering::Relaxed))
     }
 
-    /// Advance by a span of local work (compute, latency, copies).
+    /// Advance by `d` and return the new instant. Crate-private: the one
+    /// caller is `Machine`'s private `charge`, so every nanosecond a clock
+    /// moves is attributed there (jumps to an instant go through
+    /// `Machine::charge_wait`, which charges the distance).
     #[inline]
-    pub fn advance(&self, d: SimTime) -> SimTime {
+    pub(crate) fn advance(&self, d: SimTime) -> SimTime {
         let now = SimTime(self.now.fetch_add(d.0, Ordering::Relaxed) + d.0);
-        self.after_charge(now);
-        now
-    }
-
-    /// Jump forward to `t` if `t` is later than now (used when a shared
-    /// resource or a message dictates a completion time).
-    #[inline]
-    pub fn advance_to(&self, t: SimTime) -> SimTime {
-        self.now.fetch_max(t.0, Ordering::Relaxed);
-        let now = self.now();
         self.after_charge(now);
         now
     }
@@ -342,11 +335,6 @@ mod tests {
         c.advance(SimTime::from_nanos(5));
         c.advance(SimTime::from_nanos(7));
         assert_eq!(c.now(), SimTime::from_nanos(12));
-        // advance_to backwards is a no-op
-        c.advance_to(SimTime::from_nanos(3));
-        assert_eq!(c.now(), SimTime::from_nanos(12));
-        c.advance_to(SimTime::from_nanos(40));
-        assert_eq!(c.now(), SimTime::from_nanos(40));
     }
 
     #[derive(Debug, Default)]
@@ -366,7 +354,7 @@ mod tests {
         let c = Clock::new();
         c.set_gate(Arc::clone(&gate) as Arc<dyn ClockGate>, 3);
         c.advance(SimTime::from_nanos(5));
-        c.advance_to(SimTime::from_nanos(9));
+        c.advance(SimTime::from_nanos(4));
         assert_eq!(
             *gate.calls.lock().unwrap(),
             vec![(3, SimTime::from_nanos(5)), (3, SimTime::from_nanos(9))]

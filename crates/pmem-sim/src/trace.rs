@@ -10,10 +10,8 @@
 //! The subsystem is disabled by default and zero-cost in that state: the
 //! instrumentation sites in [`crate::machine::Machine`] and the layers
 //! above check a single `OnceLock` and bail out before building a span.
-//! When a sink is installed, spans flow to it through the object-safe
-//! [`TraceSink`] trait; [`CollectingSink`] is the standard in-memory
-//! implementation, and [`chrome_trace_json`] / [`TraceSummary`] are the
-//! two exporters (a Perfetto-loadable Chrome trace with one lane per
+//! When a [`CollectingSink`] is installed, spans accumulate in it;
+//! [`chrome_trace_json`] / [`TraceSummary`] are the two exporters (a Perfetto-loadable Chrome trace with one lane per
 //! rank, and an aggregated percentile table for the benchmark reports).
 
 use crate::time::SimTime;
@@ -50,13 +48,8 @@ pub struct TraceSpan {
     pub arg: Option<(&'static str, u64)>,
 }
 
-/// Destination for completed spans. Implementations must tolerate
-/// concurrent calls from every rank thread.
-pub trait TraceSink: Send + Sync + fmt::Debug {
-    fn record(&self, span: TraceSpan);
-}
-
-/// The standard sink: collects spans into memory for later export.
+/// The sink: collects completed spans from every rank thread into memory
+/// for later export.
 #[derive(Debug, Default)]
 pub struct CollectingSink {
     spans: Mutex<Vec<TraceSpan>>,
@@ -67,27 +60,16 @@ impl CollectingSink {
         Arc::new(Self::default())
     }
 
-    pub fn len(&self) -> usize {
-        self.spans.lock().len()
-    }
-
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of all spans recorded so far.
-    pub fn spans(&self) -> Vec<TraceSpan> {
-        self.spans.lock().clone()
+        self.spans.lock().is_empty()
     }
 
     /// Drain all recorded spans, leaving the sink empty.
     pub fn take(&self) -> Vec<TraceSpan> {
         std::mem::take(&mut *self.spans.lock())
     }
-}
 
-impl TraceSink for CollectingSink {
-    fn record(&self, span: TraceSpan) {
+    pub fn record(&self, span: TraceSpan) {
         self.spans.lock().push(span);
     }
 }
@@ -272,7 +254,7 @@ mod tests {
         assert!(sink.is_empty());
         sink.record(span("prim", "pmem.write", 0, 0, 10));
         sink.record(span("prim", "fence", 0, 10, 5));
-        assert_eq!(sink.len(), 2);
+        assert!(!sink.is_empty());
         let taken = sink.take();
         assert_eq!(taken.len(), 2);
         assert!(sink.is_empty());

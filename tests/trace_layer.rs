@@ -4,11 +4,15 @@
 //!    with the sink on vs. off),
 //! 2. the Chrome-trace exporter emits schema-valid JSON with one lane (tid)
 //!    per rank,
-//! 3. spans recorded concurrently from rank threads are never lost.
+//! 3. spans recorded concurrently from rank threads are never lost,
+//! 4. an interval that ends in an early return still records its span.
 
 use baselines::PmemcpyLib;
-use mpi_sim::{run_world_mode, SchedMode};
-use pmem_sim::{chrome_trace_json, CollectingSink, Machine, SimTime, TraceSummary};
+use mpi_sim::{run_world_mode, Comm, SchedMode, World};
+use pmem_sim::{
+    chrome_trace_json, CollectingSink, Machine, PersistenceMode, PmemDevice, SimTime, TraceSummary,
+};
+use pmemcpy::{MmapTarget, Pmem, PmemCpyError};
 use pmemcpy_bench::{run_cell, run_cell_traced, CellConfig, Direction};
 use std::sync::Arc;
 
@@ -172,6 +176,33 @@ fn spans_from_eight_rank_threads_are_all_retained() {
             assert!(w[0].0 + w[0].1 <= w[1].0, "overlapping spans on lane {r}");
         }
     }
+}
+
+/// A load into a wrong-sized buffer leaves `get.memcpy` through an early
+/// return; the guard must still record the interval (with no byte count —
+/// nothing was copied), after the header read it did charge.
+#[test]
+fn a_failed_load_still_records_its_memcpy_span() {
+    let machine = Machine::chameleon();
+    let dev = PmemDevice::new(Arc::clone(&machine), 16 << 20, PersistenceMode::Fast);
+    let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
+    let mut pmem = Pmem::new();
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    pmem.store_slice("v", &[1.0f64; 100]).unwrap();
+
+    let sink = CollectingSink::new();
+    machine.set_trace_sink(sink.clone());
+    let err = pmem.load_slice_into("v", &mut [0f64; 99]).unwrap_err();
+    assert!(matches!(err, PmemCpyError::ShapeMismatch { .. }), "{err}");
+    let spans = sink.take();
+    let memcpy: Vec<_> = spans.iter().filter(|s| s.name == "get.memcpy").collect();
+    assert_eq!(memcpy.len(), 1, "early return dropped the span: {spans:?}");
+    assert_eq!((memcpy[0].cat, memcpy[0].arg), ("get", None));
+    assert!(
+        memcpy[0].dur > SimTime::ZERO,
+        "the header read is inside it"
+    );
+    assert!(spans.iter().all(|s| s.name != "get.deserialize"));
 }
 
 /// Count non-overlapping occurrences of `needle`.
