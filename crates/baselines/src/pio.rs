@@ -72,6 +72,12 @@ pub trait PioLibrary: Send + Sync {
     /// Short name for tables ("ADIOS", "NetCDF", ...).
     fn name(&self) -> &'static str;
 
+    /// Whether the harness must hand this library a raw
+    /// [`Target::DevDax`] namespace instead of a [`Target::Fs`] path.
+    fn needs_devdax(&self) -> bool {
+        false
+    }
+
     /// Collective write: `blocks[v]` is this rank's dense block of variable
     /// `vars[v]` under `decomp`. Runs from open to close (the paper's
     /// measured window).

@@ -4,7 +4,7 @@
 
 use crate::pio::{PioError, PioLibrary, Result, Target};
 use mpi_sim::Comm;
-use pmemcpy::{MmapTarget, Options, Pmem};
+use pmemcpy::{DataLayout, MmapTarget, Options, Pmem};
 use workloads::BlockDecomp;
 
 /// pMEMCPY under the harness interface.
@@ -53,6 +53,10 @@ impl PmemcpyLib {
 impl PioLibrary for PmemcpyLib {
     fn name(&self) -> &'static str {
         self.label
+    }
+
+    fn needs_devdax(&self) -> bool {
+        self.options.layout == DataLayout::PmdkHashtable
     }
 
     fn write(

@@ -20,7 +20,9 @@
 //!   `dram_bytes_copied = 0` no-staging invariant;
 //! * `mismatches == 0`.
 //!
-//! Improvements (values below baseline) are reported as notes and pass.
+//! A field the baseline carries and the fresh cell lacks is a regression,
+//! never a zero. Improvements (values below baseline) are reported as notes
+//! and pass.
 //! Exit status is nonzero on any regression unless `--warn-only` is given.
 
 use pmemcpy_bench::json::Json;
@@ -152,55 +154,46 @@ fn main() -> ExitCode {
             continue;
         }
 
-        // Virtual job time.
-        let b_ns = base
-            .get("virtual_time_ns")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let c_ns = cur
-            .get("virtual_time_ns")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        if c_ns > b_ns * allowed {
-            regressions.push(format!(
-                "{label}: virtual_time_ns observed {c_ns:.0} vs baseline {b_ns:.0} \
-                 (+{:.2}%, exceeds {:.1}% tolerance)",
-                (c_ns / b_ns - 1.0) * 100.0,
-                args.tolerance_pct
-            ));
-        } else if c_ns < b_ns {
-            notes.push(format!(
-                "{label}: virtual_time_ns improved {b_ns:.0} -> {c_ns:.0}"
-            ));
-        }
-
-        // Every media/effort counter in `stats`.
-        if let (Some(bs), Some(cs)) = (
-            base.get("stats").and_then(Json::as_obj),
-            cur.get("stats").and_then(Json::as_obj),
-        ) {
-            for (name, bval) in bs {
-                let b = bval.as_f64().unwrap_or(0.0);
-                let c = cs.get(name).and_then(Json::as_f64).unwrap_or(0.0);
-                let ok = if b == 0.0 { c == 0.0 } else { c <= b * allowed };
-                if !ok {
-                    regressions.push(if b == 0.0 {
-                        format!(
-                            "{label}: stats.{name} observed {c:.0} vs baseline 0 \
-                             (a zero baseline must stay zero)"
-                        )
-                    } else {
-                        format!(
-                            "{label}: stats.{name} observed {c:.0} vs baseline {b:.0} \
-                             (+{:.2}%, exceeds {:.1}% tolerance)",
-                            (c / b - 1.0) * 100.0,
-                            args.tolerance_pct
-                        )
-                    });
-                } else if c < b {
-                    notes.push(format!("{label}: stats.{name} improved {b:.0} -> {c:.0}"));
-                }
+        // Virtual job time and every media/effort counter in the baseline's
+        // `stats`. A field the baseline has and the fresh report lacks is a
+        // regression: reading it as 0 would log an improvement.
+        let mut compare = |field: String, b: Option<f64>, c: Option<f64>| {
+            let b = b.unwrap_or(0.0);
+            let Some(c) = c else {
+                regressions.push(format!("{label}: {field} missing from the fresh report"));
+                return;
+            };
+            if b == 0.0 && c != 0.0 {
+                regressions.push(format!(
+                    "{label}: {field} observed {c:.0} vs baseline 0 \
+                     (a zero baseline must stay zero)"
+                ));
+            } else if c > b * allowed {
+                regressions.push(format!(
+                    "{label}: {field} observed {c:.0} vs baseline {b:.0} \
+                     (+{:.2}%, exceeds {:.1}% tolerance)",
+                    (c / b - 1.0) * 100.0,
+                    args.tolerance_pct
+                ));
+            } else if c < b {
+                notes.push(format!("{label}: {field} improved {b:.0} -> {c:.0}"));
             }
+        };
+        let number = |cell: &Json, field: &str| cell.get(field).and_then(Json::as_f64);
+        compare(
+            "virtual_time_ns".into(),
+            number(base, "virtual_time_ns"),
+            number(cur, "virtual_time_ns"),
+        );
+        let fresh_stats = cur.get("stats");
+        for (name, bval) in base
+            .get("stats")
+            .and_then(Json::as_obj)
+            .into_iter()
+            .flatten()
+        {
+            let c = fresh_stats.and_then(|stats| number(stats, name));
+            compare(format!("stats.{name}"), bval.as_f64(), c);
         }
 
         let mism = cur

@@ -278,20 +278,25 @@ mod tests {
     fn round_trips_a_run_report() {
         use crate::sweep::{CellResult, Direction};
         use pmem_sim::{MetricsSnapshot, SimTime, StatsSnapshot};
+        let cells = vec![CellResult {
+            library: "PMCPY-A".into(),
+            direction: Direction::Write,
+            nprocs: 2,
+            device_profile: "optane-gen1".into(),
+            flush_strategy: "clwb".into(),
+            time: SimTime(1000),
+            rank_times: vec![SimTime(900), SimTime(1000)],
+            stats: StatsSnapshot::default(),
+            metrics: MetricsSnapshot::default(),
+            mismatches: 0,
+        }];
         let report = crate::RunReport {
             name: "fig6_writes".into(),
             real_bytes: 1 << 20,
-            cells: vec![CellResult {
-                library: "PMCPY-A".into(),
-                direction: Direction::Write,
-                nprocs: 2,
-                device_profile: "optane-gen1".into(),
-                flush_strategy: "clwb".into(),
-                time: SimTime(1000),
-                rank_times: vec![SimTime(900), SimTime(1000)],
-                stats: StatsSnapshot::default(),
-                metrics: MetricsSnapshot::default(),
-                mismatches: 0,
+            rows: vec![crate::Outcome {
+                key: String::new(),
+                cells,
+                storm: None,
             }],
         };
         let v = Json::parse(&report.to_json()).unwrap();

@@ -1,41 +1,74 @@
 //! Reporting: tables, ASCII charts, CSV files, and shape checks against the
 //! paper's claims.
 
-use crate::sweep::{CellResult, Direction};
+use crate::sweep::{CellResult, Direction, StormShape};
 use pmem_sim::trace::json_escape;
 use pmem_sim::{SimTime, TraceSummary};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// A full figure: every (library × nprocs) cell of one direction.
+/// One measured row of an experiment: its CSV key, the cells that ran for
+/// it (one per direction, in the experiment's direction order), and the
+/// namespace shape when the row was a creation storm.
 #[derive(Debug, Clone)]
-pub struct Figure {
-    pub title: String,
-    pub direction: Direction,
-    pub procs: Vec<u64>,
-    pub libraries: Vec<String>,
+pub struct Outcome {
+    pub key: String,
     pub cells: Vec<CellResult>,
+    pub storm: Option<StormShape>,
 }
 
-impl Figure {
+/// What one experiment measured, and the machine-readable run report it
+/// serializes to: every cell's virtual times, media counters and metrics
+/// snapshot in a stable-schema JSON document (`results/BENCH_*.json`),
+/// consumed by the `perfgate` regression gate.
+///
+/// Everything in the JSON is virtual or modelled — wall-clock never enters
+/// the document — so under [`mpi_sim::SchedMode::Deterministic`] two runs
+/// of the same configuration produce byte-identical reports on any host.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Report name, e.g. `fig6_writes`.
+    pub name: String,
+    /// Real bytes generated per cell (the modelled volume is 40 GB).
+    pub real_bytes: u64,
+    pub rows: Vec<Outcome>,
+}
+
+impl RunReport {
+    /// Every cell, in run order.
+    pub fn cells(&self) -> impl Iterator<Item = &CellResult> {
+        self.rows.iter().flat_map(|r| &r.cells)
+    }
+
     pub fn get(&self, library: &str, nprocs: u64) -> Option<&CellResult> {
-        self.cells
-            .iter()
+        self.cells()
             .find(|c| c.library == library && c.nprocs == nprocs)
     }
 
-    /// Render the figure as a table (rows = libraries, cols = #procs).
-    pub fn table(&self) -> String {
+    /// Distinct values of one cell field, in first-seen order.
+    fn axis<'a, T: PartialEq>(&'a self, of: impl Fn(&'a CellResult) -> T) -> Vec<T> {
+        let mut out = vec![];
+        for v in self.cells().map(of) {
+            if !out.contains(&v) {
+                out.push(v);
+            }
+        }
+        out
+    }
+
+    /// Render the cells as a table (rows = libraries, cols = #procs).
+    pub fn table(&self, title: &str) -> String {
+        let procs = self.axis(|c| c.nprocs);
         let mut out = String::new();
-        let _ = writeln!(out, "## {}", self.title);
+        let _ = writeln!(out, "## {title}");
         let _ = write!(out, "{:<10}", "library");
-        for p in &self.procs {
+        for p in &procs {
             let _ = write!(out, " {:>9}", format!("p={p}"));
         }
         let _ = writeln!(out);
-        for lib in &self.libraries {
+        for lib in self.axis(|c| c.library.as_str()) {
             let _ = write!(out, "{lib:<10}");
-            for &p in &self.procs {
+            for &p in &procs {
                 match self.get(lib, p) {
                     Some(c) => {
                         let _ = write!(out, " {:>8.3}s", c.time.as_secs_f64());
@@ -53,45 +86,25 @@ impl Figure {
     /// Render an ASCII bar chart per process count.
     pub fn ascii_chart(&self) -> String {
         let max = self
-            .cells
-            .iter()
+            .cells()
             .map(|c| c.time)
             .fold(SimTime::ZERO, SimTime::max)
             .as_secs_f64()
             .max(1e-9);
         let mut out = String::new();
-        for &p in &self.procs {
+        for p in self.axis(|c| c.nprocs) {
             let _ = writeln!(out, "-- {} procs --", p);
-            for lib in &self.libraries {
-                if let Some(c) = self.get(lib, p) {
-                    let secs = c.time.as_secs_f64();
-                    let bars = ((secs / max) * 50.0).round() as usize;
-                    let _ = writeln!(out, "{:<10} {:>8.3}s |{}", lib, secs, "#".repeat(bars));
-                }
+            for c in self.cells().filter(|c| c.nprocs == p) {
+                let secs = c.time.as_secs_f64();
+                let bars = ((secs / max) * 50.0).round() as usize;
+                let _ = writeln!(
+                    out,
+                    "{:<10} {:>8.3}s |{}",
+                    c.library,
+                    secs,
+                    "#".repeat(bars)
+                );
             }
-        }
-        out
-    }
-
-    /// CSV rows: library,nprocs,seconds,pmem_write,pmem_read,dram_copied,net_bytes,syscalls,mismatches
-    pub fn csv(&self) -> String {
-        let mut out = String::from(
-            "library,nprocs,seconds,pmem_bytes_written,pmem_bytes_read,dram_bytes_copied,net_bytes,syscalls,mismatches\n",
-        );
-        for c in &self.cells {
-            let _ = writeln!(
-                out,
-                "{},{},{:.6},{},{},{},{},{},{}",
-                c.library,
-                c.nprocs,
-                c.time.as_secs_f64(),
-                c.stats.pmem_bytes_written,
-                c.stats.pmem_bytes_read,
-                c.stats.dram_bytes_copied,
-                c.stats.net_bytes,
-                c.stats.syscalls,
-                c.mismatches
-            );
         }
         out
     }
@@ -105,6 +118,28 @@ impl Figure {
         }
         Some(tb / ta)
     }
+
+    /// Serialize to the versioned BENCH JSON schema. Key order is fixed
+    /// (literal schema + `BTreeMap` iteration), so the output is
+    /// bit-reproducible for deterministic runs.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\n\"schema\":{REPORT_SCHEMA},\n\"name\":\"{}\",\n\"real_bytes\":{},\n\"cells\":[",
+            json_escape(&self.name),
+            self.real_bytes
+        );
+        for (i, c) in self.cells().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('\n');
+            out.push_str(&cell_json(c));
+        }
+        out.push_str("\n]\n}\n");
+        out
+    }
 }
 
 /// The paper's qualitative claims for one figure, checked against results.
@@ -115,73 +150,40 @@ pub struct ShapeCheck {
     pub pass: bool,
 }
 
-/// §4.1's claims about Figure 6 (writes).
-pub fn check_fig6_shape(fig: &Figure) -> Vec<ShapeCheck> {
-    let mut out = vec![];
-    if let Some(s) = fig.speedup("PMCPY-A", "NetCDF", 24) {
-        out.push(ShapeCheck {
-            claim: "write: PMCPY-A beats NetCDF by ~2.5x (>=1.5x accepted)".into(),
-            value: s,
-            pass: s >= 1.5,
-        });
-    }
-    if let Some(s) = fig.speedup("PMCPY-A", "pNetCDF", 24) {
-        out.push(ShapeCheck {
-            claim: "write: PMCPY-A beats pNetCDF by ~2.5x (>=1.5x accepted)".into(),
-            value: s,
-            pass: s >= 1.5,
-        });
-    }
-    if let Some(s) = fig.speedup("PMCPY-A", "ADIOS", 24) {
-        out.push(ShapeCheck {
-            claim: "write: PMCPY-A beats ADIOS by >=15% at 24 procs".into(),
-            value: s,
-            pass: s >= 1.10,
-        });
-    }
-    if let (Some(a), Some(b)) = (fig.get("ADIOS", 24), fig.get("PMCPY-B", 24)) {
-        let ratio = b.time.as_secs_f64() / a.time.as_secs_f64();
-        out.push(ShapeCheck {
-            claim: "write: PMCPY-B is ADIOS-or-slower (MAP_SYNC erases the win)".into(),
-            value: ratio,
-            pass: ratio >= 0.95,
-        });
-    }
-    out.extend(check_flattening(fig, "PMCPY-A"));
-    out
-}
+/// §4.1's claims at 24 procs, per direction: `(a, b, paper, accepted)`
+/// passes when `a` is at least `accepted` times faster than `b`; `paper` is
+/// the factor the paper reports. The last row of each is MAP_SYNC erasing
+/// the win: PMCPY-B must be ADIOS-or-slower.
+type Claim = (&'static str, &'static str, &'static str, f64);
+const FIG6_CLAIMS: [Claim; 4] = [
+    ("PMCPY-A", "NetCDF", "~2.5x", 1.5),
+    ("PMCPY-A", "pNetCDF", "~2.5x", 1.5),
+    ("PMCPY-A", "ADIOS", ">=1.15x", 1.10),
+    ("ADIOS", "PMCPY-B", "~1x: MAP_SYNC erases the win", 0.95),
+];
+const FIG7_CLAIMS: [Claim; 4] = [
+    ("PMCPY-A", "NetCDF", "~5x", 2.0),
+    ("PMCPY-A", "pNetCDF", "~5x", 2.0),
+    ("PMCPY-A", "ADIOS", "~2x", 1.3),
+    ("ADIOS", "PMCPY-B", "~1x: MAP_SYNC erases the win", 0.9),
+];
 
-/// §4.1's claims about Figure 7 (reads).
-pub fn check_fig7_shape(fig: &Figure) -> Vec<ShapeCheck> {
+/// Check one figure's cells against §4.1's claims for its direction.
+pub fn check_shape(fig: &RunReport, direction: Direction) -> Vec<ShapeCheck> {
+    let claims = match direction {
+        Direction::Write => FIG6_CLAIMS,
+        Direction::Read => FIG7_CLAIMS,
+    };
+    let dir = direction.as_str();
     let mut out = vec![];
-    if let Some(s) = fig.speedup("PMCPY-A", "NetCDF", 24) {
-        out.push(ShapeCheck {
-            claim: "read: PMCPY-A beats NetCDF by ~5x (>=2x accepted)".into(),
-            value: s,
-            pass: s >= 2.0,
-        });
-    }
-    if let Some(s) = fig.speedup("PMCPY-A", "pNetCDF", 24) {
-        out.push(ShapeCheck {
-            claim: "read: PMCPY-A beats pNetCDF by ~5x (>=2x accepted)".into(),
-            value: s,
-            pass: s >= 2.0,
-        });
-    }
-    if let Some(s) = fig.speedup("PMCPY-A", "ADIOS", 24) {
-        out.push(ShapeCheck {
-            claim: "read: PMCPY-A beats ADIOS by ~2x (>=1.3x accepted)".into(),
-            value: s,
-            pass: s >= 1.3,
-        });
-    }
-    if let (Some(a), Some(b)) = (fig.get("ADIOS", 24), fig.get("PMCPY-B", 24)) {
-        let ratio = b.time.as_secs_f64() / a.time.as_secs_f64();
-        out.push(ShapeCheck {
-            claim: "read: PMCPY-B is no better than ADIOS".into(),
-            value: ratio,
-            pass: ratio >= 0.9,
-        });
+    for (a, b, paper, accepted) in claims {
+        if let Some(value) = fig.speedup(a, b, 24) {
+            out.push(ShapeCheck {
+                claim: format!("{dir}: {a} beats {b} by {paper} (>={accepted}x accepted)"),
+                value,
+                pass: value >= accepted,
+            });
+        }
     }
     out.extend(check_flattening(fig, "PMCPY-A"));
     out
@@ -189,7 +191,7 @@ pub fn check_fig7_shape(fig: &Figure) -> Vec<ShapeCheck> {
 
 /// "the effects of concurrency wear off after 24 cores": time at 48 procs is
 /// not much better than at 24, while 8 -> 24 shows improvement.
-fn check_flattening(fig: &Figure, lib: &str) -> Vec<ShapeCheck> {
+fn check_flattening(fig: &RunReport, lib: &str) -> Vec<ShapeCheck> {
     let mut out = vec![];
     if let (Some(t8), Some(t24), Some(t48)) = (fig.get(lib, 8), fig.get(lib, 24), fig.get(lib, 48))
     {
@@ -232,47 +234,6 @@ pub fn render_phase_breakdown(title: &str, summary: &TraceSummary) -> String {
 ///
 /// Schema 2 added `device_profile` and `flush_strategy` per cell.
 pub const REPORT_SCHEMA: u64 = 2;
-
-/// A machine-readable run report: one figure's cells with their virtual
-/// times, media counters, and metrics snapshots merged into a
-/// stable-schema JSON document (`results/BENCH_*.json`), consumed by the
-/// `perfgate` regression gate.
-///
-/// Everything in the JSON is virtual or modelled — wall-clock never enters
-/// the document — so under [`mpi_sim::SchedMode::Deterministic`] two runs
-/// of the same configuration produce byte-identical reports on any host.
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Report name, e.g. `fig6_writes`.
-    pub name: String,
-    /// Real bytes generated per cell (the modelled volume is 40 GB).
-    pub real_bytes: u64,
-    pub cells: Vec<CellResult>,
-}
-
-impl RunReport {
-    /// Serialize to the versioned BENCH JSON schema. Key order is fixed
-    /// (literal schema + `BTreeMap` iteration), so the output is
-    /// bit-reproducible for deterministic runs.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n\"schema\":{REPORT_SCHEMA},\n\"name\":\"{}\",\n\"real_bytes\":{},\n\"cells\":[",
-            json_escape(&self.name),
-            self.real_bytes
-        );
-        for (i, c) in self.cells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(&cell_json(c));
-        }
-        out.push_str("\n]\n}\n");
-        out
-    }
-}
 
 fn cell_json(c: &CellResult) -> String {
     let s = &c.stats;
@@ -348,8 +309,7 @@ fn cell_json(c: &CellResult) -> String {
 /// which is the paper's core architectural claim.
 pub fn render_waterfall(report: &RunReport, nprocs: u64) -> String {
     let cells: Vec<&CellResult> = report
-        .cells
-        .iter()
+        .cells()
         .filter(|c| c.nprocs == nprocs && !c.metrics.phases.is_empty())
         .collect();
     let mut out = String::new();
@@ -451,24 +411,29 @@ mod tests {
         }
     }
 
-    fn fig() -> Figure {
-        let libs = ["ADIOS", "NetCDF", "pNetCDF", "PMCPY-A", "PMCPY-B"];
-        let mut cells = vec![];
+    fn fig() -> RunReport {
+        let mut rows = vec![];
         for &p in &[8u64, 24, 48] {
             // Shape resembling the paper.
             let base = 8.0 * 24.0 / p.min(24) as f64 / 3.0;
-            cells.push(cell("PMCPY-A", p, base));
-            cells.push(cell("ADIOS", p, base * 1.2));
-            cells.push(cell("PMCPY-B", p, base * 1.3));
-            cells.push(cell("NetCDF", p, base * 2.6));
-            cells.push(cell("pNetCDF", p, base * 2.5));
+            for (lib, factor) in [
+                ("PMCPY-A", 1.0),
+                ("ADIOS", 1.2),
+                ("PMCPY-B", 1.3),
+                ("NetCDF", 2.6),
+                ("pNetCDF", 2.5),
+            ] {
+                rows.push(Outcome {
+                    key: format!("{lib},{p}"),
+                    cells: vec![cell(lib, p, base * factor)],
+                    storm: None,
+                });
+            }
         }
-        Figure {
-            title: "test".into(),
-            direction: Direction::Write,
-            procs: vec![8, 24, 48],
-            libraries: libs.iter().map(|s| s.to_string()).collect(),
-            cells,
+        RunReport {
+            name: "test".into(),
+            real_bytes: 0,
+            rows,
         }
     }
 
@@ -482,7 +447,7 @@ mod tests {
     #[test]
     fn paper_like_shape_passes_all_checks() {
         let f = fig();
-        let checks = check_fig6_shape(&f);
+        let checks = check_shape(&f, Direction::Write);
         assert!(!checks.is_empty());
         assert!(checks.iter().all(|c| c.pass), "{}", render_checks(&checks));
     }
@@ -490,12 +455,12 @@ mod tests {
     #[test]
     fn inverted_results_fail_checks() {
         let mut f = fig();
-        for c in &mut f.cells {
+        for c in f.rows.iter_mut().flat_map(|r| &mut r.cells) {
             if c.library == "PMCPY-A" {
                 c.time = SimTime::from_secs_f64(100.0);
             }
         }
-        let checks = check_fig6_shape(&f);
+        let checks = check_shape(&f, Direction::Write);
         assert!(checks.iter().any(|c| !c.pass));
     }
 
@@ -529,12 +494,14 @@ mod tests {
     #[test]
     fn renders_table_chart_and_csv() {
         let f = fig();
-        let t = f.table();
+        let t = f.table("test");
         assert!(t.contains("PMCPY-A") && t.contains("p=48"));
         let a = f.ascii_chart();
         assert!(a.contains("#"));
-        let c = f.csv();
-        assert_eq!(c.lines().count(), 1 + f.cells.len());
-        assert!(c.starts_with("library,nprocs"));
+        let fig6 = crate::experiments::find("fig6").unwrap();
+        let c = crate::experiments::csv(fig6, &f);
+        assert_eq!(c.lines().count(), 1 + f.rows.len());
+        assert!(c.starts_with("library,nprocs,seconds,"));
+        assert!(c.contains("\nPMCPY-A,24,2.666667,0,0,0,0,0,0\n"), "{c}");
     }
 }

@@ -1,4 +1,6 @@
-//! Experiment driver: one cell of Figure 6/7 = (library, #procs, direction).
+//! Experiment driver: the two kinds of cell every experiment is built
+//! from. [`run_cell`] is one cell of Figure 6/7 = (library, #procs,
+//! direction); [`run_storm_cell`] is the key-creation storm.
 //!
 //! Real data volumes are scaled down from the paper's 40 GB via the
 //! machine's `byte_scale`, which multiplies every modelled byte count so the
@@ -8,12 +10,13 @@
 use baselines::{PioLibrary, Target};
 use mpi_sim::{run_world_mode, SchedMode};
 use pmem_sim::{
-    CollectingSink, Machine, MachineConfig, MetricsRegistry, MetricsSnapshot, PersistenceMode,
-    PmemDevice, SimTime, StatsSnapshot,
+    Clock, CollectingSink, Machine, MachineConfig, MetricsRegistry, MetricsSnapshot,
+    PersistenceMode, PmemDevice, SimTime, StatsSnapshot,
 };
+use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
-use workloads::{BlockDecomp, Domain3dSpec};
+use workloads::{Domain3dSpec, StormSpec};
 
 /// Which direction of the §4.1 workload to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,11 +43,6 @@ pub struct CellConfig {
     pub real_bytes: u64,
     /// Modelled bytes = real_bytes * byte_scale (the paper: 40 GB).
     pub byte_scale: u64,
-    pub nvars: usize,
-    /// Verify read-back data bit-exactly (host-time cost only).
-    pub verify: bool,
-    /// Repetitions averaged (the paper averages 3 runs).
-    pub repeats: u32,
     /// Machine template (byte_scale is overridden per the field above).
     pub machine: MachineConfig,
     /// Rank scheduling discipline; [`SchedMode::Deterministic`] makes the
@@ -53,36 +51,18 @@ pub struct CellConfig {
 }
 
 impl CellConfig {
-    /// The paper's cell at a chosen real volume. The byte scale is computed
-    /// from the volume the (grid-friendly) dimensions actually produce, so
-    /// the modelled total is the paper's 40 GB regardless of rounding.
-    pub fn paper(nprocs: u64, real_bytes: u64) -> Self {
-        let target = 40u64 << 30;
-        let actual = Domain3dSpec {
-            total_bytes: real_bytes,
-            nvars: 10,
-            nprocs,
-        }
-        .actual_bytes();
+    /// The paper's cell (10 variables, 40 GB modelled) at a chosen real
+    /// volume on a machine template. The byte scale is computed from the
+    /// volume the (grid-friendly) dimensions actually produce, so the
+    /// modelled total is the paper's 40 GB regardless of rounding.
+    pub fn paper_on(nprocs: u64, real_bytes: u64, machine: MachineConfig) -> Self {
+        let actual = Domain3dSpec::paper(nprocs, real_bytes).actual_bytes();
         CellConfig {
             nprocs,
             real_bytes,
-            byte_scale: (target / actual).max(1),
-            nvars: 10,
-            verify: true,
-            repeats: 1,
-            machine: MachineConfig::chameleon_skylake(),
-            sched: SchedMode::Deterministic,
-        }
-    }
-
-    /// [`CellConfig::paper`] on an explicit machine template — the
-    /// device-profile sweeps. The byte scale is still recomputed from the
-    /// real volume; only the hardware constants change.
-    pub fn paper_on(nprocs: u64, real_bytes: u64, machine: MachineConfig) -> Self {
-        CellConfig {
+            byte_scale: ((40u64 << 30) / actual).max(1),
             machine,
-            ..Self::paper(nprocs, real_bytes)
+            sched: SchedMode::Deterministic,
         }
     }
 }
@@ -98,99 +78,33 @@ pub struct CellResult {
     /// Put-path flush strategy: the autotuner's verdict for the cell's
     /// profile, unless the harness pinned one and overrode this field.
     pub flush_strategy: String,
-    /// Job time (slowest rank), averaged over repeats.
+    /// Job time (slowest rank).
     pub time: SimTime,
-    /// Per-rank end times of the last repetition (index = rank).
+    /// Per-rank end times (index = rank).
     pub rank_times: Vec<SimTime>,
     pub stats: StatsSnapshot,
-    /// Metrics snapshot of the last repetition, when the cell was run with
-    /// a registry (see [`run_cell_observed`]); empty otherwise.
+    /// Metrics snapshot, when the cell ran with a registry; empty otherwise.
     pub metrics: MetricsSnapshot,
     /// Mismatched elements found during verification (must be 0).
     pub mismatches: usize,
 }
 
-/// Run one library through one cell. For `Direction::Read` the data is
-/// first produced by an untimed write pass with the same library.
-pub fn run_cell(lib: &dyn PioLibrary, direction: Direction, cfg: &CellConfig) -> CellResult {
-    let mut total = SimTime::ZERO;
-    let mut last = CellOnce::default();
-    for _ in 0..cfg.repeats.max(1) {
-        last = run_cell_once(lib, direction, cfg, None, None);
-        total += last.time;
-    }
-    CellResult {
-        library: lib.name().to_string(),
-        direction,
-        nprocs: cfg.nprocs,
-        device_profile: cfg.machine.profile_name.to_string(),
-        flush_strategy: pmem_sim::autotune_flush(&cfg.machine).name().to_string(),
-        time: total / cfg.repeats.max(1) as u64,
-        rank_times: last.rank_times,
-        stats: last.stats, // keep the last repetition's counters
-        metrics: MetricsSnapshot::default(),
-        mismatches: last.mismatches,
-    }
-}
-
-/// Like [`run_cell`] but runs a single repetition with a trace sink
-/// installed on the cell's machine, so every rank's spans (and the timed
-/// phase's collectives, pool transactions and persists) land in `sink`.
-/// Virtual times are identical to the untraced run by construction.
-pub fn run_cell_traced(
-    lib: &dyn PioLibrary,
-    direction: Direction,
-    cfg: &CellConfig,
-    sink: Arc<CollectingSink>,
-) -> CellResult {
-    run_cell_observed(lib, direction, cfg, Some(sink), None)
-}
-
-/// Single repetition with any combination of observers installed on the
-/// cell's machine: a trace sink, a metrics registry, or both. Observers
-/// are installed only after the untimed setup pass (the write that feeds
-/// a read cell), so they cover exactly the timed phase; the returned
-/// `CellResult::metrics` is the registry's snapshot at the quiesced point
-/// after the closing barrier. Virtual times are identical to an
+/// Run one library through one cell of the §4.1 domain workload. For
+/// `Direction::Read` the data is first produced by an untimed write pass
+/// with the same library.
+///
+/// `sink` and `registry` are optional observers installed on the cell's
+/// machine only after that setup pass, so they cover exactly the timed
+/// phase; `CellResult::metrics` is the registry's snapshot at the quiesced
+/// point after the closing barrier. Virtual times are identical to an
 /// unobserved run by construction.
-pub fn run_cell_observed(
+pub fn run_cell(
     lib: &dyn PioLibrary,
     direction: Direction,
     cfg: &CellConfig,
     sink: Option<Arc<CollectingSink>>,
     registry: Option<Arc<MetricsRegistry>>,
 ) -> CellResult {
-    let once = run_cell_once(lib, direction, cfg, sink, registry);
-    CellResult {
-        library: lib.name().to_string(),
-        direction,
-        nprocs: cfg.nprocs,
-        device_profile: cfg.machine.profile_name.to_string(),
-        flush_strategy: pmem_sim::autotune_flush(&cfg.machine).name().to_string(),
-        time: once.time,
-        rank_times: once.rank_times,
-        stats: once.stats,
-        metrics: once.metrics,
-        mismatches: once.mismatches,
-    }
-}
-
-#[derive(Default)]
-struct CellOnce {
-    time: SimTime,
-    rank_times: Vec<SimTime>,
-    stats: StatsSnapshot,
-    metrics: MetricsSnapshot,
-    mismatches: usize,
-}
-
-fn run_cell_once(
-    lib: &dyn PioLibrary,
-    direction: Direction,
-    cfg: &CellConfig,
-    sink: Option<Arc<CollectingSink>>,
-    registry: Option<Arc<MetricsRegistry>>,
-) -> CellOnce {
     let mut mc = cfg.machine.clone();
     mc.byte_scale = cfg.byte_scale;
     let machine = Machine::new(mc);
@@ -199,38 +113,77 @@ fn run_cell_once(
     let dev_size = (cfg.real_bytes * 3 + (32 << 20)) as usize;
     let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
 
-    let spec = Domain3dSpec {
-        total_bytes: cfg.real_bytes,
-        nvars: cfg.nvars,
-        nprocs: cfg.nprocs,
-    };
+    let spec = Domain3dSpec::paper(cfg.nprocs, cfg.real_bytes);
     let decomp = Arc::new(spec.decompose());
     let vars = Arc::new(spec.var_names());
 
-    let target = if lib.name().starts_with("PMCPY") {
+    let target = if lib.needs_devdax() {
         Target::DevDax(Arc::clone(&device))
     } else {
         let fs = SimFs::mount_all(Arc::clone(&device), MountMode::Dax);
-        fs.mkdir_p(&pmem_sim::Clock::new(), "/job")
-            .expect("mkdir /job");
+        fs.mkdir_p(&Clock::new(), "/job").expect("mkdir /job");
         Target::Fs {
             fs,
             path: pick_path(lib.name()),
         }
     };
 
+    // The trait object lives on the caller's stack; hand rank threads a raw
+    // view with the lifetime erased so it can move into 'static closures.
+    // SAFETY: run_world_mode joins every rank before returning, and both
+    // phases below finish before `lib`'s borrow ends, so the borrow
+    // outlives every use; `PioLibrary: Send + Sync`.
+    struct Ptr(*const (dyn PioLibrary + 'static));
+    unsafe impl Send for Ptr {}
+    unsafe impl Sync for Ptr {}
+    let erased: *const dyn PioLibrary =
+        unsafe { std::mem::transmute::<&dyn PioLibrary, &'static dyn PioLibrary>(lib) };
+    let lib_ptr = Arc::new(Ptr(erased));
+
+    // One parallel phase: (job time = slowest rank, per-rank end times,
+    // mismatches).
+    let run_phase = |direction: Direction| {
+        let (decomp, vars, target) = (Arc::clone(&decomp), Arc::clone(&vars), target.clone());
+        let lib = Arc::clone(&lib_ptr);
+        let nprocs = cfg.nprocs as usize;
+        let results = run_world_mode(Arc::clone(&machine), nprocs, cfg.sched, move |comm| {
+            // SAFETY: see `Ptr` above.
+            let lib: &dyn PioLibrary = unsafe { &*lib.0 };
+            let rank = comm.rank() as u64;
+            match direction {
+                Direction::Write => {
+                    let blocks: Vec<Vec<f64>> = (0..vars.len())
+                        .map(|v| workloads::generate_block(&decomp, v, rank))
+                        .collect();
+                    lib.write(&comm, &target, &decomp, &vars, &blocks)
+                        .expect("write failed");
+                    // The paper measures wall-clock across the whole parallel
+                    // phase; the final barrier folds the slowest rank into all.
+                    comm.barrier();
+                    (comm.now(), 0usize)
+                }
+                Direction::Read => {
+                    let blocks = lib
+                        .read(&comm, &target, &decomp, &vars)
+                        .expect("read failed");
+                    comm.barrier();
+                    // Bit-exact verification costs host time only.
+                    let mism = (0..vars.len())
+                        .map(|v| workloads::verify_block(&decomp, v, rank, &blocks[v]))
+                        .sum();
+                    (comm.now(), mism)
+                }
+            }
+        });
+        let rank_times: Vec<SimTime> = results.iter().map(|(t, _)| *t).collect();
+        let time = rank_times.iter().copied().fold(SimTime::ZERO, SimTime::max);
+        let mismatches: usize = results.iter().map(|(_, m)| *m).sum();
+        (time, rank_times, mismatches)
+    };
+
     // Data must exist before a read cell; produce it untimed.
     if direction == Direction::Read {
-        run_phase(
-            lib,
-            Direction::Write,
-            &machine,
-            &target,
-            &decomp,
-            &vars,
-            cfg,
-            false,
-        );
+        run_phase(Direction::Write);
         machine.reset();
     }
 
@@ -244,84 +197,22 @@ fn run_cell_once(
         machine.set_metrics(Arc::clone(r));
     }
 
-    let verify = cfg.verify && direction == Direction::Read;
-    let (time, rank_times, mism) = run_phase(
-        lib, direction, &machine, &target, &decomp, &vars, cfg, verify,
-    );
-    // All ranks have joined; the counters are quiesced, so the snapshot is a
-    // consistent point-in-time view (see the stats module's contract).
-    let stats = machine.with_quiesced_stats(|s| *s);
-    let metrics = registry.map(|r| r.snapshot()).unwrap_or_default();
-    CellOnce {
+    let (time, rank_times, mismatches) = run_phase(direction);
+    CellResult {
+        library: lib.name().to_string(),
+        direction,
+        nprocs: cfg.nprocs,
+        device_profile: cfg.machine.profile_name.to_string(),
+        flush_strategy: pmem_sim::autotune_flush(&cfg.machine).name().to_string(),
         time,
         rank_times,
-        stats,
-        metrics,
-        mismatches: mism,
+        // All ranks have joined; the counters are quiesced, so the snapshot
+        // is a consistent point-in-time view (see the stats module's
+        // contract).
+        stats: machine.with_quiesced_stats(|s| *s),
+        metrics: registry.map(|r| r.snapshot()).unwrap_or_default(),
+        mismatches,
     }
-}
-
-/// Run the parallel phase; returns (job time = slowest rank, per-rank end
-/// times, mismatches).
-#[allow(clippy::too_many_arguments)]
-fn run_phase(
-    lib: &dyn PioLibrary,
-    direction: Direction,
-    machine: &Arc<Machine>,
-    target: &Target,
-    decomp: &Arc<BlockDecomp>,
-    vars: &Arc<Vec<String>>,
-    cfg: &CellConfig,
-    verify: bool,
-) -> (SimTime, Vec<SimTime>, usize) {
-    // The trait object lives on the caller's stack; hand threads a raw view.
-    // SAFETY: run_world_mode joins every rank before returning, so the borrow
-    // outlives every use. The lifetime is erased to move it into 'static
-    // closures.
-    struct Ptr(*const (dyn PioLibrary + 'static));
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let erased: *const dyn PioLibrary =
-        unsafe { std::mem::transmute::<&dyn PioLibrary, &'static dyn PioLibrary>(lib) };
-    let lib_ptr = Arc::new(Ptr(erased));
-
-    let (decomp, vars, target) = (Arc::clone(decomp), Arc::clone(vars), target.clone());
-    let nprocs = cfg.nprocs as usize;
-    let results = run_world_mode(Arc::clone(machine), nprocs, cfg.sched, move |comm| {
-        let lib: &dyn PioLibrary = unsafe { &*lib_ptr.0 };
-        let rank = comm.rank() as u64;
-        match direction {
-            Direction::Write => {
-                let blocks: Vec<Vec<f64>> = (0..vars.len())
-                    .map(|v| workloads::generate_block(&decomp, v, rank))
-                    .collect();
-                lib.write(&comm, &target, &decomp, &vars, &blocks)
-                    .expect("write failed");
-                // The paper measures wall-clock across the whole parallel
-                // phase; the final barrier folds the slowest rank into all.
-                comm.barrier();
-                (comm.now(), 0usize)
-            }
-            Direction::Read => {
-                let blocks = lib
-                    .read(&comm, &target, &decomp, &vars)
-                    .expect("read failed");
-                comm.barrier();
-                let mism = if verify {
-                    (0..vars.len())
-                        .map(|v| workloads::verify_block(&decomp, v, rank, &blocks[v]))
-                        .sum()
-                } else {
-                    0
-                };
-                (comm.now(), mism)
-            }
-        }
-    });
-    let rank_times: Vec<SimTime> = results.iter().map(|(t, _)| *t).collect();
-    let time = rank_times.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    let mism = results.iter().map(|(_, m)| *m).sum();
-    (time, rank_times, mism)
 }
 
 fn pick_path(lib: &str) -> String {
@@ -332,4 +223,124 @@ fn pick_path(lib: &str) -> String {
         "POSIX" => "/job/raw".to_string(),
         other => format!("/job/{other}.out"),
     }
+}
+
+/// Namespace shape of a finished storm, read back from the pool after the
+/// timed run (stats/metrics are snapshotted first, so the inspection walk
+/// never leaks into gated counters).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StormShape {
+    /// Keys the directory holds.
+    pub len: u64,
+    /// Buckets the directory settled at.
+    pub buckets: u64,
+    pub max_chain: u64,
+    pub chain_p99: u64,
+    pub splits: u64,
+    pub contended: u64,
+}
+
+/// Drive one creation storm: `spec.ranks` ranks each mint
+/// `spec.keys_per_rank` fresh keys through the full batched put path of a
+/// pool mounted with `opts`, then read back every `stride`-th key
+/// (staggered per rank so the sample covers different residues of the key
+/// space) and count corrupted bytes into `CellResult::mismatches`. Runs
+/// under the deterministic scheduler with a metrics registry installed, so
+/// every counter is bit-reproducible and CI-gateable. A pool that fails to
+/// reopen or whose heap breaks an allocator invariant is an error.
+pub fn run_storm_cell(
+    spec: StormSpec,
+    opts: &Options,
+    stride: u64,
+    mc: &MachineConfig,
+) -> Result<(CellResult, StormShape), String> {
+    let machine = Machine::new(mc.clone());
+    let metrics = MetricsRegistry::new();
+    machine.set_metrics(Arc::clone(&metrics));
+    // Payloads are tiny; the device is sized by per-key metadata (entry
+    // header + key + serialized value + directory growth headroom).
+    let dev_size = (spec.total_keys() * 384 + (64 << 20)) as usize;
+    let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
+    let (dev2, opts2) = (Arc::clone(&device), opts.clone());
+    let results = run_world_mode(
+        Arc::clone(&machine),
+        spec.ranks as usize,
+        SchedMode::Deterministic,
+        move |comm| {
+            let rank = comm.rank() as u64;
+            let mut pmem = Pmem::with_options(opts2.clone());
+            pmem.mmap(MmapTarget::DevDax(&dev2), &comm).unwrap();
+            let mut i = 0;
+            while i < spec.keys_per_rank {
+                // Group-commit in steps of 64 keys: one pool transaction,
+                // one allocator pass per step.
+                let n = (spec.keys_per_rank - i).min(64);
+                let keys: Vec<String> = (i..i + n).map(|k| spec.key(rank, k)).collect();
+                let vals: Vec<Vec<u8>> = (i..i + n).map(|k| spec.value(rank, k)).collect();
+                let mut batch = pmem.batch();
+                for (k, v) in keys.iter().zip(&vals) {
+                    batch.store_slice::<u8>(k, v).unwrap();
+                }
+                batch.commit().unwrap();
+                i += n;
+            }
+            let mut mismatches = 0u64;
+            let mut k = rank % stride;
+            while k < spec.keys_per_rank {
+                let got: Vec<u8> = pmem.load_slice(&spec.key(rank, k)).unwrap();
+                mismatches += spec.verify(rank, k, &got);
+                k += stride;
+            }
+            comm.barrier();
+            let t = comm.now();
+            pmem.munmap().unwrap();
+            (t, mismatches)
+        },
+    );
+    let stats = machine.stats.snapshot();
+    let snap = metrics.snapshot();
+    let rank_times: Vec<SimTime> = results.iter().map(|(t, _)| *t).collect();
+
+    // Inspect the finished namespace straight from the pool.
+    let clock = Clock::new();
+    let shared = registry::shared_pool(&clock, &device, "pmemcpy", opts.hashtable_buckets)
+        .map_err(|e| format!("storm reopen: {e}"))?;
+    let hist = shared.hashtable.chain_length_histogram(&clock);
+    let len = shared.hashtable.len(&clock);
+    let heap = shared.pool.check_heap();
+    drop(shared);
+    registry::release_pool(&device);
+    heap.map_err(|e| format!("storm heap check: {e}"))?;
+    let buckets: u64 = hist.iter().sum();
+    let mut seen = 0u64;
+    let chain_p99 = hist.iter().position(|n| {
+        seen += n;
+        seen * 100 >= buckets * 99
+    });
+    let shape = StormShape {
+        len,
+        buckets,
+        max_chain: hist.len().saturating_sub(1) as u64,
+        chain_p99: chain_p99.unwrap_or(0) as u64,
+        splits: snap.counter("ht.splits"),
+        contended: snap
+            .counters
+            .iter()
+            .filter(|(k, _)| k.starts_with("stripe.") && k.ends_with(".contended"))
+            .map(|(_, v)| *v)
+            .sum(),
+    };
+    let cell = CellResult {
+        library: "PMCPY-A".to_string(),
+        direction: Direction::Write,
+        nprocs: spec.ranks,
+        device_profile: mc.profile_name.to_string(),
+        flush_strategy: pmem_sim::autotune_flush(mc).name().to_string(),
+        time: rank_times.iter().copied().fold(SimTime::ZERO, SimTime::max),
+        rank_times,
+        stats,
+        metrics: snap,
+        mismatches: results.iter().map(|(_, m)| *m).sum::<u64>() as usize,
+    };
+    Ok((cell, shape))
 }

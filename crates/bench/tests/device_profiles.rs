@@ -9,34 +9,69 @@ use pmdk_sim::layout::Superblock;
 use pmem_sim::profile::{by_name, profile_id};
 use pmem_sim::{autotune_flush, Clock, FlushStrategy, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::Options;
-use pmemcpy_bench::{run_figure_reported_on, CellConfig, Direction};
+use pmemcpy_bench::experiments::{find, measure, Ctx};
+use pmemcpy_bench::{CellConfig, Direction};
 
 fn profile_machine(name: &str) -> pmem_sim::MachineConfig {
     by_name(name).expect("built-in profile").config()
 }
 
-/// The default profile regenerates `results/ci_baseline/BENCH_fig6.json`
-/// byte-for-byte — the refactor cost the classic machine nothing, down to
-/// the JSON serialization. Flags must match the CI perf-gate job:
-/// `figures --bytes 8 --procs 24 fig6`.
+/// The experiment table regenerates every committed
+/// `results/ci_baseline/BENCH_*.json` byte-for-byte, down to the JSON
+/// serialization, straight from the library (no binary in between). The
+/// contexts must match the flags of the CI perf-gate job: `--bytes 8
+/// --procs 24 fig6 fig6-wb fig7`, `--storm-keys 16384 creation-storm`,
+/// `--bytes 8 --procs 8 --profiles optane-gen1,cxl sweep-profiles`.
 #[test]
-fn default_profile_reproduces_ci_baseline_fig6() {
-    let baseline = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/ci_baseline/BENCH_fig6.json"
-    ))
-    .expect("committed baseline present");
-    let (_, report) = run_figure_reported_on(
-        Direction::Write,
-        &[24],
-        8 << 20,
-        &profile_machine("optane-gen1"),
-    );
-    assert_eq!(
-        report.to_json(),
-        baseline,
-        "optane-gen1 fig6 BENCH report drifted from the committed baseline"
-    );
+fn experiment_table_reproduces_ci_baselines() {
+    for (command, procs) in [
+        ("fig6", 24),
+        ("fig6-wb", 24),
+        ("fig7", 24),
+        ("creation-storm", 24),
+        ("sweep-profiles", 8),
+    ] {
+        let ctx = Ctx {
+            procs: vec![procs],
+            real_bytes: 8 << 20,
+            storm_keys: 16_384,
+            machine: profile_machine("optane-gen1"),
+            profiles: vec![profile_machine("optane-gen1"), profile_machine("cxl")],
+        };
+        let exp = find(command).expect("table row");
+        let bench = exp.bench.expect("a perf-gated row");
+        let path = format!(
+            "{}/../../results/ci_baseline/BENCH_{bench}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let baseline = std::fs::read_to_string(&path).expect("committed baseline present");
+        let report = measure(exp, &ctx).expect("cells run");
+        assert!(
+            report.to_json() == baseline,
+            "{command}: BENCH report drifted from {path}"
+        );
+    }
+}
+
+/// The harness asks the library which target it needs instead of guessing
+/// from its label: a hashtable-layout pMEMCPY under any label gets the raw
+/// namespace, and the hierarchical layout gets a filesystem directory even
+/// when it is labelled like the figure's `PMCPY-A`.
+#[test]
+fn target_follows_the_library_not_its_label() {
+    let cfg = CellConfig::paper_on(4, 1 << 20, profile_machine("optane-gen1"));
+    let hierarchical = Options {
+        layout: pmemcpy::DataLayout::HierarchicalFiles,
+        ..Options::default()
+    };
+    for lib in [
+        PmemcpyLib::custom("WB", Options::write_behind()),
+        PmemcpyLib::custom("PMCPY-A", hierarchical),
+    ] {
+        pmemcpy_bench::run_cell(&lib, Direction::Write, &cfg, None, None);
+        let read = pmemcpy_bench::run_cell(&lib, Direction::Read, &cfg, None, None);
+        assert_eq!(read.mismatches, 0, "{} read back corrupted", lib.label);
+    }
 }
 
 /// eADR persists at the fence: every flush is free, so the whole fig6 write
@@ -45,7 +80,7 @@ fn default_profile_reproduces_ci_baseline_fig6() {
 fn eadr_strictly_faster_than_gen1_on_fig6() {
     let run = |profile: &str| {
         let cfg = CellConfig::paper_on(8, 2 << 20, profile_machine(profile));
-        pmemcpy_bench::run_cell(&PmemcpyLib::variant_a(), Direction::Write, &cfg).time
+        pmemcpy_bench::run_cell(&PmemcpyLib::variant_a(), Direction::Write, &cfg, None, None).time
     };
     let gen1 = run("optane-gen1");
     let eadr = run("eadr");
@@ -90,7 +125,7 @@ fn autotune_is_scheduler_independent() {
         let run = |sched: SchedMode| {
             let mut cfg = CellConfig::paper_on(4, 1 << 20, profile_machine(profile));
             cfg.sched = sched;
-            pmemcpy_bench::run_cell(&PmemcpyLib::variant_a(), Direction::Write, &cfg)
+            pmemcpy_bench::run_cell(&PmemcpyLib::variant_a(), Direction::Write, &cfg, None, None)
         };
         let det = run(SchedMode::Deterministic);
         let free = run(SchedMode::FreeThreaded);
@@ -119,7 +154,7 @@ fn pinned_matches_autotuned_pool_bit_for_bit() {
                 },
             );
             let cfg = CellConfig::paper_on(4, 1 << 20, mc.clone());
-            pmemcpy_bench::run_cell(&lib, Direction::Write, &cfg)
+            pmemcpy_bench::run_cell(&lib, Direction::Write, &cfg, None, None)
         };
         let auto = run(None);
         let pinned = run(Some(auto_pick));

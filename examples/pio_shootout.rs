@@ -10,6 +10,7 @@
 //! `cargo run -p pmemcpy-bench --bin figures -- all`.
 
 use baselines::figure_lineup;
+use pmem_sim::MachineConfig;
 use pmemcpy_bench::{run_cell, CellConfig, Direction};
 
 fn main() {
@@ -21,9 +22,9 @@ fn main() {
         "library", "write", "read", "staged(DRAM)", "shuffled(net)", "syscalls"
     );
     for lib in figure_lineup() {
-        let cfg = CellConfig::paper(nprocs, real_bytes);
-        let w = run_cell(lib.as_ref(), Direction::Write, &cfg);
-        let r = run_cell(lib.as_ref(), Direction::Read, &cfg);
+        let cfg = CellConfig::paper_on(nprocs, real_bytes, MachineConfig::chameleon_skylake());
+        let w = run_cell(lib.as_ref(), Direction::Write, &cfg, None, None);
+        let r = run_cell(lib.as_ref(), Direction::Read, &cfg, None, None);
         assert_eq!(r.mismatches, 0, "{} corrupted data", lib.name());
         println!(
             "{:<10} {:>9.3}s {:>9.3}s {:>13}B {:>13}B {:>12}",

@@ -16,29 +16,31 @@
 //! breakdown ([`TraceSummary::breakdown`]) for every span category seen.
 
 use baselines::PmemcpyLib;
-use pmem_sim::{chrome_trace_json, CollectingSink, TraceSummary, DRAIN_LANE};
-use pmemcpy_bench::{run_cell_traced, CellConfig, Direction};
+use pmem_sim::{chrome_trace_json, CollectingSink, MachineConfig, TraceSummary, DRAIN_LANE};
+use pmemcpy_bench::{run_cell, CellConfig, Direction};
 
 fn main() {
     let summary_mode = std::env::args().any(|a| a == "--summary");
     let nprocs = 8;
     let real_bytes = 8 << 20;
     let sink = CollectingSink::new();
-    let cfg = CellConfig::paper(nprocs, real_bytes);
+    let cfg = CellConfig::paper_on(nprocs, real_bytes, MachineConfig::chameleon_skylake());
 
     // Timed write phase: every rank stores its block of the 3-D domain.
-    let w = run_cell_traced(
+    let w = run_cell(
         &PmemcpyLib::variant_a(),
         Direction::Write,
         &cfg,
-        sink.clone(),
+        Some(sink.clone()),
+        None,
     );
     // Timed read phase on a fresh cell (same sink: spans accumulate).
-    let r = run_cell_traced(
+    let r = run_cell(
         &PmemcpyLib::variant_a(),
         Direction::Read,
         &cfg,
-        sink.clone(),
+        Some(sink.clone()),
+        None,
     );
     assert_eq!(r.mismatches, 0, "read-back corrupted data");
 

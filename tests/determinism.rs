@@ -13,23 +13,23 @@
 use baselines::PmemcpyLib;
 use mpi_sim::run_world;
 use pmem_sim::{
-    chrome_trace_json, CollectingSink, Machine, PersistenceMode, PmemDevice, SimTime, StatsSnapshot,
+    chrome_trace_json, CollectingSink, Machine, MachineConfig, PersistenceMode, PmemDevice,
+    SimTime, StatsSnapshot,
 };
-use pmemcpy_bench::{run_cell, run_cell_traced, run_figure, CellConfig, Direction};
+use pmemcpy_bench::experiments::{csv, find};
+use pmemcpy_bench::{run_cell, run_figure, CellConfig, Direction};
 use std::sync::Arc;
 
 fn headline_cfg(nprocs: u64) -> CellConfig {
-    let mut cfg = CellConfig::paper(nprocs, 2 << 20);
-    cfg.verify = true;
-    cfg
+    CellConfig::paper_on(nprocs, 2 << 20, MachineConfig::chameleon_skylake())
 }
 
 /// Figure 6's 24-rank column, rendered to CSV twice: identical bytes.
 #[test]
 fn fig6_headline_column_csv_is_bit_identical_across_runs() {
-    let a = run_figure(Direction::Write, &[24], 1 << 20);
-    let b = run_figure(Direction::Write, &[24], 1 << 20);
-    assert_eq!(a.csv(), b.csv(), "fig6 CSV bytes differ between runs");
+    let fig6 = find("fig6").unwrap();
+    let run = || csv(fig6, &run_figure(Direction::Write, &[24], 1 << 20));
+    assert_eq!(run(), run(), "fig6 CSV bytes differ between runs");
 }
 
 /// The paper's headline cell (PMCPY-A, 24 ranks, writes), traced twice:
@@ -41,11 +41,12 @@ fn fig6_headline_cell_trace_json_and_counters_are_bit_identical() {
     let lanes: Vec<(u64, String)> = (0..24).map(|r| (r, format!("rank {r}"))).collect();
     let run = || {
         let sink = CollectingSink::new();
-        let cell = run_cell_traced(
+        let cell = run_cell(
             &PmemcpyLib::variant_a(),
             Direction::Write,
             &cfg,
-            sink.clone(),
+            Some(sink.clone()),
+            None,
         );
         (cell, chrome_trace_json(&sink.take(), &lanes))
     };
@@ -64,8 +65,8 @@ fn fig6_headline_cell_trace_json_and_counters_are_bit_identical() {
 #[test]
 fn eight_rank_read_back_is_bit_identical_across_runs() {
     let cfg = headline_cfg(8);
-    let a = run_cell(&PmemcpyLib::variant_a(), Direction::Read, &cfg);
-    let b = run_cell(&PmemcpyLib::variant_a(), Direction::Read, &cfg);
+    let a = run_cell(&PmemcpyLib::variant_a(), Direction::Read, &cfg, None, None);
+    let b = run_cell(&PmemcpyLib::variant_a(), Direction::Read, &cfg, None, None);
     assert_eq!(a.mismatches, 0, "read-back corrupted data");
     assert_eq!(a.mismatches, b.mismatches);
     assert_eq!(a.time, b.time, "read-back job time differs between runs");

@@ -10,7 +10,7 @@ use workloads::BlockDecomp;
 fn drive(lib: &dyn PioLibrary, nprocs: usize, dims: [u64; 3]) {
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(Arc::clone(&machine), 96 << 20, PersistenceMode::Fast);
-    let target = if lib.name().starts_with("PMCPY") {
+    let target = if lib.needs_devdax() {
         Target::DevDax(Arc::clone(&dev))
     } else {
         let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);

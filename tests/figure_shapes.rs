@@ -4,23 +4,23 @@
 //! virtual, so the modelled 40 GB arithmetic is unchanged) and assert the
 //! §4.1 claims: who wins, in which direction, and the scaling shape.
 
-use pmemcpy_bench::{check_fig6_shape, check_fig7_shape, render_checks, run_figure, Direction};
+use pmemcpy_bench::{check_shape, render_checks, run_figure, Direction};
 
 const REAL_BYTES: u64 = 8 << 20; // 8 MB real; modelled 40 GB
 
 #[test]
 fn figure6_write_shape_holds() {
     let fig = run_figure(Direction::Write, &[8, 24, 48], REAL_BYTES);
-    let checks = check_fig6_shape(&fig);
+    let checks = check_shape(&fig, Direction::Write);
     assert!(!checks.is_empty());
     assert!(
         checks.iter().all(|c| c.pass),
         "Figure 6 shape violated:\n{}\n{}",
         render_checks(&checks),
-        fig.table()
+        fig.table("measured")
     );
     // Correctness rider: every cell moved the full modelled volume to PMEM.
-    for cell in &fig.cells {
+    for cell in fig.cells() {
         assert!(
             cell.stats.pmem_bytes_written >= 39 << 30,
             "{} at {} wrote only {} bytes",
@@ -34,16 +34,16 @@ fn figure6_write_shape_holds() {
 #[test]
 fn figure7_read_shape_holds() {
     let fig = run_figure(Direction::Read, &[8, 24, 48], REAL_BYTES);
-    let checks = check_fig7_shape(&fig);
+    let checks = check_shape(&fig, Direction::Read);
     assert!(!checks.is_empty());
     assert!(
         checks.iter().all(|c| c.pass),
         "Figure 7 shape violated:\n{}\n{}",
         render_checks(&checks),
-        fig.table()
+        fig.table("measured")
     );
     // All reads verified bit-exactly inside the harness.
-    for cell in &fig.cells {
+    for cell in fig.cells() {
         assert_eq!(cell.mismatches, 0, "{} read corruption", cell.library);
     }
 }

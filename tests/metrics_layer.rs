@@ -9,18 +9,17 @@
 //!    write equals the analytic value (16 fixed header bytes per record).
 
 use baselines::PmemcpyLib;
-use pmem_sim::MetricsRegistry;
+use pmem_sim::{MachineConfig, MetricsRegistry};
 use pmemcpy::Options;
-use pmemcpy_bench::{run_cell, run_cell_observed, CellConfig, Direction, Figure, RunReport};
+use pmemcpy_bench::experiments::{csv, find};
+use pmemcpy_bench::{run_cell, CellConfig, Direction, Outcome, RunReport};
 
 fn small_cfg(nprocs: u64) -> CellConfig {
-    let mut cfg = CellConfig::paper(nprocs, 2 << 20);
-    cfg.verify = false;
-    cfg
+    CellConfig::paper_on(nprocs, 2 << 20, MachineConfig::chameleon_skylake())
 }
 
 fn observed_cell(direction: Direction, nprocs: u64) -> pmemcpy_bench::CellResult {
-    run_cell_observed(
+    run_cell(
         &PmemcpyLib::variant_a(),
         direction,
         &small_cfg(nprocs),
@@ -29,10 +28,28 @@ fn observed_cell(direction: Direction, nprocs: u64) -> pmemcpy_bench::CellResult
     )
 }
 
+fn report_of(cell: &pmemcpy_bench::CellResult) -> RunReport {
+    RunReport {
+        name: "repro".into(),
+        real_bytes: 2 << 20,
+        rows: vec![Outcome {
+            key: format!("{},{}", cell.library, cell.nprocs),
+            cells: vec![cell.clone()],
+            storm: None,
+        }],
+    }
+}
+
 #[test]
 fn metrics_do_not_perturb_an_eight_rank_cell() {
     for direction in [Direction::Write, Direction::Read] {
-        let off = run_cell(&PmemcpyLib::variant_a(), direction, &small_cfg(8));
+        let off = run_cell(
+            &PmemcpyLib::variant_a(),
+            direction,
+            &small_cfg(8),
+            None,
+            None,
+        );
         let on = observed_cell(direction, 8);
         assert_eq!(
             off.time, on.time,
@@ -52,16 +69,8 @@ fn metrics_do_not_perturb_an_eight_rank_cell() {
         );
         // The figure CSV is derived from (time, stats) only, so the rows —
         // today's fig6/fig7 bytes — are identical too.
-        let csv_of = |cell: &pmemcpy_bench::CellResult| {
-            Figure {
-                title: "t".into(),
-                direction,
-                procs: vec![8],
-                libraries: vec![cell.library.clone()],
-                cells: vec![cell.clone()],
-            }
-            .csv()
-        };
+        let csv_of =
+            |cell: &pmemcpy_bench::CellResult| csv(find("fig6").unwrap(), &report_of(cell));
         assert_eq!(csv_of(&off), csv_of(&on), "{direction:?}: CSV bytes differ");
     }
 }
@@ -81,17 +90,7 @@ fn bench_report_is_bit_reproducible_and_tiles_every_rank() {
             );
         }
 
-        let json: Vec<String> = cells
-            .iter()
-            .map(|c| {
-                RunReport {
-                    name: "repro".into(),
-                    real_bytes: 2 << 20,
-                    cells: vec![c.clone()],
-                }
-                .to_json()
-            })
-            .collect();
+        let json: Vec<String> = cells.iter().map(|c| report_of(c).to_json()).collect();
         assert_eq!(
             json[0], json[1],
             "{direction:?}: BENCH JSON differs across identical deterministic runs"

@@ -15,9 +15,9 @@
 
 use baselines::PmemcpyLib;
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
-use pmem_sim::{Machine, MetricsRegistry, PersistenceMode, PmemDevice};
+use pmem_sim::{Machine, MachineConfig, MetricsRegistry, PersistenceMode, PmemDevice};
 use pmemcpy::{MmapTarget, Options, Pmem, PmemCpyError};
-use pmemcpy_bench::{run_cell_observed, CellConfig, Direction, RunReport};
+use pmemcpy_bench::{run_cell, CellConfig, Direction, Outcome, RunReport};
 use std::sync::Arc;
 
 fn mapped_single() -> (Pmem, Comm, Arc<PmemDevice>) {
@@ -208,10 +208,9 @@ fn concurrent_gets_stay_consistent_under_both_sched_modes() {
 #[test]
 fn read_cell_bench_report_is_bit_reproducible_with_cache_on() {
     let lib = PmemcpyLib::variant_a();
-    let mut cfg = CellConfig::paper(8, 2 << 20);
-    cfg.verify = true;
+    let cfg = CellConfig::paper_on(8, 2 << 20, MachineConfig::chameleon_skylake());
     let run = || {
-        run_cell_observed(
+        run_cell(
             &lib,
             Direction::Read,
             &cfg,
@@ -227,7 +226,11 @@ fn read_cell_bench_report_is_bit_reproducible_with_cache_on() {
         RunReport {
             name: "repro".into(),
             real_bytes: 2 << 20,
-            cells: vec![c.clone()],
+            rows: vec![Outcome {
+                key: String::new(),
+                cells: vec![c.clone()],
+                storm: None,
+            }],
         }
         .to_json()
     };

@@ -10,16 +10,15 @@
 use baselines::PmemcpyLib;
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmem_sim::{
-    chrome_trace_json, CollectingSink, Machine, PersistenceMode, PmemDevice, SimTime, TraceSummary,
+    chrome_trace_json, CollectingSink, Machine, MachineConfig, PersistenceMode, PmemDevice,
+    SimTime, TraceSummary,
 };
 use pmemcpy::{MmapTarget, Pmem, PmemCpyError};
-use pmemcpy_bench::{run_cell, run_cell_traced, CellConfig, Direction};
+use pmemcpy_bench::{run_cell, CellConfig, Direction};
 use std::sync::Arc;
 
 fn small_cfg(nprocs: u64) -> CellConfig {
-    let mut cfg = CellConfig::paper(nprocs, 2 << 20);
-    cfg.verify = false;
-    cfg
+    CellConfig::paper_on(nprocs, 2 << 20, MachineConfig::chameleon_skylake())
 }
 
 /// With one rank there is no interleaving to vary, so bit-exactness must
@@ -31,10 +30,16 @@ fn fig6_virtual_time_is_bit_identical_with_tracing_on_and_off() {
         for direction in [Direction::Write, Direction::Read] {
             let mut cfg = small_cfg(1);
             cfg.sched = mode;
-            let off = run_cell(&PmemcpyLib::variant_a(), direction, &cfg);
+            let off = run_cell(&PmemcpyLib::variant_a(), direction, &cfg, None, None);
             for _ in 0..2 {
                 let sink = CollectingSink::new();
-                let on = run_cell_traced(&PmemcpyLib::variant_a(), direction, &cfg, sink.clone());
+                let on = run_cell(
+                    &PmemcpyLib::variant_a(),
+                    direction,
+                    &cfg,
+                    Some(sink.clone()),
+                    None,
+                );
                 assert_eq!(
                     off.time, on.time,
                     "{mode:?}/{direction:?}: tracing perturbed virtual time"
@@ -59,12 +64,13 @@ fn fig6_virtual_time_is_bit_identical_with_tracing_on_and_off() {
 fn fig6_eight_rank_cell_unperturbed_by_tracing() {
     for direction in [Direction::Write, Direction::Read] {
         let cfg = small_cfg(8);
-        let off = run_cell(&PmemcpyLib::variant_a(), direction, &cfg);
-        let on = run_cell_traced(
+        let off = run_cell(&PmemcpyLib::variant_a(), direction, &cfg, None, None);
+        let on = run_cell(
             &PmemcpyLib::variant_a(),
             direction,
             &cfg,
-            CollectingSink::new(),
+            Some(CollectingSink::new()),
+            None,
         );
         assert_eq!(
             off.stats, on.stats,
@@ -81,11 +87,12 @@ fn fig6_eight_rank_cell_unperturbed_by_tracing() {
 fn chrome_trace_json_is_schema_valid_with_one_lane_per_rank() {
     const NPROCS: u64 = 8;
     let sink = CollectingSink::new();
-    run_cell_traced(
+    run_cell(
         &PmemcpyLib::variant_a(),
         Direction::Write,
         &small_cfg(NPROCS),
-        sink.clone(),
+        Some(sink.clone()),
+        None,
     );
     let spans = sink.take();
     let lanes: Vec<(u64, String)> = (0..NPROCS).map(|r| (r, format!("rank {r}"))).collect();
