@@ -364,13 +364,7 @@ impl Pmem {
         let (dtype, global) = self.load_dims(id)?;
         self.check_dtype::<T>(id, dtype)?;
         validate_block(id, &global, offsets, dims)?;
-        let elements: u64 = dims.iter().product();
-        if elements != data.len() as u64 {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("dims say {elements} elements, buffer has {}", data.len()),
-            });
-        }
+        check_elements(id, dims, data.len())?;
         let meta = VarMeta::block(id, T::DTYPE, &global, offsets, dims);
         let key = block_key(id, offsets);
         m.layout.store(&m.clock, &key, &meta, slice_as_bytes(data))
@@ -386,13 +380,7 @@ impl Pmem {
         dims: &[u64],
     ) -> Result<()> {
         let m = self.m()?;
-        let elements: u64 = dims.iter().product();
-        if elements != dst.len() as u64 {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("dims say {elements} elements, buffer has {}", dst.len()),
-            });
-        }
+        check_elements(id, dims, dst.len())?;
         let key = block_key(id, offsets);
         let hdr = m
             .layout
@@ -548,7 +536,11 @@ pub(crate) fn validate_block(
         });
     }
     for d in 0..global.len() {
-        if offsets[d] + dims[d] > global[d] {
+        // An `offset + extent` that overflows is past any global extent.
+        if offsets[d]
+            .checked_add(dims[d])
+            .is_none_or(|end| end > global[d])
+        {
             return Err(PmemCpyError::OutOfBounds {
                 id: id.to_string(),
                 detail: format!(
@@ -559,4 +551,18 @@ pub(crate) fn validate_block(
         }
     }
     Ok(())
+}
+
+/// `dims` must multiply out to exactly the `have` elements of the caller's
+/// buffer; a product that overflows matches no buffer.
+pub(crate) fn check_elements(id: &str, dims: &[u64], have: usize) -> Result<()> {
+    let elements = dims.iter().try_fold(1u64, |n, &d| n.checked_mul(d));
+    if elements == Some(have as u64) {
+        return Ok(());
+    }
+    let says = elements.map_or("more than 2^64".to_string(), |n| n.to_string());
+    Err(PmemCpyError::ShapeMismatch {
+        id: id.to_string(),
+        detail: format!("dims say {says} elements, buffer has {have}"),
+    })
 }

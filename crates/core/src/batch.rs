@@ -115,13 +115,7 @@ impl<'a> WriteBatch<'a> {
         let (dtype, global) = self.resolve_dims(id)?;
         self.pmem.check_dtype::<T>(id, dtype)?;
         api::validate_block(id, &global, offsets, dims)?;
-        let elements: u64 = dims.iter().product();
-        if elements != data.len() as u64 {
-            return Err(crate::error::PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("dims say {elements} elements, buffer has {}", data.len()),
-            });
-        }
+        api::check_elements(id, dims, data.len())?;
         let meta = VarMeta::block(id, T::DTYPE, &global, offsets, dims);
         let key = api::block_key(id, offsets);
         self.push(key, meta, Cow::Borrowed(slice_as_bytes(data)));

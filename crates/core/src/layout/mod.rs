@@ -198,7 +198,7 @@ pub trait Layout: Send + Sync {
 
     /// Resolve where every key's record lives, through the layout's bulk
     /// lookup seam: the hashtable layout groups keys by bucket and walks
-    /// each chain once (lock-free, one header read per hop), the
+    /// each chain once (under its stripe, one header read per hop), the
     /// hierarchical layout maps each file. Errors with `NotFound` for the
     /// first missing key.
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>>;

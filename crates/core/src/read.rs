@@ -193,13 +193,7 @@ impl<'a> ReadBatch<'a> {
         offsets: &[u64],
         dims: &[u64],
     ) -> Result<GetHandle<()>> {
-        let elements: u64 = dims.iter().product();
-        if elements != dst.len() as u64 {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("dims say {elements} elements, buffer has {}", dst.len()),
-            });
-        }
+        api::check_elements(id, dims, dst.len())?;
         let key = api::block_key(id, offsets);
         let expect = self.expect_for::<T>();
         Ok(self.push(key, expect, Slot::Into(slice_as_bytes_mut(dst))))

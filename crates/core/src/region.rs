@@ -8,7 +8,7 @@
 //! every stored block of the variable. It exercises the claim that the
 //! block-per-writer layout still supports analysis-style access patterns.
 
-use crate::api::Pmem;
+use crate::api::{self, Pmem};
 use crate::element::{slice_as_bytes_mut, Element};
 use crate::error::{PmemCpyError, Result};
 
@@ -106,27 +106,9 @@ impl Pmem {
         }
         let (dtype, global) = self.load_dims(id)?;
         self.check_region_dtype::<T>(id, dtype)?;
-        if global.len() != region_off.len() || global.len() != region_dims.len() {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: "region rank mismatch".into(),
-            });
-        }
-        for d in 0..global.len() {
-            if region_off[d] + region_dims[d] > global[d] {
-                return Err(PmemCpyError::OutOfBounds {
-                    id: id.to_string(),
-                    detail: format!("dim {d}: region exceeds global extent"),
-                });
-            }
-        }
-        let want: u64 = region_dims.iter().product();
-        if want != dst.len() as u64 {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("region has {want} elements, buffer {}", dst.len()),
-            });
-        }
+        api::validate_block(id, &global, region_off, region_dims)?;
+        api::check_elements(id, region_dims, dst.len())?;
+        let want = dst.len() as u64;
 
         let (layout, _machine) = self.layout_and_machine()?;
         let clock = self.clock()?;

@@ -207,6 +207,35 @@ fn errors_are_reported_not_panicked() {
         pmem.store_block("small", &[0f64; 8], &[5], &[8]),
         Err(pmemcpy::PmemCpyError::OutOfBounds { .. })
     ));
+    // A block whose end wraps past u64::MAX is out of bounds too, not a
+    // block that "ends" at 4.
+    assert!(matches!(
+        pmem.store_block("small", &[0f64; 8], &[u64::MAX - 3], &[8]),
+        Err(pmemcpy::PmemCpyError::OutOfBounds { .. })
+    ));
+    // Dims whose product wraps to 0 do not describe an empty buffer — on the
+    // store, the load, the batched and the region paths alike.
+    let side = 1u64 << 32;
+    pmem.alloc::<f64>("vast", &[side, side]).unwrap();
+    let (zero, dims) = ([0u64, 0], [side, side]);
+    let mut none = [0f64; 0];
+    let mismatch = |r: pmemcpy::Result<()>| {
+        assert!(
+            matches!(r, Err(pmemcpy::PmemCpyError::ShapeMismatch { .. })),
+            "{r:?}"
+        )
+    };
+    mismatch(pmem.store_block("vast", &none, &zero, &dims));
+    mismatch(pmem.batch().store_block("vast", &none, &zero, &dims));
+    mismatch(pmem.load_block("vast", &mut none, &zero, &dims));
+    mismatch(pmem.load_region("vast", &mut none, &zero, &dims));
+    let mut reads = pmem.read_batch();
+    mismatch(
+        reads
+            .load_block_into("vast", &mut none, &zero, &dims)
+            .map(|_| ()),
+    );
+    drop(reads);
     // dtype mismatch.
     pmem.store_scalar("pi", 2.75f64).unwrap();
     assert!(matches!(

@@ -21,6 +21,8 @@ pub enum PmdkError {
     Injected(&'static str),
     /// Key not present in a persistent container.
     NotFound,
+    /// A hashtable value longer than the entry header's 32-bit length field.
+    ValueTooLarge { len: u64 },
 }
 
 impl fmt::Display for PmdkError {
@@ -38,6 +40,9 @@ impl fmt::Display for PmdkError {
             PmdkError::NoFreeLanes => write!(f, "all transaction lanes are in use"),
             PmdkError::Injected(site) => write!(f, "injected failure at {site}"),
             PmdkError::NotFound => write!(f, "key not found"),
+            PmdkError::ValueTooLarge { len } => {
+                write!(f, "value of {len} bytes exceeds the 4 GiB entry cap")
+            }
         }
     }
 }

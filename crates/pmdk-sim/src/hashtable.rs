@@ -36,19 +36,25 @@
 //! is striped with volatile locks — rebuilt trivially on open, like PMDK's
 //! runtime lock state.
 //!
-//! The read path is lock-free. Each stripe carries a seqlock epoch (odd
-//! while a writer is splicing its chains): `get_ref`/`get_ref_many` walk a
-//! chain without taking the stripe mutex, validate the epoch **and the
-//! route** afterwards, and retry (with a deterministic compute penalty) if
-//! a writer or a migration raced them. Chains are walked in a single pass —
-//! one 24-byte metadata read fetches an entry's whole
-//! `[hash][klen][vlen][next]` header — and a volatile DRAM shadow index
-//! (key → [`ValueRef`], write-through on every mutation, rebuildable via
-//! [`PersistentHashtable::rebuild_shadow`]) lets repeat lookups skip the
-//! PMEM walk entirely. The shadow invariant is that a cached entry lives
-//! only at its key's *current* route stripe; migration wholesale-clears
-//! source-stripe shadows whenever a bucket's stripe changes across the
-//! split.
+//! There is one lock per stripe and readers take it too: a lookup routes
+//! its key, locks the stripe, re-checks the route (a migration holds the
+//! stripes it moves buckets between, so a route that is stable under the
+//! lock stays stable) and probes. The stripe mutex *is* the lock of that
+//! stripe's slice of the volatile DRAM shadow index (key → [`ValueRef`],
+//! write-through on every mutation, rebuildable via
+//! [`PersistentHashtable::rebuild_shadow`]): a hit is lock → map lookup →
+//! unlock, then the modelled probe cost is charged with nothing held. A
+//! miss walks the chain in a single pass — one 24-byte metadata read
+//! fetches an entry's whole `[hash][klen][vlen][next]` header — with the
+//! stripe held, and publishes what it found under the same guard. Every
+//! charge made while a stripe is held sits inside a
+//! [`pmem_sim::atomic_section`], so under the deterministic scheduler a
+//! stripe is never found held and virtual time never depends on which
+//! thread won it; free-threaded, a reader behind a writer waits on the
+//! host and is billed nothing for the wait. The shadow invariant is that a
+//! cached entry lives only at its key's *current* route stripe; migration
+//! wholesale-clears source-stripe shadows whenever a bucket's stripe
+//! changes across the split.
 
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
@@ -68,19 +74,10 @@ pub const STRIPES: usize = 64;
 /// creation-storm CI bound).
 const SPLIT_FACTOR: u64 = 2;
 
-/// After this many seqlock retries a reader falls back to the stripe lock,
-/// so a busy writer cannot starve it indefinitely.
-const SEQLOCK_MAX_RETRIES: u32 = 8;
-/// After this many whole re-route passes a batched reader falls back to
-/// locked per-key resolution (cannot be starved by back-to-back splits).
-const MAX_ROUTE_PASSES: u32 = 8;
 /// Modelled cost of a DRAM shadow-index probe that hits (one cache-missy
 /// hash lookup). Charged unconditionally so virtual time is identical with
 /// metrics on or off.
 const SHADOW_HIT_NS: u64 = 120;
-/// Modelled penalty for one seqlock retry (the wasted walk is already
-/// charged; this is the re-read of the epoch + loop overhead).
-const SEQLOCK_RETRY_NS: u64 = 250;
 
 /// FNV-1a, fixed so tables are portable across runs/machines.
 pub fn fnv1a(key: &[u8]) -> u64 {
@@ -92,35 +89,34 @@ pub fn fnv1a(key: &[u8]) -> u64 {
     h
 }
 
+/// One stripe's slice of the volatile shadow index: key → value location,
+/// write-through on every put/remove.
+type Shadow = HashMap<Vec<u8>, ValueRef>;
+type StripeGuard<'a> = parking_lot::MutexGuard<'a, Shadow>;
+
 /// Per-stripe runtime state (volatile; rebuilt on open).
 struct Stripe {
-    /// Writer mutex: all structural mutations of this stripe's chains.
-    lock: Mutex<()>,
-    /// Seqlock epoch: odd while a writer is splicing, bumped twice per
-    /// mutation. Lock-free readers validate it around their walks.
-    epoch: AtomicU64,
+    /// The stripe mutex: every walk and every structural mutation of this
+    /// stripe's chains holds it, and it owns the stripe's shadow slice, so
+    /// the cache cannot be touched without it.
+    lock: Mutex<Shadow>,
     /// Net live-entry delta since the last fold (inserts − removes on this
     /// stripe). Summed into the persisted count by `quiesce`.
     live: AtomicI64,
-    /// This stripe's slice of the volatile shadow index: key → value
-    /// location, write-through on every put/remove.
-    shadow: Mutex<HashMap<Vec<u8>, ValueRef>>,
 }
 
 fn new_stripes() -> Vec<Stripe> {
     (0..STRIPES)
         .map(|_| Stripe {
-            lock: Mutex::new(()),
-            epoch: AtomicU64::new(0),
+            lock: Mutex::new(Shadow::new()),
             live: AtomicI64::new(0),
-            shadow: Mutex::new(HashMap::new()),
         })
         .collect()
 }
 
 /// Where a key lives *right now*: the device slot holding its chain head
 /// and the stripe guarding that chain. Compared for equality to detect a
-/// migration racing a lock acquisition or an unlocked walk.
+/// migration racing a lock acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Route {
     head_slot: u64,
@@ -151,31 +147,6 @@ impl Geo {
     }
 }
 
-/// Seqlock-published geometry: readers snapshot all five words without a
-/// lock; `geo_store` (always under `resize_lock`) flips the sequence odd
-/// around its stores so a reader never observes a half-updated geometry.
-struct GeoCell {
-    seq: AtomicU64,
-    buckets: AtomicU64,
-    heads: AtomicU64,
-    old_buckets: AtomicU64,
-    old_heads: AtomicU64,
-    cursor: AtomicU64,
-}
-
-impl GeoCell {
-    fn new(g: Geo) -> Self {
-        GeoCell {
-            seq: AtomicU64::new(0),
-            buckets: AtomicU64::new(g.buckets),
-            heads: AtomicU64::new(g.heads),
-            old_buckets: AtomicU64::new(g.old_buckets),
-            old_heads: AtomicU64::new(g.old_heads),
-            cursor: AtomicU64::new(g.cursor),
-        }
-    }
-}
-
 fn value_ref_of(e: &Entry) -> ValueRef {
     ValueRef {
         offset: e.value_off(),
@@ -183,37 +154,13 @@ fn value_ref_of(e: &Entry) -> ValueRef {
     }
 }
 
-/// RAII seqlock writer section over one or more stripes: entry flips each
-/// epoch odd (readers retry instead of trusting the moving chain), drop
-/// flips it back even — including on error unwinds, so crash-injection
-/// paths cannot wedge readers.
-struct EpochWriteGuard<'a> {
-    stripes: Vec<&'a Stripe>,
-}
-
-impl<'a> EpochWriteGuard<'a> {
-    fn enter(stripes: Vec<&'a Stripe>) -> Self {
-        for s in &stripes {
-            s.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-        EpochWriteGuard { stripes }
-    }
-}
-
-impl Drop for EpochWriteGuard<'_> {
-    fn drop(&mut self) {
-        for s in &self.stripes {
-            s.epoch.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-}
-
 /// A handle to a persistent hashtable living in `pool`.
 pub struct PersistentHashtable {
     pool: Arc<PmemPool>,
     header: u64,
-    /// Volatile mirror of the persistent geometry, published via seqlock.
-    geo: GeoCell,
+    /// Volatile mirror of the persistent geometry. Copied out, never held
+    /// across a charge or another lock.
+    geo: Mutex<Geo>,
     stripes: Vec<Stripe>,
     /// Serializes split begin/advance; held across geometry publication.
     resize_lock: Mutex<()>,
@@ -310,7 +257,7 @@ impl PersistentHashtable {
         PersistentHashtable {
             pool: Arc::clone(pool),
             header,
-            geo: GeoCell::new(g),
+            geo: Mutex::new(g),
             stripes: new_stripes(),
             resize_lock: Mutex::new(()),
             dirty_lock: Mutex::new(()),
@@ -369,48 +316,25 @@ impl PersistentHashtable {
         (self.count_base.load(Ordering::Relaxed) as i64 + delta).max(0) as u64
     }
 
-    /// Seqlock snapshot of the geometry (never blocks, never tears).
     fn geo(&self) -> Geo {
-        loop {
-            let s1 = self.geo.seq.load(Ordering::Acquire);
-            if s1 & 1 != 0 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let g = Geo {
-                buckets: self.geo.buckets.load(Ordering::Acquire),
-                heads: self.geo.heads.load(Ordering::Acquire),
-                old_buckets: self.geo.old_buckets.load(Ordering::Acquire),
-                old_heads: self.geo.old_heads.load(Ordering::Acquire),
-                cursor: self.geo.cursor.load(Ordering::Acquire),
-            };
-            if self.geo.seq.load(Ordering::Acquire) == s1 {
-                return g;
-            }
-        }
+        *self.geo.lock()
     }
 
     /// Publish a new geometry (caller holds `resize_lock`).
     fn geo_store(&self, g: Geo) {
-        self.geo.seq.fetch_add(1, Ordering::AcqRel);
-        self.geo.buckets.store(g.buckets, Ordering::Release);
-        self.geo.heads.store(g.heads, Ordering::Release);
-        self.geo.old_buckets.store(g.old_buckets, Ordering::Release);
-        self.geo.old_heads.store(g.old_heads, Ordering::Release);
-        self.geo.cursor.store(g.cursor, Ordering::Release);
-        self.geo.seq.fetch_add(1, Ordering::AcqRel);
+        *self.geo.lock() = g;
     }
 
-    /// Acquire stripe `id`, feeding the per-stripe heat map when metrics
-    /// are enabled: every acquisition bumps `stripe.NN.acquires`, and an
-    /// acquisition that found the stripe already held bumps
-    /// `stripe.NN.contended` too. Under the deterministic scheduler the
-    /// contended counts are always zero — charges under a stripe run in an
-    /// atomic section, so the token never moves while a stripe is held —
-    /// which makes nonzero values a free-threaded-only contention signal.
-    /// Since the seqlock landed only writers take stripes, so the heat map
-    /// is a *write* heat map.
-    fn lock_stripe(&self, id: usize) -> parking_lot::MutexGuard<'_, ()> {
+    /// Acquire stripe `id` for a mutation, feeding the per-stripe heat map
+    /// when metrics are enabled: every acquisition bumps
+    /// `stripe.NN.acquires`, and an acquisition that found the stripe
+    /// already held bumps `stripe.NN.contended` too. Under the deterministic
+    /// scheduler the contended counts are always zero — charges under a
+    /// stripe run in an atomic section, so the token never moves while a
+    /// stripe is held — which makes nonzero values a free-threaded-only
+    /// contention signal. Lookups lock `stripes[id].lock` directly and are
+    /// not counted, so the heat map is a *write* heat map.
+    fn lock_stripe(&self, id: usize) -> StripeGuard<'_> {
         let machine = self.pool.device().machine();
         if machine.metrics_enabled() {
             machine.metric_counter_add(&format!("stripe.{id:02}.acquires"), 1);
@@ -420,6 +344,16 @@ impl PersistentHashtable {
             machine.metric_counter_add(&format!("stripe.{id:02}.contended"), 1);
         }
         self.stripes[id].lock.lock()
+    }
+
+    /// Acquire every stripe of `ids` (ascending, so concurrent multi-stripe
+    /// operations cannot deadlock); the guards come back indexed by stripe.
+    fn lock_stripes(&self, ids: &[usize]) -> [Option<StripeGuard<'_>>; STRIPES] {
+        let mut held = std::array::from_fn(|_| None);
+        for &i in ids {
+            held[i] = Some(self.lock_stripe(i));
+        }
+        held
     }
 
     // ---- sharded count: dirty flag + quiesce fold ----
@@ -560,11 +494,10 @@ impl PersistentHashtable {
 
     /// Migrate one chunk of old buckets: partition each chain into lo
     /// (`hash % new_buckets == b`) and hi (`== b + old_buckets`), relink
-    /// both partitions into the new directory, zero the old head (stale
-    /// unlocked walks then see an empty chain and re-route), and advance
-    /// the persisted cursor — all in one transaction under the affected
-    /// stripes' locks and epochs. The final chunk also retires the old
-    /// table and frees its heads array.
+    /// both partitions into the new directory, zero the old head, and
+    /// advance the persisted cursor — all in one transaction under the
+    /// affected stripes' locks. The final chunk also retires the old table
+    /// and frees its heads array.
     fn help_migrate(&self, clock: &Clock) -> Result<()> {
         let Some(_resize) = self.resize_lock.try_lock() else {
             return Ok(()); // another helper has this split chunk
@@ -601,8 +534,7 @@ impl PersistentHashtable {
         sids.sort_unstable();
         sids.dedup();
         let _atomic = pmem_sim::atomic_section();
-        let _guards: Vec<_> = sids.iter().map(|&i| self.lock_stripe(i)).collect();
-        let _epoch = EpochWriteGuard::enter(sids.iter().map(|&i| &self.stripes[i]).collect());
+        let mut held = self.lock_stripes(&sids);
 
         let mut entries_moved = 0u64;
         let src = self.pool.charged(clock);
@@ -679,9 +611,9 @@ impl PersistentHashtable {
         // ref can resurface after a later remove + re-split.
         if !n.is_multiple_of(STRIPES as u64) {
             for b in start..end {
-                self.stripes[(b % STRIPES as u64) as usize]
-                    .shadow
-                    .lock()
+                held[stripe_of(b)]
+                    .as_mut()
+                    .expect("a chunk holds its source stripes")
                     .clear();
             }
         }
@@ -731,14 +663,14 @@ impl PersistentHashtable {
         self.shadow_enabled.store(enabled, Ordering::Relaxed);
         if !enabled {
             for s in &self.stripes {
-                s.shadow.lock().clear();
+                s.lock.lock().clear();
             }
         }
     }
 
     /// Number of cached key → value locations (diagnostics).
     pub fn shadow_len(&self) -> usize {
-        self.stripes.iter().map(|s| s.shadow.lock().len()).sum()
+        self.stripes.iter().map(|s| s.lock.lock().len()).sum()
     }
 
     /// Rebuild the shadow index from the persistent table: one full bucket
@@ -757,9 +689,7 @@ impl PersistentHashtable {
         let _resize = self.resize_lock.lock();
         let src = self.pool.charged(clock);
         for (slot, bucket) in self.geo().head_slots() {
-            let sid = stripe_of(bucket);
-            let _guard = self.lock_stripe(sid);
-            let mut shadow = self.stripes[sid].shadow.lock();
+            let mut shadow = self.lock_stripe(stripe_of(bucket));
             installed += self.degraded(walk_chain(&src, slot, Fetch::Header, |e| {
                 shadow.insert(e.key(&src), value_ref_of(e));
                 true
@@ -768,63 +698,29 @@ impl PersistentHashtable {
         installed
     }
 
-    /// Probe the shadow index. A hit replaces the whole PMEM chain walk
-    /// with one DRAM hash probe, charged unconditionally (fixed cost,
+    /// Charge `hits` shadow-index hits. A hit replaces the whole PMEM chain
+    /// walk with one DRAM hash probe, charged unconditionally (fixed cost,
     /// metrics on or off) under the `get.lookup.cached` phase. Misses are
     /// charge-free, so shadow-off and shadow-on-miss timings are identical.
-    fn shadow_probe(&self, clock: &Clock, stripe: &Stripe, key: &[u8]) -> Option<ValueRef> {
-        if !self.shadow_enabled.load(Ordering::Relaxed) {
-            return None;
-        }
+    fn charge_shadow_hits(&self, clock: &Clock, hits: usize) {
         let machine = self.pool.device().machine();
-        let e1 = stripe.epoch.load(Ordering::Acquire);
-        if e1 & 1 != 0 {
-            return None; // writer mid-splice: take the validating walk
-        }
-        let hit = stripe.shadow.lock().get(key).copied();
-        if stripe.epoch.load(Ordering::Acquire) != e1 {
-            return None; // raced a writer; the walk revalidates
-        }
-        match hit {
-            Some(vref) => {
-                let _cached = machine.phase(clock, "pmdk", "get.lookup.cached");
-                machine.charge_compute_labeled(
-                    clock,
-                    SimTime::from_nanos(SHADOW_HIT_NS),
-                    "index.probe",
-                );
-                machine.metric_counter_add("shadow.hits", 1);
-                Some(vref)
-            }
-            None => {
-                machine.metric_counter_add("shadow.misses", 1);
-                None
-            }
+        for _ in 0..hits {
+            let _cached = machine.phase(clock, "pmdk", "get.lookup.cached");
+            machine.charge_compute_labeled(
+                clock,
+                SimTime::from_nanos(SHADOW_HIT_NS),
+                "index.probe",
+            );
         }
     }
 
-    /// Cache a location discovered by a validated lock-free walk. `epoch`
-    /// is the stripe epoch the walk validated against: if a writer has
-    /// moved the chain since, the entry may be stale (or freed) and must
-    /// not be published.
-    fn shadow_publish(&self, stripe: &Stripe, key: &[u8], vref: ValueRef, epoch: u64) {
+    /// Drop any cached ref *before* the chain moves, so a transaction that
+    /// fails after unlinking cannot leave one pointing at a freed entry.
+    fn shadow_invalidate(&self, shadow: &mut Shadow, key: &[u8]) {
         if !self.shadow_enabled.load(Ordering::Relaxed) {
             return;
         }
-        let mut shadow = stripe.shadow.lock();
-        if stripe.epoch.load(Ordering::Acquire) == epoch {
-            shadow.insert(key.to_vec(), vref);
-        }
-    }
-
-    /// Writer-side invalidation (caller holds the stripe): drop any cached
-    /// ref *before* the chain moves, so a stale shadow hit can never point
-    /// at a freed entry.
-    fn shadow_invalidate(&self, stripe: &Stripe, key: &[u8]) {
-        if !self.shadow_enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        if stripe.shadow.lock().remove(key).is_some() {
+        if shadow.remove(key).is_some() {
             self.pool
                 .device()
                 .machine()
@@ -832,13 +728,12 @@ impl PersistentHashtable {
         }
     }
 
-    /// Writer-side write-through (caller holds the stripe, after the tx
-    /// committed): the new location is immediately visible to readers.
-    fn shadow_store(&self, stripe: &Stripe, key: &[u8], vref: ValueRef) {
-        if !self.shadow_enabled.load(Ordering::Relaxed) {
-            return;
+    /// Cache a location: write-through after a put's transaction committed,
+    /// or what a lookup's chain walk found.
+    fn shadow_store(&self, shadow: &mut Shadow, key: &[u8], vref: ValueRef) {
+        if self.shadow_enabled.load(Ordering::Relaxed) {
+            shadow.insert(key.to_vec(), vref);
         }
-        stripe.shadow.lock().insert(key.to_vec(), vref);
     }
 
     /// Insert (or replace) every `(key, val_len)` with space for its value
@@ -876,8 +771,9 @@ impl PersistentHashtable {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        for &(_, val_len) in reqs {
-            assert!(val_len <= u32::MAX as u64, "values are capped at 4 GiB");
+        // The entry header stores the value length in 32 bits.
+        if let Some(&(_, len)) = reqs.iter().find(|&&(_, len)| len > u32::MAX as u64) {
+            return Err(PmdkError::ValueTooLarge { len });
         }
         let mut seen = std::collections::HashSet::with_capacity(reqs.len());
         for &(key, _) in reqs {
@@ -911,7 +807,7 @@ impl PersistentHashtable {
             let mut stripe_ids: Vec<usize> = routes.iter().map(|r| r.sid).collect();
             stripe_ids.sort_unstable();
             stripe_ids.dedup();
-            let _guards: Vec<_> = stripe_ids.iter().map(|&i| self.lock_stripe(i)).collect();
+            let mut held = self.lock_stripes(&stripe_ids);
             // A migration may have moved a bucket between routing and lock
             // acquisition; holding the stripes pins the survivors, so one
             // stable re-check suffices.
@@ -920,10 +816,9 @@ impl PersistentHashtable {
                 machine.metric_counter_add("ht.route.retries", 1);
                 continue;
             }
-            let _epoch =
-                EpochWriteGuard::enter(stripe_ids.iter().map(|&i| &self.stripes[i]).collect());
-            for (i, &(key, _)) in reqs.iter().enumerate() {
-                self.shadow_invalidate(&self.stripes[routes[i].sid], key);
+            for (r, &(key, _)) in routes.iter().zip(reqs) {
+                let shadow = held[r.sid].as_mut().expect("every routed stripe is held");
+                self.shadow_invalidate(shadow, key);
             }
             self.ensure_dirty(clock);
 
@@ -977,8 +872,9 @@ impl PersistentHashtable {
                     len: val_len,
                 })
                 .collect();
-            for (i, &(key, _)) in reqs.iter().enumerate() {
-                self.shadow_store(&self.stripes[routes[i].sid], key, refs[i]);
+            for ((r, &(key, _)), &vref) in routes.iter().zip(reqs).zip(&refs) {
+                let shadow = held[r.sid].as_mut().expect("every routed stripe is held");
+                self.shadow_store(shadow, key, vref);
             }
             return Ok(refs);
         }
@@ -992,11 +888,9 @@ impl PersistentHashtable {
         Ok(refs[0])
     }
 
-    /// Locate `key`'s value without copying it. Lock-free: probes the
-    /// shadow index, then walks the chain under the stripe's seqlock
-    /// without ever taking the stripe mutex (writers bump the epoch;
-    /// readers validate and retry, re-routing if a migration moved the
-    /// bucket mid-walk).
+    /// Locate `key`'s value without copying it: a shadow-index probe under
+    /// the key's stripe, then — on a miss — one chain walk with the stripe
+    /// still held.
     pub fn get_ref(&self, clock: &Clock, key: &[u8]) -> Option<ValueRef> {
         self.resolve(clock, &[key])[0]
     }
@@ -1005,8 +899,7 @@ impl PersistentHashtable {
     /// bucket. Keys are grouped by (stripe, head slot) in sorted order — the
     /// same deterministic grouping the write batches use for stripe
     /// acquisition — so keys sharing a bucket share its head/header reads.
-    /// Keys whose bucket migrates mid-walk come back as stale and re-route
-    /// on the next pass. Results are positionally parallel to `keys`.
+    /// Results are positionally parallel to `keys`.
     pub fn get_ref_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
         // Lookups help an in-flight split along too (the tentpole contract:
         // every operation migrates a chunk). A lookup must not fail, so
@@ -1020,59 +913,44 @@ impl PersistentHashtable {
         self.resolve(clock, keys)
     }
 
-    /// The route-pass loop behind both lookups: group, walk, re-route what
-    /// a migration moved; after `MAX_ROUTE_PASSES` resolve under the lock.
+    /// Behind both lookups: group the keys per bucket and resolve each group
+    /// under its stripe. A group whose bucket migrated between routing and
+    /// lock acquisition is routed again.
     fn resolve(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
         let mut out = vec![None; keys.len()];
-        let hashes: Vec<u64> = keys.iter().map(|k| fnv1a(k)).collect();
+        let keyed: Vec<(&[u8], u64)> = keys.iter().map(|&k| (k, fnv1a(k))).collect();
         let mut pending: Vec<usize> = (0..keys.len()).collect();
-        let mut passes = 0u32;
         while !pending.is_empty() {
-            passes += 1;
-            if passes > MAX_ROUTE_PASSES {
-                let _atomic = pmem_sim::atomic_section();
-                for &i in &pending {
-                    let (r, _guard) = self.lock_route(hashes[i]);
-                    out[i] = self.probe_held(clock, r.head_slot, keys[i], hashes[i]);
-                }
-                break;
-            }
             let g = self.geo();
+            let route = |i: usize| g.route(keyed[i].1);
             pending.sort_by_key(|&i| {
-                let r = g.route(hashes[i]);
+                let r = route(i);
                 (r.sid, r.head_slot, i)
             });
-            let mut next_pending = Vec::new();
-            let mut a = 0;
-            while a < pending.len() {
-                let r = g.route(hashes[pending[a]]);
-                let mut b = a + 1;
-                while b < pending.len() && g.route(hashes[pending[b]]).head_slot == r.head_slot {
-                    b += 1;
+            let mut moved = Vec::new();
+            for group in pending.chunk_by(|&a, &b| route(a).head_slot == route(b).head_slot) {
+                if !self.get_group(clock, &keyed, route(group[0]), group, &mut out) {
+                    moved.extend_from_slice(group);
                 }
-                next_pending.extend(self.get_group(
-                    clock,
-                    keys,
-                    &hashes,
-                    r,
-                    &pending[a..b],
-                    &mut out,
-                ));
-                a = b;
             }
-            pending = next_pending;
+            pending = moved;
         }
         out
     }
 
-    /// Lock the stripe guarding `hash`'s chain. A migration may move the
-    /// bucket between routing and lock acquisition; holding the stripe pins
-    /// the route (migration locks it too), so one stable re-check suffices.
-    fn lock_route(&self, hash: u64) -> (Route, parking_lot::MutexGuard<'_, ()>) {
+    /// Lock the stripe guarding `hash`'s chain — through the heat map for a
+    /// `write`, uncounted for a lookup. A migration may move the bucket
+    /// between routing and lock acquisition; holding the stripe pins the
+    /// route (migration locks it too), so one stable re-check suffices.
+    fn lock_route(&self, hash: u64, write: bool) -> (Route, StripeGuard<'_>) {
         let machine = self.pool.device().machine();
         loop {
             let r = self.geo().route(hash);
-            let guard = self.lock_stripe(r.sid);
+            let guard = if write {
+                self.lock_stripe(r.sid)
+            } else {
+                self.stripes[r.sid].lock.lock()
+            };
             if self.geo().route(hash) == r {
                 return (r, guard);
             }
@@ -1080,126 +958,80 @@ impl PersistentHashtable {
         }
     }
 
-    /// Resolve one key on a chain whose stripe the caller holds.
-    fn probe_held(&self, clock: &Clock, head_slot: u64, key: &[u8], hash: u64) -> Option<ValueRef> {
-        self.probe_chain_group(clock, &[key], &[hash], head_slot, &[0], true)
-            .and_then(|found| found[0])
-    }
-
-    /// The one seqlock read protocol. Run `walk(false)` without the stripe
-    /// mutex and accept its answer only if stripe `sid`'s epoch was even
-    /// before and unchanged after; otherwise — or when the walk itself saw a
-    /// torn read and answered `None` — charge a deterministic retry penalty
-    /// and go again (under SchedMode::Deterministic writers splice inside
-    /// atomic sections, so any retry pattern is itself reproducible). A busy
-    /// writer must not starve readers: after `SEQLOCK_MAX_RETRIES` take the
-    /// mutex and run `walk(true)`. Returns the answer and the epoch it was
-    /// validated against (`None` under the mutex).
-    fn seqlock_read<T>(
-        &self,
-        clock: &Clock,
-        sid: usize,
-        mut walk: impl FnMut(bool) -> Option<T>,
-    ) -> (T, Option<u64>) {
-        let stripe = &self.stripes[sid];
-        let machine = self.pool.device().machine();
-        for _ in 0..SEQLOCK_MAX_RETRIES {
-            let e1 = stripe.epoch.load(Ordering::Acquire);
-            if e1 & 1 == 0 {
-                if let Some(out) = walk(false) {
-                    if stripe.epoch.load(Ordering::Acquire) == e1 {
-                        return (out, Some(e1));
-                    }
-                }
-            }
-            machine.charge_compute_labeled(
-                clock,
-                SimTime::from_nanos(SEQLOCK_RETRY_NS),
-                "seqlock.retry",
-            );
-            machine.metric_counter_add("ht.seqlock.retries", 1);
-        }
-        let _atomic = pmem_sim::atomic_section();
-        let _guard = self.lock_stripe(sid);
-        (walk(true).expect("a walk under the mutex answers"), None)
-    }
-
-    /// Resolve one route's worth of keys: shadow probes first, then a
-    /// single validated walk for the rest. Returns the indices whose route
-    /// diverged (their bucket migrated) — the caller re-routes them;
-    /// everything else lands in `out`.
+    /// Resolve one route's worth of keys into `out` under the route's
+    /// stripe. The stripe is released before the shadow hits are charged, so
+    /// readers that hit hold it for a map lookup only. Returns false, with
+    /// nothing resolved, if any key no longer routes here.
     fn get_group(
         &self,
         clock: &Clock,
-        keys: &[&[u8]],
-        hashes: &[u64],
+        keyed: &[(&[u8], u64)],
         route: Route,
         group: &[usize],
         out: &mut [Option<ValueRef>],
-    ) -> Vec<usize> {
-        let stripe = &self.stripes[route.sid];
-        let mut pending: Vec<usize> = Vec::with_capacity(group.len());
-        for &i in group {
-            match self.shadow_probe(clock, stripe, keys[i]) {
-                Some(vref) => out[i] = Some(vref),
-                None => pending.push(i),
+    ) -> bool {
+        let hits = {
+            let _atomic = pmem_sim::atomic_section();
+            let mut shadow = self.stripes[route.sid].lock.lock();
+            let g = self.geo();
+            if group.iter().any(|&i| g.route(keyed[i].1) != route) {
+                let machine = self.pool.device().machine();
+                machine.metric_counter_add("ht.route.retries", group.len() as u64);
+                return false;
             }
-        }
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let machine = self.pool.device().machine();
-        let _span = machine
-            .span(clock, "pmdk", "ht.probe")
-            .arg("keys", pending.len() as u64);
-        let (found, epoch) = self.seqlock_read(clock, route.sid, |locked| {
-            self.probe_chain_group(clock, keys, hashes, route.head_slot, &pending, locked)
-        });
-        // The chain was quiescent for the whole walk — but a completed
-        // migration could have emptied this bucket before we even read the
-        // epoch. Any key that no longer routes here walks its new bucket
-        // instead.
-        let g = self.geo();
-        let mut diverged = Vec::new();
-        for (&i, vref) in pending.iter().zip(&found) {
-            if g.route(hashes[i]) != route {
-                diverged.push(i);
-                continue;
-            }
-            out[i] = *vref;
-            if let (Some(vref), Some(e1)) = (vref, epoch) {
-                self.shadow_publish(stripe, keys[i], *vref, e1);
-            }
-        }
-        if !diverged.is_empty() {
-            machine.metric_counter_add("ht.route.retries", diverged.len() as u64);
-        }
-        diverged
+            self.probe_held(clock, keyed, route.head_slot, group, &mut shadow, out)
+        };
+        self.charge_shadow_hits(clock, hits);
+        true
     }
 
-    /// One chain walk resolving a whole bucket group in a single header
-    /// pass; results are positionally parallel to `group`. A bad hop on an
-    /// unlocked walk (`held == false`) is a race with a writer recycling the
-    /// pointer: answer `None` and let the epoch check retry. With the stripe
-    /// held it is damage: count it and keep what resolved before it.
-    fn probe_chain_group(
+    /// Resolve `group` — indices of `(key, hash)` pairs on the chain at
+    /// `head_slot` — into `out`. The caller holds the chain's stripe
+    /// (`shadow` is its guard) inside an atomic section: shadow lookups
+    /// first, then one single-pass walk for the misses, whose finds are
+    /// published under the same guard. Returns the number of shadow hits,
+    /// left for the caller to charge.
+    fn probe_held(
         &self,
         clock: &Clock,
-        keys: &[&[u8]],
-        hashes: &[u64],
+        keyed: &[(&[u8], u64)],
         head_slot: u64,
         group: &[usize],
-        held: bool,
-    ) -> Option<Vec<Option<ValueRef>>> {
+        shadow: &mut Shadow,
+        out: &mut [Option<ValueRef>],
+    ) -> usize {
         let machine = self.pool.device().machine();
+        let cached = self.shadow_enabled.load(Ordering::Relaxed);
+        let mut cold: Vec<usize> = Vec::new();
+        for &i in group {
+            if cached {
+                out[i] = shadow.get(keyed[i].0).copied();
+                let outcome = if out[i].is_some() {
+                    "shadow.hits"
+                } else {
+                    "shadow.misses"
+                };
+                machine.metric_counter_add(outcome, 1);
+            }
+            if out[i].is_none() {
+                cold.push(i);
+            }
+        }
+        let hits = group.len() - cold.len();
+        if cold.is_empty() {
+            return hits;
+        }
+        let _span = machine
+            .span(clock, "pmdk", "ht.probe")
+            .arg("keys", cold.len() as u64);
         let src = self.pool.charged(clock);
-        let mut found: Vec<Option<ValueRef>> = vec![None; group.len()];
-        let mut unresolved = group.len();
+        let mut unresolved = cold.len();
         let mut key_reads = 0u64;
-        let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
+        let walked = walk_chain(&src, head_slot, Fetch::Header, |e| {
             let mut kbuf: Option<Vec<u8>> = None;
-            for (gi, &i) in group.iter().enumerate() {
-                if found[gi].is_some() || e.hash != hashes[i] || e.klen as usize != keys[i].len() {
+            for &i in &cold {
+                let (key, hash) = keyed[i];
+                if out[i].is_some() || e.hash != hash || e.klen as usize != key.len() {
                     continue;
                 }
                 // Key bytes are read once per entry even if several group
@@ -1208,49 +1040,44 @@ impl PersistentHashtable {
                     key_reads += 1;
                     e.key(&src)
                 });
-                if k.as_slice() == keys[i] {
-                    found[gi] = Some(value_ref_of(e));
+                if k.as_slice() == key {
+                    let vref = value_ref_of(e);
+                    out[i] = Some(vref);
+                    self.shadow_store(shadow, key, vref);
                     unresolved -= 1;
                 }
             }
             unresolved > 0
         });
+        let hops = self.degraded(walked);
         // Charged pool read ops: the head, each header, each key fetch.
         machine.metric_counter_add("get.lookup.pool_reads", 1 + hops + key_reads);
-        if end.is_err() && !held {
-            return None;
-        }
-        self.degraded((hops, end));
         machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
-        Some(found)
+        hits
     }
 
-    /// Copy out `key`'s value. The byte copy sits *inside* the seqlock
-    /// window: resolving a ref and then reading the bytes unvalidated would
-    /// race a concurrent replace/remove that frees and recycles the value
-    /// region between the two (a torn read of reused memory).
+    /// Copy out `key`'s value. The byte copy runs with the stripe still
+    /// held: resolving a ref and then reading the bytes unlocked would race
+    /// a concurrent replace/remove that frees and recycles the value region
+    /// between the two (a torn read of reused memory).
     pub fn get(&self, clock: &Clock, key: &[u8]) -> Option<Vec<u8>> {
         let hash = fnv1a(key);
-        loop {
-            let r = self.geo().route(hash);
-            let (copied, _) = self.seqlock_read(clock, r.sid, |locked| {
-                let vref = if locked {
-                    self.probe_held(clock, r.head_slot, key, hash)
-                } else {
-                    self.get_ref(clock, key)
-                };
-                Some(vref.map(|vref| {
-                    let mut buf = vec![0u8; vref.len as usize];
-                    self.pool.read_bytes(clock, vref.offset, &mut buf);
-                    buf
-                }))
-            });
-            // The window guarded stripe `r.sid` only: if a migration moved
-            // the bucket, the copy ran unprotected — route again.
-            if self.geo().route(hash) == r {
-                return copied;
-            }
-        }
+        let _atomic = pmem_sim::atomic_section();
+        let (r, mut shadow) = self.lock_route(hash, false);
+        let mut out = [None];
+        let hits = self.probe_held(
+            clock,
+            &[(key, hash)],
+            r.head_slot,
+            &[0],
+            &mut shadow,
+            &mut out,
+        );
+        self.charge_shadow_hits(clock, hits);
+        let vref = out[0]?;
+        let mut buf = vec![0u8; vref.len as usize];
+        self.pool.read_bytes(clock, vref.offset, &mut buf);
+        Some(buf)
     }
 
     pub fn contains(&self, clock: &Clock, key: &[u8]) -> bool {
@@ -1262,10 +1089,8 @@ impl PersistentHashtable {
         let hash = fnv1a(key);
         self.maybe_resize(clock)?;
         let _atomic = pmem_sim::atomic_section();
-        let (r, _guard) = self.lock_route(hash);
-        let stripe = &self.stripes[r.sid];
-        let _epoch = EpochWriteGuard::enter(vec![stripe]);
-        self.shadow_invalidate(stripe, key);
+        let (r, mut shadow) = self.lock_route(hash, true);
+        self.shadow_invalidate(&mut shadow, key);
         let Some(e) = self.find(clock, r.head_slot, key, hash)? else {
             return Ok(false);
         };
@@ -1274,7 +1099,7 @@ impl PersistentHashtable {
             tx.set(e.slot, &e.next.to_le_bytes())?;
             tx.free(e.at)
         })?;
-        stripe.live.fetch_sub(1, Ordering::Relaxed);
+        self.stripes[r.sid].live.fetch_sub(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -1624,12 +1449,19 @@ mod tests {
 
     #[test]
     fn put_reserve_many_rejects_duplicate_keys() {
-        let (ht, _pool, clock) = table(1 << 22, 8);
+        let (ht, pool, clock) = table(1 << 22, 8);
         let err = ht
             .put_reserve_many(&clock, &[(b"same", 4), (b"same", 8)])
             .unwrap_err();
         assert!(matches!(err, PmdkError::TxFailure(_)));
+        // A length the entry header cannot hold is refused the same way:
+        // an error, before anything is allocated.
+        let err = ht
+            .put_reserve_many(&clock, &[(b"fits", 4), (b"huge", 1 << 32)])
+            .unwrap_err();
+        assert_eq!(err, PmdkError::ValueTooLarge { len: 1 << 32 });
         assert!(ht.is_empty(&clock));
+        pool.check_heap().unwrap();
     }
 
     #[test]
@@ -1670,20 +1502,16 @@ mod tests {
     }
 
     #[test]
-    fn crash_mid_put_leaves_epoch_even_for_readers() {
-        let (ht, pool, clock) = table(1 << 22, 16);
+    fn failed_put_releases_its_stripes() {
+        let (ht, _pool, clock) = table(1 << 22, 16);
         ht.put(&clock, b"k", b"stable").unwrap();
-        pool.fail_points.arm("tx::commit-before", 1);
-        ht.put(&clock, b"k", b"doomed").unwrap_err();
-        // The EpochWriteGuard must have restored every epoch to even on the
-        // error path, or all subsequent lock-free gets would retry forever.
-        for s in &ht.stripes {
-            assert_eq!(s.epoch.load(Ordering::Acquire) & 1, 0);
-        }
-        // Injected tx failures skip in-process rollback (they model a
-        // crash); recover through reopen before reading.
-        pool.device().crash();
-        let (ht, _pool) = reopen(ht, pool, &clock);
+        // The pool cannot hold the replacement: the transaction fails at
+        // its allocation and rolls back.
+        let err = ht.put(&clock, b"k", &vec![0u8; 1 << 23]).unwrap_err();
+        assert!(matches!(err, PmdkError::OutOfMemory { .. }));
+        // The error path dropped every stripe guard, or this get — which
+        // locks the same stripe — would never return.
+        assert!(ht.stripes.iter().all(|s| s.lock.try_lock().is_some()));
         assert_eq!(ht.get(&clock, b"k").unwrap(), b"stable");
     }
 
@@ -1768,9 +1596,46 @@ mod tests {
     }
 
     #[test]
+    fn a_racing_writer_costs_a_reader_no_virtual_time() {
+        const GETS: u64 = 64;
+        let (ht, _pool, clock) = table(1 << 22, 1);
+        ht.set_auto_resize(false); // one chain: the reader walks past `hot`
+        ht.set_shadow_enabled(false); // every get is a cold walk
+        ht.put(&clock, b"cold", b"value").unwrap();
+        ht.put(&clock, b"hot", b"v0").unwrap();
+        let alone = Clock::new();
+        assert_eq!(ht.get(&alone, b"cold").unwrap(), b"value");
+
+        let stop = AtomicBool::new(false);
+        let writing = std::sync::Barrier::new(2);
+        let reader = Clock::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let clock = Clock::new();
+                ht.put(&clock, b"hot", b"v1").unwrap();
+                writing.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    ht.put(&clock, b"hot", b"v2").unwrap();
+                }
+            });
+            writing.wait();
+            for _ in 0..GETS {
+                // On one core, hand the writer the CPU so the next get
+                // finds it preempted mid-put.
+                std::thread::yield_now();
+                assert_eq!(ht.get(&reader, b"cold").unwrap(), b"value");
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        // A get behind a put waits on the host; its clock is charged the
+        // walk it made and nothing for the wait.
+        assert_eq!(reader.now(), alone.now() * GETS);
+    }
+
+    #[test]
     fn concurrent_readers_and_writers_always_see_consistent_values() {
-        // Seqlock stress: writers repeatedly overwrite the same keys while
-        // lock-free readers get them — with resize enabled, so splits and
+        // Stripe-lock stress: writers repeatedly overwrite the same keys
+        // while readers get them — with resize enabled, so splits and
         // migrations race the readers too. Every read must return either a
         // complete old or complete new value — never torn bytes, never a
         // panic from chasing a recycled pointer.

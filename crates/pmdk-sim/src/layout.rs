@@ -77,8 +77,8 @@ pub mod sb {
     pub const LAYOUT_LEN: u64 = 48;
     pub const LAYOUT_NAME: u64 = 56; // up to 128 bytes
     pub const LAYOUT_NAME_MAX: u64 = 128;
-    /// Pool generation: bumped on every open; robust locks acquired under an
-    /// older generation are considered released (crash-implicit unlock).
+    /// Pool generation: bumped on every open; flight `Mount` events carry
+    /// it, so a timeline tells one session from the next.
     pub const GENERATION: u64 = 192;
     /// Device-profile id the pool was last mounted with (u32; see
     /// `pmem_sim::profile`). 0 = unset (legacy pools).

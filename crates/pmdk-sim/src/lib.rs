@@ -1,7 +1,7 @@
 //! # pmdk-sim — a PMDK-style persistent object store (simplified, in Rust)
 //!
 //! pMEMCPY manages PMEM through PMDK's `libpmemobj`: memory-mapped pools, a
-//! transactional allocator, persistent locks and persistent data structures.
+//! transactional allocator and persistent data structures.
 //! This crate reimplements that substrate from scratch over the emulated
 //! device in `pmem-sim`, following the algorithms described in Scargall,
 //! *Programming Persistent Memory* (ch. "PMDK Internals"):
@@ -16,8 +16,6 @@
 //! * [`hashtable::PersistentHashtable`] — the flat-namespace metadata index
 //!   pMEMCPY stores variable metadata in (§3 "Data Layout": "a hashtable
 //!   with chaining").
-//! * [`locks::PersistentMutex`] — generation-numbered robust locks that are
-//!   implicitly released by a crash.
 //!
 //! The crate is deliberately honest about what is volatile and what is
 //! persistent: everything needed for recovery lives in the device; caches and
@@ -28,14 +26,12 @@ pub mod doctor;
 pub mod error;
 pub mod hashtable;
 pub mod layout;
-pub mod locks;
 pub mod log;
 pub mod pool;
 pub mod tx;
 
 pub use error::{PmdkError, Result};
 pub use hashtable::PersistentHashtable;
-pub use locks::PersistentMutex;
 pub use log::PersistentLog;
 pub use pool::{FailPointGuard, FailPoints, PmemPool};
 pub use tx::Tx;

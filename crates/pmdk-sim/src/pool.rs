@@ -256,7 +256,8 @@ impl PmemPool {
         &self.layout
     }
 
-    /// Pool generation: 1 at create, +1 per open. Robust-lock epochs.
+    /// Pool generation: 1 at create, +1 per open. Stamped on flight `Mount`
+    /// events.
     pub fn generation(&self) -> u64 {
         self.generation
     }

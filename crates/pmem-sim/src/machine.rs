@@ -433,7 +433,7 @@ impl Machine {
     /// Charge fixed CPU work as a named primitive, so the duration stays
     /// inside the phase-tiling contract (attributed to the innermost phase,
     /// falling back to `name`) and shows up in traces/histograms. Used by
-    /// higher layers for DRAM index probes and seqlock retry penalties.
+    /// higher layers for DRAM index probes.
     pub fn charge_compute_labeled(&self, clock: &Clock, t: SimTime, name: &'static str) {
         self.charge(clock, name, None, self.cpu_scaled(t), Innermost);
     }

@@ -238,29 +238,3 @@ fn crash_mid_write_batch_rolls_back_the_whole_group() {
     drop(shared);
     pmem.munmap().unwrap();
 }
-
-/// Robust locks: a crash while holding a persistent mutex releases it.
-#[test]
-fn persistent_locks_release_on_crash() {
-    use pmdk_sim::locks::{LockRegistry, PersistentMutex, PERSISTENT_MUTEX_SIZE};
-    let (pool, dev, clock) = tracked_pool(8);
-    let off = pool.alloc(&clock, PERSISTENT_MUTEX_SIZE).unwrap();
-    pool.device()
-        .zero(&clock, off as usize, PERSISTENT_MUTEX_SIZE as usize);
-    pool.device()
-        .persist(&clock, off as usize, PERSISTENT_MUTEX_SIZE as usize);
-
-    let reg = Arc::new(LockRegistry::default());
-    let m = PersistentMutex::attach(&pool, &reg, off);
-    let guard = m.lock(&clock).unwrap();
-    pool.device().persist(&clock, off as usize, 16);
-    std::mem::forget(guard);
-    dev.crash();
-    drop(pool);
-
-    let pool = reopen(&dev, &clock);
-    let reg = Arc::new(LockRegistry::default());
-    let m = PersistentMutex::attach(&pool, &reg, off);
-    assert!(!m.is_held_persistently(&clock));
-    assert!(m.try_lock(&clock).is_some());
-}

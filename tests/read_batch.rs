@@ -1,13 +1,14 @@
 //! Batched zero-copy read pipeline: group lookups, the volatile shadow
-//! index, and lock-free single-key gets.
+//! index, and single-key gets under the stripe lock.
 //!
 //! 1. a `ReadBatch` must return byte-identical data to the per-key path,
 //!    on both layouts;
 //! 2. the shadow index is write-through: overwrites and removes invalidate
 //!    it before the mutation commits, so stale hits are impossible;
-//! 3. single-key gets are seqlock-protected, not mutex-protected — readers
+//! 3. gets take their key's stripe mutex, the one writers take — readers
 //!    interleaved with writers stay consistent under both the deterministic
-//!    and the free-threaded scheduler;
+//!    and the free-threaded scheduler, never deadlock, and under the
+//!    deterministic one reproduce their virtual times exactly;
 //! 4. the figure-7 read cell stays bit-reproducible with the cache on;
 //! 5. the single-pass chain walk charges at most 3 metadata reads per
 //!    resolved key (the old stat+load path charged twice that);
@@ -165,11 +166,13 @@ fn shadow_index_hits_and_invalidates_on_overwrite_and_remove() {
 }
 
 /// Readers interleaved with a hot writer on the same stripes stay
-/// consistent under both scheduler modes: the seqlock either serves a
-/// stable snapshot or retries, never a torn lookup.
+/// consistent under both scheduler modes: a get holds its stripe for the
+/// whole lookup, so it never sees a chain mid-splice. Blocking readers must
+/// neither deadlock (the run returns) nor make virtual time depend on who
+/// won a stripe (two deterministic runs agree rank by rank).
 #[test]
 fn concurrent_gets_stay_consistent_under_both_sched_modes() {
-    for mode in [SchedMode::Deterministic, SchedMode::FreeThreaded] {
+    let run = |mode: SchedMode| {
         let machine = Machine::chameleon();
         let dev = PmemDevice::new(Arc::clone(&machine), 64 << 20, PersistenceMode::Fast);
         let dev2 = Arc::clone(&dev);
@@ -184,8 +187,8 @@ fn concurrent_gets_stay_consistent_under_both_sched_modes() {
             }
             comm.barrier();
             if comm.rank() == 0 {
-                // Hot writer: keeps mutating its own key, bumping stripe
-                // epochs under the readers.
+                // Hot writer: keeps mutating its own key, taking stripes
+                // the readers need.
                 for round in 0..40 {
                     pmem.store_slice("hot", &[round as f64; 16]).unwrap();
                 }
@@ -199,8 +202,15 @@ fn concurrent_gets_stay_consistent_under_both_sched_modes() {
             }
             comm.barrier();
             pmem.munmap().unwrap();
-        });
-    }
+            comm.now()
+        })
+    };
+    assert_eq!(
+        run(SchedMode::Deterministic),
+        run(SchedMode::Deterministic),
+        "per-rank virtual times differ across deterministic runs"
+    );
+    run(SchedMode::FreeThreaded);
 }
 
 /// The figure-7 read cell is bit-reproducible with the shadow index and
