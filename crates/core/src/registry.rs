@@ -8,8 +8,8 @@
 //! pool; later arrivals receive the same handles.
 
 use crate::error::Result;
-use parking_lot::Mutex;
 use pmdk_sim::{PersistentHashtable, PmemPool};
+use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, PmemDevice};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};

@@ -27,8 +27,8 @@ use crate::layout::{
     ReserveRequest,
 };
 use crate::registry::SharedPool;
-use parking_lot::Mutex;
 use pmdk_sim::{PersistentLog, PmdkError};
+use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, Machine, CKPT_LANE};
 use pserial::io::{get_str, get_u32, get_u64, get_u8, put_str, put_u32, put_u64, put_u8};
 use pserial::{Datatype, ReadSource, Serializer, SliceSource, VarHeader, VarMeta};

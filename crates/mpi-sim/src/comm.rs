@@ -11,7 +11,7 @@
 
 use crate::sched::{SchedMode, Scheduler};
 use parking_lot::{Condvar, Mutex};
-use pmem_sim::{Clock, ClockGate, Machine, SimTime};
+use pmem_sim::{Clock, Machine, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -82,6 +82,12 @@ impl World {
         self.sched.as_ref()
     }
 
+    /// How often the execution token has moved between ranks so far (zero
+    /// in a free-threaded world): the host-side price of determinism.
+    pub fn handoffs(&self) -> u64 {
+        self.sched.as_ref().map_or(0, |s| s.handoffs())
+    }
+
     /// Mark the world dead (a rank panicked) and wake every blocked
     /// receiver. The first message wins; later panics are usually the
     /// secondary "world poisoned" ones from woken peers.
@@ -136,10 +142,6 @@ impl Comm {
         assert!(rank < world.size());
         // Each rank's clock reports trace spans on its own lane.
         let clock = Arc::new(Clock::with_lane(rank as u64));
-        if let Some(sched) = world.scheduler() {
-            // Every charge on this clock becomes a scheduler yield point.
-            clock.set_gate(Arc::clone(sched) as Arc<dyn ClockGate>, rank);
-        }
         Comm { world, rank, clock }
     }
 
@@ -181,6 +183,8 @@ impl Comm {
             .machine()
             .charge_message(&self.clock, data.len() as u64);
         let mbox = &self.world.mailboxes[dest];
+        // The mailbox is rank-shared: every earlier rank goes first.
+        pmem_sim::interaction_point();
         {
             let mut queues = mbox.queues.lock();
             queues
@@ -205,12 +209,18 @@ impl Comm {
             // Deterministic mode: park on the scheduler, not the mailbox.
             // While this rank holds the token no sender can run, so the
             // check-then-block sequence cannot lose a wakeup.
-            Some(sched) => loop {
-                if let Some(msg) = self.try_pop(src, tag) {
-                    break msg;
+            Some(sched) => {
+                // Looking into the mailbox (and parking on it) is an
+                // interaction: take the owed yield first. Nothing below
+                // charges before the message is popped.
+                pmem_sim::interaction_point();
+                loop {
+                    if let Some(msg) = self.try_pop(src, tag) {
+                        break msg;
+                    }
+                    sched.block_on_recv(self.rank);
                 }
-                sched.block_on_recv(self.rank);
-            },
+            }
             // Free-threaded mode: the classic condvar wait.
             None => {
                 let mut queues = mbox.queues.lock();
@@ -224,8 +234,7 @@ impl Comm {
             }
         };
         // Virtual time: the message cannot be consumed before it was
-        // delivered. (Charged with no locks held — the advance is a yield
-        // point.) The jump is a wait, not work: it keeps its own label.
+        // delivered. The jump is a wait, not work: it keeps its own label.
         self.machine()
             .charge_wait(&self.clock, delivery, "mpi.wait");
         span.set_arg("bytes", data.len() as u64);

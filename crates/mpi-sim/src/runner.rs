@@ -2,7 +2,7 @@
 
 use crate::comm::{Comm, World};
 use crate::sched::SchedMode;
-use pmem_sim::{Machine, SimTime};
+use pmem_sim::{ClockGate, Machine, SimTime};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -38,12 +38,18 @@ where
                 .stack_size(4 << 20)
                 .spawn(move || {
                     match catch_unwind(AssertUnwindSafe(|| {
-                        // Under the deterministic scheduler a rank may not
-                        // touch shared state before its first turn.
-                        if let Some(sched) = world.scheduler() {
+                        let comm = Comm::new(Arc::clone(&world), rank);
+                        // Under the deterministic scheduler this thread is
+                        // the rank (its owed yields go to the scheduler; the
+                        // registration ends on return and on unwind), and it
+                        // may not touch shared state before its first turn.
+                        let _turn = world.scheduler().map(|sched| {
+                            let gate = Arc::clone(sched) as Arc<dyn ClockGate>;
+                            let turn = pmem_sim::enter_rank(gate, rank, comm.clock_arc());
                             sched.start(rank);
-                        }
-                        let out = body(Comm::new(Arc::clone(&world), rank));
+                            turn
+                        });
+                        let out = body(comm);
                         if let Some(sched) = world.scheduler() {
                             sched.finish(rank);
                         }
@@ -176,6 +182,101 @@ mod tests {
             comm.rank()
         });
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    /// Run `body` on 8 deterministic ranks; returns the world's hand-offs.
+    fn handoffs_of(body: impl Fn(&Comm) + Send + Sync + 'static) -> u64 {
+        let worlds = run_world(Machine::chameleon(), 8, move |comm| {
+            body(&comm);
+            Arc::clone(comm.world())
+        });
+        worlds[0].handoffs()
+    }
+
+    #[test]
+    fn charges_alone_hand_the_token_over_only_at_finish() {
+        let handoffs = handoffs_of(|comm| {
+            for _ in 0..1_000 {
+                comm.machine().charge_syscall(comm.clock());
+            }
+        });
+        // Each rank runs start to finish on its first turn: seven finishes
+        // pass the token on, the last one has nobody left.
+        assert_eq!(handoffs, 7);
+    }
+
+    #[test]
+    fn a_section_costs_at_most_one_handoff() {
+        let handoffs = handoffs_of(|comm| {
+            for _ in 0..100 {
+                for _ in 0..10 {
+                    comm.machine().charge_syscall(comm.clock());
+                }
+                let _atomic = pmem_sim::atomic_section();
+                // Charges inside owe nothing; the exit is not a point.
+                comm.machine().charge_syscall(comm.clock());
+            }
+        });
+        assert!(
+            (8 * 50..=8 * 100 + 7).contains(&handoffs),
+            "{handoffs} hand-offs for 800 sections"
+        );
+    }
+
+    #[test]
+    fn shared_events_happen_in_virtual_time_then_rank_order() {
+        use pmem_sim::sync::Mutex;
+        // Every rank mixes private charges of seeded random sizes with the
+        // three kinds of interaction (section entry, rank-shared lock,
+        // send/recv round the ring) and logs (now, rank) at each section or
+        // lock. All ranks draw the same kind at a step, so the ring closes.
+        let run = || {
+            let log = Arc::new(Mutex::new(Vec::<(u64, usize)>::new()));
+            let shared = Arc::clone(&log);
+            let ends = run_world(Machine::chameleon(), 8, move |comm| {
+                let mut rng = pmem_sim::DetRng::new(comm.rank() as u64);
+                let mut kinds = pmem_sim::DetRng::new(99);
+                let charge = |n: u64| {
+                    let dt = SimTime::from_nanos(n);
+                    comm.machine()
+                        .charge_compute_labeled(comm.clock(), dt, "work");
+                };
+                let next = (comm.rank() + 1) % comm.size();
+                let prev = (comm.rank() + comm.size() - 1) % comm.size();
+                for step in 0..200u64 {
+                    // At least one, so the time logged below is the time the
+                    // point publishes (a charge made inside a section moves
+                    // the clock without being published until the next
+                    // charge outside one).
+                    for _ in 0..1 + rng.index(3) {
+                        charge(rng.gen_range(1, 5_000));
+                    }
+                    match kinds.index(4) {
+                        0 => {
+                            let _atomic = pmem_sim::atomic_section();
+                            shared.lock().push((comm.now().as_nanos(), comm.rank()));
+                            charge(rng.gen_range(1, 500)); // owes nothing
+                        }
+                        1 => shared.lock().push((comm.now().as_nanos(), comm.rank())),
+                        2 => {
+                            comm.send(next, step, &[0u8; 16]);
+                            comm.recv(prev, step);
+                        }
+                        _ => {}
+                    }
+                    if step % 16 == 15 {
+                        comm.barrier();
+                    }
+                }
+                comm.now()
+            });
+            let log = std::mem::take(&mut *log.lock());
+            (log, ends)
+        };
+        let (log, ends) = run();
+        assert!(log.len() > 400, "only {} shared events", log.len());
+        assert!(log.is_sorted(), "shared events out of (time, rank) order");
+        assert_eq!((log, ends), run(), "two runs differ");
     }
 
     #[test]

@@ -5,12 +5,23 @@
 //! span order varied run to run even though every *cost* was virtual. The
 //! [`Scheduler`] removes the host from the picture: rank threads take turns,
 //! and the next turn always goes to the runnable rank with the **lowest
-//! virtual clock** (rank id breaks ties). Ranks hand the token back at every
-//! charge point — the [`pmem_sim::ClockGate`] hook fires on every clock
-//! advance — and whenever they block in `recv`, so the
-//! whole multi-rank job becomes one deterministic sequential program. The
-//! same machine, the same configuration, any host core count: bit-identical
-//! results.
+//! virtual clock** (rank id breaks ties), so the whole multi-rank job becomes
+//! one deterministic sequential program. The same machine, the same
+//! configuration, any host core count: bit-identical results.
+//!
+//! **Deferred yields.** A charge does not reach the scheduler: it only marks
+//! the rank's clock *yield owed*. The rank hands the token back — publishing
+//! its clock and letting every earlier runnable rank go first — at its next
+//! *interaction point*, the next moment it can observe or change state
+//! another rank can see: an outermost [`pmem_sim::atomic_section`] entry, a
+//! [`pmem_sim::sync::Mutex`] acquisition, an explicit
+//! [`pmem_sim::interaction_point`] (a lock-free read of a shared word, the
+//! mailbox in `send`/`recv`), or parking in `recv`. Between the charge and
+//! that point the rank touches nothing shared, so moving the yield there
+//! commutes with everything other ranks do: shared events still happen in
+//! (virtual time at the event, rank id) order, at a token hand-off per
+//! interaction instead of one per charge. A rank that owes nothing does not
+//! consult the scheduler.
 //!
 //! [`SchedMode::FreeThreaded`] keeps the old behaviour (real OS threads
 //! racing) for tests that deliberately exercise host concurrency.
@@ -42,7 +53,7 @@ enum Status {
 
 #[derive(Debug)]
 struct SchedState {
-    /// Each rank's last reported virtual time, in nanoseconds.
+    /// Each rank's last published virtual time, in nanoseconds.
     times: Vec<u64>,
     status: Vec<Status>,
     /// The rank currently holding the execution token, if any.
@@ -50,6 +61,8 @@ struct SchedState {
     /// First fatal error (rank panic or detected deadlock). Every parked
     /// rank wakes and re-panics with this message.
     poison: Option<String>,
+    /// Times the token moved from one rank to another.
+    handoffs: u64,
 }
 
 /// The cooperative rank scheduler (one per deterministic [`crate::World`]).
@@ -72,6 +85,7 @@ impl Scheduler {
                 // t=0 and the rank id breaks the tie.
                 current: Some(0),
                 poison: None,
+                handoffs: 0,
             }),
             cvs: (0..size).map(|_| Condvar::new()).collect(),
         }
@@ -106,6 +120,7 @@ impl Scheduler {
     /// Hand the token to `next` (which must differ from the caller's rank).
     fn hand_to(&self, st: &mut SchedState, next: usize) {
         st.current = Some(next);
+        st.handoffs += 1;
         self.cvs[next].notify_one();
     }
 
@@ -129,6 +144,11 @@ impl Scheduler {
         }
     }
 
+    /// Token hand-offs so far (each one is a condvar wake-up plus a park).
+    pub fn handoffs(&self) -> u64 {
+        self.state.lock().handoffs
+    }
+
     /// A send made `dest`'s mailbox non-empty: a rank parked in `recv`
     /// becomes runnable again (it actually resumes at the sender's next
     /// yield, when the virtual-time order says so).
@@ -141,7 +161,9 @@ impl Scheduler {
 
     /// Called by `recv` when the mailbox is empty: give up the token and
     /// park until a sender unblocks this rank *and* the turn order comes
-    /// back around. The caller re-checks its mailbox afterwards (a wakeup
+    /// back around. The caller took its owed yield before looking at the
+    /// mailbox, so the time this rank is ordered by when it wakes is already
+    /// published. The caller re-checks its mailbox afterwards (a wakeup
     /// may be for a different (src, tag) than the one awaited).
     pub fn block_on_recv(&self, rank: usize) {
         let mut st = self.state.lock();
@@ -188,16 +210,17 @@ impl Scheduler {
 }
 
 impl ClockGate for Scheduler {
-    /// The yield point: `rank` charged its clock up to `now`. Record the new
-    /// time, hand the token to whichever runnable rank is now earliest, and
-    /// if that is someone else, park until it comes back around.
-    fn charged(&self, rank: usize, now: SimTime) {
+    /// The yield: `rank` reached an interaction point owing one, its clock at
+    /// `now`. Publish the time, hand the token to whichever runnable rank is
+    /// now earliest, and if that is someone else, park until it comes back
+    /// around.
+    fn yield_now(&self, rank: usize, now: SimTime) {
         let mut st = self.state.lock();
         Self::check_poison(&st);
         let t = &mut st.times[rank];
         *t = (*t).max(now.as_nanos());
         let next =
-            Self::pick_next(&st).expect("the charging rank is runnable, so a runnable rank exists");
+            Self::pick_next(&st).expect("the yielding rank is runnable, so a runnable rank exists");
         if next != rank {
             self.hand_to(&mut st, next);
             self.wait_for_token(rank, &mut st);
@@ -216,6 +239,7 @@ mod tests {
             status: vec![Status::Runnable; 4],
             current: None,
             poison: None,
+            handoffs: 0,
         };
         assert_eq!(Scheduler::pick_next(&st), Some(1));
     }
@@ -227,6 +251,7 @@ mod tests {
             status: vec![Status::Done, Status::Blocked, Status::Runnable],
             current: None,
             poison: None,
+            handoffs: 0,
         };
         assert_eq!(Scheduler::pick_next(&st), Some(2));
     }

@@ -59,8 +59,8 @@
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
-use parking_lot::Mutex;
 use pmem_sim::flight::EventCode;
+use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -92,7 +92,7 @@ pub fn fnv1a(key: &[u8]) -> u64 {
 /// One stripe's slice of the volatile shadow index: key → value location,
 /// write-through on every put/remove.
 type Shadow = HashMap<Vec<u8>, ValueRef>;
-type StripeGuard<'a> = parking_lot::MutexGuard<'a, Shadow>;
+type StripeGuard<'a> = pmem_sim::sync::MutexGuard<'a, Shadow>;
 
 /// Per-stripe runtime state (volatile; rebuilt on open).
 struct Stripe {
@@ -380,6 +380,9 @@ impl PersistentHashtable {
     /// count since the last fold — a read-only session stays at zero
     /// pool transactions. Call at munmap/checkpoint boundaries.
     pub fn quiesce(&self, clock: &Clock) -> Result<()> {
+        // A lock-free read of a word other ranks set: every earlier rank
+        // goes first.
+        pmem_sim::interaction_point();
         if !self.count_dirty.load(Ordering::Acquire) {
             return Ok(());
         }

@@ -566,16 +566,60 @@ pub const LOG_HDR_LEN: u64 = 24;
 pub const REC_HDR: u64 = 8; // len u32 + crc u32
 pub const WRAP: u32 = u32::MAX;
 
-/// CRC-32 (IEEE, bitwise) — small and dependency-free; the log's records
-/// carry it so recovery can reject torn bytes defensively.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// One step of the reflected CRC-32 polynomial `0xEDB8_8320` per input bit.
+const fn crc32_byte(mut crc: u32) -> u32 {
+    let mut bit = 0;
+    while bit < 8 {
+        let mask = (crc & 1).wrapping_neg();
+        crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        bit += 1;
+    }
+    crc
+}
+
+/// Slice-by-8 tables: `CRC_TABLES[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        t[0][b] = crc32_byte(b as u32);
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
         }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE: reflected polynomial `0xEDB8_8320`, init and final XOR
+/// `0xFFFF_FFFF`), eight bytes per step — small and dependency-free; the
+/// log's records carry it so recovery can reject torn bytes defensively.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -598,12 +642,19 @@ pub fn log_capacity<B: Bytes>(src: &B, header: u64, ring: u64) -> Result<u64> {
 pub fn log_pointers<B: Bytes>(src: &B, header: u64, capacity: u64) -> Result<(u64, u64)> {
     let head = src.u64_at(header + LOG_HEAD);
     let tail = src.u64_at(header + LOG_TAIL);
+    check_log_pointers(head, tail, capacity)?;
+    Ok((head, tail))
+}
+
+/// The plausibility rule of [`log_pointers`], for a caller that fetches the
+/// two words itself.
+pub fn check_log_pointers(head: u64, tail: u64, capacity: u64) -> Result<()> {
     if head > capacity || tail > capacity {
         return bad(format!(
             "log pointers outside ring: head {head} tail {tail} capacity {capacity}"
         ));
     }
-    Ok((head, tail))
+    Ok(())
 }
 
 /// One committed record: ring-relative offset of its header + body length.
@@ -672,6 +723,28 @@ pub fn walk_ring<B: Bytes>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bit-at-a-time definition the tables are built from.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        !data
+            .iter()
+            .fold(0xFFFF_FFFFu32, |crc, &b| crc32_byte(crc ^ b as u32))
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_and_the_ieee_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let mut rng = pmem_sim::DetRng::new(17);
+        // Every tail length 0..8 at both ends of the range, then random ones.
+        let lens = (0..=17).chain(4088..=4096).collect::<Vec<u64>>();
+        let random: Vec<u64> = (0..200).map(|_| rng.gen_range(0, 4097)).collect();
+        for len in lens.into_iter().chain(random) {
+            let mut data = vec![0u8; len as usize];
+            rng.fill_bytes(&mut data);
+            assert_eq!(crc32(&data), crc32_bitwise(&data), "length {len}");
+        }
+    }
 
     #[test]
     fn layout_regions_do_not_overlap() {

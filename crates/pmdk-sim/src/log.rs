@@ -15,8 +15,8 @@
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
-use parking_lot::Mutex;
 use pmem_sim::flight::EventCode;
+use pmem_sim::sync::Mutex;
 use pmem_sim::Clock;
 use std::sync::Arc;
 
@@ -72,8 +72,18 @@ impl PersistentLog {
     }
 
     /// Bytes currently used (records + headers, including wrap slack).
+    ///
+    /// Lock-free, and the two words are read at two instants: the head, then
+    /// — after the charge for that read, once every rank earlier than it has
+    /// run — the tail. That is the order the charges always implied; reading
+    /// both at one instant moves the write-behind storm's virtual time.
     pub fn used(&self, clock: &Clock) -> Result<u64> {
-        let (head, tail) = log_pointers(&self.pool.charged(clock), self.header, self.capacity)?;
+        let src = self.pool.charged(clock);
+        pmem_sim::interaction_point();
+        let head = src.u64_at(self.header + LOG_HEAD);
+        pmem_sim::interaction_point();
+        let tail = src.u64_at(self.header + LOG_TAIL);
+        check_log_pointers(head, tail, self.capacity)?;
         Ok(if tail >= head {
             tail - head
         } else {

@@ -4,9 +4,9 @@ use crate::alloc::Heap;
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::tx::{LaneTable, Tx};
-use parking_lot::Mutex;
 use pmem_sim::flight::EventCode;
 use pmem_sim::profile::{self, FlushStrategy};
+use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, FlightRecorder, PmemDevice};
 use std::collections::HashMap;
 use std::sync::Arc;

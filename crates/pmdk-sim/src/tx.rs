@@ -21,8 +21,8 @@
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
-use parking_lot::Mutex;
 use pmem_sim::flight::EventCode;
+use pmem_sim::sync::Mutex;
 use pmem_sim::Clock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

@@ -30,8 +30,8 @@
 //! offset or charge-accounted byte count.
 
 use crate::device::PmemDevice;
+use crate::sync::Mutex;
 use crate::time::Clock;
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// Ring header magic ("FLTREC01").

@@ -41,6 +41,7 @@ pub mod persistence;
 pub mod profile;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod time;
 pub mod trace;
 
@@ -53,7 +54,10 @@ pub use mmap::DaxMapping;
 pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
 pub use rng::DetRng;
 pub use stats::{Stats, StatsSnapshot};
-pub use time::{atomic_section, in_atomic_section, AtomicSection, Clock, ClockGate, SimTime};
+pub use time::{
+    atomic_section, enter_rank, in_atomic_section, interaction_point, AtomicSection, Clock,
+    ClockGate, RankGuard, SimTime,
+};
 pub use trace::{
     chrome_trace_json, CollectingSink, TraceSpan, TraceSummary, CKPT_LANE, DRAIN_LANE,
 };

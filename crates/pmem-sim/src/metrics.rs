@@ -21,9 +21,9 @@
 //! deterministic scheduler the registry's JSON export is bit-reproducible
 //! run to run.
 
+use crate::sync::NoYieldMutex;
 use crate::time::SimTime;
 use crate::trace::json_escape;
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -126,7 +126,11 @@ struct Inner {
 /// wait is host time, which the model never observes).
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
+    /// Not a scheduler interaction point: every update is a commutative sum
+    /// keyed by lane or name, so the order ranks arrive in is unobservable.
+    /// As a point it would put a token hand-off back on every charge of
+    /// every metered run.
+    inner: NoYieldMutex<Inner>,
 }
 
 impl MetricsRegistry {

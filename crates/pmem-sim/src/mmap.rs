@@ -15,8 +15,8 @@
 //! landing in the same mapping).
 
 use crate::device::PmemDevice;
+use crate::sync::NoYieldMutex;
 use crate::time::Clock;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -58,8 +58,12 @@ pub struct DaxMapping {
     len: usize,
     map_sync: bool,
     touched: PageBitmap,
-    /// Guards against concurrent remap/unmap bookkeeping (not data).
-    state: Mutex<MapState>,
+    /// Guards against concurrent remap/unmap bookkeeping (not data). Not a
+    /// scheduler interaction point: each rank maps its own `DaxMapping`, and
+    /// the state is checked on every mapped access, i.e. right after almost
+    /// every charge — as a point it makes the deferred yield as expensive
+    /// as a yield per charge.
+    state: NoYieldMutex<MapState>,
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -91,7 +95,7 @@ impl DaxMapping {
             base,
             len,
             map_sync,
-            state: Mutex::new(MapState::Mapped),
+            state: NoYieldMutex::new(MapState::Mapped),
         })
     }
 
@@ -208,8 +212,7 @@ impl DaxMapping {
             assert!(*st == MapState::Mapped, "double munmap");
             *st = MapState::Unmapped;
         }
-        // Charge outside the state lock so a scheduler yield here cannot
-        // park us while holding it.
+        // Charge outside the state lock.
         self.device.machine().charge_syscall(clock);
     }
 }

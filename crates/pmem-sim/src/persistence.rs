@@ -13,7 +13,7 @@
 //! use `Fast` (no shadow) since they never crash.
 
 use crate::buffer::SharedBuffer;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub const CACHELINE: usize = 64;
@@ -37,35 +37,57 @@ impl DirtyBitmap {
         self.lines
     }
 
-    /// Mark every line overlapping `[off, off+len)` dirty.
+    /// Mark every line overlapping `[off, off+len)` dirty: one atomic per
+    /// 64-line word.
     pub fn mark_range(&self, off: usize, len: usize) {
         if len == 0 {
             return;
         }
         let first = off / CACHELINE;
         let last = (off + len - 1) / CACHELINE;
-        for line in first..=last {
-            self.words[line / 64].fetch_or(1 << (line % 64), Ordering::Relaxed);
+        for (word, mask) in word_masks(first, last) {
+            self.words[word].fetch_or(mask, Ordering::Relaxed);
         }
     }
 
-    /// Clear and report the dirty lines overlapping `[off, off+len)`.
-    /// Returns the line indices that were dirty.
-    pub fn take_range(&self, off: usize, len: usize) -> Vec<usize> {
+    /// Clear the dirty lines overlapping `[off, off+len)`, one atomic per
+    /// 64-line word, handing each maximal run of consecutive dirty lines to
+    /// `run(first line, line count)` in ascending order. Returns how many
+    /// lines were dirty.
+    pub fn take_range(&self, off: usize, len: usize, mut run: impl FnMut(usize, usize)) -> usize {
         if len == 0 {
-            return vec![];
+            return 0;
         }
         let first = off / CACHELINE;
         let last = ((off + len - 1) / CACHELINE).min(self.lines.saturating_sub(1));
-        let mut out = vec![];
-        for line in first..=last {
-            let mask = 1u64 << (line % 64);
-            let prev = self.words[line / 64].fetch_and(!mask, Ordering::Relaxed);
-            if prev & mask != 0 {
-                out.push(line);
+        if first > last {
+            return 0;
+        }
+        let mut taken = 0;
+        // The run still open at the end of the previous word: (start, count).
+        let mut open: Option<(usize, usize)> = None;
+        for (word, mask) in word_masks(first, last) {
+            let mut bits = self.words[word].fetch_and(!mask, Ordering::Relaxed) & mask;
+            taken += bits.count_ones() as usize;
+            while bits != 0 {
+                let lo = bits.trailing_zeros() as usize;
+                let n = (bits >> lo).trailing_ones() as usize;
+                bits &= u64::MAX.checked_shl((lo + n) as u32).unwrap_or(0);
+                let start = word * 64 + lo;
+                match &mut open {
+                    Some((s, count)) if *s + *count == start => *count += n,
+                    _ => {
+                        if let Some((s, count)) = open.replace((start, n)) {
+                            run(s, count);
+                        }
+                    }
+                }
             }
         }
-        out
+        if let Some((s, count)) = open {
+            run(s, count);
+        }
+        taken
     }
 
     pub fn is_dirty(&self, line: usize) -> bool {
@@ -84,6 +106,16 @@ impl DirtyBitmap {
             w.store(0, Ordering::Relaxed);
         }
     }
+}
+
+/// The bitmap words that lines `first..=last` touch, each with the mask of
+/// those lines inside it.
+fn word_masks(first: usize, last: usize) -> impl Iterator<Item = (usize, u64)> {
+    (first / 64..=last / 64).map(move |word| {
+        let lo = if word == first / 64 { first % 64 } else { 0 };
+        let hi = if word == last / 64 { last % 64 } else { 63 };
+        (word, (u64::MAX >> (63 - hi)) & (u64::MAX << lo))
+    })
 }
 
 /// Shadow-copy persistence tracker.
@@ -110,16 +142,15 @@ impl PersistenceTracker {
     }
 
     /// Persist the dirty lines of `[off, off+len)`: copy them from `working`
-    /// into the shadow. Returns the number of lines persisted.
+    /// into the shadow, one copy per run of consecutive dirty lines. Returns
+    /// the number of lines persisted.
     pub fn flush(&self, working: &SharedBuffer, off: usize, len: usize) -> usize {
         let _g = self.flush_lock.lock();
-        let lines = self.dirty.take_range(off, len);
-        for &line in &lines {
+        self.dirty.take_range(off, len, |line, count| {
             let start = line * CACHELINE;
-            let end = (start + CACHELINE).min(working.len());
+            let end = (start + count * CACHELINE).min(working.len());
             self.shadow.copy_from(start, working, start, end - start);
-        }
-        lines.len()
+        })
     }
 
     /// Simulated power failure: restore the working buffer from the durable
@@ -139,6 +170,21 @@ impl PersistenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
+
+    /// `take_range` as (runs, lines the runs cover); checks the runs are
+    /// maximal (ascending, never adjacent) and add up to the return value.
+    fn take(bm: &DirtyBitmap, off: usize, len: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+        let mut runs = vec![];
+        let taken = bm.take_range(off, len, |line, count| runs.push((line, count)));
+        assert!(
+            runs.windows(2).all(|w| w[0].0 + w[0].1 < w[1].0),
+            "{runs:?}"
+        );
+        let lines: Vec<usize> = runs.iter().flat_map(|&(l, n)| l..l + n).collect();
+        assert_eq!(taken, lines.len());
+        (runs, lines)
+    }
 
     #[test]
     fn bitmap_marks_and_takes_line_spans() {
@@ -147,8 +193,7 @@ mod tests {
         assert!(bm.is_dirty(0));
         assert!(bm.is_dirty(1));
         assert!(!bm.is_dirty(2));
-        let taken = bm.take_range(0, 1024);
-        assert_eq!(taken, vec![0, 1]);
+        assert_eq!(take(&bm, 0, 1024).1, vec![0, 1]);
         assert_eq!(bm.count_dirty(), 0);
     }
 
@@ -157,8 +202,7 @@ mod tests {
         let bm = DirtyBitmap::new(4096);
         bm.mark_range(0, 64);
         bm.mark_range(2048, 64);
-        let taken = bm.take_range(0, 64);
-        assert_eq!(taken, vec![0]);
+        assert_eq!(take(&bm, 0, 64).1, vec![0]);
         assert!(bm.is_dirty(32)); // line at byte 2048 untouched
     }
 
@@ -167,7 +211,88 @@ mod tests {
         let bm = DirtyBitmap::new(1024);
         bm.mark_range(100, 0);
         assert_eq!(bm.count_dirty(), 0);
-        assert!(bm.take_range(0, 0).is_empty());
+        assert!(take(&bm, 0, 0).1.is_empty());
+    }
+
+    #[test]
+    fn bitmap_runs_cross_word_boundaries() {
+        // 200 lines: words 0..=3, the last one partial.
+        let bm = DirtyBitmap::new(200 * CACHELINE);
+        // Lines 60..=130 span three words and come back as one run.
+        bm.mark_range(60 * CACHELINE, 71 * CACHELINE);
+        assert_eq!(bm.count_dirty(), 71);
+        assert!(!bm.is_dirty(59) && bm.is_dirty(60) && bm.is_dirty(130) && !bm.is_dirty(131));
+        // A take that starts and ends mid-word leaves both flanks dirty.
+        assert_eq!(take(&bm, 63 * CACHELINE, 66 * CACHELINE).0, vec![(63, 66)]);
+        assert_eq!(take(&bm, 0, 200 * CACHELINE).0, vec![(60, 3), (129, 2)]);
+        // Exactly one whole word, and a range running past the last line.
+        bm.mark_range(64 * CACHELINE, 64 * CACHELINE);
+        bm.mark_range(199 * CACHELINE, CACHELINE);
+        assert_eq!(
+            take(&bm, 0, 1 << 20).0,
+            vec![(64, 64), (199, 1)],
+            "take clamps to the bitmap"
+        );
+        assert_eq!(bm.count_dirty(), 0);
+    }
+
+    #[test]
+    fn bitmap_takes_only_the_dirty_part_of_a_range() {
+        let bm = DirtyBitmap::new(256 * CACHELINE);
+        for line in [3, 4, 5, 63, 64, 100, 127, 128, 129, 200] {
+            bm.mark_range(line * CACHELINE, 1);
+        }
+        let (runs, _) = take(&bm, 4 * CACHELINE, 125 * CACHELINE); // lines 4..=128
+        assert_eq!(runs, vec![(4, 2), (63, 2), (100, 1), (127, 2)]);
+        assert_eq!(take(&bm, 0, 256 * CACHELINE).1, vec![3, 129, 200]);
+    }
+
+    #[test]
+    fn bitmap_matches_a_per_line_model_on_random_sequences() {
+        const LINES: usize = 300; // a partial last word
+        for seed in 0..8 {
+            let mut rng = DetRng::new(seed);
+            let bm = DirtyBitmap::new(LINES * CACHELINE - 17);
+            let mut model = [false; LINES];
+            for _ in 0..400 {
+                let off = rng.index(LINES * CACHELINE - 17);
+                let len = rng.index((LINES * CACHELINE - 17 - off).min(40 * CACHELINE) + 1);
+                let lines = if len == 0 {
+                    0..0
+                } else {
+                    off / CACHELINE..(off + len - 1) / CACHELINE + 1
+                };
+                if rng.index(3) > 0 {
+                    bm.mark_range(off, len);
+                    model[lines].fill(true);
+                } else {
+                    let expect: Vec<usize> = lines.clone().filter(|&l| model[l]).collect();
+                    assert_eq!(take(&bm, off, len).1, expect, "seed {seed}");
+                    model[lines].fill(false);
+                }
+                let dirty = model.iter().filter(|&&d| d).count();
+                assert_eq!(bm.count_dirty(), dirty, "seed {seed}");
+            }
+            assert!((0..LINES).all(|l| bm.is_dirty(l) == model[l]));
+        }
+    }
+
+    #[test]
+    fn flush_copies_whole_runs_and_the_short_last_line() {
+        // 1000 bytes: the last line holds 40 bytes.
+        let working = SharedBuffer::new(1000);
+        let t = PersistenceTracker::new(1000);
+        let bytes: Vec<u8> = (0..1000).map(|i| (i % 251) as u8 + 1).collect();
+        working.write(0, &bytes);
+        t.record_write(0, 128);
+        t.record_write(900, 100);
+        assert_eq!(t.flush(&working, 0, 1000), 4); // lines 0, 1, 14, 15
+        working.zero(0, 1000);
+        t.crash_restore(&working);
+        let back = working.read_vec(0, 1000);
+        assert_eq!(back[..128], bytes[..128]);
+        assert!(back[128..896].iter().all(|&b| b == 0));
+        assert_eq!(back[896..], bytes[896..]);
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! wall-clock time never enters the model, which makes every experiment
 //! deterministic and independent of the host machine.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::iter::Sum;
 use std::marker::PhantomData;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A point in (or span of) virtual time, in nanoseconds.
 ///
@@ -160,29 +160,95 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Observer invoked after every charge on a *gated* clock.
+/// The cooperative scheduler's yield hook (see `mpi-sim`).
 ///
-/// This is the hook a cooperative scheduler (see `mpi-sim`) installs to turn
-/// every virtual-time charge into a potential yield point: the implementation
-/// may park the calling thread until it is that rank's turn to run again.
-/// Clocks without a gate (background clocks, unit tests) never call it.
+/// A charge never calls it. A charge on a *gated* clock — the clock of a rank
+/// thread registered with [`enter_rank`] — outside an [`atomic_section`] only
+/// marks the clock *yield owed*; the owed yield is taken at the rank's next
+/// [`interaction_point`], the next moment it can observe or change state
+/// another rank can see. Between the charge and that point the rank touches
+/// nothing shared, so every shared event still happens in (virtual time at
+/// the event, rank id) order. Clocks that are not gated (background clocks,
+/// single-rank handles, unit tests) never owe anything.
 pub trait ClockGate: Send + Sync + fmt::Debug {
-    /// The rank owning the clock just advanced it to `now`.
-    fn charged(&self, rank: usize, now: SimTime);
+    /// `rank` reached an interaction point owing a yield, its clock reading
+    /// `now`. The implementation may park the calling thread until it is
+    /// that rank's turn to run again.
+    fn yield_now(&self, rank: usize, now: SimTime);
+}
+
+/// What a rank thread registers: where its owed yield goes.
+struct RankTurn {
+    gate: Arc<dyn ClockGate>,
+    rank: usize,
+    clock: Arc<Clock>,
 }
 
 thread_local! {
     /// Depth of nested [`atomic_section`]s on this thread. While non-zero,
-    /// gated clocks on this thread charge without yielding.
+    /// charges on this thread owe no yield.
     static ATOMIC_DEPTH: Cell<u32> = const { Cell::new(0) };
+    /// The rank this thread runs, if a scheduler registered one: how
+    /// [`atomic_section`] and [`crate::sync::Mutex`], neither of which sees
+    /// a clock, find the owed flag.
+    static RANK_TURN: RefCell<Option<RankTurn>> = const { RefCell::new(None) };
+}
+
+/// RAII registration of the current thread as a scheduled rank; see
+/// [`enter_rank`]. Dropping it (return or unwind) clears the registration.
+#[must_use = "the thread stops being a scheduled rank when this guard is dropped"]
+#[derive(Debug)]
+pub struct RankGuard {
+    _not_send: PhantomData<*const ()>,
+}
+
+/// Register the current thread as `rank` of a cooperatively scheduled job:
+/// `clock` becomes gated (its charges mark a yield owed) and every
+/// [`interaction_point`] on this thread hands an owed yield to `gate`.
+pub fn enter_rank(gate: Arc<dyn ClockGate>, rank: usize, clock: Arc<Clock>) -> RankGuard {
+    clock.gated.store(true, Ordering::Relaxed);
+    let prev = RANK_TURN.with(|t| t.borrow_mut().replace(RankTurn { gate, rank, clock }));
+    assert!(prev.is_none(), "thread already runs a scheduled rank");
+    RankGuard {
+        _not_send: PhantomData,
+    }
+}
+
+impl Drop for RankGuard {
+    fn drop(&mut self) {
+        RANK_TURN.with(|t| t.borrow_mut().take());
+    }
+}
+
+/// Take the yield this thread's rank owes, if any.
+///
+/// Call it immediately before observing or changing rank-shared state that
+/// no [`atomic_section`] entry and no [`crate::sync::Mutex`] acquisition
+/// already precedes (a lock-free read of a shared word, a mailbox). On a
+/// thread that runs no scheduled rank, or whose rank owes nothing, it does
+/// nothing — in particular inside an atomic section, where nothing is ever
+/// owed (the entry took it and charges inside mark none).
+#[inline]
+pub fn interaction_point() {
+    RANK_TURN.with(|t| {
+        if let Some(turn) = t.borrow().as_ref() {
+            if turn.clock.yield_owed.load(Ordering::Relaxed) {
+                debug_assert!(!in_atomic_section(), "a yield owed inside a section");
+                turn.clock.yield_owed.store(false, Ordering::Relaxed);
+                turn.gate.yield_now(turn.rank, turn.clock.now());
+            }
+        }
+    });
 }
 
 /// RAII marker for a critical section that must not yield to the scheduler.
 ///
 /// Code that charges a clock while holding a host-side lock (hashtable
 /// stripes, the pool heap, filesystem state, ...) opens an atomic section
-/// first; otherwise a cooperative scheduler could park this thread mid-lock
-/// and hand the token to a rank that then blocks on the same lock forever.
+/// *before* taking the lock: entering the outermost section is an
+/// [`interaction_point`], and charges made inside owe no yield, so a
+/// cooperative scheduler never parks this thread mid-lock and hands the
+/// token to a rank that then blocks on the same lock forever.
 /// Sections nest, and the handle is deliberately `!Send` — it marks a region
 /// of *this thread's* call stack.
 #[must_use = "the section ends when this guard is dropped"]
@@ -191,8 +257,10 @@ pub struct AtomicSection {
     _not_send: PhantomData<*const ()>,
 }
 
-/// Open an [`AtomicSection`] on the current thread.
+/// Open an [`AtomicSection`] on the current thread. (Only the outermost
+/// entry can find a yield owed; nested ones take nothing.)
 pub fn atomic_section() -> AtomicSection {
+    interaction_point();
     ATOMIC_DEPTH.with(|d| d.set(d.get() + 1));
     AtomicSection {
         _not_send: PhantomData,
@@ -222,50 +290,30 @@ pub struct Clock {
     /// clocks, reserved ids for background clocks). Purely diagnostic: the
     /// cost model never reads it.
     lane: u64,
-    /// Scheduler hook: `(gate, rank)` notified after every charge. Installed
-    /// at most once, by the communicator that owns this clock.
-    gate: OnceLock<(Arc<dyn ClockGate>, usize)>,
+    /// Set once by [`enter_rank`]: this is a scheduled rank's clock.
+    gated: AtomicBool,
+    /// A charge outside an atomic section happened since the rank's last
+    /// yield; taken at its next [`interaction_point`].
+    yield_owed: AtomicBool,
 }
 
 impl Clock {
     pub fn new() -> Self {
-        Clock {
-            now: AtomicU64::new(0),
-            lane: 0,
-            gate: OnceLock::new(),
-        }
+        Clock::default()
     }
 
     /// A clock whose trace spans land on the given lane.
     pub fn with_lane(lane: u64) -> Self {
         Clock {
-            now: AtomicU64::new(0),
             lane,
-            gate: OnceLock::new(),
+            ..Clock::default()
         }
     }
 
     pub fn starting_at(t: SimTime) -> Self {
         Clock {
             now: AtomicU64::new(t.0),
-            lane: 0,
-            gate: OnceLock::new(),
-        }
-    }
-
-    /// Install a scheduler gate: `gate.charged(rank, now)` runs after every
-    /// subsequent charge (outside atomic sections). At most one gate per
-    /// clock; later calls are ignored.
-    pub fn set_gate(&self, gate: Arc<dyn ClockGate>, rank: usize) {
-        let _ = self.gate.set((gate, rank));
-    }
-
-    #[inline]
-    fn after_charge(&self, now: SimTime) {
-        if let Some((gate, rank)) = self.gate.get() {
-            if !in_atomic_section() {
-                gate.charged(*rank, now);
-            }
+            ..Clock::default()
         }
     }
 
@@ -288,13 +336,10 @@ impl Clock {
     #[inline]
     pub(crate) fn advance(&self, d: SimTime) -> SimTime {
         let now = SimTime(self.now.fetch_add(d.0, Ordering::Relaxed) + d.0);
-        self.after_charge(now);
+        if self.gated.load(Ordering::Relaxed) && !in_atomic_section() {
+            self.yield_owed.store(true, Ordering::Relaxed);
+        }
         now
-    }
-
-    /// Reset to zero (start of a fresh timed region).
-    pub fn reset(&self) {
-        self.now.store(0, Ordering::Relaxed);
     }
 }
 
@@ -343,33 +388,55 @@ mod tests {
     }
 
     impl ClockGate for CountingGate {
-        fn charged(&self, rank: usize, now: SimTime) {
+        fn yield_now(&self, rank: usize, now: SimTime) {
             self.calls.lock().unwrap().push((rank, now));
         }
     }
 
-    #[test]
-    fn gated_clock_reports_every_charge() {
+    fn gated_clock(rank: usize) -> (Arc<CountingGate>, Arc<Clock>, RankGuard) {
         let gate = Arc::new(CountingGate::default());
-        let c = Clock::new();
-        c.set_gate(Arc::clone(&gate) as Arc<dyn ClockGate>, 3);
-        c.advance(SimTime::from_nanos(5));
-        c.advance(SimTime::from_nanos(4));
-        assert_eq!(
-            *gate.calls.lock().unwrap(),
-            vec![(3, SimTime::from_nanos(5)), (3, SimTime::from_nanos(9))]
+        let c = Arc::new(Clock::new());
+        let guard = enter_rank(
+            Arc::clone(&gate) as Arc<dyn ClockGate>,
+            rank,
+            Arc::clone(&c),
         );
+        (gate, c, guard)
     }
 
     #[test]
-    fn atomic_section_suppresses_the_gate() {
-        let gate = Arc::new(CountingGate::default());
-        let c = Clock::new();
-        c.set_gate(Arc::clone(&gate) as Arc<dyn ClockGate>, 0);
+    fn a_charge_marks_the_yield_owed_and_a_point_takes_it_once() {
+        let (gate, c, guard) = gated_clock(3);
+        c.advance(SimTime::from_nanos(5));
+        c.advance(SimTime::from_nanos(4));
+        // Charges alone never reach the scheduler.
+        assert!(gate.calls.lock().unwrap().is_empty());
+        interaction_point();
+        interaction_point(); // nothing owed any more
+        assert_eq!(
+            *gate.calls.lock().unwrap(),
+            vec![(3, SimTime::from_nanos(9))]
+        );
+        // Once the registration is gone a point finds nobody to yield to.
+        c.advance(SimTime::from_nanos(1));
+        drop(guard);
+        interaction_point();
+        assert_eq!(gate.calls.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_section_entry_takes_the_owed_yield_and_charges_inside_owe_nothing() {
+        let (gate, c, _guard) = gated_clock(0);
+        c.advance(SimTime::from_nanos(1));
         {
             let _outer = atomic_section();
+            assert_eq!(
+                *gate.calls.lock().unwrap(),
+                vec![(0, SimTime::from_nanos(1))]
+            );
             c.advance(SimTime::from_nanos(1));
             {
+                // Only the outermost entry is a point.
                 let _inner = atomic_section();
                 c.advance(SimTime::from_nanos(1));
             }
@@ -377,8 +444,8 @@ mod tests {
             assert!(in_atomic_section());
         }
         assert!(!in_atomic_section());
-        assert!(gate.calls.lock().unwrap().is_empty());
-        c.advance(SimTime::from_nanos(1));
+        // The three charges inside left nothing owed.
+        let _next = atomic_section();
         assert_eq!(gate.calls.lock().unwrap().len(), 1);
         // Time advanced normally throughout.
         assert_eq!(c.now(), SimTime::from_nanos(4));

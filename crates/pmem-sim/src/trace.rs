@@ -14,8 +14,8 @@
 //! [`chrome_trace_json`] / [`TraceSummary`] are the two exporters (a Perfetto-loadable Chrome trace with one lane per
 //! rank, and an aggregated percentile table for the benchmark reports).
 
+use crate::sync::NoYieldMutex;
 use crate::time::SimTime;
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -52,7 +52,11 @@ pub struct TraceSpan {
 /// for later export.
 #[derive(Debug, Default)]
 pub struct CollectingSink {
-    spans: Mutex<Vec<TraceSpan>>,
+    /// Not a scheduler interaction point: an observer — every span carries
+    /// its own lane and virtual start, so which rank records first decides
+    /// only the (still run-to-run identical) emission order. As a point it
+    /// would put a token hand-off back on every charge of every traced run.
+    spans: NoYieldMutex<Vec<TraceSpan>>,
 }
 
 impl CollectingSink {

@@ -18,7 +18,7 @@
 use crate::error::{FsError, Result};
 use crate::extents::{Extent, ExtentAllocator};
 use crate::path;
-use parking_lot::Mutex;
+use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, DaxMapping, Machine, PmemDevice};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
