@@ -8,7 +8,6 @@
 //! | [`adios::AdiosLike`] | per-process BP groups | DRAM staging + independent POSIX |
 //! | [`netcdf4::Netcdf4Like`] | HDF5 container, global linearization | two-phase collective MPI-IO |
 //! | [`pnetcdf::PnetcdfLike`] | CDF-5 container, global linearization | two-phase collective MPI-IO |
-//! | [`posix_raw::PosixRaw`] | raw per-rank files | direct POSIX |
 //! | [`pmcpy::PmemcpyLib`] | PMDK pool + hashtable | direct-to-PMEM mmap (the paper's system) |
 //!
 //! All are driven through [`pio::PioLibrary`], so the evaluation figures are
@@ -20,14 +19,12 @@ pub mod netcdf4;
 pub mod pio;
 pub mod pmcpy;
 pub mod pnetcdf;
-pub mod posix_raw;
 
 pub use adios::AdiosLike;
 pub use netcdf4::Netcdf4Like;
 pub use pio::{PioError, PioLibrary, Result, Target};
 pub use pmcpy::PmemcpyLib;
 pub use pnetcdf::PnetcdfLike;
-pub use posix_raw::PosixRaw;
 
 /// The five configurations of Figures 6 and 7, in the paper's legend order.
 pub fn figure_lineup() -> Vec<Box<dyn PioLibrary>> {

@@ -8,7 +8,6 @@
 //! (§4.1: *"we make sure to call nc_def_var_fill() with NC_NOFILL ... which
 //! causes significant overhead for write workloads"*).
 
-pub mod chunked;
 pub mod hdf5_vol;
 
 use crate::contiguous::{fill_var, read_var_contiguous, write_var_contiguous, VarPlacement};
@@ -19,55 +18,18 @@ use simfs::SimFs;
 use std::sync::Arc;
 use workloads::BlockDecomp;
 
-/// HDF5 data-layout policy (§2.1: contiguous is the default; chunked
-/// divides the array into sub-arrays and enables per-chunk filters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum H5Layout {
-    /// Global linearization + two-phase collective I/O (the paper's mode).
-    #[default]
-    Contiguous,
-    /// One chunk per rank block, per-process I/O, optional filter by name
-    /// (`"rle"`, `"gorilla"`).
-    Chunked { filter: Option<&'static str> },
-}
-
 /// The NetCDF-4-like library.
 #[derive(Debug, Clone, Copy)]
 pub struct Netcdf4Like {
     /// Emulates `nc_def_var_fill(NC_NOFILL)`: when false, every variable's
     /// extent is pre-written with the fill value (the classic default).
     pub nofill: bool,
-    /// Data layout policy.
-    pub layout: H5Layout,
 }
 
 impl Default for Netcdf4Like {
     fn default() -> Self {
         // The paper's configuration.
-        Netcdf4Like {
-            nofill: true,
-            layout: H5Layout::Contiguous,
-        }
-    }
-}
-
-impl Netcdf4Like {
-    /// Chunked-mode instance with an optional filter.
-    pub fn chunked(filter: Option<&'static str>) -> Self {
-        Netcdf4Like {
-            nofill: true,
-            layout: H5Layout::Chunked { filter },
-        }
-    }
-
-    fn resolve_filter(&self) -> Result<Option<&'static dyn pserial::Filter>> {
-        match self.layout {
-            H5Layout::Contiguous => Ok(None),
-            H5Layout::Chunked { filter: None } => Ok(None),
-            H5Layout::Chunked { filter: Some(name) } => pserial::filter_by_name(name)
-                .map(Some)
-                .ok_or_else(|| PioError::Format(format!("unknown filter {name:?}"))),
-        }
+        Netcdf4Like { nofill: true }
     }
 }
 
@@ -124,11 +86,6 @@ impl PioLibrary for Netcdf4Like {
     ) -> Result<()> {
         let (fs, path) = Self::fs_of(target)?;
         let file = MpiFile::create(comm, fs, path)?;
-        if matches!(self.layout, H5Layout::Chunked { .. }) {
-            chunked::write_chunked(comm, &file, decomp, vars, blocks, self.resolve_filter()?)?;
-            file.close()?;
-            return Ok(());
-        }
         let placements = Self::define(comm, &file, decomp, vars)?;
         if !self.nofill {
             for p in &placements {
@@ -158,16 +115,10 @@ impl PioLibrary for Netcdf4Like {
             // (the header is ~1 KB for tens of variables).
             let fsize = fs.file_size(path)?;
             let mut take = 4096u64.min(fsize);
-            let chunked_mode = matches!(self.layout, H5Layout::Chunked { .. });
             loop {
                 let mut buf = vec![0u8; take as usize];
                 file.read_at(0, &mut buf)?;
-                let ok = if chunked_mode {
-                    chunked::decode_chunked_header(&buf).is_ok()
-                } else {
-                    decode_header(&buf).is_ok()
-                };
-                if ok || take == fsize {
+                if decode_header(&buf).is_ok() || take == fsize {
                     break Some(buf);
                 }
                 take = (take * 2).min(fsize);
@@ -176,12 +127,6 @@ impl PioLibrary for Netcdf4Like {
             None
         };
         let bytes = comm.bcast(0, header.as_deref());
-        if matches!(self.layout, H5Layout::Chunked { .. }) {
-            let out =
-                chunked::read_chunked(comm, &file, &bytes, decomp, vars, self.resolve_filter()?)?;
-            file.close()?;
-            return Ok(out);
-        }
         let (datasets, placements) = decode_header(&bytes)?;
         let mut out = Vec::with_capacity(vars.len());
         for name in vars {
@@ -221,10 +166,7 @@ mod tests {
                 fs: Arc::clone(&fs),
                 path: "/file.nc4".into(),
             };
-            let lib = Netcdf4Like {
-                nofill,
-                ..Netcdf4Like::default()
-            };
+            let lib = Netcdf4Like { nofill };
             lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
             comm.barrier();
             let back = lib.read(&comm, &target, &decomp, &vars).unwrap();
@@ -249,92 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_round_trips_with_every_filter() {
-        for filter in [None, Some("rle"), Some("gorilla")] {
-            let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);
-            let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
-            run_world(Arc::clone(dev.machine()), 4, move |comm| {
-                let decomp = BlockDecomp::new(&[12, 12, 12], comm.size() as u64);
-                let vars: Vec<String> = ["T", "P"].iter().map(|s| s.to_string()).collect();
-                let blocks: Vec<Vec<f64>> = (0..vars.len())
-                    .map(|v| workloads::generate_block(&decomp, v, comm.rank() as u64))
-                    .collect();
-                let target = Target::Fs {
-                    fs: Arc::clone(&fs),
-                    path: "/chunked.nc4".into(),
-                };
-                let lib = Netcdf4Like::chunked(filter);
-                lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
-                comm.barrier();
-                let back = lib.read(&comm, &target, &decomp, &vars).unwrap();
-                for (v, blk) in back.iter().enumerate() {
-                    assert_eq!(
-                        workloads::verify_block(&decomp, v, comm.rank() as u64, blk),
-                        0,
-                        "filter {filter:?} var {v}"
-                    );
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn chunked_writes_avoid_the_shuffle() {
-        // Chunked layout is per-process: no two-phase fabric traffic beyond
-        // the size-coordination allgathers.
-        let traffic = |lib: Netcdf4Like| -> u64 {
-            let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);
-            let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
-            let machine = Arc::clone(dev.machine());
-            run_world(Arc::clone(&machine), 4, move |comm| {
-                let decomp = BlockDecomp::new(&[24, 24, 24], 4);
-                let vars = vec!["x".to_string()];
-                let blocks = vec![workloads::generate_block(&decomp, 0, comm.rank() as u64)];
-                let target = Target::Fs {
-                    fs: Arc::clone(&fs),
-                    path: "/t.nc4".into(),
-                };
-                lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
-            });
-            machine.stats.snapshot().net_bytes
-        };
-        let contiguous = traffic(Netcdf4Like::default());
-        let chunk = traffic(Netcdf4Like::chunked(None));
-        assert!(
-            chunk * 10 < contiguous,
-            "chunked should not shuffle: {chunk} vs {contiguous}"
-        );
-    }
-
-    #[test]
-    fn gorilla_filter_reduces_media_traffic() {
-        let written = |filter: Option<&'static str>| -> u64 {
-            let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);
-            let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
-            let machine = Arc::clone(dev.machine());
-            run_world(Arc::clone(&machine), 2, move |comm| {
-                let decomp = BlockDecomp::new(&[24, 24, 24], 2);
-                let vars = vec!["x".to_string()];
-                let blocks = vec![workloads::generate_block(&decomp, 0, comm.rank() as u64)];
-                let target = Target::Fs {
-                    fs: Arc::clone(&fs),
-                    path: "/g.nc4".into(),
-                };
-                Netcdf4Like::chunked(filter)
-                    .write(&comm, &target, &decomp, &vars, &blocks)
-                    .unwrap();
-            });
-            machine.stats.snapshot().pmem_bytes_written
-        };
-        let plain = written(None);
-        let gorilla = written(Some("gorilla"));
-        assert!(
-            gorilla * 3 < plain * 2,
-            "gorilla should cut stencil data by >=1.5x: {gorilla} vs {plain}"
-        );
-    }
-
-    #[test]
     fn fill_mode_writes_more_media_bytes() {
         let volume = |nofill: bool| -> u64 {
             let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);
@@ -348,12 +204,9 @@ mod tests {
                     fs: Arc::clone(&fs),
                     path: "/f.nc4".into(),
                 };
-                Netcdf4Like {
-                    nofill,
-                    ..Netcdf4Like::default()
-                }
-                .write(&comm, &target, &decomp, &vars, &blocks)
-                .unwrap();
+                Netcdf4Like { nofill }
+                    .write(&comm, &target, &decomp, &vars, &blocks)
+                    .unwrap();
             });
             machine.stats.snapshot().pmem_bytes_written
         };

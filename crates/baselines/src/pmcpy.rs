@@ -4,7 +4,7 @@
 
 use crate::pio::{PioError, PioLibrary, Result, Target};
 use mpi_sim::Comm;
-use pmemcpy::{DataLayout, MmapTarget, Options, Pmem};
+use pmemcpy::{MmapTarget, Options, Pmem};
 use workloads::BlockDecomp;
 
 /// pMEMCPY under the harness interface.
@@ -12,28 +12,38 @@ use workloads::BlockDecomp;
 pub struct PmemcpyLib {
     pub options: Options,
     pub label: &'static str,
+    /// Ask the harness for a filesystem target, which mounts the
+    /// hierarchical layout; off means devdax and the hashtable layout.
+    on_fs: bool,
 }
 
 impl PmemcpyLib {
     /// PMCPY-A: MAP_SYNC disabled (the paper's fast configuration).
     pub fn variant_a() -> Self {
-        PmemcpyLib {
-            options: Options::pmcpy_a(),
-            label: "PMCPY-A",
-        }
+        Self::custom("PMCPY-A", Options::pmcpy_a())
     }
 
     /// PMCPY-B: MAP_SYNC enabled.
     pub fn variant_b() -> Self {
-        PmemcpyLib {
-            options: Options::pmcpy_b(),
-            label: "PMCPY-B",
-        }
+        Self::custom("PMCPY-B", Options::pmcpy_b())
     }
 
     /// Custom options under a custom label (ablation benches).
     pub fn custom(label: &'static str, options: Options) -> Self {
-        PmemcpyLib { options, label }
+        PmemcpyLib {
+            options,
+            label,
+            on_fs: false,
+        }
+    }
+
+    /// The same configuration on §3's hierarchical layout: the harness
+    /// hands it a DAX-filesystem directory instead of a devdax namespace.
+    pub fn on_fs(self) -> Self {
+        PmemcpyLib {
+            on_fs: true,
+            ..self
+        }
     }
 
     fn map(&self, comm: &Comm, target: &Target) -> Result<Pmem> {
@@ -56,7 +66,7 @@ impl PioLibrary for PmemcpyLib {
     }
 
     fn needs_devdax(&self) -> bool {
-        self.options.layout == DataLayout::PmdkHashtable
+        !self.on_fs
     }
 
     fn write(

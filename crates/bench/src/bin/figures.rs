@@ -17,8 +17,6 @@
 //!   ablate-layout      hashtable vs hierarchical layout
 //!   ablate-staging     direct-to-PMEM vs DRAM-staged serialization
 //!   ablate-fill        NetCDF fill vs NC_NOFILL
-//!   ablate-chunked     HDF5 contiguous vs chunked vs chunked+filter
-//!   ablate-buckets     metadata hashtable bucket count (§3: random-access parallelism)
 //!   ablate-drain       asynchronous burst-buffer drain (Fig. 1 tier)
 //!   creation-storm     metadata storm: 8 ranks minting fresh keys; gates the chain-length bound
 //!   sweep-profiles     device-profile x flush-strategy grid; gates autotuned <= best pinned

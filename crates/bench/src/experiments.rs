@@ -13,7 +13,7 @@ use crate::report::{
 use crate::sweep::{run_cell, run_storm_cell, CellConfig, Direction};
 use baselines::{figure_lineup, AdiosLike, Netcdf4Like, PioLibrary, PmemcpyLib};
 use pmem_sim::{autotune_flush, FlushStrategy, MachineConfig, MetricsRegistry};
-use pmemcpy::{DataLayout, Options};
+use pmemcpy::Options;
 use workloads::{Domain3dSpec, StormSpec};
 
 /// What the command line chose; every grid is a function of it.
@@ -118,9 +118,6 @@ const WAL_APPENDS: Col = Col("wal_appends", |o| {
     o.cells[0].metrics.counter("wal.appends").to_string()
 });
 const AUTOTUNED: Col = Col("autotuned", |o| o.cells[0].flush_strategy.clone());
-const MEDIA_GB: Col = Col("media_gb", |o| {
-    format!("{:.1}", o.cells[0].stats.pmem_bytes_written as f64 / 1e9)
-});
 
 const WRITE: &[Direction] = &[Direction::Write];
 const WRITE_READ: &[Direction] = &[Direction::Write, Direction::Read];
@@ -310,19 +307,15 @@ pub static TABLE: &[Experiment] = &[
         stem: "ablate_layout",
         key: "layout",
         grid: |ctx| {
-            let row = |(name, layout): (&str, DataLayout)| {
-                let options = Options {
-                    layout,
-                    ..Options::default()
-                };
-                Row::pmcpy(name, "PMCPY-A", options, ctx.cell(24))
-            };
-            [
-                ("pmdk-hashtable", DataLayout::PmdkHashtable),
-                ("hierarchical", DataLayout::HierarchicalFiles),
+            let hierarchical = PmemcpyLib::variant_a().on_fs();
+            vec![
+                Row::lib(
+                    "pmdk-hashtable",
+                    Box::new(PmemcpyLib::variant_a()),
+                    ctx.cell(24),
+                ),
+                Row::lib("hierarchical", Box::new(hierarchical), ctx.cell(24)),
             ]
-            .map(row)
-            .into()
         },
         ..ABLATION
     },
@@ -347,53 +340,16 @@ pub static TABLE: &[Experiment] = &[
         key: "mode",
         cols: &[SECONDS],
         grid: |ctx| {
-            let fill = Netcdf4Like {
-                nofill: false,
-                ..Netcdf4Like::default()
-            };
             vec![
                 Row::lib("nofill", Box::new(Netcdf4Like::default()), ctx.cell(24)),
-                Row::lib("fill", Box::new(fill), ctx.cell(24)),
+                Row::lib(
+                    "fill",
+                    Box::new(Netcdf4Like { nofill: false }),
+                    ctx.cell(24),
+                ),
             ]
         },
         ..BASE
-    },
-    Experiment {
-        name: "ablate-chunked",
-        help: "HDF5 contiguous vs chunked vs chunked+filter",
-        stem: "ablate_chunked",
-        key: "layout",
-        shown: &[MEDIA_GB],
-        grid: |ctx| {
-            let row =
-                |(name, lib): (&str, Netcdf4Like)| Row::lib(name, Box::new(lib), ctx.cell(24));
-            [
-                ("contiguous", Netcdf4Like::default()),
-                ("chunked", Netcdf4Like::chunked(None)),
-                ("chunked+rle", Netcdf4Like::chunked(Some("rle"))),
-                ("chunked+gorilla", Netcdf4Like::chunked(Some("gorilla"))),
-            ]
-            .map(row)
-            .into()
-        },
-        ..ABLATION
-    },
-    Experiment {
-        name: "ablate-buckets",
-        help: "metadata hashtable bucket count (§3: random-access parallelism)",
-        stem: "ablate_buckets",
-        key: "buckets",
-        grid: |ctx| {
-            let row = |hashtable_buckets: u64| {
-                let options = Options {
-                    hashtable_buckets,
-                    ..Options::default()
-                };
-                Row::pmcpy(hashtable_buckets, "PMCPY-A", options, ctx.cell(24))
-            };
-            [1, 16, 256, 4096].map(row).into()
-        },
-        ..ABLATION
     },
     Experiment {
         name: "ablate-drain",

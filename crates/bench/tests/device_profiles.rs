@@ -60,13 +60,9 @@ fn experiment_table_reproduces_ci_baselines() {
 #[test]
 fn target_follows_the_library_not_its_label() {
     let cfg = CellConfig::paper_on(4, 1 << 20, profile_machine("optane-gen1"));
-    let hierarchical = Options {
-        layout: pmemcpy::DataLayout::HierarchicalFiles,
-        ..Options::default()
-    };
     for lib in [
         PmemcpyLib::custom("WB", Options::write_behind()),
-        PmemcpyLib::custom("PMCPY-A", hierarchical),
+        PmemcpyLib::variant_a().on_fs(),
     ] {
         pmemcpy_bench::run_cell(&lib, Direction::Write, &cfg, None, None);
         let read = pmemcpy_bench::run_cell(&lib, Direction::Read, &cfg, None, None);

@@ -24,14 +24,17 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// A typo, and two commands the table no longer has.
 #[test]
 fn unknown_command_after_a_valid_one_runs_nothing() {
-    let (out, dir) = figures("late_typo", &["--bytes", "8", "fig6", "typo"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
-    assert!(stderr(&out).contains("unknown command \"typo\""));
-    assert!(out.stdout.is_empty(), "something ran before the rejection");
-    assert!(!dir.join("results/fig6_writes.csv").exists());
-    std::fs::remove_dir_all(dir).unwrap();
+    for unknown in ["typo", "ablate-chunked", "ablate-buckets"] {
+        let (out, dir) = figures(unknown, &["--bytes", "8", "fig6", unknown]);
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("unknown command {unknown:?}")));
+        assert!(out.stdout.is_empty(), "something ran before the rejection");
+        assert!(!dir.join("results/fig6_writes.csv").exists());
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
 
 #[test]

@@ -20,7 +20,7 @@ use crate::element::{
 };
 use crate::error::{PmemCpyError, Result};
 use crate::layout::{hashtable::HashtableLayout, hierarchical::HierarchicalLayout, Layout};
-use crate::options::{DataLayout, Options};
+use crate::options::Options;
 use crate::registry;
 use mpi_sim::Comm;
 use pmem_sim::{Clock, Machine, PmemDevice, SimTime};
@@ -30,11 +30,13 @@ use std::sync::Arc;
 
 /// Where a [`Pmem`] handle attaches.
 pub enum MmapTarget<'a> {
-    /// A raw PMEM namespace managed by the PMDK-style pool (devdax-style);
-    /// required by (and implying) [`DataLayout::PmdkHashtable`].
+    /// A raw PMEM namespace managed by the PMDK-style pool (devdax-style).
+    /// Selects the default layout of §3: one pool, a flat namespace kept in
+    /// a persistent hashtable with chaining.
     DevDax(&'a Arc<PmemDevice>),
-    /// A directory on a DAX filesystem; required by (and implying)
-    /// [`DataLayout::HierarchicalFiles`].
+    /// A directory on a DAX filesystem. Selects §3's alternative layout:
+    /// the filesystem's directory tree, one file per variable; a `/` in a
+    /// variable id creates a directory.
     Fs { fs: &'a Arc<SimFs>, dir: &'a str },
 }
 
@@ -90,8 +92,8 @@ impl Pmem {
         self.opts.validate()?;
         let serializer = self.opts.resolve_serializer()?;
         let clock = comm.clock_arc();
-        let mounted = match (target, self.opts.layout) {
-            (MmapTarget::DevDax(device), DataLayout::PmdkHashtable) => {
+        let mounted = match target {
+            MmapTarget::DevDax(device) => {
                 let shared =
                     registry::shared_pool(&clock, device, "pmemcpy", self.opts.hashtable_buckets)?;
                 // Write-behind: attach (and on first arrival recover) the
@@ -150,7 +152,12 @@ impl Pmem {
                     pool_for_flight: Some(pool),
                 }
             }
-            (MmapTarget::Fs { fs, dir }, DataLayout::HierarchicalFiles) => {
+            MmapTarget::Fs { fs, dir } => {
+                if self.opts.write_behind {
+                    return Err(PmemCpyError::Config(
+                        "write_behind needs a DevDax target (the WAL lives in its pool)".into(),
+                    ));
+                }
                 if comm.rank() == 0 {
                     fs.mkdir_p(&clock, dir)?;
                 }
@@ -167,16 +174,6 @@ impl Pmem {
                     device_for_release: None,
                     pool_for_flight: None,
                 }
-            }
-            (MmapTarget::DevDax(_), DataLayout::HierarchicalFiles) => {
-                return Err(PmemCpyError::Config(
-                    "hierarchical layout needs an Fs target".into(),
-                ))
-            }
-            (MmapTarget::Fs { .. }, DataLayout::PmdkHashtable) => {
-                return Err(PmemCpyError::Config(
-                    "hashtable layout needs a DevDax target".into(),
-                ))
             }
         };
         self.mounted = Some(mounted);

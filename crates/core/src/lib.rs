@@ -64,5 +64,5 @@ pub use batch::WriteBatch;
 pub use drain::DrainReport;
 pub use element::{Element, Pod};
 pub use error::{PmemCpyError, Result};
-pub use options::{DataLayout, Options};
+pub use options::Options;
 pub use read::{GetHandle, ReadBatch, ReadResults};

@@ -4,17 +4,6 @@ use crate::error::{PmemCpyError, Result};
 use pmem_sim::FlushStrategy;
 use pserial::Serializer;
 
-/// Where variable data and metadata live on the PMEM (§3 "Data Layout").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DataLayout {
-    /// Default: a single pool managed by the PMDK-style object store, with a
-    /// flat namespace kept in a persistent hashtable with chaining.
-    PmdkHashtable,
-    /// Alternative: the PMEM filesystem's directory tree, one file per
-    /// variable; a `/` in a variable id creates a directory.
-    HierarchicalFiles,
-}
-
 /// Options accepted by [`crate::Pmem::with_options`].
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -24,12 +13,11 @@ pub struct Options {
     /// Map the data region with MAP_SYNC (the paper's PMCPY-B). Improves
     /// crash consistency of the mapping at a significant latency cost.
     pub map_sync: bool,
-    /// Data layout policy.
-    pub layout: DataLayout,
-    /// Starting bucket count of the metadata hashtable (PmdkHashtable
-    /// layout). The directory doubles incrementally once the live keys
-    /// exceed half of it, so pre-size to at least twice the expected key
-    /// count for a table that never splits.
+    /// Starting bucket count of the metadata hashtable (`DevDax` targets;
+    /// the hierarchical layout of an `Fs` target has none). The directory
+    /// doubles incrementally once the live keys exceed half of it, so
+    /// pre-size to at least twice the expected key count for a table that
+    /// never splits.
     pub hashtable_buckets: u64,
     /// Write-behind persistence (off by default, giving the paper's inline
     /// behavior): puts land in a volatile DRAM front index plus one fenced
@@ -37,8 +25,8 @@ pub struct Options {
     /// background checkpoint lane later drains the records into the regular
     /// layout, truncating the log under a crash-safe watermark. Durability
     /// is unchanged — every put is on PMEM before it returns — but the
-    /// inline cost drops to a single streamed log append. Requires
-    /// [`DataLayout::PmdkHashtable`] (checked by [`Options::validate`]).
+    /// inline cost drops to a single streamed log append. Requires a
+    /// `DevDax` target: the WAL lives in the pool (checked by `Pmem::mmap`).
     pub write_behind: bool,
     /// Ring capacity in bytes of the write-behind WAL (ignored unless
     /// `write_behind` is on). One commit group must fit in half the ring.
@@ -59,7 +47,6 @@ impl Default for Options {
         Options {
             serializer: "bp4".to_string(),
             map_sync: false,
-            layout: DataLayout::PmdkHashtable,
             hashtable_buckets: 4096,
             write_behind: false,
             wal_capacity: 8 << 20,
@@ -100,24 +87,16 @@ impl Options {
     /// Reject inconsistent combinations up front, at `mmap` time, instead of
     /// panicking (or corrupting semantics) deep inside the pipeline.
     pub fn validate(&self) -> Result<()> {
-        if self.layout == DataLayout::PmdkHashtable && self.hashtable_buckets == 0 {
+        if self.hashtable_buckets == 0 {
             return Err(PmemCpyError::Config(
-                "hashtable_buckets must be nonzero for the PmdkHashtable layout".into(),
+                "hashtable_buckets must be nonzero".into(),
             ));
         }
-        if self.write_behind {
-            if self.layout != DataLayout::PmdkHashtable {
-                return Err(PmemCpyError::Config(
-                    "write_behind requires the PmdkHashtable layout (the WAL lives in its pool)"
-                        .into(),
-                ));
-            }
-            if self.wal_capacity < MIN_WAL_CAPACITY {
-                return Err(PmemCpyError::Config(format!(
-                    "wal_capacity {} is below the {MIN_WAL_CAPACITY}-byte minimum",
-                    self.wal_capacity
-                )));
-            }
+        if self.write_behind && self.wal_capacity < MIN_WAL_CAPACITY {
+            return Err(PmemCpyError::Config(format!(
+                "wal_capacity {} is below the {MIN_WAL_CAPACITY}-byte minimum",
+                self.wal_capacity
+            )));
         }
         Ok(())
     }
@@ -128,16 +107,15 @@ mod tests {
     use super::*;
 
     /// The defaults are the paper's configuration, and the option surface is
-    /// part of the design: the paper's three user choices plus the
-    /// write-behind and flush knobs. Destructuring without `..` makes an
-    /// eighth field a compile error here, so adding one is a decision a
-    /// reviewer has to answer for.
+    /// part of the design: serializer, MAP_SYNC and table size (the layout
+    /// follows the `mmap` target) plus the write-behind and flush knobs.
+    /// Destructuring without `..` makes a seventh field a compile error
+    /// here, so adding one is a decision a reviewer has to answer for.
     #[test]
     fn defaults_match_the_paper() {
         let Options {
             serializer,
             map_sync,
-            layout,
             hashtable_buckets,
             write_behind,
             wal_capacity,
@@ -145,7 +123,6 @@ mod tests {
         } = Options::default();
         assert_eq!(serializer, "bp4");
         assert!(!map_sync);
-        assert_eq!(layout, DataLayout::PmdkHashtable);
         assert_eq!(hashtable_buckets, 4096);
         assert!(!write_behind);
         assert_eq!(wal_capacity, 8 << 20);
@@ -170,10 +147,6 @@ mod tests {
     #[test]
     fn validate_rejects_bad_write_behind_combinations() {
         for bad in [
-            Options {
-                layout: DataLayout::HierarchicalFiles,
-                ..Options::write_behind()
-            },
             Options {
                 wal_capacity: 0,
                 ..Options::write_behind()

@@ -390,16 +390,13 @@ impl Layout for WriteBehindLayout {
         {
             let mut front = self.state.front.lock();
             for p in puts {
-                let entry = front
-                    .entry(p.key.to_string())
-                    .or_insert_with(|| FrontEntry {
-                        meta: p.meta.clone(),
-                        payload: Arc::new(Vec::new()),
-                        pending: 0,
-                    });
-                entry.meta = p.meta.clone();
-                entry.payload = Arc::new(p.payload.to_vec());
-                entry.pending += 1;
+                let pending = front.get(p.key).map_or(0, |e| e.pending) + 1;
+                let entry = FrontEntry {
+                    meta: p.meta.clone(),
+                    payload: Arc::new(p.payload.to_vec()),
+                    pending,
+                };
+                front.insert(p.key.to_string(), entry);
             }
         }
         // Drain opportunistically at half-full so appends rarely stall on a
@@ -410,24 +407,10 @@ impl Layout for WriteBehindLayout {
         Ok(())
     }
 
-    /// Locations only exist in the inner layout; if any requested key is
-    /// still front-resident, drain first so the answer reflects the newest
-    /// drained value. Re-check after each drain: a concurrent put can
-    /// re-insert a front entry between the drain and the inner lookup. The
-    /// loop is bounded — if writers keep racing ahead of us (or a lingering
-    /// entry's value is already applied and the log is empty) the returned
-    /// location is the newest *drained* record, and may be superseded by a
-    /// concurrent in-flight put, exactly as in inline mode.
+    /// Unreachable through this layout: `load_many`, `stat` and
+    /// `stream_raw`, the default methods that call it, are all overridden
+    /// to read front-first. Delegate.
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>> {
-        for _ in 0..4 {
-            let any_front = {
-                let front = self.state.front.lock();
-                keys.iter().any(|k| front.contains_key(*k))
-            };
-            if !any_front || self.run_checkpoint()? == 0 {
-                break;
-            }
-        }
         self.inner.locate_many(clock, keys)
     }
 

@@ -3,7 +3,7 @@
 
 use mpi_sim::run_world;
 use pmem_sim::{Machine, PersistenceMode, PmemDevice, SimTime};
-use pmemcpy::{impl_pod, DataLayout, MmapTarget, Options, Pmem};
+use pmemcpy::{impl_pod, MmapTarget, Options, Pmem};
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
 
@@ -155,11 +155,7 @@ fn hierarchical_layout_round_trip_with_directories() {
     let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
     let world = mpi_sim::World::new(Arc::clone(dev.machine()), 1);
     let comm = mpi_sim::Comm::new(world, 0);
-    let opts = Options {
-        layout: DataLayout::HierarchicalFiles,
-        ..Options::default()
-    };
-    let mut pmem = Pmem::with_options(opts);
+    let mut pmem = Pmem::new();
     pmem.mmap(
         MmapTarget::Fs {
             fs: &fs,
@@ -187,6 +183,26 @@ fn hierarchical_layout_round_trip_with_directories() {
         vec!["fluid/step".to_string(), "fluid/velocity/u".to_string()]
     );
     pmem.munmap().unwrap();
+}
+
+/// The WAL lives in the devdax pool, so the filesystem target has nowhere
+/// to put it: rejected at `mmap`, and the handle stays unmapped.
+#[test]
+fn write_behind_on_an_fs_target_is_a_config_error() {
+    let dev = devdax(16);
+    let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
+    let comm = mpi_sim::Comm::new(mpi_sim::World::new(Arc::clone(dev.machine()), 1), 0);
+    let mut pmem = Pmem::with_options(Options::write_behind());
+    let target = MmapTarget::Fs {
+        fs: &fs,
+        dir: "/pmemcpy",
+    };
+    assert!(matches!(
+        pmem.mmap(target, &comm),
+        Err(pmemcpy::PmemCpyError::Config(_))
+    ));
+    assert!(!pmem.is_mapped());
+    assert!(!fs.exists("/pmemcpy"));
 }
 
 #[test]

@@ -6,12 +6,12 @@
 
 use mpi_sim::{Comm, World};
 use pmem_sim::{DetRng, Machine, PersistenceMode, PmemDevice};
-use pmemcpy::{DataLayout, MmapTarget, Options, Pmem};
+use pmemcpy::{MmapTarget, Options, Pmem};
 use simfs::{MountMode, SimFs};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn mapped(opts: Options) -> (Pmem, Comm, Arc<SimFs>) {
+fn mapped(opts: Options, on_fs: bool) -> (Pmem, Comm, Arc<SimFs>) {
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
     let fs = SimFs::mount_all(
@@ -19,13 +19,13 @@ fn mapped(opts: Options) -> (Pmem, Comm, Arc<SimFs>) {
         MountMode::Dax,
     );
     let comm = Comm::new(World::new(machine, 1), 0);
-    let mut pmem = Pmem::with_options(opts.clone());
-    match opts.layout {
-        DataLayout::PmdkHashtable => pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap(),
-        DataLayout::HierarchicalFiles => pmem
-            .mmap(MmapTarget::Fs { fs: &fs, dir: "/p" }, &comm)
-            .unwrap(),
-    }
+    let mut pmem = Pmem::with_options(opts);
+    let target = if on_fs {
+        MmapTarget::Fs { fs: &fs, dir: "/p" }
+    } else {
+        MmapTarget::DevDax(&dev)
+    };
+    pmem.mmap(target, &comm).unwrap();
     (pmem, comm, fs)
 }
 
@@ -55,21 +55,19 @@ fn arb_op(rng: &mut DetRng) -> Op {
 #[test]
 fn api_matches_hashmap_model() {
     let mut rng = DetRng::new(0xAB1);
-    let layouts = [DataLayout::PmdkHashtable, DataLayout::HierarchicalFiles];
     let serializers = ["bp4", "cereal", "capnp-lite"];
     for case in 0..24 {
         let ops: Vec<Op> = (0..rng.gen_range(1, 40))
             .map(|_| arb_op(&mut rng))
             .collect();
-        let layout = layouts[rng.index(layouts.len())];
+        let on_fs = rng.index(2) == 1;
         let serializer = serializers[rng.index(serializers.len())].to_string();
 
         let opts = Options {
-            layout,
             serializer,
             ..Options::default()
         };
-        let (mut pmem, _comm, _fs) = mapped(opts);
+        let (mut pmem, _comm, _fs) = mapped(opts, on_fs);
         // Model: key -> either a slice or a scalar.
         let mut slices: HashMap<String, Vec<f64>> = HashMap::new();
         let mut scalars: HashMap<String, f64> = HashMap::new();
@@ -138,7 +136,7 @@ fn region_reads_match_direct_indexing() {
         let gz = rng.gen_range(2, 10);
         let (fx, fy, fz) = (rng.next_f64(), rng.next_f64(), rng.next_f64());
 
-        let (mut pmem, _comm, _fs) = mapped(Options::default());
+        let (mut pmem, _comm, _fs) = mapped(Options::default(), false);
         let global = [gx, gy, gz];
         let total = (gx * gy * gz) as usize;
         // Whole array stored as one block; values = linear index.

@@ -113,8 +113,10 @@ impl Histogram {
 struct Inner {
     counters: BTreeMap<String, u64>,
     hists: BTreeMap<String, Histogram>,
-    /// Accumulated virtual time per (lane, phase label).
-    phases: BTreeMap<(u64, String), SimTime>,
+    /// Accumulated virtual time per lane, then per phase label: nested so
+    /// a charge looks its label up by `&str` and allocates only the first
+    /// time a (lane, label) pair is seen.
+    phases: BTreeMap<u64, BTreeMap<String, SimTime>>,
 }
 
 /// The metrics registry: install once per [`crate::machine::Machine`]
@@ -168,10 +170,11 @@ impl MetricsRegistry {
             return;
         }
         let mut inner = self.inner.lock();
-        match inner.phases.get_mut(&(lane, label.to_owned())) {
+        let labels = inner.phases.entry(lane).or_default();
+        match labels.get_mut(label) {
             Some(t) => *t += d,
             None => {
-                inner.phases.insert((lane, label.to_owned()), d);
+                labels.insert(label.to_owned(), d);
             }
         }
     }
@@ -182,7 +185,13 @@ impl MetricsRegistry {
         MetricsSnapshot {
             counters: inner.counters.clone(),
             hists: inner.hists.clone(),
-            phases: inner.phases.clone(),
+            phases: inner
+                .phases
+                .iter()
+                .flat_map(|(&lane, labels)| {
+                    labels.iter().map(move |(l, &t)| ((lane, l.clone()), t))
+                })
+                .collect(),
         }
     }
 }

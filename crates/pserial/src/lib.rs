@@ -23,7 +23,6 @@ pub mod bp4;
 pub mod capnp_lite;
 pub mod cereal;
 pub mod error;
-pub mod filter;
 pub mod io;
 pub mod raw;
 pub mod traits;
@@ -33,7 +32,6 @@ pub use bp4::Bp4;
 pub use capnp_lite::CapnpLite;
 pub use cereal::Cereal;
 pub use error::{Result, SerialError};
-pub use filter::{all_filters, filter_by_name, Filter, Gorilla, Rle};
 pub use io::{ReadSource, SliceSink, SliceSource, WriteSink};
 pub use raw::Raw;
 pub use traits::{Serializer, VarHeader};

@@ -8,7 +8,7 @@
 
 use mpi_sim::{Comm, World};
 use pmem_sim::{Machine, PersistenceMode, PmemDevice};
-use pmemcpy::{DataLayout, MmapTarget, Options, Pmem};
+use pmemcpy::{MmapTarget, Options, Pmem};
 use simfs::{EntryKind, MountMode, SimFs};
 use std::sync::Arc;
 
@@ -20,7 +20,6 @@ fn main() {
     let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
 
     let mut pmem = Pmem::with_options(Options {
-        layout: DataLayout::HierarchicalFiles,
         serializer: "cereal".into(),
         ..Options::default()
     });

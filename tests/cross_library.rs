@@ -3,7 +3,7 @@
 
 use mpi_sim::{run_world, Comm, World};
 use pmem_sim::{Machine, MachineConfig, PersistenceMode, PmemDevice, SimTime};
-use pmemcpy::{DataLayout, MmapTarget, Options, Pmem};
+use pmemcpy::{MmapTarget, Options, Pmem};
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
 
@@ -26,10 +26,7 @@ fn both_layouts_store_identical_logical_content() {
     // Hierarchical layout on a DAX fs.
     let dev2 = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
     let fs = SimFs::mount_all(Arc::clone(&dev2), MountMode::Dax);
-    let mut b = Pmem::with_options(Options {
-        layout: DataLayout::HierarchicalFiles,
-        ..Options::default()
-    });
+    let mut b = Pmem::new();
     b.mmap(
         MmapTarget::Fs {
             fs: &fs,
@@ -63,10 +60,7 @@ fn load_dims_round_trips_through_both_layouts() {
 
     let dev2 = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
     let fs = SimFs::mount_all(Arc::clone(&dev2), MountMode::Dax);
-    let mut b = Pmem::with_options(Options {
-        layout: DataLayout::HierarchicalFiles,
-        ..Options::default()
-    });
+    let mut b = Pmem::new();
     b.mmap(MmapTarget::Fs { fs: &fs, dir: "/d" }, &comm)
         .unwrap();
     b.alloc::<u32>("cube", &dims).unwrap();
@@ -135,10 +129,7 @@ fn hierarchical_ids_create_real_directories() {
     let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
     let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
     let comm = single_comm(&machine);
-    let mut pmem = Pmem::with_options(Options {
-        layout: DataLayout::HierarchicalFiles,
-        ..Options::default()
-    });
+    let mut pmem = Pmem::new();
     pmem.mmap(
         MmapTarget::Fs {
             fs: &fs,

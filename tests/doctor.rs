@@ -16,7 +16,7 @@
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmem_sim::flight::EventCode;
 use pmem_sim::{Clock, Machine, PersistenceMode, PmemDevice};
-use pmemcpy::{registry, DataLayout, MmapTarget, Options, Pmem};
+use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use pmemcpy_bench::doctor::{diagnose, Diagnosis, Status};
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
@@ -203,10 +203,7 @@ fn hierarchical_dataset_is_rejected_not_misdiagnosed() {
     let dev = PmemDevice::new(Arc::clone(&machine), DEVICE_BYTES, PersistenceMode::Fast);
     let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
     let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
-    let mut pmem = Pmem::with_options(Options {
-        layout: DataLayout::HierarchicalFiles,
-        ..Options::default()
-    });
+    let mut pmem = Pmem::new();
     pmem.mmap(MmapTarget::Fs { fs: &fs, dir: "/d" }, &comm)
         .unwrap();
     pmem.store_scalar("x", 7u64).unwrap();

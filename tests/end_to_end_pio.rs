@@ -1,6 +1,6 @@
 //! End-to-end: the §4.1 workload through every library, verified bit-exactly.
 
-use baselines::{figure_lineup, PioLibrary, PmemcpyLib, PosixRaw, Target};
+use baselines::{figure_lineup, PioLibrary, PmemcpyLib, Target};
 use mpi_sim::run_world;
 use pmem_sim::{Machine, PersistenceMode, PmemDevice};
 use simfs::{MountMode, SimFs};
@@ -66,11 +66,6 @@ fn every_figure_library_round_trips_at_1_rank() {
     for lib in figure_lineup() {
         drive(lib.as_ref(), 1, [12, 12, 12]);
     }
-}
-
-#[test]
-fn posix_raw_round_trips() {
-    drive(&PosixRaw, 4, [16, 16, 16]);
 }
 
 #[test]

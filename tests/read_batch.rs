@@ -17,7 +17,7 @@
 use baselines::PmemcpyLib;
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmem_sim::{Machine, MachineConfig, MetricsRegistry, PersistenceMode, PmemDevice};
-use pmemcpy::{MmapTarget, Options, Pmem, PmemCpyError};
+use pmemcpy::{MmapTarget, Pmem, PmemCpyError};
 use pmemcpy_bench::{run_cell, CellConfig, Direction, Outcome, RunReport};
 use std::sync::Arc;
 
@@ -82,16 +82,12 @@ fn batched_and_per_key_reads_are_byte_identical() {
 /// which routes `load_many` through per-file mappings.
 #[test]
 fn batched_reads_match_per_key_on_the_hierarchical_layout() {
-    use pmemcpy::DataLayout;
     use simfs::{MountMode, SimFs};
     let machine = Machine::chameleon();
     let dev = PmemDevice::new(Arc::clone(&machine), 64 << 20, PersistenceMode::Fast);
     let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
     let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
-    let mut pmem = Pmem::with_options(Options {
-        layout: DataLayout::HierarchicalFiles,
-        ..Options::default()
-    });
+    let mut pmem = Pmem::new();
     pmem.mmap(
         MmapTarget::Fs {
             fs: &fs,
