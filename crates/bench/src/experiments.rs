@@ -500,7 +500,8 @@ pub fn measure(exp: &Experiment, ctx: &Ctx) -> Result<RunReport, String> {
             Cell::Storm(spec) => {
                 report.real_bytes = spec.total_keys() * spec.value_bytes;
                 // Sampled self-verification: every 97th key per rank.
-                let (cell, shape) = run_storm_cell(spec, &Options::default(), 97, &ctx.machine)?;
+                let (cell, shape) =
+                    run_storm_cell(spec, "", &Options::default(), 97, &ctx.machine)?;
                 Outcome {
                     key,
                     cells: vec![cell],

@@ -238,11 +238,14 @@ pub struct StormShape {
     pub chain_p99: u64,
     pub splits: u64,
     pub contended: u64,
+    /// Virtual cost of each sampled read-back, rank by rank.
+    pub get_costs: Vec<SimTime>,
 }
 
 /// Drive one creation storm: `spec.ranks` ranks each mint
-/// `spec.keys_per_rank` fresh keys through the full batched put path of a
-/// pool mounted with `opts`, then read back every `stride`-th key
+/// `spec.keys_per_rank` fresh keys (`key_prefix` + [`StormSpec::key`])
+/// through the full batched put path of a pool mounted with `opts`, then
+/// time and read back every `stride`-th key
 /// (staggered per rank so the sample covers different residues of the key
 /// space) and count corrupted bytes into `CellResult::mismatches`. Runs
 /// under the deterministic scheduler with a metrics registry installed, so
@@ -250,6 +253,7 @@ pub struct StormShape {
 /// reopen or whose heap breaks an allocator invariant is an error.
 pub fn run_storm_cell(
     spec: StormSpec,
+    key_prefix: &str,
     opts: &Options,
     stride: u64,
     mc: &MachineConfig,
@@ -262,12 +266,14 @@ pub fn run_storm_cell(
     let dev_size = (spec.total_keys() * 384 + (64 << 20)) as usize;
     let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
     let (dev2, opts2) = (Arc::clone(&device), opts.clone());
+    let prefix = key_prefix.to_string();
     let results = run_world_mode(
         Arc::clone(&machine),
         spec.ranks as usize,
         SchedMode::Deterministic,
         move |comm| {
             let rank = comm.rank() as u64;
+            let key = |k| format!("{prefix}{}", spec.key(rank, k));
             let mut pmem = Pmem::with_options(opts2.clone());
             pmem.mmap(MmapTarget::DevDax(&dev2), &comm).unwrap();
             let mut i = 0;
@@ -275,7 +281,7 @@ pub fn run_storm_cell(
                 // Group-commit in steps of 64 keys: one pool transaction,
                 // one allocator pass per step.
                 let n = (spec.keys_per_rank - i).min(64);
-                let keys: Vec<String> = (i..i + n).map(|k| spec.key(rank, k)).collect();
+                let keys: Vec<String> = (i..i + n).map(key).collect();
                 let vals: Vec<Vec<u8>> = (i..i + n).map(|k| spec.value(rank, k)).collect();
                 let mut batch = pmem.batch();
                 for (k, v) in keys.iter().zip(&vals) {
@@ -285,21 +291,24 @@ pub fn run_storm_cell(
                 i += n;
             }
             let mut mismatches = 0u64;
+            let mut get_costs = Vec::new();
             let mut k = rank % stride;
             while k < spec.keys_per_rank {
-                let got: Vec<u8> = pmem.load_slice(&spec.key(rank, k)).unwrap();
+                let t0 = pmem.now();
+                let got: Vec<u8> = pmem.load_slice(&key(k)).unwrap();
+                get_costs.push(pmem.now() - t0);
                 mismatches += spec.verify(rank, k, &got);
                 k += stride;
             }
             comm.barrier();
             let t = comm.now();
             pmem.munmap().unwrap();
-            (t, mismatches)
+            (t, mismatches, get_costs)
         },
     );
     let stats = machine.stats.snapshot();
     let snap = metrics.snapshot();
-    let rank_times: Vec<SimTime> = results.iter().map(|(t, _)| *t).collect();
+    let rank_times: Vec<SimTime> = results.iter().map(|r| r.0).collect();
 
     // Inspect the finished namespace straight from the pool.
     let clock = Clock::new();
@@ -329,6 +338,7 @@ pub fn run_storm_cell(
             .filter(|(k, _)| k.starts_with("stripe.") && k.ends_with(".contended"))
             .map(|(_, v)| *v)
             .sum(),
+        get_costs: results.iter().flat_map(|r| r.2.iter().copied()).collect(),
     };
     let cell = CellResult {
         library: "PMCPY-A".to_string(),
@@ -340,7 +350,7 @@ pub fn run_storm_cell(
         rank_times,
         stats,
         metrics: snap,
-        mismatches: results.iter().map(|(_, m)| *m).sum::<u64>() as usize,
+        mismatches: results.iter().map(|r| r.1).sum::<u64>() as usize,
     };
     Ok((cell, shape))
 }

@@ -323,6 +323,61 @@ fn data_survives_munmap_and_remap() {
     pmem.munmap().unwrap();
 }
 
+/// `PersistentHashtable::quiesce` promises that a read-only session stays
+/// at zero pool transactions. That has to hold on a pool persisted
+/// mid-split too: lookups route through both directories, they do not
+/// migrate the split along.
+#[test]
+fn a_read_only_session_on_a_mid_split_pool_runs_no_transaction() {
+    use pmdk_sim::layout::{Geo, Superblock, TableHeader};
+    let on_media = |dev: &PmemDevice| -> Geo {
+        let header = pmdk_sim::doctor::root_hashtable_header(dev, &Superblock::read(dev)).unwrap();
+        TableHeader::read(dev, header).unwrap().geo
+    };
+    let dev = devdax(8);
+    let opts = Options {
+        hashtable_buckets: 64,
+        ..Options::default()
+    };
+    // The 34th key begins the split (2 x live > 64) and eight chunks
+    // retire it, one per put: 36 keys leave it in flight.
+    let (mut pmem, comm) = mapped_single(opts.clone(), &dev);
+    let ids: Vec<String> = (0..36).map(|i| format!("k{i}")).collect();
+    for (i, id) in ids.iter().enumerate() {
+        pmem.store_scalar(id, i as u64).unwrap();
+    }
+    pmem.munmap().unwrap();
+    let split = on_media(&dev);
+    assert!(
+        split.old_buckets == 64 && (1..64).contains(&split.cursor),
+        "the pool must be persisted mid-split: {split:?}"
+    );
+
+    let registry = pmem_sim::MetricsRegistry::new();
+    dev.machine().set_metrics(Arc::clone(&registry));
+    let mut pmem = Pmem::with_options(opts);
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    let mounted = dev.machine().stats.snapshot();
+    for (i, id) in ids.iter().enumerate() {
+        assert_eq!(pmem.load_scalar::<u64>(id).unwrap(), i as u64);
+    }
+    let mut batch = pmem.read_batch();
+    let handles: Vec<_> = ids
+        .iter()
+        .map(|id| batch.load_scalar::<u64>(id).unwrap())
+        .collect();
+    let mut loaded = batch.commit().unwrap();
+    for (i, h) in handles.into_iter().enumerate() {
+        assert_eq!(loaded.take_scalar(h), i as u64);
+    }
+    pmem.munmap().unwrap(); // nothing to fold either
+
+    let session = dev.machine().stats.snapshot().delta_since(&mounted);
+    assert_eq!(session.pool_txs, 0, "a load ran a pool transaction");
+    assert_eq!(registry.snapshot().counter("ht.buckets_migrated"), 0);
+    assert_eq!(on_media(&dev), split, "a load moved the split cursor");
+}
+
 #[test]
 fn zero_staging_property_holds_on_store() {
     let dev = devdax(16);

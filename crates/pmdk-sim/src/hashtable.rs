@@ -11,15 +11,19 @@
 //! The directory is **online-resizable**: when the live-entry estimate
 //! crosses `bucket_count / SPLIT_FACTOR`, a split doubles the directory by
 //! allocating a fresh heads array and publishing both tables plus a
-//! persisted `split_cursor` in one transaction. Each subsequent mutation
-//! *helps* migrate one chunk of old buckets (relink lo/hi partitions, zero
-//! the old head, advance the cursor) inside a single pool transaction, so a
-//! crash at any intermediate point replays the undo log back to a
-//! consistent cursor + two consistent tables — resize never stops the
-//! world and is crash-safe at every step. Routing is derived from the
+//! persisted `split_cursor` in one transaction. Each subsequent *mutation*
+//! helps migrate one chunk of old buckets (relink lo/hi partitions, stream
+//! the destination heads, advance the cursor) inside a single pool
+//! transaction; lookups never migrate. Routing is derived from the
 //! persistent triple `(old_buckets, cursor, buckets)`: a key whose old
 //! bucket is at-or-past the cursor still lives in the old table; everything
-//! else lives in the new one. Because a split's old heads array *is* the
+//! else lives in the new one. A new-directory slot is thus *reachable* only
+//! once the cursor has passed its source bucket, and a chunk's undo log
+//! carries only what a rollback can reach: the relinked next pointers and
+//! the cursor. A crash at any point replays it back to a consistent cursor
+//! and consistent reachable slots, and the chunk's re-run overwrites what
+//! the failed one left in unreachable ones — resize never stops the world
+//! and is crash-safe at every step. Because a split's old heads array *is* the
 //! previous table, beginning a split changes no key's physical slot — only
 //! migration does, and migration holds both affected stripes.
 //!
@@ -64,7 +68,7 @@ use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, SimTime};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 pub const STRIPES: usize = 64;
 
@@ -335,13 +339,18 @@ impl PersistentHashtable {
     /// contention signal. Lookups lock `stripes[id].lock` directly and are
     /// not counted, so the heat map is a *write* heat map.
     fn lock_stripe(&self, id: usize) -> StripeGuard<'_> {
+        // The 64 × 2 counter names, built once instead of per acquisition.
+        static NAMES: OnceLock<Vec<[String; 2]>> = OnceLock::new();
+        let names = |i| ["acquires", "contended"].map(|what| format!("stripe.{i:02}.{what}"));
         let machine = self.pool.device().machine();
         if machine.metrics_enabled() {
-            machine.metric_counter_add(&format!("stripe.{id:02}.acquires"), 1);
+            let [acquires, contended] =
+                &NAMES.get_or_init(|| (0..STRIPES).map(names).collect())[id];
+            machine.metric_counter_add(acquires, 1);
             if let Some(guard) = self.stripes[id].lock.try_lock() {
                 return guard;
             }
-            machine.metric_counter_add(&format!("stripe.{id:02}.contended"), 1);
+            machine.metric_counter_add(contended, 1);
         }
         self.stripes[id].lock.lock()
     }
@@ -413,12 +422,12 @@ impl PersistentHashtable {
 
     // ---- incremental resize ----
 
-    /// Called at the top of every mutation (and batched lookups): advance
-    /// an in-flight split by one chunk, or begin one if the table is over
-    /// threshold. Injected failures propagate (they model a crash); any
-    /// other split error — e.g. the pool is too full to double the
-    /// directory — defers the split rather than failing the caller's
-    /// operation.
+    /// Called at the top of every mutation (`put_group`, `remove`) and by
+    /// nothing else — lookups never migrate: advance an in-flight split by
+    /// one chunk, or begin one if the table is over threshold. Injected
+    /// failures propagate (they model a crash); any other error beginning a
+    /// split — e.g. the pool is too full to double the directory — defers
+    /// it rather than failing the caller's operation.
     fn maybe_resize(&self, clock: &Clock) -> Result<()> {
         #[cfg(test)]
         if !self.auto_resize.load(Ordering::Relaxed) {
@@ -497,10 +506,15 @@ impl PersistentHashtable {
 
     /// Migrate one chunk of old buckets: partition each chain into lo
     /// (`hash % new_buckets == b`) and hi (`== b + old_buckets`), relink
-    /// both partitions into the new directory, zero the old head, and
-    /// advance the persisted cursor — all in one transaction under the
-    /// affected stripes' locks. The final chunk also retires the old table
-    /// and frees its heads array.
+    /// both in place, stream the destination heads into the new directory
+    /// and advance the persisted cursor — one transaction under the
+    /// affected stripes' locks. Only what a rollback can reach is
+    /// snapshotted: the `ENT_NEXT` relinks (still chained off the old head)
+    /// and the cursor / retire words. Destination heads are unreachable
+    /// until the cursor passes their bucket ([`Geo::head_slots`]), so they
+    /// go in undo-free and always, 0 included: a re-run after a crash or
+    /// abort overwrites whatever the failed run left. The old head is never
+    /// routed to again and stays; the final chunk frees the old array.
     fn help_migrate(&self, clock: &Clock) -> Result<()> {
         let Some(_resize) = self.resize_lock.try_lock() else {
             return Ok(()); // another helper has this split chunk
@@ -511,13 +525,13 @@ impl PersistentHashtable {
         }
         let n = g.old_buckets;
         let start = g.cursor;
-        // Chunk size is bounded by the transaction undo log: every bucket
-        // costs one old-head zeroing snapshot plus a snapshot per relinked
-        // entry and destination head (~20 bytes each against the ~15 KB
-        // lane). 128 buckets leaves multiples of headroom even for skewed
-        // chains at the split-trigger load factor.
-        let chunk = (n / STRIPES as u64).clamp(8, 128).min(n - start);
-        let end = start + chunk;
+        // 32 chunks a split (clamped), so one begun at load 1/2 retires by
+        // load 3/4, before the next can be due. The undo log holds relinks
+        // only, 20 bytes each against the lane's ~15 KB: 764 a chunk, where
+        // 256 buckets at that load hold ~192 entries and relink fewer. A
+        // chunk that would relink more ends at the bucket that does not fit.
+        let chunk = (n / 32).clamp(8, 256).min(n - start);
+        let last = start + chunk;
         let machine = self.pool.device().machine();
         let _phase = machine.phase(clock, "pmdk", "ht.resize");
         let _span = machine
@@ -526,13 +540,8 @@ impl PersistentHashtable {
 
         // Source bucket b lives on stripe b%64; its lo half stays there,
         // its hi half moves to (b+n)%64. Lock both for the whole chunk.
-        let mut sids: Vec<usize> = (start..end)
-            .flat_map(|b| {
-                [
-                    (b % STRIPES as u64) as usize,
-                    ((b + n) % STRIPES as u64) as usize,
-                ]
-            })
+        let mut sids: Vec<usize> = (start..last)
+            .flat_map(|b| [stripe_of(b), stripe_of(b + n)])
             .collect();
         sids.sort_unstable();
         sids.dedup();
@@ -541,56 +550,59 @@ impl PersistentHashtable {
 
         let mut entries_moved = 0u64;
         let src = self.pool.charged(clock);
-        let complete = self.pool.tx(clock, |tx| {
+        let end = self.pool.tx(clock, |tx| {
             self.pool.fail_check(clock, "ht::migrate")?;
-            for b in start..end {
-                let old_slot = g.old_heads + b * 8;
-                let mut lo: Vec<(u64, u64)> = Vec::new(); // (entry, current next)
-                let mut hi: Vec<(u64, u64)> = Vec::new();
-                let (moved, end) = walk_chain(&src, old_slot, Fetch::Header, |e| {
-                    let half = if e.hash % g.buckets == b {
-                        &mut lo
-                    } else {
-                        &mut hi
-                    };
-                    half.push((e.at, e.next));
+            // Destination heads: slots start..end (lo), start+n.. (hi).
+            let mut runs = [Vec::new(), Vec::new()];
+            let mut end = start;
+            for b in start..last {
+                // [lo, hi], each (entry, current next).
+                let mut halves: [Vec<(u64, u64)>; 2] = Default::default();
+                let (moved, walked) = walk_chain(&src, g.old_heads + b * 8, Fetch::Header, |e| {
+                    halves[(e.hash % g.buckets != b) as usize].push((e.at, e.next));
                     true
                 });
-                end?;
-                entries_moved += moved;
-                // Both destination buckets are empty (nothing routes to
-                // new-table b or b+n until b is past the cursor), so each
-                // partition relinks in original order with a nul tail.
-                // Next pointers already correct (consecutive entries of the
-                // same partition) are left untouched.
-                for (slot, chain) in [(g.heads + b * 8, &lo), (g.heads + (b + n) * 8, &hi)] {
-                    let mut want = 0u64;
+                walked?;
+                // Each partition relinks in original order with a nul
+                // tail; next pointers already correct are left untouched.
+                let mut relinks = Vec::new();
+                let mut heads = [0u64; 2];
+                for (head, chain) in heads.iter_mut().zip(&halves) {
                     for &(e, cur_next) in chain.iter().rev() {
-                        if cur_next != want {
-                            tx.set(e + ENT_NEXT, &want.to_le_bytes())?;
+                        if cur_next != *head {
+                            relinks.push((e, *head));
                         }
-                        want = e;
-                    }
-                    if !chain.is_empty() {
-                        tx.set(slot, &want.to_le_bytes())?;
+                        *head = e;
                     }
                 }
-                tx.set(old_slot, &0u64.to_le_bytes())?;
+                // Room for these and the three retire words, or stop here.
+                if b > start && !tx.undo_fits(relinks.len() as u64 + 3) {
+                    break;
+                }
+                for (e, next) in relinks {
+                    tx.set(e + ENT_NEXT, &next.to_le_bytes())?;
+                }
+                for (run, head) in runs.iter_mut().zip(heads) {
+                    run.extend_from_slice(&head.to_le_bytes());
+                }
+                entries_moved += moved;
+                end = b + 1;
             }
+            tx.write_new(g.heads + start * 8, &runs[0]);
+            tx.write_new(g.heads + (start + n) * 8, &runs[1]);
             self.pool.fail_check(clock, "ht::cursor-advance")?;
             if end == n {
                 tx.set(self.header + HDR_CURSOR, &0u64.to_le_bytes())?;
                 tx.set(self.header + HDR_OLD_BUCKETS, &0u64.to_le_bytes())?;
                 tx.set(self.header + HDR_OLD_HEADS, &0u64.to_le_bytes())?;
                 tx.free(g.old_heads)?;
-                Ok(true)
             } else {
                 tx.set(self.header + HDR_CURSOR, &end.to_le_bytes())?;
-                Ok(false)
             }
+            Ok(end)
         })?;
 
-        if complete {
+        if end == n {
             self.geo_store(Geo {
                 old_buckets: 0,
                 old_heads: 0,
@@ -620,7 +632,7 @@ impl PersistentHashtable {
                     .clear();
             }
         }
-        machine.metric_counter_add("ht.buckets_migrated", chunk);
+        machine.metric_counter_add("ht.buckets_migrated", end - start);
         if entries_moved > 0 {
             machine.metric_counter_add("ht.entries_migrated", entries_moved);
         }
@@ -895,31 +907,18 @@ impl PersistentHashtable {
     /// the key's stripe, then — on a miss — one chain walk with the stripe
     /// still held.
     pub fn get_ref(&self, clock: &Clock, key: &[u8]) -> Option<ValueRef> {
-        self.resolve(clock, &[key])[0]
+        self.get_ref_many(clock, &[key])[0]
     }
 
     /// Batched lookup: resolve every key with one chain walk per touched
     /// bucket. Keys are grouped by (stripe, head slot) in sorted order — the
     /// same deterministic grouping the write batches use for stripe
-    /// acquisition — so keys sharing a bucket share its head/header reads.
-    /// Results are positionally parallel to `keys`.
+    /// acquisition — so keys sharing a bucket share its head/header reads,
+    /// and each group resolves under its stripe; a group whose bucket
+    /// migrated between routing and lock acquisition is routed again.
+    /// Results are positionally parallel to `keys`. A lookup never migrates:
+    /// a read-only session on a mid-split pool runs no pool transaction.
     pub fn get_ref_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
-        // Lookups help an in-flight split along too (the tentpole contract:
-        // every operation migrates a chunk). A lookup must not fail, so
-        // split errors defer rather than propagate.
-        if self.splitting() && self.help_migrate(clock).is_err() {
-            self.pool
-                .device()
-                .machine()
-                .metric_counter_add("ht.split.deferred", 1);
-        }
-        self.resolve(clock, keys)
-    }
-
-    /// Behind both lookups: group the keys per bucket and resolve each group
-    /// under its stripe. A group whose bucket migrated between routing and
-    /// lock acquisition is routed again.
-    fn resolve(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
         let mut out = vec![None; keys.len()];
         let keyed: Vec<(&[u8], u64)> = keys.iter().map(|&k| (k, fnv1a(k))).collect();
         let mut pending: Vec<usize> = (0..keys.len()).collect();
@@ -1253,7 +1252,7 @@ mod tests {
         }
         // Drive any in-flight migration to completion.
         while ht.splitting() {
-            ht.get_ref_many(&clock, &[b"grow-0"]);
+            ht.remove(&clock, b"absent").unwrap();
         }
         assert!(
             ht.bucket_count() > 300,
@@ -1550,6 +1549,164 @@ mod tests {
         assert_eq!(ht.len(&clock), 34);
         ht.quiesce(&clock).unwrap();
         pool.check_heap().unwrap();
+    }
+
+    /// `head_slots` is the one walker recount, `keys`, the histogram and
+    /// the doctor share: it must yield exactly the slots a key can route
+    /// to, under the stripe that guards them — never a destination slot the
+    /// cursor has not passed (a rolled-back chunk may have left a head
+    /// there).
+    #[test]
+    fn head_slots_are_exactly_the_slots_keys_route_to() {
+        let split = Geo {
+            buckets: 128,
+            heads: 0x2000,
+            old_buckets: 64,
+            old_heads: 0x1000,
+            cursor: 0,
+        };
+        let whole = Geo {
+            old_buckets: 0,
+            old_heads: 0,
+            ..split
+        };
+        let mid = [0, 8, 63, 64].map(|cursor| Geo { cursor, ..split });
+        for g in mid.into_iter().chain([whole]) {
+            let mut walked: Vec<_> = g.head_slots().map(|(s, b)| (s, stripe_of(b))).collect();
+            let expect = match g.old_buckets {
+                0 => g.buckets,
+                n => (n - g.cursor) + 2 * g.cursor,
+            };
+            assert_eq!(walked.len() as u64, expect, "{g:?}");
+            let mut routed: Vec<_> = (0..g.buckets)
+                .map(|h| g.route(h))
+                .map(|r| (r.head_slot, r.sid))
+                .collect();
+            routed.sort_unstable();
+            routed.dedup();
+            walked.sort_unstable();
+            assert_eq!(walked, routed, "{g:?}");
+        }
+    }
+
+    /// A chunk that rolled back leaves its destination heads behind
+    /// (undo-free writes). If the partition they point into is emptied
+    /// before the chunk re-runs — a mutator that found `resize_lock` busy
+    /// does not help first — the re-run must overwrite them with 0, not
+    /// skip the empty partition.
+    #[test]
+    fn a_rerun_chunk_overwrites_the_heads_a_rolled_back_one_left() {
+        let (ht, pool, clock) = table(1 << 23, 64);
+        let keys: Vec<String> = (0..33).map(|i| format!("m{i}")).collect();
+        for k in &keys {
+            ht.put(&clock, k.as_bytes(), b"v").unwrap();
+        }
+        pool.fail_points.arm("ht::cursor-advance", 1);
+        assert!(ht.put(&clock, b"m33", b"v").is_err());
+        pool.device().crash();
+        let (ht, pool) = reopen(ht, pool, &clock);
+        let g = ht.geo();
+        assert_eq!((g.old_buckets, g.cursor), (64, 0), "chunk rolled back");
+        // The first chunk is buckets 0..8; its destination heads went in.
+        let in_chunk = |k: &&String| fnv1a(k.as_bytes()) % 64 < 8;
+        let stale = |g: Geo| {
+            let slots = (0..8).flat_map(|b| [b, b + 64]);
+            slots
+                .filter(|b| pool.read_u64(&clock, g.heads + b * 8) != 0)
+                .count()
+        };
+        assert!(stale(g) > 0, "some key of 33 hashes into the first chunk");
+        assert_eq!(ht.keys(&clock).len(), 33, "no walker follows them");
+        assert_eq!(ht.chain_length_histogram(&clock).iter().sum::<u64>(), 64);
+
+        // Empty those partitions without helping, then let the split run.
+        ht.set_auto_resize(false);
+        for k in keys.iter().filter(in_chunk) {
+            assert!(ht.remove(&clock, k.as_bytes()).unwrap());
+        }
+        ht.set_auto_resize(true);
+        while ht.splitting() {
+            ht.remove(&clock, b"absent").unwrap();
+        }
+        assert_eq!(stale(g), 0, "freed entries are unreachable");
+        let mut left: Vec<_> = keys.iter().filter(|k| !in_chunk(k)).cloned().collect();
+        let mut found: Vec<_> = ht
+            .keys(&clock)
+            .into_iter()
+            .map(|k| String::from_utf8(k).unwrap())
+            .collect();
+        left.sort();
+        found.sort();
+        assert_eq!(found, left);
+        pool.check_heap().unwrap();
+    }
+
+    /// The worst relink pattern a 256-bucket chunk can meet: every source
+    /// chain is 8 long and alternates lo/hi, so 7 of its 8 next pointers
+    /// are rewritten — 35 KB of undo against a 15 KB lane. The chunk ends
+    /// at the last bucket that fits instead of overflowing (an overflow
+    /// would fail this and every later mutation).
+    #[test]
+    fn one_chunk_of_the_worst_relink_pattern_fits_the_undo_log() {
+        const N: u64 = 8192; // the smallest directory whose chunk is 256
+        const CHUNK: u64 = 256;
+        let (ht, pool, clock) = table(1 << 24, N);
+        ht.set_auto_resize(false);
+        // Per source bucket of the first chunk: four keys for each half.
+        let mut picked: Vec<[Vec<String>; 2]> = vec![Default::default(); CHUNK as usize];
+        let mut fillers = Vec::new();
+        let mut missing = CHUNK * 8;
+        for i in 0.. {
+            let k = format!("w{i}");
+            let h = fnv1a(k.as_bytes());
+            if h % N >= CHUNK {
+                if (fillers.len() as u64) < N / 2 {
+                    fillers.push(k);
+                }
+                continue;
+            }
+            let half = &mut picked[(h % N) as usize][(h % (2 * N) / N) as usize];
+            if half.len() < 4 {
+                half.push(k);
+                missing -= 1;
+            }
+            if missing == 0 {
+                break;
+            }
+        }
+        let mut all = fillers;
+        for [lo, hi] in &picked {
+            all.extend(lo.iter().zip(hi).flat_map(|(l, h)| [l.clone(), h.clone()]));
+        }
+        for k in &all {
+            ht.put(&clock, k.as_bytes(), b"v").unwrap();
+        }
+        ht.begin_split(&clock).unwrap();
+        assert!(ht.splitting(), "2 x {} keys > {N} buckets", all.len());
+        ht.set_auto_resize(true);
+
+        // A mutation that only helps: removing an absent key logs nothing.
+        let registry = MetricsRegistry::new();
+        pool.device().machine().set_metrics(Arc::clone(&registry));
+        assert!(!ht.remove(&clock, b"absent").unwrap());
+        let (undo, cursor) = (
+            registry.snapshot().counter("tx.undo_bytes"),
+            ht.geo().cursor,
+        );
+        // 7 relinks per bucket + the cursor word, 12 + 8 bytes each, and
+        // room kept for the two more words a retiring chunk would log.
+        assert_eq!(undo, (cursor * 7 + 1) * 20);
+        let capacity = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
+        assert!(undo + 2 * 20 <= capacity && undo + 7 * 20 > capacity - 3 * 20);
+        assert!(cursor < CHUNK, "the whole chunk would have taken 35 KB");
+
+        while ht.geo().cursor < CHUNK {
+            ht.remove(&clock, b"absent").unwrap();
+        }
+        for k in &all {
+            assert!(ht.contains(&clock, k.as_bytes()), "{k} lost");
+        }
+        assert_eq!(ht.keys(&clock).len(), all.len());
     }
 
     #[test]

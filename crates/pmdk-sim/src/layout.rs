@@ -399,11 +399,17 @@ pub struct Geo {
 }
 
 impl Geo {
-    /// Every chain-head slot a key could live in: unmigrated old buckets
-    /// first, then the whole new directory. Yields `(head_slot, bucket)`.
+    /// Every chain-head slot a key can route to: unmigrated old buckets
+    /// first, then the new-directory slots whose source bucket the cursor
+    /// has passed — all of them when no split is in flight. Yields
+    /// `(head_slot, bucket)`. A destination slot at or past the cursor is
+    /// unreachable and is written without undo, so it may hold the head a
+    /// rolled-back migration chunk left there: no walker may follow it.
     pub fn head_slots(self) -> impl Iterator<Item = (u64, u64)> {
         let old = (self.cursor..self.old_buckets).map(move |b| (self.old_heads + b * 8, b));
-        old.chain((0..self.buckets).map(move |b| (self.heads + b * 8, b)))
+        let new = (0..self.buckets)
+            .filter(move |b| self.old_buckets == 0 || b % self.old_buckets < self.cursor);
+        old.chain(new.map(move |b| (self.heads + b * 8, b)))
     }
 }
 

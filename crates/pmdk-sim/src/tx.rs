@@ -27,6 +27,9 @@ use pmem_sim::Clock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+/// Bytes of undo log in one lane: what is left after header and intents.
+const UNDO_CAPACITY: u64 = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
+
 /// Volatile lane bookkeeping: which lanes are free to claim.
 #[derive(Debug)]
 pub struct LaneTable {
@@ -229,10 +232,9 @@ impl<'a> Tx<'a> {
     /// Call before overwriting existing persistent data.
     pub fn snapshot(&mut self, off: u64, len: u64) -> Result<()> {
         self.pool.fail_check(self.clock, "tx::snapshot")?;
-        let capacity = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
-        if self.undo_used + 12 + len > capacity {
+        if self.undo_used + 12 + len > UNDO_CAPACITY {
             return Err(PmdkError::TxFailure(format!(
-                "undo log overflow: {} + {} > {capacity}",
+                "undo log overflow: {} + {} > {UNDO_CAPACITY}",
                 self.undo_used,
                 12 + len
             )));
@@ -253,6 +255,12 @@ impl<'a> Tx<'a> {
             self.undo_used as u32,
         );
         Ok(())
+    }
+
+    /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's undo log
+    /// (a record is offset + length + pre-image).
+    pub fn undo_fits(&self, words: u64) -> bool {
+        self.undo_used + words * (12 + 8) <= UNDO_CAPACITY
     }
 
     /// Snapshot + overwrite in one step.

@@ -7,7 +7,10 @@
 //! 2. the settled table keeps the longest chain within the design bound;
 //! 3. every key reads back byte-exact, and a pre-sized table that never
 //!    splits stores the same contents (splits move entries, never change
-//!    them).
+//!    them);
+//! 4. under write-behind a sampled get costs one front-index probe or one
+//!    chain walk whether or not a split is in flight, at either of two key
+//!    lengths (the read cliff lookups that migrated used to fall off).
 //!
 //! Drives the same storm cell `figures creation-storm` gates in CI, with
 //! its own read-back stride; the cell itself fails on a pool that does not
@@ -28,7 +31,7 @@ const SPEC: StormSpec = StormSpec {
 /// generator.
 fn run_storm(opts: Options) -> (CellResult, StormShape) {
     let (cell, shape) =
-        run_storm_cell(SPEC, &opts, 31, &MachineConfig::chameleon_skylake()).unwrap();
+        run_storm_cell(SPEC, "", &opts, 31, &MachineConfig::chameleon_skylake()).unwrap();
     assert_eq!(cell.mismatches, 0, "sampled read-back corrupted");
     (cell, shape)
 }
@@ -87,5 +90,40 @@ fn resizable_and_fixed_tables_store_identical_contents() {
     assert_eq!(
         shape.buckets, presized,
         "a pre-sized table must never split"
+    );
+}
+
+/// The write-behind read cliff: a get that found a split in flight used to
+/// migrate a chunk of it on the reader's clock (~290 sim_us against 4.7),
+/// and whether one was in flight when the sampling began turned on the WAL
+/// record size, i.e. on the key length. Lookups never migrate now, so a
+/// sampled get is a front-index hit or one chain walk, whatever the keys.
+#[test]
+fn a_sampled_get_costs_the_same_whatever_the_key_length() {
+    let spec = StormSpec::new(8, 2048, 8);
+    let pool_served = |prefix: &str| {
+        let mc = MachineConfig::chameleon_skylake();
+        // A quarter of the default WAL for a quarter of `storm_wb`'s keys.
+        let opts = Options {
+            wal_capacity: 2 << 20,
+            ..Options::write_behind()
+        };
+        let (cell, shape) = run_storm_cell(spec, prefix, &opts, 31, &mc).unwrap();
+        assert_eq!(cell.mismatches, 0, "{prefix:?}: read-back corrupted");
+        let costs: Vec<f64> = shape.get_costs.iter().map(|t| t.as_micros_f64()).collect();
+        let worst = costs.iter().copied().fold(0.0, f64::max);
+        // A front-index hit is one DRAM probe; the rest walked a chain.
+        let pool: Vec<f64> = costs.iter().copied().filter(|&c| c > 1.0).collect();
+        assert!(
+            worst < 10.0,
+            "{prefix:?}: a sampled get cost {worst} sim_us"
+        );
+        assert!(!pool.is_empty(), "{prefix:?}: no get reached the pool");
+        pool.iter().sum::<f64>() / pool.len() as f64
+    };
+    let (short, long) = (pool_served(""), pool_served("xxx"));
+    assert!(
+        short <= 2.0 * long && long <= 2.0 * short,
+        "pool-served get: {short} sim_us vs {long} with three more key bytes"
     );
 }

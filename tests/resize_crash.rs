@@ -9,13 +9,19 @@
 //!    the next open recounts the sharded total from the chains;
 //! 4. write-behind WAL replay works across a table that crashed mid-split
 //!    during its checkpoint drain;
+//! 5. the destination heads a rolled-back chunk wrote (undo-free, so they
+//!    survive the rollback) are followed by no walker — `len`, `keys`, the
+//!    chain histogram, the doctor — and the chunk's re-run overwrites them,
+//!    also where the partition they pointed into has been removed since;
 //!
 //! all under both scheduler modes.
 
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
+use pmdk_sim::layout::Bytes;
 use pmdk_sim::PmemPool;
 use pmem_sim::{Clock, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
+use pmemcpy_bench::doctor::{diagnose, Status};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -111,6 +117,38 @@ fn assert_matches_reference(
     }
 }
 
+/// Store keys 0..33 in a fresh mount, arm `site` and let the 34th put —
+/// which crosses the split trigger: `begin_split` commits, then the first
+/// migration chunk hits the armed site — fail; then cut the power. The
+/// failing put never inserted its own key, so exactly 33 keys survive.
+fn crash_in_the_first_chunk(dev: &Arc<PmemDevice>, comm: &Comm, site: &'static str, ctx: &str) {
+    let mut pmem = Pmem::with_options(resize_opts());
+    pmem.mmap(MmapTarget::DevDax(dev), comm).unwrap();
+    for i in 0..33 {
+        put(&pmem, i).unwrap();
+    }
+    // Reach under the API for the interned pool's fail points.
+    let shared = registry::shared_pool(&Clock::new(), dev, "pmemcpy", BUCKETS).unwrap();
+    assert!(!shared.hashtable.splitting(), "{ctx}: split began early");
+    let fp = arm_guarded(&shared.pool, site, 1);
+    let err = put(&pmem, 33).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            pmemcpy::PmemCpyError::Pmdk(pmdk_sim::PmdkError::Injected(_))
+        ),
+        "{ctx}: {err}"
+    );
+    fp.assert_unfired(ctx);
+    drop(fp);
+
+    // Power failure mid-split; DRAM state evaporates.
+    dev.crash();
+    drop(pmem);
+    drop(shared);
+    registry::release_pool(dev);
+}
+
 /// Crash during bucket migration or at the cursor advance: the migration
 /// transaction rolls back whole, reopen lands mid-split with every key
 /// readable, and later puts finish the split.
@@ -125,8 +163,6 @@ fn crash_mid_split_recovers_and_later_puts_finish_it() {
 
 fn crash_mid_split_scenario(site: &'static str, mode: SchedMode) {
     let ctx = format!("{site} ({mode:?})");
-    // The triggering put fails before inserting its own key, so exactly
-    // the first 33 keys survive the crash.
     let (ref_keys, ref_records) = fixed_reference(33);
 
     let machine = Machine::chameleon();
@@ -136,35 +172,7 @@ fn crash_mid_split_scenario(site: &'static str, mode: SchedMode) {
     run_world_mode(Arc::clone(&machine), 1, mode, move |comm| {
         let dev = &dev_in;
         let ctx = &ctx_in;
-        let mut pmem = Pmem::with_options(resize_opts());
-        pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
-        for i in 0..33 {
-            put(&pmem, i).unwrap();
-        }
-
-        // Reach under the API for the interned pool's fail points. The
-        // 34th put crosses the split trigger: begin_split commits, then
-        // the first migration chunk hits the armed site.
-        let clock = Clock::new();
-        let shared = registry::shared_pool(&clock, dev, "pmemcpy", BUCKETS).unwrap();
-        assert!(!shared.hashtable.splitting(), "{ctx}: split began early");
-        let fp = arm_guarded(&shared.pool, site, 1);
-        let err = put(&pmem, 33).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                pmemcpy::PmemCpyError::Pmdk(pmdk_sim::PmdkError::Injected(_))
-            ),
-            "{ctx}: {err}"
-        );
-        fp.assert_unfired(ctx);
-        drop(fp);
-
-        // Power failure mid-split; DRAM state evaporates.
-        dev.crash();
-        drop(pmem);
-        drop(shared);
-        registry::release_pool(dev);
+        crash_in_the_first_chunk(dev, &comm, site, ctx);
 
         // Reopen: recovery rolls the migration chunk back to the persisted
         // cursor, the table is still splitting, and — because the crash
@@ -195,6 +203,103 @@ fn crash_mid_split_scenario(site: &'static str, mode: SchedMode) {
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         drop(shared);
         pmem.munmap().unwrap();
+    });
+}
+
+/// A chunk writes its destination heads without undo, so a crash at the
+/// cursor advance — which fires after them — leaves them in the new
+/// directory while the relinks roll back. Those slots are unreachable until
+/// the cursor passes their bucket: every walker must skip them, and the
+/// re-run must overwrite them whatever happened to the chains since.
+#[test]
+fn stale_destination_heads_are_skipped_and_overwritten() {
+    for mode in [SchedMode::Deterministic, SchedMode::FreeThreaded] {
+        stale_destination_scenario(mode);
+    }
+}
+
+fn stale_destination_scenario(mode: SchedMode) {
+    let ctx = format!("stale destination heads ({mode:?})");
+    let (ref_keys, ref_records) = fixed_reference(33);
+
+    let machine = Machine::chameleon();
+    let dev = PmemDevice::new(Arc::clone(&machine), 24 << 20, PersistenceMode::Tracked);
+    let dev_in = Arc::clone(&dev);
+    let ctx_in = ctx.clone();
+    run_world_mode(Arc::clone(&machine), 1, mode, move |comm| {
+        let dev = &dev_in;
+        let ctx = &ctx_in;
+        crash_in_the_first_chunk(dev, &comm, "ht::cursor-advance", ctx);
+
+        // Reopen (recovery rolls the relinks back) and look at the image.
+        let mut pmem = Pmem::with_options(resize_opts());
+        pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
+        let clock = Clock::new();
+        let shared = registry::shared_pool(&clock, dev, "pmemcpy", BUCKETS).unwrap();
+        let d = diagnose(dev).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let ht = d.hashtable.as_ref().expect("the pool roots a hashtable");
+        let g = ht.header.geo;
+        assert_eq!((g.old_buckets, g.cursor), (BUCKETS, 0), "{ctx}: {g:?}");
+        // The first chunk is source buckets 0..8.
+        let stale = (0..8)
+            .flat_map(|b| [b, b + BUCKETS])
+            .filter(|b| dev.u64_at(g.heads + b * 8) != 0)
+            .count();
+        assert!(stale > 0, "{ctx}: the chunk left no destination head");
+
+        // Every walker sees each of the 33 entries exactly once.
+        assert!(ht.ok(), "{ctx}: {:?}", ht.errors);
+        assert_eq!(ht.reachable, 33, "{ctx}: doctor");
+        let hashtable = d.verdicts.iter().find(|v| v.check == "hashtable");
+        assert_eq!(hashtable.unwrap().status, Status::Pass, "{ctx}");
+        assert_eq!(shared.hashtable.len(&clock), 33, "{ctx}: recount");
+        assert_eq!(shared.hashtable.keys(&clock).len(), 33, "{ctx}: keys");
+        let hist = shared.hashtable.chain_length_histogram(&clock);
+        assert_eq!(hist.iter().sum::<u64>(), BUCKETS, "{ctx}: slots walked");
+        let entries: u64 = hist.iter().zip(0..).map(|(n, len)| n * len).sum();
+        assert_eq!(entries, 33, "{ctx}: histogram");
+        assert_matches_reference(&pmem, &ref_keys, &ref_records, ctx);
+
+        // Remove the fullest bucket of the rolled-back chunk, then let
+        // ordinary puts finish the split.
+        let in_bucket = |b: u64| -> Vec<&String> {
+            let lives_in = |k: &&String| pmdk_sim::hashtable::fnv1a(k.as_bytes()) % BUCKETS == b;
+            ref_keys.iter().filter(lives_in).collect()
+        };
+        let doomed = (0..8).map(in_bucket).max_by_key(Vec::len).unwrap();
+        assert!(!doomed.is_empty(), "{ctx}: no key in the first chunk");
+        for key in &doomed {
+            assert!(pmem.remove(key).unwrap(), "{ctx}: {key} was stored");
+        }
+        let mut i = 33u64;
+        while shared.hashtable.splitting() {
+            put(&pmem, i).unwrap();
+            i += 1;
+            assert!(i < 33 + 1000, "{ctx}: split never completed");
+        }
+        let (mut all_keys, all_records) = fixed_reference(i);
+        all_keys.retain(|k| !doomed.contains(&k));
+        let ctx = &format!("{ctx} post-split");
+        assert_matches_reference(&pmem, &all_keys, &all_records, ctx);
+        shared
+            .pool
+            .check_heap()
+            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        drop(shared);
+        pmem.munmap().unwrap();
+
+        // No head points at a freed entry: the offline walk of the closed
+        // image finds the live keys and nothing else.
+        let d = diagnose(dev).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        for v in &d.verdicts {
+            assert_ne!(v.status, Status::Fail, "{ctx}: {v:?}");
+        }
+        let mut walked: Vec<String> = (d.hashtable.unwrap().entries.iter())
+            .map(|e| String::from_utf8(e.key.clone()).unwrap())
+            .collect();
+        walked.sort();
+        all_keys.sort();
+        assert_eq!(walked, all_keys, "{ctx}: doctor walk");
     });
 }
 
