@@ -15,16 +15,14 @@
 //! convention §3 describes — and per-rank blocks under
 //! `"<id>#block@o1,o2,..."`, mirroring how ADIOS keeps per-writer blocks.
 
-use crate::element::{
-    pod_as_bytes, pod_from_bytes, slice_as_bytes, slice_as_bytes_mut, Element, Pod,
-};
+use crate::element::{pod_from_bytes, slice_as_bytes_mut, Element, Pod};
 use crate::error::{PmemCpyError, Result};
 use crate::layout::{hashtable::HashtableLayout, hierarchical::HierarchicalLayout, Layout};
 use crate::options::Options;
 use crate::registry;
 use mpi_sim::Comm;
 use pmem_sim::{Clock, Machine, PmemDevice, SimTime};
-use pserial::{Datatype, VarMeta};
+use pserial::Datatype;
 use simfs::SimFs;
 use std::sync::Arc;
 
@@ -98,16 +96,9 @@ impl Pmem {
                     registry::shared_pool(&clock, device, "pmemcpy", self.opts.hashtable_buckets)?;
                 // Write-behind: attach (and on first arrival recover) the
                 // shared WAL + front index before any rank proceeds.
-                let write_behind = if self.opts.write_behind {
-                    Some(registry::write_behind_state(
-                        &clock,
-                        device,
-                        &shared,
-                        self.opts.wal_capacity,
-                    )?)
-                } else {
-                    None
-                };
+                let write_behind = (self.opts.write_behind)
+                    .then(|| shared.write_behind(&clock, self.opts.wal_capacity))
+                    .transpose()?;
                 comm.barrier();
                 let pool = Arc::clone(&shared.pool);
                 pool.flight().record(
@@ -193,8 +184,8 @@ impl Pmem {
             .and_then(|_| m.layout.quiesce(&m.clock))
         {
             // A failed drain or count fold must leave the handle mapped:
-            // the caller can retry, and the interned pool/write-behind
-            // registry state is only released on a successful unmap.
+            // the caller can retry, and the interned pool (with its
+            // write-behind state) is only released on a successful unmap.
             self.mounted = Some(m);
             return Err(e);
         }
@@ -262,18 +253,22 @@ impl Pmem {
             .unwrap_or(SimTime::ZERO)
     }
 
+    /// Every `store_*` / `alloc` / `set_attr` below is a write batch of one:
+    /// `crate::batch` is the one place a record's key and `VarMeta` are built.
+    fn store_one<'a>(
+        &'a self,
+        stage: impl FnOnce(&mut crate::batch::WriteBatch<'a>) -> Result<()>,
+    ) -> Result<()> {
+        let mut one = self.batch();
+        stage(&mut one)?;
+        one.commit()
+    }
+
     // ---- scalars, slices, PODs ----
 
     /// Store a scalar under `id`.
     pub fn store_scalar<T: Element>(&self, id: &str, value: T) -> Result<()> {
-        let m = self.m()?;
-        let meta = VarMeta::scalar(id, T::DTYPE);
-        m.layout.store(
-            &m.clock,
-            id,
-            &meta,
-            slice_as_bytes(std::slice::from_ref(&value)),
-        )
+        self.store_one(|one| one.store_scalar(id, value))
     }
 
     /// Load a scalar.
@@ -289,9 +284,7 @@ impl Pmem {
 
     /// Store a dense 1-D array under `id` (dims recorded automatically).
     pub fn store_slice<T: Element>(&self, id: &str, data: &[T]) -> Result<()> {
-        let m = self.m()?;
-        let meta = VarMeta::local_array(id, T::DTYPE, &[data.len() as u64]);
-        m.layout.store(&m.clock, id, &meta, slice_as_bytes(data))
+        self.store_one(|one| one.store_slice(id, data))
     }
 
     /// Load a dense 1-D array. A read batch of one: a single lookup returns
@@ -314,9 +307,7 @@ impl Pmem {
 
     /// Store a fixed-layout struct ("compound type").
     pub fn store_pod<T: Pod>(&self, id: &str, value: &T) -> Result<()> {
-        let m = self.m()?;
-        let meta = VarMeta::local_array(id, Datatype::U8, &[std::mem::size_of::<T>() as u64]);
-        m.layout.store(&m.clock, id, &meta, pod_as_bytes(value))
+        self.store_one(|one| one.store_pod(id, value))
     }
 
     /// Load a fixed-layout struct.
@@ -332,11 +323,7 @@ impl Pmem {
     /// Declare the global dimensions of a decomposed array (Fig. 2's
     /// `alloc`). Stores the `"<id>#dims"` companion entry.
     pub fn alloc<T: Element>(&self, id: &str, global_dims: &[u64]) -> Result<()> {
-        let m = self.m()?;
-        let key = dims_key(id);
-        let payload = encode_dims_payload(T::DTYPE, global_dims);
-        let meta = VarMeta::local_array(&key, Datatype::U8, &[payload.len() as u64]);
-        m.layout.store(&m.clock, &key, &meta, &payload)
+        self.store_one(|one| one.alloc::<T>(id, global_dims))
     }
 
     /// Query an array's element type and global dimensions (Fig. 2's
@@ -357,14 +344,7 @@ impl Pmem {
         offsets: &[u64],
         dims: &[u64],
     ) -> Result<()> {
-        let m = self.m()?;
-        let (dtype, global) = self.load_dims(id)?;
-        self.check_dtype::<T>(id, dtype)?;
-        validate_block(id, &global, offsets, dims)?;
-        check_elements(id, dims, data.len())?;
-        let meta = VarMeta::block(id, T::DTYPE, &global, offsets, dims);
-        let key = block_key(id, offsets);
-        m.layout.store(&m.clock, &key, &meta, slice_as_bytes(data))
+        self.store_one(|one| one.store_block(id, data, offsets, dims))
     }
 
     /// Load the block previously stored at `offsets`/`dims` into `dst`
@@ -391,10 +371,7 @@ impl Pmem {
     /// Attach a string attribute to a variable (HDF5/ADIOS-style metadata:
     /// units, provenance, ...). Stored under `"<id>#attr:<name>"`.
     pub fn set_attr(&self, id: &str, name: &str, value: &str) -> Result<()> {
-        let m = self.m()?;
-        let key = attr_key(id, name);
-        let meta = VarMeta::local_array(&key, Datatype::U8, &[value.len() as u64]);
-        m.layout.store(&m.clock, &key, &meta, value.as_bytes())
+        self.store_one(|one| one.set_attr(id, name, value))
     }
 
     /// Read a string attribute.

@@ -17,8 +17,9 @@
 //!
 //! Crash contract: each committed group is atomic — a crash mid-commit rolls
 //! back the *entire* group (none of its keys visible, replaced values
-//! intact). Groups larger than [`MAX_GROUP_KEYS`] are split into consecutive
-//! atomic sub-groups to respect the transaction lane's intent capacity.
+//! intact). A batch is split into consecutive atomic groups at
+//! [`MAX_GROUP_KEYS`] keys (the transaction lane's intent capacity) and at a
+//! repeated key (see [`WriteBatch::commit`]).
 
 use crate::api::{self, Pmem};
 use crate::element::{pod_as_bytes, slice_as_bytes, Element, Pod};
@@ -26,6 +27,7 @@ use crate::error::Result;
 use crate::layout::PutRequest;
 use pserial::{Datatype, VarMeta};
 use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// Largest group committed as one pool transaction: each key may need an
 /// alloc intent plus a free intent (replacement), and a lane holds 128
@@ -138,17 +140,22 @@ impl<'a> WriteBatch<'a> {
         self.pmem.load_dims(id)
     }
 
-    /// Commit every staged put through the bulk reservation pipeline. Groups
-    /// of up to [`MAX_GROUP_KEYS`] keys each get one pool transaction and
-    /// one allocator pass; a crash mid-group rolls that whole group back.
+    /// Commit every staged put through the bulk reservation pipeline. This is
+    /// the one place commit groups are formed: a group ends at
+    /// [`MAX_GROUP_KEYS`] keys or just before a key it already holds (so a
+    /// batch may store a key twice, and the later value wins on every
+    /// target). Each group gets one pool transaction and one allocator pass
+    /// — under write-behind, one WAL record — and a crash mid-group rolls
+    /// that whole group back.
     pub fn commit(self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
         let (layout, _machine) = self.pmem.layout_and_machine()?;
         let clock = self.pmem.clock()?;
-        for group in self.pending.chunks(MAX_GROUP_KEYS) {
-            let puts: Vec<PutRequest<'_>> = group
+        let mut rest = &self.pending[..];
+        while !rest.is_empty() {
+            let window = &rest[..rest.len().min(MAX_GROUP_KEYS)];
+            let mut seen = HashSet::with_capacity(window.len());
+            let n = (window.iter().position(|p| !seen.insert(&p.key))).unwrap_or(window.len());
+            let puts: Vec<PutRequest<'_>> = rest[..n]
                 .iter()
                 .map(|p| PutRequest {
                     key: &p.key,
@@ -157,6 +164,7 @@ impl<'a> WriteBatch<'a> {
                 })
                 .collect();
             layout.store_many(clock, &puts)?;
+            rest = &rest[n..];
         }
         Ok(())
     }

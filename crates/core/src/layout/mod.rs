@@ -22,7 +22,7 @@ pub mod hierarchical;
 use crate::error::{PmemCpyError, Result};
 use crate::sink::{MappingSink, MappingSource};
 use pmem_sim::{Clock, DaxMapping, FlushStrategy, Machine};
-use pserial::{Serializer, VarHeader, VarMeta};
+use pserial::{ReadSource, Serializer, VarHeader, VarMeta};
 use std::sync::Arc;
 
 /// One key's worth of work for a batched store.
@@ -69,8 +69,35 @@ pub trait ReadConsumer {
     fn dst(&mut self, idx: usize, hdr: &VarHeader) -> Result<&mut [u8]>;
 }
 
-/// Decode one located record: header, payload into the consumer's buffer,
-/// deserialize charge — the per-record stage of [`Layout::load_many`].
+/// The per-record decode stage, whatever the record is read out of (a PMEM
+/// mapping, a re-serialized front-index entry): header, the consumer's
+/// destination for it, the length check, payload.
+pub(crate) fn decode_into(
+    serializer: &'static dyn Serializer,
+    src: &mut dyn ReadSource,
+    key: &str,
+    idx: usize,
+    consumer: &mut dyn ReadConsumer,
+) -> Result<VarHeader> {
+    let hdr = serializer.read_header(src)?;
+    let dst = consumer.dst(idx, &hdr)?;
+    if hdr.payload_len != dst.len() as u64 {
+        return Err(PmemCpyError::ShapeMismatch {
+            id: key.to_string(),
+            detail: format!(
+                "payload {} bytes, buffer {} bytes",
+                hdr.payload_len,
+                dst.len()
+            ),
+        });
+    }
+    serializer.read_payload(src, dst)?;
+    Ok(hdr)
+}
+
+/// Decode one located record straight from PMEM into the caller's buffer,
+/// then charge the deserialize — the per-record stage of
+/// [`Layout::load_many`].
 fn load_one_located(
     serializer: &'static dyn Serializer,
     machine: &Machine,
@@ -80,31 +107,17 @@ fn load_one_located(
     idx: usize,
     consumer: &mut dyn ReadConsumer,
 ) -> Result<VarHeader> {
-    let (hdr, bytes) = {
+    let hdr = {
         let mut span = machine.phase(clock, "get", "get.memcpy");
         let mut src = MappingSource::new(&loc.mapping, clock, loc.offset, loc.len)?;
-        let hdr = serializer.read_header(&mut src)?;
-        let dst = consumer.dst(idx, &hdr)?;
-        if hdr.payload_len != dst.len() as u64 {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: key.to_string(),
-                detail: format!(
-                    "payload {} bytes, buffer {} bytes",
-                    hdr.payload_len,
-                    dst.len()
-                ),
-            });
-        }
-        // Deserialize straight from PMEM into the caller's buffer.
-        serializer.read_payload(&mut src, dst)?;
-        let bytes = dst.len() as u64;
-        span.set_arg("bytes", bytes);
-        (hdr, bytes)
+        let hdr = decode_into(serializer, &mut src, key, idx, consumer)?;
+        span.set_arg("bytes", hdr.payload_len);
+        hdr
     };
     let _span = machine
         .phase(clock, "get", "get.deserialize")
-        .arg("bytes", bytes);
-    machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
+        .arg("bytes", hdr.payload_len);
+    machine.charge_serialize(clock, hdr.payload_len, serializer.cpu_cost_factor());
     Ok(hdr)
 }
 

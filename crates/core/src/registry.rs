@@ -5,9 +5,11 @@
 //! kernel's shared mapping provides that; in the simulation the ranks are
 //! threads, so a process-wide registry interns one [`PmemPool`] +
 //! [`PersistentHashtable`] per device. Rank 0 creates (or recovers) the
-//! pool; later arrivals receive the same handles.
+//! pool; later arrivals receive the same handles. A write-behind job's WAL
+//! and front index ride on the same entry.
 
 use crate::error::Result;
+use crate::write_behind::WriteBehindState;
 use pmdk_sim::{PersistentHashtable, PmemPool};
 use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, PmemDevice};
@@ -19,6 +21,30 @@ use std::sync::{Arc, OnceLock};
 pub struct SharedPool {
     pub pool: Arc<PmemPool>,
     pub hashtable: Arc<PersistentHashtable>,
+    /// Filled by the first rank that mounts with `Options::write_behind`.
+    write_behind: Arc<Mutex<Option<Arc<WriteBehindState>>>>,
+}
+
+impl SharedPool {
+    /// The pool's write-behind state: the ranks of a job share one WAL and
+    /// one DRAM front index, just as they share one pool. The first arrival
+    /// attaches it, which runs WAL recovery.
+    pub(crate) fn write_behind(
+        &self,
+        clock: &Clock,
+        wal_capacity: u64,
+    ) -> Result<Arc<WriteBehindState>> {
+        // Recovery charges the clock while the slot is locked; as in
+        // `shared_pool`, stay unparkable for the duration.
+        let _atomic = pmem_sim::atomic_section();
+        let mut slot = self.write_behind.lock();
+        if let Some(state) = &*slot {
+            return Ok(Arc::clone(state));
+        }
+        let state = WriteBehindState::attach(clock, self, wal_capacity)?;
+        *slot = Some(Arc::clone(&state));
+        Ok(state)
+    }
 }
 
 type Key = usize; // device address identity
@@ -69,46 +95,16 @@ pub fn shared_pool(
     let shared = SharedPool {
         pool,
         hashtable: Arc::new(hashtable),
+        write_behind: Arc::default(),
     };
     reg.insert(key, shared.clone());
     Ok(shared)
 }
 
-/// Get (or create + recover on first call) the shared write-behind state for
-/// `device`: the ranks of a job share one WAL and one DRAM front index, just
-/// as they share one pool. The first arrival runs WAL recovery (replay of
-/// log-over-last-checkpoint into the front index).
-pub fn write_behind_state(
-    clock: &Clock,
-    device: &Arc<PmemDevice>,
-    shared: &SharedPool,
-    wal_capacity: u64,
-) -> Result<Arc<crate::write_behind::WriteBehindState>> {
-    let key = Arc::as_ptr(device) as usize;
-    // Recovery charges the clock while the map lock is held; as with
-    // `shared_pool`, stay unparkable for the duration.
-    let _atomic = pmem_sim::atomic_section();
-    let mut map = wb_holder().lock();
-    if let Some(state) = map.get(&key) {
-        return Ok(Arc::clone(state));
-    }
-    let state = crate::write_behind::WriteBehindState::attach(clock, shared, wal_capacity)?;
-    map.insert(key, Arc::clone(&state));
-    Ok(state)
-}
-
 /// Drop the interned pool for `device` (called at munmap by the last rank;
 /// harmless if others still hold clones — their Arcs keep the data alive).
 pub fn release_pool(device: &Arc<PmemDevice>) {
-    let key = Arc::as_ptr(device) as usize;
-    wb_holder().lock().remove(&key);
-    registry().lock().remove(&key);
-}
-
-fn wb_holder() -> &'static Mutex<HashMap<Key, Arc<crate::write_behind::WriteBehindState>>> {
-    static HOLD: OnceLock<Mutex<HashMap<Key, Arc<crate::write_behind::WriteBehindState>>>> =
-        OnceLock::new();
-    HOLD.get_or_init(|| Mutex::new(HashMap::new()))
+    registry().lock().remove(&(Arc::as_ptr(device) as usize));
 }
 
 #[cfg(test)]

@@ -205,6 +205,48 @@ fn write_behind_on_an_fs_target_is_a_config_error() {
     assert!(!fs.exists("/pmemcpy"));
 }
 
+/// A batch may store one key twice; the later value wins on every target,
+/// and the keys staged around the repeat all land. (Group formation in
+/// `WriteBatch::commit` ends a group just before a key it already holds.)
+#[test]
+fn a_batch_that_stores_a_key_twice_keeps_the_later_value() {
+    let check = |pmem: &mut Pmem, target: &str| {
+        let (first, second) = (vec![1.0f64; 8], vec![2.0f64; 24]);
+        let mut batch = pmem.batch();
+        batch.store_scalar("before", 1u64).unwrap();
+        batch.store_slice("twice", &first).unwrap();
+        batch.store_scalar("between", 2u64).unwrap();
+        batch.store_slice("twice", &second).unwrap();
+        batch.store_scalar("after", 3u64).unwrap();
+        batch.commit().unwrap_or_else(|e| panic!("{target}: {e}"));
+        assert_eq!(pmem.load_slice::<f64>("twice").unwrap(), second, "{target}");
+        for (key, v) in [("before", 1u64), ("between", 2), ("after", 3)] {
+            assert_eq!(pmem.load_scalar::<u64>(key).unwrap(), v, "{target}");
+        }
+        // Drained (a no-op on the inline targets) and remapped, it is still
+        // the later value.
+        pmem.checkpoint().unwrap();
+        assert_eq!(pmem.load_slice::<f64>("twice").unwrap(), second, "{target}");
+        assert_eq!(pmem.keys().unwrap().len(), 4, "{target}");
+        pmem.munmap().unwrap();
+    };
+    for (opts, target) in [
+        (Options::default(), "DevDax inline"),
+        (Options::write_behind(), "DevDax write-behind"),
+    ] {
+        let dev = devdax(16);
+        let (mut pmem, _comm) = mapped_single(opts, &dev);
+        check(&mut pmem, target);
+    }
+    let dev = devdax(16);
+    let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
+    let comm = mpi_sim::Comm::new(mpi_sim::World::new(Arc::clone(dev.machine()), 1), 0);
+    let mut pmem = Pmem::new();
+    let dir = "/pmemcpy";
+    pmem.mmap(MmapTarget::Fs { fs: &fs, dir }, &comm).unwrap();
+    check(&mut pmem, "Fs");
+}
+
 #[test]
 fn errors_are_reported_not_panicked() {
     let dev = devdax(8);

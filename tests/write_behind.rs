@@ -245,6 +245,59 @@ fn oversized_bypass_never_loses_to_older_wal_records() {
     pmem.munmap().unwrap();
 }
 
+/// A removed key is gone for good: absent right away (its WAL records are
+/// drained before the durable entry goes, and the front index goes with
+/// them), absent after the next checkpoint, and absent after a crash +
+/// reopen — no WAL record is left to replay it back. Its neighbours, and a
+/// later put of the same key, are untouched.
+#[test]
+fn removed_keys_stay_removed() {
+    let machine = Machine::chameleon();
+    let dev = PmemDevice::new(Arc::clone(&machine), 24 << 20, PersistenceMode::Tracked);
+    let comm = single_rank(&machine);
+    let mut pmem = Pmem::with_options(wb_opts());
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+
+    // `gone` is overwritten before it is removed, so several WAL records
+    // carry it; `reborn` is removed and then stored again.
+    write_group(&pmem, 0).unwrap();
+    pmem.store_slice("gone", &[1.0f64; 8]).unwrap();
+    pmem.store_slice("reborn", &[2.0f64; 8]).unwrap();
+    pmem.store_slice("gone", &[3.0f64; 16]).unwrap();
+    assert!(pmem.remove("gone").unwrap());
+    assert!(pmem.remove("reborn").unwrap());
+    assert!(!pmem.remove("gone").unwrap(), "already removed");
+    pmem.store_slice("reborn", &[4.0f64; 4]).unwrap();
+
+    let check = |pmem: &Pmem, context: &str| {
+        assert!(!pmem.exists("gone"), "{context}");
+        assert!(pmem.load_slice::<f64>("gone").is_err(), "{context}");
+        assert!(
+            !pmem.keys().unwrap().contains(&"gone".to_string()),
+            "{context}"
+        );
+        assert_eq!(
+            pmem.load_slice::<f64>("reborn").unwrap(),
+            vec![4.0; 4],
+            "{context}"
+        );
+        assert_eq!(pmem.load_scalar::<u64>("gen0").unwrap(), 0, "{context}");
+    };
+    check(&pmem, "before the checkpoint");
+    pmem.checkpoint().unwrap();
+    check(&pmem, "after the checkpoint");
+    write_group(&pmem, 1).unwrap();
+
+    dev.crash();
+    drop(pmem);
+    registry::release_pool(&dev);
+    let mut pmem = Pmem::with_options(wb_opts());
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    check(&pmem, "after crash + reopen");
+    assert_eq!(pmem.load_scalar::<u64>("gen1").unwrap(), 1);
+    pmem.munmap().unwrap();
+}
+
 /// A drain failure at munmap must leave the handle mapped (and the
 /// interned pool state alive) so the unmap can be retried; the retry then
 /// drains and releases normally.
