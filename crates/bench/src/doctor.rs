@@ -220,8 +220,9 @@ pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
                 .iter()
                 .map(|l| format!("lane {} {}", l.index, l.state_name()))
                 .collect();
+            let undecodable: String = lanes.errors.iter().map(|e| format!("; {e}")).collect();
             format!(
-                "in-flight transaction(s) froze on the image: {}",
+                "in-flight transaction(s) froze on the image: {}{undecodable}",
                 busy.join(", ")
             )
         },

@@ -49,10 +49,21 @@ impl Heap {
     /// Rebuild the volatile free list from the shared heap walk; the first
     /// implausible block refuses the mount.
     pub fn rebuild(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
+        Self::walk(device, heap_start, heap_end, false)
+    }
+
+    /// [`Heap::rebuild`] for a pool that may have crashed: a `prev_size`
+    /// word one step behind its header (the crash fell between an alloc's or
+    /// a free's two persists) is mended, not refused.
+    pub fn recover(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
+        Self::walk(device, heap_start, heap_end, true)
+    }
+
+    fn walk(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64, mend: bool) -> Result<Heap> {
         let mut free: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
         let mut allocated = 0;
         let mut fault = Ok(());
-        walk_blocks(&device, heap_start, heap_end, |block| {
+        walk_blocks(&device, heap_start, heap_end, mend, |block| {
             match block {
                 Ok((at, h)) if h.state == BLOCK_FREE => {
                     free.entry(h.size).or_default().insert(at);
@@ -317,20 +328,13 @@ impl Heap {
             }
         }
 
-        write_header(
-            clock,
-            &self.device,
-            start,
-            BlockHeader {
-                state: BLOCK_FREE,
-                size: payload,
-                prev_size,
-            },
-        );
         if start != hdr_off {
-            // Our header was absorbed into the predecessor's block; mark the
-            // stale copy FREE so a double free of this payload is detected
-            // instead of misreading leftover ALLOC bytes.
+            // The predecessor's block is about to absorb our header: flip
+            // it to FREE first. A crash between the two persists then finds
+            // two adjacent free blocks, and once the merge lands the stale
+            // copy already says FREE — a re-run of this free (recovery
+            // replays deferred frees) or a double free is refused instead of
+            // misreading leftover ALLOC bytes inside a free block.
             write_header(
                 clock,
                 &self.device,
@@ -342,6 +346,16 @@ impl Heap {
                 },
             );
         }
+        write_header(
+            clock,
+            &self.device,
+            start,
+            BlockHeader {
+                state: BLOCK_FREE,
+                size: payload,
+                prev_size,
+            },
+        );
         self.fix_next_prev_size(clock, start, payload);
         self.free.entry(payload).or_default().insert(start);
         Ok(())

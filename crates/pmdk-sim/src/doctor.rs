@@ -58,6 +58,9 @@ pub struct LaneSummary {
     pub corrupt: u64,
     /// Only the non-idle lanes (the interesting ones).
     pub busy: Vec<LaneReport>,
+    /// What recovery would refuse: an undo log or intent array of a busy
+    /// lane that the shared decoder faults.
+    pub errors: Vec<String>,
 }
 
 impl LaneSummary {
@@ -83,6 +86,13 @@ pub fn read_lanes(dev: &PmemDevice) -> LaneSummary {
             LANE_COMMITTING => out.committing += 1,
             _ => out.corrupt += 1,
         }
+        // What lane recovery would decode, through the decoder it uses.
+        let decoded = match rep.state {
+            LANE_ACTIVE => undo_records(dev, base).and(intents(dev, base)).map(drop),
+            LANE_COMMITTING => intents(dev, base).map(drop),
+            _ => Ok(()),
+        };
+        out.errors.extend(decoded.err().map(message));
         if rep.state != LANE_IDLE {
             out.busy.push(rep);
         }
@@ -113,7 +123,7 @@ impl HeapReport {
 /// mounts with, collecting every violation it reports.
 pub fn walk_heap(dev: &PmemDevice) -> HeapReport {
     let mut out = HeapReport::default();
-    walk_blocks(dev, heap_start(), dev.size() as u64, |block| {
+    walk_blocks(dev, heap_start(), dev.size() as u64, false, |block| {
         match block {
             Ok((_, h)) if h.state == BLOCK_FREE => {
                 out.blocks += 1;

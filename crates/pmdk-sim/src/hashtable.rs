@@ -841,10 +841,10 @@ impl PersistentHashtable {
                 // One allocator pass for every entry in the group.
                 let entries = tx.alloc_many(&entry_sizes)?;
                 let mut live_delta = vec![0i64; STRIPES];
+                // Unlink + free replaced entries first. Re-find before
+                // each unlink: an earlier unlink in the same chain may
+                // have moved this entry's predecessor.
                 for (&head_slot, idxs) in &by_slot {
-                    // Unlink + free replaced entries first. Re-find before
-                    // each unlink: an earlier unlink in the same chain may
-                    // have moved this entry's predecessor.
                     for &i in idxs {
                         let (key, _) = reqs[i];
                         if let Some(old) = self.find(clock, head_slot, key, hashes[i])? {
@@ -854,22 +854,22 @@ impl PersistentHashtable {
                             live_delta[routes[i].sid] += 1;
                         }
                     }
-                    // Chain the group's new entries together off-list, then
-                    // make them all visible with one snapshotted head write.
+                }
+                // Chain each bucket's new entries together off-list, each
+                // stored whole and once, undo-free: nothing reaches it yet.
+                let mut heads = Vec::with_capacity(by_slot.len());
+                for (&head_slot, idxs) in &by_slot {
                     let mut head = self.pool.read_u64(clock, head_slot);
                     for &i in idxs {
-                        let (key, val_len) = reqs[i];
-                        let entry = entries[i];
-                        tx.write_new(entry + ENT_HASH, &hashes[i].to_le_bytes());
-                        tx.write_new(entry + ENT_KLEN, &(key.len() as u32).to_le_bytes());
-                        tx.write_new(entry + ENT_VLEN, &(val_len as u32).to_le_bytes());
-                        tx.write_new(entry + ENT_KEY, key);
-                        if let Some(v) = value {
-                            tx.write_new(entry + ENT_KEY + key.len() as u64, v);
-                        }
-                        tx.write_new(entry + ENT_NEXT, &head.to_le_bytes());
-                        head = entry;
+                        let (key, vlen) = (reqs[i].0, reqs[i].1 as u32);
+                        tx.write_new(entries[i], &encode_entry(hashes[i], key, vlen, head, value));
+                        head = entries[i];
                     }
+                    heads.push((head_slot, head));
+                }
+                // One snapshotted head write per bucket makes its group
+                // visible; the first one's undo record fences every entry.
+                for (head_slot, head) in heads {
                     tx.set(head_slot, &head.to_le_bytes())?;
                 }
                 Ok((entries, live_delta))
@@ -1589,8 +1589,8 @@ mod tests {
         }
     }
 
-    /// A chunk that rolled back leaves its destination heads behind
-    /// (undo-free writes). If the partition they point into is emptied
+    /// A chunk that rolled back may leave its destination heads behind
+    /// (undo-free, unfenced writes). If the partition they point into is emptied
     /// before the chunk re-runs — a mutator that found `resize_lock` busy
     /// does not help first — the re-run must overwrite them with 0, not
     /// skip the empty partition.
@@ -1603,7 +1603,16 @@ mod tests {
         }
         pool.fail_points.arm("ht::cursor-advance", 1);
         assert!(ht.put(&clock, b"m33", b"v").is_err());
-        pool.device().crash();
+        // The heads are stored, not yet flushed: the crash image in which
+        // their lines reached media anyway and the cursor never moved.
+        let new_heads = ht.geo().heads..ht.geo().heads + 128 * 8;
+        let mut reached = pool.device().in_flight();
+        reached.retain(|l| new_heads.contains(&(l.line as u64 * 64)));
+        assert!(
+            !reached.is_empty(),
+            "the chunk stored its destination heads"
+        );
+        pool.device().crash_keeping(&reached);
         let (ht, pool) = reopen(ht, pool, &clock);
         let g = ht.geo();
         assert_eq!((g.old_buckets, g.cursor), (64, 0), "chunk rolled back");

@@ -10,6 +10,9 @@
 //! lanes end       FLIGHT RECORDER: bounded crash-safe event ring
 //! flight end      HEAP: block-header-prefixed allocations
 //!
+//! lane:             [state u32][undo_len u32][intent_count u32][generation u32]
+//!                   ...64 B; [intent u64 × LANE_INTENTS]; undo records of
+//!                   [target off u64][len u32][pre-image], contiguous
 //! hashtable header: [bucket_count u64][entry_count u64][heads_off u64]
 //!                   [old_bucket_count u64][old_heads_off u64]
 //!                   [split_cursor u64][count_dirty u64]
@@ -287,6 +290,102 @@ impl Superblock {
     }
 }
 
+// ---- transaction lanes ----
+
+/// Bytes of undo log in one lane: what is left after header and intents.
+pub const UNDO_CAPACITY: u64 = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
+/// Undo record header: target offset u64 + pre-image length u32.
+const UNDO_REC_HDR: u64 = 12;
+
+/// Device offset of the intent array of the lane at `base`.
+pub const fn lane_intents(base: u64) -> u64 {
+    base + LANE_HEADER_SIZE
+}
+
+/// Device offset of the undo area of the lane at `base`.
+pub const fn lane_undo(base: u64) -> u64 {
+    lane_intents(base) + LANE_INTENT_BYTES
+}
+
+/// Undo-log bytes a record with a `len`-byte pre-image occupies.
+pub const fn undo_record_size(len: u64) -> u64 {
+    UNDO_REC_HDR + len
+}
+
+/// One undo record as it is stored: offset, length, pre-image — contiguous,
+/// so one store and one flush cover it.
+pub fn encode_undo_record(off: u64, pre: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(undo_record_size(pre.len() as u64) as usize);
+    rec.extend_from_slice(&off.to_le_bytes());
+    rec.extend_from_slice(&(pre.len() as u32).to_le_bytes());
+    rec.extend_from_slice(pre);
+    rec
+}
+
+/// One decoded undo record: restore `len` bytes at `off` from the pre-image
+/// stored at `pre_at`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UndoRecord {
+    pub off: u64,
+    pub len: u64,
+    pub pre_at: u64,
+}
+
+/// Decode the undo log of the lane at `base`, oldest record first: the
+/// length word, then an offset and a length fetch per record. The log must
+/// fit the lane, every record must end inside the logged length, and every
+/// target must lie in the heap (where everything a transaction snapshots
+/// lives).
+pub fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
+    let undo_len = src.u32_at(base + lane::UNDO_LEN) as u64;
+    if undo_len > UNDO_CAPACITY {
+        return bad(format!(
+            "lane at {base:#x}: undo length {undo_len} past the lane ({UNDO_CAPACITY})"
+        ));
+    }
+    let (undo, mut cursor, mut out) = (lane_undo(base), 0u64, vec![]);
+    while cursor < undo_len {
+        if undo_len - cursor < UNDO_REC_HDR {
+            return bad(format!(
+                "lane at {base:#x}: undo record at {cursor} runs past the logged {undo_len}"
+            ));
+        }
+        let off = src.u64_at(undo + cursor);
+        let len = src.u32_at(undo + cursor + 8) as u64;
+        if undo_record_size(len) > undo_len - cursor {
+            return bad(format!(
+                "lane at {base:#x}: undo record at {cursor} (+{len}) runs past the logged {undo_len}"
+            ));
+        }
+        if !src.in_heap(off, len) {
+            return bad(format!(
+                "lane at {base:#x}: undo record targets {off:#x}+{len}, outside the heap"
+            ));
+        }
+        out.push(UndoRecord {
+            off,
+            len,
+            pre_at: undo + cursor + UNDO_REC_HDR,
+        });
+        cursor += undo_record_size(len);
+    }
+    Ok(out)
+}
+
+/// Fetch the filled intent slots of the lane at `base` (low bit set = a
+/// deferred free): the count word, then one fetch per slot.
+pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
+    let count = src.u32_at(base + lane::INTENT_COUNT) as u64;
+    if count > LANE_INTENTS {
+        return bad(format!(
+            "lane at {base:#x}: intent count {count} > {LANE_INTENTS}"
+        ));
+    }
+    Ok((0..count)
+        .map(|slot| src.u64_at(lane_intents(base) + slot * 8))
+        .collect())
+}
+
 // ---- heap block chain ----
 
 /// Persisted block header, decoded.
@@ -324,10 +423,18 @@ impl BlockHeader {
 /// successor cannot be located); a broken `prev_size` link or unknown state
 /// does not, so the doctor lists every violation while `Heap::rebuild` stops
 /// at the first.
+///
+/// With `mend` (recovery only; untimed) a `prev_size` that is not the walked
+/// predecessor's size is rewritten instead of faulted. The forward chain —
+/// magic and size — is what locates blocks; `prev_size` is the back link
+/// coalescing follows, kept in a different cacheline from the header whose
+/// size it mirrors, so a crash between a split's or a merge's two persists
+/// legitimately leaves it one step behind.
 pub fn walk_blocks(
     dev: &PmemDevice,
     start: u64,
     end: u64,
+    mend: bool,
     mut visit: impl FnMut(Result<(u64, BlockHeader)>) -> bool,
 ) {
     let (mut at, mut prev_payload) = (start, 0u64);
@@ -341,13 +448,19 @@ pub fn walk_blocks(
                 _ => bad(format!("block at {at:#x}: implausible size {}", h.size)),
             }
         });
-        let (next, h) = match located {
+        let (next, mut h) = match located {
             Ok(located) => located,
             Err(e) => {
                 visit(Err(e));
                 return;
             }
         };
+        if mend && h.prev_size != prev_payload {
+            let word = (at + blk::PREV_SIZE) as usize;
+            dev.write_untimed(word, &prev_payload.to_le_bytes());
+            dev.persist_untimed(word, 8);
+            h.prev_size = prev_payload;
+        }
         let block = if h.prev_size != prev_payload {
             let prev = h.prev_size;
             bad(format!(
@@ -507,6 +620,20 @@ impl Entry {
         src.read(self.at + ENT_KEY, &mut k);
         k
     }
+}
+
+/// A chain entry as it is stored — header, key and (when the caller has
+/// them; otherwise they are written in place later) the value bytes — in
+/// one buffer, so a fresh entry is one store.
+pub fn encode_entry(hash: u64, key: &[u8], vlen: u32, next: u64, value: Option<&[u8]>) -> Vec<u8> {
+    let mut ent = Vec::with_capacity(ENT_KEY as usize + key.len() + value.map_or(0, <[u8]>::len));
+    ent.extend_from_slice(&hash.to_le_bytes());
+    ent.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    ent.extend_from_slice(&vlen.to_le_bytes());
+    ent.extend_from_slice(&next.to_le_bytes());
+    ent.extend_from_slice(key);
+    ent.extend_from_slice(value.unwrap_or_default());
+    ent
 }
 
 /// The one chain walk: follows `next` from `head_slot` (one 8-byte read of

@@ -218,7 +218,7 @@ impl PmemPool {
             FlightRecorder::attach_or_format(Arc::clone(&device), flight_start(), FLIGHT_SIZE);
         let pool = Arc::new(PmemPool {
             lanes: LaneTable::new(),
-            heap: Mutex::new(Heap::rebuild(Arc::clone(&device), heap_start(), size)?),
+            heap: Mutex::new(Heap::recover(Arc::clone(&device), heap_start(), size)?),
             device,
             layout: layout.to_string(),
             generation,
@@ -510,6 +510,63 @@ mod tests {
         assert_eq!(buf, [7u8; 100]);
         // The allocation is still registered.
         assert_eq!(pool.usable_size(p).unwrap(), crate::layout::align_up(100));
+    }
+
+    /// Every durable image along a run of `body` (one per flush and fence,
+    /// unfenced lines lost), recovered on a device of its own.
+    fn recovered_along(bytes: usize, body: impl FnOnce(&Arc<PmemPool>, &Clock)) -> usize {
+        let (pool, clock) = fresh_pool(bytes);
+        let images = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&images);
+        pool.device()
+            .at_crash_points(move |dev| sink.lock().push(dev.crash_image(&[])));
+        body(&pool, &clock);
+        let images = std::mem::take(&mut *images.lock());
+        for (i, image) in images.iter().enumerate() {
+            let dev = PmemDevice::new(Machine::chameleon(), bytes, PersistenceMode::Fast);
+            dev.write_untimed(0, image);
+            let pool = PmemPool::open(&clock, dev, "test-layout")
+                .unwrap_or_else(|e| panic!("crash point {i}: {e}"));
+            pool.check_heap()
+                .unwrap_or_else(|e| panic!("crash point {i}: {e}"));
+        }
+        images.len()
+    }
+
+    /// Found by `tests/crash_states.rs` (seed 0x21, scenario `tx`, crash
+    /// point 34): splitting a free block that has a physical successor
+    /// persists the successor's `prev_size` before the header whose size it
+    /// mirrors, and `open` refused the image in between as a broken chain.
+    /// Recovery mends the back link instead.
+    #[test]
+    fn a_crash_inside_a_block_split_or_merge_still_mounts() {
+        let points = recovered_along(1 << 21, |pool, clock| {
+            let hole = pool.alloc(clock, 1024).unwrap();
+            let next = pool.alloc(clock, 128).unwrap();
+            pool.free(clock, hole).unwrap(); // a hole with a successor
+            let part = pool.alloc(clock, 200).unwrap(); // splits it
+            pool.alloc_many(clock, &[64, 64, 64]).unwrap(); // carves the rest
+            pool.free(clock, next).unwrap(); // merges backwards
+            pool.free(clock, part).unwrap();
+        });
+        assert!(points > 20, "{points}");
+    }
+
+    /// Found by `tests/crash_states.rs` (seed 0x21, scenario `tx`, crash
+    /// point 88): a deferred free that merged into a free predecessor and
+    /// crashed before marking its own absorbed header FREE was replayed by
+    /// lane recovery, which still read ALLOC there and freed a block inside
+    /// a free block ("coalesce target not in free map"). The absorbed header
+    /// now flips first.
+    #[test]
+    fn a_deferred_free_that_crashed_mid_merge_replays_cleanly() {
+        recovered_along(1 << 21, |pool, clock| {
+            let hole = pool.alloc(clock, 1024).unwrap();
+            let victim = pool.alloc(clock, 128).unwrap();
+            let _pin = pool.alloc(clock, 64).unwrap();
+            pool.free(clock, hole).unwrap(); // the victim's predecessor is free
+            pool.tx(clock, |tx| tx.free(victim)).unwrap();
+        });
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! pmemobj one:
 //!
 //! * `snapshot(range)` copies the pre-image into the undo log **before** the
-//!   caller overwrites the range.
-//! * `alloc` persists an *allocation intent* before the heap allocation so a
-//!   crash cannot leak the block.
+//!   caller overwrites the range; `write_new` stores fresh ranges undo-free
+//!   and unfenced, one fence for all before the next record and the commit.
+//! * `alloc` persists an *allocation intent* so a rollback frees the block
+//!   (the slot is filled after the heap commits: ROADMAP item 1's leak window).
 //! * `free` is deferred: a *free intent* is persisted and only executed once
 //!   the lane has durably entered `COMMITTING` (a crash before that leaves
 //!   the block alive; after that, recovery finishes the frees).
@@ -26,9 +27,6 @@ use pmem_sim::sync::Mutex;
 use pmem_sim::Clock;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Bytes of undo log in one lane: what is left after header and intents.
-const UNDO_CAPACITY: u64 = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
 
 /// Volatile lane bookkeeping: which lanes are free to claim.
 #[derive(Debug)]
@@ -96,34 +94,23 @@ impl Default for LaneTable {
 }
 
 /// Apply the undo log backwards and free alloc-intents (crashed ACTIVE tx).
+/// The log and the intents are decoded — and bounds-checked — by
+/// [`crate::layout`], so a corrupt lane is `BadPool`, not a wild write.
 fn rollback_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
+    let src = pool.charged(clock);
     // Restore snapshotted pre-images, newest first.
-    let undo_len = pool.read_u32(clock, base + lane::UNDO_LEN) as u64;
-    let undo_base = base + LANE_HEADER_SIZE + LANE_INTENT_BYTES;
-    let mut entries = vec![];
-    let mut cursor = 0u64;
-    while cursor < undo_len {
-        let off = pool.read_u64(clock, undo_base + cursor);
-        let len = pool.read_u32(clock, undo_base + cursor + 8) as u64;
-        entries.push((off, len, undo_base + cursor + 12));
-        cursor += 12 + len;
+    for rec in undo_records(&src, base)?.into_iter().rev() {
+        let mut data = vec![0u8; rec.len as usize];
+        pool.read_bytes(clock, rec.pre_at, &mut data);
+        pool.write_bytes(clock, rec.off, &data);
     }
-    for (off, len, data_off) in entries.into_iter().rev() {
-        let mut data = vec![0u8; len as usize];
-        pool.read_bytes(clock, data_off, &mut data);
-        pool.write_bytes(clock, off, &data);
-    }
-    // Free blocks allocated by the dead transaction.
-    let intents = pool.read_u32(clock, base + lane::INTENT_COUNT) as u64;
-    for slot in 0..intents {
-        let entry = pool.read_u64(clock, base + LANE_HEADER_SIZE + slot * 8);
-        if entry & 1 == 0 && entry != 0 {
-            // Alloc intent: free it if the allocation actually happened.
-            if pool.usable_size(entry).is_ok() {
-                pool.free(clock, entry)?;
-            }
+    // Free blocks allocated by the dead transaction (if the allocation
+    // actually happened). Free intents are simply dropped: the free never
+    // executed.
+    for entry in intents(&src, base)? {
+        if entry & 1 == 0 && entry != 0 && pool.usable_size(entry).is_ok() {
+            pool.free(clock, entry)?;
         }
-        // Free intents are simply dropped: the free never executed.
     }
     reset_lane(clock, pool, base);
     Ok(())
@@ -131,15 +118,10 @@ fn rollback_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
 
 /// Finish a committed transaction: execute deferred frees, discard the log.
 fn rollforward_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
-    let intents = pool.read_u32(clock, base + lane::INTENT_COUNT) as u64;
-    for slot in 0..intents {
-        let entry = pool.read_u64(clock, base + LANE_HEADER_SIZE + slot * 8);
-        if entry & 1 == 1 {
-            let off = entry & !1;
-            // Idempotent: skip if an earlier attempt already freed it.
-            if pool.usable_size(off).is_ok() {
-                pool.free(clock, off)?;
-            }
+    for entry in intents(&pool.charged(clock), base)? {
+        // Idempotent: skip a free an earlier attempt already executed.
+        if entry & 1 == 1 && pool.usable_size(entry & !1).is_ok() {
+            pool.free(clock, entry & !1)?;
         }
     }
     reset_lane(clock, pool, base);
@@ -160,6 +142,8 @@ pub struct Tx<'a> {
     lane_base: u64,
     undo_used: u64,
     intents_used: u64,
+    /// Ranges `write_new` stored that nothing has flushed yet.
+    fresh: Vec<(u64, u64)>,
 }
 
 impl<'a> Tx<'a> {
@@ -186,6 +170,7 @@ impl<'a> Tx<'a> {
             lane_base,
             undo_used: 0,
             intents_used: 0,
+            fresh: Vec::new(),
         };
         match body(&mut tx) {
             Ok(v) => {
@@ -229,26 +214,26 @@ impl<'a> Tx<'a> {
     }
 
     /// Record the pre-image of `[off, off+len)` so a rollback can restore it.
-    /// Call before overwriting existing persistent data.
+    /// Call before overwriting existing persistent data. The record is one
+    /// store, one flush and one fence; the length word after it is the
+    /// commit point of the log append.
     pub fn snapshot(&mut self, off: u64, len: u64) -> Result<()> {
         self.pool.fail_check(self.clock, "tx::snapshot")?;
-        if self.undo_used + 12 + len > UNDO_CAPACITY {
+        if self.undo_used + undo_record_size(len) > UNDO_CAPACITY {
             return Err(PmdkError::TxFailure(format!(
                 "undo log overflow: {} + {} > {UNDO_CAPACITY}",
                 self.undo_used,
-                12 + len
+                undo_record_size(len)
             )));
         }
-        let undo_base = self.lane_base + LANE_HEADER_SIZE + LANE_INTENT_BYTES;
-        let entry = undo_base + self.undo_used;
+        // The write this record guards may publish what `write_new` stored.
+        self.persist_fresh();
         let mut pre = vec![0u8; len as usize];
         self.pool.read_bytes(self.clock, off, &mut pre);
-        self.pool.write_bytes(self.clock, entry, &off.to_le_bytes());
+        let entry = lane_undo(self.lane_base) + self.undo_used;
         self.pool
-            .write_bytes(self.clock, entry + 8, &(len as u32).to_le_bytes());
-        self.pool.write_bytes(self.clock, entry + 12, &pre);
-        self.undo_used += 12 + len;
-        // The length update is the commit point of the log append.
+            .write_bytes(self.clock, entry, &encode_undo_record(off, &pre));
+        self.undo_used += undo_record_size(len);
         self.pool.write_u32(
             self.clock,
             self.lane_base + lane::UNDO_LEN,
@@ -257,10 +242,9 @@ impl<'a> Tx<'a> {
         Ok(())
     }
 
-    /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's undo log
-    /// (a record is offset + length + pre-image).
+    /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's undo log.
     pub fn undo_fits(&self, words: u64) -> bool {
-        self.undo_used + words * (12 + 8) <= UNDO_CAPACITY
+        self.undo_used + words * undo_record_size(8) <= UNDO_CAPACITY
     }
 
     /// Snapshot + overwrite in one step.
@@ -270,10 +254,27 @@ impl<'a> Tx<'a> {
         Ok(())
     }
 
-    /// Write without snapshotting (for freshly-allocated ranges that need no
-    /// rollback image).
+    /// Store without snapshotting or persisting (for freshly-allocated
+    /// ranges: no rollback image, and unreachable until a snapshotted write
+    /// or the commit publishes them). Every fresh range is flushed behind
+    /// one fence before the next undo record and before the commit point.
     pub fn write_new(&mut self, off: u64, data: &[u8]) {
-        self.pool.write_bytes(self.clock, off, data);
+        self.pool
+            .device()
+            .write_meta(self.clock, off as usize, data);
+        self.fresh.push((off, data.len() as u64));
+    }
+
+    /// Flush what `write_new` stored since the last call, one fence for all.
+    fn persist_fresh(&mut self) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        let dev = self.pool.device();
+        for (off, len) in self.fresh.drain(..) {
+            dev.flush(self.clock, off as usize, len as usize);
+        }
+        dev.drain(self.clock);
     }
 
     /// Transactionally allocate `size` bytes; rolled back if the tx aborts.
@@ -285,7 +286,7 @@ impl<'a> Tx<'a> {
         // Reserve the intent slot before allocating (crash-safe ordering):
         // bump the count first, then fill the slot, so recovery never reads
         // an unfilled slot as garbage — a zero entry is ignored.
-        let slot_off = self.lane_base + LANE_HEADER_SIZE + self.intents_used * 8;
+        let slot_off = lane_intents(self.lane_base) + self.intents_used * 8;
         self.pool
             .write_bytes(self.clock, slot_off, &0u64.to_le_bytes());
         self.intents_used += 1;
@@ -316,8 +317,8 @@ impl<'a> Tx<'a> {
         }
         // Same crash-safe ordering as `alloc`: reserve all slots (zeroed —
         // recovery ignores zero entries), bump the count once, then allocate
-        // and fill the slots.
-        let first_slot = self.lane_base + LANE_HEADER_SIZE + self.intents_used * 8;
+        // and fill the slots with one write.
+        let first_slot = lane_intents(self.lane_base) + self.intents_used * 8;
         self.pool
             .write_bytes(self.clock, first_slot, &vec![0u8; (n * 8) as usize]);
         self.intents_used += n;
@@ -327,11 +328,9 @@ impl<'a> Tx<'a> {
             self.intents_used as u32,
         );
         let offs = self.pool.alloc_many(self.clock, sizes)?;
-        for (i, &off) in offs.iter().enumerate() {
-            debug_assert_eq!(off & 1, 0, "heap payloads are aligned");
-            self.pool
-                .write_bytes(self.clock, first_slot + i as u64 * 8, &off.to_le_bytes());
-        }
+        debug_assert!(offs.iter().all(|off| off & 1 == 0), "aligned payloads");
+        let slots: Vec<u8> = offs.iter().flat_map(|off| off.to_le_bytes()).collect();
+        self.pool.write_bytes(self.clock, first_slot, &slots);
         self.pool.fail_check(self.clock, "tx::alloc-after")?;
         Ok(offs)
     }
@@ -343,7 +342,7 @@ impl<'a> Tx<'a> {
         }
         // Validate now so the error surfaces in the tx, not at commit.
         self.pool.usable_size(off)?;
-        let slot_off = self.lane_base + LANE_HEADER_SIZE + self.intents_used * 8;
+        let slot_off = lane_intents(self.lane_base) + self.intents_used * 8;
         self.pool
             .write_bytes(self.clock, slot_off, &(off | 1).to_le_bytes());
         self.intents_used += 1;
@@ -357,6 +356,7 @@ impl<'a> Tx<'a> {
 
     fn commit(&mut self) -> Result<()> {
         self.pool.fail_check(self.clock, "tx::commit-before")?;
+        self.persist_fresh();
         // Durable commit point.
         self.pool
             .write_u32(self.clock, self.lane_base + lane::STATE, LANE_COMMITTING);
@@ -365,7 +365,7 @@ impl<'a> Tx<'a> {
         for slot in 0..self.intents_used {
             let entry = self
                 .pool
-                .read_u64(self.clock, self.lane_base + LANE_HEADER_SIZE + slot * 8);
+                .read_u64(self.clock, lane_intents(self.lane_base) + slot * 8);
             if entry & 1 == 1 {
                 self.pool.free(self.clock, entry & !1)?;
             }
@@ -591,6 +591,76 @@ mod tests {
         let sizes = vec![64u64; LANE_INTENTS as usize + 1];
         let err = pool.tx(&clock, |tx| tx.alloc_many(&sizes)).unwrap_err();
         assert!(matches!(err, PmdkError::TxFailure(_)));
+    }
+
+    fn fences(pool: &PmemPool) -> u64 {
+        pool.device().machine().stats.snapshot().fences
+    }
+
+    /// The barrier ledger (DESIGN §8): however many fresh ranges a
+    /// transaction stores, they share one fence; an undo record is one fence
+    /// and its length word another.
+    #[test]
+    fn fresh_stores_share_one_fence_and_an_undo_record_costs_two() {
+        let (pool, clock) = fresh_pool(1 << 21);
+        let root = pool.root(&clock, 64).unwrap();
+        let block = pool.alloc(&clock, 1024).unwrap();
+        for k in [1u64, 4, 16] {
+            let before = fences(&pool);
+            pool.tx(&clock, |tx| {
+                for i in 0..k {
+                    tx.write_new(block + i * 64, &[i as u8; 64]);
+                }
+                tx.set(root, b"publish!")
+            })
+            .unwrap();
+            // begin, fresh, record, UNDO_LEN, data; commit: COMMITTING,
+            // UNDO_LEN, INTENT_COUNT, IDLE.
+            assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1 + 1 + 4, "k = {k}");
+        }
+        // Nothing fresh, nothing to fence; fresh only, fenced by the commit.
+        let before = fences(&pool);
+        pool.tx(&clock, |tx| tx.set(root, b"set only")).unwrap();
+        assert_eq!(fences(&pool) - before, 1 + 3 + 4);
+        let before = fences(&pool);
+        pool.tx(&clock, |tx| {
+            tx.write_new(block, b"fresh only");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(fences(&pool) - before, 1 + 1 + 4);
+    }
+
+    /// The put path's budget: a 64-key group of fresh keys in distinct
+    /// buckets pays three fences a key for its head write, one for its
+    /// value, and shares everything else.
+    #[test]
+    fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
+        use crate::hashtable::{fnv1a, PersistentHashtable};
+        const BUCKETS: u64 = 4096;
+        let (pool, clock) = fresh_pool(1 << 22);
+        let ht = PersistentHashtable::create(&clock, &pool, BUCKETS).unwrap();
+        ht.put(&clock, b"warm", b"the dirty flag is set").unwrap();
+        let mut taken = std::collections::HashSet::new();
+        let keys: Vec<Vec<u8>> = (0u32..)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(|k| taken.insert(fnv1a(k) % BUCKETS))
+            .take(64)
+            .collect();
+        let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (k.as_slice(), 8)).collect();
+        let (before, txs) = (
+            fences(&pool),
+            pool.device().machine().stats.snapshot().pool_txs,
+        );
+        for vref in ht.put_reserve_many(&clock, &reqs).unwrap() {
+            pool.write_bytes(&clock, vref.offset, &[7u8; 8]);
+        }
+        assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
+        let spent = fences(&pool) - before;
+        // 64 × (record, UNDO_LEN, head, value) + begin 1 + intents 3 + heap
+        // carve ≤ 3 + fresh 1 + commit 4.
+        assert!((64 * 4 + 9..=64 * 4 + 12).contains(&spent), "{spent}");
+        assert!(spent <= 5 * 64);
     }
 
     #[test]

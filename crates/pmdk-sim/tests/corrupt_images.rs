@@ -7,11 +7,12 @@
 //! Each mounted call runs on its own thread under a timeout: a torn `next`
 //! that self-loops used to hang, and a hang must fail the row, not the run.
 
-use pmdk_sim::doctor::{walk_hashtable, walk_heap, walk_log};
+use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap, walk_log};
 use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
-    blk, heap_start, sb, Bytes, Superblock, ENT_KEY, ENT_NEXT, HDR_BUCKETS, HDR_HEADS,
-    HDR_OLD_BUCKETS, HDR_OLD_HEADS, LOG_HEAD,
+    blk, heap_start, lane, lane_offset, lane_undo, sb, Bytes, Superblock, ENT_KEY, ENT_NEXT,
+    HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_COMMITTING,
+    LANE_INTENTS, LOG_HEAD, UNDO_CAPACITY,
 };
 use pmdk_sim::{PersistentHashtable, PersistentLog, PmdkError, PmemPool};
 use pmem_sim::{Clock, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
@@ -101,6 +102,21 @@ fn put_absent(img: &Image, clock: &Clock) -> Result<(), PmdkError> {
     img.table(clock)?.put(clock, &img.absent, b"v").map(drop)
 }
 
+fn lanes_ok(img: &Image) -> bool {
+    read_lanes(&img.dev).errors.is_empty()
+}
+
+/// Lane 0's first header word: state (low half) and undo length (high).
+fn lane_word(state: u32, undo_len: u64) -> (u64, u64) {
+    (lane_offset(0) + lane::STATE, state as u64 | undo_len << 32)
+}
+
+/// One undo record header at the start of lane 0's log: target, length.
+fn undo_header(off: u64, len: u64) -> [(u64, u64); 2] {
+    let at = lane_undo(lane_offset(0));
+    [(at, off), (at + 8, len)]
+}
+
 const SELF_LOOP: fn(&Image) -> Vec<(u64, u64)> =
     |img| vec![(img.tail_entry + ENT_NEXT, img.tail_entry)];
 const WILD_NEXT: fn(&Image) -> Vec<(u64, u64)> = |img| vec![(img.tail_entry + ENT_NEXT, 1 << 40)];
@@ -119,6 +135,45 @@ const ROWS: &[Row] = &[
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: |img| walk_heap(&img.dev).ok(),
+    },
+    Row {
+        name: "active lane: undo length past the lane",
+        corrupt: |_| vec![lane_word(LANE_ACTIVE, UNDO_CAPACITY + 8)],
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
+    },
+    Row {
+        name: "active lane: undo record of 1 MiB in a 20-byte log",
+        corrupt: |img| {
+            let [off, len] = undo_header(img.table, 1 << 20);
+            vec![lane_word(LANE_ACTIVE, 20), off, len]
+        },
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
+    },
+    Row {
+        name: "active lane: undo record targets 1 << 40",
+        corrupt: |_| {
+            let [off, len] = undo_header(1 << 40, 8);
+            vec![lane_word(LANE_ACTIVE, 20), off, len]
+        },
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
+    },
+    Row {
+        name: "committing lane: intent count past the intent array",
+        corrupt: |_| {
+            vec![
+                lane_word(LANE_COMMITTING, 0),
+                (lane_offset(0) + lane::INTENT_COUNT, LANE_INTENTS + 1),
+            ]
+        },
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
     },
     Row {
         name: "log head far outside the ring",

@@ -8,26 +8,39 @@
 
 use crate::buffer::SharedBuffer;
 use crate::machine::Machine;
-use crate::persistence::PersistenceTracker;
+use crate::persistence::{InFlightLine, PersistenceTracker};
 use crate::profile::FlushStrategy;
 use crate::time::Clock;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Whether the device maintains a durable shadow image for crash simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistenceMode {
     /// No shadow: fastest, crashes cannot be simulated. Benchmarks use this.
     Fast,
-    /// Shadow + dirty-line tracking: `crash()` discards unflushed stores.
+    /// Shadow + per-line dirty/flushed/fenced tracking: `crash()` discards
+    /// every store no fence has made durable.
     Tracked,
 }
 
+/// Called at a crash point; see [`PmemDevice::at_crash_points`].
+type CrashPointHook = Box<dyn Fn(&PmemDevice) + Send + Sync>;
+
 /// An emulated byte-addressable persistent-memory device.
-#[derive(Debug)]
 pub struct PmemDevice {
     machine: Arc<Machine>,
     buf: SharedBuffer,
     tracker: Option<PersistenceTracker>,
+    crash_points: OnceLock<CrashPointHook>,
+}
+
+impl std::fmt::Debug for PmemDevice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PmemDevice")
+            .field("size", &self.size())
+            .field("tracked", &self.tracker.is_some())
+            .finish()
+    }
 }
 
 impl PmemDevice {
@@ -38,6 +51,7 @@ impl PmemDevice {
                 PersistenceMode::Fast => None,
                 PersistenceMode::Tracked => Some(PersistenceTracker::new(size)),
             },
+            crash_points: OnceLock::new(),
             machine,
         })
     }
@@ -54,10 +68,10 @@ impl PmemDevice {
 
     /// Store bytes without charging virtual time.
     pub fn write_untimed(&self, off: usize, src: &[u8]) {
-        self.buf.write(off, src);
         if let Some(t) = &self.tracker {
-            t.record_write(off, src.len());
+            t.record_write(&self.buf, off, src.len());
         }
+        self.buf.write(off, src);
     }
 
     /// Load bytes without charging virtual time.
@@ -67,10 +81,10 @@ impl PmemDevice {
 
     /// Zero a range without charging virtual time.
     pub fn zero_untimed(&self, off: usize, len: usize) {
-        self.buf.zero(off, len);
         if let Some(t) = &self.tracker {
-            t.record_write(off, len);
+            t.record_write(&self.buf, off, len);
         }
+        self.buf.zero(off, len);
     }
 
     /// Copy out a range as a `Vec` without charging virtual time.
@@ -81,11 +95,12 @@ impl PmemDevice {
     /// Make `[off, off+len)` durable without charging virtual time or
     /// touching the machine stats. Used by layers whose persistence must be
     /// invisible to the cost model (the flight recorder): in `Tracked` mode
-    /// the covered lines move to the shadow image exactly as a charged
-    /// [`PmemDevice::persist`] would, in `Fast` mode it is a no-op.
+    /// the covered lines become durable as after a charged
+    /// [`PmemDevice::persist`] — but no other flushed line is retired and
+    /// it is no crash point — in `Fast` mode it is a no-op.
     pub fn persist_untimed(&self, off: usize, len: usize) {
         if let Some(t) = &self.tracker {
-            t.flush(&self.buf, off, len);
+            t.persist_range(&self.buf, off, len);
         }
     }
 
@@ -151,14 +166,25 @@ impl PmemDevice {
     /// domain (CLWB-equivalent). Charges flush CPU cost.
     pub fn flush(&self, clock: &Clock, off: usize, len: usize) {
         self.machine.charge_flush(clock, len as u64);
+        self.track_flush(off, len);
+    }
+
+    /// The tracked half of a flush, whichever primitive was charged for it.
+    fn track_flush(&self, off: usize, len: usize) {
         if let Some(t) = &self.tracker {
-            t.flush(&self.buf, off, len);
+            self.crash_point();
+            t.flush(off, len);
         }
     }
 
-    /// Drain the write-pending queue (SFENCE-equivalent).
+    /// Drain the write-pending queue (SFENCE-equivalent): every line flushed
+    /// before it is durable after it.
     pub fn drain(&self, clock: &Clock) {
         self.machine.charge_fence(clock);
+        if let Some(t) = &self.tracker {
+            self.crash_point();
+            t.fence(&self.buf);
+        }
     }
 
     /// flush + drain: the canonical persist sequence.
@@ -176,9 +202,7 @@ impl PmemDevice {
             FlushStrategy::Clwb => self.flush(clock, off, len),
             FlushStrategy::Ntstore => {
                 self.machine.charge_ntstore(clock, len as u64);
-                if let Some(t) = &self.tracker {
-                    t.flush(&self.buf, off, len);
-                }
+                self.track_flush(off, len);
             }
         }
         self.drain(clock);
@@ -189,15 +213,55 @@ impl PmemDevice {
         self.tracker.as_ref().map_or(0, |t| t.dirty_lines())
     }
 
-    /// Simulate a power failure: all stores not yet flushed are lost.
-    ///
-    /// Panics in `Fast` mode — a benchmark configuration cannot crash.
-    pub fn crash(&self) {
-        let t = self
-            .tracker
+    // ---- crash states (Tracked mode only; `Fast` panics — a benchmark
+    // configuration cannot crash) ----
+
+    fn tracked(&self) -> &PersistenceTracker {
+        self.tracker
             .as_ref()
-            .expect("crash() requires PersistenceMode::Tracked");
-        t.crash_restore(&self.buf);
+            .expect("crash states require PersistenceMode::Tracked")
+    }
+
+    /// Simulate a power failure: every store no fence has made durable is
+    /// lost — the all-lost point of [`PmemDevice::crash_keeping`].
+    pub fn crash(&self) {
+        self.crash_keeping(&[]);
+    }
+
+    /// The cachelines a power failure right now may or may not find on
+    /// media (see [`PersistenceTracker::in_flight`]).
+    pub fn in_flight(&self) -> Vec<InFlightLine> {
+        self.tracked().in_flight(&self.buf)
+    }
+
+    /// The bytes media holds if exactly `reached` of [`Self::in_flight`]
+    /// made it; the device itself is untouched.
+    pub fn crash_image(&self, reached: &[InFlightLine]) -> Vec<u8> {
+        self.tracked().image(reached)
+    }
+
+    /// Simulate the power failure in which exactly `reached` of
+    /// [`Self::in_flight`] made it to media.
+    pub fn crash_keeping(&self, reached: &[InFlightLine]) {
+        self.tracked().crash_restore(&self.buf, reached);
+    }
+
+    /// Call `hook` at every crash point from now on: just before each flush
+    /// and each fence takes effect, where the in-flight set is largest. The
+    /// hook typically recovers [`Self::crash_image`]s on devices of its own.
+    /// One hook a device, set once.
+    pub fn at_crash_points(&self, hook: impl Fn(&PmemDevice) + Send + Sync + 'static) {
+        self.tracked();
+        assert!(
+            self.crash_points.set(Box::new(hook)).is_ok(),
+            "a device takes one crash-point hook"
+        );
+    }
+
+    fn crash_point(&self) {
+        if let Some(hook) = self.crash_points.get() {
+            hook(self);
+        }
     }
 }
 
@@ -243,6 +307,38 @@ mod tests {
         dev.crash();
         assert_eq!(dev.read_vec_untimed(0, 64), vec![1; 64]);
         assert_eq!(dev.read_vec_untimed(64, 64), vec![0; 64]);
+    }
+
+    #[test]
+    fn a_flush_without_its_fence_is_lost_by_the_pessimistic_crash() {
+        let dev = tracked_device(4096);
+        let c = Clock::new();
+        dev.write(&c, 0, &[1; 64]);
+        dev.flush(&c, 0, 64);
+        assert_eq!(dev.in_flight().len(), 1, "flushed, unfenced");
+        assert_eq!(dev.crash_image(&dev.in_flight())[..64], [1; 64]);
+        dev.crash();
+        assert_eq!(dev.read_vec_untimed(0, 64), vec![0; 64]);
+        dev.write(&c, 0, &[1; 64]);
+        dev.flush(&c, 0, 64);
+        dev.drain(&c);
+        assert!(dev.in_flight().is_empty());
+        dev.crash();
+        assert_eq!(dev.read_vec_untimed(0, 64), vec![1; 64]);
+    }
+
+    #[test]
+    fn crash_points_are_every_flush_and_every_fence() {
+        let dev = tracked_device(4096);
+        let c = Clock::new();
+        let seen = Arc::new(crate::sync::Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        dev.at_crash_points(move |d| log.lock().push(d.in_flight().len()));
+        dev.write(&c, 0, &[1; 128]);
+        dev.persist(&c, 0, 64); // flush sees 2 dirty, fence 1 flushed + 1 dirty
+        dev.persist_untimed(64, 64); // no crash point
+        dev.drain(&c);
+        assert_eq!(*seen.lock(), vec![2, 2, 0]);
     }
 
     #[test]

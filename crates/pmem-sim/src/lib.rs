@@ -51,6 +51,7 @@ pub use flight::{scan_ring, EventCode, FlightEvent, FlightRecorder};
 pub use machine::{Machine, MachineConfig, Span};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use mmap::DaxMapping;
+pub use persistence::{crash_subsets, InFlightLine, LineState};
 pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
 pub use rng::DetRng;
 pub use stats::{Stats, StatsSnapshot};

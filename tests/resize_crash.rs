@@ -17,7 +17,7 @@
 //! all under both scheduler modes.
 
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
-use pmdk_sim::layout::Bytes;
+use pmdk_sim::layout::{Bytes, HDR_BUCKETS, HDR_HEADS};
 use pmdk_sim::PmemPool;
 use pmem_sim::{Clock, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
@@ -121,7 +121,16 @@ fn assert_matches_reference(
 /// which crosses the split trigger: `begin_split` commits, then the first
 /// migration chunk hits the armed site — fail; then cut the power. The
 /// failing put never inserted its own key, so exactly 33 keys survive.
-fn crash_in_the_first_chunk(dev: &Arc<PmemDevice>, comm: &Comm, site: &'static str, ctx: &str) {
+/// `heads_reached_media` picks the crash image: the chunk's destination
+/// heads are stored but not yet flushed at `ht::cursor-advance`, so whether
+/// their lines made it to the new directory is the hardware's choice.
+fn crash_in_the_first_chunk(
+    dev: &Arc<PmemDevice>,
+    comm: &Comm,
+    site: &'static str,
+    heads_reached_media: bool,
+    ctx: &str,
+) {
     let mut pmem = Pmem::with_options(resize_opts());
     pmem.mmap(MmapTarget::DevDax(dev), comm).unwrap();
     for i in 0..33 {
@@ -143,7 +152,17 @@ fn crash_in_the_first_chunk(dev: &Arc<PmemDevice>, comm: &Comm, site: &'static s
     drop(fp);
 
     // Power failure mid-split; DRAM state evaporates.
-    dev.crash();
+    let header = shared.hashtable.header_offset();
+    let heads = dev.u64_at(header + HDR_HEADS);
+    let directory = heads..heads + dev.u64_at(header + HDR_BUCKETS) * 8;
+    let mut reached = dev.in_flight();
+    reached.retain(|l| heads_reached_media && directory.contains(&(l.line as u64 * 64)));
+    assert_eq!(
+        !reached.is_empty(),
+        heads_reached_media,
+        "{ctx}: {reached:?}"
+    );
+    dev.crash_keeping(&reached);
     drop(pmem);
     drop(shared);
     registry::release_pool(dev);
@@ -172,7 +191,7 @@ fn crash_mid_split_scenario(site: &'static str, mode: SchedMode) {
     run_world_mode(Arc::clone(&machine), 1, mode, move |comm| {
         let dev = &dev_in;
         let ctx = &ctx_in;
-        crash_in_the_first_chunk(dev, &comm, site, ctx);
+        crash_in_the_first_chunk(dev, &comm, site, false, ctx);
 
         // Reopen: recovery rolls the migration chunk back to the persisted
         // cursor, the table is still splitting, and — because the crash
@@ -206,9 +225,10 @@ fn crash_mid_split_scenario(site: &'static str, mode: SchedMode) {
     });
 }
 
-/// A chunk writes its destination heads without undo, so a crash at the
-/// cursor advance — which fires after them — leaves them in the new
-/// directory while the relinks roll back. Those slots are unreachable until
+/// A chunk stores its destination heads without undo and without a fence of
+/// their own, so a crash at the cursor advance — which fires after them —
+/// may leave them in the new directory while the relinks roll back: the
+/// crash image in which exactly their lines reached media. Those slots are unreachable until
 /// the cursor passes their bucket: every walker must skip them, and the
 /// re-run must overwrite them whatever happened to the chains since.
 #[test]
@@ -229,7 +249,7 @@ fn stale_destination_scenario(mode: SchedMode) {
     run_world_mode(Arc::clone(&machine), 1, mode, move |comm| {
         let dev = &dev_in;
         let ctx = &ctx_in;
-        crash_in_the_first_chunk(dev, &comm, "ht::cursor-advance", ctx);
+        crash_in_the_first_chunk(dev, &comm, "ht::cursor-advance", true, ctx);
 
         // Reopen (recovery rolls the relinks back) and look at the image.
         let mut pmem = Pmem::with_options(resize_opts());
