@@ -28,6 +28,22 @@ pub struct Heap {
     allocated: u64,
 }
 
+/// A block of the heap: its header's offset and its payload size.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    hdr: u64,
+    size: u64,
+}
+
+/// One planned cut: `blocks`, back to back from the header of the free
+/// block `source`, and the free `tail` split off behind them.
+#[derive(Debug)]
+struct Carve {
+    source: Block,
+    blocks: Vec<Block>,
+    tail: Option<Block>,
+}
+
 impl Heap {
     /// Format a fresh heap: one giant free block.
     pub fn format(clock: &Clock, device: &Arc<PmemDevice>, heap_start: u64, heap_end: u64) {
@@ -94,206 +110,167 @@ impl Heap {
             .sum()
     }
 
-    pub fn free_block_count(&self) -> usize {
+    #[cfg(test)]
+    fn free_block_count(&self) -> usize {
         self.free.values().map(|s| s.len()).sum()
     }
 
-    /// Allocate an aligned payload of at least `size` bytes.
+    /// Allocate an aligned payload of at least `size` bytes: a group of one.
     /// Returns the *payload* device offset.
     pub fn alloc(&mut self, clock: &Clock, size: u64) -> Result<u64> {
-        if size == 0 {
-            return Err(PmdkError::TxFailure("zero-size allocation".into()));
-        }
-        self.device
-            .machine()
-            .stats
-            .alloc_passes
-            .fetch_add(1, Ordering::Relaxed);
-        let want = align_up(size);
-        // Best fit: smallest free block that can hold the payload.
-        let (&bsize, _) = self
-            .free
-            .range(want..)
-            .next()
-            .ok_or(PmdkError::OutOfMemory { requested: size })?;
-        let set = self.free.get_mut(&bsize).expect("free map entry vanished");
-        let hdr_off = *set.iter().next().expect("free set empty");
-        set.remove(&hdr_off);
-        if set.is_empty() {
-            self.free.remove(&bsize);
-        }
-
-        let remainder = bsize - want;
-        if remainder >= BLOCK_HEADER_SIZE + HEAP_ALIGN {
-            // Split: [hdr_off: want payload][new free block: remainder - hdr]
-            let new_payload = remainder - BLOCK_HEADER_SIZE;
-            let new_hdr = hdr_off + BLOCK_HEADER_SIZE + want;
-            write_header(
-                clock,
-                &self.device,
-                new_hdr,
-                BlockHeader {
-                    state: BLOCK_FREE,
-                    size: new_payload,
-                    prev_size: want,
-                },
-            );
-            // Fix the physical successor's prev_size.
-            self.fix_next_prev_size(clock, new_hdr, new_payload);
-            self.free.entry(new_payload).or_default().insert(new_hdr);
-            // Commit point: the allocated header.
-            write_header(
-                clock,
-                &self.device,
-                hdr_off,
-                BlockHeader {
-                    state: BLOCK_ALLOC,
-                    size: want,
-                    prev_size: read_prev(&self.device, hdr_off),
-                },
-            );
-            self.allocated += want;
-            Ok(hdr_off + BLOCK_HEADER_SIZE)
-        } else {
-            // Use the whole block.
-            write_header(
-                clock,
-                &self.device,
-                hdr_off,
-                BlockHeader {
-                    state: BLOCK_ALLOC,
-                    size: bsize,
-                    prev_size: read_prev(&self.device, hdr_off),
-                },
-            );
-            self.allocated += bsize;
-            Ok(hdr_off + BLOCK_HEADER_SIZE)
-        }
+        Ok(self.alloc_many(clock, &[size], |_| {})?[0])
     }
 
-    /// Allocate one aligned payload per entry of `sizes` in a single
-    /// free-list pass, carving them all out of one free block with one
-    /// coalesced set of header persists (interior headers are flushed
-    /// together behind a single fence). Returns payload offsets in request
-    /// order.
+    /// Allocate one aligned payload per entry of `sizes`; payload offsets
+    /// come back in request order. The group is *planned* against the
+    /// volatile free map first — one best-fit block for all of it, carved in
+    /// a single free-list pass, or a block a request when none holds the
+    /// combined extent — and `planned` sees the offsets before any header
+    /// says so: a transaction persists its intents there. Then each carve
+    /// is committed. A plan that does not fit touches no media.
     ///
-    /// Crash semantics match [`Heap::alloc`]: the first block's header is the
-    /// commit point and is written last. Before it flips to `BLOCK_ALLOC`,
-    /// the rebuild walk still sees the original free block and skips straight
-    /// over the interior headers, so a crash makes the whole group vanish
-    /// together.
-    ///
-    /// When no single free block can hold the combined extent, degrades to
-    /// one [`Heap::alloc`] per request (N honest passes); on failure partway
-    /// through, the already-carved blocks are freed again before returning.
-    pub fn alloc_many(&mut self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
+    /// Crash semantics: block 0's header is a carve's commit point and is
+    /// written last. Until it flips to `BLOCK_ALLOC` the rebuild walk sees
+    /// the original free block and skips straight over the interior headers
+    /// (which may already say ALLOC), so the carve's blocks appear together.
+    pub fn alloc_many(
+        &mut self,
+        clock: &Clock,
+        sizes: &[u64],
+        planned: impl FnOnce(&[u64]),
+    ) -> Result<Vec<u64>> {
         if sizes.is_empty() {
             return Ok(Vec::new());
         }
-        if sizes.len() == 1 {
-            return Ok(vec![self.alloc(clock, sizes[0])?]);
+        let carves = self.plan(sizes)?;
+        let payloads: Vec<u64> = carves
+            .iter()
+            .flat_map(|c| c.blocks.iter().map(|b| b.hdr + BLOCK_HEADER_SIZE))
+            .collect();
+        planned(&payloads);
+        for carve in &carves {
+            self.commit(clock, carve);
         }
-        if sizes.contains(&0) {
-            return Err(PmdkError::TxFailure("zero-size allocation".into()));
-        }
-        let mut wants: Vec<u64> = sizes.iter().map(|&s| align_up(s)).collect();
-        let total: u64 = wants.iter().sum::<u64>() + (wants.len() as u64 - 1) * BLOCK_HEADER_SIZE;
+        Ok(payloads)
+    }
 
-        // One best-fit pass over the free list for the whole group.
-        let Some((&bsize, _)) = self.free.range(total..).next() else {
-            // No single block fits the combined extent: fall back to a pass
-            // per request, unwinding on failure so nothing leaks.
-            let mut out = Vec::with_capacity(sizes.len());
-            for &s in sizes {
-                match self.alloc(clock, s) {
-                    Ok(p) => out.push(p),
-                    Err(e) => {
-                        for &p in &out {
-                            let _ = self.free(clock, p);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            return Ok(out);
+    /// Choose the free blocks `sizes` are cut from and take them out of the
+    /// free map (the tails split off go in); on failure the map is as it was.
+    fn plan(&mut self, sizes: &[u64]) -> Result<Vec<Carve>> {
+        let oom = |i: usize| PmdkError::OutOfMemory {
+            requested: sizes[i],
         };
+        let wants = (sizes.iter().enumerate())
+            .map(|(i, &size)| match size {
+                0 => Err(PmdkError::TxFailure("zero-size allocation".into())),
+                _ => size.checked_next_multiple_of(HEAP_ALIGN).ok_or(oom(i)),
+            })
+            .collect::<Result<Vec<u64>>>()?;
+        // One block for the whole group — payloads plus the headers between
+        // them, which may be more than a `u64`, let alone a block, holds.
+        let headers = (wants.len() as u64 - 1) * BLOCK_HEADER_SIZE;
+        let extent = (wants.iter()).try_fold(headers, |sum, &want| sum.checked_add(want));
+        if let Some(carve) = extent.and_then(|need| self.carve(&wants, need)) {
+            return Ok(vec![carve]);
+        }
+        // None holds it: a block a request.
+        let mut carves = Vec::new();
+        for (i, want) in wants.iter().enumerate() {
+            let Some(carve) = self.carve(std::slice::from_ref(want), *want) else {
+                // A later carve may sit in the tail of an earlier one.
+                for carve in carves.iter().rev() {
+                    self.uncarve(carve);
+                }
+                return Err(oom(i));
+            };
+            carves.push(carve);
+        }
+        Ok(carves)
+    }
+
+    /// One free-list pass: cut `group` — `need` bytes with the headers in
+    /// between — out of the smallest free block that holds it (best fit).
+    fn carve(&mut self, group: &[u64], need: u64) -> Option<Carve> {
+        let (&size, at) = self.free.range(need..).next()?;
+        let hdr = *at.first().expect("free set empty");
+        let source = Block { hdr, size };
         self.device
             .machine()
             .stats
             .alloc_passes
             .fetch_add(1, Ordering::Relaxed);
-        let set = self.free.get_mut(&bsize).expect("free map entry vanished");
-        let hdr_off = *set.iter().next().expect("free set empty");
-        set.remove(&hdr_off);
-        if set.is_empty() {
-            self.free.remove(&bsize);
-        }
-
-        let remainder = bsize - total;
-        let tail_free = remainder >= BLOCK_HEADER_SIZE + HEAP_ALIGN;
-        if !tail_free {
-            // Slack too small to stand alone as a block: the last payload
-            // absorbs it, exactly like the whole-block path of `alloc`.
-            *wants.last_mut().expect("wants nonempty") += remainder;
-        }
-
-        // Header offsets: block 0 reuses the original free block's header.
-        let mut hdrs = Vec::with_capacity(wants.len());
-        let mut cursor = hdr_off;
-        for &w in &wants {
-            hdrs.push(cursor);
-            cursor += BLOCK_HEADER_SIZE + w;
-        }
-
-        if tail_free {
-            let tail_hdr = cursor;
-            let tail_payload = remainder - BLOCK_HEADER_SIZE;
-            write_header_unfenced(
-                clock,
-                &self.device,
-                tail_hdr,
-                BlockHeader {
-                    state: BLOCK_FREE,
-                    size: tail_payload,
-                    prev_size: *wants.last().expect("wants nonempty"),
-                },
-            );
-            self.fix_next_prev_size(clock, tail_hdr, tail_payload);
-            self.free.entry(tail_payload).or_default().insert(tail_hdr);
+        self.remove_free(source.size, source.hdr);
+        // Block 0 reuses the free block's header.
+        let mut end = source.hdr;
+        let mut blocks: Vec<Block> = (group.iter())
+            .map(|&size| {
+                let block = Block { hdr: end, size };
+                end += BLOCK_HEADER_SIZE + size;
+                block
+            })
+            .collect();
+        let slack = source.size - need;
+        let tail = if slack >= BLOCK_HEADER_SIZE + HEAP_ALIGN {
+            let size = slack - BLOCK_HEADER_SIZE;
+            self.free.entry(size).or_default().insert(end);
+            Some(Block { hdr: end, size })
         } else {
-            self.fix_next_prev_size(
-                clock,
-                *hdrs.last().expect("hdrs nonempty"),
-                *wants.last().expect("wants nonempty"),
-            );
+            // Too small to stand alone as a block: the last payload takes it.
+            blocks.last_mut().expect("group nonempty").size += slack;
+            None
+        };
+        Some(Carve {
+            source,
+            blocks,
+            tail,
+        })
+    }
+
+    fn uncarve(&mut self, carve: &Carve) {
+        if let Some(tail) = carve.tail {
+            self.remove_free(tail.size, tail.hdr);
         }
-        // Interior headers, back to front, one fence for the whole set.
-        for i in (1..wants.len()).rev() {
-            write_header_unfenced(
-                clock,
-                &self.device,
-                hdrs[i],
-                BlockHeader {
+        let Block { hdr, size } = carve.source;
+        self.free.entry(size).or_default().insert(hdr);
+    }
+
+    /// Write a planned carve's headers. All but block 0's — the tail split
+    /// off, the successor's back link, the interior blocks back to front —
+    /// are invisible while block 0 still says FREE and share one drain;
+    /// block 0's header is the commit point, persisted on its own.
+    fn commit(&mut self, clock: &Clock, carve: &Carve) {
+        let blocks = &carve.blocks;
+        let (first, last) = (blocks[0], blocks[blocks.len() - 1]);
+        // A lone block that took its free block whole changes nothing
+        // around it.
+        if last.size != carve.source.size {
+            if let Some(tail) = carve.tail {
+                let free = BlockHeader {
+                    state: BLOCK_FREE,
+                    size: tail.size,
+                    prev_size: last.size,
+                };
+                write_header_unfenced(clock, &self.device, tail.hdr, free);
+            }
+            let end = carve.tail.unwrap_or(last);
+            self.fix_next_prev_size(clock, end.hdr, end.size);
+            for pair in blocks.windows(2).rev() {
+                let interior = BlockHeader {
                     state: BLOCK_ALLOC,
-                    size: wants[i],
-                    prev_size: wants[i - 1],
-                },
-            );
+                    size: pair[1].size,
+                    prev_size: pair[0].size,
+                };
+                write_header_unfenced(clock, &self.device, pair[1].hdr, interior);
+            }
+            self.device.drain(clock);
         }
-        self.device.drain(clock);
-        // Commit point: the first header, persisted with its own fence.
-        write_header(
-            clock,
-            &self.device,
-            hdr_off,
-            BlockHeader {
-                state: BLOCK_ALLOC,
-                size: wants[0],
-                prev_size: read_prev(&self.device, hdr_off),
-            },
-        );
-        self.allocated += wants.iter().sum::<u64>();
-        Ok(hdrs.iter().map(|&h| h + BLOCK_HEADER_SIZE).collect())
+        let commit = BlockHeader {
+            state: BLOCK_ALLOC,
+            size: first.size,
+            prev_size: read_prev(&self.device, first.hdr),
+        };
+        write_header(clock, &self.device, first.hdr, commit);
+        self.allocated += blocks.iter().map(|b| b.size).sum::<u64>();
     }
 
     /// Free the payload at `payload_off`, coalescing with free neighbours.
@@ -359,6 +336,15 @@ impl Heap {
         self.fix_next_prev_size(clock, start, payload);
         self.free.entry(payload).or_default().insert(start);
         Ok(())
+    }
+
+    /// Whether `payload_off` lies in a block the free map holds. Headers
+    /// inside a free block are not blocks, whatever they say: a rollback
+    /// asks before it trusts one (see [`Heap::alloc_many`]).
+    pub(crate) fn in_free_block(&self, payload_off: u64) -> bool {
+        self.free.iter().any(|(&size, at)| {
+            (at.iter()).any(|&hdr| (hdr..hdr + BLOCK_HEADER_SIZE + size).contains(&payload_off))
+        })
     }
 
     /// Usable payload size of a live allocation.
@@ -567,7 +553,9 @@ mod tests {
         let (mut heap, clock) = fresh_heap(1 << 20);
         let machine = Arc::clone(heap.device.machine());
         let before = machine.stats.snapshot();
-        let ptrs = heap.alloc_many(&clock, &[100, 7, 4096, 64]).unwrap();
+        let ptrs = heap
+            .alloc_many(&clock, &[100, 7, 4096, 64], |_| {})
+            .unwrap();
         let delta = machine.stats.snapshot().delta_since(&before);
         assert_eq!(delta.alloc_passes, 1);
         assert_eq!(ptrs.len(), 4);
@@ -592,7 +580,7 @@ mod tests {
         // Carve the whole heap so the remainder is below a block's minimum.
         let leave = BLOCK_HEADER_SIZE + HEAP_ALIGN / 2;
         let first = free_before - leave - BLOCK_HEADER_SIZE - HEAP_ALIGN;
-        let ptrs = heap.alloc_many(&clock, &[first, 1]).unwrap();
+        let ptrs = heap.alloc_many(&clock, &[first, 1], |_| {}).unwrap();
         assert_eq!(heap.free_block_count(), 0);
         assert!(heap.usable_size(ptrs[1]).unwrap() > HEAP_ALIGN);
         heap.check_invariants().unwrap();
@@ -611,7 +599,7 @@ mod tests {
             heap.free(&clock, p).unwrap();
         }
         // No single free block holds 2 * chunk + header, but two do singly.
-        let ptrs = heap.alloc_many(&clock, &[chunk, chunk]).unwrap();
+        let ptrs = heap.alloc_many(&clock, &[chunk, chunk], |_| {}).unwrap();
         assert_eq!(ptrs.len(), 2);
         heap.check_invariants().unwrap();
     }
@@ -619,10 +607,10 @@ mod tests {
     #[test]
     fn alloc_many_of_zero_or_one_degenerates() {
         let (mut heap, clock) = fresh_heap(16 * 1024);
-        assert!(heap.alloc_many(&clock, &[]).unwrap().is_empty());
-        let one = heap.alloc_many(&clock, &[33]).unwrap();
+        assert!(heap.alloc_many(&clock, &[], |_| {}).unwrap().is_empty());
+        let one = heap.alloc_many(&clock, &[33], |_| {}).unwrap();
         assert_eq!(heap.usable_size(one[0]).unwrap(), HEAP_ALIGN);
-        assert!(heap.alloc_many(&clock, &[16, 0]).is_err());
+        assert!(heap.alloc_many(&clock, &[16, 0], |_| {}).is_err());
         heap.check_invariants().unwrap();
     }
 }

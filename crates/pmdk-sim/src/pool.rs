@@ -295,26 +295,37 @@ impl PmemPool {
     // ---- allocation ----
 
     /// Allocate `size` persistent bytes (non-transactional; the allocation
-    /// is durable once this returns).
+    /// is durable once this returns): a group of one.
     pub fn alloc(&self, clock: &Clock, size: u64) -> Result<u64> {
-        let machine = self.device.machine();
-        let _span = machine.span(clock, "pmdk", "pool.alloc").arg("bytes", size);
-        // Heap metadata writes charge the clock under the heap lock; keep
-        // the deterministic scheduler from parking us while we hold it.
-        let _atomic = pmem_sim::atomic_section();
-        let out = self.heap.lock().alloc(clock, size);
-        out
+        Ok(self.alloc_many(clock, &[size])?[0])
     }
 
     /// Allocate a group of payloads in one free-list pass (see
     /// [`Heap::alloc_many`]). Offsets come back in request order.
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
+        self.alloc_planned(clock, sizes, |_| {})
+    }
+
+    /// [`PmemPool::alloc_many`], with `planned` shown the offsets once they
+    /// are chosen and before any block header says so. The heap lock is held
+    /// from the plan to the last commit header: `Heap::free` reads its
+    /// neighbours' headers from media and would coalesce into a block that
+    /// is planned and not yet written.
+    pub(crate) fn alloc_planned(
+        &self,
+        clock: &Clock,
+        sizes: &[u64],
+        planned: impl FnOnce(&[u64]),
+    ) -> Result<Vec<u64>> {
         let machine = self.device.machine();
-        let _span = machine
-            .span(clock, "pmdk", "pool.alloc")
-            .arg("bytes", sizes.iter().sum());
+        let _span = machine.span(clock, "pmdk", "pool.alloc").arg(
+            "bytes",
+            sizes.iter().fold(0, |sum, &s| sum.saturating_add(s)),
+        );
+        // Heap metadata writes charge the clock under the heap lock; keep
+        // the deterministic scheduler from parking us while we hold it.
         let _atomic = pmem_sim::atomic_section();
-        let out = self.heap.lock().alloc_many(clock, sizes);
+        let out = self.heap.lock().alloc_many(clock, sizes, planned);
         out
     }
 
@@ -329,6 +340,10 @@ impl PmemPool {
     /// Usable size of a live allocation.
     pub fn usable_size(&self, off: u64) -> Result<u64> {
         self.heap.lock().usable_size(off)
+    }
+
+    pub(crate) fn in_free_block(&self, off: u64) -> bool {
+        self.heap.lock().in_free_block(off)
     }
 
     pub fn allocated_bytes(&self) -> u64 {
@@ -566,6 +581,17 @@ mod tests {
             let _pin = pool.alloc(clock, 64).unwrap();
             pool.free(clock, hole).unwrap(); // the victim's predecessor is free
             pool.tx(clock, |tx| tx.free(victim)).unwrap();
+        });
+    }
+
+    /// A group's interior headers say ALLOC before its commit header does.
+    /// A crash in between leaves durable intents naming headers *inside* a
+    /// free block; a rollback that took their word would free them.
+    #[test]
+    fn a_group_without_its_commit_header_is_not_rolled_back_block_by_block() {
+        recovered_along(1 << 21, |pool, clock| {
+            pool.tx(clock, |tx| tx.alloc_many(&[64, 200, 64]).map(drop))
+                .unwrap();
         });
     }
 

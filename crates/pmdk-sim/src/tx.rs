@@ -7,8 +7,10 @@
 //! * `snapshot(range)` copies the pre-image into the undo log **before** the
 //!   caller overwrites the range; `write_new` stores fresh ranges undo-free
 //!   and unfenced, one fence for all before the next record and the commit.
-//! * `alloc` persists an *allocation intent* so a rollback frees the block
-//!   (the slot is filled after the heap commits: ROADMAP item 1's leak window).
+//! * `alloc_many` (`alloc` is a group of one) has the heap *plan* the group,
+//!   persists the planned offsets as *allocation intents*, and only then lets
+//!   the heap write block headers: a rollback frees every block that came to
+//!   be, and skips an intent that still lies in a free block.
 //! * `free` is deferred: a *free intent* is persisted and only executed once
 //!   the lane has durably entered `COMMITTING` (a crash before that leaves
 //!   the block alive; after that, recovery finishes the frees).
@@ -104,11 +106,13 @@ fn rollback_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
         pool.read_bytes(clock, rec.pre_at, &mut data);
         pool.write_bytes(clock, rec.off, &data);
     }
-    // Free blocks allocated by the dead transaction (if the allocation
-    // actually happened). Free intents are simply dropped: the free never
-    // executed.
+    // Free the blocks the dead transaction allocated. An intent is durable
+    // before its carve: one that still lies in a free block never happened,
+    // and the interior headers of its group may already say ALLOC in there,
+    // so the heap's view decides, not the header. Free intents are simply
+    // dropped: the free never executed.
     for entry in intents(&src, base)? {
-        if entry & 1 == 0 && entry != 0 && pool.usable_size(entry).is_ok() {
+        if entry & 1 == 0 && !pool.in_free_block(entry) && pool.usable_size(entry).is_ok() {
             pool.free(clock, entry)?;
         }
     }
@@ -279,59 +283,22 @@ impl<'a> Tx<'a> {
 
     /// Transactionally allocate `size` bytes; rolled back if the tx aborts.
     pub fn alloc(&mut self, size: u64) -> Result<u64> {
-        self.pool.fail_check(self.clock, "tx::alloc")?;
-        if self.intents_used >= LANE_INTENTS {
-            return Err(PmdkError::TxFailure("intent table overflow".into()));
-        }
-        // Reserve the intent slot before allocating (crash-safe ordering):
-        // bump the count first, then fill the slot, so recovery never reads
-        // an unfilled slot as garbage — a zero entry is ignored.
-        let slot_off = lane_intents(self.lane_base) + self.intents_used * 8;
-        self.pool
-            .write_bytes(self.clock, slot_off, &0u64.to_le_bytes());
-        self.intents_used += 1;
-        self.pool.write_u32(
-            self.clock,
-            self.lane_base + lane::INTENT_COUNT,
-            self.intents_used as u32,
-        );
-        let off = self.pool.alloc(self.clock, size)?;
-        debug_assert_eq!(off & 1, 0, "heap payloads are aligned");
-        self.pool
-            .write_bytes(self.clock, slot_off, &off.to_le_bytes());
-        self.pool.fail_check(self.clock, "tx::alloc-after")?;
-        Ok(off)
+        Ok(self.alloc_many(&[size])?[0])
     }
 
     /// Transactionally allocate a group of blocks in one free-list pass; all
     /// are rolled back together if the tx aborts. Offsets come back in
-    /// request order.
+    /// request order. The heap plans the group, the offsets go into intent
+    /// slots — durable, and counted — and only then do the block headers
+    /// change: no crash leaves a block allocated that no intent names.
     pub fn alloc_many(&mut self, sizes: &[u64]) -> Result<Vec<u64>> {
-        self.pool.fail_check(self.clock, "tx::alloc")?;
-        if sizes.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = sizes.len() as u64;
-        if self.intents_used + n > LANE_INTENTS {
+        let (pool, clock) = (self.pool, self.clock);
+        pool.fail_check(clock, "tx::alloc")?;
+        if self.intents_used + sizes.len() as u64 > LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
-        // Same crash-safe ordering as `alloc`: reserve all slots (zeroed —
-        // recovery ignores zero entries), bump the count once, then allocate
-        // and fill the slots with one write.
-        let first_slot = lane_intents(self.lane_base) + self.intents_used * 8;
-        self.pool
-            .write_bytes(self.clock, first_slot, &vec![0u8; (n * 8) as usize]);
-        self.intents_used += n;
-        self.pool.write_u32(
-            self.clock,
-            self.lane_base + lane::INTENT_COUNT,
-            self.intents_used as u32,
-        );
-        let offs = self.pool.alloc_many(self.clock, sizes)?;
-        debug_assert!(offs.iter().all(|off| off & 1 == 0), "aligned payloads");
-        let slots: Vec<u8> = offs.iter().flat_map(|off| off.to_le_bytes()).collect();
-        self.pool.write_bytes(self.clock, first_slot, &slots);
-        self.pool.fail_check(self.clock, "tx::alloc-after")?;
+        let offs = pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs))?;
+        pool.fail_check(clock, "tx::alloc-after")?;
         Ok(offs)
     }
 
@@ -342,16 +309,22 @@ impl<'a> Tx<'a> {
         }
         // Validate now so the error surfaces in the tx, not at commit.
         self.pool.usable_size(off)?;
-        let slot_off = lane_intents(self.lane_base) + self.intents_used * 8;
-        self.pool
-            .write_bytes(self.clock, slot_off, &(off | 1).to_le_bytes());
-        self.intents_used += 1;
+        self.push_intents(&[off | 1]);
+        Ok(())
+    }
+
+    /// Persist `entries` in the next intent slots with one write, then the
+    /// count that makes recovery read them.
+    fn push_intents(&mut self, entries: &[u64]) {
+        let slots: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
+        let first_slot = lane_intents(self.lane_base) + self.intents_used * 8;
+        self.pool.write_bytes(self.clock, first_slot, &slots);
+        self.intents_used += entries.len() as u64;
         self.pool.write_u32(
             self.clock,
             self.lane_base + lane::INTENT_COUNT,
             self.intents_used as u32,
         );
-        Ok(())
     }
 
     fn commit(&mut self) -> Result<()> {
@@ -585,6 +558,23 @@ mod tests {
         pool.check_heap().unwrap();
     }
 
+    /// An image written before PR 22 may hold a reserved, never filled
+    /// (zero) slot in an ACTIVE lane: recovery passes over it.
+    #[test]
+    fn a_zero_intent_slot_of_an_older_image_is_passed_over() {
+        let (pool, clock) = fresh_pool(1 << 21);
+        let baseline = pool.allocated_bytes();
+        let block = pool.alloc(&clock, 64).unwrap();
+        let base = lane_offset(0);
+        pool.write_u64(&clock, lane_intents(base), 0);
+        pool.write_u64(&clock, lane_intents(base) + 8, block);
+        pool.write_u32(&clock, base + lane::INTENT_COUNT, 2);
+        pool.write_u32(&clock, base + lane::STATE, LANE_ACTIVE);
+        let pool = reopen(pool, &clock);
+        assert_eq!(pool.allocated_bytes(), baseline);
+        pool.check_heap().unwrap();
+    }
+
     #[test]
     fn alloc_many_rejects_intent_overflow() {
         let (pool, clock) = fresh_pool(1 << 21);
@@ -629,6 +619,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(fences(&pool) - before, 1 + 1 + 4);
+        // An allocation, whatever its size: the intent slots, their count,
+        // then the carve (a split of the last block: the tail header's drain
+        // and the commit header).
+        for sizes in [&[64u64][..], &[64, 200, 64]] {
+            let before = fences(&pool);
+            pool.tx(&clock, |tx| tx.alloc_many(sizes).map(drop))
+                .unwrap();
+            assert_eq!(fences(&pool) - before, 1 + 2 + 2 + 4, "{sizes:?}");
+        }
     }
 
     /// The put path's budget: a 64-key group of fresh keys in distinct
@@ -657,9 +656,9 @@ mod tests {
         }
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
         let spent = fences(&pool) - before;
-        // 64 × (record, UNDO_LEN, head, value) + begin 1 + intents 3 + heap
-        // carve ≤ 3 + fresh 1 + commit 4.
-        assert!((64 * 4 + 9..=64 * 4 + 12).contains(&spent), "{spent}");
+        // 64 × (record, UNDO_LEN, head, value) + begin 1 + intents 2 + heap
+        // carve 2 + fresh 1 + commit 4.
+        assert_eq!(spent, 64 * 4 + 10);
         assert!(spent <= 5 * 64);
     }
 

@@ -100,7 +100,7 @@ stats_fields! {
     storage_bytes_written,
     /// Pool transactions started (one undo-log lane claim each).
     pool_txs,
-    /// Allocator free-list passes (one per `Heap::alloc`, one per batched carve).
+    /// Allocator free-list passes: one per carve `Heap::alloc_many` plans.
     alloc_passes,
 }
 

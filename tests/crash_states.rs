@@ -35,6 +35,10 @@
 
 use mpi_sim::{Comm, World};
 use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap};
+use pmdk_sim::layout::{
+    heap_start, intents, lane_offset, walk_blocks, BlockHeader, BLOCK_ALLOC, BLOCK_FREE,
+    BLOCK_HEADER_SIZE,
+};
 use pmdk_sim::{PersistentHashtable, PmdkError, PmemPool};
 use pmem_sim::{crash_subsets, Clock, DetRng, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
@@ -272,24 +276,12 @@ struct PoolState {
     allocated: u64,
 }
 
-/// The states a recovered pool may be in — one between transactions, two
-/// (before, after) while one is in flight — and how many bytes the
-/// transaction in flight allocates.
+/// The states a recovered pool may be in: one between transactions, two
+/// (before, after) while one is in flight.
 #[derive(Debug, Default)]
 struct PoolModel {
     allowed: Vec<PoolState>,
-    allocating: u64,
 }
-
-/// Images in which the rolled-back transaction's fresh blocks stayed
-/// allocated. A KNOWN, OPEN gap this explorer found (seed 0x21, scenario
-/// `tx`, crash point 36, the alloc header's line reaching media): `Tx::alloc`
-/// and `Tx::alloc_many` can only fill an intent slot once the heap has
-/// handed the offset out, so a crash between the heap's commit header and
-/// the slot's fence leaks the block(s). The pool stays consistent
-/// (`check_heap`, doctor); the bytes are lost until the pool is rebuilt.
-/// Closing it needs plan-then-commit allocation (ROADMAP item 1).
-static LEAKED_IMAGES: AtomicUsize = AtomicUsize::new(0);
 
 /// Recover `image` as a pool and hold it to the structural half of the
 /// contract: it opens, no lane is left busy, the heap walks and the
@@ -320,11 +312,6 @@ fn judge_pool(model: &PoolModel, image: &Arc<PmemDevice>) -> Result<(), String> 
         allocated: pool.allocated_bytes(),
     };
     if model.allowed.contains(&found) {
-        return Ok(());
-    }
-    let leak = found.allocated.wrapping_sub(before.allocated);
-    if found.bytes == before.bytes && (1..=model.allocating).contains(&leak) {
-        LEAKED_IMAGES.fetch_add(1, Ordering::Relaxed);
         return Ok(());
     }
     Err(format!("found {found:?}, allowed {:?}", model.allowed))
@@ -360,7 +347,6 @@ fn pool_fixture(dev: &Arc<PmemDevice>) -> (PoolFixture, PoolModel) {
     };
     let model = PoolModel {
         allowed: vec![state],
-        allocating: 0,
     };
     (fixture, model)
 }
@@ -377,9 +363,6 @@ fn pool_step(
     ex.update(|m| {
         let mut next = m.allowed[0].clone();
         after(&mut next);
-        // Upper bound: what the body allocates is what `after` adds back
-        // on top of what it frees.
-        m.allocating = 1024;
         if commits {
             m.allowed.push(next);
         }
@@ -388,13 +371,78 @@ fn pool_step(
     assert_eq!(outcome.is_ok(), commits, "{outcome:?}");
     ex.update(|m| {
         m.allowed = vec![m.allowed.pop().unwrap()];
-        m.allocating = 0;
+        // The model's arithmetic is the allocator's.
+        assert_eq!(m.allowed[0].allocated, fx.pool.allocated_bytes());
     });
+}
+
+/// A non-transactional allocator call that moves `allocated` by `delta`:
+/// either side of it is a state the pool may be found in.
+fn pool_call(fx: &PoolFixture, ex: &Explorer<PoolModel>, delta: i64, call: impl FnOnce()) {
+    ex.update(|m| {
+        let mut next = m.allowed[0].clone();
+        next.allocated = next.allocated.wrapping_add_signed(delta);
+        m.allowed.push(next);
+    });
+    call();
+    ex.update(|m| {
+        m.allowed.remove(0);
+        assert_eq!(m.allowed[0].allocated, fx.pool.allocated_bytes());
+    });
+}
+
+/// alloc + undo-free stores + the snapshotted word that publishes them.
+fn alloc_and_publish(fx: &PoolFixture, ex: &Explorer<PoolModel>) {
+    let root = fx.root;
+    pool_step(
+        fx,
+        ex,
+        true,
+        |s| {
+            s.bytes.get_mut(&root).unwrap()[16..24].fill(3);
+            s.allocated += 256;
+        },
+        |tx| {
+            let fresh = tx.alloc(200)?;
+            tx.write_new(fresh, &[3u8; 200]);
+            tx.set(root + 16, &[3u8; 8])
+        },
+    );
+}
+
+/// Whether `image` holds an ACTIVE lane's alloc intent whose own header
+/// says ALLOC *inside* a block the heap walk sees FREE: a group whose
+/// interior headers landed and whose commit header did not. Freeing such an
+/// entry on the header's word would corrupt the heap.
+fn holds_an_uncommitted_group(image: &Arc<PmemDevice>) -> bool {
+    let mut free = vec![];
+    walk_blocks(image, heap_start(), image.size() as u64, false, |block| {
+        if let Ok((at, h)) = block {
+            if h.state == BLOCK_FREE {
+                free.push(at + BLOCK_HEADER_SIZE..at + BLOCK_HEADER_SIZE + h.size);
+            }
+        }
+        true
+    });
+    let says_alloc = |payload: u64| {
+        BlockHeader::read(image, payload - BLOCK_HEADER_SIZE).is_ok_and(|h| h.state == BLOCK_ALLOC)
+    };
+    (intents(&**image, lane_offset(0)).unwrap_or_default().iter()).any(|&e| {
+        e & 1 == 0 && free.iter().any(|f| f.contains(&e) && f.start != e) && says_alloc(e)
+    })
 }
 
 #[test]
 fn transactions_are_all_or_nothing_in_every_crash_state() {
-    let tally = explore("tx", POOL_BYTES, pool_fixture, judge_pool, |fx, ex| {
+    let uncommitted_groups = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&uncommitted_groups);
+    let judge = move |model: &PoolModel, image: &Arc<PmemDevice>| {
+        if holds_an_uncommitted_group(image) {
+            seen.fetch_add(1, Ordering::Relaxed);
+        }
+        judge_pool(model, image)
+    };
+    let tally = explore("tx", POOL_BYTES, pool_fixture, judge, |fx, ex| {
         let (root, word) = (fx.root, |b: u8| vec![b; 8]);
         // Two snapshotted words.
         pool_step(
@@ -408,31 +456,11 @@ fn transactions_are_all_or_nothing_in_every_crash_state() {
             },
         );
         // A free outside any transaction: the hole the next steps reuse.
-        ex.update(|m| {
-            let mut next = m.allowed[0].clone();
-            next.allocated -= 1024;
-            m.allowed.push(next);
-        });
-        fx.pool.free(&fx.clock, fx.hole).unwrap();
-        ex.update(|m| {
-            m.allowed.remove(0);
-        });
-        // alloc + undo-free stores + the snapshotted word that publishes.
-        pool_step(
-            fx,
-            ex,
-            true,
-            |s| {
-                s.bytes.get_mut(&root).unwrap()[16..24].fill(3);
-                s.allocated += 256;
-            },
-            |tx| {
-                let fresh = tx.alloc(200)?;
-                tx.write_new(fresh, &[3u8; 200]);
-                tx.set(root + 16, &word(3))
-            },
-        );
-        // A deferred free and a group allocation in one transaction.
+        pool_call(fx, ex, -1024, || fx.pool.free(&fx.clock, fx.hole).unwrap());
+        alloc_and_publish(fx, ex);
+        // A deferred free and a group allocation in one transaction. Between
+        // the group's intents and its commit header the interior headers
+        // already say ALLOC inside a free block.
         pool_step(
             fx,
             ex,
@@ -473,12 +501,59 @@ fn transactions_are_all_or_nothing_in_every_crash_state() {
                 Err(PmdkError::TxFailure("abort".into()))
             },
         );
+        // A fragmented heap: a 320-byte hole behind a pinned block, and
+        // ballast that leaves a 352-byte last block. No one block holds a
+        // pair of 256s, so the group is two carves — the hole whole, then a
+        // split of the last block — behind one set of intents.
+        let alloc = |size: u64| {
+            let mut at = 0;
+            pool_call(fx, ex, size as i64, || {
+                at = fx.pool.alloc(&fx.clock, size).unwrap()
+            });
+            at
+        };
+        let gap = alloc(320);
+        alloc(64);
+        alloc(fx.pool.free_bytes() - 352 - BLOCK_HEADER_SIZE);
+        pool_call(fx, ex, -320, || fx.pool.free(&fx.clock, gap).unwrap());
+        let passes = || fx.pool.device().machine().stats.snapshot().alloc_passes;
+        let before = passes();
+        pool_step(
+            fx,
+            ex,
+            true,
+            |s| {
+                s.bytes.get_mut(&root).unwrap()[40..48].fill(7);
+                s.allocated += 320 + 256;
+            },
+            |tx| {
+                for at in tx.alloc_many(&[200, 200])? {
+                    tx.write_new(at, &[7u8; 200]);
+                }
+                tx.set(root + 40, &word(7))
+            },
+        );
+        assert_eq!(passes() - before, 2, "the group took two carves");
     });
     assert_clean(tally);
-    println!(
-        "crash_states[tx]: {} images leaked the rolled-back transaction's blocks (known gap)",
-        LEAKED_IMAGES.load(Ordering::Relaxed)
-    );
+    assert!(uncommitted_groups.load(Ordering::Relaxed) > 0);
+}
+
+/// Found by this explorer in PR 21 (seed 0x21, scenario `tx`, crash point
+/// 36, the alloc header's line reaching media) and tolerated until PR 22:
+/// `Tx::alloc` filled its intent slot only after the heap had handed the
+/// offset out, so a crash between the heap's commit header and the slot's
+/// fence left the block allocated with no intent to free it by. The intent
+/// is durable before the carve now.
+#[test]
+fn an_allocation_is_never_durable_before_its_intent() {
+    assert_clean(explore(
+        "tx/alloc-intent",
+        POOL_BYTES,
+        pool_fixture,
+        judge_pool,
+        alloc_and_publish,
+    ));
 }
 
 // ---- table scenarios: the persistent hashtable on its own pool ----
