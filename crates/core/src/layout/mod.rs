@@ -190,7 +190,10 @@ pub trait Layout: Send + Sync {
                     .arg("bytes", record);
                 let mut sink = MappingSink::new(&resv.mapping, clock, resv.offset, resv.len)?;
                 serializer.write_var(put.meta, put.payload, &mut sink)?;
-                debug_assert_eq!(sink.written(), resv.len);
+                // Inside `put.memcpy`, before `put.persist`: the window's
+                // last store must precede the flush that covers it.
+                let written = sink.finish();
+                debug_assert_eq!(written, resv.len);
             }
             let _span = machine
                 .phase(clock, "put", "put.persist")

@@ -435,6 +435,48 @@ fn zero_staging_property_holds_on_store() {
     pmem.munmap().unwrap();
 }
 
+/// The serializer ⇄ mapping seam end to end, per format: a load reads each
+/// record byte once and nothing past it, and a record is whole on the media
+/// when `store` returns — the sink's window is stored before the persist,
+/// not after it.
+#[test]
+fn a_record_is_read_once_and_is_durable_when_store_returns() {
+    let small = [0xC0FFEEu64];
+    let large: Vec<f64> = (0..4096).map(|i| i as f64 * 0.5).collect();
+    for ser in ["bp4", "cereal", "capnp-lite", "raw"] {
+        let dev = PmemDevice::new(Machine::chameleon(), 16 << 20, PersistenceMode::Tracked);
+        let opts = Options {
+            serializer: ser.into(),
+            ..Options::default()
+        };
+        let (pmem, _comm) = mapped_single(opts.clone(), &dev);
+        pmem.store_slice("small", &small).unwrap();
+        pmem.store_slice("large", &large).unwrap();
+        let records = ["small", "large"].map(|key| pmem.raw_record(key).unwrap());
+
+        // Both keys sit in the shadow index, so the lookup reads no PMEM:
+        // what a load reads is its record.
+        let before = dev.machine().stats.snapshot();
+        assert_eq!(pmem.load_slice::<u64>("small").unwrap(), small, "{ser}");
+        assert_eq!(pmem.load_slice::<f64>("large").unwrap(), large, "{ser}");
+        let delta = dev.machine().stats.snapshot().delta_since(&before);
+        let stored: usize = records.iter().map(Vec::len).sum();
+        assert_eq!(delta.pmem_bytes_read, stored as u64, "{ser}");
+        assert_eq!(delta.dram_bytes_copied, 0, "{ser}");
+
+        // Power cut with the session still mounted: only fenced lines stay.
+        dev.crash();
+        drop(pmem);
+        pmemcpy::registry::release_pool(&dev);
+        let (mut pmem, _comm) = mapped_single(opts, &dev);
+        for (key, record) in ["small", "large"].iter().zip(&records) {
+            assert_eq!(&pmem.raw_record(key).unwrap(), record, "{ser}: {key}");
+        }
+        assert_eq!(pmem.load_slice::<f64>("large").unwrap(), large, "{ser}");
+        pmem.munmap().unwrap();
+    }
+}
+
 #[test]
 fn load_region_spans_multiple_blocks() {
     let dev = devdax(64);

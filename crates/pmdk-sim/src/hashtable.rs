@@ -66,7 +66,7 @@ use crate::pool::PmemPool;
 use pmem_sim::flight::EventCode;
 use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, SimTime};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -640,21 +640,29 @@ impl PersistentHashtable {
     }
 
     /// Walk the chain at `head_slot` looking for `key` (writer side, caller
-    /// holds the stripe). The match's `slot` is the predecessor pointer a
-    /// splice rewrites. A bad hop refuses the mutation.
-    fn find(&self, clock: &Clock, head_slot: u64, key: &[u8], hash: u64) -> Result<Option<Entry>> {
+    /// holds the stripe): the head pointer the walk read, and the match, whose
+    /// `slot` is the predecessor pointer a splice rewrites. A bad hop refuses
+    /// the mutation.
+    fn find(
+        &self,
+        clock: &Clock,
+        head_slot: u64,
+        key: &[u8],
+        hash: u64,
+    ) -> Result<(u64, Option<Entry>)> {
         let machine = self.pool.device().machine();
         let _span = machine.span(clock, "pmdk", "ht.probe");
         let src = self.pool.charged(clock);
-        let mut hit = None;
+        let (mut head, mut hit) = (None, None);
         let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
+            head.get_or_insert(e.at);
             if e.hash == hash && e.klen as usize == key.len() && e.key(&src) == key {
                 hit = Some(*e);
             }
             hit.is_none()
         });
         machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
-        end.map(|()| hit)
+        end.map(|()| (head.unwrap_or(0), hit))
     }
 
     /// Read-path degradation: these signatures cannot carry a `Result`, so
@@ -815,9 +823,9 @@ impl PersistentHashtable {
             // concurrent batches and single puts cannot deadlock.
             let g = self.geo();
             let routes: Vec<Route> = hashes.iter().map(|&h| g.route(h)).collect();
-            let mut by_slot: std::collections::BTreeMap<u64, Vec<usize>> = Default::default();
+            let mut by_slot: BTreeMap<u64, (Vec<usize>, u64)> = BTreeMap::new();
             for (i, r) in routes.iter().enumerate() {
-                by_slot.entry(r.head_slot).or_default().push(i);
+                by_slot.entry(r.head_slot).or_default().0.push(i);
             }
             let mut stripe_ids: Vec<usize> = routes.iter().map(|r| r.sid).collect();
             stripe_ids.sort_unstable();
@@ -843,11 +851,15 @@ impl PersistentHashtable {
                 let mut live_delta = vec![0i64; STRIPES];
                 // Unlink + free replaced entries first. Re-find before
                 // each unlink: an earlier unlink in the same chain may
-                // have moved this entry's predecessor.
-                for (&head_slot, idxs) in &by_slot {
-                    for &i in idxs {
+                // have moved this entry's predecessor. A bucket's last walk
+                // is also the one read of its head pointer (`was`), which
+                // unlinking the first entry moves.
+                for (&head_slot, (idxs, was)) in &mut by_slot {
+                    for &i in idxs.iter() {
                         let (key, _) = reqs[i];
-                        if let Some(old) = self.find(clock, head_slot, key, hashes[i])? {
+                        let (head, old) = self.find(clock, head_slot, key, hashes[i])?;
+                        *was = old.filter(|o| o.at == head).map_or(head, |o| o.next);
+                        if let Some(old) = old {
                             tx.set(old.slot, &old.next.to_le_bytes())?;
                             tx.free(old.at)?;
                         } else {
@@ -857,20 +869,20 @@ impl PersistentHashtable {
                 }
                 // Chain each bucket's new entries together off-list, each
                 // stored whole and once, undo-free: nothing reaches it yet.
-                let mut heads = Vec::with_capacity(by_slot.len());
-                for (&head_slot, idxs) in &by_slot {
-                    let mut head = self.pool.read_u64(clock, head_slot);
+                for (idxs, was) in by_slot.values() {
+                    let mut head = *was;
                     for &i in idxs {
                         let (key, vlen) = (reqs[i].0, reqs[i].1 as u32);
                         tx.write_new(entries[i], &encode_entry(hashes[i], key, vlen, head, value));
                         head = entries[i];
                     }
-                    heads.push((head_slot, head));
                 }
                 // One snapshotted head write per bucket makes its group
                 // visible; the first one's undo record fences every entry.
-                for (head_slot, head) in heads {
-                    tx.set(head_slot, &head.to_le_bytes())?;
+                for (&head_slot, (idxs, was)) in &by_slot {
+                    let head = entries[*idxs.last().expect("a routed bucket holds a key")];
+                    tx.snapshot_as(head_slot, &was.to_le_bytes())?;
+                    self.pool.write_u64(clock, head_slot, head);
                 }
                 Ok((entries, live_delta))
             })?;
@@ -1093,7 +1105,7 @@ impl PersistentHashtable {
         let _atomic = pmem_sim::atomic_section();
         let (r, mut shadow) = self.lock_route(hash, true);
         self.shadow_invalidate(&mut shadow, key);
-        let Some(e) = self.find(clock, r.head_slot, key, hash)? else {
+        let (_, Some(e)) = self.find(clock, r.head_slot, key, hash)? else {
             return Ok(false);
         };
         self.ensure_dirty(clock);
@@ -1244,7 +1256,7 @@ mod tests {
     #[test]
     fn resize_grows_the_directory_and_preserves_contents() {
         let (ht, pool, clock) = table(1 << 23, 4);
-        let mut expect = std::collections::BTreeMap::new();
+        let mut expect = BTreeMap::new();
         for i in 0..300u32 {
             let k = format!("grow-{i}");
             ht.put(&clock, k.as_bytes(), &i.to_le_bytes()).unwrap();
@@ -1447,6 +1459,65 @@ mod tests {
         assert_eq!(ht.get(&clock, b"d").unwrap(), b"new-d");
         assert_eq!(ht.get(&clock, b"keep").unwrap(), b"kept");
         pool.check_heap().unwrap(); // replaced entries were freed
+    }
+
+    /// The head's undo record holds what the walk read, not a second media
+    /// read (debug builds compare the two): a group that unlinks its
+    /// bucket's first entry and splices onto the head that moved rolls back
+    /// to the old chain, and commits to the new one.
+    #[test]
+    fn a_group_that_moves_its_head_rolls_back_and_commits_whole() {
+        let (ht, pool, clock) = table(1 << 22, 1); // one chain: c → b → a
+        ht.set_auto_resize(false);
+        for key in [b"a", b"b", b"c"] {
+            ht.put(&clock, key, b"old").unwrap();
+        }
+        let reqs: Vec<(&[u8], u64)> = vec![(b"a", 3), (b"c", 3), (b"d", 3)];
+        pool.fail_points.arm("tx::commit-before", 1);
+        assert!(ht.put_reserve_many(&clock, &reqs).is_err());
+        pool.device().crash();
+        let (ht, pool) = reopen(ht, pool, &clock);
+        ht.set_auto_resize(false);
+        for key in [b"a", b"b", b"c"] {
+            assert_eq!(ht.get(&clock, key).unwrap(), b"old");
+        }
+        assert_eq!((ht.get(&clock, b"d"), ht.len(&clock)), (None, 3));
+
+        for vref in ht.put_reserve_many(&clock, &reqs).unwrap() {
+            pool.write_bytes(&clock, vref.offset, b"new");
+        }
+        for (key, want) in [
+            (b"a", b"new"),
+            (b"b", b"old"),
+            (b"c", b"new"),
+            (b"d", b"new"),
+        ] {
+            assert_eq!(ht.get(&clock, key).unwrap(), want);
+        }
+        assert_eq!(ht.len(&clock), 4);
+        pool.check_heap().unwrap();
+    }
+
+    /// A put fetches its bucket's head pointer once — the walk's read serves
+    /// the splice and the undo record (it was three reads).
+    #[test]
+    fn a_put_reads_its_bucket_head_once() {
+        let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+        let registry = MetricsRegistry::new();
+        dev.machine().set_metrics(Arc::clone(&registry));
+        let clock = Clock::new();
+        let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+        let ht = PersistentHashtable::create(&clock, &pool, 4096).unwrap();
+        ht.put(&clock, b"warm", b"sets the dirty flag").unwrap();
+        let reads = || registry.snapshot().hists["pmem.meta_read"].count;
+        for keys in [&[&b"k0"[..]][..], &[b"k1", b"k2", b"k3"]] {
+            let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (*k, 8)).collect();
+            let before = reads();
+            ht.put_reserve_many(&clock, &reqs).unwrap();
+            // A key in an empty bucket: the walk's read of the head, and the
+            // commit's read of the key's intent slot.
+            assert_eq!(reads() - before, 2 * keys.len() as u64);
+        }
     }
 
     #[test]

@@ -24,10 +24,6 @@ impl FailPoints {
         self.armed.lock().insert(site, nth);
     }
 
-    pub fn disarm(&self, site: &'static str) {
-        self.armed.lock().remove(site);
-    }
-
     /// Check a site; returns `Err(Injected)` when the countdown expires.
     pub fn check(&self, site: &'static str) -> Result<()> {
         let mut map = self.armed.lock();
@@ -394,9 +390,7 @@ impl PmemPool {
     }
 
     pub fn write_u64(&self, clock: &Clock, off: u64, v: u64) {
-        self.device
-            .write_meta(clock, off as usize, &v.to_le_bytes());
-        self.device.persist(clock, off as usize, 8);
+        self.write_bytes(clock, off, &v.to_le_bytes());
     }
 
     pub fn read_u32(&self, clock: &Clock, off: u64) -> u32 {
@@ -406,9 +400,7 @@ impl PmemPool {
     }
 
     pub fn write_u32(&self, clock: &Clock, off: u64, v: u32) {
-        self.device
-            .write_meta(clock, off as usize, &v.to_le_bytes());
-        self.device.persist(clock, off as usize, 4);
+        self.write_bytes(clock, off, &v.to_le_bytes());
     }
 
     /// Bulk write + persist (metadata-timed).

@@ -218,26 +218,33 @@ impl<'a> Tx<'a> {
     }
 
     /// Record the pre-image of `[off, off+len)` so a rollback can restore it.
-    /// Call before overwriting existing persistent data. The record is one
-    /// store, one flush and one fence; the length word after it is the
-    /// commit point of the log append.
+    /// Call before overwriting existing persistent data.
     pub fn snapshot(&mut self, off: u64, len: u64) -> Result<()> {
+        let mut pre = vec![0u8; len as usize];
+        self.pool.read_bytes(self.clock, off, &mut pre);
+        self.snapshot_as(off, &pre)
+    }
+
+    /// [`Tx::snapshot`] of a range the caller has just read as `pre`. The
+    /// record is one store, one flush and one fence; the length word after
+    /// it is the commit point of the log append.
+    pub(crate) fn snapshot_as(&mut self, off: u64, pre: &[u8]) -> Result<()> {
+        let dev = self.pool.device();
+        debug_assert_eq!(pre, dev.read_vec_untimed(off as usize, pre.len()));
         self.pool.fail_check(self.clock, "tx::snapshot")?;
-        if self.undo_used + undo_record_size(len) > UNDO_CAPACITY {
+        let size = undo_record_size(pre.len() as u64);
+        if self.undo_used + size > UNDO_CAPACITY {
             return Err(PmdkError::TxFailure(format!(
-                "undo log overflow: {} + {} > {UNDO_CAPACITY}",
-                self.undo_used,
-                undo_record_size(len)
+                "undo log overflow: {} + {size} > {UNDO_CAPACITY}",
+                self.undo_used
             )));
         }
         // The write this record guards may publish what `write_new` stored.
         self.persist_fresh();
-        let mut pre = vec![0u8; len as usize];
-        self.pool.read_bytes(self.clock, off, &mut pre);
         let entry = lane_undo(self.lane_base) + self.undo_used;
         self.pool
-            .write_bytes(self.clock, entry, &encode_undo_record(off, &pre));
-        self.undo_used += undo_record_size(len);
+            .write_bytes(self.clock, entry, &encode_undo_record(off, pre));
+        self.undo_used += size;
         self.pool.write_u32(
             self.clock,
             self.lane_base + lane::UNDO_LEN,

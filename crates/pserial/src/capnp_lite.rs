@@ -67,10 +67,10 @@ impl Serializer for CapnpLite {
         }
         // Pad header to the word boundary.
         let pad = header_len - (sink.position() - start);
-        sink.put(&vec![0u8; pad as usize])?;
+        sink.put(&[0u8; 8][..pad as usize])?;
         sink.put(payload)?;
         let pad = word_align(payload.len() as u64) - payload.len() as u64;
-        sink.put(&vec![0u8; pad as usize])?;
+        sink.put(&[0u8; 8][..pad as usize])?;
         debug_assert_eq!(
             sink.position() - start,
             self.serialized_len(meta, payload.len() as u64)

@@ -4,7 +4,8 @@
 //! 1. the run is bit-reproducible under the deterministic scheduler — per
 //!    rank virtual times, media counters, and split counts all match across
 //!    two identical runs;
-//! 2. the settled table keeps the longest chain within the design bound;
+//! 2. the settled table keeps the longest chain within the design bound, and
+//!    streaming the records costs each rank less than half of reserving them;
 //! 3. every key reads back byte-exact, and a pre-sized table that never
 //!    splits stores the same contents (splits move entries, never change
 //!    them);
@@ -74,6 +75,22 @@ fn storm_is_bit_reproducible_and_chains_stay_bounded() {
         "directory never outgrew the key count: {} buckets",
         shape_a.buckets
     );
+
+    // An 8-byte record is one store, not one per header field: streaming it
+    // costs a rank well under half of what reserving its space does (a
+    // per-field stream cost about as much as the reservation).
+    let m = &cell_a.metrics;
+    for lane in 0..SPEC.ranks {
+        let phase = |name| {
+            let phases = m.lane_phases(lane);
+            phases.iter().find(|(n, _)| *n == name).map(|(_, t)| *t)
+        };
+        let (memcpy, reserve) = (phase("put.memcpy").unwrap(), phase("put.reserve").unwrap());
+        assert!(
+            memcpy < reserve / 2,
+            "lane {lane}: put.memcpy {memcpy:?} against put.reserve {reserve:?}"
+        );
+    }
 }
 
 #[test]
