@@ -204,8 +204,8 @@ pub fn walk_hashtable(dev: &PmemDevice, header_off: u64) -> HashtableReport {
         return out;
     }
     out.stripes = vec![StripeStat::default(); STRIPES];
-    for (head_slot, bucket) in out.header.geo.head_slots() {
-        let (chain, end) = walk_chain(dev, head_slot, Fetch::Header, |e| {
+    for (head_slot, bucket, head) in out.header.geo.heads(dev) {
+        let (chain, end) = walk_from(dev, head_slot, head, Fetch::Header, |e| {
             out.entries.push(EntryReport {
                 key: e.key(dev),
                 value_off: e.value_off(),

@@ -245,8 +245,8 @@ impl PersistentHashtable {
             // chains (cheap 8-byte next-pointer hops) and fold + clear in
             // ordered single-word persisted writes.
             let mut n = 0u64;
-            for (slot, _) in hdr.geo.head_slots() {
-                let (links, end) = walk_chain(&src, slot, Fetch::Link, |_| true);
+            for (slot, _, head) in hdr.geo.heads(&src) {
+                let (links, end) = walk_from(&src, slot, head, Fetch::Link, |_| true);
                 end?;
                 n += links;
             }
@@ -355,14 +355,16 @@ impl PersistentHashtable {
         self.stripes[id].lock.lock()
     }
 
-    /// Acquire every stripe of `ids` (ascending, so concurrent multi-stripe
-    /// operations cannot deadlock); the guards come back indexed by stripe.
-    fn lock_stripes(&self, ids: &[usize]) -> [Option<StripeGuard<'_>>; STRIPES] {
-        let mut held = std::array::from_fn(|_| None);
-        for &i in ids {
-            held[i] = Some(self.lock_stripe(i));
-        }
-        held
+    /// Acquire every stripe named in `ids`, once each and ascending (so
+    /// concurrent multi-stripe operations cannot deadlock); the guards come
+    /// back indexed by stripe.
+    fn lock_stripes(
+        &self,
+        ids: impl IntoIterator<Item = usize>,
+    ) -> [Option<StripeGuard<'_>>; STRIPES] {
+        let mut wanted = [false; STRIPES];
+        ids.into_iter().for_each(|i| wanted[i] = true);
+        std::array::from_fn(|i| wanted[i].then(|| self.lock_stripe(i)))
     }
 
     // ---- sharded count: dirty flag + quiesce fold ----
@@ -540,13 +542,9 @@ impl PersistentHashtable {
 
         // Source bucket b lives on stripe b%64; its lo half stays there,
         // its hi half moves to (b+n)%64. Lock both for the whole chunk.
-        let mut sids: Vec<usize> = (start..last)
-            .flat_map(|b| [stripe_of(b), stripe_of(b + n)])
-            .collect();
-        sids.sort_unstable();
-        sids.dedup();
+        let sids = (start..last).flat_map(|b| [stripe_of(b), stripe_of(b + n)]);
         let _atomic = pmem_sim::atomic_section();
-        let mut held = self.lock_stripes(&sids);
+        let mut held = self.lock_stripes(sids);
 
         let mut entries_moved = 0u64;
         let src = self.pool.charged(clock);
@@ -555,10 +553,12 @@ impl PersistentHashtable {
             // Destination heads: slots start..end (lo), start+n.. (hi).
             let mut runs = [Vec::new(), Vec::new()];
             let mut end = start;
-            for b in start..last {
+            // The chunk's source heads are one run: pinned by the stripes
+            // held above, fetched once.
+            for (slot, b, head) in read_heads(&src, g.old_heads, start..last) {
                 // [lo, hi], each (entry, current next).
                 let mut halves: [Vec<(u64, u64)>; 2] = Default::default();
-                let (moved, walked) = walk_chain(&src, g.old_heads + b * 8, Fetch::Header, |e| {
+                let (moved, walked) = walk_from(&src, slot, head, Fetch::Header, |e| {
                     halves[(e.hash % g.buckets != b) as usize].push((e.at, e.next));
                     true
                 });
@@ -570,7 +570,7 @@ impl PersistentHashtable {
                 for (head, chain) in heads.iter_mut().zip(&halves) {
                     for &(e, cur_next) in chain.iter().rev() {
                         if cur_next != *head {
-                            relinks.push((e, *head));
+                            relinks.push((e, cur_next, *head));
                         }
                         *head = e;
                     }
@@ -579,8 +579,9 @@ impl PersistentHashtable {
                 if b > start && !tx.undo_fits(relinks.len() as u64 + 3) {
                     break;
                 }
-                for (e, next) in relinks {
-                    tx.set(e + ENT_NEXT, &next.to_le_bytes())?;
+                // The walk is still holding each pre-image.
+                for (e, cur_next, next) in relinks {
+                    tx.set_word(e + ENT_NEXT, cur_next, next)?;
                 }
                 for (run, head) in runs.iter_mut().zip(heads) {
                     run.extend_from_slice(&head.to_le_bytes());
@@ -591,13 +592,14 @@ impl PersistentHashtable {
             tx.write_new(g.heads + start * 8, &runs[0]);
             tx.write_new(g.heads + (start + n) * 8, &runs[1]);
             self.pool.fail_check(clock, "ht::cursor-advance")?;
+            // `g` mirrors the header (we hold `resize_lock`): no read-back.
             if end == n {
-                tx.set(self.header + HDR_CURSOR, &0u64.to_le_bytes())?;
-                tx.set(self.header + HDR_OLD_BUCKETS, &0u64.to_le_bytes())?;
-                tx.set(self.header + HDR_OLD_HEADS, &0u64.to_le_bytes())?;
+                tx.set_word(self.header + HDR_CURSOR, start, 0)?;
+                tx.set_word(self.header + HDR_OLD_BUCKETS, n, 0)?;
+                tx.set_word(self.header + HDR_OLD_HEADS, g.old_heads, 0)?;
                 tx.free(g.old_heads)?;
             } else {
-                tx.set(self.header + HDR_CURSOR, &end.to_le_bytes())?;
+                tx.set_word(self.header + HDR_CURSOR, start, end)?;
             }
             Ok(end)
         })?;
@@ -711,12 +713,17 @@ impl PersistentHashtable {
         // (changing its stripe) while the scan installs entries.
         let _resize = self.resize_lock.lock();
         let src = self.pool.charged(clock);
-        for (slot, bucket) in self.geo().head_slots() {
-            let mut shadow = self.lock_stripe(stripe_of(bucket));
-            installed += self.degraded(walk_chain(&src, slot, Fetch::Header, |e| {
-                shadow.insert(e.key(&src), value_ref_of(e));
-                true
-            }));
+        for (array, buckets) in self.geo().head_runs() {
+            // A head is as fresh as its run: hold the run's stripes (64
+            // consecutive buckets are all of them) before fetching it.
+            let mut held = self.lock_stripes(buckets.clone().take(STRIPES).map(stripe_of));
+            for (slot, bucket, head) in read_heads(&src, array, buckets) {
+                let shadow = held[stripe_of(bucket)].as_mut().expect("a run's stripes");
+                installed += self.degraded(walk_from(&src, slot, head, Fetch::Header, |e| {
+                    shadow.insert(e.key(&src), value_ref_of(e));
+                    true
+                }));
+            }
         }
         installed
     }
@@ -827,10 +834,7 @@ impl PersistentHashtable {
             for (i, r) in routes.iter().enumerate() {
                 by_slot.entry(r.head_slot).or_default().0.push(i);
             }
-            let mut stripe_ids: Vec<usize> = routes.iter().map(|r| r.sid).collect();
-            stripe_ids.sort_unstable();
-            stripe_ids.dedup();
-            let mut held = self.lock_stripes(&stripe_ids);
+            let mut held = self.lock_stripes(routes.iter().map(|r| r.sid));
             // A migration may have moved a bucket between routing and lock
             // acquisition; holding the stripes pins the survivors, so one
             // stable re-check suffices.
@@ -860,7 +864,7 @@ impl PersistentHashtable {
                         let (head, old) = self.find(clock, head_slot, key, hashes[i])?;
                         *was = old.filter(|o| o.at == head).map_or(head, |o| o.next);
                         if let Some(old) = old {
-                            tx.set(old.slot, &old.next.to_le_bytes())?;
+                            tx.set_word(old.slot, old.at, old.next)?;
                             tx.free(old.at)?;
                         } else {
                             live_delta[routes[i].sid] += 1;
@@ -881,8 +885,7 @@ impl PersistentHashtable {
                 // visible; the first one's undo record fences every entry.
                 for (&head_slot, (idxs, was)) in &by_slot {
                     let head = entries[*idxs.last().expect("a routed bucket holds a key")];
-                    tx.snapshot_as(head_slot, &was.to_le_bytes())?;
-                    self.pool.write_u64(clock, head_slot, head);
+                    tx.set_word(head_slot, *was, head)?;
                 }
                 Ok((entries, live_delta))
             })?;
@@ -1110,7 +1113,7 @@ impl PersistentHashtable {
         };
         self.ensure_dirty(clock);
         self.pool.tx(clock, |tx| {
-            tx.set(e.slot, &e.next.to_le_bytes())?;
+            tx.set_word(e.slot, e.at, e.next)?;
             tx.free(e.at)
         })?;
         self.stripes[r.sid].live.fetch_sub(1, Ordering::Relaxed);
@@ -1121,8 +1124,8 @@ impl PersistentHashtable {
     pub fn keys(&self, clock: &Clock) -> Vec<Vec<u8>> {
         let src = self.pool.charged(clock);
         let mut out = vec![];
-        for (slot, _) in self.geo().head_slots() {
-            self.degraded(walk_chain(&src, slot, Fetch::Header, |e| {
+        for (slot, _, head) in self.geo().heads(&src) {
+            self.degraded(walk_from(&src, slot, head, Fetch::Header, |e| {
                 out.push(e.key(&src));
                 true
             }));
@@ -1137,8 +1140,8 @@ impl PersistentHashtable {
     pub fn chain_length_histogram(&self, clock: &Clock) -> Vec<u64> {
         let src = self.pool.charged(clock);
         let mut hist = vec![0u64];
-        for (slot, _) in self.geo().head_slots() {
-            let len = self.degraded(walk_chain(&src, slot, Fetch::Link, |_| true)) as usize;
+        for (slot, _, head) in self.geo().heads(&src) {
+            let len = self.degraded(walk_from(&src, slot, head, Fetch::Link, |_| true)) as usize;
             if hist.len() <= len {
                 hist.resize(len + 1, 0);
             }
@@ -1499,24 +1502,31 @@ mod tests {
     }
 
     /// A put fetches its bucket's head pointer once — the walk's read serves
-    /// the splice and the undo record (it was three reads).
+    /// the splice and the undo record — and its commit reads nothing back:
+    /// the transaction knows which of its intents are frees.
     #[test]
     fn a_put_reads_its_bucket_head_once() {
+        const BUCKETS: u64 = 4096;
         let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
         let registry = MetricsRegistry::new();
         dev.machine().set_metrics(Arc::clone(&registry));
         let clock = Clock::new();
         let pool = PmemPool::create(&clock, dev, "ht").unwrap();
-        let ht = PersistentHashtable::create(&clock, &pool, 4096).unwrap();
+        let ht = PersistentHashtable::create(&clock, &pool, BUCKETS).unwrap();
         ht.put(&clock, b"warm", b"sets the dirty flag").unwrap();
+        let mut taken = std::collections::HashSet::from([fnv1a(b"warm") % BUCKETS]);
+        let mut fresh = (0u32..)
+            .map(|i| format!("k{i}").into_bytes())
+            .filter(|k| taken.insert(fnv1a(k) % BUCKETS));
         let reads = || registry.snapshot().hists["pmem.meta_read"].count;
-        for keys in [&[&b"k0"[..]][..], &[b"k1", b"k2", b"k3"]] {
-            let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (*k, 8)).collect();
+        // A key in an empty bucket: the walk's read of the head. A 64-alloc
+        // group commits without reading its 64 intent slots back.
+        for group in [1, 3, 64] {
+            let keys: Vec<Vec<u8>> = fresh.by_ref().take(group).collect();
+            let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (k.as_slice(), 8)).collect();
             let before = reads();
             ht.put_reserve_many(&clock, &reqs).unwrap();
-            // A key in an empty bucket: the walk's read of the head, and the
-            // commit's read of the key's intent slot.
-            assert_eq!(reads() - before, 2 * keys.len() as u64);
+            assert_eq!(reads() - before, group as u64);
         }
     }
 
@@ -1721,6 +1731,103 @@ mod tests {
         pool.check_heap().unwrap();
     }
 
+    /// A migration chunk of `c` buckets holding `m` entries is `1 + m`
+    /// metadata reads — its source heads in one run, one header an entry —
+    /// however many next pointers it rewrites: each pre-image is what the
+    /// walk read, and the cursor's is the geometry the helper holds.
+    #[test]
+    fn a_chunk_costs_one_run_read_and_one_header_read_an_entry() {
+        const N: u64 = 64;
+        let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+        let registry = MetricsRegistry::new();
+        dev.machine().set_metrics(Arc::clone(&registry));
+        let clock = Clock::new();
+        let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+        let ht = PersistentHashtable::create(&clock, &pool, N).unwrap();
+        ht.set_auto_resize(false);
+        let keys: Vec<String> = (0..200).map(|i| format!("c{i}")).collect();
+        for k in &keys {
+            ht.put(&clock, k.as_bytes(), b"v").unwrap();
+        }
+        ht.begin_split(&clock).unwrap();
+        let seen = || {
+            let snap = registry.snapshot();
+            let undo = snap.counter("tx.undo_bytes");
+            (snap.hists["pmem.meta_read"].count, undo)
+        };
+        let mut relinked = std::collections::BTreeSet::new();
+        while ht.splitting() {
+            let (start, (reads, undo)) = (ht.geo().cursor, seen());
+            ht.help_migrate(&clock).unwrap();
+            let end = match ht.geo().cursor {
+                0 => N,
+                cursor => cursor,
+            };
+            assert_eq!(end - start, 8, "a 64-bucket table moves 8 a chunk");
+            let held = |k: &&String| (start..end).contains(&(fnv1a(k.as_bytes()) % N));
+            let m = keys.iter().filter(held).count() as u64;
+            let (reads, undo) = (seen().0 - reads, seen().1 - undo);
+            assert_eq!(reads, 1 + m, "chunk {start}..{end}");
+            // The cursor word (three words when the split retires) and the
+            // relinks: 20 bytes of undo each.
+            let words = if end == N { 3 } else { 1 };
+            relinked.insert(undo / 20 - words);
+        }
+        assert!(
+            relinked.len() > 2,
+            "chunks that relink differently: {relinked:?}"
+        );
+        for k in &keys {
+            assert!(ht.contains(&clock, k.as_bytes()), "{k} lost");
+        }
+        pool.check_heap().unwrap();
+    }
+
+    /// A head served from a run is only as fresh as the run, so
+    /// `rebuild_shadow` fetches each run with the run's stripes held. One
+    /// thread keeps replacing the entries at the heads of their chains
+    /// (remove, then put: a fresh entry at the head, the old one freed and
+    /// its block reused) while another rebuilds the cache; afterwards every
+    /// cached ref must be the live entry of its key, not a freed one a stale
+    /// head led to.
+    #[test]
+    fn rebuilding_the_shadow_races_no_head_it_follows() {
+        let (ht, _pool, clock) = table(1 << 23, 256);
+        let keys: Vec<String> = (0..96).map(|i| format!("head-{i}")).collect();
+        for k in &keys {
+            ht.put(&clock, k.as_bytes(), k.as_bytes()).unwrap();
+        }
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let clock = Clock::new();
+                start.wait();
+                for round in 0..40 {
+                    for k in keys.iter().skip(round % 3).step_by(3) {
+                        assert!(ht.remove(&clock, k.as_bytes()).unwrap());
+                        ht.put(&clock, k.as_bytes(), k.as_bytes()).unwrap();
+                    }
+                }
+            });
+            let clock = Clock::new();
+            start.wait();
+            for _ in 0..40 {
+                // At most one key is between its remove and its put.
+                assert!(ht.rebuild_shadow(&clock) + 1 >= keys.len() as u64);
+                std::thread::yield_now();
+            }
+        });
+        let cached: Vec<(Vec<u8>, ValueRef)> = (ht.stripes.iter())
+            .flat_map(|s| s.lock.lock().clone())
+            .collect();
+        assert_eq!(cached.len(), keys.len());
+        ht.set_shadow_enabled(false); // cold walks from here on
+        for (key, vref) in cached {
+            assert_eq!(ht.get_ref(&clock, &key), Some(vref), "{key:?}");
+            assert_eq!(ht.get(&clock, &key).unwrap(), key);
+        }
+    }
+
     /// The worst relink pattern a 256-bucket chunk can meet: every source
     /// chain is 8 long and alternates lo/hi, so 7 of its 8 next pointers
     /// are rewritten — 35 KB of undo against a 15 KB lane. The chunk ends
@@ -1779,6 +1886,14 @@ mod tests {
         let capacity = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
         assert!(undo + 2 * 20 <= capacity && undo + 7 * 20 > capacity - 3 * 20);
         assert!(cursor < CHUNK, "the whole chunk would have taken 35 KB");
+        // The next chunk resumes at that bucket: one run read from there,
+        // one header read an entry of every bucket it walked (the one that
+        // no longer fit included), and it is cut short the same way.
+        let reads = || registry.snapshot().hists["pmem.meta_read"].count;
+        let before = reads();
+        ht.help_migrate(&clock).unwrap();
+        assert_eq!(ht.geo().cursor, 2 * cursor);
+        assert_eq!(reads() - before, 1 + 8 * (cursor + 1));
 
         while ht.geo().cursor < CHUNK {
             ht.remove(&clock, b"absent").unwrap();

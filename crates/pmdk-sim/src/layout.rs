@@ -30,6 +30,13 @@
 //! is arithmetic on words the reader fetched anyway, so it costs no virtual
 //! time.
 //!
+//! One access per contiguous run: a fixed-size structure (superblock, table
+//! header) decodes from one fetch, a counted one (a lane's intents, its undo
+//! log) from the count word plus one fetch of what it counts, and the heads
+//! arrays are served a run of at most 4 KiB at a time by the one directory
+//! iterator ([`Geo::heads`]). Only a chain's hops, each of which depends on
+//! the one before, are a fetch apiece.
+//!
 //! Cacheline failure-atomicity makes a torn pointer expected input. Callers
 //! share one rule: **mutating paths refuse** (a bad header or hop is
 //! `PmdkError::BadPool`), **read paths degrade** (end the walk at the bad
@@ -37,6 +44,7 @@
 
 use crate::error::{PmdkError, Result};
 use pmem_sim::{Clock, PmemDevice};
+use std::ops::Range;
 
 /// Pool magic ("PMDKSIM1").
 pub const POOL_MAGIC: u64 = 0x504d_444b_5349_4d31;
@@ -151,6 +159,14 @@ fn bad<T>(msg: String) -> Result<T> {
     Err(PmdkError::BadPool(msg))
 }
 
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b[..4].try_into().expect("a 4-byte field"))
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("an 8-byte field"))
+}
+
 // ---- byte sources ----
 
 /// How a format reader fetches bytes (static dispatch: the hot chain walks
@@ -212,6 +228,16 @@ impl Bytes for Charged<'_> {
     fn read_data(&self, off: u64, dst: &mut [u8]) {
         self.device.read(self.clock, off as usize, dst);
     }
+}
+
+/// `len` bytes at `off` in one fetch — none at all for an empty range, which
+/// a timed source would still charge its latency for.
+fn fetch<B: Bytes>(src: &B, off: u64, len: u64) -> Vec<u8> {
+    let mut bytes = vec![0u8; len as usize];
+    if len > 0 {
+        src.read(off, &mut bytes);
+    }
+    bytes
 }
 
 // ---- superblock ----
@@ -322,20 +348,18 @@ pub fn encode_undo_record(off: u64, pre: &[u8]) -> Vec<u8> {
     rec
 }
 
-/// One decoded undo record: restore `len` bytes at `off` from the pre-image
-/// stored at `pre_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One decoded undo record: restore `pre` at `off`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UndoRecord {
     pub off: u64,
-    pub len: u64,
-    pub pre_at: u64,
+    pub pre: Vec<u8>,
 }
 
 /// Decode the undo log of the lane at `base`, oldest record first: the
-/// length word, then an offset and a length fetch per record. The log must
-/// fit the lane, every record must end inside the logged length, and every
-/// target must lie in the heap (where everything a transaction snapshots
-/// lives).
+/// length word, then the logged bytes in one fetch, pre-images included. The
+/// log must fit the lane, every record must end inside the logged length,
+/// and every target must lie in the heap (where everything a transaction
+/// snapshots lives).
 pub fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
     let undo_len = src.u32_at(base + lane::UNDO_LEN) as u64;
     if undo_len > UNDO_CAPACITY {
@@ -343,15 +367,16 @@ pub fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
             "lane at {base:#x}: undo length {undo_len} past the lane ({UNDO_CAPACITY})"
         ));
     }
-    let (undo, mut cursor, mut out) = (lane_undo(base), 0u64, vec![]);
+    let log = fetch(src, lane_undo(base), undo_len);
+    let (mut cursor, mut out) = (0u64, vec![]);
     while cursor < undo_len {
         if undo_len - cursor < UNDO_REC_HDR {
             return bad(format!(
                 "lane at {base:#x}: undo record at {cursor} runs past the logged {undo_len}"
             ));
         }
-        let off = src.u64_at(undo + cursor);
-        let len = src.u32_at(undo + cursor + 8) as u64;
+        let rec = &log[cursor as usize..];
+        let (off, len) = (le_u64(rec), le_u32(&rec[8..]) as u64);
         if undo_record_size(len) > undo_len - cursor {
             return bad(format!(
                 "lane at {base:#x}: undo record at {cursor} (+{len}) runs past the logged {undo_len}"
@@ -362,18 +387,15 @@ pub fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
                 "lane at {base:#x}: undo record targets {off:#x}+{len}, outside the heap"
             ));
         }
-        out.push(UndoRecord {
-            off,
-            len,
-            pre_at: undo + cursor + UNDO_REC_HDR,
-        });
+        let pre = rec[UNDO_REC_HDR as usize..][..len as usize].to_vec();
+        out.push(UndoRecord { off, pre });
         cursor += undo_record_size(len);
     }
     Ok(out)
 }
 
 /// Fetch the filled intent slots of the lane at `base` (low bit set = a
-/// deferred free): the count word, then one fetch per slot.
+/// deferred free): the count word, then the counted slots in one fetch.
 pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
     let count = src.u32_at(base + lane::INTENT_COUNT) as u64;
     if count > LANE_INTENTS {
@@ -381,9 +403,15 @@ pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
             "lane at {base:#x}: intent count {count} > {LANE_INTENTS}"
         ));
     }
-    Ok((0..count)
-        .map(|slot| src.u64_at(lane_intents(base) + slot * 8))
-        .collect())
+    let slots = fetch(src, lane_intents(base), count * 8);
+    Ok(slots.chunks_exact(8).map(le_u64).collect())
+}
+
+/// The blocks a committed transaction of the lane at `base` still has to
+/// free, slot order: its free intents, untagged.
+pub fn deferred_frees<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
+    let frees = intents(src, base)?.into_iter().filter(|e| e & 1 == 1);
+    Ok(frees.map(|e| e & !1).collect())
 }
 
 // ---- heap block chain ----
@@ -511,19 +539,64 @@ pub struct Geo {
     pub cursor: u64,
 }
 
+/// Heads the directory iterator fetches per read: 4 KiB, sixteen of the
+/// media's 256-byte blocks — sequential, so it runs at bandwidth — and a
+/// buffer small enough to sit beside a chunk's lock set.
+const RUN_HEADS: u64 = 512;
+
 impl Geo {
-    /// Every chain-head slot a key can route to: unmigrated old buckets
-    /// first, then the new-directory slots whose source bucket the cursor
-    /// has passed — all of them when no split is in flight. Yields
-    /// `(head_slot, bucket)`. A destination slot at or past the cursor is
-    /// unreachable and is written without undo, so it may hold the head a
-    /// rolled-back migration chunk left there: no walker may follow it.
-    pub fn head_slots(self) -> impl Iterator<Item = (u64, u64)> {
-        let old = (self.cursor..self.old_buckets).map(move |b| (self.old_heads + b * 8, b));
-        let new = (0..self.buckets)
-            .filter(move |b| self.old_buckets == 0 || b % self.old_buckets < self.cursor);
-        old.chain(new.map(move |b| (self.heads + b * 8, b)))
+    /// Every chain-head slot a key can route to, as runs of at most
+    /// [`RUN_HEADS`] consecutive buckets of one heads array, `(array, buckets)`
+    /// each: unmigrated old buckets first, then the new-directory slots whose
+    /// source bucket the cursor has passed — all of them when no split is in
+    /// flight. A destination slot at or past the cursor is unreachable and
+    /// is written without undo, so it may hold the head a rolled-back
+    /// migration chunk left there: no walker may follow it.
+    pub fn head_runs(self) -> impl Iterator<Item = (u64, Range<u64>)> {
+        let (old, cursor) = (self.old_buckets, self.cursor);
+        let reachable = match old {
+            0 => [(self.heads, 0..self.buckets), (0, 0..0), (0, 0..0)],
+            _ => [
+                (self.old_heads, cursor..old),
+                (self.heads, 0..cursor),
+                (self.heads, old..old + cursor),
+            ],
+        };
+        reachable.into_iter().flat_map(|(array, buckets)| {
+            let runs = buckets.clone().step_by(RUN_HEADS as usize);
+            runs.map(move |b| (array, b..buckets.end.min(b + RUN_HEADS)))
+        })
     }
+
+    /// [`Geo::head_runs`], a slot at a time: `(head_slot, bucket)`.
+    pub fn head_slots(self) -> impl Iterator<Item = (u64, u64)> {
+        self.head_runs()
+            .flat_map(|(array, buckets)| buckets.map(move |b| (array + b * 8, b)))
+    }
+
+    /// The one directory iterator: [`Geo::head_slots`] with the head each
+    /// slot holds, `(head_slot, bucket, head)`, every run fetched by one
+    /// [`read_heads`] as the iteration reaches it. A head is as fresh as its
+    /// run: the caller holds whatever pins the run's buckets.
+    pub fn heads<B: Bytes>(self, src: &B) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.head_runs()
+            .flat_map(move |(array, buckets)| read_heads(src, array, buckets))
+    }
+}
+
+/// Fetch the heads of `buckets` of the heads array at `array` with one read
+/// (in range — the header check covers both arrays): `(head_slot, bucket,
+/// head)` each.
+pub fn read_heads<B: Bytes>(
+    src: &B,
+    array: u64,
+    buckets: Range<u64>,
+) -> impl Iterator<Item = (u64, u64, u64)> {
+    let len = buckets.end.saturating_sub(buckets.start) * 8;
+    let run = fetch(src, array + buckets.start * 8, len);
+    buckets
+        .zip(0..)
+        .map(move |(b, i)| (array + b * 8, b, le_u64(&run[i * 8..])))
 }
 
 /// The decoded hashtable header.
@@ -536,12 +609,14 @@ pub struct TableHeader {
 }
 
 impl TableHeader {
-    /// Fetch the seven header words, one 8-byte read each.
+    /// Fetch the seven header words with one 56-byte read.
     pub fn read<B: Bytes>(src: &B, header: u64) -> Result<TableHeader> {
         if !src.in_heap(header, HDR_SIZE) {
             return bad(format!("hashtable header {header:#x} outside heap"));
         }
-        let word = |off| src.u64_at(header + off);
+        let mut words = [0u8; HDR_SIZE as usize];
+        src.read(header, &mut words);
+        let word = |off: u64| le_u64(&words[off as usize..]);
         Ok(TableHeader {
             geo: Geo {
                 buckets: word(HDR_BUCKETS),
@@ -636,18 +711,30 @@ pub fn encode_entry(hash: u64, key: &[u8], vlen: u32, next: u64, value: Option<&
     ent
 }
 
-/// The one chain walk: follows `next` from `head_slot` (one 8-byte read of
-/// the head pointer), hop-bounded and range-checked before every
-/// dereference, handing each entry to `visit` until it answers `false`.
-/// Returns the entries fetched and how the walk ended: a bad hop ends the
-/// chain with the error.
+/// [`walk_from`] a head pointer this call fetches: one 8-byte read of
+/// `head_slot`.
 pub fn walk_chain<B: Bytes>(
     src: &B,
     head_slot: u64,
     fetch: Fetch,
+    visit: impl FnMut(&Entry) -> bool,
+) -> (u64, Result<()>) {
+    walk_from(src, head_slot, src.u64_at(head_slot), fetch, visit)
+}
+
+/// The one chain walk: follows `next` from `head`, the pointer the caller
+/// read out of `head_slot`, hop-bounded and range-checked before every
+/// dereference, handing each entry to `visit` until it answers `false`.
+/// Returns the entries fetched and how the walk ended: a bad hop ends the
+/// chain with the error.
+pub fn walk_from<B: Bytes>(
+    src: &B,
+    head_slot: u64,
+    head: u64,
+    fetch: Fetch,
     mut visit: impl FnMut(&Entry) -> bool,
 ) -> (u64, Result<()>) {
-    let (mut slot, mut at, mut hops) = (head_slot, src.u64_at(head_slot), 0u64);
+    let (mut slot, mut at, mut hops) = (head_slot, head, 0u64);
     while at != 0 {
         let torn = |hops: u64, what: &str| {
             let msg = format!(
@@ -672,10 +759,11 @@ pub fn walk_chain<B: Bytes>(
             Fetch::Header => {
                 let mut b = [0u8; ENT_KEY as usize];
                 src.read(at, &mut b);
-                e.hash = u64::from_le_bytes(b[0..8].try_into().unwrap());
-                e.klen = u32::from_le_bytes(b[8..12].try_into().unwrap());
-                e.vlen = u32::from_le_bytes(b[12..16].try_into().unwrap());
-                e.next = u64::from_le_bytes(b[16..24].try_into().unwrap());
+                (e.hash, e.next) = (le_u64(&b), le_u64(&b[ENT_NEXT as usize..]));
+                (e.klen, e.vlen) = (
+                    le_u32(&b[ENT_KLEN as usize..]),
+                    le_u32(&b[ENT_VLEN as usize..]),
+                );
                 if !src.in_heap(at, ENT_KEY + e.klen as u64 + e.vlen as u64) {
                     return torn(hops, "body overruns the heap");
                 }
@@ -877,6 +965,157 @@ mod tests {
             rng.fill_bytes(&mut data);
             assert_eq!(crc32(&data), crc32_bitwise(&data), "length {len}");
         }
+    }
+
+    /// A flat image that records what is fetched from it.
+    struct Recorder {
+        image: Vec<u8>,
+        reads: std::cell::RefCell<Vec<Range<u64>>>,
+    }
+
+    impl Bytes for Recorder {
+        fn size(&self) -> u64 {
+            self.image.len() as u64
+        }
+
+        fn read(&self, off: u64, dst: &mut [u8]) {
+            dst.copy_from_slice(&self.image[off as usize..][..dst.len()]);
+            self.reads.borrow_mut().push(off..off + dst.len() as u64);
+        }
+    }
+
+    /// The directory iterator is `head_slots()` with heads: the same slots
+    /// in the same order, each head the word its slot holds, fetched in runs
+    /// of at most 4 KiB that cover the reachable slots and nothing else —
+    /// not a byte around the arrays, not a source slot the cursor has passed,
+    /// not a destination slot it has yet to reach (every such word is
+    /// poisoned here, and a walker that met one would follow it).
+    #[test]
+    fn the_directory_iterator_reads_each_reachable_run_once_and_nothing_else() {
+        const POISON: u64 = u64::MAX;
+        let split = |old: u64, cursor| Geo {
+            buckets: 2 * old,
+            heads: 0x8000,
+            old_buckets: old,
+            old_heads: 0x1000,
+            cursor,
+        };
+        let whole = |buckets| Geo {
+            buckets,
+            heads: 0x8000,
+            ..Geo::default()
+        };
+        let geos = [0, 8, 63, 64].map(|c| split(64, c));
+        // Arrays that are not a whole number of runs, and a cursor inside one.
+        for g in (geos.into_iter()).chain([whole(128), whole(1300), split(700, 600), split(700, 0)])
+        {
+            let mut src = Recorder {
+                image: vec![0xff; 0x10000],
+                reads: Default::default(),
+            };
+            for (n, (slot, _)) in g.head_slots().enumerate() {
+                src.image[slot as usize..][..8].copy_from_slice(&(n as u64 + 1).to_le_bytes());
+            }
+            let served: Vec<_> = g.heads(&src).collect();
+            let reads = std::mem::take(&mut *src.reads.borrow_mut());
+            let slots: Vec<_> = g.head_slots().collect();
+            assert_eq!(
+                served.iter().map(|&(s, b, _)| (s, b)).collect::<Vec<_>>(),
+                slots,
+                "{g:?}"
+            );
+            for &(slot, _, head) in &served {
+                assert_eq!(head, src.u64_at(slot), "{g:?}: slot {slot:#x}");
+                assert_ne!(head, POISON);
+            }
+            // Every fetched word is a reachable slot, fetched once.
+            let mut fetched: Vec<u64> =
+                (reads.iter().cloned()).flat_map(|r| r.step_by(8)).collect();
+            fetched.sort_unstable();
+            let mut reachable: Vec<u64> = slots.iter().map(|&(s, _)| s).collect();
+            reachable.sort_unstable();
+            assert_eq!(fetched, reachable, "{g:?}");
+            assert!(reads.iter().all(|r| r.end - r.start <= 4096), "{g:?}");
+            let runs: u64 = g.head_runs().map(|_| 1).sum();
+            assert_eq!(reads.len() as u64, runs, "{g:?}: one fetch a run");
+            assert!(runs <= slots.len() as u64 / RUN_HEADS + 3, "{g:?}");
+        }
+    }
+
+    /// The fixed-size structures decode from one fetch each, and the lane
+    /// decoders from the count word plus one fetch of what it counts.
+    #[test]
+    fn headers_intents_and_undo_logs_decode_from_one_fetch() {
+        let mut src = Recorder {
+            image: vec![0; (heap_start() + 4096) as usize],
+            reads: Default::default(),
+        };
+        let (base, header) = (lane_offset(3), heap_start() + 64);
+        let put = |image: &mut Vec<u8>, at: u64, bytes: &[u8]| {
+            image[at as usize..][..bytes.len()].copy_from_slice(bytes);
+        };
+        for (i, word) in (1u64..=7).enumerate() {
+            put(&mut src.image, header + 8 * i as u64, &word.to_le_bytes());
+        }
+        let records = [
+            UndoRecord {
+                off: heap_start() + 256,
+                pre: b"eight by".to_vec(),
+            },
+            UndoRecord {
+                off: heap_start() + 512,
+                pre: vec![7; 100],
+            },
+        ];
+        let log: Vec<u8> = (records.iter())
+            .flat_map(|r| encode_undo_record(r.off, &r.pre))
+            .collect();
+        put(&mut src.image, lane_undo(base), &log);
+        put(
+            &mut src.image,
+            base + lane::UNDO_LEN,
+            &(log.len() as u32).to_le_bytes(),
+        );
+        let slots = [
+            heap_start() + 64,
+            (heap_start() + 128) | 1,
+            heap_start() + 192,
+        ];
+        for (i, slot) in slots.iter().enumerate() {
+            put(
+                &mut src.image,
+                lane_intents(base) + 8 * i as u64,
+                &slot.to_le_bytes(),
+            );
+        }
+        put(
+            &mut src.image,
+            base + lane::INTENT_COUNT,
+            &3u32.to_le_bytes(),
+        );
+        let fetches = |src: &Recorder| std::mem::take(&mut *src.reads.borrow_mut());
+
+        let hdr = TableHeader::read(&src, header).unwrap();
+        let whole = header..header + HDR_SIZE;
+        assert_eq!(fetches(&src), [whole]);
+        let g = hdr.geo;
+        assert_eq!((g.buckets, hdr.count, g.heads, g.old_buckets), (1, 2, 3, 4));
+        assert_eq!((g.old_heads, g.cursor, hdr.dirty), (5, 6, 7));
+
+        assert_eq!(intents(&src, base).unwrap(), slots);
+        let count = base + lane::INTENT_COUNT;
+        let array = lane_intents(base);
+        assert_eq!(fetches(&src), [count..count + 4, array..array + 24]);
+
+        assert_eq!(undo_records(&src, base).unwrap(), records);
+        let (len, undo) = (base + lane::UNDO_LEN, lane_undo(base));
+        assert_eq!(fetches(&src), [len..len + 4, undo..undo + log.len() as u64]);
+
+        // An idle lane is its two count words and nothing else.
+        let idle = lane_offset(4);
+        assert!(intents(&src, idle).unwrap().is_empty());
+        assert!(undo_records(&src, idle).unwrap().is_empty());
+        assert_eq!(fetches(&src).len(), 2);
     }
 
     #[test]

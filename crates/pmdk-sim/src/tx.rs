@@ -4,16 +4,18 @@
 //! lane state, an intent array and an undo log. The protocol is the standard
 //! pmemobj one:
 //!
-//! * `snapshot(range)` copies the pre-image into the undo log **before** the
-//!   caller overwrites the range; `write_new` stores fresh ranges undo-free
-//!   and unfenced, one fence for all before the next record and the commit.
+//! * `set(range)` copies the pre-image into the undo log **before** it
+//!   overwrites the range — read from the media, or handed over by a caller
+//!   whose walk still holds it (`set_word`); `write_new` stores fresh ranges
+//!   undo-free, one fence for all before the next record and the commit.
 //! * `alloc_many` (`alloc` is a group of one) has the heap *plan* the group,
 //!   persists the planned offsets as *allocation intents*, and only then lets
 //!   the heap write block headers: a rollback frees every block that came to
 //!   be, and skips an intent that still lies in a free block.
 //! * `free` is deferred: a *free intent* is persisted and only executed once
 //!   the lane has durably entered `COMMITTING` (a crash before that leaves
-//!   the block alive; after that, recovery finishes the frees).
+//!   the block alive) — by the commit, from the list the transaction kept of
+//!   its own frees, or by recovery, which decodes the intents from the media.
 //! * Recovery (`LaneTable::recover`, run at pool open) rolls back `ACTIVE`
 //!   lanes (apply undo log backwards, free alloc-intents) and rolls forward
 //!   `COMMITTING` lanes (execute free-intents, discard the log).
@@ -67,23 +69,17 @@ impl LaneTable {
         let mut repaired = 0;
         for i in 0..LANES {
             let base = lane_offset(i);
-            let state = pool.read_u32(clock, base + lane::STATE);
-            match state {
-                LANE_IDLE => {}
-                LANE_ACTIVE => {
-                    rollback_lane(clock, pool, base)?;
-                    repaired += 1;
-                }
-                LANE_COMMITTING => {
-                    rollforward_lane(clock, pool, base)?;
-                    repaired += 1;
-                }
+            match pool.read_u32(clock, base + lane::STATE) {
+                LANE_IDLE => continue,
+                LANE_ACTIVE => rollback_lane(clock, pool, base)?,
+                LANE_COMMITTING => rollforward_lane(clock, pool, base)?,
                 s => {
                     return Err(PmdkError::BadPool(format!(
                         "lane {i} has invalid state {s}"
                     )))
                 }
             }
+            repaired += 1;
         }
         Ok(repaired)
     }
@@ -102,9 +98,7 @@ fn rollback_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
     let src = pool.charged(clock);
     // Restore snapshotted pre-images, newest first.
     for rec in undo_records(&src, base)?.into_iter().rev() {
-        let mut data = vec![0u8; rec.len as usize];
-        pool.read_bytes(clock, rec.pre_at, &mut data);
-        pool.write_bytes(clock, rec.off, &data);
+        pool.write_bytes(clock, rec.off, &rec.pre);
     }
     // Free the blocks the dead transaction allocated. An intent is durable
     // before its carve: one that still lies in a free block never happened,
@@ -122,10 +116,10 @@ fn rollback_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
 
 /// Finish a committed transaction: execute deferred frees, discard the log.
 fn rollforward_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
-    for entry in intents(&pool.charged(clock), base)? {
+    for off in deferred_frees(&pool.charged(clock), base)? {
         // Idempotent: skip a free an earlier attempt already executed.
-        if entry & 1 == 1 && pool.usable_size(entry & !1).is_ok() {
-            pool.free(clock, entry & !1)?;
+        if pool.usable_size(off).is_ok() {
+            pool.free(clock, off)?;
         }
     }
     reset_lane(clock, pool, base);
@@ -142,10 +136,11 @@ fn reset_lane(clock: &Clock, pool: &PmemPool, base: u64) {
 pub struct Tx<'a> {
     pool: &'a Arc<PmemPool>,
     clock: &'a Clock,
-    lane: u64,
     lane_base: u64,
     undo_used: u64,
     intents_used: u64,
+    /// The blocks `free` named, in slot order: what `commit` executes.
+    frees: Vec<u64>,
     /// Ranges `write_new` stored that nothing has flushed yet.
     fresh: Vec<(u64, u64)>,
 }
@@ -170,10 +165,10 @@ impl<'a> Tx<'a> {
         let mut tx = Tx {
             pool,
             clock,
-            lane,
             lane_base,
             undo_used: 0,
             intents_used: 0,
+            frees: Vec::new(),
             fresh: Vec::new(),
         };
         match body(&mut tx) {
@@ -205,7 +200,7 @@ impl<'a> Tx<'a> {
                     // Simulated power-failure point: leave everything as-is.
                     return Err(e);
                 }
-                tx.abort()?;
+                rollback_lane(clock, pool, lane_base)?;
                 pool.flight().record(clock, EventCode::TxAbort, 0, lane, 0);
                 pool.lanes.release(lane);
                 Err(e)
@@ -213,22 +208,11 @@ impl<'a> Tx<'a> {
         }
     }
 
-    pub fn lane(&self) -> u64 {
-        self.lane
-    }
-
-    /// Record the pre-image of `[off, off+len)` so a rollback can restore it.
-    /// Call before overwriting existing persistent data.
-    pub fn snapshot(&mut self, off: u64, len: u64) -> Result<()> {
-        let mut pre = vec![0u8; len as usize];
-        self.pool.read_bytes(self.clock, off, &mut pre);
-        self.snapshot_as(off, &pre)
-    }
-
-    /// [`Tx::snapshot`] of a range the caller has just read as `pre`. The
+    /// Record `pre`, which the caller has just read out of `off..`, so a
+    /// rollback can restore it: called before the range is overwritten. The
     /// record is one store, one flush and one fence; the length word after
     /// it is the commit point of the log append.
-    pub(crate) fn snapshot_as(&mut self, off: u64, pre: &[u8]) -> Result<()> {
+    fn snapshot(&mut self, off: u64, pre: &[u8]) -> Result<()> {
         let dev = self.pool.device();
         debug_assert_eq!(pre, dev.read_vec_untimed(off as usize, pre.len()));
         self.pool.fail_check(self.clock, "tx::snapshot")?;
@@ -260,8 +244,18 @@ impl<'a> Tx<'a> {
 
     /// Snapshot + overwrite in one step.
     pub fn set(&mut self, off: u64, data: &[u8]) -> Result<()> {
-        self.snapshot(off, data.len() as u64)?;
+        let mut pre = vec![0u8; data.len()];
+        self.pool.read_bytes(self.clock, off, &mut pre);
+        self.snapshot(off, &pre)?;
         self.pool.write_bytes(self.clock, off, data);
+        Ok(())
+    }
+
+    /// [`Tx::set`] of a pointer word the caller's walk has just read as
+    /// `was`: the same record, flush and fence sequence, without the read.
+    pub(crate) fn set_word(&mut self, off: u64, was: u64, now: u64) -> Result<()> {
+        self.snapshot(off, &was.to_le_bytes())?;
+        self.pool.write_u64(self.clock, off, now);
         Ok(())
     }
 
@@ -309,14 +303,21 @@ impl<'a> Tx<'a> {
         Ok(offs)
     }
 
-    /// Transactionally free `off`; executed only if the tx commits.
+    /// Transactionally free `off`; executed only if the tx commits. A block
+    /// this transaction already freed is refused here, while the transaction
+    /// can still roll back: at commit the second free would fail after the
+    /// first had run.
     pub fn free(&mut self, off: u64) -> Result<()> {
         if self.intents_used >= LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
         // Validate now so the error surfaces in the tx, not at commit.
         self.pool.usable_size(off)?;
+        if self.frees.contains(&off) {
+            return Err(PmdkError::BadPointer(off));
+        }
         self.push_intents(&[off | 1]);
+        self.frees.push(off);
         Ok(())
     }
 
@@ -341,21 +342,17 @@ impl<'a> Tx<'a> {
         self.pool
             .write_u32(self.clock, self.lane_base + lane::STATE, LANE_COMMITTING);
         self.pool.fail_check(self.clock, "tx::commit-during")?;
-        // Execute deferred frees.
-        for slot in 0..self.intents_used {
-            let entry = self
-                .pool
-                .read_u64(self.clock, lane_intents(self.lane_base) + slot * 8);
-            if entry & 1 == 1 {
-                self.pool.free(self.clock, entry & !1)?;
-            }
+        // Execute deferred frees from the transaction's own list; recovery,
+        // which has no list, decodes the same blocks from the intent slots.
+        debug_assert_eq!(
+            deferred_frees(&**self.pool.device(), self.lane_base).as_ref(),
+            Ok(&self.frees)
+        );
+        for off in std::mem::take(&mut self.frees) {
+            self.pool.free(self.clock, off)?;
         }
         reset_lane(self.clock, self.pool, self.lane_base);
         Ok(())
-    }
-
-    fn abort(&mut self) -> Result<()> {
-        rollback_lane(self.clock, self.pool, self.lane_base)
     }
 }
 
@@ -431,6 +428,78 @@ mod tests {
         // Committed: block is gone.
         pool.tx(&clock, |tx| tx.free(p)).unwrap();
         assert!(pool.usable_size(p).is_err());
+    }
+
+    /// A commit executes the list the transaction kept, not a decode of its
+    /// own intent slots: 64 allocations and 3 frees free exactly those 3 —
+    /// debug builds check the list against the media, slot for slot — and
+    /// the whole transaction reads no metadata back.
+    #[test]
+    fn a_commit_frees_what_the_transaction_named_and_reads_nothing_back() {
+        let dev = PmemDevice::new(Machine::chameleon(), 1 << 21, PersistenceMode::Tracked);
+        let registry = pmem_sim::MetricsRegistry::new();
+        dev.machine().set_metrics(Arc::clone(&registry));
+        let clock = Clock::new();
+        let pool = PmemPool::create(&clock, dev, "tx-test").unwrap();
+        let victims = pool.alloc_many(&clock, &[64; 5]).unwrap();
+        let reads = || {
+            let hists = registry.snapshot().hists;
+            hists.get("pmem.meta_read").map_or(0, |h| h.count)
+        };
+        let before = reads();
+        let born = pool
+            .tx(&clock, |tx| {
+                tx.free(victims[3])?;
+                let born = tx.alloc_many(&[64; 64])?;
+                tx.free(victims[0])?;
+                tx.free(victims[4])?;
+                Ok(born)
+            })
+            .unwrap();
+        assert_eq!(reads() - before, 0);
+        for (i, &v) in victims.iter().enumerate() {
+            assert_eq!(
+                pool.usable_size(v).is_ok(),
+                [1, 2].contains(&i),
+                "victim {i}"
+            );
+        }
+        assert!(born.iter().all(|&b| pool.usable_size(b).is_ok()));
+        pool.check_heap().unwrap();
+    }
+
+    /// Freeing a block twice in one transaction used to pass both checks,
+    /// push two intents and fail at the second `pool.free` — after the commit
+    /// point, with the first free executed: `Err` for a transaction that had
+    /// committed, and a lane released at COMMITTING with its intents on media.
+    /// It is refused inside the body now, where the transaction still aborts.
+    #[test]
+    fn freeing_a_block_twice_aborts_the_transaction() {
+        let (pool, clock) = fresh_pool(1 << 21);
+        let block = pool.alloc(&clock, 128).unwrap();
+        let err = pool
+            .tx(&clock, |tx| {
+                tx.free(block)?;
+                tx.free(block)
+            })
+            .unwrap_err();
+        assert_eq!(err, PmdkError::BadPointer(block));
+        assert!(pool.usable_size(block).is_ok(), "rolled back: still live");
+        let lanes_idle = |pool: &PmemPool| {
+            (0..LANES).map(lane_offset).all(|base| {
+                pool.read_u32(&clock, base + lane::STATE) == LANE_IDLE
+                    && intents(&**pool.device(), base).unwrap().is_empty()
+            })
+        };
+        assert!(lanes_idle(&pool));
+        pool.check_heap().unwrap();
+        let pool = reopen(pool, &clock);
+        assert!(lanes_idle(&pool));
+        assert!(pool.usable_size(block).is_ok());
+        pool.check_heap().unwrap();
+        // The block is still this pool's to free, once.
+        pool.tx(&clock, |tx| tx.free(block)).unwrap();
+        assert!(pool.usable_size(block).is_err());
     }
 
     #[test]
@@ -512,7 +581,7 @@ mod tests {
         let (pool, clock) = fresh_pool(1 << 22);
         let big = pool.alloc(&clock, 128 * 1024).unwrap();
         let err = pool
-            .tx(&clock, |tx| tx.snapshot(big, 100 * 1024))
+            .tx(&clock, |tx| tx.set(big, &vec![0; 100 * 1024]))
             .unwrap_err();
         assert!(matches!(err, PmdkError::TxFailure(_)));
     }
@@ -523,11 +592,11 @@ mod tests {
         let a = pool.alloc(&clock, 64).unwrap();
         let b = pool.alloc(&clock, 64).unwrap();
         pool.tx(&clock, |tx1| {
-            assert_eq!(tx1.lane(), 0);
+            assert_eq!(tx1.lane_base, lane_offset(0));
             tx1.set(a, &[1; 64])?;
             // Nested/overlapping tx from the same thread uses another lane.
             pool.tx(&clock, |tx2| {
-                assert_ne!(tx2.lane(), 0);
+                assert_ne!(tx2.lane_base, lane_offset(0));
                 tx2.set(b, &[2; 64])
             })
         })

@@ -4,8 +4,11 @@
 //! 1. the run is bit-reproducible under the deterministic scheduler — per
 //!    rank virtual times, media counters, and split counts all match across
 //!    two identical runs;
-//! 2. the settled table keeps the longest chain within the design bound, and
-//!    streaming the records costs each rank less than half of reserving them;
+//! 2. the settled table keeps the longest chain within the design bound,
+//!    streaming the records costs each rank less than half of reserving them,
+//!    and neither a per-word directory scan nor a commit that reads its own
+//!    intents back has returned (metadata reads a put, `tx.commit` and
+//!    `ht.resize` shares of every lane);
 //! 3. every key reads back byte-exact, and a pre-sized table that never
 //!    splits stores the same contents (splits move entries, never change
 //!    them);
@@ -90,7 +93,24 @@ fn storm_is_bit_reproducible_and_chains_stay_bounded() {
             memcpy < reserve / 2,
             "lane {lane}: put.memcpy {memcpy:?} against put.reserve {reserve:?}"
         );
+        // A commit executes the list its transaction kept and a migration
+        // chunk fetches its source heads as one run: the commit is a sliver
+        // of the lane and the split tax stays below the puts it taxes.
+        let (commit, resize) = (phase("tx.commit").unwrap(), phase("ht.resize").unwrap());
+        assert!(
+            commit * 50 < m.lane_total(lane),
+            "lane {lane}: tx.commit {commit:?} of {:?}",
+            m.lane_total(lane)
+        );
+        assert!(
+            resize < reserve,
+            "lane {lane}: ht.resize {resize:?} against put.reserve {reserve:?}"
+        );
     }
+    // 6.2 reads a put was a per-word scan of the source heads plus the
+    // commit reading its own intent slots back.
+    let reads = m.hists["pmem.meta_read"].count as f64 / SPEC.total_keys() as f64;
+    assert!(reads <= 3.5, "{reads} metadata reads a put");
 }
 
 #[test]
