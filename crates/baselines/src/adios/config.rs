@@ -11,18 +11,20 @@
 //! </adios-config>
 //! ```
 
+#[cfg(test)]
 use crate::pio::{PioError, Result};
 
 /// Transport method (cost-equivalent in the simulation; both hit the DAX
 /// mount, as they did on the paper's testbed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
+pub(crate) enum Method {
     Posix,
+    #[cfg(test)]
     Mpi,
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub struct AdiosConfig {
+pub(crate) struct AdiosConfig {
     pub method: Method,
     pub buffer_mb: u64,
 }
@@ -38,7 +40,8 @@ impl Default for AdiosConfig {
 
 impl AdiosConfig {
     /// Parse the minimal XML dialect shown in the module docs.
-    pub fn parse(xml: &str) -> Result<Self> {
+    #[cfg(test)]
+    pub(crate) fn parse(xml: &str) -> Result<Self> {
         let mut cfg = AdiosConfig::default();
         if !xml.contains("<adios-config") {
             return Err(PioError::Format("missing <adios-config> root".into()));
@@ -60,6 +63,7 @@ impl AdiosConfig {
 }
 
 /// Extract `attr="..."` from the first `<tag .../>` element.
+#[cfg(test)]
 fn attr_of<'a>(xml: &'a str, tag: &str, attr: &str) -> Option<&'a str> {
     let open = format!("<{tag}");
     let start = xml.find(&open)? + open.len();

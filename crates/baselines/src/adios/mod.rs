@@ -9,7 +9,7 @@
 //! and then copy the serialized cube to the PMEM"*) and the extra
 //! PMEM→DRAM copy on reads.
 
-pub mod config;
+mod config;
 
 use crate::pio::{bytes_to_f64, f64_bytes, PioError, PioLibrary, Result, Target};
 use config::{AdiosConfig, Method};
@@ -21,16 +21,18 @@ use workloads::BlockDecomp;
 
 const FILE_MAGIC: u32 = 0x4142_5031; // "ABP1"
 const HEADER_LEN: u64 = 64;
+#[cfg(test)]
 const TAG_AGGR: u64 = 77;
 
 /// The ADIOS-like library.
 #[derive(Debug, Default)]
 pub struct AdiosLike {
-    pub config: AdiosConfig,
+    config: AdiosConfig,
 }
 
 impl AdiosLike {
-    pub fn new(config: AdiosConfig) -> Self {
+    #[cfg(test)]
+    fn new(config: AdiosConfig) -> Self {
         AdiosLike { config }
     }
 
@@ -111,6 +113,7 @@ impl PioLibrary for AdiosLike {
                 // Independent POSIX write (the evaluation's configuration).
                 file.write_at(my_off, &pg)?;
             }
+            #[cfg(test)]
             Method::Mpi => {
                 // MPI_AGGREGATE: every AGGR-th rank collects its neighbours'
                 // groups and writes them with fewer, larger accesses.

@@ -13,13 +13,13 @@ use workloads::BlockDecomp;
 
 /// One variable's placement in the contiguous file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VarPlacement {
+pub(crate) struct VarPlacement {
     pub name: String,
     pub data_offset: u64,
 }
 
 /// Collectively write this rank's block of variable `v` at `data_offset`.
-pub fn write_var_contiguous(
+pub(crate) fn write_var_contiguous(
     comm: &Comm,
     file: &MpiFile,
     decomp: &BlockDecomp,
@@ -52,7 +52,7 @@ pub fn write_var_contiguous(
 }
 
 /// Collectively read this rank's block of variable `v` from `data_offset`.
-pub fn read_var_contiguous(
+pub(crate) fn read_var_contiguous(
     comm: &Comm,
     file: &MpiFile,
     decomp: &BlockDecomp,
@@ -89,7 +89,7 @@ pub fn read_var_contiguous(
 /// Collectively pre-fill a variable's global extent with the fill value
 /// (classic NetCDF behaviour without `NC_NOFILL` — the overhead the paper
 /// explicitly disables; kept for the ablation bench).
-pub fn fill_var(
+pub(crate) fn fill_var(
     comm: &Comm,
     file: &MpiFile,
     decomp: &BlockDecomp,

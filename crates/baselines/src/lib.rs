@@ -13,16 +13,18 @@
 //! All are driven through [`pio::PioLibrary`], so the evaluation figures are
 //! a loop over implementations.
 
-pub mod adios;
-pub mod contiguous;
-pub mod netcdf4;
-pub mod pio;
-pub mod pmcpy;
-pub mod pnetcdf;
+#![warn(unreachable_pub)]
+
+mod adios;
+mod contiguous;
+mod netcdf4;
+mod pio;
+mod pmcpy;
+mod pnetcdf;
 
 pub use adios::AdiosLike;
 pub use netcdf4::Netcdf4Like;
-pub use pio::{PioError, PioLibrary, Result, Target};
+pub use pio::{PioLibrary, Target};
 pub use pmcpy::PmemcpyLib;
 pub use pnetcdf::PnetcdfLike;
 

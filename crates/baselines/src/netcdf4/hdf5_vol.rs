@@ -10,26 +10,26 @@ use crate::contiguous::VarPlacement;
 use crate::pio::{PioError, Result};
 
 /// The HDF5 format signature.
-pub const HDF5_SIGNATURE: [u8; 8] = [0x89, b'H', b'D', b'F', b'\r', b'\n', 0x1a, b'\n'];
+pub(crate) const HDF5_SIGNATURE: [u8; 8] = [0x89, b'H', b'D', b'F', b'\r', b'\n', 0x1a, b'\n'];
 /// HDF5 aligns raw data chunks; 512 mirrors the classic default.
-pub const DATA_ALIGN: u64 = 512;
+pub(crate) const DATA_ALIGN: u64 = 512;
 
 /// One dataset's definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dataset {
+pub(crate) struct Dataset {
     pub name: String,
     pub global_dims: Vec<u64>,
 }
 
 impl Dataset {
-    pub fn byte_len(&self) -> u64 {
+    pub(crate) fn byte_len(&self) -> u64 {
         self.global_dims.iter().product::<u64>() * 8
     }
 }
 
 /// Encode the full file header; returns (bytes, per-variable placements).
 /// Data regions start after the header, each aligned to [`DATA_ALIGN`].
-pub fn encode_header(datasets: &[Dataset]) -> (Vec<u8>, Vec<VarPlacement>) {
+pub(crate) fn encode_header(datasets: &[Dataset]) -> (Vec<u8>, Vec<VarPlacement>) {
     let mut buf = Vec::new();
     buf.extend_from_slice(&HDF5_SIGNATURE);
     buf.extend_from_slice(&0u64.to_le_bytes()); // superblock v0 stub
@@ -63,7 +63,7 @@ pub fn encode_header(datasets: &[Dataset]) -> (Vec<u8>, Vec<VarPlacement>) {
 }
 
 /// Decode a header produced by [`encode_header`].
-pub fn decode_header(bytes: &[u8]) -> Result<(Vec<Dataset>, Vec<VarPlacement>)> {
+pub(crate) fn decode_header(bytes: &[u8]) -> Result<(Vec<Dataset>, Vec<VarPlacement>)> {
     if bytes.len() < 20 || bytes[..8] != HDF5_SIGNATURE {
         return Err(PioError::Format("not an HDF5 signature".into()));
     }

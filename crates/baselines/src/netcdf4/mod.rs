@@ -8,7 +8,7 @@
 //! (§4.1: *"we make sure to call nc_def_var_fill() with NC_NOFILL ... which
 //! causes significant overhead for write workloads"*).
 
-pub mod hdf5_vol;
+mod hdf5_vol;
 
 use crate::contiguous::{fill_var, read_var_contiguous, write_var_contiguous, VarPlacement};
 use crate::pio::{PioError, PioLibrary, Result, Target};

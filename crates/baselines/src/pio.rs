@@ -65,7 +65,7 @@ impl From<pserial::SerialError> for PioError {
     }
 }
 
-pub type Result<T> = std::result::Result<T, PioError>;
+pub(crate) type Result<T> = std::result::Result<T, PioError>;
 
 /// A parallel I/O library under test.
 pub trait PioLibrary: Send + Sync {
@@ -102,12 +102,12 @@ pub trait PioLibrary: Send + Sync {
 }
 
 /// Convenience: f64 slice -> bytes (little-endian POD reinterpretation).
-pub fn f64_bytes(data: &[f64]) -> &[u8] {
+pub(crate) fn f64_bytes(data: &[f64]) -> &[u8] {
     workloads::as_bytes(data)
 }
 
 /// Convenience: bytes -> owned f64 vec.
-pub fn bytes_to_f64(bytes: &[u8]) -> Vec<f64> {
+pub(crate) fn bytes_to_f64(bytes: &[u8]) -> Vec<f64> {
     assert_eq!(bytes.len() % 8, 0);
     bytes
         .chunks_exact(8)

@@ -10,13 +10,13 @@
 use crate::contiguous::VarPlacement;
 use crate::pio::{PioError, Result};
 
-pub const CDF5_MAGIC: [u8; 4] = [b'C', b'D', b'F', 0x05];
+pub(crate) const CDF5_MAGIC: [u8; 4] = [b'C', b'D', b'F', 0x05];
 /// NC_DOUBLE external type code.
-pub const NC_DOUBLE: u32 = 6;
+pub(crate) const NC_DOUBLE: u32 = 6;
 
 /// Encode a CDF-5-style header for f64 variables sharing one dimension set.
 /// Returns (bytes, placements).
-pub fn encode_header(global_dims: &[u64], vars: &[String]) -> (Vec<u8>, Vec<VarPlacement>) {
+pub(crate) fn encode_header(global_dims: &[u64], vars: &[String]) -> (Vec<u8>, Vec<VarPlacement>) {
     let mut buf = Vec::new();
     buf.extend_from_slice(&CDF5_MAGIC);
     buf.extend_from_slice(&0u64.to_le_bytes()); // numrecs (no record dim)
@@ -65,7 +65,7 @@ pub fn encode_header(global_dims: &[u64], vars: &[String]) -> (Vec<u8>, Vec<VarP
 }
 
 /// Decode a header produced by [`encode_header`].
-pub fn decode_header(bytes: &[u8]) -> Result<(Vec<u64>, Vec<VarPlacement>)> {
+pub(crate) fn decode_header(bytes: &[u8]) -> Result<(Vec<u64>, Vec<VarPlacement>)> {
     if bytes.len() < 4 || bytes[..4] != CDF5_MAGIC {
         return Err(PioError::Format("not a CDF-5 header".into()));
     }

@@ -5,7 +5,7 @@
 //! differences are the single packed CDF header versus HDF5's per-dataset
 //! object headers and alignment.
 
-pub mod header;
+mod header;
 
 use crate::contiguous::{read_var_contiguous, write_var_contiguous};
 use crate::pio::{PioError, PioLibrary, Result, Target};

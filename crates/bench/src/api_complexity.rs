@@ -72,7 +72,7 @@ int main (int argc, char **argv) {
 /// Figure 5: the equivalent ADIOS program (plus a separate XML config file
 /// that defines "A" in terms of count, off, dimsf — not counted, as in the
 /// paper).
-pub const ADIOS_EXAMPLE: &str = r#"#include <adios.h>
+pub(crate) const ADIOS_EXAMPLE: &str = r#"#include <adios.h>
 int main(int argc, char **argv) {
     int rank, nprocs;
     MPI_Init(&argc, &argv);
@@ -99,7 +99,7 @@ int main(int argc, char **argv) {
 }"#;
 
 /// This reproduction's equivalent Rust program (the quickstart example).
-pub const RUST_EXAMPLE: &str = r#"use pmemcpy::{MmapTarget, Pmem};
+pub(crate) const RUST_EXAMPLE: &str = r#"use pmemcpy::{MmapTarget, Pmem};
 fn main_rank(comm: &Comm, dev: &Arc<PmemDevice>) {
     let count = 100u64;
     let off = count * comm.rank() as u64;
@@ -133,7 +133,7 @@ pub fn measure(source: &str) -> Complexity {
 
 /// A small C-family lexer: identifiers/numbers, string/char literals, and
 /// multi-character operators count as one token each.
-pub fn tokenize(source: &str) -> Vec<String> {
+pub(crate) fn tokenize(source: &str) -> Vec<String> {
     const MULTI: [&str; 19] = [
         "<<=", ">>=", "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=",
         "*=", "/=", "::", "..",
@@ -233,7 +233,7 @@ pub fn api_table() -> Vec<ApiRow> {
 }
 
 /// Render the table.
-pub fn render_api_table() -> String {
+pub(crate) fn render_api_table() -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(

@@ -33,7 +33,7 @@ pub enum Status {
 }
 
 impl Status {
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Status::Pass => "PASS",
             Status::Info => "INFO",

@@ -4,7 +4,7 @@
 //! tabulates, reports and gates every one of them. The CLI's usage text,
 //! `all`, and unknown-command rejection all read the table.
 //!
-//! Adding an experiment is one row: a grid of [`Row`]s and the columns to
+//! Adding an experiment is one row: a grid of `Row`s and the columns to
 //! keep.
 
 use crate::report::{
@@ -39,7 +39,7 @@ impl Ctx {
 }
 
 /// One row of an experiment's grid.
-pub struct Row {
+pub(crate) struct Row {
     /// The CSV key fields, comma-joined (see [`Experiment::key`]).
     pub key: String,
     pub cell: Cell,
@@ -48,7 +48,7 @@ pub struct Row {
 // A grid is a handful of short-lived rows; boxing the common variant
 // would buy nothing.
 #[allow(clippy::large_enum_variant)]
-pub enum Cell {
+pub(crate) enum Cell {
     /// The §4.1 domain workload through `lib`, once per direction of the
     /// experiment. `pinned` is the flush strategy the row forced, reported
     /// in place of the autotuner's verdict.
@@ -91,7 +91,7 @@ impl Row {
 }
 
 /// One CSV column: header and how to read it off a measured row.
-pub struct Col(pub &'static str, pub fn(&Outcome) -> String);
+pub(crate) struct Col(pub &'static str, pub fn(&Outcome) -> String);
 
 fn secs(o: &Outcome, cell: usize) -> String {
     format!("{:.6}", o.cells[cell].time.as_secs_f64())
@@ -122,7 +122,7 @@ const AUTOTUNED: Col = Col("autotuned", |o| o.cells[0].flush_strategy.clone());
 const WRITE: &[Direction] = &[Direction::Write];
 const WRITE_READ: &[Direction] = &[Direction::Write, Direction::Read];
 
-pub type Finish = fn(&Ctx, &RunReport) -> Result<(), String>;
+pub(crate) type Finish = fn(&Ctx, &RunReport) -> Result<(), String>;
 
 /// One `figures` command.
 pub struct Experiment {
@@ -131,19 +131,19 @@ pub struct Experiment {
     pub help: &'static str,
     /// `results/<stem>.csv`, and the BENCH report's `name`.
     pub stem: &'static str,
-    /// CSV header of the key fields every [`Row::key`] fills.
+    /// CSV header of the key fields every `Row::key` fills.
     pub key: &'static str,
     /// CSV columns after the key; none means no CSV.
-    pub cols: &'static [Col],
+    pub(crate) cols: &'static [Col],
     /// Columns printed with each row but kept out of the CSV.
-    pub shown: &'static [Col],
+    pub(crate) shown: &'static [Col],
     /// Directions every domain row runs, in `Outcome::cells` order.
     pub dirs: &'static [Direction],
     /// Run every cell with a metrics registry installed.
     pub metrics: bool,
     /// `results/BENCH_<bench>.json`, when the experiment is perf-gated.
     pub bench: Option<&'static str>,
-    pub grid: fn(&Ctx) -> Vec<Row>,
+    pub(crate) grid: fn(&Ctx) -> Vec<Row>,
     /// The gate, and anything the command prints beyond its rows. An
     /// experiment without a grid (constants, API table, drain) is only this.
     pub finish: Option<Finish>,

@@ -16,18 +16,18 @@
 //! everything; per-component microbenchmarks on both clocks live in the
 //! separate `benchmark/` package (`benchmark/run.sh --trace`).
 
+#![warn(unreachable_pub)]
+
 pub mod api_complexity;
 pub mod doctor;
 pub mod experiments;
 pub mod json;
-pub mod report;
-pub mod sweep;
+mod report;
+mod sweep;
 
-pub use experiments::{Ctx, Experiment, TABLE};
-pub use report::{
-    check_shape, render_checks, render_phase_breakdown, render_waterfall, Outcome, RunReport,
-    ShapeCheck, REPORT_SCHEMA,
-};
+use experiments::Ctx;
+pub use experiments::TABLE;
+pub use report::{check_shape, render_checks, Outcome, RunReport, REPORT_SCHEMA};
 pub use sweep::{run_cell, run_storm_cell, CellConfig, CellResult, Direction, StormShape};
 
 /// The paper's x-axis.

@@ -84,7 +84,7 @@ impl RunReport {
     }
 
     /// Render an ASCII bar chart per process count.
-    pub fn ascii_chart(&self) -> String {
+    pub(crate) fn ascii_chart(&self) -> String {
         let max = self
             .cells()
             .map(|c| c.time)
@@ -110,7 +110,7 @@ impl RunReport {
     }
 
     /// Speedup of `a` over `b` at `nprocs` (time_b / time_a).
-    pub fn speedup(&self, a: &str, b: &str, nprocs: u64) -> Option<f64> {
+    pub(crate) fn speedup(&self, a: &str, b: &str, nprocs: u64) -> Option<f64> {
         let ta = self.get(a, nprocs)?.time.as_secs_f64();
         let tb = self.get(b, nprocs)?.time.as_secs_f64();
         if ta <= 0.0 {
@@ -214,7 +214,7 @@ fn check_flattening(fig: &RunReport, lib: &str) -> Vec<ShapeCheck> {
 /// Render the traced phase breakdown that accompanies a figure: where the
 /// virtual time of one representative cell went, as percentages within
 /// each phase category plus the full aggregated table.
-pub fn render_phase_breakdown(title: &str, summary: &TraceSummary) -> String {
+pub(crate) fn render_phase_breakdown(title: &str, summary: &TraceSummary) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## {title}");
     for cat in ["put", "get", "mpi", "pmdk", "drain"] {
@@ -307,7 +307,7 @@ fn cell_json(c: &CellResult) -> String {
 /// staging rows at the bottom contrast the DRAM bytes each library moves
 /// through staging/rearrangement passes — pMEMCPY's columns are zero there,
 /// which is the paper's core architectural claim.
-pub fn render_waterfall(report: &RunReport, nprocs: u64) -> String {
+pub(crate) fn render_waterfall(report: &RunReport, nprocs: u64) -> String {
     let cells: Vec<&CellResult> = report
         .cells()
         .filter(|c| c.nprocs == nprocs && !c.metrics.phases.is_empty())

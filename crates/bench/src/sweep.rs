@@ -27,7 +27,7 @@ pub enum Direction {
 
 impl Direction {
     /// Stable lowercase name used in report JSON and file names.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Direction::Write => "write",
             Direction::Read => "read",

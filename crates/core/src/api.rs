@@ -77,7 +77,7 @@ impl Pmem {
         }
     }
 
-    pub fn options(&self) -> &Options {
+    pub(crate) fn options(&self) -> &Options {
         &self.opts
     }
 
@@ -436,7 +436,7 @@ impl Pmem {
 
     /// Open a [`ReadBatch`](crate::read::ReadBatch): stage any number of
     /// `load_*` calls, then [`commit`](crate::read::ReadBatch::commit) them
-    /// as one group lookup per [`crate::batch::MAX_GROUP_KEYS`] keys — keys
+    /// as one group lookup per `crate::batch::MAX_GROUP_KEYS` keys — keys
     /// sharing a metadata bucket are resolved by a single chain walk, and
     /// every header is read exactly once.
     pub fn read_batch(&self) -> crate::read::ReadBatch<'_> {

@@ -32,7 +32,7 @@ use std::collections::HashSet;
 /// Largest group committed as one pool transaction: each key may need an
 /// alloc intent plus a free intent (replacement), and a lane holds 128
 /// intents.
-pub const MAX_GROUP_KEYS: usize = 64;
+pub(crate) const MAX_GROUP_KEYS: usize = 64;
 
 struct PendingPut<'a> {
     key: String,
@@ -86,7 +86,7 @@ impl<'a> WriteBatch<'a> {
     }
 
     /// Stage a fixed-layout struct store (see [`Pmem::store_pod`]).
-    pub fn store_pod<T: Pod>(&mut self, id: &str, value: &'a T) -> Result<()> {
+    pub(crate) fn store_pod<T: Pod>(&mut self, id: &str, value: &'a T) -> Result<()> {
         let meta = VarMeta::local_array(id, Datatype::U8, &[std::mem::size_of::<T>() as u64]);
         self.push(id.to_string(), meta, Cow::Borrowed(pod_as_bytes(value)));
         Ok(())
@@ -142,7 +142,7 @@ impl<'a> WriteBatch<'a> {
 
     /// Commit every staged put through the bulk reservation pipeline. This is
     /// the one place commit groups are formed: a group ends at
-    /// [`MAX_GROUP_KEYS`] keys or just before a key it already holds (so a
+    /// `MAX_GROUP_KEYS` keys or just before a key it already holds (so a
     /// batch may store a key twice, and the later value wins on every
     /// target). Each group gets one pool transaction and one allocator pass
     /// — under write-behind, one WAL record — and a crash mid-group rolls

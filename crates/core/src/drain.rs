@@ -12,14 +12,14 @@
 //! serialized format.
 
 use crate::api::Pmem;
-use crate::error::{PmemCpyError, Result};
+use crate::error::Result;
 use pmem_sim::{Clock, SimTime, DRAIN_LANE};
 use simfs::SimFs;
 use std::sync::Arc;
 
 /// Records are streamed to mass storage in chunks of this size, so the
 /// drain's DRAM footprint stays bounded no matter how large a variable is.
-pub const DRAIN_CHUNK: usize = 256 * 1024;
+pub(crate) const DRAIN_CHUNK: usize = 256 * 1024;
 
 /// Outcome of a drain pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,40 +71,12 @@ impl Pmem {
             drain_time: drain_clock.now(),
         })
     }
-
-    /// Restore one drained record back into PMEM under the same key
-    /// (the recovery direction of the hierarchy in Fig. 1). The record is
-    /// read from mass storage, decoded, and re-stored through the normal
-    /// zero-staging path.
-    pub fn restore_from_storage(&self, target: &Arc<SimFs>, dir: &str, key: &str) -> Result<()> {
-        let (layout, machine) = self.layout_and_machine()?;
-        let clock = self.clock()?;
-        let _span = machine.span(clock, "drain", "restore");
-        let path = format!("{dir}/{}", sanitize(key));
-        if !target.exists(&path) {
-            return Err(PmemCpyError::NotFound(key.to_string()));
-        }
-        let len = target.file_size(&path)? as usize;
-        let fd = target.open(clock, &path)?;
-        let mut record = vec![0u8; len];
-        target.read_at(clock, fd, 0, &mut record)?;
-        target.close(clock, fd)?;
-        machine.charge_storage_write(clock, 0); // metadata touch; read side is the fs charge
-                                                // Decode with the configured serializer and re-store.
-        let serializer = self.options().resolve_serializer()?;
-        let mut src = pserial::SliceSource::new(&record);
-        let (hdr, payload) = serializer.read_var(&mut src)?;
-        let mut meta = hdr.meta;
-        if meta.name.is_empty() {
-            meta.name = key.to_string(); // raw format erases names
-        }
-        layout.store(clock, key, &meta, &payload)
-    }
 }
 
-/// Keys may contain '/'; keep the drain namespace flat and reversible.
+/// Keys may contain '/'; keep the drain namespace flat and injective: `%`
+/// is escaped before `/`, so no two keys drain to one file.
 fn sanitize(key: &str) -> String {
-    key.replace('/', "%2F")
+    key.replace('%', "%25").replace('/', "%2F")
 }
 
 #[cfg(test)]
@@ -140,7 +112,7 @@ mod tests {
         assert!(report.drain_time > SimTime::ZERO);
         assert!(bb.exists("/bb/u"));
         assert!(bb.exists("/bb/step"));
-        assert!(bb.exists("/bb/grid%23dims") || bb.exists("/bb/grid#dims"));
+        assert!(bb.exists("/bb/grid#dims"));
         pmem.munmap().unwrap();
     }
 
@@ -151,21 +123,6 @@ mod tests {
         let before = pmem.now();
         pmem.drain_to_storage(&bb, "/bb").unwrap();
         assert_eq!(pmem.now(), before, "drain must be asynchronous");
-        pmem.munmap().unwrap();
-    }
-
-    #[test]
-    fn restore_round_trips_through_mass_storage() {
-        let (mut pmem, _comm, bb) = fixture();
-        let data: Vec<f64> = (0..1000).map(|i| i as f64 * 0.25).collect();
-        pmem.store_slice("field", &data).unwrap();
-        pmem.drain_to_storage(&bb, "/bb").unwrap();
-
-        // Lose the PMEM copy, restore from the drained record.
-        pmem.remove("field").unwrap();
-        assert!(!pmem.exists("field"));
-        pmem.restore_from_storage(&bb, "/bb", "field").unwrap();
-        assert_eq!(pmem.load_slice::<f64>("field").unwrap(), data);
         pmem.munmap().unwrap();
     }
 
@@ -181,27 +138,31 @@ mod tests {
     }
 
     #[test]
-    fn restore_missing_key_errors() {
-        let (mut pmem, _comm, bb) = fixture();
-        bb.mkdir_p(&Clock::new(), "/bb").unwrap();
-        assert!(matches!(
-            pmem.restore_from_storage(&bb, "/bb", "nope"),
-            Err(PmemCpyError::NotFound(_))
-        ));
-        pmem.munmap().unwrap();
-    }
-
-    #[test]
     fn slash_keys_flatten_reversibly() {
         assert_eq!(sanitize("a/b/c"), "a%2Fb%2Fc");
         let (mut pmem, _comm, bb) = fixture();
         pmem.store_scalar("deep/nested/key", 1u64).unwrap();
         pmem.drain_to_storage(&bb, "/bb").unwrap();
         assert!(bb.exists("/bb/deep%2Fnested%2Fkey"));
-        pmem.remove("deep/nested/key").unwrap();
-        pmem.restore_from_storage(&bb, "/bb", "deep/nested/key")
-            .unwrap();
-        assert_eq!(pmem.load_scalar::<u64>("deep/nested/key").unwrap(), 1);
+        pmem.munmap().unwrap();
+    }
+
+    #[test]
+    fn keys_that_differ_only_by_an_escape_drain_to_distinct_files() {
+        let (mut pmem, _comm, bb) = fixture();
+        pmem.store_scalar("a/b", 1u64).unwrap();
+        pmem.store_scalar("a%2Fb", 2u64).unwrap();
+        let report = pmem.drain_to_storage(&bb, "/bb").unwrap();
+        assert_eq!(report.keys, 2);
+        assert_eq!(bb.list_dir("/bb").unwrap().len(), 2, "one file a key");
+        let clock = Clock::new();
+        for (key, file) in [("a/b", "/bb/a%2Fb"), ("a%2Fb", "/bb/a%252Fb")] {
+            let mut drained = vec![0u8; bb.file_size(file).unwrap() as usize];
+            let fd = bb.open(&clock, file).unwrap();
+            bb.read_at(&clock, fd, 0, &mut drained).unwrap();
+            bb.close(&clock, fd).unwrap();
+            assert_eq!(drained, pmem.raw_record(key).unwrap(), "{key} -> {file}");
+        }
         pmem.munmap().unwrap();
     }
 }

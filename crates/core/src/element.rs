@@ -6,7 +6,7 @@
 //! * [`Element`] — primitive numeric types with a wire [`Datatype`], used for
 //!   arrays (`store_slice`, `store_block`, ...).
 //! * [`Pod`] — fixed-layout structs ("compound types") that can be stored
-//!   byte-wise; implement it with [`impl_pod!`] after making the struct
+//!   byte-wise; implement it with [`impl_pod!`](crate::impl_pod) after making the struct
 //!   `#[repr(C)]` and padding-free.
 
 use pserial::Datatype;
@@ -45,13 +45,13 @@ unsafe impl Element for f64 {
 }
 
 /// View a slice of elements as bytes.
-pub fn slice_as_bytes<T: Element>(data: &[T]) -> &[u8] {
+pub(crate) fn slice_as_bytes<T: Element>(data: &[T]) -> &[u8] {
     // SAFETY: Element guarantees POD layout.
     unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
 }
 
 /// View a mutable slice of elements as bytes.
-pub fn slice_as_bytes_mut<T: Element>(data: &mut [T]) -> &mut [u8] {
+pub(crate) fn slice_as_bytes_mut<T: Element>(data: &mut [T]) -> &mut [u8] {
     // SAFETY: Element guarantees POD layout and all bit patterns are valid.
     unsafe {
         std::slice::from_raw_parts_mut(data.as_mut_ptr() as *mut u8, std::mem::size_of_val(data))
@@ -83,18 +83,18 @@ macro_rules! impl_pod {
             concat!("padding or size mismatch in Pod impl for ", stringify!($ty))
         );
         // SAFETY: caller asserts repr(C), Copy, no padding per macro contract.
-        unsafe impl $crate::element::Pod for $ty {}
+        unsafe impl $crate::Pod for $ty {}
     };
 }
 
 /// View a Pod value as bytes.
-pub fn pod_as_bytes<T: Pod>(v: &T) -> &[u8] {
+pub(crate) fn pod_as_bytes<T: Pod>(v: &T) -> &[u8] {
     // SAFETY: Pod guarantees no padding / valid bit patterns.
     unsafe { std::slice::from_raw_parts(v as *const T as *const u8, std::mem::size_of::<T>()) }
 }
 
 /// Rebuild a Pod value from bytes.
-pub fn pod_from_bytes<T: Pod>(bytes: &[u8]) -> T {
+pub(crate) fn pod_from_bytes<T: Pod>(bytes: &[u8]) -> T {
     assert_eq!(bytes.len(), std::mem::size_of::<T>(), "Pod size mismatch");
     // SAFETY: size checked; Pod allows any bit pattern.
     unsafe { std::ptr::read_unaligned(bytes.as_ptr() as *const T) }

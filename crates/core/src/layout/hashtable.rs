@@ -10,7 +10,7 @@ use pmem_sim::{Clock, DaxMapping, FlushStrategy, Machine, PmemDevice};
 use pserial::Serializer;
 use std::sync::Arc;
 
-pub struct HashtableLayout {
+pub(crate) struct HashtableLayout {
     shared: SharedPool,
     mapping: Arc<DaxMapping>,
     serializer: &'static dyn Serializer,
@@ -23,7 +23,7 @@ impl HashtableLayout {
     /// mapping (the PMCPY-A/B switch); `flush_strategy` is the resolved
     /// put-path persist primitive (the pool's autotuned verdict or an
     /// options pin).
-    pub fn new(
+    pub(crate) fn new(
         clock: &Clock,
         device: &Arc<PmemDevice>,
         shared: SharedPool,
@@ -41,11 +41,7 @@ impl HashtableLayout {
         }
     }
 
-    pub fn mapping(&self) -> &Arc<DaxMapping> {
-        &self.mapping
-    }
-
-    pub fn shared(&self) -> &SharedPool {
+    pub(crate) fn shared(&self) -> &SharedPool {
         &self.shared
     }
 }
@@ -121,9 +117,5 @@ impl Layout for HashtableLayout {
 
     fn quiesce(&self, clock: &Clock) -> Result<()> {
         Ok(self.shared.hashtable.quiesce(clock)?)
-    }
-
-    fn name(&self) -> &'static str {
-        "pmdk-hashtable"
     }
 }

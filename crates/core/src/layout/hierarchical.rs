@@ -10,7 +10,7 @@ use pserial::Serializer;
 use simfs::{EntryKind, SimFs};
 use std::sync::Arc;
 
-pub struct HierarchicalLayout {
+pub(crate) struct HierarchicalLayout {
     fs: Arc<SimFs>,
     root: String,
     serializer: &'static dyn Serializer,
@@ -19,7 +19,7 @@ pub struct HierarchicalLayout {
 }
 
 impl HierarchicalLayout {
-    pub fn new(
+    pub(crate) fn new(
         fs: &Arc<SimFs>,
         root: &str,
         serializer: &'static dyn Serializer,
@@ -151,9 +151,5 @@ impl Layout for HierarchicalLayout {
             }
         }
         out
-    }
-
-    fn name(&self) -> &'static str {
-        "hierarchical-files"
     }
 }

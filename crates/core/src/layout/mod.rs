@@ -12,12 +12,13 @@
 //! mirror that shape: [`Layout::locate_many`] is the per-layout bulk lookup
 //! (one chain walk per touched bucket on the hashtable layout), and the
 //! generic [`Layout::load_many`] pipeline decodes each record straight out
-//! of its mapping into a caller-chosen buffer. Single-key
-//! [`Layout::store`]/[`Layout::load_into`]/[`Layout::stat`] are batches of
-//! one, so there is exactly one code path per direction.
+//! of its mapping into a caller-chosen buffer. A single-key store is a
+//! write batch of one ([`crate::batch`]) and [`Layout::load_into`] /
+//! [`Layout::stat`] are batches of one, so there is exactly one code path
+//! per direction.
 
-pub mod hashtable;
-pub mod hierarchical;
+pub(crate) mod hashtable;
+pub(crate) mod hierarchical;
 
 use crate::error::{PmemCpyError, Result};
 use crate::sink::{MappingSink, MappingSource};
@@ -27,7 +28,7 @@ use std::sync::Arc;
 
 /// One key's worth of work for a batched store.
 #[derive(Debug, Clone, Copy)]
-pub struct PutRequest<'a> {
+pub(crate) struct PutRequest<'a> {
     pub key: &'a str,
     pub meta: &'a VarMeta,
     pub payload: &'a [u8],
@@ -35,13 +36,13 @@ pub struct PutRequest<'a> {
 
 /// A reservation request: `key` needs `slen` bytes of record space.
 #[derive(Debug, Clone, Copy)]
-pub struct ReserveRequest<'a> {
+pub(crate) struct ReserveRequest<'a> {
     pub key: &'a str,
     pub slen: u64,
 }
 
 /// A reserved, mapped window the serializer can stream into directly.
-pub struct Reservation {
+pub(crate) struct Reservation {
     pub mapping: Arc<DaxMapping>,
     pub offset: usize,
     pub len: usize,
@@ -52,7 +53,7 @@ pub struct Reservation {
 
 /// Where a key's record lives: the read-side mirror of [`Reservation`],
 /// resolved by [`Layout::locate_many`].
-pub struct Located {
+pub(crate) struct Located {
     pub mapping: Arc<DaxMapping>,
     pub offset: usize,
     pub len: usize,
@@ -64,7 +65,7 @@ pub struct Located {
 /// Supplies payload destinations during a batched load: once a record's
 /// header is decoded, the consumer hands back the buffer its payload should
 /// stream into (sized exactly `hdr.payload_len`, validated by the pipeline).
-pub trait ReadConsumer {
+pub(crate) trait ReadConsumer {
     /// Destination buffer for `keys[idx]`, given its decoded header.
     fn dst(&mut self, idx: usize, hdr: &VarHeader) -> Result<&mut [u8]>;
 }
@@ -122,7 +123,7 @@ fn load_one_located(
 }
 
 /// A storage layout for serialized variable records.
-pub trait Layout: Send + Sync {
+pub(crate) trait Layout: Send + Sync {
     /// The serializer records are encoded with.
     fn serializer(&self) -> &'static dyn Serializer;
 
@@ -205,11 +206,6 @@ pub trait Layout: Send + Sync {
             }
         }
         Ok(())
-    }
-
-    /// Serialize `payload` under `key`, directly into PMEM (a batch of one).
-    fn store(&self, clock: &Clock, key: &str, meta: &VarMeta, payload: &[u8]) -> Result<()> {
-        self.store_many(clock, &[PutRequest { key, meta, payload }])
     }
 
     /// Resolve where every key's record lives, through the layout's bulk
@@ -366,7 +362,4 @@ pub trait Layout: Send + Sync {
     fn quiesce(&self, _clock: &Clock) -> Result<()> {
         Ok(())
     }
-
-    /// Layout name for diagnostics.
-    fn name(&self) -> &'static str;
 }

@@ -45,18 +45,28 @@
 //!     pmem.munmap().unwrap();
 //! });
 //! ```
+//!
+//! The items re-exported here are the whole API. The serializer sink and
+//! the layout seam behind it are internals, and a caller cannot name them:
+//!
+//! ```compile_fail,E0603
+//! use pmemcpy::layout::Layout;
+//! use pmemcpy::sink::MappingSink;
+//! ```
 
-pub mod api;
-pub mod batch;
-pub mod drain;
-pub mod element;
-pub mod error;
-pub mod layout;
-pub mod options;
-pub mod read;
-pub mod region;
+#![warn(unreachable_pub)]
+
+mod api;
+mod batch;
+mod drain;
+mod element;
+mod error;
+mod layout;
+mod options;
+mod read;
+mod region;
 pub mod registry;
-pub mod sink;
+mod sink;
 pub mod write_behind;
 
 pub use api::{MmapTarget, Pmem};

@@ -40,7 +40,7 @@ pub struct Options {
 
 /// Smallest accepted [`Options::wal_capacity`] — below this a single batched
 /// record could never fit in half the ring.
-pub const MIN_WAL_CAPACITY: u64 = 4096;
+pub(crate) const MIN_WAL_CAPACITY: u64 = 4096;
 
 impl Default for Options {
     fn default() -> Self {
@@ -86,7 +86,7 @@ impl Options {
 
     /// Reject inconsistent combinations up front, at `mmap` time, instead of
     /// panicking (or corrupting semantics) deep inside the pipeline.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.hashtable_buckets == 0 {
             return Err(PmemCpyError::Config(
                 "hashtable_buckets must be nonzero".into(),

@@ -213,7 +213,7 @@ impl<'a> ReadBatch<'a> {
     }
 
     /// Resolve every staged load through the bulk read pipeline: groups of
-    /// up to [`MAX_GROUP_KEYS`] keys each get one grouped lookup, one header
+    /// up to `MAX_GROUP_KEYS` keys each get one grouped lookup, one header
     /// pass, and direct payload streaming. Returns the redeemable results.
     pub fn commit(self) -> Result<ReadResults> {
         let ReadBatch {

@@ -14,7 +14,7 @@ use crate::error::{PmemCpyError, Result};
 
 /// The intersection of two boxes, or None if disjoint.
 /// Boxes are (offset, dims) pairs of equal rank.
-pub fn intersect(
+pub(crate) fn intersect(
     a_off: &[u64],
     a_dims: &[u64],
     b_off: &[u64],
@@ -39,7 +39,7 @@ pub fn intersect(
 /// (src_off, src_dims) into a dense `dst` region at (dst_off, dst_dims).
 /// Element size is `esize` bytes.
 #[allow(clippy::too_many_arguments)]
-pub fn copy_box(
+pub(crate) fn copy_box(
     esize: usize,
     sect_off: &[u64],
     sect_dims: &[u64],

@@ -50,7 +50,7 @@ fn end_within(pos: usize, n: usize, limit: usize) -> Option<usize> {
 /// A [`WriteSink`] that streams into a DAX mapping at a fixed base offset.
 /// [`MappingSink::finish`] stores what the window still holds: a sink that
 /// is dropped without it has not written its last bytes.
-pub struct MappingSink<'a> {
+pub(crate) struct MappingSink<'a> {
     mapping: &'a DaxMapping,
     clock: &'a Clock,
     base: usize,
@@ -63,7 +63,7 @@ pub struct MappingSink<'a> {
 
 impl<'a> MappingSink<'a> {
     /// A sink for the record at `[base, base+limit)` of `mapping`.
-    pub fn new(
+    pub(crate) fn new(
         mapping: &'a DaxMapping,
         clock: &'a Clock,
         base: usize,
@@ -130,7 +130,7 @@ impl WriteSink for MappingSink<'_> {
 /// A [`ReadSource`] that streams out of a DAX mapping. It never loads a
 /// record byte twice, and never one past `limit`: the next record may be
 /// another rank's, mid-write.
-pub struct MappingSource<'a> {
+pub(crate) struct MappingSource<'a> {
     mapping: &'a DaxMapping,
     clock: &'a Clock,
     base: usize,
@@ -144,7 +144,7 @@ pub struct MappingSource<'a> {
 }
 
 impl<'a> MappingSource<'a> {
-    pub fn new(
+    pub(crate) fn new(
         mapping: &'a DaxMapping,
         clock: &'a Clock,
         base: usize,

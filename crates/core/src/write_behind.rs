@@ -7,13 +7,13 @@
 //! it returns, but the transactional layout work leaves the critical path. A
 //! *checkpoint* pass, charged to its own background lane
 //! ([`pmem_sim::CKPT_LANE`]) so application clocks never pay for it, later
-//! drains the log records into the regular [`Layout`] via `store_many` and
+//! drains the log records into the regular `Layout` via `store_many` and
 //! truncates the log under a crash-safe watermark (a single persisted head
 //! advance — see [`PersistentLog::truncate_front`]).
 //!
 //! **The invariant.** The front index is exactly the latest-wins fold, in
 //! replay order, of the records currently in the WAL ring. One lock
-//! ([`WriteBehindState`]'s) makes that true by construction: a put holds it
+//! (`WriteBehindState`'s) makes that true by construction: a put holds it
 //! across the append and the upsert, a checkpoint holds it across replay →
 //! apply → truncate and ends by clearing the index, and recovery rebuilds
 //! the same fold from the ring. Everything the ring does not hold is in the
@@ -72,7 +72,7 @@ fn upsert(front: &mut Front, key: &str, meta: &VarMeta, payload: &[u8]) {
 /// Shared write-behind state, carried by the interned pool (see
 /// [`SharedPool::write_behind`]): the ranks of a job share one WAL and one
 /// front index, exactly as they share one pool.
-pub struct WriteBehindState {
+pub(crate) struct WriteBehindState {
     log: PersistentLog,
     /// The front index, and the one write-behind lock: whoever appends to or
     /// truncates `log` holds it across the ring operation *and* the matching
@@ -222,13 +222,13 @@ fn raw_record_of(serializer: &'static dyn Serializer, entry: &FrontEntry) -> Res
 /// The write-behind [`Layout`] wrapper: puts append to the WAL + front
 /// index, reads consult the front index before the inner layout, and
 /// everything else delegates.
-pub struct WriteBehindLayout {
+pub(crate) struct WriteBehindLayout {
     inner: HashtableLayout,
     state: Arc<WriteBehindState>,
 }
 
 impl WriteBehindLayout {
-    pub fn new(inner: HashtableLayout, state: Arc<WriteBehindState>) -> Self {
+    pub(crate) fn new(inner: HashtableLayout, state: Arc<WriteBehindState>) -> Self {
         WriteBehindLayout { inner, state }
     }
 
@@ -471,10 +471,6 @@ impl Layout for WriteBehindLayout {
 
     fn quiesce(&self, clock: &Clock) -> Result<()> {
         self.inner.quiesce(clock)
-    }
-
-    fn name(&self) -> &'static str {
-        "write-behind(pmdk-hashtable)"
     }
 }
 

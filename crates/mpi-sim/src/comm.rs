@@ -49,12 +49,12 @@ pub struct World {
 }
 
 impl World {
-    /// A deterministic world (see [`World::with_mode`]).
+    /// A deterministic world (see `World::with_mode`).
     pub fn new(machine: Arc<Machine>, size: usize) -> Arc<Self> {
         Self::with_mode(machine, size, SchedMode::Deterministic)
     }
 
-    pub fn with_mode(machine: Arc<Machine>, size: usize, mode: SchedMode) -> Arc<Self> {
+    pub(crate) fn with_mode(machine: Arc<Machine>, size: usize, mode: SchedMode) -> Arc<Self> {
         assert!(size > 0, "a world needs at least one rank");
         machine.set_active_ranks(size);
         Arc::new(World {
@@ -69,11 +69,11 @@ impl World {
         })
     }
 
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
-    pub fn machine(&self) -> &Arc<Machine> {
+    pub(crate) fn machine(&self) -> &Arc<Machine> {
         &self.machine
     }
 
@@ -91,7 +91,7 @@ impl World {
     /// Mark the world dead (a rank panicked) and wake every blocked
     /// receiver. The first message wins; later panics are usually the
     /// secondary "world poisoned" ones from woken peers.
-    pub fn poison(&self, msg: String) {
+    pub(crate) fn poison(&self, msg: String) {
         if let Some(sched) = &self.sched {
             sched.poison(&msg);
         }
@@ -110,7 +110,7 @@ impl World {
     }
 
     /// The first rank panic recorded by [`World::poison`], if any.
-    pub fn poison_message(&self) -> Option<String> {
+    pub(crate) fn poison_message(&self) -> Option<String> {
         self.poison.lock().clone()
     }
 
@@ -131,7 +131,8 @@ pub struct Comm {
 
 /// Reduction operators supported by `reduce`/`allreduce`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReduceOp {
+pub(crate) enum ReduceOp {
+    #[cfg(test)]
     Sum,
     Max,
     Min,
@@ -317,7 +318,7 @@ impl Comm {
 
     /// Gather variable-length buffers to `root`. Returns `Some(rank-ordered
     /// payloads)` on the root, `None` elsewhere.
-    pub fn gatherv(&self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
+    pub(crate) fn gatherv(&self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
         let _span = self
             .machine()
             .span(&self.clock, "mpi", "gatherv")
@@ -354,7 +355,7 @@ impl Comm {
     /// Rotation schedule: at step `s` every rank sends to `rank+s` and
     /// receives from `rank-s`, which is balanced for any rank count (sends
     /// are buffered, so the blocking receive cannot deadlock).
-    pub fn alltoallv(&self, sends: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    pub(crate) fn alltoallv(&self, sends: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let _span = self
             .machine()
             .span(&self.clock, "mpi", "alltoallv")
@@ -374,7 +375,8 @@ impl Comm {
 
     /// Scatter per-rank buffers from `root`: rank `i` receives `bufs[i]`.
     /// Non-roots pass `None`.
-    pub fn scatterv(&self, root: usize, bufs: Option<&[Vec<u8>]>) -> Vec<u8> {
+    #[cfg(test)]
+    fn scatterv(&self, root: usize, bufs: Option<&[Vec<u8>]>) -> Vec<u8> {
         let mut span = self.machine().span(&self.clock, "mpi", "scatterv");
         let out = if self.rank == root {
             let bufs = bufs.expect("root must supply scatter buffers");
@@ -393,12 +395,13 @@ impl Comm {
     }
 
     /// Reduce `value` across ranks with `op`; `Some(result)` on root.
-    pub fn reduce_u64(&self, root: usize, value: u64, op: ReduceOp) -> Option<u64> {
+    pub(crate) fn reduce_u64(&self, root: usize, value: u64, op: ReduceOp) -> Option<u64> {
         let gathered = self.gatherv(root, &value.to_le_bytes())?;
         let vals = gathered
             .iter()
             .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()));
         Some(match op {
+            #[cfg(test)]
             ReduceOp::Sum => vals.sum(),
             ReduceOp::Max => vals.max().unwrap_or(0),
             ReduceOp::Min => vals.min().unwrap_or(0),
@@ -406,34 +409,12 @@ impl Comm {
     }
 
     /// Allreduce: reduce + broadcast.
-    pub fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
+    pub(crate) fn allreduce_u64(&self, value: u64, op: ReduceOp) -> u64 {
         let reduced = self
             .reduce_u64(0, value, op)
             .map(|v| v.to_le_bytes().to_vec());
         let bytes = self.bcast(0, reduced.as_deref());
         u64::from_le_bytes(bytes[..8].try_into().unwrap())
-    }
-
-    /// Reduce a float across ranks (sum/max/min); `Some(result)` on root.
-    pub fn reduce_f64(&self, root: usize, value: f64, op: ReduceOp) -> Option<f64> {
-        let gathered = self.gatherv(root, &value.to_le_bytes())?;
-        let vals = gathered
-            .iter()
-            .map(|b| f64::from_le_bytes(b[..8].try_into().unwrap()));
-        Some(match op {
-            ReduceOp::Sum => vals.sum(),
-            ReduceOp::Max => vals.fold(f64::NEG_INFINITY, f64::max),
-            ReduceOp::Min => vals.fold(f64::INFINITY, f64::min),
-        })
-    }
-
-    /// Float allreduce: reduce + broadcast.
-    pub fn allreduce_f64(&self, value: f64, op: ReduceOp) -> f64 {
-        let reduced = self
-            .reduce_f64(0, value, op)
-            .map(|v| v.to_le_bytes().to_vec());
-        let bytes = self.bcast(0, reduced.as_deref());
-        f64::from_le_bytes(bytes[..8].try_into().unwrap())
     }
 }
 
@@ -441,10 +422,11 @@ const TAG_BARRIER: u64 = 1 << 40;
 const TAG_BCAST: u64 = 2 << 40;
 const TAG_GATHER: u64 = 3 << 40;
 const TAG_A2A: u64 = 4 << 40;
+#[cfg(test)]
 const TAG_SCATTER: u64 = 6 << 40;
 
 /// Length-prefixed packing for vectors of buffers.
-pub fn pack_lengths(bufs: &[Vec<u8>]) -> Vec<u8> {
+pub(crate) fn pack_lengths(bufs: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + bufs.iter().map(|b| 8 + b.len()).sum::<usize>());
     out.extend_from_slice(&(bufs.len() as u64).to_le_bytes());
     for b in bufs {
@@ -455,7 +437,7 @@ pub fn pack_lengths(bufs: &[Vec<u8>]) -> Vec<u8> {
 }
 
 /// Inverse of [`pack_lengths`].
-pub fn unpack_lengths(bytes: &[u8]) -> Vec<Vec<u8>> {
+pub(crate) fn unpack_lengths(bytes: &[u8]) -> Vec<Vec<u8>> {
     let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
     let mut out = Vec::with_capacity(n);
     let mut pos = 8;
@@ -594,17 +576,6 @@ mod tests {
             });
             let mine = comm.scatterv(1, bufs.as_deref());
             assert_eq!(mine, format!("for-{}", comm.rank()).as_bytes());
-        });
-    }
-
-    #[test]
-    fn float_reductions() {
-        let machine = Machine::chameleon();
-        run_world(machine, 4, |comm| {
-            let v = comm.rank() as f64 + 0.5;
-            assert_eq!(comm.allreduce_f64(v, ReduceOp::Sum), 0.5 + 1.5 + 2.5 + 3.5);
-            assert_eq!(comm.allreduce_f64(v, ReduceOp::Max), 3.5);
-            assert_eq!(comm.allreduce_f64(v, ReduceOp::Min), 0.5);
         });
     }
 

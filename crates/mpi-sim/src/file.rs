@@ -20,7 +20,6 @@ pub struct MpiFile {
     fs: Arc<SimFs>,
     comm: Comm,
     fd: u64,
-    path: String,
 }
 
 /// One rank's segment of a collective operation.
@@ -52,7 +51,6 @@ impl MpiFile {
             fs: Arc::clone(fs),
             comm: comm.clone(),
             fd,
-            path: path.to_string(),
         })
     }
 
@@ -64,12 +62,7 @@ impl MpiFile {
             fs: Arc::clone(fs),
             comm: comm.clone(),
             fd,
-            path: path.to_string(),
         })
-    }
-
-    pub fn path(&self) -> &str {
-        &self.path
     }
 
     /// Independent write (MPI_File_write_at).

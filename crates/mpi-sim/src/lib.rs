@@ -15,14 +15,16 @@
 //! [`datatype::Subarray`] provides MPI_Type_create_subarray-equivalent
 //! run enumeration for N-D block decompositions.
 
-pub mod comm;
-pub mod datatype;
-pub mod file;
-pub mod runner;
-pub mod sched;
+#![warn(unreachable_pub)]
 
-pub use comm::{Comm, ReduceOp, World};
-pub use datatype::{Run, Subarray};
+mod comm;
+mod datatype;
+mod file;
+mod runner;
+mod sched;
+
+pub use comm::{Comm, World};
+pub use datatype::Subarray;
 pub use file::{MpiFile, ReadSegment, WriteSegment};
-pub use runner::{run_timed, run_world, run_world_mode};
-pub use sched::{SchedMode, Scheduler};
+pub use runner::{run_world, run_world_mode};
+pub use sched::SchedMode;

@@ -2,7 +2,7 @@
 
 use crate::comm::{Comm, World};
 use crate::sched::SchedMode;
-use pmem_sim::{ClockGate, Machine, SimTime};
+use pmem_sim::{ClockGate, Machine};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -95,23 +95,24 @@ fn payload_str(e: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Run a job and return each rank's final virtual time plus the job time
-/// (the slowest rank — what the paper's wall-clock measurement reports).
-pub fn run_timed<F>(machine: Arc<Machine>, size: usize, body: F) -> (Vec<SimTime>, SimTime)
-where
-    F: Fn(&Comm) + Send + Sync + 'static,
-{
-    let times = run_world(machine, size, move |comm| {
-        body(&comm);
-        comm.now()
-    });
-    let job = times.iter().copied().fold(SimTime::ZERO, SimTime::max);
-    (times, job)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmem_sim::SimTime;
+
+    /// Run a job and return each rank's final virtual time plus the job time
+    /// (the slowest rank — what the paper's wall-clock measurement reports).
+    fn run_timed<F>(machine: Arc<Machine>, size: usize, body: F) -> (Vec<SimTime>, SimTime)
+    where
+        F: Fn(&Comm) + Send + Sync + 'static,
+    {
+        let times = run_world(machine, size, move |comm| {
+            body(&comm);
+            comm.now()
+        });
+        let job = times.iter().copied().fold(SimTime::ZERO, SimTime::max);
+        (times, job)
+    }
 
     #[test]
     fn results_come_back_in_rank_order() {

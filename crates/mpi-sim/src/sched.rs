@@ -67,7 +67,7 @@ struct SchedState {
 
 /// The cooperative rank scheduler (one per deterministic [`crate::World`]).
 #[derive(Debug)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     /// One condvar per rank: each rank only ever waits on its own, so a
     /// handoff wakes exactly the intended thread.
@@ -75,7 +75,7 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    pub fn new(size: usize) -> Self {
+    pub(crate) fn new(size: usize) -> Self {
         assert!(size > 0);
         Scheduler {
             state: Mutex::new(SchedState {
@@ -126,13 +126,13 @@ impl Scheduler {
 
     /// Called by a rank thread before running the rank body: blocks until
     /// the scheduler's turn order reaches this rank for the first time.
-    pub fn start(&self, rank: usize) {
+    pub(crate) fn start(&self, rank: usize) {
         let mut st = self.state.lock();
         self.wait_for_token(rank, &mut st);
     }
 
     /// The rank body returned: retire the rank and pass the token on.
-    pub fn finish(&self, rank: usize) {
+    pub(crate) fn finish(&self, rank: usize) {
         let mut st = self.state.lock();
         st.status[rank] = Status::Done;
         if st.current == Some(rank) {
@@ -145,14 +145,14 @@ impl Scheduler {
     }
 
     /// Token hand-offs so far (each one is a condvar wake-up plus a park).
-    pub fn handoffs(&self) -> u64 {
+    pub(crate) fn handoffs(&self) -> u64 {
         self.state.lock().handoffs
     }
 
     /// A send made `dest`'s mailbox non-empty: a rank parked in `recv`
     /// becomes runnable again (it actually resumes at the sender's next
     /// yield, when the virtual-time order says so).
-    pub fn unblock(&self, dest: usize) {
+    pub(crate) fn unblock(&self, dest: usize) {
         let mut st = self.state.lock();
         if st.status[dest] == Status::Blocked {
             st.status[dest] = Status::Runnable;
@@ -165,7 +165,7 @@ impl Scheduler {
     /// mailbox, so the time this rank is ordered by when it wakes is already
     /// published. The caller re-checks its mailbox afterwards (a wakeup
     /// may be for a different (src, tag) than the one awaited).
-    pub fn block_on_recv(&self, rank: usize) {
+    pub(crate) fn block_on_recv(&self, rank: usize) {
         let mut st = self.state.lock();
         Self::check_poison(&st);
         st.status[rank] = Status::Blocked;
@@ -198,7 +198,7 @@ impl Scheduler {
 
     /// Record a fatal error and wake every parked rank so it can re-panic
     /// instead of waiting forever. First message wins.
-    pub fn poison(&self, msg: &str) {
+    pub(crate) fn poison(&self, msg: &str) {
         let mut st = self.state.lock();
         if st.poison.is_none() {
             st.poison = Some(msg.to_string());

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Volatile allocator state over the persistent heap region.
 #[derive(Debug)]
-pub struct Heap {
+pub(crate) struct Heap {
     device: Arc<PmemDevice>,
     heap_start: u64,
     heap_end: u64,
@@ -46,7 +46,7 @@ struct Carve {
 
 impl Heap {
     /// Format a fresh heap: one giant free block.
-    pub fn format(clock: &Clock, device: &Arc<PmemDevice>, heap_start: u64, heap_end: u64) {
+    pub(crate) fn format(clock: &Clock, device: &Arc<PmemDevice>, heap_start: u64, heap_end: u64) {
         assert!(heap_end > heap_start + BLOCK_HEADER_SIZE + HEAP_ALIGN);
         let payload = heap_end - heap_start - BLOCK_HEADER_SIZE;
         let payload = payload & !(HEAP_ALIGN - 1);
@@ -64,14 +64,14 @@ impl Heap {
 
     /// Rebuild the volatile free list from the shared heap walk; the first
     /// implausible block refuses the mount.
-    pub fn rebuild(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
+    pub(crate) fn rebuild(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
         Self::walk(device, heap_start, heap_end, false)
     }
 
     /// [`Heap::rebuild`] for a pool that may have crashed: a `prev_size`
     /// word one step behind its header (the crash fell between an alloc's or
     /// a free's two persists) is mended, not refused.
-    pub fn recover(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
+    pub(crate) fn recover(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
         Self::walk(device, heap_start, heap_end, true)
     }
 
@@ -99,11 +99,11 @@ impl Heap {
         })
     }
 
-    pub fn allocated_bytes(&self) -> u64 {
+    pub(crate) fn allocated_bytes(&self) -> u64 {
         self.allocated
     }
 
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.free
             .iter()
             .map(|(sz, set)| sz * set.len() as u64)
@@ -117,7 +117,8 @@ impl Heap {
 
     /// Allocate an aligned payload of at least `size` bytes: a group of one.
     /// Returns the *payload* device offset.
-    pub fn alloc(&mut self, clock: &Clock, size: u64) -> Result<u64> {
+    #[cfg(test)]
+    fn alloc(&mut self, clock: &Clock, size: u64) -> Result<u64> {
         Ok(self.alloc_many(clock, &[size], |_| {})?[0])
     }
 
@@ -133,7 +134,7 @@ impl Heap {
     /// written last. Until it flips to `BLOCK_ALLOC` the rebuild walk sees
     /// the original free block and skips straight over the interior headers
     /// (which may already say ALLOC), so the carve's blocks appear together.
-    pub fn alloc_many(
+    pub(crate) fn alloc_many(
         &mut self,
         clock: &Clock,
         sizes: &[u64],
@@ -274,7 +275,7 @@ impl Heap {
     }
 
     /// Free the payload at `payload_off`, coalescing with free neighbours.
-    pub fn free(&mut self, clock: &Clock, payload_off: u64) -> Result<()> {
+    pub(crate) fn free(&mut self, clock: &Clock, payload_off: u64) -> Result<()> {
         let (hdr_off, h) = self.live_block(payload_off)?;
         self.allocated -= h.size;
 
@@ -348,7 +349,7 @@ impl Heap {
     }
 
     /// Usable payload size of a live allocation.
-    pub fn usable_size(&self, payload_off: u64) -> Result<u64> {
+    pub(crate) fn usable_size(&self, payload_off: u64) -> Result<u64> {
         Ok(self.live_block(payload_off)?.1.size)
     }
 
@@ -368,7 +369,7 @@ impl Heap {
 
     /// Validate heap invariants (test support): walkable, sizes consistent,
     /// free map matches headers.
-    pub fn check_invariants(&self) -> Result<()> {
+    pub(crate) fn check_invariants(&self) -> Result<()> {
         let rebuilt = Heap::rebuild(Arc::clone(&self.device), self.heap_start, self.heap_end)?;
         if rebuilt.free != self.free {
             return Err(PmdkError::BadPool("volatile free list out of sync".into()));

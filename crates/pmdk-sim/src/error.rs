@@ -45,4 +45,4 @@ impl fmt::Display for PmdkError {
 
 impl std::error::Error for PmdkError {}
 
-pub type Result<T> = std::result::Result<T, PmdkError>;
+pub(crate) type Result<T> = std::result::Result<T, PmdkError>;

@@ -70,7 +70,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-pub const STRIPES: usize = 64;
+pub(crate) const STRIPES: usize = 64;
 
 /// A split begins once `SPLIT_FACTOR × live_estimate > bucket_count`, so a
 /// fully-migrated table sits at load factor ≤ 1/SPLIT_FACTOR. At 0.5 the
@@ -230,7 +230,7 @@ impl PersistentHashtable {
     }
 
     /// Attach to an existing table at `header`. The stored header must pass
-    /// [`TableHeader::check`] — the rules the doctor applies — or the mount
+    /// `TableHeader::check` — the rules the doctor applies — or the mount
     /// is refused. If the table crashed with unfolded per-stripe counts
     /// (dirty flag set), the count is recounted from the chains here. The
     /// shadow index starts cold (lookups repopulate it lazily); call
@@ -305,7 +305,8 @@ impl PersistentHashtable {
         (self.pool.read_u64(clock, self.header + HDR_COUNT) as i64 + delta).max(0) as u64
     }
 
-    pub fn is_empty(&self, clock: &Clock) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self, clock: &Clock) -> bool {
         self.len(clock) == 0
     }
 
@@ -688,8 +689,9 @@ impl PersistentHashtable {
         }
     }
 
-    /// Number of cached key → value locations (diagnostics).
-    pub fn shadow_len(&self) -> usize {
+    /// Number of cached key → value locations.
+    #[cfg(test)]
+    fn shadow_len(&self) -> usize {
         self.stripes.iter().map(|s| s.lock.lock().len()).sum()
     }
 

@@ -13,6 +13,8 @@
 //! lane:             [state u32][undo_len u32][intent_count u32][generation u32]
 //!                   ...64 B; [intent u64 × LANE_INTENTS]; undo records of
 //!                   [target off u64][len u32][pre-image], contiguous
+//! heap block:       [magic u32][state u32][size u64][prev_size u64]
+//!                   [reserved u64][payload]
 //! hashtable header: [bucket_count u64][entry_count u64][heads_off u64]
 //!                   [old_bucket_count u64][old_heads_off u64]
 //!                   [split_cursor u64][count_dirty u64]
@@ -25,7 +27,7 @@
 //! ```
 //!
 //! All multi-byte integers are little-endian. Readers are generic over a
-//! [`Bytes`] source — [`Charged`] for a mounted pool that pays for what it
+//! [`Bytes`] source — `Charged` for a mounted pool that pays for what it
 //! reads, a bare [`PmemDevice`] for the doctor — and every plausibility rule
 //! is arithmetic on words the reader fetched anyway, so it costs no virtual
 //! time.
@@ -34,7 +36,7 @@
 //! header) decodes from one fetch, a counted one (a lane's intents, its undo
 //! log) from the count word plus one fetch of what it counts, and the heads
 //! arrays are served a run of at most 4 KiB at a time by the one directory
-//! iterator ([`Geo::heads`]). Only a chain's hops, each of which depends on
+//! iterator (`Geo::heads`). Only a chain's hops, each of which depends on
 //! the one before, are a fetch apiece.
 //!
 //! Cacheline failure-atomicity makes a torn pointer expected input. Callers
@@ -49,27 +51,27 @@ use std::ops::Range;
 /// Pool magic ("PMDKSIM1").
 pub const POOL_MAGIC: u64 = 0x504d_444b_5349_4d31;
 /// Superblock size (one page).
-pub const SUPERBLOCK_SIZE: u64 = 4096;
+pub(crate) const SUPERBLOCK_SIZE: u64 = 4096;
 /// Number of transaction lanes (PMDK uses 1024; 32 is plenty for ≤48 ranks
 /// since transactions are short-lived).
 pub const LANES: u64 = 32;
 /// Bytes per lane: 64 B header + undo log + allocation-intent slots.
-pub const LANE_SIZE: u64 = 16 * 1024;
+pub(crate) const LANE_SIZE: u64 = 16 * 1024;
 /// Lane header size.
-pub const LANE_HEADER_SIZE: u64 = 64;
+pub(crate) const LANE_HEADER_SIZE: u64 = 64;
 /// Max allocation intents per transaction.
 pub const LANE_INTENTS: u64 = 128;
 /// Bytes reserved at the head of a lane's variable area for intents.
-pub const LANE_INTENT_BYTES: u64 = LANE_INTENTS * 8;
+pub(crate) const LANE_INTENT_BYTES: u64 = LANE_INTENTS * 8;
 /// Heap block header size.
 pub const BLOCK_HEADER_SIZE: u64 = 32;
 /// Allocation granularity/alignment of heap payloads.
-pub const HEAP_ALIGN: u64 = 64;
+pub(crate) const HEAP_ALIGN: u64 = 64;
 /// Block header magic.
-pub const BLOCK_MAGIC: u32 = 0x424c_4b31; // "BLK1"
+pub(crate) const BLOCK_MAGIC: u32 = 0x424c_4b31; // "BLK1"
 
 /// Lane states (persisted).
-pub const LANE_IDLE: u32 = 0;
+pub(crate) const LANE_IDLE: u32 = 0;
 pub const LANE_ACTIVE: u32 = 1;
 pub const LANE_COMMITTING: u32 = 2;
 
@@ -79,48 +81,48 @@ pub const BLOCK_ALLOC: u32 = 1;
 
 /// Superblock field offsets.
 pub mod sb {
-    pub const MAGIC: u64 = 0;
-    pub const VERSION: u64 = 8;
-    pub const POOL_SIZE: u64 = 16;
-    pub const HEAP_START: u64 = 24;
-    pub const ROOT_OFF: u64 = 32; // 0 = no root yet
-    pub const ROOT_SIZE: u64 = 40;
+    pub(crate) const MAGIC: u64 = 0;
+    pub(crate) const VERSION: u64 = 8;
+    pub(crate) const POOL_SIZE: u64 = 16;
+    pub(crate) const HEAP_START: u64 = 24;
+    pub(crate) const ROOT_OFF: u64 = 32; // 0 = no root yet
+    pub(crate) const ROOT_SIZE: u64 = 40;
     pub const LAYOUT_LEN: u64 = 48;
-    pub const LAYOUT_NAME: u64 = 56; // up to 128 bytes
-    pub const LAYOUT_NAME_MAX: u64 = 128;
+    pub(crate) const LAYOUT_NAME: u64 = 56; // up to 128 bytes
+    pub(crate) const LAYOUT_NAME_MAX: u64 = 128;
     /// Pool generation: bumped on every open; flight `Mount` events carry
     /// it, so a timeline tells one session from the next.
-    pub const GENERATION: u64 = 192;
+    pub(crate) const GENERATION: u64 = 192;
     /// Device-profile id the pool was last mounted with (u32; see
     /// `pmem_sim::profile`). 0 = unset (legacy pools).
-    pub const DEVICE_PROFILE: u64 = 200;
+    pub(crate) const DEVICE_PROFILE: u64 = 200;
     /// Autotuned flush-strategy code for that profile (u32; 0 = not yet
     /// tuned). Re-probed whenever the mounting machine's profile differs
     /// from `DEVICE_PROFILE`.
-    pub const FLUSH_STRATEGY: u64 = 204;
+    pub(crate) const FLUSH_STRATEGY: u64 = 204;
 }
 
 /// Lane header field offsets (relative to the lane base).
 pub mod lane {
     pub const STATE: u64 = 0;
-    pub const UNDO_LEN: u64 = 4; // bytes used in the undo area
+    pub(crate) const UNDO_LEN: u64 = 4; // bytes used in the undo area
     pub const INTENT_COUNT: u64 = 8;
-    pub const GENERATION: u64 = 12;
+    pub(crate) const GENERATION: u64 = 12;
     // variable area starts at LANE_HEADER_SIZE:
     //   [intents: LANE_INTENT_BYTES] [undo entries...]
 }
 
-/// Heap block header field offsets (relative to the header base).
+/// Heap block header field offsets (relative to the header base); bytes
+/// 24..32 are reserved.
 pub mod blk {
-    pub const MAGIC: u64 = 0;
-    pub const STATE: u64 = 4;
+    pub(crate) const MAGIC: u64 = 0;
+    pub(crate) const STATE: u64 = 4;
     pub const SIZE: u64 = 8; // payload bytes (aligned)
-    pub const PREV_SIZE: u64 = 16; // payload bytes of physically-previous block, 0 if first
-    pub const RESERVED: u64 = 24;
+    pub(crate) const PREV_SIZE: u64 = 16; // payload bytes of physically-previous block, 0 if first
 }
 
 /// Start of the lane table.
-pub const fn lane_table_start() -> u64 {
+pub(crate) const fn lane_table_start() -> u64 {
     SUPERBLOCK_SIZE
 }
 
@@ -133,7 +135,7 @@ pub const fn lane_offset(i: u64) -> u64 {
 /// `pmem_sim::flight`). Page-aligned so inserting the region between the
 /// lane table and the heap shifts every heap offset by whole pages — page
 /// fault counts and all charge-accounted byte totals are unchanged.
-pub const FLIGHT_SIZE: u64 = 64 * 1024;
+pub(crate) const FLIGHT_SIZE: u64 = 64 * 1024;
 
 /// Start of the flight-recorder region.
 pub const fn flight_start() -> u64 {
@@ -211,7 +213,7 @@ impl Bytes for PmemDevice {
 }
 
 /// Timed source: every fetch is a charged device read on `clock`.
-pub struct Charged<'a> {
+pub(crate) struct Charged<'a> {
     pub device: &'a PmemDevice,
     pub clock: &'a Clock,
 }
@@ -324,7 +326,7 @@ pub const UNDO_CAPACITY: u64 = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
 const UNDO_REC_HDR: u64 = 12;
 
 /// Device offset of the intent array of the lane at `base`.
-pub const fn lane_intents(base: u64) -> u64 {
+pub(crate) const fn lane_intents(base: u64) -> u64 {
     base + LANE_HEADER_SIZE
 }
 
@@ -334,13 +336,13 @@ pub const fn lane_undo(base: u64) -> u64 {
 }
 
 /// Undo-log bytes a record with a `len`-byte pre-image occupies.
-pub const fn undo_record_size(len: u64) -> u64 {
+pub(crate) const fn undo_record_size(len: u64) -> u64 {
     UNDO_REC_HDR + len
 }
 
 /// One undo record as it is stored: offset, length, pre-image — contiguous,
 /// so one store and one flush cover it.
-pub fn encode_undo_record(off: u64, pre: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_undo_record(off: u64, pre: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(undo_record_size(pre.len() as u64) as usize);
     rec.extend_from_slice(&off.to_le_bytes());
     rec.extend_from_slice(&(pre.len() as u32).to_le_bytes());
@@ -350,7 +352,7 @@ pub fn encode_undo_record(off: u64, pre: &[u8]) -> Vec<u8> {
 
 /// One decoded undo record: restore `pre` at `off`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UndoRecord {
+pub(crate) struct UndoRecord {
     pub off: u64,
     pub pre: Vec<u8>,
 }
@@ -360,7 +362,7 @@ pub struct UndoRecord {
 /// log must fit the lane, every record must end inside the logged length,
 /// and every target must lie in the heap (where everything a transaction
 /// snapshots lives).
-pub fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
+pub(crate) fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
     let undo_len = src.u32_at(base + lane::UNDO_LEN) as u64;
     if undo_len > UNDO_CAPACITY {
         return bad(format!(
@@ -409,7 +411,7 @@ pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
 
 /// The blocks a committed transaction of the lane at `base` still has to
 /// free, slot order: its free intents, untagged.
-pub fn deferred_frees<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
+pub(crate) fn deferred_frees<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
     let frees = intents(src, base)?.into_iter().filter(|e| e & 1 == 1);
     Ok(frees.map(|e| e & !1).collect())
 }
@@ -509,17 +511,17 @@ pub fn walk_blocks(
 // ---- hashtable header + entry chain ----
 
 pub const HDR_BUCKETS: u64 = 0;
-pub const HDR_COUNT: u64 = 8;
+pub(crate) const HDR_COUNT: u64 = 8;
 pub const HDR_HEADS: u64 = 16;
 pub const HDR_OLD_BUCKETS: u64 = 24;
 pub const HDR_OLD_HEADS: u64 = 32;
-pub const HDR_CURSOR: u64 = 40;
-pub const HDR_DIRTY: u64 = 48;
-pub const HDR_SIZE: u64 = 56;
+pub(crate) const HDR_CURSOR: u64 = 40;
+pub(crate) const HDR_DIRTY: u64 = 48;
+pub(crate) const HDR_SIZE: u64 = 56;
 
-pub const ENT_HASH: u64 = 0;
-pub const ENT_KLEN: u64 = 8;
-pub const ENT_VLEN: u64 = 12;
+pub(crate) const ENT_HASH: u64 = 0;
+pub(crate) const ENT_KLEN: u64 = 8;
+pub(crate) const ENT_VLEN: u64 = 12;
 pub const ENT_NEXT: u64 = 16;
 pub const ENT_KEY: u64 = 24;
 
@@ -552,7 +554,7 @@ impl Geo {
     /// flight. A destination slot at or past the cursor is unreachable and
     /// is written without undo, so it may hold the head a rolled-back
     /// migration chunk left there: no walker may follow it.
-    pub fn head_runs(self) -> impl Iterator<Item = (u64, Range<u64>)> {
+    pub(crate) fn head_runs(self) -> impl Iterator<Item = (u64, Range<u64>)> {
         let (old, cursor) = (self.old_buckets, self.cursor);
         let reachable = match old {
             0 => [(self.heads, 0..self.buckets), (0, 0..0), (0, 0..0)],
@@ -569,7 +571,8 @@ impl Geo {
     }
 
     /// [`Geo::head_runs`], a slot at a time: `(head_slot, bucket)`.
-    pub fn head_slots(self) -> impl Iterator<Item = (u64, u64)> {
+    #[cfg(test)]
+    pub(crate) fn head_slots(self) -> impl Iterator<Item = (u64, u64)> {
         self.head_runs()
             .flat_map(|(array, buckets)| buckets.map(move |b| (array + b * 8, b)))
     }
@@ -578,7 +581,7 @@ impl Geo {
     /// slot holds, `(head_slot, bucket, head)`, every run fetched by one
     /// [`read_heads`] as the iteration reaches it. A head is as fresh as its
     /// run: the caller holds whatever pins the run's buckets.
-    pub fn heads<B: Bytes>(self, src: &B) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    pub(crate) fn heads<B: Bytes>(self, src: &B) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.head_runs()
             .flat_map(move |(array, buckets)| read_heads(src, array, buckets))
     }
@@ -587,7 +590,7 @@ impl Geo {
 /// Fetch the heads of `buckets` of the heads array at `array` with one read
 /// (in range — the header check covers both arrays): `(head_slot, bucket,
 /// head)` each.
-pub fn read_heads<B: Bytes>(
+pub(crate) fn read_heads<B: Bytes>(
     src: &B,
     array: u64,
     buckets: Range<u64>,
@@ -634,7 +637,7 @@ impl TableHeader {
     /// or new) outside the heap, a cursor past the old table, a new table
     /// that is not the old one doubled, split words without a split, or a
     /// dirty flag that is not a flag reject the header before it can fault.
-    pub fn check<B: Bytes>(&self, src: &B) -> Result<()> {
+    pub(crate) fn check<B: Bytes>(&self, src: &B) -> Result<()> {
         let g = self.geo;
         let fits = |off: u64, n: u64| n.checked_mul(8).is_some_and(|sz| src.in_heap(off, sz));
         if g.buckets == 0 || !fits(g.heads, g.buckets) {
@@ -666,7 +669,7 @@ impl TableHeader {
 /// What a chain walk fetches per hop: counting walks need only the 8-byte
 /// `next`; matching walks take the whole 24-byte entry header in one read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fetch {
+pub(crate) enum Fetch {
     Link,
     Header,
 }
@@ -674,7 +677,7 @@ pub enum Fetch {
 /// One chain entry's fixed-size header. Under [`Fetch::Link`] only `at`,
 /// `slot` and `next` are filled in.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Entry {
+pub(crate) struct Entry {
     /// Device offset of the entry.
     pub at: u64,
     /// The pointer slot that named it (head slot or predecessor's `next`).
@@ -686,11 +689,11 @@ pub struct Entry {
 }
 
 impl Entry {
-    pub fn value_off(&self) -> u64 {
+    pub(crate) fn value_off(&self) -> u64 {
         self.at + ENT_KEY + self.klen as u64
     }
 
-    pub fn key<B: Bytes>(&self, src: &B) -> Vec<u8> {
+    pub(crate) fn key<B: Bytes>(&self, src: &B) -> Vec<u8> {
         let mut k = vec![0u8; self.klen as usize];
         src.read(self.at + ENT_KEY, &mut k);
         k
@@ -700,7 +703,13 @@ impl Entry {
 /// A chain entry as it is stored — header, key and (when the caller has
 /// them; otherwise they are written in place later) the value bytes — in
 /// one buffer, so a fresh entry is one store.
-pub fn encode_entry(hash: u64, key: &[u8], vlen: u32, next: u64, value: Option<&[u8]>) -> Vec<u8> {
+pub(crate) fn encode_entry(
+    hash: u64,
+    key: &[u8],
+    vlen: u32,
+    next: u64,
+    value: Option<&[u8]>,
+) -> Vec<u8> {
     let mut ent = Vec::with_capacity(ENT_KEY as usize + key.len() + value.map_or(0, <[u8]>::len));
     ent.extend_from_slice(&hash.to_le_bytes());
     ent.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -713,7 +722,7 @@ pub fn encode_entry(hash: u64, key: &[u8], vlen: u32, next: u64, value: Option<&
 
 /// [`walk_from`] a head pointer this call fetches: one 8-byte read of
 /// `head_slot`.
-pub fn walk_chain<B: Bytes>(
+pub(crate) fn walk_chain<B: Bytes>(
     src: &B,
     head_slot: u64,
     fetch: Fetch,
@@ -727,7 +736,7 @@ pub fn walk_chain<B: Bytes>(
 /// dereference, handing each entry to `visit` until it answers `false`.
 /// Returns the entries fetched and how the walk ended: a bad hop ends the
 /// chain with the error.
-pub fn walk_from<B: Bytes>(
+pub(crate) fn walk_from<B: Bytes>(
     src: &B,
     head_slot: u64,
     head: u64,
@@ -759,7 +768,10 @@ pub fn walk_from<B: Bytes>(
             Fetch::Header => {
                 let mut b = [0u8; ENT_KEY as usize];
                 src.read(at, &mut b);
-                (e.hash, e.next) = (le_u64(&b), le_u64(&b[ENT_NEXT as usize..]));
+                (e.hash, e.next) = (
+                    le_u64(&b[ENT_HASH as usize..]),
+                    le_u64(&b[ENT_NEXT as usize..]),
+                );
                 (e.klen, e.vlen) = (
                     le_u32(&b[ENT_KLEN as usize..]),
                     le_u32(&b[ENT_VLEN as usize..]),
@@ -779,13 +791,13 @@ pub fn walk_from<B: Bytes>(
 
 // ---- log ring ----
 
-pub const LOG_CAPACITY: u64 = 0;
+pub(crate) const LOG_CAPACITY: u64 = 0;
 pub const LOG_HEAD: u64 = 8;
-pub const LOG_TAIL: u64 = 16;
-pub const LOG_HDR_LEN: u64 = 24;
+pub(crate) const LOG_TAIL: u64 = 16;
+pub(crate) const LOG_HDR_LEN: u64 = 24;
 
-pub const REC_HDR: u64 = 8; // len u32 + crc u32
-pub const WRAP: u32 = u32::MAX;
+pub(crate) const REC_HDR: u64 = 8; // len u32 + crc u32
+pub(crate) const WRAP: u32 = u32::MAX;
 
 /// One step of the reflected CRC-32 polynomial `0xEDB8_8320` per input bit.
 const fn crc32_byte(mut crc: u32) -> u32 {
@@ -823,7 +835,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 /// CRC-32 (IEEE: reflected polynomial `0xEDB8_8320`, init and final XOR
 /// `0xFFFF_FFFF`), eight bytes per step — small and dependency-free; the
 /// log's records carry it so recovery can reject torn bytes defensively.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     let mut words = data.chunks_exact(8);
@@ -847,7 +859,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Fetch and check a log's capacity word: the header and the whole ring
 /// must lie in the heap.
-pub fn log_capacity<B: Bytes>(src: &B, header: u64, ring: u64) -> Result<u64> {
+pub(crate) fn log_capacity<B: Bytes>(src: &B, header: u64, ring: u64) -> Result<u64> {
     if !src.in_heap(header, LOG_HDR_LEN) {
         return bad(format!("log header {header:#x} outside heap"));
     }
@@ -860,7 +872,7 @@ pub fn log_capacity<B: Bytes>(src: &B, header: u64, ring: u64) -> Result<u64> {
 
 /// Fetch a log's `(head, tail)` ring offsets; neither may exceed `capacity`
 /// (`tail == capacity` is legal: an append that exactly filled the ring).
-pub fn log_pointers<B: Bytes>(src: &B, header: u64, capacity: u64) -> Result<(u64, u64)> {
+pub(crate) fn log_pointers<B: Bytes>(src: &B, header: u64, capacity: u64) -> Result<(u64, u64)> {
     let head = src.u64_at(header + LOG_HEAD);
     let tail = src.u64_at(header + LOG_TAIL);
     check_log_pointers(head, tail, capacity)?;
@@ -869,7 +881,7 @@ pub fn log_pointers<B: Bytes>(src: &B, header: u64, capacity: u64) -> Result<(u6
 
 /// The plausibility rule of [`log_pointers`], for a caller that fetches the
 /// two words itself.
-pub fn check_log_pointers(head: u64, tail: u64, capacity: u64) -> Result<()> {
+pub(crate) fn check_log_pointers(head: u64, tail: u64, capacity: u64) -> Result<()> {
     if head > capacity || tail > capacity {
         return bad(format!(
             "log pointers outside ring: head {head} tail {tail} capacity {capacity}"
@@ -880,7 +892,7 @@ pub fn check_log_pointers(head: u64, tail: u64, capacity: u64) -> Result<()> {
 
 /// One committed record: ring-relative offset of its header + body length.
 #[derive(Debug, Clone, Copy)]
-pub struct RingRecord {
+pub(crate) struct RingRecord {
     pub at: u64,
     pub len: u64,
 }
@@ -888,7 +900,7 @@ pub struct RingRecord {
 impl RingRecord {
     /// Fetch the body, then the stored CRC; returns the bytes and whether
     /// they match.
-    pub fn body<B: Bytes>(&self, src: &B, ring: u64) -> (Vec<u8>, bool) {
+    pub(crate) fn body<B: Bytes>(&self, src: &B, ring: u64) -> (Vec<u8>, bool) {
         let mut body = vec![0u8; self.len as usize];
         src.read_data(ring + self.at + REC_HDR, &mut body);
         let ok = crc32(&body) == src.u32_at(ring + self.at + 4);
@@ -903,7 +915,7 @@ impl RingRecord {
 /// ring's start — at most once, which bounds a walk whose tail sits on no
 /// record boundary. Returns the ring offset just past the last record
 /// visited and how the walk ended.
-pub fn walk_ring<B: Bytes>(
+pub(crate) fn walk_ring<B: Bytes>(
     src: &B,
     ring: u64,
     capacity: u64,

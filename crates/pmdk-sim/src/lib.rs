@@ -7,10 +7,10 @@
 //! *Programming Persistent Memory* (ch. "PMDK Internals"):
 //!
 //! * [`pool::PmemPool`] — superblock-validated pools with a root object.
-//! * [`alloc`] — a segregated best-fit heap whose free list is volatile and
+//! * `alloc` — a segregated best-fit heap whose free list is volatile and
 //!   rebuilt on open; a single persisted block header is the commit point of
 //!   every allocation.
-//! * [`tx`] — lane-based undo-log transactions with allocation/free intents;
+//! * `tx` — lane-based undo-log transactions with allocation/free intents;
 //!   pool open rolls interrupted transactions back (ACTIVE) or forward
 //!   (COMMITTING).
 //! * [`hashtable::PersistentHashtable`] — the flat-namespace metadata index
@@ -21,16 +21,18 @@
 //! persistent: everything needed for recovery lives in the device; caches and
 //! free lists are reconstructed at `open`, exactly as PMDK does.
 
-pub mod alloc;
+#![warn(unreachable_pub)]
+
+mod alloc;
 pub mod doctor;
-pub mod error;
+mod error;
 pub mod hashtable;
 pub mod layout;
-pub mod log;
-pub mod pool;
-pub mod tx;
+mod log;
+mod pool;
+mod tx;
 
-pub use error::{PmdkError, Result};
+pub use error::PmdkError;
 pub use hashtable::PersistentHashtable;
 pub use log::PersistentLog;
 pub use pool::PmemPool;

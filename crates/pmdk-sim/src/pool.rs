@@ -16,7 +16,6 @@ pub struct PmemPool {
     device: Arc<PmemDevice>,
     heap: Mutex<Heap>,
     pub(crate) lanes: LaneTable,
-    layout: String,
     generation: u64,
     /// Superblock-recorded device-profile id (see `pmem_sim::profile`).
     device_profile_id: u32,
@@ -77,7 +76,6 @@ impl PmemPool {
             lanes: LaneTable::new(),
             heap: Mutex::new(heap),
             device,
-            layout: layout.to_string(),
             generation: 1,
             device_profile_id,
             flush_strategy,
@@ -124,7 +122,6 @@ impl PmemPool {
             lanes: LaneTable::new(),
             heap: Mutex::new(Heap::recover(Arc::clone(&device), heap_start(), size)?),
             device,
-            layout: layout.to_string(),
             generation,
             device_profile_id,
             flush_strategy,
@@ -152,10 +149,6 @@ impl PmemPool {
 
     pub fn device(&self) -> &Arc<PmemDevice> {
         &self.device
-    }
-
-    pub fn layout(&self) -> &str {
-        &self.layout
     }
 
     /// Pool generation: 1 at create, +1 per open. Stamped on flight `Mount`
@@ -189,7 +182,7 @@ impl PmemPool {
     }
 
     /// Allocate a group of payloads in one free-list pass (see
-    /// [`Heap::alloc_many`]). Offsets come back in request order.
+    /// `Heap::alloc_many`). Offsets come back in request order.
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
         self.alloc_planned(clock, sizes, |_| {})
     }
@@ -285,13 +278,13 @@ impl PmemPool {
         self.write_bytes(clock, off, &v.to_le_bytes());
     }
 
-    pub fn read_u32(&self, clock: &Clock, off: u64) -> u32 {
+    pub(crate) fn read_u32(&self, clock: &Clock, off: u64) -> u32 {
         let mut b = [0u8; 4];
         self.device.read_meta(clock, off as usize, &mut b);
         u32::from_le_bytes(b)
     }
 
-    pub fn write_u32(&self, clock: &Clock, off: u64, v: u32) {
+    pub(crate) fn write_u32(&self, clock: &Clock, off: u64, v: u32) {
         self.write_bytes(clock, off, &v.to_le_bytes());
     }
 
@@ -307,7 +300,7 @@ impl PmemPool {
     }
 
     /// This pool as a timed [`Bytes`] source for the shared format readers.
-    pub fn charged<'a>(&'a self, clock: &'a Clock) -> Charged<'a> {
+    pub(crate) fn charged<'a>(&'a self, clock: &'a Clock) -> Charged<'a> {
         Charged {
             device: &self.device,
             clock,
@@ -388,7 +381,7 @@ pub(crate) mod tests {
         let dev = Arc::clone(pool.device());
         drop(pool);
         let pool = PmemPool::open(&clock, dev, "test-layout").unwrap();
-        assert_eq!(pool.layout(), "test-layout");
+        assert_eq!(pool.generation(), 2, "one create, one open");
     }
 
     #[test]

@@ -34,19 +34,19 @@ use std::sync::Arc;
 
 /// Volatile lane bookkeeping: which lanes are free to claim.
 #[derive(Debug)]
-pub struct LaneTable {
+pub(crate) struct LaneTable {
     free: Mutex<Vec<u64>>,
 }
 
 impl LaneTable {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LaneTable {
             free: Mutex::new((0..LANES).rev().collect()),
         }
     }
 
     /// Persist pristine lane headers (pool create).
-    pub fn format(clock: &Clock, device: &Arc<pmem_sim::PmemDevice>) {
+    pub(crate) fn format(clock: &Clock, device: &Arc<pmem_sim::PmemDevice>) {
         let zeros = vec![0u8; LANE_HEADER_SIZE as usize];
         for i in 0..LANES {
             let off = lane_offset(i) as usize;
@@ -65,7 +65,7 @@ impl LaneTable {
 
     /// Scan all lanes and repair interrupted transactions.
     /// Returns how many lanes needed recovery.
-    pub fn recover(&self, clock: &Clock, pool: &PmemPool) -> Result<u64> {
+    pub(crate) fn recover(&self, clock: &Clock, pool: &PmemPool) -> Result<u64> {
         let mut repaired = 0;
         for i in 0..LANES {
             let base = lane_offset(i);
@@ -147,7 +147,7 @@ pub struct Tx<'a> {
 
 impl<'a> Tx<'a> {
     /// Run `body` in a transaction; commit on `Ok`, roll back on `Err`.
-    pub fn run<T>(
+    pub(crate) fn run<T>(
         pool: &'a Arc<PmemPool>,
         clock: &'a Clock,
         body: impl FnOnce(&mut Tx<'_>) -> Result<T>,
@@ -223,7 +223,7 @@ impl<'a> Tx<'a> {
     }
 
     /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's undo log.
-    pub fn undo_fits(&self, words: u64) -> bool {
+    pub(crate) fn undo_fits(&self, words: u64) -> bool {
         self.undo_used + words * undo_record_size(8) <= UNDO_CAPACITY
     }
 

@@ -16,7 +16,7 @@
 use std::cell::UnsafeCell;
 
 /// Fixed-size shared byte buffer, zero-initialized.
-pub struct SharedBuffer {
+pub(crate) struct SharedBuffer {
     data: Box<[UnsafeCell<u8>]>,
 }
 
@@ -27,7 +27,7 @@ unsafe impl Sync for SharedBuffer {}
 
 impl SharedBuffer {
     /// Allocate `len` zeroed bytes.
-    pub fn new(len: usize) -> Self {
+    pub(crate) fn new(len: usize) -> Self {
         // A Vec of zeroed u8 transmutes layout-compatibly to UnsafeCell<u8>.
         let v: Vec<UnsafeCell<u8>> = (0..len).map(|_| UnsafeCell::new(0)).collect();
         SharedBuffer {
@@ -36,13 +36,8 @@ impl SharedBuffer {
     }
 
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     #[inline]
@@ -55,7 +50,7 @@ impl SharedBuffer {
     /// Panics if the range is out of bounds. Concurrent calls must target
     /// disjoint ranges (see module docs).
     #[inline]
-    pub fn write(&self, off: usize, src: &[u8]) {
+    pub(crate) fn write(&self, off: usize, src: &[u8]) {
         assert!(
             off.checked_add(src.len())
                 .is_some_and(|end| end <= self.len()),
@@ -71,7 +66,7 @@ impl SharedBuffer {
 
     /// Copy from the buffer at `off` into `dst`.
     #[inline]
-    pub fn read(&self, off: usize, dst: &mut [u8]) {
+    pub(crate) fn read(&self, off: usize, dst: &mut [u8]) {
         assert!(
             off.checked_add(dst.len())
                 .is_some_and(|end| end <= self.len()),
@@ -86,7 +81,7 @@ impl SharedBuffer {
     }
 
     /// Zero the given range.
-    pub fn zero(&self, off: usize, len: usize) {
+    pub(crate) fn zero(&self, off: usize, len: usize) {
         assert!(
             off.checked_add(len).is_some_and(|end| end <= self.len()),
             "SharedBuffer zero out of bounds: off={off} len={len} cap={}",
@@ -99,7 +94,7 @@ impl SharedBuffer {
     }
 
     /// Read a copy of the range as a `Vec` (convenience for tests/metadata).
-    pub fn read_vec(&self, off: usize, len: usize) -> Vec<u8> {
+    pub(crate) fn read_vec(&self, off: usize, len: usize) -> Vec<u8> {
         let mut v = vec![0u8; len];
         self.read(off, &mut v);
         v
@@ -112,7 +107,7 @@ impl SharedBuffer {
     /// out by the workspace allocators are disjoint per record, so readers
     /// of committed records satisfy this by construction.
     #[inline]
-    pub fn with_slice<R>(&self, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+    pub(crate) fn with_slice<R>(&self, off: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
         assert!(
             off.checked_add(len).is_some_and(|end| end <= self.len()),
             "SharedBuffer with_slice out of bounds: off={off} len={len} cap={}",
@@ -126,7 +121,7 @@ impl SharedBuffer {
 
     /// Copy `len` bytes from `src_off` in `src` to `dst_off` in `self`.
     /// The two buffers may be the same object only if the ranges are disjoint.
-    pub fn copy_from(&self, dst_off: usize, src: &SharedBuffer, src_off: usize, len: usize) {
+    pub(crate) fn copy_from(&self, dst_off: usize, src: &SharedBuffer, src_off: usize, len: usize) {
         assert!(src_off + len <= src.len() && dst_off + len <= self.len());
         // SAFETY: bounds checked; caller guarantees disjointness.
         unsafe {

@@ -122,7 +122,7 @@ impl PmemDevice {
     /// Load bytes as a borrowed slice — same charges as [`PmemDevice::read`]
     /// but without a DRAM destination buffer. The disjointness contract of
     /// [`SharedBuffer::with_slice`] applies for the duration of `f`.
-    pub fn read_borrowed<R>(
+    pub(crate) fn read_borrowed<R>(
         &self,
         clock: &Clock,
         off: usize,
@@ -133,12 +133,6 @@ impl PmemDevice {
         // staged `read` of the same range (emit callbacks charge on top).
         self.machine.charge_pmem_read(clock, len as u64);
         self.buf.with_slice(off, len, f)
-    }
-
-    /// Zero a range, charged as a write stream.
-    pub fn zero(&self, clock: &Clock, off: usize, len: usize) {
-        self.zero_untimed(off, len);
-        self.machine.charge_pmem_write(clock, len as u64);
     }
 
     /// Metadata store: real data movement, timed *without* byte scaling
@@ -198,7 +192,13 @@ impl PmemDevice {
     /// ntstore-style streaming writeback, each followed by the trailing
     /// fence. `Clwb` is charge-for-charge identical to
     /// [`PmemDevice::persist`].
-    pub fn persist_with(&self, clock: &Clock, off: usize, len: usize, strategy: FlushStrategy) {
+    pub(crate) fn persist_with(
+        &self,
+        clock: &Clock,
+        off: usize,
+        len: usize,
+        strategy: FlushStrategy,
+    ) {
         match strategy {
             FlushStrategy::Clwb => self.flush(clock, off, len),
             FlushStrategy::Ntstore => {
@@ -210,7 +210,8 @@ impl PmemDevice {
     }
 
     /// Number of unpersisted cachelines (Tracked mode only).
-    pub fn dirty_lines(&self) -> usize {
+    #[cfg(test)]
+    fn dirty_lines(&self) -> usize {
         self.tracker.as_ref().map_or(0, |t| t.dirty_lines())
     }
 
@@ -224,13 +225,13 @@ impl PmemDevice {
     }
 
     /// Simulate a power failure: every store no fence has made durable is
-    /// lost — the all-lost point of [`PmemDevice::crash_keeping`].
+    /// lost — the all-lost point of `PmemDevice::crash_keeping`.
     pub fn crash(&self) {
         self.crash_keeping(&[]);
     }
 
     /// The cachelines a power failure right now may or may not find on
-    /// media (see [`PersistenceTracker::in_flight`]).
+    /// media (see `PersistenceTracker::in_flight`).
     pub fn in_flight(&self) -> Vec<InFlightLine> {
         self.tracked().in_flight(&self.buf)
     }
@@ -243,7 +244,7 @@ impl PmemDevice {
 
     /// Simulate the power failure in which exactly `reached` of
     /// [`Self::in_flight`] made it to media.
-    pub fn crash_keeping(&self, reached: &[InFlightLine]) {
+    pub(crate) fn crash_keeping(&self, reached: &[InFlightLine]) {
         self.tracked().crash_restore(&self.buf, reached);
     }
 
@@ -401,7 +402,7 @@ mod tests {
         let c = Clock::new();
         dev.write(&c, 0, &[9; 256]);
         dev.persist(&c, 0, 256);
-        dev.zero(&c, 0, 128);
+        dev.zero_meta(&c, 0, 128);
         dev.crash(); // zeroing wasn't flushed -> old data returns
         assert_eq!(dev.read_vec_untimed(0, 128), vec![9; 128]);
     }

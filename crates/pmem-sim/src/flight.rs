@@ -35,16 +35,16 @@ use crate::time::Clock;
 use std::sync::Arc;
 
 /// Ring header magic ("FLTREC01").
-pub const FLIGHT_MAGIC: u64 = 0x464c_5452_4543_3031;
+pub(crate) const FLIGHT_MAGIC: u64 = 0x464c_5452_4543_3031;
 /// Bytes per event slot (one cacheline: a slot persist is one line flush).
-pub const SLOT_SIZE: u64 = 64;
+pub(crate) const SLOT_SIZE: u64 = 64;
 /// Ring header size (one slot's worth; fields below).
-pub const FLIGHT_HEADER_SIZE: u64 = 64;
+pub(crate) const FLIGHT_HEADER_SIZE: u64 = 64;
 
 /// Header field offsets (relative to the ring base).
 pub mod hdr {
-    pub const MAGIC: u64 = 0;
-    pub const SLOTS: u64 = 8;
+    pub(crate) const MAGIC: u64 = 0;
+    pub(crate) const SLOTS: u64 = 8;
     pub const NEXT_SEQ: u64 = 16;
 }
 
@@ -61,14 +61,14 @@ macro_rules! event_codes {
         }
 
         impl EventCode {
-            pub fn from_u16(v: u16) -> Option<EventCode> {
+            pub(crate) fn from_u16(v: u16) -> Option<EventCode> {
                 match v {
                     $($code => Some(EventCode::$variant),)+
                     _ => None,
                 }
             }
 
-            pub fn name(self) -> &'static str {
+            pub(crate) fn name(self) -> &'static str {
                 match self {
                     $(EventCode::$variant => $name,)+
                 }
@@ -131,7 +131,7 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
-    pub fn encode(&self) -> [u8; SLOT_SIZE as usize] {
+    pub(crate) fn encode(&self) -> [u8; SLOT_SIZE as usize] {
         let mut s = [0u8; SLOT_SIZE as usize];
         s[0..8].copy_from_slice(&self.seq.to_le_bytes());
         s[8..16].copy_from_slice(&self.time_ns.to_le_bytes());
@@ -142,7 +142,7 @@ impl FlightEvent {
         s
     }
 
-    pub fn decode(s: &[u8]) -> FlightEvent {
+    pub(crate) fn decode(s: &[u8]) -> FlightEvent {
         let word = |o: usize| u64::from_le_bytes(s[o..o + 8].try_into().unwrap());
         let half = |o: usize| u16::from_le_bytes(s[o..o + 2].try_into().unwrap());
         FlightEvent {
@@ -186,8 +186,8 @@ impl FlightRecorder {
         let slots = (region_len - FLIGHT_HEADER_SIZE) / SLOT_SIZE;
         assert!(slots >= 2, "flight ring region too small");
         let mut h = [0u8; FLIGHT_HEADER_SIZE as usize];
-        h[0..8].copy_from_slice(&FLIGHT_MAGIC.to_le_bytes());
-        h[8..16].copy_from_slice(&slots.to_le_bytes());
+        h[hdr::MAGIC as usize..][..8].copy_from_slice(&FLIGHT_MAGIC.to_le_bytes());
+        h[hdr::SLOTS as usize..][..8].copy_from_slice(&slots.to_le_bytes());
         dev.write_untimed(base as usize, &h);
         dev.persist_untimed(base as usize, h.len());
         FlightRecorder {
@@ -201,11 +201,7 @@ impl FlightRecorder {
     /// Attach to an existing ring; falls back to formatting when the header
     /// does not validate (a pool image that predates the recorder).
     pub fn attach_or_format(dev: Arc<PmemDevice>, base: u64, region_len: u64) -> FlightRecorder {
-        let mut h = [0u8; FLIGHT_HEADER_SIZE as usize];
-        dev.read_untimed(base as usize, &mut h);
-        let magic = u64::from_le_bytes(h[0..8].try_into().unwrap());
-        let slots = u64::from_le_bytes(h[8..16].try_into().unwrap());
-        let next = u64::from_le_bytes(h[16..24].try_into().unwrap());
+        let (magic, slots, next) = read_header(&dev, base);
         let max_slots = (region_len - FLIGHT_HEADER_SIZE) / SLOT_SIZE;
         if magic != FLIGHT_MAGIC || slots == 0 || slots > max_slots {
             return Self::format(dev, base, region_len);
@@ -243,9 +239,9 @@ impl FlightRecorder {
         *next = seq + 1;
     }
 
-    /// Read back the surviving events, oldest first (read-only; usable on a
-    /// live recorder or via [`scan_ring`] on a raw image).
-    pub fn scan(&self) -> Vec<FlightEvent> {
+    /// Read back the surviving events, oldest first.
+    #[cfg(test)]
+    fn scan(&self) -> Vec<FlightEvent> {
         scan_ring(&self.dev, self.base)
     }
 }
@@ -255,11 +251,7 @@ impl FlightRecorder {
 /// with the header (torn or never-written) are skipped. Returns an empty
 /// vector when the header does not validate.
 pub fn scan_ring(dev: &PmemDevice, base: u64) -> Vec<FlightEvent> {
-    let mut h = [0u8; FLIGHT_HEADER_SIZE as usize];
-    dev.read_untimed(base as usize, &mut h);
-    let magic = u64::from_le_bytes(h[0..8].try_into().unwrap());
-    let slots = u64::from_le_bytes(h[8..16].try_into().unwrap());
-    let next = u64::from_le_bytes(h[16..24].try_into().unwrap());
+    let (magic, slots, next) = read_header(dev, base);
     if magic != FLIGHT_MAGIC || slots == 0 {
         return Vec::new();
     }
@@ -275,6 +267,14 @@ pub fn scan_ring(dev: &PmemDevice, base: u64) -> Vec<FlightEvent> {
         }
     }
     out
+}
+
+/// The ring header's `(magic, slots, next_seq)` words, untimed.
+fn read_header(dev: &PmemDevice, base: u64) -> (u64, u64, u64) {
+    let mut h = [0u8; FLIGHT_HEADER_SIZE as usize];
+    dev.read_untimed(base as usize, &mut h);
+    let word = |o: u64| u64::from_le_bytes(h[o as usize..][..8].try_into().unwrap());
+    (word(hdr::MAGIC), word(hdr::SLOTS), word(hdr::NEXT_SEQ))
 }
 
 #[cfg(test)]

@@ -31,34 +31,32 @@
 //! assert_eq!(dev.read_vec_untimed(0, 10), b"checkpoint");
 //! ```
 
-pub mod buffer;
-pub mod device;
+#![warn(unreachable_pub)]
+
+mod buffer;
+mod device;
 pub mod flight;
-pub mod machine;
-pub mod metrics;
-pub mod mmap;
-pub mod persistence;
+mod machine;
+mod metrics;
+mod mmap;
+mod persistence;
 pub mod profile;
-pub mod rng;
-pub mod stats;
+mod rng;
+mod stats;
 pub mod sync;
-pub mod time;
+mod time;
 pub mod trace;
 
-pub use buffer::SharedBuffer;
 pub use device::{PersistenceMode, PmemDevice};
-pub use flight::{scan_ring, EventCode, FlightEvent, FlightRecorder};
-pub use machine::{Machine, MachineConfig, Span};
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use flight::{EventCode, FlightRecorder};
+pub use machine::{Machine, MachineConfig};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use mmap::DaxMapping;
-pub use persistence::{crash_subsets, InFlightLine, LineState};
-pub use profile::{autotune_flush, DeviceProfile, FlushStrategy};
+pub use persistence::crash_subsets;
+pub use profile::{autotune_flush, FlushStrategy};
 pub use rng::DetRng;
-pub use stats::{Stats, StatsSnapshot};
-pub use time::{
-    atomic_section, enter_rank, in_atomic_section, interaction_point, AtomicSection, Clock,
-    ClockGate, RankGuard, SimTime,
-};
+pub use stats::StatsSnapshot;
+pub use time::{atomic_section, enter_rank, interaction_point, Clock, ClockGate, SimTime};
 pub use trace::{
     chrome_trace_json, CollectingSink, TraceSpan, TraceSummary, CKPT_LANE, DRAIN_LANE,
 };

@@ -394,7 +394,7 @@ impl Machine {
     }
 
     /// Multiplier applied to CPU-bound work when more ranks than cores run.
-    pub fn cpu_factor(&self) -> u64 {
+    pub(crate) fn cpu_factor(&self) -> u64 {
         let ranks = self.active_ranks();
         (ranks as u64).div_ceil(self.config.cores as u64).max(1)
     }
@@ -487,7 +487,7 @@ impl Machine {
     }
 
     /// Metadata load: unscaled counterpart of [`Machine::charge_pmem_read`].
-    pub fn charge_pmem_read_meta(&self, clock: &Clock, bytes: u64) {
+    pub(crate) fn charge_pmem_read_meta(&self, clock: &Clock, bytes: u64) {
         self.pmem_read(clock, "pmem.meta_read", bytes);
     }
 
@@ -525,7 +525,7 @@ impl Machine {
 
     /// `n` minor faults on a DAX mapping; with `map_sync` each dirty page
     /// additionally waits for filesystem metadata synchronization.
-    pub fn charge_page_faults(&self, clock: &Clock, n: u64, map_sync: bool) {
+    pub(crate) fn charge_page_faults(&self, clock: &Clock, n: u64, map_sync: bool) {
         if n == 0 {
             return;
         }
@@ -542,7 +542,7 @@ impl Machine {
     /// Flush a byte range of cachelines toward the persistence domain.
     /// Free (no time, no counter) on eADR profiles: the cache already sits
     /// inside the persistence domain, so no writeback is ever issued.
-    pub fn charge_flush(&self, clock: &Clock, bytes: u64) {
+    pub(crate) fn charge_flush(&self, clock: &Clock, bytes: u64) {
         let c = &self.config;
         self.writeback(clock, "flush", bytes, c.flush_base, c.flush_per_line);
     }
@@ -551,7 +551,7 @@ impl Machine {
     /// whole-record writeback instead of per-line CLWB. Shares the
     /// `flush_calls` counter with [`Machine::charge_flush`] — both are one
     /// persist-initiation per call — and is likewise free on eADR profiles.
-    pub fn charge_ntstore(&self, clock: &Clock, bytes: u64) {
+    pub(crate) fn charge_ntstore(&self, clock: &Clock, bytes: u64) {
         let c = &self.config;
         self.writeback(clock, "ntstore", bytes, c.ntstore_base, c.ntstore_per_line);
     }
@@ -574,7 +574,7 @@ impl Machine {
     }
 
     /// A store fence.
-    pub fn charge_fence(&self, clock: &Clock) {
+    pub(crate) fn charge_fence(&self, clock: &Clock) {
         self.stats.fences.fetch_add(1, Relaxed);
         self.charge_compute_labeled(clock, self.config.fence, "fence");
     }
@@ -604,7 +604,7 @@ impl Machine {
 
     /// Run `f` with a *quiesced* snapshot of the machine's counters.
     ///
-    /// [`Stats`] counters are advisory Relaxed atomics: a snapshot taken
+    /// `Stats` counters are advisory Relaxed atomics: a snapshot taken
     /// while other ranks are still charging can land between the fields of
     /// one logical operation, and `Stats::reset` racing a snapshot can
     /// under-report a region (see the contract on [`StatsSnapshot`]).

@@ -38,7 +38,7 @@ thread_local! {
 }
 
 /// The innermost active phase label on this thread, if any.
-pub fn current_phase() -> Option<&'static str> {
+pub(crate) fn current_phase() -> Option<&'static str> {
     PHASE_STACK.with(|s| s.borrow().last().copied())
 }
 
@@ -55,7 +55,7 @@ pub(crate) fn pop_phase() {
 
 /// Number of log₂ buckets: bucket `i` holds samples with
 /// `2^(i-1) ≤ ns < 2^i` (bucket 0 holds zero-duration samples).
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// A fixed-shape log₂ histogram of virtual durations (nanoseconds).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,11 +85,11 @@ impl Histogram {
     /// Bucket index for a duration: its bit length, saturating at the last
     /// bucket (samples ≥ 2⁶³ ns share it with those ≥ 2⁶²).
     #[inline]
-    pub fn bucket_of(d: SimTime) -> usize {
+    pub(crate) fn bucket_of(d: SimTime) -> usize {
         ((64 - d.0.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
     }
 
-    pub fn record(&mut self, d: SimTime) {
+    pub(crate) fn record(&mut self, d: SimTime) {
         self.count += 1;
         self.sum += d;
         self.min = self.min.min(d);
@@ -98,7 +98,7 @@ impl Histogram {
     }
 
     /// `min` as recorded, or zero for an empty histogram.
-    pub fn min_or_zero(&self) -> SimTime {
+    pub(crate) fn min_or_zero(&self) -> SimTime {
         if self.count == 0 {
             SimTime::ZERO
         } else {
@@ -141,7 +141,7 @@ impl MetricsRegistry {
     }
 
     /// Add `n` to the named counter.
-    pub fn counter_add(&self, name: &str, n: u64) {
+    pub(crate) fn counter_add(&self, name: &str, n: u64) {
         let mut inner = self.inner.lock();
         match inner.counters.get_mut(name) {
             Some(v) => *v += n,
@@ -152,7 +152,7 @@ impl MetricsRegistry {
     }
 
     /// Record a virtual duration into the named histogram.
-    pub fn hist_record(&self, name: &str, d: SimTime) {
+    pub(crate) fn hist_record(&self, name: &str, d: SimTime) {
         let mut inner = self.inner.lock();
         match inner.hists.get_mut(name) {
             Some(h) => h.record(d),
@@ -165,7 +165,7 @@ impl MetricsRegistry {
     }
 
     /// Attribute `d` of virtual time on `lane` to phase `label`.
-    pub fn phase_add(&self, lane: u64, label: &str, d: SimTime) {
+    pub(crate) fn phase_add(&self, lane: u64, label: &str, d: SimTime) {
         if d == SimTime::ZERO {
             return;
         }
@@ -211,7 +211,7 @@ impl MetricsSnapshot {
     }
 
     /// All lanes that have phase time attributed, ascending.
-    pub fn lanes(&self) -> Vec<u64> {
+    pub(crate) fn lanes(&self) -> Vec<u64> {
         let mut lanes: Vec<u64> = self.phases.keys().map(|(lane, _)| *lane).collect();
         lanes.dedup();
         lanes

@@ -107,10 +107,6 @@ impl DaxMapping {
         self.len == 0
     }
 
-    pub fn map_sync(&self) -> bool {
-        self.map_sync
-    }
-
     pub fn device(&self) -> &Arc<PmemDevice> {
         &self.device
     }
@@ -167,7 +163,7 @@ impl DaxMapping {
     /// accounting and read charges to [`DaxMapping::load`], but `f` sees the
     /// device bytes directly — no DRAM staging buffer. The caller must not
     /// write `[off, off+len)` concurrently for the duration of `f` (the
-    /// [`crate::buffer::SharedBuffer`] disjointness contract).
+    /// `crate::buffer::SharedBuffer` disjointness contract).
     pub fn load_borrowed<R>(
         &self,
         clock: &Clock,
@@ -181,16 +177,8 @@ impl DaxMapping {
         self.device.read_borrowed(clock, self.base + off, len, f)
     }
 
-    /// Persist a range of the mapping (CLWB range + SFENCE).
-    pub fn persist(&self, clock: &Clock, off: usize, len: usize) {
-        self.assert_mapped();
-        self.check_range(off, len);
-        self.device.persist(clock, self.base + off, len);
-    }
-
-    /// Persist a range with an explicit flush strategy (see
-    /// [`crate::profile::FlushStrategy`]); `Clwb` is identical to
-    /// [`DaxMapping::persist`].
+    /// Persist a range of the mapping with an explicit flush strategy (see
+    /// [`crate::profile::FlushStrategy`]); `Clwb` is a CLWB range + SFENCE.
     pub fn persist_with(
         &self,
         clock: &Clock,
@@ -301,7 +289,7 @@ mod tests {
         let (m, c) = mapping(false);
         m.store(&c, 0, &[3; 1024]);
         let t = c.now();
-        m.persist(&c, 0, 1024);
+        m.persist_with(&c, 0, 1024, crate::profile::FlushStrategy::Clwb);
         assert!(c.now() > t);
         assert_eq!(m.device().machine().stats.snapshot().fences, 1);
     }

@@ -23,30 +23,25 @@ use crate::rng::DetRng;
 use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-pub const CACHELINE: usize = 64;
+pub(crate) const CACHELINE: usize = 64;
 
 /// One bit per cacheline, concurrently settable.
 #[derive(Debug)]
-pub struct DirtyBitmap {
+pub(crate) struct DirtyBitmap {
     words: Box<[AtomicU64]>,
     lines: usize,
 }
 
 impl DirtyBitmap {
-    pub fn new(bytes: usize) -> Self {
+    pub(crate) fn new(bytes: usize) -> Self {
         let lines = bytes.div_ceil(CACHELINE);
         let words = (0..lines.div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
         DirtyBitmap { words, lines }
     }
 
-    #[inline]
-    pub fn lines(&self) -> usize {
-        self.lines
-    }
-
     /// Mark every line overlapping `[off, off+len)` dirty: one atomic per
     /// 64-line word.
-    pub fn mark_range(&self, off: usize, len: usize) {
+    pub(crate) fn mark_range(&self, off: usize, len: usize) {
         if len == 0 {
             return;
         }
@@ -61,7 +56,12 @@ impl DirtyBitmap {
     /// 64-line word, handing each maximal run of consecutive dirty lines to
     /// `run(first line, line count)` in ascending order. Returns how many
     /// lines were dirty.
-    pub fn take_range(&self, off: usize, len: usize, mut run: impl FnMut(usize, usize)) -> usize {
+    pub(crate) fn take_range(
+        &self,
+        off: usize,
+        len: usize,
+        mut run: impl FnMut(usize, usize),
+    ) -> usize {
         if len == 0 {
             return 0;
         }
@@ -97,11 +97,13 @@ impl DirtyBitmap {
         taken
     }
 
-    pub fn is_dirty(&self, line: usize) -> bool {
+    #[cfg(test)]
+    fn is_dirty(&self, line: usize) -> bool {
         self.words[line / 64].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
     }
 
-    pub fn count_dirty(&self) -> usize {
+    #[cfg(test)]
+    fn count_dirty(&self) -> usize {
         self.words
             .iter()
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
@@ -109,7 +111,7 @@ impl DirtyBitmap {
     }
 
     /// Every dirty line, ascending.
-    pub fn dirty_lines(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn dirty_lines(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(w, word)| {
             let bits = word.load(Ordering::Relaxed);
             (0..64)
@@ -118,7 +120,7 @@ impl DirtyBitmap {
         })
     }
 
-    pub fn clear_all(&self) {
+    pub(crate) fn clear_all(&self) {
         for w in self.words.iter() {
             w.store(0, Ordering::Relaxed);
         }
@@ -183,7 +185,7 @@ fn span(line: usize, count: usize, limit: usize) -> (usize, usize) {
 /// shadow). One stated simplification: a fence retires every flushed line of
 /// the device, whichever rank flushed it — exact for one rank.
 #[derive(Debug)]
-pub struct PersistenceTracker {
+pub(crate) struct PersistenceTracker {
     /// The durable image: what every fence so far has made certain.
     shadow: SharedBuffer,
     dirty: DirtyBitmap,
@@ -198,7 +200,7 @@ pub struct PersistenceTracker {
 }
 
 impl PersistenceTracker {
-    pub fn new(bytes: usize) -> Self {
+    pub(crate) fn new(bytes: usize) -> Self {
         PersistenceTracker {
             shadow: SharedBuffer::new(bytes),
             dirty: DirtyBitmap::new(bytes),
@@ -210,7 +212,7 @@ impl PersistenceTracker {
     /// Record that `[off, off+len)` of `working` is about to be overwritten
     /// (call before the store): a flushed run the store touches keeps the
     /// bytes it was flushed with.
-    pub fn record_write(&self, working: &SharedBuffer, off: usize, len: usize) {
+    pub(crate) fn record_write(&self, working: &SharedBuffer, off: usize, len: usize) {
         if len != 0 && self.flushed_runs.load(Ordering::Relaxed) != 0 {
             let (first, last) = (off / CACHELINE, (off + len - 1) / CACHELINE);
             for run in self.flushed.lock().iter_mut() {
@@ -226,7 +228,7 @@ impl PersistenceTracker {
     /// Flush the dirty lines of `[off, off+len)` toward media: they stop
     /// being dirty and become durable at the next [`Self::fence`]. Returns
     /// the number of lines flushed.
-    pub fn flush(&self, off: usize, len: usize) -> usize {
+    pub(crate) fn flush(&self, off: usize, len: usize) -> usize {
         let mut flushed = self.flushed.lock();
         let taken = self.dirty.take_range(off, len, |line, count| {
             flushed.push(FlushedRun {
@@ -240,7 +242,7 @@ impl PersistenceTracker {
     }
 
     /// Retire every flushed run into the durable image.
-    pub fn fence(&self, working: &SharedBuffer) {
+    pub(crate) fn fence(&self, working: &SharedBuffer) {
         let mut flushed = self.flushed.lock();
         for run in flushed.drain(..) {
             let (start, n) = run.span(working.len());
@@ -255,7 +257,7 @@ impl PersistenceTracker {
     /// Flush + fence of `[off, off+len)` alone: its dirty lines go straight
     /// to the durable image and no other line's state moves (the untimed
     /// persist of layers the cost model must not see).
-    pub fn persist_range(&self, working: &SharedBuffer, off: usize, len: usize) {
+    pub(crate) fn persist_range(&self, working: &SharedBuffer, off: usize, len: usize) {
         let _g = self.flushed.lock();
         self.dirty.take_range(off, len, |line, count| {
             let (start, n) = span(line, count, working.len());
@@ -268,7 +270,7 @@ impl PersistenceTracker {
     /// order, each with the bytes it would carry. A line flushed and stored
     /// to again appears once in each state; applied in this order the later
     /// store wins.
-    pub fn in_flight(&self, working: &SharedBuffer) -> Vec<InFlightLine> {
+    pub(crate) fn in_flight(&self, working: &SharedBuffer) -> Vec<InFlightLine> {
         let flushed = self.flushed.lock();
         let mut out = Vec::new();
         let mut push = |line, state, bytes| out.push(InFlightLine { line, state, bytes });
@@ -291,7 +293,7 @@ impl PersistenceTracker {
 
     /// The image media holds if exactly `reached` of the in-flight lines
     /// made it: the durable image with those lines applied in order.
-    pub fn image(&self, reached: &[InFlightLine]) -> Vec<u8> {
+    pub(crate) fn image(&self, reached: &[InFlightLine]) -> Vec<u8> {
         let _g = self.flushed.lock();
         let mut image = self.shadow.read_vec(0, self.shadow.len());
         for l in reached {
@@ -304,7 +306,7 @@ impl PersistenceTracker {
     /// lines made it to media (none: every unfenced store is lost): they
     /// join the durable image, the working buffer is restored from it and
     /// nothing is in flight any more.
-    pub fn crash_restore(&self, working: &SharedBuffer, reached: &[InFlightLine]) {
+    pub(crate) fn crash_restore(&self, working: &SharedBuffer, reached: &[InFlightLine]) {
         let mut flushed = self.flushed.lock();
         for l in reached {
             self.shadow.write(l.line * CACHELINE, &l.bytes);
@@ -316,14 +318,15 @@ impl PersistenceTracker {
     }
 
     /// Number of lines currently dirty (stored, not flushed).
-    pub fn dirty_lines(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dirty_lines(&self) -> usize {
         self.dirty.count_dirty()
     }
 }
 
 /// Which subsets of `n` in-flight lines to materialise at one crash point,
 /// each as the ascending indices of the lines that reached media. Up to
-/// [`EXHAUSTIVE_LINES`] lines: all `2^n`. Beyond: none, all, and `samples`
+/// `EXHAUSTIVE_LINES` lines: all `2^n`. Beyond: none, all, and `samples`
 /// subsets drawn from `rng` (each line kept with probability one half), so
 /// a failure replays from the seed.
 pub fn crash_subsets(n: usize, samples: usize, rng: &mut DetRng) -> Vec<Vec<usize>> {
@@ -338,7 +341,7 @@ pub fn crash_subsets(n: usize, samples: usize, rng: &mut DetRng) -> Vec<Vec<usiz
 
 /// Largest in-flight set [`crash_subsets`] enumerates exhaustively (16
 /// images a crash point).
-pub const EXHAUSTIVE_LINES: usize = 4;
+pub(crate) const EXHAUSTIVE_LINES: usize = 4;
 
 #[cfg(test)]
 mod tests {

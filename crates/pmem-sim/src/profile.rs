@@ -38,7 +38,8 @@ pub enum FlushStrategy {
 }
 
 impl FlushStrategy {
-    pub const ALL: [FlushStrategy; 2] = [FlushStrategy::Clwb, FlushStrategy::Ntstore];
+    #[cfg(test)]
+    const ALL: [FlushStrategy; 2] = [FlushStrategy::Clwb, FlushStrategy::Ntstore];
 
     pub fn name(self) -> &'static str {
         match self {
@@ -47,7 +48,8 @@ impl FlushStrategy {
         }
     }
 
-    pub fn from_name(name: &str) -> Option<Self> {
+    #[cfg(test)]
+    fn from_name(name: &str) -> Option<Self> {
         match name {
             "clwb" => Some(FlushStrategy::Clwb),
             "ntstore" => Some(FlushStrategy::Ntstore),
@@ -91,21 +93,21 @@ pub trait DeviceProfile: Send + Sync {
 
 /// The paper's testbed: gen1 Optane emulated per the Strata method.
 /// Byte-identical to [`MachineConfig::chameleon_skylake`] by construction.
-pub struct OptaneGen1;
+pub(crate) struct OptaneGen1;
 
 /// Second-generation Optane (Barlow-Pass-like): lower media latency, more
 /// aggregate bandwidth, and a controller whose write-combining makes
 /// streaming stores the cheaper persist primitive for record-sized writes.
-pub struct OptaneGen2;
+pub(crate) struct OptaneGen2;
 
 /// An eADR platform on gen2-class media: the cache hierarchy is inside the
 /// persistence domain, so flushes cost nothing (fences still order stores).
-pub struct Eadr;
+pub(crate) struct Eadr;
 
 /// CXL-attached persistent memory: every access pays the fabric round
 /// trip, and the controller's buffered write path inverts the read/write
 /// bandwidth asymmetry relative to Optane.
-pub struct Cxl;
+pub(crate) struct Cxl;
 
 impl DeviceProfile for OptaneGen1 {
     fn name(&self) -> &'static str {
@@ -196,7 +198,7 @@ impl DeviceProfile for Cxl {
 }
 
 /// Every built-in profile, in superblock-id order.
-pub fn all_profiles() -> [&'static dyn DeviceProfile; 4] {
+pub(crate) fn all_profiles() -> [&'static dyn DeviceProfile; 4] {
     [&OptaneGen1, &OptaneGen2, &Eadr, &Cxl]
 }
 
@@ -226,7 +228,7 @@ pub fn profile_name_by_id(id: u32) -> Option<&'static str> {
 /// Large enough that both the fixed initiation cost and the per-line slope
 /// participate, so the pick reflects a realistic put-path persist rather
 /// than bare call overhead.
-pub const PROBE_BYTES: u64 = 64 * 1024;
+pub(crate) const PROBE_BYTES: u64 = 64 * 1024;
 
 /// Deterministically pick the cheaper [`FlushStrategy`] for `config` by
 /// micro-probing each candidate in measured virtual time on a scratch

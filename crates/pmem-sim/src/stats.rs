@@ -31,7 +31,7 @@ macro_rules! stats_fields {
             $($(#[$doc])* pub $name: AtomicU64,)+
         }
 
-        /// A point-in-time copy of [`Stats`].
+        /// A point-in-time copy of `Stats`.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct StatsSnapshot {
             $($(#[$doc])* pub $name: u64,)+
@@ -49,7 +49,7 @@ macro_rules! stats_fields {
 
             /// Zero every counter. Must not race snapshots or charges (see
             /// the module docs) — call it only while all ranks are parked.
-            pub fn reset(&self) {
+            pub(crate) fn reset(&self) {
                 $(self.$name.store(0, Ordering::Relaxed);)+
             }
         }

@@ -38,10 +38,6 @@ impl<T> Mutex<T> {
             inner: parking_lot::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -57,10 +53,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         interaction_point();
         self.inner.try_lock()
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -118,6 +110,6 @@ mod tests {
         clock.advance(SimTime::from_nanos(1));
         *m.lock() += 1;
         assert_eq!(yields(), 3);
-        assert_eq!(m.into_inner(), 3);
+        assert_eq!(*m.lock(), 3);
     }
 }

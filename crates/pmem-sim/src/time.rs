@@ -61,7 +61,7 @@ impl SimTime {
     }
 
     #[inline]
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -72,24 +72,24 @@ impl SimTime {
 
     /// Saturating subtraction; spans never go negative.
     #[inline]
-    pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
+    pub(crate) fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
     #[inline]
-    pub fn max(self, rhs: SimTime) -> SimTime {
+    pub(crate) fn max(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.max(rhs.0))
     }
 
     #[inline]
-    pub fn min(self, rhs: SimTime) -> SimTime {
+    pub(crate) fn min(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.min(rhs.0))
     }
 
     /// The time needed to move `bytes` at `bytes_per_sec`, rounded up to a
     /// whole nanosecond so repeated tiny transfers are never free.
     #[inline]
-    pub fn for_transfer(bytes: u64, bytes_per_sec: u64) -> SimTime {
+    pub(crate) fn for_transfer(bytes: u64, bytes_per_sec: u64) -> SimTime {
         if bytes == 0 {
             return SimTime::ZERO;
         }
@@ -257,7 +257,7 @@ pub struct AtomicSection {
     _not_send: PhantomData<*const ()>,
 }
 
-/// Open an [`AtomicSection`] on the current thread. (Only the outermost
+/// Open an `AtomicSection` on the current thread. (Only the outermost
 /// entry can find a yield owed; nested ones take nothing.)
 pub fn atomic_section() -> AtomicSection {
     interaction_point();
@@ -274,7 +274,7 @@ impl Drop for AtomicSection {
 }
 
 /// Whether the current thread is inside an [`atomic_section`].
-pub fn in_atomic_section() -> bool {
+pub(crate) fn in_atomic_section() -> bool {
     ATOMIC_DEPTH.with(|d| d.get() > 0)
 }
 
@@ -310,16 +310,9 @@ impl Clock {
         }
     }
 
-    pub fn starting_at(t: SimTime) -> Self {
-        Clock {
-            now: AtomicU64::new(t.0),
-            ..Clock::default()
-        }
-    }
-
     /// Trace lane this clock reports spans on.
     #[inline]
-    pub fn lane(&self) -> u64 {
+    pub(crate) fn lane(&self) -> u64 {
         self.lane
     }
 

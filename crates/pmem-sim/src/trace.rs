@@ -1,6 +1,6 @@
 //! Virtual-time tracing: spans measured on the simulated clocks.
 //!
-//! Every span records *simulated* nanoseconds — the interval a [`Clock`]
+//! Every span records *simulated* nanoseconds — the interval a [`Clock`](crate::Clock)
 //! advanced across while a modelled operation (a PMEM store stream, a
 //! serialize pass, a barrier wait) ran. Because recording only *reads*
 //! clocks and never advances them, enabling tracing cannot perturb any
@@ -73,7 +73,7 @@ impl CollectingSink {
         std::mem::take(&mut *self.spans.lock())
     }
 
-    pub fn record(&self, span: TraceSpan) {
+    pub(crate) fn record(&self, span: TraceSpan) {
         self.spans.lock().push(span);
     }
 }

@@ -13,7 +13,7 @@ use crate::io::*;
 use crate::traits::{characterize, Serializer, VarHeader};
 use crate::types::{Datatype, VarMeta};
 
-pub const MAGIC: u32 = 0x4250_4C34; // "BPL4"
+pub(crate) const MAGIC: u32 = 0x4250_4C34; // "BPL4"
 const VERSION: u8 = 4;
 
 /// The BP4-like format singleton.

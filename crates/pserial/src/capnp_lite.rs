@@ -9,10 +9,10 @@ use crate::io::*;
 use crate::traits::{Serializer, VarHeader};
 use crate::types::{Datatype, VarMeta};
 
-pub const MAGIC: u32 = 0x4350_4C31; // "CPL1"
+pub(crate) const MAGIC: u32 = 0x4350_4C31; // "CPL1"
 
 #[derive(Debug, Default, Clone, Copy)]
-pub struct CapnpLite;
+pub(crate) struct CapnpLite;
 
 /// Round `n` up to a multiple of 8 (one word).
 fn word_align(n: u64) -> u64 {

@@ -7,10 +7,10 @@ use crate::io::*;
 use crate::traits::{Serializer, VarHeader};
 use crate::types::{Datatype, VarMeta};
 
-pub const MAGIC: u32 = 0x4352_4C31; // "CRL1"
+pub(crate) const MAGIC: u32 = 0x4352_4C31; // "CRL1"
 
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Cereal;
+pub(crate) struct Cereal;
 
 impl Serializer for Cereal {
     fn name(&self) -> &'static str {

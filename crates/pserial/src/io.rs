@@ -30,37 +30,6 @@ impl WriteSink for Vec<u8> {
     }
 }
 
-/// A sink over a fixed, pre-allocated byte slice.
-#[derive(Debug)]
-pub struct SliceSink<'a> {
-    buf: &'a mut [u8],
-    pos: usize,
-}
-
-impl<'a> SliceSink<'a> {
-    pub fn new(buf: &'a mut [u8]) -> Self {
-        SliceSink { buf, pos: 0 }
-    }
-}
-
-impl WriteSink for SliceSink<'_> {
-    fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        if self.pos + bytes.len() > self.buf.len() {
-            return Err(SerialError::ShortBuffer {
-                need: (self.pos + bytes.len()) as u64,
-                have: self.buf.len() as u64,
-            });
-        }
-        self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
-        self.pos += bytes.len();
-        Ok(())
-    }
-
-    fn position(&self) -> u64 {
-        self.pos as u64
-    }
-}
-
 /// A sequential byte source.
 pub trait ReadSource {
     /// Fill `dst` from the current position; errors on underrun.
@@ -130,7 +99,7 @@ pub fn put_u64(sink: &mut dyn WriteSink, v: u64) -> Result<()> {
     sink.put(&v.to_le_bytes())
 }
 
-pub fn put_f64(sink: &mut dyn WriteSink, v: f64) -> Result<()> {
+pub(crate) fn put_f64(sink: &mut dyn WriteSink, v: f64) -> Result<()> {
     sink.put(&v.to_le_bytes())
 }
 
@@ -157,7 +126,7 @@ pub fn get_u64(src: &mut dyn ReadSource) -> Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-pub fn get_f64(src: &mut dyn ReadSource) -> Result<f64> {
+pub(crate) fn get_f64(src: &mut dyn ReadSource) -> Result<f64> {
     let mut b = [0u8; 8];
     src.get(&mut b)?;
     Ok(f64::from_le_bytes(b))
@@ -178,6 +147,37 @@ pub fn get_str(src: &mut dyn ReadSource) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink over a fixed, pre-allocated byte slice.
+    #[derive(Debug)]
+    struct SliceSink<'a> {
+        buf: &'a mut [u8],
+        pos: usize,
+    }
+
+    impl<'a> SliceSink<'a> {
+        fn new(buf: &'a mut [u8]) -> Self {
+            SliceSink { buf, pos: 0 }
+        }
+    }
+
+    impl WriteSink for SliceSink<'_> {
+        fn put(&mut self, bytes: &[u8]) -> Result<()> {
+            if self.pos + bytes.len() > self.buf.len() {
+                return Err(SerialError::ShortBuffer {
+                    need: (self.pos + bytes.len()) as u64,
+                    have: self.buf.len() as u64,
+                });
+            }
+            self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+            self.pos += bytes.len();
+            Ok(())
+        }
+
+        fn position(&self) -> u64 {
+            self.pos as u64
+        }
+    }
 
     #[test]
     fn vec_sink_appends() {

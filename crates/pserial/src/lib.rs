@@ -12,28 +12,30 @@
 //! header and payload into whatever destination the caller provides, which
 //! in the core library is the DAX mapping itself.
 //!
-//! Formats:
-//! * [`bp4::Bp4`] — BP4-like, self-describing with min/max characteristics
-//!   and trailing record lengths (the paper's default).
-//! * [`cereal::Cereal`] — plain field-ordered binary archive.
-//! * [`capnp_lite::CapnpLite`] — word-aligned, near-zero encode cost.
-//! * [`raw::Raw`] — serialization disabled; metadata lives elsewhere.
+//! Formats, by their [`by_name`] registry name:
+//! * `"bp4"` ([`Bp4`]) — BP4-like, self-describing with min/max
+//!   characteristics and trailing record lengths (the paper's default).
+//! * `"cereal"` — plain field-ordered binary archive.
+//! * `"capnp-lite"` — word-aligned, near-zero encode cost.
+//! * `"raw"` — serialization disabled; metadata lives elsewhere.
 
-pub mod bp4;
-pub mod capnp_lite;
-pub mod cereal;
-pub mod error;
+#![warn(unreachable_pub)]
+
+mod bp4;
+mod capnp_lite;
+mod cereal;
+mod error;
 pub mod io;
-pub mod raw;
-pub mod traits;
-pub mod types;
+mod raw;
+mod traits;
+mod types;
 
 pub use bp4::Bp4;
-pub use capnp_lite::CapnpLite;
-pub use cereal::Cereal;
+use capnp_lite::CapnpLite;
+use cereal::Cereal;
 pub use error::{Result, SerialError};
-pub use io::{ReadSource, SliceSink, SliceSource, WriteSink};
-pub use raw::Raw;
+pub use io::{ReadSource, SliceSource, WriteSink};
+use raw::Raw;
 pub use traits::{Serializer, VarHeader};
 pub use types::{Datatype, VarMeta};
 

@@ -10,10 +10,10 @@ use crate::io::*;
 use crate::traits::{Serializer, VarHeader};
 use crate::types::{Datatype, VarMeta};
 
-pub const MAGIC: u32 = 0x5241_5731; // "RAW1"
+pub(crate) const MAGIC: u32 = 0x5241_5731; // "RAW1"
 
 #[derive(Debug, Default, Clone, Copy)]
-pub struct Raw;
+pub(crate) struct Raw;
 
 impl Serializer for Raw {
     fn name(&self) -> &'static str {

@@ -52,7 +52,7 @@ pub trait Serializer: Send + Sync {
 
 /// Shared min/max characterization used by the BP4-like format (and
 /// available to any other format that wants data statistics).
-pub fn characterize(meta: &VarMeta, payload: &[u8]) -> (f64, f64) {
+pub(crate) fn characterize(meta: &VarMeta, payload: &[u8]) -> (f64, f64) {
     use crate::types::Datatype::*;
     let esize = meta.dtype.size() as usize;
     if payload.is_empty() || esize == 0 || payload.len() < esize {

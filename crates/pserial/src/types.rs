@@ -109,12 +109,14 @@ impl VarMeta {
     }
 
     /// Number of elements in the local block (1 for scalars).
-    pub fn elements(&self) -> u64 {
+    #[cfg(test)]
+    fn elements(&self) -> u64 {
         self.dims.iter().product::<u64>().max(1)
     }
 
     /// Payload bytes of the local block.
-    pub fn payload_len(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn payload_len(&self) -> u64 {
         self.elements() * self.dtype.size()
     }
 }

@@ -16,38 +16,34 @@ use std::collections::BTreeMap;
 
 /// First-fit extent allocator with offset-ordered coalescing free list.
 #[derive(Debug)]
-pub struct ExtentAllocator {
+pub(crate) struct ExtentAllocator {
     /// start -> len of each free range.
     free: BTreeMap<u64, u64>,
-    total: u64,
 }
 
 /// A contiguous device range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Extent {
+pub(crate) struct Extent {
     pub start: u64,
     pub len: u64,
 }
 
 impl ExtentAllocator {
-    pub fn new(start: u64, len: u64) -> Self {
+    pub(crate) fn new(start: u64, len: u64) -> Self {
         let mut free = BTreeMap::new();
         if len > 0 {
             free.insert(start, len);
         }
-        ExtentAllocator { free, total: len }
+        ExtentAllocator { free }
     }
 
-    pub fn total_bytes(&self) -> u64 {
-        self.total
-    }
-
-    pub fn free_bytes(&self) -> u64 {
+    #[cfg(test)]
+    fn free_bytes(&self) -> u64 {
         self.free.values().sum()
     }
 
     /// Allocate a contiguous extent of exactly `len` bytes (first fit).
-    pub fn alloc(&mut self, len: u64) -> Result<Extent> {
+    pub(crate) fn alloc(&mut self, len: u64) -> Result<Extent> {
         if len == 0 {
             return Ok(Extent { start: 0, len: 0 });
         }
@@ -65,7 +61,7 @@ impl ExtentAllocator {
     }
 
     /// Return an extent to the free pool, coalescing with neighbours.
-    pub fn release(&mut self, ext: Extent) {
+    pub(crate) fn release(&mut self, ext: Extent) {
         if ext.len == 0 {
             return;
         }
@@ -95,7 +91,7 @@ impl ExtentAllocator {
     }
 
     /// Try to grow `ext` in place to `new_len`; true on success.
-    pub fn grow_in_place(&mut self, ext: &mut Extent, new_len: u64) -> bool {
+    pub(crate) fn grow_in_place(&mut self, ext: &mut Extent, new_len: u64) -> bool {
         if new_len <= ext.len {
             return true;
         }

@@ -17,11 +17,12 @@
 //! whole-file DAX mappings possible; the extent allocator relocates files
 //! that outgrow their reservation and charges the move at media rates.
 
-pub mod error;
-pub mod extents;
-pub mod path;
-pub mod vfs;
+#![warn(unreachable_pub)]
+
+mod error;
+mod extents;
+mod path;
+mod vfs;
 
 pub use error::{FsError, Result};
-pub use extents::{Extent, ExtentAllocator};
 pub use vfs::{EntryKind, MountMode, SimFs};

@@ -6,7 +6,7 @@ use crate::error::{FsError, Result};
 /// both resolved from the root (the VFS has no notion of a working
 /// directory). `.` components are dropped; `..` and empty components are
 /// rejected to keep the namespace simple and predictable.
-pub fn components(path: &str) -> Result<Vec<String>> {
+pub(crate) fn components(path: &str) -> Result<Vec<String>> {
     if path.is_empty() {
         return Err(FsError::InvalidPath(path.into()));
     }
@@ -22,7 +22,7 @@ pub fn components(path: &str) -> Result<Vec<String>> {
 }
 
 /// Split into (parent components, file name).
-pub fn split_parent(path: &str) -> Result<(Vec<String>, String)> {
+pub(crate) fn split_parent(path: &str) -> Result<(Vec<String>, String)> {
     let mut comps = components(path)?;
     let name = comps
         .pop()
@@ -31,7 +31,7 @@ pub fn split_parent(path: &str) -> Result<(Vec<String>, String)> {
 }
 
 /// Join components back into a canonical absolute path.
-pub fn join(comps: &[String]) -> String {
+pub(crate) fn join(comps: &[String]) -> String {
     if comps.is_empty() {
         "/".to_string()
     } else {

@@ -80,7 +80,7 @@ const ROOT: u64 = 0;
 
 impl SimFs {
     /// Mount a filesystem over `[data_start, data_end)` of the device.
-    pub fn mount(
+    pub(crate) fn mount(
         device: Arc<PmemDevice>,
         mode: MountMode,
         data_start: u64,
@@ -92,7 +92,7 @@ impl SimFs {
     /// Mount with a bounded page cache (PageCache mode): at most
     /// `cache_pages` resident pages; exceeding the budget evicts in FIFO
     /// order, writing dirty victims back to the media first.
-    pub fn mount_with_cache(
+    pub(crate) fn mount_with_cache(
         device: Arc<PmemDevice>,
         mode: MountMode,
         data_start: u64,
@@ -124,8 +124,9 @@ impl SimFs {
         Self::mount(device, mode, 0, end)
     }
 
-    /// Resident page-cache pages (PageCache mode diagnostics).
-    pub fn cached_pages(&self) -> u64 {
+    /// Resident page-cache pages.
+    #[cfg(test)]
+    fn cached_pages(&self) -> u64 {
         self.state.lock().cache_resident
     }
 
@@ -160,10 +161,6 @@ impl SimFs {
                 self.machine().charge_pmem_write(clock, page_bytes);
             }
         }
-    }
-
-    pub fn mode(&self) -> MountMode {
-        self.mode
     }
 
     pub fn device(&self) -> &Arc<PmemDevice> {
@@ -265,8 +262,8 @@ impl SimFs {
             .unwrap_or(false)
     }
 
-    /// Remove a file, releasing its extent. Directories must be removed with
-    /// [`SimFs::rmdir`].
+    /// Remove a file, releasing its extent. A directory is refused with
+    /// [`FsError::IsADirectory`].
     pub fn unlink(&self, clock: &Clock, p: &str) -> Result<()> {
         self.machine().charge_syscall(clock);
         let (parent, name) = path::split_parent(p)?;
@@ -289,30 +286,6 @@ impl SimFs {
         if let Some(Node::File(f)) = state.nodes.remove(&id) {
             state.alloc.release(f.extent);
         }
-        Ok(())
-    }
-
-    /// Remove an empty directory.
-    pub fn rmdir(&self, clock: &Clock, p: &str) -> Result<()> {
-        self.machine().charge_syscall(clock);
-        let (parent, name) = path::split_parent(p)?;
-        let mut state = self.state.lock();
-        let (pid, _) = Self::walk(&state, &parent)?;
-        let Some(Node::Dir(children)) = state.nodes.get(&pid) else {
-            return Err(FsError::NotADirectory(path::join(&parent)));
-        };
-        let id = *children
-            .get(&name)
-            .ok_or_else(|| FsError::NotFound(p.into()))?;
-        match state.nodes.get(&id) {
-            Some(Node::Dir(c)) if c.is_empty() => {}
-            Some(Node::Dir(_)) => return Err(FsError::AlreadyExists(format!("{p} not empty"))),
-            _ => return Err(FsError::NotADirectory(p.into())),
-        }
-        if let Some(Node::Dir(children)) = state.nodes.get_mut(&pid) {
-            children.remove(&name);
-        }
-        state.nodes.remove(&id);
         Ok(())
     }
 
@@ -399,7 +372,8 @@ impl SimFs {
     }
 
     /// Logical file size.
-    pub fn size_of(&self, fd: u64) -> Result<u64> {
+    #[cfg(test)]
+    fn size_of(&self, fd: u64) -> Result<u64> {
         let state = self.state.lock();
         let id = Self::node_of(&state, fd)?;
         match state.nodes.get(&id) {

@@ -3,7 +3,7 @@
 
 /// Factor `nprocs` into `nd` grid dimensions as evenly as possible
 /// (descending), like `MPI_Dims_create`.
-pub fn balanced_grid(nprocs: u64, nd: usize) -> Vec<u64> {
+pub(crate) fn balanced_grid(nprocs: u64, nd: usize) -> Vec<u64> {
     assert!(nprocs > 0 && nd > 0);
     let mut dims = vec![1u64; nd];
     let mut rest = nprocs;
@@ -57,7 +57,7 @@ impl BlockDecomp {
     }
 
     /// Grid coordinates of `rank` (row-major over the grid).
-    pub fn coords(&self, rank: u64) -> Vec<u64> {
+    pub(crate) fn coords(&self, rank: u64) -> Vec<u64> {
         assert!(rank < self.nprocs());
         let nd = self.grid.len();
         let mut c = vec![0u64; nd];

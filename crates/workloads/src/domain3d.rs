@@ -38,7 +38,7 @@ impl Domain3dSpec {
     /// paper divides its 40 GB equally among processes, and at full scale
     /// remainder imbalance is negligible; rounding keeps that true at
     /// reduced scale too.
-    pub fn global_dims(&self) -> Vec<u64> {
+    pub(crate) fn global_dims(&self) -> Vec<u64> {
         let elements = self.total_bytes / 8 / self.nvars as u64;
         let side = (elements as f64).cbrt().floor().max(12.0) as u64;
         let side = (side / 12).max(1) * 12;

@@ -8,14 +8,15 @@
 //! variables totalling a configurable volume), deterministic data generation
 //! and bit-exact verification.
 
-pub mod decomp;
-pub mod domain3d;
-pub mod particles;
-pub mod storm;
+#![warn(unreachable_pub)]
 
-pub use decomp::{balanced_grid, BlockDecomp};
+mod decomp;
+mod domain3d;
+pub mod particles;
+mod storm;
+
+pub use decomp::BlockDecomp;
 pub use domain3d::{
     as_bytes, as_bytes_mut, element_value, generate_block, verify_block, Domain3dSpec,
 };
-pub use particles::{generate_particles, verify_particles, Particle, ParticleSpec};
 pub use storm::StormSpec;

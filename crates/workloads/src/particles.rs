@@ -1,6 +1,6 @@
 //! VPIC-style particle workload — the second canonical pattern from the
 //! paper's workload source (Lofstead et al., "Six degrees of scientific
-//! data" [28]): each rank owns a flat list of particles (position,
+//! data" \[28\]): each rank owns a flat list of particles (position,
 //! momentum, id), sizes may be *uneven* across ranks, and I/O is a 1-D
 //! concatenation rather than an N-D decomposition.
 //!
@@ -64,7 +64,7 @@ impl ParticleSpec {
 }
 
 /// Deterministic particle value for the global index `g`.
-pub fn particle_at(g: u64) -> Particle {
+pub(crate) fn particle_at(g: u64) -> Particle {
     let f = |salt: u64| ((g.wrapping_mul(2654435761).wrapping_add(salt) % (1 << 40)) as f64) * 1e-6;
     Particle {
         x: f(1),
