@@ -5,9 +5,9 @@
 //! stripe-lock round per key. A [`WriteBatch`] collects the whole step and
 //! commits it through the bulk seams instead
 //! ([`Layout::store_many`](crate::layout::Layout::store_many) →
-//! `PersistentHashtable::put_reserve_many` → `Heap::alloc_many`): one
-//! transaction, one allocator pass, one entry-count update per group, with
-//! every value still serialized straight into its reserved PMEM window.
+//! `PersistentHashtable::put_many` → `Heap::alloc_many`): one transaction,
+//! one allocator pass, one entry-count update per group, with every value
+//! serialized straight into its PMEM window before the group is published.
 //!
 //! ```text
 //! let mut batch = pmem.batch();

@@ -4,8 +4,9 @@
 //! access characteristics of PMEM."*).
 
 use crate::error::{PmemCpyError, Result};
-use crate::layout::{Layout, Located, Reservation, ReserveRequest};
+use crate::layout::{fill, serialize, Layout, Located, PutRequest};
 use crate::registry::SharedPool;
+use pmdk_sim::PmdkError;
 use pmem_sim::{Clock, DaxMapping, FlushStrategy, Machine, PmemDevice};
 use pserial::Serializer;
 use std::sync::Arc;
@@ -59,21 +60,35 @@ impl Layout for HashtableLayout {
         self.flush_strategy
     }
 
-    fn reserve_many(&self, clock: &Clock, reqs: &[ReserveRequest<'_>]) -> Result<Vec<Reservation>> {
-        // One pool transaction, one allocator pass for the whole group; the
-        // caller then serializes straight into the mapped region — no DRAM
-        // staging.
-        let pairs: Vec<(&[u8], u64)> = reqs.iter().map(|r| (r.key.as_bytes(), r.slen)).collect();
-        let vrefs = self.shared.hashtable.put_reserve_many(clock, &pairs)?;
-        Ok(vrefs
-            .into_iter()
-            .map(|v| Reservation {
-                mapping: Arc::clone(&self.mapping),
-                offset: v.offset as usize,
-                len: v.len as usize,
-                unmap_after_persist: false,
-            })
-            .collect())
+    fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()> {
+        if puts.is_empty() {
+            return Ok(());
+        }
+        let lens = serialize(self, clock, puts);
+        let reqs: Vec<(&[u8], u64)> = (puts.iter().zip(lens))
+            .map(|(p, len)| (p.key.as_bytes(), len))
+            .collect();
+        let _span = (self.machine)
+            .phase(clock, "put", "put.reserve")
+            .arg("keys", puts.len() as u64);
+        // One pool transaction, one allocator pass for the whole group, and
+        // every value serialized into its entry before anything links it. A
+        // fill that fails aborts the transaction; its error is the store's.
+        let mut failed = None;
+        let stored = self.shared.hashtable.put_many(clock, &reqs, |i, v| {
+            let (offset, len) = (v.offset as usize, v.len as usize);
+            fill(self, clock, &puts[i], &self.mapping, offset, len)
+                .map(|()| None)
+                .map_err(|e| {
+                    let abort = PmdkError::TxFailure(format!("{}: {e}", puts[i].key));
+                    failed = Some(e);
+                    abort
+                })
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(stored.map(drop)?),
+        }
     }
 
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>> {

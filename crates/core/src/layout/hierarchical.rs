@@ -4,7 +4,7 @@
 //! the variable, a directory is created if it didn't already exist."*).
 
 use crate::error::{PmemCpyError, Result};
-use crate::layout::{Layout, Located, Reservation, ReserveRequest};
+use crate::layout::{fill, serialize, Layout, Located, PutRequest};
 use pmem_sim::{Clock, Machine};
 use pserial::Serializer;
 use simfs::{EntryKind, SimFs};
@@ -48,36 +48,45 @@ impl Layout for HierarchicalLayout {
         &self.machine
     }
 
-    fn reserve_many(&self, clock: &Clock, reqs: &[ReserveRequest<'_>]) -> Result<Vec<Reservation>> {
-        // Batch the namespace work: one mkdir_p per distinct parent implied
-        // by '/' in the group's keys, then create + size + map each file.
-        let mut parents: Vec<&str> = reqs
-            .iter()
-            .filter_map(|r| r.key.rfind('/').map(|pos| &r.key[..pos]))
-            .collect();
-        parents.sort_unstable();
-        parents.dedup();
-        for parent in parents {
-            self.fs
-                .mkdir_p(clock, &format!("{}/{}", self.root, parent))?;
+    fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()> {
+        if puts.is_empty() {
+            return Ok(());
         }
-        let mut out = Vec::with_capacity(reqs.len());
-        for r in reqs {
-            let path = self.path_of(r.key);
-            let fd = self.fs.create(clock, &path)?;
-            self.fs.set_len(clock, fd, r.slen)?;
-            self.fs.close(clock, fd)?;
-            // Map the file so the serializer writes directly into it; the
-            // store pipeline unmaps it once the record is persisted.
-            let mapping = self.fs.mmap_file(clock, &path, self.map_sync)?;
-            out.push(Reservation {
-                mapping,
-                offset: 0,
-                len: r.slen as usize,
-                unmap_after_persist: true,
-            });
+        let lens = serialize(self, clock, puts);
+        let mappings = {
+            let _span = (self.machine)
+                .phase(clock, "put", "put.reserve")
+                .arg("keys", puts.len() as u64);
+            // Batch the namespace work: one mkdir_p per distinct parent
+            // implied by '/' in the group's keys, then create + size + map
+            // each file.
+            let mut parents: Vec<&str> = puts
+                .iter()
+                .filter_map(|p| p.key.rfind('/').map(|pos| &p.key[..pos]))
+                .collect();
+            parents.sort_unstable();
+            parents.dedup();
+            for parent in parents {
+                self.fs
+                    .mkdir_p(clock, &format!("{}/{}", self.root, parent))?;
+            }
+            let mut out = Vec::with_capacity(puts.len());
+            for (put, &len) in puts.iter().zip(&lens) {
+                let path = self.path_of(put.key);
+                let fd = self.fs.create(clock, &path)?;
+                self.fs.set_len(clock, fd, len)?;
+                self.fs.close(clock, fd)?;
+                out.push(self.fs.mmap_file(clock, &path, self.map_sync)?);
+            }
+            out
+        };
+        // Each file is its own record: filled, fenced, unmapped.
+        for ((put, len), mapping) in puts.iter().zip(lens).zip(mappings) {
+            fill(self, clock, put, &mapping, 0, len as usize)?;
+            mapping.device().drain(clock);
+            mapping.unmap(clock);
         }
-        Ok(out)
+        Ok(())
     }
 
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>> {

@@ -5,11 +5,11 @@
 //! [`crate::sink::MappingSink`]/[`crate::sink::MappingSource`], so the
 //! zero-staging property holds regardless of layout.
 //!
-//! Both directions are batched end to end. Writes: [`Layout::reserve_many`]
+//! Both directions are batched end to end. Writes: [`Layout::store_many`]
 //! is the per-layout bulk seam (one pool transaction / one batched namespace
-//! pass for a whole group of keys), and the generic [`Layout::store_many`]
-//! pipeline serializes each value straight into its reserved window. Reads
-//! mirror that shape: [`Layout::locate_many`] is the per-layout bulk lookup
+//! pass for a whole group of keys), inside which [`fill`] serializes each
+//! value straight into its window. Reads mirror that shape:
+//! [`Layout::locate_many`] is the per-layout bulk lookup
 //! (one chain walk per touched bucket on the hashtable layout), and the
 //! generic [`Layout::load_many`] pipeline decodes each record straight out
 //! of its mapping into a caller-chosen buffer. A single-key store is a
@@ -34,25 +34,62 @@ pub(crate) struct PutRequest<'a> {
     pub payload: &'a [u8],
 }
 
-/// A reservation request: `key` needs `slen` bytes of record space.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ReserveRequest<'a> {
-    pub key: &'a str,
-    pub slen: u64,
+/// Charge the CPU half of serializing every put and return each record's
+/// length, in order. It is charged before the layout's transaction begins:
+/// the transaction then holds its lane for media writes only, and a charge
+/// made outside an atomic section is what owes the deterministic scheduler
+/// its hand-off before the next one. The group's media bytes are booked
+/// against its logical payload bytes for write amplification, both in
+/// modelled (byte-scaled) units like the machine's media counters.
+pub(crate) fn serialize(layout: &dyn Layout, clock: &Clock, puts: &[PutRequest<'_>]) -> Vec<u64> {
+    let (serializer, machine) = (layout.serializer(), layout.machine());
+    for put in puts {
+        let bytes = put.payload.len() as u64;
+        let _span = machine
+            .phase(clock, "put", "put.serialize")
+            .arg("bytes", bytes);
+        machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
+    }
+    let lens: Vec<u64> = (puts.iter())
+        .map(|p| serializer.serialized_len(p.meta, p.payload.len() as u64))
+        .collect();
+    if machine.metrics_enabled() {
+        let scale = machine.config().byte_scale;
+        let logical: u64 = puts.iter().map(|p| p.payload.len() as u64).sum();
+        machine.metric_counter_add("put.logical_bytes", logical * scale);
+        machine.metric_counter_add("put.media_bytes", lens.iter().sum::<u64>() * scale);
+    }
+    lens
 }
 
-/// A reserved, mapped window the serializer can stream into directly.
-pub(crate) struct Reservation {
-    pub mapping: Arc<DaxMapping>,
-    pub offset: usize,
-    pub len: usize,
-    /// Per-key file mappings (hierarchical layout) are unmapped once the
-    /// record is persisted; the pool-wide mapping stays live.
-    pub unmap_after_persist: bool,
+/// The fill of every layout's put: stream `put`'s record straight into the
+/// `len`-byte window at `offset` of `mapping` — no DRAM staging — and flush
+/// it. The fence that makes it durable is the layout's: the hashtable's is
+/// the commit that publishes the group, the hierarchical layout's the
+/// file's own.
+pub(crate) fn fill(
+    layout: &dyn Layout,
+    clock: &Clock,
+    put: &PutRequest<'_>,
+    mapping: &DaxMapping,
+    offset: usize,
+    len: usize,
+) -> Result<()> {
+    let _span = (layout.machine())
+        .phase(clock, "put", "put.memcpy")
+        .arg("bytes", len as u64);
+    let mut sink = MappingSink::new(mapping, clock, offset, len)?;
+    layout
+        .serializer()
+        .write_var(put.meta, put.payload, &mut sink)?;
+    // The window's last store must precede the flush that covers it.
+    let written = sink.finish();
+    debug_assert_eq!(written, len);
+    mapping.flush_with(clock, offset, len, layout.flush_strategy());
+    Ok(())
 }
 
-/// Where a key's record lives: the read-side mirror of [`Reservation`],
-/// resolved by [`Layout::locate_many`].
+/// Where a key's record lives, resolved by [`Layout::locate_many`].
 pub(crate) struct Located {
     pub mapping: Arc<DaxMapping>,
     pub offset: usize,
@@ -137,76 +174,13 @@ pub(crate) trait Layout: Send + Sync {
         FlushStrategy::Clwb
     }
 
-    /// Reserve record space for a whole group of keys through the layout's
-    /// bulk seam. The group is atomic where the layout can make it so: the
-    /// hashtable layout commits every reservation in one pool transaction
-    /// (a crash rolls the whole group back), the hierarchical layout batches
-    /// its directory creation.
-    fn reserve_many(&self, clock: &Clock, reqs: &[ReserveRequest<'_>]) -> Result<Vec<Reservation>>;
-
-    /// Store a group of records: bulk-reserve every key, then serialize each
-    /// payload straight into its reserved window — no DRAM staging, exactly
-    /// as the single-key path always worked.
-    fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()> {
-        if puts.is_empty() {
-            return Ok(());
-        }
-        let serializer = self.serializer();
-        let machine = Arc::clone(self.machine());
-        let reqs: Vec<ReserveRequest<'_>> = puts
-            .iter()
-            .map(|p| ReserveRequest {
-                key: p.key,
-                slen: serializer.serialized_len(p.meta, p.payload.len() as u64),
-            })
-            .collect();
-        let reservations = {
-            let _span = machine
-                .phase(clock, "put", "put.reserve")
-                .arg("keys", puts.len() as u64);
-            self.reserve_many(clock, &reqs)?
-        };
-        // Media accounting for write amplification: logical payload bytes in
-        // vs record bytes hitting the media, both in modelled (byte-scaled)
-        // units so the ratio is comparable with the machine's media counters.
-        if machine.metrics_enabled() {
-            let scale = machine.config().byte_scale;
-            let logical: u64 = puts.iter().map(|p| p.payload.len() as u64).sum();
-            let media: u64 = reservations.iter().map(|r| r.len as u64).sum();
-            machine.metric_counter_add("put.logical_bytes", logical * scale);
-            machine.metric_counter_add("put.media_bytes", media * scale);
-        }
-        for (put, resv) in puts.iter().zip(&reservations) {
-            let bytes = put.payload.len() as u64;
-            let record = resv.len as u64;
-            {
-                let _span = machine
-                    .phase(clock, "put", "put.serialize")
-                    .arg("bytes", bytes);
-                machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
-            }
-            {
-                let _span = machine
-                    .phase(clock, "put", "put.memcpy")
-                    .arg("bytes", record);
-                let mut sink = MappingSink::new(&resv.mapping, clock, resv.offset, resv.len)?;
-                serializer.write_var(put.meta, put.payload, &mut sink)?;
-                // Inside `put.memcpy`, before `put.persist`: the window's
-                // last store must precede the flush that covers it.
-                let written = sink.finish();
-                debug_assert_eq!(written, resv.len);
-            }
-            let _span = machine
-                .phase(clock, "put", "put.persist")
-                .arg("bytes", record);
-            resv.mapping
-                .persist_with(clock, resv.offset, resv.len, self.flush_strategy());
-            if resv.unmap_after_persist {
-                resv.mapping.unmap(clock);
-            }
-        }
-        Ok(())
-    }
+    /// Store a group of records through the layout's bulk seam, each
+    /// serialized straight into its window by [`fill`] — no DRAM staging.
+    /// The group is atomic where the layout can make it so: the hashtable
+    /// layout writes every value and then publishes the group in one pool
+    /// transaction (a crash or an error rolls the whole group back), the
+    /// hierarchical layout batches its directory creation.
+    fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()>;
 
     /// Resolve where every key's record lives, through the layout's bulk
     /// lookup seam: the hashtable layout groups keys by bucket and walks

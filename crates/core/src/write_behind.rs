@@ -34,7 +34,6 @@
 use crate::error::{PmemCpyError, Result};
 use crate::layout::{
     decode_into, hashtable::HashtableLayout, Layout, Located, PutRequest, ReadConsumer,
-    Reservation, ReserveRequest,
 };
 use crate::registry::SharedPool;
 use pmdk_sim::{PersistentLog, PmdkError};
@@ -310,12 +309,6 @@ impl Layout for WriteBehindLayout {
 
     fn flush_strategy(&self) -> pmem_sim::FlushStrategy {
         self.inner.flush_strategy()
-    }
-
-    /// Unreachable through this layout (`store_many` is overridden and a
-    /// drain goes to the inner layout directly); delegate.
-    fn reserve_many(&self, clock: &Clock, reqs: &[ReserveRequest<'_>]) -> Result<Vec<Reservation>> {
-        self.inner.reserve_many(clock, reqs)
     }
 
     fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()> {

@@ -35,9 +35,9 @@
 //!
 //! All structural mutations run in a pool transaction (pointer snapshots +
 //! alloc/free intents), so a crash at any point leaves a consistent table.
-//! Values may be large; they are written into freshly-allocated space with
-//! no undo image (nothing to roll back for a new allocation). Bucket access
-//! is striped with volatile locks — rebuilt trivially on open, like PMDK's
+//! Values may be large; they are written into freshly-allocated space, with
+//! no undo image, before the transaction links them. Bucket access is
+//! striped with volatile locks — rebuilt trivially on open, like PMDK's
 //! runtime lock state.
 //!
 //! There is one lock per stripe and readers take it too: a lookup routes
@@ -549,7 +549,7 @@ impl PersistentHashtable {
         let end = self.pool.tx(clock, |tx| {
             // Destination heads: slots start..end (lo), start+n.. (hi).
             let mut runs = [Vec::new(), Vec::new()];
-            let mut end = start;
+            let (mut end, mut words) = (start, Vec::new());
             // The chunk's source heads are one run: pinned by the stripes
             // held above, fetched once.
             for (slot, b, head) in read_heads(&src, g.old_heads, start..last) {
@@ -562,24 +562,22 @@ impl PersistentHashtable {
                 walked?;
                 // Each partition relinks in original order with a nul
                 // tail; next pointers already correct are left untouched.
+                // The walk is still holding each pre-image.
                 let mut relinks = Vec::new();
                 let mut heads = [0u64; 2];
                 for (head, chain) in heads.iter_mut().zip(&halves) {
                     for &(e, cur_next) in chain.iter().rev() {
                         if cur_next != *head {
-                            relinks.push((e, cur_next, *head));
+                            relinks.push((e + ENT_NEXT, cur_next, *head));
                         }
                         *head = e;
                     }
                 }
                 // Room for these and the three retire words, or stop here.
-                if b > start && !tx.undo_fits(relinks.len() as u64 + 3) {
+                if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 3) {
                     break;
                 }
-                // The walk is still holding each pre-image.
-                for (e, cur_next, next) in relinks {
-                    tx.set_word(e + ENT_NEXT, cur_next, next)?;
-                }
+                words.append(&mut relinks);
                 for (run, head) in runs.iter_mut().zip(heads) {
                     run.extend_from_slice(&head.to_le_bytes());
                 }
@@ -589,13 +587,19 @@ impl PersistentHashtable {
             tx.write_new(g.heads + start * 8, &runs[0]);
             tx.write_new(g.heads + (start + n) * 8, &runs[1]);
             // `g` mirrors the header (we hold `resize_lock`): no read-back.
+            // One append logs the relinks and the cursor (or retire) words.
             if end == n {
-                tx.set_word(self.header + HDR_CURSOR, start, 0)?;
-                tx.set_word(self.header + HDR_OLD_BUCKETS, n, 0)?;
-                tx.set_word(self.header + HDR_OLD_HEADS, g.old_heads, 0)?;
-                tx.free(g.old_heads)?;
+                words.extend([
+                    (self.header + HDR_CURSOR, start, 0),
+                    (self.header + HDR_OLD_BUCKETS, n, 0),
+                    (self.header + HDR_OLD_HEADS, g.old_heads, 0),
+                ]);
             } else {
-                tx.set_word(self.header + HDR_CURSOR, start, end)?;
+                words.push((self.header + HDR_CURSOR, start, end));
+            }
+            tx.set_words(&words)?;
+            if end == n {
+                tx.free(g.old_heads)?;
             }
             Ok(end)
         })?;
@@ -637,30 +641,32 @@ impl PersistentHashtable {
         Ok(())
     }
 
-    /// Walk the chain at `head_slot` looking for `key` (writer side, caller
-    /// holds the stripe): the head pointer the walk read, and the match, whose
-    /// `slot` is the predecessor pointer a splice rewrites. A bad hop refuses
-    /// the mutation.
+    /// Walk the chain at `head_slot` for `keys`, `(key, hash)` each (writer
+    /// side, caller holds the stripe), in one pass that ends at the last of
+    /// them it finds: every entry it passed, in chain order, and whether it
+    /// is one of `keys`. An entry's `slot` is the pointer a splice rewrites;
+    /// the first one's `at` is the head pointer the walk read. A bad hop
+    /// refuses the mutation.
     fn find(
         &self,
         clock: &Clock,
         head_slot: u64,
-        key: &[u8],
-        hash: u64,
-    ) -> Result<(u64, Option<Entry>)> {
+        keys: &[(&[u8], u64)],
+    ) -> Result<Vec<(Entry, bool)>> {
         let machine = self.pool.device().machine();
         let _span = machine.span(clock, "pmdk", "ht.probe");
         let src = self.pool.charged(clock);
-        let (mut head, mut hit) = (None, None);
+        let (mut seen, mut left) = (Vec::new(), keys.len());
         let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
-            head.get_or_insert(e.at);
-            if e.hash == hash && e.klen as usize == key.len() && e.key(&src) == key {
-                hit = Some(*e);
-            }
-            hit.is_none()
+            let hit = (keys.iter()).any(|&(key, hash)| {
+                e.hash == hash && e.klen as usize == key.len() && e.key(&src) == key
+            });
+            left -= hit as usize;
+            seen.push((*e, hit));
+            left > 0
         });
         machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
-        end.map(|()| (head.unwrap_or(0), hit))
+        end.map(|()| seen)
     }
 
     /// Read-path degradation: these signatures cannot carry a `Result`, so
@@ -763,38 +769,28 @@ impl PersistentHashtable {
         }
     }
 
-    /// Insert (or replace) every `(key, val_len)` with space for its value
-    /// bytes, but do not write them: the returned [`ValueRef`]s let the
-    /// caller serialize *directly into PMEM* (the pMEMCPY zero-staging write
-    /// path). The whole group takes **one pool transaction** with **one
-    /// allocator pass** (`Tx::alloc_many`), stripe-grouped chain splices
-    /// (one snapshotted head write per touched bucket), and volatile
-    /// per-stripe count updates.
+    /// Insert (or replace) every `(key, val_len)` as **one pool
+    /// transaction**, values first: one allocator pass carves every entry,
+    /// and `fill(i, vref)` writes key `i`'s value into its window and flushes
+    /// it — the caller serializes *directly into PMEM* (zero staging), into a
+    /// block nothing reaches yet — or hands the value's bytes back for the
+    /// entry's own store to carry (`put`: a value ready in memory is one
+    /// store with its header). Then, under the touched stripes, one walk a
+    /// bucket finds the keys replaced, each entry is stored whole with its
+    /// `next`, and one undo append logs every head and unlink. One fence
+    /// before the commit point makes heads, entries and values durable.
     ///
-    /// Crash contract: the transaction is the atomicity boundary — a crash
-    /// anywhere before the lane commit point rolls the *entire group* back
-    /// (no key from the batch visible, every replaced entry intact). The
-    /// value bytes are the caller's responsibility: a crash before the
-    /// caller's persist leaves the entry with unwritten contents, exactly
-    /// like a crash in the middle of a pMEMCPY `store`. Use
-    /// [`PersistentHashtable::put`] for a fully atomic key+value update.
-    ///
-    /// Duplicate keys within one batch are rejected: two reservations cannot
-    /// both be linked under the same key atomically.
-    pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
-        self.put_group(clock, reqs, None)
-    }
-
-    /// The one insert path. `value` (a one-request group: [`Self::put`])
-    /// lands inside the transaction, before the commit point; otherwise the
-    /// value bytes are the caller's to write.
-    fn put_group(
+    /// Crash contract: a crash anywhere before the lane commit point, or an
+    /// error from `fill`, rolls the *entire group* back (no key from the
+    /// batch visible, every replaced entry intact); a key is never linked
+    /// before its value is durable. Duplicate keys within one batch are
+    /// rejected: two entries cannot both be linked under one key.
+    pub fn put_many<'v>(
         &self,
         clock: &Clock,
         reqs: &[(&[u8], u64)],
-        value: Option<&[u8]>,
+        mut fill: impl FnMut(usize, ValueRef) -> Result<Option<&'v [u8]>>,
     ) -> Result<Vec<ValueRef>> {
-        debug_assert!(value.is_none() || reqs.len() == 1);
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
@@ -803,116 +799,118 @@ impl PersistentHashtable {
             return Err(PmdkError::ValueTooLarge { len });
         }
         let mut seen = std::collections::HashSet::with_capacity(reqs.len());
-        for &(key, _) in reqs {
-            if !seen.insert(key) {
-                return Err(PmdkError::TxFailure(format!(
-                    "duplicate key in batch: {:?}",
-                    String::from_utf8_lossy(key)
-                )));
-            }
+        if let Some((key, _)) = reqs.iter().find(|(key, _)| !seen.insert(*key)) {
+            let key = String::from_utf8_lossy(key);
+            return Err(PmdkError::TxFailure(format!(
+                "duplicate key in batch: {key:?}"
+            )));
         }
         let hashes: Vec<u64> = reqs.iter().map(|&(k, _)| fnv1a(k)).collect();
-        let entry_sizes: Vec<u64> = reqs
-            .iter()
-            .map(|&(k, vlen)| ENT_KEY + k.len() as u64 + vlen)
-            .collect();
         self.maybe_resize(clock)?;
 
         let machine = self.pool.device().machine();
         let _atomic = pmem_sim::atomic_section();
-        loop {
-            // Route every key, group per head slot (an ordered map keeps the
-            // splice order — and thus every persisted byte — deterministic),
-            // and lock the involved stripes in ascending index order so
-            // concurrent batches and single puts cannot deadlock.
-            let g = self.geo();
-            let routes: Vec<Route> = hashes.iter().map(|&h| g.route(h)).collect();
-            let mut by_slot: BTreeMap<u64, (Vec<usize>, u64)> = BTreeMap::new();
-            for (i, r) in routes.iter().enumerate() {
-                by_slot.entry(r.head_slot).or_default().0.push(i);
-            }
-            let mut held = self.lock_stripes(routes.iter().map(|r| r.sid));
-            // A migration may have moved a bucket between routing and lock
-            // acquisition; holding the stripes pins the survivors, so one
-            // stable re-check suffices.
-            let g2 = self.geo();
-            if hashes.iter().zip(&routes).any(|(&h, r)| g2.route(h) != *r) {
-                machine.metric_counter_add("ht.route.retries", 1);
-                continue;
-            }
-            for (r, &(key, _)) in routes.iter().zip(reqs) {
-                let shadow = held[r.sid].as_mut().expect("every routed stripe is held");
-                self.shadow_invalidate(shadow, key);
-            }
-            self.ensure_dirty(clock);
-
-            let (entries, live_delta) = self.pool.tx(clock, |tx| {
-                // One allocator pass for every entry in the group.
-                let entries = tx.alloc_many(&entry_sizes)?;
-                let mut live_delta = vec![0i64; STRIPES];
-                // Unlink + free replaced entries first. Re-find before
-                // each unlink: an earlier unlink in the same chain may
-                // have moved this entry's predecessor. A bucket's last walk
-                // is also the one read of its head pointer (`was`), which
-                // unlinking the first entry moves.
-                for (&head_slot, (idxs, was)) in &mut by_slot {
-                    for &i in idxs.iter() {
-                        let (key, _) = reqs[i];
-                        let (head, old) = self.find(clock, head_slot, key, hashes[i])?;
-                        *was = old.filter(|o| o.at == head).map_or(head, |o| o.next);
-                        if let Some(old) = old {
-                            tx.set_word(old.slot, old.at, old.next)?;
-                            tx.free(old.at)?;
-                        } else {
-                            live_delta[routes[i].sid] += 1;
-                        }
-                    }
-                }
-                // Chain each bucket's new entries together off-list, each
-                // stored whole and once, undo-free: nothing reaches it yet.
-                for (idxs, was) in by_slot.values() {
-                    let mut head = *was;
-                    for &i in idxs {
-                        let (key, vlen) = (reqs[i].0, reqs[i].1 as u32);
-                        tx.write_new(entries[i], &encode_entry(hashes[i], key, vlen, head, value));
-                        head = entries[i];
-                    }
-                }
-                // One snapshotted head write per bucket makes its group
-                // visible; the first one's undo record fences every entry.
-                for (&head_slot, (idxs, was)) in &by_slot {
-                    let head = entries[*idxs.last().expect("a routed bucket holds a key")];
-                    tx.set_word(head_slot, *was, head)?;
-                }
-                Ok((entries, live_delta))
-            })?;
-            for (sid, d) in live_delta.iter().enumerate() {
-                if *d != 0 {
-                    self.stripes[sid].live.fetch_add(*d, Ordering::Relaxed);
-                }
-            }
-            let refs: Vec<ValueRef> = reqs
-                .iter()
-                .zip(&entries)
-                .map(|(&(key, val_len), &entry)| ValueRef {
-                    offset: entry + ENT_KEY + key.len() as u64,
-                    len: val_len,
+        self.ensure_dirty(clock);
+        let mut locked = None;
+        let (refs, live) = self.pool.tx(clock, |tx| {
+            let sizes: Vec<u64> = (reqs.iter())
+                .map(|(k, len)| ENT_KEY + k.len() as u64 + len)
+                .collect();
+            let entries = tx.alloc_many(&sizes)?;
+            let refs: Vec<ValueRef> = (reqs.iter().zip(&entries))
+                .map(|(&(key, len), &at)| ValueRef {
+                    offset: at + ENT_KEY + key.len() as u64,
+                    len,
                 })
                 .collect();
-            for ((r, &(key, _)), &vref) in routes.iter().zip(reqs).zip(&refs) {
+            let carried: Vec<_> = (refs.iter().enumerate())
+                .map(|(i, &vref)| fill(i, vref))
+                .collect::<Result<_>>()?;
+            // Route every key and lock the involved stripes in ascending
+            // index order, so concurrent batches and single puts cannot
+            // deadlock. A migration may have moved a bucket between routing
+            // and lock acquisition; holding the stripes pins the survivors,
+            // so one stable re-check suffices.
+            let (routes, held) = locked.insert(loop {
+                let g = self.geo();
+                let routes: Vec<Route> = hashes.iter().map(|&h| g.route(h)).collect();
+                let held = self.lock_stripes(routes.iter().map(|r| r.sid));
+                let g2 = self.geo();
+                if hashes.iter().zip(&routes).all(|(&h, r)| g2.route(h) == *r) {
+                    break (routes, held);
+                }
+                machine.metric_counter_add("ht.route.retries", 1);
+            });
+            // Group per head slot: an ordered map keeps the splice order —
+            // and thus every persisted byte — deterministic.
+            let mut by_slot: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+            for (i, r) in routes.iter().enumerate() {
+                by_slot.entry(r.head_slot).or_default().push(i);
                 let shadow = held[r.sid].as_mut().expect("every routed stripe is held");
-                self.shadow_store(shadow, key, vref);
+                self.shadow_invalidate(shadow, reqs[i].0);
             }
-            return Ok(refs);
+            let (mut words, mut frees, mut live) = (Vec::new(), Vec::new(), Vec::new());
+            for (&head_slot, idxs) in &by_slot {
+                let keys: Vec<_> = idxs.iter().map(|&i| (reqs[i].0, hashes[i])).collect();
+                let seen = self.find(clock, head_slot, &keys)?;
+                // The new entries chain onto the old chain without the ones
+                // replaced: a run of those is skipped by the pointer that
+                // named its first — the head's folded into the head's own
+                // write. The walk holds every pre-image.
+                let head = seen.first().map_or(0, |(e, _)| e.at);
+                let (mut rest, replaced) = (head, frees.len());
+                for run in seen.chunk_by(|a, b| a.1 == b.1).filter(|run| run[0].1) {
+                    let (first, last) = (run[0].0, run[run.len() - 1].0);
+                    frees.extend(run.iter().map(|(e, _)| e.at));
+                    if first.slot == head_slot {
+                        rest = last.next;
+                    } else {
+                        words.push((first.slot, first.at, last.next));
+                    }
+                }
+                // Each new entry stored whole and once, undo-free: nothing
+                // reaches it until the head does.
+                for &i in idxs {
+                    let (key, vlen) = (reqs[i].0, reqs[i].1 as u32);
+                    let entry = encode_entry(hashes[i], key, vlen, rest, carried[i]);
+                    tx.write_new(entries[i], &entry);
+                    rest = entries[i];
+                }
+                words.push((head_slot, head, rest));
+                live.push((
+                    routes[idxs[0]].sid,
+                    (idxs.len() + replaced - frees.len()) as i64,
+                ));
+            }
+            tx.free_many(&frees)?;
+            tx.set_words(&words)?;
+            Ok((refs, live))
+        })?;
+        let (routes, mut held) = locked.expect("a committed group holds its stripes");
+        for (sid, d) in live {
+            self.stripes[sid].live.fetch_add(d, Ordering::Relaxed);
         }
+        for ((r, &(key, _)), &vref) in routes.iter().zip(reqs).zip(&refs) {
+            let shadow = held[r.sid].as_mut().expect("every routed stripe is held");
+            self.shadow_store(shadow, key, vref);
+        }
+        Ok(refs)
+    }
+
+    /// [`Self::put_many`] with a fill that writes nothing: each key is
+    /// linked with whatever bytes its block held. Nothing in the product
+    /// reserves without filling — this stays `pub`, with its signature, only
+    /// because `benchmark/src/ladder.rs` (frozen) calls it to time the
+    /// metadata half of a group put.
+    pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
+        self.put_many(clock, reqs, |_, _| Ok(None))
     }
 
     /// Insert (or replace) `key → value` atomically: on a crash at any point
     /// the table holds either the complete old mapping or the complete new
     /// one.
     pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
-        let refs = self.put_group(clock, &[(key, value.len() as u64)], Some(value))?;
-        Ok(refs[0])
+        Ok(self.put_many(clock, &[(key, value.len() as u64)], |_, _| Ok(Some(value)))?[0])
     }
 
     /// Locate `key`'s value without copying it: a shadow-index probe under
@@ -1105,12 +1103,12 @@ impl PersistentHashtable {
         let _atomic = pmem_sim::atomic_section();
         let (r, mut shadow) = self.lock_route(hash, true);
         self.shadow_invalidate(&mut shadow, key);
-        let (_, Some(e)) = self.find(clock, r.head_slot, key, hash)? else {
+        let Some(&(e, true)) = self.find(clock, r.head_slot, &[(key, hash)])?.last() else {
             return Ok(false);
         };
         self.ensure_dirty(clock);
         self.pool.tx(clock, |tx| {
-            tx.set_word(e.slot, e.at, e.next)?;
+            tx.set_words(&[(e.slot, e.at, e.next)])?;
             tx.free(e.at)
         })?;
         self.stripes[r.sid].live.fetch_sub(1, Ordering::Relaxed);
@@ -1407,6 +1405,24 @@ mod tests {
         assert!(PersistentHashtable::open(&clock, &pool, header).is_ok());
     }
 
+    /// A fill that writes `value(i)` into key `i`'s window and flushes it,
+    /// as `Layout::store_many`'s does through its mapping.
+    fn writing<'a>(
+        pool: &'a PmemPool,
+        clock: &'a Clock,
+        value: impl Fn(usize) -> Vec<u8> + 'a,
+    ) -> impl FnMut(usize, ValueRef) -> Result<Option<&'a [u8]>> + 'a {
+        move |i, v| {
+            let bytes = value(i);
+            assert_eq!(bytes.len() as u64, v.len);
+            pool.device().write_meta(clock, v.offset as usize, &bytes);
+            pool.device().flush(clock, v.offset as usize, bytes.len());
+            Ok(None)
+        }
+    }
+
+    /// `put_reserve_many` is the group put with a fill that writes nothing:
+    /// the caller writes the value in place afterwards.
     #[test]
     fn put_reserve_allows_direct_value_writes() {
         let (ht, pool, clock) = table(1 << 22, 16);
@@ -1417,28 +1433,30 @@ mod tests {
     }
 
     #[test]
-    fn put_reserve_many_is_one_tx_one_alloc_pass() {
+    fn put_many_is_one_tx_one_alloc_pass() {
         let (ht, pool, clock) = table(1 << 22, 8);
         let machine = Arc::clone(pool.device().machine());
         let before = machine.stats.snapshot();
         let reqs: Vec<(&[u8], u64)> =
             vec![(b"alpha", 8), (b"beta", 16), (b"gamma", 8), (b"delta", 32)];
-        let refs = ht.put_reserve_many(&clock, &reqs).unwrap();
+        let value = |i: usize| vec![reqs[i].0[0]; reqs[i].1 as usize];
+        let refs = ht
+            .put_many(&clock, &reqs, writing(&pool, &clock, value))
+            .unwrap();
         let delta = machine.stats.snapshot().delta_since(&before);
         assert_eq!(delta.pool_txs, 1, "group commit must claim one lane");
         assert_eq!(delta.alloc_passes, 1, "group alloc must be one pass");
         assert_eq!(refs.len(), 4);
-        for ((key, vlen), vref) in reqs.iter().zip(&refs) {
+        for (i, ((key, vlen), vref)) in reqs.iter().zip(&refs).enumerate() {
             assert_eq!(vref.len, *vlen);
-            pool.write_bytes(&clock, vref.offset, &vec![key[0]; *vlen as usize]);
-            assert_eq!(ht.get(&clock, key).unwrap(), vec![key[0]; *vlen as usize]);
+            assert_eq!(ht.get(&clock, key).unwrap(), value(i));
         }
         assert_eq!(ht.len(&clock), 4);
         pool.check_heap().unwrap();
     }
 
     #[test]
-    fn put_reserve_many_replaces_and_inserts_mixed() {
+    fn put_many_replaces_and_inserts_mixed() {
         let (ht, pool, clock) = table(1 << 22, 1); // everything chains
         ht.set_auto_resize(false);
         ht.put(&clock, b"a", b"old-a").unwrap();
@@ -1447,12 +1465,9 @@ mod tests {
         // Replace two adjacent chain entries and insert two fresh keys in
         // one group.
         let reqs: Vec<(&[u8], u64)> = vec![(b"a", 5), (b"b", 5), (b"c", 5), (b"d", 5)];
-        let refs = ht.put_reserve_many(&clock, &reqs).unwrap();
-        for ((key, _), vref) in reqs.iter().zip(&refs) {
-            let mut val = b"new-".to_vec();
-            val.push(key[0]);
-            pool.write_bytes(&clock, vref.offset, &val);
-        }
+        let value = |i: usize| [b"new-", reqs[i].0].concat();
+        ht.put_many(&clock, &reqs, writing(&pool, &clock, value))
+            .unwrap();
         assert_eq!(ht.len(&clock), 5);
         assert_eq!(ht.get(&clock, b"a").unwrap(), b"new-a");
         assert_eq!(ht.get(&clock, b"b").unwrap(), b"new-b");
@@ -1460,6 +1475,37 @@ mod tests {
         assert_eq!(ht.get(&clock, b"d").unwrap(), b"new-d");
         assert_eq!(ht.get(&clock, b"keep").unwrap(), b"kept");
         pool.check_heap().unwrap(); // replaced entries were freed
+    }
+
+    /// A fill that fails on its third key — a serializer error, say — rolls
+    /// the whole group back: the values already written sit in blocks the
+    /// rollback frees, no key of the group is visible, the key it would
+    /// have replaced keeps its value, and the stripes and the lane are free.
+    #[test]
+    fn a_fill_that_fails_rolls_back_the_whole_group() {
+        let (ht, pool, clock) = table(1 << 22, 4);
+        ht.put(&clock, b"replaced", b"original").unwrap();
+        let allocated = pool.allocated_bytes();
+        let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8), (b"n3", 8)];
+        let err = {
+            let mut fill = writing(&pool, &clock, |_| b"written!".to_vec());
+            let failing = |i, v| match i {
+                2 => Err(PmdkError::TxFailure("the serializer failed".into())),
+                _ => fill(i, v),
+            };
+            ht.put_many(&clock, &reqs, failing).unwrap_err()
+        };
+        assert_eq!(err, PmdkError::TxFailure("the serializer failed".into()));
+        for key in [&b"n1"[..], b"n2", b"n3"] {
+            assert!(ht.get(&clock, key).is_none());
+        }
+        assert_eq!(ht.get(&clock, b"replaced").unwrap(), b"original");
+        assert_eq!((ht.len(&clock), pool.allocated_bytes()), (1, allocated));
+        assert!(ht.stripes.iter().all(|s| s.lock.try_lock().is_some()));
+        pool.check_heap().unwrap();
+        let (ht, pool) = reopen(ht, pool, &clock);
+        assert_eq!(ht.keys(&clock), vec![b"replaced".to_vec()]);
+        pool.check_heap().unwrap();
     }
 
     /// `scenario` — it builds a table and returns the table's header and a
@@ -1480,8 +1526,8 @@ mod tests {
 
     /// The head's undo record holds what the walk read, not a second media
     /// read (debug builds compare the two): a group that unlinks its
-    /// bucket's first entry and splices onto the head that moved rolls back
-    /// to the old chain, and commits to the new one.
+    /// bucket's first and last entries and splices onto the one between
+    /// rolls back to the old chain, and commits to the new one.
     #[test]
     fn a_group_that_moves_its_head_rolls_back_and_commits_whole() {
         let reqs: Vec<(&[u8], u64)> = vec![(b"a", 3), (b"c", 3), (b"d", 3)];
@@ -1491,7 +1537,8 @@ mod tests {
             for key in [b"a", b"b", b"c"] {
                 ht.put(clock, key, b"old").unwrap();
             }
-            ht.put_reserve_many(clock, &reqs).unwrap();
+            ht.put_many(clock, &reqs, writing(pool, clock, |_| b"new".to_vec()))
+                .unwrap();
             (ht.header_offset(), passed())
         });
         ht.set_auto_resize(false);
@@ -1500,9 +1547,8 @@ mod tests {
         }
         assert_eq!((ht.get(&clock, b"d"), ht.len(&clock)), (None, 3));
 
-        for vref in ht.put_reserve_many(&clock, &reqs).unwrap() {
-            pool.write_bytes(&clock, vref.offset, b"new");
-        }
+        ht.put_many(&clock, &reqs, writing(&pool, &clock, |_| b"new".to_vec()))
+            .unwrap();
         for (key, want) in [
             (b"a", b"new"),
             (b"b", b"old"),
@@ -1539,22 +1585,24 @@ mod tests {
             let keys: Vec<Vec<u8>> = fresh.by_ref().take(group).collect();
             let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (k.as_slice(), 8)).collect();
             let before = reads();
-            ht.put_reserve_many(&clock, &reqs).unwrap();
+            ht.put_many(&clock, &reqs, writing(&pool, &clock, |_| vec![7; 8]))
+                .unwrap();
             assert_eq!(reads() - before, group as u64);
         }
     }
 
     #[test]
-    fn put_reserve_many_rejects_duplicate_keys() {
+    fn put_many_rejects_duplicate_keys() {
         let (ht, pool, clock) = table(1 << 22, 8);
+        let nothing = |_, _| Ok(None);
         let err = ht
-            .put_reserve_many(&clock, &[(b"same", 4), (b"same", 8)])
+            .put_many(&clock, &[(b"same", 4), (b"same", 8)], nothing)
             .unwrap_err();
         assert!(matches!(err, PmdkError::TxFailure(_)));
         // A length the entry header cannot hold is refused the same way:
         // an error, before anything is allocated.
         let err = ht
-            .put_reserve_many(&clock, &[(b"fits", 4), (b"huge", 1 << 32)])
+            .put_many(&clock, &[(b"fits", 4), (b"huge", 1 << 32)], nothing)
             .unwrap_err();
         assert_eq!(err, PmdkError::ValueTooLarge { len: 1 << 32 });
         assert!(ht.is_empty(&clock));
@@ -1567,7 +1615,8 @@ mod tests {
             let ht = PersistentHashtable::create(clock, pool, 4).unwrap();
             ht.put(clock, b"pre-existing", b"survives").unwrap();
             ht.put(clock, b"replaced", b"original").unwrap();
-            ht.put_reserve_many(clock, &[(b"n1", 8), (b"replaced", 8), (b"n2", 8)])
+            let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8)];
+            ht.put_many(clock, &reqs, writing(pool, clock, |_| b"the new!".to_vec()))
                 .unwrap();
             (ht.header_offset(), passed())
         });

@@ -6,8 +6,8 @@
 //!
 //! * `set(range)` copies the pre-image into the undo log **before** it
 //!   overwrites the range — read from the media, or handed over by a caller
-//!   whose walk still holds it (`set_word`); `write_new` stores fresh ranges
-//!   undo-free, one fence for all before the next record and the commit.
+//!   whose walk still holds it (`set_words`, one append for all); `write_new`
+//!   stores fresh ranges undo-free. The commit flushes both kinds of store.
 //! * `alloc_many` (`alloc` is a group of one) has the heap *plan* the group,
 //!   persists the planned offsets as *allocation intents*, and only then lets
 //!   the heap write block headers: a rollback frees every block that came to
@@ -85,12 +85,6 @@ impl LaneTable {
     }
 }
 
-impl Default for LaneTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Apply the undo log backwards and free alloc-intents (crashed ACTIVE tx).
 /// The log and the intents are decoded — and bounds-checked — by
 /// [`crate::layout`], so a corrupt lane is `BadPool`, not a wild write.
@@ -139,9 +133,9 @@ pub struct Tx<'a> {
     lane_base: u64,
     undo_used: u64,
     intents_used: u64,
-    /// The blocks `free` named, in slot order: what `commit` executes.
+    /// The blocks `free_many` named, in slot order: what `commit` executes.
     frees: Vec<u64>,
-    /// Ranges `write_new` stored that nothing has flushed yet.
+    /// Ranges stored, fresh or logged, that the commit flushes.
     fresh: Vec<(u64, u64)>,
 }
 
@@ -194,31 +188,31 @@ impl<'a> Tx<'a> {
         }
     }
 
-    /// Record `pre`, which the caller has just read out of `off..`, so a
-    /// rollback can restore it: called before the range is overwritten. The
-    /// record is one store, one flush and one fence; the length word after
-    /// it is the commit point of the log append.
-    fn snapshot(&mut self, off: u64, pre: &[u8]) -> Result<()> {
+    /// Log `pres` — each a range and the bytes the caller has just read out
+    /// of it — so a rollback can restore them: called before the ranges are
+    /// overwritten. However many records there are, they are one store, one
+    /// flush and one fence; the length word after them is the commit point
+    /// of the append.
+    fn log(&mut self, pres: &[(u64, Vec<u8>)]) -> Result<()> {
         let dev = self.pool.device();
-        debug_assert_eq!(pre, dev.read_vec_untimed(off as usize, pre.len()));
-        let size = undo_record_size(pre.len() as u64);
+        let mut records = Vec::new();
+        for (off, pre) in pres {
+            debug_assert_eq!(*pre, dev.read_vec_untimed(*off as usize, pre.len()));
+            records.extend(encode_undo_record(*off, pre));
+        }
+        let size = records.len() as u64;
         if self.undo_used + size > UNDO_CAPACITY {
             return Err(PmdkError::TxFailure(format!(
                 "undo log overflow: {} + {size} > {UNDO_CAPACITY}",
                 self.undo_used
             )));
         }
-        // The write this record guards may publish what `write_new` stored.
-        self.persist_fresh();
-        let entry = lane_undo(self.lane_base) + self.undo_used;
-        self.pool
-            .write_bytes(self.clock, entry, &encode_undo_record(off, pre));
+        let at = lane_undo(self.lane_base) + self.undo_used;
+        self.pool.write_bytes(self.clock, at, &records);
         self.undo_used += size;
-        self.pool.write_u32(
-            self.clock,
-            self.lane_base + lane::UNDO_LEN,
-            self.undo_used as u32,
-        );
+        let len = self.undo_used as u32;
+        self.pool
+            .write_u32(self.clock, self.lane_base + lane::UNDO_LEN, len);
         Ok(())
     }
 
@@ -227,44 +221,37 @@ impl<'a> Tx<'a> {
         self.undo_used + words * undo_record_size(8) <= UNDO_CAPACITY
     }
 
-    /// Snapshot + overwrite in one step.
+    /// Snapshot + overwrite in one step; the commit flushes the overwrite.
     pub fn set(&mut self, off: u64, data: &[u8]) -> Result<()> {
         let mut pre = vec![0u8; data.len()];
         self.pool.read_bytes(self.clock, off, &mut pre);
-        self.snapshot(off, &pre)?;
-        self.pool.write_bytes(self.clock, off, data);
+        self.log(&[(off, pre)])?;
+        self.write_new(off, data);
         Ok(())
     }
 
-    /// [`Tx::set`] of a pointer word the caller's walk has just read as
-    /// `was`: the same record, flush and fence sequence, without the read.
-    pub(crate) fn set_word(&mut self, off: u64, was: u64, now: u64) -> Result<()> {
-        self.snapshot(off, &was.to_le_bytes())?;
-        self.pool.write_u64(self.clock, off, now);
+    /// [`Tx::set`] of pointer words the caller's walk has just read, each
+    /// `(offset, was, now)`: one append logs them all, and nothing is read.
+    pub(crate) fn set_words(&mut self, words: &[(u64, u64, u64)]) -> Result<()> {
+        let pres: Vec<_> = (words.iter())
+            .map(|&(off, was, _)| (off, was.to_le_bytes().to_vec()))
+            .collect();
+        self.log(&pres)?;
+        for &(off, _, now) in words {
+            self.write_new(off, &now.to_le_bytes());
+        }
         Ok(())
     }
 
-    /// Store without snapshotting or persisting (for freshly-allocated
-    /// ranges: no rollback image, and unreachable until a snapshotted write
-    /// or the commit publishes them). Every fresh range is flushed behind
-    /// one fence before the next undo record and before the commit point.
+    /// Store without snapshotting or persisting: a freshly-allocated range
+    /// (no rollback image, unreachable until a logged write publishes it),
+    /// or a range whose pre-image is logged. The commit flushes it behind
+    /// the fence before its commit point.
     pub fn write_new(&mut self, off: u64, data: &[u8]) {
         self.pool
             .device()
             .write_meta(self.clock, off as usize, data);
         self.fresh.push((off, data.len() as u64));
-    }
-
-    /// Flush what `write_new` stored since the last call, one fence for all.
-    fn persist_fresh(&mut self) {
-        if self.fresh.is_empty() {
-            return;
-        }
-        let dev = self.pool.device();
-        for (off, len) in self.fresh.drain(..) {
-            dev.flush(self.clock, off as usize, len as usize);
-        }
-        dev.drain(self.clock);
     }
 
     /// Transactionally allocate `size` bytes; rolled back if the tx aborts.
@@ -285,21 +272,30 @@ impl<'a> Tx<'a> {
         pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs))
     }
 
-    /// Transactionally free `off`; executed only if the tx commits. A block
-    /// this transaction already freed is refused here, while the transaction
-    /// can still roll back: at commit the second free would fail after the
-    /// first had run.
+    /// Transactionally free `off`; executed only if the tx commits.
     pub fn free(&mut self, off: u64) -> Result<()> {
-        if self.intents_used >= LANE_INTENTS {
+        self.free_many(&[off])
+    }
+
+    /// Transactionally free a group of blocks, one intent append for all;
+    /// executed only if the tx commits. A block this transaction already
+    /// freed is refused here, while the transaction can still roll back: at
+    /// commit the second free would fail after the first had run.
+    pub(crate) fn free_many(&mut self, offs: &[u64]) -> Result<()> {
+        if self.intents_used + offs.len() as u64 > LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
-        // Validate now so the error surfaces in the tx, not at commit.
-        self.pool.usable_size(off)?;
-        if self.frees.contains(&off) {
-            return Err(PmdkError::BadPointer(off));
+        for (i, &off) in offs.iter().enumerate() {
+            // Validate now so the error surfaces in the tx, not at commit.
+            self.pool.usable_size(off)?;
+            if self.frees.contains(&off) || offs[..i].contains(&off) {
+                return Err(PmdkError::BadPointer(off));
+            }
         }
-        self.push_intents(&[off | 1]);
-        self.frees.push(off);
+        if !offs.is_empty() {
+            self.push_intents(&offs.iter().map(|off| off | 1).collect::<Vec<_>>());
+            self.frees.extend_from_slice(offs);
+        }
         Ok(())
     }
 
@@ -310,15 +306,21 @@ impl<'a> Tx<'a> {
         let first_slot = lane_intents(self.lane_base) + self.intents_used * 8;
         self.pool.write_bytes(self.clock, first_slot, &slots);
         self.intents_used += entries.len() as u64;
-        self.pool.write_u32(
-            self.clock,
-            self.lane_base + lane::INTENT_COUNT,
-            self.intents_used as u32,
-        );
+        let count = self.intents_used as u32;
+        self.pool
+            .write_u32(self.clock, self.lane_base + lane::INTENT_COUNT, count);
     }
 
     fn commit(&mut self) -> Result<()> {
-        self.persist_fresh();
+        // Every store of the body, and with it whatever the caller flushed
+        // on its own, is durable behind one fence before the commit point.
+        if !self.fresh.is_empty() {
+            let dev = self.pool.device();
+            for (off, len) in self.fresh.drain(..) {
+                dev.flush(self.clock, off as usize, len as usize);
+            }
+            dev.drain(self.clock);
+        }
         // Durable commit point.
         self.pool
             .write_u32(self.clock, self.lane_base + lane::STATE, LANE_COMMITTING);
@@ -674,9 +676,10 @@ mod tests {
         pool.device().machine().stats.snapshot().fences
     }
 
-    /// The barrier ledger (DESIGN §8): however many fresh ranges a
-    /// transaction stores, they share one fence; an undo record is one fence
-    /// and its length word another.
+    /// The barrier ledger (DESIGN §8): an undo record is one fence and its
+    /// length word another; however many ranges a transaction stores —
+    /// fresh, or the targets of its records — they share the one fence
+    /// before the commit point.
     #[test]
     fn fresh_stores_share_one_fence_and_an_undo_record_costs_two() {
         let (pool, clock) = fresh_pool(1 << 21);
@@ -691,14 +694,14 @@ mod tests {
                 tx.set(root, b"publish!")
             })
             .unwrap();
-            // begin, fresh, record, UNDO_LEN, data; commit: COMMITTING,
+            // begin, record, UNDO_LEN; commit: fresh and data, COMMITTING,
             // UNDO_LEN, INTENT_COUNT, IDLE.
-            assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1 + 1 + 4, "k = {k}");
+            assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1 + 4, "k = {k}");
         }
-        // Nothing fresh, nothing to fence; fresh only, fenced by the commit.
+        // A set alone: the commit fences its target; fresh only, the same.
         let before = fences(&pool);
         pool.tx(&clock, |tx| tx.set(root, b"set only")).unwrap();
-        assert_eq!(fences(&pool) - before, 1 + 3 + 4);
+        assert_eq!(fences(&pool) - before, 1 + 2 + 1 + 4);
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
             tx.write_new(block, b"fresh only");
@@ -706,6 +709,16 @@ mod tests {
         })
         .unwrap();
         assert_eq!(fences(&pool) - before, 1 + 1 + 4);
+        // Words logged together are one record append, one length word.
+        let before = fences(&pool);
+        pool.tx(&clock, |tx| {
+            tx.set_words(&[
+                (root, u64::from_le_bytes(*b"set only"), 1),
+                (root + 8, 0, 2),
+            ])
+        })
+        .unwrap();
+        assert_eq!(fences(&pool) - before, 1 + 2 + 1 + 4);
         // An allocation, whatever its size: the intent slots, their count,
         // then the carve (a split of the last block: the tail header's drain
         // and the commit header).
@@ -718,8 +731,11 @@ mod tests {
     }
 
     /// The put path's budget: a 64-key group of fresh keys in distinct
-    /// buckets pays three fences a key for its head write, one for its
-    /// value, and shares everything else.
+    /// buckets pays no fence a key. Its values are flushed by the fill, its
+    /// entries stored, its 64 head records are one undo append, and one
+    /// fence before the commit point makes all of it durable: 12 for the
+    /// group (266 before the values came first). An overwrite of one key
+    /// adds its free intent and its unlink's record to the same appends.
     #[test]
     fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
         use crate::hashtable::{fnv1a, PersistentHashtable};
@@ -738,15 +754,23 @@ mod tests {
             fences(&pool),
             pool.device().machine().stats.snapshot().pool_txs,
         );
-        for vref in ht.put_reserve_many(&clock, &reqs).unwrap() {
-            pool.write_bytes(&clock, vref.offset, &[7u8; 8]);
-        }
+        let dev = pool.device();
+        ht.put_many(&clock, &reqs, |_, v| {
+            dev.write_meta(&clock, v.offset as usize, &[7u8; 8]);
+            dev.flush(&clock, v.offset as usize, 8);
+            Ok(None)
+        })
+        .unwrap();
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
-        let spent = fences(&pool) - before;
-        // 64 × (record, UNDO_LEN, head, value) + begin 1 + intents 2 + heap
-        // carve 2 + fresh 1 + commit 4.
-        assert_eq!(spent, 64 * 4 + 10);
-        assert!(spent <= 5 * 64);
+        // begin 1 + intents 2 + heap carve 2 + records 1 + UNDO_LEN 1 +
+        // commit: heads, entries and values 1, COMMITTING 1, reset 3.
+        assert_eq!(fences(&pool) - before, 12);
+        let before = fences(&pool);
+        ht.put(&clock, &keys[0], b"replaced").unwrap();
+        // The same 12, the free intent's slot and count, and the two the
+        // committed free pays in the heap: 20 before (21 through `Pmem`,
+        // whose value had a fence of its own).
+        assert_eq!(fences(&pool) - before, 16);
     }
 
     #[test]

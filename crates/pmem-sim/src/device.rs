@@ -188,11 +188,11 @@ impl PmemDevice {
         self.drain(clock);
     }
 
-    /// Persist with an explicit [`FlushStrategy`]: CLWB-batched flush or an
-    /// ntstore-style streaming writeback, each followed by the trailing
-    /// fence. `Clwb` is charge-for-charge identical to
-    /// [`PmemDevice::persist`].
-    pub(crate) fn persist_with(
+    /// Flush with an explicit [`FlushStrategy`]: CLWB-batched flush or an
+    /// ntstore-style streaming writeback, durable at the next
+    /// [`PmemDevice::drain`]. `Clwb` is charge-for-charge identical to
+    /// [`PmemDevice::flush`].
+    pub(crate) fn flush_with(
         &self,
         clock: &Clock,
         off: usize,
@@ -206,7 +206,6 @@ impl PmemDevice {
                 self.track_flush(off, len);
             }
         }
-        self.drain(clock);
     }
 
     /// Number of unpersisted cachelines (Tracked mode only).

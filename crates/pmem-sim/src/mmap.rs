@@ -177,9 +177,10 @@ impl DaxMapping {
         self.device.read_borrowed(clock, self.base + off, len, f)
     }
 
-    /// Persist a range of the mapping with an explicit flush strategy (see
-    /// [`crate::profile::FlushStrategy`]); `Clwb` is a CLWB range + SFENCE.
-    pub fn persist_with(
+    /// Flush a range of the mapping with an explicit flush strategy (see
+    /// [`crate::profile::FlushStrategy`]; `Clwb` is a CLWB range): durable
+    /// at the device's next fence, [`PmemDevice::drain`].
+    pub fn flush_with(
         &self,
         clock: &Clock,
         off: usize,
@@ -189,7 +190,7 @@ impl DaxMapping {
         self.assert_mapped();
         self.check_range(off, len);
         self.device
-            .persist_with(clock, self.base + off, len, strategy);
+            .flush_with(clock, self.base + off, len, strategy);
     }
 
     /// Tear down the mapping. Charges one munmap syscall. Subsequent
@@ -289,8 +290,10 @@ mod tests {
         let (m, c) = mapping(false);
         m.store(&c, 0, &[3; 1024]);
         let t = c.now();
-        m.persist_with(&c, 0, 1024, crate::profile::FlushStrategy::Clwb);
+        m.flush_with(&c, 0, 1024, crate::profile::FlushStrategy::Clwb);
         assert!(c.now() > t);
+        assert_eq!(m.device().machine().stats.snapshot().fences, 0);
+        m.device().drain(&c);
         assert_eq!(m.device().machine().stats.snapshot().fences, 1);
     }
 

@@ -202,7 +202,7 @@ impl TraceSummary {
     }
 
     /// One-line phase breakdown for a category, e.g.
-    /// `"put.memcpy 71.2%, put.serialize 12.4%, put.persist 9.1%"`.
+    /// `"put.memcpy 71.2%, put.serialize 12.4%, put.reserve 9.1%"`.
     pub fn breakdown(&self, cat: &str) -> String {
         self.category(cat)
             .iter()

@@ -15,14 +15,14 @@
 //!   `pmdk_sim::doctor` walks, and the transaction's all-or-nothing state;
 //! * table scenarios: the above plus `PersistentHashtable::open` and the
 //!   content contract — every acknowledged put byte-identical, the put in
-//!   flight entirely old or entirely new;
+//!   flight entirely old or entirely new, and an acknowledged key it
+//!   overwrites never without both its values;
 //! * `Pmem` scenarios, inline and write-behind, on a table that never
 //!   splits and on one that is mid-split most of the time: `Pmem::mmap`
 //!   (lane recovery → table open → `WriteBehindState::attach` replay), the
-//!   content contract through the public API (a commit group in flight is
-//!   all or nothing in presence: byte-exact under write-behind, by record
-//!   length inline), `munmap`, and then `pmemcpy-doctor`'s verdict on what
-//!   is left;
+//!   same content contract through the public API (a commit group in flight
+//!   is all or nothing, byte-exact, in both modes), `munmap`, and then
+//!   `pmemcpy-doctor`'s verdict on what is left;
 //! * recovery itself: a write-behind pool crashed inside a checkpoint
 //!   drain's migration chunk, recovered by `PmemPool::open` +
 //!   `PersistentHashtable::open` and crashed there; every image must recover
@@ -53,7 +53,6 @@ use pmem_sim::flight::EventCode::{SplitBegin, SplitChunk, TxBegin, TxCommit};
 use pmem_sim::{crash_subsets, Clock, DetRng, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use pmemcpy_bench::doctor::diagnose;
-use pserial::{Datatype, VarMeta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -570,25 +569,6 @@ fn an_allocation_is_never_durable_before_its_intent() {
 
 // ---- table scenarios: the persistent hashtable on its own pool ----
 
-/// What the table owes for one key.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
-    /// These bytes exactly.
-    Exact(Vec<u8>),
-    /// An entry of this length whose bytes nobody has promised yet
-    /// (`put_reserve_many` returned, the caller's persist has not).
-    Reserved(usize),
-}
-
-impl Val {
-    fn admits(&self, found: &[u8]) -> bool {
-        match self {
-            Val::Exact(bytes) => bytes == found,
-            Val::Reserved(len) => *len == found.len(),
-        }
-    }
-}
-
 /// The content contract over keys `K` and owed values `V`.
 #[derive(Debug)]
 struct Contract<K, V> {
@@ -618,6 +598,13 @@ impl<K: Ord + Clone, V: Clone> Contract<K, V> {
         self.in_flight.clear();
     }
 
+    /// Every acknowledged key the operation in flight overwrites: the key,
+    /// its acknowledged value and the one it is being given. Whatever else
+    /// a crash leaves, such a key holds one of the two.
+    fn overwrites(&self) -> impl Iterator<Item = (&K, &V, &V)> {
+        (self.in_flight.iter()).filter_map(|(k, new)| Some((k, self.acked.get(k)?, new.as_ref()?)))
+    }
+
     /// The acknowledged contents with the operation in flight applied.
     fn after(&self) -> BTreeMap<K, V> {
         let mut after = self.acked.clone();
@@ -634,7 +621,7 @@ impl<K: Ord + Clone, V: Clone> Contract<K, V> {
 #[derive(Debug, Default)]
 struct TableModel {
     header: u64,
-    contract: Contract<Vec<u8>, Val>,
+    contract: Contract<Vec<u8>, Vec<u8>>,
 }
 
 impl TableModel {
@@ -642,21 +629,25 @@ impl TableModel {
     /// applied entirely or not at all.
     fn admits(&self, found: &BTreeMap<Vec<u8>, Vec<u8>>) -> Result<(), String> {
         let Contract { acked, in_flight } = &self.contract;
-        let is = |want: &BTreeMap<Vec<u8>, Val>| {
-            want.len() == found.len()
-                && (want.iter()).all(|(k, v)| found.get(k).is_some_and(|f| v.admits(f)))
-        };
-        if is(acked) || is(&self.contract.after()) {
+        let show = |k: &Vec<u8>| String::from_utf8_lossy(k).into_owned();
+        for (key, old, new) in self.contract.overwrites() {
+            if found.get(key).is_none_or(|f| f != old && f != new) {
+                return Err(format!(
+                    "acknowledged {} lost its old and its new value",
+                    show(key)
+                ));
+            }
+        }
+        if found == acked || *found == self.contract.after() {
             return Ok(());
         }
-        let show = |k: &Vec<u8>| String::from_utf8_lossy(k).into_owned();
         let settled = || acked.iter().filter(|(k, _)| !in_flight.contains_key(*k));
         let lost: Vec<_> = settled()
             .filter(|(k, _)| !found.contains_key(*k))
             .map(|(k, _)| show(k))
             .collect();
         let wrong: Vec<_> = settled()
-            .filter(|(k, v)| found.get(*k).is_some_and(|f| !v.admits(f)))
+            .filter(|(k, v)| found.get(*k).is_some_and(|f| f != *v))
             .map(|(k, _)| show(k))
             .collect();
         Err(format!(
@@ -727,7 +718,7 @@ fn value(i: u32, generation: u8) -> Vec<u8> {
 
 fn put(fx: &TableFixture, ex: &Explorer<TableModel>, i: u32, generation: u8) {
     let v = value(i, generation);
-    ex.update(|m| m.contract.begin([(key(i), Some(Val::Exact(v.clone())))]));
+    ex.update(|m| m.contract.begin([(key(i), Some(v.clone()))]));
     fx.ht.put(&fx.clock, &key(i), &v).unwrap();
     ex.update(|m| m.contract.ack());
 }
@@ -763,29 +754,30 @@ fn puts_replaces_and_removes_are_atomic_in_every_crash_state() {
     ));
 }
 
+/// One group put of `ids` at `generation`, values written by the fill —
+/// each into its entry, flushed — before the transaction links them.
+fn group(fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>, generation: u8) {
+    let values: Vec<_> = ids.clone().map(|i| value(i, generation)).collect();
+    let keys: Vec<_> = ids.map(key).collect();
+    let reqs: Vec<(&[u8], u64)> = (keys.iter().zip(&values))
+        .map(|(k, v)| (k.as_slice(), v.len() as u64))
+        .collect();
+    ex.update(|m| {
+        let puts = keys.iter().cloned().zip(values.iter().cloned().map(Some));
+        m.contract.begin(puts)
+    });
+    let dev = fx.pool.device();
+    (fx.ht.put_many(&fx.clock, &reqs, |i, v| {
+        dev.write(&fx.clock, v.offset as usize, &values[i]);
+        dev.flush(&fx.clock, v.offset as usize, values[i].len());
+        Ok(None)
+    }))
+    .unwrap();
+    ex.update(|m| m.contract.ack());
+}
+
 #[test]
 fn a_64_key_reservation_is_all_or_nothing_in_every_crash_state() {
-    let group =
-        |fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>, generation| {
-            let values: Vec<_> = ids.clone().map(|i| value(i, generation)).collect();
-            let keys: Vec<_> = ids.map(key).collect();
-            let reqs: Vec<(&[u8], u64)> = (keys.iter().zip(&values))
-                .map(|(k, v)| (k.as_slice(), v.len() as u64))
-                .collect();
-            let reserved = |v: &Vec<u8>| Some(Val::Reserved(v.len()));
-            ex.update(|m| {
-                m.contract
-                    .begin(keys.iter().cloned().zip(values.iter().map(reserved)))
-            });
-            let refs = fx.ht.put_reserve_many(&fx.clock, &reqs).unwrap();
-            ex.update(|m| m.contract.ack());
-            // The caller's half: each value written in place and persisted.
-            for ((k, v), vref) in keys.iter().zip(&values).zip(refs) {
-                ex.update(|m| m.contract.begin([(k.clone(), Some(Val::Exact(v.clone())))]));
-                fx.pool.write_bytes(&fx.clock, vref.offset, v);
-                ex.update(|m| m.contract.ack());
-            }
-        };
     let scenario = |fx: &TableFixture, ex: &Explorer<TableModel>| {
         group(fx, ex, 0..64, 1);
         // Half replacements, half fresh keys, in one group.
@@ -796,6 +788,27 @@ fn a_64_key_reservation_is_all_or_nothing_in_every_crash_state() {
         "group",
         POOL_BYTES,
         table_fixture(256),
+        judge_table,
+        scenario,
+    ));
+}
+
+/// A group that overwrites acknowledged keys only, some of them sharing a
+/// bucket: at no crash point does one of them read neither its old nor its
+/// new bytes (before the values came first, a crash after the commit and
+/// before a value's persist lost both).
+#[test]
+fn an_overwritten_key_keeps_its_old_or_its_new_value_in_every_crash_state() {
+    let scenario = |fx: &TableFixture, ex: &Explorer<TableModel>| {
+        group(fx, ex, 0..48, 1);
+        group(fx, ex, 0..48, 2);
+        group(fx, ex, 8..40, 3);
+        assert!(!fx.ht.splitting() && fx.ht.bucket_count() == 128);
+    };
+    assert_clean(explore(
+        "overwrite",
+        POOL_BYTES,
+        table_fixture(128),
         judge_table,
         scenario,
     ));
@@ -829,22 +842,13 @@ fn a_split_is_consistent_from_its_first_chunk_to_its_retirement() {
 
 // ---- Pmem scenarios: the whole library, inline and write-behind ----
 
-/// A commit group is all-or-nothing in presence in both modes. Under
-/// write-behind it is one WAL record, so its bytes are too. Inline it is one
-/// transaction that links every key at its new length, and each value is
-/// persisted after it, so until the commit returns a key in flight is owed
-/// its length, not its bytes (the table judge's `Val::Reserved`).
+/// A commit group is all or nothing, byte-exact, in both modes: under
+/// write-behind it is one WAL record, inline one transaction that publishes
+/// values it has already written.
 #[derive(Debug)]
 struct PmemModel {
     opts: Options,
     contract: Contract<String, Vec<u64>>,
-}
-
-/// The length of the record a `store_slice` of `v` under `key` writes.
-fn record_len(opts: &Options, key: &str, v: &[u64]) -> usize {
-    let meta = VarMeta::local_array(key, Datatype::U64, &[v.len() as u64]);
-    let serializer = opts.resolve_serializer().unwrap();
-    serializer.serialized_len(&meta, 8 * v.len() as u64) as usize
 }
 
 fn single_rank(machine: &Arc<Machine>) -> Comm {
@@ -873,17 +877,20 @@ fn judge_pmem(model: &PmemModel, image: &Arc<PmemDevice>) -> Result<(), String> 
     if let Some(stray) = (found.iter().filter(settled)).find(|k| !acked.contains_key(*k)) {
         return Err(format!("{stray} is listed and was never acknowledged"));
     }
+    for (key, old, new) in model.contract.overwrites() {
+        if !(pmem.load_slice::<u64>(key)).is_ok_and(|got| got == *old || got == *new) {
+            return Err(format!("acknowledged {key} lost its old and its new value"));
+        }
+    }
     // The keys in flight are all as acknowledged, or all as the group left
-    // them: exactly under write-behind, by length inline.
-    let holds = |want: &BTreeMap<String, Vec<u64>>, exact: bool| {
+    // them.
+    let holds = |want: &BTreeMap<String, Vec<u64>>| {
         in_flight.keys().all(|key| match want.get(key) {
-            Some(want) if exact => pmem.load_slice::<u64>(key).is_ok_and(|got| &got == want),
-            Some(want) => (pmem.raw_record(key))
-                .is_ok_and(|raw| raw.len() == record_len(&model.opts, key, want)),
+            Some(want) => pmem.load_slice::<u64>(key).is_ok_and(|got| &got == want),
             None => !found.contains(key),
         })
     };
-    if !holds(acked, true) && !holds(&model.contract.after(), model.opts.write_behind) {
+    if !holds(acked) && !holds(&model.contract.after()) {
         let keys: Vec<_> = in_flight.keys().collect();
         return Err(format!(
             "the group in flight on {keys:?} is partially visible"

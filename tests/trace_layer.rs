@@ -130,9 +130,11 @@ fn chrome_trace_json_is_schema_valid_with_one_lane_per_rank() {
         "span on a lane outside the rank set"
     );
 
-    // The timed write phase must expose the put pipeline.
+    // The timed write phase must expose the put pipeline. A value is
+    // flushed by the store that writes it and made durable by the commit
+    // that publishes its group: there is no `put.persist` of its own.
     let summary = TraceSummary::from_spans(&spans);
-    for op in ["put.serialize", "put.memcpy", "put.persist"] {
+    for op in ["put.serialize", "put.reserve", "put.memcpy"] {
         assert!(
             summary.category("put").iter().any(|b| b.name == op),
             "missing {op} in {summary}"
