@@ -132,8 +132,6 @@ pub struct Comm {
 /// Reduction operators supported by `reduce`/`allreduce`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ReduceOp {
-    #[cfg(test)]
-    Sum,
     Max,
     Min,
 }
@@ -373,27 +371,6 @@ impl Comm {
         out
     }
 
-    /// Scatter per-rank buffers from `root`: rank `i` receives `bufs[i]`.
-    /// Non-roots pass `None`.
-    #[cfg(test)]
-    fn scatterv(&self, root: usize, bufs: Option<&[Vec<u8>]>) -> Vec<u8> {
-        let mut span = self.machine().span(&self.clock, "mpi", "scatterv");
-        let out = if self.rank == root {
-            let bufs = bufs.expect("root must supply scatter buffers");
-            assert_eq!(bufs.len(), self.size(), "one buffer per rank");
-            for (dest, buf) in bufs.iter().enumerate() {
-                if dest != root {
-                    self.send(dest, TAG_SCATTER, buf);
-                }
-            }
-            bufs[root].clone()
-        } else {
-            self.recv(root, TAG_SCATTER)
-        };
-        span.set_arg("bytes", out.len() as u64);
-        out
-    }
-
     /// Reduce `value` across ranks with `op`; `Some(result)` on root.
     pub(crate) fn reduce_u64(&self, root: usize, value: u64, op: ReduceOp) -> Option<u64> {
         let gathered = self.gatherv(root, &value.to_le_bytes())?;
@@ -401,8 +378,6 @@ impl Comm {
             .iter()
             .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()));
         Some(match op {
-            #[cfg(test)]
-            ReduceOp::Sum => vals.sum(),
             ReduceOp::Max => vals.max().unwrap_or(0),
             ReduceOp::Min => vals.min().unwrap_or(0),
         })
@@ -422,8 +397,6 @@ const TAG_BARRIER: u64 = 1 << 40;
 const TAG_BCAST: u64 = 2 << 40;
 const TAG_GATHER: u64 = 3 << 40;
 const TAG_A2A: u64 = 4 << 40;
-#[cfg(test)]
-const TAG_SCATTER: u64 = 6 << 40;
 
 /// Length-prefixed packing for vectors of buffers.
 pub(crate) fn pack_lengths(bufs: &[Vec<u8>]) -> Vec<u8> {
@@ -566,27 +539,16 @@ mod tests {
     }
 
     #[test]
-    fn scatterv_delivers_per_rank_buffers() {
-        let machine = Machine::chameleon();
-        run_world(machine, 5, |comm| {
-            let bufs: Option<Vec<Vec<u8>>> = (comm.rank() == 1).then(|| {
-                (0..comm.size())
-                    .map(|r| format!("for-{r}").into_bytes())
-                    .collect()
-            });
-            let mine = comm.scatterv(1, bufs.as_deref());
-            assert_eq!(mine, format!("for-{}", comm.rank()).as_bytes());
-        });
-    }
-
-    #[test]
-    fn allreduce_computes_sums_and_extrema() {
+    fn allreduce_computes_extrema() {
         let machine = Machine::chameleon();
         run_world(machine, 6, |comm| {
-            let v = comm.rank() as u64 + 1;
-            assert_eq!(comm.allreduce_u64(v, ReduceOp::Sum), 21);
+            // 4, 3, 2, 1, 6, 5: neither extremum sits on the first or the
+            // last rank.
+            let v = (comm.rank() as u64 * 5 + 3) % 6 + 1;
             assert_eq!(comm.allreduce_u64(v, ReduceOp::Max), 6);
             assert_eq!(comm.allreduce_u64(v, ReduceOp::Min), 1);
+            let rooted = comm.reduce_u64(2, v, ReduceOp::Max);
+            assert_eq!(rooted, (comm.rank() == 2).then_some(6));
         });
     }
 

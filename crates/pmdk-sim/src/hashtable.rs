@@ -10,9 +10,9 @@
 //!
 //! The directory is **online-resizable**: when the live-entry estimate
 //! crosses `bucket_count / SPLIT_FACTOR`, a split doubles the directory by
-//! allocating a fresh heads array and publishing both tables plus a
-//! persisted `split_cursor` in one transaction. Each subsequent *mutation*
-//! helps migrate one chunk of old buckets (relink lo/hi partitions, stream
+//! allocating a fresh heads array, unzeroed, and publishing both tables plus
+//! a persisted `split_cursor` in one transaction. Each subsequent *mutation*
+//! helps migrate one chunk of old buckets (relink lo/hi partitions, write
 //! the destination heads, advance the cursor) inside a single pool
 //! transaction; lookups never migrate. Routing is derived from the
 //! persistent triple `(old_buckets, cursor, buckets)`: a key whose old
@@ -22,10 +22,12 @@
 //! carries only what a rollback can reach: the relinked next pointers and
 //! the cursor. A crash at any point replays it back to a consistent cursor
 //! and consistent reachable slots, and the chunk's re-run overwrites what
-//! the failed one left in unreachable ones — resize never stops the world
-//! and is crash-safe at every step. Because a split's old heads array *is* the
-//! previous table, beginning a split changes no key's physical slot — only
-//! migration does, and migration holds both affected stripes.
+//! the failed one — or the allocator — left in unreachable ones: resize
+//! never stops the world, is crash-safe at every step, and costs each
+//! mutation only the chunk it helps with. Because a split's old heads
+//! array *is* the previous table, beginning a split changes no key's
+//! physical slot — only migration does, and migration holds both affected
+//! stripes.
 //!
 //! The entry count is sharded: inserts and removes bump a volatile
 //! per-stripe delta (no cross-stripe RMW on the hot path) and set a
@@ -452,11 +454,16 @@ impl PersistentHashtable {
         Ok(())
     }
 
-    /// Double the directory: allocate + zero a new heads array and publish
+    /// Double the directory: allocate a new heads array and publish
     /// `(old_buckets, old_heads, cursor=0, buckets×2, new_heads)` in one
-    /// transaction. The old heads array becomes the old table in place, so
-    /// no key's physical slot or stripe changes here — routing through the
-    /// new geometry is identical until migration moves a bucket.
+    /// transaction, a cost that does not grow with the directory. The new
+    /// array is not zeroed: at cursor 0 none of its slots is reachable
+    /// ([`Geo::head_runs`]), and the chunk whose cursor passes a slot writes
+    /// it first, 0 included — so each put that helps pays for the slots it
+    /// migrates, and the put that trips the split pays for none. The old
+    /// heads array becomes the old table in place, so no key's physical
+    /// slot or stripe changes here — routing through the new geometry is
+    /// identical until migration moves a bucket.
     fn begin_split(&self, clock: &Clock) -> Result<()> {
         let Some(_resize) = self.resize_lock.try_lock() else {
             return Ok(()); // someone else is already splitting
@@ -473,16 +480,6 @@ impl PersistentHashtable {
         let _phase = machine.phase(clock, "pmdk", "ht.resize");
         let new_heads = self.pool.tx(clock, |tx| {
             let new_heads = tx.alloc(doubled * 8)?;
-            // Fresh allocation: zero it without undo images, in bounded
-            // chunks so huge directories do not stage one giant buffer.
-            let total = doubled * 8;
-            let zeros = vec![0u8; total.min(1 << 20) as usize];
-            let mut off = 0u64;
-            while off < total {
-                let n = (total - off).min(zeros.len() as u64) as usize;
-                tx.write_new(new_heads + off, &zeros[..n]);
-                off += n as u64;
-            }
             tx.set(self.header + HDR_OLD_BUCKETS, &g.buckets.to_le_bytes())?;
             tx.set(self.header + HDR_OLD_HEADS, &g.heads.to_le_bytes())?;
             tx.set(self.header + HDR_CURSOR, &0u64.to_le_bytes())?;
@@ -1785,6 +1782,113 @@ mod tests {
         found.sort();
         assert_eq!(found, left);
         pool.check_heap().unwrap();
+    }
+
+    /// `begin_split` does not zero the new directory: a slot is read only
+    /// once the chunk whose cursor passes it has written it. Here the new
+    /// heads array is handed out from a freed block full of pointer-shaped
+    /// garbage — live entries of other buckets, and self-pointers — and no
+    /// walker, router or doctor may follow any of it, mid-split or after.
+    #[test]
+    fn a_split_onto_a_poisoned_block_follows_none_of_it() {
+        const N: u64 = 64;
+        let (ht, pool, clock) = table(1 << 23, N);
+        let mut expect = BTreeMap::new();
+        let put = |expect: &mut BTreeMap<_, _>, i: u32| {
+            let (k, v) = (
+                format!("p{i}"),
+                format!("value-{i}").repeat(1 + i as usize % 3),
+            );
+            ht.put(&clock, k.as_bytes(), v.as_bytes()).unwrap();
+            expect.insert(k.into_bytes(), v.into_bytes());
+        };
+        // 33 live keys: the next mutation begins a split.
+        for i in 0..33 {
+            put(&mut expect, i);
+        }
+        assert!(!ht.splitting());
+
+        // A block the size of the doubled directory between two live ones
+        // (no coalescing on free), poisoned, then freed.
+        let poison = pool.alloc(&clock, 2 * N * 8).unwrap();
+        pool.alloc(&clock, 64).unwrap();
+        let live: Vec<(u64, u64)> = (expect.keys())
+            .map(|k| {
+                let entry = ht.get_ref(&clock, k).unwrap().offset - ENT_KEY - k.len() as u64;
+                (fnv1a(k) % (2 * N), entry)
+            })
+            .collect();
+        let garbage: Vec<u8> = (0..2 * N)
+            .map(|b| match b % 2 {
+                0 => poison + b * 8,
+                _ => live.iter().find(|&&(home, _)| home != b).unwrap().1,
+            })
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        pool.write_bytes(&clock, poison, &garbage);
+        pool.free(&clock, poison).unwrap();
+
+        put(&mut expect, 33);
+        let g = ht.geo();
+        assert_eq!(g.heads, poison, "the split reused the poisoned block");
+        assert_eq!((g.old_buckets, g.cursor), (N, 8), "one chunk helped");
+        let poisoned = |b: u64| pool.read_u64(&clock, g.heads + b * 8) != 0;
+        assert!(
+            (g.cursor..N).all(poisoned),
+            "unreachable slots keep the garbage"
+        );
+        let walk = crate::doctor::walk_hashtable(pool.device(), ht.header_offset());
+        assert!(walk.ok(), "{:?}", walk.errors);
+        assert_eq!(walk.reachable, 34);
+
+        // Puts and removes drive the split to its retirement.
+        let mut i = 34;
+        while ht.splitting() {
+            put(&mut expect, i);
+            if i % 3 == 0 {
+                let k = format!("p{}", i / 3).into_bytes();
+                assert!(ht.remove(&clock, &k).unwrap());
+                expect.remove(&k);
+            }
+            i += 1;
+        }
+        assert_eq!(ht.bucket_count(), 2 * N);
+        let mut listed = ht.keys(&clock);
+        listed.sort();
+        assert_eq!(
+            listed,
+            expect.keys().cloned().collect::<Vec<_>>(),
+            "each key once"
+        );
+        for (k, v) in &expect {
+            assert_eq!(&ht.get(&clock, k).unwrap(), v);
+        }
+        assert_eq!(ht.len(&clock), expect.len() as u64);
+        let hist = ht.chain_length_histogram(&clock);
+        assert_eq!(hist.iter().sum::<u64>(), 2 * N);
+        let entries: u64 = hist.iter().zip(0..).map(|(n, len)| n * len).sum();
+        assert_eq!(entries, expect.len() as u64);
+        ht.quiesce(&clock).unwrap();
+        pool.check_heap().unwrap();
+    }
+
+    /// Beginning a split allocates and publishes: the bytes it writes, the
+    /// lines it flushes and its fences do not grow with the directory.
+    #[test]
+    fn beginning_a_split_costs_the_same_at_any_directory_size() {
+        let cost = |n: u64| {
+            let (ht, pool, clock) = table(1 << 23, n);
+            for i in 0..=n / 2 {
+                ht.put(&clock, format!("s{i}").as_bytes(), b"v").unwrap();
+            }
+            let stats = &pool.device().machine().stats;
+            let before = stats.snapshot();
+            ht.begin_split(&clock).unwrap();
+            assert!(ht.splitting(), "{} keys over {n} buckets", n / 2 + 1);
+            let d = stats.snapshot().delta_since(&before);
+            (d.pmem_bytes_written, d.flush_calls, d.fences)
+        };
+        assert_eq!(cost(64), cost(4096));
     }
 
     /// A migration chunk of `c` buckets holding `m` entries is `1 + m`

@@ -44,9 +44,10 @@ mod support;
 
 use mpi_sim::{Comm, World};
 use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap};
+use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
     heap_start, intents, lane_offset, walk_blocks, BlockHeader, BLOCK_ALLOC, BLOCK_FREE,
-    BLOCK_HEADER_SIZE,
+    BLOCK_HEADER_SIZE, ENT_KEY, HDR_HEADS,
 };
 use pmdk_sim::{PersistentHashtable, PmdkError, PmemPool};
 use pmem_sim::flight::EventCode::{SplitBegin, SplitChunk, TxBegin, TxCommit};
@@ -814,20 +815,72 @@ fn an_overwritten_key_keeps_its_old_or_its_new_value_in_every_crash_state() {
     ));
 }
 
+/// If the next mutation begins a split, make the block its doubled
+/// directory will be handed recycled memory full of pointer-shaped garbage:
+/// a block that size — kept apart from the free tail by a live block after
+/// it, so freeing it coalesces nothing — gets self-pointers in its even
+/// words and the entries of live keys from other buckets in its odd ones,
+/// and is freed for the split's allocation to reuse. Crash points are off
+/// meanwhile; returns the block.
+fn poison_the_next_directory(fx: &TableFixture, ex: &Explorer<TableModel>) -> Option<u64> {
+    let (clock, buckets) = (&fx.clock, fx.ht.bucket_count());
+    if fx.ht.splitting() || 2 * fx.ht.len(clock) <= buckets {
+        return None;
+    }
+    let slots = 2 * buckets;
+    ex.paused(|| {
+        let block = fx.pool.alloc(clock, slots * 8).unwrap();
+        fx.pool.alloc(clock, 64).unwrap();
+        let live: Vec<(u64, u64)> = (fx.ht.keys(clock).iter())
+            .map(|k| {
+                let entry = fx.ht.get_ref(clock, k).unwrap().offset - ENT_KEY - k.len() as u64;
+                (fnv1a(k) % slots, entry)
+            })
+            .collect();
+        let garbage: Vec<u8> = (0..slots)
+            .map(|b| match b % 2 {
+                0 => block + b * 8,
+                _ => live.iter().find(|&&(home, _)| home != b).unwrap().1,
+            })
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        fx.pool.write_bytes(clock, block, &garbage);
+        fx.pool.free(clock, block).unwrap();
+        Some(block)
+    })
+}
+
+/// Every split of this scenario doubles the directory onto a poisoned block
+/// (see [`poison_the_next_directory`]), so every mid-split crash image holds
+/// garbage, not zeros, in the slots the cursor has not passed.
 #[test]
 fn a_split_is_consistent_from_its_first_chunk_to_its_retirement() {
     let scenario = |fx: &TableFixture, ex: &Explorer<TableModel>| {
+        let directory = || {
+            fx.pool
+                .read_u64(&fx.clock, fx.ht.header_offset() + HDR_HEADS)
+        };
+        let mut reused = 0;
+        let mut step = |op: &dyn Fn()| {
+            let poisoned = poison_the_next_directory(fx, ex);
+            op();
+            if let Some(block) = poisoned {
+                assert_eq!(directory(), block, "the split reused the poisoned block");
+                reused += 1;
+            }
+        };
         // 16 → 32 → 64 → 128 buckets: the splits begin at the 9th, 17th and
         // 33rd live key and take 2, 4 and 8 helped chunks to retire.
         for i in 0..48 {
-            put(fx, ex, i, 1);
+            step(&|| put(fx, ex, i, 1));
             if i % 7 == 6 {
-                remove(fx, ex, i - 3);
+                step(&|| remove(fx, ex, i - 3));
             }
             if i % 11 == 10 {
-                put(fx, ex, i - 5, 2);
+                step(&|| put(fx, ex, i - 5, 2));
             }
         }
+        assert_eq!(reused, 3, "each split began on a poisoned block");
         assert!(!fx.ht.splitting(), "the last split retired");
         assert_eq!(fx.ht.bucket_count(), 128);
     };
