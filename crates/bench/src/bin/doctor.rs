@@ -9,10 +9,9 @@
 //! `examine` opens an image read-only — the pool is never mounted, no
 //! recovery runs — and prints geometry, histograms, pending WAL records,
 //! the flight-recorder timeline, and an fsck-style verdict list, including
-//! the device profile and autotuned flush strategy recorded in the
-//! superblock. `--profile` names the device profile the image is expected
-//! to come from (default `optane-gen1`); a superblock/profile mismatch is
-//! a FAIL verdict.
+//! the device profile recorded in the superblock. `--profile` names the
+//! device profile the image is expected to come from (default
+//! `optane-gen1`); a superblock/profile mismatch is a FAIL verdict.
 //!
 //! The `demo-*` subcommands exist for CI and for exploring the tool: they
 //! run one small workload (80 keys, a table that splits, then a clean
@@ -208,7 +207,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             };
             match pmem_sim::profile::by_name(&a.profile) {
-                Some(p) => load_image_on(path, Machine::new(p.config()))
+                Some(config) => load_image_on(path, Machine::new(config))
                     .and_then(|dev| examine(&dev, a.json, a.timeline)),
                 None => Err(format!(
                     "unknown device profile {:?}; valid profiles: {}",

@@ -19,7 +19,7 @@
 //!   ablate-fill        NetCDF fill vs NC_NOFILL
 //!   ablate-drain       asynchronous burst-buffer drain (Fig. 1 tier)
 //!   creation-storm     metadata storm: 8 ranks minting fresh keys; gates the chain-length bound
-//!   sweep-profiles     device-profile x flush-strategy grid; gates autotuned <= best pinned
+//!   sweep-profiles     device-profile x flush-strategy grid; gates the device's own <= the other
 //!   sweep-profiles     second table: MAP_SYNC across the profiles (PMCPY-A vs PMCPY-B, write)
 //!   volume             PMCPY-A write/read vs modelled volume, 5-80 GB (bandwidth-bound: linear)
 //!   all                every command above, in that order; CSVs land in results/
@@ -67,9 +67,7 @@ fn usage() -> String {
 }
 
 fn profile(name: &str) -> Result<MachineConfig, String> {
-    by_name(name)
-        .map(|p| p.config())
-        .ok_or_else(|| format!("unknown device profile {name:?}"))
+    by_name(name).ok_or_else(|| format!("unknown device profile {name:?}"))
 }
 
 fn number(flag: &str, value: &str) -> Result<u64, String> {

@@ -182,11 +182,7 @@ pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
                 dev.machine().profile_name()
             )
         } else {
-            format!(
-                "device profile \"{}\", flush strategy {}",
-                sb.device_profile_name(),
-                sb.flush_strategy_name()
-            )
+            format!("device profile \"{}\"", sb.device_profile_name())
         },
     );
     push(
@@ -359,12 +355,7 @@ pub fn render_text(d: &Diagnosis, timeline: bool) -> String {
         "layout \"{}\"  generation {}  pool {} bytes  heap at {:#x}",
         sb.layout_name, sb.generation, sb.pool_size, sb.heap_start
     );
-    let _ = writeln!(
-        out,
-        "device profile \"{}\"  put flush strategy {}",
-        sb.device_profile_name(),
-        sb.flush_strategy_name()
-    );
+    let _ = writeln!(out, "device profile \"{}\"", sb.device_profile_name());
     let _ = writeln!(
         out,
         "lanes: {} idle / {} active / {} committing",
@@ -509,9 +500,8 @@ pub fn render_json(d: &Diagnosis) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"device_profile\": \"{}\",\n  \"flush_strategy\": \"{}\",",
-        json_escape(sb.device_profile_name()),
-        json_escape(sb.flush_strategy_name())
+        "  \"device_profile\": \"{}\",",
+        json_escape(sb.device_profile_name())
     );
     let _ = writeln!(
         out,

@@ -12,7 +12,7 @@ use crate::report::{
 };
 use crate::sweep::{run_cell, run_storm_cell, CellConfig, Direction};
 use baselines::{figure_lineup, AdiosLike, Netcdf4Like, PioLibrary, PmemcpyLib};
-use pmem_sim::{autotune_flush, FlushStrategy, MachineConfig, MetricsRegistry};
+use pmem_sim::{FlushStrategy, MachineConfig, MetricsRegistry};
 use pmemcpy::Options;
 use workloads::{Domain3dSpec, StormSpec};
 
@@ -50,12 +50,10 @@ pub(crate) struct Row {
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Cell {
     /// The §4.1 domain workload through `lib`, once per direction of the
-    /// experiment. `pinned` is the flush strategy the row forced, reported
-    /// in place of the autotuner's verdict.
+    /// experiment.
     Domain {
         lib: Box<dyn PioLibrary>,
         cfg: CellConfig,
-        pinned: Option<FlushStrategy>,
     },
     /// The key-creation storm.
     Storm(StormSpec),
@@ -63,30 +61,15 @@ pub(crate) enum Cell {
 
 impl Row {
     fn lib(key: impl ToString, lib: Box<dyn PioLibrary>, cfg: CellConfig) -> Row {
-        Row::domain(key, lib, cfg, None)
+        Row {
+            key: key.to_string(),
+            cell: Cell::Domain { lib, cfg },
+        }
     }
 
     /// pMEMCPY under `options`, labelled `label` in reports.
     fn pmcpy(key: impl ToString, label: &'static str, options: Options, cfg: CellConfig) -> Row {
-        let pinned = options.flush_strategy;
-        Row::domain(
-            key,
-            Box::new(PmemcpyLib::custom(label, options)),
-            cfg,
-            pinned,
-        )
-    }
-
-    fn domain(
-        key: impl ToString,
-        lib: Box<dyn PioLibrary>,
-        cfg: CellConfig,
-        pinned: Option<FlushStrategy>,
-    ) -> Row {
-        Row {
-            key: key.to_string(),
-            cell: Cell::Domain { lib, cfg, pinned },
-        }
+        Row::lib(key, Box::new(PmemcpyLib::custom(label, options)), cfg)
     }
 }
 
@@ -117,7 +100,7 @@ const MISMATCHES: Col = Col("mismatches", |o| o.cells[0].mismatches.to_string())
 const WAL_APPENDS: Col = Col("wal_appends", |o| {
     o.cells[0].metrics.counter("wal.appends").to_string()
 });
-const AUTOTUNED: Col = Col("autotuned", |o| o.cells[0].flush_strategy.clone());
+const PRIMITIVE: Col = Col("primitive", |o| o.cells[0].flush_strategy.clone());
 
 const WRITE: &[Direction] = &[Direction::Write];
 const WRITE_READ: &[Direction] = &[Direction::Write, Direction::Read];
@@ -385,31 +368,33 @@ pub static TABLE: &[Experiment] = &[
     },
     Experiment {
         name: "sweep-profiles",
-        help: "device-profile x flush-strategy grid; gates autotuned <= best pinned",
+        help: "device-profile x flush-strategy grid; gates the device's own <= the other",
         stem: "sweep_profiles",
         key: "profile,strategy,nprocs",
-        cols: &[WRITE_S, AUTOTUNED],
+        cols: &[WRITE_S, PRIMITIVE],
         bench: Some("profiles"),
         grid: |ctx| {
             let mut rows = vec![];
             for mc in &ctx.profiles {
                 for &p in &ctx.procs {
+                    // `auto` is the device as declared; the other two force
+                    // a primitive onto it.
                     for (mode, flush_strategy) in [
-                        ("auto", None),
-                        ("clwb", Some(FlushStrategy::Clwb)),
-                        ("ntstore", Some(FlushStrategy::Ntstore)),
+                        ("auto", mc.flush_strategy),
+                        ("clwb", FlushStrategy::Clwb),
+                        ("ntstore", FlushStrategy::Ntstore),
                     ] {
                         let profile = mc.profile_name;
                         let label = Box::leak(format!("PMCPY/{profile}/{mode}").into_boxed_str());
-                        let options = Options {
+                        let machine = MachineConfig {
                             flush_strategy,
-                            ..Options::default()
+                            ..mc.clone()
                         };
-                        let cfg = CellConfig::paper_on(p, ctx.real_bytes, mc.clone());
+                        let cfg = CellConfig::paper_on(p, ctx.real_bytes, machine);
                         rows.push(Row::pmcpy(
                             format!("{profile},{mode},{p}"),
                             label,
-                            options,
+                            Options::default(),
                             cfg,
                         ));
                     }
@@ -482,14 +467,10 @@ pub fn measure(exp: &Experiment, ctx: &Ctx) -> Result<RunReport, String> {
     };
     for Row { key, cell } in (exp.grid)(ctx) {
         let outcome = match cell {
-            Cell::Domain { lib, cfg, pinned } => {
+            Cell::Domain { lib, cfg } => {
                 let run = |&dir: &Direction| {
                     let registry = exp.metrics.then(MetricsRegistry::new);
-                    let mut cell = run_cell(lib.as_ref(), dir, &cfg, None, registry);
-                    if let Some(strategy) = pinned {
-                        cell.flush_strategy = strategy.name().to_string();
-                    }
-                    cell
+                    run_cell(lib.as_ref(), dir, &cfg, None, registry)
                 };
                 Outcome {
                     key,
@@ -641,30 +622,29 @@ fn machine(ctx: &Ctx, _: &RunReport) -> Result<(), String> {
         "flush primitive cost     clwb {}+{}/line, ntstore {}+{}/line{eadr}",
         c.flush_base, c.flush_per_line, c.ntstore_base, c.ntstore_per_line
     );
-    println!("autotuned put strategy   {}", autotune_flush(c).name());
+    println!("put persist primitive    {}", c.flush_strategy.name());
     Ok(())
 }
 
-/// For every (profile, #procs) the autotuned configuration races both
-/// pinned strategies: the autotuner must never lose to a pinned strategy,
-/// and — the whole point of tuning per device — on at least one non-default
-/// profile the worst pinned strategy has to trail the autotuned choice by
-/// a measurable virtual-time margin.
+/// For every (profile, #procs) the device's own primitive races both forced
+/// ones: it must never lose, and — the reason a device declares its own — on
+/// at least one non-default profile the worse forced primitive has to trail
+/// it by a measurable virtual-time margin.
 fn profiles_gate(ctx: &Ctx, report: &RunReport) -> Result<(), String> {
-    // Best (profile, worst_pinned/auto) margin seen on a non-default profile.
+    // Best (profile, worst_forced/own) margin seen on a non-default profile.
     let mut best_margin: Option<(&str, f64)> = None;
     for group in report.rows.chunks(3) {
-        let auto = &group[0].cells[0];
-        let (profile, p) = (auto.device_profile.as_str(), auto.nprocs);
-        let pinned = group[1..].iter().map(|o| o.cells[0].time.as_secs_f64());
-        let auto_s = auto.time.as_secs_f64();
-        let min_pinned = pinned.clone().fold(f64::INFINITY, f64::min);
-        if auto_s > min_pinned {
+        let own = &group[0].cells[0];
+        let (profile, p) = (own.device_profile.as_str(), own.nprocs);
+        let forced = group[1..].iter().map(|o| o.cells[0].time.as_secs_f64());
+        let own_s = own.time.as_secs_f64();
+        let min_forced = forced.clone().fold(f64::INFINITY, f64::min);
+        if own_s > min_forced {
             return Err(format!(
-                "autotuner lost on {profile} p={p}: auto {auto_s:.6}s > best pinned {min_pinned:.6}s"
+                "{profile}'s own primitive lost at p={p}: {own_s:.6}s > forced {min_forced:.6}s"
             ));
         }
-        let margin = pinned.fold(0.0, f64::max) / auto_s;
+        let margin = forced.fold(0.0, f64::max) / own_s;
         if profile != "optane-gen1" && best_margin.is_none_or(|(_, m)| margin > m) {
             best_margin = Some((profile, margin));
         }
@@ -675,13 +655,13 @@ fn profiles_gate(ctx: &Ctx, report: &RunReport) -> Result<(), String> {
     match best_margin {
         Some((name, margin)) if margin >= 1.005 => {
             println!(
-                "autotuning margin: {name} worst-pinned/auto = {margin:.4}x (gate >= 1.005x: OK)"
+                "primitive margin: {name} worst-forced/own = {margin:.4}x (gate >= 1.005x: OK)"
             );
             Ok(())
         }
         other => Err(format!(
-            "no non-default profile showed a measurable autotuning win \
-             (best worst-pinned/auto margin: {other:?}, need >= 1.005x)"
+            "no non-default profile's own primitive showed a measurable win \
+             (best worst-forced/own margin: {other:?}, need >= 1.005x)"
         )),
     }
 }

@@ -75,8 +75,8 @@ pub struct CellResult {
     pub nprocs: u64,
     /// Device profile the cell's machine modelled (`MachineConfig::profile_name`).
     pub device_profile: String,
-    /// Put-path flush strategy: the autotuner's verdict for the cell's
-    /// profile, unless the harness pinned one and overrode this field.
+    /// The persist primitive the cell's machine flushed records with
+    /// (`MachineConfig::flush_strategy`).
     pub flush_strategy: String,
     /// Job time (slowest rank).
     pub time: SimTime,
@@ -203,7 +203,7 @@ pub fn run_cell(
         direction,
         nprocs: cfg.nprocs,
         device_profile: cfg.machine.profile_name.to_string(),
-        flush_strategy: pmem_sim::autotune_flush(&cfg.machine).name().to_string(),
+        flush_strategy: cfg.machine.flush_strategy.name().to_string(),
         time,
         rank_times,
         // All ranks have joined; the counters are quiesced, so the snapshot
@@ -345,7 +345,7 @@ pub fn run_storm_cell(
         direction: Direction::Write,
         nprocs: spec.ranks,
         device_profile: mc.profile_name.to_string(),
-        flush_strategy: pmem_sim::autotune_flush(mc).name().to_string(),
+        flush_strategy: mc.flush_strategy.name().to_string(),
         time: rank_times.iter().copied().fold(SimTime::ZERO, SimTime::max),
         rank_times,
         stats,

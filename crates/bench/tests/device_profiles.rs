@@ -1,19 +1,19 @@
-//! Device-profile integration tests: the pluggable-profile refactor must
-//! leave the default profile bit-identical to the committed CI baseline,
-//! while the autotuner picks the documented strategy per profile and a
-//! pinned pool is indistinguishable from an autotuned one.
+//! Device-profile integration tests: the profile table must leave the
+//! default profile bit-identical to the committed CI baseline, while a put
+//! flushes its record with the primitive its device declares.
 
 use baselines::PmemcpyLib;
-use mpi_sim::SchedMode;
+use mpi_sim::{Comm, SchedMode, World};
 use pmdk_sim::layout::Superblock;
-use pmem_sim::profile::{by_name, profile_id};
-use pmem_sim::{autotune_flush, Clock, FlushStrategy, Machine, PersistenceMode, PmemDevice};
-use pmemcpy::Options;
+use pmem_sim::profile::{by_name, profile_names};
+use pmem_sim::{FlushStrategy, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
+use pmemcpy::{MmapTarget, Options, Pmem};
 use pmemcpy_bench::experiments::{find, measure, Ctx};
 use pmemcpy_bench::{CellConfig, Direction};
+use std::sync::Arc;
 
 fn profile_machine(name: &str) -> pmem_sim::MachineConfig {
-    by_name(name).expect("built-in profile").config()
+    by_name(name).expect("built-in profile")
 }
 
 /// The experiment table regenerates every committed
@@ -86,35 +86,36 @@ fn eadr_strictly_faster_than_gen1_on_fig6() {
     );
 }
 
-/// The autotuner's verdict is a pure function of the machine constants:
-/// the documented pick per profile, stable across repeated probes, and the
-/// pool superblock caches the same verdict at create time.
+/// A put flushes its record with its device's own primitive, whichever the
+/// profile: one `ntstore` writeback a record on a streaming device, none on
+/// a CLWB one, and no writeback at all on eADR. The superblock records the
+/// profile the pool was made on.
 #[test]
-fn autotuner_picks_expected_strategy_per_profile() {
-    let expect = [
-        ("optane-gen1", FlushStrategy::Clwb),
-        ("optane-gen2", FlushStrategy::Ntstore),
-        ("eadr", FlushStrategy::Clwb),
-        ("cxl", FlushStrategy::Ntstore),
-    ];
-    for (name, strategy) in expect {
-        let mc = profile_machine(name);
-        for _ in 0..3 {
-            assert_eq!(autotune_flush(&mc), strategy, "profile {name}");
+fn a_put_flushes_its_record_with_its_devices_primitive() {
+    const KEYS: u64 = 8;
+    for name in profile_names() {
+        let config = profile_machine(name);
+        let streams = config.needs_flush && config.flush_strategy == FlushStrategy::Ntstore;
+        let machine = Machine::new(config);
+        let registry = MetricsRegistry::new();
+        machine.set_metrics(Arc::clone(&registry));
+        let dev = PmemDevice::new(Arc::clone(&machine), 4 << 20, PersistenceMode::Fast);
+        let comm = Comm::new(World::new(machine, 1), 0);
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        for i in 0..KEYS {
+            pmem.store_scalar(&format!("key{i}"), i).unwrap();
         }
-        let dev = PmemDevice::new(Machine::new(mc), 4 << 20, PersistenceMode::Fast);
-        let pool = pmdk_sim::PmemPool::create(&Clock::new(), dev, "profiles").unwrap();
-        assert_eq!(pool.flush_strategy(), strategy, "pool cache for {name}");
-        assert_eq!(pool.device_profile_id(), profile_id(name));
-        let sb = Superblock::read(pool.device().as_ref());
-        assert_eq!(sb.device_profile_name(), name);
-        assert_eq!(sb.flush_strategy_name(), strategy.name());
+        pmem.munmap().unwrap();
+        let hists = registry.snapshot().hists;
+        let ntstores = hists.get("ntstore").map_or(0, |h| h.count);
+        assert_eq!(ntstores, if streams { KEYS } else { 0 }, "{name}");
+        assert_eq!(Superblock::read(dev.as_ref()).device_profile_name(), name);
     }
 }
 
-/// The chosen strategy and the cell's virtual time are identical under both
-/// scheduler disciplines — autotuning happens in per-rank virtual time, so
-/// host interleaving cannot change the verdict.
+/// A cell's virtual time is identical under both scheduler disciplines, on
+/// the default profile and on one whose puts stream their records.
 #[test]
 fn autotune_is_scheduler_independent() {
     for profile in ["optane-gen1", "cxl"] {
@@ -125,70 +126,9 @@ fn autotune_is_scheduler_independent() {
         };
         let det = run(SchedMode::Deterministic);
         let free = run(SchedMode::FreeThreaded);
-        assert_eq!(det.flush_strategy, free.flush_strategy, "{profile}");
         assert_eq!(
             det.time, free.time,
             "{profile} virtual time drifted across scheds"
-        );
-    }
-}
-
-/// Pinning `Options::flush_strategy` to the autotuner's own pick produces a
-/// pool whose durable image and virtual time are identical to letting the
-/// autotuner decide — the pin only changes *who* chose, never the outcome.
-#[test]
-fn pinned_matches_autotuned_pool_bit_for_bit() {
-    for profile in ["optane-gen1", "cxl"] {
-        let mc = profile_machine(profile);
-        let auto_pick = autotune_flush(&mc);
-        let run = |pin: Option<FlushStrategy>| {
-            let lib = PmemcpyLib::custom(
-                "PMCPY-PIN",
-                Options {
-                    flush_strategy: pin,
-                    ..Options::default()
-                },
-            );
-            let cfg = CellConfig::paper_on(4, 1 << 20, mc.clone());
-            pmemcpy_bench::run_cell(&lib, Direction::Write, &cfg, None, None)
-        };
-        let auto = run(None);
-        let pinned = run(Some(auto_pick));
-        assert_eq!(
-            auto.time, pinned.time,
-            "{profile}: pinning the autotuned strategy changed the virtual time"
-        );
-        assert_eq!(auto.stats, pinned.stats, "{profile}: stats diverged");
-        assert_eq!(auto.mismatches, 0);
-        assert_eq!(pinned.mismatches, 0);
-
-        // And the durable pool images are bit-identical: same workload, one
-        // mount autotuned and one pinned to the tuner's pick.
-        let image = |pin: Option<FlushStrategy>| {
-            use mpi_sim::{Comm, World};
-            use pmemcpy::{MmapTarget, Pmem};
-            let machine = Machine::new(mc.clone());
-            let dev = PmemDevice::new(
-                std::sync::Arc::clone(&machine),
-                4 << 20,
-                PersistenceMode::Fast,
-            );
-            let comm = Comm::new(World::new(machine, 1), 0);
-            let mut pmem = Pmem::with_options(Options {
-                flush_strategy: pin,
-                ..Options::default()
-            });
-            pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
-            for i in 0..32u64 {
-                pmem.store_scalar(&format!("key{i}"), i).unwrap();
-            }
-            pmem.munmap().unwrap();
-            dev.read_vec_untimed(0, dev.size())
-        };
-        assert_eq!(
-            image(None),
-            image(Some(auto_pick)),
-            "{profile}: pinned pool image differs from autotuned"
         );
     }
 }

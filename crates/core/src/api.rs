@@ -107,26 +107,15 @@ impl Pmem {
                     pool.generation(),
                     comm.rank() as u64,
                 );
-                // Put-path flush strategy: an explicit options pin wins,
-                // otherwise the pool's superblock-cached autotuner verdict.
-                let flush_strategy = self
-                    .opts
-                    .flush_strategy
-                    .unwrap_or_else(|| pool.flush_strategy());
+                let machine = device.machine();
                 pool.flight().record(
                     &clock,
                     pmem_sim::EventCode::ProfileMount,
-                    pool.device_profile_id() as u64,
-                    flush_strategy.code() as u64,
+                    pmem_sim::profile::profile_id(machine.profile_name()) as u64,
+                    machine.config().flush_strategy.code() as u64,
                 );
-                let inner = HashtableLayout::new(
-                    &clock,
-                    device,
-                    shared,
-                    serializer,
-                    self.opts.map_sync,
-                    flush_strategy,
-                );
+                let inner =
+                    HashtableLayout::new(&clock, device, shared, serializer, self.opts.map_sync);
                 let layout: Box<dyn Layout> = match write_behind {
                     Some(state) => {
                         Box::new(crate::write_behind::WriteBehindLayout::new(inner, state))

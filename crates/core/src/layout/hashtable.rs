@@ -7,7 +7,7 @@ use crate::error::{PmemCpyError, Result};
 use crate::layout::{fill, serialize, Layout, Located, PutRequest};
 use crate::registry::SharedPool;
 use pmdk_sim::PmdkError;
-use pmem_sim::{Clock, DaxMapping, FlushStrategy, Machine, PmemDevice};
+use pmem_sim::{Clock, DaxMapping, Machine, PmemDevice};
 use pserial::Serializer;
 use std::sync::Arc;
 
@@ -16,21 +16,17 @@ pub(crate) struct HashtableLayout {
     mapping: Arc<DaxMapping>,
     serializer: &'static dyn Serializer,
     machine: Arc<Machine>,
-    flush_strategy: FlushStrategy,
 }
 
 impl HashtableLayout {
     /// Build over an already-interned pool. `map_sync` configures the data
-    /// mapping (the PMCPY-A/B switch); `flush_strategy` is the resolved
-    /// put-path persist primitive (the pool's autotuned verdict or an
-    /// options pin).
+    /// mapping (the PMCPY-A/B switch).
     pub(crate) fn new(
         clock: &Clock,
         device: &Arc<PmemDevice>,
         shared: SharedPool,
         serializer: &'static dyn Serializer,
         map_sync: bool,
-        flush_strategy: FlushStrategy,
     ) -> Self {
         let mapping = DaxMapping::new(clock, Arc::clone(device), 0, device.size(), map_sync);
         HashtableLayout {
@@ -38,7 +34,6 @@ impl HashtableLayout {
             shared,
             mapping,
             serializer,
-            flush_strategy,
         }
     }
 
@@ -54,10 +49,6 @@ impl Layout for HashtableLayout {
 
     fn machine(&self) -> &Arc<Machine> {
         &self.machine
-    }
-
-    fn flush_strategy(&self) -> FlushStrategy {
-        self.flush_strategy
     }
 
     fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()> {

@@ -22,7 +22,7 @@ pub(crate) mod hierarchical;
 
 use crate::error::{PmemCpyError, Result};
 use crate::sink::{MappingSink, MappingSource};
-use pmem_sim::{Clock, DaxMapping, FlushStrategy, Machine};
+use pmem_sim::{Clock, DaxMapping, Machine};
 use pserial::{ReadSource, Serializer, VarHeader, VarMeta};
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ pub(crate) fn fill(
     // The window's last store must precede the flush that covers it.
     let written = sink.finish();
     debug_assert_eq!(written, len);
-    mapping.flush_with(clock, offset, len, layout.flush_strategy());
+    mapping.flush(clock, offset, len);
     Ok(())
 }
 
@@ -166,13 +166,6 @@ pub(crate) trait Layout: Send + Sync {
 
     /// The simulated machine charges land on.
     fn machine(&self) -> &Arc<Machine>;
-
-    /// Flush strategy for record persists on the put path — the pool's
-    /// autotuned verdict, or an [`crate::Options::flush_strategy`] pin.
-    /// `Clwb` reproduces the classic flush+fence persist exactly.
-    fn flush_strategy(&self) -> FlushStrategy {
-        FlushStrategy::Clwb
-    }
 
     /// Store a group of records through the layout's bulk seam, each
     /// serialized straight into its window by [`fill`] — no DRAM staging.

@@ -1,7 +1,6 @@
 //! Configuration of a pMEMCPY handle.
 
 use crate::error::{PmemCpyError, Result};
-use pmem_sim::FlushStrategy;
 use pserial::Serializer;
 
 /// Options accepted by [`crate::Pmem::with_options`].
@@ -31,11 +30,6 @@ pub struct Options {
     /// Ring capacity in bytes of the write-behind WAL (ignored unless
     /// `write_behind` is on). One commit group must fit in half the ring.
     pub wal_capacity: u64,
-    /// Pin the put-path flush strategy instead of using the pool's
-    /// autotuned verdict (see `pmem_sim::profile`). `None` (default)
-    /// defers to the superblock-cached autotuner choice for the device
-    /// profile the pool was mounted on.
-    pub flush_strategy: Option<FlushStrategy>,
 }
 
 /// Smallest accepted [`Options::wal_capacity`] — below this a single batched
@@ -50,7 +44,6 @@ impl Default for Options {
             hashtable_buckets: 4096,
             write_behind: false,
             wal_capacity: 8 << 20,
-            flush_strategy: None,
         }
     }
 }
@@ -108,9 +101,10 @@ mod tests {
 
     /// The defaults are the paper's configuration, and the option surface is
     /// part of the design: serializer, MAP_SYNC and table size (the layout
-    /// follows the `mmap` target) plus the write-behind and flush knobs.
-    /// Destructuring without `..` makes a seventh field a compile error
-    /// here, so adding one is a decision a reviewer has to answer for.
+    /// follows the `mmap` target, the persist primitive the device) plus the
+    /// write-behind knobs. Destructuring without `..` makes a sixth field a
+    /// compile error here, so adding one is a decision a reviewer has to
+    /// answer for.
     #[test]
     fn defaults_match_the_paper() {
         let Options {
@@ -119,14 +113,12 @@ mod tests {
             hashtable_buckets,
             write_behind,
             wal_capacity,
-            flush_strategy,
         } = Options::default();
         assert_eq!(serializer, "bp4");
         assert!(!map_sync);
         assert_eq!(hashtable_buckets, 4096);
         assert!(!write_behind);
         assert_eq!(wal_capacity, 8 << 20);
-        assert_eq!(flush_strategy, None);
     }
 
     #[test]

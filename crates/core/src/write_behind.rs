@@ -307,10 +307,6 @@ impl Layout for WriteBehindLayout {
         self.inner.machine()
     }
 
-    fn flush_strategy(&self) -> pmem_sim::FlushStrategy {
-        self.inner.flush_strategy()
-    }
-
     fn store_many(&self, clock: &Clock, puts: &[PutRequest<'_>]) -> Result<()> {
         if puts.is_empty() {
             return Ok(());
@@ -515,8 +511,7 @@ mod tests {
         let shared = shared_pool(&clock, dev, "pmemcpy", 4096).unwrap();
         let state = shared.write_behind(&clock, WAL).unwrap();
         let serializer = pserial::by_name("bp4").unwrap();
-        let strategy = pmem_sim::FlushStrategy::Clwb;
-        let inner = HashtableLayout::new(&clock, dev, shared, serializer, false, strategy);
+        let inner = HashtableLayout::new(&clock, dev, shared, serializer, false);
         WriteBehindLayout::new(inner, state)
     }
 

@@ -94,12 +94,10 @@ pub mod sb {
     /// it, so a timeline tells one session from the next.
     pub(crate) const GENERATION: u64 = 192;
     /// Device-profile id the pool was last mounted with (u32; see
-    /// `pmem_sim::profile`). 0 = unset (legacy pools).
+    /// `pmem_sim::profile`). 0 = unset (legacy pools). The four bytes after
+    /// it are reserved: older pools cached a flush-strategy code there,
+    /// which nothing reads.
     pub(crate) const DEVICE_PROFILE: u64 = 200;
-    /// Autotuned flush-strategy code for that profile (u32; 0 = not yet
-    /// tuned). Re-probed whenever the mounting machine's profile differs
-    /// from `DEVICE_PROFILE`.
-    pub(crate) const FLUSH_STRATEGY: u64 = 204;
 }
 
 /// Lane header field offsets (relative to the lane base).
@@ -257,9 +255,6 @@ pub struct Superblock {
     /// Device profile the pool was last mounted on (`pmem_sim::profile`
     /// registry id; 0 = unknown / pre-profile pool).
     pub device_profile_id: u32,
-    /// Autotuned put-path flush strategy cached at mount (`FlushStrategy`
-    /// code; 0 = not yet tuned).
-    pub flush_strategy_code: u32,
     /// The first plausibility rule this page breaks on its device, if any.
     pub fault: Option<String>,
 }
@@ -299,7 +294,6 @@ impl Superblock {
             layout_name: String::from_utf8_lossy(name).into_owned(),
             generation: word(sb::GENERATION),
             device_profile_id: half(sb::DEVICE_PROFILE),
-            flush_strategy_code: half(sb::FLUSH_STRATEGY),
             fault,
         }
     }
@@ -308,13 +302,6 @@ impl Superblock {
     /// unrecognised id).
     pub fn device_profile_name(&self) -> &'static str {
         pmem_sim::profile::profile_name_by_id(self.device_profile_id).unwrap_or("unknown")
-    }
-
-    /// Human name of the cached flush strategy ("unset" when not yet tuned).
-    pub fn flush_strategy_name(&self) -> &'static str {
-        pmem_sim::FlushStrategy::from_code(self.flush_strategy_code)
-            .map(|s| s.name())
-            .unwrap_or("unset")
     }
 }
 

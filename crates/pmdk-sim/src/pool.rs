@@ -5,7 +5,7 @@ use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::tx::{LaneTable, Tx};
 use pmem_sim::flight::EventCode;
-use pmem_sim::profile::{self, FlushStrategy};
+use pmem_sim::profile;
 use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, FlightRecorder, PmemDevice};
 use std::sync::Arc;
@@ -17,10 +17,6 @@ pub struct PmemPool {
     heap: Mutex<Heap>,
     pub(crate) lanes: LaneTable,
     generation: u64,
-    /// Superblock-recorded device-profile id (see `pmem_sim::profile`).
-    device_profile_id: u32,
-    /// Flush strategy the mount autotuned (or read back) for that profile.
-    flush_strategy: FlushStrategy,
     /// Always-on crash forensics ring (see `pmem_sim::flight`): lives in the
     /// pool's reserved flight region, records structural transitions with
     /// virtual-time stamps, and costs nothing in modelled time.
@@ -52,13 +48,10 @@ impl PmemPool {
         sblk[sb::LAYOUT_LEN as usize..][..8].copy_from_slice(&(layout.len() as u64).to_le_bytes());
         sblk[sb::LAYOUT_NAME as usize..][..layout.len()].copy_from_slice(layout.as_bytes());
         sblk[sb::GENERATION as usize..][..8].copy_from_slice(&1u64.to_le_bytes());
-        // Device profile + autotuned flush strategy ride in the same
-        // superblock page — baking them into the create write costs nothing.
+        // The device profile rides in the same superblock page: baking it
+        // into the create write costs nothing.
         let device_profile_id = profile::profile_id(device.machine().profile_name());
-        let flush_strategy = profile::autotune_flush(device.machine().config());
         sblk[sb::DEVICE_PROFILE as usize..][..4].copy_from_slice(&device_profile_id.to_le_bytes());
-        sblk[sb::FLUSH_STRATEGY as usize..][..4]
-            .copy_from_slice(&flush_strategy.code().to_le_bytes());
         device.write_meta(clock, 0, &sblk);
         device.persist(clock, 0, SUPERBLOCK_SIZE as usize);
 
@@ -77,8 +70,6 @@ impl PmemPool {
             heap: Mutex::new(heap),
             device,
             generation: 1,
-            device_profile_id,
-            flush_strategy,
             flight,
         }))
     }
@@ -102,20 +93,7 @@ impl PmemPool {
         }
 
         let generation = sblk.generation.wrapping_add(1);
-        // Cached autotuner verdict: reuse it when the mounting machine's
-        // profile matches what the pool was last tuned for; otherwise (or
-        // for legacy/untuned pools) re-probe and persist the new verdict.
-        let stored_profile = sblk.device_profile_id;
-        let current_profile = profile::profile_id(device.machine().profile_name());
-        let (device_profile_id, flush_strategy, retune) =
-            match FlushStrategy::from_code(sblk.flush_strategy_code) {
-                Some(s) if stored_profile == current_profile => (stored_profile, s, false),
-                _ => (
-                    current_profile,
-                    profile::autotune_flush(device.machine().config()),
-                    true,
-                ),
-            };
+        let device_profile_id = profile::profile_id(device.machine().profile_name());
         let flight =
             FlightRecorder::attach_or_format(Arc::clone(&device), flight_start(), FLIGHT_SIZE);
         let pool = Arc::new(PmemPool {
@@ -123,14 +101,12 @@ impl PmemPool {
             heap: Mutex::new(Heap::recover(Arc::clone(&device), heap_start(), size)?),
             device,
             generation,
-            device_profile_id,
-            flush_strategy,
             flight,
         });
         pool.write_u64(clock, sb::GENERATION, generation);
-        if retune {
+        // A pool moved to other modelled hardware records where it is now.
+        if sblk.device_profile_id != device_profile_id {
             pool.write_u32(clock, sb::DEVICE_PROFILE, device_profile_id);
-            pool.write_u32(clock, sb::FLUSH_STRATEGY, flush_strategy.code());
         }
         // Roll back / complete interrupted transactions, then re-sync the
         // allocator (recovery may have freed intent allocations).
@@ -155,17 +131,6 @@ impl PmemPool {
     /// events.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Device-profile id recorded in the superblock at create/last retune.
-    pub fn device_profile_id(&self) -> u32 {
-        self.device_profile_id
-    }
-
-    /// Flush strategy the autotuner selected for this pool's profile (or a
-    /// cached verdict read back from the superblock at open).
-    pub fn flush_strategy(&self) -> FlushStrategy {
-        self.flush_strategy
     }
 
     /// The pool's flight recorder (always attached; recording default-on).
@@ -382,6 +347,27 @@ pub(crate) mod tests {
         drop(pool);
         let pool = PmemPool::open(&clock, dev, "test-layout").unwrap();
         assert_eq!(pool.generation(), 2, "one create, one open");
+    }
+
+    /// The superblock records the profile of the machine a pool was last
+    /// opened on. The four bytes after it, where older pools cached a
+    /// flush-strategy verdict, are neither read nor written.
+    #[test]
+    fn open_records_the_mounting_profile_and_nothing_else() {
+        let (pool, clock) = fresh_pool(1 << 20);
+        let image = pool.device().read_vec_untimed(0, 1 << 20);
+        drop(pool);
+        let cxl = pmem_sim::profile::by_name("cxl").unwrap();
+        let moved = PmemDevice::new(Machine::new(cxl), 1 << 20, PersistenceMode::Fast);
+        moved.write_untimed(0, &image);
+        let stale = sb::DEVICE_PROFILE as usize + 4;
+        moved.write_untimed(stale, &[0xee; 4]);
+        PmemPool::open(&clock, Arc::clone(&moved), "test-layout").unwrap();
+        assert_eq!(
+            Superblock::read(moved.as_ref()).device_profile_name(),
+            "cxl"
+        );
+        assert_eq!(moved.read_vec_untimed(stale, 4), [0xee; 4]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! shadow image at cacheline granularity.
 
 use crate::buffer::SharedBuffer;
-use crate::machine::Machine;
+use crate::machine::{FlushStrategy, Machine};
 use crate::persistence::{InFlightLine, PersistenceTracker};
-use crate::profile::FlushStrategy;
 use crate::time::Clock;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -188,18 +187,13 @@ impl PmemDevice {
         self.drain(clock);
     }
 
-    /// Flush with an explicit [`FlushStrategy`]: CLWB-batched flush or an
+    /// Flush a record with the device's own persist primitive
+    /// ([`crate::MachineConfig::flush_strategy`]): a CLWB range or one
     /// ntstore-style streaming writeback, durable at the next
-    /// [`PmemDevice::drain`]. `Clwb` is charge-for-charge identical to
+    /// [`PmemDevice::drain`]. On a CLWB device it is charge for charge
     /// [`PmemDevice::flush`].
-    pub(crate) fn flush_with(
-        &self,
-        clock: &Clock,
-        off: usize,
-        len: usize,
-        strategy: FlushStrategy,
-    ) {
-        match strategy {
+    pub(crate) fn flush_record(&self, clock: &Clock, off: usize, len: usize) {
+        match self.machine.config().flush_strategy {
             FlushStrategy::Clwb => self.flush(clock, off, len),
             FlushStrategy::Ntstore => {
                 self.machine.charge_ntstore(clock, len as u64);

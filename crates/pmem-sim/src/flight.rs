@@ -111,8 +111,9 @@ event_codes! {
     /// Per-stripe live counters folded into the header (a = folded count).
     CountFold = 15, "count.fold";
     // 16 stays reserved: the retired `FailPoint`, which older images hold.
-    /// Active device profile + chosen flush strategy at mount
-    /// (a = profile id, b = strategy code — see `pmem_sim::profile`).
+    /// The device a handle mounted on (a = profile id — see
+    /// `pmem_sim::profile`, b = its put persist primitive,
+    /// `FlushStrategy::code`).
     ProfileMount = 17, "profile.mount";
 }
 

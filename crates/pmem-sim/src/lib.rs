@@ -49,11 +49,10 @@ pub mod trace;
 
 pub use device::{PersistenceMode, PmemDevice};
 pub use flight::{EventCode, FlightRecorder};
-pub use machine::{Machine, MachineConfig};
+pub use machine::{FlushStrategy, Machine, MachineConfig};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use mmap::DaxMapping;
 pub use persistence::crash_subsets;
-pub use profile::{autotune_flush, FlushStrategy};
 pub use rng::DetRng;
 pub use stats::StatsSnapshot;
 pub use time::{atomic_section, enter_rank, interaction_point, Clock, ClockGate, SimTime};

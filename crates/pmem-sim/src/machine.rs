@@ -23,12 +23,41 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
+/// The primitive a put persists its record with. Each device declares its
+/// own ([`MachineConfig::flush_strategy`]); metadata persists always CLWB.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushStrategy {
+    /// CLWB-batched: write back the record's cachelines in pipelined runs,
+    /// then one trailing fence. The classic (and gen1-optimal) path.
+    Clwb,
+    /// Streaming: one ntstore-style whole-record writeback that bypasses
+    /// the cache, then the trailing fence.
+    Ntstore,
+}
+
+impl FlushStrategy {
+    pub fn name(self) -> &'static str {
+        match self {
+            FlushStrategy::Clwb => "clwb",
+            FlushStrategy::Ntstore => "ntstore",
+        }
+    }
+
+    /// The `b` word of a `profile.mount` flight event.
+    pub fn code(self) -> u32 {
+        match self {
+            FlushStrategy::Clwb => 1,
+            FlushStrategy::Ntstore => 2,
+        }
+    }
+}
+
 /// Tunable hardware constants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Name of the [`crate::profile::DeviceProfile`] these constants were
-    /// built from. Bench reports and pool superblocks record it so a run is
-    /// always attributable to one device model.
+    /// Name of the [`crate::profile`] these constants were built from. Bench
+    /// reports and pool superblocks record it so a run is always
+    /// attributable to one device model.
     pub profile_name: &'static str,
     /// Whether persists require explicit cache flushing. `false` models an
     /// eADR platform: the cache hierarchy sits inside the persistence
@@ -84,6 +113,10 @@ pub struct MachineConfig {
     pub ntstore_base: SimTime,
     /// Per-line cost of a non-temporal streaming store writeback.
     pub ntstore_per_line: SimTime,
+    /// The persist primitive a put flushes its record with: the cheaper of
+    /// the two above on this device (the `profile` unit tests hold every
+    /// built-in profile to that).
+    pub flush_strategy: FlushStrategy,
     /// Cost of a store fence.
     pub fence: SimTime,
 
@@ -134,10 +167,11 @@ impl MachineConfig {
             flush_base: SimTime::from_nanos(30),
             flush_per_line: SimTime::from_nanos(1) / 2, // 0.5ns, pipelined CLWB
             // Streaming stores on gen1 Optane pay a higher steady-state
-            // per-line cost than pipelined CLWB (van Renen et al.), so the
-            // autotuner keeps the classic CLWB path on this profile.
+            // per-line cost than pipelined CLWB (van Renen et al.), so puts
+            // keep the classic CLWB path on this profile.
             ntstore_base: SimTime::from_nanos(60),
             ntstore_per_line: SimTime::from_nanos(1),
+            flush_strategy: FlushStrategy::Clwb,
             fence: SimTime::from_nanos(30),
             net_latency: SimTime::from_nanos(900),
             net_bw: 7_000_000_000,

@@ -177,20 +177,13 @@ impl DaxMapping {
         self.device.read_borrowed(clock, self.base + off, len, f)
     }
 
-    /// Flush a range of the mapping with an explicit flush strategy (see
-    /// [`crate::profile::FlushStrategy`]; `Clwb` is a CLWB range): durable
-    /// at the device's next fence, [`PmemDevice::drain`].
-    pub fn flush_with(
-        &self,
-        clock: &Clock,
-        off: usize,
-        len: usize,
-        strategy: crate::profile::FlushStrategy,
-    ) {
+    /// Flush a record's range of the mapping with the device's persist
+    /// primitive ([`crate::MachineConfig::flush_strategy`]): durable at the
+    /// device's next fence, [`PmemDevice::drain`].
+    pub fn flush(&self, clock: &Clock, off: usize, len: usize) {
         self.assert_mapped();
         self.check_range(off, len);
-        self.device
-            .flush_with(clock, self.base + off, len, strategy);
+        self.device.flush_record(clock, self.base + off, len);
     }
 
     /// Tear down the mapping. Charges one munmap syscall. Subsequent
@@ -290,7 +283,7 @@ mod tests {
         let (m, c) = mapping(false);
         m.store(&c, 0, &[3; 1024]);
         let t = c.now();
-        m.flush_with(&c, 0, 1024, crate::profile::FlushStrategy::Clwb);
+        m.flush(&c, 0, 1024);
         assert!(c.now() > t);
         assert_eq!(m.device().machine().stats.snapshot().fences, 0);
         m.device().drain(&c);
