@@ -9,10 +9,7 @@
 //! and then copy the serialized cube to the PMEM"*) and the extra
 //! PMEM→DRAM copy on reads.
 
-mod config;
-
 use crate::pio::{bytes_to_f64, f64_bytes, PioError, PioLibrary, Result, Target};
-use config::{AdiosConfig, Method};
 use mpi_sim::{Comm, MpiFile};
 use pserial::{Bp4, Serializer, SliceSource, VarMeta};
 use simfs::SimFs;
@@ -21,21 +18,12 @@ use workloads::BlockDecomp;
 
 const FILE_MAGIC: u32 = 0x4142_5031; // "ABP1"
 const HEADER_LEN: u64 = 64;
-#[cfg(test)]
-const TAG_AGGR: u64 = 77;
 
 /// The ADIOS-like library.
 #[derive(Debug, Default)]
-pub struct AdiosLike {
-    config: AdiosConfig,
-}
+pub struct AdiosLike;
 
 impl AdiosLike {
-    #[cfg(test)]
-    fn new(config: AdiosConfig) -> Self {
-        AdiosLike { config }
-    }
-
     fn fs_of(target: &Target) -> Result<(&Arc<SimFs>, &str)> {
         match target {
             Target::Fs { fs, path } => Ok((fs, path)),
@@ -107,34 +95,8 @@ impl PioLibrary for AdiosLike {
             .collect();
         let my_off: u64 = HEADER_LEN + sizes[..comm.rank()].iter().sum::<u64>();
 
-        // Phase 3: persist the staged group.
-        match self.config.method {
-            Method::Posix => {
-                // Independent POSIX write (the evaluation's configuration).
-                file.write_at(my_off, &pg)?;
-            }
-            #[cfg(test)]
-            Method::Mpi => {
-                // MPI_AGGREGATE: every AGGR-th rank collects its neighbours'
-                // groups and writes them with fewer, larger accesses.
-                const AGGR: usize = 4;
-                let leader = comm.rank() - comm.rank() % AGGR;
-                if comm.rank() == leader {
-                    file.write_at(my_off, &pg)?;
-                    for peer in leader + 1..(leader + AGGR).min(comm.size()) {
-                        let data = comm.recv(peer, TAG_AGGR);
-                        let off = u64::from_le_bytes(data[..8].try_into().unwrap());
-                        file.write_at(off, &data[8..])?;
-                    }
-                } else {
-                    let mut msg = Vec::with_capacity(8 + pg.len());
-                    msg.extend_from_slice(&my_off.to_le_bytes());
-                    msg.extend_from_slice(&pg);
-                    comm.send(leader, TAG_AGGR, &msg);
-                }
-                comm.barrier();
-            }
-        }
+        // Phase 3: persist the staged group with an independent POSIX write.
+        file.write_at(my_off, &pg)?;
 
         // Phase 4: rank 0 writes header + footer index.
         if comm.rank() == 0 {
@@ -254,7 +216,7 @@ mod tests {
                 fs: Arc::clone(&fs),
                 path: "/adios.bp".into(),
             };
-            let lib = AdiosLike::default();
+            let lib = AdiosLike;
             lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
             comm.barrier();
             let back = lib.read(&comm, &target, &decomp, &vars).unwrap();
@@ -266,63 +228,6 @@ mod tests {
                 );
             }
         });
-    }
-
-    #[test]
-    fn mpi_aggregate_method_round_trips() {
-        let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);
-        let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
-        run_world(Arc::clone(dev.machine()), 6, move |comm| {
-            let decomp = BlockDecomp::new(&[18, 18, 18], comm.size() as u64);
-            let vars: Vec<String> = ["a", "b"].iter().map(|s| s.to_string()).collect();
-            let blocks: Vec<Vec<f64>> = (0..vars.len())
-                .map(|v| workloads::generate_block(&decomp, v, comm.rank() as u64))
-                .collect();
-            let target = Target::Fs {
-                fs: Arc::clone(&fs),
-                path: "/aggr.bp".into(),
-            };
-            let cfg =
-                config::AdiosConfig::parse(r#"<adios-config><method name="MPI"/></adios-config>"#)
-                    .unwrap();
-            let lib = AdiosLike::new(cfg);
-            lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
-            comm.barrier();
-            // The file is format-identical: the default (POSIX) reader works.
-            let back = AdiosLike::default()
-                .read(&comm, &target, &decomp, &vars)
-                .unwrap();
-            for (v, blk) in back.iter().enumerate() {
-                assert_eq!(
-                    workloads::verify_block(&decomp, v, comm.rank() as u64, blk),
-                    0
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn aggregation_reduces_writer_count() {
-        let syscalls = |method: &str| -> u64 {
-            let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);
-            let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
-            let machine = Arc::clone(dev.machine());
-            let xml = format!(r#"<adios-config><method name="{method}"/></adios-config>"#);
-            run_world(Arc::clone(&machine), 8, move |comm| {
-                let decomp = BlockDecomp::new(&[16, 16, 16], 8);
-                let vars = vec!["x".to_string()];
-                let blocks = vec![workloads::generate_block(&decomp, 0, comm.rank() as u64)];
-                let target = Target::Fs {
-                    fs: Arc::clone(&fs),
-                    path: "/m.bp".into(),
-                };
-                let lib = AdiosLike::new(config::AdiosConfig::parse(&xml).unwrap());
-                lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
-            });
-            machine.stats.snapshot().net_bytes
-        };
-        // Aggregation moves PG data over the fabric; POSIX moves ~none.
-        assert!(syscalls("MPI") > syscalls("POSIX") + 10_000);
     }
 
     #[test]
@@ -338,7 +243,7 @@ mod tests {
                 fs: Arc::clone(&fs),
                 path: "/a.bp".into(),
             };
-            AdiosLike::default()
+            AdiosLike
                 .write(&comm, &target, &decomp, &vars, &blocks)
                 .unwrap();
         });
@@ -362,7 +267,7 @@ mod tests {
                 fs: Arc::clone(&fs2),
                 path: "/two.bp".into(),
             };
-            AdiosLike::default()
+            AdiosLike
                 .write(&comm, &target, &decomp, &vars, &blocks)
                 .unwrap();
         });
@@ -373,9 +278,7 @@ mod tests {
                 fs: Arc::clone(&fs),
                 path: "/two.bp".into(),
             };
-            assert!(AdiosLike::default()
-                .read(&comm, &target, &decomp, &vars)
-                .is_err());
+            assert!(AdiosLike.read(&comm, &target, &decomp, &vars).is_err());
         });
     }
 }

@@ -31,7 +31,7 @@ pub use pnetcdf::PnetcdfLike;
 /// The five configurations of Figures 6 and 7, in the paper's legend order.
 pub fn figure_lineup() -> Vec<Box<dyn PioLibrary>> {
     vec![
-        Box::new(AdiosLike::default()),
+        Box::new(AdiosLike),
         Box::new(Netcdf4Like::default()),
         Box::new(PnetcdfLike),
         Box::new(PmemcpyLib::variant_a()),

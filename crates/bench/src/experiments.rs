@@ -311,7 +311,7 @@ pub static TABLE: &[Experiment] = &[
         grid: |ctx| {
             vec![
                 Row::lib("direct", Box::new(PmemcpyLib::variant_a()), ctx.cell(24)),
-                Row::lib("staged", Box::new(AdiosLike::default()), ctx.cell(24)),
+                Row::lib("staged", Box::new(AdiosLike), ctx.cell(24)),
             ]
         },
         ..BASE

@@ -1,0 +1,248 @@
+//! Persistent hashtable with chaining — pMEMCPY's flat metadata namespace.
+//!
+//! §3 of the paper: *"Metadata is stored in a flat namespace using a
+//! hashtable with chaining. This utilizes the high parallelism and random
+//! access characteristics of PMEM."*
+//!
+//! The on-pool layout (header, heads arrays, entries), its plausibility
+//! rules and the one chain walk live in [`crate::layout`], shared with the
+//! offline doctor. This file holds the handle; routing and stripe locking,
+//! the shadow index, mutation and lookup, and resize each have their own.
+
+mod ops;
+mod resize;
+mod route;
+mod shadow;
+
+use crate::error::Result;
+use crate::layout::*;
+use crate::pool::PmemPool;
+use pmem_sim::sync::Mutex;
+use pmem_sim::Clock;
+use route::Stripe;
+pub(crate) use route::STRIPES;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// FNV-1a, fixed so tables are portable across runs/machines.
+pub fn fnv1a(key: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in key {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+fn value_ref_of(e: &Entry) -> ValueRef {
+    ValueRef {
+        offset: e.value_off(),
+        len: e.vlen as u64,
+    }
+}
+
+/// A handle to a persistent hashtable living in `pool`.
+pub struct PersistentHashtable {
+    pool: Arc<PmemPool>,
+    header: u64,
+    /// Volatile mirror of the persistent geometry. Copied out, never held
+    /// across a charge or another lock.
+    geo: Mutex<Geo>,
+    stripes: Vec<Stripe>,
+    /// Serializes split begin/advance; held across geometry publication.
+    resize_lock: Mutex<()>,
+    /// Serializes the first dirty-flag write of a session.
+    dirty_lock: Mutex<()>,
+    /// Volatile mirror of HDR_DIRTY (true ⇒ per-stripe deltas are live).
+    count_dirty: AtomicBool,
+    /// Volatile mirror of the last folded HDR_COUNT, so the split trigger
+    /// never charges a pool read on the insert hot path.
+    count_base: AtomicU64,
+    /// Unit tests pin a one-bucket table to build long chains.
+    #[cfg(test)]
+    auto_resize: AtomicBool,
+    /// Gates the volatile shadow index (see `set_shadow_enabled`).
+    shadow_enabled: AtomicBool,
+}
+
+impl std::fmt::Debug for PersistentHashtable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PersistentHashtable")
+            .field("header", &self.header)
+            .field("bucket_count", &self.bucket_count())
+            .finish()
+    }
+}
+
+/// Location of a value inside the pool (device offset + length), so callers
+/// can stream data directly to/from PMEM without an intermediate copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueRef {
+    pub offset: u64,
+    pub len: u64,
+}
+
+impl PersistentHashtable {
+    /// Allocate and initialize a fresh table with `bucket_count` buckets.
+    pub fn create(clock: &Clock, pool: &Arc<PmemPool>, bucket_count: u64) -> Result<Self> {
+        assert!(bucket_count > 0, "hashtable needs at least one bucket");
+        let header = pool.alloc(clock, HDR_SIZE)?;
+        let heads = pool.alloc(clock, bucket_count * 8)?;
+        pool.device()
+            .zero_meta(clock, header as usize, HDR_SIZE as usize);
+        pool.device()
+            .persist(clock, header as usize, HDR_SIZE as usize);
+        pool.device()
+            .zero_meta(clock, heads as usize, (bucket_count * 8) as usize);
+        pool.device()
+            .persist(clock, heads as usize, (bucket_count * 8) as usize);
+        pool.write_u64(clock, header + HDR_HEADS, heads);
+        pool.write_u64(clock, header + HDR_BUCKETS, bucket_count);
+        Ok(Self::attach(
+            pool,
+            header,
+            Geo {
+                buckets: bucket_count,
+                heads,
+                old_buckets: 0,
+                old_heads: 0,
+                cursor: 0,
+            },
+            0,
+        ))
+    }
+
+    /// Attach to an existing table at `header`. The stored header must pass
+    /// `TableHeader::check` — the rules the doctor applies — or the mount
+    /// is refused. If the table crashed with unfolded per-stripe counts
+    /// (dirty flag set), the count is recounted from the chains here. The
+    /// shadow index starts cold (lookups repopulate it lazily); call
+    /// [`PersistentHashtable::rebuild_shadow`] to warm it eagerly.
+    pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64) -> Result<Self> {
+        let src = pool.charged(clock);
+        let hdr = TableHeader::read(&src, header)?;
+        hdr.check(&src)?;
+        let ht = Self::attach(pool, header, hdr.geo, hdr.count);
+        if hdr.dirty == 1 {
+            // Crashed with unfolded per-stripe deltas: recount from the
+            // chains (cheap 8-byte next-pointer hops) and fold + clear in
+            // ordered single-word persisted writes.
+            let mut n = 0u64;
+            for (slot, _, head) in hdr.geo.heads(&src) {
+                let (links, end) = walk_from(&src, slot, head, Fetch::Link, |_| true);
+                end?;
+                n += links;
+            }
+            pool.write_u64(clock, header + HDR_COUNT, n);
+            pool.write_u64(clock, header + HDR_DIRTY, 0);
+            ht.count_base.store(n, Ordering::Relaxed);
+        }
+        Ok(ht)
+    }
+
+    fn attach(pool: &Arc<PmemPool>, header: u64, g: Geo, count: u64) -> Self {
+        PersistentHashtable {
+            pool: Arc::clone(pool),
+            header,
+            geo: Mutex::new(g),
+            stripes: (0..STRIPES).map(|_| Stripe::default()).collect(),
+            resize_lock: Mutex::new(()),
+            dirty_lock: Mutex::new(()),
+            count_dirty: AtomicBool::new(false),
+            count_base: AtomicU64::new(count),
+            #[cfg(test)]
+            auto_resize: AtomicBool::new(true),
+            shadow_enabled: AtomicBool::new(true),
+        }
+    }
+
+    /// Device offset of the table header (store it in your root object).
+    pub fn header_offset(&self) -> u64 {
+        self.header
+    }
+
+    pub fn bucket_count(&self) -> u64 {
+        self.geo().buckets
+    }
+
+    /// Whether a split is in flight (old table not fully migrated).
+    pub fn splitting(&self) -> bool {
+        self.geo().old_buckets != 0
+    }
+
+    /// Pin the directory at its current geometry. Test-only: callers
+    /// outside this module pre-size `bucket_count` instead.
+    #[cfg(test)]
+    fn set_auto_resize(&self, enabled: bool) {
+        self.auto_resize.store(enabled, Ordering::Relaxed);
+    }
+
+    /// Number of live entries: the last folded count plus every stripe's
+    /// volatile delta.
+    pub fn len(&self, clock: &Clock) -> u64 {
+        self.plus_deltas(self.pool.read_u64(clock, self.header + HDR_COUNT))
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self, clock: &Clock) -> bool {
+        self.len(clock) == 0
+    }
+
+    fn geo(&self) -> Geo {
+        *self.geo.lock()
+    }
+
+    /// Publish a new geometry (caller holds `resize_lock`).
+    fn geo_store(&self, g: Geo) {
+        *self.geo.lock() = g;
+    }
+
+    /// Read-path degradation: these signatures cannot carry a `Result`, so
+    /// a walk that ended at a bad hop keeps what it saw and is counted.
+    /// Returns the entries it fetched.
+    fn degraded(&self, (hops, end): (u64, Result<()>)) -> u64 {
+        if end.is_err() {
+            let machine = self.pool.device().machine();
+            machine.metric_counter_add("ht.chain.torn", 1);
+        }
+        hops
+    }
+
+    /// All keys, in unspecified order. Not synchronized with writers.
+    pub fn keys(&self, clock: &Clock) -> Vec<Vec<u8>> {
+        let src = self.pool.charged(clock);
+        let mut out = vec![];
+        for (slot, _, head) in self.geo().heads(&src) {
+            self.degraded(walk_from(&src, slot, head, Fetch::Header, |e| {
+                out.push(e.key(&src));
+                true
+            }));
+        }
+        out
+    }
+
+    /// Chain-length distribution: `hist[len]` = number of buckets whose
+    /// chain holds exactly `len` entries (load-factor diagnostics — the
+    /// storm workload's p99 comes from here). Not synchronized with
+    /// writers.
+    pub fn chain_length_histogram(&self, clock: &Clock) -> Vec<u64> {
+        let src = self.pool.charged(clock);
+        let mut hist = vec![0u64];
+        for (slot, _, head) in self.geo().heads(&src) {
+            let len = self.degraded(walk_from(&src, slot, head, Fetch::Link, |_| true)) as usize;
+            if hist.len() <= len {
+                hist.resize(len + 1, 0);
+            }
+            hist[len] += 1;
+        }
+        hist
+    }
+
+    /// Length of the longest chain (load-factor diagnostics / benches).
+    pub fn max_chain_len(&self, clock: &Clock) -> u64 {
+        (self.chain_length_histogram(clock).len() - 1) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests;

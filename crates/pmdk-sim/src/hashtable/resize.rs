@@ -1,0 +1,311 @@
+//! Incremental resize and the sharded entry count.
+//!
+//! The directory is **online-resizable**: when the live-entry estimate
+//! crosses `bucket_count / SPLIT_FACTOR`, a split doubles the directory by
+//! allocating a fresh heads array, unzeroed, and publishing both tables plus
+//! a persisted `split_cursor` in one transaction. Each subsequent *mutation*
+//! helps migrate one chunk of old buckets (relink lo/hi partitions, write
+//! the destination heads, advance the cursor) inside a single pool
+//! transaction; lookups never migrate. Routing is derived from the
+//! persistent triple `(old_buckets, cursor, buckets)`: a key whose old
+//! bucket is at-or-past the cursor still lives in the old table; everything
+//! else lives in the new one. A new-directory slot is thus *reachable* only
+//! once the cursor has passed its source bucket, and a chunk's undo log
+//! carries only what a rollback can reach: the relinked next pointers and
+//! the cursor. A crash at any point replays it back to a consistent cursor
+//! and consistent reachable slots, and the chunk's re-run overwrites what
+//! the failed one — or the allocator — left in unreachable ones: resize
+//! never stops the world, is crash-safe at every step, and costs each
+//! mutation only the chunk it helps with. Because a split's old heads
+//! array *is* the previous table, beginning a split changes no key's
+//! physical slot — only migration does, and migration holds both affected
+//! stripes.
+//!
+//! The entry count is sharded: inserts and removes bump a volatile
+//! per-stripe delta (no cross-stripe RMW on the hot path) and set a
+//! persistent dirty flag once per session; [`PersistentHashtable::quiesce`]
+//! folds the deltas into the header under all stripe locks, and a reopen
+//! after a crash with the dirty flag set recounts by walking the heads.
+
+use super::route::{shadow_in, stripe_of};
+use super::*;
+use crate::error::PmdkError;
+use pmem_sim::flight::EventCode;
+
+/// A split begins once `SPLIT_FACTOR × live_estimate > bucket_count`, so a
+/// fully-migrated table sits at load factor ≤ 1/SPLIT_FACTOR. At 0.5 the
+/// Poisson tail keeps the max chain ≤ 8 w.h.p. even at 10⁶ keys (the
+/// creation-storm CI bound).
+const SPLIT_FACTOR: u64 = 2;
+
+impl PersistentHashtable {
+    /// `base` plus every stripe's unfolded live delta.
+    pub(super) fn plus_deltas(&self, base: u64) -> u64 {
+        let delta: i64 = (self.stripes.iter())
+            .map(|s| s.live.load(Ordering::Relaxed))
+            .sum();
+        (base as i64 + delta).max(0) as u64
+    }
+
+    /// Charge-free live-entry estimate for the split trigger (volatile
+    /// words only — the insert hot path must not pay a pool read here).
+    fn live_estimate(&self) -> u64 {
+        self.plus_deltas(self.count_base.load(Ordering::Relaxed))
+    }
+
+    /// Mark the persistent count stale before the first count-changing
+    /// mutation commits. A single persisted word (no transaction needed —
+    /// an 8-byte write is atomic on the device), so a crash at any point
+    /// after it forces the reopen recount and before it changed nothing.
+    pub(super) fn ensure_dirty(&self, clock: &Clock) {
+        if self.count_dirty.load(Ordering::Acquire) {
+            return;
+        }
+        let _serial = self.dirty_lock.lock();
+        if self.count_dirty.load(Ordering::Acquire) {
+            return;
+        }
+        self.pool.write_u64(clock, self.header + HDR_DIRTY, 1);
+        self.count_dirty.store(true, Ordering::Release);
+    }
+
+    /// Fold the per-stripe live deltas into the persistent header and clear
+    /// the dirty flag, in one transaction under every stripe lock. Cheap
+    /// no-op (zero transactions, zero writes) when nothing changed the
+    /// count since the last fold — a read-only session stays at zero
+    /// pool transactions. Call at munmap/checkpoint boundaries.
+    pub fn quiesce(&self, clock: &Clock) -> Result<()> {
+        // A lock-free read of a word other ranks set: every earlier rank
+        // goes first.
+        pmem_sim::interaction_point();
+        if !self.count_dirty.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let _atomic = pmem_sim::atomic_section();
+        let _guards: Vec<_> = (0..STRIPES).map(|i| self.lock_stripe(i, true)).collect();
+        let folded = self.live_estimate();
+        self.pool.tx(clock, |tx| {
+            tx.set(self.header + HDR_COUNT, &folded.to_le_bytes())?;
+            tx.set(self.header + HDR_DIRTY, &0u64.to_le_bytes())?;
+            Ok(())
+        })?;
+        for s in &self.stripes {
+            s.live.store(0, Ordering::Relaxed);
+        }
+        self.count_base.store(folded, Ordering::Relaxed);
+        self.count_dirty.store(false, Ordering::Release);
+        self.pool
+            .flight()
+            .record(clock, EventCode::CountFold, folded, 0);
+        Ok(())
+    }
+
+    /// Called at the top of every mutation (`put_group`, `remove`) and by
+    /// nothing else — lookups never migrate: advance an in-flight split by
+    /// one chunk, or begin one if the table is over threshold. An error
+    /// beginning a split — e.g. the pool is too full to double the
+    /// directory — defers it rather than failing the caller's operation.
+    pub(super) fn maybe_resize(&self, clock: &Clock) -> Result<()> {
+        #[cfg(test)]
+        if !self.auto_resize.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        let g = self.geo();
+        if g.old_buckets != 0 {
+            return self.help_migrate(clock);
+        }
+        if self.live_estimate().saturating_mul(SPLIT_FACTOR) > g.buckets {
+            match self.begin_split(clock) {
+                Ok(()) => return self.help_migrate(clock),
+                Err(_) => {
+                    self.pool
+                        .device()
+                        .machine()
+                        .metric_counter_add("ht.split.deferred", 1);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Double the directory: allocate a new heads array and publish
+    /// `(old_buckets, old_heads, cursor=0, buckets×2, new_heads)` in one
+    /// transaction, a cost that does not grow with the directory. The new
+    /// array is not zeroed: at cursor 0 none of its slots is reachable
+    /// ([`Geo::head_runs`]), and the chunk whose cursor passes a slot writes
+    /// it first, 0 included — so each put that helps pays for the slots it
+    /// migrates, and the put that trips the split pays for none. The old
+    /// heads array becomes the old table in place, so no key's physical
+    /// slot or stripe changes here — routing through the new geometry is
+    /// identical until migration moves a bucket.
+    pub(super) fn begin_split(&self, clock: &Clock) -> Result<()> {
+        let Some(_resize) = self.resize_lock.try_lock() else {
+            return Ok(()); // someone else is already splitting
+        };
+        let g = self.geo();
+        if g.old_buckets != 0 || self.live_estimate().saturating_mul(SPLIT_FACTOR) <= g.buckets {
+            return Ok(());
+        }
+        let doubled = g
+            .buckets
+            .checked_mul(2)
+            .ok_or_else(|| PmdkError::TxFailure("bucket count overflow".into()))?;
+        let machine = self.pool.device().machine();
+        let _phase = machine.phase(clock, "pmdk", "ht.resize");
+        let new_heads = self.pool.tx(clock, |tx| {
+            let new_heads = tx.alloc(doubled * 8)?;
+            tx.set(self.header + HDR_OLD_BUCKETS, &g.buckets.to_le_bytes())?;
+            tx.set(self.header + HDR_OLD_HEADS, &g.heads.to_le_bytes())?;
+            tx.set(self.header + HDR_CURSOR, &0u64.to_le_bytes())?;
+            tx.set(self.header + HDR_BUCKETS, &doubled.to_le_bytes())?;
+            tx.set(self.header + HDR_HEADS, &new_heads.to_le_bytes())?;
+            Ok(new_heads)
+        })?;
+        self.geo_store(Geo {
+            buckets: doubled,
+            heads: new_heads,
+            old_buckets: g.buckets,
+            old_heads: g.heads,
+            cursor: 0,
+        });
+        machine.metric_counter_add("ht.splits.begun", 1);
+        self.pool
+            .flight()
+            .record(clock, EventCode::SplitBegin, g.buckets, doubled);
+        Ok(())
+    }
+
+    /// Migrate one chunk of old buckets: partition each chain into lo
+    /// (`hash % new_buckets == b`) and hi (`== b + old_buckets`), relink
+    /// both in place, stream the destination heads into the new directory
+    /// and advance the persisted cursor — one transaction under the
+    /// affected stripes' locks. Only what a rollback can reach is
+    /// snapshotted: the `ENT_NEXT` relinks (still chained off the old head)
+    /// and the cursor / retire words. Destination heads are unreachable
+    /// until the cursor passes their bucket ([`Geo::head_slots`]), so they
+    /// go in undo-free and always, 0 included: a re-run after a crash or
+    /// abort overwrites whatever the failed run left. The old head is never
+    /// routed to again and stays; the final chunk frees the old array.
+    pub(super) fn help_migrate(&self, clock: &Clock) -> Result<()> {
+        let Some(_resize) = self.resize_lock.try_lock() else {
+            return Ok(()); // another helper has this split chunk
+        };
+        let g = self.geo();
+        if g.old_buckets == 0 {
+            return Ok(());
+        }
+        let n = g.old_buckets;
+        let start = g.cursor;
+        // 32 chunks a split (clamped), so one begun at load 1/2 retires by
+        // load 3/4, before the next can be due. The undo log holds relinks
+        // only, 20 bytes each against the lane's ~15 KB: 764 a chunk, where
+        // 256 buckets at that load hold ~192 entries and relink fewer. A
+        // chunk that would relink more ends at the bucket that does not fit.
+        let chunk = (n / 32).clamp(8, 256).min(n - start);
+        let last = start + chunk;
+        let machine = self.pool.device().machine();
+        let _phase = machine.phase(clock, "pmdk", "ht.resize");
+        let _span = machine
+            .span(clock, "pmdk", "ht.migrate")
+            .arg("buckets", chunk);
+
+        // Source bucket b lives on stripe b%64; its lo half stays there,
+        // its hi half moves to (b+n)%64. Lock both for the whole chunk.
+        let sids = (start..last).flat_map(|b| [stripe_of(b), stripe_of(b + n)]);
+        let _atomic = pmem_sim::atomic_section();
+        let mut held = self.lock_stripes(sids, true);
+
+        let mut entries_moved = 0u64;
+        let src = self.pool.charged(clock);
+        let end = self.pool.tx(clock, |tx| {
+            // Destination heads: slots start..end (lo), start+n.. (hi).
+            let mut runs = [Vec::new(), Vec::new()];
+            let (mut end, mut words) = (start, Vec::new());
+            // The chunk's source heads are one run: pinned by the stripes
+            // held above, fetched once.
+            for (slot, b, head) in read_heads(&src, g.old_heads, start..last) {
+                // [lo, hi], each (entry, current next).
+                let mut halves: [Vec<(u64, u64)>; 2] = Default::default();
+                let (moved, walked) = walk_from(&src, slot, head, Fetch::Header, |e| {
+                    halves[(e.hash % g.buckets != b) as usize].push((e.at, e.next));
+                    true
+                });
+                walked?;
+                // Each partition relinks in original order with a nul
+                // tail; next pointers already correct are left untouched.
+                // The walk is still holding each pre-image.
+                let mut relinks = Vec::new();
+                let mut heads = [0u64; 2];
+                for (head, chain) in heads.iter_mut().zip(&halves) {
+                    for &(e, cur_next) in chain.iter().rev() {
+                        if cur_next != *head {
+                            relinks.push((e + ENT_NEXT, cur_next, *head));
+                        }
+                        *head = e;
+                    }
+                }
+                // Room for these and the three retire words, or stop here.
+                if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 3) {
+                    break;
+                }
+                words.append(&mut relinks);
+                for (run, head) in runs.iter_mut().zip(heads) {
+                    run.extend_from_slice(&head.to_le_bytes());
+                }
+                entries_moved += moved;
+                end = b + 1;
+            }
+            tx.write_new(g.heads + start * 8, &runs[0]);
+            tx.write_new(g.heads + (start + n) * 8, &runs[1]);
+            // `g` mirrors the header (we hold `resize_lock`): no read-back.
+            // One append logs the relinks and the cursor (or retire) words.
+            if end == n {
+                words.extend([
+                    (self.header + HDR_CURSOR, start, 0),
+                    (self.header + HDR_OLD_BUCKETS, n, 0),
+                    (self.header + HDR_OLD_HEADS, g.old_heads, 0),
+                ]);
+            } else {
+                words.push((self.header + HDR_CURSOR, start, end));
+            }
+            tx.set_words(&words)?;
+            if end == n {
+                tx.free(g.old_heads)?;
+            }
+            Ok(end)
+        })?;
+
+        if end == n {
+            self.geo_store(Geo {
+                old_buckets: 0,
+                old_heads: 0,
+                cursor: 0,
+                ..g
+            });
+            machine.metric_counter_add("ht.splits", 1);
+            self.pool
+                .flight()
+                .record(clock, EventCode::SplitRetire, n, 0);
+        } else {
+            self.geo_store(Geo { cursor: end, ..g });
+            self.pool
+                .flight()
+                .record(clock, EventCode::SplitChunk, end, entries_moved);
+        }
+        // Shadow invariant: a cached ref lives only at its key's current
+        // route stripe. When the old size is not a multiple of the stripe
+        // count, a migrated hi entry changes stripes — drop the source
+        // stripes' caches wholesale (volatile, charge-free) so no stale
+        // ref can resurface after a later remove + re-split.
+        if !n.is_multiple_of(STRIPES as u64) {
+            for b in start..end {
+                shadow_in(&mut held, stripe_of(b)).clear();
+            }
+        }
+        machine.metric_counter_add("ht.buckets_migrated", end - start);
+        if entries_moved > 0 {
+            machine.metric_counter_add("ht.entries_migrated", entries_moved);
+        }
+        Ok(())
+    }
+}

@@ -1,0 +1,326 @@
+// Mutation and lookup: `ops.rs`.
+
+#[test]
+fn put_get_round_trip() {
+    let (ht, _pool, clock) = table(1 << 22, 16);
+    ht.put(&clock, b"temperature", b"310.5K").unwrap();
+    assert_eq!(ht.get(&clock, b"temperature").unwrap(), b"310.5K");
+    assert!(ht.get(&clock, b"pressure").is_none());
+    assert_eq!(ht.len(&clock), 1);
+}
+
+#[test]
+fn replace_updates_value_and_keeps_count() {
+    let (ht, pool, clock) = table(1 << 22, 16);
+    ht.put(&clock, b"k", b"old").unwrap();
+    ht.put(&clock, b"k", b"newer-value").unwrap();
+    assert_eq!(ht.get(&clock, b"k").unwrap(), b"newer-value");
+    assert_eq!(ht.len(&clock), 1);
+    pool.check_heap().unwrap(); // replaced entry was freed
+}
+
+#[test]
+fn remove_unlinks_and_frees() {
+    let (ht, pool, clock) = table(1 << 22, 4);
+    // Force collisions with few buckets.
+    for i in 0..20u32 {
+        ht.put(&clock, format!("key{i}").as_bytes(), &i.to_le_bytes())
+            .unwrap();
+    }
+    assert_eq!(ht.len(&clock), 20);
+    assert!(ht.remove(&clock, b"key7").unwrap());
+    assert!(!ht.remove(&clock, b"key7").unwrap());
+    assert!(ht.get(&clock, b"key7").is_none());
+    assert_eq!(ht.get(&clock, b"key8").unwrap(), 8u32.to_le_bytes());
+    assert_eq!(ht.len(&clock), 19);
+    ht.quiesce(&clock).unwrap();
+    pool.check_heap().unwrap();
+}
+
+/// A fill that writes `value(i)` into key `i`'s window and flushes it,
+/// as `Layout::store_many`'s does through its mapping.
+fn writing<'a>(
+    pool: &'a PmemPool,
+    clock: &'a Clock,
+    value: impl Fn(usize) -> Vec<u8> + 'a,
+) -> impl FnMut(usize, ValueRef) -> Result<Option<&'a [u8]>> + 'a {
+    move |i, v| {
+        let bytes = value(i);
+        assert_eq!(bytes.len() as u64, v.len);
+        pool.device().write_meta(clock, v.offset as usize, &bytes);
+        pool.device().flush(clock, v.offset as usize, bytes.len());
+        Ok(None)
+    }
+}
+
+/// `put_reserve_many` is the group put with a fill that writes nothing:
+/// the caller writes the value in place afterwards.
+#[test]
+fn put_reserve_allows_direct_value_writes() {
+    let (ht, pool, clock) = table(1 << 22, 16);
+    let vref = ht.put_reserve_many(&clock, &[(b"array", 8)]).unwrap()[0];
+    pool.write_bytes(&clock, vref.offset, &42u64.to_le_bytes());
+    let got = ht.get(&clock, b"array").unwrap();
+    assert_eq!(u64::from_le_bytes(got.try_into().unwrap()), 42);
+}
+
+#[test]
+fn put_many_is_one_tx_one_alloc_pass() {
+    let (ht, pool, clock) = table(1 << 22, 8);
+    let machine = Arc::clone(pool.device().machine());
+    let before = machine.stats.snapshot();
+    let reqs: Vec<(&[u8], u64)> = vec![(b"alpha", 8), (b"beta", 16), (b"gamma", 8), (b"delta", 32)];
+    let value = |i: usize| vec![reqs[i].0[0]; reqs[i].1 as usize];
+    let refs = ht
+        .put_many(&clock, &reqs, writing(&pool, &clock, value))
+        .unwrap();
+    let delta = machine.stats.snapshot().delta_since(&before);
+    assert_eq!(delta.pool_txs, 1, "group commit must claim one lane");
+    assert_eq!(delta.alloc_passes, 1, "group alloc must be one pass");
+    assert_eq!(refs.len(), 4);
+    for (i, ((key, vlen), vref)) in reqs.iter().zip(&refs).enumerate() {
+        assert_eq!(vref.len, *vlen);
+        assert_eq!(ht.get(&clock, key).unwrap(), value(i));
+    }
+    assert_eq!(ht.len(&clock), 4);
+    pool.check_heap().unwrap();
+}
+
+#[test]
+fn put_many_replaces_and_inserts_mixed() {
+    let (ht, pool, clock) = table(1 << 22, 1); // everything chains
+    ht.set_auto_resize(false);
+    ht.put(&clock, b"a", b"old-a").unwrap();
+    ht.put(&clock, b"b", b"old-b").unwrap();
+    ht.put(&clock, b"keep", b"kept").unwrap();
+    // Replace two adjacent chain entries and insert two fresh keys in
+    // one group.
+    let reqs: Vec<(&[u8], u64)> = vec![(b"a", 5), (b"b", 5), (b"c", 5), (b"d", 5)];
+    let value = |i: usize| [b"new-", reqs[i].0].concat();
+    ht.put_many(&clock, &reqs, writing(&pool, &clock, value))
+        .unwrap();
+    assert_eq!(ht.len(&clock), 5);
+    assert_eq!(ht.get(&clock, b"a").unwrap(), b"new-a");
+    assert_eq!(ht.get(&clock, b"b").unwrap(), b"new-b");
+    assert_eq!(ht.get(&clock, b"c").unwrap(), b"new-c");
+    assert_eq!(ht.get(&clock, b"d").unwrap(), b"new-d");
+    assert_eq!(ht.get(&clock, b"keep").unwrap(), b"kept");
+    pool.check_heap().unwrap(); // replaced entries were freed
+}
+
+/// A fill that fails on its third key — a serializer error, say — rolls
+/// the whole group back: the values already written sit in blocks the
+/// rollback frees, no key of the group is visible, the key it would
+/// have replaced keeps its value, and the stripes and the lane are free.
+#[test]
+fn a_fill_that_fails_rolls_back_the_whole_group() {
+    let (ht, pool, clock) = table(1 << 22, 4);
+    ht.put(&clock, b"replaced", b"original").unwrap();
+    let allocated = pool.allocated_bytes();
+    let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8), (b"n3", 8)];
+    let err = {
+        let mut fill = writing(&pool, &clock, |_| b"written!".to_vec());
+        let failing = |i, v| match i {
+            2 => Err(PmdkError::TxFailure("the serializer failed".into())),
+            _ => fill(i, v),
+        };
+        ht.put_many(&clock, &reqs, failing).unwrap_err()
+    };
+    assert_eq!(err, PmdkError::TxFailure("the serializer failed".into()));
+    for key in [&b"n1"[..], b"n2", b"n3"] {
+        assert!(ht.get(&clock, key).is_none());
+    }
+    assert_eq!(ht.get(&clock, b"replaced").unwrap(), b"original");
+    assert_eq!((ht.len(&clock), pool.allocated_bytes()), (1, allocated));
+    assert!(ht.stripes.iter().all(|s| s.lock.try_lock().is_some()));
+    pool.check_heap().unwrap();
+    let (ht, pool) = reopen(ht, pool, &clock);
+    assert_eq!(ht.keys(&clock), vec![b"replaced".to_vec()]);
+    pool.check_heap().unwrap();
+}
+
+/// The head's undo record holds what the walk read, not a second media
+/// read (debug builds compare the two): a group that unlinks its
+/// bucket's first and last entries and splices onto the one between
+/// rolls back to the old chain, and commits to the new one.
+#[test]
+fn a_group_that_moves_its_head_rolls_back_and_commits_whole() {
+    let reqs: Vec<(&[u8], u64)> = vec![(b"a", 3), (b"c", 3), (b"d", 3)];
+    let (ht, pool, clock) = recovered_before_commit(1 << 22, |pool, clock, passed| {
+        let ht = PersistentHashtable::create(clock, pool, 1).unwrap(); // c → b → a
+        ht.set_auto_resize(false);
+        for key in [b"a", b"b", b"c"] {
+            ht.put(clock, key, b"old").unwrap();
+        }
+        ht.put_many(clock, &reqs, writing(pool, clock, |_| b"new".to_vec()))
+            .unwrap();
+        (ht.header_offset(), passed())
+    });
+    ht.set_auto_resize(false);
+    for key in [b"a", b"b", b"c"] {
+        assert_eq!(ht.get(&clock, key).unwrap(), b"old");
+    }
+    assert_eq!((ht.get(&clock, b"d"), ht.len(&clock)), (None, 3));
+
+    ht.put_many(&clock, &reqs, writing(&pool, &clock, |_| b"new".to_vec()))
+        .unwrap();
+    for (key, want) in [
+        (b"a", b"new"),
+        (b"b", b"old"),
+        (b"c", b"new"),
+        (b"d", b"new"),
+    ] {
+        assert_eq!(ht.get(&clock, key).unwrap(), want);
+    }
+    assert_eq!(ht.len(&clock), 4);
+    pool.check_heap().unwrap();
+}
+
+/// A put fetches its bucket's head pointer once — the walk's read serves
+/// the splice and the undo record — and its commit reads nothing back:
+/// the transaction knows which of its intents are frees.
+#[test]
+fn a_put_reads_its_bucket_head_once() {
+    const BUCKETS: u64 = 4096;
+    let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+    let registry = MetricsRegistry::new();
+    dev.machine().set_metrics(Arc::clone(&registry));
+    let clock = Clock::new();
+    let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+    let ht = PersistentHashtable::create(&clock, &pool, BUCKETS).unwrap();
+    ht.put(&clock, b"warm", b"sets the dirty flag").unwrap();
+    let mut taken = std::collections::HashSet::from([fnv1a(b"warm") % BUCKETS]);
+    let mut fresh = (0u32..)
+        .map(|i| format!("k{i}").into_bytes())
+        .filter(|k| taken.insert(fnv1a(k) % BUCKETS));
+    let reads = || registry.snapshot().hists["pmem.meta_read"].count;
+    // A key in an empty bucket: the walk's read of the head. A 64-alloc
+    // group commits without reading its 64 intent slots back.
+    for group in [1, 3, 64] {
+        let keys: Vec<Vec<u8>> = fresh.by_ref().take(group).collect();
+        let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (k.as_slice(), 8)).collect();
+        let before = reads();
+        ht.put_many(&clock, &reqs, writing(&pool, &clock, |_| vec![7; 8]))
+            .unwrap();
+        assert_eq!(reads() - before, group as u64);
+    }
+}
+
+#[test]
+fn put_many_rejects_duplicate_keys() {
+    let (ht, pool, clock) = table(1 << 22, 8);
+    let nothing = |_, _| Ok(None);
+    let err = ht
+        .put_many(&clock, &[(b"same", 4), (b"same", 8)], nothing)
+        .unwrap_err();
+    assert!(matches!(err, PmdkError::TxFailure(_)));
+    // A length the entry header cannot hold is refused the same way:
+    // an error, before anything is allocated.
+    let err = ht
+        .put_many(&clock, &[(b"fits", 4), (b"huge", 1 << 32)], nothing)
+        .unwrap_err();
+    assert_eq!(err, PmdkError::ValueTooLarge { len: 1 << 32 });
+    assert!(ht.is_empty(&clock));
+    pool.check_heap().unwrap();
+}
+
+#[test]
+fn crash_mid_batch_rolls_back_the_whole_group() {
+    let (ht, pool, clock) = recovered_before_commit(1 << 22, |pool, clock, passed| {
+        let ht = PersistentHashtable::create(clock, pool, 4).unwrap();
+        ht.put(clock, b"pre-existing", b"survives").unwrap();
+        ht.put(clock, b"replaced", b"original").unwrap();
+        let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8)];
+        ht.put_many(clock, &reqs, writing(pool, clock, |_| b"the new!".to_vec()))
+            .unwrap();
+        (ht.header_offset(), passed())
+    });
+    // None of the batch's keys are visible; replaced keeps its old value.
+    assert!(ht.get(&clock, b"n1").is_none());
+    assert!(ht.get(&clock, b"n2").is_none());
+    assert_eq!(ht.get(&clock, b"replaced").unwrap(), b"original");
+    assert_eq!(ht.get(&clock, b"pre-existing").unwrap(), b"survives");
+    assert_eq!(ht.len(&clock), 2);
+    pool.check_heap().unwrap();
+}
+
+#[test]
+fn crash_mid_put_leaves_old_value() {
+    // The replacement is logged in full — the head's undo record, the
+    // new entry's intent — and never commits.
+    let (ht, pool, clock) = recovered_before_commit(1 << 22, |pool, clock, passed| {
+        let ht = PersistentHashtable::create(clock, pool, 16).unwrap();
+        ht.put(clock, b"k", b"stable").unwrap();
+        ht.put(clock, b"k", b"doomed").unwrap();
+        (ht.header_offset(), passed())
+    });
+    assert_eq!(ht.get(&clock, b"k").unwrap(), b"stable");
+    assert_eq!(ht.len(&clock), 1);
+    pool.check_heap().unwrap();
+}
+
+#[test]
+fn get_ref_many_matches_per_key_gets() {
+    let (ht, _pool, clock) = table(1 << 22, 2); // heavy bucket sharing
+    for i in 0..10u32 {
+        ht.put(&clock, format!("k{i}").as_bytes(), &i.to_le_bytes())
+            .unwrap();
+    }
+    let names: Vec<String> = (0..12).map(|i| format!("k{i}")).collect();
+    let keys: Vec<&[u8]> = names.iter().map(|n| n.as_bytes()).collect();
+    ht.set_shadow_enabled(false); // force the chain walks
+    ht.set_shadow_enabled(true);
+    let batched = ht.get_ref_many(&clock, &keys);
+    for (i, k) in keys.iter().enumerate() {
+        assert_eq!(batched[i], ht.get_ref(&clock, k), "key {i} diverged");
+    }
+    assert!(batched[10].is_none() && batched[11].is_none());
+}
+
+#[test]
+fn single_pass_walk_charges_at_most_three_reads_per_key() {
+    let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+    let registry = MetricsRegistry::new();
+    dev.machine().set_metrics(Arc::clone(&registry));
+    let clock = Clock::new();
+    let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+    let ht = PersistentHashtable::create(&clock, &pool, 4096).unwrap();
+    for i in 0..32u32 {
+        ht.put(&clock, format!("var{i}").as_bytes(), &i.to_le_bytes())
+            .unwrap();
+    }
+    ht.set_shadow_enabled(false); // cold walks only
+    ht.set_shadow_enabled(true);
+    let before = registry.snapshot().counter("get.lookup.pool_reads");
+    for i in 0..32u32 {
+        assert!(ht.get_ref(&clock, format!("var{i}").as_bytes()).is_some());
+    }
+    let reads = registry.snapshot().counter("get.lookup.pool_reads") - before;
+    // Single-entry buckets: head + header + key = 3 charged reads per
+    // key (the pre-batch walk paid 6: head, hash, klen, key, klen, vlen).
+    assert!(
+        reads <= 3 * 32,
+        "expected ≤ 3 reads/key from the single-pass walk, got {reads} for 32 keys"
+    );
+}
+
+#[test]
+fn chain_len_histogram_records_probe_depths() {
+    let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+    let registry = MetricsRegistry::new();
+    dev.machine().set_metrics(Arc::clone(&registry));
+    let clock = Clock::new();
+    let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+    let ht = PersistentHashtable::create(&clock, &pool, 1).unwrap();
+    ht.set_auto_resize(false);
+    ht.set_shadow_enabled(false);
+    for i in 0..4u32 {
+        ht.put(&clock, format!("c{i}").as_bytes(), b"v").unwrap();
+    }
+    for i in 0..4u32 {
+        assert!(ht.get_ref(&clock, format!("c{i}").as_bytes()).is_some());
+    }
+    let snap = registry.snapshot();
+    let total = snap.hists.get("ht.chain_len").map(|h| h.count).unwrap_or(0);
+    assert!(total >= 8, "writer finds + reader walks must record depths");
+}

@@ -1,0 +1,426 @@
+// Incremental resize and the count fold: `resize.rs`.
+
+#[test]
+fn resize_grows_the_directory_and_preserves_contents() {
+    let (ht, pool, clock) = table(1 << 23, 4);
+    let mut expect = BTreeMap::new();
+    for i in 0..300u32 {
+        let k = format!("grow-{i}");
+        ht.put(&clock, k.as_bytes(), &i.to_le_bytes()).unwrap();
+        expect.insert(k.into_bytes(), i.to_le_bytes().to_vec());
+    }
+    // Drive any in-flight migration to completion.
+    while ht.splitting() {
+        ht.remove(&clock, b"absent").unwrap();
+    }
+    assert!(
+        ht.bucket_count() > 300,
+        "4 buckets must double past the live count, got {}",
+        ht.bucket_count()
+    );
+    assert_eq!(ht.len(&clock), 300);
+    for (k, v) in &expect {
+        assert_eq!(&ht.get(&clock, k).unwrap(), v, "key {:?}", k);
+    }
+    let mut keys = ht.keys(&clock);
+    keys.sort();
+    assert_eq!(keys, expect.keys().cloned().collect::<Vec<_>>());
+    assert!(
+        ht.max_chain_len(&clock) <= 8,
+        "post-split chains stay short"
+    );
+    ht.quiesce(&clock).unwrap();
+    pool.check_heap().unwrap(); // retired heads arrays were freed
+}
+
+#[test]
+fn resized_table_survives_reopen_mid_split_and_after() {
+    let (ht, pool, clock) = table(1 << 23, 64);
+    // Insert until a split is actually in flight (the triggering put
+    // migrates only the first chunk of the 64-bucket old table).
+    let mut total = 0u32;
+    while !ht.splitting() {
+        ht.put(&clock, format!("k{total}").as_bytes(), &total.to_le_bytes())
+            .unwrap();
+        total += 1;
+    }
+    // Reopen mid-split: the persisted two-table state must route every
+    // key correctly.
+    let (ht, pool) = reopen(ht, pool, &clock);
+    assert!(ht.splitting(), "split state survives reopen");
+    assert_eq!(ht.len(&clock), total as u64);
+    for i in 0..total {
+        assert_eq!(
+            ht.get(&clock, format!("k{i}").as_bytes()).unwrap(),
+            i.to_le_bytes()
+        );
+    }
+    // Finish the split and reopen once more.
+    while ht.splitting() {
+        ht.put(&clock, b"nudge", b"v").unwrap();
+    }
+    let (ht, _pool) = reopen(ht, pool, &clock);
+    assert_eq!(ht.len(&clock), total as u64 + 1);
+    assert_eq!(ht.get(&clock, b"k20").unwrap(), 20u32.to_le_bytes());
+}
+
+#[test]
+fn quiesce_folds_sharded_count_and_clean_open_skips_recount() {
+    let (ht, pool, clock) = table(1 << 22, 64);
+    ht.set_auto_resize(false);
+    for i in 0..10u32 {
+        ht.put(&clock, format!("k{i}").as_bytes(), b"v").unwrap();
+    }
+    // Mid-session: header still holds the last fold, deltas are live.
+    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_COUNT), 0);
+    assert_eq!(ht.len(&clock), 10);
+    ht.quiesce(&clock).unwrap();
+    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_COUNT), 10);
+    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_DIRTY), 0);
+    // A second quiesce with nothing dirty is free: no transaction.
+    let machine = Arc::clone(pool.device().machine());
+    let before = machine.stats.snapshot();
+    ht.quiesce(&clock).unwrap();
+    assert_eq!(machine.stats.snapshot().delta_since(&before).pool_txs, 0);
+    let (ht, _pool) = reopen(ht, pool, &clock);
+    assert_eq!(ht.len(&clock), 10);
+}
+
+/// 33 keys in a 64-bucket table, a split begun over them, and its first
+/// migration chunk; the mark is the chunk's end.
+fn first_chunk(pool: &Arc<PmemPool>, clock: &Clock, passed: &dyn Fn() -> usize) -> (u64, usize) {
+    let ht = PersistentHashtable::create(clock, pool, 64).unwrap();
+    for i in 0..33u32 {
+        ht.put(clock, format!("m{i}").as_bytes(), &i.to_le_bytes())
+            .unwrap();
+    }
+    ht.begin_split(clock).unwrap();
+    ht.help_migrate(clock).unwrap();
+    (ht.header_offset(), passed())
+}
+
+#[test]
+fn crash_mid_migration_rolls_back_to_the_cursor() {
+    // Every relink and the cursor are logged and written; the chunk's
+    // transaction has not committed.
+    let (ht, pool, clock) = recovered_before_commit(1 << 23, first_chunk);
+    assert!(
+        ht.splitting(),
+        "split begin committed, migration rolled back"
+    );
+    assert_eq!(ht.geo().cursor, 0);
+    assert_eq!(ht.len(&clock), 33);
+    for i in 0..33u32 {
+        assert_eq!(
+            ht.get(&clock, format!("m{i}").as_bytes()).unwrap(),
+            i.to_le_bytes()
+        );
+    }
+    // The interrupted migration resumes and completes.
+    while ht.splitting() {
+        ht.put(&clock, b"m33", &33u32.to_le_bytes()).unwrap();
+    }
+    assert_eq!(ht.len(&clock), 34);
+    ht.quiesce(&clock).unwrap();
+    pool.check_heap().unwrap();
+}
+
+/// A chunk that rolled back may leave its destination heads behind
+/// (undo-free, unfenced writes). If the partition they point into is emptied
+/// before the chunk re-runs — a mutator that found `resize_lock` busy
+/// does not help first — the re-run must overwrite them with 0, not
+/// skip the empty partition.
+#[test]
+fn a_rerun_chunk_overwrites_the_heads_a_rolled_back_one_left() {
+    // The chunk's destination heads went in undo-free and were fenced
+    // before the cursor's undo record: the crash that rolls the chunk
+    // back leaves them on media.
+    let (ht, pool, clock) = recovered_before_commit(1 << 23, first_chunk);
+    let keys: Vec<String> = (0..33).map(|i| format!("m{i}")).collect();
+    let g = ht.geo();
+    assert_eq!((g.old_buckets, g.cursor), (64, 0), "chunk rolled back");
+    // The first chunk is buckets 0..8; its destination heads went in.
+    let in_chunk = |k: &&String| fnv1a(k.as_bytes()) % 64 < 8;
+    let stale = |g: Geo| {
+        let slots = (0..8).flat_map(|b| [b, b + 64]);
+        slots
+            .filter(|b| pool.read_u64(&clock, g.heads + b * 8) != 0)
+            .count()
+    };
+    assert!(stale(g) > 0, "some key of 33 hashes into the first chunk");
+    assert_eq!(ht.keys(&clock).len(), 33, "no walker follows them");
+    assert_eq!(ht.chain_length_histogram(&clock).iter().sum::<u64>(), 64);
+
+    // Empty those partitions without helping, then let the split run.
+    ht.set_auto_resize(false);
+    for k in keys.iter().filter(in_chunk) {
+        assert!(ht.remove(&clock, k.as_bytes()).unwrap());
+    }
+    ht.set_auto_resize(true);
+    while ht.splitting() {
+        ht.remove(&clock, b"absent").unwrap();
+    }
+    assert_eq!(stale(g), 0, "freed entries are unreachable");
+    let mut left: Vec<_> = keys.iter().filter(|k| !in_chunk(k)).cloned().collect();
+    let mut found: Vec<_> = ht
+        .keys(&clock)
+        .into_iter()
+        .map(|k| String::from_utf8(k).unwrap())
+        .collect();
+    left.sort();
+    found.sort();
+    assert_eq!(found, left);
+    pool.check_heap().unwrap();
+}
+
+/// `begin_split` does not zero the new directory: a slot is read only
+/// once the chunk whose cursor passes it has written it. Here the new
+/// heads array is handed out from a freed block full of pointer-shaped
+/// garbage — live entries of other buckets, and self-pointers — and no
+/// walker, router or doctor may follow any of it, mid-split or after.
+#[test]
+fn a_split_onto_a_poisoned_block_follows_none_of_it() {
+    const N: u64 = 64;
+    let (ht, pool, clock) = table(1 << 23, N);
+    let mut expect = BTreeMap::new();
+    let put = |expect: &mut BTreeMap<_, _>, i: u32| {
+        let (k, v) = (
+            format!("p{i}"),
+            format!("value-{i}").repeat(1 + i as usize % 3),
+        );
+        ht.put(&clock, k.as_bytes(), v.as_bytes()).unwrap();
+        expect.insert(k.into_bytes(), v.into_bytes());
+    };
+    // 33 live keys: the next mutation begins a split.
+    for i in 0..33 {
+        put(&mut expect, i);
+    }
+    assert!(!ht.splitting());
+
+    // A block the size of the doubled directory between two live ones
+    // (no coalescing on free), poisoned, then freed.
+    let poison = pool.alloc(&clock, 2 * N * 8).unwrap();
+    pool.alloc(&clock, 64).unwrap();
+    let live: Vec<(u64, u64)> = (expect.keys())
+        .map(|k| {
+            let entry = ht.get_ref(&clock, k).unwrap().offset - ENT_KEY - k.len() as u64;
+            (fnv1a(k) % (2 * N), entry)
+        })
+        .collect();
+    let garbage: Vec<u8> = (0..2 * N)
+        .map(|b| match b % 2 {
+            0 => poison + b * 8,
+            _ => live.iter().find(|&&(home, _)| home != b).unwrap().1,
+        })
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    pool.write_bytes(&clock, poison, &garbage);
+    pool.free(&clock, poison).unwrap();
+
+    put(&mut expect, 33);
+    let g = ht.geo();
+    assert_eq!(g.heads, poison, "the split reused the poisoned block");
+    assert_eq!((g.old_buckets, g.cursor), (N, 8), "one chunk helped");
+    let poisoned = |b: u64| pool.read_u64(&clock, g.heads + b * 8) != 0;
+    assert!(
+        (g.cursor..N).all(poisoned),
+        "unreachable slots keep the garbage"
+    );
+    let walk = crate::doctor::walk_hashtable(pool.device(), ht.header_offset());
+    assert!(walk.ok(), "{:?}", walk.errors);
+    assert_eq!(walk.reachable, 34);
+
+    // Puts and removes drive the split to its retirement.
+    let mut i = 34;
+    while ht.splitting() {
+        put(&mut expect, i);
+        if i % 3 == 0 {
+            let k = format!("p{}", i / 3).into_bytes();
+            assert!(ht.remove(&clock, &k).unwrap());
+            expect.remove(&k);
+        }
+        i += 1;
+    }
+    assert_eq!(ht.bucket_count(), 2 * N);
+    let mut listed = ht.keys(&clock);
+    listed.sort();
+    assert_eq!(
+        listed,
+        expect.keys().cloned().collect::<Vec<_>>(),
+        "each key once"
+    );
+    for (k, v) in &expect {
+        assert_eq!(&ht.get(&clock, k).unwrap(), v);
+    }
+    assert_eq!(ht.len(&clock), expect.len() as u64);
+    let hist = ht.chain_length_histogram(&clock);
+    assert_eq!(hist.iter().sum::<u64>(), 2 * N);
+    let entries: u64 = hist.iter().zip(0..).map(|(n, len)| n * len).sum();
+    assert_eq!(entries, expect.len() as u64);
+    ht.quiesce(&clock).unwrap();
+    pool.check_heap().unwrap();
+}
+
+/// Beginning a split allocates and publishes: the bytes it writes, the
+/// lines it flushes and its fences do not grow with the directory.
+#[test]
+fn beginning_a_split_costs_the_same_at_any_directory_size() {
+    let cost = |n: u64| {
+        let (ht, pool, clock) = table(1 << 23, n);
+        for i in 0..=n / 2 {
+            ht.put(&clock, format!("s{i}").as_bytes(), b"v").unwrap();
+        }
+        let stats = &pool.device().machine().stats;
+        let before = stats.snapshot();
+        ht.begin_split(&clock).unwrap();
+        assert!(ht.splitting(), "{} keys over {n} buckets", n / 2 + 1);
+        let d = stats.snapshot().delta_since(&before);
+        (d.pmem_bytes_written, d.flush_calls, d.fences)
+    };
+    assert_eq!(cost(64), cost(4096));
+}
+
+/// A migration chunk of `c` buckets holding `m` entries is `1 + m`
+/// metadata reads — its source heads in one run, one header an entry —
+/// however many next pointers it rewrites: each pre-image is what the
+/// walk read, and the cursor's is the geometry the helper holds.
+#[test]
+fn a_chunk_costs_one_run_read_and_one_header_read_an_entry() {
+    const N: u64 = 64;
+    let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+    let registry = MetricsRegistry::new();
+    dev.machine().set_metrics(Arc::clone(&registry));
+    let clock = Clock::new();
+    let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+    let ht = PersistentHashtable::create(&clock, &pool, N).unwrap();
+    ht.set_auto_resize(false);
+    let keys: Vec<String> = (0..200).map(|i| format!("c{i}")).collect();
+    for k in &keys {
+        ht.put(&clock, k.as_bytes(), b"v").unwrap();
+    }
+    ht.begin_split(&clock).unwrap();
+    let seen = || {
+        let snap = registry.snapshot();
+        let undo = snap.counter("tx.undo_bytes");
+        (snap.hists["pmem.meta_read"].count, undo)
+    };
+    let mut relinked = std::collections::BTreeSet::new();
+    while ht.splitting() {
+        let (start, (reads, undo)) = (ht.geo().cursor, seen());
+        ht.help_migrate(&clock).unwrap();
+        let end = match ht.geo().cursor {
+            0 => N,
+            cursor => cursor,
+        };
+        assert_eq!(end - start, 8, "a 64-bucket table moves 8 a chunk");
+        let held = |k: &&String| (start..end).contains(&(fnv1a(k.as_bytes()) % N));
+        let m = keys.iter().filter(held).count() as u64;
+        let (reads, undo) = (seen().0 - reads, seen().1 - undo);
+        assert_eq!(reads, 1 + m, "chunk {start}..{end}");
+        // The cursor word (three words when the split retires) and the
+        // relinks: 20 bytes of undo each.
+        let words = if end == N { 3 } else { 1 };
+        relinked.insert(undo / 20 - words);
+    }
+    assert!(
+        relinked.len() > 2,
+        "chunks that relink differently: {relinked:?}"
+    );
+    for k in &keys {
+        assert!(ht.contains(&clock, k.as_bytes()), "{k} lost");
+    }
+    pool.check_heap().unwrap();
+}
+
+/// The worst relink pattern a 256-bucket chunk can meet: every source
+/// chain is 8 long and alternates lo/hi, so 7 of its 8 next pointers
+/// are rewritten — 35 KB of undo against a 15 KB lane. The chunk ends
+/// at the last bucket that fits instead of overflowing (an overflow
+/// would fail this and every later mutation).
+#[test]
+fn one_chunk_of_the_worst_relink_pattern_fits_the_undo_log() {
+    const N: u64 = 8192; // the smallest directory whose chunk is 256
+    const CHUNK: u64 = 256;
+    let (ht, pool, clock) = table(1 << 24, N);
+    ht.set_auto_resize(false);
+    // Per source bucket of the first chunk: four keys for each half.
+    let mut picked: Vec<[Vec<String>; 2]> = vec![Default::default(); CHUNK as usize];
+    let mut fillers = Vec::new();
+    let mut missing = CHUNK * 8;
+    for i in 0.. {
+        let k = format!("w{i}");
+        let h = fnv1a(k.as_bytes());
+        if h % N >= CHUNK {
+            if (fillers.len() as u64) < N / 2 {
+                fillers.push(k);
+            }
+            continue;
+        }
+        let half = &mut picked[(h % N) as usize][(h % (2 * N) / N) as usize];
+        if half.len() < 4 {
+            half.push(k);
+            missing -= 1;
+        }
+        if missing == 0 {
+            break;
+        }
+    }
+    let mut all = fillers;
+    for [lo, hi] in &picked {
+        all.extend(lo.iter().zip(hi).flat_map(|(l, h)| [l.clone(), h.clone()]));
+    }
+    for k in &all {
+        ht.put(&clock, k.as_bytes(), b"v").unwrap();
+    }
+    ht.begin_split(&clock).unwrap();
+    assert!(ht.splitting(), "2 x {} keys > {N} buckets", all.len());
+    ht.set_auto_resize(true);
+
+    // A mutation that only helps: removing an absent key logs nothing.
+    let registry = MetricsRegistry::new();
+    pool.device().machine().set_metrics(Arc::clone(&registry));
+    assert!(!ht.remove(&clock, b"absent").unwrap());
+    let (undo, cursor) = (
+        registry.snapshot().counter("tx.undo_bytes"),
+        ht.geo().cursor,
+    );
+    // 7 relinks per bucket + the cursor word, 12 + 8 bytes each, and
+    // room kept for the two more words a retiring chunk would log.
+    assert_eq!(undo, (cursor * 7 + 1) * 20);
+    let capacity = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
+    assert!(undo + 2 * 20 <= capacity && undo + 7 * 20 > capacity - 3 * 20);
+    assert!(cursor < CHUNK, "the whole chunk would have taken 35 KB");
+    // The next chunk resumes at that bucket: one run read from there,
+    // one header read an entry of every bucket it walked (the one that
+    // no longer fit included), and it is cut short the same way.
+    let reads = || registry.snapshot().hists["pmem.meta_read"].count;
+    let before = reads();
+    ht.help_migrate(&clock).unwrap();
+    assert_eq!(ht.geo().cursor, 2 * cursor);
+    assert_eq!(reads() - before, 1 + 8 * (cursor + 1));
+
+    while ht.geo().cursor < CHUNK {
+        ht.remove(&clock, b"absent").unwrap();
+    }
+    for k in &all {
+        assert!(ht.contains(&clock, k.as_bytes()), "{k} lost");
+    }
+    assert_eq!(ht.keys(&clock).len(), all.len());
+}
+
+#[test]
+fn crash_at_count_fold_keeps_dirty_recount_path() {
+    // The fold's two words are written and logged, not committed: the
+    // rollback restores the dirty flag and the open recounts.
+    let (ht, pool, clock) = recovered_before_commit(1 << 22, |pool, clock, passed| {
+        let ht = PersistentHashtable::create(clock, pool, 64).unwrap();
+        ht.set_auto_resize(false);
+        for i in 0..5u32 {
+            ht.put(clock, format!("f{i}").as_bytes(), b"v").unwrap();
+        }
+        ht.quiesce(clock).unwrap();
+        (ht.header_offset(), passed())
+    });
+    assert_eq!(ht.len(&clock), 5);
+    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_DIRTY), 0);
+}

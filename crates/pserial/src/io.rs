@@ -148,61 +148,12 @@ pub fn get_str(src: &mut dyn ReadSource) -> Result<String> {
 mod tests {
     use super::*;
 
-    /// A sink over a fixed, pre-allocated byte slice.
-    #[derive(Debug)]
-    struct SliceSink<'a> {
-        buf: &'a mut [u8],
-        pos: usize,
-    }
-
-    impl<'a> SliceSink<'a> {
-        fn new(buf: &'a mut [u8]) -> Self {
-            SliceSink { buf, pos: 0 }
-        }
-    }
-
-    impl WriteSink for SliceSink<'_> {
-        fn put(&mut self, bytes: &[u8]) -> Result<()> {
-            if self.pos + bytes.len() > self.buf.len() {
-                return Err(SerialError::ShortBuffer {
-                    need: (self.pos + bytes.len()) as u64,
-                    have: self.buf.len() as u64,
-                });
-            }
-            self.buf[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
-            self.pos += bytes.len();
-            Ok(())
-        }
-
-        fn position(&self) -> u64 {
-            self.pos as u64
-        }
-    }
-
     #[test]
     fn vec_sink_appends() {
         let mut v = Vec::new();
         put_u32(&mut v, 7).unwrap();
         put_str(&mut v, "hi").unwrap();
         assert_eq!(v.position(), 4 + 4 + 2);
-    }
-
-    #[test]
-    fn slice_sink_bounds_checked() {
-        let mut buf = [0u8; 8];
-        let mut sink = SliceSink::new(&mut buf);
-        put_u64(&mut sink, 42).unwrap();
-        assert_eq!(sink.position(), 8);
-    }
-
-    #[test]
-    fn slice_sink_overflow_is_an_error() {
-        let mut buf = [0u8; 4];
-        let mut sink = SliceSink::new(&mut buf);
-        let err = put_u64(&mut sink, 42).unwrap_err();
-        assert!(matches!(err, SerialError::ShortBuffer { need: 8, have: 4 }));
-        // The sink is untouched: nothing was partially written.
-        assert_eq!(sink.position(), 0);
     }
 
     #[test]
