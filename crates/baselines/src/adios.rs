@@ -12,8 +12,6 @@
 use crate::pio::{bytes_to_f64, f64_bytes, PioError, PioLibrary, Result, Target};
 use mpi_sim::{Comm, MpiFile};
 use pserial::{Bp4, Serializer, SliceSource, VarMeta};
-use simfs::SimFs;
-use std::sync::Arc;
 use workloads::BlockDecomp;
 
 const FILE_MAGIC: u32 = 0x4142_5031; // "ABP1"
@@ -24,13 +22,6 @@ const HEADER_LEN: u64 = 64;
 pub struct AdiosLike;
 
 impl AdiosLike {
-    fn fs_of(target: &Target) -> Result<(&Arc<SimFs>, &str)> {
-        match target {
-            Target::Fs { fs, path } => Ok((fs, path)),
-            Target::DevDax(_) => Err(PioError::Format("ADIOS needs a filesystem target".into())),
-        }
-    }
-
     /// Serialize this rank's variables into one staged process group.
     /// Charges the serialize CPU pass and the DRAM staging copy — the exact
     /// cost pMEMCPY's direct-to-PMEM path avoids.
@@ -80,7 +71,7 @@ impl PioLibrary for AdiosLike {
         vars: &[String],
         blocks: &[Vec<f64>],
     ) -> Result<()> {
-        let (fs, path) = Self::fs_of(target)?;
+        let (fs, path) = target.fs(self.name())?;
         let file = MpiFile::create(comm, fs, path)?;
 
         // Phase 1: serialize into the DRAM staging buffer (BP "PG buffer").
@@ -128,7 +119,7 @@ impl PioLibrary for AdiosLike {
         decomp: &BlockDecomp,
         vars: &[String],
     ) -> Result<Vec<Vec<f64>>> {
-        let (fs, path) = Self::fs_of(target)?;
+        let (fs, path) = target.fs(self.name())?;
         let file = MpiFile::open(comm, fs, path)?;
 
         // Rank 0 reads header + footer, broadcasts the PG table.
@@ -200,7 +191,8 @@ mod tests {
     use super::*;
     use mpi_sim::run_world;
     use pmem_sim::{Machine, PersistenceMode, PmemDevice};
-    use simfs::MountMode;
+    use simfs::{MountMode, SimFs};
+    use std::sync::Arc;
 
     #[test]
     fn write_then_symmetric_read_round_trips() {

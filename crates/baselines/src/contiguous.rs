@@ -1,4 +1,4 @@
-//! Shared machinery for the contiguous-layout libraries (NetCDF-4, pNetCDF).
+//! The NetCDF-4 / pNetCDF job, [`write`] and [`read`]; a library brings a [`Codec`] and a fill.
 //!
 //! Both store every variable as a single *globally linearized* array (§2.1:
 //! *"pNetCDF and NetCDF store data contiguously, which requires data to be
@@ -7,8 +7,10 @@
 //! a collective two-phase operation: pack the runs, shuffle them to the
 //! aggregator owning each file domain, and issue large contiguous accesses.
 
-use crate::pio::{f64_bytes, Result};
+use crate::pio::{f64_bytes, PioError, Result};
 use mpi_sim::{Comm, MpiFile, ReadSegment, Subarray, WriteSegment};
+use simfs::SimFs;
+use std::sync::Arc;
 use workloads::BlockDecomp;
 
 /// One variable's placement in the contiguous file.
@@ -18,8 +20,76 @@ pub(crate) struct VarPlacement {
     pub data_offset: u64,
 }
 
+/// A container's header codec: `(global_dims, vars) → (bytes, placements)` and back.
+pub(crate) trait Codec {
+    fn encode(global_dims: &[u64], vars: &[String]) -> (Vec<u8>, Vec<VarPlacement>);
+    fn decode(bytes: &[u8]) -> Result<Vec<VarPlacement>>;
+}
+
+/// Collective write, open to close: rank 0 writes the header, every rank
+/// decodes it (`enddef`), pre-fills each extent with `fill`, writes two-phase.
+pub(crate) fn write<C: Codec>(
+    comm: &Comm,
+    (fs, path): (&Arc<SimFs>, &str),
+    fill: Option<f64>,
+    decomp: &BlockDecomp,
+    vars: &[String],
+    blocks: &[Vec<f64>],
+) -> Result<()> {
+    let file = MpiFile::create(comm, fs, path)?;
+    let header = (comm.rank() == 0).then(|| C::encode(&decomp.global_dims, vars).0);
+    if let Some(bytes) = &header {
+        file.write_at(0, bytes)?;
+    }
+    let placements = C::decode(&comm.bcast(0, header.as_deref()))?;
+    if let Some(fill) = fill {
+        for p in &placements {
+            fill_var(comm, &file, decomp, p.data_offset, fill)?;
+        }
+    }
+    for (p, block) in placements.iter().zip(blocks) {
+        write_var_contiguous(comm, &file, decomp, p.data_offset, block)?;
+    }
+    file.sync_all()?;
+    file.close()?;
+    Ok(())
+}
+
+/// Symmetric collective read, open to close: rank 0 reads the header (4 KiB,
+/// doubled until it decodes), every rank decodes it and reads two-phase.
+pub(crate) fn read<C: Codec>(
+    comm: &Comm,
+    (fs, path): (&Arc<SimFs>, &str),
+    decomp: &BlockDecomp,
+    vars: &[String],
+) -> Result<Vec<Vec<f64>>> {
+    let file = MpiFile::open(comm, fs, path)?;
+    let header = if comm.rank() == 0 {
+        let fsize = fs.file_size(path)?;
+        let mut buf = vec![0u8; 4096.min(fsize) as usize];
+        file.read_at(0, &mut buf)?;
+        while C::decode(&buf).is_err() && (buf.len() as u64) < fsize {
+            buf = vec![0u8; (2 * buf.len() as u64).min(fsize) as usize];
+            file.read_at(0, &mut buf)?;
+        }
+        Some(buf)
+    } else {
+        None
+    };
+    let placements = C::decode(&comm.bcast(0, header.as_deref()))?;
+    let mut out = Vec::with_capacity(vars.len());
+    for name in vars {
+        let Some(p) = placements.iter().find(|p| &p.name == name) else {
+            return Err(PioError::Format(format!("variable {name:?} not in file")));
+        };
+        out.push(read_var_contiguous(comm, &file, decomp, p.data_offset)?);
+    }
+    file.close()?;
+    Ok(out)
+}
+
 /// Collectively write this rank's block of variable `v` at `data_offset`.
-pub(crate) fn write_var_contiguous(
+fn write_var_contiguous(
     comm: &Comm,
     file: &MpiFile,
     decomp: &BlockDecomp,
@@ -31,12 +101,7 @@ pub(crate) fn write_var_contiguous(
     let bytes = f64_bytes(block);
     // Packing the scattered runs into send segments is a full pass over the
     // block in DRAM — the start of the rearrangement pMEMCPY never does.
-    {
-        let machine = comm.machine();
-        let _p = machine.phase(comm.clock(), "put", "rearrange");
-        machine.metric_counter_add("rearrange.bytes", bytes.len() as u64);
-        machine.charge_dram_copy(comm.clock(), bytes.len() as u64);
-    }
+    charge_rearrange(comm, "put", bytes.len() as u64);
     let segments: Vec<WriteSegment> = sub
         .runs()
         .into_iter()
@@ -52,7 +117,7 @@ pub(crate) fn write_var_contiguous(
 }
 
 /// Collectively read this rank's block of variable `v` from `data_offset`.
-pub(crate) fn read_var_contiguous(
+fn read_var_contiguous(
     comm: &Comm,
     file: &MpiFile,
     decomp: &BlockDecomp,
@@ -77,19 +142,22 @@ pub(crate) fn read_var_contiguous(
         let dst = (run.local_offset * 8) as usize;
         out[dst..dst + piece.len()].copy_from_slice(piece);
     }
-    {
-        let machine = comm.machine();
-        let _p = machine.phase(comm.clock(), "get", "rearrange");
-        machine.metric_counter_add("rearrange.bytes", elems * 8);
-        machine.charge_dram_copy(comm.clock(), elems * 8);
-    }
+    charge_rearrange(comm, "get", elems * 8);
     Ok(block)
+}
+
+/// One DRAM pass over a rank's block: the `rearrange` phase of `op`.
+fn charge_rearrange(comm: &Comm, op: &'static str, bytes: u64) {
+    let machine = comm.machine();
+    let _p = machine.phase(comm.clock(), op, "rearrange");
+    machine.metric_counter_add("rearrange.bytes", bytes);
+    machine.charge_dram_copy(comm.clock(), bytes);
 }
 
 /// Collectively pre-fill a variable's global extent with the fill value
 /// (classic NetCDF behaviour without `NC_NOFILL` — the overhead the paper
 /// explicitly disables; kept for the ablation bench).
-pub(crate) fn fill_var(
+fn fill_var(
     comm: &Comm,
     file: &MpiFile,
     decomp: &BlockDecomp,
@@ -195,5 +263,53 @@ mod tests {
             s.net_bytes
         );
         assert!(s.dram_bytes_copied >= payload, "pack pass missing");
+    }
+
+    /// Every container's bytes, pinned: a 3-rank, 3-variable cell through
+    /// each contiguous library must leave exactly this file (FNV-1a 64 of
+    /// its bytes). A change to a header codec, a placement or the order the
+    /// driver writes in moves one of them.
+    #[test]
+    fn each_containers_bytes_are_pinned() {
+        // (file length, FNV-1a 64). NetCDF's fill lands only where the
+        // blocks overwrite it, so both its rows are one file.
+        const PINNED: [(u64, u64); 3] = [
+            (0x1890, 0xd6bd_b2ae_d16c_ed67),
+            (0x1890, 0xd6bd_b2ae_d16c_ed67),
+            (0x1471, 0xbc31_1928_9dbb_b66b),
+        ];
+        use crate::{Netcdf4Like, PioLibrary, PnetcdfLike, Target};
+        let file_hash = |lib: Box<dyn PioLibrary>| -> (u64, u64) {
+            let dev = PmemDevice::new(Machine::chameleon(), 16 << 20, PersistenceMode::Fast);
+            let fs = SimFs::mount_all(Arc::clone(&dev), MountMode::Dax);
+            let target = Target::Fs {
+                fs: Arc::clone(&fs),
+                path: "/cell.nc".into(),
+            };
+            let lib: Arc<dyn PioLibrary> = Arc::from(lib);
+            run_world(Arc::clone(dev.machine()), 3, move |comm| {
+                let decomp = BlockDecomp::new(&[6, 5, 7], comm.size() as u64);
+                let vars: Vec<String> = ["T", "P", "rho"].iter().map(|s| s.to_string()).collect();
+                let blocks: Vec<Vec<f64>> = (0..vars.len())
+                    .map(|v| workloads::generate_block(&decomp, v, comm.rank() as u64))
+                    .collect();
+                lib.write(&comm, &target, &decomp, &vars, &blocks).unwrap();
+            });
+            let len = fs.file_size("/cell.nc").unwrap();
+            let mut bytes = vec![0u8; len as usize];
+            let clock = pmem_sim::Clock::new();
+            let fd = fs.open(&clock, "/cell.nc").unwrap();
+            fs.read_at(&clock, fd, 0, &mut bytes).unwrap();
+            let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+            });
+            (len, fnv)
+        };
+        let got = [
+            file_hash(Box::<Netcdf4Like>::default()),
+            file_hash(Box::new(Netcdf4Like { nofill: false })),
+            file_hash(Box::new(PnetcdfLike)),
+        ];
+        assert_eq!(got, PINNED);
     }
 }

@@ -6,12 +6,14 @@
 //! | Library | Data layout | Data path |
 //! |---|---|---|
 //! | [`adios::AdiosLike`] | per-process BP groups | DRAM staging + independent POSIX |
-//! | [`netcdf4::Netcdf4Like`] | HDF5 container, global linearization | two-phase collective MPI-IO |
+//! | [`netcdf4::Netcdf4Like`] | HDF5 container, global linearization | two-phase collective MPI-IO, optional pre-fill |
 //! | [`pnetcdf::PnetcdfLike`] | CDF-5 container, global linearization | two-phase collective MPI-IO |
 //! | [`pmcpy::PmemcpyLib`] | PMDK pool + hashtable | direct-to-PMEM mmap (the paper's system) |
 //!
 //! All are driven through [`pio::PioLibrary`], so the evaluation figures are
-//! a loop over implementations.
+//! a loop over implementations. NetCDF-4 and pNetCDF are one driver,
+//! `contiguous`, with two header codecs: each library is a name, a codec and
+//! a fill value.
 
 #![warn(unreachable_pub)]
 

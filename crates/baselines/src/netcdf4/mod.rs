@@ -1,21 +1,14 @@
-//! NetCDF-4-like parallel I/O: HDF5 container, global linearization,
-//! collective two-phase MPI-IO.
-//!
-//! The costs reproduced from the paper's analysis: a define phase with
-//! collective metadata synchronization, a full data-rearrangement shuffle on
-//! every write *and* read (contiguous layout), and — unless `NC_NOFILL` is
-//! set, as the evaluation does — a pre-fill pass over every variable
-//! (§4.1: *"we make sure to call nc_def_var_fill() with NC_NOFILL ... which
-//! causes significant overhead for write workloads"*).
+//! NetCDF-4-like parallel I/O: an HDF5 container written and read by
+//! [`crate::contiguous`]'s two-phase job, with a pre-fill pass over every
+//! variable unless `NC_NOFILL` is set, as the evaluation does (§4.1: *"we
+//! make sure to call nc_def_var_fill() with NC_NOFILL ... which causes
+//! significant overhead for write workloads"*).
 
 mod hdf5_vol;
 
-use crate::contiguous::{fill_var, read_var_contiguous, write_var_contiguous, VarPlacement};
-use crate::pio::{PioError, PioLibrary, Result, Target};
-use hdf5_vol::{decode_header, encode_header, Dataset};
-use mpi_sim::{Comm, MpiFile};
-use simfs::SimFs;
-use std::sync::Arc;
+use crate::contiguous;
+use crate::pio::{PioLibrary, Result, Target};
+use mpi_sim::Comm;
 use workloads::BlockDecomp;
 
 /// The NetCDF-4-like library.
@@ -33,44 +26,6 @@ impl Default for Netcdf4Like {
     }
 }
 
-impl Netcdf4Like {
-    fn fs_of(target: &Target) -> Result<(&Arc<SimFs>, &str)> {
-        match target {
-            Target::Fs { fs, path } => Ok((fs, path)),
-            Target::DevDax(_) => Err(PioError::Format(
-                "NetCDF-4 needs a filesystem target".into(),
-            )),
-        }
-    }
-
-    /// The define phase: rank 0 writes the HDF5 header; everyone receives
-    /// the variable placements (the `nc_enddef` collective).
-    fn define(
-        comm: &Comm,
-        file: &MpiFile,
-        decomp: &BlockDecomp,
-        vars: &[String],
-    ) -> Result<Vec<VarPlacement>> {
-        let header = if comm.rank() == 0 {
-            let datasets: Vec<Dataset> = vars
-                .iter()
-                .map(|name| Dataset {
-                    name: name.clone(),
-                    global_dims: decomp.global_dims.clone(),
-                })
-                .collect();
-            let (bytes, _) = encode_header(&datasets);
-            file.write_at(0, &bytes)?;
-            Some(bytes)
-        } else {
-            None
-        };
-        let bytes = comm.bcast(0, header.as_deref());
-        let (_, placements) = decode_header(&bytes)?;
-        Ok(placements)
-    }
-}
-
 impl PioLibrary for Netcdf4Like {
     fn name(&self) -> &'static str {
         "NetCDF"
@@ -84,20 +39,9 @@ impl PioLibrary for Netcdf4Like {
         vars: &[String],
         blocks: &[Vec<f64>],
     ) -> Result<()> {
-        let (fs, path) = Self::fs_of(target)?;
-        let file = MpiFile::create(comm, fs, path)?;
-        let placements = Self::define(comm, &file, decomp, vars)?;
-        if !self.nofill {
-            for p in &placements {
-                fill_var(comm, &file, decomp, p.data_offset, 9.969_209_968_386_869e36)?;
-            }
-        }
-        for (v, p) in placements.iter().enumerate() {
-            write_var_contiguous(comm, &file, decomp, p.data_offset, &blocks[v])?;
-        }
-        file.sync_all()?;
-        file.close()?;
-        Ok(())
+        let fill = (!self.nofill).then_some(9.969_209_968_386_869e36); // NC_FILL_DOUBLE
+        let fs = target.fs(self.name())?;
+        contiguous::write::<hdf5_vol::Hdf5>(comm, fs, fill, decomp, vars, blocks)
     }
 
     fn read(
@@ -107,42 +51,7 @@ impl PioLibrary for Netcdf4Like {
         decomp: &BlockDecomp,
         vars: &[String],
     ) -> Result<Vec<Vec<f64>>> {
-        let (fs, path) = Self::fs_of(target)?;
-        let file = MpiFile::open(comm, fs, path)?;
-        // Read + broadcast the header (every open parses the HDF5 metadata).
-        let header = if comm.rank() == 0 {
-            // Read just the header: start small and grow on truncation
-            // (the header is ~1 KB for tens of variables).
-            let fsize = fs.file_size(path)?;
-            let mut take = 4096u64.min(fsize);
-            loop {
-                let mut buf = vec![0u8; take as usize];
-                file.read_at(0, &mut buf)?;
-                if decode_header(&buf).is_ok() || take == fsize {
-                    break Some(buf);
-                }
-                take = (take * 2).min(fsize);
-            }
-        } else {
-            None
-        };
-        let bytes = comm.bcast(0, header.as_deref());
-        let (datasets, placements) = decode_header(&bytes)?;
-        let mut out = Vec::with_capacity(vars.len());
-        for name in vars {
-            let idx = datasets
-                .iter()
-                .position(|d| &d.name == name)
-                .ok_or_else(|| PioError::Format(format!("variable {name:?} not in file")))?;
-            out.push(read_var_contiguous(
-                comm,
-                &file,
-                decomp,
-                placements[idx].data_offset,
-            )?);
-        }
-        file.close()?;
-        Ok(out)
+        contiguous::read::<hdf5_vol::Hdf5>(comm, target.fs(self.name())?, decomp, vars)
     }
 }
 
@@ -152,6 +61,8 @@ mod tests {
     use mpi_sim::run_world;
     use pmem_sim::{Machine, PersistenceMode, PmemDevice};
     use simfs::MountMode;
+    use simfs::SimFs;
+    use std::sync::Arc;
 
     fn round_trip(nofill: bool, nprocs: usize) {
         let dev = PmemDevice::new(Machine::chameleon(), 64 << 20, PersistenceMode::Fast);

@@ -22,6 +22,19 @@ pub enum Target {
     DevDax(Arc<PmemDevice>),
 }
 
+impl Target {
+    /// The filesystem and path a POSIX/MPI-IO library opens; a raw
+    /// namespace is an error naming that `library`.
+    pub(crate) fn fs(&self, library: &str) -> Result<(&Arc<SimFs>, &str)> {
+        match self {
+            Target::Fs { fs, path } => Ok((fs, path)),
+            Target::DevDax(_) => Err(PioError::Format(format!(
+                "{library} needs a filesystem target"
+            ))),
+        }
+    }
+}
+
 impl fmt::Debug for Target {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

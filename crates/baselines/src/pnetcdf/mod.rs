@@ -1,32 +1,18 @@
-//! pNetCDF-like parallel I/O: CDF-5 container, contiguous layout, collective
-//! MPI-IO — the second rearrangement-based baseline of the evaluation.
-//! Structurally it shares the two-phase data path with the NetCDF-4
-//! baseline (the paper's Figures 6–7 show the two nearly overlapping); the
-//! differences are the single packed CDF header versus HDF5's per-dataset
-//! object headers and alignment.
+//! pNetCDF-like parallel I/O: a CDF-5 container written and read by
+//! [`crate::contiguous`]'s two-phase job (Figures 6–7 show it and NetCDF-4
+//! nearly overlapping). Its header is one packed CDF header where HDF5 has
+//! per-dataset object headers and alignment, and it never pre-fills.
 
 mod header;
 
-use crate::contiguous::{read_var_contiguous, write_var_contiguous};
-use crate::pio::{PioError, PioLibrary, Result, Target};
-use header::{decode_header, encode_header};
-use mpi_sim::{Comm, MpiFile};
-use simfs::SimFs;
-use std::sync::Arc;
+use crate::contiguous;
+use crate::pio::{PioLibrary, Result, Target};
+use mpi_sim::Comm;
 use workloads::BlockDecomp;
 
 /// The pNetCDF-like library.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PnetcdfLike;
-
-impl PnetcdfLike {
-    fn fs_of(target: &Target) -> Result<(&Arc<SimFs>, &str)> {
-        match target {
-            Target::Fs { fs, path } => Ok((fs, path)),
-            Target::DevDax(_) => Err(PioError::Format("pNetCDF needs a filesystem target".into())),
-        }
-    }
-}
 
 impl PioLibrary for PnetcdfLike {
     fn name(&self) -> &'static str {
@@ -41,24 +27,8 @@ impl PioLibrary for PnetcdfLike {
         vars: &[String],
         blocks: &[Vec<f64>],
     ) -> Result<()> {
-        let (fs, path) = Self::fs_of(target)?;
-        let file = MpiFile::create(comm, fs, path)?;
-        // ncmpi_enddef: rank 0 writes the header, everyone learns placements.
-        let header = if comm.rank() == 0 {
-            let (bytes, _) = encode_header(&decomp.global_dims, vars);
-            file.write_at(0, &bytes)?;
-            Some(bytes)
-        } else {
-            None
-        };
-        let bytes = comm.bcast(0, header.as_deref());
-        let (_, placements) = decode_header(&bytes)?;
-        for (v, p) in placements.iter().enumerate() {
-            write_var_contiguous(comm, &file, decomp, p.data_offset, &blocks[v])?;
-        }
-        file.sync_all()?;
-        file.close()?;
-        Ok(())
+        let fs = target.fs(self.name())?;
+        contiguous::write::<header::Cdf5>(comm, fs, None, decomp, vars, blocks)
     }
 
     fn read(
@@ -68,36 +38,7 @@ impl PioLibrary for PnetcdfLike {
         decomp: &BlockDecomp,
         vars: &[String],
     ) -> Result<Vec<Vec<f64>>> {
-        let (fs, path) = Self::fs_of(target)?;
-        let file = MpiFile::open(comm, fs, path)?;
-        let header = if comm.rank() == 0 {
-            // Read just the header: start small and grow on truncation
-            // (the header is ~1 KB for tens of variables).
-            let fsize = fs.file_size(path)?;
-            let mut take = 4096u64.min(fsize);
-            loop {
-                let mut buf = vec![0u8; take as usize];
-                file.read_at(0, &mut buf)?;
-                if decode_header(&buf).is_ok() || take == fsize {
-                    break Some(buf);
-                }
-                take = (take * 2).min(fsize);
-            }
-        } else {
-            None
-        };
-        let bytes = comm.bcast(0, header.as_deref());
-        let (_, placements) = decode_header(&bytes)?;
-        let mut out = Vec::with_capacity(vars.len());
-        for name in vars {
-            let p = placements
-                .iter()
-                .find(|p| &p.name == name)
-                .ok_or_else(|| PioError::Format(format!("variable {name:?} not in file")))?;
-            out.push(read_var_contiguous(comm, &file, decomp, p.data_offset)?);
-        }
-        file.close()?;
-        Ok(out)
+        contiguous::read::<header::Cdf5>(comm, target.fs(self.name())?, decomp, vars)
     }
 }
 
@@ -107,6 +48,8 @@ mod tests {
     use mpi_sim::run_world;
     use pmem_sim::{Machine, PersistenceMode, PmemDevice};
     use simfs::MountMode;
+    use simfs::SimFs;
+    use std::sync::Arc;
 
     #[test]
     fn round_trips_across_rank_counts() {

@@ -14,7 +14,7 @@ use pmdk_sim::doctor::{
     read_flight, read_lanes, root_hashtable_header, walk_hashtable, walk_heap, walk_log,
     HashtableReport, HeapReport, LaneSummary, LogReport,
 };
-use pmdk_sim::layout::{Superblock, POOL_MAGIC};
+use pmdk_sim::layout::Superblock;
 use pmem_sim::flight::{EventCode, FlightEvent};
 use pmem_sim::trace::json_escape;
 use pmem_sim::{Machine, PersistenceMode, PmemDevice};
@@ -82,9 +82,9 @@ impl Diagnosis {
 /// through verdicts instead.
 pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
     let sb = Superblock::read(dev);
-    if sb.magic != POOL_MAGIC {
+    if !sb.formatted() {
         return Err(format!(
-            "not a pmemcpy pool image: superblock magic {:#x} (expected {POOL_MAGIC:#x})",
+            "not a pmemcpy pool image: superblock magic {:#x} is not the pool's",
             sb.magic
         ));
     }

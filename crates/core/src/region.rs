@@ -105,7 +105,7 @@ impl Pmem {
             ));
         }
         let (dtype, global) = self.load_dims(id)?;
-        self.check_region_dtype::<T>(id, dtype)?;
+        self.check_dtype::<T>(id, dtype)?;
         api::validate_block(id, &global, region_off, region_dims)?;
         api::check_elements(id, region_dims, dst.len())?;
         let want = dst.len() as u64;
@@ -148,16 +148,6 @@ impl Pmem {
                 detail: format!(
                     "region only covered by stored blocks for {covered}/{want} elements"
                 ),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_region_dtype<T: Element>(&self, id: &str, found: pserial::Datatype) -> Result<()> {
-        if found != T::DTYPE {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("stored dtype {found:?}, requested {:?}", T::DTYPE),
             });
         }
         Ok(())

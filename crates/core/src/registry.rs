@@ -10,7 +10,8 @@
 
 use crate::error::Result;
 use crate::write_behind::WriteBehindState;
-use pmdk_sim::{PersistentHashtable, PmemPool};
+use pmdk_sim::layout::Superblock;
+use pmdk_sim::{PersistentHashtable, PmdkError, PmemPool};
 use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, PmemDevice};
 use std::collections::HashMap;
@@ -56,9 +57,10 @@ fn registry() -> &'static Mutex<HashMap<Key, SharedPool>> {
 
 /// Get (or create on first call) the shared pool state for `device`.
 ///
-/// The first caller formats the device if it holds no pool, or opens and
-/// recovers an existing one; the hashtable header is stored in the pool
-/// root. Subsequent callers get clones of the same handles.
+/// The first caller formats the device if it holds no pool (no superblock
+/// magic), or opens and recovers the one it holds; a pool that fails to
+/// open is an error and is not written to. The hashtable header is stored
+/// in the pool root. Subsequent callers get clones of the same handles.
 pub fn shared_pool(
     clock: &Clock,
     device: &Arc<PmemDevice>,
@@ -74,13 +76,14 @@ pub fn shared_pool(
     if let Some(shared) = reg.get(&key) {
         return Ok(shared.clone());
     }
-    // First arrival (or the previous job fully unmapped): create/open.
+    // First arrival (or the previous job fully unmapped): open the pool, or
+    // format a device that holds none. A damaged pool is the caller's error,
+    // left as found for `pmemcpy-doctor`.
     let pool = match PmemPool::open(clock, Arc::clone(device), layout_name) {
-        Ok(p) => p,
-        Err(pmdk_sim::PmdkError::BadPool(_)) => {
+        Err(PmdkError::BadPool(_)) if !Superblock::read(&**device).formatted() => {
             PmemPool::create(clock, Arc::clone(device), layout_name)?
         }
-        Err(e) => return Err(e.into()),
+        opened => opened?,
     };
     // Root holds the hashtable header offset (8 bytes).
     let root = pool.root(clock, 8)?;

@@ -3,7 +3,7 @@
 
 use mpi_sim::run_world;
 use pmem_sim::{Machine, PersistenceMode, PmemDevice, SimTime};
-use pmemcpy::{impl_pod, MmapTarget, Options, Pmem};
+use pmemcpy::{impl_pod, MmapTarget, Options, Pmem, PmemCpyError};
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
 
@@ -587,4 +587,56 @@ fn attributes_round_trip_and_enumerate() {
     // Missing attribute errors.
     assert!(pmem.get_attr("T", "nope").is_err());
     pmem.munmap().unwrap();
+}
+
+/// One persisted word of a pool, overwritten: the damage
+/// `mmap_refuses_a_damaged_pool_and_leaves_it_as_it_found_it` mounts.
+type Damage = (&'static str, fn(&PmemDevice));
+
+/// A damaged pool is an error for `pmemcpy-doctor` to examine, never a
+/// fresh pool: `mmap` refuses each corruption with the image untouched.
+/// (Each one used to be formatted over, every key lost.)
+#[test]
+fn mmap_refuses_a_damaged_pool_and_leaves_it_as_it_found_it() {
+    use pmdk_sim::layout::{heap_start, lane, lane_offset, LANE_ACTIVE};
+    // Superblock words (`pmdk_sim::layout::sb`) and the lane header's undo
+    // length (`lane::UNDO_LEN`), at their on-media offsets.
+    const POOL_SIZE: usize = 16;
+    const HEAP_START: usize = 24;
+    const UNDO_LEN: usize = 4;
+    let damages: [Damage; 4] = [
+        ("superblock heap_start", |dev| {
+            dev.write_untimed(HEAP_START, &(heap_start() + 4096).to_le_bytes())
+        }),
+        ("superblock pool_size", |dev| {
+            dev.write_untimed(POOL_SIZE, &(2 * dev.size() as u64).to_le_bytes())
+        }),
+        ("first heap block magic", |dev| {
+            dev.write_untimed(heap_start() as usize, &0xdead_beef_u32.to_le_bytes())
+        }),
+        ("lane 0 ACTIVE with an undo length of u32::MAX", |dev| {
+            let lane0 = lane_offset(0) as usize;
+            dev.write_untimed(lane0 + lane::STATE as usize, &LANE_ACTIVE.to_le_bytes());
+            dev.write_untimed(lane0 + UNDO_LEN, &u32::MAX.to_le_bytes());
+        }),
+    ];
+    for (what, damage) in damages {
+        let dev = devdax(8);
+        let (mut pmem, comm) = mapped_single(Options::default(), &dev);
+        pmem.store_scalar("answer", 42u64).unwrap();
+        pmem.munmap().unwrap();
+        damage(&dev);
+        let image = dev.read_vec_untimed(0, dev.size());
+        let mut pmem = Pmem::new();
+        let mounted = pmem.mmap(MmapTarget::DevDax(&dev), &comm);
+        assert!(
+            matches!(mounted, Err(PmemCpyError::Pmdk(_))),
+            "{what}: {mounted:?}, keys {:?}",
+            pmem.keys()
+        );
+        assert!(
+            dev.read_vec_untimed(0, dev.size()) == image,
+            "{what}: mmap wrote to the damaged image"
+        );
+    }
 }

@@ -49,7 +49,7 @@ use pmem_sim::{Clock, PmemDevice};
 use std::ops::Range;
 
 /// Pool magic ("PMDKSIM1").
-pub const POOL_MAGIC: u64 = 0x504d_444b_5349_4d31;
+pub(crate) const POOL_MAGIC: u64 = 0x504d_444b_5349_4d31;
 /// Superblock size (one page).
 pub(crate) const SUPERBLOCK_SIZE: u64 = 4096;
 /// Number of transaction lanes (PMDK uses 1024; 32 is plenty for ≤48 ranks
@@ -271,7 +271,19 @@ impl Superblock {
         let (magic, pool_size, heap) = (word(sb::MAGIC), word(sb::POOL_SIZE), word(sb::HEAP_START));
         let (root_off, root_size) = (word(sb::ROOT_OFF), word(sb::ROOT_SIZE));
         let (name_len, size) = (word(sb::LAYOUT_LEN), src.size());
-        let fault = if magic != POOL_MAGIC {
+        let name = &page[sb::LAYOUT_NAME as usize..][..name_len.min(sb::LAYOUT_NAME_MAX) as usize];
+        let mut sblk = Superblock {
+            magic,
+            pool_size,
+            heap_start: heap,
+            root_off,
+            root_size,
+            layout_name: String::from_utf8_lossy(name).into_owned(),
+            generation: word(sb::GENERATION),
+            device_profile_id: half(sb::DEVICE_PROFILE),
+            fault: None,
+        };
+        sblk.fault = if !sblk.formatted() {
             Some("bad magic (pool not formatted?)".to_string())
         } else if pool_size != size {
             Some(format!("pool size {pool_size} != device size {size}"))
@@ -284,18 +296,15 @@ impl Superblock {
         } else {
             None
         };
-        let name = &page[sb::LAYOUT_NAME as usize..][..name_len.min(sb::LAYOUT_NAME_MAX) as usize];
-        Superblock {
-            magic,
-            pool_size,
-            heap_start: heap,
-            root_off,
-            root_size,
-            layout_name: String::from_utf8_lossy(name).into_owned(),
-            generation: word(sb::GENERATION),
-            device_profile_id: half(sb::DEVICE_PROFILE),
-            fault,
-        }
+        sblk
+    }
+
+    /// Whether a pool was ever formatted here. `PmemPool::create` persists
+    /// the superblock last, so a device without the magic holds no pool
+    /// (the one image a mount may format) and one with it holds a pool,
+    /// damaged or whole.
+    pub fn formatted(&self) -> bool {
+        self.magic == POOL_MAGIC
     }
 
     /// Human name of the recorded device profile ("unknown" for id 0 or an

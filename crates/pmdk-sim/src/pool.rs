@@ -37,7 +37,20 @@ impl PmemPool {
             return Err(PmdkError::BadPool("layout name too long".into()));
         }
 
-        // Superblock.
+        // Lane table.
+        LaneTable::format(clock, &device);
+
+        // Heap.
+        Heap::format(clock, &device, heap_start(), size);
+        let heap = Heap::rebuild(Arc::clone(&device), heap_start(), size)?;
+
+        // Flight recorder (untimed: formatting charges nothing).
+        let flight = FlightRecorder::format(Arc::clone(&device), flight_start(), FLIGHT_SIZE);
+
+        // Superblock, last: its first cacheline (magic, sizes and a layout
+        // name of up to 8 bytes, "pmemcpy" among them) is the format's
+        // commit point. A crash before it leaves no magic, a device the next
+        // mount formats afresh; after it, a whole pool (DESIGN §13.4).
         let mut sblk = vec![0u8; SUPERBLOCK_SIZE as usize];
         sblk[sb::MAGIC as usize..][..8].copy_from_slice(&POOL_MAGIC.to_le_bytes());
         sblk[sb::VERSION as usize..][..8].copy_from_slice(&1u64.to_le_bytes());
@@ -54,16 +67,6 @@ impl PmemPool {
         sblk[sb::DEVICE_PROFILE as usize..][..4].copy_from_slice(&device_profile_id.to_le_bytes());
         device.write_meta(clock, 0, &sblk);
         device.persist(clock, 0, SUPERBLOCK_SIZE as usize);
-
-        // Lane table.
-        LaneTable::format(clock, &device);
-
-        // Heap.
-        Heap::format(clock, &device, heap_start(), size);
-        let heap = Heap::rebuild(Arc::clone(&device), heap_start(), size)?;
-
-        // Flight recorder (untimed: formatting charges nothing).
-        let flight = FlightRecorder::format(Arc::clone(&device), flight_start(), FLIGHT_SIZE);
 
         Ok(Arc::new(PmemPool {
             lanes: LaneTable::new(),
@@ -94,23 +97,21 @@ impl PmemPool {
 
         let generation = sblk.generation.wrapping_add(1);
         let device_profile_id = profile::profile_id(device.machine().profile_name());
+        let heap = Heap::recover(Arc::clone(&device), heap_start(), size)?;
         let flight =
             FlightRecorder::attach_or_format(Arc::clone(&device), flight_start(), FLIGHT_SIZE);
         let pool = Arc::new(PmemPool {
             lanes: LaneTable::new(),
-            heap: Mutex::new(Heap::recover(Arc::clone(&device), heap_start(), size)?),
+            heap: Mutex::new(heap),
             device,
             generation,
             flight,
         });
-        pool.write_u64(clock, sb::GENERATION, generation);
-        // A pool moved to other modelled hardware records where it is now.
-        if sblk.device_profile_id != device_profile_id {
-            pool.write_u32(clock, sb::DEVICE_PROFILE, device_profile_id);
-        }
-        // Roll back / complete interrupted transactions, then re-sync the
-        // allocator (recovery may have freed intent allocations).
+        // Roll back / complete interrupted transactions before the mount's
+        // own stores: a heap or lane that refuses the mount leaves nothing of
+        // the mount behind.
         let recovered = pool.lanes.recover(clock, &pool)?;
+        // Re-sync the allocator: recovery may have freed intent allocations.
         if recovered > 0 {
             pool.flight.record(clock, EventCode::Recovery, recovered, 0);
             let heap = Heap::rebuild(
@@ -119,6 +120,11 @@ impl PmemPool {
                 pool.device.size() as u64,
             )?;
             *pool.heap.lock() = heap;
+        }
+        pool.write_u64(clock, sb::GENERATION, generation);
+        // A pool moved to other modelled hardware records where it is now.
+        if sblk.device_profile_id != device_profile_id {
+            pool.write_u32(clock, sb::DEVICE_PROFILE, device_profile_id);
         }
         Ok(pool)
     }

@@ -1198,3 +1198,64 @@ fn recovery_is_restartable_from_every_crash_point() {
         recover,
     ));
 }
+
+// ---- the first mount: formatting a fresh device ----
+
+/// A fresh device's first `Pmem::mmap` formats it: a crash anywhere in that
+/// mount must leave an image the next `mmap` takes — no superblock magic (a
+/// device it formats afresh) or a whole pool. `PmemPool::create` persists
+/// the superblock page last, its first cacheline the commit point (DESIGN
+/// §13.4). A crashed mount holds the pool registry's lock, which judging
+/// mounts through again, so each run keeps its images at one crash point
+/// and they are judged once it is over.
+#[test]
+fn a_first_mount_crashed_anywhere_leaves_an_image_that_mounts() {
+    let opts = Options::default();
+    let tracked = || PmemDevice::new(Machine::chameleon(), POOL_BYTES, PersistenceMode::Tracked);
+    let first_mount = |dev: &Arc<PmemDevice>| {
+        mount(dev, &opts).unwrap().munmap().unwrap();
+        registry::release_pool(dev);
+    };
+    let dev = tracked();
+    let counted = dev.crash_at(usize::MAX);
+    first_mount(&dev);
+    let (points, _) = counted();
+    let (mut images, mut failures) = (0, vec![]);
+    for k in 0..points {
+        let dev = tracked();
+        let kept = Arc::new(Mutex::new(vec![]));
+        let (keep, seen) = (Arc::clone(&kept), AtomicUsize::new(0));
+        let rng = Mutex::new(DetRng::new(SEED ^ k as u64));
+        dev.at_crash_points(move |dev| {
+            if seen.fetch_add(1, Ordering::Relaxed) != k {
+                return;
+            }
+            let lines = dev.in_flight();
+            for subset in crash_subsets(lines.len(), SAMPLES, &mut rng.lock().unwrap()) {
+                let reached: Vec<_> = subset.iter().map(|&i| lines[i].clone()).collect();
+                keep.lock()
+                    .unwrap()
+                    .push((subset, dev.crash_image(&reached)));
+            }
+        });
+        first_mount(&dev);
+        for (subset, image) in kept.lock().unwrap().drain(..) {
+            let image = device_with(&image, PersistenceMode::Fast);
+            let verdict = mount(&image, &opts).and_then(|mut pmem| {
+                pmem.store_scalar("after", k as u64).map_err(text)?;
+                pmem.munmap().map_err(text)
+            });
+            registry::release_pool(&image);
+            images += 1;
+            if let Err(why) = verdict.and_then(|()| unmapped_cleanly(&image)) {
+                failures.push(format!(
+                    "first mount: seed {SEED:#x}, crash point {k} of {points}, lines {subset:?} \
+                     reached media: {why}"
+                ));
+            }
+        }
+    }
+    println!("crash_states[first mount]: {points} crash points, {images} images");
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    assert!(images > points, "{images} images of {points} points");
+}
