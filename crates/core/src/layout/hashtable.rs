@@ -84,7 +84,7 @@ impl Layout for HashtableLayout {
 
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>> {
         // One grouped lookup: keys sharing a bucket are resolved by a single
-        // chain walk, and shadow-index hits skip the pool entirely.
+        // chain walk, and answers from the mirror skip the pool entirely.
         let byte_keys: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
         let vrefs = self.shared.hashtable.get_ref_many(clock, &byte_keys);
         keys.iter()

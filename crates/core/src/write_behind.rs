@@ -27,9 +27,9 @@
 //!   layout's puts are overwrite-idempotent, and the watermark only moves
 //!   after every record has landed.
 //! * Recovery on open replays log-over-last-checkpoint into the front index
-//!   (later records win). The shadow index needs no special reconciliation:
-//!   reads consult the front index *first*, so a stale or cold shadow entry
-//!   can never mask a newer write-behind value.
+//!   (later records win). The hashtable's mirror of its chains needs no
+//!   special reconciliation: reads consult the front index *first*, so a
+//!   cold mirror can never mask a newer write-behind value.
 
 use crate::error::{PmemCpyError, Result};
 use crate::layout::{

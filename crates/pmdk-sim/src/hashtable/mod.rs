@@ -7,16 +7,18 @@
 //! The on-pool layout (header, heads arrays, entries), its plausibility
 //! rules and the one chain walk live in [`crate::layout`], shared with the
 //! offline doctor. This file holds the handle; routing and stripe locking,
-//! the shadow index, mutation and lookup, and resize each have their own.
+//! the mirror of the chains, mutation and lookup, and resize each have
+//! their own.
 
+mod mirror;
 mod ops;
 mod resize;
 mod route;
-mod shadow;
 
 use crate::error::Result;
 use crate::layout::*;
 use crate::pool::PmemPool;
+use mirror::Mirror;
 use pmem_sim::sync::Mutex;
 use pmem_sim::Clock;
 use route::Stripe;
@@ -61,8 +63,6 @@ pub struct PersistentHashtable {
     /// Unit tests pin a one-bucket table to build long chains.
     #[cfg(test)]
     auto_resize: AtomicBool,
-    /// Gates the volatile shadow index (see `set_shadow_enabled`).
-    shadow_enabled: AtomicBool,
 }
 
 impl std::fmt::Debug for PersistentHashtable {
@@ -98,31 +98,25 @@ impl PersistentHashtable {
             .persist(clock, heads as usize, (bucket_count * 8) as usize);
         pool.write_u64(clock, header + HDR_HEADS, heads);
         pool.write_u64(clock, header + HDR_BUCKETS, bucket_count);
-        Ok(Self::attach(
-            pool,
-            header,
-            Geo {
-                buckets: bucket_count,
-                heads,
-                old_buckets: 0,
-                old_heads: 0,
-                cursor: 0,
-            },
-            0,
-        ))
+        let g = Geo {
+            buckets: bucket_count,
+            heads,
+            ..Geo::default()
+        };
+        Ok(Self::attach(pool, header, g, 0, true))
     }
 
     /// Attach to an existing table at `header`. The stored header must pass
     /// `TableHeader::check` — the rules the doctor applies — or the mount
     /// is refused. If the table crashed with unfolded per-stripe counts
-    /// (dirty flag set), the count is recounted from the chains here. The
-    /// shadow index starts cold (lookups repopulate it lazily); call
-    /// [`PersistentHashtable::rebuild_shadow`] to warm it eagerly.
+    /// (dirty flag set), the count is recounted from the chains here. Every
+    /// bucket starts unknown to the mirror (a walk mirrors what it fetches);
+    /// call [`PersistentHashtable::rebuild_shadow`] to mirror them eagerly.
     pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64) -> Result<Self> {
         let src = pool.charged(clock);
         let hdr = TableHeader::read(&src, header)?;
         hdr.check(&src)?;
-        let ht = Self::attach(pool, header, hdr.geo, hdr.count);
+        let ht = Self::attach(pool, header, hdr.geo, hdr.count, false);
         if hdr.dirty == 1 {
             // Crashed with unfolded per-stripe deltas: recount from the
             // chains (cheap 8-byte next-pointer hops) and fold + clear in
@@ -140,19 +134,24 @@ impl PersistentHashtable {
         Ok(ht)
     }
 
-    fn attach(pool: &Arc<PmemPool>, header: u64, g: Geo, count: u64) -> Self {
+    /// A handle on the table at `header`; a `fresh` one is mirrored whole.
+    fn attach(pool: &Arc<PmemPool>, header: u64, g: Geo, count: u64, fresh: bool) -> Self {
         PersistentHashtable {
             pool: Arc::clone(pool),
             header,
             geo: Mutex::new(g),
-            stripes: (0..STRIPES).map(|_| Stripe::default()).collect(),
+            stripes: (0..STRIPES)
+                .map(|sid| Stripe {
+                    lock: Mutex::new(Mirror::new(sid, fresh, g.buckets)),
+                    ..Stripe::default()
+                })
+                .collect(),
             resize_lock: Mutex::new(()),
             dirty_lock: Mutex::new(()),
             count_dirty: AtomicBool::new(false),
             count_base: AtomicU64::new(count),
             #[cfg(test)]
             auto_resize: AtomicBool::new(true),
-            shadow_enabled: AtomicBool::new(true),
         }
     }
 

@@ -7,39 +7,45 @@
 //! striped with volatile locks — rebuilt trivially on open, like PMDK's
 //! runtime lock state.
 
-use super::route::{shadow_in, Held, Route};
+use super::mirror::{search, Chain, Key, Known, Mirror};
+use super::route::{mirror_in, Held, Route};
 use super::*;
 use crate::error::PmdkError;
 use pmem_sim::SimTime;
 use std::collections::BTreeMap;
 
 impl PersistentHashtable {
-    /// Walk the chain at `head_slot` for `keys`, `(key, hash)` each (writer
-    /// side, caller holds the stripe), in one pass that ends at the last of
-    /// them it finds: every entry it passed, in chain order, and whether it
-    /// is one of `keys`. An entry's `slot` is the pointer a splice rewrites;
-    /// the first one's `at` is the head pointer the walk read. A bad hop
-    /// refuses the mutation.
+    /// Find `keys`, `(key, hash)` each, in the bucket `bucket` at
+    /// `head_slot` that `mirror` holds (the caller holds its stripe): from
+    /// DRAM — one probe charged — when it answers them all, else by a walk
+    /// resumed at its tail, whose chain comes back too, for the caller to
+    /// put back. Each key's index in the chain; an entry's `slot` is the
+    /// pointer a splice rewrites. A bad hop refuses the mutation.
     fn find(
         &self,
         clock: &Clock,
-        head_slot: u64,
+        mirror: &mut Mirror,
+        (bucket, head_slot): (u64, u64),
         keys: &[(&[u8], u64)],
-    ) -> Result<Vec<(Entry, bool)>> {
+    ) -> Result<(Vec<Option<usize>>, Option<Chain>)> {
         let machine = self.pool.device().machine();
-        let _span = machine.span(clock, "pmdk", "ht.probe");
-        let src = self.pool.charged(clock);
-        let (mut seen, mut left) = (Vec::new(), keys.len());
-        let (hops, end) = walk_chain(&src, head_slot, Fetch::Header, |e| {
-            let hit = (keys.iter()).any(|&(key, hash)| {
-                e.hash == hash && e.klen as usize == key.len() && e.key(&src) == key
-            });
-            left -= hit as usize;
-            seen.push((*e, hit));
-            left > 0
-        });
-        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
-        end.map(|()| seen)
+        let answer = |&(key, hash): &(&[u8], u64)| mirror.get(bucket)?.answer(key, hash);
+        let (found, walked) = match keys.iter().map(answer).collect() {
+            Some(found) => {
+                self.charge_probes(clock, 1, None);
+                (found, None)
+            }
+            None => {
+                let _span = machine.span(clock, "pmdk", "ht.probe");
+                let (mut chain, src) = (mirror.take(bucket), self.pool.charged(clock));
+                let (found, _, (_, end)) = search(&src, head_slot, &mut chain, keys, false);
+                end?;
+                (found, chain)
+            }
+        };
+        let c = walked.as_ref().or(mirror.get(bucket)).expect("found");
+        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(c.depth(&found)));
+        Ok((found, walked))
     }
 
     /// Insert (or replace) every `(key, val_len)` as **one pool
@@ -83,8 +89,8 @@ impl PersistentHashtable {
 
         let _atomic = pmem_sim::atomic_section();
         self.ensure_dirty(clock);
-        let mut locked = None;
-        let (refs, live) = self.pool.tx(clock, |tx| {
+        let (mut locked, mut spliced) = (None, Vec::new());
+        let committed = self.pool.tx(clock, |tx| {
             let sizes: Vec<u64> = (reqs.iter())
                 .map(|(k, len)| ENT_KEY + k.len() as u64 + len)
                 .collect();
@@ -108,17 +114,23 @@ impl PersistentHashtable {
             let mut by_slot: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
             for (i, r) in hashes.iter().map(|&h| g.route(h)).enumerate() {
                 by_slot.entry(r.head_slot).or_default().push(i);
-                self.shadow_invalidate(shadow_in(held, r.sid), reqs[i].0);
             }
             let (mut words, mut frees, mut live) = (Vec::new(), Vec::new(), Vec::new());
             for (&head_slot, idxs) in &by_slot {
+                let Route { sid, bucket, .. } = g.route(hashes[idxs[0]]);
                 let keys: Vec<_> = idxs.iter().map(|&i| (reqs[i].0, hashes[i])).collect();
-                let seen = self.find(clock, head_slot, &keys)?;
+                let mirror = mirror_in(held, sid);
+                let (found, walked) = self.find(clock, mirror, (bucket, head_slot), &keys)?;
+                let c = walked.as_ref().or(mirror.get(bucket)).expect("found");
+                let seen: Vec<(Entry, bool)> = (c.entries.iter().enumerate())
+                    .map(|(i, k)| (k.e, found.contains(&Some(i))))
+                    .collect();
                 // The new entries chain onto the old chain without the ones
                 // replaced: a run of those is skipped by the pointer that
                 // named its first — the head's folded into the head's own
-                // write. The walk holds every pre-image.
-                let head = seen.first().map_or(0, |(e, _)| e.at);
+                // write. The mirror holds every pre-image.
+                let head = c.head();
+                mirror.put(bucket, walked);
                 let (mut rest, replaced) = (head, frees.len());
                 for run in seen.chunk_by(|a, b| a.1 == b.1).filter(|run| run[0].1) {
                     let (first, last) = (run[0].0, run[run.len() - 1].0);
@@ -131,28 +143,36 @@ impl PersistentHashtable {
                 }
                 // Each new entry stored whole and once, undo-free: nothing
                 // reaches it until the head does.
+                let mut fresh = Vec::with_capacity(idxs.len());
                 for &i in idxs {
                     let (key, vlen) = (reqs[i].0, reqs[i].1 as u32);
                     let entry = encode_entry(hashes[i], key, vlen, rest, carried[i]);
                     tx.write_new(entries[i], &entry);
                     rest = entries[i];
+                    let (mut e, key) = (Entry::default(), Some(Key::of(key)));
+                    (e.at, e.hash, e.klen, e.vlen) =
+                        (rest, hashes[i], reqs[i].0.len() as u32, vlen);
+                    fresh.push(Known { e, key });
                 }
+                fresh.reverse();
                 words.push((head_slot, head, rest));
-                live.push((
-                    g.route(hashes[idxs[0]]).sid,
-                    (idxs.len() + replaced - frees.len()) as i64,
-                ));
+                live.push((sid, (idxs.len() + replaced - frees.len()) as i64));
+                spliced.push((sid, head_slot, bucket, found, fresh));
             }
             tx.free_many(&frees)?;
             tx.set_words(&words)?;
             Ok((refs, live))
-        })?;
-        let (g, mut held) = locked.expect("a committed group holds its stripes");
+        });
+        // The mirror takes the group's splice only once it committed.
+        if let (Some((_, mut held)), Ok(_)) = (locked, &committed) {
+            for (sid, head_slot, bucket, found, fresh) in spliced {
+                let gone: Vec<usize> = found.into_iter().flatten().collect();
+                mirror_in(&mut held, sid).splice(bucket, head_slot, &gone, fresh);
+            }
+        }
+        let (refs, live) = committed?;
         for (sid, d) in live {
             self.stripes[sid].live.fetch_add(d, Ordering::Relaxed);
-        }
-        for ((&h, &(key, _)), &vref) in hashes.iter().zip(reqs).zip(&refs) {
-            self.shadow_store(shadow_in(&mut held, g.route(h).sid), key, vref);
         }
         Ok(refs)
     }
@@ -173,23 +193,23 @@ impl PersistentHashtable {
         Ok(self.put_many(clock, &[(key, value.len() as u64)], |_, _| Ok(Some(value)))?[0])
     }
 
-    /// Locate `key`'s value without copying it: a shadow-index probe under
-    /// the key's stripe, then — on a miss — one chain walk with the stripe
-    /// still held.
+    /// Locate `key`'s value without copying it: answered from the mirror
+    /// under the key's stripe, else by one chain walk with the stripe still
+    /// held.
     pub fn get_ref(&self, clock: &Clock, key: &[u8]) -> Option<ValueRef> {
         self.get_ref_many(clock, &[key])[0]
     }
 
-    /// Batched lookup: resolve every key with one chain walk per touched
-    /// bucket. Keys are grouped by (stripe, head slot) in sorted order — the
-    /// same deterministic grouping the write batches use for stripe
-    /// acquisition — so keys sharing a bucket share its head/header reads,
-    /// and each group resolves under its stripe, which is released before
-    /// the group's shadow hits are charged: readers that hit hold it for a
-    /// map lookup only. A group a migration split between routing and lock
-    /// acquisition is routed again. Results are positionally parallel to
-    /// `keys`. A lookup never migrates: a read-only session on a mid-split
-    /// pool runs no pool transaction.
+    /// Batched lookup: resolve every key with at most one chain walk per
+    /// touched bucket. Keys are grouped by (stripe, head slot) in sorted
+    /// order — the same deterministic grouping the write batches use for
+    /// stripe acquisition — so keys sharing a bucket share its head/header
+    /// reads, and each group resolves under its stripe, which is released
+    /// before the group's answers from the mirror are charged. A group a
+    /// migration split between routing and lock acquisition is routed
+    /// again. Results are positionally parallel to `keys`. A lookup never
+    /// migrates: a read-only session on a mid-split pool runs no pool
+    /// transaction.
     pub fn get_ref_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
         let mut out = vec![None; keys.len()];
         let keyed: Vec<(&[u8], u64)> = keys.iter().map(|&k| (k, fnv1a(k))).collect();
@@ -211,7 +231,7 @@ impl PersistentHashtable {
                     };
                     hits
                 };
-                self.charge_shadow_hits(clock, hits);
+                self.charge_probes(clock, hits, Some("get.lookup.cached"));
             }
             pending = moved;
         }
@@ -220,11 +240,12 @@ impl PersistentHashtable {
 
     /// Resolve `group` — indices of `(key, hash)` pairs `g` routes to one
     /// chain — into `out`, inside the caller's atomic section: lock the
-    /// chain's stripe and re-check the route, then shadow lookups, then one
-    /// single-pass walk for the misses, whose finds are published under the
-    /// same guard. Returns the stripes, still held, and the number of shadow
-    /// hits, left for the caller to charge; `None`, with nothing resolved,
-    /// if a migration split the group between chains.
+    /// chain's stripe and re-check the route, then answer what the mirror
+    /// can and walk, resumed at the prefix's tail, for the rest; the walk's
+    /// finds are mirrored under the same guard. Returns the stripes, still
+    /// held, and the number of keys answered from the mirror, left for the
+    /// caller to charge; `None`, with nothing resolved, if a migration split
+    /// the group between chains.
     fn probe(
         &self,
         clock: &Clock,
@@ -235,64 +256,49 @@ impl PersistentHashtable {
     ) -> Option<(Held<'_>, usize)> {
         let mut hashes = group.iter().map(|&i| keyed[i].1);
         let (now, mut held) = self.lock_routes(g, hashes.clone(), false);
-        let Route { head_slot, sid } = now.route(keyed[group[0]].1);
+        let Route {
+            head_slot,
+            sid,
+            bucket,
+        } = now.route(keyed[group[0]].1);
         if now != g && hashes.any(|h| now.route(h).head_slot != head_slot) {
             return None;
         }
-        let shadow = shadow_in(&mut held, sid);
-        let machine = self.pool.device().machine();
-        let cached = self.shadow_enabled.load(Ordering::Relaxed);
-        let mut cold: Vec<usize> = Vec::new();
-        for &i in group {
-            if cached {
-                out[i] = shadow.get(keyed[i].0).copied();
-                let outcome = if out[i].is_some() {
-                    "shadow.hits"
-                } else {
-                    "shadow.misses"
-                };
-                machine.metric_counter_add(outcome, 1);
-            }
-            if out[i].is_none() {
-                cold.push(i);
+        let mirror = mirror_in(&mut held, sid);
+        let vref = |c: &Chain, at: Option<usize>| at.map(|at| value_ref_of(&c.entries[at].e));
+        let mut hits = 0;
+        if let Some(c) = mirror.get(bucket) {
+            for &i in group {
+                if let Some(at) = c.answer(keyed[i].0, keyed[i].1) {
+                    (out[i], hits) = (vref(c, at), hits + 1);
+                }
             }
         }
-        let hits = group.len() - cold.len();
-        if cold.is_empty() {
+        let (machine, cold) = (self.pool.device().machine(), group.len() - hits);
+        for (outcome, n) in [("shadow.hits", hits), ("shadow.misses", cold)] {
+            if n > 0 && !mirror.off {
+                machine.metric_counter_add(outcome, n as u64);
+            }
+        }
+        if cold == 0 {
             return Some((held, hits));
         }
         let _span = machine
             .span(clock, "pmdk", "ht.probe")
-            .arg("keys", cold.len() as u64);
-        let src = self.pool.charged(clock);
-        let mut unresolved = cold.len();
-        let mut key_reads = 0u64;
-        let walked = walk_chain(&src, head_slot, Fetch::Header, |e| {
-            let mut kbuf: Option<Vec<u8>> = None;
-            for &i in &cold {
-                let (key, hash) = keyed[i];
-                if out[i].is_some() || e.hash != hash || e.klen as usize != key.len() {
-                    continue;
-                }
-                // Key bytes are read once per entry even if several group
-                // members share the hash.
-                let k = kbuf.get_or_insert_with(|| {
-                    key_reads += 1;
-                    e.key(&src)
-                });
-                if k.as_slice() == key {
-                    let vref = value_ref_of(e);
-                    out[i] = Some(vref);
-                    self.shadow_store(shadow, key, vref);
-                    unresolved -= 1;
-                }
-            }
-            unresolved > 0
-        });
-        let hops = self.degraded(walked);
+            .arg("keys", cold as u64);
+        let (mut chain, src) = (mirror.take(bucket), self.pool.charged(clock));
+        let keys: Vec<(&[u8], u64)> = group.iter().map(|&i| keyed[i]).collect();
+        let (found, reads, walked) = search(&src, head_slot, &mut chain, &keys, false);
+        let c = chain.as_ref().expect("a searched bucket is known");
+        for (&i, &at) in group.iter().zip(&found) {
+            out[i] = vref(c, at);
+        }
+        let torn = walked.1.is_err();
+        self.degraded(walked);
         // Charged pool read ops: the head, each header, each key fetch.
-        machine.metric_counter_add("get.lookup.pool_reads", 1 + hops + key_reads);
-        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(hops));
+        machine.metric_counter_add("get.lookup.pool_reads", reads);
+        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(c.depth(&found)));
+        mirror.put(bucket, chain.filter(|_| !torn));
         Some((held, hits))
     }
 
@@ -305,7 +311,7 @@ impl PersistentHashtable {
         let _atomic = pmem_sim::atomic_section();
         let (_held, hits) = (self.probe(clock, self.geo(), &keyed, &[0], &mut out))
             .expect("one key routes to one chain");
-        self.charge_shadow_hits(clock, hits);
+        self.charge_probes(clock, hits, Some("get.lookup.cached"));
         let vref = out[0]?;
         let mut buf = vec![0u8; vref.len as usize];
         self.pool.read_bytes(clock, vref.offset, &mut buf);
@@ -316,22 +322,35 @@ impl PersistentHashtable {
         self.get_ref(clock, key).is_some()
     }
 
-    /// Remove `key`; returns whether it was present.
+    /// Remove `key`; returns whether it was present. The mirror unlinks it
+    /// once the transaction committed.
     pub fn remove(&self, clock: &Clock, key: &[u8]) -> Result<bool> {
         let hash = fnv1a(key);
         self.maybe_resize(clock)?;
         let _atomic = pmem_sim::atomic_section();
         let (g, mut held) = self.lock_routes(self.geo(), [hash].into_iter(), true);
-        let Route { head_slot, sid } = g.route(hash);
-        self.shadow_invalidate(shadow_in(&mut held, sid), key);
-        let Some(&(e, true)) = self.find(clock, head_slot, &[(key, hash)])?.last() else {
+        let Route {
+            head_slot,
+            sid,
+            bucket,
+        } = g.route(hash);
+        let mirror = mirror_in(&mut held, sid);
+        let (found, walked) = self.find(clock, mirror, (bucket, head_slot), &[(key, hash)])?;
+        let c = walked.as_ref().or(mirror.get(bucket)).expect("found");
+        let e = found[0].map(|i| c.entries[i].e);
+        mirror.put(bucket, walked);
+        let Some(e) = e else {
             return Ok(false);
         };
         self.ensure_dirty(clock);
-        self.pool.tx(clock, |tx| {
+        let unlinked = self.pool.tx(clock, |tx| {
             tx.set_words(&[(e.slot, e.at, e.next)])?;
             tx.free(e.at)
-        })?;
+        });
+        if unlinked.is_ok() {
+            mirror.splice(bucket, head_slot, &[found[0].expect("present")], Vec::new());
+        }
+        unlinked?;
         self.stripes[sid].live.fetch_sub(1, Ordering::Relaxed);
         Ok(true)
     }

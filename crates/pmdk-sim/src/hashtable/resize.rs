@@ -27,7 +27,8 @@
 //! folds the deltas into the header under all stripe locks, and a reopen
 //! after a crash with the dirty flag set recounts by walking the heads.
 
-use super::route::{shadow_in, stripe_of};
+use super::mirror::{search, Chain, Known};
+use super::route::{mirror_in, stripe_of};
 use super::*;
 use crate::error::PmdkError;
 use pmem_sim::flight::EventCode;
@@ -139,6 +140,8 @@ impl PersistentHashtable {
     /// slot or stripe changes here — routing through the new geometry is
     /// identical until migration moves a bucket.
     pub(super) fn begin_split(&self, clock: &Clock) -> Result<()> {
+        // The section opens before the resize lock, as in `help_migrate`.
+        let _atomic = pmem_sim::atomic_section();
         let Some(_resize) = self.resize_lock.try_lock() else {
             return Ok(()); // someone else is already splitting
         };
@@ -176,10 +179,10 @@ impl PersistentHashtable {
     }
 
     /// Migrate one chunk of old buckets: partition each chain into lo
-    /// (`hash % new_buckets == b`) and hi (`== b + old_buckets`), relink
-    /// both in place, stream the destination heads into the new directory
-    /// and advance the persisted cursor — one transaction under the
-    /// affected stripes' locks. Only what a rollback can reach is
+    /// (`hash % new_buckets == b`) and hi (`== b + old_buckets`) by mirrored
+    /// hashes, relink both in place, stream the destination heads into the
+    /// new directory and advance the persisted cursor — one transaction
+    /// under the affected stripes' locks. Only what a rollback can reach is
     /// snapshotted: the `ENT_NEXT` relinks (still chained off the old head)
     /// and the cursor / retire words. Destination heads are unreachable
     /// until the cursor passes their bucket ([`Geo::head_slots`]), so they
@@ -187,6 +190,10 @@ impl PersistentHashtable {
     /// abort overwrites whatever the failed run left. The old head is never
     /// routed to again and stays; the final chunk frees the old array.
     pub(super) fn help_migrate(&self, clock: &Clock) -> Result<()> {
+        // The section opens before the resize lock is taken: a helper that
+        // yielded holding it would have the ranks run meanwhile skip their
+        // chunks, and the split lag the puts it is paid by.
+        let _atomic = pmem_sim::atomic_section();
         let Some(_resize) = self.resize_lock.try_lock() else {
             return Ok(()); // another helper has this split chunk
         };
@@ -212,7 +219,6 @@ impl PersistentHashtable {
         // Source bucket b lives on stripe b%64; its lo half stays there,
         // its hi half moves to (b+n)%64. Lock both for the whole chunk.
         let sids = (start..last).flat_map(|b| [stripe_of(b), stripe_of(b + n)]);
-        let _atomic = pmem_sim::atomic_section();
         let mut held = self.lock_stripes(sids, true);
 
         let mut entries_moved = 0u64;
@@ -220,30 +226,45 @@ impl PersistentHashtable {
         let end = self.pool.tx(clock, |tx| {
             // Destination heads: slots start..end (lo), start+n.. (hi).
             let mut runs = [Vec::new(), Vec::new()];
-            let (mut end, mut words) = (start, Vec::new());
-            // The chunk's source heads are one run: pinned by the stripes
-            // held above, fetched once.
-            for (slot, b, head) in read_heads(&src, g.old_heads, start..last) {
-                // [lo, hi], each (entry, current next).
-                let mut halves: [Vec<(u64, u64)>; 2] = Default::default();
-                let (moved, walked) = walk_from(&src, slot, head, Fetch::Header, |e| {
-                    halves[(e.hash % g.buckets != b) as usize].push((e.at, e.next));
-                    true
-                });
-                walked?;
-                // Each partition relinks in original order with a nul
-                // tail; next pointers already correct are left untouched.
-                // The walk is still holding each pre-image.
-                let mut relinks = Vec::new();
-                let mut heads = [0u64; 2];
-                for (head, chain) in heads.iter_mut().zip(&halves) {
-                    for &(e, cur_next) in chain.iter().rev() {
-                        if cur_next != *head {
-                            relinks.push((e + ENT_NEXT, cur_next, *head));
+            let (mut end, mut words, mut heads_run) = (start, Vec::new(), None);
+            for b in start..last {
+                let (slot, mirror) = (g.old_heads + b * 8, mirror_in(&mut held, stripe_of(b)));
+                // A complete bucket is a probe, none when empty (a bit);
+                // any other is walked to its end.
+                let mut walked = None;
+                match mirror.get(b).map(|c| (c.tail, c.head())) {
+                    Some((0, 0)) => {}
+                    Some((0, _)) => self.charge_probes(clock, 1, None),
+                    _ => {
+                        let mut chain = mirror.take(b);
+                        // The chunk's source heads are one run, pinned by
+                        // the stripes held above: fetched once, at the
+                        // first one the mirror lacks.
+                        if chain.is_none() {
+                            let run = heads_run.get_or_insert_with(|| {
+                                let heads = read_heads(&src, g.old_heads, start..last);
+                                heads.map(|(_, _, head)| head).collect::<Vec<_>>()
+                            });
+                            chain = Chain::at(run[(b - start) as usize]);
                         }
-                        *head = e;
+                        search(&src, slot, &mut chain, &[], true).2 .1?;
+                        walked = chain;
                     }
                 }
+                let c = walked.as_ref().or(mirror.get(b)).expect("walked whole");
+                // Each partition relinks in original order with a nul
+                // tail; next pointers already correct are left untouched.
+                // The mirror holds each pre-image.
+                let (mut relinks, mut heads) = (Vec::new(), [0u64; 2]);
+                for k in c.entries.iter().rev() {
+                    let head = &mut heads[(k.e.hash % g.buckets != b) as usize];
+                    if k.e.next != *head {
+                        relinks.push((k.e.at + ENT_NEXT, k.e.next, *head));
+                    }
+                    *head = k.e.at;
+                }
+                let moved = c.entries.len() as u64;
+                mirror.put(b, walked);
                 // Room for these and the three retire words, or stop here.
                 if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 3) {
                     break;
@@ -273,8 +294,17 @@ impl PersistentHashtable {
                 tx.free(g.old_heads)?;
             }
             Ok(end)
-        })?;
-
+        });
+        // A committed chunk moves the hi half of each source bucket to its
+        // destination; the lo half stays, under the same bucket number.
+        for b in start..*end.as_ref().unwrap_or(&start) {
+            let hi = |k: &Known| k.e.hash % g.buckets != b;
+            let moved = mirror_in(&mut held, stripe_of(b)).split(b, g.heads + b * 8, hi);
+            let (slot, mut dest) = (g.heads + (b + n) * 8, Chain::default());
+            dest.relink(slot, &[], moved);
+            mirror_in(&mut held, stripe_of(b + n)).put(b + n, Some(dest));
+        }
+        let end = end?;
         if end == n {
             self.geo_store(Geo {
                 old_buckets: 0,
@@ -291,16 +321,6 @@ impl PersistentHashtable {
             self.pool
                 .flight()
                 .record(clock, EventCode::SplitChunk, end, entries_moved);
-        }
-        // Shadow invariant: a cached ref lives only at its key's current
-        // route stripe. When the old size is not a multiple of the stripe
-        // count, a migrated hi entry changes stripes — drop the source
-        // stripes' caches wholesale (volatile, charge-free) so no stale
-        // ref can resurface after a later remove + re-split.
-        if !n.is_multiple_of(STRIPES as u64) {
-            for b in start..end {
-                shadow_in(&mut held, stripe_of(b)).clear();
-            }
         }
         machine.metric_counter_add("ht.buckets_migrated", end - start);
         if entries_moved > 0 {

@@ -10,7 +10,7 @@
 //! thread won it; free-threaded, a reader behind a writer waits on the
 //! host and is billed nothing for the wait.
 
-use super::shadow::Shadow;
+use super::mirror::Mirror;
 use super::*;
 use pmem_sim::sync::MutexGuard;
 use std::sync::atomic::AtomicI64;
@@ -19,10 +19,10 @@ use std::sync::OnceLock;
 pub(crate) const STRIPES: usize = u64::BITS as usize; // `lock_stripes`: a bit a stripe
 
 /// The stripes an operation holds, ascending, each with its guard.
-pub(super) type Held<'a> = Vec<(usize, MutexGuard<'a, Shadow>)>;
+pub(super) type Held<'a> = Vec<(usize, MutexGuard<'a, Mirror>)>;
 
-/// Stripe `sid`'s shadow slice, out of the stripes `held`.
-pub(super) fn shadow_in<'h>(held: &'h mut Held<'_>, sid: usize) -> &'h mut Shadow {
+/// Stripe `sid`'s slice of the mirror, out of the stripes `held`.
+pub(super) fn mirror_in<'h>(held: &'h mut Held<'_>, sid: usize) -> &'h mut Mirror {
     let i = held.binary_search_by_key(&sid, |&(s, _)| s);
     &mut held[i.expect("the stripe is held")].1
 }
@@ -31,9 +31,9 @@ pub(super) fn shadow_in<'h>(held: &'h mut Held<'_>, sid: usize) -> &'h mut Shado
 #[derive(Default)]
 pub(super) struct Stripe {
     /// The stripe mutex: every walk and every structural mutation of this
-    /// stripe's chains holds it, and it owns the stripe's shadow slice, so
-    /// the cache cannot be touched without it.
-    pub(super) lock: Mutex<Shadow>,
+    /// stripe's chains holds it, and it owns the stripe's slice of the
+    /// mirror, so the mirror cannot be touched without it.
+    pub(super) lock: Mutex<Mirror>,
     /// Net live-entry delta since the last fold (inserts − removes on this
     /// stripe). Summed into the persisted count by `quiesce`.
     pub(super) live: AtomicI64,
@@ -46,6 +46,8 @@ pub(super) struct Stripe {
 pub(super) struct Route {
     pub(super) head_slot: u64,
     pub(super) sid: usize,
+    /// The head slot's bucket in its heads array.
+    pub(super) bucket: u64,
 }
 
 /// The stripe guarding `bucket`'s chain (of either directory).
@@ -61,6 +63,7 @@ impl Geo {
                 return Route {
                     head_slot: self.old_heads + ob * 8,
                     sid: stripe_of(ob),
+                    bucket: ob,
                 };
             }
         }
@@ -68,6 +71,7 @@ impl Geo {
         Route {
             head_slot: self.heads + b * 8,
             sid: stripe_of(b),
+            bucket: b,
         }
     }
 }
@@ -82,7 +86,7 @@ impl PersistentHashtable {
     /// stripe is held — which makes nonzero values a free-threaded-only
     /// contention signal. Lookups are not counted, so the heat map is a
     /// *write* heat map.
-    pub(super) fn lock_stripe(&self, id: usize, write: bool) -> MutexGuard<'_, Shadow> {
+    pub(super) fn lock_stripe(&self, id: usize, write: bool) -> MutexGuard<'_, Mirror> {
         // The 64 × 2 counter names, built once instead of per acquisition.
         static NAMES: OnceLock<Vec<[String; 2]>> = OnceLock::new();
         let names = |i| ["acquires", "contended"].map(|what| format!("stripe.{i:02}.{what}"));

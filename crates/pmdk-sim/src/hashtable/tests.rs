@@ -48,6 +48,6 @@ fn recovered_before_commit(
 
 include!("tests/handle.rs");
 include!("tests/route.rs");
-include!("tests/shadow.rs");
+include!("tests/mirror.rs");
 include!("tests/ops.rs");
 include!("tests/resize.rs");

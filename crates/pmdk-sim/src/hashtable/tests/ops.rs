@@ -176,9 +176,10 @@ fn a_group_that_moves_its_head_rolls_back_and_commits_whole() {
     pool.check_heap().unwrap();
 }
 
-/// A put fetches its bucket's head pointer once — the walk's read serves
-/// the splice and the undo record — and its commit reads nothing back:
-/// the transaction knows which of its intents are frees.
+/// A put on a bucket the mirror does not know — every bucket, after a
+/// mount — fetches its head pointer once — the walk's read serves the
+/// splice and the undo record — and its commit reads nothing back: the
+/// transaction knows which of its intents are frees.
 #[test]
 fn a_put_reads_its_bucket_head_once() {
     const BUCKETS: u64 = 4096;
@@ -188,6 +189,7 @@ fn a_put_reads_its_bucket_head_once() {
     let clock = Clock::new();
     let pool = PmemPool::create(&clock, dev, "ht").unwrap();
     let ht = PersistentHashtable::create(&clock, &pool, BUCKETS).unwrap();
+    let (ht, pool) = reopen(ht, pool, &clock);
     ht.put(&clock, b"warm", b"sets the dirty flag").unwrap();
     let mut taken = std::collections::HashSet::from([fnv1a(b"warm") % BUCKETS]);
     let mut fresh = (0u32..)
@@ -323,4 +325,35 @@ fn chain_len_histogram_records_probe_depths() {
     let snap = registry.snapshot();
     let total = snap.hists.get("ht.chain_len").map(|h| h.count).unwrap_or(0);
     assert!(total >= 8, "writer finds + reader walks must record depths");
+}
+
+/// `ht.chain_len` records the entries a walk from the head passes to find a
+/// put's or a remove's keys — the whole chain for a fresh key — whether the
+/// mirror answered or a walk did: the same ops record the same histogram
+/// with the mirror on and off.
+#[test]
+fn chain_len_is_the_chain_a_mutation_passes_whoever_answers() {
+    let hist = |mirrored: bool| {
+        let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+        let registry = MetricsRegistry::new();
+        dev.machine().set_metrics(Arc::clone(&registry));
+        let clock = Clock::new();
+        let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+        let ht = PersistentHashtable::create(&clock, &pool, 1).unwrap();
+        ht.set_auto_resize(false);
+        ht.set_shadow_enabled(mirrored);
+        for i in 0..6u32 {
+            ht.put(&clock, format!("c{i}").as_bytes(), b"v").unwrap();
+        }
+        ht.put(&clock, b"c1", b"w").unwrap();
+        assert!(ht.remove(&clock, b"c3").unwrap());
+        assert!(!ht.remove(&clock, b"absent").unwrap());
+        let h = registry.snapshot().hists["ht.chain_len"].clone();
+        (h.count, h.sum.as_nanos(), h.max.as_nanos())
+    };
+    // Fresh puts pass 0..=5 entries; the overwrite of c1 stops at it (the
+    // 5th of c5..c0), c3 then at the 4th of c1 c5 c4 c3 c2 c0, and the
+    // absent key passes all 5 left.
+    assert_eq!(hist(true), (9, 15 + 5 + 4 + 5, 5));
+    assert_eq!(hist(false), hist(true));
 }

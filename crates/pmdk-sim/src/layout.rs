@@ -716,17 +716,6 @@ pub(crate) fn encode_entry(
     ent
 }
 
-/// [`walk_from`] a head pointer this call fetches: one 8-byte read of
-/// `head_slot`.
-pub(crate) fn walk_chain<B: Bytes>(
-    src: &B,
-    head_slot: u64,
-    fetch: Fetch,
-    visit: impl FnMut(&Entry) -> bool,
-) -> (u64, Result<()>) {
-    walk_from(src, head_slot, src.u64_at(head_slot), fetch, visit)
-}
-
 /// The one chain walk: follows `next` from `head`, the pointer the caller
 /// read out of `head_slot`, hop-bounded and range-checked before every
 /// dereference, handing each entry to `visit` until it answers `false`.
