@@ -80,11 +80,11 @@ pub(super) struct Chain {
 
 impl Chain {
     /// A bucket of which only the head is known.
-    pub(super) fn at(tail: u64) -> Option<Chain> {
-        Some(Chain {
+    pub(super) fn at(tail: u64) -> Chain {
+        Chain {
             tail,
             ..Chain::default()
-        })
+        }
     }
 
     pub(super) fn head(&self) -> u64 {
@@ -131,20 +131,19 @@ impl Chain {
     }
 }
 
-/// Find `keys` in the bucket at `head_slot` that `chain` mirrors (`None`:
-/// unknown), fetching only what it lacks: mirrored keys, then the key of a
-/// prefix entry whose hash and length match, then a walk from the tail (the
-/// head first if unknown) to the last key found or the end (always, when
-/// `whole`). Returns each key's index, the reads taken, the walk's end.
+/// Find `keys` in the bucket at `head_slot` that `c` mirrors, fetching only
+/// what it lacks: mirrored keys, then the key of a prefix entry whose hash
+/// and length match, then a walk from the tail to the last key found or the
+/// end (always, when `whole`). Returns each key's index, the reads taken,
+/// the walk's end.
 pub(super) fn search<B: Bytes>(
     src: &B,
     head_slot: u64,
-    chain: &mut Option<Chain>,
+    c: &mut Chain,
     keys: &[(&[u8], u64)],
     whole: bool,
 ) -> (Vec<Option<usize>>, u64, (u64, Result<()>)) {
-    let mut reads = chain.is_none() as u64;
-    let c = chain.get_or_insert_with(|| Chain::at(src.u64_at(head_slot)).unwrap());
+    let mut reads = 0;
     let mut found: Vec<Option<usize>> = (keys.iter())
         .map(|&(key, _)| (c.entries.iter()).position(|k| k.key.as_deref() == Some(key)))
         .collect();
@@ -309,24 +308,22 @@ impl PersistentHashtable {
                 let (_, _, walked) = search(&src, slot, &mut chain, &[], true);
                 let torn = walked.1.is_err();
                 installed += self.degraded(walked);
-                for k in chain.iter_mut().flat_map(|c| &mut c.entries) {
+                for k in &mut chain.entries {
                     k.key = Some(Key::of(&k.e.key(&src)));
                 }
                 let mirror = mirror_in(&mut held, stripe_of(bucket));
                 mirror.take(bucket);
-                mirror.put(bucket, chain.filter(|_| !torn));
+                mirror.put(bucket, Some(chain).filter(|_| !torn));
             }
         }
         installed
     }
 
-    /// Charge `n` answers from the mirror, each in `phase` if one is named.
-    pub(super) fn charge_probes(&self, clock: &Clock, n: usize, phase: Option<&'static str>) {
+    /// Charge one answer from the mirror, in `phase` if one is named.
+    pub(super) fn charge_probe(&self, clock: &Clock, phase: Option<&'static str>) {
         let machine = self.pool.device().machine();
-        for _ in 0..n {
-            let _phase = phase.map(|name| machine.phase(clock, "pmdk", name));
-            let probe = SimTime::from_nanos(SHADOW_HIT_NS);
-            machine.charge_compute_labeled(clock, probe, "index.probe");
-        }
+        let _phase = phase.map(|name| machine.phase(clock, "pmdk", name));
+        let probe = SimTime::from_nanos(SHADOW_HIT_NS);
+        machine.charge_compute_labeled(clock, probe, "index.probe");
     }
 }

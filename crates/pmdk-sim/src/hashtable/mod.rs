@@ -110,8 +110,7 @@ impl PersistentHashtable {
     /// `TableHeader::check` — the rules the doctor applies — or the mount
     /// is refused. If the table crashed with unfolded per-stripe counts
     /// (dirty flag set), the count is recounted from the chains here. Every
-    /// bucket starts unknown to the mirror (a walk mirrors what it fetches);
-    /// call [`PersistentHashtable::rebuild_shadow`] to mirror them eagerly.
+    /// bucket starts unknown to the mirror: a walk mirrors what it fetches.
     pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64) -> Result<Self> {
         let src = pool.charged(clock);
         let hdr = TableHeader::read(&src, header)?;

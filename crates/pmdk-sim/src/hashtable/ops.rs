@@ -1,4 +1,5 @@
-//! Mutation and lookup: group puts, removes and the probes behind `get*`.
+//! Mutation and lookup: group puts, removes and gets, each bucket looked
+//! up by one `lookup`.
 //!
 //! All structural mutations run in a pool transaction (pointer snapshots +
 //! alloc/free intents), so a crash at any point leaves a consistent table.
@@ -14,38 +15,49 @@ use crate::error::PmdkError;
 use pmem_sim::SimTime;
 use std::collections::BTreeMap;
 
+/// What [`PersistentHashtable::lookup`] found in one bucket: each key's
+/// index in the chain and its entry, whose `slot` is the pointer a splice
+/// rewrites; the chain's head; the walk's pool reads, `None` when the mirror
+/// answered; where the walk ended (a mutation refuses a bad hop, a read
+/// degrades).
+type Found = (Vec<Option<(usize, Entry)>>, u64, Option<u64>, Result<()>);
+
 impl PersistentHashtable {
-    /// Find `keys`, `(key, hash)` each, in the bucket `bucket` at
-    /// `head_slot` that `mirror` holds (the caller holds its stripe): from
-    /// DRAM — one probe charged — when it answers them all, else by a walk
-    /// resumed at its tail, whose chain comes back too, for the caller to
-    /// put back. Each key's index in the chain; an entry's `slot` is the
-    /// pointer a splice rewrites. A bad hop refuses the mutation.
-    fn find(
+    /// Look `keys`, `(key, hash)` each, up in the bucket `r` routes to,
+    /// whose stripe's `mirror` the caller holds inside its atomic section:
+    /// from DRAM when the mirror answers every key — one probe, in `phase`
+    /// if one is named — else by a walk resumed at the prefix's tail, whose
+    /// reads are all it pays. Records `ht.chain_len`, then puts the walked
+    /// chain back unless it ended at a bad hop.
+    fn lookup(
         &self,
         clock: &Clock,
         mirror: &mut Mirror,
-        (bucket, head_slot): (u64, u64),
+        r: Route,
         keys: &[(&[u8], u64)],
-    ) -> Result<(Vec<Option<usize>>, Option<Chain>)> {
+        phase: Option<&'static str>,
+    ) -> Found {
         let machine = self.pool.device().machine();
-        let answer = |&(key, hash): &(&[u8], u64)| mirror.get(bucket)?.answer(key, hash);
-        let (found, walked) = match keys.iter().map(answer).collect() {
-            Some(found) => {
-                self.charge_probes(clock, 1, None);
-                (found, None)
-            }
-            None => {
-                let _span = machine.span(clock, "pmdk", "ht.probe");
-                let (mut chain, src) = (mirror.take(bucket), self.pool.charged(clock));
-                let (found, _, (_, end)) = search(&src, head_slot, &mut chain, keys, false);
-                end?;
-                (found, chain)
-            }
+        let settle = |c: &Chain, found: Vec<Option<usize>>, reads, end| {
+            machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(c.depth(&found)));
+            let at = (found.into_iter()).map(|i| i.map(|i| (i, c.entries[i].e)));
+            (at.collect(), c.head(), reads, end)
         };
-        let c = walked.as_ref().or(mirror.get(bucket)).expect("found");
-        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(c.depth(&found)));
-        Ok((found, walked))
+        if let Some(c) = mirror.get(r.bucket) {
+            if let Some(found) = keys.iter().map(|&(k, hash)| c.answer(k, hash)).collect() {
+                self.charge_probe(clock, phase);
+                return settle(c, found, None, Ok(()));
+            }
+        }
+        let _span = (machine.span(clock, "pmdk", "ht.probe")).arg("keys", keys.len() as u64);
+        let (known, src) = (mirror.take(r.bucket), self.pool.charged(clock));
+        let cold = known.is_none() as u64;
+        let mut c = known.unwrap_or_else(|| Chain::at(src.u64_at(r.head_slot)));
+        let (found, reads, (_, end)) = search(&src, r.head_slot, &mut c, keys, false);
+        let torn = end.is_err();
+        let found = settle(&c, found, Some(cold + reads), end);
+        mirror.put(r.bucket, Some(c).filter(|_| !torn));
+        found
     }
 
     /// Insert (or replace) every `(key, val_len)` as **one pool
@@ -117,24 +129,20 @@ impl PersistentHashtable {
             }
             let (mut words, mut frees, mut live) = (Vec::new(), Vec::new(), Vec::new());
             for (&head_slot, idxs) in &by_slot {
-                let Route { sid, bucket, .. } = g.route(hashes[idxs[0]]);
+                let r = g.route(hashes[idxs[0]]);
                 let keys: Vec<_> = idxs.iter().map(|&i| (reqs[i].0, hashes[i])).collect();
-                let mirror = mirror_in(held, sid);
-                let (found, walked) = self.find(clock, mirror, (bucket, head_slot), &keys)?;
-                let c = walked.as_ref().or(mirror.get(bucket)).expect("found");
-                let seen: Vec<(Entry, bool)> = (c.entries.iter().enumerate())
-                    .map(|(i, k)| (k.e, found.contains(&Some(i))))
-                    .collect();
+                let (at, head, _, end) = self.lookup(clock, mirror_in(held, r.sid), r, &keys, None);
+                end?;
                 // The new entries chain onto the old chain without the ones
                 // replaced: a run of those is skipped by the pointer that
                 // named its first — the head's folded into the head's own
                 // write. The mirror holds every pre-image.
-                let head = c.head();
-                mirror.put(bucket, walked);
-                let (mut rest, replaced) = (head, frees.len());
-                for run in seen.chunk_by(|a, b| a.1 == b.1).filter(|run| run[0].1) {
-                    let (first, last) = (run[0].0, run[run.len() - 1].0);
-                    frees.extend(run.iter().map(|(e, _)| e.at));
+                let mut gone: Vec<(usize, Entry)> = at.into_iter().flatten().collect();
+                gone.sort_by_key(|&(i, _)| i);
+                let mut rest = head;
+                for run in gone.chunk_by(|a, b| a.0 + 1 == b.0) {
+                    let (first, last) = (run[0].1, run[run.len() - 1].1);
+                    frees.extend(run.iter().map(|(_, e)| e.at));
                     if first.slot == head_slot {
                         rest = last.next;
                     } else {
@@ -156,8 +164,9 @@ impl PersistentHashtable {
                 }
                 fresh.reverse();
                 words.push((head_slot, head, rest));
-                live.push((sid, (idxs.len() + replaced - frees.len()) as i64));
-                spliced.push((sid, head_slot, bucket, found, fresh));
+                live.push((r.sid, (idxs.len() - gone.len()) as i64));
+                let gone: Vec<usize> = gone.into_iter().map(|(i, _)| i).collect();
+                spliced.push((r, gone, fresh));
             }
             tx.free_many(&frees)?;
             tx.set_words(&words)?;
@@ -165,9 +174,8 @@ impl PersistentHashtable {
         });
         // The mirror takes the group's splice only once it committed.
         if let (Some((_, mut held)), Ok(_)) = (locked, &committed) {
-            for (sid, head_slot, bucket, found, fresh) in spliced {
-                let gone: Vec<usize> = found.into_iter().flatten().collect();
-                mirror_in(&mut held, sid).splice(bucket, head_slot, &gone, fresh);
+            for (r, gone, fresh) in spliced {
+                mirror_in(&mut held, r.sid).splice(r.bucket, r.head_slot, &gone, fresh);
             }
         }
         let (refs, live) = committed?;
@@ -204,12 +212,10 @@ impl PersistentHashtable {
     /// touched bucket. Keys are grouped by (stripe, head slot) in sorted
     /// order — the same deterministic grouping the write batches use for
     /// stripe acquisition — so keys sharing a bucket share its head/header
-    /// reads, and each group resolves under its stripe, which is released
-    /// before the group's answers from the mirror are charged. A group a
-    /// migration split between routing and lock acquisition is routed
-    /// again. Results are positionally parallel to `keys`. A lookup never
-    /// migrates: a read-only session on a mid-split pool runs no pool
-    /// transaction.
+    /// reads, and each group resolves under its stripe. A group a migration
+    /// split between routing and lock acquisition is routed again. Results
+    /// are positionally parallel to `keys`. A lookup never migrates: a
+    /// read-only session on a mid-split pool runs no pool transaction.
     pub fn get_ref_many(&self, clock: &Clock, keys: &[&[u8]]) -> Vec<Option<ValueRef>> {
         let mut out = vec![None; keys.len()];
         let keyed: Vec<(&[u8], u64)> = keys.iter().map(|&k| (k, fnv1a(k))).collect();
@@ -217,21 +223,13 @@ impl PersistentHashtable {
         while !pending.is_empty() {
             let g = self.geo();
             let route = |i: usize| g.route(keyed[i].1);
-            pending.sort_by_key(|&i| {
-                let r = route(i);
-                (r.sid, r.head_slot, i)
-            });
+            pending.sort_by_key(|&i| (route(i), i));
             let mut moved = Vec::new();
             for group in pending.chunk_by(|&a, &b| route(a).head_slot == route(b).head_slot) {
-                let hits = {
-                    let _atomic = pmem_sim::atomic_section();
-                    let Some((_held, hits)) = self.probe(clock, g, &keyed, group, &mut out) else {
-                        moved.extend_from_slice(group);
-                        continue;
-                    };
-                    hits
-                };
-                self.charge_probes(clock, hits, Some("get.lookup.cached"));
+                let _atomic = pmem_sim::atomic_section();
+                if self.resolve(clock, g, &keyed, group, &mut out).is_none() {
+                    moved.extend_from_slice(group);
+                }
             }
             pending = moved;
         }
@@ -240,66 +238,40 @@ impl PersistentHashtable {
 
     /// Resolve `group` — indices of `(key, hash)` pairs `g` routes to one
     /// chain — into `out`, inside the caller's atomic section: lock the
-    /// chain's stripe and re-check the route, then answer what the mirror
-    /// can and walk, resumed at the prefix's tail, for the rest; the walk's
-    /// finds are mirrored under the same guard. Returns the stripes, still
-    /// held, and the number of keys answered from the mirror, left for the
-    /// caller to charge; `None`, with nothing resolved, if a migration split
-    /// the group between chains.
-    fn probe(
+    /// chain's stripe, re-check the route and look the keys up. A torn
+    /// chain degrades. Returns the stripe, still held; `None`, with nothing
+    /// resolved, if a migration split the group between chains.
+    fn resolve(
         &self,
         clock: &Clock,
         g: Geo,
         keyed: &[(&[u8], u64)],
         group: &[usize],
         out: &mut [Option<ValueRef>],
-    ) -> Option<(Held<'_>, usize)> {
+    ) -> Option<Held<'_>> {
         let mut hashes = group.iter().map(|&i| keyed[i].1);
         let (now, mut held) = self.lock_routes(g, hashes.clone(), false);
-        let Route {
-            head_slot,
-            sid,
-            bucket,
-        } = now.route(keyed[group[0]].1);
-        if now != g && hashes.any(|h| now.route(h).head_slot != head_slot) {
+        let r = now.route(keyed[group[0]].1);
+        if now != g && hashes.any(|h| now.route(h).head_slot != r.head_slot) {
             return None;
         }
-        let mirror = mirror_in(&mut held, sid);
-        let vref = |c: &Chain, at: Option<usize>| at.map(|at| value_ref_of(&c.entries[at].e));
-        let mut hits = 0;
-        if let Some(c) = mirror.get(bucket) {
-            for &i in group {
-                if let Some(at) = c.answer(keyed[i].0, keyed[i].1) {
-                    (out[i], hits) = (vref(c, at), hits + 1);
-                }
-            }
-        }
-        let (machine, cold) = (self.pool.device().machine(), group.len() - hits);
-        for (outcome, n) in [("shadow.hits", hits), ("shadow.misses", cold)] {
-            if n > 0 && !mirror.off {
-                machine.metric_counter_add(outcome, n as u64);
-            }
-        }
-        if cold == 0 {
-            return Some((held, hits));
-        }
-        let _span = machine
-            .span(clock, "pmdk", "ht.probe")
-            .arg("keys", cold as u64);
-        let (mut chain, src) = (mirror.take(bucket), self.pool.charged(clock));
+        let mirror = mirror_in(&mut held, r.sid);
         let keys: Vec<(&[u8], u64)> = group.iter().map(|&i| keyed[i]).collect();
-        let (found, reads, walked) = search(&src, head_slot, &mut chain, &keys, false);
-        let c = chain.as_ref().expect("a searched bucket is known");
-        for (&i, &at) in group.iter().zip(&found) {
-            out[i] = vref(c, at);
+        let (at, _, reads, end) = self.lookup(clock, mirror, r, &keys, Some("get.lookup.cached"));
+        let machine = self.pool.device().machine();
+        if !mirror.off {
+            let outcome = reads.map_or("shadow.hits", |_| "shadow.misses");
+            machine.metric_counter_add(outcome, group.len() as u64);
         }
-        let torn = walked.1.is_err();
-        self.degraded(walked);
         // Charged pool read ops: the head, each header, each key fetch.
-        machine.metric_counter_add("get.lookup.pool_reads", reads);
-        machine.metric_hist_record("ht.chain_len", SimTime::from_nanos(c.depth(&found)));
-        mirror.put(bucket, chain.filter(|_| !torn));
-        Some((held, hits))
+        if let Some(reads) = reads {
+            machine.metric_counter_add("get.lookup.pool_reads", reads);
+        }
+        self.degraded((0, end));
+        for (&i, at) in group.iter().zip(at) {
+            out[i] = at.map(|(_, e)| value_ref_of(&e));
+        }
+        Some(held)
     }
 
     /// Copy out `key`'s value. The byte copy runs with the stripe still
@@ -309,9 +281,8 @@ impl PersistentHashtable {
     pub fn get(&self, clock: &Clock, key: &[u8]) -> Option<Vec<u8>> {
         let (keyed, mut out) = ([(key, fnv1a(key))], [None]);
         let _atomic = pmem_sim::atomic_section();
-        let (_held, hits) = (self.probe(clock, self.geo(), &keyed, &[0], &mut out))
-            .expect("one key routes to one chain");
-        self.charge_probes(clock, hits, Some("get.lookup.cached"));
+        // One key never splits between chains: its stripe is held.
+        let _held = self.resolve(clock, self.geo(), &keyed, &[0], &mut out);
         let vref = out[0]?;
         let mut buf = vec![0u8; vref.len as usize];
         self.pool.read_bytes(clock, vref.offset, &mut buf);
@@ -329,17 +300,11 @@ impl PersistentHashtable {
         self.maybe_resize(clock)?;
         let _atomic = pmem_sim::atomic_section();
         let (g, mut held) = self.lock_routes(self.geo(), [hash].into_iter(), true);
-        let Route {
-            head_slot,
-            sid,
-            bucket,
-        } = g.route(hash);
-        let mirror = mirror_in(&mut held, sid);
-        let (found, walked) = self.find(clock, mirror, (bucket, head_slot), &[(key, hash)])?;
-        let c = walked.as_ref().or(mirror.get(bucket)).expect("found");
-        let e = found[0].map(|i| c.entries[i].e);
-        mirror.put(bucket, walked);
-        let Some(e) = e else {
+        let r = g.route(hash);
+        let mirror = mirror_in(&mut held, r.sid);
+        let (at, _, _, end) = self.lookup(clock, mirror, r, &[(key, hash)], None);
+        end?;
+        let Some((i, e)) = at[0] else {
             return Ok(false);
         };
         self.ensure_dirty(clock);
@@ -348,10 +313,10 @@ impl PersistentHashtable {
             tx.free(e.at)
         });
         if unlinked.is_ok() {
-            mirror.splice(bucket, head_slot, &[found[0].expect("present")], Vec::new());
+            mirror.splice(r.bucket, r.head_slot, &[i], Vec::new());
         }
         unlinked?;
-        self.stripes[sid].live.fetch_sub(1, Ordering::Relaxed);
+        self.stripes[r.sid].live.fetch_sub(1, Ordering::Relaxed);
         Ok(true)
     }
 }

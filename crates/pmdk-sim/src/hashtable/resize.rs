@@ -234,21 +234,20 @@ impl PersistentHashtable {
                 let mut walked = None;
                 match mirror.get(b).map(|c| (c.tail, c.head())) {
                     Some((0, 0)) => {}
-                    Some((0, _)) => self.charge_probes(clock, 1, None),
+                    Some((0, _)) => self.charge_probe(clock, None),
                     _ => {
-                        let mut chain = mirror.take(b);
                         // The chunk's source heads are one run, pinned by
                         // the stripes held above: fetched once, at the
                         // first one the mirror lacks.
-                        if chain.is_none() {
+                        let mut chain = mirror.take(b).unwrap_or_else(|| {
                             let run = heads_run.get_or_insert_with(|| {
                                 let heads = read_heads(&src, g.old_heads, start..last);
                                 heads.map(|(_, _, head)| head).collect::<Vec<_>>()
                             });
-                            chain = Chain::at(run[(b - start) as usize]);
-                        }
+                            Chain::at(run[(b - start) as usize])
+                        });
                         search(&src, slot, &mut chain, &[], true).2 .1?;
-                        walked = chain;
+                        walked = Some(chain);
                     }
                 }
                 let c = walked.as_ref().or(mirror.get(b)).expect("walked whole");

@@ -39,13 +39,13 @@ pub(super) struct Stripe {
     pub(super) live: AtomicI64,
 }
 
-/// Where a key lives *right now*: the device slot holding its chain head
-/// and the stripe guarding that chain. Compared for equality to detect a
-/// migration racing a lock acquisition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a key lives *right now*: the stripe guarding its chain and the
+/// device slot holding the chain's head. Compared for equality to detect a
+/// migration racing a lock acquisition; ordered stripe first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(super) struct Route {
-    pub(super) head_slot: u64,
     pub(super) sid: usize,
+    pub(super) head_slot: u64,
     /// The head slot's bucket in its heads array.
     pub(super) bucket: u64,
 }

@@ -339,3 +339,39 @@ fn each_path_reads_only_what_the_mirror_lacks() {
     assert!(ht.get_ref(&clock, b"d").is_none());
     assert_eq!(reads() - before, 0, "the bucket is complete");
 }
+
+/// One charge rule for every lookup: a bucket the mirror answers whole
+/// costs one `index.probe` however many of its keys are asked for, by a
+/// put group or a get; a bucket it answers only in part pays its walk's
+/// reads and no probe. Each bucket looked up records one `ht.chain_len`.
+#[test]
+fn each_bucket_the_mirror_answers_costs_one_probe() {
+    let dev = PmemDevice::new(Machine::chameleon(), 1 << 22, PersistenceMode::Fast);
+    let registry = MetricsRegistry::new();
+    dev.machine().set_metrics(Arc::clone(&registry));
+    let clock = Clock::new();
+    let pool = PmemPool::create(&clock, dev, "ht").unwrap();
+    let ht = PersistentHashtable::create(&clock, &pool, 1).unwrap();
+    ht.set_auto_resize(false);
+    // (probes, chain_len records, metadata reads) an op makes.
+    let counted = |op: &dyn Fn()| {
+        let names = ["index.probe", "ht.chain_len", "pmem.meta_read"];
+        let count = || names.map(|n| registry.snapshot().hists.get(n).map_or(0, |h| h.count));
+        let before = count();
+        op();
+        let after = count();
+        (after[0] - before[0], after[1] - before[1], after[2] - before[2])
+    };
+    let reqs: Vec<(&[u8], u64)> = vec![(b"a", 1), (b"b", 1)];
+    let put = || drop(ht.put_many(&clock, &reqs, |_, _| Ok(Some(&b"v"[..]))).unwrap());
+    assert_eq!(counted(&put), (1, 1, 0), "a 2-key group into a complete bucket");
+    ht.put(&clock, b"c", b"v").unwrap(); // chain: c → b → a
+    let get = || assert!(ht.get_ref_many(&clock, &[b"a", b"b"]).iter().all(Option::is_some));
+    assert_eq!(counted(&get), (1, 1, 0), "2 keys of a complete bucket");
+
+    let (ht, _pool) = reopen(ht, pool, &clock);
+    let cold = || assert!(ht.get_ref(&clock, b"b").is_some());
+    assert_eq!(counted(&cold), (0, 1, 4), "b cold: the head, c's and b's headers, b's key");
+    let partial = || assert!(ht.get_ref_many(&clock, &[b"b", b"a"]).iter().all(Option::is_some));
+    assert_eq!(counted(&partial), (0, 1, 2), "b mirrored, a past the tail: a's header and key");
+}

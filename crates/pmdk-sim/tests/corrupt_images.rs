@@ -33,6 +33,8 @@ struct Image {
     table: u64,
     /// Tail entry of bucket 0's two-entry chain.
     tail_entry: u64,
+    /// The key of that tail entry.
+    held: Vec<u8>,
     /// A key that routes to bucket 0 but is not in the table: looking it
     /// up, or inserting it, walks that chain to its end.
     absent: Vec<u8>,
@@ -62,6 +64,7 @@ fn build() -> Image {
         metrics,
         table: ht.header_offset(),
         tail_entry,
+        held: first,
         absent: bucket0.next().unwrap(),
         log: log.location(),
     }
@@ -240,6 +243,40 @@ const ROWS: &[Row] = &[
             Ok(())
         },
         expect: Expect::Degraded,
+        doctor_ok: table_ok,
+    },
+    Row {
+        name: "self-looping next: remove of an absent key",
+        corrupt: SELF_LOOP,
+        mounted: |img, clock| img.table(clock)?.remove(clock, &img.absent).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: table_ok,
+    },
+    Row {
+        name: "self-looping next: get_ref_many of an absent key and a key the bucket holds",
+        corrupt: SELF_LOOP,
+        mounted: |img, clock| {
+            let found = img
+                .table(clock)?
+                .get_ref_many(clock, &[&img.absent, &img.held]);
+            // The held key precedes the bad hop, so it still resolves.
+            assert!(found[0].is_none() && found[1].is_some());
+            Ok(())
+        },
+        expect: Expect::Degraded,
+        doctor_ok: table_ok,
+    },
+    Row {
+        name: "self-looping next: a degraded get, then a put into that bucket",
+        // A torn walk leaves nothing in the mirror that would let the put
+        // skip the bad hop.
+        corrupt: SELF_LOOP,
+        mounted: |img, clock| {
+            let ht = img.table(clock)?;
+            assert!(ht.get(clock, &img.absent).is_none());
+            ht.put(clock, &img.absent, b"v").map(drop)
+        },
+        expect: Expect::Refused,
         doctor_ok: table_ok,
     },
 ];
