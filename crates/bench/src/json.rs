@@ -1,13 +1,14 @@
-//! A minimal recursive-descent JSON parser, just enough for `perfgate` to
-//! read BENCH reports back. Numbers are held as `f64`, which is exact for
-//! every value the reports emit (virtual nanoseconds stay far below 2^53).
-//! No external dependencies, by the repo's vendoring rule.
+//! A minimal recursive-descent JSON parser, compiled only for tests: the
+//! reference reader for the crate's two hand-written JSON writers (the BENCH
+//! run report and the doctor's verdicts). Numbers are held as `f64`, which
+//! is exact for every value the reports emit (virtual nanoseconds stay far
+//! below 2^53). No external dependencies, by the repo's vendoring rule.
 
 use std::collections::BTreeMap;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub(crate) enum Json {
     Null,
     Bool(bool),
     Num(f64),
@@ -18,7 +19,7 @@ pub enum Json {
 
 impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
@@ -33,7 +34,7 @@ impl Json {
     }
 
     /// Object field lookup; `None` for non-objects or missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(m) => m.get(key),
             _ => None,
@@ -41,7 +42,7 @@ impl Json {
     }
 
     /// Numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
             _ => None,
@@ -49,7 +50,7 @@ impl Json {
     }
 
     /// Non-negative integer value, if this is a whole number.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
@@ -57,7 +58,7 @@ impl Json {
     }
 
     /// String value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -65,17 +66,9 @@ impl Json {
     }
 
     /// Array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Object map, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
-        match self {
-            Json::Obj(m) => Some(m),
             _ => None,
         }
     }
@@ -302,7 +295,7 @@ mod tests {
         let v = Json::parse(&report.to_json()).unwrap();
         assert_eq!(
             v.get("schema").unwrap().as_u64(),
-            Some(crate::REPORT_SCHEMA)
+            Some(crate::report::REPORT_SCHEMA)
         );
         let cells = v.get("cells").unwrap().as_arr().unwrap();
         assert_eq!(cells[0].get("library").unwrap().as_str(), Some("PMCPY-A"));

@@ -21,13 +21,14 @@
 pub mod api_complexity;
 pub mod doctor;
 pub mod experiments;
-pub mod json;
+#[cfg(test)]
+mod json;
 mod report;
 mod sweep;
 
 use experiments::Ctx;
 pub use experiments::TABLE;
-pub use report::{check_shape, render_checks, Outcome, RunReport, REPORT_SCHEMA};
+pub use report::{check_shape, render_checks, Outcome, RunReport};
 pub use sweep::{run_cell, run_storm_cell, CellConfig, CellResult, Direction, StormShape};
 
 /// The paper's x-axis.

@@ -20,7 +20,7 @@ pub struct Outcome {
 /// What one experiment measured, and the machine-readable run report it
 /// serializes to: every cell's virtual times, media counters and metrics
 /// snapshot in a stable-schema JSON document (`results/BENCH_*.json`),
-/// consumed by the `perfgate` regression gate.
+/// which must match its committed `results/ci_baseline/` copy byte for byte.
 ///
 /// Everything in the JSON is virtual or modelled — wall-clock never enters
 /// the document — so under [`mpi_sim::SchedMode::Deterministic`] two runs
@@ -229,11 +229,11 @@ pub(crate) fn render_phase_breakdown(title: &str, summary: &TraceSummary) -> Str
 }
 
 /// Schema version stamped into every BENCH JSON report. Bump it whenever a
-/// field is renamed, removed, or changes meaning; `perfgate` refuses to
-/// compare reports across schema versions.
+/// field is renamed, removed, or changes meaning, so a reader of an old
+/// report can tell.
 ///
 /// Schema 2 added `device_profile` and `flush_strategy` per cell.
-pub const REPORT_SCHEMA: u64 = 2;
+pub(crate) const REPORT_SCHEMA: u64 = 2;
 
 fn cell_json(c: &CellResult) -> String {
     let s = &c.stats;

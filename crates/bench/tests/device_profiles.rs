@@ -16,14 +16,69 @@ fn profile_machine(name: &str) -> pmem_sim::MachineConfig {
     by_name(name).expect("built-in profile")
 }
 
+/// The first index at which `a` and `b` differ, a missing element counting
+/// as a difference.
+fn first_difference<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
+    (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))
+}
+
+/// Where `fresh` first departs from `baseline`: the first differing line
+/// (one cell a line, named by its first three fields) and its first
+/// differing `"field":value`, baseline against fresh.
+fn drift(baseline: &str, fresh: &str) -> String {
+    let [old, new] = [baseline, fresh].map(|text| text.split('\n').collect::<Vec<_>>());
+    let i = first_difference(&old, &new).expect("the reports differ");
+    let [old, new] = [old, new].map(|lines| {
+        let line = lines.get(i).unwrap_or(&"<none>");
+        line.split(',').collect::<Vec<_>>()
+    });
+    let j = first_difference(&old, &new).expect("the lines differ");
+    let at = |fields: &[&str]| fields.get(j).unwrap_or(&"<none>").to_string();
+    format!(
+        "  line {}, cell {}\n  field {} (baseline) vs {} (fresh)",
+        i + 1,
+        old[..old.len().min(3)].join(","),
+        at(&old),
+        at(&new)
+    )
+}
+
+/// A drifted report is named by its first differing cell and field: a
+/// value that moved, and a field the fresh report lost.
+#[test]
+fn a_drift_names_its_cell_and_field() {
+    let baseline = include_str!("../../../results/ci_baseline/BENCH_fig6_wb.json");
+    for (fresh, cell, field) in [
+        (
+            baseline.replace(
+                r#""virtual_time_ns":5406310496"#,
+                r#""virtual_time_ns":5406310497"#,
+            ),
+            r#"line 7, cell {"library":"PMCPY-WB","direction":"write","nprocs":24"#,
+            r#"field "virtual_time_ns":5406310496 (baseline) vs "virtual_time_ns":5406310497 (fresh)"#,
+        ),
+        (
+            baseline.replacen(r#""device_profile":"optane-gen1","#, "", 1),
+            r#"line 6, cell {"library":"PMCPY-A","direction":"write","nprocs":24"#,
+            r#"field "device_profile":"optane-gen1" (baseline) vs "flush_strategy":"clwb" (fresh)"#,
+        ),
+    ] {
+        let report = drift(baseline, &fresh);
+        assert!(report.contains(cell) && report.contains(field), "{report}");
+    }
+}
+
 /// The experiment table regenerates every committed
 /// `results/ci_baseline/BENCH_*.json` byte-for-byte, down to the JSON
 /// serialization, straight from the library (no binary in between). The
 /// contexts must match the flags of the CI perf-gate job: `--bytes 8
 /// --procs 24 fig6 fig6-wb fig7`, `--storm-keys 16384 creation-storm`,
-/// `--bytes 8 --procs 8 --profiles optane-gen1,cxl sweep-profiles`.
+/// `--bytes 8 --procs 8 --profiles optane-gen1,cxl sweep-profiles`. All
+/// five are checked before it fails, each drifted one named with the cell
+/// and the field it first departs at.
 #[test]
 fn experiment_table_reproduces_ci_baselines() {
+    let mut drifted = vec![];
     for (command, procs) in [
         ("fig6", 24),
         ("fig6-wb", 24),
@@ -45,12 +100,15 @@ fn experiment_table_reproduces_ci_baselines() {
             env!("CARGO_MANIFEST_DIR")
         );
         let baseline = std::fs::read_to_string(&path).expect("committed baseline present");
-        let report = measure(exp, &ctx).expect("cells run");
-        assert!(
-            report.to_json() == baseline,
-            "{command}: BENCH report drifted from {path}"
-        );
+        let fresh = measure(exp, &ctx).expect("cells run").to_json();
+        if fresh != baseline {
+            drifted.push(format!(
+                "{command}: BENCH report drifted from {path}\n{}",
+                drift(&baseline, &fresh)
+            ));
+        }
     }
+    assert!(drifted.is_empty(), "{}", drifted.join("\n"));
 }
 
 /// The harness asks the library which target it needs instead of guessing
@@ -117,7 +175,7 @@ fn a_put_flushes_its_record_with_its_devices_primitive() {
 /// A cell's virtual time is identical under both scheduler disciplines, on
 /// the default profile and on one whose puts stream their records.
 #[test]
-fn autotune_is_scheduler_independent() {
+fn a_write_cell_is_scheduler_independent() {
     for profile in ["optane-gen1", "cxl"] {
         let run = |sched: SchedMode| {
             let mut cfg = CellConfig::paper_on(4, 1 << 20, profile_machine(profile));

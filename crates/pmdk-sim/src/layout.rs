@@ -160,11 +160,11 @@ fn bad<T>(msg: String) -> Result<T> {
 }
 
 fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("a 4-byte field"))
+    u32::from_le_bytes(b[..4].try_into().expect("a 4-byte slice is a [u8; 4]"))
 }
 
 fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("an 8-byte field"))
+    u64::from_le_bytes(b[..8].try_into().expect("an 8-byte slice is a [u8; 8]"))
 }
 
 // ---- byte sources ----
@@ -266,8 +266,8 @@ impl Superblock {
         if src.size() >= SUPERBLOCK_SIZE {
             src.read(0, &mut page);
         }
-        let word = |off: u64| u64::from_le_bytes(page[off as usize..][..8].try_into().unwrap());
-        let half = |off: u64| u32::from_le_bytes(page[off as usize..][..4].try_into().unwrap());
+        let word = |off: u64| le_u64(&page[off as usize..]);
+        let half = |off: u64| le_u32(&page[off as usize..]);
         let (magic, pool_size, heap) = (word(sb::MAGIC), word(sb::POOL_SIZE), word(sb::HEAP_START));
         let (root_off, root_size) = (word(sb::ROOT_OFF), word(sb::ROOT_SIZE));
         let (name_len, size) = (word(sb::LAYOUT_LEN), src.size());
@@ -431,14 +431,14 @@ impl BlockHeader {
         }
         let mut buf = [0u8; BLOCK_HEADER_SIZE as usize];
         dev.read_untimed(at as usize, &mut buf);
-        let magic = u32::from_le_bytes(buf[blk::MAGIC as usize..][..4].try_into().unwrap());
+        let magic = le_u32(&buf[blk::MAGIC as usize..]);
         if magic != BLOCK_MAGIC {
             return bad(format!("bad block magic {magic:#x} at {at:#x}"));
         }
         Ok(BlockHeader {
-            state: u32::from_le_bytes(buf[blk::STATE as usize..][..4].try_into().unwrap()),
-            size: u64::from_le_bytes(buf[blk::SIZE as usize..][..8].try_into().unwrap()),
-            prev_size: u64::from_le_bytes(buf[blk::PREV_SIZE as usize..][..8].try_into().unwrap()),
+            state: le_u32(&buf[blk::STATE as usize..]),
+            size: le_u64(&buf[blk::SIZE as usize..]),
+            prev_size: le_u64(&buf[blk::PREV_SIZE as usize..]),
         })
     }
 }
