@@ -7,9 +7,7 @@
 //! Adding an experiment is one row: a grid of `Row`s and the columns to
 //! keep.
 
-use crate::report::{
-    check_shape, render_checks, render_phase_breakdown, render_waterfall, Outcome, RunReport,
-};
+use crate::report::{check_shape, render_checks, render_waterfall, Outcome, RunReport};
 use crate::sweep::{run_cell, run_storm_cell, CellConfig, Direction};
 use baselines::{figure_lineup, AdiosLike, Netcdf4Like, PioLibrary, PmemcpyLib};
 use pmem_sim::{FlushStrategy, MachineConfig, MetricsRegistry};
@@ -562,9 +560,10 @@ fn write_file(path: &str, contents: &str) -> Result<(), String> {
 }
 
 /// What fig6/fig7 print beyond their rows: the table, chart and shape
-/// checks, the phase waterfall, and a traced re-run of the headline cell.
+/// checks and the phase waterfall; a traced re-run of the headline cell
+/// writes `results/<name>_trace.json`.
 fn figure(ctx: &Ctx, report: &RunReport) -> Result<(), String> {
-    use pmem_sim::{chrome_trace_json, CollectingSink, TraceSummary, DRAIN_LANE};
+    use pmem_sim::{chrome_trace_json, CollectingSink, DRAIN_LANE};
     let direction = report.rows[0].cells[0].direction;
     let title = match direction {
         Direction::Write => "Figure 6: writing a 40 GB (modelled) 3-D domain to PMEM",
@@ -582,17 +581,14 @@ fn figure(ctx: &Ctx, report: &RunReport) -> Result<(), String> {
     let waterfall_procs = if ctx.procs.contains(&24) { 24 } else { last };
     println!("{}", render_waterfall(report, waterfall_procs));
 
-    // Traced re-run of the paper's headline cell: where the virtual time
-    // goes inside PMCPY-A at 24 ranks. Tracing never changes the numbers.
+    // Traced re-run of the paper's headline cell (PMCPY-A at 24 ranks),
+    // exported for Perfetto. Tracing never changes the numbers.
     let sink = CollectingSink::new();
     let cfg = CellConfig::paper_on(24, ctx.real_bytes.min(16 << 20), ctx.machine.clone());
     let lib = PmemcpyLib::variant_a();
     run_cell(&lib, direction, &cfg, Some(sink.clone()), None);
     let spans = sink.take();
     let name = &report.name;
-    let title = format!("Phase breakdown (PMCPY-A, 24 procs, traced {name} cell)");
-    let summary = TraceSummary::from_spans(&spans);
-    println!("{}", render_phase_breakdown(&title, &summary));
     let mut lanes: Vec<(u64, String)> = (0..24).map(|r| (r, format!("rank {r}"))).collect();
     if spans.iter().any(|s| s.lane == DRAIN_LANE) {
         lanes.push((DRAIN_LANE, "drain (async)".to_string()));

@@ -3,7 +3,7 @@
 
 use crate::sweep::{CellResult, Direction, StormShape};
 use pmem_sim::trace::json_escape;
-use pmem_sim::{SimTime, TraceSummary};
+use pmem_sim::SimTime;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
@@ -208,23 +208,6 @@ fn check_flattening(fig: &RunReport, lib: &str) -> Vec<ShapeCheck> {
             pass: flat >= 0.85,
         });
     }
-    out
-}
-
-/// Render the traced phase breakdown that accompanies a figure: where the
-/// virtual time of one representative cell went, as percentages within
-/// each phase category plus the full aggregated table.
-pub(crate) fn render_phase_breakdown(title: &str, summary: &TraceSummary) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "## {title}");
-    for cat in ["put", "get", "mpi", "pmdk", "drain"] {
-        let line = summary.breakdown(cat);
-        if !line.is_empty() {
-            let _ = writeln!(out, "{cat:<6} {line}");
-        }
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "{summary}");
     out
 }
 
@@ -462,33 +445,6 @@ mod tests {
         }
         let checks = check_shape(&f, Direction::Write);
         assert!(checks.iter().any(|c| !c.pass));
-    }
-
-    #[test]
-    fn renders_phase_breakdown() {
-        use pmem_sim::TraceSpan;
-        use std::borrow::Cow;
-        let spans = vec![
-            TraceSpan {
-                cat: "put",
-                name: Cow::Borrowed("put.memcpy"),
-                lane: 0,
-                start: SimTime(0),
-                dur: SimTime(710),
-                arg: None,
-            },
-            TraceSpan {
-                cat: "put",
-                name: Cow::Borrowed("put.serialize"),
-                lane: 0,
-                start: SimTime(710),
-                dur: SimTime(290),
-                arg: None,
-            },
-        ];
-        let text = render_phase_breakdown("trace", &TraceSummary::from_spans(&spans));
-        assert!(text.contains("put.memcpy 71.0%"), "{text}");
-        assert!(text.contains("put.serialize 29.0%"), "{text}");
     }
 
     #[test]

@@ -206,10 +206,9 @@ pub fn run_cell(
         flush_strategy: cfg.machine.flush_strategy.name().to_string(),
         time,
         rank_times,
-        // All ranks have joined; the counters are quiesced, so the snapshot
-        // is a consistent point-in-time view (see the stats module's
-        // contract).
-        stats: machine.with_quiesced_stats(|s| *s),
+        // Every rank has joined: the counters are quiescent, so one
+        // snapshot is exact.
+        stats: machine.stats.snapshot(),
         metrics: registry.map(|r| r.snapshot()).unwrap_or_default(),
         mismatches,
     }

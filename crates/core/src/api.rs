@@ -15,7 +15,7 @@
 //! convention §3 describes — and per-rank blocks under
 //! `"<id>#block@o1,o2,..."`, mirroring how ADIOS keeps per-writer blocks.
 
-use crate::element::{pod_from_bytes, slice_as_bytes_mut, Element, Pod};
+use crate::element::{pod_from_bytes, Element, Pod};
 use crate::error::{PmemCpyError, Result};
 use crate::layout::{hashtable::HashtableLayout, hierarchical::HierarchicalLayout, Layout};
 use crate::options::Options;
@@ -217,19 +217,16 @@ impl Pmem {
         Ok(&self.m()?.clock)
     }
 
-    /// Check a decoded dtype against the requested element type. The raw
-    /// serializer erases type metadata, so the check is skipped for it.
-    pub(crate) fn check_dtype<T: Element>(&self, id: &str, found: Datatype) -> Result<()> {
-        if self.opts.serializer == "raw" {
+    /// Check a decoded dtype against the requested one. A format that is
+    /// not self-describing records no dtype, so anything passes there.
+    pub(crate) fn check_dtype(&self, id: &str, found: Datatype, expect: Datatype) -> Result<()> {
+        if found == expect || !self.opts.resolve_serializer()?.self_describing() {
             return Ok(());
         }
-        if found != T::DTYPE {
-            return Err(PmemCpyError::ShapeMismatch {
-                id: id.to_string(),
-                detail: format!("stored dtype {found:?}, requested {:?}", T::DTYPE),
-            });
-        }
-        Ok(())
+        Err(PmemCpyError::ShapeMismatch {
+            id: id.to_string(),
+            detail: format!("stored dtype {found:?}, requested {expect:?}"),
+        })
     }
 
     /// The handle's virtual clock (its rank's clock).
@@ -258,15 +255,12 @@ impl Pmem {
         self.store_one(|one| one.store_scalar(id, value))
     }
 
-    /// Load a scalar.
+    /// Load a scalar. Every `load_*` below is a read batch of one: a single
+    /// lookup returns header + payload (no separate `stat` round).
     pub fn load_scalar<T: Element>(&self, id: &str) -> Result<T> {
-        let m = self.m()?;
-        let mut out = [unsafe { std::mem::zeroed::<T>() }; 1];
-        let hdr = m
-            .layout
-            .load_into(&m.clock, id, slice_as_bytes_mut(&mut out))?;
-        self.check_dtype::<T>(id, hdr.meta.dtype)?;
-        Ok(out[0])
+        let mut batch = self.read_batch();
+        let h = batch.load_scalar::<T>(id)?;
+        Ok(batch.commit()?.take_scalar(h))
     }
 
     /// Store a dense 1-D array under `id` (dims recorded automatically).
@@ -274,8 +268,7 @@ impl Pmem {
         self.store_one(|one| one.store_slice(id, data))
     }
 
-    /// Load a dense 1-D array. A read batch of one: a single lookup returns
-    /// header + payload (no separate `stat` round).
+    /// Load a dense 1-D array.
     pub fn load_slice<T: Element>(&self, id: &str) -> Result<Vec<T>> {
         let mut batch = self.read_batch();
         let h = batch.load_slice::<T>(id)?;
@@ -286,10 +279,9 @@ impl Pmem {
     /// Load a dense 1-D array into a caller-provided buffer (no allocation;
     /// the buffer length must match the stored element count).
     pub fn load_slice_into<T: Element>(&self, id: &str, dst: &mut [T]) -> Result<()> {
-        let m = self.m()?;
-        let hdr = m.layout.load_into(&m.clock, id, slice_as_bytes_mut(dst))?;
-        self.check_dtype::<T>(id, hdr.meta.dtype)?;
-        Ok(())
+        let mut batch = self.read_batch();
+        batch.load_slice_into(id, dst)?;
+        batch.commit().map(drop)
     }
 
     /// Store a fixed-layout struct ("compound type").
@@ -299,9 +291,10 @@ impl Pmem {
 
     /// Load a fixed-layout struct.
     pub fn load_pod<T: Pod>(&self, id: &str) -> Result<T> {
-        let m = self.m()?;
         let mut bytes = vec![0u8; std::mem::size_of::<T>()];
-        m.layout.load_into(&m.clock, id, &mut bytes)?;
+        let mut batch = self.read_batch();
+        batch.load_bytes_into(id, &mut bytes);
+        batch.commit()?;
         Ok(pod_from_bytes(&bytes))
     }
 
@@ -343,14 +336,9 @@ impl Pmem {
         offsets: &[u64],
         dims: &[u64],
     ) -> Result<()> {
-        let m = self.m()?;
-        check_elements(id, dims, dst.len())?;
-        let key = block_key(id, offsets);
-        let hdr = m
-            .layout
-            .load_into(&m.clock, &key, slice_as_bytes_mut(dst))?;
-        self.check_dtype::<T>(id, hdr.meta.dtype)?;
-        Ok(())
+        let mut batch = self.read_batch();
+        batch.load_block_into(id, dst, offsets, dims)?;
+        batch.commit().map(drop)
     }
 
     // ---- attributes ----

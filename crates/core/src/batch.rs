@@ -115,7 +115,7 @@ impl<'a> WriteBatch<'a> {
         dims: &[u64],
     ) -> Result<()> {
         let (dtype, global) = self.resolve_dims(id)?;
-        self.pmem.check_dtype::<T>(id, dtype)?;
+        self.pmem.check_dtype(id, dtype, T::DTYPE)?;
         api::validate_block(id, &global, offsets, dims)?;
         api::check_elements(id, dims, data.len())?;
         let meta = VarMeta::block(id, T::DTYPE, &global, offsets, dims);

@@ -13,9 +13,9 @@
 //! (one chain walk per touched bucket on the hashtable layout), and the
 //! generic [`Layout::load_many`] pipeline decodes each record straight out
 //! of its mapping into a caller-chosen buffer. A single-key store is a
-//! write batch of one ([`crate::batch`]) and [`Layout::load_into`] /
-//! [`Layout::stat`] are batches of one, so there is exactly one code path
-//! per direction.
+//! write batch of one ([`crate::batch`]) and a single-key load a read batch
+//! of one ([`crate::read`]), so there is exactly one code path per
+//! direction.
 
 pub(crate) mod hashtable;
 pub(crate) mod hierarchical;
@@ -186,8 +186,8 @@ pub(crate) trait Layout: Send + Sync {
     /// location, then for each record decode the header, obtain the
     /// destination from `consumer`, and stream the payload straight out of
     /// the mapping — the read-side mirror of [`Layout::store_many`], and
-    /// the single code path behind [`Layout::load_into`] and
-    /// [`crate::ReadBatch`]. Returns the decoded headers in key order.
+    /// the single code path behind [`crate::ReadBatch`]. Returns the decoded
+    /// headers in key order.
     fn load_many(
         &self,
         clock: &Clock,
@@ -240,24 +240,6 @@ pub(crate) trait Layout: Send + Sync {
             loc.mapping.unmap(clock);
         }
         result
-    }
-
-    /// Decode `key`'s record, streaming the payload into `dst`
-    /// (`dst.len()` must equal the payload length). A batch of one through
-    /// [`Layout::load_many`] — one lookup returns header + payload.
-    fn load_into(&self, clock: &Clock, key: &str, dst: &mut [u8]) -> Result<VarHeader> {
-        struct One<'d> {
-            dst: &'d mut [u8],
-        }
-        impl ReadConsumer for One<'_> {
-            fn dst(&mut self, _idx: usize, _hdr: &VarHeader) -> Result<&mut [u8]> {
-                Ok(self.dst)
-            }
-        }
-        Ok(self
-            .load_many(clock, &[key], &mut One { dst })?
-            .pop()
-            .expect("load_many returns one header per key"))
     }
 
     /// Whether `key` exists.

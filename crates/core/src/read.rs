@@ -21,7 +21,7 @@
 use crate::api::{self, Pmem};
 use crate::batch::MAX_GROUP_KEYS;
 use crate::element::{slice_as_bytes_mut, Element};
-use crate::error::{PmemCpyError, Result};
+use crate::error::Result;
 use crate::layout::ReadConsumer;
 use pserial::{Datatype, VarHeader};
 use std::any::Any;
@@ -121,16 +121,6 @@ impl<'a> ReadBatch<'a> {
         self.keys.is_empty()
     }
 
-    /// The dtype the committed header must carry for element type `T`; the
-    /// raw serializer erases type metadata, so no expectation there.
-    fn expect_for<T: Element>(&self) -> Option<Datatype> {
-        if self.pmem.options().serializer == "raw" {
-            None
-        } else {
-            Some(T::DTYPE)
-        }
-    }
-
     fn push<T>(&mut self, key: String, expect: Option<Datatype>, slot: Slot<'a>) -> GetHandle<T> {
         let idx = self.keys.len();
         self.keys.push(key);
@@ -145,10 +135,9 @@ impl<'a> ReadBatch<'a> {
     /// Stage a scalar load (see [`Pmem::load_scalar`]); redeem with
     /// [`ReadResults::take_scalar`].
     pub fn load_scalar<T: Element>(&mut self, id: &str) -> Result<GetHandle<T>> {
-        let expect = self.expect_for::<T>();
         Ok(self.push(
             id.to_string(),
-            expect,
+            Some(T::DTYPE),
             Slot::Alloc {
                 make: make_scalar_vec::<T>,
                 vec: None,
@@ -160,10 +149,9 @@ impl<'a> ReadBatch<'a> {
     /// is sized from the stored header at commit. Redeem with
     /// [`ReadResults::take`].
     pub fn load_slice<T: Element>(&mut self, id: &str) -> Result<GetHandle<Vec<T>>> {
-        let expect = self.expect_for::<T>();
         Ok(self.push(
             id.to_string(),
-            expect,
+            Some(T::DTYPE),
             Slot::Alloc {
                 make: make_slice_vec::<T>,
                 vec: None,
@@ -179,8 +167,8 @@ impl<'a> ReadBatch<'a> {
         id: &str,
         dst: &'a mut [T],
     ) -> Result<GetHandle<()>> {
-        let expect = self.expect_for::<T>();
-        Ok(self.push(id.to_string(), expect, Slot::Into(slice_as_bytes_mut(dst))))
+        let dst = slice_as_bytes_mut(dst);
+        Ok(self.push(id.to_string(), Some(T::DTYPE), Slot::Into(dst)))
     }
 
     /// Stage this rank's block of the decomposed array `id` (see
@@ -195,12 +183,18 @@ impl<'a> ReadBatch<'a> {
     ) -> Result<GetHandle<()>> {
         api::check_elements(id, dims, dst.len())?;
         let key = api::block_key(id, offsets);
-        let expect = self.expect_for::<T>();
-        Ok(self.push(key, expect, Slot::Into(slice_as_bytes_mut(dst))))
+        Ok(self.push(key, Some(T::DTYPE), Slot::Into(slice_as_bytes_mut(dst))))
+    }
+
+    /// Stage a byte load of `key` into `dst`, which must match the payload
+    /// length (`Pmem::load_pod`); no dtype expectation.
+    pub(crate) fn load_bytes_into(&mut self, key: &str, dst: &'a mut [u8]) -> GetHandle<()> {
+        self.push(key.to_string(), None, Slot::Into(dst))
     }
 
     /// Stage a raw byte load of an internal companion key (`#dims`,
-    /// `#attr:`); no dtype expectation.
+    /// `#attr:`) or a stored block (`Pmem::load_region`); no dtype
+    /// expectation.
     pub(crate) fn load_bytes(&mut self, key: String) -> GetHandle<Vec<u8>> {
         self.push(
             key,
@@ -238,12 +232,7 @@ impl<'a> ReadBatch<'a> {
         }
         for (i, hdr) in headers.iter().enumerate() {
             if let Some(expect) = expects[i] {
-                if hdr.meta.dtype != expect {
-                    return Err(PmemCpyError::ShapeMismatch {
-                        id: keys[i].clone(),
-                        detail: format!("stored dtype {:?}, requested {expect:?}", hdr.meta.dtype),
-                    });
-                }
+                pmem.check_dtype(&keys[i], hdr.meta.dtype, expect)?;
             }
         }
         Ok(ReadResults {

@@ -99,13 +99,13 @@ impl Pmem {
         region_off: &[u64],
         region_dims: &[u64],
     ) -> Result<()> {
-        if self.options().serializer == "raw" {
+        if !self.options().resolve_serializer()?.self_describing() {
             return Err(PmemCpyError::Config(
                 "load_region needs a self-describing serializer".into(),
             ));
         }
         let (dtype, global) = self.load_dims(id)?;
-        self.check_dtype::<T>(id, dtype)?;
+        self.check_dtype(id, dtype, T::DTYPE)?;
         api::validate_block(id, &global, region_off, region_dims)?;
         api::check_elements(id, region_dims, dst.len())?;
         let want = dst.len() as u64;
@@ -127,8 +127,9 @@ impl Pmem {
             };
             // Load the whole block (per-block records are the I/O unit),
             // then copy the intersection into place.
-            let mut block = vec![0u8; hdr.payload_len as usize];
-            layout.load_into(clock, &key, &mut block)?;
+            let mut batch = self.read_batch();
+            let h = batch.load_bytes(key);
+            let block = batch.commit()?.take(h);
             copy_box(
                 esize,
                 &s_off,

@@ -523,9 +523,16 @@ mod tests {
         layout.store_many(&Clock::new(), &group).unwrap();
     }
 
+    /// A one-buffer consumer: the payload of the one key loaded.
+    impl ReadConsumer for Vec<u8> {
+        fn dst(&mut self, _idx: usize, _hdr: &VarHeader) -> Result<&mut [u8]> {
+            Ok(self)
+        }
+    }
+
     fn load(layout: &WriteBehindLayout, key: &str, len: usize) -> Vec<u8> {
         let mut dst = vec![0u8; len];
-        layout.load_into(&Clock::new(), key, &mut dst).unwrap();
+        layout.load_many(&Clock::new(), &[key], &mut dst).unwrap();
         dst
     }
 

@@ -192,14 +192,10 @@ impl Heap {
     /// One free-list pass: cut `group` — `need` bytes with the headers in
     /// between — out of the smallest free block that holds it (best fit).
     fn carve(&mut self, group: &[u64], need: u64) -> Option<Carve> {
-        let (&size, at) = self.free.range(need..).next()?;
-        let hdr = *at.first().expect("free set empty");
+        let (size, hdr) = (self.free.range(need..)).find_map(|(&s, at)| Some((s, *at.first()?)))?;
         let source = Block { hdr, size };
-        self.device
-            .machine()
-            .stats
-            .alloc_passes
-            .fetch_add(1, Ordering::Relaxed);
+        let passes = &self.device.machine().stats.alloc_passes;
+        passes.fetch_add(1, Ordering::Relaxed);
         self.remove_free(source.size, source.hdr);
         // Block 0 reuses the free block's header.
         let mut end = source.hdr;
@@ -216,8 +212,11 @@ impl Heap {
             self.free.entry(size).or_default().insert(end);
             Some(Block { hdr: end, size })
         } else {
-            // Too small to stand alone as a block: the last payload takes it.
-            blocks.last_mut().expect("group nonempty").size += slack;
+            // Too small to stand alone as a block: the last payload takes
+            // it (`plan` never carves an empty group).
+            if let Some(last) = blocks.last_mut() {
+                last.size += slack;
+            }
             None
         };
         Some(Carve {
@@ -383,11 +382,9 @@ impl Heap {
     }
 
     fn remove_free(&mut self, size: u64, hdr: u64) {
-        let set = self
-            .free
-            .get_mut(&size)
-            .expect("coalesce target not in free map");
-        set.remove(&hdr);
+        let set = self.free.entry(size).or_default();
+        let removed = set.remove(&hdr);
+        debug_assert!(removed, "coalesce target not in free map");
         if set.is_empty() {
             self.free.remove(&size);
         }

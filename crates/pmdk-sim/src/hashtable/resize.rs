@@ -250,6 +250,7 @@ impl PersistentHashtable {
                         walked = Some(chain);
                     }
                 }
+                #[allow(clippy::expect_used, reason = "a bucket the mirror lacks was walked")]
                 let c = walked.as_ref().or(mirror.get(b)).expect("walked whole");
                 // Each partition relinks in original order with a nul
                 // tail; next pointers already correct are left untouched.

@@ -22,6 +22,7 @@ pub(crate) const STRIPES: usize = u64::BITS as usize; // `lock_stripes`: a bit a
 pub(super) type Held<'a> = Vec<(usize, MutexGuard<'a, Mirror>)>;
 
 /// Stripe `sid`'s slice of the mirror, out of the stripes `held`.
+#[allow(clippy::expect_used, reason = "every caller passes a stripe it locked")]
 pub(super) fn mirror_in<'h>(held: &'h mut Held<'_>, sid: usize) -> &'h mut Mirror {
     let i = held.binary_search_by_key(&sid, |&(s, _)| s);
     &mut held[i.expect("the stripe is held")].1

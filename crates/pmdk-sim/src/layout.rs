@@ -160,11 +160,11 @@ fn bad<T>(msg: String) -> Result<T> {
 }
 
 fn le_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes(b[..4].try_into().expect("a 4-byte slice is a [u8; 4]"))
+    u32::from_le_bytes(std::array::from_fn(|i| b[i]))
 }
 
 fn le_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("an 8-byte slice is a [u8; 8]"))
+    u64::from_le_bytes(std::array::from_fn(|i| b[i]))
 }
 
 // ---- byte sources ----

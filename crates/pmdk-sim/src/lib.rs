@@ -22,6 +22,7 @@
 //! free lists are reconstructed at `open`, exactly as PMDK does.
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod alloc;
 pub mod doctor;

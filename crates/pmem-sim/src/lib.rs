@@ -56,6 +56,4 @@ pub use persistence::crash_subsets;
 pub use rng::DetRng;
 pub use stats::StatsSnapshot;
 pub use time::{atomic_section, enter_rank, interaction_point, Clock, ClockGate, SimTime};
-pub use trace::{
-    chrome_trace_json, CollectingSink, TraceSpan, TraceSummary, CKPT_LANE, DRAIN_LANE,
-};
+pub use trace::{chrome_trace_json, CollectingSink, TraceSpan, CKPT_LANE, DRAIN_LANE};

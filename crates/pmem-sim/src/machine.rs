@@ -18,7 +18,6 @@ use crate::metrics::{self, MetricsRegistry};
 use crate::stats::{Stats, StatsSnapshot};
 use crate::time::{Clock, SimTime};
 use crate::trace::{CollectingSink, TraceSpan};
-use std::borrow::Cow;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
@@ -257,7 +256,7 @@ impl Drop for Span<'_> {
         if let Some((sink, clock, start)) = self.trace {
             sink.record(TraceSpan {
                 cat: self.cat,
-                name: Cow::Borrowed(self.name),
+                name: self.name,
                 lane: clock.lane(),
                 start,
                 dur: clock.now().saturating_sub(start),
@@ -410,7 +409,7 @@ impl Machine {
         if let Some(sink) = self.trace.get() {
             sink.record(TraceSpan {
                 cat: "prim",
-                name: Cow::Borrowed(name),
+                name,
                 lane,
                 start,
                 dur,
@@ -636,27 +635,11 @@ impl Machine {
         self.stats.reset();
     }
 
-    /// Run `f` with a *quiesced* snapshot of the machine's counters.
-    ///
-    /// `Stats` counters are advisory Relaxed atomics: a snapshot taken
-    /// while other ranks are still charging can land between the fields of
-    /// one logical operation, and `Stats::reset` racing a snapshot can
-    /// under-report a region (see the contract on [`StatsSnapshot`]).
-    /// Measurement code must therefore only read deltas at points where no
-    /// rank is mutating — i.e. at rank barriers. This helper is that
-    /// read point: it re-snapshots until two consecutive snapshots agree,
-    /// so a straggler's in-flight burst is never cut in half, then hands
-    /// the settled snapshot to `f`. The bench harness calls it after the
-    /// closing barrier of each timed phase.
+    /// Run `f` on a snapshot of the machine's counters. Call it at a
+    /// quiescent point (after the ranks have joined), where one read is
+    /// exact — see the consistency contract of the stats module.
     pub fn with_quiesced_stats<T>(&self, f: impl FnOnce(&StatsSnapshot) -> T) -> T {
-        let mut prev = self.stats.snapshot();
-        loop {
-            let next = self.stats.snapshot();
-            if next == prev {
-                return f(&next);
-            }
-            prev = next;
-        }
+        f(&self.stats.snapshot())
     }
 }
 
@@ -767,7 +750,7 @@ mod tests {
         let (t_off, _) = run(false);
         let (t_on, spans) = run(true);
         assert_eq!(t_on, t_off, "tracing must not perturb virtual time");
-        let names: Vec<_> = spans.iter().map(|s| s.name.as_ref()).collect();
+        let names: Vec<_> = spans.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
             ["serialize", "pmem.write", "flush", "fence", "syscall"]

@@ -15,10 +15,8 @@
 //! under-report: fields read before the reset subtract a pre-reset baseline
 //! from a post-reset value and saturate to zero. The contract is therefore:
 //! **snapshot, delta and reset are only well-defined at quiescent points**
-//! — instants where no rank is mutating, i.e. at rank barriers. The bench
-//! harness enforces this by taking deltas through
-//! `Machine::with_quiesced_stats` immediately after a closing barrier,
-//! which re-reads until two consecutive snapshots agree.
+//! — instants where no rank is mutating. The join at the end of a world run
+//! is one: once every rank thread has returned, a single snapshot is exact.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,8 +37,8 @@ macro_rules! stats_fields {
 
         impl Stats {
             /// Copy every counter. Not atomic as a whole — see the module
-            /// docs: only well-defined at quiescent points (rank barriers);
-            /// prefer `Machine::with_quiesced_stats` from measurement code.
+            /// docs: only well-defined at quiescent points (after the
+            /// ranks have joined).
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
                     $($name: self.$name.load(Ordering::Relaxed),)+

@@ -11,14 +11,12 @@
 //! instrumentation sites in [`crate::machine::Machine`] and the layers
 //! above check a single `OnceLock` and bail out before building a span.
 //! When a [`CollectingSink`] is installed, spans accumulate in it;
-//! [`chrome_trace_json`] / [`TraceSummary`] are the two exporters (a Perfetto-loadable Chrome trace with one lane per
-//! rank, and an aggregated percentile table for the benchmark reports).
+//! [`chrome_trace_json`] exports them as a Perfetto-loadable Chrome trace
+//! with one lane per rank. Aggregates (per-lane phase totals, per-primitive
+//! histograms) are the [`MetricsRegistry`](crate::MetricsRegistry)'s job.
 
 use crate::sync::NoYieldMutex;
 use crate::time::SimTime;
-use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 /// Lane id used by background burst-buffer drain activity, which runs on
@@ -36,7 +34,7 @@ pub struct TraceSpan {
     /// "put"/"get" (pmemcpy phases), "drain", ...
     pub cat: &'static str,
     /// Operation name within the category, e.g. "pmem.write" or "tx.commit".
-    pub name: Cow<'static, str>,
+    pub name: &'static str,
     /// Lane the span belongs to — the rank id for rank clocks, or a
     /// reserved id like [`DRAIN_LANE`] for background activity.
     pub lane: u64,
@@ -126,7 +124,7 @@ pub fn chrome_trace_json(spans: &[TraceSpan], lane_names: &[(u64, String)]) -> S
             s.start.as_micros_f64(),
             s.dur.as_micros_f64(),
             json_escape(s.cat),
-            json_escape(&s.name),
+            json_escape(s.name),
         ));
         if let Some((k, v)) = s.arg {
             out.push_str(&format!(",\"args\":{{\"{}\":{v}}}", json_escape(k)));
@@ -137,106 +135,6 @@ pub fn chrome_trace_json(spans: &[TraceSpan], lane_names: &[(u64, String)]) -> S
     out
 }
 
-/// Aggregated statistics for one (category, name) operation class.
-#[derive(Debug, Clone)]
-pub struct TraceBucket {
-    pub cat: &'static str,
-    pub name: String,
-    pub count: u64,
-    pub total: SimTime,
-    pub p50: SimTime,
-    pub p95: SimTime,
-    pub max: SimTime,
-    /// This bucket's share of the total time spent in its category.
-    pub share_of_cat: f64,
-}
-
-/// Aggregated histogram/percentile summary over a set of spans, the
-/// report-friendly exporter ("serialize 12%, PMEM memcpy 71%, ...").
-#[derive(Debug, Clone, Default)]
-pub struct TraceSummary {
-    pub buckets: Vec<TraceBucket>,
-}
-
-impl TraceSummary {
-    pub fn from_spans(spans: &[TraceSpan]) -> Self {
-        let mut groups: BTreeMap<(&'static str, String), Vec<SimTime>> = BTreeMap::new();
-        for s in spans {
-            groups
-                .entry((s.cat, s.name.to_string()))
-                .or_default()
-                .push(s.dur);
-        }
-        let mut cat_totals: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for ((cat, _), durs) in &groups {
-            *cat_totals.entry(cat).or_default() += durs.iter().map(|d| d.0).sum::<u64>();
-        }
-        let mut buckets = Vec::with_capacity(groups.len());
-        for ((cat, name), mut durs) in groups {
-            durs.sort_unstable();
-            let total: SimTime = durs.iter().copied().sum();
-            let pick = |q: f64| {
-                let idx = ((durs.len() - 1) as f64 * q).round() as usize;
-                durs[idx]
-            };
-            let cat_total = cat_totals[cat].max(1);
-            buckets.push(TraceBucket {
-                cat,
-                name,
-                count: durs.len() as u64,
-                total,
-                p50: pick(0.50),
-                p95: pick(0.95),
-                max: *durs.last().unwrap(),
-                share_of_cat: total.0 as f64 / cat_total as f64,
-            });
-        }
-        // Largest contributors first within each category.
-        buckets.sort_by(|a, b| a.cat.cmp(b.cat).then(b.total.cmp(&a.total)));
-        TraceSummary { buckets }
-    }
-
-    /// Buckets restricted to one category.
-    pub fn category(&self, cat: &str) -> Vec<&TraceBucket> {
-        self.buckets.iter().filter(|b| b.cat == cat).collect()
-    }
-
-    /// One-line phase breakdown for a category, e.g.
-    /// `"put.memcpy 71.2%, put.serialize 12.4%, put.reserve 9.1%"`.
-    pub fn breakdown(&self, cat: &str) -> String {
-        self.category(cat)
-            .iter()
-            .map(|b| format!("{} {:.1}%", b.name, b.share_of_cat * 100.0))
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-}
-
-impl fmt::Display for TraceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{:<6} {:<18} {:>8} {:>12} {:>10} {:>10} {:>10} {:>7}",
-            "cat", "op", "count", "total", "p50", "p95", "max", "share"
-        )?;
-        for b in &self.buckets {
-            writeln!(
-                f,
-                "{:<6} {:<18} {:>8} {:>12} {:>10} {:>10} {:>10} {:>6.1}%",
-                b.cat,
-                b.name,
-                b.count,
-                b.total.to_string(),
-                b.p50.to_string(),
-                b.p95.to_string(),
-                b.max.to_string(),
-                b.share_of_cat * 100.0
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,7 +142,7 @@ mod tests {
     fn span(cat: &'static str, name: &'static str, lane: u64, start: u64, dur: u64) -> TraceSpan {
         TraceSpan {
             cat,
-            name: Cow::Borrowed(name),
+            name,
             lane,
             start: SimTime(start),
             dur: SimTime(dur),
@@ -282,47 +180,8 @@ mod tests {
 
     #[test]
     fn chrome_json_escapes_names() {
-        let spans = vec![TraceSpan {
-            cat: "x",
-            name: Cow::Owned("weird\"name\\with\nstuff".to_string()),
-            lane: 0,
-            start: SimTime::ZERO,
-            dur: SimTime(1),
-            arg: None,
-        }];
+        let spans = vec![span("x", "weird\"name\\with\nstuff", 0, 0, 1)];
         let json = chrome_trace_json(&spans, &[]);
         assert!(json.contains("weird\\\"name\\\\with\\nstuff"));
-    }
-
-    #[test]
-    fn summary_percentiles_and_shares() {
-        let mut spans = Vec::new();
-        for i in 0..100 {
-            spans.push(span("prim", "pmem.write", 0, i * 10, i + 1)); // durs 1..=100
-        }
-        spans.push(span("prim", "fence", 0, 0, 100));
-        let summary = TraceSummary::from_spans(&spans);
-        let write = summary
-            .buckets
-            .iter()
-            .find(|b| b.name == "pmem.write")
-            .unwrap();
-        assert_eq!(write.count, 100);
-        assert_eq!(write.total, SimTime(5050));
-        assert_eq!(write.max, SimTime(100));
-        assert!(write.p50 >= SimTime(49) && write.p50 <= SimTime(52));
-        assert!(write.p95 >= SimTime(94) && write.p95 <= SimTime(97));
-        // share within "prim": 5050 / 5150
-        assert!((write.share_of_cat - 5050.0 / 5150.0).abs() < 1e-9);
-        let line = summary.breakdown("prim");
-        assert!(line.starts_with("pmem.write"), "{line}");
-    }
-
-    #[test]
-    fn summary_display_renders_rows() {
-        let spans = vec![span("mpi", "barrier", 1, 0, 300)];
-        let text = TraceSummary::from_spans(&spans).to_string();
-        assert!(text.contains("barrier"));
-        assert!(text.contains("300ns"));
     }
 }

@@ -24,6 +24,10 @@ impl Serializer for Raw {
         0.0 // pure memcpy
     }
 
+    fn self_describing(&self) -> bool {
+        false
+    }
+
     fn serialized_len(&self, _meta: &VarMeta, payload_len: u64) -> u64 {
         4 + 4 + 8 + payload_len // magic + pad + len + payload
     }

@@ -27,6 +27,13 @@ pub trait Serializer: Send + Sync {
     /// base `serialize_ns_per_byte`). 0.0 = pure memcpy.
     fn cpu_cost_factor(&self) -> f64;
 
+    /// Whether a decoded header carries the record's dtype and shape. A
+    /// format that stores bytes only (raw) answers `false`: its readers
+    /// re-attach the metadata themselves.
+    fn self_describing(&self) -> bool {
+        true
+    }
+
     /// Exact on-wire size for this meta + payload length.
     fn serialized_len(&self, meta: &VarMeta, payload_len: u64) -> u64;
 

@@ -20,7 +20,7 @@ use crate::extents::{Extent, ExtentAllocator};
 use crate::path;
 use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, DaxMapping, Machine, PmemDevice};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,11 +54,6 @@ struct FsState {
     alloc: ExtentAllocator,
     fds: HashMap<u64, u64>, // fd -> node id
     next_fd: u64,
-    /// PageCache mode: max resident pages (None = unbounded) and the
-    /// FIFO-of-insertions used for eviction (stale entries skipped lazily).
-    cache_capacity: Option<u64>,
-    cache_fifo: VecDeque<(u64, u64)>, // (node id, page index)
-    cache_resident: u64,
 }
 
 /// Kind of a directory entry, for listings.
@@ -79,88 +74,24 @@ pub struct SimFs {
 const ROOT: u64 = 0;
 
 impl SimFs {
-    /// Mount a filesystem over `[data_start, data_end)` of the device.
-    pub(crate) fn mount(
-        device: Arc<PmemDevice>,
-        mode: MountMode,
-        data_start: u64,
-        data_end: u64,
-    ) -> Arc<Self> {
-        Self::mount_with_cache(device, mode, data_start, data_end, None)
-    }
-
-    /// Mount with a bounded page cache (PageCache mode): at most
-    /// `cache_pages` resident pages; exceeding the budget evicts in FIFO
-    /// order, writing dirty victims back to the media first.
-    pub(crate) fn mount_with_cache(
-        device: Arc<PmemDevice>,
-        mode: MountMode,
-        data_start: u64,
-        data_end: u64,
-        cache_pages: Option<u64>,
-    ) -> Arc<Self> {
-        assert!(data_end <= device.size() as u64 && data_start <= data_end);
+    /// Mount over the entire device. The page cache (PageCache mode) is
+    /// unbounded: a page stays resident until its file is truncated or
+    /// unlinked.
+    pub fn mount_all(device: Arc<PmemDevice>, mode: MountMode) -> Arc<Self> {
         let mut nodes = HashMap::new();
         nodes.insert(ROOT, Node::Dir(HashMap::new()));
+        let size = device.size() as u64;
         Arc::new(SimFs {
             device,
             mode,
             state: Mutex::new(FsState {
                 nodes,
                 next_node: 1,
-                alloc: ExtentAllocator::new(data_start, data_end - data_start),
+                alloc: ExtentAllocator::new(0, size),
                 fds: HashMap::new(),
                 next_fd: 3, // 0/1/2 are taken, as tradition demands
-                cache_capacity: cache_pages,
-                cache_fifo: VecDeque::new(),
-                cache_resident: 0,
             }),
         })
-    }
-
-    /// Mount over the entire device.
-    pub fn mount_all(device: Arc<PmemDevice>, mode: MountMode) -> Arc<Self> {
-        let end = device.size() as u64;
-        Self::mount(device, mode, 0, end)
-    }
-
-    /// Resident page-cache pages.
-    #[cfg(test)]
-    fn cached_pages(&self) -> u64 {
-        self.state.lock().cache_resident
-    }
-
-    /// Record a page becoming resident; evict beyond the budget. Dirty
-    /// victims are written back (media write charged to `clock`) first.
-    fn cache_insert(&self, clock: &Clock, state: &mut FsState, id: u64, page: u64) {
-        let Some(Node::File(f)) = state.nodes.get_mut(&id) else {
-            return;
-        };
-        if !f.cached.insert(page) {
-            return; // already resident
-        }
-        state.cache_fifo.push_back((id, page));
-        state.cache_resident += 1;
-        let Some(cap) = state.cache_capacity else {
-            return;
-        };
-        let page_bytes = self.page_size();
-        while state.cache_resident > cap {
-            let Some((vid, vpage)) = state.cache_fifo.pop_front() else {
-                break;
-            };
-            let Some(Node::File(vf)) = state.nodes.get_mut(&vid) else {
-                continue;
-            };
-            if !vf.cached.remove(&vpage) {
-                continue; // stale FIFO entry
-            }
-            state.cache_resident -= 1;
-            if vf.dirty.remove(&vpage) {
-                // Write the victim back before dropping it.
-                self.machine().charge_pmem_write(clock, page_bytes);
-            }
-        }
     }
 
     pub fn device(&self) -> &Arc<PmemDevice> {
@@ -471,11 +402,11 @@ impl SimFs {
             MountMode::PageCache => {
                 // Copy into the page cache now; media write happens at fsync.
                 let page = self.page_size();
-                for p in off / page..=(end - 1) / page {
-                    if let Some(Node::File(f)) = state.nodes.get_mut(&id) {
+                if let Some(Node::File(f)) = state.nodes.get_mut(&id) {
+                    for p in off / page..=(end - 1) / page {
                         f.dirty.insert(p);
+                        f.cached.insert(p);
                     }
-                    self.cache_insert(clock, &mut state, id, p);
                 }
                 drop(state);
                 self.device.write_untimed(dev_off, data);
@@ -530,17 +461,11 @@ impl SimFs {
             MountMode::PageCache => {
                 // Fault in missing pages from the media, then copy to user.
                 let page = self.page_size();
-                let mut missing = 0u64;
-                for p in off / page..=(off + n as u64 - 1) / page {
-                    let resident = matches!(
-                        state.nodes.get(&id),
-                        Some(Node::File(f)) if f.cached.contains(&p)
-                    );
-                    if !resident {
-                        missing += 1;
-                        self.cache_insert(clock, &mut state, id, p);
-                    }
-                }
+                let pages = off / page..=(off + n as u64 - 1) / page;
+                let missing = match state.nodes.get_mut(&id) {
+                    Some(Node::File(f)) => pages.filter(|&p| f.cached.insert(p)).count() as u64,
+                    _ => 0,
+                };
                 drop(state);
                 self.device.read_untimed(dev_off, &mut dst[..n]);
                 if missing > 0 {
@@ -777,52 +702,19 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_beyond_budget() {
-        let dev = PmemDevice::new(Machine::chameleon(), 4 << 20, PersistenceMode::Fast);
-        // Budget: 8 pages.
-        let fs = SimFs::mount_with_cache(dev, MountMode::PageCache, 0, 4 << 20, Some(8));
-        let c = Clock::new();
-        let fd = fs.create(&c, "/big").unwrap();
-        // Write 16 pages: only 8 stay resident.
-        fs.write_at(&c, fd, 0, &[7u8; 16 * 4096]).unwrap();
-        assert_eq!(fs.cached_pages(), 8);
-        // Evicted dirty pages were written back to the media.
-        let s = fs.device().machine().stats.snapshot();
-        assert!(
-            s.pmem_bytes_written >= 8 * 4096,
-            "writeback missing: {}",
-            s.pmem_bytes_written
-        );
-        // Data is still correct after eviction.
-        let mut buf = vec![0u8; 16 * 4096];
-        fs.read_at(&c, fd, 0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn evicted_pages_miss_on_reread() {
-        let dev = PmemDevice::new(Machine::chameleon(), 4 << 20, PersistenceMode::Fast);
-        let fs = SimFs::mount_with_cache(dev, MountMode::PageCache, 0, 4 << 20, Some(4));
-        let c = Clock::new();
-        let fd = fs.create(&c, "/f").unwrap();
-        fs.write_at(&c, fd, 0, &[1u8; 8 * 4096]).unwrap();
-        fs.fsync(&c, fd).unwrap();
-        // The first 4 pages were evicted; re-reading them hits the media.
-        let before = fs.device().machine().stats.snapshot().pmem_bytes_read;
-        let mut buf = vec![0u8; 4 * 4096];
-        fs.read_at(&c, fd, 0, &mut buf).unwrap();
-        let after = fs.device().machine().stats.snapshot().pmem_bytes_read;
-        assert!(after >= before + 4 * 4096, "expected media re-reads");
-    }
-
-    #[test]
     fn unbounded_cache_keeps_everything() {
         let dev = PmemDevice::new(Machine::chameleon(), 4 << 20, PersistenceMode::Fast);
         let fs = SimFs::mount_all(dev, MountMode::PageCache);
         let c = Clock::new();
         let fd = fs.create(&c, "/f").unwrap();
         fs.write_at(&c, fd, 0, &[1u8; 32 * 4096]).unwrap();
-        assert_eq!(fs.cached_pages(), 32);
+        let resident: usize = (fs.state.lock().nodes.values())
+            .map(|n| match n {
+                Node::File(f) => f.cached.len(),
+                Node::Dir(_) => 0,
+            })
+            .sum();
+        assert_eq!(resident, 32);
     }
 
     #[test]

@@ -2,25 +2,21 @@
 //! write (plus read-back and burst-buffer drain) through pMEMCPY.
 //!
 //! ```text
-//! cargo run --release --example trace_viewer [-- --summary]
+//! cargo run --release --example trace_viewer
 //! ```
 //!
 //! The trace lands in `results/trace_viewer.json`; open it at
 //! <https://ui.perfetto.dev> (or `chrome://tracing`). One lane per rank,
 //! plus a `drain` lane for the asynchronous burst-buffer flush. All
 //! timestamps are *simulated* nanoseconds — tracing never shifts them (the
-//! numbers are the same with the sink off; multi-rank runs carry the
-//! simulator's ambient < 0.1% run-to-run jitter either way, see ROADMAP).
-//!
-//! With `--summary`, additionally prints the per-category percentage
-//! breakdown ([`TraceSummary::breakdown`]) for every span category seen.
+//! numbers are the same with the sink off, and bit-reproducible run to
+//! run). Perfetto aggregates the slices; this example prints no table.
 
 use baselines::PmemcpyLib;
-use pmem_sim::{chrome_trace_json, CollectingSink, MachineConfig, TraceSummary, DRAIN_LANE};
+use pmem_sim::{chrome_trace_json, CollectingSink, MachineConfig, DRAIN_LANE};
 use pmemcpy_bench::{run_cell, CellConfig, Direction};
 
 fn main() {
-    let summary_mode = std::env::args().any(|a| a == "--summary");
     let nprocs = 8;
     let real_bytes = 8 << 20;
     let sink = CollectingSink::new();
@@ -62,22 +58,6 @@ fn main() {
         r.time.as_secs_f64(),
         spans.len()
     );
-    let summary = TraceSummary::from_spans(&spans);
-    println!("{summary}");
-    if summary_mode {
-        // Percentage breakdown per category, over every category that
-        // actually produced spans.
-        let mut cats: Vec<&str> = spans.iter().map(|s| s.cat).collect();
-        cats.sort_unstable();
-        cats.dedup();
-        println!("## per-category breakdown");
-        for cat in cats {
-            let line = summary.breakdown(cat);
-            if !line.is_empty() {
-                println!("{cat:<6} {line}");
-            }
-        }
-    }
     println!("[wrote results/trace_viewer.json — open in https://ui.perfetto.dev]");
 }
 

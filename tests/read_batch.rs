@@ -260,8 +260,8 @@ fn read_cell_bench_report_is_bit_reproducible_with_cache_on() {
 /// The single-pass chain walk: with the shadow cold (a reopened pool, so
 /// every first lookup walks the persistent chain), resolving a key charges
 /// at most 3 pool metadata reads — bucket head, one combined entry header,
-/// key bytes. The old `stat`+`load_into` path walked twice with 3 reads
-/// per hop each.
+/// key bytes. A header lookup followed by a separate payload lookup would
+/// walk twice, with 3 reads per hop each.
 #[test]
 fn cold_lookups_charge_at_most_three_pool_reads_per_key() {
     const N: usize = 32;
