@@ -19,6 +19,7 @@
 //!   ablate-fill        NetCDF fill vs NC_NOFILL
 //!   ablate-drain       asynchronous burst-buffer drain (Fig. 1 tier)
 //!   creation-storm     metadata storm: 8 ranks minting fresh keys; gates the chain-length bound
+//!   storm-value-sizes  8-rank storm over 8 B-4 KiB values (<= 2048 keys a rank): where the combined store stops paying
 //!   sweep-profiles     device-profile x flush-strategy grid; gates the device's own <= the other
 //!   sweep-profiles     second table: MAP_SYNC across the profiles (PMCPY-A vs PMCPY-B, write)
 //!   volume             PMCPY-A write/read vs modelled volume, 5-80 GB (bandwidth-bound: linear)

@@ -99,6 +99,13 @@ const WAL_APPENDS: Col = Col("wal_appends", |o| {
     o.cells[0].metrics.counter("wal.appends").to_string()
 });
 const PRIMITIVE: Col = Col("primitive", |o| o.cells[0].flush_strategy.clone());
+const META_WRITES: Col = Col("meta_writes", |o| {
+    let hists = &o.cells[0].metrics.hists;
+    hists
+        .get("pmem.meta_write")
+        .map_or(0, |h| h.count)
+        .to_string()
+});
 
 const WRITE: &[Direction] = &[Direction::Write];
 const WRITE_READ: &[Direction] = &[Direction::Write, Direction::Read];
@@ -362,6 +369,23 @@ pub static TABLE: &[Experiment] = &[
         },
         finish: Some(storm_gate),
         all_storm_keys: 16_384,
+        ..BASE
+    },
+    Experiment {
+        name: "storm-value-sizes",
+        help: "8-rank storm over 8 B-4 KiB values (<= 2048 keys a rank): where the combined store stops paying",
+        stem: "storm_value_sizes",
+        key: "value_bytes",
+        cols: &[WRITE_S, stat!(flush_calls), META_WRITES],
+        grid: |ctx| {
+            // At most 64 MiB of values a row.
+            let keys = ctx.storm_keys.min(2_048);
+            let row = |bytes: u64| Row {
+                key: bytes.to_string(),
+                cell: Cell::Storm(StormSpec::new(8, keys, bytes)),
+            };
+            [8, 64, 128, 160, 192, 256, 512, 4096].map(row).into()
+        },
         ..BASE
     },
     Experiment {

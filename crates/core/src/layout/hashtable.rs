@@ -66,9 +66,9 @@ impl Layout for HashtableLayout {
         // every value serialized into its entry before anything links it. A
         // fill that fails aborts the transaction; its error is the store's.
         let mut failed = None;
-        let stored = self.shared.hashtable.put_many(clock, &reqs, |i, v| {
-            let (offset, len) = (v.offset as usize, v.len as usize);
-            fill(self, clock, &puts[i], &self.mapping, offset, len)
+        let stored = self.shared.hashtable.put_many(clock, &reqs, |i, v, head| {
+            let window = (v.offset as usize, v.len as usize);
+            fill(self, clock, &puts[i], &self.mapping, window, head)
                 .map(|()| None)
                 .map_err(|e| {
                     let abort = PmdkError::TxFailure(format!("{}: {e}", puts[i].key));

@@ -82,7 +82,7 @@ impl Layout for HierarchicalLayout {
         };
         // Each file is its own record: filled, fenced, unmapped.
         for ((put, len), mapping) in puts.iter().zip(lens).zip(mappings) {
-            fill(self, clock, put, &mapping, 0, len as usize)?;
+            fill(self, clock, put, &mapping, (0, len as usize), [&[], &[]])?;
             mapping.device().drain(clock);
             mapping.unmap(clock);
         }

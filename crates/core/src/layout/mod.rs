@@ -63,29 +63,33 @@ pub(crate) fn serialize(layout: &dyn Layout, clock: &Clock, puts: &[PutRequest<'
 }
 
 /// The fill of every layout's put: stream `put`'s record straight into the
-/// `len`-byte window at `offset` of `mapping` — no DRAM staging — and flush
-/// it. The fence that makes it durable is the layout's: the hashtable's is
-/// the commit that publishes the group, the hierarchical layout's the
-/// file's own.
+/// `len`-byte window at `offset` of `mapping` — no DRAM staging — behind
+/// `head`, the metadata that shares its first store (the hashtable's block
+/// and entry headers of a small record; empty elsewhere), and flush the
+/// whole once. The fence that makes it durable is the layout's: the
+/// hashtable's is the carve's or the commit's before the group is
+/// published, the hierarchical layout's the file's own.
 pub(crate) fn fill(
     layout: &dyn Layout,
     clock: &Clock,
     put: &PutRequest<'_>,
     mapping: &DaxMapping,
-    offset: usize,
-    len: usize,
+    (offset, len): (usize, usize),
+    head: [&[u8]; 2],
 ) -> Result<()> {
     let _span = (layout.machine())
         .phase(clock, "put", "put.memcpy")
         .arg("bytes", len as u64);
-    let mut sink = MappingSink::new(mapping, clock, offset, len)?;
+    let mut sink = MappingSink::headed(mapping, clock, offset, len, head)?;
     layout
         .serializer()
         .write_var(put.meta, put.payload, &mut sink)?;
     // The window's last store must precede the flush that covers it.
     let written = sink.finish();
     debug_assert_eq!(written, len);
-    mapping.flush(clock, offset, len);
+    let head = head.map(<[u8]>::len);
+    let meta = head.iter().sum::<usize>();
+    mapping.flush_headed(clock, offset - meta, meta + len, &head);
     Ok(())
 }
 

@@ -18,15 +18,17 @@
 //! `dram_bytes_copied` stays 0. An 8-byte BP4 record (about 100 bytes) is one
 //! store on the way in and one load on the way out; a large record is
 //! header / payload / trailer = three accesses in each direction.
+//!
+//! A sink may also start its window with a *head*: the metadata that lies
+//! right before the record on media ([`MappingSink::headed`]). The
+//! hashtable hands a small group's fill its block header and entry header,
+//! so block header, entry, key and record leave in one store and one flush
+//! ([`DaxMapping::store_headed`] / [`DaxMapping::flush_headed`] charge each
+//! byte as the separate stores did — the head unscaled — and save only the
+//! per-operation costs).
 
-use pmem_sim::{Clock, DaxMapping};
+use pmem_sim::{Clock, DaxMapping, WINDOW};
 use pserial::{ReadSource, Result as SResult, SerialError, WriteSink};
-
-/// Size of the write-combining and read-ahead windows: the internal block of
-/// the modelled media ("Persistent Memory I/O Primitives" measures Optane at
-/// 256 bytes), which is also more than any header the four formats emit for
-/// the benchmark's variables. One constant, not a tunable.
-const WINDOW: usize = 256;
 
 /// `[base, base + limit)` must lie inside `mapping`. A window that does not
 /// is a reservation bug or a corrupt `ValueRef` (whose sum may not even fit
@@ -56,9 +58,12 @@ pub(crate) struct MappingSink<'a> {
     base: usize,
     pos: usize,
     limit: usize,
-    /// The record bytes `[pos - held, pos)`, accepted but not yet stored.
+    /// `window[..held]`: the head, until the first store takes it, then
+    /// the record bytes up to `pos` accepted but not yet stored.
     window: [u8; WINDOW],
     held: usize,
+    /// The lengths of the head's structures still in the window.
+    head: [usize; 2],
 }
 
 impl<'a> MappingSink<'a> {
@@ -78,16 +83,44 @@ impl<'a> MappingSink<'a> {
             limit,
             window: [0; WINDOW],
             held: 0,
+            head: [0; 2],
         })
+    }
+
+    /// A sink whose first store also carries `head`: the metadata structures
+    /// that lie, back to back, right before the record at `base` — at most
+    /// one window of them, charged as the metadata plane charges them
+    /// ([`DaxMapping::store_headed`]).
+    pub(crate) fn headed(
+        mapping: &'a DaxMapping,
+        clock: &'a Clock,
+        base: usize,
+        limit: usize,
+        head: [&[u8]; 2],
+    ) -> SResult<Self> {
+        let mut sink = Self::new(mapping, clock, base, limit)?;
+        let meta = head.iter().map(|h| h.len()).sum::<usize>();
+        if meta > base.min(WINDOW) {
+            return Err(SerialError::ShortBuffer {
+                need: meta as u64,
+                have: base.min(WINDOW) as u64,
+            });
+        }
+        for h in head {
+            sink.window[sink.held..sink.held + h.len()].copy_from_slice(h);
+            sink.held += h.len();
+        }
+        sink.head = head.map(<[u8]>::len);
+        Ok(sink)
     }
 
     /// One store for everything the window holds.
     fn flush(&mut self) {
         if self.held > 0 {
             let at = self.base + self.pos - self.held;
-            self.mapping
-                .store(self.clock, at, &self.window[..self.held]);
-            self.held = 0;
+            let bytes = &self.window[..self.held];
+            self.mapping.store_headed(self.clock, at, bytes, &self.head);
+            (self.held, self.head) = (0, [0; 2]);
         }
     }
 
@@ -226,7 +259,10 @@ mod tests {
     /// A metered mapping whose page at [`AT`] is already touched, so a clock
     /// delta over accesses there is media charges and nothing else.
     fn fixture() -> (Arc<DaxMapping>, Clock, Arc<MetricsRegistry>) {
-        let machine = Machine::chameleon();
+        fixture_on(Machine::chameleon())
+    }
+
+    fn fixture_on(machine: Arc<Machine>) -> (Arc<DaxMapping>, Clock, Arc<MetricsRegistry>) {
         let registry = MetricsRegistry::new();
         machine.set_metrics(Arc::clone(&registry));
         let dev = PmemDevice::new(machine, LEN, PersistenceMode::Fast);
@@ -453,6 +489,132 @@ mod tests {
                 "case {case}: {get:?}"
             );
         }
+    }
+
+    /// A record stored behind its heads — an interior block's header and
+    /// its entry's — charges each byte as the three stores it replaces did:
+    /// the heads unscaled, the record at `byte_scale`, page faults over the
+    /// record only, and as many flushed lines. Only two write latencies
+    /// and two flush bases are saved. At `byte_scale` 1000 the planes
+    /// differ most; a per-line cost of 1 ns makes the lines visible.
+    #[test]
+    fn a_headed_store_charges_each_byte_as_its_three_stores_did() {
+        let config = pmem_sim::MachineConfig {
+            byte_scale: 1000,
+            flush_per_line: SimTime::from_nanos(1),
+            ..pmem_sim::MachineConfig::chameleon_skylake()
+        };
+        let (meta, payload) = (VarMeta::local_array("v", Datatype::U8, &[8]), [7u8; 8]);
+        let need = Bp4.serialized_len(&meta, 8) as usize;
+        let (block, entry) = ([0xB0u8; 32], [0xE0u8; 54]);
+        // The heads open a page no access has touched yet.
+        let (heads, rec) = (2 * 4096, 2 * 4096 + 86);
+        let run = |accesses: &dyn Fn(&DaxMapping, &Clock)| {
+            let (m, clock, registry) = fixture_on(Machine::new(config.clone()));
+            let (before, t0) = (m.device().machine().stats.snapshot(), clock.now());
+            accesses(&m, &clock);
+            let ops = registry.snapshot().hists;
+            let sum = |name| {
+                ops.get(name)
+                    .map_or((0, 0), |h| (h.count, h.sum.as_nanos()))
+            };
+            let stats = m.device().machine().stats.snapshot().delta_since(&before);
+            let media = m.device().read_vec_untimed(heads, 86 + need);
+            let (flushes, flush_ns) = sum("flush");
+            let lines = flush_ns - flushes * config.flush_base.as_nanos();
+            let stores = sum("pmem.write").0 + sum("pmem.meta_write").0;
+            let time = clock.now() - t0;
+            (
+                media,
+                stats.pmem_bytes_written,
+                stats.page_faults,
+                lines,
+                (stores, flushes),
+                time,
+            )
+        };
+        let one = run(&|m, c| {
+            let mut sink = MappingSink::headed(m, c, rec, need, [&block, &entry]).unwrap();
+            Bp4.write_var(&meta, &payload, &mut sink).unwrap();
+            assert_eq!(sink.finish(), need);
+            m.flush_headed(c, heads, 86 + need, &[32, 54]);
+        });
+        let three = run(&|m, c| {
+            let dev = m.device();
+            dev.write_meta(c, heads, &block);
+            dev.flush(c, heads, 32);
+            let mut sink = MappingSink::new(m, c, rec, need).unwrap();
+            Bp4.write_var(&meta, &payload, &mut sink).unwrap();
+            assert_eq!(sink.finish(), need);
+            m.flush(c, rec, need);
+            dev.write_meta(c, heads + 32, &entry);
+            dev.flush(c, heads + 32, 54);
+        });
+        assert_eq!(
+            (&one.0, one.1, one.2, one.3),
+            (&three.0, three.1, three.2, three.3)
+        );
+        assert_eq!((one.4, three.4), ((1, 1), (3, 3)));
+        assert_eq!(three.2, 1000, "one page of the record, scaled");
+        let saved = (config.pmem_write_latency + config.flush_base) * 2;
+        let slack = three.5 - one.5;
+        assert!(
+            slack.as_nanos().abs_diff(saved.as_nanos()) <= 2,
+            "{slack:?} vs {saved:?}"
+        );
+    }
+
+    /// A group of 64 fresh 8-byte puts through `Pmem` stores each record as
+    /// one `pmem.write` that carries its block and entry headers: past the
+    /// first put, each costs one metadata write (its head word) and two
+    /// flushes (its window, its head word) — three stores and four flushes
+    /// before — and the group pays the fences it paid before.
+    #[test]
+    fn a_fresh_small_put_is_one_store_with_its_heads() {
+        use crate::{MmapTarget, Pmem};
+        let machine = Machine::chameleon();
+        let registry = MetricsRegistry::new();
+        machine.set_metrics(Arc::clone(&registry));
+        let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
+        let comm = mpi_sim::Comm::new(mpi_sim::World::new(Arc::clone(&machine), 1), 0);
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        pmem.store_scalar("warm", 0u64).unwrap();
+        let ops = |name| registry.snapshot().hists.get(name).map_or(0, |h| h.count);
+        let group = |keys: std::ops::Range<u64>| {
+            let (writes, meta, before) = (
+                ops("pmem.write"),
+                ops("pmem.meta_write"),
+                machine.stats.snapshot(),
+            );
+            let mut batch = pmem.batch();
+            for i in keys {
+                batch.store_scalar(&format!("key{i:04}"), i).unwrap();
+            }
+            batch.commit().unwrap();
+            let d = machine.stats.snapshot().delta_since(&before);
+            (
+                ops("pmem.write") - writes,
+                ops("pmem.meta_write") - meta,
+                d.flush_calls,
+                d.fences,
+            )
+        };
+        let one = group(0..1);
+        let (writes, meta, flushes, fences) = group(1..65);
+        assert_eq!((one.0, writes), (1, 64));
+        assert!(
+            meta - one.1 <= 63,
+            "{meta} metadata writes, {} for one put",
+            one.1
+        );
+        assert!(
+            flushes - one.2 <= 2 * 63,
+            "{flushes} flushes, {} for one put",
+            one.2
+        );
+        assert_eq!((one.3, fences), (12, 12));
+        pmem.munmap().unwrap();
     }
 
     #[test]

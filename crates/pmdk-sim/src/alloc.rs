@@ -35,6 +35,12 @@ struct Block {
     size: u64,
 }
 
+/// How a group's blocks are written under the heap lock: `store(i,
+/// payloads, header)` writes block `i`, whose payload is at `payloads[i]`,
+/// led by `header`, its encoded block header — empty for a carve's first
+/// block, whose header is the carve's commit point and is written after it.
+pub(crate) type Store<'a> = dyn FnMut(usize, &[u64], &[u8]) -> Result<()> + 'a;
+
 /// One planned cut: `blocks`, back to back from the header of the free
 /// block `source`, and the free `tail` split off behind them.
 #[derive(Debug)]
@@ -48,18 +54,8 @@ impl Heap {
     /// Format a fresh heap: one giant free block.
     pub(crate) fn format(clock: &Clock, device: &Arc<PmemDevice>, heap_start: u64, heap_end: u64) {
         assert!(heap_end > heap_start + BLOCK_HEADER_SIZE + HEAP_ALIGN);
-        let payload = heap_end - heap_start - BLOCK_HEADER_SIZE;
-        let payload = payload & !(HEAP_ALIGN - 1);
-        write_header(
-            clock,
-            device,
-            heap_start,
-            BlockHeader {
-                state: BLOCK_FREE,
-                size: payload,
-                prev_size: 0,
-            },
-        );
+        let payload = (heap_end - heap_start - BLOCK_HEADER_SIZE) & !(HEAP_ALIGN - 1);
+        write_header(clock, device, heap_start, &header(BLOCK_FREE, payload, 0));
     }
 
     /// Rebuild the volatile free list from the shared heap walk; the first
@@ -119,7 +115,7 @@ impl Heap {
     /// Returns the *payload* device offset.
     #[cfg(test)]
     fn alloc(&mut self, clock: &Clock, size: u64) -> Result<u64> {
-        Ok(self.alloc_many(clock, &[size], |_| {})?[0])
+        Ok(self.alloc_many(clock, &[size], |_| {}, None)?[0])
     }
 
     /// Allocate one aligned payload per entry of `sizes`; payload offsets
@@ -128,7 +124,10 @@ impl Heap {
     /// a single free-list pass, or a block a request when none holds the
     /// combined extent — and `planned` sees the offsets before any header
     /// says so: a transaction persists its intents there. Then each carve
-    /// is committed. A plan that does not fit touches no media.
+    /// is committed, its blocks written by `store` when one is given — each
+    /// header then shares a store with the block's contents — else header
+    /// by header. A plan that does not fit touches no media; a `store` that
+    /// fails leaves its carve, and every later one, as it found them.
     ///
     /// Crash semantics: block 0's header is a carve's commit point and is
     /// written last. Until it flips to `BLOCK_ALLOC` the rebuild walk sees
@@ -139,6 +138,7 @@ impl Heap {
         clock: &Clock,
         sizes: &[u64],
         planned: impl FnOnce(&[u64]),
+        mut store: Option<&mut Store<'_>>,
     ) -> Result<Vec<u64>> {
         if sizes.is_empty() {
             return Ok(Vec::new());
@@ -149,8 +149,16 @@ impl Heap {
             .flat_map(|c| c.blocks.iter().map(|b| b.hdr + BLOCK_HEADER_SIZE))
             .collect();
         planned(&payloads);
-        for carve in &carves {
-            self.commit(clock, carve);
+        let mut first = 0;
+        for (c, carve) in carves.iter().enumerate() {
+            let stored = self.commit(clock, carve, (first, &payloads), store.as_deref_mut());
+            if let Err(e) = stored {
+                for carve in carves[c..].iter().rev() {
+                    self.uncarve(carve);
+                }
+                return Err(e);
+            }
+            first += carve.blocks.len();
         }
         Ok(payloads)
     }
@@ -234,43 +242,56 @@ impl Heap {
         self.free.entry(size).or_default().insert(hdr);
     }
 
-    /// Write a planned carve's headers. All but block 0's — the tail split
-    /// off, the successor's back link, the interior blocks back to front —
-    /// are invisible while block 0 still says FREE and share one drain;
-    /// block 0's header is the commit point, persisted on its own.
-    fn commit(&mut self, clock: &Clock, carve: &Carve) {
+    /// Write a planned carve, whose first block is block `first` of the
+    /// group at `payloads`. A `store` writes the blocks first, back to
+    /// front, so one that fails has written nothing outside the source
+    /// block, which still says FREE. Then the tail split off and the
+    /// successor's back link, and — without a `store` — the interior
+    /// headers, back to front. All of it is invisible while block 0 still
+    /// says FREE and shares one drain; block 0's header is the commit point,
+    /// persisted on its own.
+    fn commit(
+        &mut self,
+        clock: &Clock,
+        carve: &Carve,
+        (first, payloads): (usize, &[u64]),
+        store: Option<&mut Store<'_>>,
+    ) -> Result<()> {
         let blocks = &carve.blocks;
-        let (first, last) = (blocks[0], blocks[blocks.len() - 1]);
+        let (b0, last) = (blocks[0], blocks[blocks.len() - 1]);
+        let each = |store: &mut Store<'_>| {
+            for (j, pair) in blocks.windows(2).enumerate().rev() {
+                let interior = header(BLOCK_ALLOC, pair[1].size, pair[0].size);
+                store(first + j + 1, payloads, &interior)?;
+            }
+            store(first, payloads, &[])
+        };
+        let headers_later = store.is_none();
+        if let Some(store) = store {
+            each(store)?;
+        }
         // A lone block that took its free block whole changes nothing
         // around it.
         if last.size != carve.source.size {
             if let Some(tail) = carve.tail {
-                let free = BlockHeader {
-                    state: BLOCK_FREE,
-                    size: tail.size,
-                    prev_size: last.size,
-                };
-                write_header_unfenced(clock, &self.device, tail.hdr, free);
+                let free = header(BLOCK_FREE, tail.size, last.size);
+                write_unfenced(clock, &self.device, tail.hdr, &free);
             }
             let end = carve.tail.unwrap_or(last);
             self.fix_next_prev_size(clock, end.hdr, end.size);
-            for pair in blocks.windows(2).rev() {
-                let interior = BlockHeader {
-                    state: BLOCK_ALLOC,
-                    size: pair[1].size,
-                    prev_size: pair[0].size,
-                };
-                write_header_unfenced(clock, &self.device, pair[1].hdr, interior);
+            if headers_later {
+                let device = &self.device;
+                each(&mut |i, at, header| {
+                    write_unfenced(clock, device, at[i] - BLOCK_HEADER_SIZE, header);
+                    Ok(())
+                })?;
             }
             self.device.drain(clock);
         }
-        let commit = BlockHeader {
-            state: BLOCK_ALLOC,
-            size: first.size,
-            prev_size: read_prev(&self.device, first.hdr),
-        };
-        write_header(clock, &self.device, first.hdr, commit);
+        let commit = header(BLOCK_ALLOC, b0.size, read_prev(&self.device, b0.hdr));
+        write_header(clock, &self.device, b0.hdr, &commit);
         self.allocated += blocks.iter().map(|b| b.size).sum::<u64>();
+        Ok(())
     }
 
     /// Free the payload at `payload_off`, coalescing with free neighbours.
@@ -312,27 +333,11 @@ impl Heap {
             // copy already says FREE — a re-run of this free (recovery
             // replays deferred frees) or a double free is refused instead of
             // misreading leftover ALLOC bytes inside a free block.
-            write_header(
-                clock,
-                &self.device,
-                hdr_off,
-                BlockHeader {
-                    state: BLOCK_FREE,
-                    size: h.size,
-                    prev_size: h.prev_size,
-                },
-            );
+            let stale = header(BLOCK_FREE, h.size, h.prev_size);
+            write_header(clock, &self.device, hdr_off, &stale);
         }
-        write_header(
-            clock,
-            &self.device,
-            start,
-            BlockHeader {
-                state: BLOCK_FREE,
-                size: payload,
-                prev_size,
-            },
-        );
+        let merged = header(BLOCK_FREE, payload, prev_size);
+        write_header(clock, &self.device, start, &merged);
         self.fix_next_prev_size(clock, start, payload);
         self.free.entry(payload).or_default().insert(start);
         Ok(())
@@ -411,28 +416,30 @@ fn read_prev(device: &Arc<PmemDevice>, hdr_off: u64) -> u64 {
     u64::from_le_bytes(b)
 }
 
-fn encode_header(h: BlockHeader) -> [u8; BLOCK_HEADER_SIZE as usize] {
+/// A block header's bytes: its `state`, its payload `size` and its physical
+/// predecessor's.
+fn header(state: u32, size: u64, prev_size: u64) -> [u8; BLOCK_HEADER_SIZE as usize] {
     let mut buf = [0u8; BLOCK_HEADER_SIZE as usize];
     buf[blk::MAGIC as usize..][..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
-    buf[blk::STATE as usize..][..4].copy_from_slice(&h.state.to_le_bytes());
-    buf[blk::SIZE as usize..][..8].copy_from_slice(&h.size.to_le_bytes());
-    buf[blk::PREV_SIZE as usize..][..8].copy_from_slice(&h.prev_size.to_le_bytes());
+    buf[blk::STATE as usize..][..4].copy_from_slice(&state.to_le_bytes());
+    buf[blk::SIZE as usize..][..8].copy_from_slice(&size.to_le_bytes());
+    buf[blk::PREV_SIZE as usize..][..8].copy_from_slice(&prev_size.to_le_bytes());
     buf
 }
 
-/// Persist a full block header (timed write + persist).
-pub(crate) fn write_header(clock: &Clock, device: &Arc<PmemDevice>, hdr_off: u64, h: BlockHeader) {
-    let buf = encode_header(h);
-    device.write_meta(clock, hdr_off as usize, &buf);
-    device.persist(clock, hdr_off as usize, BLOCK_HEADER_SIZE as usize);
+/// Persist a block header (timed write + persist).
+fn write_header(clock: &Clock, device: &Arc<PmemDevice>, hdr_off: u64, h: &[u8]) {
+    device.write_meta(clock, hdr_off as usize, h);
+    device.persist(clock, hdr_off as usize, h.len());
 }
 
-/// Write and flush a block header without fencing; the caller batches one
-/// drain over a group of such writes.
-fn write_header_unfenced(clock: &Clock, device: &Arc<PmemDevice>, hdr_off: u64, h: BlockHeader) {
-    let buf = encode_header(h);
-    device.write_meta(clock, hdr_off as usize, &buf);
-    device.flush(clock, hdr_off as usize, BLOCK_HEADER_SIZE as usize);
+/// Write and flush metadata without fencing; the caller batches one drain
+/// over a group of such writes. An empty write is none.
+fn write_unfenced(clock: &Clock, device: &Arc<PmemDevice>, off: u64, bytes: &[u8]) {
+    if !bytes.is_empty() {
+        device.write_meta(clock, off as usize, bytes);
+        device.flush(clock, off as usize, bytes.len());
+    }
 }
 
 #[cfg(test)]
@@ -552,7 +559,7 @@ mod tests {
         let machine = Arc::clone(heap.device.machine());
         let before = machine.stats.snapshot();
         let ptrs = heap
-            .alloc_many(&clock, &[100, 7, 4096, 64], |_| {})
+            .alloc_many(&clock, &[100, 7, 4096, 64], |_| {}, None)
             .unwrap();
         let delta = machine.stats.snapshot().delta_since(&before);
         assert_eq!(delta.alloc_passes, 1);
@@ -578,7 +585,7 @@ mod tests {
         // Carve the whole heap so the remainder is below a block's minimum.
         let leave = BLOCK_HEADER_SIZE + HEAP_ALIGN / 2;
         let first = free_before - leave - BLOCK_HEADER_SIZE - HEAP_ALIGN;
-        let ptrs = heap.alloc_many(&clock, &[first, 1], |_| {}).unwrap();
+        let ptrs = heap.alloc_many(&clock, &[first, 1], |_| {}, None).unwrap();
         assert_eq!(heap.free_block_count(), 0);
         assert!(heap.usable_size(ptrs[1]).unwrap() > HEAP_ALIGN);
         heap.check_invariants().unwrap();
@@ -597,7 +604,9 @@ mod tests {
             heap.free(&clock, p).unwrap();
         }
         // No single free block holds 2 * chunk + header, but two do singly.
-        let ptrs = heap.alloc_many(&clock, &[chunk, chunk], |_| {}).unwrap();
+        let ptrs = heap
+            .alloc_many(&clock, &[chunk, chunk], |_| {}, None)
+            .unwrap();
         assert_eq!(ptrs.len(), 2);
         heap.check_invariants().unwrap();
     }
@@ -605,10 +614,13 @@ mod tests {
     #[test]
     fn alloc_many_of_zero_or_one_degenerates() {
         let (mut heap, clock) = fresh_heap(16 * 1024);
-        assert!(heap.alloc_many(&clock, &[], |_| {}).unwrap().is_empty());
-        let one = heap.alloc_many(&clock, &[33], |_| {}).unwrap();
+        assert!(heap
+            .alloc_many(&clock, &[], |_| {}, None)
+            .unwrap()
+            .is_empty());
+        let one = heap.alloc_many(&clock, &[33], |_| {}, None).unwrap();
         assert_eq!(heap.usable_size(one[0]).unwrap(), HEAP_ALIGN);
-        assert!(heap.alloc_many(&clock, &[16, 0], |_| {}).is_err());
+        assert!(heap.alloc_many(&clock, &[16, 0], |_| {}, None).is_err());
         heap.check_invariants().unwrap();
     }
 }

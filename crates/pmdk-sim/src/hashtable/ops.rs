@@ -12,7 +12,7 @@ use super::mirror::{search, Chain, Key, Known, Mirror};
 use super::route::{mirror_in, Held, Route};
 use super::*;
 use crate::error::PmdkError;
-use pmem_sim::SimTime;
+use pmem_sim::{SimTime, WINDOW};
 use std::collections::BTreeMap;
 
 /// What [`PersistentHashtable::lookup`] found in one bucket: each key's
@@ -62,14 +62,22 @@ impl PersistentHashtable {
 
     /// Insert (or replace) every `(key, val_len)` as **one pool
     /// transaction**, values first: one allocator pass carves every entry,
-    /// and `fill(i, vref)` writes key `i`'s value into its window and flushes
-    /// it — the caller serializes *directly into PMEM* (zero staging), into a
-    /// block nothing reaches yet — or hands the value's bytes back for the
-    /// entry's own store to carry (`put`: a value ready in memory is one
-    /// store with its header). Then, under the touched stripes, one walk a
-    /// bucket finds the keys replaced, each entry is stored whole with its
-    /// `next`, and one undo append logs every head and unlink. One fence
-    /// before the commit point makes heads, entries and values durable.
+    /// and `fill(i, vref, head)` writes key `i`'s value into its window and
+    /// flushes it — the caller serializes *directly into PMEM* (zero
+    /// staging), into a block nothing reaches yet — or hands the value's
+    /// bytes back for the table to store (`put`: a value ready in memory).
+    ///
+    /// A small group — each entry fits one [`WINDOW`] with its block header
+    /// — takes its stripes and looks its chains up first, so each entry's
+    /// `next` is known when its block is carved. Under the heap lock, `head`
+    /// then holds what lies right before the value: its block's header
+    /// (empty for a carve's first block, whose header is the carve's commit
+    /// point and follows) and its entry's with the key. The fill stores
+    /// them and the value as one write and one flush. Any other group is
+    /// carved and filled before its stripes are taken (`head` empty), and
+    /// each entry is stored whole with its `next` once its chain is looked
+    /// up. Either way one undo append logs every head and unlink, and one
+    /// fence before the commit point makes heads, entries and values durable.
     ///
     /// Crash contract: a crash anywhere before the lane commit point, or an
     /// error from `fill`, rolls the *entire group* back (no key from the
@@ -80,7 +88,7 @@ impl PersistentHashtable {
         &self,
         clock: &Clock,
         reqs: &[(&[u8], u64)],
-        mut fill: impl FnMut(usize, ValueRef) -> Result<Option<&'v [u8]>>,
+        mut fill: impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<Option<&'v [u8]>>,
     ) -> Result<Vec<ValueRef>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
@@ -97,28 +105,36 @@ impl PersistentHashtable {
             )));
         }
         let hashes: Vec<u64> = reqs.iter().map(|&(k, _)| fnv1a(k)).collect();
+        let sizes: Vec<u64> = (reqs.iter())
+            .map(|(k, len)| ENT_KEY + k.len() as u64 + len)
+            .collect();
+        let small = (sizes.iter()).all(|&size| size <= WINDOW as u64 - BLOCK_HEADER_SIZE);
+        let value = |i: usize, at: &[u64]| ValueRef {
+            offset: at[i] + ENT_KEY + reqs[i].0.len() as u64,
+            len: reqs[i].1,
+        };
+        // Entry `i` at `at[i]`; its `next` is the new entry before it in its
+        // chain, else what is left of the chain.
+        let entry = |links: &[(u64, Option<usize>)], i: usize, at: &[u64], value| {
+            let next = links[i].1.map_or(links[i].0, |j| at[j]);
+            encode_entry(hashes[i], reqs[i].0, reqs[i].1 as u32, next, value)
+        };
         self.maybe_resize(clock)?;
 
         let _atomic = pmem_sim::atomic_section();
         self.ensure_dirty(clock);
         let (mut locked, mut spliced) = (None, Vec::new());
         let committed = self.pool.tx(clock, |tx| {
-            let sizes: Vec<u64> = (reqs.iter())
-                .map(|(k, len)| ENT_KEY + k.len() as u64 + len)
-                .collect();
-            let entries = tx.alloc_many(&sizes)?;
-            let refs: Vec<ValueRef> = (reqs.iter().zip(&entries))
-                .map(|(&(key, len), &at)| ValueRef {
-                    offset: at + ENT_KEY + key.len() as u64,
-                    len,
-                })
-                .collect();
-            let carried: Vec<_> = (refs.iter().enumerate())
-                .map(|(i, &vref)| fill(i, vref))
-                .collect::<Result<_>>()?;
+            let (mut entries, mut carried) = (Vec::new(), Vec::new());
+            if !small {
+                entries = tx.alloc_many(&sizes)?;
+                carried = (0..reqs.len())
+                    .map(|i| fill(i, value(i, &entries), [&[], &[]]))
+                    .collect::<Result<_>>()?;
+            }
             // Route every key and lock the involved stripes in ascending
             // index order, so concurrent batches and single puts cannot
-            // deadlock.
+            // deadlock; the heap lock is only ever taken after them.
             let (g, held) =
                 locked.insert(self.lock_routes(self.geo(), hashes.iter().copied(), true));
             // Group per head slot: an ordered map keeps the splice order —
@@ -128,6 +144,7 @@ impl PersistentHashtable {
                 by_slot.entry(r.head_slot).or_default().push(i);
             }
             let (mut words, mut frees, mut live) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut links, mut heads) = (vec![(0, None); reqs.len()], Vec::new());
             for (&head_slot, idxs) in &by_slot {
                 let r = g.route(hashes[idxs[0]]);
                 let keys: Vec<_> = idxs.iter().map(|&i| (reqs[i].0, hashes[i])).collect();
@@ -151,54 +168,74 @@ impl PersistentHashtable {
                 }
                 // Each new entry stored whole and once, undo-free: nothing
                 // reaches it until the head does.
-                let mut fresh = Vec::with_capacity(idxs.len());
-                for &i in idxs {
-                    let (key, vlen) = (reqs[i].0, reqs[i].1 as u32);
-                    let entry = encode_entry(hashes[i], key, vlen, rest, carried[i]);
-                    tx.write_new(entries[i], &entry);
-                    rest = entries[i];
-                    let (mut e, key) = (Entry::default(), Some(Key::of(key)));
-                    (e.at, e.hash, e.klen, e.vlen) =
-                        (rest, hashes[i], reqs[i].0.len() as u32, vlen);
-                    fresh.push(Known { e, key });
+                for (k, &i) in idxs.iter().enumerate() {
+                    links[i] = (rest, k.checked_sub(1).map(|k| idxs[k]));
+                    if !small {
+                        tx.write_new(entries[i], &entry(&links, i, &entries, carried[i]));
+                    }
                 }
-                fresh.reverse();
-                words.push((head_slot, head, rest));
+                heads.push((words.len(), idxs[idxs.len() - 1]));
+                words.push((head_slot, head, 0));
                 live.push((r.sid, (idxs.len() - gone.len()) as i64));
                 let gone: Vec<usize> = gone.into_iter().map(|(i, _)| i).collect();
-                spliced.push((r, gone, fresh));
+                spliced.push((r, gone, idxs.clone()));
+            }
+            if small {
+                let dev = self.pool.device();
+                let mut store = |i: usize, at: &[u64], header: &[u8]| -> Result<()> {
+                    let entry = entry(&links, i, at, None);
+                    if let Some(bytes) = fill(i, value(i, at), [header, &entry])? {
+                        let start = at[i] as usize - header.len();
+                        let whole = [header, &entry, bytes].concat();
+                        dev.write_meta(clock, start, &whole);
+                        dev.flush(clock, start, whole.len());
+                    }
+                    Ok(())
+                };
+                entries = tx.alloc_stored(&sizes, Some(&mut store))?;
+            }
+            for (w, i) in heads {
+                words[w].2 = entries[i];
             }
             tx.free_many(&frees)?;
             tx.set_words(&words)?;
-            Ok((refs, live))
+            Ok((entries, live))
         });
+        let (entries, live) = committed?;
         // The mirror takes the group's splice only once it committed.
-        if let (Some((_, mut held)), Ok(_)) = (locked, &committed) {
-            for (r, gone, fresh) in spliced {
-                mirror_in(&mut held, r.sid).splice(r.bucket, r.head_slot, &gone, fresh);
+        if let Some((_, mut held)) = locked {
+            for (r, gone, idxs) in spliced {
+                let fresh = idxs.iter().rev().map(|&i| {
+                    let (mut e, key) = (Entry::default(), Some(Key::of(reqs[i].0)));
+                    (e.at, e.hash) = (entries[i], hashes[i]);
+                    (e.klen, e.vlen) = (reqs[i].0.len() as u32, reqs[i].1 as u32);
+                    Known { e, key }
+                });
+                mirror_in(&mut held, r.sid).splice(r.bucket, r.head_slot, &gone, fresh.collect());
             }
         }
-        let (refs, live) = committed?;
         for (sid, d) in live {
             self.stripes[sid].live.fetch_add(d, Ordering::Relaxed);
         }
-        Ok(refs)
+        Ok((0..reqs.len()).map(|i| value(i, &entries)).collect())
     }
 
-    /// [`Self::put_many`] with a fill that writes nothing: each key is
-    /// linked with whatever bytes its block held. Nothing in the product
+    /// [`Self::put_many`] with a fill that writes no value: each key is
+    /// linked with whatever bytes its block held (the empty value carried
+    /// is a small group's head, stored alone). Nothing in the product
     /// reserves without filling — this stays `pub`, with its signature, only
     /// because `benchmark/src/ladder.rs` (frozen) calls it to time the
     /// metadata half of a group put.
     pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
-        self.put_many(clock, reqs, |_, _| Ok(None))
+        self.put_many(clock, reqs, |_, _, _| Ok(Some(&[])))
     }
 
     /// Insert (or replace) `key → value` atomically: on a crash at any point
     /// the table holds either the complete old mapping or the complete new
     /// one.
     pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
-        Ok(self.put_many(clock, &[(key, value.len() as u64)], |_, _| Ok(Some(value)))?[0])
+        let carry = |_, _, _: [&[u8]; 2]| Ok(Some(value));
+        Ok(self.put_many(clock, &[(key, value.len() as u64)], carry)?[0])
     }
 
     /// Locate `key`'s value without copying it: answered from the mirror

@@ -37,18 +37,21 @@ fn remove_unlinks_and_frees() {
     pool.check_heap().unwrap();
 }
 
-/// A fill that writes `value(i)` into key `i`'s window and flushes it,
-/// as `Layout::store_many`'s does through its mapping.
+/// A fill that writes `value(i)` into key `i`'s window, behind the head it
+/// shares a store with, and flushes it, as `Layout::store_many`'s does
+/// through its mapping.
 fn writing<'a>(
     pool: &'a PmemPool,
     clock: &'a Clock,
     value: impl Fn(usize) -> Vec<u8> + 'a,
-) -> impl FnMut(usize, ValueRef) -> Result<Option<&'a [u8]>> + 'a {
-    move |i, v| {
+) -> impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<Option<&'a [u8]>> + 'a {
+    move |i, v, head| {
         let bytes = value(i);
         assert_eq!(bytes.len() as u64, v.len);
-        pool.device().write_meta(clock, v.offset as usize, &bytes);
-        pool.device().flush(clock, v.offset as usize, bytes.len());
+        let start = v.offset as usize - head[0].len() - head[1].len();
+        let whole = [head[0], head[1], &bytes].concat();
+        pool.device().write_meta(clock, start, &whole);
+        pool.device().flush(clock, start, whole.len());
         Ok(None)
     }
 }
@@ -120,9 +123,9 @@ fn a_fill_that_fails_rolls_back_the_whole_group() {
     let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8), (b"n3", 8)];
     let err = {
         let mut fill = writing(&pool, &clock, |_| b"written!".to_vec());
-        let failing = |i, v| match i {
+        let failing = |i, v, head: [&[u8]; 2]| match i {
             2 => Err(PmdkError::TxFailure("the serializer failed".into())),
-            _ => fill(i, v),
+            _ => fill(i, v, head),
         };
         ht.put_many(&clock, &reqs, failing).unwrap_err()
     };
@@ -211,7 +214,7 @@ fn a_put_reads_its_bucket_head_once() {
 #[test]
 fn put_many_rejects_duplicate_keys() {
     let (ht, pool, clock) = table(1 << 22, 8);
-    let nothing = |_, _| Ok(None);
+    let nothing = |_, _, _: [&[u8]; 2]| Ok(None);
     let err = ht
         .put_many(&clock, &[(b"same", 4), (b"same", 8)], nothing)
         .unwrap_err();

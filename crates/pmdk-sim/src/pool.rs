@@ -1,6 +1,6 @@
 //! The pmemobj-style pool: superblock, root object, typed persistent access.
 
-use crate::alloc::Heap;
+use crate::alloc::{Heap, Store};
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::tx::{LaneTable, Tx};
@@ -155,19 +155,21 @@ impl PmemPool {
     /// Allocate a group of payloads in one free-list pass (see
     /// `Heap::alloc_many`). Offsets come back in request order.
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
-        self.alloc_planned(clock, sizes, |_| {})
+        self.alloc_planned(clock, sizes, |_| {}, None)
     }
 
     /// [`PmemPool::alloc_many`], with `planned` shown the offsets once they
-    /// are chosen and before any block header says so. The heap lock is held
-    /// from the plan to the last commit header: `Heap::free` reads its
-    /// neighbours' headers from media and would coalesce into a block that
-    /// is planned and not yet written.
+    /// are chosen and before any block header says so, and the blocks
+    /// written by `store` if one is given (see `Heap::alloc_many`). The heap
+    /// lock is held from the plan to the last commit header: `Heap::free`
+    /// reads its neighbours' headers from media and would coalesce into a
+    /// block that is planned and not yet written.
     pub(crate) fn alloc_planned(
         &self,
         clock: &Clock,
         sizes: &[u64],
         planned: impl FnOnce(&[u64]),
+        store: Option<&mut Store<'_>>,
     ) -> Result<Vec<u64>> {
         let machine = self.device.machine();
         let _span = machine.span(clock, "pmdk", "pool.alloc").arg(
@@ -177,7 +179,7 @@ impl PmemPool {
         // Heap metadata writes charge the clock under the heap lock; keep
         // the deterministic scheduler from parking us while we hold it.
         let _atomic = pmem_sim::atomic_section();
-        let out = self.heap.lock().alloc_many(clock, sizes, planned);
+        let out = self.heap.lock().alloc_many(clock, sizes, planned, store);
         out
     }
 

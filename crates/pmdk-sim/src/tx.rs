@@ -23,6 +23,7 @@
 //! Alloc- and free-intents share one array: heap payloads are 64-byte
 //! aligned, so the low bit tags the entry kind (1 = deferred free).
 
+use crate::alloc::Store;
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
@@ -265,11 +266,23 @@ impl<'a> Tx<'a> {
     /// slots — durable, and counted — and only then do the block headers
     /// change: no crash leaves a block allocated that no intent names.
     pub fn alloc_many(&mut self, sizes: &[u64]) -> Result<Vec<u64>> {
+        self.alloc_stored(sizes, None)
+    }
+
+    /// [`Tx::alloc_many`] whose blocks `store` writes, each with its header,
+    /// behind the intents and before its carve's commit point; a `store`
+    /// that fails leaves the intents of every carve not committed in a free
+    /// block, where a rollback skips them.
+    pub(crate) fn alloc_stored(
+        &mut self,
+        sizes: &[u64],
+        store: Option<&mut Store<'_>>,
+    ) -> Result<Vec<u64>> {
         if self.intents_used + sizes.len() as u64 > LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
         let (pool, clock) = (self.pool, self.clock);
-        pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs))
+        pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs), store)
     }
 
     /// Transactionally free `off`; executed only if the tx commits.
@@ -754,13 +767,8 @@ mod tests {
             fences(&pool),
             pool.device().machine().stats.snapshot().pool_txs,
         );
-        let dev = pool.device();
-        ht.put_many(&clock, &reqs, |_, v| {
-            dev.write_meta(&clock, v.offset as usize, &[7u8; 8]);
-            dev.flush(&clock, v.offset as usize, 8);
-            Ok(None)
-        })
-        .unwrap();
+        ht.put_many(&clock, &reqs, |_, _, _| Ok(Some(&[7u8; 8])))
+            .unwrap();
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
         // begin 1 + intents 2 + heap carve 2 + records 1 + UNDO_LEN 1 +
         // commit: heads, entries and values 1, COMMITTING 1, reset 3.

@@ -7,7 +7,7 @@
 //! shadow image at cacheline granularity.
 
 use crate::buffer::SharedBuffer;
-use crate::machine::{FlushStrategy, Machine};
+use crate::machine::Machine;
 use crate::persistence::{InFlightLine, PersistenceTracker};
 use crate::time::Clock;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,6 +22,13 @@ pub enum PersistenceMode {
     /// every store no fence has made durable.
     Tracked,
 }
+
+/// The internal write block of the modelled media: 256 bytes on Optane
+/// ("Persistent Memory I/O Primitives"). A store that fills one is one
+/// media operation where several partial ones would each pay the write
+/// latency, so the serialization sink combines small puts into one window,
+/// and the hashtable lets a small record's metadata ride in its window.
+pub const WINDOW: usize = 256;
 
 /// Called at a crash point; see [`PmemDevice::at_crash_points`].
 type CrashPointHook = Box<dyn Fn(&PmemDevice) + Send + Sync>;
@@ -108,8 +115,18 @@ impl PmemDevice {
 
     /// Store bytes, charging PMEM write latency + contended bandwidth.
     pub fn write(&self, clock: &Clock, off: usize, src: &[u8]) {
+        self.write_headed(clock, off, src, 0);
+    }
+
+    /// One store of `src`, whose first `head` bytes are metadata that share
+    /// the record's media operation: charged unscaled, as
+    /// [`PmemDevice::write_meta`] charges them, the rest as
+    /// [`PmemDevice::write`] does.
+    pub(crate) fn write_headed(&self, clock: &Clock, off: usize, src: &[u8], head: usize) {
         self.write_untimed(off, src);
-        self.machine.charge_pmem_write(clock, src.len() as u64);
+        let record = (src.len() - head) as u64;
+        self.machine
+            .charge_pmem_write_headed(clock, head as u64, record);
     }
 
     /// Load bytes, charging PMEM read latency + contended bandwidth.
@@ -190,16 +207,15 @@ impl PmemDevice {
     /// Flush a record with the device's own persist primitive
     /// ([`crate::MachineConfig::flush_strategy`]): a CLWB range or one
     /// ntstore-style streaming writeback, durable at the next
-    /// [`PmemDevice::drain`]. On a CLWB device it is charge for charge
+    /// [`PmemDevice::drain`]. The range starts with the `head` structures
+    /// the record was stored with (see [`Machine::charge_writeback`]). On a
+    /// CLWB device a headless one is charge for charge
     /// [`PmemDevice::flush`].
-    pub(crate) fn flush_record(&self, clock: &Clock, off: usize, len: usize) {
-        match self.machine.config().flush_strategy {
-            FlushStrategy::Clwb => self.flush(clock, off, len),
-            FlushStrategy::Ntstore => {
-                self.machine.charge_ntstore(clock, len as u64);
-                self.track_flush(off, len);
-            }
-        }
+    pub(crate) fn flush_record(&self, clock: &Clock, off: usize, len: usize, head: &[usize]) {
+        let strategy = self.machine.config().flush_strategy;
+        self.machine
+            .charge_writeback(clock, strategy, len as u64, head);
+        self.track_flush(off, len);
     }
 
     /// Number of unpersisted cachelines (Tracked mode only).

@@ -47,7 +47,7 @@ pub mod sync;
 mod time;
 pub mod trace;
 
-pub use device::{PersistenceMode, PmemDevice};
+pub use device::{PersistenceMode, PmemDevice, WINDOW};
 pub use flight::{EventCode, FlightRecorder};
 pub use machine::{FlushStrategy, Machine, MachineConfig};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};

@@ -503,7 +503,15 @@ impl Machine {
     /// streams at its attended per-core throughput, capped by its fair share
     /// of the device's aggregate write bandwidth.
     pub fn charge_pmem_write(&self, clock: &Clock, bytes: u64) {
-        self.pmem_write(clock, "pmem.write", self.scaled_bytes(bytes));
+        self.charge_pmem_write_headed(clock, 0, bytes);
+    }
+
+    /// One store stream of `head` metadata bytes and the `bytes` of the
+    /// record behind them: the head is charged unscaled, as
+    /// [`Machine::charge_pmem_write_meta`] charges it, the record as
+    /// [`Machine::charge_pmem_write`] does, and the two share one operation.
+    pub(crate) fn charge_pmem_write_headed(&self, clock: &Clock, head: u64, bytes: u64) {
+        self.pmem_write(clock, "pmem.write", head + self.scaled_bytes(bytes));
     }
 
     /// A load stream out of PMEM media (same two bounds as writes).
@@ -576,34 +584,38 @@ impl Machine {
     /// Free (no time, no counter) on eADR profiles: the cache already sits
     /// inside the persistence domain, so no writeback is ever issued.
     pub(crate) fn charge_flush(&self, clock: &Clock, bytes: u64) {
-        let c = &self.config;
-        self.writeback(clock, "flush", bytes, c.flush_base, c.flush_per_line);
+        self.charge_writeback(clock, FlushStrategy::Clwb, bytes, &[]);
     }
 
-    /// A streaming (non-temporal) persist of a byte range: one ntstore-style
-    /// whole-record writeback instead of per-line CLWB. Shares the
-    /// `flush_calls` counter with [`Machine::charge_flush`] — both are one
-    /// persist-initiation per call — and is likewise free on eADR profiles.
-    pub(crate) fn charge_ntstore(&self, clock: &Clock, bytes: u64) {
-        let c = &self.config;
-        self.writeback(clock, "ntstore", bytes, c.ntstore_base, c.ntstore_per_line);
-    }
-
-    #[inline]
-    fn writeback(
+    /// One writeback of `bytes` with `strategy`'s primitive — per-line CLWB
+    /// or one ntstore-style whole-record writeback, which shares the
+    /// `flush_calls` counter (both are one persist initiation) and is
+    /// likewise free on eADR profiles: its base once, and its per-line cost
+    /// for each line. The range starts with the `head` structures, whose
+    /// lines are charged as the metadata plane flushes them (CLWB); each of
+    /// them and the rest is counted in lines as a writeback of its own would
+    /// count it, so a range that covers several saves only the bases.
+    pub(crate) fn charge_writeback(
         &self,
         clock: &Clock,
-        name: &'static str,
+        strategy: FlushStrategy,
         bytes: u64,
-        base: SimTime,
-        per_line: SimTime,
+        head: &[usize],
     ) {
-        if !self.config.needs_flush {
+        let c = &self.config;
+        if !c.needs_flush {
             return;
         }
+        let (name, base, per_line) = match strategy {
+            FlushStrategy::Clwb => ("flush", c.flush_base, c.flush_per_line),
+            FlushStrategy::Ntstore => ("ntstore", c.ntstore_base, c.ntstore_per_line),
+        };
         self.stats.flush_calls.fetch_add(1, Relaxed);
-        let lines = self.scaled_bytes(bytes).div_ceil(self.config.cacheline);
-        self.charge_bytes(clock, name, bytes, self.cpu_scaled(base + per_line * lines));
+        let lines = |b: u64| self.scaled_bytes(b).div_ceil(c.cacheline);
+        let rest = head.iter().fold(bytes, |rest, &h| rest - h as u64);
+        let head = head.iter().map(|&h| lines(h as u64)).sum::<u64>();
+        let dt = base + per_line * lines(rest) + c.flush_per_line * head;
+        self.charge_bytes(clock, name, bytes, self.cpu_scaled(dt));
     }
 
     /// A store fence.

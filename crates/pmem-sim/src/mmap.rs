@@ -145,10 +145,19 @@ impl DaxMapping {
 
     /// Store through the mapping: fault accounting + PMEM write stream.
     pub fn store(&self, clock: &Clock, off: usize, src: &[u8]) {
+        self.store_headed(clock, off, src, &[]);
+    }
+
+    /// [`DaxMapping::store`] of a record behind the metadata that shares its
+    /// media operation: `src` starts with structures of the `head` lengths.
+    /// They are charged as the metadata plane charges them — unscaled, and
+    /// no page fault — and the record as `store` charges it.
+    pub fn store_headed(&self, clock: &Clock, off: usize, src: &[u8], head: &[usize]) {
         self.assert_mapped();
         self.check_range(off, src.len());
-        self.fault_range(clock, off, src.len());
-        self.device.write(clock, self.base + off, src);
+        let head = head.iter().sum();
+        self.fault_range(clock, off + head, src.len() - head);
+        self.device.write_headed(clock, self.base + off, src, head);
     }
 
     /// Load through the mapping: fault accounting + PMEM read stream.
@@ -181,9 +190,16 @@ impl DaxMapping {
     /// primitive ([`crate::MachineConfig::flush_strategy`]): durable at the
     /// device's next fence, [`PmemDevice::drain`].
     pub fn flush(&self, clock: &Clock, off: usize, len: usize) {
+        self.flush_headed(clock, off, len, &[]);
+    }
+
+    /// [`DaxMapping::flush`] of a [`DaxMapping::store_headed`] range: one
+    /// writeback, its lines counted part by part (the `head` structures, then
+    /// the record) as their own flushes would count them.
+    pub fn flush_headed(&self, clock: &Clock, off: usize, len: usize, head: &[usize]) {
         self.assert_mapped();
         self.check_range(off, len);
-        self.device.flush_record(clock, self.base + off, len);
+        self.device.flush_record(clock, self.base + off, len, head);
     }
 
     /// Tear down the mapping. Charges one munmap syscall. Subsequent

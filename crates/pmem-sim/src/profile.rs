@@ -128,10 +128,7 @@ mod tests {
     fn probe(config: &MachineConfig, strategy: FlushStrategy) -> SimTime {
         let machine = Machine::new(config.clone());
         let clock = Clock::new();
-        match strategy {
-            FlushStrategy::Clwb => machine.charge_flush(&clock, 64 * 1024),
-            FlushStrategy::Ntstore => machine.charge_ntstore(&clock, 64 * 1024),
-        }
+        machine.charge_writeback(&clock, strategy, 64 * 1024, &[]);
         machine.charge_fence(&clock);
         clock.now()
     }
@@ -189,7 +186,7 @@ mod tests {
         let m = Machine::new(eadr());
         let c = Clock::new();
         m.charge_flush(&c, 1 << 20);
-        m.charge_ntstore(&c, 1 << 20);
+        m.charge_writeback(&c, FlushStrategy::Ntstore, 1 << 20, &[]);
         assert_eq!(c.now(), SimTime::ZERO);
         assert_eq!(m.stats.snapshot().flush_calls, 0);
         m.charge_fence(&c);

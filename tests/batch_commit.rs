@@ -197,6 +197,61 @@ fn a_reader_never_sees_a_key_before_its_value_free_threaded() {
     }
 }
 
+/// Four free-running ranks commit groups of small records — each stored
+/// with its heads under the heap lock, behind the group's stripes — while
+/// they remove keys another rank stored, on the same stripes. Every lock
+/// order is stripe → heap, so the run ends; the heap it leaves walks clean,
+/// and every key no rank removed reads back.
+#[test]
+fn small_groups_and_removes_on_shared_stripes_end_with_a_clean_heap() {
+    const RANKS: u64 = 4;
+    const GROUPS: u64 = 12;
+    const KEYS: u64 = 16;
+    let key = |rank: u64, g: u64, j: u64| format!("r{rank}g{g}k{j}");
+    let machine = Machine::chameleon();
+    let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
+    let shared = Arc::clone(&dev);
+    run_world_mode(
+        machine,
+        RANKS as usize,
+        SchedMode::FreeThreaded,
+        move |comm| {
+            let mut pmem = Pmem::new();
+            pmem.mmap(MmapTarget::DevDax(&shared), &comm).unwrap();
+            let (rank, next) = (comm.rank() as u64, (comm.rank() as u64 + 1) % RANKS);
+            for g in 0..GROUPS {
+                let mut batch = pmem.batch();
+                for j in 0..KEYS {
+                    batch
+                        .store_scalar(&key(rank, g, j), rank << 16 | g << 8 | j)
+                        .unwrap();
+                }
+                batch.commit().unwrap();
+                // The even keys of the next rank's previous group, stored or not.
+                for j in (0..KEYS).step_by(2) {
+                    pmem.remove(&key(next, g.saturating_sub(1), j)).unwrap();
+                }
+            }
+            comm.barrier();
+            pmem.munmap().unwrap();
+        },
+    );
+    let clock = pmem_sim::Clock::new();
+    let pool = pmdk_sim::PmemPool::open(&clock, Arc::clone(&dev), "pmemcpy").unwrap();
+    pool.check_heap().unwrap();
+    drop(pool);
+    let comm = Comm::new(World::new(Arc::clone(dev.machine()), 1), 0);
+    let mut pmem = Pmem::new();
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    for (rank, g) in (0..RANKS).flat_map(|r| (0..GROUPS).map(move |g| (r, g))) {
+        for j in (1..KEYS).step_by(2) {
+            let got = pmem.load_scalar::<u64>(&key(rank, g, j)).unwrap();
+            assert_eq!(got, rank << 16 | g << 8 | j);
+        }
+    }
+    pmem.munmap().unwrap();
+}
+
 /// A group holds its transaction's lane while its values are written. Fig.
 /// 6's widest cell — 24 ranks, each committing its output step as one group
 /// — on free-running threads still finds a lane for every rank (a pool has

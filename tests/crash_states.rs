@@ -756,7 +756,8 @@ fn puts_replaces_and_removes_are_atomic_in_every_crash_state() {
 }
 
 /// One group put of `ids` at `generation`, values written by the fill —
-/// each into its entry, flushed — before the transaction links them.
+/// each into its entry, behind the head it shares a store with, flushed —
+/// before the transaction links them.
 fn group(fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>, generation: u8) {
     let values: Vec<_> = ids.clone().map(|i| value(i, generation)).collect();
     let keys: Vec<_> = ids.map(key).collect();
@@ -768,9 +769,11 @@ fn group(fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>
         m.contract.begin(puts)
     });
     let dev = fx.pool.device();
-    (fx.ht.put_many(&fx.clock, &reqs, |i, v| {
-        dev.write(&fx.clock, v.offset as usize, &values[i]);
-        dev.flush(&fx.clock, v.offset as usize, values[i].len());
+    (fx.ht.put_many(&fx.clock, &reqs, |i, v, head| {
+        let start = v.offset as usize - head[0].len() - head[1].len();
+        let whole = [head[0], head[1], &values[i]].concat();
+        dev.write(&fx.clock, start, &whole);
+        dev.flush(&fx.clock, start, whole.len());
         Ok(None)
     }))
     .unwrap();

@@ -80,23 +80,28 @@ fn storm_is_bit_reproducible_and_chains_stay_bounded() {
         shape_a.buckets
     );
 
-    // Neither streaming a record nor committing costs more than before the
-    // mirror: both bounds are what this storm measured then, summed over
-    // the lanes — which lane takes a first-touch page fault, or helps the
-    // chunk that finds one more entry still in the old table, follows the
-    // interleave (the slowest lane then, at 801 012 and 174 700 sim_ns,
-    // took 1 200 and 420 fewer than the slowest now). An 8-byte record is
-    // one store, not one per header field: 390.06 sim_ns a put (a per-field stream cost about
-    // as much as reserving the record, ≈ 1 150 a put before the mirror). A
-    // commit executes the list its transaction kept and flushes what it
-    // publishes behind the group's one fence: 42.31 sim_ns an entry it
-    // links, a put's or one a migration chunk relinks (0.6 % of a lane
-    // before the values came first, when each head had a fence of its own).
-    const MEMCPY_NS: u64 = 3_195_348; // over 8 192 puts
-    const COMMIT_NS: (u64, u64) = (696_622, 8_192 + 8_274); // over these entries
+    // Neither streaming a record nor committing nor the put as a whole
+    // costs more than when the record first took its block and entry
+    // headers into its store: the bounds are what this storm measured
+    // then, summed over the lanes — which lane takes a first-touch page
+    // fault, or helps the chunk that finds one more entry still in the old
+    // table, follows the interleave. An 8-byte record is one store with its
+    // heads: 557.95 sim_ns a put (390.06 for the record alone when the two
+    // heads were stores of their own, paid in `put.reserve` and
+    // `tx.commit`; a per-field stream cost about as much as reserving the
+    // record, ≈ 1 150 a put before the mirror). A commit executes the list
+    // its transaction kept and flushes what it publishes behind the group's
+    // one fence: 27.38 sim_ns an entry it links, a put's or one a migration
+    // chunk relinks (42.31 while it also flushed each new entry; 0.6 % of a
+    // lane before the values came first, when each head had a fence of its
+    // own). The three phases of a put: 957.97 sim_ns a put (1 266.54 with
+    // the heads stored apart).
+    const MEMCPY_NS: u64 = 4_570_708; // over 8 192 puts
+    const COMMIT_NS: (u64, u64) = (450_920, 8_192 + 8_278); // over these entries
+    const PUT_NS: u64 = 7_847_725; // memcpy, reserve and commit, 8 192 puts
     assert_eq!(SPEC.total_keys(), 8_192, "the bounds are over 8 192 puts");
     let m = &cell_a.metrics;
-    let (mut memcpy, mut commit, mut resizes) = (0, 0, Vec::new());
+    let (mut memcpy, mut commit, mut reserve, mut resizes) = (0, 0, 0, Vec::new());
     for lane in 0..SPEC.ranks {
         let phase = |name| {
             let phases = m.lane_phases(lane);
@@ -104,6 +109,7 @@ fn storm_is_bit_reproducible_and_chains_stay_bounded() {
         };
         memcpy += phase("put.memcpy").unwrap().as_nanos();
         commit += phase("tx.commit").unwrap().as_nanos();
+        reserve += phase("put.reserve").unwrap().as_nanos();
         // A migration chunk reads its sources from the mirror: the split tax
         // stays below the puts it taxes.
         let (resize, reserve) = (phase("ht.resize").unwrap(), phase("put.reserve").unwrap());
@@ -121,6 +127,11 @@ fn storm_is_bit_reproducible_and_chains_stay_bounded() {
     assert!(
         commit * COMMIT_NS.1 <= COMMIT_NS.0 * linked,
         "tx.commit {commit} sim_ns over {linked} entries linked"
+    );
+    assert!(
+        memcpy + reserve + commit <= PUT_NS,
+        "put.memcpy + put.reserve + tx.commit {} sim_ns over 8 192 puts",
+        memcpy + reserve + commit
     );
     // The split tax is paid by the puts it taxes, a chunk a mutation: every
     // lane puts as many keys, so every lane helps about as much: 2.9 % here.
