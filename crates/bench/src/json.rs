@@ -21,6 +21,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed).
     pub(crate) fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -75,6 +76,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -222,10 +224,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar (the input is a valid &str,
+                    // and `pos` sits on a char boundary).
+                    let ch = self.text[self.pos..].chars().next().unwrap();
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }

@@ -17,6 +17,7 @@
 //! separate `benchmark/` package (`benchmark/run.sh --trace`).
 
 #![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 pub mod api_complexity;
 pub mod doctor;

@@ -114,8 +114,7 @@ pub fn run_cell(
     let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
 
     let spec = Domain3dSpec::paper(cfg.nprocs, cfg.real_bytes);
-    let decomp = Arc::new(spec.decompose());
-    let vars = Arc::new(spec.var_names());
+    let (decomp, vars) = (spec.decompose(), spec.var_names());
 
     let target = if lib.needs_devdax() {
         Target::DevDax(Arc::clone(&device))
@@ -128,27 +127,12 @@ pub fn run_cell(
         }
     };
 
-    // The trait object lives on the caller's stack; hand rank threads a raw
-    // view with the lifetime erased so it can move into 'static closures.
-    // SAFETY: run_world_mode joins every rank before returning, and both
-    // phases below finish before `lib`'s borrow ends, so the borrow
-    // outlives every use; `PioLibrary: Send + Sync`.
-    struct Ptr(*const (dyn PioLibrary + 'static));
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let erased: *const dyn PioLibrary =
-        unsafe { std::mem::transmute::<&dyn PioLibrary, &'static dyn PioLibrary>(lib) };
-    let lib_ptr = Arc::new(Ptr(erased));
-
     // One parallel phase: (job time = slowest rank, per-rank end times,
-    // mismatches).
+    // mismatches). The ranks borrow the library, the decomposition and the
+    // target: every rank is joined before the phase returns.
     let run_phase = |direction: Direction| {
-        let (decomp, vars, target) = (Arc::clone(&decomp), Arc::clone(&vars), target.clone());
-        let lib = Arc::clone(&lib_ptr);
         let nprocs = cfg.nprocs as usize;
-        let results = run_world_mode(Arc::clone(&machine), nprocs, cfg.sched, move |comm| {
-            // SAFETY: see `Ptr` above.
-            let lib: &dyn PioLibrary = unsafe { &*lib.0 };
+        let results = run_world_mode(Arc::clone(&machine), nprocs, cfg.sched, |comm| {
             let rank = comm.rank() as u64;
             match direction {
                 Direction::Write => {
@@ -264,17 +248,15 @@ pub fn run_storm_cell(
     // header + key + serialized value + directory growth headroom).
     let dev_size = (spec.total_keys() * 384 + (64 << 20)) as usize;
     let device = PmemDevice::new(Arc::clone(&machine), dev_size, PersistenceMode::Fast);
-    let (dev2, opts2) = (Arc::clone(&device), opts.clone());
-    let prefix = key_prefix.to_string();
     let results = run_world_mode(
         Arc::clone(&machine),
         spec.ranks as usize,
         SchedMode::Deterministic,
-        move |comm| {
+        |comm| {
             let rank = comm.rank() as u64;
-            let key = |k| format!("{prefix}{}", spec.key(rank, k));
-            let mut pmem = Pmem::with_options(opts2.clone());
-            pmem.mmap(MmapTarget::DevDax(&dev2), &comm).unwrap();
+            let key = |k| format!("{key_prefix}{}", spec.key(rank, k));
+            let mut pmem = Pmem::with_options(opts.clone());
+            pmem.mmap(MmapTarget::DevDax(&device), &comm).unwrap();
             let mut i = 0;
             while i < spec.keys_per_rank {
                 // Group-commit in steps of 64 keys: one pool transaction,

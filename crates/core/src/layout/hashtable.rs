@@ -68,13 +68,11 @@ impl Layout for HashtableLayout {
         let mut failed = None;
         let stored = self.shared.hashtable.put_many(clock, &reqs, |i, v, head| {
             let window = (v.offset as usize, v.len as usize);
-            fill(self, clock, &puts[i], &self.mapping, window, head)
-                .map(|()| None)
-                .map_err(|e| {
-                    let abort = PmdkError::TxFailure(format!("{}: {e}", puts[i].key));
-                    failed = Some(e);
-                    abort
-                })
+            fill(self, clock, &puts[i], &self.mapping, window, head).map_err(|e| {
+                let abort = PmdkError::TxFailure(format!("{}: {e}", puts[i].key));
+                failed = Some(e);
+                abort
+            })
         });
         match failed {
             Some(e) => Err(e),
@@ -91,7 +89,7 @@ impl Layout for HashtableLayout {
             .zip(vrefs)
             .map(|(key, vref)| {
                 let v = vref.ok_or_else(|| PmemCpyError::NotFound(key.to_string()))?;
-                Ok(Located {
+                Ok(Located::Mapped {
                     mapping: Arc::clone(&self.mapping),
                     offset: v.offset as usize,
                     len: v.len as usize,

@@ -99,7 +99,7 @@ impl Layout for HierarchicalLayout {
                 }
                 let len = self.fs.file_size(&path)? as usize;
                 let mapping = self.fs.mmap_file(clock, &path, self.map_sync)?;
-                Ok(Located {
+                Ok(Located::Mapped {
                     mapping,
                     offset: 0,
                     len,
@@ -112,7 +112,7 @@ impl Layout for HierarchicalLayout {
                     // A mid-batch failure must not leak the per-key mappings
                     // already established for earlier keys.
                     for loc in &out {
-                        loc.mapping.unmap(clock);
+                        loc.release(clock);
                     }
                     return Err(e);
                 }

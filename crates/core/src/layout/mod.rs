@@ -9,13 +9,14 @@
 //! is the per-layout bulk seam (one pool transaction / one batched namespace
 //! pass for a whole group of keys), inside which [`fill`] serializes each
 //! value straight into its window. Reads mirror that shape:
-//! [`Layout::locate_many`] is the per-layout bulk lookup
-//! (one chain walk per touched bucket on the hashtable layout), and the
-//! generic [`Layout::load_many`] pipeline decodes each record straight out
-//! of its mapping into a caller-chosen buffer. A single-key store is a
-//! write batch of one ([`crate::batch`]) and a single-key load a read batch
-//! of one ([`crate::read`]), so there is exactly one code path per
-//! direction.
+//! [`Layout::locate_many`] is the per-layout bulk lookup (one chain walk
+//! per touched bucket on the hashtable layout, the front index first under
+//! write-behind), and every read — the `load_many` pipeline, `stat`,
+//! `stream_raw`, `raw_value` — is derived from it, decoding each record
+//! straight out of where it lives into a caller-chosen buffer. A
+//! single-key store is a write batch of one ([`crate::batch`]) and a
+//! single-key load a read batch of one ([`crate::read`]), so there is
+//! exactly one code path per direction.
 
 pub(crate) mod hashtable;
 pub(crate) mod hierarchical;
@@ -23,7 +24,7 @@ pub(crate) mod hierarchical;
 use crate::error::{PmemCpyError, Result};
 use crate::sink::{MappingSink, MappingSource};
 use pmem_sim::{Clock, DaxMapping, Machine};
-use pserial::{ReadSource, Serializer, VarHeader, VarMeta};
+use pserial::{ReadSource, Serializer, SliceSource, VarHeader, VarMeta};
 use std::sync::Arc;
 
 /// One key's worth of work for a batched store.
@@ -94,13 +95,50 @@ pub(crate) fn fill(
 }
 
 /// Where a key's record lives, resolved by [`Layout::locate_many`].
-pub(crate) struct Located {
-    pub mapping: Arc<DaxMapping>,
-    pub offset: usize,
-    pub len: usize,
-    /// Per-key file mappings (hierarchical layout) are unmapped once the
-    /// record is consumed; the pool-wide mapping stays live.
-    pub unmap_after_load: bool,
+pub(crate) enum Located {
+    /// `len` bytes at `offset` of a PMEM mapping. Per-key file mappings
+    /// (hierarchical layout) are unmapped once the record is consumed
+    /// (`unmap_after_load`); the pool-wide mapping stays live.
+    Mapped {
+        mapping: Arc<DaxMapping>,
+        offset: usize,
+        len: usize,
+        unmap_after_load: bool,
+    },
+    /// A write-behind front hit: the record re-serialized in DRAM, byte for
+    /// byte what the durable layout holds once a checkpoint drains it.
+    Dram(Vec<u8>),
+}
+
+impl Located {
+    /// Release what locating took: a per-key mapping is unmapped.
+    fn release(&self, clock: &Clock) {
+        if let Located::Mapped {
+            mapping,
+            unmap_after_load: true,
+            ..
+        } = self
+        {
+            mapping.unmap(clock);
+        }
+    }
+
+    /// Run `f` on a reader over the record, wherever it lives.
+    fn read<R>(
+        &self,
+        clock: &Clock,
+        f: impl FnOnce(&mut dyn ReadSource) -> Result<R>,
+    ) -> Result<R> {
+        match self {
+            Located::Mapped {
+                mapping,
+                offset,
+                len,
+                ..
+            } => f(&mut MappingSource::new(mapping, clock, *offset, *len)?),
+            Located::Dram(record) => f(&mut SliceSource::new(record)),
+        }
+    }
 }
 
 /// Supplies payload destinations during a batched load: once a record's
@@ -112,9 +150,9 @@ pub(crate) trait ReadConsumer {
 }
 
 /// The per-record decode stage, whatever the record is read out of (a PMEM
-/// mapping, a re-serialized front-index entry): header, the consumer's
-/// destination for it, the length check, payload.
-pub(crate) fn decode_into(
+/// mapping, a front hit's DRAM bytes): header, the consumer's destination
+/// for it, the length check, payload.
+fn decode_into(
     serializer: &'static dyn Serializer,
     src: &mut dyn ReadSource,
     key: &str,
@@ -137,9 +175,10 @@ pub(crate) fn decode_into(
     Ok(hdr)
 }
 
-/// Decode one located record straight from PMEM into the caller's buffer,
-/// then charge the deserialize — the per-record stage of
-/// [`Layout::load_many`].
+/// Decode one located record into the caller's buffer — the per-record
+/// stage of `load_many`. A mapped record streams straight from PMEM and is
+/// then charged its deserialize; a front hit is a DRAM copy plus the
+/// serializer's CPU pass, both in `get.front`.
 fn load_one_located(
     serializer: &'static dyn Serializer,
     machine: &Machine,
@@ -149,17 +188,27 @@ fn load_one_located(
     idx: usize,
     consumer: &mut dyn ReadConsumer,
 ) -> Result<VarHeader> {
+    let front = matches!(loc, Located::Dram(_));
+    let factor = serializer.cpu_cost_factor();
     let hdr = {
-        let mut span = machine.phase(clock, "get", "get.memcpy");
-        let mut src = MappingSource::new(&loc.mapping, clock, loc.offset, loc.len)?;
-        let hdr = decode_into(serializer, &mut src, key, idx, consumer)?;
+        let name = if front { "get.front" } else { "get.memcpy" };
+        let mut span = machine.phase(clock, "get", name);
+        let hdr = loc.read(clock, |src| {
+            decode_into(serializer, src, key, idx, consumer)
+        })?;
         span.set_arg("bytes", hdr.payload_len);
+        if front {
+            machine.charge_dram_copy(clock, hdr.payload_len);
+            machine.charge_serialize(clock, hdr.payload_len, factor);
+            machine.metric_counter_add("wb.front_hits", 1);
+            return Ok(hdr);
+        }
         hdr
     };
     let _span = machine
         .phase(clock, "get", "get.deserialize")
         .arg("bytes", hdr.payload_len);
-    machine.charge_serialize(clock, hdr.payload_len, serializer.cpu_cost_factor());
+    machine.charge_serialize(clock, hdr.payload_len, factor);
     Ok(hdr)
 }
 
@@ -182,69 +231,10 @@ pub(crate) trait Layout: Send + Sync {
     /// Resolve where every key's record lives, through the layout's bulk
     /// lookup seam: the hashtable layout groups keys by bucket and walks
     /// each chain once (under its stripe, one header read per hop), the
-    /// hierarchical layout maps each file. Errors with `NotFound` for the
-    /// first missing key.
+    /// hierarchical layout maps each file, write-behind answers from its
+    /// front index first. Errors with `NotFound` for the first missing key.
+    /// Every read is derived from this one seam (`impl dyn Layout` below).
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>>;
-
-    /// Load a group of records in one pass per key: bulk-resolve every
-    /// location, then for each record decode the header, obtain the
-    /// destination from `consumer`, and stream the payload straight out of
-    /// the mapping — the read-side mirror of [`Layout::store_many`], and
-    /// the single code path behind [`crate::ReadBatch`]. Returns the decoded
-    /// headers in key order.
-    fn load_many(
-        &self,
-        clock: &Clock,
-        keys: &[&str],
-        consumer: &mut dyn ReadConsumer,
-    ) -> Result<Vec<VarHeader>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let serializer = self.serializer();
-        let machine = Arc::clone(self.machine());
-        let located = {
-            let _span = machine
-                .phase(clock, "get", "get.lookup")
-                .arg("keys", keys.len() as u64);
-            self.locate_many(clock, keys)?
-        };
-        let mut hdrs = Vec::with_capacity(located.len());
-        let mut first_err: Option<PmemCpyError> = None;
-        for (i, loc) in located.iter().enumerate() {
-            if first_err.is_none() {
-                match load_one_located(serializer, &machine, clock, keys[i], loc, i, consumer) {
-                    Ok(hdr) => hdrs.push(hdr),
-                    Err(e) => first_err = Some(e),
-                }
-            }
-            // Every per-key mapping is released, even the ones after an
-            // error that were located but never decoded.
-            if loc.unmap_after_load {
-                loc.mapping.unmap(clock);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(hdrs),
-        }
-    }
-
-    /// Decode just the header of `key`'s record.
-    fn stat(&self, clock: &Clock, key: &str) -> Result<VarHeader> {
-        let loc = self
-            .locate_many(clock, &[key])?
-            .pop()
-            .expect("locate_many returns one location per key");
-        let result = (|| {
-            let mut src = MappingSource::new(&loc.mapping, clock, loc.offset, loc.len)?;
-            Ok(self.serializer().read_header(&mut src)?)
-        })();
-        if loc.unmap_after_load {
-            loc.mapping.unmap(clock);
-        }
-        result
-    }
 
     /// Whether `key` exists.
     fn exists(&self, clock: &Clock, key: &str) -> bool;
@@ -254,51 +244,6 @@ pub(crate) trait Layout: Send + Sync {
 
     /// Enumerate all keys (unspecified order).
     fn keys(&self, clock: &Clock) -> Vec<String>;
-
-    /// Stream `key`'s raw serialized record (header + payload, exactly as
-    /// stored) to `emit` in chunks of at most `chunk` bytes. Zero-copy:
-    /// each chunk is borrowed straight from the mapping — no DRAM staging
-    /// buffer, same fault/read charges as a staged load. Returns the record
-    /// length. Used by the burst-buffer drain, which flushes data "in the
-    /// same format as it was produced" (§3) without staging records.
-    fn stream_raw(
-        &self,
-        clock: &Clock,
-        key: &str,
-        chunk: usize,
-        emit: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<u64> {
-        let loc = self
-            .locate_many(clock, &[key])?
-            .pop()
-            .expect("locate_many returns one location per key");
-        let chunk = chunk.max(1);
-        let result = (|| {
-            let mut done = 0usize;
-            while done < loc.len {
-                let n = (loc.len - done).min(chunk);
-                loc.mapping
-                    .load_borrowed(clock, loc.offset + done, n, |bytes| emit(bytes))?;
-                done += n;
-            }
-            Ok(loc.len as u64)
-        })();
-        if loc.unmap_after_load {
-            loc.mapping.unmap(clock);
-        }
-        result
-    }
-
-    /// Copy out `key`'s raw serialized record into one buffer (diagnostics
-    /// and tests; the drain streams via [`Layout::stream_raw`] instead).
-    fn raw_value(&self, clock: &Clock, key: &str) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.stream_raw(clock, key, 1 << 18, &mut |chunk| {
-            out.extend_from_slice(chunk);
-            Ok(())
-        })?;
-        Ok(out)
-    }
 
     /// Flush any write-behind state into durable layout storage (see
     /// [`crate::write_behind`]): drains WAL records and truncates the log.
@@ -314,5 +259,120 @@ pub(crate) trait Layout: Send + Sync {
     /// changed; layouts without volatile counters have nothing to do.
     fn quiesce(&self, _clock: &Clock) -> Result<()> {
         Ok(())
+    }
+}
+
+/// The reads every layout shares, each derived from
+/// [`Layout::locate_many`]: one code path per read, whichever arm of
+/// [`Located`] a key resolves to.
+impl dyn Layout + '_ {
+    /// Load a group of records in one pass per key: bulk-resolve every
+    /// location, then for each record decode the header, obtain the
+    /// destination from `consumer`, and stream the payload straight out of
+    /// where it lives — the read-side mirror of [`Layout::store_many`], and
+    /// the single code path behind [`crate::ReadBatch`]. Returns the decoded
+    /// headers in key order.
+    pub(crate) fn load_many(
+        &self,
+        clock: &Clock,
+        keys: &[&str],
+        consumer: &mut dyn ReadConsumer,
+    ) -> Result<Vec<VarHeader>> {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        let (serializer, machine) = (self.serializer(), self.machine());
+        let located = {
+            let _span = machine
+                .phase(clock, "get", "get.lookup")
+                .arg("keys", keys.len() as u64);
+            self.locate_many(clock, keys)?
+        };
+        let mut out = Ok(Vec::with_capacity(located.len()));
+        for (i, loc) in located.iter().enumerate() {
+            if let Ok(hdrs) = &mut out {
+                match load_one_located(serializer, machine, clock, keys[i], loc, i, consumer) {
+                    Ok(hdr) => hdrs.push(hdr),
+                    Err(e) => out = Err(e),
+                }
+            }
+            // Every per-key mapping is released, even the ones after an
+            // error that were located but never decoded.
+            loc.release(clock);
+        }
+        out
+    }
+
+    /// Run `f` on where `key`'s record lives, then release it.
+    fn with_located<R>(
+        &self,
+        clock: &Clock,
+        key: &str,
+        f: impl FnOnce(&Located) -> Result<R>,
+    ) -> Result<R> {
+        let loc = self
+            .locate_many(clock, &[key])?
+            .pop()
+            .expect("locate_many returns one location per key");
+        let result = f(&loc);
+        loc.release(clock);
+        result
+    }
+
+    /// Decode just the header of `key`'s record.
+    pub(crate) fn stat(&self, clock: &Clock, key: &str) -> Result<VarHeader> {
+        let serializer = self.serializer();
+        self.with_located(clock, key, |loc| {
+            loc.read(clock, |src| Ok(serializer.read_header(src)?))
+        })
+    }
+
+    /// Stream `key`'s raw serialized record (header + payload, exactly as
+    /// stored) to `emit` in chunks of at most `chunk` bytes. Zero-copy from
+    /// PMEM: each chunk is borrowed straight from the mapping — no DRAM
+    /// staging buffer, same fault/read charges as a staged load; a front
+    /// hit is one DRAM copy of its record. Returns the record length. Used
+    /// by the burst-buffer drain, which flushes data "in the same format as
+    /// it was produced" (§3) without staging records.
+    pub(crate) fn stream_raw(
+        &self,
+        clock: &Clock,
+        key: &str,
+        chunk: usize,
+        emit: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<u64> {
+        let chunk = chunk.max(1);
+        self.with_located(clock, key, |loc| match loc {
+            Located::Mapped {
+                mapping,
+                offset,
+                len,
+                ..
+            } => {
+                let mut done = 0usize;
+                while done < *len {
+                    let n = (len - done).min(chunk);
+                    mapping.load_borrowed(clock, offset + done, n, |bytes| emit(bytes))?;
+                    done += n;
+                }
+                Ok(*len as u64)
+            }
+            Located::Dram(record) => {
+                self.machine().charge_dram_copy(clock, record.len() as u64);
+                record.chunks(chunk).try_for_each(&mut *emit)?;
+                Ok(record.len() as u64)
+            }
+        })
+    }
+
+    /// Copy out `key`'s raw serialized record into one buffer (diagnostics
+    /// and tests; the drain streams via `stream_raw` instead).
+    pub(crate) fn raw_value(&self, clock: &Clock, key: &str) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.stream_raw(clock, key, 1 << 18, &mut |chunk| {
+            out.extend_from_slice(chunk);
+            Ok(())
+        })?;
+        Ok(out)
     }
 }

@@ -3,7 +3,7 @@
 //! A rank's restart/analysis step usually loads many variables back to back;
 //! the classic path pays one metadata lookup round per key. A [`ReadBatch`]
 //! collects the whole step and commits it through the bulk read seam
-//! ([`Layout::load_many`](crate::layout::Layout::load_many) →
+//! (the `load_many` pipeline over `Layout::locate_many` →
 //! `PersistentHashtable::get_ref_many`): keys sharing a hashtable bucket are
 //! resolved by a single chain walk, every header is decoded exactly once,
 //! and each payload streams straight from the DAX mapping into its
@@ -45,15 +45,15 @@ impl<T: Element> AnyVec for Vec<T> {
 
 /// Allocate a `Vec<T>` sized to the record's payload (element count derived
 /// from the wire dtype size, as `Pmem::load_slice` always did).
-fn make_slice_vec<T: Element>(_key: &str, payload_len: u64) -> Result<Box<dyn AnyVec>> {
+fn make_slice_vec<T: Element>(payload_len: u64) -> Box<dyn AnyVec> {
     let n = (payload_len / T::DTYPE.size()) as usize;
-    Ok(Box::new(vec![unsafe { std::mem::zeroed::<T>() }; n]))
+    Box::new(vec![unsafe { std::mem::zeroed::<T>() }; n])
 }
 
 /// Allocate a one-element `Vec<T>` for a scalar; a payload of any other
 /// size fails the pipeline's exact-length check, as `load_scalar` always did.
-fn make_scalar_vec<T: Element>(_key: &str, _payload_len: u64) -> Result<Box<dyn AnyVec>> {
-    Ok(Box::new(vec![unsafe { std::mem::zeroed::<T>() }; 1]))
+fn make_scalar_vec<T: Element>(_payload_len: u64) -> Box<dyn AnyVec> {
+    Box::new(vec![unsafe { std::mem::zeroed::<T>() }; 1])
 }
 
 /// Where one staged key's payload lands.
@@ -62,7 +62,7 @@ enum Slot<'a> {
     Into(&'a mut [u8]),
     /// A batch-owned allocation sized once the header is decoded.
     Alloc {
-        make: fn(&str, u64) -> Result<Box<dyn AnyVec>>,
+        make: fn(u64) -> Box<dyn AnyVec>,
         vec: Option<Box<dyn AnyVec>>,
     },
 }
@@ -86,7 +86,6 @@ pub struct ReadBatch<'a> {
 /// The per-group [`ReadConsumer`]: hands the pipeline each record's
 /// destination bytes once its header (and so its payload length) is known.
 struct GroupConsumer<'s, 'a> {
-    keys: &'s [String],
     slots: &'s mut [Slot<'a>],
 }
 
@@ -94,10 +93,7 @@ impl ReadConsumer for GroupConsumer<'_, '_> {
     fn dst(&mut self, idx: usize, hdr: &VarHeader) -> Result<&mut [u8]> {
         match &mut self.slots[idx] {
             Slot::Into(buf) => Ok(buf),
-            Slot::Alloc { make, vec } => {
-                let v = make(&self.keys[idx], hdr.payload_len)?;
-                Ok(vec.insert(v).bytes_mut())
-            }
+            Slot::Alloc { make, vec } => Ok(vec.insert(make(hdr.payload_len)).bytes_mut()),
         }
     }
 }
@@ -224,10 +220,7 @@ impl<'a> ReadBatch<'a> {
             .zip(slots.chunks_mut(MAX_GROUP_KEYS))
         {
             let key_refs: Vec<&str> = kchunk.iter().map(|k| k.as_str()).collect();
-            let mut consumer = GroupConsumer {
-                keys: kchunk,
-                slots: schunk,
-            };
+            let mut consumer = GroupConsumer { slots: schunk };
             headers.extend(layout.load_many(clock, &key_refs, &mut consumer)?);
         }
         for (i, hdr) in headers.iter().enumerate() {
@@ -274,15 +267,10 @@ impl ReadResults {
 
     /// Take a scalar result (see [`ReadBatch::load_scalar`]).
     pub fn take_scalar<T: Element>(&mut self, h: GetHandle<T>) -> T {
-        let v: Vec<T> = {
-            let boxed = self.owned[h.idx]
-                .take()
-                .expect("result already taken or slot used a caller buffer");
-            *boxed
-                .into_any()
-                .downcast::<Vec<T>>()
-                .expect("handle type matches its staged slot")
+        let h = GetHandle {
+            idx: h.idx,
+            _marker: PhantomData,
         };
-        v[0]
+        self.take::<T>(h)[0]
     }
 }

@@ -32,15 +32,13 @@
 //!   cold mirror can never mask a newer write-behind value.
 
 use crate::error::{PmemCpyError, Result};
-use crate::layout::{
-    decode_into, hashtable::HashtableLayout, Layout, Located, PutRequest, ReadConsumer,
-};
+use crate::layout::{hashtable::HashtableLayout, Layout, Located, PutRequest};
 use crate::registry::SharedPool;
 use pmdk_sim::{PersistentLog, PmdkError};
 use pmem_sim::sync::Mutex;
 use pmem_sim::{Clock, EventCode, Machine, CKPT_LANE};
 use pserial::io::{get_str, get_u32, get_u64, get_u8, put_str, put_u32, put_u64, put_u8};
-use pserial::{Datatype, ReadSource, SerialError, Serializer, SliceSource, VarHeader, VarMeta};
+use pserial::{Datatype, ReadSource, SerialError, Serializer, SliceSource, VarMeta};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -219,7 +217,7 @@ fn raw_record_of(serializer: &'static dyn Serializer, entry: &FrontEntry) -> Res
 }
 
 /// The write-behind [`Layout`] wrapper: puts append to the WAL + front
-/// index, reads consult the front index before the inner layout, and
+/// index, a key is located in the front index before the inner layout, and
 /// everything else delegates.
 pub(crate) struct WriteBehindLayout {
     inner: HashtableLayout,
@@ -229,12 +227,6 @@ pub(crate) struct WriteBehindLayout {
 impl WriteBehindLayout {
     pub(crate) fn new(inner: HashtableLayout, state: Arc<WriteBehindState>) -> Self {
         WriteBehindLayout { inner, state }
-    }
-
-    /// What the front index holds for `key` right now; the payload is
-    /// `Arc`-shared, so the caller works on it unlocked.
-    fn front_snapshot(&self, key: &str) -> Option<FrontEntry> {
-        self.state.front.lock().get(key).cloned()
     }
 
     /// Apply every committed WAL record to the inner layout — one record is
@@ -273,28 +265,6 @@ impl WriteBehindLayout {
         machine.metric_counter_add("ckpt.drains", 1);
         span.set_arg("records", drained as u64);
         Ok(drained)
-    }
-
-    /// Serve one read from its front-index entry, through the serializer's
-    /// own record format so the header (and any payload transform) is
-    /// byte-equivalent to an inline-mode read.
-    fn load_front(
-        &self,
-        clock: &Clock,
-        key: &str,
-        idx: usize,
-        entry: &FrontEntry,
-        consumer: &mut dyn ReadConsumer,
-    ) -> Result<VarHeader> {
-        let (machine, serializer) = (self.inner.machine(), self.inner.serializer());
-        let bytes = entry.payload.len() as u64;
-        let _span = machine.phase(clock, "get", "get.front").arg("bytes", bytes);
-        let raw = raw_record_of(serializer, entry)?;
-        let hdr = decode_into(serializer, &mut SliceSource::new(&raw), key, idx, consumer)?;
-        machine.charge_dram_copy(clock, bytes);
-        machine.charge_serialize(clock, bytes, serializer.cpu_cost_factor());
-        machine.metric_counter_add("wb.front_hits", 1);
-        Ok(hdr)
     }
 }
 
@@ -351,63 +321,25 @@ impl Layout for WriteBehindLayout {
         Ok(())
     }
 
-    /// Unreachable through this layout: `load_many`, `stat` and
-    /// `stream_raw`, the default methods that call it, are all overridden
-    /// to read front-first. Delegate.
+    /// Front first: under one acquisition of the front lock each key the
+    /// index holds is answered with its record re-serialized in DRAM; the
+    /// rest go to the table as one grouped lookup, in key order. Entries
+    /// are `Arc`-shared, so the records are built unlocked.
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>> {
-        self.inner.locate_many(clock, keys)
-    }
-
-    fn load_many(
-        &self,
-        clock: &Clock,
-        keys: &[&str],
-        consumer: &mut dyn ReadConsumer,
-    ) -> Result<Vec<VarHeader>> {
-        // Partition under one lock acquisition; payloads are Arc-shared so
-        // the copies below run unlocked.
         let hits: Vec<Option<FrontEntry>> = {
             let front = self.state.front.lock();
             keys.iter().map(|k| front.get(*k).cloned()).collect()
         };
-        let miss_idx: Vec<usize> = (0..keys.len()).filter(|&i| hits[i].is_none()).collect();
-        let miss_keys: Vec<&str> = miss_idx.iter().map(|&i| keys[i]).collect();
-        struct Remap<'a> {
-            idx: &'a [usize],
-            consumer: &'a mut dyn ReadConsumer,
-        }
-        impl ReadConsumer for Remap<'_> {
-            fn dst(&mut self, idx: usize, hdr: &VarHeader) -> Result<&mut [u8]> {
-                self.consumer.dst(self.idx[idx], hdr)
-            }
-        }
-        // The misses first, as one group lookup; then the hits, in key order.
-        let mut remap = Remap {
-            idx: &miss_idx,
-            consumer,
-        };
-        let mut miss_hdrs = self
-            .inner
-            .load_many(clock, &miss_keys, &mut remap)?
-            .into_iter();
-        let consumer = remap.consumer;
-        (hits.iter().zip(keys).enumerate())
-            .map(|(i, (hit, key))| match hit {
-                Some(entry) => self.load_front(clock, key, i, entry, consumer),
-                None => Ok(miss_hdrs.next().expect("one header per missed key")),
+        let misses: Vec<&str> = (keys.iter().zip(&hits))
+            .filter_map(|(key, hit)| hit.is_none().then_some(*key))
+            .collect();
+        let mut table = self.inner.locate_many(clock, &misses)?.into_iter();
+        (hits.iter())
+            .map(|hit| match hit {
+                Some(entry) => Ok(Located::Dram(raw_record_of(self.serializer(), entry)?)),
+                None => Ok(table.next().expect("one location per missed key")),
             })
             .collect()
-    }
-
-    fn stat(&self, clock: &Clock, key: &str) -> Result<VarHeader> {
-        match self.front_snapshot(key) {
-            Some(entry) => {
-                let serializer = self.inner.serializer();
-                let raw = raw_record_of(serializer, &entry)?;
-                Ok(serializer.read_header(&mut SliceSource::new(&raw))?)
-            }
-            None => self.inner.stat(clock, key),
-        }
     }
 
     fn exists(&self, clock: &Clock, key: &str) -> bool {
@@ -429,28 +361,6 @@ impl Layout for WriteBehindLayout {
         all.into_iter().collect()
     }
 
-    fn stream_raw(
-        &self,
-        clock: &Clock,
-        key: &str,
-        chunk: usize,
-        emit: &mut dyn FnMut(&[u8]) -> Result<()>,
-    ) -> Result<u64> {
-        match self.front_snapshot(key) {
-            Some(entry) => {
-                let raw = raw_record_of(self.inner.serializer(), &entry)?;
-                self.inner
-                    .machine()
-                    .charge_dram_copy(clock, raw.len() as u64);
-                for piece in raw.chunks(chunk.max(1)) {
-                    emit(piece)?;
-                }
-                Ok(raw.len() as u64)
-            }
-            None => self.inner.stream_raw(clock, key, chunk, emit),
-        }
-    }
-
     fn checkpoint(&self, _clock: &Clock) -> Result<usize> {
         // The drain charges (the checkpoint lane's clock) under the lock;
         // never let the deterministic scheduler park us while holding it.
@@ -466,8 +376,10 @@ impl Layout for WriteBehindLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::ReadConsumer;
     use crate::registry::{release_pool, shared_pool};
     use pmem_sim::{MetricsRegistry, PersistenceMode, PmemDevice};
+    use pserial::VarHeader;
 
     fn put<'a>(key: &'a str, meta: &'a VarMeta, payload: &'a [u8]) -> PutRequest<'a> {
         PutRequest { key, meta, payload }
@@ -532,6 +444,7 @@ mod tests {
 
     fn load(layout: &WriteBehindLayout, key: &str, len: usize) -> Vec<u8> {
         let mut dst = vec![0u8; len];
+        let layout: &dyn Layout = layout;
         layout.load_many(&Clock::new(), &[key], &mut dst).unwrap();
         dst
     }

@@ -16,6 +16,7 @@
 //! run enumeration for N-D block decompositions.
 
 #![warn(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 mod comm;
 mod datatype;

@@ -8,14 +8,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Run `body` on `size` ranks (threads) and collect per-rank results in rank
-/// order, under the default [`SchedMode::Deterministic`] scheduler. A panic
-/// in any rank poisons the world — peers blocked in `recv` wake up instead
-/// of deadlocking — and propagates from this call with the original rank's
-/// message.
+/// order, under the default [`SchedMode::Deterministic`] scheduler; `body`
+/// may borrow from the caller's stack. A panic in any rank poisons the
+/// world — peers blocked in `recv` wake up instead of deadlocking — and
+/// propagates from this call with the original rank's message.
 pub fn run_world<T, F>(machine: Arc<Machine>, size: usize, body: F) -> Vec<T>
 where
-    T: Send + 'static,
-    F: Fn(Comm) -> T + Send + Sync + 'static,
+    T: Send,
+    F: Fn(Comm) -> T + Sync,
 {
     run_world_mode(machine, size, SchedMode::Deterministic, body)
 }
@@ -23,63 +23,62 @@ where
 /// [`run_world`] with an explicit scheduling mode.
 pub fn run_world_mode<T, F>(machine: Arc<Machine>, size: usize, mode: SchedMode, body: F) -> Vec<T>
 where
-    T: Send + 'static,
-    F: Fn(Comm) -> T + Send + Sync + 'static,
+    T: Send,
+    F: Fn(Comm) -> T + Sync,
 {
     let world = World::with_mode(machine, size, mode);
-    let body = Arc::new(body);
-    let mut handles = Vec::with_capacity(size);
-    for rank in 0..size {
-        let world = Arc::clone(&world);
-        let body = Arc::clone(&body);
-        handles.push(
+    let (world, body) = (&world, &body);
+    let results: Vec<_> = std::thread::scope(|scope| {
+        let spawn = |rank| {
             std::thread::Builder::new()
                 .name(format!("rank-{rank}"))
                 .stack_size(4 << 20)
-                .spawn(move || {
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        let comm = Comm::new(Arc::clone(&world), rank);
-                        // Under the deterministic scheduler this thread is
-                        // the rank (its owed yields go to the scheduler; the
-                        // registration ends on return and on unwind), and it
-                        // may not touch shared state before its first turn.
-                        let _turn = world.scheduler().map(|sched| {
-                            let gate = Arc::clone(sched) as Arc<dyn ClockGate>;
-                            let turn = pmem_sim::enter_rank(gate, rank, comm.clock_arc());
-                            sched.start(rank);
-                            turn
-                        });
-                        let out = body(comm);
-                        if let Some(sched) = world.scheduler() {
-                            sched.finish(rank);
-                        }
-                        out
-                    })) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            world.poison(format!(
-                                "rank {rank} panicked (thread {}): {}",
-                                std::thread::current().name().unwrap_or("<unnamed>"),
-                                payload_str(&*e)
-                            ));
-                            std::panic::resume_unwind(e);
-                        }
-                    }
-                })
-                .expect("spawn rank thread"),
-        );
-    }
-    let results: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-    if results.iter().any(|r| r.is_err()) {
-        match world.poison_message() {
+                .spawn_scoped(scope, move || run_rank(world, rank, body))
+                .expect("spawn rank thread")
+        };
+        let handles: Vec<_> = (0..size).map(spawn).collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
+    match results.into_iter().collect() {
+        Ok(out) => out,
+        Err(_) => match world.poison_message() {
             Some(msg) => panic!("{msg}"),
             None => panic!("rank thread panicked"),
+        },
+    }
+}
+
+/// The thread of rank `rank`: `body` on its communicator; a panic poisons
+/// the world before it unwinds on.
+fn run_rank<T>(world: &Arc<World>, rank: usize, body: &impl Fn(Comm) -> T) -> T {
+    match catch_unwind(AssertUnwindSafe(|| {
+        let comm = Comm::new(Arc::clone(world), rank);
+        // Under the deterministic scheduler this thread is the rank (its
+        // owed yields go to the scheduler; the registration ends on return
+        // and on unwind), and it may not touch shared state before its
+        // first turn.
+        let _turn = world.scheduler().map(|sched| {
+            let gate = Arc::clone(sched) as Arc<dyn ClockGate>;
+            let turn = pmem_sim::enter_rank(gate, rank, comm.clock_arc());
+            sched.start(rank);
+            turn
+        });
+        let out = body(comm);
+        if let Some(sched) = world.scheduler() {
+            sched.finish(rank);
+        }
+        out
+    })) {
+        Ok(v) => v,
+        Err(e) => {
+            world.poison(format!(
+                "rank {rank} panicked (thread {}): {}",
+                std::thread::current().name().unwrap_or("<unnamed>"),
+                payload_str(&*e)
+            ));
+            std::panic::resume_unwind(e);
         }
     }
-    results
-        .into_iter()
-        .map(|r| r.expect("checked above"))
-        .collect()
 }
 
 /// Render a panic payload for the poison message. Typed (non-string)
@@ -119,6 +118,20 @@ mod tests {
         let machine = Machine::chameleon();
         let out = run_world(machine, 8, |comm| comm.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
+    }
+
+    /// Ranks are scoped threads: a body borrows the caller's stack, no
+    /// `Arc` and no `'static` bound in between.
+    #[test]
+    fn a_rank_body_borrows_a_stack_local() {
+        let words: Vec<String> = (0..4).map(|r| format!("rank {r}")).collect();
+        let seen = pmem_sim::sync::Mutex::new(Vec::new());
+        let lens = run_world(Machine::chameleon(), 4, |comm| {
+            seen.lock().push(comm.rank());
+            words[comm.rank()].len()
+        });
+        assert_eq!(lens, [6; 4]);
+        assert_eq!(seen.lock().len(), 4);
     }
 
     #[test]

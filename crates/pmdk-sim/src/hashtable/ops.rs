@@ -62,10 +62,10 @@ impl PersistentHashtable {
 
     /// Insert (or replace) every `(key, val_len)` as **one pool
     /// transaction**, values first: one allocator pass carves every entry,
-    /// and `fill(i, vref, head)` writes key `i`'s value into its window and
-    /// flushes it — the caller serializes *directly into PMEM* (zero
-    /// staging), into a block nothing reaches yet — or hands the value's
-    /// bytes back for the table to store (`put`: a value ready in memory).
+    /// and `fill(i, vref, head)` stores key `i`'s value into its window
+    /// behind `head` and flushes both — the caller serializes *directly
+    /// into PMEM* (zero staging), into a block nothing reaches yet; a value
+    /// ready in memory is stored by the table's own `storing` fill (`put`).
     ///
     /// A small group — each entry fits one [`WINDOW`] with its block header
     /// — takes its stripes and looks its chains up first, so each entry's
@@ -84,11 +84,11 @@ impl PersistentHashtable {
     /// batch visible, every replaced entry intact); a key is never linked
     /// before its value is durable. Duplicate keys within one batch are
     /// rejected: two entries cannot both be linked under one key.
-    pub fn put_many<'v>(
+    pub fn put_many(
         &self,
         clock: &Clock,
         reqs: &[(&[u8], u64)],
-        mut fill: impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<Option<&'v [u8]>>,
+        mut fill: impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<()>,
     ) -> Result<Vec<ValueRef>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
@@ -115,9 +115,9 @@ impl PersistentHashtable {
         };
         // Entry `i` at `at[i]`; its `next` is the new entry before it in its
         // chain, else what is left of the chain.
-        let entry = |links: &[(u64, Option<usize>)], i: usize, at: &[u64], value| {
+        let entry = |links: &[(u64, Option<usize>)], i: usize, at: &[u64]| {
             let next = links[i].1.map_or(links[i].0, |j| at[j]);
-            encode_entry(hashes[i], reqs[i].0, reqs[i].1 as u32, next, value)
+            encode_entry(hashes[i], reqs[i].0, reqs[i].1 as u32, next)
         };
         self.maybe_resize(clock)?;
 
@@ -125,12 +125,10 @@ impl PersistentHashtable {
         self.ensure_dirty(clock);
         let (mut locked, mut spliced) = (None, Vec::new());
         let committed = self.pool.tx(clock, |tx| {
-            let (mut entries, mut carried) = (Vec::new(), Vec::new());
+            let mut entries = Vec::new();
             if !small {
                 entries = tx.alloc_many(&sizes)?;
-                carried = (0..reqs.len())
-                    .map(|i| fill(i, value(i, &entries), [&[], &[]]))
-                    .collect::<Result<_>>()?;
+                (0..reqs.len()).try_for_each(|i| fill(i, value(i, &entries), [&[], &[]]))?;
             }
             // Route every key and lock the involved stripes in ascending
             // index order, so concurrent batches and single puts cannot
@@ -171,7 +169,7 @@ impl PersistentHashtable {
                 for (k, &i) in idxs.iter().enumerate() {
                     links[i] = (rest, k.checked_sub(1).map(|k| idxs[k]));
                     if !small {
-                        tx.write_new(entries[i], &entry(&links, i, &entries, carried[i]));
+                        tx.write_new(entries[i], &entry(&links, i, &entries));
                     }
                 }
                 heads.push((words.len(), idxs[idxs.len() - 1]));
@@ -181,16 +179,8 @@ impl PersistentHashtable {
                 spliced.push((r, gone, idxs.clone()));
             }
             if small {
-                let dev = self.pool.device();
-                let mut store = |i: usize, at: &[u64], header: &[u8]| -> Result<()> {
-                    let entry = entry(&links, i, at, None);
-                    if let Some(bytes) = fill(i, value(i, at), [header, &entry])? {
-                        let start = at[i] as usize - header.len();
-                        let whole = [header, &entry, bytes].concat();
-                        dev.write_meta(clock, start, &whole);
-                        dev.flush(clock, start, whole.len());
-                    }
-                    Ok(())
+                let mut store = |i: usize, at: &[u64], header: &[u8]| {
+                    fill(i, value(i, at), [header, &entry(&links, i, at)])
                 };
                 entries = tx.alloc_stored(&sizes, Some(&mut store))?;
             }
@@ -220,22 +210,38 @@ impl PersistentHashtable {
         Ok((0..reqs.len()).map(|i| value(i, &entries)).collect())
     }
 
+    /// The fill of a value ready in memory, `bytes` for every key: its
+    /// head and value stored as one metadata write, then one flush.
+    pub(crate) fn storing<'a>(
+        &'a self,
+        clock: &'a Clock,
+        bytes: &'a [u8],
+    ) -> impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<()> + 'a {
+        move |_, v, head| {
+            let (dev, whole) = (self.pool.device(), [head[0], head[1], bytes].concat());
+            let start = v.offset as usize - head[0].len() - head[1].len();
+            dev.write_meta(clock, start, &whole);
+            dev.flush(clock, start, whole.len());
+            Ok(())
+        }
+    }
+
     /// [`Self::put_many`] with a fill that writes no value: each key is
-    /// linked with whatever bytes its block held (the empty value carried
-    /// is a small group's head, stored alone). Nothing in the product
-    /// reserves without filling — this stays `pub`, with its signature, only
-    /// because `benchmark/src/ladder.rs` (frozen) calls it to time the
-    /// metadata half of a group put.
+    /// linked with whatever bytes its block held (a small group's head is
+    /// stored alone). Nothing in the product reserves without filling —
+    /// this stays `pub`, with its signature, only because
+    /// `benchmark/src/ladder.rs` (frozen) calls it to time the metadata
+    /// half of a group put.
     pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
-        self.put_many(clock, reqs, |_, _, _| Ok(Some(&[])))
+        self.put_many(clock, reqs, self.storing(clock, &[]))
     }
 
     /// Insert (or replace) `key → value` atomically: on a crash at any point
     /// the table holds either the complete old mapping or the complete new
     /// one.
     pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
-        let carry = |_, _, _: [&[u8]; 2]| Ok(Some(value));
-        Ok(self.put_many(clock, &[(key, value.len() as u64)], carry)?[0])
+        let fill = self.storing(clock, value);
+        Ok(self.put_many(clock, &[(key, value.len() as u64)], fill)?[0])
     }
 
     /// Locate `key`'s value without copying it: answered from the mirror

@@ -218,7 +218,7 @@ fn the_shadow_holds_each_cached_key_at_its_route_under_an_op_mix() {
                 let value = format!("v{step}").into_bytes();
                 let reqs: Vec<(&[u8], u64)> =
                     keys.iter().map(|k| (&k[..], value.len() as u64)).collect();
-                ht.put_many(&clock, &reqs, |_, _, _| Ok(Some(&value[..])))
+                ht.put_many(&clock, &reqs, ht.storing(&clock, &value))
                     .unwrap();
                 live.extend(keys.into_iter().map(|k| (k, value.clone())));
             }
@@ -304,7 +304,7 @@ fn each_path_reads_only_what_the_mirror_lacks() {
     let group: Vec<Vec<u8>> = (30..50).map(|i| format!("w{i}").into_bytes()).collect();
     let reqs: Vec<(&[u8], u64)> = group.iter().map(|k| (&k[..], 8)).collect();
     counted("a group of overwrites and fresh keys", 0, &|| {
-        ht.put_many(&clock, &reqs, |_, _, _| Ok(Some(&b"12345678"[..])))
+        ht.put_many(&clock, &reqs, ht.storing(&clock, b"12345678"))
             .unwrap();
     });
     counted("a remove", 0, &|| assert!(ht.remove(&clock, b"w7").unwrap()));
@@ -363,7 +363,7 @@ fn each_bucket_the_mirror_answers_costs_one_probe() {
         (after[0] - before[0], after[1] - before[1], after[2] - before[2])
     };
     let reqs: Vec<(&[u8], u64)> = vec![(b"a", 1), (b"b", 1)];
-    let put = || drop(ht.put_many(&clock, &reqs, |_, _, _| Ok(Some(&b"v"[..]))).unwrap());
+    let put = || drop(ht.put_many(&clock, &reqs, ht.storing(&clock, b"v")).unwrap());
     assert_eq!(counted(&put), (1, 1, 0), "a 2-key group into a complete bucket");
     ht.put(&clock, b"c", b"v").unwrap(); // chain: c → b → a
     let get = || assert!(ht.get_ref_many(&clock, &[b"a", b"b"]).iter().all(Option::is_some));

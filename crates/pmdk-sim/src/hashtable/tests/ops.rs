@@ -44,7 +44,7 @@ fn writing<'a>(
     pool: &'a PmemPool,
     clock: &'a Clock,
     value: impl Fn(usize) -> Vec<u8> + 'a,
-) -> impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<Option<&'a [u8]>> + 'a {
+) -> impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<()> + 'a {
     move |i, v, head| {
         let bytes = value(i);
         assert_eq!(bytes.len() as u64, v.len);
@@ -52,7 +52,7 @@ fn writing<'a>(
         let whole = [head[0], head[1], &bytes].concat();
         pool.device().write_meta(clock, start, &whole);
         pool.device().flush(clock, start, whole.len());
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -214,7 +214,7 @@ fn a_put_reads_its_bucket_head_once() {
 #[test]
 fn put_many_rejects_duplicate_keys() {
     let (ht, pool, clock) = table(1 << 22, 8);
-    let nothing = |_, _, _: [&[u8]; 2]| Ok(None);
+    let nothing = |_, _, _: [&[u8]; 2]| Ok(());
     let err = ht
         .put_many(&clock, &[(b"same", 4), (b"same", 8)], nothing)
         .unwrap_err();

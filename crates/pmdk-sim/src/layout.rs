@@ -696,23 +696,15 @@ impl Entry {
     }
 }
 
-/// A chain entry as it is stored — header, key and (when the caller has
-/// them; otherwise they are written in place later) the value bytes — in
-/// one buffer, so a fresh entry is one store.
-pub(crate) fn encode_entry(
-    hash: u64,
-    key: &[u8],
-    vlen: u32,
-    next: u64,
-    value: Option<&[u8]>,
-) -> Vec<u8> {
-    let mut ent = Vec::with_capacity(ENT_KEY as usize + key.len() + value.map_or(0, <[u8]>::len));
+/// A chain entry as it is stored — header and key, the value written in
+/// place by the fill — in one buffer, so a fresh entry is one store.
+pub(crate) fn encode_entry(hash: u64, key: &[u8], vlen: u32, next: u64) -> Vec<u8> {
+    let mut ent = Vec::with_capacity(ENT_KEY as usize + key.len());
     ent.extend_from_slice(&hash.to_le_bytes());
     ent.extend_from_slice(&(key.len() as u32).to_le_bytes());
     ent.extend_from_slice(&vlen.to_le_bytes());
     ent.extend_from_slice(&next.to_le_bytes());
     ent.extend_from_slice(key);
-    ent.extend_from_slice(value.unwrap_or_default());
     ent
 }
 

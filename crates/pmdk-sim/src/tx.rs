@@ -767,7 +767,7 @@ mod tests {
             fences(&pool),
             pool.device().machine().stats.snapshot().pool_txs,
         );
-        ht.put_many(&clock, &reqs, |_, _, _| Ok(Some(&[7u8; 8])))
+        ht.put_many(&clock, &reqs, ht.storing(&clock, &[7u8; 8]))
             .unwrap();
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
         // begin 1 + intents 2 + heap carve 2 + records 1 + UNDO_LEN 1 +

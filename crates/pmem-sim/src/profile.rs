@@ -181,6 +181,26 @@ mod tests {
         }
     }
 
+    /// What one more CLWB line adds to a flush: nothing on the Optane-class
+    /// profiles (pipelined, below the 1 ns resolution; eADR flushes nothing
+    /// at all), a fabric round trip's 4 ns on `cxl`.
+    #[test]
+    fn a_clwb_line_costs_nothing_but_on_cxl() {
+        let line = |name: &str| {
+            let machine = Machine::new(by_name(name).unwrap());
+            let flush = |lines: u64| {
+                let clock = Clock::new();
+                machine.charge_writeback(&clock, FlushStrategy::Clwb, lines * 64, &[]);
+                clock.now()
+            };
+            flush(2) - flush(1)
+        };
+        for name in ["optane-gen1", "optane-gen2", "eadr"] {
+            assert_eq!(line(name), SimTime::ZERO, "{name}");
+        }
+        assert_eq!(line("cxl"), SimTime::from_nanos(4));
+    }
+
     #[test]
     fn eadr_flushes_are_free_but_fences_still_charge() {
         let m = Machine::new(eadr());

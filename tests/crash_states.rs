@@ -774,7 +774,7 @@ fn group(fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>
         let whole = [head[0], head[1], &values[i]].concat();
         dev.write(&fx.clock, start, &whole);
         dev.flush(&fx.clock, start, whole.len());
-        Ok(None)
+        Ok(())
     }))
     .unwrap();
     ex.update(|m| m.contract.ack());

@@ -9,7 +9,10 @@
 //!    reference, under both scheduler modes (a crash inside replay-on-open:
 //!    `tests/crash_states.rs`);
 //! 4. the checkpoint lane never advances a rank's virtual clock, and a
-//!    deterministic world that drains mid-run stays bit-reproducible.
+//!    deterministic world that drains mid-run stays bit-reproducible;
+//! 5. one read batch over drained keys and front-resident keys answers
+//!    each key in order, and a front-resident variable reads exactly as it
+//!    reads once drained.
 
 mod support;
 
@@ -17,6 +20,7 @@ use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmem_sim::flight::EventCode::{CkptBegin, CkptEnd, TxBegin, TxCommit, WalAppend, WalTruncate};
 use pmem_sim::{Clock, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
+use simfs::{MountMode, SimFs};
 use std::collections::HashMap;
 use std::sync::Arc;
 use support::{device_with, image_at, Timeline};
@@ -458,4 +462,117 @@ fn checkpoint_lane_is_free_for_ranks_and_deterministic() {
         (b.pmem_bytes_written, b.pool_txs, b.fences),
         "deterministic write-behind run diverged"
     );
+}
+
+/// One read batch over keys a checkpoint moved into the table and keys
+/// still in the front index, interleaved: every key comes back in order
+/// with its bytes and header, each front-resident key counts one front hit,
+/// and the batch costs what it always has.
+#[test]
+fn a_read_batch_interleaves_front_hits_and_table_reads() {
+    let machine = Machine::chameleon();
+    let metrics = MetricsRegistry::new();
+    assert!(machine.set_metrics(Arc::clone(&metrics)));
+    let dev = PmemDevice::new(Arc::clone(&machine), 24 << 20, PersistenceMode::Fast);
+    let comm = single_rank(&machine);
+    let mut pmem = Pmem::with_options(wb_opts());
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    let key = |k: usize| format!("k{k}");
+    let value = |k: usize| -> Vec<f64> { (0..32 + 8 * k).map(|i| (k * 100 + i) as f64).collect() };
+    // Even keys drained into the table, odd keys left in the front index.
+    for k in (0..8).step_by(2) {
+        pmem.store_slice(&key(k), &value(k)).unwrap();
+    }
+    assert_eq!(pmem.checkpoint().unwrap(), 4);
+    for k in (1..8).step_by(2) {
+        pmem.store_slice(&key(k), &value(k)).unwrap();
+    }
+
+    let hits = || metrics.snapshot().counter("wb.front_hits");
+    let (hits0, t0) = (hits(), pmem.now());
+    let mut batch = pmem.read_batch();
+    let handles: Vec<_> = (0..8)
+        .map(|k| batch.load_slice::<f64>(&key(k)).unwrap())
+        .collect();
+    let mut results = batch.commit().unwrap();
+    let cost = pmem.now() - t0;
+    for (k, h) in handles.into_iter().enumerate() {
+        let hdr = results.header(&h);
+        assert_eq!(hdr.meta.name, key(k));
+        assert_eq!(hdr.meta.dims, [value(k).len() as u64]);
+        assert_eq!(hdr.payload_len, value(k).len() as u64 * 8);
+        assert_eq!(results.take(h), value(k), "{}", key(k));
+    }
+    assert_eq!(hits() - hits0, 4, "one front hit per front-resident key");
+    assert_eq!(cost.as_nanos(), BATCH_NS, "the batch's virtual cost moved");
+    pmem.munmap().unwrap();
+}
+
+/// [`a_read_batch_interleaves_front_hits_and_table_reads`]' batch cost on
+/// the chameleon machine: four table reads and four front hits.
+const BATCH_NS: u64 = 6_653;
+
+/// A variable still in the front index reads exactly as it reads once a
+/// checkpoint has drained it: its dims, a region across both its blocks,
+/// every raw record and every file the burst-buffer drain writes.
+#[test]
+fn a_front_resident_variable_reads_as_it_does_once_drained() {
+    let machine = Machine::chameleon();
+    let metrics = MetricsRegistry::new();
+    assert!(machine.set_metrics(Arc::clone(&metrics)));
+    let dev = PmemDevice::new(Arc::clone(&machine), 24 << 20, PersistenceMode::Fast);
+    let comm = single_rank(&machine);
+    let mut pmem = Pmem::with_options(wb_opts());
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    let global = [16u64, 8];
+    let cell = |r: u64, c: u64| (r * 8 + c) as f64;
+    pmem.alloc::<f64>("A", &global).unwrap();
+    for row0 in [0u64, 8] {
+        let block: Vec<f64> = (row0..row0 + 8)
+            .flat_map(|r| (0..8).map(move |c| cell(r, c)))
+            .collect();
+        pmem.store_block("A", &block, &[row0, 0], &[8, 8]).unwrap();
+    }
+
+    let observe = |pmem: &Pmem| {
+        let dims = pmem.load_dims("A").unwrap();
+        let mut region = vec![0f64; 6 * 5];
+        pmem.load_region("A", &mut region, &[5, 2], &[6, 5])
+            .unwrap();
+        let mut keys = pmem.keys().unwrap();
+        keys.sort();
+        let raw: Vec<Vec<u8>> = keys.iter().map(|k| pmem.raw_record(k).unwrap()).collect();
+        let bb_dev = PmemDevice::new(Arc::clone(&machine), 4 << 20, PersistenceMode::Fast);
+        let bb = SimFs::mount_all(bb_dev, MountMode::PageCache);
+        let report = pmem.drain_to_storage(&bb, "/bb").unwrap();
+        let clock = Clock::new();
+        let mut files: Vec<(String, Vec<u8>)> = (bb.list_dir("/bb").unwrap().into_iter())
+            .map(|(name, _)| {
+                let path = format!("/bb/{name}");
+                let mut bytes = vec![0u8; bb.file_size(&path).unwrap() as usize];
+                let fd = bb.open(&clock, &path).unwrap();
+                assert_eq!(bb.read_at(&clock, fd, 0, &mut bytes).unwrap(), bytes.len());
+                bb.close(&clock, fd).unwrap();
+                (name, bytes)
+            })
+            .collect();
+        files.sort();
+        assert_eq!((report.keys, files.len()), (keys.len(), keys.len()));
+        (dims, region, keys, raw, files)
+    };
+    let hits = || metrics.snapshot().counter("wb.front_hits");
+    let before = hits();
+    let front = observe(&pmem);
+    assert!(hits() > before, "the first reads were not front hits");
+    assert_eq!(pmem.checkpoint().unwrap(), 3, "the dims and two blocks");
+    let before = hits();
+    let drained = observe(&pmem);
+    assert_eq!(hits(), before, "the drained reads were front hits");
+    assert_eq!(front, drained);
+    assert_eq!(front.0 .1, global);
+    let expect: Vec<f64> = (5..11)
+        .flat_map(|r| (2..7).map(move |c| cell(r, c)))
+        .collect();
+    assert_eq!(front.1, expect);
+    pmem.munmap().unwrap();
 }
