@@ -7,7 +7,10 @@
 //! ([`Layout::store_many`](crate::layout::Layout::store_many) →
 //! `PersistentHashtable::put_many` → `Heap::alloc_many`): one transaction,
 //! one allocator pass, one entry-count update per group, with every value
-//! serialized straight into its PMEM window before the group is published.
+//! serialized straight into its PMEM window, its block and entry headers
+//! riding the record's first store, before the group is published. The
+//! group's stripes are held across the serialization, the heap lock is
+//! not: ranks copy their records side by side.
 //!
 //! ```text
 //! let mut batch = pmem.batch();

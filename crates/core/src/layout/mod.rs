@@ -66,7 +66,7 @@ pub(crate) fn serialize(layout: &dyn Layout, clock: &Clock, puts: &[PutRequest<'
 /// The fill of every layout's put: stream `put`'s record straight into the
 /// `len`-byte window at `offset` of `mapping` — no DRAM staging — behind
 /// `head`, the metadata that shares its first store (the hashtable's block
-/// and entry headers of a small record; empty elsewhere), and flush the
+/// and entry headers, of every record; empty elsewhere), and flush the
 /// whole once. The fence that makes it durable is the layout's: the
 /// hashtable's is the carve's or the commit's before the group is
 /// published, the hierarchical layout's the file's own.

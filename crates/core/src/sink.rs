@@ -21,11 +21,13 @@
 //!
 //! A sink may also start its window with a *head*: the metadata that lies
 //! right before the record on media ([`MappingSink::headed`]). The
-//! hashtable hands a small group's fill its block header and entry header,
-//! so block header, entry, key and record leave in one store and one flush
-//! ([`DaxMapping::store_headed`] / [`DaxMapping::flush_headed`] charge each
-//! byte as the separate stores did — the head unscaled — and save only the
-//! per-operation costs).
+//! hashtable hands every fill its block header and entry header, so block
+//! header, entry, key and the record's first window leave in one store,
+//! and the whole in one flush ([`DaxMapping::store_headed`] /
+//! [`DaxMapping::flush_headed`] charge each byte as the separate stores
+//! did — the head unscaled — and save only the per-operation costs). A
+//! head longer than a window (a long key) is stored on its own, ahead of
+//! the record.
 
 use pmem_sim::{Clock, DaxMapping, WINDOW};
 use pserial::{ReadSource, Result as SResult, SerialError, WriteSink};
@@ -88,9 +90,9 @@ impl<'a> MappingSink<'a> {
     }
 
     /// A sink whose first store also carries `head`: the metadata structures
-    /// that lie, back to back, right before the record at `base` — at most
-    /// one window of them, charged as the metadata plane charges them
-    /// ([`DaxMapping::store_headed`]).
+    /// that lie, back to back, right before the record at `base`, charged as
+    /// the metadata plane charges them ([`DaxMapping::store_headed`]). Heads
+    /// that do not fit one window are stored ahead of the record, alone.
     pub(crate) fn headed(
         mapping: &'a DaxMapping,
         clock: &'a Clock,
@@ -100,11 +102,15 @@ impl<'a> MappingSink<'a> {
     ) -> SResult<Self> {
         let mut sink = Self::new(mapping, clock, base, limit)?;
         let meta = head.iter().map(|h| h.len()).sum::<usize>();
-        if meta > base.min(WINDOW) {
+        if meta > base {
             return Err(SerialError::ShortBuffer {
                 need: meta as u64,
-                have: base.min(WINDOW) as u64,
+                have: base as u64,
             });
+        }
+        if meta > WINDOW {
+            mapping.store_headed(clock, base - meta, &head.concat(), &head.map(<[u8]>::len));
+            return Ok(sink);
         }
         for h in head {
             sink.window[sink.held..sink.held + h.len()].copy_from_slice(h);

@@ -477,6 +477,41 @@ fn a_record_is_read_once_and_is_durable_when_store_returns() {
     }
 }
 
+/// A key longer than a 256-byte window, with an 8-byte and a 4 KiB value,
+/// stored alone and in a batch: each reads back, and is durable when its
+/// store returns.
+#[test]
+fn a_key_longer_than_a_window_round_trips_and_survives_a_crash() {
+    let long = |tag: &str| format!("{tag}/{}", "k".repeat(300));
+    let small = [0xC0FFEEu64];
+    let large: Vec<u64> = (0..512).collect();
+    let dev = PmemDevice::new(Machine::chameleon(), 16 << 20, PersistenceMode::Tracked);
+    let (pmem, _comm) = mapped_single(Options::default(), &dev);
+    pmem.store_slice(&long("alone-small"), &small).unwrap();
+    pmem.store_slice(&long("alone-large"), &large).unwrap();
+    let mut batch = pmem.batch();
+    batch.store_slice(&long("batch-small"), &small).unwrap();
+    batch.store_slice(&long("batch-large"), &large).unwrap();
+    batch.commit().unwrap();
+    let check = |pmem: &Pmem| {
+        for how in ["alone", "batch"] {
+            let got = pmem.load_slice::<u64>(&long(&format!("{how}-small")));
+            assert_eq!(got.unwrap(), small, "{how}");
+            let got = pmem.load_slice::<u64>(&long(&format!("{how}-large")));
+            assert_eq!(got.unwrap(), large, "{how}");
+        }
+    };
+    check(&pmem);
+
+    // Power cut with the session still mounted: only fenced lines stay.
+    dev.crash();
+    drop(pmem);
+    pmemcpy::registry::release_pool(&dev);
+    let (mut pmem, _comm) = mapped_single(Options::default(), &dev);
+    check(&pmem);
+    pmem.munmap().unwrap();
+}
+
 #[test]
 fn load_region_spans_multiple_blocks() {
     let dev = devdax(64);

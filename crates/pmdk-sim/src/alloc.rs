@@ -26,6 +26,8 @@ pub(crate) struct Heap {
     free: BTreeMap<u64, BTreeSet<u64>>,
     /// Bytes currently allocated (payloads only).
     allocated: u64,
+    /// Tails kept out of the free map by groups being filled.
+    pub(crate) withheld: usize,
 }
 
 /// A block of the heap: its header's offset and its payload size.
@@ -35,10 +37,9 @@ struct Block {
     size: u64,
 }
 
-/// How a group's blocks are written under the heap lock: `store(i,
-/// payloads, header)` writes block `i`, whose payload is at `payloads[i]`,
-/// led by `header`, its encoded block header — empty for a carve's first
-/// block, whose header is the carve's commit point and is written after it.
+/// How a group's blocks are filled: `store(i, payloads, header)` writes
+/// block `i` led by its encoded header — empty for a carve's first block,
+/// whose header is the carve's commit point and comes after.
 pub(crate) type Store<'a> = dyn FnMut(usize, &[u64], &[u8]) -> Result<()> + 'a;
 
 /// One planned cut: `blocks`, back to back from the header of the free
@@ -48,6 +49,45 @@ struct Carve {
     source: Block,
     blocks: Vec<Block>,
     tail: Option<Block>,
+}
+
+impl Carve {
+    /// Whether it writes around its blocks: not one block taking its source whole.
+    fn splits(&self) -> bool {
+        self.tail.is_some() || self.blocks.len() > 1
+    }
+
+    /// Each block, with its predecessor's size if the carve holds one.
+    fn after(&self) -> impl Iterator<Item = (Block, Option<u64>)> + '_ {
+        (self.blocks.iter()).scan(None, |prev, b| Some((*b, prev.replace(b.size))))
+    }
+}
+
+/// A group between its plan and its commit: each block's payload offset in
+/// request order, its carves, and the tails kept out of the free map.
+#[derive(Debug, Default)]
+pub(crate) struct Group {
+    pub(crate) payloads: Vec<u64>,
+    carves: Vec<Carve>,
+    withheld: Vec<Block>,
+}
+
+impl Group {
+    /// Store each block through `store`, with no heap lock held: nothing
+    /// else reaches a block being carved. A store that fails leaves the
+    /// rest, its own block among them, header-only, so the carves commit.
+    pub(crate) fn fill(&self, clock: &Clock, dev: &PmemDevice, store: &mut Store) -> Result<()> {
+        let mut filled = Ok(());
+        for (i, (b, prev)) in self.carves.iter().flat_map(Carve::after).enumerate() {
+            let head = prev.map(|prev| header(BLOCK_ALLOC, b.size, prev));
+            let head = head.as_ref().map_or(&[][..], |h| &h[..]);
+            filled = filled.and_then(|()| store(i, &self.payloads, head));
+            if filled.is_err() {
+                write_unfenced(clock, dev, b.hdr, head);
+            }
+        }
+        filled
+    }
 }
 
 impl Heap {
@@ -92,6 +132,7 @@ impl Heap {
             heap_end,
             free,
             allocated,
+            withheld: 0,
         })
     }
 
@@ -106,61 +147,70 @@ impl Heap {
             .sum()
     }
 
-    #[cfg(test)]
-    fn free_block_count(&self) -> usize {
-        self.free.values().map(|s| s.len()).sum()
-    }
-
-    /// Allocate an aligned payload of at least `size` bytes: a group of one.
-    /// Returns the *payload* device offset.
-    #[cfg(test)]
-    fn alloc(&mut self, clock: &Clock, size: u64) -> Result<u64> {
-        Ok(self.alloc_many(clock, &[size], |_| {}, None)?[0])
-    }
-
-    /// Allocate one aligned payload per entry of `sizes`; payload offsets
-    /// come back in request order. The group is *planned* against the
-    /// volatile free map first — one best-fit block for all of it, carved in
-    /// a single free-list pass, or a block a request when none holds the
-    /// combined extent — and `planned` sees the offsets before any header
-    /// says so: a transaction persists its intents there. Then each carve
-    /// is committed, its blocks written by `store` when one is given — each
-    /// header then shares a store with the block's contents — else header
-    /// by header. A plan that does not fit touches no media; a `store` that
-    /// fails leaves its carve, and every later one, as it found them.
-    ///
-    /// Crash semantics: block 0's header is a carve's commit point and is
-    /// written last. Until it flips to `BLOCK_ALLOC` the rebuild walk sees
-    /// the original free block and skips straight over the interior headers
-    /// (which may already say ALLOC), so the carve's blocks appear together.
+    /// Plan one aligned payload per entry of `sizes` — one best-fit block
+    /// for all of them, carved in one free-list pass, or a block a request —
+    /// show `planned` the offsets before any header says so (a transaction
+    /// persists its intents there), then write each carve's free tail and
+    /// its successor's back link, unfenced. A plan that does not fit touches
+    /// no media; one that does is never undone. Until [`Heap::commit`] the
+    /// free map holds neither its blocks nor their tails, which on media
+    /// still lie in a FREE block: no `alloc` cuts them, no `free` merges.
     pub(crate) fn alloc_many(
         &mut self,
         clock: &Clock,
         sizes: &[u64],
         planned: impl FnOnce(&[u64]),
-        mut store: Option<&mut Store<'_>>,
-    ) -> Result<Vec<u64>> {
+    ) -> Result<Group> {
         if sizes.is_empty() {
-            return Ok(Vec::new());
+            return Ok(Group::default());
         }
         let carves = self.plan(sizes)?;
-        let payloads: Vec<u64> = carves
-            .iter()
+        let payloads: Vec<u64> = (carves.iter())
             .flat_map(|c| c.blocks.iter().map(|b| b.hdr + BLOCK_HEADER_SIZE))
             .collect();
         planned(&payloads);
-        let mut first = 0;
-        for (c, carve) in carves.iter().enumerate() {
-            let stored = self.commit(clock, carve, (first, &payloads), store.as_deref_mut());
-            if let Err(e) = stored {
-                for carve in carves[c..].iter().rev() {
-                    self.uncarve(carve);
+        let mut withheld = Vec::new();
+        for carve in carves.iter().filter(|c| c.splits()) {
+            let last = carve.blocks[carve.blocks.len() - 1];
+            if let Some(tail) = carve.tail {
+                let free = header(BLOCK_FREE, tail.size, last.size);
+                write_unfenced(clock, &self.device, tail.hdr, &free);
+                // Unless a later carve of the plan cut it already.
+                if self.holds(tail.size, tail.hdr) {
+                    self.remove_free(tail.size, tail.hdr);
+                    withheld.push(tail);
                 }
-                return Err(e);
             }
-            first += carve.blocks.len();
+            let end = carve.tail.unwrap_or(last);
+            self.back_link(clock, end.hdr, end.size);
         }
-        Ok(payloads)
+        self.withheld += withheld.len();
+        Ok(Group {
+            payloads,
+            carves,
+            withheld,
+        })
+    }
+
+    /// Commit a filled group: one drain for its interior headers, tails and
+    /// back links, then each carve's first header, persisted — the commit
+    /// point, before which the walk skips the interior headers. Its
+    /// `prev_size` is read here: a neighbour's `free` may have rewritten it.
+    pub(crate) fn commit(&mut self, clock: &Clock, group: Group) -> Vec<u64> {
+        if group.carves.iter().any(Carve::splits) {
+            self.device.drain(clock);
+        }
+        for carve in &group.carves {
+            let b0 = carve.blocks[0];
+            let commit = header(BLOCK_ALLOC, b0.size, read_prev(&self.device, b0.hdr));
+            write_header(clock, &self.device, b0.hdr, &commit);
+            self.allocated += carve.blocks.iter().map(|b| b.size).sum::<u64>();
+        }
+        self.withheld -= group.withheld.len();
+        for tail in group.withheld {
+            self.free.entry(tail.size).or_default().insert(tail.hdr);
+        }
+        group.payloads
     }
 
     /// Choose the free blocks `sizes` are cut from and take them out of the
@@ -242,58 +292,6 @@ impl Heap {
         self.free.entry(size).or_default().insert(hdr);
     }
 
-    /// Write a planned carve, whose first block is block `first` of the
-    /// group at `payloads`. A `store` writes the blocks first, back to
-    /// front, so one that fails has written nothing outside the source
-    /// block, which still says FREE. Then the tail split off and the
-    /// successor's back link, and — without a `store` — the interior
-    /// headers, back to front. All of it is invisible while block 0 still
-    /// says FREE and shares one drain; block 0's header is the commit point,
-    /// persisted on its own.
-    fn commit(
-        &mut self,
-        clock: &Clock,
-        carve: &Carve,
-        (first, payloads): (usize, &[u64]),
-        store: Option<&mut Store<'_>>,
-    ) -> Result<()> {
-        let blocks = &carve.blocks;
-        let (b0, last) = (blocks[0], blocks[blocks.len() - 1]);
-        let each = |store: &mut Store<'_>| {
-            for (j, pair) in blocks.windows(2).enumerate().rev() {
-                let interior = header(BLOCK_ALLOC, pair[1].size, pair[0].size);
-                store(first + j + 1, payloads, &interior)?;
-            }
-            store(first, payloads, &[])
-        };
-        let headers_later = store.is_none();
-        if let Some(store) = store {
-            each(store)?;
-        }
-        // A lone block that took its free block whole changes nothing
-        // around it.
-        if last.size != carve.source.size {
-            if let Some(tail) = carve.tail {
-                let free = header(BLOCK_FREE, tail.size, last.size);
-                write_unfenced(clock, &self.device, tail.hdr, &free);
-            }
-            let end = carve.tail.unwrap_or(last);
-            self.fix_next_prev_size(clock, end.hdr, end.size);
-            if headers_later {
-                let device = &self.device;
-                each(&mut |i, at, header| {
-                    write_unfenced(clock, device, at[i] - BLOCK_HEADER_SIZE, header);
-                    Ok(())
-                })?;
-            }
-            self.device.drain(clock);
-        }
-        let commit = header(BLOCK_ALLOC, b0.size, read_prev(&self.device, b0.hdr));
-        write_header(clock, &self.device, b0.hdr, &commit);
-        self.allocated += blocks.iter().map(|b| b.size).sum::<u64>();
-        Ok(())
-    }
-
     /// Free the payload at `payload_off`, coalescing with free neighbours.
     pub(crate) fn free(&mut self, clock: &Clock, payload_off: u64) -> Result<()> {
         let (hdr_off, h) = self.live_block(payload_off)?;
@@ -303,11 +301,12 @@ impl Heap {
         let mut payload = h.size;
         let mut prev_size = h.prev_size;
 
-        // Coalesce with physical predecessor if free.
+        // Coalesce with a physical neighbour only if the free map holds it:
+        // a block being carved still says FREE on media, and is not there.
         if h.prev_size != 0 {
             let prev_hdr = hdr_off - BLOCK_HEADER_SIZE - h.prev_size;
-            let ph = BlockHeader::read(&self.device, prev_hdr)?;
-            if ph.state == BLOCK_FREE {
+            if self.holds(h.prev_size, prev_hdr) {
+                let ph = BlockHeader::read(&self.device, prev_hdr)?;
                 self.remove_free(ph.size, prev_hdr);
                 start = prev_hdr;
                 // The predecessor absorbs our header and payload.
@@ -316,11 +315,10 @@ impl Heap {
             }
         }
 
-        // Coalesce with physical successor if free.
         let next_hdr = hdr_off + BLOCK_HEADER_SIZE + h.size;
         if next_hdr + BLOCK_HEADER_SIZE + HEAP_ALIGN <= self.heap_end {
             let nh = BlockHeader::read(&self.device, next_hdr)?;
-            if nh.state == BLOCK_FREE {
+            if self.holds(nh.size, next_hdr) {
                 self.remove_free(nh.size, next_hdr);
                 payload += BLOCK_HEADER_SIZE + nh.size;
             }
@@ -338,7 +336,8 @@ impl Heap {
         }
         let merged = header(BLOCK_FREE, payload, prev_size);
         write_header(clock, &self.device, start, &merged);
-        self.fix_next_prev_size(clock, start, payload);
+        self.back_link(clock, start, payload);
+        self.device.drain(clock);
         self.free.entry(payload).or_default().insert(start);
         Ok(())
     }
@@ -395,17 +394,22 @@ impl Heap {
         }
     }
 
-    /// After block at `hdr` took payload size `payload`, update the physical
-    /// successor's prev_size field (if one exists).
-    fn fix_next_prev_size(&self, clock: &Clock, hdr: u64, payload: u64) {
+    /// Whether the free map holds a block of `size` at `hdr`.
+    fn holds(&self, size: u64, hdr: u64) -> bool {
+        self.free.get(&size).is_some_and(|at| at.contains(&hdr))
+    }
+
+    /// After block at `hdr` took payload size `payload`, write the physical
+    /// successor's prev_size field (if one exists), unfenced.
+    fn back_link(&self, clock: &Clock, hdr: u64, payload: u64) {
         let next = hdr + BLOCK_HEADER_SIZE + payload;
         if next + BLOCK_HEADER_SIZE + HEAP_ALIGN <= self.heap_end {
-            let mut buf = [0u8; 8];
-            buf.copy_from_slice(&payload.to_le_bytes());
-            self.device
-                .write_meta(clock, (next + blk::PREV_SIZE) as usize, &buf);
-            self.device
-                .persist(clock, (next + blk::PREV_SIZE) as usize, 8);
+            write_unfenced(
+                clock,
+                &self.device,
+                next + blk::PREV_SIZE,
+                &payload.to_le_bytes(),
+            );
         }
     }
 }
@@ -435,7 +439,7 @@ fn write_header(clock: &Clock, device: &Arc<PmemDevice>, hdr_off: u64, h: &[u8])
 
 /// Write and flush metadata without fencing; the caller batches one drain
 /// over a group of such writes. An empty write is none.
-fn write_unfenced(clock: &Clock, device: &Arc<PmemDevice>, off: u64, bytes: &[u8]) {
+pub(crate) fn write_unfenced(clock: &Clock, device: &PmemDevice, off: u64, bytes: &[u8]) {
     if !bytes.is_empty() {
         device.write_meta(clock, off as usize, bytes);
         device.flush(clock, off as usize, bytes.len());
@@ -446,6 +450,30 @@ fn write_unfenced(clock: &Clock, device: &Arc<PmemDevice>, off: u64, bytes: &[u8
 mod tests {
     use super::*;
     use pmem_sim::{Machine, PersistenceMode};
+
+    impl Heap {
+        fn free_block_count(&self) -> usize {
+            self.free.values().map(|s| s.len()).sum()
+        }
+
+        /// Allocate an aligned payload of at least `size` bytes: a group of
+        /// one. Returns the *payload* device offset.
+        fn alloc(&mut self, clock: &Clock, size: u64) -> Result<u64> {
+            Ok(self.alloc_group(clock, &[size])?[0])
+        }
+
+        /// A group planned, its headers stored and committed, as
+        /// `PmemPool::alloc_many` allocates one.
+        fn alloc_group(&mut self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
+            let device = Arc::clone(&self.device);
+            let group = self.alloc_many(clock, sizes, |_| {})?;
+            group.fill(clock, &device, &mut |i, at, head| {
+                write_unfenced(clock, &device, at[i] - BLOCK_HEADER_SIZE, head);
+                Ok(())
+            })?;
+            Ok(self.commit(clock, group))
+        }
+    }
 
     fn fresh_heap(bytes: usize) -> (Heap, Clock) {
         let dev = PmemDevice::new(Machine::chameleon(), bytes, PersistenceMode::Fast);
@@ -558,9 +586,7 @@ mod tests {
         let (mut heap, clock) = fresh_heap(1 << 20);
         let machine = Arc::clone(heap.device.machine());
         let before = machine.stats.snapshot();
-        let ptrs = heap
-            .alloc_many(&clock, &[100, 7, 4096, 64], |_| {}, None)
-            .unwrap();
+        let ptrs = heap.alloc_group(&clock, &[100, 7, 4096, 64]).unwrap();
         let delta = machine.stats.snapshot().delta_since(&before);
         assert_eq!(delta.alloc_passes, 1);
         assert_eq!(ptrs.len(), 4);
@@ -585,7 +611,7 @@ mod tests {
         // Carve the whole heap so the remainder is below a block's minimum.
         let leave = BLOCK_HEADER_SIZE + HEAP_ALIGN / 2;
         let first = free_before - leave - BLOCK_HEADER_SIZE - HEAP_ALIGN;
-        let ptrs = heap.alloc_many(&clock, &[first, 1], |_| {}, None).unwrap();
+        let ptrs = heap.alloc_group(&clock, &[first, 1]).unwrap();
         assert_eq!(heap.free_block_count(), 0);
         assert!(heap.usable_size(ptrs[1]).unwrap() > HEAP_ALIGN);
         heap.check_invariants().unwrap();
@@ -604,9 +630,7 @@ mod tests {
             heap.free(&clock, p).unwrap();
         }
         // No single free block holds 2 * chunk + header, but two do singly.
-        let ptrs = heap
-            .alloc_many(&clock, &[chunk, chunk], |_| {}, None)
-            .unwrap();
+        let ptrs = heap.alloc_group(&clock, &[chunk, chunk]).unwrap();
         assert_eq!(ptrs.len(), 2);
         heap.check_invariants().unwrap();
     }
@@ -614,13 +638,10 @@ mod tests {
     #[test]
     fn alloc_many_of_zero_or_one_degenerates() {
         let (mut heap, clock) = fresh_heap(16 * 1024);
-        assert!(heap
-            .alloc_many(&clock, &[], |_| {}, None)
-            .unwrap()
-            .is_empty());
-        let one = heap.alloc_many(&clock, &[33], |_| {}, None).unwrap();
+        assert!(heap.alloc_group(&clock, &[]).unwrap().is_empty());
+        let one = heap.alloc_group(&clock, &[33]).unwrap();
         assert_eq!(heap.usable_size(one[0]).unwrap(), HEAP_ALIGN);
-        assert!(heap.alloc_many(&clock, &[16, 0], |_| {}, None).is_err());
+        assert!(heap.alloc_group(&clock, &[16, 0]).is_err());
         heap.check_invariants().unwrap();
     }
 }

@@ -12,7 +12,7 @@ use super::mirror::{search, Chain, Key, Known, Mirror};
 use super::route::{mirror_in, Held, Route};
 use super::*;
 use crate::error::PmdkError;
-use pmem_sim::{SimTime, WINDOW};
+use pmem_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// What [`PersistentHashtable::lookup`] found in one bucket: each key's
@@ -61,23 +61,19 @@ impl PersistentHashtable {
     }
 
     /// Insert (or replace) every `(key, val_len)` as **one pool
-    /// transaction**, values first: one allocator pass carves every entry,
-    /// and `fill(i, vref, head)` stores key `i`'s value into its window
-    /// behind `head` and flushes both — the caller serializes *directly
-    /// into PMEM* (zero staging), into a block nothing reaches yet; a value
-    /// ready in memory is stored by the table's own `storing` fill (`put`).
-    ///
-    /// A small group — each entry fits one [`WINDOW`] with its block header
-    /// — takes its stripes and looks its chains up first, so each entry's
-    /// `next` is known when its block is carved. Under the heap lock, `head`
-    /// then holds what lies right before the value: its block's header
-    /// (empty for a carve's first block, whose header is the carve's commit
-    /// point and follows) and its entry's with the key. The fill stores
-    /// them and the value as one write and one flush. Any other group is
-    /// carved and filled before its stripes are taken (`head` empty), and
-    /// each entry is stored whole with its `next` once its chain is looked
-    /// up. Either way one undo append logs every head and unlink, and one
-    /// fence before the commit point makes heads, entries and values durable.
+    /// transaction**, values first. The group takes its stripes and looks
+    /// its chains up (the mirror), so each entry's `next` is known before
+    /// its block is carved; one allocator pass then carves every entry, and
+    /// `fill(i, vref, head)` stores key `i`'s value into its window behind
+    /// `head` and flushes both — the caller serializes *directly into PMEM*
+    /// (zero staging), into a block nothing reaches yet; a value ready in
+    /// memory is stored by the table's own `storing` fill (`put`). `head`
+    /// holds what lies right before the value: its block's header (empty
+    /// for a carve's first block, whose header is the carve's commit point
+    /// and follows) and its entry's with the key. The fills run with the
+    /// stripes held and the heap lock not. One undo append logs every head
+    /// and unlink, and one fence before the commit point makes heads,
+    /// entries and values durable.
     ///
     /// Crash contract: a crash anywhere before the lane commit point, or an
     /// error from `fill`, rolls the *entire group* back (no key from the
@@ -108,7 +104,6 @@ impl PersistentHashtable {
         let sizes: Vec<u64> = (reqs.iter())
             .map(|(k, len)| ENT_KEY + k.len() as u64 + len)
             .collect();
-        let small = (sizes.iter()).all(|&size| size <= WINDOW as u64 - BLOCK_HEADER_SIZE);
         let value = |i: usize, at: &[u64]| ValueRef {
             offset: at[i] + ENT_KEY + reqs[i].0.len() as u64,
             len: reqs[i].1,
@@ -125,11 +120,6 @@ impl PersistentHashtable {
         self.ensure_dirty(clock);
         let (mut locked, mut spliced) = (None, Vec::new());
         let committed = self.pool.tx(clock, |tx| {
-            let mut entries = Vec::new();
-            if !small {
-                entries = tx.alloc_many(&sizes)?;
-                (0..reqs.len()).try_for_each(|i| fill(i, value(i, &entries), [&[], &[]]))?;
-            }
             // Route every key and lock the involved stripes in ascending
             // index order, so concurrent batches and single puts cannot
             // deadlock; the heap lock is only ever taken after them.
@@ -164,13 +154,8 @@ impl PersistentHashtable {
                         words.push((first.slot, first.at, last.next));
                     }
                 }
-                // Each new entry stored whole and once, undo-free: nothing
-                // reaches it until the head does.
                 for (k, &i) in idxs.iter().enumerate() {
                     links[i] = (rest, k.checked_sub(1).map(|k| idxs[k]));
-                    if !small {
-                        tx.write_new(entries[i], &entry(&links, i, &entries));
-                    }
                 }
                 heads.push((words.len(), idxs[idxs.len() - 1]));
                 words.push((head_slot, head, 0));
@@ -178,12 +163,10 @@ impl PersistentHashtable {
                 let gone: Vec<usize> = gone.into_iter().map(|(i, _)| i).collect();
                 spliced.push((r, gone, idxs.clone()));
             }
-            if small {
-                let mut store = |i: usize, at: &[u64], header: &[u8]| {
-                    fill(i, value(i, at), [header, &entry(&links, i, at)])
-                };
-                entries = tx.alloc_stored(&sizes, Some(&mut store))?;
-            }
+            // Each entry stored with its record, undo-free: nothing reaches it yet.
+            let entries = tx.alloc_many(&sizes, |i, at, header| {
+                fill(i, value(i, at), [header, &entry(&links, i, at)])
+            })?;
             for (w, i) in heads {
                 words[w].2 = entries[i];
             }
@@ -227,8 +210,8 @@ impl PersistentHashtable {
     }
 
     /// [`Self::put_many`] with a fill that writes no value: each key is
-    /// linked with whatever bytes its block held (a small group's head is
-    /// stored alone). Nothing in the product reserves without filling —
+    /// linked with whatever bytes its block held (its head is stored
+    /// alone). Nothing in the product reserves without filling —
     /// this stays `pub`, with its signature, only because
     /// `benchmark/src/ladder.rs` (frozen) calls it to time the metadata
     /// half of a group put.

@@ -56,6 +56,30 @@ fn writing<'a>(
     }
 }
 
+/// A key longer than a 256-byte window, with an 8-byte and a 4 KiB value,
+/// in one group and put alone: each reads back, and is durable once its put
+/// returns.
+#[test]
+fn a_key_longer_than_a_window_is_stored_and_survives_a_crash() {
+    let (ht, pool, clock) = table(1 << 22, 16);
+    let keys: Vec<Vec<u8>> = (0..4u8).map(|i| [&[b'k'; 300][..], &[i]].concat()).collect();
+    let value = |i: usize| vec![i as u8 + 1; [8, 4096][i % 2]];
+    let reqs: Vec<(&[u8], u64)> = (0..2)
+        .map(|i| (keys[i].as_slice(), value(i).len() as u64))
+        .collect();
+    ht.put_many(&clock, &reqs, writing(&pool, &clock, value))
+        .unwrap();
+    for (i, key) in keys.iter().enumerate().skip(2) {
+        ht.put(&clock, key, &value(i)).unwrap();
+    }
+    pool.device().crash();
+    let (ht, pool) = reopen(ht, pool, &clock);
+    pool.check_heap().unwrap();
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(ht.get(&clock, key).unwrap(), value(i), "key {i}");
+    }
+}
+
 /// `put_reserve_many` is the group put with a fill that writes nothing:
 /// the caller writes the value in place afterwards.
 #[test]

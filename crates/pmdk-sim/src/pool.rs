@@ -1,6 +1,6 @@
 //! The pmemobj-style pool: superblock, root object, typed persistent access.
 
-use crate::alloc::{Heap, Store};
+use crate::alloc::{write_unfenced, Heap, Store};
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::tx::{LaneTable, Tx};
@@ -152,24 +152,30 @@ impl PmemPool {
         Ok(self.alloc_many(clock, &[size])?[0])
     }
 
-    /// Allocate a group of payloads in one free-list pass (see
-    /// `Heap::alloc_many`). Offsets come back in request order.
+    /// Allocate a group of payloads in one free-list pass, each block's
+    /// header stored alone. Offsets come back in request order.
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
-        self.alloc_planned(clock, sizes, |_| {}, None)
+        self.alloc_planned(clock, sizes, |_| {}, &mut *self.headers(clock))
     }
 
-    /// [`PmemPool::alloc_many`], with `planned` shown the offsets once they
-    /// are chosen and before any block header says so, and the blocks
-    /// written by `store` if one is given (see `Heap::alloc_many`). The heap
-    /// lock is held from the plan to the last commit header: `Heap::free`
-    /// reads its neighbours' headers from media and would coalesce into a
-    /// block that is planned and not yet written.
+    /// The store of a group whose blocks are filled later: headers alone.
+    pub fn headers<'a>(&'a self, clock: &'a Clock) -> Box<Store<'a>> {
+        Box::new(move |i, at, head| {
+            write_unfenced(clock, &self.device, at[i] - BLOCK_HEADER_SIZE, head);
+            Ok(())
+        })
+    }
+
+    /// Allocate `sizes`: under the heap lock the plan, whose offsets
+    /// `planned` sees first, and the tails and back links; unlocked, each
+    /// block filled with its header by `store`; under the lock again the
+    /// commit headers. A fill that fails still commits the carve.
     pub(crate) fn alloc_planned(
         &self,
         clock: &Clock,
         sizes: &[u64],
-        planned: impl FnOnce(&[u64]),
-        store: Option<&mut Store<'_>>,
+        mut planned: impl FnMut(&[u64]),
+        store: &mut Store<'_>,
     ) -> Result<Vec<u64>> {
         let machine = self.device.machine();
         let _span = machine.span(clock, "pmdk", "pool.alloc").arg(
@@ -179,8 +185,19 @@ impl PmemPool {
         // Heap metadata writes charge the clock under the heap lock; keep
         // the deterministic scheduler from parking us while we hold it.
         let _atomic = pmem_sim::atomic_section();
-        let out = self.heap.lock().alloc_many(clock, sizes, planned, store);
-        out
+        // A group that does not fit waits for the tails of the groups being
+        // filled, which only free-running ranks can see.
+        let group = loop {
+            let mut heap = self.heap.lock();
+            match heap.alloc_many(clock, sizes, &mut planned) {
+                Err(PmdkError::OutOfMemory { .. }) if heap.withheld > 0 => drop(heap),
+                group => break group?,
+            }
+            std::thread::yield_now();
+        };
+        let filled = group.fill(clock, &self.device, store);
+        let payloads = self.heap.lock().commit(clock, group);
+        filled.map(|()| payloads)
     }
 
     /// Free a persistent allocation.
@@ -503,8 +520,10 @@ pub(crate) mod tests {
     #[test]
     fn a_group_without_its_commit_header_is_not_rolled_back_block_by_block() {
         recovered_along(1 << 21, |pool, clock| {
-            pool.tx(clock, |tx| tx.alloc_many(&[64, 200, 64]).map(drop))
-                .unwrap();
+            pool.tx(clock, |tx| {
+                tx.alloc_many(&[64, 200, 64], pool.headers(clock)).map(drop)
+            })
+            .unwrap();
         });
     }
 }

@@ -23,7 +23,6 @@
 //! Alloc- and free-intents share one array: heap payloads are 64-byte
 //! aligned, so the low bit tags the entry kind (1 = deferred free).
 
-use crate::alloc::Store;
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
@@ -257,7 +256,8 @@ impl<'a> Tx<'a> {
 
     /// Transactionally allocate `size` bytes; rolled back if the tx aborts.
     pub fn alloc(&mut self, size: u64) -> Result<u64> {
-        Ok(self.alloc_many(&[size])?[0])
+        // A group of one has no header but its commit header.
+        Ok(self.alloc_many(&[size], |_, _, _| Ok(()))?[0])
     }
 
     /// Transactionally allocate a group of blocks in one free-list pass; all
@@ -265,24 +265,19 @@ impl<'a> Tx<'a> {
     /// request order. The heap plans the group, the offsets go into intent
     /// slots — durable, and counted — and only then do the block headers
     /// change: no crash leaves a block allocated that no intent names.
-    pub fn alloc_many(&mut self, sizes: &[u64]) -> Result<Vec<u64>> {
-        self.alloc_stored(sizes, None)
-    }
-
-    /// [`Tx::alloc_many`] whose blocks `store` writes, each with its header,
-    /// behind the intents and before its carve's commit point; a `store`
-    /// that fails leaves the intents of every carve not committed in a free
-    /// block, where a rollback skips them.
-    pub(crate) fn alloc_stored(
+    /// `store(i, offsets, header)` fills block `i` led by its header
+    /// ([`PmemPool::headers`] stores the headers alone); a fill that fails
+    /// fails the transaction, whose rollback frees every block.
+    pub fn alloc_many(
         &mut self,
         sizes: &[u64],
-        store: Option<&mut Store<'_>>,
+        mut store: impl FnMut(usize, &[u64], &[u8]) -> Result<()>,
     ) -> Result<Vec<u64>> {
         if self.intents_used + sizes.len() as u64 > LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
         let (pool, clock) = (self.pool, self.clock);
-        pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs), store)
+        pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs), &mut store)
     }
 
     /// Transactionally free `off`; executed only if the tx commits.
@@ -446,7 +441,7 @@ mod tests {
         let born = pool
             .tx(&clock, |tx| {
                 tx.free(victims[3])?;
-                let born = tx.alloc_many(&[64; 64])?;
+                let born = tx.alloc_many(&[64; 64], pool.headers(&clock))?;
                 tx.free(victims[0])?;
                 tx.free(victims[4])?;
                 Ok(born)
@@ -588,7 +583,7 @@ mod tests {
             let baseline = pool.allocated_bytes();
             let mut end = 0;
             pool.tx(clock, |tx| {
-                tx.alloc_many(sizes)?;
+                tx.alloc_many(sizes, pool.headers(clock))?;
                 end = passed();
                 Ok(())
             })
@@ -647,7 +642,7 @@ mod tests {
         let (pool, clock) = fresh_pool(1 << 21);
         let before = pool.allocated_bytes();
         let _ = pool.tx(&clock, |tx| {
-            let offs = tx.alloc_many(&[1000, 2000, 64])?;
+            let offs = tx.alloc_many(&[1000, 2000, 64], pool.headers(&clock))?;
             assert_eq!(offs.len(), 3);
             Err::<(), _>(PmdkError::TxFailure("abort".into()))
         });
@@ -681,7 +676,9 @@ mod tests {
     fn alloc_many_rejects_intent_overflow() {
         let (pool, clock) = fresh_pool(1 << 21);
         let sizes = vec![64u64; LANE_INTENTS as usize + 1];
-        let err = pool.tx(&clock, |tx| tx.alloc_many(&sizes)).unwrap_err();
+        let err = pool
+            .tx(&clock, |tx| tx.alloc_many(&sizes, pool.headers(&clock)))
+            .unwrap_err();
         assert!(matches!(err, PmdkError::TxFailure(_)));
     }
 
@@ -737,8 +734,10 @@ mod tests {
         // and the commit header).
         for sizes in [&[64u64][..], &[64, 200, 64]] {
             let before = fences(&pool);
-            pool.tx(&clock, |tx| tx.alloc_many(sizes).map(drop))
-                .unwrap();
+            pool.tx(&clock, |tx| {
+                tx.alloc_many(sizes, pool.headers(&clock)).map(drop)
+            })
+            .unwrap();
             assert_eq!(fences(&pool) - before, 1 + 2 + 2 + 4, "{sizes:?}");
         }
     }

@@ -27,7 +27,7 @@ pub enum PersistenceMode {
 /// ("Persistent Memory I/O Primitives"). A store that fills one is one
 /// media operation where several partial ones would each pay the write
 /// latency, so the serialization sink combines small puts into one window,
-/// and the hashtable lets a small record's metadata ride in its window.
+/// and the hashtable lets a record's metadata ride in its first window.
 pub const WINDOW: usize = 256;
 
 /// Called at a crash point; see [`PmemDevice::at_crash_points`].
@@ -227,6 +227,7 @@ impl PmemDevice {
     // ---- crash states (Tracked mode only; `Fast` panics — a benchmark
     // configuration cannot crash) ----
 
+    #[allow(clippy::expect_used, reason = "a `Fast` device cannot crash")]
     fn tracked(&self) -> &PersistenceTracker {
         self.tracker
             .as_ref()

@@ -144,8 +144,8 @@ impl FlightEvent {
     }
 
     pub(crate) fn decode(s: &[u8]) -> FlightEvent {
-        let word = |o: usize| u64::from_le_bytes(s[o..o + 8].try_into().unwrap());
-        let half = |o: usize| u16::from_le_bytes(s[o..o + 2].try_into().unwrap());
+        let word = |o: usize| u64::from_le_bytes(std::array::from_fn(|i| s[o + i]));
+        let half = |o: usize| u16::from_le_bytes(std::array::from_fn(|i| s[o + i]));
         FlightEvent {
             seq: word(0),
             time_ns: word(8),
@@ -274,7 +274,7 @@ pub fn scan_ring(dev: &PmemDevice, base: u64) -> Vec<FlightEvent> {
 fn read_header(dev: &PmemDevice, base: u64) -> (u64, u64, u64) {
     let mut h = [0u8; FLIGHT_HEADER_SIZE as usize];
     dev.read_untimed(base as usize, &mut h);
-    let word = |o: u64| u64::from_le_bytes(h[o as usize..][..8].try_into().unwrap());
+    let word = |o: u64| u64::from_le_bytes(std::array::from_fn(|i| h[o as usize + i]));
     (word(hdr::MAGIC), word(hdr::SLOTS), word(hdr::NEXT_SEQ))
 }
 

@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod buffer;
 mod device;

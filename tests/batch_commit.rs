@@ -3,7 +3,7 @@
 //! one allocator pass per group instead of one per key.
 
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
-use pmem_sim::{Machine, PersistenceMode, PmemDevice, SimTime};
+use pmem_sim::{Machine, MetricsRegistry, PersistenceMode, PmemDevice, SimTime};
 use pmemcpy::{MmapTarget, Pmem};
 use std::sync::Arc;
 
@@ -197,59 +197,87 @@ fn a_reader_never_sees_a_key_before_its_value_free_threaded() {
     }
 }
 
-/// Four free-running ranks commit groups of small records — each stored
-/// with its heads under the heap lock, behind the group's stripes — while
-/// they remove keys another rank stored, on the same stripes. Every lock
-/// order is stripe → heap, so the run ends; the heap it leaves walks clean,
-/// and every key no rank removed reads back.
+/// Four free-running ranks commit groups of records — each stored with its
+/// heads, behind the group's stripes — while they remove keys another rank
+/// stored, on the same stripes: their blocks neighbour the blocks being
+/// carved. Every lock order is stripe → heap, so the run ends; the heap it
+/// leaves walks clean, and every key no rank removed reads back. It runs
+/// with 8-byte scalars, and 1 KiB and 4 KiB byte records, whose fills are
+/// longer than a window, and prints how often a stripe was found held.
 #[test]
 fn small_groups_and_removes_on_shared_stripes_end_with_a_clean_heap() {
     const RANKS: u64 = 4;
     const GROUPS: u64 = 12;
     const KEYS: u64 = 16;
     let key = |rank: u64, g: u64, j: u64| format!("r{rank}g{g}k{j}");
-    let machine = Machine::chameleon();
-    let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
-    let shared = Arc::clone(&dev);
-    run_world_mode(
-        machine,
-        RANKS as usize,
-        SchedMode::FreeThreaded,
-        move |comm| {
-            let mut pmem = Pmem::new();
-            pmem.mmap(MmapTarget::DevDax(&shared), &comm).unwrap();
-            let (rank, next) = (comm.rank() as u64, (comm.rank() as u64 + 1) % RANKS);
-            for g in 0..GROUPS {
-                let mut batch = pmem.batch();
-                for j in 0..KEYS {
-                    batch
-                        .store_scalar(&key(rank, g, j), rank << 16 | g << 8 | j)
-                        .unwrap();
+    let record = |len: usize, v: u64| vec![v as u8 ^ (v >> 8) as u8; len];
+    for len in [8, 1024, 4096] {
+        let machine = Machine::chameleon();
+        let registry = MetricsRegistry::new();
+        machine.set_metrics(Arc::clone(&registry));
+        let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
+        let shared = Arc::clone(&dev);
+        run_world_mode(
+            machine,
+            RANKS as usize,
+            SchedMode::FreeThreaded,
+            move |comm| {
+                let mut pmem = Pmem::new();
+                pmem.mmap(MmapTarget::DevDax(&shared), &comm).unwrap();
+                let (rank, next) = (comm.rank() as u64, (comm.rank() as u64 + 1) % RANKS);
+                for g in 0..GROUPS {
+                    let values: Vec<_> = (0..KEYS)
+                        .map(|j| record(len, rank << 16 | g << 8 | j))
+                        .collect();
+                    let mut batch = pmem.batch();
+                    for (j, value) in (0..KEYS).zip(&values) {
+                        let v = rank << 16 | g << 8 | j;
+                        match len {
+                            8 => batch.store_scalar(&key(rank, g, j), v).unwrap(),
+                            _ => batch.store_slice(&key(rank, g, j), value).unwrap(),
+                        }
+                    }
+                    batch.commit().unwrap();
+                    // The even keys of the next rank's previous group, stored
+                    // or not.
+                    for j in (0..KEYS).step_by(2) {
+                        pmem.remove(&key(next, g.saturating_sub(1), j)).unwrap();
+                    }
                 }
-                batch.commit().unwrap();
-                // The even keys of the next rank's previous group, stored or not.
-                for j in (0..KEYS).step_by(2) {
-                    pmem.remove(&key(next, g.saturating_sub(1), j)).unwrap();
+                comm.barrier();
+                pmem.munmap().unwrap();
+            },
+        );
+        let counters = registry.snapshot().counters;
+        let total = |what: &str| -> u64 {
+            (counters.iter())
+                .filter(|(name, _)| name.starts_with("stripe.") && name.ends_with(what))
+                .map(|(_, n)| n)
+                .sum()
+        };
+        eprintln!(
+            "{len} B records: stripe.*.contended {} of {} acquires",
+            total(".contended"),
+            total(".acquires")
+        );
+        let clock = pmem_sim::Clock::new();
+        let pool = pmdk_sim::PmemPool::open(&clock, Arc::clone(&dev), "pmemcpy").unwrap();
+        pool.check_heap().unwrap();
+        drop(pool);
+        let comm = Comm::new(World::new(Arc::clone(dev.machine()), 1), 0);
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        for (rank, g) in (0..RANKS).flat_map(|r| (0..GROUPS).map(move |g| (r, g))) {
+            for j in (1..KEYS).step_by(2) {
+                let (k, v) = (key(rank, g, j), rank << 16 | g << 8 | j);
+                match len {
+                    8 => assert_eq!(pmem.load_scalar::<u64>(&k).unwrap(), v),
+                    _ => assert_eq!(pmem.load_slice::<u8>(&k).unwrap(), record(len, v)),
                 }
             }
-            comm.barrier();
-            pmem.munmap().unwrap();
-        },
-    );
-    let clock = pmem_sim::Clock::new();
-    let pool = pmdk_sim::PmemPool::open(&clock, Arc::clone(&dev), "pmemcpy").unwrap();
-    pool.check_heap().unwrap();
-    drop(pool);
-    let comm = Comm::new(World::new(Arc::clone(dev.machine()), 1), 0);
-    let mut pmem = Pmem::new();
-    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
-    for (rank, g) in (0..RANKS).flat_map(|r| (0..GROUPS).map(move |g| (r, g))) {
-        for j in (1..KEYS).step_by(2) {
-            let got = pmem.load_scalar::<u64>(&key(rank, g, j)).unwrap();
-            assert_eq!(got, rank << 16 | g << 8 | j);
         }
+        pmem.munmap().unwrap();
     }
-    pmem.munmap().unwrap();
 }
 
 /// A group holds its transaction's lane while its values are written. Fig.

@@ -483,7 +483,7 @@ fn transactions_are_all_or_nothing_in_every_crash_state() {
             },
             |tx| {
                 tx.free(fx.victim)?;
-                for at in tx.alloc_many(&[64, 200, 64])? {
+                for at in tx.alloc_many(&[64, 200, 64], fx.pool.headers(&fx.clock))? {
                     tx.write_new(at, &[4u8; 64]);
                 }
                 tx.set(root + 24, &word(4))
@@ -539,7 +539,7 @@ fn transactions_are_all_or_nothing_in_every_crash_state() {
                 s.allocated += 320 + 256;
             },
             |tx| {
-                for at in tx.alloc_many(&[200, 200])? {
+                for at in tx.alloc_many(&[200, 200], fx.pool.headers(&fx.clock))? {
                     tx.write_new(at, &[7u8; 200]);
                 }
                 tx.set(root + 40, &word(7))
@@ -755,10 +755,22 @@ fn puts_replaces_and_removes_are_atomic_in_every_crash_state() {
     ));
 }
 
-/// One group put of `ids` at `generation`, values written by the fill —
-/// each into its entry, behind the head it shares a store with, flushed —
-/// before the transaction links them.
-fn group(fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>, generation: u8) {
+/// A value of several 256-byte windows, 600..800 bytes: its heads ride
+/// its first window.
+fn long_value(i: u32, generation: u8) -> Vec<u8> {
+    vec![generation ^ i as u8; 600 + (i as usize * 37 + generation as usize * 11) % 200]
+}
+
+/// One group put of `ids` at `generation`, values made by `value` and
+/// written by the fill — each into its entry, behind the head it shares a
+/// store with, flushed — before the transaction links them.
+fn group(
+    fx: &TableFixture,
+    ex: &Explorer<TableModel>,
+    ids: std::ops::Range<u32>,
+    generation: u8,
+    value: fn(u32, u8) -> Vec<u8>,
+) {
     let values: Vec<_> = ids.clone().map(|i| value(i, generation)).collect();
     let keys: Vec<_> = ids.map(key).collect();
     let reqs: Vec<(&[u8], u64)> = (keys.iter().zip(&values))
@@ -783,9 +795,11 @@ fn group(fx: &TableFixture, ex: &Explorer<TableModel>, ids: std::ops::Range<u32>
 #[test]
 fn a_64_key_reservation_is_all_or_nothing_in_every_crash_state() {
     let scenario = |fx: &TableFixture, ex: &Explorer<TableModel>| {
-        group(fx, ex, 0..64, 1);
+        group(fx, ex, 0..64, 1, value);
         // Half replacements, half fresh keys, in one group.
-        group(fx, ex, 32..96, 2);
+        group(fx, ex, 32..96, 2, value);
+        // Values longer than a window, replacing and fresh.
+        group(fx, ex, 92..100, 3, long_value);
         assert!(!fx.ht.splitting() && fx.ht.bucket_count() == 256);
     };
     assert_clean(explore(
@@ -804,9 +818,9 @@ fn a_64_key_reservation_is_all_or_nothing_in_every_crash_state() {
 #[test]
 fn an_overwritten_key_keeps_its_old_or_its_new_value_in_every_crash_state() {
     let scenario = |fx: &TableFixture, ex: &Explorer<TableModel>| {
-        group(fx, ex, 0..48, 1);
-        group(fx, ex, 0..48, 2);
-        group(fx, ex, 8..40, 3);
+        group(fx, ex, 0..48, 1, value);
+        group(fx, ex, 0..48, 2, value);
+        group(fx, ex, 8..40, 3, value);
         assert!(!fx.ht.splitting() && fx.ht.bucket_count() == 128);
     };
     assert_clean(explore(
