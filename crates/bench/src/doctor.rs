@@ -221,7 +221,7 @@ pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
     );
 
     if let Some(ht) = &hashtable {
-        let (hdr, g) = (ht.header, ht.header.geo);
+        let g = ht.geo;
         push(
             &mut verdicts,
             "hashtable",
@@ -233,27 +233,6 @@ pub fn diagnose(dev: &PmemDevice) -> Result<Diagnosis, String> {
                 ht.errors.join("; ")
             },
         );
-        // A dirty count is legal mid-run; a clean flag with a mismatch is
-        // structural damage.
-        if hdr.dirty != 0 {
-            verdicts.push(Verdict {
-                check: "ht-count",
-                status: Status::Info,
-                subsystem: "ht",
-                detail: format!(
-                    "count fold pending (persisted {}, reachable {})",
-                    hdr.count, ht.reachable
-                ),
-            });
-        } else {
-            push(
-                &mut verdicts,
-                "ht-count",
-                hdr.count == ht.reachable,
-                "ht",
-                format!("persisted {} vs reachable {}", hdr.count, ht.reachable),
-            );
-        }
         if g.old_buckets != 0 {
             verdicts.push(Verdict {
                 check: "ht-split",
@@ -383,16 +362,12 @@ pub fn render_text(d: &Diagnosis, timeline: bool) -> String {
     );
 
     if let Some(ht) = &d.hashtable {
-        let (hdr, g) = (ht.header, ht.header.geo);
+        let g = ht.geo;
         let _ = writeln!(out, "\n== hashtable ==");
         let _ = writeln!(
             out,
-            "header {:#x}: {} buckets, persisted count {}{}, {} reachable",
-            ht.header_off,
-            g.buckets,
-            hdr.count,
-            if hdr.dirty != 0 { " (dirty)" } else { "" },
-            ht.reachable
+            "header {:#x}: {} buckets, {} reachable",
+            ht.header_off, g.buckets, ht.reachable
         );
         if g.old_buckets != 0 {
             let _ = writeln!(
@@ -519,15 +494,12 @@ pub fn render_json(d: &Diagnosis) -> String {
         d.heap.errors.len()
     );
     if let Some(ht) = &d.hashtable {
-        let (hdr, g) = (ht.header, ht.header.geo);
+        let g = ht.geo;
         let _ = writeln!(
             out,
-            "  \"hashtable\": {{\"buckets\": {}, \"persisted_count\": {}, \
-             \"count_dirty\": {}, \"reachable\": {}, \"mid_split\": {}, \
+            "  \"hashtable\": {{\"buckets\": {}, \"reachable\": {}, \"mid_split\": {}, \
              \"cursor\": {}, \"chain_histogram\": [{}]}},",
             g.buckets,
-            hdr.count,
-            hdr.dirty != 0,
             ht.reachable,
             g.old_buckets != 0,
             g.cursor,

@@ -165,21 +165,17 @@ impl Pmem {
     /// the pool handles go away.
     pub fn munmap(&mut self) -> Result<()> {
         let m = self.mounted.take().ok_or(PmemCpyError::NotMapped)?;
-        if let Err(e) = m
-            .layout
-            .checkpoint(&m.clock)
-            .and_then(|_| m.layout.quiesce(&m.clock))
-        {
-            // A failed drain or count fold must leave the handle mapped:
-            // the caller can retry, and the interned pool (with its
-            // write-behind state) is only released on a successful unmap.
+        if let Err(e) = m.layout.checkpoint(&m.clock) {
+            // A failed drain must leave the handle mapped: the caller can
+            // retry, and the interned pool (with its write-behind state) is
+            // only released on a successful unmap.
             self.mounted = Some(m);
             return Err(e);
         }
         m.machine.charge_syscall(&m.clock);
         if let Some(pool) = &m.pool_for_flight {
-            // Recorded after the drain + quiesce succeed: a trailing Unmount
-            // event is the doctor's "clean shutdown" witness.
+            // Recorded after the drain succeeds: a trailing Unmount event
+            // is the doctor's "clean shutdown" witness.
             pool.flight()
                 .record(&m.clock, pmem_sim::EventCode::Unmount, 0, 0);
         }
@@ -461,8 +457,8 @@ pub(crate) fn decode_dims_payload(id: &str, payload: &[u8]) -> Result<(Datatype,
             detail: "malformed #dims record".into(),
         });
     }
-    let dims = (0..nd)
-        .map(|i| u64::from_le_bytes(payload[2 + i * 8..10 + i * 8].try_into().unwrap()))
+    let dims = (payload[2..].chunks_exact(8))
+        .map(|w| u64::from_le_bytes(std::array::from_fn(|i| w[i])))
         .collect();
     Ok((dtype, dims))
 }

@@ -118,8 +118,4 @@ impl Layout for HashtableLayout {
             .filter(|k| !k.starts_with('\0'))
             .collect()
     }
-
-    fn quiesce(&self, clock: &Clock) -> Result<()> {
-        Ok(self.shared.hashtable.quiesce(clock)?)
-    }
 }

@@ -252,14 +252,6 @@ pub(crate) trait Layout: Send + Sync {
     fn checkpoint(&self, _clock: &Clock) -> Result<usize> {
         Ok(0)
     }
-
-    /// Fold volatile bookkeeping into persistent state at a quiesce point
-    /// (munmap, checkpoint boundaries): the hashtable layout folds its
-    /// sharded entry-count deltas into the table header. Free when nothing
-    /// changed; layouts without volatile counters have nothing to do.
-    fn quiesce(&self, _clock: &Clock) -> Result<()> {
-        Ok(())
-    }
 }
 
 /// The reads every layout shares, each derived from
@@ -310,6 +302,10 @@ impl dyn Layout + '_ {
         key: &str,
         f: impl FnOnce(&Located) -> Result<R>,
     ) -> Result<R> {
+        #[allow(
+            clippy::expect_used,
+            reason = "locate_many answers every key it is given"
+        )]
         let loc = self
             .locate_many(clock, &[key])?
             .pop()

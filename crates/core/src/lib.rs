@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod api;
 mod batch;

@@ -255,6 +255,7 @@ impl ReadResults {
 
     /// Take ownership of a batch-allocated vector. Panics if called twice
     /// with handles of the same index.
+    #[allow(clippy::expect_used, reason = "a handle names the slot it staged")]
     pub fn take<T: Element>(&mut self, h: GetHandle<Vec<T>>) -> Vec<T> {
         let boxed = self.owned[h.idx]
             .take()

@@ -87,8 +87,8 @@ impl WriteBehindState {
         let pool = &shared.pool;
         let log = match shared.hashtable.get(clock, WAL_KEY) {
             Some(loc) if loc.len() == 16 => {
-                let header = u64::from_le_bytes(loc[0..8].try_into().unwrap());
-                let ring = u64::from_le_bytes(loc[8..16].try_into().unwrap());
+                let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|i| loc[at + i]));
+                let (header, ring) = (word(0), word(8));
                 PersistentLog::open(clock, pool, header, ring)?
             }
             Some(_) => {
@@ -325,6 +325,7 @@ impl Layout for WriteBehindLayout {
     /// index holds is answered with its record re-serialized in DRAM; the
     /// rest go to the table as one grouped lookup, in key order. Entries
     /// are `Arc`-shared, so the records are built unlocked.
+    #[allow(clippy::expect_used, reason = "the table answers every missed key")]
     fn locate_many(&self, clock: &Clock, keys: &[&str]) -> Result<Vec<Located>> {
         let hits: Vec<Option<FrontEntry>> = {
             let front = self.state.front.lock();
@@ -366,10 +367,6 @@ impl Layout for WriteBehindLayout {
         // never let the deterministic scheduler park us while holding it.
         let _atomic = pmem_sim::atomic_section();
         self.drain(&mut self.state.front.lock())
-    }
-
-    fn quiesce(&self, clock: &Clock) -> Result<()> {
-        self.inner.quiesce(clock)
     }
 }
 

@@ -365,16 +365,15 @@ fn data_survives_munmap_and_remap() {
     pmem.munmap().unwrap();
 }
 
-/// `PersistentHashtable::quiesce` promises that a read-only session stays
-/// at zero pool transactions. That has to hold on a pool persisted
-/// mid-split too: lookups route through both directories, they do not
-/// migrate the split along.
+/// A read-only session stays at zero pool transactions. That has to hold
+/// on a pool persisted mid-split too: lookups route through both
+/// directories, they do not migrate the split along.
 #[test]
 fn a_read_only_session_on_a_mid_split_pool_runs_no_transaction() {
-    use pmdk_sim::layout::{Geo, Superblock, TableHeader};
+    use pmdk_sim::layout::{Geo, Superblock};
     let on_media = |dev: &PmemDevice| -> Geo {
         let header = pmdk_sim::doctor::root_hashtable_header(dev, &Superblock::read(dev)).unwrap();
-        TableHeader::read(dev, header).unwrap().geo
+        Geo::read(dev, header).unwrap()
     };
     let dev = devdax(8);
     let opts = Options {
@@ -412,7 +411,7 @@ fn a_read_only_session_on_a_mid_split_pool_runs_no_transaction() {
     for (i, h) in handles.into_iter().enumerate() {
         assert_eq!(loaded.take_scalar(h), i as u64);
     }
-    pmem.munmap().unwrap(); // nothing to fold either
+    pmem.munmap().unwrap();
 
     let session = dev.machine().stats.snapshot().delta_since(&mounted);
     assert_eq!(session.pool_txs, 0, "a load ran a pool transaction");

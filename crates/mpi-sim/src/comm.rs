@@ -275,14 +275,14 @@ impl Comm {
         let p = self.size();
         // Rotate so the root is virtual rank 0.
         let vrank = (self.rank + p - root) % p;
-        let mut payload: Option<Vec<u8>> = if self.rank == root {
-            Some(
-                data.expect("root must supply the broadcast payload")
-                    .to_vec(),
-            )
-        } else {
-            None
-        };
+        #[allow(
+            clippy::expect_used,
+            reason = "the root's payload is the caller's to supply"
+        )]
+        let mut payload = (self.rank == root).then(|| {
+            data.expect("root must supply the broadcast payload")
+                .to_vec()
+        });
         // Receive first (non-roots), from the peer that owns our subtree.
         if vrank != 0 {
             let mut mask = 1usize;
@@ -297,6 +297,10 @@ impl Comm {
             }
         }
         // Then forward down our subtree.
+        #[allow(
+            clippy::expect_used,
+            reason = "the root holds it, every other rank received it"
+        )]
         let data = payload.expect("bcast payload must be set by now");
         // Top bit of the ⌈log₂ P⌉-round tree (zero rounds for one rank).
         let mut mask = p.next_power_of_two() >> 1;
@@ -338,12 +342,8 @@ impl Comm {
 
     /// All ranks end up with every rank's buffer (gather + broadcast).
     pub fn allgatherv(&self, data: &[u8]) -> Vec<Vec<u8>> {
-        let gathered = self.gatherv(0, data);
-        let packed = if self.rank == 0 {
-            Some(pack_lengths(&gathered.expect("root gathered")))
-        } else {
-            None
-        };
+        // Only the root gathers, so only the root packs.
+        let packed = self.gatherv(0, data).map(|bufs| pack_lengths(&bufs));
         let bytes = self.bcast(0, packed.as_deref());
         unpack_lengths(&bytes)
     }
@@ -374,9 +374,7 @@ impl Comm {
     /// Reduce `value` across ranks with `op`; `Some(result)` on root.
     pub(crate) fn reduce_u64(&self, root: usize, value: u64, op: ReduceOp) -> Option<u64> {
         let gathered = self.gatherv(root, &value.to_le_bytes())?;
-        let vals = gathered
-            .iter()
-            .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()));
+        let vals = gathered.iter().map(|b| le_u64(b, 0));
         Some(match op {
             ReduceOp::Max => vals.max().unwrap_or(0),
             ReduceOp::Min => vals.min().unwrap_or(0),
@@ -388,8 +386,7 @@ impl Comm {
         let reduced = self
             .reduce_u64(0, value, op)
             .map(|v| v.to_le_bytes().to_vec());
-        let bytes = self.bcast(0, reduced.as_deref());
-        u64::from_le_bytes(bytes[..8].try_into().unwrap())
+        le_u64(&self.bcast(0, reduced.as_deref()), 0)
     }
 }
 
@@ -397,6 +394,11 @@ const TAG_BARRIER: u64 = 1 << 40;
 const TAG_BCAST: u64 = 2 << 40;
 const TAG_GATHER: u64 = 3 << 40;
 const TAG_A2A: u64 = 4 << 40;
+
+/// The little-endian word at `at` of `bytes` (an index past them panics).
+pub(crate) fn le_u64(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(std::array::from_fn(|i| bytes[at + i]))
+}
 
 /// Length-prefixed packing for vectors of buffers.
 pub(crate) fn pack_lengths(bufs: &[Vec<u8>]) -> Vec<u8> {
@@ -411,11 +413,11 @@ pub(crate) fn pack_lengths(bufs: &[Vec<u8>]) -> Vec<u8> {
 
 /// Inverse of [`pack_lengths`].
 pub(crate) fn unpack_lengths(bytes: &[u8]) -> Vec<Vec<u8>> {
-    let n = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
+    let n = le_u64(bytes, 0) as usize;
     let mut out = Vec::with_capacity(n);
     let mut pos = 8;
     for _ in 0..n {
-        let len = u64::from_le_bytes(bytes[pos..pos + 8].try_into().unwrap()) as usize;
+        let len = le_u64(bytes, pos) as usize;
         pos += 8;
         out.push(bytes[pos..pos + len].to_vec());
         pos += len;

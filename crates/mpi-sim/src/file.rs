@@ -9,7 +9,7 @@
 //! on its domain. This is the data-rearrangement phase whose cost the paper
 //! blames for HDF5/NetCDF/pNetCDF's PMEM performance (§2.1, §4.1).
 
-use crate::comm::Comm;
+use crate::comm::{le_u64, Comm};
 use pmem_sim::SimTime;
 use simfs::{Result, SimFs};
 use std::sync::Arc;
@@ -109,8 +109,7 @@ impl MpiFile {
         for buf in received {
             let mut pos = 0;
             while pos < buf.len() {
-                let off = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-                let len = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap()) as usize;
+                let (off, len) = (le_u64(&buf, pos), le_u64(&buf, pos + 8) as usize);
                 pos += 16;
                 pieces.push((off, buf[pos..pos + len].to_vec()));
                 pos += len;
@@ -184,9 +183,7 @@ impl MpiFile {
         for (src, buf) in incoming.iter().enumerate() {
             let mut pos = 0;
             while pos < buf.len() {
-                let ri = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap());
-                let off = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
-                let len = u64::from_le_bytes(buf[pos + 16..pos + 24].try_into().unwrap());
+                let [ri, off, len] = [0, 8, 16].map(|at| le_u64(buf, pos + at));
                 pos += 24;
                 let s = (off - my_domain_start) as usize;
                 let ans = &mut answers[src];
@@ -202,9 +199,8 @@ impl MpiFile {
         for buf in replies {
             let mut pos = 0;
             while pos < buf.len() {
-                let ri = u64::from_le_bytes(buf[pos..pos + 8].try_into().unwrap()) as usize;
-                let off = u64::from_le_bytes(buf[pos + 8..pos + 16].try_into().unwrap());
-                let len = u64::from_le_bytes(buf[pos + 16..pos + 24].try_into().unwrap()) as usize;
+                let [ri, off, len] = [0, 8, 16].map(|at| le_u64(&buf, pos + at));
+                let (ri, len) = (ri as usize, len as usize);
                 pos += 24;
                 let r = &requests[ri];
                 let start = (off - r.offset) as usize;

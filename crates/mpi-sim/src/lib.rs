@@ -16,6 +16,7 @@
 //! run enumeration for N-D block decompositions.
 
 #![warn(unreachable_pub)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
 
 mod comm;

@@ -29,6 +29,7 @@ where
     let world = World::with_mode(machine, size, mode);
     let (world, body) = (&world, &body);
     let results: Vec<_> = std::thread::scope(|scope| {
+        #[allow(clippy::expect_used, reason = "a world short of a rank cannot run")]
         let spawn = |rank| {
             std::thread::Builder::new()
                 .name(format!("rank-{rank}"))

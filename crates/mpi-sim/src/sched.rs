@@ -219,6 +219,7 @@ impl ClockGate for Scheduler {
         Self::check_poison(&st);
         let t = &mut st.times[rank];
         *t = (*t).max(now.as_nanos());
+        #[allow(clippy::expect_used, reason = "the yielding rank is runnable")]
         let next =
             Self::pick_next(&st).expect("the yielding rank is runnable, so a runnable rank exists");
         if next != rank {

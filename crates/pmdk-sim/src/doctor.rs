@@ -163,10 +163,9 @@ pub struct StripeStat {
 #[derive(Debug, Clone, Default)]
 pub struct HashtableReport {
     pub header_off: u64,
-    /// The stored header as decoded, plausible or not (`old_buckets` is
-    /// non-zero while an incremental split is in flight; `count` is
-    /// authoritative only when `dirty` is 0).
-    pub header: TableHeader,
+    /// The stored geometry as decoded, plausible or not (`old_buckets` is
+    /// non-zero while an incremental split is in flight).
+    pub geo: Geo,
     /// Entries found by walking every chain.
     pub reachable: u64,
     pub entries: Vec<EntryReport>,
@@ -195,16 +194,16 @@ pub fn walk_hashtable(dev: &PmemDevice, header_off: u64) -> HashtableReport {
         header_off,
         ..Default::default()
     };
-    let checked = TableHeader::read(dev, header_off).and_then(|hdr| {
-        out.header = hdr;
-        hdr.check(dev)
+    let checked = Geo::read(dev, header_off).and_then(|g| {
+        out.geo = g;
+        g.check(dev)
     });
     if let Err(e) = checked {
         out.errors.push(message(e));
         return out;
     }
     out.stripes = vec![StripeStat::default(); STRIPES];
-    for (head_slot, bucket, head) in out.header.geo.heads(dev) {
+    for (head_slot, bucket, head) in out.geo.heads(dev) {
         let (chain, end) = walk_from(dev, head_slot, head, Fetch::Header, |e| {
             out.entries.push(EntryReport {
                 key: e.key(dev),

@@ -23,7 +23,7 @@ use pmem_sim::sync::Mutex;
 use pmem_sim::Clock;
 use route::Stripe;
 pub(crate) use route::STRIPES;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// FNV-1a, fixed so tables are portable across runs/machines.
@@ -51,18 +51,16 @@ pub struct PersistentHashtable {
     /// across a charge or another lock.
     geo: Mutex<Geo>,
     stripes: Vec<Stripe>,
-    /// Serializes split begin/advance; held across geometry publication.
+    /// Serializes split begin/advance and the count's chunks; held across
+    /// geometry publication.
     resize_lock: Mutex<()>,
-    /// Serializes the first dirty-flag write of a session.
-    dirty_lock: Mutex<()>,
-    /// Volatile mirror of HDR_DIRTY (true ⇒ per-stripe deltas are live).
-    count_dirty: AtomicBool,
-    /// Volatile mirror of the last folded HDR_COUNT, so the split trigger
-    /// never charges a pool read on the insert hot path.
-    count_base: AtomicU64,
+    /// Buckets below this one are counted in the stripes' `live`: all of
+    /// them (`u64::MAX`) on a created table, none on an opened one until
+    /// its first mutation counts it, a chunk at a time (`resize.rs`).
+    counted: AtomicU64,
     /// Unit tests pin a one-bucket table to build long chains.
     #[cfg(test)]
-    auto_resize: AtomicBool,
+    auto_resize: std::sync::atomic::AtomicBool,
 }
 
 impl std::fmt::Debug for PersistentHashtable {
@@ -103,38 +101,23 @@ impl PersistentHashtable {
             heads,
             ..Geo::default()
         };
-        Ok(Self::attach(pool, header, g, 0, true))
+        Ok(Self::attach(pool, header, g, true))
     }
 
     /// Attach to an existing table at `header`. The stored header must pass
-    /// `TableHeader::check` — the rules the doctor applies — or the mount
-    /// is refused. If the table crashed with unfolded per-stripe counts
-    /// (dirty flag set), the count is recounted from the chains here. Every
-    /// bucket starts unknown to the mirror: a walk mirrors what it fetches.
+    /// `Geo::check` — the rules the doctor applies — or the mount is
+    /// refused. Nothing else is read, whether or not the table crashed:
+    /// every bucket starts unknown to the mirror and uncounted.
     pub fn open(clock: &Clock, pool: &Arc<PmemPool>, header: u64) -> Result<Self> {
         let src = pool.charged(clock);
-        let hdr = TableHeader::read(&src, header)?;
-        hdr.check(&src)?;
-        let ht = Self::attach(pool, header, hdr.geo, hdr.count, false);
-        if hdr.dirty == 1 {
-            // Crashed with unfolded per-stripe deltas: recount from the
-            // chains (cheap 8-byte next-pointer hops) and fold + clear in
-            // ordered single-word persisted writes.
-            let mut n = 0u64;
-            for (slot, _, head) in hdr.geo.heads(&src) {
-                let (links, end) = walk_from(&src, slot, head, Fetch::Link, |_| true);
-                end?;
-                n += links;
-            }
-            pool.write_u64(clock, header + HDR_COUNT, n);
-            pool.write_u64(clock, header + HDR_DIRTY, 0);
-            ht.count_base.store(n, Ordering::Relaxed);
-        }
-        Ok(ht)
+        let g = Geo::read(&src, header)?;
+        g.check(&src)?;
+        Ok(Self::attach(pool, header, g, false))
     }
 
-    /// A handle on the table at `header`; a `fresh` one is mirrored whole.
-    fn attach(pool: &Arc<PmemPool>, header: u64, g: Geo, count: u64, fresh: bool) -> Self {
+    /// A handle on the table at `header`; a `fresh` one is mirrored and
+    /// counted whole.
+    fn attach(pool: &Arc<PmemPool>, header: u64, g: Geo, fresh: bool) -> Self {
         PersistentHashtable {
             pool: Arc::clone(pool),
             header,
@@ -146,11 +129,9 @@ impl PersistentHashtable {
                 })
                 .collect(),
             resize_lock: Mutex::new(()),
-            dirty_lock: Mutex::new(()),
-            count_dirty: AtomicBool::new(false),
-            count_base: AtomicU64::new(count),
+            counted: AtomicU64::new(if fresh { u64::MAX } else { 0 }),
             #[cfg(test)]
-            auto_resize: AtomicBool::new(true),
+            auto_resize: std::sync::atomic::AtomicBool::new(true),
         }
     }
 
@@ -175,15 +156,18 @@ impl PersistentHashtable {
         self.auto_resize.store(enabled, Ordering::Relaxed);
     }
 
-    /// Number of live entries: the last folded count plus every stripe's
-    /// volatile delta.
+    /// Number of live entries: a walk of every chain, as
+    /// [`Self::chain_length_histogram`]. Not synchronized with writers.
     pub fn len(&self, clock: &Clock) -> u64 {
-        self.plus_deltas(self.pool.read_u64(clock, self.header + HDR_COUNT))
+        let hist = self.chain_length_histogram(clock);
+        hist.iter().zip(0..).map(|(n, len)| n * len).sum()
     }
 
-    #[cfg(test)]
-    fn is_empty(&self, clock: &Clock) -> bool {
-        self.len(clock) == 0
+    /// Nothing to do: the count is DRAM state, folded nowhere. Kept, with
+    /// its signature, only because `benchmark/src/ladder.rs` (frozen) calls
+    /// it before a restart.
+    pub fn quiesce(&self, _clock: &Clock) -> Result<()> {
+        Ok(())
     }
 
     fn geo(&self) -> Geo {

@@ -117,7 +117,6 @@ impl PersistentHashtable {
         self.maybe_resize(clock)?;
 
         let _atomic = pmem_sim::atomic_section();
-        self.ensure_dirty(clock);
         let (mut locked, mut spliced) = (None, Vec::new());
         let committed = self.pool.tx(clock, |tx| {
             // Route every key and lock the involved stripes in ascending
@@ -131,7 +130,7 @@ impl PersistentHashtable {
             for (i, r) in hashes.iter().map(|&h| g.route(h)).enumerate() {
                 by_slot.entry(r.head_slot).or_default().push(i);
             }
-            let (mut words, mut frees, mut live) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut words, mut frees) = (Vec::new(), Vec::new());
             let (mut links, mut heads) = (vec![(0, None); reqs.len()], Vec::new());
             for (&head_slot, idxs) in &by_slot {
                 let r = g.route(hashes[idxs[0]]);
@@ -159,7 +158,6 @@ impl PersistentHashtable {
                 }
                 heads.push((words.len(), idxs[idxs.len() - 1]));
                 words.push((head_slot, head, 0));
-                live.push((r.sid, (idxs.len() - gone.len()) as i64));
                 let gone: Vec<usize> = gone.into_iter().map(|(i, _)| i).collect();
                 spliced.push((r, gone, idxs.clone()));
             }
@@ -172,12 +170,14 @@ impl PersistentHashtable {
             }
             tx.free_many(&frees)?;
             tx.set_words(&words)?;
-            Ok((entries, live))
+            Ok(entries)
         });
-        let (entries, live) = committed?;
-        // The mirror takes the group's splice only once it committed.
+        let entries = committed?;
+        // The mirror and the count take the group's splice only once it
+        // committed, with its stripes still held.
         if let Some((_, mut held)) = locked {
             for (r, gone, idxs) in spliced {
+                self.count(r, (idxs.len() - gone.len()) as i64);
                 let fresh = idxs.iter().rev().map(|&i| {
                     let (mut e, key) = (Entry::default(), Some(Key::of(reqs[i].0)));
                     (e.at, e.hash) = (entries[i], hashes[i]);
@@ -186,9 +186,6 @@ impl PersistentHashtable {
                 });
                 mirror_in(&mut held, r.sid).splice(r.bucket, r.head_slot, &gone, fresh.collect());
             }
-        }
-        for (sid, d) in live {
-            self.stripes[sid].live.fetch_add(d, Ordering::Relaxed);
         }
         Ok((0..reqs.len()).map(|i| value(i, &entries)).collect())
     }
@@ -333,16 +330,13 @@ impl PersistentHashtable {
         let Some((i, e)) = at[0] else {
             return Ok(false);
         };
-        self.ensure_dirty(clock);
         let unlinked = self.pool.tx(clock, |tx| {
             tx.set_words(&[(e.slot, e.at, e.next)])?;
             tx.free(e.at)
         });
-        if unlinked.is_ok() {
-            mirror.splice(r.bucket, r.head_slot, &[i], Vec::new());
-        }
         unlinked?;
-        self.stripes[r.sid].live.fetch_sub(1, Ordering::Relaxed);
+        mirror.splice(r.bucket, r.head_slot, &[i], Vec::new());
+        self.count(r, -1);
         Ok(true)
     }
 }

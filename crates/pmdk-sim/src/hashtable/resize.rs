@@ -1,4 +1,4 @@
-//! Incremental resize and the sharded entry count.
+//! Incremental resize and the entry count.
 //!
 //! The directory is **online-resizable**: when the live-entry estimate
 //! crosses `bucket_count / SPLIT_FACTOR`, a split doubles the directory by
@@ -21,17 +21,23 @@
 //! physical slot — only migration does, and migration holds both affected
 //! stripes.
 //!
-//! The entry count is sharded: inserts and removes bump a volatile
-//! per-stripe delta (no cross-stripe RMW on the hot path) and set a
-//! persistent dirty flag once per session; [`PersistentHashtable::quiesce`]
-//! folds the deltas into the header under all stripe locks, and a reopen
-//! after a crash with the dirty flag set recounts by walking the heads.
+//! The entry count, which only the split trigger reads, is DRAM state and
+//! never persisted. Inserts and removes bump a per-stripe `live` (no
+//! cross-stripe RMW on the hot path) when their bucket is *counted*: below
+//! the handle's `counted` cursor, which a created table starts past every
+//! bucket and an opened one at 0. An opened table is counted by its first
+//! mutation once any split in flight at the mount has retired: it counts —
+//! and mirrors — every chain, a chunk at a time under the chunk's stripes,
+//! before it checks the trigger, so the trigger is exact however short the
+//! session. A mutation checks the cursor under its stripe, so each entry is
+//! counted once: by the chunk that walks its chain, or by its own bump.
 
-use super::mirror::{search, Chain, Known};
-use super::route::{mirror_in, stripe_of};
+use super::mirror::{search, Chain, Known, Mirror};
+use super::route::{mirror_in, stripe_of, Route};
 use super::*;
 use crate::error::PmdkError;
 use pmem_sim::flight::EventCode;
+use std::ops::Range;
 
 /// A split begins once `SPLIT_FACTOR × live_estimate > bucket_count`, so a
 /// fully-migrated table sits at load factor ≤ 1/SPLIT_FACTOR. At 0.5 the
@@ -39,71 +45,37 @@ use pmem_sim::flight::EventCode;
 /// creation-storm CI bound).
 const SPLIT_FACTOR: u64 = 2;
 
+/// The end of the chunk of buckets `start..` a helper takes out of `n`: 32
+/// chunks a pass (clamped). A split begun at load 1/2 thus retires by load
+/// 3/4, before the next can be due.
+fn chunk_end(n: u64, start: u64) -> u64 {
+    start + (n / 32).clamp(8, 256).min(n - start)
+}
+
 impl PersistentHashtable {
-    /// `base` plus every stripe's unfolded live delta.
-    pub(super) fn plus_deltas(&self, base: u64) -> u64 {
-        let delta: i64 = (self.stripes.iter())
+    /// The split trigger's count, charge-free (volatile words only — the
+    /// insert hot path must not pay a pool read here): the entries of the
+    /// counted buckets. A migration moves entries between stripes and not
+    /// their counts, so only the sum is exact.
+    pub(super) fn live_estimate(&self) -> u64 {
+        let live: i64 = (self.stripes.iter())
             .map(|s| s.live.load(Ordering::Relaxed))
             .sum();
-        (base as i64 + delta).max(0) as u64
+        live.max(0) as u64
     }
 
-    /// Charge-free live-entry estimate for the split trigger (volatile
-    /// words only — the insert hot path must not pay a pool read here).
-    fn live_estimate(&self) -> u64 {
-        self.plus_deltas(self.count_base.load(Ordering::Relaxed))
+    /// Add `n` to the count of the stripe holding bucket `r`, if the bucket
+    /// is counted. The caller holds the stripe.
+    pub(super) fn count(&self, r: Route, n: i64) {
+        if r.bucket < self.counted.load(Ordering::Acquire) {
+            self.stripes[r.sid].live.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
-    /// Mark the persistent count stale before the first count-changing
-    /// mutation commits. A single persisted word (no transaction needed —
-    /// an 8-byte write is atomic on the device), so a crash at any point
-    /// after it forces the reopen recount and before it changed nothing.
-    pub(super) fn ensure_dirty(&self, clock: &Clock) {
-        if self.count_dirty.load(Ordering::Acquire) {
-            return;
-        }
-        let _serial = self.dirty_lock.lock();
-        if self.count_dirty.load(Ordering::Acquire) {
-            return;
-        }
-        self.pool.write_u64(clock, self.header + HDR_DIRTY, 1);
-        self.count_dirty.store(true, Ordering::Release);
-    }
-
-    /// Fold the per-stripe live deltas into the persistent header and clear
-    /// the dirty flag, in one transaction under every stripe lock. Cheap
-    /// no-op (zero transactions, zero writes) when nothing changed the
-    /// count since the last fold — a read-only session stays at zero
-    /// pool transactions. Call at munmap/checkpoint boundaries.
-    pub fn quiesce(&self, clock: &Clock) -> Result<()> {
-        // A lock-free read of a word other ranks set: every earlier rank
-        // goes first.
-        pmem_sim::interaction_point();
-        if !self.count_dirty.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let _atomic = pmem_sim::atomic_section();
-        let _guards: Vec<_> = (0..STRIPES).map(|i| self.lock_stripe(i, true)).collect();
-        let folded = self.live_estimate();
-        self.pool.tx(clock, |tx| {
-            tx.set(self.header + HDR_COUNT, &folded.to_le_bytes())?;
-            tx.set(self.header + HDR_DIRTY, &0u64.to_le_bytes())?;
-            Ok(())
-        })?;
-        for s in &self.stripes {
-            s.live.store(0, Ordering::Relaxed);
-        }
-        self.count_base.store(folded, Ordering::Relaxed);
-        self.count_dirty.store(false, Ordering::Release);
-        self.pool
-            .flight()
-            .record(clock, EventCode::CountFold, folded, 0);
-        Ok(())
-    }
-
-    /// Called at the top of every mutation (`put_group`, `remove`) and by
+    /// Called at the top of every mutation (`put_many`, `remove`) and by
     /// nothing else — lookups never migrate: advance an in-flight split by
-    /// one chunk, or begin one if the table is over threshold. An error
+    /// one chunk, else count what is left of a table not yet counted whole
+    /// and begin a split if the table is over threshold. An error
     /// beginning a split — e.g. the pool is too full to double the
     /// directory — defers it rather than failing the caller's operation.
     pub(super) fn maybe_resize(&self, clock: &Clock) -> Result<()> {
@@ -115,7 +87,11 @@ impl PersistentHashtable {
         if g.old_buckets != 0 {
             return self.help_migrate(clock);
         }
-        if self.live_estimate().saturating_mul(SPLIT_FACTOR) > g.buckets {
+        if self.counted.load(Ordering::Acquire) < g.buckets {
+            self.help_count(clock);
+        }
+        let due = self.live_estimate().saturating_mul(SPLIT_FACTOR) > g.buckets;
+        if due && self.counted.load(Ordering::Acquire) >= g.buckets {
             match self.begin_split(clock) {
                 Ok(()) => return self.help_migrate(clock),
                 Err(_) => {
@@ -201,20 +177,17 @@ impl PersistentHashtable {
         if g.old_buckets == 0 {
             return Ok(());
         }
-        let n = g.old_buckets;
-        let start = g.cursor;
-        // 32 chunks a split (clamped), so one begun at load 1/2 retires by
-        // load 3/4, before the next can be due. The undo log holds relinks
-        // only, 20 bytes each against the lane's ~15 KB: 764 a chunk, where
-        // 256 buckets at that load hold ~192 entries and relink fewer. A
-        // chunk that would relink more ends at the bucket that does not fit.
-        let chunk = (n / 32).clamp(8, 256).min(n - start);
-        let last = start + chunk;
+        let (n, start) = (g.old_buckets, g.cursor);
+        // The undo log holds relinks only, 20 bytes each against the lane's
+        // ~15 KB: 764 a chunk, where 256 buckets at load 1/2 hold ~192
+        // entries and relink fewer. A chunk that would relink more ends at
+        // the bucket that does not fit.
+        let last = chunk_end(n, start);
         let machine = self.pool.device().machine();
         let _phase = machine.phase(clock, "pmdk", "ht.resize");
         let _span = machine
             .span(clock, "pmdk", "ht.migrate")
-            .arg("buckets", chunk);
+            .arg("buckets", last - start);
 
         // Source bucket b lives on stripe b%64; its lo half stays there,
         // its hi half moves to (b+n)%64. Lock both for the whole chunk.
@@ -226,32 +199,10 @@ impl PersistentHashtable {
         let end = self.pool.tx(clock, |tx| {
             // Destination heads: slots start..end (lo), start+n.. (hi).
             let mut runs = [Vec::new(), Vec::new()];
-            let (mut end, mut words, mut heads_run) = (start, Vec::new(), None);
+            let (mut end, mut words, mut run) = (start, Vec::new(), None);
             for b in start..last {
-                let (slot, mirror) = (g.old_heads + b * 8, mirror_in(&mut held, stripe_of(b)));
-                // A complete bucket is a probe, none when empty (a bit);
-                // any other is walked to its end.
-                let mut walked = None;
-                match mirror.get(b).map(|c| (c.tail, c.head())) {
-                    Some((0, 0)) => {}
-                    Some((0, _)) => self.charge_probe(clock, None),
-                    _ => {
-                        // The chunk's source heads are one run, pinned by
-                        // the stripes held above: fetched once, at the
-                        // first one the mirror lacks.
-                        let mut chain = mirror.take(b).unwrap_or_else(|| {
-                            let run = heads_run.get_or_insert_with(|| {
-                                let heads = read_heads(&src, g.old_heads, start..last);
-                                heads.map(|(_, _, head)| head).collect::<Vec<_>>()
-                            });
-                            Chain::at(run[(b - start) as usize])
-                        });
-                        search(&src, slot, &mut chain, &[], true).2 .1?;
-                        walked = Some(chain);
-                    }
-                }
-                #[allow(clippy::expect_used, reason = "a bucket the mirror lacks was walked")]
-                let c = walked.as_ref().or(mirror.get(b)).expect("walked whole");
+                let mirror = mirror_in(&mut held, stripe_of(b));
+                let c = self.whole(clock, &src, mirror, (g.old_heads, start..last), b, &mut run)?;
                 // Each partition relinks in original order with a nul
                 // tail; next pointers already correct are left untouched.
                 // The mirror holds each pre-image.
@@ -264,7 +215,7 @@ impl PersistentHashtable {
                     *head = k.e.at;
                 }
                 let moved = c.entries.len() as u64;
-                mirror.put(b, walked);
+                mirror.put(b, Some(c));
                 // Room for these and the three retire words, or stop here.
                 if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 3) {
                     break;
@@ -327,5 +278,77 @@ impl PersistentHashtable {
             machine.metric_counter_add("ht.entries_migrated", entries_moved);
         }
         Ok(())
+    }
+
+    /// Count what is left of an opened table, chunked as `help_migrate`
+    /// is, each chunk under its stripes and the resize lock, advancing the
+    /// `counted` cursor past it (`u64::MAX` at the last). All of it at once:
+    /// a chunk a mutation leaves a session of under 32 mutations uncounted,
+    /// and its table unsplit. If another helper holds the lock, it counts
+    /// the rest. A counted chain is mirrored too; a torn one counts as
+    /// empty and stays out of the mirror: nothing can insert into it.
+    fn help_count(&self, clock: &Clock) {
+        loop {
+            let _atomic = pmem_sim::atomic_section();
+            let Some(_resize) = self.resize_lock.try_lock() else {
+                return; // another helper is counting
+            };
+            let (g, start) = (self.geo(), self.counted.load(Ordering::Acquire));
+            if g.old_buckets != 0 || start >= g.buckets {
+                return;
+            }
+            let last = chunk_end(g.buckets, start);
+            let machine = self.pool.device().machine();
+            let _phase = machine.phase(clock, "pmdk", "ht.resize");
+            let _span = (machine.span(clock, "pmdk", "ht.count")).arg("buckets", last - start);
+            let mut held = self.lock_stripes((start..last).map(stripe_of), true);
+            let (src, mut run, mut found) = (self.pool.charged(clock), None, 0);
+            for b in start..last {
+                let mirror = mirror_in(&mut held, stripe_of(b));
+                let c = self.whole(clock, &src, mirror, (g.heads, start..last), b, &mut run);
+                found += c.as_ref().map_or(0, |c| c.entries.len() as i64);
+                mirror.put(b, c.ok());
+            }
+            let live = &self.stripes[stripe_of(start)].live;
+            live.fetch_add(found, Ordering::Relaxed);
+            let counted = if last == g.buckets { u64::MAX } else { last };
+            self.counted.store(counted, Ordering::Release);
+        }
+    }
+
+    /// Bucket `b` whole, taken out of `mirror`: a probe when the mirror
+    /// holds it complete (none when empty), else a walk from what the mirror
+    /// knows, or from its head; a bad hop refuses. The heads of the chunk
+    /// `(array, buckets)` are one run, pinned by the stripes the caller
+    /// holds: fetched into `run` once, at the first bucket the mirror lacks.
+    /// The caller puts the chain back.
+    fn whole(
+        &self,
+        clock: &Clock,
+        src: &impl Bytes,
+        mirror: &mut Mirror,
+        (array, buckets): (u64, Range<u64>),
+        b: u64,
+        run: &mut Option<Vec<u64>>,
+    ) -> Result<Chain> {
+        match mirror.take(b) {
+            Some(c) if c.tail == 0 => {
+                if c.head() != 0 {
+                    self.charge_probe(clock, None);
+                }
+                Ok(c)
+            }
+            known => {
+                let mut c = known.unwrap_or_else(|| {
+                    let run = run.get_or_insert_with(|| {
+                        let heads = read_heads(src, array, buckets.clone());
+                        heads.map(|(_, _, head)| head).collect()
+                    });
+                    Chain::at(run[(b - buckets.start) as usize])
+                });
+                search(src, array + b * 8, &mut c, &[], true).2 .1?;
+                Ok(c)
+            }
+        }
     }
 }

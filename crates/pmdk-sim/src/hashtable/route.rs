@@ -35,8 +35,8 @@ pub(super) struct Stripe {
     /// stripe's chains holds it, and it owns the stripe's slice of the
     /// mirror, so the mirror cannot be touched without it.
     pub(super) lock: Mutex<Mirror>,
-    /// Net live-entry delta since the last fold (inserts − removes on this
-    /// stripe). Summed into the persisted count by `quiesce`.
+    /// The net entries this stripe's mutations made in counted buckets,
+    /// plus the count chunks begun at its buckets; the trigger sums all.
     pub(super) live: AtomicI64,
 }
 

@@ -8,6 +8,7 @@ use crate::error::PmdkError;
 use crate::pool::tests::{crashed_at, last_uncommitted};
 use pmem_sim::{DetRng, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 
 fn table(bytes: usize, buckets: u64) -> (PersistentHashtable, Arc<PmemPool>, Clock) {
     let dev = PmemDevice::new(Machine::chameleon(), bytes, PersistenceMode::Tracked);

@@ -38,21 +38,6 @@ fn survives_reopen() {
 }
 
 #[test]
-fn dirty_crash_reopen_recounts_from_chains() {
-    let (ht, pool, clock) = table(1 << 22, 64);
-    for i in 0..7u32 {
-        ht.put(&clock, format!("k{i}").as_bytes(), b"v").unwrap();
-    }
-    // Crash without quiesce: dirty flag is set, header count stale.
-    pool.device().crash();
-    let (ht, pool) = reopen(ht, pool, &clock);
-    assert_eq!(ht.len(&clock), 7);
-    // The recount folded + cleared the flag with plain persisted writes.
-    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_COUNT), 7);
-    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_DIRTY), 0);
-}
-
-#[test]
 fn open_rejects_implausible_headers() {
     let (ht, pool, clock) = table(1 << 22, 16);
     ht.put(&clock, b"k", b"v").unwrap();
@@ -88,20 +73,33 @@ fn open_rejects_implausible_headers() {
         Err(PmdkError::BadPool(_))
     ));
     pool.write_u64(&clock, header + HDR_CURSOR, 0);
-    // Dirty-flag recount over a torn chain: a `next` that self-loops
-    // must not hang the open, one that points past the device must not
-    // trip the device's bounds assert.
+    // A torn chain: the mount reads the header only, so it mounts. The
+    // first mutation's count takes the torn chain as empty, and mutations
+    // of other chains go on; an insert into the torn one is refused. A
+    // `next` that self-loops must not hang that walk, one that points past
+    // the device must not trip the device's bounds assert.
     let entry = ht.get_ref(&clock, b"k").unwrap().offset - ENT_KEY - 1;
+    let bucket = |k: &str| fnv1a(k.as_bytes()) % 16;
+    let other = |same: bool| {
+        let mut keys = (0..).map(|i| format!("o{i}"));
+        keys.find(|o| (bucket(o) == bucket("k")) == same).unwrap()
+    };
+    let (healthy, behind_tear) = (other(false), other(true));
     for torn_next in [entry, pool.device().size() as u64 - 8] {
-        pool.write_u64(&clock, header + HDR_DIRTY, 1);
         pool.write_u64(&clock, entry + ENT_NEXT, torn_next);
-        assert!(matches!(
-            PersistentHashtable::open(&clock, &pool, header),
-            Err(PmdkError::BadPool(_))
-        ));
+        let torn = PersistentHashtable::open(&clock, &pool, header).unwrap();
+        torn.put(&clock, healthy.as_bytes(), b"v").unwrap();
+        assert_eq!(torn.live_estimate(), 1);
+        assert!(torn.remove(&clock, healthy.as_bytes()).unwrap());
+        let refused = torn.put(&clock, behind_tear.as_bytes(), b"v");
+        assert!(matches!(refused, Err(PmdkError::BadPool(_))));
+        assert_eq!(torn.live_estimate(), 0);
+        assert!(!torn.splitting());
     }
     pool.write_u64(&clock, entry + ENT_NEXT, 0);
-    assert!(PersistentHashtable::open(&clock, &pool, header).is_ok());
+    let mended = PersistentHashtable::open(&clock, &pool, header).unwrap();
+    assert!(!mended.remove(&clock, b"absent").unwrap());
+    assert_eq!((mended.live_estimate(), mended.len(&clock)), (1, 1));
 }
 
 #[test]

@@ -33,7 +33,6 @@ fn remove_unlinks_and_frees() {
     assert!(ht.get(&clock, b"key7").is_none());
     assert_eq!(ht.get(&clock, b"key8").unwrap(), 8u32.to_le_bytes());
     assert_eq!(ht.len(&clock), 19);
-    ht.quiesce(&clock).unwrap();
     pool.check_heap().unwrap();
 }
 
@@ -217,8 +216,8 @@ fn a_put_reads_its_bucket_head_once() {
     let pool = PmemPool::create(&clock, dev, "ht").unwrap();
     let ht = PersistentHashtable::create(&clock, &pool, BUCKETS).unwrap();
     let (ht, pool) = reopen(ht, pool, &clock);
-    ht.put(&clock, b"warm", b"sets the dirty flag").unwrap();
-    let mut taken = std::collections::HashSet::from([fnv1a(b"warm") % BUCKETS]);
+    ht.set_auto_resize(false); // no count chunk: the puts' own reads only
+    let mut taken = std::collections::HashSet::new();
     let mut fresh = (0u32..)
         .map(|i| format!("k{i}").into_bytes())
         .filter(|k| taken.insert(fnv1a(k) % BUCKETS));
@@ -249,7 +248,7 @@ fn put_many_rejects_duplicate_keys() {
         .put_many(&clock, &[(b"fits", 4), (b"huge", 1 << 32)], nothing)
         .unwrap_err();
     assert_eq!(err, PmdkError::ValueTooLarge { len: 1 << 32 });
-    assert!(ht.is_empty(&clock));
+    assert_eq!(ht.len(&clock), 0);
     pool.check_heap().unwrap();
 }
 

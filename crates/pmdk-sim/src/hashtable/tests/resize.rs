@@ -1,4 +1,4 @@
-// Incremental resize and the count fold: `resize.rs`.
+// Incremental resize and the entry count: `resize.rs`.
 
 #[test]
 fn resize_grows_the_directory_and_preserves_contents() {
@@ -29,7 +29,6 @@ fn resize_grows_the_directory_and_preserves_contents() {
         ht.max_chain_len(&clock) <= 8,
         "post-split chains stay short"
     );
-    ht.quiesce(&clock).unwrap();
     pool.check_heap().unwrap(); // retired heads arrays were freed
 }
 
@@ -62,28 +61,6 @@ fn resized_table_survives_reopen_mid_split_and_after() {
     let (ht, _pool) = reopen(ht, pool, &clock);
     assert_eq!(ht.len(&clock), total as u64 + 1);
     assert_eq!(ht.get(&clock, b"k20").unwrap(), 20u32.to_le_bytes());
-}
-
-#[test]
-fn quiesce_folds_sharded_count_and_clean_open_skips_recount() {
-    let (ht, pool, clock) = table(1 << 22, 64);
-    ht.set_auto_resize(false);
-    for i in 0..10u32 {
-        ht.put(&clock, format!("k{i}").as_bytes(), b"v").unwrap();
-    }
-    // Mid-session: header still holds the last fold, deltas are live.
-    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_COUNT), 0);
-    assert_eq!(ht.len(&clock), 10);
-    ht.quiesce(&clock).unwrap();
-    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_COUNT), 10);
-    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_DIRTY), 0);
-    // A second quiesce with nothing dirty is free: no transaction.
-    let machine = Arc::clone(pool.device().machine());
-    let before = machine.stats.snapshot();
-    ht.quiesce(&clock).unwrap();
-    assert_eq!(machine.stats.snapshot().delta_since(&before).pool_txs, 0);
-    let (ht, _pool) = reopen(ht, pool, &clock);
-    assert_eq!(ht.len(&clock), 10);
 }
 
 /// 33 keys in a 64-bucket table, a split begun over them, and its first
@@ -121,7 +98,6 @@ fn crash_mid_migration_rolls_back_to_the_cursor() {
         ht.put(&clock, b"m33", &33u32.to_le_bytes()).unwrap();
     }
     assert_eq!(ht.len(&clock), 34);
-    ht.quiesce(&clock).unwrap();
     pool.check_heap().unwrap();
 }
 
@@ -257,7 +233,6 @@ fn a_split_onto_a_poisoned_block_follows_none_of_it() {
     assert_eq!(hist.iter().sum::<u64>(), 2 * N);
     let entries: u64 = hist.iter().zip(0..).map(|(n, len)| n * len).sum();
     assert_eq!(entries, expect.len() as u64);
-    ht.quiesce(&clock).unwrap();
     pool.check_heap().unwrap();
 }
 
@@ -412,19 +387,127 @@ fn one_chunk_of_the_worst_relink_pattern_fits_the_undo_log() {
     assert_eq!(ht.keys(&clock).len(), all.len());
 }
 
-#[test]
-fn crash_at_count_fold_keeps_dirty_recount_path() {
-    // The fold's two words are written and logged, not committed: the
-    // rollback restores the dirty flag and the open recounts.
-    let (ht, pool, clock) = recovered_before_commit(1 << 22, |pool, clock, passed| {
-        let ht = PersistentHashtable::create(clock, pool, 64).unwrap();
-        ht.set_auto_resize(false);
-        for i in 0..5u32 {
-            ht.put(clock, format!("f{i}").as_bytes(), b"v").unwrap();
+/// `n` puts into a 256-bucket table, the mark after the last: too few to
+/// begin a split.
+fn puts(n: u32) -> impl Fn(&Arc<PmemPool>, &Clock, &dyn Fn() -> usize) -> (u64, usize) {
+    move |pool, clock, passed| {
+        let ht = PersistentHashtable::create(clock, pool, 256).unwrap();
+        for i in 0..n {
+            ht.put(clock, format!("c{i}").as_bytes(), &i.to_le_bytes())
+                .unwrap();
         }
-        ht.quiesce(clock).unwrap();
         (ht.header_offset(), passed())
+    }
+}
+
+/// A mount reads the table's header and nothing else, crashed or not: a
+/// table crashed inside its 101st put mounts at the cost of its clean twin
+/// of 100, and its `len` and contents are exact.
+#[test]
+fn a_crashed_mount_costs_what_a_clean_mount_costs() {
+    const BYTES: usize = 1 << 22;
+    let mount = |dev: Arc<PmemDevice>, header: u64| {
+        let pool = PmemPool::open(&Clock::new(), dev, "test-layout").unwrap();
+        let clock = Clock::new();
+        let ht = PersistentHashtable::open(&clock, &pool, header).unwrap();
+        (ht, pool, clock.now())
+    };
+    let k = last_uncommitted(BYTES, crashed_at(BYTES, usize::MAX, puts(101)).0 .1, puts(101));
+    let ((header, _), image) = crashed_at(BYTES, k, puts(101));
+    let (ht, pool, crashed) = mount(image.unwrap(), header);
+
+    let twin = PmemDevice::new(Machine::chameleon(), BYTES, PersistenceMode::Tracked);
+    let clock = Clock::new();
+    let twin_pool = PmemPool::create(&clock, Arc::clone(&twin), "test-layout").unwrap();
+    let (twin_header, _) = puts(100)(&twin_pool, &clock, &|| 0);
+    drop(twin_pool);
+    let (_, _, clean) = mount(twin, twin_header);
+    assert_eq!(crashed, clean, "the crashed mount paid more than the clean one");
+
+    let clock = Clock::new();
+    assert_eq!(ht.len(&clock), 100);
+    for i in 0..100u32 {
+        let got = ht.get(&clock, format!("c{i}").as_bytes());
+        assert_eq!(got.unwrap(), i.to_le_bytes());
+    }
+    assert!(ht.get(&clock, b"c100").is_none());
+    pool.check_heap().unwrap();
+}
+
+/// The puts that begin the first two splits of a `buckets`-bucket table,
+/// remounted after every `session` puts, crashed before every other mount.
+/// Each session's first put counts the chains, so the split trigger is
+/// exact however few puts a session takes.
+fn splits_begun(buckets: u64, session: u32) -> Vec<u32> {
+    let (mut ht, mut pool, clock) = table(1 << 23, buckets);
+    let (mut begun, mut i) = (Vec::new(), 0);
+    while begun.len() < 2 {
+        if i > 0 && i % session == 0 {
+            if (i / session) % 2 == 1 {
+                pool.device().crash();
+            }
+            (ht, pool) = reopen(ht, pool, &clock);
+        }
+        let was = ht.splitting();
+        ht.put(&clock, format!("t{i}").as_bytes(), &i.to_le_bytes())
+            .unwrap();
+        if ht.splitting() && !was {
+            begun.push(i);
+        }
+        i += 1;
+    }
+    assert_eq!(ht.len(&clock), i as u64);
+    assert_eq!(ht.live_estimate(), i as u64);
+    pool.check_heap().unwrap();
+    begun
+}
+
+/// Twins take the same puts; one is remounted every few puts, the other
+/// never unmounted. Both begin each split at the same put, even when each
+/// session takes far fewer puts than the count has chunks (32 for 256
+/// buckets): a checkpoint that mounts, stores a few variables and unmounts
+/// keeps its table under the load bound.
+#[test]
+fn a_remounted_table_splits_at_the_key_its_unmounted_twin_does() {
+    for (buckets, session, expect) in [(64, 20, [33, 65]), (256, 5, [129, 257])] {
+        let twin = splits_begun(buckets, u32::MAX);
+        assert_eq!(twin, expect, "2 × live > buckets");
+        assert_eq!(splits_begun(buckets, session), twin, "{session}-put sessions");
+    }
+}
+
+/// Eight threads put and remove on a remounted table while it is being
+/// counted, and split once it is: each entry is counted once, by the chunk
+/// that walks its chain or by the mutation that made or unmade it.
+#[test]
+fn concurrent_mutations_while_counting_count_each_entry_once() {
+    const THREADS: u32 = 8;
+    let (ht, pool, clock) = table(1 << 25, 1024);
+    for i in 0..300u32 {
+        ht.put(&clock, format!("old{i}").as_bytes(), b"v").unwrap();
+    }
+    pool.device().crash();
+    let (ht, _pool) = reopen(ht, pool, &clock);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let ht = &ht;
+            s.spawn(move || {
+                let clock = Clock::new();
+                for i in 0..100u32 {
+                    let new = format!("new{t}-{i}");
+                    ht.put(&clock, new.as_bytes(), b"v").unwrap();
+                    let old = format!("old{}", t + THREADS * (i % 37));
+                    assert_eq!(ht.remove(&clock, old.as_bytes()).unwrap(), i < 37);
+                    if i % 4 == 0 {
+                        assert!(ht.remove(&clock, new.as_bytes()).unwrap());
+                    }
+                }
+            });
+        }
     });
-    assert_eq!(ht.len(&clock), 5);
-    assert_eq!(pool.read_u64(&clock, ht.header_offset() + HDR_DIRTY), 0);
+    assert_eq!(ht.counted.load(Ordering::Relaxed), u64::MAX);
+    assert!(ht.bucket_count() > 1024, "no split began");
+    let len = ht.len(&clock);
+    assert_eq!(len, 300 - 37 * 8 + 75 * 8);
+    assert_eq!(ht.live_estimate(), len);
 }

@@ -15,9 +15,10 @@
 //!                   [target off u64][len u32][pre-image], contiguous
 //! heap block:       [magic u32][state u32][size u64][prev_size u64]
 //!                   [reserved u64][payload]
-//! hashtable header: [bucket_count u64][entry_count u64][heads_off u64]
+//! hashtable header: [bucket_count u64][reserved u64][heads_off u64]
 //!                   [old_bucket_count u64][old_heads_off u64]
-//!                   [split_cursor u64][count_dirty u64]
+//!                   [split_cursor u64][reserved u64]
+//!                   (`create` zeroes the reserved words; nothing reads them)
 //! hashtable heads:  [head u64 × bucket_count]           (separate alloc)
 //! hashtable entry:  [hash u64][key_len u32][val_len u32][next u64][key][value]
 //! log header:       [capacity u64][head u64][tail u64]  (offsets into the ring)
@@ -507,12 +508,10 @@ pub fn walk_blocks(
 // ---- hashtable header + entry chain ----
 
 pub const HDR_BUCKETS: u64 = 0;
-pub(crate) const HDR_COUNT: u64 = 8;
 pub const HDR_HEADS: u64 = 16;
 pub const HDR_OLD_BUCKETS: u64 = 24;
 pub const HDR_OLD_HEADS: u64 = 32;
 pub(crate) const HDR_CURSOR: u64 = 40;
-pub(crate) const HDR_DIRTY: u64 = 48;
 pub(crate) const HDR_SIZE: u64 = 56;
 
 pub(crate) const ENT_HASH: u64 = 0;
@@ -543,6 +542,51 @@ pub struct Geo {
 const RUN_HEADS: u64 = 512;
 
 impl Geo {
+    /// Decode the stored header, fetched whole with one 56-byte read.
+    pub fn read<B: Bytes>(src: &B, header: u64) -> Result<Geo> {
+        if !src.in_heap(header, HDR_SIZE) {
+            return bad(format!("hashtable header {header:#x} outside heap"));
+        }
+        let mut words = [0u8; HDR_SIZE as usize];
+        src.read(header, &mut words);
+        let word = |off: u64| le_u64(&words[off as usize..]);
+        Ok(Geo {
+            buckets: word(HDR_BUCKETS),
+            heads: word(HDR_HEADS),
+            old_buckets: word(HDR_OLD_BUCKETS),
+            old_heads: word(HDR_OLD_HEADS),
+            cursor: word(HDR_CURSOR),
+        })
+    }
+
+    /// Is the stored geometry plausible for this device? A heads array (old
+    /// or new) outside the heap, a cursor past the old table, a new table
+    /// that is not the old one doubled, or split words without a split
+    /// reject the header before it can fault.
+    pub(crate) fn check<B: Bytes>(&self, src: &B) -> Result<()> {
+        let fits = |off: u64, n: u64| n.checked_mul(8).is_some_and(|sz| src.in_heap(off, sz));
+        if self.buckets == 0 || !fits(self.heads, self.buckets) {
+            return bad(format!(
+                "implausible hashtable geometry: {} buckets, heads {:#x}",
+                self.buckets, self.heads
+            ));
+        }
+        let split_ok = if self.old_buckets != 0 {
+            self.old_buckets.checked_mul(2) == Some(self.buckets)
+                && self.cursor <= self.old_buckets
+                && fits(self.old_heads, self.old_buckets)
+        } else {
+            self.old_heads == 0 && self.cursor == 0
+        };
+        if !split_ok {
+            return bad(format!(
+                "implausible hashtable split state: old_buckets={} old_heads={:#x} cursor={} buckets={}",
+                self.old_buckets, self.old_heads, self.cursor, self.buckets
+            ));
+        }
+        Ok(())
+    }
+
     /// Every chain-head slot a key can route to, as runs of at most
     /// [`RUN_HEADS`] consecutive buckets of one heads array, `(array, buckets)`
     /// each: unmigrated old buckets first, then the new-directory slots whose
@@ -596,70 +640,6 @@ pub(crate) fn read_heads<B: Bytes>(
     buckets
         .zip(0..)
         .map(move |(b, i)| (array + b * 8, b, le_u64(&run[i * 8..])))
-}
-
-/// The decoded hashtable header.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TableHeader {
-    pub geo: Geo,
-    /// Persisted entry count (authoritative only when `dirty` is 0).
-    pub count: u64,
-    pub dirty: u64,
-}
-
-impl TableHeader {
-    /// Fetch the seven header words with one 56-byte read.
-    pub fn read<B: Bytes>(src: &B, header: u64) -> Result<TableHeader> {
-        if !src.in_heap(header, HDR_SIZE) {
-            return bad(format!("hashtable header {header:#x} outside heap"));
-        }
-        let mut words = [0u8; HDR_SIZE as usize];
-        src.read(header, &mut words);
-        let word = |off: u64| le_u64(&words[off as usize..]);
-        Ok(TableHeader {
-            geo: Geo {
-                buckets: word(HDR_BUCKETS),
-                heads: word(HDR_HEADS),
-                old_buckets: word(HDR_OLD_BUCKETS),
-                old_heads: word(HDR_OLD_HEADS),
-                cursor: word(HDR_CURSOR),
-            },
-            count: word(HDR_COUNT),
-            dirty: word(HDR_DIRTY),
-        })
-    }
-
-    /// Is the stored geometry plausible for this device? A heads array (old
-    /// or new) outside the heap, a cursor past the old table, a new table
-    /// that is not the old one doubled, split words without a split, or a
-    /// dirty flag that is not a flag reject the header before it can fault.
-    pub(crate) fn check<B: Bytes>(&self, src: &B) -> Result<()> {
-        let g = self.geo;
-        let fits = |off: u64, n: u64| n.checked_mul(8).is_some_and(|sz| src.in_heap(off, sz));
-        if g.buckets == 0 || !fits(g.heads, g.buckets) {
-            return bad(format!(
-                "implausible hashtable geometry: {} buckets, heads {:#x}",
-                g.buckets, g.heads
-            ));
-        }
-        let split_ok = if g.old_buckets != 0 {
-            g.old_buckets.checked_mul(2) == Some(g.buckets)
-                && g.cursor <= g.old_buckets
-                && fits(g.old_heads, g.old_buckets)
-        } else {
-            g.old_heads == 0 && g.cursor == 0
-        };
-        if !split_ok {
-            return bad(format!(
-                "implausible hashtable split state: old_buckets={} old_heads={:#x} cursor={} buckets={}",
-                g.old_buckets, g.old_heads, g.cursor, g.buckets
-            ));
-        }
-        if self.dirty > 1 {
-            return bad(format!("implausible hashtable dirty flag {}", self.dirty));
-        }
-        Ok(())
-    }
 }
 
 /// What a chain walk fetches per hop: counting walks need only the 8-byte
@@ -1084,12 +1064,11 @@ mod tests {
         );
         let fetches = |src: &Recorder| std::mem::take(&mut *src.reads.borrow_mut());
 
-        let hdr = TableHeader::read(&src, header).unwrap();
+        let g = Geo::read(&src, header).unwrap();
         let whole = header..header + HDR_SIZE;
         assert_eq!(fetches(&src), [whole]);
-        let g = hdr.geo;
-        assert_eq!((g.buckets, hdr.count, g.heads, g.old_buckets), (1, 2, 3, 4));
-        assert_eq!((g.old_heads, g.cursor, hdr.dirty), (5, 6, 7));
+        assert_eq!((g.buckets, g.heads, g.old_buckets), (1, 3, 4));
+        assert_eq!((g.old_heads, g.cursor), (5, 6));
 
         assert_eq!(intents(&src, base).unwrap(), slots);
         let count = base + lane::INTENT_COUNT;

@@ -65,7 +65,9 @@ fn tx_crash_at_any_snapshot_rolls_back() {
 }
 
 /// The persistent hashtable behaves exactly like a HashMap under an
-/// arbitrary interleaving of puts, gets, and removes, across reopens.
+/// arbitrary interleaving of puts, gets, and removes, across a crash and
+/// remount halfway: the ops after it count the remounted table in the
+/// chunks they pay for, and its `len` stays the model's.
 #[test]
 fn hashtable_matches_hashmap_model() {
     let mut rng = DetRng::new(0x4A54);
@@ -81,13 +83,21 @@ fn hashtable_matches_hashmap_model() {
             .collect();
         let buckets = rng.gen_range(1, 32);
 
-        let dev = PmemDevice::new(Machine::chameleon(), 8 << 20, PersistenceMode::Fast);
+        let dev = PmemDevice::new(Machine::chameleon(), 8 << 20, PersistenceMode::Tracked);
         let clock = Clock::new();
-        let pool = PmemPool::create(&clock, Arc::clone(&dev), "htp").unwrap();
-        let ht = PersistentHashtable::create(&clock, &pool, buckets).unwrap();
+        let mut pool = PmemPool::create(&clock, Arc::clone(&dev), "htp").unwrap();
+        let mut ht = PersistentHashtable::create(&clock, &pool, buckets).unwrap();
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
 
-        for (kind, key_id, value) in ops {
+        let remount = ops.len() / 2;
+        for (n, (kind, key_id, value)) in ops.into_iter().enumerate() {
+            if n == remount {
+                let header = ht.header_offset();
+                drop((ht, pool));
+                dev.crash();
+                pool = PmemPool::open(&clock, Arc::clone(&dev), "htp").unwrap();
+                ht = PersistentHashtable::open(&clock, &pool, header).unwrap();
+            }
             let key = format!("key-{key_id}").into_bytes();
             match kind {
                 0 => {

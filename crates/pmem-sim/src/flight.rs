@@ -80,7 +80,7 @@ macro_rules! event_codes {
 event_codes! {
     /// A handle mounted the pool (a = pool generation).
     Mount = 1, "mount";
-    /// Clean unmount: checkpoint + quiesce completed. A pool whose last
+    /// Clean unmount: the checkpoint completed. A pool whose last
     /// event is not `Unmount` did not shut down cleanly.
     Unmount = 2, "unmount";
     /// Pool open repaired interrupted transactions (a = lanes repaired).
@@ -108,9 +108,8 @@ event_codes! {
     SplitChunk = 13, "split.chunk";
     /// Split finished: old table retired and freed (a = old bucket count).
     SplitRetire = 14, "split.retire";
-    /// Per-stripe live counters folded into the header (a = folded count).
-    CountFold = 15, "count.fold";
-    // 16 stays reserved: the retired `FailPoint`, which older images hold.
+    // 15 and 16 stay reserved: the retired `CountFold` and `FailPoint`,
+    // which older images hold.
     /// The device a handle mounted on (a = profile id — see
     /// `pmem_sim::profile`, b = its put persist primitive,
     /// `FlushStrategy::code`).
@@ -373,18 +372,20 @@ mod tests {
     #[test]
     fn event_codes_round_trip_through_the_table() {
         let codes: Vec<EventCode> = (0..=u16::MAX).filter_map(EventCode::from_u16).collect();
-        assert_eq!(codes.len(), 16);
-        let numbers = (1u16..=17).filter(|&v| v != 16);
+        assert_eq!(codes.len(), 15);
+        let numbers = (1u16..=17).filter(|v| !(15..=16).contains(v));
         for (v, c) in numbers.zip(&codes) {
-            assert_eq!(*c as u16, v, "codes are dense from 1, 16 reserved");
+            assert_eq!(*c as u16, v, "codes are dense from 1, 15 and 16 reserved");
             assert_eq!(EventCode::from_u16(*c as u16), Some(*c));
         }
         let mut names: Vec<_> = codes.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), codes.len(), "event names must be unique");
-        // An older image's reserved slot still decodes, by number.
-        let old = FlightEvent::decode(&[16, 0].repeat(32)[..]);
-        assert_eq!((old.event(), old.label()), (None, "code#16".to_string()));
+        // An older image's reserved slots still decode, by number.
+        for v in [15u8, 16] {
+            let old = FlightEvent::decode(&[v, 0].repeat(32)[..]);
+            assert_eq!((old.event(), old.label()), (None, format!("code#{v}")));
+        }
     }
 }

@@ -741,8 +741,6 @@ fn puts_replaces_and_removes_are_atomic_in_every_crash_state() {
         remove(fx, ex, 0);
         remove(fx, ex, 4);
         put(fx, ex, 0, 3);
-        // The count fold is a transaction of its own; it changes no key.
-        fx.ht.quiesce(&fx.clock).unwrap();
         put(fx, ex, 5, 4);
         assert!(!fx.ht.splitting() && fx.ht.bucket_count() == 16);
     };
@@ -1087,7 +1085,7 @@ struct RecoveryModel {
 }
 
 /// The media-writing half of a mount on `dev` — lane recovery, then the
-/// table's open (a dirty count is recounted) — and the table it leaves, key
+/// table's open — and the table it leaves, key
 /// by key: what a mount's WAL replay would mask, since every key of a
 /// crashed drain is still in the log.
 fn recovered_table(dev: &Arc<PmemDevice>) -> Result<BTreeMap<Vec<u8>, Vec<u8>>, String> {
@@ -1145,10 +1143,10 @@ fn drain_that_splits(dev: &Arc<PmemDevice>, opts: &Options) {
 }
 
 /// Recovery is restartable: a write-behind pool crashed inside a checkpoint
-/// drain's migration chunk — an ACTIVE lane, a dirty count, pending WAL
-/// records, a split in flight — is recovered by `PmemPool::open` (lane
-/// rollback) and `PersistentHashtable::open` (the recount), and that
-/// recovery is crashed at every one of its crash points. Without the
+/// drain's migration chunk — an ACTIVE lane, pending WAL records, a split
+/// in flight — is recovered by `PmemPool::open` (lane rollback) and
+/// `PersistentHashtable::open`, and that recovery is crashed at every one
+/// of its crash points. Without the
 /// registry no crash point waits on its lock; WAL replay only reads.
 #[test]
 fn recovery_is_restartable_from_every_crash_point() {
@@ -1179,12 +1177,7 @@ fn recovery_is_restartable_from_every_crash_point() {
     };
     let d = diagnose(&first).unwrap();
     use pmemcpy_bench::doctor::Status::{Fail, Info};
-    for (check, want) in [
-        ("lanes", Fail),
-        ("ht-count", Info),
-        ("ht-split", Info),
-        ("wal-pending", Info),
-    ] {
+    for (check, want) in [("lanes", Fail), ("ht-split", Info), ("wal-pending", Info)] {
         assert_eq!(status(&d, check), Some(want), "{check}: {:?}", d.verdicts);
     }
     let table = recovered_table(&first).unwrap();

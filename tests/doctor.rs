@@ -1,8 +1,8 @@
 //! `pmemcpy-doctor` verdicts, end to end:
 //!
 //! 1. a pool crashed at a crash point inside a WAL append, a checkpoint
-//!    drain, a truncate, a migration chunk, the count fold, and inside the
-//!    recovery of such a crash gets a FAIL verdict naming its last flight
+//!    drain, a truncate, a migration chunk, and inside the recovery of
+//!    such a crash gets a FAIL verdict naming its last flight
 //!    event, plus the structural verdict that state implies — a busy lane
 //!    FAILs `lanes` [tx], pending records are `wal-pending` INFO, a split in
 //!    flight is `ht-split` INFO — under both scheduler modes;
@@ -21,8 +21,8 @@ mod support;
 
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmem_sim::flight::EventCode::{
-    self, CkptBegin, CkptEnd, CountFold, Recovery, SplitBegin, SplitChunk, TxBegin, TxCommit,
-    WalAppend, WalTruncate,
+    self, CkptBegin, CkptEnd, Recovery, SplitBegin, SplitChunk, TxBegin, TxCommit, WalAppend,
+    WalTruncate,
 };
 use pmem_sim::{Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
@@ -126,7 +126,7 @@ fn verdict<'a>(d: &'a Diagnosis, check: &str) -> &'a pmemcpy_bench::doctor::Verd
 
 /// A crash inside each structural step: the doctor must FAIL the image,
 /// the clean-shutdown verdict must name the last flight event, and the
-/// verdicts for lanes, the count, the split and pending WAL records say what
+/// verdicts for lanes, the split and pending WAL records say what
 /// was in flight.
 #[test]
 fn crashed_pools_fail_with_the_responsible_subsystem() {
@@ -135,7 +135,7 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
     type Implied = &'static [(&'static str, Status)];
     let chunk: Between = (&[SplitBegin, TxBegin], &[TxCommit, SplitChunk], false);
     // (step, write-behind, where, last flight event, verdicts it implies)
-    let steps: [(&str, bool, Between, &str, Implied); 5] = [
+    let steps: [(&str, bool, Between, &str, Implied); 4] = [
         (
             "a WAL append",
             true,
@@ -163,13 +163,6 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
             chunk,
             "tx.begin",
             &[("lanes", Fail), ("ht-split", Info)],
-        ),
-        (
-            "the count fold",
-            false,
-            (&[TxBegin], &[TxCommit, CountFold], false),
-            "tx.begin",
-            &[("lanes", Fail), ("ht-count", Info)],
         ),
     ];
     for mode in [SchedMode::Deterministic, SchedMode::FreeThreaded] {

@@ -7,11 +7,9 @@
 //!    reference;
 //! 2. mutations after the reopen finish the interrupted split and the
 //!    heap checks clean;
-//! 3. a crash inside the unmap-time count fold leaves the dirty flag set and
-//!    the next open recounts the sharded total from the chains;
-//! 4. write-behind WAL replay works across a table that crashed mid-split
+//! 3. write-behind WAL replay works across a table that crashed mid-split
 //!    during its checkpoint drain;
-//! 5. the destination heads a rolled-back chunk wrote (undo-free, so they
+//! 4. the destination heads a rolled-back chunk wrote (undo-free, so they
 //!    survive the rollback) are followed by no walker — `len`, `keys`, the
 //!    chain histogram, the doctor — and the chunk's re-run overwrites them,
 //!    also where the partition they pointed into has been removed since;
@@ -22,7 +20,7 @@ mod support;
 
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmdk_sim::layout::Bytes;
-use pmem_sim::flight::EventCode::{CountFold, SplitBegin, SplitChunk, TxBegin, TxCommit};
+use pmem_sim::flight::EventCode::{SplitBegin, SplitChunk, TxBegin, TxCommit};
 use pmem_sim::{Clock, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use pmemcpy_bench::doctor::{diagnose, Status};
@@ -189,9 +187,8 @@ fn crash_mid_split_scenario(k: usize, mode: SchedMode) {
         let dev = &dev_in;
         let ctx = &ctx;
         // Reopen: recovery rolls the migration chunk back to the persisted
-        // cursor (past its commit point, forward), the table is still
-        // splitting, and — because the crash outran the unmap-time count
-        // fold — the open recounts the entries from the chains.
+        // cursor (past its commit point, forward) and the table is still
+        // splitting.
         let mut pmem = Pmem::with_options(resize_opts());
         pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
         let shared = registry::shared_pool(&Clock::new(), dev, "pmemcpy", BUCKETS).unwrap();
@@ -252,7 +249,7 @@ fn stale_destination_scenario(mode: SchedMode) {
         let shared = registry::shared_pool(&clock, dev, "pmemcpy", BUCKETS).unwrap();
         let d = diagnose(dev).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let ht = d.hashtable.as_ref().expect("the pool roots a hashtable");
-        let g = ht.header.geo;
+        let g = ht.geo;
         assert_eq!((g.old_buckets, g.cursor), (BUCKETS, 0), "{ctx}: {g:?}");
         // The first chunk is source buckets 0..8.
         let stale = (0..8)
@@ -266,7 +263,7 @@ fn stale_destination_scenario(mode: SchedMode) {
         assert_eq!(ht.reachable, 33, "{ctx}: doctor");
         let hashtable = d.verdicts.iter().find(|v| v.check == "hashtable");
         assert_eq!(hashtable.unwrap().status, Status::Pass, "{ctx}");
-        assert_eq!(shared.hashtable.len(&clock), 33, "{ctx}: recount");
+        assert_eq!(shared.hashtable.len(&clock), 33, "{ctx}: len");
         assert_eq!(shared.hashtable.keys(&clock).len(), 33, "{ctx}: keys");
         let hist = shared.hashtable.chain_length_histogram(&clock);
         assert_eq!(hist.iter().sum::<u64>(), BUCKETS, "{ctx}: slots walked");
@@ -314,73 +311,6 @@ fn stale_destination_scenario(mode: SchedMode) {
         walked.sort();
         all_keys.sort();
         assert_eq!(walked, all_keys, "{ctx}: doctor walk");
-    });
-}
-
-/// 48 puts — one split begun and retired — then a clean unmap, whose
-/// quiesce folds the count.
-fn fold_at_unmap(dev: &Arc<PmemDevice>, comm: &Comm) {
-    let mut pmem = Pmem::with_options(resize_opts());
-    pmem.mmap(MmapTarget::DevDax(dev), comm).unwrap();
-    for i in 0..FOLDED {
-        put(&pmem, i).unwrap();
-    }
-    let shared = registry::shared_pool(&Clock::new(), dev, "pmemcpy", BUCKETS).unwrap();
-    assert!(
-        !shared.hashtable.splitting(),
-        "split still in flight after {FOLDED} puts"
-    );
-    drop(shared);
-    pmem.munmap().unwrap();
-}
-
-const FOLDED: u64 = 48;
-
-/// Crash inside the unmap-time count fold, at its last crash point before
-/// its commit point (both words written and logged): the rollback leaves
-/// the dirty flag set, the next open recounts the sharded total from the
-/// chains, and a clean munmap afterwards folds for real.
-#[test]
-fn crash_at_count_fold_recounts_on_reopen() {
-    for mode in [SchedMode::Deterministic, SchedMode::FreeThreaded] {
-        crash_at_count_fold_scenario(mode);
-    }
-}
-
-fn crash_at_count_fold_scenario(mode: SchedMode) {
-    let ctx = format!("count fold ({mode:?})");
-    let (ref_keys, ref_records) = fixed_reference(FOLDED);
-    let fold = points(mode, fold_at_unmap, &[TxBegin], &[TxCommit, CountFold]);
-    let k = last_uncommitted(&fold, |k| crashed(mode, fold_at_unmap, k));
-    let dev = crashed(mode, fold_at_unmap, k);
-    let dev_in = Arc::clone(&dev);
-    run_world_mode(Arc::clone(dev.machine()), 1, mode, move |comm| {
-        let dev = &dev_in;
-        let ctx = &ctx;
-        // Reopen: the dirty flag forces a recount from the chains; the
-        // header count is never trusted.
-        let mut pmem = Pmem::with_options(resize_opts());
-        pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
-        assert_matches_reference(&pmem, &ref_keys, &ref_records, ctx);
-        let shared = registry::shared_pool(&Clock::new(), dev, "pmemcpy", BUCKETS).unwrap();
-        assert_eq!(
-            shared.hashtable.len(&Clock::new()),
-            FOLDED,
-            "{ctx}: recount"
-        );
-        shared
-            .pool
-            .check_heap()
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        drop(shared);
-        pmem.munmap().unwrap();
-
-        // This munmap folded cleanly: a third open must see the same
-        // contents without the recount path.
-        let mut pmem = Pmem::with_options(resize_opts());
-        pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
-        assert_matches_reference(&pmem, &ref_keys, &ref_records, &format!("{ctx} clean open"));
-        pmem.munmap().unwrap();
     });
 }
 
