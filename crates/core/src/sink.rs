@@ -619,7 +619,47 @@ mod tests {
             "{flushes} flushes, {} for one put",
             one.2
         );
-        assert_eq!((one.3, fences), (12, 12));
+        assert_eq!((one.3, fences), (8, 8));
+        pmem.munmap().unwrap();
+    }
+
+    /// The lane ledger of what `kv_mixed` does one key at a time, through
+    /// `Pmem`: an overwrite and a remove, each `(fences, metadata writes)`.
+    #[test]
+    fn a_one_key_overwrite_and_remove_pay_exact_ledgers() {
+        use crate::{MmapTarget, Pmem};
+        let machine = Machine::chameleon();
+        let registry = MetricsRegistry::new();
+        machine.set_metrics(Arc::clone(&registry));
+        let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
+        let comm = mpi_sim::Comm::new(mpi_sim::World::new(Arc::clone(&machine), 1), 0);
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        for key in ["a", "b", "c"] {
+            pmem.store_slice::<u8>(key, &[1; 64]).unwrap();
+        }
+        let ledger = |op: &dyn Fn()| {
+            let meta = || (registry.snapshot().hists.get("pmem.meta_write")).map_or(0, |h| h.count);
+            let (meta_before, before) = (meta(), machine.stats.snapshot());
+            op();
+            let fences = machine.stats.snapshot().delta_since(&before).fences;
+            (fences, meta() - meta_before)
+        };
+        // The fresh put's 8 fences, COMMITTING and the heap's one for a
+        // free with no free neighbour; its free intent rides in the undo
+        // append's count store. Metadata writes: the intent slots and their
+        // count store, the carve's tail, back link and commit header, the
+        // free intent's slot, the undo records and their count store,
+        // COMMITTING, the merged header and its back link, IDLE (16 fences
+        // and 16 writes while every lane transition was a store of its own).
+        let overwrite = ledger(&|| pmem.store_slice::<u8>("b", &[2; 64]).unwrap());
+        assert_eq!(overwrite, (10, 12));
+        // The unlink's record and its count store (ACTIVE), the commit's
+        // fence over its target and the free intent, COMMITTING, the heap's
+        // two (the old "b" is free: the stale flip has its own), IDLE; 13
+        // fences and 13 writes before.
+        let remove = ledger(&|| assert!(pmem.remove("c").unwrap()));
+        assert_eq!(remove, (7, 9));
         pmem.munmap().unwrap();
     }
 

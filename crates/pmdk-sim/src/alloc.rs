@@ -334,21 +334,23 @@ impl Heap {
             let stale = header(BLOCK_FREE, h.size, h.prev_size);
             write_header(clock, &self.device, hdr_off, &stale);
         }
+        // One drain for both: a lone back link is mended by the next mount.
         let merged = header(BLOCK_FREE, payload, prev_size);
-        write_header(clock, &self.device, start, &merged);
+        write_unfenced(clock, &self.device, start, &merged);
         self.back_link(clock, start, payload);
         self.device.drain(clock);
         self.free.entry(payload).or_default().insert(start);
         Ok(())
     }
 
-    /// Whether `payload_off` lies in a block the free map holds. Headers
-    /// inside a free block are not blocks, whatever they say: a rollback
-    /// asks before it trusts one (see [`Heap::alloc_many`]).
-    pub(crate) fn in_free_block(&self, payload_off: u64) -> bool {
-        self.free.iter().any(|(&size, at)| {
+    /// Whether `payload_off` is a live allocation's payload. Headers inside
+    /// a block the free map holds are not blocks, whatever they say: a
+    /// rollback asks before it trusts one (see [`Heap::alloc_many`]).
+    pub(crate) fn is_live(&self, payload_off: u64) -> bool {
+        let holds = |(&size, at): (&u64, &BTreeSet<u64>)| {
             (at.iter()).any(|&hdr| (hdr..hdr + BLOCK_HEADER_SIZE + size).contains(&payload_off))
-        })
+        };
+        self.usable_size(payload_off).is_ok() && !self.free.iter().any(holds)
     }
 
     /// Usable payload size of a live allocation.

@@ -35,7 +35,6 @@ pub struct LaneReport {
     pub state: u32,
     pub undo_len: u32,
     pub intent_count: u32,
-    pub generation: u32,
 }
 
 impl LaneReport {
@@ -78,7 +77,6 @@ pub fn read_lanes(dev: &PmemDevice) -> LaneSummary {
             state: dev.u32_at(base + lane::STATE),
             undo_len: dev.u32_at(base + lane::UNDO_LEN),
             intent_count: dev.u32_at(base + lane::INTENT_COUNT),
-            generation: dev.u32_at(base + lane::GENERATION),
         };
         match rep.state {
             LANE_IDLE => out.idle += 1,

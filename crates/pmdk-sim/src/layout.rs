@@ -10,7 +10,7 @@
 //! lanes end       FLIGHT RECORDER: bounded crash-safe event ring
 //! flight end      HEAP: block-header-prefixed allocations
 //!
-//! lane:             [state u32][undo_len u32][intent_count u32][generation u32]
+//! lane:             [state u32][undo_len u32][intent_count u32][reserved u32]
 //!                   ...64 B; [intent u64 × LANE_INTENTS]; undo records of
 //!                   [target off u64][len u32][pre-image], contiguous
 //! heap block:       [magic u32][state u32][size u64][prev_size u64]
@@ -72,7 +72,7 @@ pub(crate) const HEAP_ALIGN: u64 = 64;
 pub(crate) const BLOCK_MAGIC: u32 = 0x424c_4b31; // "BLK1"
 
 /// Lane states (persisted).
-pub(crate) const LANE_IDLE: u32 = 0;
+pub const LANE_IDLE: u32 = 0;
 pub const LANE_ACTIVE: u32 = 1;
 pub const LANE_COMMITTING: u32 = 2;
 
@@ -106,7 +106,6 @@ pub mod lane {
     pub const STATE: u64 = 0;
     pub(crate) const UNDO_LEN: u64 = 4; // bytes used in the undo area
     pub const INTENT_COUNT: u64 = 8;
-    pub(crate) const GENERATION: u64 = 12;
     // variable area starts at LANE_HEADER_SIZE:
     //   [intents: LANE_INTENT_BYTES] [undo entries...]
 }
@@ -156,7 +155,7 @@ pub const fn min_pool_size() -> u64 {
     heap_start() + 64 * 1024
 }
 
-fn bad<T>(msg: String) -> Result<T> {
+pub(crate) fn bad<T>(msg: String) -> Result<T> {
     Err(PmdkError::BadPool(msg))
 }
 
@@ -406,11 +405,11 @@ pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
     Ok(slots.chunks_exact(8).map(le_u64).collect())
 }
 
-/// The blocks a committed transaction of the lane at `base` still has to
-/// free, slot order: its free intents, untagged.
-pub(crate) fn deferred_frees<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
-    let frees = intents(src, base)?.into_iter().filter(|e| e & 1 == 1);
-    Ok(frees.map(|e| e & !1).collect())
+/// The blocks the intents tagged `tag` of the lane at `base` name, slot
+/// order and untagged: its allocations (0) or its deferred frees (1).
+pub(crate) fn tagged_intents<B: Bytes>(src: &B, base: u64, tag: u64) -> Result<Vec<u64>> {
+    let tagged = intents(src, base)?.into_iter().filter(|e| e & 1 == tag);
+    Ok(tagged.map(|e| e & !1).collect())
 }
 
 // ---- heap block chain ----

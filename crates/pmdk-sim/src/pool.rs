@@ -202,19 +202,31 @@ impl PmemPool {
 
     /// Free a persistent allocation.
     pub fn free(&self, clock: &Clock, off: u64) -> Result<()> {
-        let _span = self.device.machine().span(clock, "pmdk", "pool.free");
+        self.free_then(clock, &[off], || ())
+    }
+
+    /// Free `offs`, then `idle` — the lane store that retires them — under
+    /// one heap lock: no block is handed out again while a crash would replay
+    /// its free.
+    pub(crate) fn free_then(&self, clock: &Clock, offs: &[u64], idle: impl FnOnce()) -> Result<()> {
         let _atomic = pmem_sim::atomic_section();
-        let out = self.heap.lock().free(clock, off);
-        out
+        let mut heap = self.heap.lock();
+        for &off in offs {
+            let _span = self.device.machine().span(clock, "pmdk", "pool.free");
+            heap.free(clock, off)?;
+        }
+        idle();
+        Ok(())
+    }
+
+    /// Whether `off` is a live allocation's payload ([`Heap::is_live`]).
+    pub(crate) fn is_live(&self, off: u64) -> bool {
+        self.heap.lock().is_live(off)
     }
 
     /// Usable size of a live allocation.
     pub fn usable_size(&self, off: u64) -> Result<u64> {
         self.heap.lock().usable_size(off)
-    }
-
-    pub(crate) fn in_free_block(&self, off: u64) -> bool {
-        self.heap.lock().in_free_block(off)
     }
 
     pub fn allocated_bytes(&self) -> u64 {
@@ -266,12 +278,6 @@ impl PmemPool {
 
     pub fn write_u64(&self, clock: &Clock, off: u64, v: u64) {
         self.write_bytes(clock, off, &v.to_le_bytes());
-    }
-
-    pub(crate) fn read_u32(&self, clock: &Clock, off: u64) -> u32 {
-        let mut b = [0u8; 4];
-        self.device.read_meta(clock, off as usize, &mut b);
-        u32::from_le_bytes(b)
     }
 
     pub(crate) fn write_u32(&self, clock: &Clock, off: u64, v: u32) {

@@ -2,7 +2,7 @@
 //!
 //! Each transaction claims a *lane*: a fixed persistent region holding the
 //! lane state, an intent array and an undo log. The protocol is the standard
-//! pmemobj one:
+//! pmemobj one, each lane transition one store of the lane's header:
 //!
 //! * `set(range)` copies the pre-image into the undo log **before** it
 //!   overwrites the range — read from the media, or handed over by a caller
@@ -12,10 +12,13 @@
 //!   persists the planned offsets as *allocation intents*, and only then lets
 //!   the heap write block headers: a rollback frees every block that came to
 //!   be, and skips an intent that still lies in a free block.
-//! * `free` is deferred: a *free intent* is persisted and only executed once
-//!   the lane has durably entered `COMMITTING` (a crash before that leaves
-//!   the block alive) — by the commit, from the list the transaction kept of
-//!   its own frees, or by recovery, which decodes the intents from the media.
+//! * Beginning stores nothing: the first count store (an intent or undo
+//!   append's) writes `ACTIVE` with both counts. `IDLE` is the state word
+//!   alone: an idle lane's counts are stale and never read.
+//! * `free` is deferred: a *free intent* is stored, counted by the next count
+//!   store, and executed — by the commit from its own list, by recovery from
+//!   the media — once the lane is durably `COMMITTING`, which only a
+//!   transaction with frees stores: without any, `IDLE` is the commit point.
 //! * Recovery (`LaneTable::recover`, run at pool open) rolls back `ACTIVE`
 //!   lanes (apply undo log backwards, free alloc-intents) and rolls forward
 //!   `COMMITTING` lanes (execute free-intents, discard the log).
@@ -23,6 +26,7 @@
 //! Alloc- and free-intents share one array: heap payloads are 64-byte
 //! aligned, so the low bit tags the entry kind (1 = deferred free).
 
+use crate::alloc::write_unfenced;
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
@@ -69,15 +73,10 @@ impl LaneTable {
         let mut repaired = 0;
         for i in 0..LANES {
             let base = lane_offset(i);
-            match pool.read_u32(clock, base + lane::STATE) {
+            match pool.charged(clock).u32_at(base + lane::STATE) {
                 LANE_IDLE => continue,
-                LANE_ACTIVE => rollback_lane(clock, pool, base)?,
-                LANE_COMMITTING => rollforward_lane(clock, pool, base)?,
-                s => {
-                    return Err(PmdkError::BadPool(format!(
-                        "lane {i} has invalid state {s}"
-                    )))
-                }
+                s @ (LANE_ACTIVE | LANE_COMMITTING) => retire_lane(clock, pool, base, s)?,
+                s => return bad(format!("lane {i} has invalid state {s}")),
             }
             repaired += 1;
         }
@@ -85,44 +84,28 @@ impl LaneTable {
     }
 }
 
-/// Apply the undo log backwards and free alloc-intents (crashed ACTIVE tx).
-/// The log and the intents are decoded — and bounds-checked — by
-/// [`crate::layout`], so a corrupt lane is `BadPool`, not a wild write.
-fn rollback_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
-    let src = pool.charged(clock);
-    // Restore snapshotted pre-images, newest first.
-    for rec in undo_records(&src, base)?.into_iter().rev() {
-        pool.write_bytes(clock, rec.off, &rec.pre);
-    }
-    // Free the blocks the dead transaction allocated. An intent is durable
-    // before its carve: one that still lies in a free block never happened,
-    // and the interior headers of its group may already say ALLOC in there,
-    // so the heap's view decides, not the header. Free intents are simply
-    // dropped: the free never executed.
-    for entry in intents(&src, base)? {
-        if entry & 1 == 0 && !pool.in_free_block(entry) && pool.usable_size(entry).is_ok() {
-            pool.free(clock, entry)?;
+/// Repair a lane found `state` on media, then idle it. `ACTIVE` rolls back:
+/// the undo log applies backwards and the blocks the dead transaction
+/// allocated are freed (its free intents are dropped: the frees never ran).
+/// `COMMITTING` rolls forward: its deferred frees run. An intent naming no
+/// live block is skipped: a free an earlier attempt ran, or a carve that
+/// never happened. The log and the intents are decoded — and bounds-checked
+/// — by [`crate::layout`], so a corrupt lane is `BadPool`, not a wild write.
+fn retire_lane(clock: &Clock, pool: &PmemPool, base: u64, state: u32) -> Result<()> {
+    let (src, tag) = (pool.charged(clock), u64::from(state == LANE_COMMITTING));
+    if tag == 0 {
+        // Restore snapshotted pre-images, newest first.
+        for rec in undo_records(&src, base)?.into_iter().rev() {
+            pool.write_bytes(clock, rec.off, &rec.pre);
         }
     }
-    reset_lane(clock, pool, base);
-    Ok(())
+    let mut offs = tagged_intents(&src, base, tag)?;
+    offs.retain(|&off| pool.is_live(off));
+    pool.free_then(clock, &offs, || idle_lane(clock, pool, base))
 }
 
-/// Finish a committed transaction: execute deferred frees, discard the log.
-fn rollforward_lane(clock: &Clock, pool: &PmemPool, base: u64) -> Result<()> {
-    for off in deferred_frees(&pool.charged(clock), base)? {
-        // Idempotent: skip a free an earlier attempt already executed.
-        if pool.usable_size(off).is_ok() {
-            pool.free(clock, off)?;
-        }
-    }
-    reset_lane(clock, pool, base);
-    Ok(())
-}
-
-fn reset_lane(clock: &Clock, pool: &PmemPool, base: u64) {
-    pool.write_u32(clock, base + lane::UNDO_LEN, 0);
-    pool.write_u32(clock, base + lane::INTENT_COUNT, 0);
+/// Release the lane on media: one store of its state word.
+fn idle_lane(clock: &Clock, pool: &PmemPool, base: u64) {
     pool.write_u32(clock, base + lane::STATE, LANE_IDLE);
 }
 
@@ -133,6 +116,9 @@ pub struct Tx<'a> {
     lane_base: u64,
     undo_used: u64,
     intents_used: u64,
+    /// The counts on media, `(undo, intents)`: `None` until a count store
+    /// publishes the lane (an unpublished lane's counts are an older one's).
+    counted: Option<(u64, u64)>,
     /// The blocks `free_many` named, in slot order: what `commit` executes.
     frees: Vec<u64>,
     /// Ranges stored, fresh or logged, that the commit flushes.
@@ -150,18 +136,14 @@ impl<'a> Tx<'a> {
         let _tx = machine.span(clock, "pmdk", "tx");
         let lane = pool.lanes.claim()?;
         machine.stats.pool_txs.fetch_add(1, Ordering::Relaxed);
-        let lane_base = lane_offset(lane);
-        {
-            let _p = machine.phase(clock, "pmdk", "tx.begin");
-            pool.write_u32(clock, lane_base + lane::STATE, LANE_ACTIVE);
-        }
         pool.flight().record(clock, EventCode::TxBegin, lane, 0);
         let mut tx = Tx {
             pool,
             clock,
-            lane_base,
+            lane_base: lane_offset(lane),
             undo_used: 0,
             intents_used: 0,
+            counted: None,
             frees: Vec::new(),
             fresh: Vec::new(),
         };
@@ -169,10 +151,7 @@ impl<'a> Tx<'a> {
             Ok(v) => {
                 machine.metric_counter_add("tx.commits", 1);
                 machine.metric_counter_add("tx.undo_bytes", tx.undo_used);
-                let committed = {
-                    let _p = machine.phase(clock, "pmdk", "tx.commit");
-                    tx.commit()
-                };
+                let committed = tx.commit();
                 if committed.is_ok() {
                     pool.flight().record(clock, EventCode::TxCommit, lane, 0);
                 }
@@ -180,7 +159,9 @@ impl<'a> Tx<'a> {
                 committed.map(|()| v)
             }
             Err(e) => {
-                rollback_lane(clock, pool, lane_base)?;
+                if tx.counted.is_some() {
+                    retire_lane(clock, pool, tx.lane_base, LANE_ACTIVE)?;
+                }
                 pool.flight().record(clock, EventCode::TxAbort, lane, 0);
                 pool.lanes.release(lane);
                 Err(e)
@@ -191,8 +172,8 @@ impl<'a> Tx<'a> {
     /// Log `pres` — each a range and the bytes the caller has just read out
     /// of it — so a rollback can restore them: called before the ranges are
     /// overwritten. However many records there are, they are one store, one
-    /// flush and one fence; the length word after them is the commit point
-    /// of the append.
+    /// flush and one fence; the count store after them is the commit point
+    /// of the append, and counts any staged free intent with it.
     fn log(&mut self, pres: &[(u64, Vec<u8>)]) -> Result<()> {
         let dev = self.pool.device();
         let mut records = Vec::new();
@@ -208,11 +189,9 @@ impl<'a> Tx<'a> {
             )));
         }
         let at = lane_undo(self.lane_base) + self.undo_used;
-        self.pool.write_bytes(self.clock, at, &records);
+        write_unfenced(self.clock, dev, at, &records);
         self.undo_used += size;
-        let len = self.undo_used as u32;
-        self.pool
-            .write_u32(self.clock, self.lane_base + lane::UNDO_LEN, len);
+        self.store_header(LANE_ACTIVE);
         Ok(())
     }
 
@@ -277,7 +256,8 @@ impl<'a> Tx<'a> {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
         let (pool, clock) = (self.pool, self.clock);
-        pool.alloc_planned(clock, sizes, |offs| self.push_intents(offs), &mut store)
+        let count = |offs: &[u64]| self.stage_intents(offs).store_header(LANE_ACTIVE);
+        pool.alloc_planned(clock, sizes, count, &mut store)
     }
 
     /// Transactionally free `off`; executed only if the tx commits.
@@ -285,10 +265,10 @@ impl<'a> Tx<'a> {
         self.free_many(&[off])
     }
 
-    /// Transactionally free a group of blocks, one intent append for all;
-    /// executed only if the tx commits. A block this transaction already
-    /// freed is refused here, while the transaction can still roll back: at
-    /// commit the second free would fail after the first had run.
+    /// Transactionally free a group of blocks, their intents one store the
+    /// next count store counts; executed only if the tx commits. A block this
+    /// transaction freed already is refused here, while it can still roll
+    /// back: at commit the second free would fail after the first had run.
     pub(crate) fn free_many(&mut self, offs: &[u64]) -> Result<()> {
         if self.intents_used + offs.len() as u64 > LANE_INTENTS {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
@@ -300,49 +280,64 @@ impl<'a> Tx<'a> {
                 return Err(PmdkError::BadPointer(off));
             }
         }
-        if !offs.is_empty() {
-            self.push_intents(&offs.iter().map(|off| off | 1).collect::<Vec<_>>());
-            self.frees.extend_from_slice(offs);
-        }
+        self.stage_intents(&offs.iter().map(|off| off | 1).collect::<Vec<_>>());
+        self.frees.extend_from_slice(offs);
         Ok(())
     }
 
-    /// Persist `entries` in the next intent slots with one write, then the
-    /// count that makes recovery read them.
-    fn push_intents(&mut self, entries: &[u64]) {
+    /// Store `entries` in the next intent slots with one write, flushed.
+    fn stage_intents(&mut self, entries: &[u64]) -> &mut Self {
         let slots: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
-        let first_slot = lane_intents(self.lane_base) + self.intents_used * 8;
-        self.pool.write_bytes(self.clock, first_slot, &slots);
+        let at = lane_intents(self.lane_base) + self.intents_used * 8;
+        write_unfenced(self.clock, self.pool.device(), at, &slots);
         self.intents_used += entries.len() as u64;
-        let count = self.intents_used as u32;
-        self.pool
-            .write_u32(self.clock, self.lane_base + lane::INTENT_COUNT, count);
+        self
+    }
+
+    /// The count store: a fence behind all flushed so far, then one persisted
+    /// store of the header line — both counts unless media holds them, then
+    /// `state`, in program order.
+    fn store_header(&mut self, state: u32) {
+        let (dev, base) = (self.pool.device(), self.lane_base as usize);
+        dev.drain(self.clock);
+        let (counts, mut line) = ((self.undo_used, self.intents_used), 4);
+        if self.counted != Some(counts) {
+            let words = [counts.0, counts.1].map(|c| (c as u32).to_le_bytes());
+            dev.write_untimed(base + lane::UNDO_LEN as usize, &words.concat());
+            line = 12;
+        }
+        dev.write_untimed(base + lane::STATE as usize, &state.to_le_bytes());
+        dev.machine()
+            .charge_pmem_write_meta(self.clock, line as u64);
+        dev.persist(self.clock, base, line);
+        self.counted = Some(counts);
     }
 
     fn commit(&mut self) -> Result<()> {
-        // Every store of the body, and with it whatever the caller flushed
-        // on its own, is durable behind one fence before the commit point.
-        if !self.fresh.is_empty() {
-            let dev = self.pool.device();
-            for (off, len) in self.fresh.drain(..) {
-                dev.flush(self.clock, off as usize, len as usize);
-            }
-            dev.drain(self.clock);
+        let (dev, clock, pool, base) = (self.pool.device(), self.clock, self.pool, self.lane_base);
+        let _p = dev.machine().phase(clock, "pmdk", "tx.commit");
+        // Every store of the body, and whatever the caller flushed, is durable
+        // behind one fence before the commit point: COMMITTING, else IDLE.
+        let stored = !self.fresh.is_empty();
+        for (off, len) in self.fresh.drain(..) {
+            dev.flush(clock, off as usize, len as usize);
         }
-        // Durable commit point.
-        self.pool
-            .write_u32(self.clock, self.lane_base + lane::STATE, LANE_COMMITTING);
+        if self.frees.is_empty() {
+            if stored {
+                dev.drain(clock);
+            }
+            // A lane never published is IDLE on media already.
+            if self.counted.is_some() {
+                idle_lane(clock, pool, base);
+            }
+            return Ok(());
+        }
+        self.store_header(LANE_COMMITTING);
         // Execute deferred frees from the transaction's own list; recovery,
         // which has no list, decodes the same blocks from the intent slots.
-        debug_assert_eq!(
-            deferred_frees(&**self.pool.device(), self.lane_base).as_ref(),
-            Ok(&self.frees)
-        );
-        for off in std::mem::take(&mut self.frees) {
-            self.pool.free(self.clock, off)?;
-        }
-        reset_lane(self.clock, self.pool, self.lane_base);
-        Ok(())
+        debug_assert_eq!(tagged_intents(&**dev, base, 1).as_ref(), Ok(&self.frees));
+        let frees = std::mem::take(&mut self.frees);
+        pool.free_then(clock, &frees, || idle_lane(clock, pool, base))
     }
 }
 
@@ -478,7 +473,7 @@ mod tests {
         assert!(pool.usable_size(block).is_ok(), "rolled back: still live");
         let lanes_idle = |pool: &PmemPool| {
             (0..LANES).map(lane_offset).all(|base| {
-                pool.read_u32(&clock, base + lane::STATE) == LANE_IDLE
+                pool.device().u32_at(base + lane::STATE) == LANE_IDLE
                     && intents(&**pool.device(), base).unwrap().is_empty()
             })
         };
@@ -687,9 +682,10 @@ mod tests {
     }
 
     /// The barrier ledger (DESIGN §8): an undo record is one fence and its
-    /// length word another; however many ranges a transaction stores —
+    /// count store another; however many ranges a transaction stores —
     /// fresh, or the targets of its records — they share the one fence
-    /// before the commit point.
+    /// before the commit point, which is the IDLE store when nothing is
+    /// freed.
     #[test]
     fn fresh_stores_share_one_fence_and_an_undo_record_costs_two() {
         let (pool, clock) = fresh_pool(1 << 21);
@@ -704,22 +700,22 @@ mod tests {
                 tx.set(root, b"publish!")
             })
             .unwrap();
-            // begin, record, UNDO_LEN; commit: fresh and data, COMMITTING,
-            // UNDO_LEN, INTENT_COUNT, IDLE.
-            assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1 + 4, "k = {k}");
+            // record, its count store (ACTIVE); commit: fresh and data, IDLE.
+            assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1, "k = {k}");
         }
-        // A set alone: the commit fences its target; fresh only, the same.
+        // A set alone: the commit fences its target. Fresh stores alone
+        // publish no lane: their fence is all.
         let before = fences(&pool);
         pool.tx(&clock, |tx| tx.set(root, b"set only")).unwrap();
-        assert_eq!(fences(&pool) - before, 1 + 2 + 1 + 4);
+        assert_eq!(fences(&pool) - before, 2 + 1 + 1);
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
             tx.write_new(block, b"fresh only");
             Ok(())
         })
         .unwrap();
-        assert_eq!(fences(&pool) - before, 1 + 1 + 4);
-        // Words logged together are one record append, one length word.
+        assert_eq!(fences(&pool) - before, 1);
+        // Words logged together are one record append, one count store.
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
             tx.set_words(&[
@@ -728,26 +724,27 @@ mod tests {
             ])
         })
         .unwrap();
-        assert_eq!(fences(&pool) - before, 1 + 2 + 1 + 4);
-        // An allocation, whatever its size: the intent slots, their count,
-        // then the carve (a split of the last block: the tail header's drain
-        // and the commit header).
+        assert_eq!(fences(&pool) - before, 2 + 1 + 1);
+        // An allocation, whatever its size: the intent slots, their count
+        // store, then the carve (a split of the last block: the tail
+        // header's drain and the commit header), then IDLE.
         for sizes in [&[64u64][..], &[64, 200, 64]] {
             let before = fences(&pool);
             pool.tx(&clock, |tx| {
                 tx.alloc_many(sizes, pool.headers(&clock)).map(drop)
             })
             .unwrap();
-            assert_eq!(fences(&pool) - before, 1 + 2 + 2 + 4, "{sizes:?}");
+            assert_eq!(fences(&pool) - before, 2 + 2 + 1, "{sizes:?}");
         }
     }
 
     /// The put path's budget: a 64-key group of fresh keys in distinct
     /// buckets pays no fence a key. Its values are flushed by the fill, its
     /// entries stored, its 64 head records are one undo append, and one
-    /// fence before the commit point makes all of it durable: 12 for the
-    /// group (266 before the values came first). An overwrite of one key
-    /// adds its free intent and its unlink's record to the same appends.
+    /// fence before the commit point makes all of it durable: 8 for the
+    /// group (12 while every lane transition was a store of its own, 266
+    /// before the values came first). An overwrite of one key adds its
+    /// free intent and its unlink's record to the same appends.
     #[test]
     fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
         use crate::hashtable::{fnv1a, PersistentHashtable};
@@ -769,15 +766,96 @@ mod tests {
         ht.put_many(&clock, &reqs, ht.storing(&clock, &[7u8; 8]))
             .unwrap();
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
-        // begin 1 + intents 2 + heap carve 2 + records 1 + UNDO_LEN 1 +
-        // commit: heads, entries and values 1, COMMITTING 1, reset 3.
-        assert_eq!(fences(&pool) - before, 12);
+        // intents 2 (slots, count store with ACTIVE) + heap carve 2 +
+        // records 1 + their count store 1 + commit: heads, entries and
+        // values 1, IDLE 1.
+        assert_eq!(fences(&pool) - before, 8);
         let before = fences(&pool);
         ht.put(&clock, &keys[0], b"replaced").unwrap();
-        // The same 12, the free intent's slot and count, and the two the
-        // committed free pays in the heap: 20 before (21 through `Pmem`,
-        // whose value had a fence of its own).
-        assert_eq!(fences(&pool) - before, 16);
+        // The same 8, COMMITTING (which counts nothing new: the free
+        // intent's slot rode in the records' count store) and the one the
+        // committed free pays in the heap: 16 while every lane transition
+        // was a store of its own, 20 before that (21 through `Pmem`, whose
+        // value had a fence of its own).
+        assert_eq!(fences(&pool) - before, 10);
+    }
+
+    /// A committed free rejoins the free map only once its lane's IDLE
+    /// store is durable. A free-running thread handed the block sooner
+    /// loses it to a crash in between: recovery finds the lane COMMITTING
+    /// and replays the free over that thread's allocation. From the first
+    /// crash point after the free until IDLE (or until it has the block),
+    /// a second thread asks for the freed size: it must not get the block
+    /// while the durable lane says COMMITTING. The image where it got it —
+    /// else the last one before IDLE — is remounted.
+    #[test]
+    fn a_committed_free_is_reused_only_once_its_lane_is_idle() {
+        use std::sync::{mpsc, Mutex};
+        use std::time::Duration;
+        let (pool, clock) = fresh_pool(1 << 21);
+        let victim = pool.alloc(&clock, 128).unwrap();
+        // The victim frees to a 128-byte block of its own, the best fit.
+        pool.alloc(&clock, 128).unwrap();
+        let state_at = |image: &[u8], off: u64| {
+            u32::from_le_bytes(image[off as usize..][..4].try_into().unwrap())
+        };
+        let committer = std::thread::current().id();
+        let (sent, got) = mpsc::channel();
+        let got = Arc::new(Mutex::new(got));
+        // (whether the second thread has started, its block, the image)
+        let seen = Arc::new(Mutex::new((false, None, None)));
+        let (hook_pool, hook_got, hook_seen) =
+            (Arc::clone(&pool), Arc::clone(&got), Arc::clone(&seen));
+        pool.device().at_crash_points(move |dev| {
+            // The second thread's own crash points pass.
+            if std::thread::current().id() != committer || hook_seen.lock().unwrap().1.is_some() {
+                return;
+            }
+            // On media the lane says COMMITTING, and the victim is free (it
+            // need not stay free: the second thread may take it).
+            let image = dev.crash_image(&[]);
+            let started = hook_seen.lock().unwrap().0;
+            let freed = state_at(&image, victim - BLOCK_HEADER_SIZE + blk::STATE) == BLOCK_FREE;
+            let lane = state_at(&image, lane_offset(0) + lane::STATE);
+            if lane != LANE_COMMITTING || !(started || freed) {
+                return;
+            }
+            if !started {
+                hook_seen.lock().unwrap().0 = true;
+                let (pool, sent) = (Arc::clone(&hook_pool), sent.clone());
+                std::thread::spawn(move || sent.send(pool.alloc(&Clock::new(), 128).unwrap()));
+            }
+            let reused = hook_got
+                .lock()
+                .unwrap()
+                .recv_timeout(Duration::from_millis(250));
+            let mut seen = hook_seen.lock().unwrap();
+            (seen.1, seen.2) = (reused.ok(), Some(dev.crash_image(&[])));
+        });
+        pool.tx(&clock, |tx| tx.free(victim)).unwrap();
+        let (started, reused, image) = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(started, "no crash point fell between the free and IDLE");
+        let image = image.unwrap();
+        let dev = PmemDevice::new(Machine::chameleon(), image.len(), PersistenceMode::Tracked);
+        dev.write_untimed(0, &image);
+        dev.persist_untimed(0, image.len());
+        let remounted = PmemPool::open(&clock, dev, "tx-test").unwrap();
+        if let Some(reused) = reused {
+            assert!(
+                remounted.usable_size(reused).is_ok(),
+                "recovery freed the block the second thread allocated"
+            );
+        }
+        remounted.check_heap().unwrap();
+        assert_eq!(
+            reused, None,
+            "the block was handed out while the lane said COMMITTING"
+        );
+        let reused = got.lock().unwrap().recv().unwrap();
+        assert_eq!(
+            reused, victim,
+            "the freed block is the best fit, once the lane is IDLE"
+        );
     }
 
     #[test]

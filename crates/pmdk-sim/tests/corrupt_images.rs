@@ -12,7 +12,7 @@ use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
     blk, heap_start, lane, lane_offset, lane_undo, sb, Bytes, Superblock, ENT_KEY, ENT_NEXT,
     HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_COMMITTING,
-    LANE_INTENTS, LOG_HEAD, UNDO_CAPACITY,
+    LANE_IDLE, LANE_INTENTS, LOG_HEAD, UNDO_CAPACITY,
 };
 use pmdk_sim::{PersistentHashtable, PersistentLog, PmdkError, PmemPool};
 use pmem_sim::{Clock, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
@@ -114,6 +114,11 @@ fn lane_word(state: u32, undo_len: u64) -> (u64, u64) {
     (lane_offset(0) + lane::STATE, state as u64 | undo_len << 32)
 }
 
+/// Lane 0's intent count.
+fn intent_count(count: u64) -> (u64, u64) {
+    (lane_offset(0) + lane::INTENT_COUNT, count)
+}
+
 /// One undo record header at the start of lane 0's log: target, length.
 fn undo_header(off: u64, len: u64) -> [(u64, u64); 2] {
     let at = lane_undo(lane_offset(0));
@@ -167,11 +172,18 @@ const ROWS: &[Row] = &[
         doctor_ok: lanes_ok,
     },
     Row {
+        name: "active lane: intent count past the intent array",
+        corrupt: |_| vec![lane_word(LANE_ACTIVE, 0), intent_count(LANE_INTENTS + 1)],
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
+    },
+    Row {
         name: "committing lane: intent count past the intent array",
         corrupt: |_| {
             vec![
                 lane_word(LANE_COMMITTING, 0),
-                (lane_offset(0) + lane::INTENT_COUNT, LANE_INTENTS + 1),
+                intent_count(LANE_INTENTS + 1),
             ]
         },
         mounted: |img, clock| img.pool(clock).map(drop),
@@ -324,4 +336,37 @@ fn mounted_paths_and_the_doctor_reject_the_same_images() {
         .filter_map(|row| run(row).map(|why| format!("{}: {why}", row.name)))
         .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// An idle lane's counts are stale by design: IDLE is its state word
+/// alone, and the next transaction's first count store rewrites both
+/// counts. Counts that would fault in a busy lane, over garbage slots and
+/// a garbage log, are never read: the image mounts, the doctor passes its
+/// lanes, and the lane runs a put that survives a remount.
+#[test]
+fn an_idle_lane_with_stale_counts_and_garbage_slots_mounts_clean() {
+    let img = build();
+    let [off, len] = undo_header(1 << 40, 1 << 20);
+    // Its first intent slots, right behind the 64-byte header.
+    let slots = (0..4).map(|i| (lane_offset(0) + 64 + 8 * i, 0xdead_beef_0000_0003 + i));
+    let garbage = [
+        lane_word(LANE_IDLE, 20),
+        intent_count(LANE_INTENTS + 1),
+        off,
+        len,
+    ];
+    for (at, word) in garbage.into_iter().chain(slots) {
+        img.dev.write_untimed(at as usize, &word.to_le_bytes());
+    }
+    let lanes = read_lanes(&img.dev);
+    assert!(lanes.all_idle() && lanes.errors.is_empty(), "{lanes:?}");
+    let clock = Clock::new();
+    let pool = img.pool(&clock).unwrap();
+    let ht = PersistentHashtable::open(&clock, &pool, img.table).unwrap();
+    ht.put(&clock, &img.absent, b"fresh").unwrap();
+    pool.check_heap().unwrap();
+    drop((ht, pool));
+    assert!(read_lanes(&img.dev).all_idle());
+    let ht = img.table(&clock).unwrap();
+    assert_eq!(ht.get(&clock, &img.absent).as_deref(), Some(&b"fresh"[..]));
 }

@@ -58,7 +58,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use support::{device_with, image_at, last_uncommitted, Timeline};
+use support::{device_with, first_active, image_at, Timeline};
 
 /// Seed of every sampled subset; printed with each scenario's tally.
 const SEED: u64 = 0x21;
@@ -1166,7 +1166,9 @@ fn recovery_is_restartable_from_every_crash_point() {
     let chunk = timeline.between(&[SplitBegin, TxBegin], &[TxCommit, SplitChunk]);
     // The chunk's last crash point before its commit point: every relink
     // logged, for the rollback to restore.
-    let k = last_uncommitted(&chunk, |k| device_with(&crashed(k), PersistenceMode::Fast));
+    let k = first_active(chunk.iter().rev(), |k| {
+        device_with(&crashed(k), PersistenceMode::Fast)
+    });
     let image = crashed(k);
 
     let first = device_with(&image, PersistenceMode::Fast);

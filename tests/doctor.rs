@@ -29,7 +29,7 @@ use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use pmemcpy_bench::doctor::{diagnose, load_image, Diagnosis, Status};
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
-use support::{device_with, image_at, Timeline};
+use support::{device_with, first_active, image_at, Timeline};
 
 const DEVICE_BYTES: usize = 16 << 20;
 
@@ -90,15 +90,25 @@ fn remount(pmem: &mut Pmem) {
     pmem.munmap().unwrap();
 }
 
-/// The first (or last) crash point of `run` on a device holding `image`
-/// (a fresh one when empty) between the flight events `before` and
-/// `after`, and the durable image there.
+/// Which of the crash points between two flight events a crash takes.
+#[derive(Clone, Copy)]
+enum Pick {
+    First,
+    Last,
+    /// The first whose image holds an ACTIVE lane: a transaction begins
+    /// with no store, and its first count store makes its lane ACTIVE.
+    FirstActive,
+}
+
+/// The crash point `pick` chooses of `run` on a device holding `image` (a
+/// fresh one when empty) between the flight events `before` and `after`,
+/// and the durable image there.
 fn crash_between(
     image: &[u8],
     mode: SchedMode,
     write_behind: bool,
     run: fn(&mut Pmem),
-    (before, after, last): (&[EventCode], &[EventCode], bool),
+    (before, after, pick): (&[EventCode], &[EventCode], Pick),
 ) -> Vec<u8> {
     let tracked = || match image {
         [] => PmemDevice::new(
@@ -111,10 +121,22 @@ fn crash_between(
     let dev = tracked();
     let points =
         Timeline::of(&dev, || run_on(&dev, mode, write_behind, run)).between(before, after);
-    let k = if last { points.last() } else { points.first() };
-    let k = *k.unwrap_or_else(|| panic!("no crash point between {before:?} and {after:?}"));
-    let dev = tracked();
-    image_at(&dev, k, || run_on(&dev, mode, write_behind, run))
+    assert!(
+        !points.is_empty(),
+        "no crash point between {before:?} and {after:?}"
+    );
+    let image_at = |k| {
+        let dev = tracked();
+        image_at(&dev, k, || run_on(&dev, mode, write_behind, run))
+    };
+    let k = match pick {
+        Pick::First => points[0],
+        Pick::Last => points[points.len() - 1],
+        Pick::FirstActive => first_active(&points, |k| {
+            device_with(&image_at(k), PersistenceMode::Fast)
+        }),
+    };
+    image_at(k)
 }
 
 fn verdict<'a>(d: &'a Diagnosis, check: &str) -> &'a pmemcpy_bench::doctor::Verdict {
@@ -131,29 +153,33 @@ fn verdict<'a>(d: &'a Diagnosis, check: &str) -> &'a pmemcpy_bench::doctor::Verd
 #[test]
 fn crashed_pools_fail_with_the_responsible_subsystem() {
     use Status::{Fail, Info, Pass};
-    type Between = (&'static [EventCode], &'static [EventCode], bool);
+    type Between = (&'static [EventCode], &'static [EventCode], Pick);
     type Implied = &'static [(&'static str, Status)];
-    let chunk: Between = (&[SplitBegin, TxBegin], &[TxCommit, SplitChunk], false);
+    let chunk: Between = (
+        &[SplitBegin, TxBegin],
+        &[TxCommit, SplitChunk],
+        Pick::FirstActive,
+    );
     // (step, write-behind, where, last flight event, verdicts it implies)
     let steps: [(&str, bool, Between, &str, Implied); 4] = [
         (
             "a WAL append",
             true,
-            (&[WalAppend], &[WalAppend], false),
+            (&[WalAppend], &[WalAppend], Pick::First),
             "wal.append",
             &[("lanes", Pass), ("wal-pending", Info)],
         ),
         (
             "a drain",
             true,
-            (&[CkptBegin, TxBegin], &[TxCommit], false),
+            (&[CkptBegin, TxBegin], &[TxCommit], Pick::FirstActive),
             "tx.begin",
             &[("lanes", Fail), ("wal-pending", Info)],
         ),
         (
             "a truncate",
             true,
-            (&[TxCommit], &[WalTruncate, CkptEnd], true),
+            (&[TxCommit], &[WalTruncate, CkptEnd], Pick::Last),
             "tx.commit",
             &[("lanes", Pass), ("wal-pending", Info)],
         ),
@@ -175,7 +201,13 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
         // The mount of the mid-chunk image, crashed inside its lane recovery:
         // the rollback has not reset the lane.
         let mid_chunk = crash_between(&[], mode, false, demo, chunk);
-        let recovering = crash_between(&mid_chunk, mode, false, remount, (&[], &[Recovery], true));
+        let recovering = crash_between(
+            &mid_chunk,
+            mode,
+            false,
+            remount,
+            (&[], &[Recovery], Pick::Last),
+        );
         let implied: Implied = &[("lanes", Fail), ("ht-split", Info)];
         crashed.push((
             "the recovery of a crash mid-chunk",

@@ -26,7 +26,7 @@ use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use pmemcpy_bench::doctor::{diagnose, Status};
 use std::collections::HashMap;
 use std::sync::Arc;
-use support::{device_with, image_at, last_uncommitted, Timeline};
+use support::{device_with, first_active, image_at, Timeline};
 
 /// Small initial directory so a handful of puts crosses the split trigger
 /// (`2 * live > buckets`, i.e. the 34th key).
@@ -234,7 +234,7 @@ fn stale_destination_scenario(mode: SchedMode) {
     let ctx = format!("stale destination heads ({mode:?})");
     let (ref_keys, ref_records) = fixed_reference(33);
     // The chunk's last crash point before its commit point.
-    let k = last_uncommitted(&first_chunk(mode), |k| {
+    let k = first_active(first_chunk(mode).iter().rev(), |k| {
         crashed(mode, into_the_first_chunk, k)
     });
     let dev = crashed(mode, into_the_first_chunk, k);

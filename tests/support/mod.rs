@@ -84,10 +84,15 @@ pub fn device_with(image: &[u8], mode: PersistenceMode) -> Arc<PmemDevice> {
     dev
 }
 
-/// The last of `points` whose image (`image(k)`) holds an ACTIVE lane: a
-/// crash there finds a transaction logged in full and not committed.
-pub fn last_uncommitted(points: &[usize], image: impl Fn(usize) -> Arc<PmemDevice>) -> usize {
-    *(points.iter().rev())
+/// The first of `points`, in the order given, whose image (`image(k)`)
+/// holds an ACTIVE lane. Forwards, a crash there finds a transaction's first
+/// count store durable; backwards, a transaction logged in full and not
+/// committed.
+pub fn first_active<'a>(
+    points: impl IntoIterator<Item = &'a usize>,
+    image: impl Fn(usize) -> Arc<PmemDevice>,
+) -> usize {
+    *(points.into_iter())
         .find(|&&k| read_lanes(&image(k)).active > 0)
-        .expect("a point before a commit point")
+        .expect("a point with an ACTIVE lane")
 }
