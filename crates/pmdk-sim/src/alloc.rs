@@ -335,9 +335,12 @@ impl Heap {
             write_header(clock, &self.device, hdr_off, &stale);
         }
         // One drain for both: a lone back link is mended by the next mount.
+        // A block that merged with nothing keeps the back link it has.
         let merged = header(BLOCK_FREE, payload, prev_size);
         write_unfenced(clock, &self.device, start, &merged);
-        self.back_link(clock, start, payload);
+        if (start, payload) != (hdr_off, h.size) {
+            self.back_link(clock, start, payload);
+        }
         self.device.drain(clock);
         self.free.entry(payload).or_default().insert(start);
         Ok(())

@@ -72,8 +72,10 @@ impl PersistentHashtable {
     /// for a carve's first block, whose header is the carve's commit point
     /// and follows) and its entry's with the key. The fills run with the
     /// stripes held and the heap lock not. One undo append logs every head
-    /// and unlink, and one fence before the commit point makes heads,
-    /// entries and values durable.
+    /// and unlink and the frees are staged before the carve, whose count
+    /// store is the group's only one; the heads are written once it commits.
+    /// One fence before the commit point makes heads, entries and values
+    /// durable.
     ///
     /// Crash contract: a crash anywhere before the lane commit point, or an
     /// error from `fill`, rolls the *entire group* back (no key from the
@@ -161,6 +163,9 @@ impl PersistentHashtable {
                 let gone: Vec<usize> = gone.into_iter().map(|(i, _)| i).collect();
                 spliced.push((r, gone, idxs.clone()));
             }
+            // Logged and staged before the carve: its count store counts them.
+            tx.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
+            tx.free_many(&frees)?;
             // Each entry stored with its record, undo-free: nothing reaches it yet.
             let entries = tx.alloc_many(&sizes, |i, at, header| {
                 fill(i, value(i, at), [header, &entry(&links, i, at)])
@@ -168,8 +173,9 @@ impl PersistentHashtable {
             for (w, i) in heads {
                 words[w].2 = entries[i];
             }
-            tx.free_many(&frees)?;
-            tx.set_words(&words)?;
+            for &(off, _, now) in &words {
+                tx.write_new(off, &now.to_le_bytes());
+            }
             Ok(entries)
         });
         let entries = committed?;

@@ -165,6 +165,62 @@ fn a_fill_that_fails_rolls_back_the_whole_group() {
     pool.check_heap().unwrap();
 }
 
+/// An overwrite group logs its head and unlink words and stages its free
+/// before its carve. A fill that fails after the carve's count store rolls
+/// an `ACTIVE` lane back; a carve that does not fit aborts a lane never
+/// published, its log and free slot stored and uncounted. Each runs on a
+/// fresh lane (lane 0 held by an enclosing transaction) and on the lane
+/// the earlier groups used, whose counts are stale: the old value reads
+/// back byte-identical, the replaced block is still allocated, every lane
+/// is IDLE and the heap is clean — before and after a remount.
+#[test]
+fn an_overwrite_group_that_fails_keeps_the_old_value_and_idles_every_lane() {
+    for fresh_lane in [true, false] {
+        for fits in [true, false] {
+            let case = format!("fresh lane {fresh_lane}, carve fits {fits}");
+            let (ht, pool, clock) = table(1 << 22, 4);
+            ht.set_auto_resize(false);
+            for key in [&b"a"[..], b"replaced", b"b"] {
+                ht.put(&clock, key, b"original").unwrap();
+            }
+            let old = ht.get_ref(&clock, b"replaced").unwrap();
+            let block = old.offset - ENT_KEY - b"replaced".len() as u64;
+            let allocated = pool.allocated_bytes();
+            let reqs: Vec<(&[u8], u64)> =
+                vec![(b"n1", 8), (b"replaced", 8), (b"n2", if fits { 8 } else { 8 << 20 })];
+            let group = || {
+                let mut fill = writing(&pool, &clock, |_| b"written!".to_vec());
+                let failing = |i, v, head: [&[u8]; 2]| match i {
+                    2 => Err(PmdkError::TxFailure("the serializer failed".into())),
+                    _ => fill(i, v, head),
+                };
+                ht.put_many(&clock, &reqs, failing).unwrap_err()
+            };
+            let err = match fresh_lane {
+                true => pool.tx(&clock, |_| Ok(group())).unwrap(),
+                false => group(),
+            };
+            match fits {
+                true => assert_eq!(err, PmdkError::TxFailure("the serializer failed".into())),
+                false => assert!(matches!(err, PmdkError::OutOfMemory { .. }), "{err:?}"),
+            }
+            let check = |ht: &PersistentHashtable, pool: &PmemPool| {
+                assert_eq!(ht.get_ref(&clock, b"replaced"), Some(old), "{case}");
+                assert_eq!(ht.get(&clock, b"replaced").unwrap(), b"original", "{case}");
+                assert!(pool.usable_size(block).is_ok(), "{case}: the old block was freed");
+                assert!(ht.get(&clock, b"n1").is_none() && ht.get(&clock, b"n2").is_none());
+                assert_eq!(pool.allocated_bytes(), allocated, "{case}");
+                let idle = |i| pool.device().u32_at(lane_offset(i) + lane::STATE) == LANE_IDLE;
+                assert!((0..LANES).all(idle), "{case}");
+                pool.check_heap().unwrap();
+            };
+            check(&ht, &pool);
+            let (ht, pool) = reopen(ht, pool, &clock);
+            check(&ht, &pool);
+        }
+    }
+}
+
 /// The head's undo record holds what the walk read, not a second media
 /// read (debug builds compare the two): a group that unlinks its
 /// bucket's first and last entries and splices onto the one between

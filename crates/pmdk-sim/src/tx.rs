@@ -12,10 +12,11 @@
 //!   persists the planned offsets as *allocation intents*, and only then lets
 //!   the heap write block headers: a rollback frees every block that came to
 //!   be, and skips an intent that still lies in a free block.
-//! * Beginning stores nothing: the first count store (an intent or undo
-//!   append's) writes `ACTIVE` with both counts. `IDLE` is the state word
-//!   alone: an idle lane's counts are stale and never read.
-//! * `free` is deferred: a *free intent* is stored, counted by the next count
+//! * Beginning stores nothing. A *count store* (`ACTIVE`, both counts) comes
+//!   before the first store a rollback must undo, not after every append:
+//!   records and free intents wait for it, uncounted. `IDLE` is the state
+//!   word alone: an idle lane's counts are never read.
+//! * `free` is deferred: a *free intent* is staged, stored by the next count
 //!   store, and executed — by the commit from its own list, by recovery from
 //!   the media — once the lane is durably `COMMITTING`, which only a
 //!   transaction with frees stores: without any, `IDLE` is the commit point.
@@ -170,16 +171,19 @@ impl<'a> Tx<'a> {
     }
 
     /// Log `pres` — each a range and the bytes the caller has just read out
-    /// of it — so a rollback can restore them: called before the ranges are
-    /// overwritten. However many records there are, they are one store, one
-    /// flush and one fence; the count store after them is the commit point
-    /// of the append, and counts any staged free intent with it.
-    fn log(&mut self, pres: &[(u64, Vec<u8>)]) -> Result<()> {
+    /// of it — so a rollback can restore them. However many records there
+    /// are, they are one store and one flush, uncounted: the next count
+    /// store counts them, and must come before any range is overwritten.
+    pub(crate) fn log<P: AsRef<[u8]>>(
+        &mut self,
+        pres: impl IntoIterator<Item = (u64, P)>,
+    ) -> Result<()> {
         let dev = self.pool.device();
         let mut records = Vec::new();
         for (off, pre) in pres {
-            debug_assert_eq!(*pre, dev.read_vec_untimed(*off as usize, pre.len()));
-            records.extend(encode_undo_record(*off, pre));
+            let pre = pre.as_ref();
+            debug_assert_eq!(pre, dev.read_vec_untimed(off as usize, pre.len()));
+            records.extend(encode_undo_record(off, pre));
         }
         let size = records.len() as u64;
         if self.undo_used + size > UNDO_CAPACITY {
@@ -191,7 +195,6 @@ impl<'a> Tx<'a> {
         let at = lane_undo(self.lane_base) + self.undo_used;
         write_unfenced(self.clock, dev, at, &records);
         self.undo_used += size;
-        self.store_header(LANE_ACTIVE);
         Ok(())
     }
 
@@ -204,7 +207,8 @@ impl<'a> Tx<'a> {
     pub fn set(&mut self, off: u64, data: &[u8]) -> Result<()> {
         let mut pre = vec![0u8; data.len()];
         self.pool.read_bytes(self.clock, off, &mut pre);
-        self.log(&[(off, pre)])?;
+        self.log([(off, pre)])?;
+        self.store_header(LANE_ACTIVE, &[]);
         self.write_new(off, data);
         Ok(())
     }
@@ -212,10 +216,8 @@ impl<'a> Tx<'a> {
     /// [`Tx::set`] of pointer words the caller's walk has just read, each
     /// `(offset, was, now)`: one append logs them all, and nothing is read.
     pub(crate) fn set_words(&mut self, words: &[(u64, u64, u64)]) -> Result<()> {
-        let pres: Vec<_> = (words.iter())
-            .map(|&(off, was, _)| (off, was.to_le_bytes().to_vec()))
-            .collect();
-        self.log(&pres)?;
+        self.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
+        self.store_header(LANE_ACTIVE, &[]);
         for &(off, _, now) in words {
             self.write_new(off, &now.to_le_bytes());
         }
@@ -242,8 +244,9 @@ impl<'a> Tx<'a> {
     /// Transactionally allocate a group of blocks in one free-list pass; all
     /// are rolled back together if the tx aborts. Offsets come back in
     /// request order. The heap plans the group, the offsets go into intent
-    /// slots — durable, and counted — and only then do the block headers
-    /// change: no crash leaves a block allocated that no intent names.
+    /// slots — durable, and counted with whatever waited for a count store —
+    /// and only then do the block headers change: no crash leaves a block
+    /// allocated that no intent names.
     /// `store(i, offsets, header)` fills block `i` led by its header
     /// ([`PmemPool::headers`] stores the headers alone); a fill that fails
     /// fails the transaction, whose rollback frees every block.
@@ -256,7 +259,7 @@ impl<'a> Tx<'a> {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
         let (pool, clock) = (self.pool, self.clock);
-        let count = |offs: &[u64]| self.stage_intents(offs).store_header(LANE_ACTIVE);
+        let count = |offs: &[u64]| self.store_header(LANE_ACTIVE, offs);
         pool.alloc_planned(clock, sizes, count, &mut store)
     }
 
@@ -265,8 +268,8 @@ impl<'a> Tx<'a> {
         self.free_many(&[off])
     }
 
-    /// Transactionally free a group of blocks, their intents one store the
-    /// next count store counts; executed only if the tx commits. A block this
+    /// Transactionally free a group of blocks, their intents staged for the
+    /// next count store; executed only if the tx commits. A block this
     /// transaction freed already is refused here, while it can still roll
     /// back: at commit the second free would fail after the first had run.
     pub(crate) fn free_many(&mut self, offs: &[u64]) -> Result<()> {
@@ -280,25 +283,24 @@ impl<'a> Tx<'a> {
                 return Err(PmdkError::BadPointer(off));
             }
         }
-        self.stage_intents(&offs.iter().map(|off| off | 1).collect::<Vec<_>>());
         self.frees.extend_from_slice(offs);
+        self.intents_used += offs.len() as u64;
         Ok(())
     }
 
-    /// Store `entries` in the next intent slots with one write, flushed.
-    fn stage_intents(&mut self, entries: &[u64]) -> &mut Self {
-        let slots: Vec<u8> = entries.iter().flat_map(|e| e.to_le_bytes()).collect();
-        let at = lane_intents(self.lane_base) + self.intents_used * 8;
-        write_unfenced(self.clock, self.pool.device(), at, &slots);
-        self.intents_used += entries.len() as u64;
-        self
-    }
-
-    /// The count store: a fence behind all flushed so far, then one persisted
-    /// store of the header line — both counts unless media holds them, then
-    /// `state`, in program order.
-    fn store_header(&mut self, state: u32) {
+    /// The count store: the slots media lacks — the staged frees (the last
+    /// of `frees`), then `allocs` — one flushed store; a fence behind all
+    /// flushed so far; one persisted store of the header line, both counts
+    /// unless media holds them, then `state`, in program order.
+    fn store_header(&mut self, state: u32, allocs: &[u64]) {
         let (dev, base) = (self.pool.device(), self.lane_base as usize);
+        let stored = self.counted.map_or(0, |(_, intents)| intents);
+        let staged = &self.frees[self.frees.len() - (self.intents_used - stored) as usize..];
+        let slots = (staged.iter().map(|off| off | 1)).chain(allocs.iter().copied());
+        let slots: Vec<u8> = slots.flat_map(u64::to_le_bytes).collect();
+        let at = lane_intents(self.lane_base) + stored * 8;
+        write_unfenced(self.clock, dev, at, &slots);
+        self.intents_used += allocs.len() as u64;
         dev.drain(self.clock);
         let (counts, mut line) = ((self.undo_used, self.intents_used), 4);
         if self.counted != Some(counts) {
@@ -332,7 +334,7 @@ impl<'a> Tx<'a> {
             }
             return Ok(());
         }
-        self.store_header(LANE_COMMITTING);
+        self.store_header(LANE_COMMITTING, &[]);
         // Execute deferred frees from the transaction's own list; recovery,
         // which has no list, decodes the same blocks from the intent slots.
         debug_assert_eq!(tagged_intents(&**dev, base, 1).as_ref(), Ok(&self.frees));
@@ -740,11 +742,13 @@ mod tests {
 
     /// The put path's budget: a 64-key group of fresh keys in distinct
     /// buckets pays no fence a key. Its values are flushed by the fill, its
-    /// entries stored, its 64 head records are one undo append, and one
-    /// fence before the commit point makes all of it durable: 8 for the
-    /// group (12 while every lane transition was a store of its own, 266
-    /// before the values came first). An overwrite of one key adds its
-    /// free intent and its unlink's record to the same appends.
+    /// entries stored, its 64 head records are one undo append counted by
+    /// the carve's count store, and one fence before the commit point makes
+    /// all of it durable: 6 for the group (8 while the records had a count
+    /// store of their own after the carve, 12 while every lane transition
+    /// was a store of its own, 266 before the values came first). An
+    /// overwrite of one key adds its free intent and its unlink's record to
+    /// the same stores.
     #[test]
     fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
         use crate::hashtable::{fnv1a, PersistentHashtable};
@@ -766,18 +770,62 @@ mod tests {
         ht.put_many(&clock, &reqs, ht.storing(&clock, &[7u8; 8]))
             .unwrap();
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
-        // intents 2 (slots, count store with ACTIVE) + heap carve 2 +
-        // records 1 + their count store 1 + commit: heads, entries and
-        // values 1, IDLE 1.
-        assert_eq!(fences(&pool) - before, 8);
+        // The count store 2 (its fence behind the records and the intent
+        // slots, ACTIVE) + heap carve 2 + commit: heads, entries and values
+        // 1, IDLE 1.
+        assert_eq!(fences(&pool) - before, 6);
         let before = fences(&pool);
         ht.put(&clock, &keys[0], b"replaced").unwrap();
-        // The same 8, COMMITTING (which counts nothing new: the free
-        // intent's slot rode in the records' count store) and the one the
-        // committed free pays in the heap: 16 while every lane transition
-        // was a store of its own, 20 before that (21 through `Pmem`, whose
-        // value had a fence of its own).
-        assert_eq!(fences(&pool) - before, 10);
+        // The same 6, COMMITTING (which counts nothing new: the free
+        // intent's slot rode in the carve's count store) and the one the
+        // committed free pays in the heap: 10 while the records had a count
+        // store of their own, 16 while every lane transition was a store of
+        // its own, 20 before that (21 through `Pmem`, whose value had a
+        // fence of its own).
+        assert_eq!(fences(&pool) - before, 8);
+    }
+
+    /// An overwrite group's lane header is stored three times: `ACTIVE` by
+    /// the carve's count store, which counts the undo records and the free
+    /// intent the group stored ahead of it with the alloc intent; then
+    /// `COMMITTING`, the commit point; then `IDLE`. Each store is persisted
+    /// at once, so each is one run of crash points at which the header line
+    /// is in flight.
+    #[test]
+    fn an_overwrite_group_stores_its_lane_header_at_active_committing_and_idle() {
+        use crate::hashtable::PersistentHashtable;
+        use std::sync::Mutex;
+        let (pool, clock) = fresh_pool(1 << 22);
+        let ht = PersistentHashtable::create(&clock, &pool, 64).unwrap();
+        ht.put(&clock, b"key", b"old value").unwrap();
+        let base = lane_offset(0);
+        // (whether the header line was in flight at the last crash point,
+        // the header of each run: state, undo length, intent count)
+        let runs = Arc::new(Mutex::new((false, Vec::new())));
+        let seen = Arc::clone(&runs);
+        pool.device().at_crash_points(move |dev| {
+            let line = dev
+                .in_flight()
+                .into_iter()
+                .find(|l| l.line as u64 == base / 64);
+            let mut runs = seen.lock().unwrap();
+            if let (Some(line), false) = (&line, runs.0) {
+                let word = |at: u64| {
+                    u32::from_le_bytes(line.bytes[at as usize..][..4].try_into().unwrap())
+                };
+                runs.1
+                    .push([lane::STATE, lane::UNDO_LEN, lane::INTENT_COUNT].map(word));
+            }
+            runs.0 = line.is_some();
+        });
+        ht.put(&clock, b"key", b"new value").unwrap();
+        let runs = std::mem::take(&mut runs.lock().unwrap().1);
+        let states: Vec<u32> = runs.iter().map(|r| r[0]).collect();
+        assert_eq!(states, [LANE_ACTIVE, LANE_COMMITTING, LANE_IDLE]);
+        // One head record; the free intent and the alloc intent, counted
+        // by the first store.
+        assert_eq!(runs[0][1..], [undo_record_size(8) as u32, 2]);
+        assert_eq!(ht.get(&clock, b"key").unwrap(), b"new value");
     }
 
     /// A committed free rejoins the free map only once its lane's IDLE

@@ -115,24 +115,36 @@ impl PmemDevice {
 
     /// Store bytes, charging PMEM write latency + contended bandwidth.
     pub fn write(&self, clock: &Clock, off: usize, src: &[u8]) {
-        self.write_headed(clock, off, src, 0);
+        self.write_headed(clock, off, &[src], 0);
     }
 
-    /// One store of `src`, whose first `head` bytes are metadata that share
-    /// the record's media operation: charged unscaled, as
-    /// [`PmemDevice::write_meta`] charges them, the rest as
+    /// One store of `parts`, back to back from `off`, whose first `head`
+    /// bytes are metadata that share the record's media operation: charged
+    /// unscaled, as [`PmemDevice::write_meta`] charges them, the rest as
     /// [`PmemDevice::write`] does.
-    pub(crate) fn write_headed(&self, clock: &Clock, off: usize, src: &[u8], head: usize) {
-        self.write_untimed(off, src);
-        let record = (src.len() - head) as u64;
+    pub(crate) fn write_headed(&self, clock: &Clock, off: usize, parts: &[&[u8]], head: usize) {
+        let end = parts.iter().fold(off, |at, part| {
+            self.write_untimed(at, part);
+            at + part.len()
+        });
+        let record = (end - off - head) as u64;
         self.machine
             .charge_pmem_write_headed(clock, head as u64, record);
     }
 
     /// Load bytes, charging PMEM read latency + contended bandwidth.
     pub fn read(&self, clock: &Clock, off: usize, dst: &mut [u8]) {
-        self.read_untimed(off, dst);
-        self.machine.charge_pmem_read(clock, dst.len() as u64);
+        self.read_parts(clock, off, &mut [dst]);
+    }
+
+    /// One load of the bytes from `off` into `dsts`, back to back: charged
+    /// as [`PmemDevice::read`] of their total length.
+    pub(crate) fn read_parts(&self, clock: &Clock, off: usize, dsts: &mut [&mut [u8]]) {
+        let end = dsts.iter_mut().fold(off, |at, dst| {
+            self.read_untimed(at, dst);
+            at + dst.len()
+        });
+        self.machine.charge_pmem_read(clock, (end - off) as u64);
     }
 
     /// Load bytes as a borrowed slice — same charges as [`PmemDevice::read`]

@@ -145,27 +145,37 @@ impl DaxMapping {
 
     /// Store through the mapping: fault accounting + PMEM write stream.
     pub fn store(&self, clock: &Clock, off: usize, src: &[u8]) {
-        self.store_headed(clock, off, src, &[]);
+        self.store_headed(clock, off, &[src], &[]);
     }
 
-    /// [`DaxMapping::store`] of a record behind the metadata that shares its
-    /// media operation: `src` starts with structures of the `head` lengths.
-    /// They are charged as the metadata plane charges them — unscaled, and
-    /// no page fault — and the record as `store` charges it.
-    pub fn store_headed(&self, clock: &Clock, off: usize, src: &[u8], head: &[usize]) {
+    /// One [`DaxMapping::store`] of `parts`, back to back from `off` — a
+    /// record behind the metadata that shares its media operation: the
+    /// bytes start with structures of the `head` lengths. They are charged
+    /// as the metadata plane charges them — unscaled, and no page fault —
+    /// and the record as `store` charges it.
+    pub fn store_headed(&self, clock: &Clock, off: usize, parts: &[&[u8]], head: &[usize]) {
         self.assert_mapped();
-        self.check_range(off, src.len());
+        let len = parts.iter().map(|part| part.len()).sum();
+        self.check_range(off, len);
         let head = head.iter().sum();
-        self.fault_range(clock, off + head, src.len() - head);
-        self.device.write_headed(clock, self.base + off, src, head);
+        self.fault_range(clock, off + head, len - head);
+        self.device
+            .write_headed(clock, self.base + off, parts, head);
     }
 
     /// Load through the mapping: fault accounting + PMEM read stream.
     pub fn load(&self, clock: &Clock, off: usize, dst: &mut [u8]) {
+        self.load_parts(clock, off, &mut [dst]);
+    }
+
+    /// One [`DaxMapping::load`] of the bytes from `off` into `dsts`, back to
+    /// back: a split destination, no staging buffer.
+    pub fn load_parts(&self, clock: &Clock, off: usize, dsts: &mut [&mut [u8]]) {
         self.assert_mapped();
-        self.check_range(off, dst.len());
-        self.fault_range(clock, off, dst.len());
-        self.device.read(clock, self.base + off, dst);
+        let len = dsts.iter().map(|dst| dst.len()).sum();
+        self.check_range(off, len);
+        self.fault_range(clock, off, len);
+        self.device.read_parts(clock, self.base + off, dsts);
     }
 
     /// Load through the mapping as a borrowed slice: identical fault
@@ -344,6 +354,28 @@ mod tests {
         let seen = borrowed.load_borrowed(&c2, 0, 4096, |s| s.to_vec());
         assert_eq!(seen, out);
         assert_eq!(c2.now() - t2, c1.now() - t1);
+    }
+
+    /// A store of two parts, or a load into two destinations, is one
+    /// access of their concatenation: the same bytes, the same charge.
+    #[test]
+    fn parts_cost_one_access_of_the_whole() {
+        let (whole, c1) = mapping(false);
+        let (split, c2) = mapping(false);
+        let (head, body) = ([5u8; 40], [6u8; 300]);
+        let concat = [&head[..], &body].concat();
+        let t = (c1.now(), c2.now());
+        whole.store_headed(&c1, 8, &[&concat], &[40]);
+        split.store_headed(&c2, 8, &[&head, &body], &[40]);
+        assert_eq!(c1.now() - t.0, c2.now() - t.1);
+        let bytes = |m: &DaxMapping| m.device().read_vec_untimed(8, 340);
+        assert_eq!(bytes(&whole), bytes(&split));
+        let (mut one, mut a, mut b) = ([0u8; 340], [0u8; 100], [0u8; 240]);
+        let t = (c1.now(), c2.now());
+        whole.load(&c1, 8, &mut one);
+        split.load_parts(&c2, 8, &mut [&mut a, &mut b]);
+        assert_eq!(c1.now() - t.0, c2.now() - t.1);
+        assert_eq!(one, *[a.as_slice(), &b].concat());
     }
 
     #[test]
