@@ -7,7 +7,8 @@
 //! itself is volatile — a size-ordered map rebuilt by scanning headers at
 //! pool-open, exactly like PMDK rebuilds its volatile runtime state — so the
 //! only persistence obligations are the block headers, and a single header
-//! write is the commit point of every alloc/free.
+//! write is the commit point of every alloc/free. A group holds the pool's
+//! heap lock from its plan through its fills to its commit.
 
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
@@ -26,8 +27,6 @@ pub(crate) struct Heap {
     free: BTreeMap<u64, BTreeSet<u64>>,
     /// Bytes currently allocated (payloads only).
     allocated: u64,
-    /// Tails kept out of the free map by groups being filled.
-    pub(crate) withheld: usize,
 }
 
 /// A block of the heap: its header's offset and its payload size.
@@ -39,7 +38,8 @@ struct Block {
 
 /// How a group's blocks are filled: `store(i, payloads, header)` writes
 /// block `i` led by its encoded header — empty for a carve's first block,
-/// whose header is the carve's commit point and comes after.
+/// whose header is the carve's commit point and comes after. A fill runs
+/// under the heap lock, which is not reentrant: it must not allocate or free.
 pub(crate) type Store<'a> = dyn FnMut(usize, &[u64], &[u8]) -> Result<()> + 'a;
 
 /// One planned cut: `blocks`, back to back from the header of the free
@@ -60,33 +60,6 @@ impl Carve {
     /// Each block, with its predecessor's size if the carve holds one.
     fn after(&self) -> impl Iterator<Item = (Block, Option<u64>)> + '_ {
         (self.blocks.iter()).scan(None, |prev, b| Some((*b, prev.replace(b.size))))
-    }
-}
-
-/// A group between its plan and its commit: each block's payload offset in
-/// request order, its carves, and the tails kept out of the free map.
-#[derive(Debug, Default)]
-pub(crate) struct Group {
-    pub(crate) payloads: Vec<u64>,
-    carves: Vec<Carve>,
-    withheld: Vec<Block>,
-}
-
-impl Group {
-    /// Store each block through `store`, with no heap lock held: nothing
-    /// else reaches a block being carved. A store that fails leaves the
-    /// rest, its own block among them, header-only, so the carves commit.
-    pub(crate) fn fill(&self, clock: &Clock, dev: &PmemDevice, store: &mut Store) -> Result<()> {
-        let mut filled = Ok(());
-        for (i, (b, prev)) in self.carves.iter().flat_map(Carve::after).enumerate() {
-            let head = prev.map(|prev| header(BLOCK_ALLOC, b.size, prev));
-            let head = head.as_ref().map_or(&[][..], |h| &h[..]);
-            filled = filled.and_then(|()| store(i, &self.payloads, head));
-            if filled.is_err() {
-                write_unfenced(clock, dev, b.hdr, head);
-            }
-        }
-        filled
     }
 }
 
@@ -132,7 +105,6 @@ impl Heap {
             heap_end,
             free,
             allocated,
-            withheld: 0,
         })
     }
 
@@ -147,70 +119,61 @@ impl Heap {
             .sum()
     }
 
-    /// Plan one aligned payload per entry of `sizes` — one best-fit block
-    /// for all of them, carved in one free-list pass, or a block a request —
-    /// show `planned` the offsets before any header says so (a transaction
-    /// persists its intents there), then write each carve's free tail and
-    /// its successor's back link, unfenced. A plan that does not fit touches
-    /// no media; one that does is never undone. Until [`Heap::commit`] the
-    /// free map holds neither its blocks nor their tails, which on media
-    /// still lie in a FREE block: no `alloc` cuts them, no `free` merges.
+    /// Allocate one aligned payload per entry of `sizes` — one best-fit
+    /// block for all of them, carved in one free-list pass, or a block a
+    /// request — under the caller's heap lock from plan to commit. `planned`
+    /// sees the offsets before any header says so (a transaction persists
+    /// its intents there); each carve's free tail and its successor's back
+    /// link are written unfenced; `store` fills every block behind its
+    /// header; one drain; then each carve's first header, persisted — the
+    /// commit point, before which the walk skips the interior headers. A
+    /// plan that does not fit touches no media; one that does is never
+    /// undone: a store that fails leaves the rest, its own block among
+    /// them, header-only, and the carves commit.
     pub(crate) fn alloc_many(
         &mut self,
         clock: &Clock,
         sizes: &[u64],
         planned: impl FnOnce(&[u64]),
-    ) -> Result<Group> {
+        store: &mut Store,
+    ) -> Result<Vec<u64>> {
         if sizes.is_empty() {
-            return Ok(Group::default());
+            return Ok(Vec::new());
         }
         let carves = self.plan(sizes)?;
         let payloads: Vec<u64> = (carves.iter())
             .flat_map(|c| c.blocks.iter().map(|b| b.hdr + BLOCK_HEADER_SIZE))
             .collect();
         planned(&payloads);
-        let mut withheld = Vec::new();
         for carve in carves.iter().filter(|c| c.splits()) {
             let last = carve.blocks[carve.blocks.len() - 1];
             if let Some(tail) = carve.tail {
                 let free = header(BLOCK_FREE, tail.size, last.size);
                 write_unfenced(clock, &self.device, tail.hdr, &free);
-                // Unless a later carve of the plan cut it already.
-                if self.holds(tail.size, tail.hdr) {
-                    self.remove_free(tail.size, tail.hdr);
-                    withheld.push(tail);
-                }
             }
             let end = carve.tail.unwrap_or(last);
             self.back_link(clock, end.hdr, end.size);
         }
-        self.withheld += withheld.len();
-        Ok(Group {
-            payloads,
-            carves,
-            withheld,
-        })
-    }
-
-    /// Commit a filled group: one drain for its interior headers, tails and
-    /// back links, then each carve's first header, persisted — the commit
-    /// point, before which the walk skips the interior headers. Its
-    /// `prev_size` is read here: a neighbour's `free` may have rewritten it.
-    pub(crate) fn commit(&mut self, clock: &Clock, group: Group) -> Vec<u64> {
-        if group.carves.iter().any(Carve::splits) {
+        let mut filled = Ok(());
+        for (i, (b, prev)) in carves.iter().flat_map(Carve::after).enumerate() {
+            let head = prev.map(|prev| header(BLOCK_ALLOC, b.size, prev));
+            let head = head.as_ref().map_or(&[][..], |h| &h[..]);
+            filled = filled.and_then(|()| store(i, &payloads, head));
+            if filled.is_err() {
+                write_unfenced(clock, &self.device, b.hdr, head);
+            }
+        }
+        if carves.iter().any(Carve::splits) {
             self.device.drain(clock);
         }
-        for carve in &group.carves {
+        // Block 0's `prev_size` may be an earlier carve's, as the tail it cut.
+        for carve in &carves {
             let b0 = carve.blocks[0];
             let commit = header(BLOCK_ALLOC, b0.size, read_prev(&self.device, b0.hdr));
             write_header(clock, &self.device, b0.hdr, &commit);
             self.allocated += carve.blocks.iter().map(|b| b.size).sum::<u64>();
         }
-        self.withheld -= group.withheld.len();
-        for tail in group.withheld {
-            self.free.entry(tail.size).or_default().insert(tail.hdr);
-        }
-        group.payloads
+        filled.map(|()| payloads)
     }
 
     /// Choose the free blocks `sizes` are cut from and take them out of the
@@ -301,8 +264,7 @@ impl Heap {
         let mut payload = h.size;
         let mut prev_size = h.prev_size;
 
-        // Coalesce with a physical neighbour only if the free map holds it:
-        // a block being carved still says FREE on media, and is not there.
+        // Coalesce with a physical neighbour only if the free map holds it.
         if h.prev_size != 0 {
             let prev_hdr = hdr_off - BLOCK_HEADER_SIZE - h.prev_size;
             if self.holds(h.prev_size, prev_hdr) {
@@ -467,16 +429,14 @@ mod tests {
             Ok(self.alloc_group(clock, &[size])?[0])
         }
 
-        /// A group planned, its headers stored and committed, as
-        /// `PmemPool::alloc_many` allocates one.
+        /// A group with its headers stored alone, as `PmemPool::alloc_many`
+        /// allocates one.
         fn alloc_group(&mut self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
             let device = Arc::clone(&self.device);
-            let group = self.alloc_many(clock, sizes, |_| {})?;
-            group.fill(clock, &device, &mut |i, at, head| {
+            self.alloc_many(clock, sizes, |_| {}, &mut |i, at, head| {
                 write_unfenced(clock, &device, at[i] - BLOCK_HEADER_SIZE, head);
                 Ok(())
-            })?;
-            Ok(self.commit(clock, group))
+            })
         }
     }
 
@@ -637,6 +597,31 @@ mod tests {
         // No single free block holds 2 * chunk + header, but two do singly.
         let ptrs = heap.alloc_group(&clock, &[chunk, chunk]).unwrap();
         assert_eq!(ptrs.len(), 2);
+        heap.check_invariants().unwrap();
+    }
+
+    /// Two holes, 1 KiB and 4 KiB, and no free block that holds a group of
+    /// 512, 256 and 4 096 bytes whole: its plan carves a block a request,
+    /// and the second carve is cut from the first carve's tail. Both blocks
+    /// commit, and what is left of the tail is free.
+    #[test]
+    fn a_carve_cut_from_an_earlier_carves_tail_commits_both() {
+        let (mut heap, clock) = fresh_heap(64 * 1024);
+        let hole = heap.alloc(&clock, 1024).unwrap();
+        heap.alloc(&clock, 64).unwrap();
+        let big = heap.alloc(&clock, 4096).unwrap();
+        heap.alloc(&clock, 64).unwrap();
+        heap.alloc(&clock, heap.free_bytes() & !(HEAP_ALIGN - 1))
+            .unwrap();
+        heap.free(&clock, hole).unwrap();
+        heap.free(&clock, big).unwrap();
+        let ptrs = heap.alloc_group(&clock, &[512, 256, 4096]).unwrap();
+        let cut = hole + 512 + BLOCK_HEADER_SIZE;
+        assert_eq!(ptrs, [hole, cut, big]);
+        assert!(ptrs.iter().all(|&p| heap.is_live(p)));
+        let rest = cut + 256;
+        assert!(heap.holds(1024 - 512 - 256 - 2 * BLOCK_HEADER_SIZE, rest));
+        assert_eq!(heap.free_block_count(), 1);
         heap.check_invariants().unwrap();
     }
 

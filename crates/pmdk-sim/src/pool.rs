@@ -1,4 +1,8 @@
 //! The pmemobj-style pool: superblock, root object, typed persistent access.
+//!
+//! The heap sits behind one lock, held from an allocation's plan through its
+//! fills to its commit, and from a transaction's frees to its lane's `IDLE`
+//! store. A mount walks the heap once, before lane recovery.
 
 use crate::alloc::{write_unfenced, Heap, Store};
 use crate::error::{PmdkError, Result};
@@ -77,8 +81,8 @@ impl PmemPool {
         }))
     }
 
-    /// Open an existing pool: validate the superblock, recover interrupted
-    /// transactions, rebuild the volatile allocator state.
+    /// Open an existing pool: validate the superblock, rebuild the volatile
+    /// allocator state in one heap walk, recover interrupted transactions.
     pub fn open(clock: &Clock, device: Arc<PmemDevice>, layout: &str) -> Result<Arc<Self>> {
         let size = device.size() as u64;
         let sblk = Superblock::read(&Charged {
@@ -109,17 +113,11 @@ impl PmemPool {
         });
         // Roll back / complete interrupted transactions before the mount's
         // own stores: a heap or lane that refuses the mount leaves nothing of
-        // the mount behind.
+        // the mount behind. Their frees go through the heap, and no undo
+        // record targets a block header: the free map stays the media's.
         let recovered = pool.lanes.recover(clock, &pool)?;
-        // Re-sync the allocator: recovery may have freed intent allocations.
         if recovered > 0 {
             pool.flight.record(clock, EventCode::Recovery, recovered, 0);
-            let heap = Heap::rebuild(
-                Arc::clone(&pool.device),
-                heap_start(),
-                pool.device.size() as u64,
-            )?;
-            *pool.heap.lock() = heap;
         }
         pool.write_u64(clock, sb::GENERATION, generation);
         // A pool moved to other modelled hardware records where it is now.
@@ -166,15 +164,13 @@ impl PmemPool {
         })
     }
 
-    /// Allocate `sizes`: under the heap lock the plan, whose offsets
-    /// `planned` sees first, and the tails and back links; unlocked, each
-    /// block filled with its header by `store`; under the lock again the
-    /// commit headers. A fill that fails still commits the carve.
+    /// Allocate `sizes` under one hold of the heap lock: [`Heap::alloc_many`],
+    /// whose offsets `planned` sees first and whose blocks `store` fills.
     pub(crate) fn alloc_planned(
         &self,
         clock: &Clock,
         sizes: &[u64],
-        mut planned: impl FnMut(&[u64]),
+        planned: impl FnOnce(&[u64]),
         store: &mut Store<'_>,
     ) -> Result<Vec<u64>> {
         let machine = self.device.machine();
@@ -185,19 +181,7 @@ impl PmemPool {
         // Heap metadata writes charge the clock under the heap lock; keep
         // the deterministic scheduler from parking us while we hold it.
         let _atomic = pmem_sim::atomic_section();
-        // A group that does not fit waits for the tails of the groups being
-        // filled, which only free-running ranks can see.
-        let group = loop {
-            let mut heap = self.heap.lock();
-            match heap.alloc_many(clock, sizes, &mut planned) {
-                Err(PmdkError::OutOfMemory { .. }) if heap.withheld > 0 => drop(heap),
-                group => break group?,
-            }
-            std::thread::yield_now();
-        };
-        let filled = group.fill(clock, &self.device, store);
-        let payloads = self.heap.lock().commit(clock, group);
-        filled.map(|()| payloads)
+        self.heap.lock().alloc_many(clock, sizes, planned, store)
     }
 
     /// Free a persistent allocation.
@@ -518,6 +502,58 @@ pub(crate) mod tests {
             pool.free(clock, hole).unwrap(); // the victim's predecessor is free
             pool.tx(clock, |tx| tx.free(victim)).unwrap();
         });
+    }
+
+    /// A transaction allocates 512, 256 and 4 096 bytes on a heap with a
+    /// 1 KiB and a 4 KiB hole and nothing larger, so its second carve is
+    /// cut from the first's tail. Returns the blocks, the allocated bytes
+    /// before the transaction and the crash points passed by then.
+    fn carve_from_a_tail(
+        pool: &Arc<PmemPool>,
+        clock: &Clock,
+        passed: &dyn Fn() -> usize,
+    ) -> (Vec<u64>, u64, usize) {
+        let hole = pool.alloc(clock, 1024).unwrap();
+        pool.alloc(clock, 64).unwrap();
+        let big = pool.alloc(clock, 4096).unwrap();
+        pool.alloc(clock, 64).unwrap();
+        pool.alloc(clock, pool.free_bytes() & !63).unwrap();
+        pool.free(clock, hole).unwrap();
+        pool.free(clock, big).unwrap();
+        let (baseline, start) = (pool.allocated_bytes(), passed());
+        let sizes = [512, 256, 4096];
+        let ptrs = pool.tx(clock, |tx| tx.alloc_many(&sizes, pool.headers(clock)));
+        (ptrs.unwrap(), baseline, start)
+    }
+
+    /// A crash between the first two carves' commit headers: the first
+    /// block says ALLOC on media, the second still lies in its tail's FREE
+    /// header. The mount rolls the transaction back in its one heap walk's
+    /// free map: neither block is live, and the heap checks clean.
+    #[test]
+    fn a_crash_between_a_carve_and_one_cut_from_its_tail_mounts_clean() {
+        let ((ptrs, _, start), _) = crashed_at(1 << 21, usize::MAX, carve_from_a_tail);
+        assert_eq!(
+            ptrs[1],
+            ptrs[0] + 512 + BLOCK_HEADER_SIZE,
+            "cut from the tail"
+        );
+        let alloc = |dev: &PmemDevice, p: u64| {
+            dev.u32_at(p - BLOCK_HEADER_SIZE + blk::STATE) == BLOCK_ALLOC
+        };
+        let (baseline, image) = (start..)
+            .find_map(|k| {
+                let ((_, baseline, _), image) = crashed_at(1 << 21, k, carve_from_a_tail);
+                let image = image.expect("the run ends after both commits");
+                (alloc(&image, ptrs[0]) && !alloc(&image, ptrs[1])).then_some((baseline, image))
+            })
+            .unwrap();
+        assert_eq!(crate::doctor::read_lanes(&image).active, 1);
+        let clock = Clock::new();
+        let pool = PmemPool::open(&clock, image, "test-layout").unwrap();
+        pool.check_heap().unwrap();
+        assert!(!pool.is_live(ptrs[0]) && !pool.is_live(ptrs[1]));
+        assert_eq!(pool.allocated_bytes(), baseline);
     }
 
     /// A group's interior headers say ALLOC before its commit header does.

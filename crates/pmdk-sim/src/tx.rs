@@ -22,7 +22,8 @@
 //!   transaction with frees stores: without any, `IDLE` is the commit point.
 //! * Recovery (`LaneTable::recover`, run at pool open) rolls back `ACTIVE`
 //!   lanes (apply undo log backwards, free alloc-intents) and rolls forward
-//!   `COMMITTING` lanes (execute free-intents, discard the log).
+//!   `COMMITTING` lanes (execute free-intents, discard the log). An abort in
+//!   process rolls back too, restoring only the logged ranges it stored.
 //!
 //! Alloc- and free-intents share one array: heap payloads are 64-byte
 //! aligned, so the low bit tags the entry kind (1 = deferred free).
@@ -76,7 +77,7 @@ impl LaneTable {
             let base = lane_offset(i);
             match pool.charged(clock).u32_at(base + lane::STATE) {
                 LANE_IDLE => continue,
-                s @ (LANE_ACTIVE | LANE_COMMITTING) => retire_lane(clock, pool, base, s)?,
+                s @ (LANE_ACTIVE | LANE_COMMITTING) => retire_lane(clock, pool, base, s, None)?,
                 s => return bad(format!("lane {i} has invalid state {s}")),
             }
             repaired += 1;
@@ -92,11 +93,22 @@ impl LaneTable {
 /// live block is skipped: a free an earlier attempt ran, or a carve that
 /// never happened. The log and the intents are decoded — and bounds-checked
 /// — by [`crate::layout`], so a corrupt lane is `BadPool`, not a wild write.
-fn retire_lane(clock: &Clock, pool: &PmemPool, base: u64, state: u32) -> Result<()> {
+/// An abort in process restores only the records over ranges it `stored`.
+fn retire_lane(
+    clock: &Clock,
+    pool: &PmemPool,
+    base: u64,
+    state: u32,
+    stored: Option<&[(u64, u64)]>,
+) -> Result<()> {
     let (src, tag) = (pool.charged(clock), u64::from(state == LANE_COMMITTING));
+    let wrote = |rec: &UndoRecord| {
+        let end = rec.off + rec.pre.len() as u64;
+        stored.is_none_or(|s| s.iter().any(|&(off, len)| rec.off < off + len && off < end))
+    };
     if tag == 0 {
         // Restore snapshotted pre-images, newest first.
-        for rec in undo_records(&src, base)?.into_iter().rev() {
+        for rec in undo_records(&src, base)?.into_iter().rev().filter(wrote) {
             pool.write_bytes(clock, rec.off, &rec.pre);
         }
     }
@@ -161,7 +173,7 @@ impl<'a> Tx<'a> {
             }
             Err(e) => {
                 if tx.counted.is_some() {
-                    retire_lane(clock, pool, tx.lane_base, LANE_ACTIVE)?;
+                    retire_lane(clock, pool, tx.lane_base, LANE_ACTIVE, Some(&tx.fresh))?;
                 }
                 pool.flight().record(clock, EventCode::TxAbort, lane, 0);
                 pool.lanes.release(lane);
@@ -173,7 +185,8 @@ impl<'a> Tx<'a> {
     /// Log `pres` — each a range and the bytes the caller has just read out
     /// of it — so a rollback can restore them. However many records there
     /// are, they are one store and one flush, uncounted: the next count
-    /// store counts them, and must come before any range is overwritten.
+    /// store counts them, and must come before any range is overwritten —
+    /// by [`Tx::write_new`], whose ranges are all an abort restores.
     pub(crate) fn log<P: AsRef<[u8]>>(
         &mut self,
         pres: impl IntoIterator<Item = (u64, P)>,
