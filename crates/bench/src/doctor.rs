@@ -337,8 +337,8 @@ pub fn render_text(d: &Diagnosis, timeline: bool) -> String {
     let _ = writeln!(out, "device profile \"{}\"", sb.device_profile_name());
     let _ = writeln!(
         out,
-        "lanes: {} idle / {} active / {} committing",
-        d.lanes.idle, d.lanes.active, d.lanes.committing
+        "lanes: {} idle / {} active / {} corrupt",
+        d.lanes.idle, d.lanes.active, d.lanes.corrupt
     );
     for l in &d.lanes.busy {
         let _ = writeln!(
@@ -480,8 +480,8 @@ pub fn render_json(d: &Diagnosis) -> String {
     );
     let _ = writeln!(
         out,
-        "  \"lanes\": {{\"idle\": {}, \"active\": {}, \"committing\": {}}},",
-        d.lanes.idle, d.lanes.active, d.lanes.committing
+        "  \"lanes\": {{\"idle\": {}, \"active\": {}, \"corrupt\": {}}},",
+        d.lanes.idle, d.lanes.active, d.lanes.corrupt
     );
     let _ = writeln!(
         out,

@@ -32,9 +32,9 @@ use pserial::{Datatype, VarMeta};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-/// Largest group committed as one pool transaction: each key may need an
-/// alloc intent plus a free intent (replacement), and a lane holds 128
-/// intents.
+/// Largest group committed as one pool transaction: each key needs an
+/// alloc intent, a lane holds 128, and a replacement's free is an undo
+/// record.
 pub(crate) const MAX_GROUP_KEYS: usize = 64;
 
 struct PendingPut<'a> {

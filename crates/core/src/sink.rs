@@ -16,9 +16,9 @@
 //! of a window or more goes straight between the caller's slice and the
 //! mapping, every record byte crosses the mapping exactly once, and
 //! `dram_bytes_copied` stays 0. An 8-byte BP4 record (about 100 bytes) is one
-//! store on the way in and one load on the way out; a large record is two
-//! each way: the held header leaves in the payload's store, and the trailer
-//! is read ahead in the payload's load ([`DaxMapping::load_parts`]).
+//! store on the way in and one load on the way out; a large record is one
+//! store in, header and trailer with the payload ([`WriteSink::put_with_tail`]),
+//! and two loads out, the trailer read ahead ([`DaxMapping::load_parts`]).
 //!
 //! A sink may also start its window with a *head*: the metadata that lies
 //! right before the record on media ([`MappingSink::headed`]). The
@@ -121,12 +121,13 @@ impl<'a> MappingSink<'a> {
         Ok(sink)
     }
 
-    /// One store for everything the window holds and the `payload` behind.
-    fn flush(&mut self, payload: &[u8]) {
-        if self.held + payload.len() > 0 {
+    /// One store for everything the window holds, then `payload` and `tail`.
+    fn flush(&mut self, payload: &[u8], tail: &[u8]) {
+        if self.held + payload.len() + tail.len() > 0 {
             let (at, held) = (self.base + self.pos - self.held, &self.window[..self.held]);
+            let parts = [held, payload, tail];
             self.mapping
-                .store_headed(self.clock, at, &[held, payload], &self.head);
+                .store_headed(self.clock, at, &parts, &self.head);
             (self.held, self.head) = (0, [0; 2]);
         }
     }
@@ -134,28 +135,37 @@ impl<'a> MappingSink<'a> {
     /// Store what the window still holds; returns the bytes written. The
     /// caller persists the record only after this.
     pub(crate) fn finish(mut self) -> usize {
-        self.flush(&[]);
+        self.flush(&[], &[]);
         self.pos
     }
 }
 
 impl WriteSink for MappingSink<'_> {
     fn put(&mut self, bytes: &[u8]) -> SResult<()> {
-        let Some(end) = end_within(self.pos, bytes.len(), self.limit) else {
+        self.put_with_tail(bytes, &[])
+    }
+
+    /// A payload of a window or more goes from the caller's slice, its tail
+    /// behind it, in the window's store; anything smaller through the window.
+    fn put_with_tail(&mut self, payload: &[u8], tail: &[u8]) -> SResult<()> {
+        if payload.len() < WINDOW && !tail.is_empty() {
+            return self.put(payload).and_then(|()| self.put(tail));
+        }
+        let n = payload.len() + tail.len();
+        let Some(end) = end_within(self.pos, n, self.limit) else {
             return Err(SerialError::ShortBuffer {
-                need: (self.pos as u64).saturating_add(bytes.len() as u64),
+                need: (self.pos as u64).saturating_add(n as u64),
                 have: self.limit as u64,
             });
         };
-        if bytes.len() >= WINDOW {
-            // A payload: from the caller's slice, in the window's store.
-            self.flush(bytes);
+        if n >= WINDOW {
+            self.flush(payload, tail);
         } else {
-            if self.held + bytes.len() > WINDOW {
-                self.flush(&[]);
+            if self.held + n > WINDOW {
+                self.flush(&[], &[]);
             }
-            self.window[self.held..self.held + bytes.len()].copy_from_slice(bytes);
-            self.held += bytes.len();
+            self.window[self.held..self.held + n].copy_from_slice(payload);
+            self.held += n;
         }
         self.pos = end;
         Ok(())
@@ -382,10 +392,11 @@ mod tests {
     }
 
     /// A payload of a window or more never passes through the window, and
-    /// every byte moves once in each direction: the header leaves in the
-    /// payload's store, BP4's trailer in a second (three stores before);
-    /// the header is one load, the payload another that reads what follows
-    /// it of the record ahead (three loads for BP4 before).
+    /// every byte moves once in each direction: the header and BP4's
+    /// trailer leave in the payload's store (the trailer in a second before,
+    /// three stores before that); the header is one load, the payload
+    /// another that reads what follows it of the record ahead (three loads
+    /// for BP4 before).
     #[test]
     fn a_large_payload_moves_between_the_callers_slice_and_the_mapping() {
         let meta = VarMeta::local_array("field", Datatype::F64, &[4096]);
@@ -396,8 +407,7 @@ mod tests {
             let put = cost_on(&fx, |m, c| {
                 need = write_record(s, m, c, AT, &meta, &payload)
             });
-            let stores = if s.name() == Bp4.name() { 2 } else { 1 };
-            assert_eq!(put.stores, stores, "{}: {put:?}", s.name());
+            assert_eq!(put.stores, 1, "{}: {put:?}", s.name());
             assert_eq!(put.written, need as u64, "{}", s.name());
             let get = cost_on(&fx, |m, c| {
                 assert_eq!(read_record(s, m, c, AT, need), payload, "{}", s.name());
@@ -651,24 +661,25 @@ mod tests {
             let fences = machine.stats.snapshot().delta_since(&before).fences;
             (fences, meta() - meta_before)
         };
-        // The fresh put's 6 fences, COMMITTING and the heap's one for a
-        // free with no free neighbour; its free intent and its undo records
-        // ride in the carve's count store. Metadata writes: the undo
-        // records, the free and alloc intent slots and their count store,
-        // the carve's tail, back link and commit header, COMMITTING, the
-        // freed header (no free neighbour: its size and its successor's
-        // back link stay), IDLE ((10, 12) while the records had a count
-        // store of their own after the carve and the freed block rewrote
-        // its back link; 16 fences and 16 writes while every lane
-        // transition was a store of its own).
+        // The fresh put's 6 fences: the old block's state word rides the
+        // group's undo append and the carve's count store, and its FREE
+        // store the commit's fence. Metadata writes: the undo append (the
+        // head word's record and the state word's), the alloc intent slot,
+        // the count store, the carve's tail and commit header, the head
+        // word, the FREE word, IDLE ((8, 9) while COMMITTING, the freed
+        // header and a back link were stores of their own; (10, 12) while
+        // the records had a count store of their own after the carve; 16
+        // fences and 16 writes while every lane transition was a store of
+        // its own).
         let overwrite = ledger(&|| pmem.store_slice::<u8>("b", &[2; 64]).unwrap());
-        assert_eq!(overwrite, (8, 9));
-        // The unlink's record and its count store (ACTIVE), the commit's
-        // fence over its target and the free intent, COMMITTING, the heap's
-        // two (the old "b" is free: the stale flip has its own), IDLE; 13
-        // fences and 13 writes before.
+        assert_eq!(overwrite, (6, 8));
+        // One append of the freed block's state word and the unlink's
+        // record, its count store (ACTIVE), the unlinked word and the FREE
+        // word behind the commit's one fence, IDLE: 4 fences, 5 writes
+        // ((7, 9) while COMMITTING and the heap's merge and stale flip were
+        // stores of their own; 13 fences and 13 writes before that).
         let remove = ledger(&|| assert!(pmem.remove("c").unwrap()));
-        assert_eq!(remove, (7, 9));
+        assert_eq!(remove, (4, 5));
         pmem.munmap().unwrap();
     }
 

@@ -1,14 +1,17 @@
 //! Persistent heap allocator (libpmemobj-style, simplified).
 //!
 //! The heap is a physical sequence of blocks, each `BLOCK_HEADER_SIZE` bytes
-//! of persisted header followed by an aligned payload. Headers record the
-//! block state (FREE/ALLOC), payload size, and the physical predecessor's
-//! payload size so freeing can coalesce in both directions. The *free list*
-//! itself is volatile — a size-ordered map rebuilt by scanning headers at
-//! pool-open, exactly like PMDK rebuilds its volatile runtime state — so the
-//! only persistence obligations are the block headers, and a single header
-//! write is the commit point of every alloc/free. A group holds the pool's
-//! heap lock from its plan through its fills to its commit.
+//! of persisted header followed by an aligned payload. A header records the
+//! block's state (FREE/ALLOC) and payload size; the walk from the heap's
+//! start follows the sizes. Free space is volatile — an address-ordered map
+//! of free *regions*, indexed by size for best fit, rebuilt by the mount's
+//! walk, exactly like PMDK rebuilds its volatile runtime state. Coalescing
+//! happens there: a region is a run of adjacent FREE blocks, which media
+//! keeps apart until a carve needs them whole. A carve's first header is its
+//! commit point; a free is one store of a state word, made durable by its
+//! caller (a transaction's commit, whose undo log holds the ALLOC word). A
+//! group holds the pool's heap lock from its plan through its fills to its
+//! commit.
 
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
@@ -23,8 +26,14 @@ pub(crate) struct Heap {
     device: Arc<PmemDevice>,
     heap_start: u64,
     heap_end: u64,
-    /// size -> set of block header offsets with exactly that payload size.
+    /// size -> first header offsets of the free regions of that payload size.
     free: BTreeMap<u64, BTreeSet<u64>>,
+    /// first header offset -> payload size of every free region.
+    regions: BTreeMap<u64, u64>,
+    /// The headers inside a free region past its first: FREE blocks the
+    /// walk still reads, which no carve may write over before it stores
+    /// its region's merged header.
+    seams: BTreeSet<u64>,
     /// Bytes currently allocated (payloads only).
     allocated: u64,
 }
@@ -36,6 +45,12 @@ struct Block {
     size: u64,
 }
 
+impl Block {
+    fn end(&self) -> u64 {
+        self.hdr + BLOCK_HEADER_SIZE + self.size
+    }
+}
+
 /// How a group's blocks are filled: `store(i, payloads, header)` writes
 /// block `i` led by its encoded header — empty for a carve's first block,
 /// whose header is the carve's commit point and comes after. A fill runs
@@ -43,7 +58,7 @@ struct Block {
 pub(crate) type Store<'a> = dyn FnMut(usize, &[u64], &[u8]) -> Result<()> + 'a;
 
 /// One planned cut: `blocks`, back to back from the header of the free
-/// block `source`, and the free `tail` split off behind them.
+/// region `source`, and the free `tail` split off behind them.
 #[derive(Debug)]
 struct Carve {
     source: Block,
@@ -56,11 +71,6 @@ impl Carve {
     fn splits(&self) -> bool {
         self.tail.is_some() || self.blocks.len() > 1
     }
-
-    /// Each block, with its predecessor's size if the carve holds one.
-    fn after(&self) -> impl Iterator<Item = (Block, Option<u64>)> + '_ {
-        (self.blocks.iter()).scan(None, |prev, b| Some((*b, prev.replace(b.size))))
-    }
 }
 
 impl Heap {
@@ -68,44 +78,32 @@ impl Heap {
     pub(crate) fn format(clock: &Clock, device: &Arc<PmemDevice>, heap_start: u64, heap_end: u64) {
         assert!(heap_end > heap_start + BLOCK_HEADER_SIZE + HEAP_ALIGN);
         let payload = (heap_end - heap_start - BLOCK_HEADER_SIZE) & !(HEAP_ALIGN - 1);
-        write_header(clock, device, heap_start, &header(BLOCK_FREE, payload, 0));
+        write_header(clock, device, heap_start, &header(BLOCK_FREE, payload));
     }
 
-    /// Rebuild the volatile free list from the shared heap walk; the first
-    /// implausible block refuses the mount.
+    /// Rebuild the volatile free map from the one heap walk, each run of
+    /// adjacent FREE blocks one region; the first implausible block refuses
+    /// the mount.
     pub(crate) fn rebuild(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
-        Self::walk(device, heap_start, heap_end, false)
-    }
-
-    /// [`Heap::rebuild`] for a pool that may have crashed: a `prev_size`
-    /// word one step behind its header (the crash fell between an alloc's or
-    /// a free's two persists) is mended, not refused.
-    pub(crate) fn recover(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64) -> Result<Heap> {
-        Self::walk(device, heap_start, heap_end, true)
-    }
-
-    fn walk(device: Arc<PmemDevice>, heap_start: u64, heap_end: u64, mend: bool) -> Result<Heap> {
-        let mut free: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
-        let mut allocated = 0;
+        let mut heap = Heap {
+            device: Arc::clone(&device),
+            heap_start,
+            heap_end,
+            free: BTreeMap::new(),
+            regions: BTreeMap::new(),
+            seams: BTreeSet::new(),
+            allocated: 0,
+        };
         let mut fault = Ok(());
-        walk_blocks(&device, heap_start, heap_end, mend, |block| {
+        walk_blocks(&device, heap_start, heap_end, |block| {
             match block {
-                Ok((at, h)) if h.state == BLOCK_FREE => {
-                    free.entry(h.size).or_default().insert(at);
-                }
-                Ok((_, h)) => allocated += h.size,
+                Ok((at, h)) if h.state == BLOCK_FREE => heap.join(at, h.size),
+                Ok((_, h)) => heap.allocated += h.size,
                 Err(e) => fault = Err(e),
             }
             fault.is_ok()
         });
-        fault?;
-        Ok(Heap {
-            device,
-            heap_start,
-            heap_end,
-            free,
-            allocated,
-        })
+        fault.map(|()| heap)
     }
 
     pub(crate) fn allocated_bytes(&self) -> u64 {
@@ -113,28 +111,27 @@ impl Heap {
     }
 
     pub(crate) fn free_bytes(&self) -> u64 {
-        self.free
-            .iter()
-            .map(|(sz, set)| sz * set.len() as u64)
-            .sum()
+        self.regions.values().sum()
     }
 
     /// Allocate one aligned payload per entry of `sizes` — one best-fit
-    /// block for all of them, carved in one free-list pass, or a block a
-    /// request — under the caller's heap lock from plan to commit. `planned`
-    /// sees the offsets before any header says so (a transaction persists
-    /// its intents there); each carve's free tail and its successor's back
-    /// link are written unfenced; `store` fills every block behind its
-    /// header; one drain; then each carve's first header, persisted — the
-    /// commit point, before which the walk skips the interior headers. A
-    /// plan that does not fit touches no media; one that does is never
-    /// undone: a store that fails leaves the rest, its own block among
-    /// them, header-only, and the carves commit.
+    /// block for all of them, carved in one free-map pass, or a block a
+    /// request — under the caller's heap lock from plan to commit. A region
+    /// whose carves would write over a header the walk still reads gets its
+    /// merged FREE header first, unfenced; `planned` sees the offsets before
+    /// any header says so (a transaction persists its intents there) and
+    /// whether such a header waits, and fences it; each carve's free tail is
+    /// written unfenced; `store` fills every block behind its header; one
+    /// drain; then each carve's first header, persisted — the commit point,
+    /// before which the walk skips the interior headers. A plan that does
+    /// not fit touches no media; one that does is never undone: a store
+    /// that fails leaves the rest, its own block among them, header-only,
+    /// and the carves commit.
     pub(crate) fn alloc_many(
         &mut self,
         clock: &Clock,
         sizes: &[u64],
-        planned: impl FnOnce(&[u64]),
+        planned: impl FnOnce(&[u64], bool),
         store: &mut Store,
     ) -> Result<Vec<u64>> {
         if sizes.is_empty() {
@@ -144,19 +141,20 @@ impl Heap {
         let payloads: Vec<u64> = (carves.iter())
             .flat_map(|c| c.blocks.iter().map(|b| b.hdr + BLOCK_HEADER_SIZE))
             .collect();
-        planned(&payloads);
-        for carve in carves.iter().filter(|c| c.splits()) {
-            let last = carve.blocks[carve.blocks.len() - 1];
-            if let Some(tail) = carve.tail {
-                let free = header(BLOCK_FREE, tail.size, last.size);
-                write_unfenced(clock, &self.device, tail.hdr, &free);
-            }
-            let end = carve.tail.unwrap_or(last);
-            self.back_link(clock, end.hdr, end.size);
+        let merged = self.merge_crossed(clock, &carves);
+        planned(&payloads, merged);
+        for tail in carves.iter().filter_map(|c| c.tail) {
+            write_unfenced(
+                clock,
+                &self.device,
+                tail.hdr,
+                &header(BLOCK_FREE, tail.size),
+            );
         }
         let mut filled = Ok(());
-        for (i, (b, prev)) in carves.iter().flat_map(Carve::after).enumerate() {
-            let head = prev.map(|prev| header(BLOCK_ALLOC, b.size, prev));
+        let blocks = carves.iter().flat_map(|c| c.blocks.iter().enumerate());
+        for (i, (k, b)) in blocks.enumerate() {
+            let head = (k > 0).then(|| header(BLOCK_ALLOC, b.size));
             let head = head.as_ref().map_or(&[][..], |h| &h[..]);
             filled = filled.and_then(|()| store(i, &payloads, head));
             if filled.is_err() {
@@ -166,18 +164,43 @@ impl Heap {
         if carves.iter().any(Carve::splits) {
             self.device.drain(clock);
         }
-        // Block 0's `prev_size` may be an earlier carve's, as the tail it cut.
         for carve in &carves {
             let b0 = carve.blocks[0];
-            let commit = header(BLOCK_ALLOC, b0.size, read_prev(&self.device, b0.hdr));
-            write_header(clock, &self.device, b0.hdr, &commit);
+            write_header(clock, &self.device, b0.hdr, &header(BLOCK_ALLOC, b0.size));
             self.allocated += carve.blocks.iter().map(|b| b.size).sum::<u64>();
         }
         filled.map(|()| payloads)
     }
 
-    /// Choose the free blocks `sizes` are cut from and take them out of the
-    /// free map (the tails split off go in); on failure the map is as it was.
+    /// Store the merged FREE header of each region the plan's carves write
+    /// over a seam of — a carve cut from an earlier one's tail counts for
+    /// the region it was cut from — and forget every seam of the regions
+    /// carved: once the carves commit, their tails' headers span them.
+    /// Returns whether a header was stored.
+    fn merge_crossed(&mut self, clock: &Clock, carves: &[Carve]) -> bool {
+        let mut merged = Vec::new();
+        for c in carves {
+            let holds = |r: &&Carve| (r.source.hdr..r.source.end()).contains(&c.source.hdr);
+            let r = carves.iter().find(holds).map_or(c.source, |r| r.source);
+            // Its writes end past its tail's header, else at its source's end.
+            let end = c.tail.map_or(c.source.end(), |t| t.hdr + BLOCK_HEADER_SIZE);
+            let crossed = self.seams.range(r.hdr + 1..end).next();
+            if crossed.is_some() && !merged.contains(&r.hdr) {
+                write_unfenced(clock, &self.device, r.hdr, &header(BLOCK_FREE, r.size));
+                merged.push(r.hdr);
+            }
+        }
+        for c in carves {
+            while let Some(&s) = self.seams.range(c.source.hdr..c.source.end()).next() {
+                self.seams.remove(&s);
+            }
+        }
+        !merged.is_empty()
+    }
+
+    /// Choose the free regions `sizes` are cut from and take them out of
+    /// the free map (the tails split off go in); on failure the map is as
+    /// it was.
     fn plan(&mut self, sizes: &[u64]) -> Result<Vec<Carve>> {
         let oom = |i: usize| PmdkError::OutOfMemory {
             requested: sizes[i],
@@ -210,15 +233,15 @@ impl Heap {
         Ok(carves)
     }
 
-    /// One free-list pass: cut `group` — `need` bytes with the headers in
-    /// between — out of the smallest free block that holds it (best fit).
+    /// One free-map pass: cut `group` — `need` bytes with the headers in
+    /// between — out of the smallest free region that holds it (best fit).
     fn carve(&mut self, group: &[u64], need: u64) -> Option<Carve> {
         let (size, hdr) = (self.free.range(need..)).find_map(|(&s, at)| Some((s, *at.first()?)))?;
         let source = Block { hdr, size };
         let passes = &self.device.machine().stats.alloc_passes;
         passes.fetch_add(1, Ordering::Relaxed);
         self.remove_free(source.size, source.hdr);
-        // Block 0 reuses the free block's header.
+        // Block 0 reuses the region's first header.
         let mut end = source.hdr;
         let mut blocks: Vec<Block> = (group.iter())
             .map(|&size| {
@@ -230,7 +253,7 @@ impl Heap {
         let slack = source.size - need;
         let tail = if slack >= BLOCK_HEADER_SIZE + HEAP_ALIGN {
             let size = slack - BLOCK_HEADER_SIZE;
-            self.free.entry(size).or_default().insert(end);
+            self.insert_free(end, size);
             Some(Block { hdr: end, size })
         } else {
             // Too small to stand alone as a block: the last payload takes
@@ -251,71 +274,58 @@ impl Heap {
         if let Some(tail) = carve.tail {
             self.remove_free(tail.size, tail.hdr);
         }
-        let Block { hdr, size } = carve.source;
-        self.free.entry(size).or_default().insert(hdr);
+        self.insert_free(carve.source.hdr, carve.source.size);
     }
 
-    /// Free the payload at `payload_off`, coalescing with free neighbours.
+    /// Free the payload at `payload_off` outside a transaction: its state
+    /// word, persisted, then the free map takes it.
     pub(crate) fn free(&mut self, clock: &Clock, payload_off: u64) -> Result<()> {
-        let (hdr_off, h) = self.live_block(payload_off)?;
-        self.allocated -= h.size;
-
-        let mut start = hdr_off;
-        let mut payload = h.size;
-        let mut prev_size = h.prev_size;
-
-        // Coalesce with a physical neighbour only if the free map holds it.
-        if h.prev_size != 0 {
-            let prev_hdr = hdr_off - BLOCK_HEADER_SIZE - h.prev_size;
-            if self.holds(h.prev_size, prev_hdr) {
-                let ph = BlockHeader::read(&self.device, prev_hdr)?;
-                self.remove_free(ph.size, prev_hdr);
-                start = prev_hdr;
-                // The predecessor absorbs our header and payload.
-                payload = ph.size + BLOCK_HEADER_SIZE + h.size;
-                prev_size = ph.prev_size;
-            }
-        }
-
-        let next_hdr = hdr_off + BLOCK_HEADER_SIZE + h.size;
-        if next_hdr + BLOCK_HEADER_SIZE + HEAP_ALIGN <= self.heap_end {
-            let nh = BlockHeader::read(&self.device, next_hdr)?;
-            if self.holds(nh.size, next_hdr) {
-                self.remove_free(nh.size, next_hdr);
-                payload += BLOCK_HEADER_SIZE + nh.size;
-            }
-        }
-
-        if start != hdr_off {
-            // The predecessor's block is about to absorb our header: flip
-            // it to FREE first. A crash between the two persists then finds
-            // two adjacent free blocks, and once the merge lands the stale
-            // copy already says FREE — a re-run of this free (recovery
-            // replays deferred frees) or a double free is refused instead of
-            // misreading leftover ALLOC bytes inside a free block.
-            let stale = header(BLOCK_FREE, h.size, h.prev_size);
-            write_header(clock, &self.device, hdr_off, &stale);
-        }
-        // One drain for both: a lone back link is mended by the next mount.
-        // A block that merged with nothing keeps the back link it has.
-        let merged = header(BLOCK_FREE, payload, prev_size);
-        write_unfenced(clock, &self.device, start, &merged);
-        if (start, payload) != (hdr_off, h.size) {
-            self.back_link(clock, start, payload);
-        }
+        self.live_block(payload_off)?;
+        let word = state_word(payload_off);
+        write_unfenced(clock, &self.device, word, &BLOCK_FREE.to_le_bytes());
         self.device.drain(clock);
-        self.free.entry(payload).or_default().insert(start);
+        self.release(&[payload_off]);
         Ok(())
     }
 
+    /// Take the blocks at `payloads`, whose FREE state words are durable,
+    /// into the free map. Media keeps their headers: the walk merges them.
+    pub(crate) fn release(&mut self, payloads: &[u64]) {
+        for hdr in payloads.iter().map(|off| off - BLOCK_HEADER_SIZE) {
+            let size = self.device.u64_at(hdr + blk::SIZE);
+            debug_assert_eq!(self.device.u32_at(hdr + blk::STATE), BLOCK_FREE);
+            self.allocated -= size;
+            self.join(hdr, size);
+        }
+    }
+
+    /// Add the FREE block at `hdr` to the free map, merged with the regions
+    /// it borders: the headers between them become seams.
+    fn join(&mut self, hdr: u64, size: u64) {
+        let mut r = Block { hdr, size };
+        let before = self.regions.range(..hdr).next_back();
+        let before = before.map(|(&hdr, &size)| Block { hdr, size });
+        if let Some(p) = before.filter(|p| p.end() == hdr) {
+            self.remove_free(p.size, p.hdr);
+            self.seams.insert(hdr);
+            (r.hdr, r.size) = (p.hdr, p.size + BLOCK_HEADER_SIZE + size);
+        }
+        if let Some(&next) = self.regions.get(&r.end()) {
+            self.remove_free(next, r.end());
+            self.seams.insert(r.end());
+            r.size += BLOCK_HEADER_SIZE + next;
+        }
+        self.insert_free(r.hdr, r.size);
+    }
+
     /// Whether `payload_off` is a live allocation's payload. Headers inside
-    /// a block the free map holds are not blocks, whatever they say: a
-    /// rollback asks before it trusts one (see [`Heap::alloc_many`]).
+    /// a free region are not blocks, whatever they say: a rollback asks
+    /// before it trusts one (see [`Heap::alloc_many`]).
     pub(crate) fn is_live(&self, payload_off: u64) -> bool {
-        let holds = |(&size, at): (&u64, &BTreeSet<u64>)| {
-            (at.iter()).any(|&hdr| (hdr..hdr + BLOCK_HEADER_SIZE + size).contains(&payload_off))
-        };
-        self.usable_size(payload_off).is_ok() && !self.free.iter().any(holds)
+        let region = self.regions.range(..=payload_off).next_back();
+        let inside =
+            region.is_some_and(|(&hdr, &size)| payload_off < hdr + BLOCK_HEADER_SIZE + size);
+        self.usable_size(payload_off).is_ok() && !inside
     }
 
     /// Usable payload size of a live allocation.
@@ -338,11 +348,11 @@ impl Heap {
     }
 
     /// Validate heap invariants (test support): walkable, sizes consistent,
-    /// free map matches headers.
+    /// free map and seams match headers.
     pub(crate) fn check_invariants(&self) -> Result<()> {
         let rebuilt = Heap::rebuild(Arc::clone(&self.device), self.heap_start, self.heap_end)?;
-        if rebuilt.free != self.free {
-            return Err(PmdkError::BadPool("volatile free list out of sync".into()));
+        if (rebuilt.free != self.free) || (rebuilt.seams != self.seams) {
+            return Err(PmdkError::BadPool("volatile free map out of sync".into()));
         }
         if rebuilt.allocated != self.allocated {
             return Err(PmdkError::BadPool(
@@ -352,49 +362,32 @@ impl Heap {
         Ok(())
     }
 
+    fn insert_free(&mut self, hdr: u64, size: u64) {
+        self.free.entry(size).or_default().insert(hdr);
+        self.regions.insert(hdr, size);
+    }
+
     fn remove_free(&mut self, size: u64, hdr: u64) {
         let set = self.free.entry(size).or_default();
-        let removed = set.remove(&hdr);
-        debug_assert!(removed, "coalesce target not in free map");
+        let removed = set.remove(&hdr) && self.regions.remove(&hdr).is_some();
+        debug_assert!(removed, "region not in the free map");
         if set.is_empty() {
             self.free.remove(&size);
         }
     }
-
-    /// Whether the free map holds a block of `size` at `hdr`.
-    fn holds(&self, size: u64, hdr: u64) -> bool {
-        self.free.get(&size).is_some_and(|at| at.contains(&hdr))
-    }
-
-    /// After block at `hdr` took payload size `payload`, write the physical
-    /// successor's prev_size field (if one exists), unfenced.
-    fn back_link(&self, clock: &Clock, hdr: u64, payload: u64) {
-        let next = hdr + BLOCK_HEADER_SIZE + payload;
-        if next + BLOCK_HEADER_SIZE + HEAP_ALIGN <= self.heap_end {
-            write_unfenced(
-                clock,
-                &self.device,
-                next + blk::PREV_SIZE,
-                &payload.to_le_bytes(),
-            );
-        }
-    }
 }
 
-fn read_prev(device: &Arc<PmemDevice>, hdr_off: u64) -> u64 {
-    let mut b = [0u8; 8];
-    device.read_untimed((hdr_off + blk::PREV_SIZE) as usize, &mut b);
-    u64::from_le_bytes(b)
+/// The state word of the block whose payload is at `payload_off`.
+pub(crate) fn state_word(payload_off: u64) -> u64 {
+    payload_off - BLOCK_HEADER_SIZE + blk::STATE
 }
 
-/// A block header's bytes: its `state`, its payload `size` and its physical
-/// predecessor's.
-fn header(state: u32, size: u64, prev_size: u64) -> [u8; BLOCK_HEADER_SIZE as usize] {
+/// A block header's bytes: its `state` and its payload `size`.
+fn header(state: u32, size: u64) -> [u8; BLOCK_HEADER_SIZE as usize] {
     let mut buf = [0u8; BLOCK_HEADER_SIZE as usize];
     buf[blk::MAGIC as usize..][..4].copy_from_slice(&BLOCK_MAGIC.to_le_bytes());
     buf[blk::STATE as usize..][..4].copy_from_slice(&state.to_le_bytes());
     buf[blk::SIZE as usize..][..8].copy_from_slice(&size.to_le_bytes());
-    buf[blk::PREV_SIZE as usize..][..8].copy_from_slice(&prev_size.to_le_bytes());
     buf
 }
 
@@ -420,7 +413,7 @@ mod tests {
 
     impl Heap {
         fn free_block_count(&self) -> usize {
-            self.free.values().map(|s| s.len()).sum()
+            self.regions.len()
         }
 
         /// Allocate an aligned payload of at least `size` bytes: a group of
@@ -433,7 +426,12 @@ mod tests {
         /// allocates one.
         fn alloc_group(&mut self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
             let device = Arc::clone(&self.device);
-            self.alloc_many(clock, sizes, |_| {}, &mut |i, at, head| {
+            let fence = |_: &[u64], merged| {
+                if merged {
+                    device.drain(clock);
+                }
+            };
+            self.alloc_many(clock, sizes, fence, &mut |i, at, head| {
                 write_unfenced(clock, &device, at[i] - BLOCK_HEADER_SIZE, head);
                 Ok(())
             })
@@ -506,6 +504,10 @@ mod tests {
         assert!(heap.free(&clock, p).is_err());
     }
 
+    /// The free map merges a freed block with the regions on both sides;
+    /// media keeps the four FREE blocks apart, which the walk merges back.
+    /// A carve that writes over a header the walk still reads stores the
+    /// region's merged header first, and media holds one free block again.
     #[test]
     fn coalescing_merges_in_both_directions() {
         let (mut heap, clock) = fresh_heap(64 * 1024);
@@ -517,6 +519,23 @@ mod tests {
         heap.free(&clock, c).unwrap();
         heap.free(&clock, b).unwrap();
         assert_eq!(heap.free_block_count(), 1);
+        let media_free = |heap: &Heap| {
+            let mut n = 0;
+            walk_blocks(&heap.device, heap.heap_start, heap.heap_end, |block| {
+                n += usize::from(block.unwrap().1.state == BLOCK_FREE);
+                true
+            });
+            n
+        };
+        assert_eq!((media_free(&heap), heap.seams.len()), (4, 3));
+        heap.check_invariants().unwrap();
+        // 256 bytes from `a`'s header run over `b`'s.
+        let machine = Arc::clone(heap.device.machine());
+        let before = machine.stats.snapshot().fences;
+        assert_eq!(heap.alloc(&clock, 200).unwrap(), a);
+        // The merged header's, the tail's and the commit header's.
+        assert_eq!(machine.stats.snapshot().fences - before, 3);
+        assert_eq!((media_free(&heap), heap.seams.len()), (1, 0));
         heap.check_invariants().unwrap();
     }
 
@@ -620,7 +639,8 @@ mod tests {
         assert_eq!(ptrs, [hole, cut, big]);
         assert!(ptrs.iter().all(|&p| heap.is_live(p)));
         let rest = cut + 256;
-        assert!(heap.holds(1024 - 512 - 256 - 2 * BLOCK_HEADER_SIZE, rest));
+        let left = 1024 - 512 - 256 - 2 * BLOCK_HEADER_SIZE;
+        assert_eq!(heap.regions.get(&rest), Some(&left));
         assert_eq!(heap.free_block_count(), 1);
         heap.check_invariants().unwrap();
     }

@@ -42,29 +42,28 @@ impl LaneReport {
         match self.state {
             LANE_IDLE => "idle",
             LANE_ACTIVE => "ACTIVE",
-            LANE_COMMITTING => "COMMITTING",
             _ => "CORRUPT",
         }
     }
 }
 
-/// All lane headers plus idle/active/committing tallies.
+/// All lane headers plus idle/active/corrupt tallies.
 #[derive(Debug, Clone, Default)]
 pub struct LaneSummary {
     pub idle: u64,
     pub active: u64,
-    pub committing: u64,
     pub corrupt: u64,
     /// Only the non-idle lanes (the interesting ones).
     pub busy: Vec<LaneReport>,
-    /// What recovery would refuse: an undo log or intent array of a busy
-    /// lane that the shared decoder faults.
+    /// What recovery would refuse: a lane state other than IDLE or ACTIVE,
+    /// or an undo log or intent array of an ACTIVE lane that the shared
+    /// decoder faults.
     pub errors: Vec<String>,
 }
 
 impl LaneSummary {
     pub fn all_idle(&self) -> bool {
-        self.active == 0 && self.committing == 0 && self.corrupt == 0
+        self.active == 0 && self.corrupt == 0
     }
 }
 
@@ -81,14 +80,13 @@ pub fn read_lanes(dev: &PmemDevice) -> LaneSummary {
         match rep.state {
             LANE_IDLE => out.idle += 1,
             LANE_ACTIVE => out.active += 1,
-            LANE_COMMITTING => out.committing += 1,
             _ => out.corrupt += 1,
         }
         // What lane recovery would decode, through the decoder it uses.
         let decoded = match rep.state {
+            LANE_IDLE => Ok(()),
             LANE_ACTIVE => undo_records(dev, base).and(intents(dev, base)).map(drop),
-            LANE_COMMITTING => intents(dev, base).map(drop),
-            _ => Ok(()),
+            s => bad(format!("lane {i} has invalid state {s}")),
         };
         out.errors.extend(decoded.err().map(message));
         if rep.state != LANE_IDLE {
@@ -107,7 +105,7 @@ pub struct HeapReport {
     pub allocated_bytes: u64,
     pub free_bytes: u64,
     pub largest_free_block: u64,
-    /// Linkage violations (bad magic, bad prev_size, overrun, bad state).
+    /// Linkage violations (bad magic, overrun, bad state).
     pub errors: Vec<String>,
 }
 
@@ -121,7 +119,7 @@ impl HeapReport {
 /// mounts with, collecting every violation it reports.
 pub fn walk_heap(dev: &PmemDevice) -> HeapReport {
     let mut out = HeapReport::default();
-    walk_blocks(dev, heap_start(), dev.size() as u64, false, |block| {
+    walk_blocks(dev, heap_start(), dev.size() as u64, |block| {
         match block {
             Ok((_, h)) if h.state == BLOCK_FREE => {
                 out.blocks += 1;

@@ -1,8 +1,8 @@
 //! Mutation and lookup: group puts, removes and gets, each bucket looked
 //! up by one `lookup`.
 //!
-//! All structural mutations run in a pool transaction (pointer snapshots +
-//! alloc/free intents), so a crash at any point leaves a consistent table.
+//! All structural mutations run in a pool transaction (pointer and state
+//! word snapshots + alloc intents), so a crash at any point leaves a table.
 //! Values may be large; they are written into freshly-allocated space, with
 //! no undo image, before the transaction links them. Bucket access is
 //! striped with volatile locks — rebuilt trivially on open, like PMDK's
@@ -71,11 +71,11 @@ impl PersistentHashtable {
     /// holds what lies right before the value: its block's header (empty
     /// for a carve's first block, whose header is the carve's commit point
     /// and follows) and its entry's with the key. The fills run with the
-    /// stripes held and the heap lock not. One undo append logs every head
-    /// and unlink and the frees are staged before the carve, whose count
-    /// store is the group's only one; the heads are written once it commits.
-    /// One fence before the commit point makes heads, entries and values
-    /// durable.
+    /// stripes and the heap lock held. One undo append logs every head and
+    /// unlink word and each replaced entry's state word before the carve,
+    /// whose count store is the group's only one; the heads, and FREE over
+    /// those state words, are written once it commits. One fence before
+    /// the commit point makes them, the entries and the values durable.
     ///
     /// Crash contract: a crash anywhere before the lane commit point, or an
     /// error from `fill`, rolls the *entire group* back (no key from the
@@ -163,9 +163,10 @@ impl PersistentHashtable {
                 let gone: Vec<usize> = gone.into_iter().map(|(i, _)| i).collect();
                 spliced.push((r, gone, idxs.clone()));
             }
-            // Logged and staged before the carve: its count store counts them.
-            tx.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
+            // The frees' state words and the words, one append before the
+            // carve: its count store counts them.
             tx.free_many(&frees)?;
+            tx.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
             // Each entry stored with its record, undo-free: nothing reaches it yet.
             let entries = tx.alloc_many(&sizes, |i, at, header| {
                 fill(i, value(i, at), [header, &entry(&links, i, at)])
@@ -336,9 +337,10 @@ impl PersistentHashtable {
         let Some((i, e)) = at[0] else {
             return Ok(false);
         };
+        // The free's state word rides the unlink's append and count store.
         let unlinked = self.pool.tx(clock, |tx| {
-            tx.set_words(&[(e.slot, e.at, e.next)])?;
-            tx.free(e.at)
+            tx.free(e.at)?;
+            tx.set_words(&[(e.slot, e.at, e.next)])
         });
         unlinked?;
         mirror.splice(r.bucket, r.head_slot, &[i], Vec::new());

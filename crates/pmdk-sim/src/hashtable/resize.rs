@@ -216,8 +216,9 @@ impl PersistentHashtable {
                 }
                 let moved = c.entries.len() as u64;
                 mirror.put(b, Some(c));
-                // Room for these and the three retire words, or stop here.
-                if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 3) {
+                // Room for these, the three retire words and the old
+                // array's state word (smaller than a word's), or stop here.
+                if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 4) {
                     break;
                 }
                 words.append(&mut relinks);
@@ -240,10 +241,10 @@ impl PersistentHashtable {
             } else {
                 words.push((self.header + HDR_CURSOR, start, end));
             }
-            tx.set_words(&words)?;
             if end == n {
                 tx.free(g.old_heads)?;
             }
+            tx.set_words(&words)?;
             Ok(end)
         });
         // A committed chunk moves the hi half of each source bucket to its

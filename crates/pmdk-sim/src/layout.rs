@@ -13,8 +13,8 @@
 //! lane:             [state u32][undo_len u32][intent_count u32][reserved u32]
 //!                   ...64 B; [intent u64 × LANE_INTENTS]; undo records of
 //!                   [target off u64][len u32][pre-image], contiguous
-//! heap block:       [magic u32][state u32][size u64][prev_size u64]
-//!                   [reserved u64][payload]
+//! heap block:       [magic u32][state u32][size u64][reserved u64 × 2]
+//!                   [payload]
 //! hashtable header: [bucket_count u64][reserved u64][heads_off u64]
 //!                   [old_bucket_count u64][old_heads_off u64]
 //!                   [split_cursor u64][reserved u64]
@@ -71,10 +71,13 @@ pub(crate) const HEAP_ALIGN: u64 = 64;
 /// Block header magic.
 pub(crate) const BLOCK_MAGIC: u32 = 0x424c_4b31; // "BLK1"
 
-/// Lane states (persisted).
+/// Lane states (persisted); any other word is a corrupt lane.
 pub const LANE_IDLE: u32 = 0;
 pub const LANE_ACTIVE: u32 = 1;
-pub const LANE_COMMITTING: u32 = 2;
+
+/// The on-media format this build reads and writes (superblock version
+/// word); 9: a free is a logged state word, and headers hold no back link.
+pub const LAYOUT_VERSION: u64 = 9;
 
 /// Block states (persisted).
 pub const BLOCK_FREE: u32 = 0;
@@ -83,7 +86,7 @@ pub const BLOCK_ALLOC: u32 = 1;
 /// Superblock field offsets.
 pub mod sb {
     pub(crate) const MAGIC: u64 = 0;
-    pub(crate) const VERSION: u64 = 8;
+    pub const VERSION: u64 = 8;
     pub(crate) const POOL_SIZE: u64 = 16;
     pub(crate) const HEAP_START: u64 = 24;
     pub(crate) const ROOT_OFF: u64 = 32; // 0 = no root yet
@@ -111,12 +114,11 @@ pub mod lane {
 }
 
 /// Heap block header field offsets (relative to the header base); bytes
-/// 24..32 are reserved.
+/// 16..32 are reserved.
 pub mod blk {
     pub(crate) const MAGIC: u64 = 0;
     pub(crate) const STATE: u64 = 4;
     pub const SIZE: u64 = 8; // payload bytes (aligned)
-    pub(crate) const PREV_SIZE: u64 = 16; // payload bytes of physically-previous block, 0 if first
 }
 
 /// Start of the lane table.
@@ -270,7 +272,7 @@ impl Superblock {
         let half = |off: u64| le_u32(&page[off as usize..]);
         let (magic, pool_size, heap) = (word(sb::MAGIC), word(sb::POOL_SIZE), word(sb::HEAP_START));
         let (root_off, root_size) = (word(sb::ROOT_OFF), word(sb::ROOT_SIZE));
-        let (name_len, size) = (word(sb::LAYOUT_LEN), src.size());
+        let (name_len, size, version) = (word(sb::LAYOUT_LEN), src.size(), word(sb::VERSION));
         let name = &page[sb::LAYOUT_NAME as usize..][..name_len.min(sb::LAYOUT_NAME_MAX) as usize];
         let mut sblk = Superblock {
             magic,
@@ -285,6 +287,8 @@ impl Superblock {
         };
         sblk.fault = if !sblk.formatted() {
             Some("bad magic (pool not formatted?)".to_string())
+        } else if version != LAYOUT_VERSION {
+            Some(format!("layout version {version}, not {LAYOUT_VERSION}"))
         } else if pool_size != size {
             Some(format!("pool size {pool_size} != device size {size}"))
         } else if heap != heap_start() {
@@ -392,8 +396,9 @@ pub(crate) fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecor
     Ok(out)
 }
 
-/// Fetch the filled intent slots of the lane at `base` (low bit set = a
-/// deferred free): the count word, then the counted slots in one fetch.
+/// Fetch the filled intent slots of the lane at `base` — the blocks its
+/// transaction allocates: the count word, then the counted slots in one
+/// fetch.
 pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
     let count = src.u32_at(base + lane::INTENT_COUNT) as u64;
     if count > LANE_INTENTS {
@@ -405,13 +410,6 @@ pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
     Ok(slots.chunks_exact(8).map(le_u64).collect())
 }
 
-/// The blocks the intents tagged `tag` of the lane at `base` name, slot
-/// order and untagged: its allocations (0) or its deferred frees (1).
-pub(crate) fn tagged_intents<B: Bytes>(src: &B, base: u64, tag: u64) -> Result<Vec<u64>> {
-    let tagged = intents(src, base)?.into_iter().filter(|e| e & 1 == tag);
-    Ok(tagged.map(|e| e & !1).collect())
-}
-
 // ---- heap block chain ----
 
 /// Persisted block header, decoded.
@@ -419,7 +417,6 @@ pub(crate) fn tagged_intents<B: Bytes>(src: &B, base: u64, tag: u64) -> Result<V
 pub struct BlockHeader {
     pub state: u32,
     pub size: u64,
-    pub prev_size: u64,
 }
 
 impl BlockHeader {
@@ -438,7 +435,6 @@ impl BlockHeader {
         Ok(BlockHeader {
             state: le_u32(&buf[blk::STATE as usize..]),
             size: le_u64(&buf[blk::SIZE as usize..]),
-            prev_size: le_u64(&buf[blk::PREV_SIZE as usize..]),
         })
     }
 }
@@ -446,24 +442,16 @@ impl BlockHeader {
 /// The one physical heap walk: `visit` sees `(header offset, header)` per
 /// block in address order, or the violation found in its place, and answers
 /// whether to go on. An implausible magic or size ends the walk (the
-/// successor cannot be located); a broken `prev_size` link or unknown state
-/// does not, so the doctor lists every violation while `Heap::rebuild` stops
-/// at the first.
-///
-/// With `mend` (recovery only; untimed) a `prev_size` that is not the walked
-/// predecessor's size is rewritten instead of faulted. The forward chain —
-/// magic and size — is what locates blocks; `prev_size` is the back link
-/// coalescing follows, kept in a different cacheline from the header whose
-/// size it mirrors, so a crash between a split's or a merge's two persists
-/// legitimately leaves it one step behind.
+/// successor cannot be located); an unknown state does not, so the doctor
+/// lists every violation while `Heap::rebuild` stops at the first. Adjacent
+/// FREE blocks are legal: media keeps them apart until a carve merges them.
 pub fn walk_blocks(
     dev: &PmemDevice,
     start: u64,
     end: u64,
-    mend: bool,
     mut visit: impl FnMut(Result<(u64, BlockHeader)>) -> bool,
 ) {
-    let (mut at, mut prev_payload) = (start, 0u64);
+    let mut at = start;
     // Every block holds at least one aligned payload unit; anything smaller
     // at the tail is formatting slack, not a block.
     while end.saturating_sub(at) >= BLOCK_HEADER_SIZE + HEAP_ALIGN {
@@ -474,25 +462,14 @@ pub fn walk_blocks(
                 _ => bad(format!("block at {at:#x}: implausible size {}", h.size)),
             }
         });
-        let (next, mut h) = match located {
+        let (next, h) = match located {
             Ok(located) => located,
             Err(e) => {
                 visit(Err(e));
                 return;
             }
         };
-        if mend && h.prev_size != prev_payload {
-            let word = (at + blk::PREV_SIZE) as usize;
-            dev.write_untimed(word, &prev_payload.to_le_bytes());
-            dev.persist_untimed(word, 8);
-            h.prev_size = prev_payload;
-        }
-        let block = if h.prev_size != prev_payload {
-            let prev = h.prev_size;
-            bad(format!(
-                "heap chain broken at {at:#x}: prev_size {prev} != walked {prev_payload}"
-            ))
-        } else if h.state != BLOCK_FREE && h.state != BLOCK_ALLOC {
+        let block = if h.state != BLOCK_FREE && h.state != BLOCK_ALLOC {
             bad(format!("block at {at:#x} has invalid state {}", h.state))
         } else {
             Ok((at, h))
@@ -500,7 +477,7 @@ pub fn walk_blocks(
         if !visit(block) {
             return;
         }
-        (at, prev_payload) = (next, h.size);
+        at = next;
     }
 }
 
@@ -1044,11 +1021,7 @@ mod tests {
             base + lane::UNDO_LEN,
             &(log.len() as u32).to_le_bytes(),
         );
-        let slots = [
-            heap_start() + 64,
-            (heap_start() + 128) | 1,
-            heap_start() + 192,
-        ];
+        let slots = [heap_start() + 64, heap_start() + 128, heap_start() + 192];
         for (i, slot) in slots.iter().enumerate() {
             put(
                 &mut src.image,

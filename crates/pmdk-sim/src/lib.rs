@@ -7,12 +7,12 @@
 //! *Programming Persistent Memory* (ch. "PMDK Internals"):
 //!
 //! * [`pool::PmemPool`] — superblock-validated pools with a root object.
-//! * `alloc` — a segregated best-fit heap whose free list is volatile and
-//!   rebuilt on open; a single persisted block header is the commit point of
-//!   every allocation.
-//! * `tx` — lane-based undo-log transactions with allocation/free intents;
-//!   pool open rolls interrupted transactions back (ACTIVE) or forward
-//!   (COMMITTING).
+//! * `alloc` — a best-fit heap whose free map is volatile, coalesced by
+//!   address and rebuilt on open; a single persisted block header is the
+//!   commit point of every allocation, and a free is one state word.
+//! * `tx` — lane-based undo-log transactions with allocation intents; a
+//!   free's state word rides the undo log, `IDLE` is every commit point, and
+//!   pool open rolls an interrupted (ACTIVE) transaction back.
 //! * [`hashtable::PersistentHashtable`] — the flat-namespace metadata index
 //!   pMEMCPY stores variable metadata in (§3 "Data Layout": "a hashtable
 //!   with chaining").

@@ -1,13 +1,13 @@
 //! The pmemobj-style pool: superblock, root object, typed persistent access.
 //!
 //! The heap sits behind one lock, held from an allocation's plan through its
-//! fills to its commit, and from a transaction's frees to its lane's `IDLE`
-//! store. A mount walks the heap once, before lane recovery.
+//! fills to its commit. A mount restores its busy lanes' undo logs, walks
+//! the heap once, then frees what those lanes allocated.
 
 use crate::alloc::{write_unfenced, Heap, Store};
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
-use crate::tx::{LaneTable, Tx};
+use crate::tx::{retire_lane, LaneTable, Tx};
 use pmem_sim::flight::EventCode;
 use pmem_sim::profile;
 use pmem_sim::sync::Mutex;
@@ -57,7 +57,7 @@ impl PmemPool {
         // mount formats afresh; after it, a whole pool (DESIGN §13.4).
         let mut sblk = vec![0u8; SUPERBLOCK_SIZE as usize];
         sblk[sb::MAGIC as usize..][..8].copy_from_slice(&POOL_MAGIC.to_le_bytes());
-        sblk[sb::VERSION as usize..][..8].copy_from_slice(&1u64.to_le_bytes());
+        sblk[sb::VERSION as usize..][..8].copy_from_slice(&LAYOUT_VERSION.to_le_bytes());
         sblk[sb::POOL_SIZE as usize..][..8].copy_from_slice(&size.to_le_bytes());
         sblk[sb::HEAP_START as usize..][..8].copy_from_slice(&heap_start().to_le_bytes());
         sblk[sb::ROOT_OFF as usize..][..8].copy_from_slice(&0u64.to_le_bytes());
@@ -81,8 +81,8 @@ impl PmemPool {
         }))
     }
 
-    /// Open an existing pool: validate the superblock, rebuild the volatile
-    /// allocator state in one heap walk, recover interrupted transactions.
+    /// Open an existing pool: validate the superblock, roll interrupted
+    /// transactions back around the heap walk that rebuilds the free map.
     pub fn open(clock: &Clock, device: Arc<PmemDevice>, layout: &str) -> Result<Arc<Self>> {
         let size = device.size() as u64;
         let sblk = Superblock::read(&Charged {
@@ -101,7 +101,9 @@ impl PmemPool {
 
         let generation = sblk.generation.wrapping_add(1);
         let device_profile_id = profile::profile_id(device.machine().profile_name());
-        let heap = Heap::recover(Arc::clone(&device), heap_start(), size)?;
+        // Undo records restore block headers: they land before the walk.
+        let busy = LaneTable::restore(clock, &device)?;
+        let heap = Heap::rebuild(Arc::clone(&device), heap_start(), size)?;
         let flight =
             FlightRecorder::attach_or_format(Arc::clone(&device), flight_start(), FLIGHT_SIZE);
         let pool = Arc::new(PmemPool {
@@ -111,13 +113,13 @@ impl PmemPool {
             generation,
             flight,
         });
-        // Roll back / complete interrupted transactions before the mount's
-        // own stores: a heap or lane that refuses the mount leaves nothing of
-        // the mount behind. Their frees go through the heap, and no undo
-        // record targets a block header: the free map stays the media's.
-        let recovered = pool.lanes.recover(clock, &pool)?;
-        if recovered > 0 {
-            pool.flight.record(clock, EventCode::Recovery, recovered, 0);
+        // Their blocks are freed through the walked heap.
+        for (base, allocs) in &busy {
+            retire_lane(clock, &pool, *base, &[], allocs);
+        }
+        if !busy.is_empty() {
+            pool.flight
+                .record(clock, EventCode::Recovery, busy.len() as u64, 0);
         }
         pool.write_u64(clock, sb::GENERATION, generation);
         // A pool moved to other modelled hardware records where it is now.
@@ -153,7 +155,12 @@ impl PmemPool {
     /// Allocate a group of payloads in one free-list pass, each block's
     /// header stored alone. Offsets come back in request order.
     pub fn alloc_many(&self, clock: &Clock, sizes: &[u64]) -> Result<Vec<u64>> {
-        self.alloc_planned(clock, sizes, |_| {}, &mut *self.headers(clock))
+        let fence = |_: &[u64], merged| {
+            if merged {
+                self.device.drain(clock);
+            }
+        };
+        self.alloc_planned(clock, sizes, fence, &mut *self.headers(clock))
     }
 
     /// The store of a group whose blocks are filled later: headers alone.
@@ -170,7 +177,7 @@ impl PmemPool {
         &self,
         clock: &Clock,
         sizes: &[u64],
-        planned: impl FnOnce(&[u64]),
+        planned: impl FnOnce(&[u64], bool),
         store: &mut Store<'_>,
     ) -> Result<Vec<u64>> {
         let machine = self.device.machine();
@@ -184,23 +191,21 @@ impl PmemPool {
         self.heap.lock().alloc_many(clock, sizes, planned, store)
     }
 
-    /// Free a persistent allocation.
+    /// Free a persistent allocation (durable once this returns).
     pub fn free(&self, clock: &Clock, off: u64) -> Result<()> {
-        self.free_then(clock, &[off], || ())
+        let _span = self.device.machine().span(clock, "pmdk", "pool.free");
+        let _atomic = pmem_sim::atomic_section();
+        self.heap.lock().free(clock, off)
     }
 
-    /// Free `offs`, then `idle` — the lane store that retires them — under
-    /// one heap lock: no block is handed out again while a crash would replay
-    /// its free.
-    pub(crate) fn free_then(&self, clock: &Clock, offs: &[u64], idle: impl FnOnce()) -> Result<()> {
-        let _atomic = pmem_sim::atomic_section();
-        let mut heap = self.heap.lock();
-        for &off in offs {
+    /// Hand `offs`, whose FREE state words are durable and whose lane is
+    /// idle, to the free map ([`Heap::release`]).
+    pub(crate) fn release(&self, clock: &Clock, offs: &[u64]) {
+        if !offs.is_empty() {
             let _span = self.device.machine().span(clock, "pmdk", "pool.free");
-            heap.free(clock, off)?;
+            let _atomic = pmem_sim::atomic_section();
+            self.heap.lock().release(offs);
         }
-        idle();
-        Ok(())
     }
 
     /// Whether `off` is a live allocation's payload ([`Heap::is_live`]).
@@ -469,10 +474,11 @@ pub(crate) mod tests {
     }
 
     /// Found by `tests/crash_states.rs` (seed 0x21, scenario `tx`, crash
-    /// point 34): splitting a free block that has a physical successor
-    /// persists the successor's `prev_size` before the header whose size it
-    /// mirrors, and `open` refused the image in between as a broken chain.
-    /// Recovery mends the back link instead.
+    /// point 34) while a split wrote its successor's back link in another
+    /// cacheline than the header whose size it mirrored. Headers hold no
+    /// back link now: a split's one write outside its blocks is its tail's
+    /// header, and a free merges in the free map alone. Every crash point of
+    /// splits, carves and frees beside free blocks mounts clean.
     #[test]
     fn a_crash_inside_a_block_split_or_merge_still_mounts() {
         let points = recovered_along(1 << 21, |pool, clock| {
@@ -488,13 +494,14 @@ pub(crate) mod tests {
     }
 
     /// Found by `tests/crash_states.rs` (seed 0x21, scenario `tx`, crash
-    /// point 88): a deferred free that merged into a free predecessor and
-    /// crashed before marking its own absorbed header FREE was replayed by
-    /// lane recovery, which still read ALLOC there and freed a block inside
-    /// a free block ("coalesce target not in free map"). The absorbed header
-    /// now flips first.
+    /// point 88) while a free merged on media: a deferred free that crashed
+    /// mid-merge was replayed by recovery as a free inside a free block. A
+    /// transaction's free is one logged state word now, and the merge is the
+    /// free map's: at every crash point of a free beside a free block the
+    /// pool mounts with the block live (the lane rolls the word back) or
+    /// free beside its neighbour, two FREE blocks the walk merges.
     #[test]
-    fn a_deferred_free_that_crashed_mid_merge_replays_cleanly() {
+    fn a_free_beside_a_free_block_mounts_clean_at_every_crash_point() {
         recovered_along(1 << 21, |pool, clock| {
             let hole = pool.alloc(clock, 1024).unwrap();
             let victim = pool.alloc(clock, 128).unwrap();
@@ -502,6 +509,36 @@ pub(crate) mod tests {
             pool.free(clock, hole).unwrap(); // the victim's predecessor is free
             pool.tx(clock, |tx| tx.free(victim)).unwrap();
         });
+    }
+
+    /// A hole and the block behind it freed: two adjacent FREE blocks on
+    /// media, one region in the free map. A transaction carves 1 050 bytes
+    /// from it, splitting off a tail, and fills them across the second
+    /// block's header; the carve's drain makes the fill durable before its
+    /// commit header. The region's merged header goes first, behind the
+    /// count store's fence, so no crash point finds a fill where the walk
+    /// reads a header. Every one mounts clean.
+    #[test]
+    fn a_carve_across_two_adjacent_free_blocks_mounts_clean_at_every_crash_point() {
+        let points = recovered_along(1 << 21, |pool, clock| {
+            let hole = pool.alloc(clock, 1024).unwrap();
+            let next = pool.alloc(clock, 128).unwrap();
+            let _pin = pool.alloc(clock, 64).unwrap();
+            pool.free(clock, hole).unwrap();
+            pool.free(clock, next).unwrap();
+            let walked = crate::doctor::walk_heap(pool.device());
+            assert_eq!(walked.free_blocks, 3, "the hole, `next` and the tail");
+            let fill = |i: usize, at: &[u64], head: &[u8]| {
+                let bytes = [head, &[7u8; 1050][..]].concat();
+                write_unfenced(clock, pool.device(), at[i] - head.len() as u64, &bytes);
+                Ok(())
+            };
+            let at = pool.tx(clock, |tx| tx.alloc_many(&[1050], fill));
+            assert_eq!(at.unwrap(), [hole]);
+            let walked = crate::doctor::walk_heap(pool.device());
+            assert_eq!(walked.free_blocks, 2, "the carve's tail and the heap's");
+        });
+        assert!(points > 10, "{points}");
     }
 
     /// A transaction allocates 512, 256 and 4 096 bytes on a heap with a

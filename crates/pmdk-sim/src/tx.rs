@@ -11,30 +11,25 @@
 //! * `alloc_many` (`alloc` is a group of one) has the heap *plan* the group,
 //!   persists the planned offsets as *allocation intents*, and only then lets
 //!   the heap write block headers: a rollback frees every block that came to
-//!   be, and skips an intent that still lies in a free block.
+//!   be, and skips an intent that still lies in a free region.
+//! * `free` is a logged store: the block's ALLOC state word waits for the
+//!   next undo append, and the commit stores FREE over it. The heap takes
+//!   the block once the lane is `IDLE`, never while a crash could undo it.
 //! * Beginning stores nothing. A *count store* (`ACTIVE`, both counts) comes
-//!   before the first store a rollback must undo, not after every append:
-//!   records and free intents wait for it, uncounted. `IDLE` is the state
-//!   word alone: an idle lane's counts are never read.
-//! * `free` is deferred: a *free intent* is staged, stored by the next count
-//!   store, and executed — by the commit from its own list, by recovery from
-//!   the media — once the lane is durably `COMMITTING`, which only a
-//!   transaction with frees stores: without any, `IDLE` is the commit point.
-//! * Recovery (`LaneTable::recover`, run at pool open) rolls back `ACTIVE`
-//!   lanes (apply undo log backwards, free alloc-intents) and rolls forward
-//!   `COMMITTING` lanes (execute free-intents, discard the log). An abort in
-//!   process rolls back too, restoring only the logged ranges it stored.
-//!
-//! Alloc- and free-intents share one array: heap payloads are 64-byte
-//! aligned, so the low bit tags the entry kind (1 = deferred free).
+//!   before the first store a rollback must undo, not after every append.
+//!   `IDLE`, the state word alone, is every transaction's commit point.
+//! * A rollback — an abort in process, or a mount's for an `ACTIVE` lane —
+//!   stores the pre-images newest first, then frees the intents' blocks.
+//!   A mount restores before its heap walk (the records restore block
+//!   headers) and frees after it; an abort restores only what it stored.
 
-use crate::alloc::write_unfenced;
+use crate::alloc::{state_word, write_unfenced};
 use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
 use pmem_sim::flight::EventCode;
 use pmem_sim::sync::Mutex;
-use pmem_sim::Clock;
+use pmem_sim::{Clock, PmemDevice};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -52,7 +47,7 @@ impl LaneTable {
     }
 
     /// Persist pristine lane headers (pool create).
-    pub(crate) fn format(clock: &Clock, device: &Arc<pmem_sim::PmemDevice>) {
+    pub(crate) fn format(clock: &Clock, device: &Arc<PmemDevice>) {
         let zeros = vec![0u8; LANE_HEADER_SIZE as usize];
         for i in 0..LANES {
             let off = lane_offset(i) as usize;
@@ -69,57 +64,57 @@ impl LaneTable {
         self.free.lock().push(lane);
     }
 
-    /// Scan all lanes and repair interrupted transactions.
-    /// Returns how many lanes needed recovery.
-    pub(crate) fn recover(&self, clock: &Clock, pool: &PmemPool) -> Result<u64> {
-        let mut repaired = 0;
+    /// A mount's lane recovery before its heap walk: decode every lane (a
+    /// lane that faults refuses the mount before any store), then restore
+    /// each ACTIVE one's pre-images behind one drain. Returns each such
+    /// lane's base and intents, for [`retire_lane`] on the walked heap.
+    pub(crate) fn restore(clock: &Clock, device: &PmemDevice) -> Result<Vec<(u64, Vec<u64>)>> {
+        let src = Charged { device, clock };
+        let (mut records, mut busy) = (Vec::new(), Vec::new());
         for i in 0..LANES {
             let base = lane_offset(i);
-            match pool.charged(clock).u32_at(base + lane::STATE) {
-                LANE_IDLE => continue,
-                s @ (LANE_ACTIVE | LANE_COMMITTING) => retire_lane(clock, pool, base, s, None)?,
+            match src.u32_at(base + lane::STATE) {
+                LANE_IDLE => {}
+                LANE_ACTIVE => {
+                    records.extend(undo_records(&src, base)?.into_iter().rev());
+                    busy.push((base, intents(&src, base)?));
+                }
                 s => return bad(format!("lane {i} has invalid state {s}")),
             }
-            repaired += 1;
         }
-        Ok(repaired)
+        for rec in &records {
+            write_unfenced(clock, device, rec.off, &rec.pre);
+        }
+        if !records.is_empty() {
+            device.drain(clock);
+        }
+        Ok(busy)
     }
 }
 
-/// Repair a lane found `state` on media, then idle it. `ACTIVE` rolls back:
-/// the undo log applies backwards and the blocks the dead transaction
-/// allocated are freed (its free intents are dropped: the frees never ran).
-/// `COMMITTING` rolls forward: its deferred frees run. An intent naming no
-/// live block is skipped: a free an earlier attempt ran, or a carve that
-/// never happened. The log and the intents are decoded — and bounds-checked
-/// — by [`crate::layout`], so a corrupt lane is `BadPool`, not a wild write.
-/// An abort in process restores only the records over ranges it `stored`.
-fn retire_lane(
+/// Roll a lane back: the pre-images of `records`, newest first, and FREE
+/// over each live block `allocs` names, one flush each; one drain; `IDLE`;
+/// then the heap takes the blocks.
+pub(crate) fn retire_lane(
     clock: &Clock,
     pool: &PmemPool,
     base: u64,
-    state: u32,
-    stored: Option<&[(u64, u64)]>,
-) -> Result<()> {
-    let (src, tag) = (pool.charged(clock), u64::from(state == LANE_COMMITTING));
-    let wrote = |rec: &UndoRecord| {
-        let end = rec.off + rec.pre.len() as u64;
-        stored.is_none_or(|s| s.iter().any(|&(off, len)| rec.off < off + len && off < end))
-    };
-    if tag == 0 {
-        // Restore snapshotted pre-images, newest first.
-        for rec in undo_records(&src, base)?.into_iter().rev().filter(wrote) {
-            pool.write_bytes(clock, rec.off, &rec.pre);
-        }
+    records: &[UndoRecord],
+    allocs: &[u64],
+) {
+    let (dev, free) = (pool.device(), BLOCK_FREE.to_le_bytes());
+    let freed: Vec<u64> = (allocs.iter().copied())
+        .filter(|&off| pool.is_live(off))
+        .collect();
+    let frees = freed.iter().map(|&off| (state_word(off), &free[..]));
+    for (off, bytes) in (records.iter().rev().map(|r| (r.off, &r.pre[..]))).chain(frees) {
+        write_unfenced(clock, dev, off, bytes);
     }
-    let mut offs = tagged_intents(&src, base, tag)?;
-    offs.retain(|&off| pool.is_live(off));
-    pool.free_then(clock, &offs, || idle_lane(clock, pool, base))
-}
-
-/// Release the lane on media: one store of its state word.
-fn idle_lane(clock: &Clock, pool: &PmemPool, base: u64) {
+    if !records.is_empty() || !freed.is_empty() {
+        dev.drain(clock);
+    }
     pool.write_u32(clock, base + lane::STATE, LANE_IDLE);
+    pool.release(clock, &freed);
 }
 
 /// A live transaction handle.
@@ -132,7 +127,9 @@ pub struct Tx<'a> {
     /// The counts on media, `(undo, intents)`: `None` until a count store
     /// publishes the lane (an unpublished lane's counts are an older one's).
     counted: Option<(u64, u64)>,
-    /// The blocks `free_many` named, in slot order: what `commit` executes.
+    /// Undo records not stored yet: the frees', until the next append.
+    pending: Vec<u8>,
+    /// The blocks `free_many` named: stored FREE by the commit.
     frees: Vec<u64>,
     /// Ranges stored, fresh or logged, that the commit flushes.
     fresh: Vec<(u64, u64)>,
@@ -157,6 +154,7 @@ impl<'a> Tx<'a> {
             undo_used: 0,
             intents_used: 0,
             counted: None,
+            pending: Vec::new(),
             frees: Vec::new(),
             fresh: Vec::new(),
         };
@@ -164,16 +162,22 @@ impl<'a> Tx<'a> {
             Ok(v) => {
                 machine.metric_counter_add("tx.commits", 1);
                 machine.metric_counter_add("tx.undo_bytes", tx.undo_used);
-                let committed = tx.commit();
-                if committed.is_ok() {
-                    pool.flight().record(clock, EventCode::TxCommit, lane, 0);
-                }
+                tx.commit();
+                pool.flight().record(clock, EventCode::TxCommit, lane, 0);
                 pool.lanes.release(lane);
-                committed.map(|()| v)
+                Ok(v)
             }
             Err(e) => {
+                // The counted records over ranges the body stored, and the
+                // counted alloc intents, decoded from the lane.
                 if tx.counted.is_some() {
-                    retire_lane(clock, pool, tx.lane_base, LANE_ACTIVE, Some(&tx.fresh))?;
+                    let (src, base) = (pool.charged(clock), tx.lane_base);
+                    let mut records = undo_records(&src, base)?;
+                    records.retain(|r| {
+                        let end = r.off + r.pre.len() as u64;
+                        (tx.fresh.iter()).any(|&(off, len)| r.off < off + len && off < end)
+                    });
+                    retire_lane(clock, pool, base, &records, &intents(&src, base)?);
                 }
                 pool.flight().record(clock, EventCode::TxAbort, lane, 0);
                 pool.lanes.release(lane);
@@ -183,32 +187,44 @@ impl<'a> Tx<'a> {
     }
 
     /// Log `pres` — each a range and the bytes the caller has just read out
-    /// of it — so a rollback can restore them. However many records there
-    /// are, they are one store and one flush, uncounted: the next count
-    /// store counts them, and must come before any range is overwritten —
-    /// by [`Tx::write_new`], whose ranges are all an abort restores.
+    /// of it — so a rollback can restore them, behind the pending records.
+    /// However many records there are, they are one store and one flush,
+    /// uncounted: the next count store counts them, and must come before
+    /// any range is overwritten — by [`Tx::write_new`], whose ranges are all
+    /// an abort restores.
     pub(crate) fn log<P: AsRef<[u8]>>(
         &mut self,
         pres: impl IntoIterator<Item = (u64, P)>,
     ) -> Result<()> {
-        let dev = self.pool.device();
-        let mut records = Vec::new();
         for (off, pre) in pres {
             let pre = pre.as_ref();
-            debug_assert_eq!(pre, dev.read_vec_untimed(off as usize, pre.len()));
-            records.extend(encode_undo_record(off, pre));
+            debug_assert_eq!(
+                pre,
+                self.pool.device().read_vec_untimed(off as usize, pre.len())
+            );
+            self.pending.extend(encode_undo_record(off, pre));
         }
-        let size = records.len() as u64;
-        if self.undo_used + size > UNDO_CAPACITY {
-            return Err(PmdkError::TxFailure(format!(
-                "undo log overflow: {} + {size} > {UNDO_CAPACITY}",
-                self.undo_used
-            )));
-        }
-        let at = lane_undo(self.lane_base) + self.undo_used;
-        write_unfenced(self.clock, dev, at, &records);
-        self.undo_used += size;
+        self.room()?;
+        self.append();
         Ok(())
+    }
+
+    /// Whether the pending records fit this lane's undo log.
+    fn room(&self) -> Result<()> {
+        match self.undo_used + self.pending.len() as u64 {
+            used if used > UNDO_CAPACITY => Err(PmdkError::TxFailure(format!(
+                "undo log overflow: {used} > {UNDO_CAPACITY}"
+            ))),
+            _ => Ok(()),
+        }
+    }
+
+    /// Store the pending records behind the log: one store, one flush.
+    fn append(&mut self) {
+        let at = lane_undo(self.lane_base) + self.undo_used;
+        write_unfenced(self.clock, self.pool.device(), at, &self.pending);
+        self.undo_used += self.pending.len() as u64;
+        self.pending.clear();
     }
 
     /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's undo log.
@@ -221,7 +237,7 @@ impl<'a> Tx<'a> {
         let mut pre = vec![0u8; data.len()];
         self.pool.read_bytes(self.clock, off, &mut pre);
         self.log([(off, pre)])?;
-        self.store_header(LANE_ACTIVE, &[]);
+        self.store_header(&[]);
         self.write_new(off, data);
         Ok(())
     }
@@ -230,7 +246,7 @@ impl<'a> Tx<'a> {
     /// `(offset, was, now)`: one append logs them all, and nothing is read.
     pub(crate) fn set_words(&mut self, words: &[(u64, u64, u64)]) -> Result<()> {
         self.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
-        self.store_header(LANE_ACTIVE, &[]);
+        self.store_header(&[]);
         for &(off, _, now) in words {
             self.write_new(off, &now.to_le_bytes());
         }
@@ -254,12 +270,13 @@ impl<'a> Tx<'a> {
         Ok(self.alloc_many(&[size], |_, _, _| Ok(()))?[0])
     }
 
-    /// Transactionally allocate a group of blocks in one free-list pass; all
+    /// Transactionally allocate a group of blocks in one free-map pass; all
     /// are rolled back together if the tx aborts. Offsets come back in
     /// request order. The heap plans the group, the offsets go into intent
-    /// slots — durable, and counted with whatever waited for a count store —
-    /// and only then do the block headers change: no crash leaves a block
-    /// allocated that no intent names.
+    /// slots — durable, and counted with whatever waited for a count store,
+    /// a merged header the carve needs among it — and only then do the
+    /// block headers change: no crash leaves a block allocated that no
+    /// intent names.
     /// `store(i, offsets, header)` fills block `i` led by its header
     /// ([`PmemPool::headers`] stores the headers alone); a fill that fails
     /// fails the transaction, whose rollback frees every block.
@@ -272,23 +289,20 @@ impl<'a> Tx<'a> {
             return Err(PmdkError::TxFailure("intent table overflow".into()));
         }
         let (pool, clock) = (self.pool, self.clock);
-        let count = |offs: &[u64]| self.store_header(LANE_ACTIVE, offs);
+        let count = |offs: &[u64], _merged| self.store_header(offs);
         pool.alloc_planned(clock, sizes, count, &mut store)
     }
 
-    /// Transactionally free `off`; executed only if the tx commits.
+    /// Transactionally free `off`; it takes effect only if the tx commits.
     pub fn free(&mut self, off: u64) -> Result<()> {
         self.free_many(&[off])
     }
 
-    /// Transactionally free a group of blocks, their intents staged for the
-    /// next count store; executed only if the tx commits. A block this
-    /// transaction freed already is refused here, while it can still roll
-    /// back: at commit the second free would fail after the first had run.
+    /// Transactionally free a group of blocks: each block's ALLOC state
+    /// word joins the pending records, and the commit stores FREE over it.
+    /// A block this transaction freed already is refused here, while it can
+    /// still roll back.
     pub(crate) fn free_many(&mut self, offs: &[u64]) -> Result<()> {
-        if self.intents_used + offs.len() as u64 > LANE_INTENTS {
-            return Err(PmdkError::TxFailure("intent table overflow".into()));
-        }
         for (i, &off) in offs.iter().enumerate() {
             // Validate now so the error surfaces in the tx, not at commit.
             self.pool.usable_size(off)?;
@@ -296,22 +310,24 @@ impl<'a> Tx<'a> {
                 return Err(PmdkError::BadPointer(off));
             }
         }
+        let alloc = BLOCK_ALLOC.to_le_bytes();
+        let records = offs
+            .iter()
+            .map(|&off| encode_undo_record(state_word(off), &alloc));
+        self.pending.extend(records.flatten());
         self.frees.extend_from_slice(offs);
-        self.intents_used += offs.len() as u64;
-        Ok(())
+        self.room()
     }
 
-    /// The count store: the slots media lacks — the staged frees (the last
-    /// of `frees`), then `allocs` — one flushed store; a fence behind all
-    /// flushed so far; one persisted store of the header line, both counts
-    /// unless media holds them, then `state`, in program order.
-    fn store_header(&mut self, state: u32, allocs: &[u64]) {
+    /// The count store: the pending records, then the slots of `allocs`,
+    /// one flushed store each; a fence behind all flushed so far; one
+    /// persisted store of the header line, both counts unless media holds
+    /// them, then `ACTIVE`, in program order.
+    fn store_header(&mut self, allocs: &[u64]) {
+        self.append();
         let (dev, base) = (self.pool.device(), self.lane_base as usize);
-        let stored = self.counted.map_or(0, |(_, intents)| intents);
-        let staged = &self.frees[self.frees.len() - (self.intents_used - stored) as usize..];
-        let slots = (staged.iter().map(|off| off | 1)).chain(allocs.iter().copied());
-        let slots: Vec<u8> = slots.flat_map(u64::to_le_bytes).collect();
-        let at = lane_intents(self.lane_base) + stored * 8;
+        let slots: Vec<u8> = allocs.iter().flat_map(|off| off.to_le_bytes()).collect();
+        let at = lane_intents(self.lane_base) + self.intents_used * 8;
         write_unfenced(self.clock, dev, at, &slots);
         self.intents_used += allocs.len() as u64;
         dev.drain(self.clock);
@@ -321,38 +337,40 @@ impl<'a> Tx<'a> {
             dev.write_untimed(base + lane::UNDO_LEN as usize, &words.concat());
             line = 12;
         }
-        dev.write_untimed(base + lane::STATE as usize, &state.to_le_bytes());
+        dev.write_untimed(base + lane::STATE as usize, &LANE_ACTIVE.to_le_bytes());
         dev.machine()
             .charge_pmem_write_meta(self.clock, line as u64);
         dev.persist(self.clock, base, line);
         self.counted = Some(counts);
     }
 
-    fn commit(&mut self) -> Result<()> {
-        let (dev, clock, pool, base) = (self.pool.device(), self.clock, self.pool, self.lane_base);
+    fn commit(&mut self) {
+        let (dev, clock, pool) = (self.pool.device(), self.clock, self.pool);
         let _p = dev.machine().phase(clock, "pmdk", "tx.commit");
-        // Every store of the body, and whatever the caller flushed, is durable
-        // behind one fence before the commit point: COMMITTING, else IDLE.
+        // Every free's record is counted before its FREE store: a
+        // transaction that freed after its last count store stores one more.
+        let counted = self.counted.map(|(undo, _)| undo) == Some(self.undo_used);
+        if !self.frees.is_empty() && (!counted || !self.pending.is_empty()) {
+            self.store_header(&[]);
+        }
+        let frees = std::mem::take(&mut self.frees);
+        for &off in &frees {
+            self.write_new(state_word(off), &BLOCK_FREE.to_le_bytes());
+        }
+        // Every store of the body, and whatever the caller flushed, is
+        // durable behind one fence before the commit point, IDLE.
         let stored = !self.fresh.is_empty();
         for (off, len) in self.fresh.drain(..) {
             dev.flush(clock, off as usize, len as usize);
         }
-        if self.frees.is_empty() {
-            if stored {
-                dev.drain(clock);
-            }
-            // A lane never published is IDLE on media already.
-            if self.counted.is_some() {
-                idle_lane(clock, pool, base);
-            }
-            return Ok(());
+        if stored {
+            dev.drain(clock);
         }
-        self.store_header(LANE_COMMITTING, &[]);
-        // Execute deferred frees from the transaction's own list; recovery,
-        // which has no list, decodes the same blocks from the intent slots.
-        debug_assert_eq!(tagged_intents(&**dev, base, 1).as_ref(), Ok(&self.frees));
-        let frees = std::mem::take(&mut self.frees);
-        pool.free_then(clock, &frees, || idle_lane(clock, pool, base))
+        // A lane never published is IDLE on media already.
+        if self.counted.is_some() {
+            pool.write_u32(clock, self.lane_base + lane::STATE, LANE_IDLE);
+        }
+        pool.release(clock, &frees);
     }
 }
 
@@ -431,10 +449,9 @@ mod tests {
         assert!(pool.usable_size(p).is_err());
     }
 
-    /// A commit executes the list the transaction kept, not a decode of its
-    /// own intent slots: 64 allocations and 3 frees free exactly those 3 —
-    /// debug builds check the list against the media, slot for slot — and
-    /// the whole transaction reads no metadata back.
+    /// A commit frees the list the transaction kept: 64 allocations and 3
+    /// frees free exactly those 3, and the whole transaction reads no
+    /// metadata back.
     #[test]
     fn a_commit_frees_what_the_transaction_named_and_reads_nothing_back() {
         let dev = PmemDevice::new(Machine::chameleon(), 1 << 21, PersistenceMode::Tracked);
@@ -469,11 +486,10 @@ mod tests {
         pool.check_heap().unwrap();
     }
 
-    /// Freeing a block twice in one transaction used to pass both checks,
-    /// push two intents and fail at the second `pool.free` — after the commit
-    /// point, with the first free executed: `Err` for a transaction that had
-    /// committed, and a lane released at COMMITTING with its intents on media.
-    /// It is refused inside the body now, where the transaction still aborts.
+    /// Freeing a block twice in one transaction used to pass both checks and
+    /// fail at the second free — after the commit point, with the first one
+    /// executed: `Err` for a transaction that had committed. It is refused
+    /// inside the body, where the transaction still aborts.
     #[test]
     fn freeing_a_block_twice_aborts_the_transaction() {
         let (pool, clock) = fresh_pool(1 << 21);
@@ -534,9 +550,10 @@ mod tests {
         pool.check_heap().unwrap();
     }
 
-    /// A transaction that overwrites the root and frees a block; the marks
-    /// are the end of its body (its commit's first crash point) and of the
-    /// transaction.
+    /// A transaction that overwrites the root and frees a block, and a
+    /// store behind it (so the transaction's last point is not the run's);
+    /// the marks are the end of its body (its commit's first crash point)
+    /// and of the transaction.
     fn set_and_free(
         pool: &Arc<PmemPool>,
         clock: &Clock,
@@ -553,7 +570,9 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        (root, victim, [body_end, passed()])
+        let end = passed();
+        pool.write_bytes(clock, root + 32, b"after");
+        (root, victim, [body_end, end])
     }
 
     #[test]
@@ -568,18 +587,45 @@ mod tests {
         }
     }
 
+    /// IDLE is the commit point: the first image past it holds the new
+    /// value and the free, with nothing left for recovery to do.
     #[test]
-    fn crash_after_commit_point_rolls_forward() {
+    fn crash_after_the_commit_point_keeps_the_new_value_and_the_free() {
         let ((.., [_, end]), _) = crashed_at(1 << 21, usize::MAX, set_and_free);
         let commit = last_uncommitted(1 << 21, end, set_and_free) + 1;
         let ((root, victim, _), image) = crashed_at(1 << 21, commit, set_and_free);
         let image = image.unwrap();
-        assert_eq!(crate::doctor::read_lanes(&image).committing, 1);
+        assert!(crate::doctor::read_lanes(&image).all_idle());
         let clock = Clock::new();
         let pool = PmemPool::open(&clock, image, "test-layout").unwrap();
-        // Data keeps the new value (commit point passed)...
         assert_eq!(&root_after(&pool, &clock, root), b"newvalue!");
-        // ...and the deferred free completed during recovery.
+        assert!(pool.usable_size(victim).is_err());
+        pool.check_heap().unwrap();
+    }
+
+    /// The free's window: its FREE state word is durable, the lane still
+    /// ACTIVE. A crash there rolls the word back with the root's: the old
+    /// value reads back and the block is live, once, after a remount.
+    #[test]
+    fn a_crash_between_the_freed_state_word_and_idle_keeps_the_old_value_and_the_block() {
+        let ((.., [body_end, end]), _) = crashed_at(1 << 21, usize::MAX, set_and_free);
+        let freed = |image: &PmemDevice, victim: u64| {
+            image.u32_at(state_word(victim)) == BLOCK_FREE
+                && crate::doctor::read_lanes(image).active == 1
+        };
+        let (victim, image, root) = (body_end..end)
+            .find_map(|k| {
+                let ((root, victim, _), image) = crashed_at(1 << 21, k, set_and_free);
+                let image = image.unwrap();
+                freed(&image, victim).then_some((victim, image, root))
+            })
+            .expect("a crash point between the FREE word and IDLE");
+        let clock = Clock::new();
+        let pool = PmemPool::open(&clock, image, "test-layout").unwrap();
+        assert_eq!(&root_after(&pool, &clock, root), b"original!");
+        assert_eq!(pool.usable_size(victim), Ok(128));
+        pool.check_heap().unwrap();
+        pool.tx(&clock, |tx| tx.free(victim)).unwrap();
         assert!(pool.usable_size(victim).is_err());
         pool.check_heap().unwrap();
     }
@@ -698,9 +744,9 @@ mod tests {
 
     /// The barrier ledger (DESIGN §8): an undo record is one fence and its
     /// count store another; however many ranges a transaction stores —
-    /// fresh, or the targets of its records — they share the one fence
-    /// before the commit point, which is the IDLE store when nothing is
-    /// freed.
+    /// fresh, or the targets of its records, a freed block's state word
+    /// among them — they share the one fence before the commit point, the
+    /// IDLE store.
     #[test]
     fn fresh_stores_share_one_fence_and_an_undo_record_costs_two() {
         let (pool, clock) = fresh_pool(1 << 21);
@@ -751,6 +797,54 @@ mod tests {
             .unwrap();
             assert_eq!(fences(&pool) - before, 2 + 2 + 1, "{sizes:?}");
         }
+        // A free staged before a set rides its record's append and count
+        // store; the commit's fence covers the set's target and the FREE
+        // word: the set's four. Staged after the count store, it needs a
+        // count store of its own in the commit: two more.
+        let victims = pool.alloc_many(&clock, &[64, 64]).unwrap();
+        let before = fences(&pool);
+        pool.tx(&clock, |tx| {
+            tx.free(victims[0])?;
+            tx.set(root, b"freed 0!")
+        })
+        .unwrap();
+        assert_eq!(fences(&pool) - before, 2 + 1 + 1);
+        let before = fences(&pool);
+        pool.tx(&clock, |tx| {
+            tx.set(root, b"freed 1!")?;
+            tx.free(victims[1])
+        })
+        .unwrap();
+        assert_eq!(fences(&pool) - before, 2 + 2 + 1 + 1);
+    }
+
+    /// An abort restores every pre-image it stored, one flush each, behind
+    /// one fence: a 64-word `set_words` that fails pays the fences of a
+    /// 1-word one — its count store, the restore's drain and IDLE — where
+    /// each restored record was a fence of its own.
+    #[test]
+    fn an_aborted_set_words_restores_behind_one_fence_whatever_its_length() {
+        let (pool, clock) = fresh_pool(1 << 21);
+        let block = pool.alloc(&clock, 64 * 8).unwrap();
+        for i in 0..64 {
+            pool.write_u64(&clock, block + i * 8, i);
+        }
+        let abort = |n: u64| {
+            let before = fences(&pool);
+            let words: Vec<_> = (0..n).map(|i| (block + i * 8, i, u64::MAX)).collect();
+            let err = pool.tx(&clock, |tx| {
+                tx.set_words(&words)?;
+                Err::<(), _>(PmdkError::TxFailure("abort".into()))
+            });
+            assert!(err.is_err());
+            fences(&pool) - before
+        };
+        assert_eq!((abort(1), abort(64)), (2 + 1 + 1, 2 + 1 + 1));
+        for i in 0..64 {
+            assert_eq!(pool.read_u64(&clock, block + i * 8), i);
+        }
+        let pool = reopen(pool, &clock);
+        assert_eq!(pool.read_u64(&clock, block + 63 * 8), 63);
     }
 
     /// The put path's budget: a 64-key group of fresh keys in distinct
@@ -760,8 +854,8 @@ mod tests {
     /// all of it durable: 6 for the group (8 while the records had a count
     /// store of their own after the carve, 12 while every lane transition
     /// was a store of its own, 266 before the values came first). An
-    /// overwrite of one key adds its free intent and its unlink's record to
-    /// the same stores.
+    /// overwrite of one key adds its free's record to the same append and
+    /// its FREE word to the same commit fence.
     #[test]
     fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
         use crate::hashtable::{fnv1a, PersistentHashtable};
@@ -789,23 +883,23 @@ mod tests {
         assert_eq!(fences(&pool) - before, 6);
         let before = fences(&pool);
         ht.put(&clock, &keys[0], b"replaced").unwrap();
-        // The same 6, COMMITTING (which counts nothing new: the free
-        // intent's slot rode in the carve's count store) and the one the
-        // committed free pays in the heap: 10 while the records had a count
-        // store of their own, 16 while every lane transition was a store of
-        // its own, 20 before that (21 through `Pmem`, whose value had a
-        // fence of its own).
-        assert_eq!(fences(&pool) - before, 8);
+        // The same 6: the free's record rode in the carve's count store and
+        // its FREE word behind the commit's fence (8 while COMMITTING and the
+        // heap's free were stores of their own, 10 while the records had a
+        // count store of their own, 16 while every lane transition was a
+        // store of its own, 20 before that — 21 through `Pmem`, whose value
+        // had a fence of its own).
+        assert_eq!(fences(&pool) - before, 6);
     }
 
-    /// An overwrite group's lane header is stored three times: `ACTIVE` by
-    /// the carve's count store, which counts the undo records and the free
-    /// intent the group stored ahead of it with the alloc intent; then
-    /// `COMMITTING`, the commit point; then `IDLE`. Each store is persisted
-    /// at once, so each is one run of crash points at which the header line
-    /// is in flight.
+    /// An overwrite group's lane header is stored twice: `ACTIVE` by the
+    /// carve's count store, which counts the undo records the group stored
+    /// ahead of it — the head word's and the freed block's state word's —
+    /// with the alloc intent; then `IDLE`, the commit point. Each store is
+    /// persisted at once, so each is one run of crash points at which the
+    /// header line is in flight.
     #[test]
-    fn an_overwrite_group_stores_its_lane_header_at_active_committing_and_idle() {
+    fn an_overwrite_group_stores_its_lane_header_at_active_and_idle() {
         use crate::hashtable::PersistentHashtable;
         use std::sync::Mutex;
         let (pool, clock) = fresh_pool(1 << 22);
@@ -834,25 +928,24 @@ mod tests {
         ht.put(&clock, b"key", b"new value").unwrap();
         let runs = std::mem::take(&mut runs.lock().unwrap().1);
         let states: Vec<u32> = runs.iter().map(|r| r[0]).collect();
-        assert_eq!(states, [LANE_ACTIVE, LANE_COMMITTING, LANE_IDLE]);
-        // One head record; the free intent and the alloc intent, counted
-        // by the first store.
-        assert_eq!(runs[0][1..], [undo_record_size(8) as u32, 2]);
+        assert_eq!(states, [LANE_ACTIVE, LANE_IDLE]);
+        // The head record and the free's; the alloc intent, counted by the
+        // first store.
+        let undo = undo_record_size(4) + undo_record_size(8);
+        assert_eq!(runs[0][1..], [undo as u32, 1]);
         assert_eq!(ht.get(&clock, b"key").unwrap(), b"new value");
     }
 
     /// A committed free rejoins the free map only once its lane's IDLE
     /// store is durable. A free-running thread handed the block sooner
-    /// loses it to a crash in between: recovery finds the lane COMMITTING
-    /// and replays the free over that thread's allocation. From the first
-    /// crash point after the free until IDLE (or until it has the block),
-    /// a second thread asks for the freed size: it must not get the block
-    /// while the durable lane says COMMITTING. The image where it got it —
-    /// else the last one before IDLE — is remounted.
+    /// loses it to a crash in between: recovery finds the lane ACTIVE and
+    /// restores the block's ALLOC word under that thread's allocation. At
+    /// the first crash point at which the block's FREE word is durable and
+    /// the lane still ACTIVE, a second thread asks for the freed size: it
+    /// must get another block. That image is remounted: both blocks live.
     #[test]
     fn a_committed_free_is_reused_only_once_its_lane_is_idle() {
-        use std::sync::{mpsc, Mutex};
-        use std::time::Duration;
+        use std::sync::Mutex;
         let (pool, clock) = fresh_pool(1 << 21);
         let victim = pool.alloc(&clock, 128).unwrap();
         // The victim frees to a 128-byte block of its own, the best fit.
@@ -861,60 +954,41 @@ mod tests {
             u32::from_le_bytes(image[off as usize..][..4].try_into().unwrap())
         };
         let committer = std::thread::current().id();
-        let (sent, got) = mpsc::channel();
-        let got = Arc::new(Mutex::new(got));
-        // (whether the second thread has started, its block, the image)
-        let seen = Arc::new(Mutex::new((false, None, None)));
-        let (hook_pool, hook_got, hook_seen) =
-            (Arc::clone(&pool), Arc::clone(&got), Arc::clone(&seen));
+        // (the second thread's block, the image it was taken in)
+        let seen = Arc::new(Mutex::new((None, None)));
+        let (hook_pool, hook_seen) = (Arc::clone(&pool), Arc::clone(&seen));
         pool.device().at_crash_points(move |dev| {
             // The second thread's own crash points pass.
-            if std::thread::current().id() != committer || hook_seen.lock().unwrap().1.is_some() {
+            if std::thread::current().id() != committer || hook_seen.lock().unwrap().0.is_some() {
                 return;
             }
-            // On media the lane says COMMITTING, and the victim is free (it
-            // need not stay free: the second thread may take it).
             let image = dev.crash_image(&[]);
-            let started = hook_seen.lock().unwrap().0;
-            let freed = state_at(&image, victim - BLOCK_HEADER_SIZE + blk::STATE) == BLOCK_FREE;
-            let lane = state_at(&image, lane_offset(0) + lane::STATE);
-            if lane != LANE_COMMITTING || !(started || freed) {
+            let freed = state_at(&image, state_word(victim)) == BLOCK_FREE;
+            if !freed || state_at(&image, lane_offset(0) + lane::STATE) != LANE_ACTIVE {
                 return;
             }
-            if !started {
-                hook_seen.lock().unwrap().0 = true;
-                let (pool, sent) = (Arc::clone(&hook_pool), sent.clone());
-                std::thread::spawn(move || sent.send(pool.alloc(&Clock::new(), 128).unwrap()));
-            }
-            let reused = hook_got
-                .lock()
-                .unwrap()
-                .recv_timeout(Duration::from_millis(250));
-            let mut seen = hook_seen.lock().unwrap();
-            (seen.1, seen.2) = (reused.ok(), Some(dev.crash_image(&[])));
+            let pool = Arc::clone(&hook_pool);
+            let other = std::thread::spawn(move || pool.alloc(&Clock::new(), 128).unwrap());
+            let other = other.join().unwrap();
+            *hook_seen.lock().unwrap() = (Some(other), Some(dev.crash_image(&[])));
         });
         pool.tx(&clock, |tx| tx.free(victim)).unwrap();
-        let (started, reused, image) = std::mem::take(&mut *seen.lock().unwrap());
-        assert!(started, "no crash point fell between the free and IDLE");
+        let (other, image) = std::mem::take(&mut *seen.lock().unwrap());
+        let other = other.expect("no crash point fell between the FREE word and IDLE");
+        assert_ne!(
+            other, victim,
+            "the block was handed out while its lane was ACTIVE"
+        );
         let image = image.unwrap();
         let dev = PmemDevice::new(Machine::chameleon(), image.len(), PersistenceMode::Tracked);
         dev.write_untimed(0, &image);
         dev.persist_untimed(0, image.len());
         let remounted = PmemPool::open(&clock, dev, "tx-test").unwrap();
-        if let Some(reused) = reused {
-            assert!(
-                remounted.usable_size(reused).is_ok(),
-                "recovery freed the block the second thread allocated"
-            );
-        }
+        assert!(remounted.usable_size(other).is_ok() && remounted.usable_size(victim).is_ok());
         remounted.check_heap().unwrap();
         assert_eq!(
-            reused, None,
-            "the block was handed out while the lane said COMMITTING"
-        );
-        let reused = got.lock().unwrap().recv().unwrap();
-        assert_eq!(
-            reused, victim,
+            pool.alloc(&clock, 128).unwrap(),
+            victim,
             "the freed block is the best fit, once the lane is IDLE"
         );
     }

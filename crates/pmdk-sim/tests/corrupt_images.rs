@@ -11,8 +11,8 @@ use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap, walk_log};
 use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
     blk, heap_start, lane, lane_offset, lane_undo, sb, Bytes, Superblock, ENT_KEY, ENT_NEXT,
-    HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_COMMITTING,
-    LANE_IDLE, LANE_INTENTS, LOG_HEAD, UNDO_CAPACITY,
+    HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_IDLE, LANE_INTENTS,
+    LAYOUT_VERSION, LOG_HEAD, UNDO_CAPACITY,
 };
 use pmdk_sim::{PersistentHashtable, PersistentLog, PmdkError, PmemPool};
 use pmem_sim::{Clock, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
@@ -138,6 +138,15 @@ const ROWS: &[Row] = &[
         doctor_ok: |img| Superblock::read(img.dev.as_ref()).fault.is_none(),
     },
     Row {
+        // The format before frees were logged state words: its headers'
+        // back links and its COMMITTING lanes mean nothing to this build.
+        name: "superblock layout version 8",
+        corrupt: |_| vec![(sb::VERSION, LAYOUT_VERSION - 1)],
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: |img| Superblock::read(img.dev.as_ref()).fault.is_none(),
+    },
+    Row {
         name: "first heap block size of u64::MAX - 7",
         corrupt: |_| vec![(heap_start() + blk::SIZE, u64::MAX - 7)],
         mounted: |img, clock| img.pool(clock).map(drop),
@@ -179,13 +188,10 @@ const ROWS: &[Row] = &[
         doctor_ok: lanes_ok,
     },
     Row {
-        name: "committing lane: intent count past the intent array",
-        corrupt: |_| {
-            vec![
-                lane_word(LANE_COMMITTING, 0),
-                intent_count(LANE_INTENTS + 1),
-            ]
-        },
+        // IDLE is every commit point: the state a committing lane once
+        // stored is a corrupt lane, refused before anything is written.
+        name: "lane state 2, once COMMITTING",
+        corrupt: |_| vec![lane_word(2, 0), intent_count(1)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: lanes_ok,

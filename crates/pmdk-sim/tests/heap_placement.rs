@@ -23,7 +23,7 @@ fn fresh_pool() -> (Arc<PmemPool>, Clock) {
 fn blocks(pool: &PmemPool) -> Vec<(u64, bool, u64)> {
     let mut out = vec![];
     let dev = pool.device();
-    walk_blocks(dev, heap_start(), dev.size() as u64, false, |block| {
+    walk_blocks(dev, heap_start(), dev.size() as u64, |block| {
         let (at, h) = block.expect("the heap walks clean");
         out.push((at - heap_start(), h.state == BLOCK_ALLOC, h.size));
         true

@@ -59,9 +59,9 @@ impl Serializer for Bp4 {
         put_f64(sink, min)?;
         put_f64(sink, max)?;
         put_u64(sink, payload.len() as u64)?;
-        sink.put(payload)?;
-        let record_len = sink.position() - start + 8;
-        put_u64(sink, record_len)?;
+        // The trailer counts the whole record, its own 8 bytes included.
+        let record_len = sink.position() - start + payload.len() as u64 + 8;
+        sink.put_with_tail(payload, &record_len.to_le_bytes())?;
         debug_assert_eq!(
             sink.position() - start,
             self.serialized_len(meta, payload.len() as u64)

@@ -15,6 +15,13 @@ pub trait WriteSink {
     /// [`SerialError::ShortBuffer`] on overflow instead of panicking, so a
     /// bad reservation surfaces as an error the caller can handle.
     fn put(&mut self, bytes: &[u8]) -> Result<()>;
+    /// Append `payload` and the `tail` that follows it — a record's
+    /// trailer. A sink that stores through media operations makes the two
+    /// one store; by default they are two [`WriteSink::put`]s.
+    fn put_with_tail(&mut self, payload: &[u8], tail: &[u8]) -> Result<()> {
+        self.put(payload)?;
+        self.put(tail)
+    }
     /// Bytes written so far.
     fn position(&self) -> u64;
 }

@@ -16,7 +16,10 @@ const LAYOUT: &str = "crash";
 /// (created when fresh); then `key` = `value`, and a replacement of it with
 /// `doomed`, with a power failure at crash point `k` of the run. Returns the
 /// table's header, the marks where the replacement begins and ends, the
-/// allocated bytes before the puts, and the durable image at `k`.
+/// allocated bytes before the puts, and the durable image at `k`. A persist
+/// of bytes already durable follows: its crash points, the first at the
+/// end mark, lie past the replacement's commit point (`IDLE`, its last
+/// store).
 fn replace_crashed_at(
     start: Option<(&[u8], u64)>,
     (key, value, doomed): (&[u8], &[u8], &[u8]),
@@ -46,6 +49,7 @@ fn replace_crashed_at(
     let begin = crashed().0;
     ht.put(&clock, key, doomed).unwrap();
     let marks = [begin, crashed().0];
+    pool.device().persist(&clock, 0, 8);
     (ht.header_offset(), marks, allocated, crashed().1)
 }
 
@@ -59,17 +63,26 @@ fn recovered(dev: Arc<PmemDevice>, header: u64) -> (Arc<PmemPool>, PersistentHas
     (pool, ht, clock)
 }
 
-/// Crash at every crash point of a replace: before its commit point the
-/// table must still hold the old value, from it on the new one, with one
-/// key and a clean heap throughout.
+/// Whether `image` is past a transaction's commit point, given whether an
+/// earlier crash point found its lane ACTIVE: the lane is idle again.
+fn past_commit(image: &PmemDevice, was_active: &mut bool) -> bool {
+    let active = read_lanes(image).active > 0;
+    let committed = *was_active && !active;
+    *was_active |= active;
+    committed
+}
+
+/// Crash at every crash point of a replace and the first past it: before
+/// its commit point the table must still hold the old value, from it on
+/// the new one, with one key and a clean heap throughout.
 #[test]
 fn hashtable_replace_is_crash_atomic_at_every_site() {
     let (_, [begin, end], ..) = replace_crashed_at(None, REPLACE, usize::MAX);
-    let mut committed = false;
-    for k in begin..end {
+    let (mut committed, mut was_active) = (false, false);
+    for k in begin..=end {
         let (header, _, _, image) = replace_crashed_at(None, REPLACE, k);
         let image = device_with(&image.unwrap(), PersistenceMode::Fast);
-        committed |= read_lanes(&image).committing > 0;
+        committed |= past_commit(&image, &mut was_active);
         let (pool, ht, clock) = recovered(image, header);
         let want = if committed { REPLACE.2 } else { REPLACE.1 };
         assert_eq!(
@@ -84,19 +97,23 @@ fn hashtable_replace_is_crash_atomic_at_every_site() {
     assert!(committed, "the replace has a commit point");
 }
 
-/// Crash right *after* the commit point, before the replaced entry is
-/// freed: the new value must win.
+/// Crash right *after* the commit point, with the replaced entry freed on
+/// media (its FREE word is durable before `IDLE`) and not yet in the free
+/// map: the new value must win and the old entry's block stays free.
 #[test]
 fn committed_replacement_survives_crash_during_cleanup() {
-    let (_, [begin, end], ..) = replace_crashed_at(None, REPLACE, usize::MAX);
-    let (header, image) = (begin..end)
+    let (_, [begin, end], allocated, _) = replace_crashed_at(None, REPLACE, usize::MAX);
+    let mut was_active = false;
+    let (header, image) = (begin..=end)
         .map(|k| replace_crashed_at(None, REPLACE, k))
         .map(|(header, _, _, image)| (header, device_with(&image.unwrap(), PersistenceMode::Fast)))
-        .find(|(_, image)| read_lanes(image).committing > 0)
-        .expect("a crash point with the replace committing");
+        .find(|(_, image)| past_commit(image, &mut was_active))
+        .expect("a crash point past the replace's commit point");
     let (pool, ht, clock) = recovered(image, header);
     assert_eq!(ht.get(&clock, b"key").as_deref(), Some(REPLACE.2));
     assert_eq!(ht.len(&clock), 1);
+    let entry = pmdk_sim::layout::align_up(24 + 3 + 12);
+    assert_eq!(pool.allocated_bytes(), allocated + entry);
     pool.check_heap().unwrap();
 }
 
@@ -115,7 +132,11 @@ fn repeated_crash_cycles_do_not_leak() {
             .map(|(image, header)| (image.as_slice(), *header));
         let (_, [begin, end], allocated, _) = replace_crashed_at(start, put, usize::MAX);
         baseline.get_or_insert(allocated);
-        let k = begin + (round as usize * 7) % (end - begin);
+        // Every third cycle crashes at the end mark, past the commit point.
+        let k = match round % 3 {
+            2 => end,
+            _ => begin + (round as usize * 7) % (end - begin),
+        };
         let (header, _, _, image) = replace_crashed_at(start, put, k);
         state = Some((image.unwrap(), header));
     }

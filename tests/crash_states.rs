@@ -428,7 +428,7 @@ fn alloc_and_publish(fx: &PoolFixture, ex: &Explorer<PoolModel>) {
 /// entry on the header's word would corrupt the heap.
 fn holds_an_uncommitted_group(image: &Arc<PmemDevice>) -> bool {
     let mut free = vec![];
-    walk_blocks(image, heap_start(), image.size() as u64, false, |block| {
+    walk_blocks(image, heap_start(), image.size() as u64, |block| {
         if let Ok((at, h)) = block {
             if h.state == BLOCK_FREE {
                 free.push(at + BLOCK_HEADER_SIZE..at + BLOCK_HEADER_SIZE + h.size);
@@ -439,9 +439,8 @@ fn holds_an_uncommitted_group(image: &Arc<PmemDevice>) -> bool {
     let says_alloc = |payload: u64| {
         BlockHeader::read(image, payload - BLOCK_HEADER_SIZE).is_ok_and(|h| h.state == BLOCK_ALLOC)
     };
-    (intents(&**image, lane_offset(0)).unwrap_or_default().iter()).any(|&e| {
-        e & 1 == 0 && free.iter().any(|f| f.contains(&e) && f.start != e) && says_alloc(e)
-    })
+    (intents(&**image, lane_offset(0)).unwrap_or_default().iter())
+        .any(|&e| free.iter().any(|f| f.contains(&e) && f.start != e) && says_alloc(e))
 }
 
 #[test]
@@ -566,6 +565,67 @@ fn an_allocation_is_never_durable_before_its_intent() {
         judge_pool,
         alloc_and_publish,
     ));
+}
+
+/// Media keeps adjacent FREE blocks apart; the free map merges them. The
+/// hole and the victim behind it are freed — the first outside a
+/// transaction, the second in one after a set, its FREE word behind a count
+/// store of its own —
+/// into one region with the heap's free tail, and a transaction carves
+/// 1 100 bytes from its start and fills them before its commit header,
+/// across the victim's header: the region's merged header is stored first,
+/// fenced by the count store, so no image holds a fill where the walk reads
+/// a header, and the carve is all or nothing.
+#[test]
+fn a_carve_across_adjacent_free_blocks_is_all_or_nothing_in_every_crash_state() {
+    let tally = explore(
+        "tx/merge",
+        POOL_BYTES,
+        pool_fixture,
+        judge_pool,
+        |fx, ex| {
+            pool_call(fx, ex, -1024, || fx.pool.free(&fx.clock, fx.hole).unwrap());
+            // A free staged after the set's count store: the commit stores
+            // one more before the FREE word.
+            let root = fx.root;
+            pool_step(
+                fx,
+                ex,
+                true,
+                |s| {
+                    s.bytes.get_mut(&root).unwrap()[..8].fill(8);
+                    s.allocated -= 128;
+                },
+                |tx| {
+                    tx.set(root, &[8u8; 8])?;
+                    tx.free(fx.victim)
+                },
+            );
+            assert_eq!(walk_heap(fx.pool.device()).free_blocks, 3);
+            pool_step(
+                fx,
+                ex,
+                true,
+                |s| {
+                    s.bytes.get_mut(&root).unwrap()[8..16].fill(9);
+                    s.allocated += 1152;
+                },
+                |tx| {
+                    let dev = fx.pool.device();
+                    let fill = |_: usize, at: &[u64], _: &[u8]| {
+                        dev.write_meta(&fx.clock, at[0] as usize, &[9u8; 1100]);
+                        dev.flush(&fx.clock, at[0] as usize, 1100);
+                        Ok(())
+                    };
+                    let at = tx.alloc_many(&[1100], fill)?;
+                    assert_eq!(at, [fx.hole], "the carve starts at the hole");
+                    tx.set(root + 8, &[9u8; 8])
+                },
+            );
+            assert_eq!(walk_heap(fx.pool.device()).free_blocks, 1);
+        },
+    );
+    assert_clean(tally);
 }
 
 // ---- table scenarios: the persistent hashtable on its own pool ----
@@ -1126,10 +1186,13 @@ fn judge_recovery(model: &RecoveryModel, image: &Arc<PmemDevice>) -> Result<(), 
 }
 
 /// Write-behind groups, then a checkpoint whose drain splits the table:
-/// the run the first-level crash is a point of.
+/// the run the first-level crash is a point of. The second group's put
+/// splits the table's 8 buckets to 16 and drains 64 more keys into them, so
+/// the third one's put begins the split to 32 over chains of eight: its
+/// first chunk relinks dozens of entries.
 fn drain_that_splits(dev: &Arc<PmemDevice>, opts: &Options) {
     let pmem = mount(dev, opts).unwrap();
-    for (ids, generation) in [(0..6, 1), (6..12, 1), (2..9, 2), (12..18, 1)] {
+    for (ids, generation) in [(0..64, 1), (64..128, 1), (2..9, 2), (128..134, 1)] {
         let values: Vec<_> = ids.map(|i| (id(i), slice(i, generation))).collect();
         let mut batch = pmem.batch();
         for (key, v) in &values {
@@ -1143,15 +1206,17 @@ fn drain_that_splits(dev: &Arc<PmemDevice>, opts: &Options) {
 }
 
 /// Recovery is restartable: a write-behind pool crashed inside a checkpoint
-/// drain's migration chunk — an ACTIVE lane, pending WAL records, a split
-/// in flight — is recovered by `PmemPool::open` (lane rollback) and
+/// drain's migration chunk — an ACTIVE lane of at least 16 undo records,
+/// pending WAL records, a split in flight — is recovered by
+/// `PmemPool::open` (lane rollback: every pre-image stored and flushed,
+/// then one fence, so subsets of the restored lines are tried) and
 /// `PersistentHashtable::open`, and that recovery is crashed at every one
 /// of its crash points. Without the
 /// registry no crash point waits on its lock; WAL replay only reads.
 #[test]
 fn recovery_is_restartable_from_every_crash_point() {
     let opts = Options {
-        hashtable_buckets: 16,
+        hashtable_buckets: 8,
         wal_capacity: 1 << 16,
         write_behind: true,
         ..Options::default()
@@ -1177,6 +1242,9 @@ fn recovery_is_restartable_from_every_crash_point() {
             .find(|v| v.check == check)
             .map(|v| v.status)
     };
+    let lanes = read_lanes(&first);
+    let undo = lanes.busy.iter().map(|l| l.undo_len).max().unwrap_or(0);
+    assert!(undo >= 16 * 20, "16 word records, each 20 bytes: {lanes:?}");
     let d = diagnose(&first).unwrap();
     use pmemcpy_bench::doctor::Status::{Fail, Info};
     for (check, want) in [("lanes", Fail), ("ht-split", Info), ("wal-pending", Info)] {
@@ -1187,7 +1255,7 @@ fn recovery_is_restartable_from_every_crash_point() {
     let contents = contents(&pmem).unwrap();
     pmem.munmap().unwrap();
     registry::release_pool(&first);
-    assert_eq!(contents.len(), 18);
+    assert_eq!(contents.len(), 134);
 
     let setup = |dev: &Arc<PmemDevice>| {
         dev.write_untimed(0, &image);
