@@ -56,8 +56,10 @@ impl Layout for HashtableLayout {
             return Ok(());
         }
         let lens = serialize(self, clock, puts);
-        let reqs: Vec<(&[u8], u64)> = (puts.iter().zip(lens))
-            .map(|(p, len)| (p.key.as_bytes(), len))
+        // Each entry names its record's header length, so a get loads the
+        // record in one access.
+        let reqs: Vec<(&[u8], u64, u64)> = (puts.iter().zip(lens))
+            .map(|(p, len)| (p.key.as_bytes(), len, self.serializer.header_len(p.meta)))
             .collect();
         let _span = (self.machine)
             .phase(clock, "put", "put.reserve")
@@ -93,6 +95,7 @@ impl Layout for HashtableLayout {
                     mapping: Arc::clone(&self.mapping),
                     offset: v.offset as usize,
                     len: v.len as usize,
+                    header: Some(v.header_len as usize),
                     unmap_after_load: false,
                 })
             })

@@ -103,6 +103,7 @@ impl Layout for HierarchicalLayout {
                     mapping,
                     offset: 0,
                     len,
+                    header: None,
                     unmap_after_load: true,
                 })
             })();

@@ -22,9 +22,9 @@ pub(crate) mod hashtable;
 pub(crate) mod hierarchical;
 
 use crate::error::{PmemCpyError, Result};
-use crate::sink::{MappingSink, MappingSource};
+use crate::sink::{load_split, MappingSink, MappingSource};
 use pmem_sim::{Clock, DaxMapping, Machine};
-use pserial::{ReadSource, Serializer, SliceSource, VarHeader, VarMeta};
+use pserial::{ReadSource, SerialError, Serializer, SliceSource, VarHeader, VarMeta};
 use std::sync::Arc;
 
 /// One key's worth of work for a batched store.
@@ -96,13 +96,17 @@ pub(crate) fn fill(
 
 /// Where a key's record lives, resolved by [`Layout::locate_many`].
 pub(crate) enum Located {
-    /// `len` bytes at `offset` of a PMEM mapping. Per-key file mappings
-    /// (hierarchical layout) are unmapped once the record is consumed
-    /// (`unmap_after_load`); the pool-wide mapping stays live.
+    /// `len` bytes at `offset` of a PMEM mapping, the first `header` of
+    /// them the record's header where an entry names its length (the
+    /// hashtable layout's; such a record is read in one load). Per-key
+    /// file mappings (hierarchical layout) name none, and are unmapped once
+    /// the record is consumed (`unmap_after_load`); the pool-wide mapping
+    /// stays live.
     Mapped {
         mapping: Arc<DaxMapping>,
         offset: usize,
         len: usize,
+        header: Option<usize>,
         unmap_after_load: bool,
     },
     /// A write-behind front hit: the record re-serialized in DRAM, byte for
@@ -123,7 +127,23 @@ impl Located {
         }
     }
 
-    /// Run `f` on a reader over the record, wherever it lives.
+    /// A mapped record's mapping and `(offset, len, header length)` where
+    /// an entry names the last: one [`load_split`] reads it.
+    fn entry(&self) -> Option<(&DaxMapping, (usize, usize, usize))> {
+        match *self {
+            Located::Mapped {
+                ref mapping,
+                offset,
+                len,
+                header: Some(head),
+                ..
+            } => Some((mapping, (offset, len, head))),
+            _ => None,
+        }
+    }
+
+    /// Run `f` on a reader over the record, wherever it lives, window
+    /// first: the way to a record whose header length nothing names.
     fn read<R>(
         &self,
         clock: &Clock,
@@ -141,17 +161,41 @@ impl Located {
     }
 }
 
-/// Supplies payload destinations during a batched load: once a record's
-/// header is decoded, the consumer hands back the buffer its payload should
-/// stream into (sized exactly `hdr.payload_len`, validated by the pipeline).
+/// Supplies payload destinations during a batched load. A record whose
+/// header length its entry names lands in its destination in the header's
+/// own load, so the destination is asked for first, with `room`: the bytes
+/// behind the header, the payload's bound. Once the header is decoded it
+/// is cut to the payload, which the pipeline checks it holds exactly.
 pub(crate) trait ReadConsumer {
-    /// Destination buffer for `keys[idx]`, given its decoded header.
-    fn dst(&mut self, idx: usize, hdr: &VarHeader) -> Result<&mut [u8]>;
+    /// Destination for `keys[idx]`: a caller's buffer as it is, else a
+    /// fresh allocation of the whole elements `room` bytes hold.
+    fn dst(&mut self, idx: usize, room: u64) -> &mut [u8];
+
+    /// `keys[idx]`'s destination cut to the whole elements of `payload_len`
+    /// bytes; a caller's buffer, or a scalar's, is never cut.
+    fn cut(&mut self, idx: usize, payload_len: u64) -> &mut [u8];
 }
 
-/// The per-record decode stage, whatever the record is read out of (a PMEM
-/// mapping, a front hit's DRAM bytes): header, the consumer's destination
-/// for it, the length check, payload.
+/// `keys[idx]`'s destination cut to its payload, which it must hold exactly.
+fn fitted<'c>(
+    key: &str,
+    consumer: &'c mut dyn ReadConsumer,
+    idx: usize,
+    payload_len: u64,
+) -> Result<&'c mut [u8]> {
+    let dst = consumer.cut(idx, payload_len);
+    if payload_len != dst.len() as u64 {
+        return Err(PmemCpyError::ShapeMismatch {
+            id: key.to_string(),
+            detail: format!("payload {payload_len} bytes, buffer {} bytes", dst.len()),
+        });
+    }
+    Ok(dst)
+}
+
+/// The window-first decode, whatever the record is read out of (a per-key
+/// file, a front hit's DRAM bytes): header, the consumer's destination for
+/// it, the length check, payload.
 fn decode_into(
     serializer: &'static dyn Serializer,
     src: &mut dyn ReadSource,
@@ -160,25 +204,38 @@ fn decode_into(
     consumer: &mut dyn ReadConsumer,
 ) -> Result<VarHeader> {
     let hdr = serializer.read_header(src)?;
-    let dst = consumer.dst(idx, &hdr)?;
-    if hdr.payload_len != dst.len() as u64 {
-        return Err(PmemCpyError::ShapeMismatch {
-            id: key.to_string(),
-            detail: format!(
-                "payload {} bytes, buffer {} bytes",
-                hdr.payload_len,
-                dst.len()
-            ),
-        });
+    consumer.dst(idx, hdr.payload_len);
+    serializer.read_payload(src, fitted(key, consumer, idx, hdr.payload_len)?)?;
+    Ok(hdr)
+}
+
+/// The one-load decode of a record whose entry names its header length:
+/// the destination sized from the bytes behind the header, one
+/// [`load_split`] — header, payload straight into the destination, tail —
+/// then the header's decode and the length checks.
+fn load_entry(
+    serializer: &'static dyn Serializer,
+    clock: &Clock,
+    (mapping, at @ (_, len, head)): (&DaxMapping, (usize, usize, usize)),
+    (key, idx): (&str, usize),
+    consumer: &mut dyn ReadConsumer,
+) -> Result<VarHeader> {
+    let room = len.saturating_sub(head) as u64;
+    let dst = Some(consumer.dst(idx, room));
+    let hdr = load_split(mapping, clock, at, dst, |src| serializer.read_header(src))?;
+    if hdr.payload_len > room {
+        let what = format!("a {}-byte payload past its record", hdr.payload_len);
+        return Err(SerialError::Corrupt(what).into());
     }
-    serializer.read_payload(src, dst)?;
+    fitted(key, consumer, idx, hdr.payload_len)?;
     Ok(hdr)
 }
 
 /// Decode one located record into the caller's buffer — the per-record
-/// stage of `load_many`. A mapped record streams straight from PMEM and is
-/// then charged its deserialize; a front hit is a DRAM copy plus the
-/// serializer's CPU pass, both in `get.front`.
+/// stage of `load_many`. A mapped record streams straight from PMEM, in
+/// one load where its entry names its header length, and is then charged
+/// its deserialize; a front hit is a DRAM copy plus the serializer's CPU
+/// pass, both in `get.front`.
 fn load_one_located(
     serializer: &'static dyn Serializer,
     machine: &Machine,
@@ -193,9 +250,12 @@ fn load_one_located(
     let hdr = {
         let name = if front { "get.front" } else { "get.memcpy" };
         let mut span = machine.phase(clock, "get", name);
-        let hdr = loc.read(clock, |src| {
-            decode_into(serializer, src, key, idx, consumer)
-        })?;
+        let hdr = match loc.entry() {
+            Some(at) => load_entry(serializer, clock, at, (key, idx), consumer)?,
+            None => loc.read(clock, |src| {
+                decode_into(serializer, src, key, idx, consumer)
+            })?,
+        };
         span.set_arg("bytes", hdr.payload_len);
         if front {
             machine.charge_dram_copy(clock, hdr.payload_len);
@@ -315,11 +375,15 @@ impl dyn Layout + '_ {
         result
     }
 
-    /// Decode just the header of `key`'s record.
+    /// Decode just the header of `key`'s record: exactly its bytes where
+    /// an entry names its length, else a window of the record.
     pub(crate) fn stat(&self, clock: &Clock, key: &str) -> Result<VarHeader> {
         let serializer = self.serializer();
-        self.with_located(clock, key, |loc| {
-            loc.read(clock, |src| Ok(serializer.read_header(src)?))
+        self.with_located(clock, key, |loc| match loc.entry() {
+            Some((mapping, at)) => Ok(load_split(mapping, clock, at, None, |src| {
+                serializer.read_header(src)
+            })?),
+            None => loc.read(clock, |src| Ok(serializer.read_header(src)?)),
         })
     }
 

@@ -31,6 +31,8 @@ use std::marker::PhantomData;
 /// caller can take back typed.
 trait AnyVec: Any {
     fn bytes_mut(&mut self) -> &mut [u8];
+    /// Keep the whole elements of the first `bytes` bytes.
+    fn cut(&mut self, bytes: u64) -> &mut [u8];
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
@@ -38,29 +40,32 @@ impl<T: Element> AnyVec for Vec<T> {
     fn bytes_mut(&mut self) -> &mut [u8] {
         slice_as_bytes_mut(self)
     }
+    fn cut(&mut self, bytes: u64) -> &mut [u8] {
+        self.truncate((bytes / T::DTYPE.size()) as usize);
+        slice_as_bytes_mut(self)
+    }
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
         self
     }
 }
 
-/// Allocate a `Vec<T>` sized to the record's payload (element count derived
-/// from the wire dtype size, as `Pmem::load_slice` always did).
-fn make_slice_vec<T: Element>(payload_len: u64) -> Box<dyn AnyVec> {
-    let n = (payload_len / T::DTYPE.size()) as usize;
+/// Allocate a `Vec<T>` of the whole elements `room` bytes hold (element
+/// count derived from the wire dtype size, as `Pmem::load_slice` always
+/// did), cut to the payload once its header is decoded.
+fn make_slice_vec<T: Element>(room: u64) -> Box<dyn AnyVec> {
+    let n = (room / T::DTYPE.size()) as usize;
     Box::new(vec![unsafe { std::mem::zeroed::<T>() }; n])
-}
-
-/// Allocate a one-element `Vec<T>` for a scalar; a payload of any other
-/// size fails the pipeline's exact-length check, as `load_scalar` always did.
-fn make_scalar_vec<T: Element>(_payload_len: u64) -> Box<dyn AnyVec> {
-    Box::new(vec![unsafe { std::mem::zeroed::<T>() }; 1])
 }
 
 /// Where one staged key's payload lands.
 enum Slot<'a> {
     /// A caller-provided buffer (`load_slice_into`, `load_block_into`).
     Into(&'a mut [u8]),
-    /// A batch-owned allocation sized once the header is decoded.
+    /// A batch-owned allocation of one element, a scalar's: a payload of
+    /// any other size fails the pipeline's exact-length check, as
+    /// `load_scalar` always did.
+    Scalar(Box<dyn AnyVec>),
+    /// A batch-owned allocation sized from the record before its load.
     Alloc {
         make: fn(u64) -> Box<dyn AnyVec>,
         vec: Option<Box<dyn AnyVec>>,
@@ -84,16 +89,25 @@ pub struct ReadBatch<'a> {
 }
 
 /// The per-group [`ReadConsumer`]: hands the pipeline each record's
-/// destination bytes once its header (and so its payload length) is known.
+/// destination bytes, and cuts a batch-sized one to its payload.
 struct GroupConsumer<'s, 'a> {
     slots: &'s mut [Slot<'a>],
 }
 
 impl ReadConsumer for GroupConsumer<'_, '_> {
-    fn dst(&mut self, idx: usize, hdr: &VarHeader) -> Result<&mut [u8]> {
+    fn dst(&mut self, idx: usize, room: u64) -> &mut [u8] {
         match &mut self.slots[idx] {
-            Slot::Into(buf) => Ok(buf),
-            Slot::Alloc { make, vec } => Ok(vec.insert(make(hdr.payload_len)).bytes_mut()),
+            Slot::Into(buf) => buf,
+            Slot::Scalar(vec) => vec.bytes_mut(),
+            Slot::Alloc { make, vec } => vec.insert(make(room)).bytes_mut(),
+        }
+    }
+
+    fn cut(&mut self, idx: usize, payload_len: u64) -> &mut [u8] {
+        match &mut self.slots[idx] {
+            Slot::Into(buf) => buf,
+            Slot::Scalar(vec) => vec.bytes_mut(),
+            Slot::Alloc { vec, .. } => vec.as_mut().map_or(&mut [], |v| v.cut(payload_len)),
         }
     }
 }
@@ -131,14 +145,8 @@ impl<'a> ReadBatch<'a> {
     /// Stage a scalar load (see [`Pmem::load_scalar`]); redeem with
     /// [`ReadResults::take_scalar`].
     pub fn load_scalar<T: Element>(&mut self, id: &str) -> Result<GetHandle<T>> {
-        Ok(self.push(
-            id.to_string(),
-            Some(T::DTYPE),
-            Slot::Alloc {
-                make: make_scalar_vec::<T>,
-                vec: None,
-            },
-        ))
+        let one = vec![unsafe { std::mem::zeroed::<T>() }; 1];
+        Ok(self.push(id.to_string(), Some(T::DTYPE), Slot::Scalar(Box::new(one))))
     }
 
     /// Stage a dense 1-D array load (see [`Pmem::load_slice`]); the vector
@@ -234,6 +242,7 @@ impl<'a> ReadBatch<'a> {
                 .into_iter()
                 .map(|s| match s {
                     Slot::Alloc { vec, .. } => vec,
+                    Slot::Scalar(vec) => Some(vec),
                     Slot::Into(_) => None,
                 })
                 .collect(),

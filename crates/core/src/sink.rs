@@ -15,10 +15,15 @@
 //! header-sized bytes is assembled on the CPU per access, a `put` or `get`
 //! of a window or more goes straight between the caller's slice and the
 //! mapping, every record byte crosses the mapping exactly once, and
-//! `dram_bytes_copied` stays 0. An 8-byte BP4 record (about 100 bytes) is one
-//! store on the way in and one load on the way out; a large record is one
-//! store in, header and trailer with the payload ([`WriteSink::put_with_tail`]),
-//! and two loads out, the trailer read ahead ([`DaxMapping::load_parts`]).
+//! `dram_bytes_copied` stays 0. A record of any size is one store on the
+//! way in, header and trailer with the payload ([`WriteSink::put_with_tail`]).
+//! On the way out, a record whose hashtable entry names its header length
+//! is one load at any size ([`load_split`]): the header into the window,
+//! the payload straight into the caller's buffer and the trailer behind
+//! the header, split destinations of one [`DaxMapping::load_parts`]. A
+//! record nothing names the header of (a per-key file, read through
+//! [`MappingSource`]) is one load up to a window and two above it: the
+//! header's window, then the payload with the trailer read ahead.
 //!
 //! A sink may also start its window with a *head*: the metadata that lies
 //! right before the record on media ([`MappingSink::headed`]). The
@@ -31,7 +36,7 @@
 //! the record.
 
 use pmem_sim::{Clock, DaxMapping, WINDOW};
-use pserial::{ReadSource, Result as SResult, SerialError, WriteSink};
+use pserial::{ReadSource, Result as SResult, SerialError, SliceSource, WriteSink};
 
 /// `[base, base + limit)` must lie inside `mapping`. A window that does not
 /// is a reservation bug or a corrupt `ValueRef` (whose sum may not even fit
@@ -173,6 +178,46 @@ impl WriteSink for MappingSink<'_> {
 
     fn position(&self) -> u64 {
         self.pos as u64
+    }
+}
+
+/// Load the record at `[base, base + limit)` whose first `head` bytes are
+/// its header — the bytes a reader decodes before it knows where the rest
+/// goes — in one access: the header into a window, then as much of the
+/// rest as `dst` holds straight into `dst`, and what is left (BP4's
+/// trailer, padding) into the window behind the header; `decode` then reads
+/// the header, all of it. Without a `dst` only the header is loaded. No
+/// byte is loaded twice or past the record, and none is copied on the CPU.
+pub(crate) fn load_split<R>(
+    mapping: &DaxMapping,
+    clock: &Clock,
+    (base, limit, head): (usize, usize, usize),
+    dst: Option<&mut [u8]>,
+    decode: impl FnOnce(&mut SliceSource<'_>) -> SResult<R>,
+) -> SResult<R> {
+    check_window(mapping, base, limit)?;
+    if head == 0 || head > limit {
+        let what = format!("a header of {head} bytes in a {limit}-byte record");
+        return Err(SerialError::Corrupt(what));
+    }
+    let end = if dst.is_some() { limit } else { head };
+    let dst = dst.unwrap_or_default();
+    let direct = dst.len().min(end - head);
+    // A header and tail over a window (a long name) take a buffer of their own.
+    let (mut window, mut spill) = ([0; WINDOW], None);
+    let kept = match end - direct {
+        n if n <= WINDOW => &mut window[..n],
+        n => &mut spill.insert(vec![0; n])[..],
+    };
+    let (header, tail) = kept.split_at_mut(head);
+    mapping.load_parts(clock, base, &mut [&mut *header, &mut dst[..direct], tail]);
+    let mut src = SliceSource::new(header);
+    let out = decode(&mut src)?;
+    match src.remaining() {
+        0 => Ok(out),
+        n => Err(SerialError::Corrupt(format!(
+            "a header {n} bytes short of {head}"
+        ))),
     }
 }
 
@@ -680,6 +725,80 @@ mod tests {
         // stores of their own; 13 fences and 13 writes before that).
         let remove = ledger(&|| assert!(pmem.remove("c").unwrap()));
         assert_eq!(remove, (4, 5));
+        pmem.munmap().unwrap();
+    }
+
+    /// A hashtable get is one load: through `Pmem`, a 1 KiB `load_slice`
+    /// is one `pmem.read` of its record's `serialized_len` bytes, the
+    /// payload landing straight in the returned vector — warm, and cold
+    /// after a remount, when the walk's header fetch names the header
+    /// length (two loads, header first, before). An 8-byte get is one load
+    /// too, and a buffer of the wrong length is refused as it always was.
+    #[test]
+    fn a_mapped_get_is_one_load_of_its_record_warm_and_cold() {
+        use crate::{MmapTarget, Pmem, PmemCpyError};
+        let machine = Machine::chameleon();
+        let registry = MetricsRegistry::new();
+        machine.set_metrics(Arc::clone(&registry));
+        let dev = PmemDevice::new(Arc::clone(&machine), 32 << 20, PersistenceMode::Fast);
+        let comm = mpi_sim::Comm::new(mpi_sim::World::new(Arc::clone(&machine), 1), 0);
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        let big: Vec<f64> = (0..128).map(f64::from).collect();
+        pmem.store_slice("big", &big).unwrap();
+        pmem.store_scalar("small", 7u64).unwrap();
+        let (big_len, small_len) = (
+            pmem.raw_record("big").unwrap().len(),
+            pmem.raw_record("small").unwrap().len(),
+        );
+        assert!(
+            big_len > 1024 && small_len < WINDOW,
+            "{big_len} {small_len}"
+        );
+        let hist = |name| {
+            registry
+                .snapshot()
+                .hists
+                .get(name)
+                .map_or((0, 0), |h| (h.count, h.sum.as_nanos()))
+        };
+        // Loads, and their time against one load of `len` bytes.
+        let one_load = |len: usize, get: &dyn Fn()| {
+            let (before, (n, ns)) = (machine.stats.snapshot(), hist("pmem.read"));
+            get();
+            let copied = machine
+                .stats
+                .snapshot()
+                .delta_since(&before)
+                .dram_bytes_copied;
+            let (n2, ns2) = hist("pmem.read");
+            let reference = cost_of(|m, c| m.load(c, AT, &mut vec![0; len])).time;
+            assert_eq!((n2 - n, ns2 - ns, copied), (1, reference.as_nanos(), 0));
+        };
+        for pass in ["warm", "cold"] {
+            let p = &pmem;
+            one_load(big_len, &|| {
+                assert_eq!(p.load_slice::<f64>("big").unwrap(), big, "{pass}")
+            });
+            one_load(small_len, &|| {
+                assert_eq!(p.load_scalar::<u64>("small").unwrap(), 7, "{pass}")
+            });
+            for n in [127, 129] {
+                let err = p.load_slice_into("big", &mut vec![0f64; n]).unwrap_err();
+                assert!(
+                    matches!(err, PmemCpyError::ShapeMismatch { .. }),
+                    "{pass}: {err}"
+                );
+                let want = format!("payload 1024 bytes, buffer {} bytes", n * 8);
+                assert_eq!(
+                    err.to_string(),
+                    format!("shape mismatch for \"big\": {want}")
+                );
+            }
+            pmem.munmap().unwrap();
+            crate::registry::release_pool(&dev);
+            pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        }
         pmem.munmap().unwrap();
     }
 

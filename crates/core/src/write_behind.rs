@@ -376,7 +376,6 @@ mod tests {
     use crate::layout::ReadConsumer;
     use crate::registry::{release_pool, shared_pool};
     use pmem_sim::{MetricsRegistry, PersistenceMode, PmemDevice};
-    use pserial::VarHeader;
 
     fn put<'a>(key: &'a str, meta: &'a VarMeta, payload: &'a [u8]) -> PutRequest<'a> {
         PutRequest { key, meta, payload }
@@ -434,8 +433,12 @@ mod tests {
 
     /// A one-buffer consumer: the payload of the one key loaded.
     impl ReadConsumer for Vec<u8> {
-        fn dst(&mut self, _idx: usize, _hdr: &VarHeader) -> Result<&mut [u8]> {
-            Ok(self)
+        fn dst(&mut self, _idx: usize, _room: u64) -> &mut [u8] {
+            self
+        }
+
+        fn cut(&mut self, _idx: usize, _payload_len: u64) -> &mut [u8] {
+            self
         }
     }
 

@@ -145,6 +145,8 @@ pub struct EntryReport {
     pub key: Vec<u8>,
     pub value_off: u64,
     pub value_len: u64,
+    /// The header length the entry names (0: none).
+    pub header_len: u64,
 }
 
 /// Per-stripe chain statistics.
@@ -205,6 +207,7 @@ pub fn walk_hashtable(dev: &PmemDevice, header_off: u64) -> HashtableReport {
                 key: e.key(dev),
                 value_off: e.value_off(),
                 value_len: e.vlen as u64,
+                header_len: e.hlen as u64,
             });
             true
         });

@@ -20,6 +20,11 @@ pub enum PmdkError {
     NotFound,
     /// A hashtable value longer than the entry header's 32-bit length field.
     ValueTooLarge { len: u64 },
+    /// A hashtable key longer than the entry header's 16-bit length field.
+    KeyTooLong { len: u64 },
+    /// A value's named header longer than the value, or than the entry
+    /// header's 16-bit field.
+    HeaderTooLong { header_len: u64, len: u64 },
 }
 
 impl fmt::Display for PmdkError {
@@ -39,6 +44,13 @@ impl fmt::Display for PmdkError {
             PmdkError::ValueTooLarge { len } => {
                 write!(f, "value of {len} bytes exceeds the 4 GiB entry cap")
             }
+            PmdkError::KeyTooLong { len } => {
+                write!(f, "key of {len} bytes exceeds the 64 KiB entry cap")
+            }
+            PmdkError::HeaderTooLong { header_len, len } => write!(
+                f,
+                "header of {header_len} bytes does not fit its {len}-byte value or the 64 KiB entry cap"
+            ),
         }
     }
 }

@@ -40,6 +40,7 @@ fn value_ref_of(e: &Entry) -> ValueRef {
     ValueRef {
         offset: e.value_off(),
         len: e.vlen as u64,
+        header_len: e.hlen as u64,
     }
 }
 
@@ -73,11 +74,14 @@ impl std::fmt::Debug for PersistentHashtable {
 }
 
 /// Location of a value inside the pool (device offset + length), so callers
-/// can stream data directly to/from PMEM without an intermediate copy.
+/// can stream data directly to/from PMEM without an intermediate copy, and
+/// the header length its writer named ([`ENT_HLEN`]; 0 if none): a reader
+/// that knows where the header ends loads the value in one access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ValueRef {
     pub offset: u64,
     pub len: u64,
+    pub header_len: u64,
 }
 
 impl PersistentHashtable {

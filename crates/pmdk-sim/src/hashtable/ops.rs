@@ -60,8 +60,10 @@ impl PersistentHashtable {
         found
     }
 
-    /// Insert (or replace) every `(key, val_len)` as **one pool
-    /// transaction**, values first. The group takes its stripes and looks
+    /// Insert (or replace) every `(key, val_len, header_len)` as **one pool
+    /// transaction**, values first. `header_len` is stored in the entry for
+    /// readers ([`ValueRef::header_len`]); the table only holds it to
+    /// `val_len`. The group takes its stripes and looks
     /// its chains up (the mirror), so each entry's `next` is known before
     /// its block is carved; one allocator pass then carves every entry, and
     /// `fill(i, vref, head)` stores key `i`'s value into its window behind
@@ -81,40 +83,54 @@ impl PersistentHashtable {
     /// error from `fill`, rolls the *entire group* back (no key from the
     /// batch visible, every replaced entry intact); a key is never linked
     /// before its value is durable. Duplicate keys within one batch are
-    /// rejected: two entries cannot both be linked under one key.
+    /// rejected: two entries cannot both be linked under one key. So is a
+    /// length its entry field cannot hold, before anything is stored.
     pub fn put_many(
         &self,
         clock: &Clock,
-        reqs: &[(&[u8], u64)],
+        reqs: &[(&[u8], u64, u64)],
         mut fill: impl FnMut(usize, ValueRef, [&[u8]; 2]) -> Result<()>,
     ) -> Result<Vec<ValueRef>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        // The entry header stores the value length in 32 bits.
-        if let Some(&(_, len)) = reqs.iter().find(|&&(_, len)| len > u32::MAX as u64) {
-            return Err(PmdkError::ValueTooLarge { len });
+        // The entry header stores the key and header lengths in 16 bits,
+        // the value length in 32.
+        for &(key, len, header_len) in reqs {
+            if key.len() > u16::MAX as usize {
+                return Err(PmdkError::KeyTooLong {
+                    len: key.len() as u64,
+                });
+            }
+            if len > u32::MAX as u64 {
+                return Err(PmdkError::ValueTooLarge { len });
+            }
+            if header_len > len.min(u16::MAX as u64) {
+                return Err(PmdkError::HeaderTooLong { header_len, len });
+            }
         }
         let mut seen = std::collections::HashSet::with_capacity(reqs.len());
-        if let Some((key, _)) = reqs.iter().find(|(key, _)| !seen.insert(*key)) {
+        if let Some((key, ..)) = reqs.iter().find(|(key, ..)| !seen.insert(*key)) {
             let key = String::from_utf8_lossy(key);
             return Err(PmdkError::TxFailure(format!(
                 "duplicate key in batch: {key:?}"
             )));
         }
-        let hashes: Vec<u64> = reqs.iter().map(|&(k, _)| fnv1a(k)).collect();
+        let hashes: Vec<u64> = reqs.iter().map(|&(k, ..)| fnv1a(k)).collect();
         let sizes: Vec<u64> = (reqs.iter())
-            .map(|(k, len)| ENT_KEY + k.len() as u64 + len)
+            .map(|(k, len, _)| ENT_KEY + k.len() as u64 + len)
             .collect();
         let value = |i: usize, at: &[u64]| ValueRef {
             offset: at[i] + ENT_KEY + reqs[i].0.len() as u64,
             len: reqs[i].1,
+            header_len: reqs[i].2,
         };
+        let lens = |i: usize| (reqs[i].2 as u16, reqs[i].1 as u32);
         // Entry `i` at `at[i]`; its `next` is the new entry before it in its
         // chain, else what is left of the chain.
         let entry = |links: &[(u64, Option<usize>)], i: usize, at: &[u64]| {
             let next = links[i].1.map_or(links[i].0, |j| at[j]);
-            encode_entry(hashes[i], reqs[i].0, reqs[i].1 as u32, next)
+            encode_entry(hashes[i], reqs[i].0, lens(i), next)
         };
         self.maybe_resize(clock)?;
 
@@ -188,7 +204,7 @@ impl PersistentHashtable {
                 let fresh = idxs.iter().rev().map(|&i| {
                     let (mut e, key) = (Entry::default(), Some(Key::of(reqs[i].0)));
                     (e.at, e.hash) = (entries[i], hashes[i]);
-                    (e.klen, e.vlen) = (reqs[i].0.len() as u32, reqs[i].1 as u32);
+                    (e.klen, (e.hlen, e.vlen)) = (reqs[i].0.len() as u16, lens(i));
                     Known { e, key }
                 });
                 mirror_in(&mut held, r.sid).splice(r.bucket, r.head_slot, &gone, fresh.collect());
@@ -214,21 +230,22 @@ impl PersistentHashtable {
     }
 
     /// [`Self::put_many`] with a fill that writes no value: each key is
-    /// linked with whatever bytes its block held (its head is stored
-    /// alone). Nothing in the product reserves without filling —
-    /// this stays `pub`, with its signature, only because
+    /// linked, naming no header, with whatever bytes its block held (its
+    /// head is stored alone). Nothing in the product reserves without
+    /// filling — this stays `pub`, with its signature, only because
     /// `benchmark/src/ladder.rs` (frozen) calls it to time the metadata
     /// half of a group put.
     pub fn put_reserve_many(&self, clock: &Clock, reqs: &[(&[u8], u64)]) -> Result<Vec<ValueRef>> {
-        self.put_many(clock, reqs, self.storing(clock, &[]))
+        let reqs: Vec<_> = reqs.iter().map(|&(key, len)| (key, len, 0)).collect();
+        self.put_many(clock, &reqs, self.storing(clock, &[]))
     }
 
-    /// Insert (or replace) `key → value` atomically: on a crash at any point
-    /// the table holds either the complete old mapping or the complete new
-    /// one.
+    /// Insert (or replace) `key → value` atomically, naming no header: on a
+    /// crash at any point the table holds either the complete old mapping
+    /// or the complete new one.
     pub fn put(&self, clock: &Clock, key: &[u8], value: &[u8]) -> Result<ValueRef> {
         let fill = self.storing(clock, value);
-        Ok(self.put_many(clock, &[(key, value.len() as u64)], fill)?[0])
+        Ok(self.put_many(clock, &[(key, value.len() as u64, 0)], fill)?[0])
     }
 
     /// Locate `key`'s value without copying it: answered from the mirror

@@ -159,7 +159,7 @@ fn assert_the_mirror_is_a_prefix(ht: &PersistentHashtable, dev: &PmemDevice, wha
             end.unwrap();
             assert!(chain.entries.len() <= walked.len(), "{what}: {slot:#x}");
             for (k, (e, key)) in chain.entries.iter().zip(&walked) {
-                let header = |e: &Entry| (e.at, e.slot, e.hash, e.klen, e.vlen, e.next);
+                let header = |e: &Entry| (e.at, e.slot, e.hash, (e.klen, e.hlen, e.vlen), e.next);
                 assert_eq!(header(&k.e), header(e), "{what}: {slot:#x}");
                 if let Some(known) = &k.key {
                     assert_eq!(**known, key[..], "{what}: {slot:#x}");
@@ -216,8 +216,8 @@ fn the_shadow_holds_each_cached_key_at_its_route_under_an_op_mix() {
                     });
                 }
                 let value = format!("v{step}").into_bytes();
-                let reqs: Vec<(&[u8], u64)> =
-                    keys.iter().map(|k| (&k[..], value.len() as u64)).collect();
+                let reqs: Vec<(&[u8], u64, u64)> =
+                    keys.iter().map(|k| (&k[..], value.len() as u64, 0)).collect();
                 ht.put_many(&clock, &reqs, ht.storing(&clock, &value))
                     .unwrap();
                 live.extend(keys.into_iter().map(|k| (k, value.clone())));
@@ -302,7 +302,7 @@ fn each_path_reads_only_what_the_mirror_lacks() {
         });
     }
     let group: Vec<Vec<u8>> = (30..50).map(|i| format!("w{i}").into_bytes()).collect();
-    let reqs: Vec<(&[u8], u64)> = group.iter().map(|k| (&k[..], 8)).collect();
+    let reqs: Vec<(&[u8], u64, u64)> = group.iter().map(|k| (&k[..], 8, 0)).collect();
     counted("a group of overwrites and fresh keys", 0, &|| {
         ht.put_many(&clock, &reqs, ht.storing(&clock, b"12345678"))
             .unwrap();
@@ -362,7 +362,7 @@ fn each_bucket_the_mirror_answers_costs_one_probe() {
         let after = count();
         (after[0] - before[0], after[1] - before[1], after[2] - before[2])
     };
-    let reqs: Vec<(&[u8], u64)> = vec![(b"a", 1), (b"b", 1)];
+    let reqs: Vec<(&[u8], u64, u64)> = vec![(b"a", 1, 0), (b"b", 1, 0)];
     let put = || drop(ht.put_many(&clock, &reqs, ht.storing(&clock, b"v")).unwrap());
     assert_eq!(counted(&put), (1, 1, 0), "a 2-key group into a complete bucket");
     ht.put(&clock, b"c", b"v").unwrap(); // chain: c → b → a

@@ -63,8 +63,8 @@ fn a_key_longer_than_a_window_is_stored_and_survives_a_crash() {
     let (ht, pool, clock) = table(1 << 22, 16);
     let keys: Vec<Vec<u8>> = (0..4u8).map(|i| [&[b'k'; 300][..], &[i]].concat()).collect();
     let value = |i: usize| vec![i as u8 + 1; [8, 4096][i % 2]];
-    let reqs: Vec<(&[u8], u64)> = (0..2)
-        .map(|i| (keys[i].as_slice(), value(i).len() as u64))
+    let reqs: Vec<(&[u8], u64, u64)> = (0..2)
+        .map(|i| (keys[i].as_slice(), value(i).len() as u64, 0))
         .collect();
     ht.put_many(&clock, &reqs, writing(&pool, &clock, value))
         .unwrap();
@@ -77,6 +77,66 @@ fn a_key_longer_than_a_window_is_stored_and_survives_a_crash() {
     for (i, key) in keys.iter().enumerate() {
         assert_eq!(ht.get(&clock, key).unwrap(), value(i), "key {i}");
     }
+}
+
+/// The entry names each value's header length: `get_ref` hands back what
+/// `put_many` was given, from the mirror and from a cold walk after a
+/// remount alike; `put` and `put_reserve_many` name none. A key of the
+/// longest length the entry holds is stored and found.
+#[test]
+fn an_entry_carries_its_header_length_across_a_remount() {
+    let (ht, pool, clock) = table(1 << 22, 16);
+    let long = vec![b'k'; u16::MAX as usize];
+    let reqs: Vec<(&[u8], u64, u64)> = vec![(b"rec", 1024, 97), (&long, 16, 16)];
+    ht.put_many(&clock, &reqs, writing(&pool, &clock, |i| vec![i as u8; [1024, 16][i]]))
+        .unwrap();
+    ht.put(&clock, b"plain", b"v").unwrap();
+    ht.put_reserve_many(&clock, &[(b"reserved", 8)]).unwrap();
+    let heads = |ht: &PersistentHashtable| {
+        let keys: [&[u8]; 4] = [b"rec", &long, b"plain", b"reserved"];
+        let refs = ht.get_ref_many(&clock, &keys);
+        refs.iter().map(|v| v.map(|v| (v.len, v.header_len))).collect::<Vec<_>>()
+    };
+    let want = vec![Some((1024, 97)), Some((16, 16)), Some((1, 0)), Some((8, 0))];
+    assert_eq!(heads(&ht), want);
+    let (ht, _pool) = reopen(ht, pool, &clock);
+    assert_eq!(heads(&ht), want, "after a remount");
+    assert_eq!(ht.get(&clock, &long).unwrap(), vec![1u8; 16]);
+}
+
+/// A length the entry cannot hold — a key over 65 535 bytes, a header
+/// longer than its value or than 65 535 bytes — is refused with a typed
+/// error before anything is stored: no `as u16` cast truncates it.
+#[test]
+fn put_many_refuses_a_length_its_entry_cannot_hold_before_any_store() {
+    let (ht, pool, clock) = table(1 << 22, 8);
+    let nothing = |_, _, _: [&[u8]; 2]| -> Result<()> { panic!("a refused group filled") };
+    let huge = vec![b'k'; u16::MAX as usize + 1];
+    let stats = || pool.device().machine().stats.snapshot();
+    let before = stats();
+    type Reqs<'a> = Vec<(&'a [u8], u64, u64)>;
+    let cases: [(Reqs, PmdkError); 3] = [
+        (
+            vec![(b"fits", 8, 0), (&huge, 8, 0)],
+            PmdkError::KeyTooLong { len: 1 << 16 },
+        ),
+        (
+            vec![(b"fits", 8, 0), (b"head", 8, 9)],
+            PmdkError::HeaderTooLong { header_len: 9, len: 8 },
+        ),
+        (
+            vec![(b"wide", 1 << 20, 1 << 16)],
+            PmdkError::HeaderTooLong { header_len: 1 << 16, len: 1 << 20 },
+        ),
+    ];
+    for (reqs, want) in cases {
+        assert_eq!(ht.put_many(&clock, &reqs, nothing).unwrap_err(), want);
+    }
+    let d = stats().delta_since(&before);
+    assert_eq!((d.pmem_bytes_written, d.flush_calls, d.fences), (0, 0, 0));
+    assert_eq!(ht.len(&clock), 0);
+    assert!(ht.get_ref(&clock, b"fits").is_none());
+    pool.check_heap().unwrap();
 }
 
 /// `put_reserve_many` is the group put with a fill that writes nothing:
@@ -95,7 +155,7 @@ fn put_many_is_one_tx_one_alloc_pass() {
     let (ht, pool, clock) = table(1 << 22, 8);
     let machine = Arc::clone(pool.device().machine());
     let before = machine.stats.snapshot();
-    let reqs: Vec<(&[u8], u64)> = vec![(b"alpha", 8), (b"beta", 16), (b"gamma", 8), (b"delta", 32)];
+    let reqs: Vec<(&[u8], u64, u64)> = vec![(b"alpha", 8, 0), (b"beta", 16, 0), (b"gamma", 8, 0), (b"delta", 32, 0)];
     let value = |i: usize| vec![reqs[i].0[0]; reqs[i].1 as usize];
     let refs = ht
         .put_many(&clock, &reqs, writing(&pool, &clock, value))
@@ -104,7 +164,7 @@ fn put_many_is_one_tx_one_alloc_pass() {
     assert_eq!(delta.pool_txs, 1, "group commit must claim one lane");
     assert_eq!(delta.alloc_passes, 1, "group alloc must be one pass");
     assert_eq!(refs.len(), 4);
-    for (i, ((key, vlen), vref)) in reqs.iter().zip(&refs).enumerate() {
+    for (i, ((key, vlen, _), vref)) in reqs.iter().zip(&refs).enumerate() {
         assert_eq!(vref.len, *vlen);
         assert_eq!(ht.get(&clock, key).unwrap(), value(i));
     }
@@ -121,7 +181,7 @@ fn put_many_replaces_and_inserts_mixed() {
     ht.put(&clock, b"keep", b"kept").unwrap();
     // Replace two adjacent chain entries and insert two fresh keys in
     // one group.
-    let reqs: Vec<(&[u8], u64)> = vec![(b"a", 5), (b"b", 5), (b"c", 5), (b"d", 5)];
+    let reqs: Vec<(&[u8], u64, u64)> = vec![(b"a", 5, 0), (b"b", 5, 0), (b"c", 5, 0), (b"d", 5, 0)];
     let value = |i: usize| [b"new-", reqs[i].0].concat();
     ht.put_many(&clock, &reqs, writing(&pool, &clock, value))
         .unwrap();
@@ -143,7 +203,7 @@ fn a_fill_that_fails_rolls_back_the_whole_group() {
     let (ht, pool, clock) = table(1 << 22, 4);
     ht.put(&clock, b"replaced", b"original").unwrap();
     let allocated = pool.allocated_bytes();
-    let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8), (b"n3", 8)];
+    let reqs: Vec<(&[u8], u64, u64)> = vec![(b"n1", 8, 0), (b"replaced", 8, 0), (b"n2", 8, 0), (b"n3", 8, 0)];
     let err = {
         let mut fill = writing(&pool, &clock, |_| b"written!".to_vec());
         let failing = |i, v, head: [&[u8]; 2]| match i {
@@ -186,8 +246,8 @@ fn an_overwrite_group_that_fails_keeps_the_old_value_and_idles_every_lane() {
             let old = ht.get_ref(&clock, b"replaced").unwrap();
             let block = old.offset - ENT_KEY - b"replaced".len() as u64;
             let allocated = pool.allocated_bytes();
-            let reqs: Vec<(&[u8], u64)> =
-                vec![(b"n1", 8), (b"replaced", 8), (b"n2", if fits { 8 } else { 8 << 20 })];
+            let reqs: Vec<(&[u8], u64, u64)> =
+                vec![(b"n1", 8, 0), (b"replaced", 8, 0), (b"n2", if fits { 8 } else { 8 << 20 }, 0)];
             let group = || {
                 let mut fill = writing(&pool, &clock, |_| b"written!".to_vec());
                 let failing = |i, v, head: [&[u8]; 2]| match i {
@@ -238,7 +298,7 @@ fn a_one_key_overwrite_whose_fill_fails_restores_no_word_it_never_wrote() {
     let stats = || pool.device().machine().stats.snapshot();
     let before = stats();
     let failing = |_, _, _: [&[u8]; 2]| Err(PmdkError::TxFailure("the serializer failed".into()));
-    ht.put_many(&clock, &[(b"key", 8)], failing).unwrap_err();
+    ht.put_many(&clock, &[(b"key", 8, 0)], failing).unwrap_err();
     let paid = stats().delta_since(&before);
     assert_eq!((paid.fences, paid.flush_calls, paid.pmem_bytes_written), (6, 7, 128));
     assert_eq!(ht.get(&clock, b"key").unwrap(), b"original");
@@ -253,7 +313,7 @@ fn a_one_key_overwrite_whose_fill_fails_restores_no_word_it_never_wrote() {
 /// rolls back to the old chain, and commits to the new one.
 #[test]
 fn a_group_that_moves_its_head_rolls_back_and_commits_whole() {
-    let reqs: Vec<(&[u8], u64)> = vec![(b"a", 3), (b"c", 3), (b"d", 3)];
+    let reqs: Vec<(&[u8], u64, u64)> = vec![(b"a", 3, 0), (b"c", 3, 0), (b"d", 3, 0)];
     let (ht, pool, clock) = recovered_before_commit(1 << 22, |pool, clock, passed| {
         let ht = PersistentHashtable::create(clock, pool, 1).unwrap(); // c → b → a
         ht.set_auto_resize(false);
@@ -308,7 +368,7 @@ fn a_put_reads_its_bucket_head_once() {
     // group commits without reading its 64 intent slots back.
     for group in [1, 3, 64] {
         let keys: Vec<Vec<u8>> = fresh.by_ref().take(group).collect();
-        let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (k.as_slice(), 8)).collect();
+        let reqs: Vec<(&[u8], u64, u64)> = keys.iter().map(|k| (k.as_slice(), 8, 0)).collect();
         let before = reads();
         ht.put_many(&clock, &reqs, writing(&pool, &clock, |_| vec![7; 8]))
             .unwrap();
@@ -321,13 +381,13 @@ fn put_many_rejects_duplicate_keys() {
     let (ht, pool, clock) = table(1 << 22, 8);
     let nothing = |_, _, _: [&[u8]; 2]| Ok(());
     let err = ht
-        .put_many(&clock, &[(b"same", 4), (b"same", 8)], nothing)
+        .put_many(&clock, &[(b"same", 4, 0), (b"same", 8, 0)], nothing)
         .unwrap_err();
     assert!(matches!(err, PmdkError::TxFailure(_)));
     // A length the entry header cannot hold is refused the same way:
     // an error, before anything is allocated.
     let err = ht
-        .put_many(&clock, &[(b"fits", 4), (b"huge", 1 << 32)], nothing)
+        .put_many(&clock, &[(b"fits", 4, 0), (b"huge", 1 << 32, 0)], nothing)
         .unwrap_err();
     assert_eq!(err, PmdkError::ValueTooLarge { len: 1 << 32 });
     assert_eq!(ht.len(&clock), 0);
@@ -340,7 +400,7 @@ fn crash_mid_batch_rolls_back_the_whole_group() {
         let ht = PersistentHashtable::create(clock, pool, 4).unwrap();
         ht.put(clock, b"pre-existing", b"survives").unwrap();
         ht.put(clock, b"replaced", b"original").unwrap();
-        let reqs: Vec<(&[u8], u64)> = vec![(b"n1", 8), (b"replaced", 8), (b"n2", 8)];
+        let reqs: Vec<(&[u8], u64, u64)> = vec![(b"n1", 8, 0), (b"replaced", 8, 0), (b"n2", 8, 0)];
         ht.put_many(clock, &reqs, writing(pool, clock, |_| b"the new!".to_vec()))
             .unwrap();
         (ht.header_offset(), passed())

@@ -20,7 +20,8 @@
 //!                   [split_cursor u64][reserved u64]
 //!                   (`create` zeroes the reserved words; nothing reads them)
 //! hashtable heads:  [head u64 × bucket_count]           (separate alloc)
-//! hashtable entry:  [hash u64][key_len u32][val_len u32][next u64][key][value]
+//! hashtable entry:  [hash u64][key_len u16][head_len u16][val_len u32][next u64]
+//!                   [key][value]
 //! log header:       [capacity u64][head u64][tail u64]  (offsets into the ring)
 //! log ring:         records of [len u32][crc u32][bytes], contiguous, no wrap
 //!                   of a single record (a WRAP marker skips the slack at the
@@ -76,8 +77,9 @@ pub const LANE_IDLE: u32 = 0;
 pub const LANE_ACTIVE: u32 = 1;
 
 /// The on-media format this build reads and writes (superblock version
-/// word); 9: a free is a logged state word, and headers hold no back link.
-pub const LAYOUT_VERSION: u64 = 9;
+/// word); 10: an entry names its value's header length beside a 16-bit key
+/// length (9: a free is a logged state word, and headers hold no back link).
+pub const LAYOUT_VERSION: u64 = 10;
 
 /// Block states (persisted).
 pub const BLOCK_FREE: u32 = 0;
@@ -159,6 +161,10 @@ pub const fn min_pool_size() -> u64 {
 
 pub(crate) fn bad<T>(msg: String) -> Result<T> {
     Err(PmdkError::BadPool(msg))
+}
+
+fn le_u16(b: &[u8]) -> u16 {
+    u16::from_le_bytes([b[0], b[1]])
 }
 
 fn le_u32(b: &[u8]) -> u32 {
@@ -492,6 +498,10 @@ pub(crate) const HDR_SIZE: u64 = 56;
 
 pub(crate) const ENT_HASH: u64 = 0;
 pub(crate) const ENT_KLEN: u64 = 8;
+/// The value's leading bytes a reader decodes before it knows where the
+/// rest goes (0: the writer named none). Opaque to the pool: only
+/// `head_len <= val_len` is checked.
+pub const ENT_HLEN: u64 = 10;
 pub(crate) const ENT_VLEN: u64 = 12;
 pub const ENT_NEXT: u64 = 16;
 pub const ENT_KEY: u64 = 24;
@@ -635,7 +645,8 @@ pub(crate) struct Entry {
     /// The pointer slot that named it (head slot or predecessor's `next`).
     pub slot: u64,
     pub hash: u64,
-    pub klen: u32,
+    pub klen: u16,
+    pub hlen: u16,
     pub vlen: u32,
     pub next: u64,
 }
@@ -654,10 +665,11 @@ impl Entry {
 
 /// A chain entry as it is stored — header and key, the value written in
 /// place by the fill — in one buffer, so a fresh entry is one store.
-pub(crate) fn encode_entry(hash: u64, key: &[u8], vlen: u32, next: u64) -> Vec<u8> {
+pub(crate) fn encode_entry(hash: u64, key: &[u8], (hlen, vlen): (u16, u32), next: u64) -> Vec<u8> {
     let mut ent = Vec::with_capacity(ENT_KEY as usize + key.len());
     ent.extend_from_slice(&hash.to_le_bytes());
-    ent.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    ent.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    ent.extend_from_slice(&hlen.to_le_bytes());
     ent.extend_from_slice(&vlen.to_le_bytes());
     ent.extend_from_slice(&next.to_le_bytes());
     ent.extend_from_slice(key);
@@ -705,12 +717,16 @@ pub(crate) fn walk_from<B: Bytes>(
                     le_u64(&b[ENT_HASH as usize..]),
                     le_u64(&b[ENT_NEXT as usize..]),
                 );
-                (e.klen, e.vlen) = (
-                    le_u32(&b[ENT_KLEN as usize..]),
+                (e.klen, e.hlen, e.vlen) = (
+                    le_u16(&b[ENT_KLEN as usize..]),
+                    le_u16(&b[ENT_HLEN as usize..]),
                     le_u32(&b[ENT_VLEN as usize..]),
                 );
                 if !src.in_heap(at, ENT_KEY + e.klen as u64 + e.vlen as u64) {
                     return torn(hops, "body overruns the heap");
+                }
+                if e.hlen as u32 > e.vlen {
+                    return torn(hops, "names a header longer than its value");
                 }
             }
         }

@@ -869,7 +869,7 @@ mod tests {
             .filter(|k| taken.insert(fnv1a(k) % BUCKETS))
             .take(64)
             .collect();
-        let reqs: Vec<(&[u8], u64)> = keys.iter().map(|k| (k.as_slice(), 8)).collect();
+        let reqs: Vec<(&[u8], u64, u64)> = keys.iter().map(|k| (k.as_slice(), 8, 0)).collect();
         let (before, txs) = (
             fences(&pool),
             pool.device().machine().stats.snapshot().pool_txs,

@@ -10,9 +10,9 @@
 use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap, walk_log};
 use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
-    blk, heap_start, lane, lane_offset, lane_undo, sb, Bytes, Superblock, ENT_KEY, ENT_NEXT,
-    HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_IDLE, LANE_INTENTS,
-    LAYOUT_VERSION, LOG_HEAD, UNDO_CAPACITY,
+    blk, heap_start, lane, lane_offset, lane_undo, sb, Bytes, Superblock, ENT_HLEN, ENT_KEY,
+    ENT_NEXT, HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_IDLE,
+    LANE_INTENTS, LAYOUT_VERSION, LOG_HEAD, UNDO_CAPACITY,
 };
 use pmdk_sim::{PersistentHashtable, PersistentLog, PmdkError, PmemPool};
 use pmem_sim::{Clock, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
@@ -125,6 +125,14 @@ fn undo_header(off: u64, len: u64) -> [(u64, u64); 2] {
     [(at, off), (at + 8, len)]
 }
 
+/// The tail entry's length word — key length, header length, value
+/// length — naming a header one byte longer than its 2-byte value.
+const LONG_HEADER: fn(&Image) -> Vec<(u64, u64)> = |img| {
+    let lens = img.tail_entry + ENT_HLEN - 2;
+    let word = img.dev.u64_at(lens) & !(0xffff << 16);
+    vec![(lens, word | 3 << 16)]
+};
+
 const SELF_LOOP: fn(&Image) -> Vec<(u64, u64)> =
     |img| vec![(img.tail_entry + ENT_NEXT, img.tail_entry)];
 const WILD_NEXT: fn(&Image) -> Vec<(u64, u64)> = |img| vec![(img.tail_entry + ENT_NEXT, 1 << 40)];
@@ -138,9 +146,9 @@ const ROWS: &[Row] = &[
         doctor_ok: |img| Superblock::read(img.dev.as_ref()).fault.is_none(),
     },
     Row {
-        // The format before frees were logged state words: its headers'
-        // back links and its COMMITTING lanes mean nothing to this build.
-        name: "superblock layout version 8",
+        // The format before entries named their header length: its
+        // 32-bit key length would read as a key and a header length.
+        name: "superblock layout version 9",
         corrupt: |_| vec![(sb::VERSION, LAYOUT_VERSION - 1)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
@@ -294,6 +302,26 @@ const ROWS: &[Row] = &[
             assert!(ht.get(clock, &img.absent).is_none());
             ht.put(clock, &img.absent, b"v").map(drop)
         },
+        expect: Expect::Refused,
+        doctor_ok: table_ok,
+    },
+    Row {
+        // A reader would split its one load of the value at the header's
+        // end: a header past the value's end would load past the record.
+        name: "entry header length past its value: get_ref_many of that key",
+        corrupt: LONG_HEADER,
+        mounted: |img, clock| {
+            let found = img.table(clock)?.get_ref_many(clock, &[&img.held]);
+            assert!(found[0].is_none(), "the walk ends before the entry");
+            Ok(())
+        },
+        expect: Expect::Degraded,
+        doctor_ok: table_ok,
+    },
+    Row {
+        name: "entry header length past its value: put into that bucket",
+        corrupt: LONG_HEADER,
+        mounted: put_absent,
         expect: Expect::Refused,
         doctor_ok: table_ok,
     },

@@ -31,6 +31,10 @@ impl Serializer for Bp4 {
     }
 
     fn serialized_len(&self, meta: &VarMeta, payload_len: u64) -> u64 {
+        self.header_len(meta) + payload_len + 8 // trailing record length
+    }
+
+    fn header_len(&self, meta: &VarMeta) -> u64 {
         4 + 1 // magic + version
             + 4 + meta.name.len() as u64 // name
             + 1 // dtype
@@ -38,8 +42,6 @@ impl Serializer for Bp4 {
             + 3 * 8 * meta.dims.len() as u64 // dims, global_dims, offsets
             + 1 + 16 // characteristic count + min/max
             + 8 // payload_len
-            + payload_len
-            + 8 // trailing record length
     }
 
     fn write_var(&self, meta: &VarMeta, payload: &[u8], sink: &mut dyn WriteSink) -> Result<()> {

@@ -30,11 +30,6 @@ impl CapnpLite {
             + 4 + meta.name.len() as u64
             + 3 * 8 * meta.dims.len() as u64
     }
-
-    /// Padded (word-aligned) header length.
-    fn header_len(meta: &VarMeta) -> u64 {
-        word_align(Self::raw_header_len(meta))
-    }
 }
 
 impl Serializer for CapnpLite {
@@ -48,12 +43,17 @@ impl Serializer for CapnpLite {
     }
 
     fn serialized_len(&self, meta: &VarMeta, payload_len: u64) -> u64 {
-        Self::header_len(meta) + word_align(payload_len)
+        self.header_len(meta) + word_align(payload_len)
+    }
+
+    /// Padded (word-aligned) header length.
+    fn header_len(&self, meta: &VarMeta) -> u64 {
+        word_align(Self::raw_header_len(meta))
     }
 
     fn write_var(&self, meta: &VarMeta, payload: &[u8], sink: &mut dyn WriteSink) -> Result<()> {
         let start = sink.position();
-        let header_len = Self::header_len(meta);
+        let header_len = self.header_len(meta);
         put_u32(sink, MAGIC)?;
         put_u32(sink, (header_len / 8) as u32)?;
         put_u64(sink, payload.len() as u64)?;
@@ -158,7 +158,7 @@ mod tests {
         let payload: Vec<u8> = (0..4).flat_map(|i| (i as f64).to_le_bytes()).collect();
         let mut buf = Vec::new();
         CapnpLite.write_var(&meta, &payload, &mut buf).unwrap();
-        let header_len = CapnpLite::header_len(&meta) as usize;
+        let header_len = CapnpLite.header_len(&meta) as usize;
         assert_eq!(header_len % 8, 0);
         assert_eq!(&buf[header_len..header_len + 32], &payload[..]);
     }

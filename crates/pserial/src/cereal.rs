@@ -23,13 +23,16 @@ impl Serializer for Cereal {
     }
 
     fn serialized_len(&self, meta: &VarMeta, payload_len: u64) -> u64 {
+        self.header_len(meta) + payload_len
+    }
+
+    fn header_len(&self, meta: &VarMeta) -> u64 {
         4 // magic
             + 4 + meta.name.len() as u64
             + 1 // dtype
             + 1 // ndims
             + 3 * 8 * meta.dims.len() as u64
             + 8 // payload_len
-            + payload_len
     }
 
     fn write_var(&self, meta: &VarMeta, payload: &[u8], sink: &mut dyn WriteSink) -> Result<()> {

@@ -92,6 +92,34 @@ mod registry_tests {
         }
     }
 
+    /// `header_len` is where `read_header` leaves its source, the first
+    /// payload byte, in every format and for any name length, rank and
+    /// payload (up to three 256-byte windows); at most 8 bytes follow the
+    /// payload: BP4's trailer is 8, capnp-lite's padding 0 to 7.
+    #[test]
+    fn header_len_is_where_the_payload_starts() {
+        for s in all_formats() {
+            for name_len in [1, 7, 8, 9, 100, 255, 256, 300] {
+                for ndims in 0..=4u64 {
+                    let dims: Vec<u64> = (1..=ndims).collect();
+                    let offsets = vec![0; dims.len()];
+                    let name = "n".repeat(name_len);
+                    let meta = VarMeta::block(name, Datatype::U8, &dims, &offsets, &dims);
+                    for len in [0, 1, 7, 9, 255, 256, 257, 512, 767, 768] {
+                        let mut buf = Vec::new();
+                        s.write_var(&meta, &vec![0xA5; len], &mut buf).unwrap();
+                        let mut src = SliceSource::new(&buf);
+                        s.read_header(&mut src).unwrap();
+                        let (h, at) = (s.header_len(&meta), (s.name(), name_len, ndims, len));
+                        assert_eq!(src.position(), h, "{at:?}");
+                        let after = buf.len() as u64 - h - len as u64;
+                        assert!(after <= 8, "{at:?}: {after} bytes after the payload");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn self_describing_formats_round_trip_meta() {
         let meta = VarMeta::block("T", Datatype::F32, &[10, 20], &[5, 0], &[5, 20]);

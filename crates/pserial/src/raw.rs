@@ -28,8 +28,12 @@ impl Serializer for Raw {
         false
     }
 
-    fn serialized_len(&self, _meta: &VarMeta, payload_len: u64) -> u64 {
-        4 + 4 + 8 + payload_len // magic + pad + len + payload
+    fn serialized_len(&self, meta: &VarMeta, payload_len: u64) -> u64 {
+        self.header_len(meta) + payload_len
+    }
+
+    fn header_len(&self, _meta: &VarMeta) -> u64 {
+        4 + 4 + 8 // magic + pad + len
     }
 
     fn write_var(&self, meta: &VarMeta, payload: &[u8], sink: &mut dyn WriteSink) -> Result<()> {

@@ -37,6 +37,10 @@ pub trait Serializer: Send + Sync {
     /// Exact on-wire size for this meta + payload length.
     fn serialized_len(&self, meta: &VarMeta, payload_len: u64) -> u64;
 
+    /// The bytes `read_header` consumes for `meta`: where the payload
+    /// starts. At most 8 bytes follow the payload (a trailer, padding).
+    fn header_len(&self, meta: &VarMeta) -> u64;
+
     /// Encode header + payload into `sink`.
     fn write_var(&self, meta: &VarMeta, payload: &[u8], sink: &mut dyn WriteSink) -> Result<()>;
 

@@ -831,8 +831,8 @@ fn group(
 ) {
     let values: Vec<_> = ids.clone().map(|i| value(i, generation)).collect();
     let keys: Vec<_> = ids.map(key).collect();
-    let reqs: Vec<(&[u8], u64)> = (keys.iter().zip(&values))
-        .map(|(k, v)| (k.as_slice(), v.len() as u64))
+    let reqs: Vec<(&[u8], u64, u64)> = (keys.iter().zip(&values))
+        .map(|(k, v)| (k.as_slice(), v.len() as u64, 0))
         .collect();
     ex.update(|m| {
         let puts = keys.iter().cloned().zip(values.iter().cloned().map(Some));

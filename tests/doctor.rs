@@ -20,13 +20,15 @@
 mod support;
 
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
+use pmdk_sim::layout::{ENT_HLEN, ENT_KEY};
 use pmem_sim::flight::EventCode::{
     self, CkptBegin, CkptEnd, Recovery, SplitBegin, SplitChunk, TxBegin, TxCommit, WalAppend,
     WalTruncate,
 };
-use pmem_sim::{Machine, PersistenceMode, PmemDevice};
-use pmemcpy::{registry, MmapTarget, Options, Pmem};
+use pmem_sim::{Machine, MetricsRegistry, PersistenceMode, PmemDevice};
+use pmemcpy::{registry, MmapTarget, Options, Pmem, PmemCpyError};
 use pmemcpy_bench::doctor::{diagnose, load_image, Diagnosis, Status};
+use pserial::SerialError;
 use simfs::{MountMode, SimFs};
 use std::sync::Arc;
 use support::{device_with, first_active, image_at, Timeline};
@@ -330,4 +332,57 @@ fn hierarchical_dataset_is_rejected_not_misdiagnosed() {
         err.contains("not a pmemcpy pool image"),
         "unexpected error: {err}"
     );
+}
+
+/// A record's entry that names no header length, or one past its value,
+/// fails its get with a typed error before any load of the record, and
+/// FAILs the doctor's `hashtable` verdict: the first by pMEMCPY's rule
+/// (a `\0`-free key's record names its header), the second by the pool's
+/// own walk, which also ends the chain there on a mount.
+#[test]
+fn an_entry_naming_no_header_or_one_past_its_value_fails_the_get_and_the_doctor() {
+    let machine = Machine::chameleon();
+    let dev = PmemDevice::new(Arc::clone(&machine), DEVICE_BYTES, PersistenceMode::Fast);
+    let comm = Comm::new(World::new(Arc::clone(&machine), 1), 0);
+    let mut pmem = Pmem::new();
+    pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+    pmem.store_slice("rec", &[1.5f64; 128]).unwrap();
+    pmem.munmap().unwrap();
+    registry::release_pool(&dev);
+    let clean = diagnose(&dev).unwrap();
+    assert_eq!(verdict(&clean, "hashtable").status, Status::Pass);
+    let rec = (clean.hashtable.as_ref().unwrap().lookup(b"rec").cloned()).unwrap();
+    assert!(
+        0 < rec.header_len && rec.header_len < rec.value_len,
+        "{rec:?}"
+    );
+    let head_len = rec.value_off - b"rec".len() as u64 - ENT_KEY + ENT_HLEN;
+    let image = dev.read_vec_untimed(0, DEVICE_BYTES);
+    for head in [0, rec.value_len as u16 + 1] {
+        let dev = device_with(&image, PersistenceMode::Fast);
+        dev.write_untimed(head_len as usize, &head.to_le_bytes());
+        let d = diagnose(&dev).unwrap();
+        let v = verdict(&d, "hashtable");
+        assert_eq!(v.status, Status::Fail, "header length {head}: {v:?}");
+
+        let registry = MetricsRegistry::new();
+        dev.machine().set_metrics(Arc::clone(&registry));
+        let comm = Comm::new(World::new(Arc::clone(dev.machine()), 1), 0);
+        let mut pmem = Pmem::new();
+        pmem.mmap(MmapTarget::DevDax(&dev), &comm).unwrap();
+        let err = pmem.load_slice::<f64>("rec").unwrap_err();
+        let typed = match head {
+            0 => matches!(err, PmemCpyError::Serial(SerialError::Corrupt(_))),
+            _ => matches!(err, PmemCpyError::NotFound(_)),
+        };
+        assert!(typed, "header length {head}: {err:?}");
+        let loads = registry
+            .snapshot()
+            .hists
+            .get("pmem.read")
+            .map_or(0, |h| h.count);
+        assert_eq!(loads, 0, "header length {head}: the record was loaded");
+        pmem.munmap().unwrap();
+        registry::release_pool(&dev);
+    }
 }
