@@ -353,11 +353,12 @@ pub fn render_text(d: &Diagnosis, timeline: bool) -> String {
     for l in &d.lanes.busy {
         let _ = writeln!(
             out,
-            "  lane {:2} {:<10} undo {} bytes, {} intents",
+            "  lane {:2} {:<10} log {} bytes: {} records, {} intents",
             l.index,
             l.state_name(),
-            l.undo_len,
-            l.intent_count
+            l.log_len,
+            l.records,
+            l.intents
         );
     }
     let _ = writeln!(

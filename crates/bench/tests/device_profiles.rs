@@ -51,11 +51,11 @@ fn a_drift_names_its_cell_and_field() {
     for (fresh, cell, field) in [
         (
             baseline.replace(
-                r#""virtual_time_ns":5406306408"#,
-                r#""virtual_time_ns":5406306409"#,
+                r#""virtual_time_ns":5406306042"#,
+                r#""virtual_time_ns":5406306043"#,
             ),
             r#"line 7, cell {"library":"PMCPY-WB","direction":"write","nprocs":24"#,
-            r#"field "virtual_time_ns":5406306408 (baseline) vs "virtual_time_ns":5406306409 (fresh)"#,
+            r#"field "virtual_time_ns":5406306042 (baseline) vs "virtual_time_ns":5406306043 (fresh)"#,
         ),
         (
             baseline.replacen(r#""device_profile":"optane-gen1","#, "", 1),

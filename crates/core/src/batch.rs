@@ -21,7 +21,7 @@
 //! Crash contract: each committed group is atomic — a crash mid-commit rolls
 //! back the *entire* group (none of its keys visible, replaced values
 //! intact). A batch is split into consecutive atomic groups at
-//! [`MAX_GROUP_KEYS`] keys (the transaction lane's intent capacity) and at a
+//! [`MAX_GROUP_KEYS`] keys (well inside the transaction lane's log) and at a
 //! repeated key (see [`WriteBatch::commit`]).
 
 use crate::api::{self, Pmem};
@@ -32,9 +32,9 @@ use pserial::{Datatype, VarMeta};
 use std::borrow::Cow;
 use std::collections::HashSet;
 
-/// Largest group committed as one pool transaction: each key needs an
-/// alloc intent, a lane holds 128, and a replacement's free is an undo
-/// record.
+/// Largest group committed as one pool transaction. The lane's one log
+/// bounds a group: a key logs at most 52 bytes (an intent, its head, an
+/// unlink word, a replaced block's state word), 64 keys 3 328 of 16 376.
 pub(crate) const MAX_GROUP_KEYS: usize = 64;
 
 struct PendingPut<'a> {

@@ -633,11 +633,9 @@ type Damage = (&'static str, fn(&PmemDevice));
 #[test]
 fn mmap_refuses_a_damaged_pool_and_leaves_it_as_it_found_it() {
     use pmdk_sim::layout::{heap_start, lane, lane_offset, LANE_ACTIVE};
-    // Superblock words (`pmdk_sim::layout::sb`) and the lane header's undo
-    // length (`lane::UNDO_LEN`), at their on-media offsets.
+    // Superblock words (`pmdk_sim::layout::sb`), at their on-media offsets.
     const POOL_SIZE: usize = 16;
     const HEAP_START: usize = 24;
-    const UNDO_LEN: usize = 4;
     let damages: [Damage; 4] = [
         ("superblock heap_start", |dev| {
             dev.write_untimed(HEAP_START, &(heap_start() + 4096).to_le_bytes())
@@ -648,10 +646,10 @@ fn mmap_refuses_a_damaged_pool_and_leaves_it_as_it_found_it() {
         ("first heap block magic", |dev| {
             dev.write_untimed(heap_start() as usize, &0xdead_beef_u32.to_le_bytes())
         }),
-        ("lane 0 ACTIVE with an undo length of u32::MAX", |dev| {
+        ("lane 0 ACTIVE with a log length of u32::MAX", |dev| {
             let lane0 = lane_offset(0) as usize;
             dev.write_untimed(lane0 + lane::STATE as usize, &LANE_ACTIVE.to_le_bytes());
-            dev.write_untimed(lane0 + UNDO_LEN, &u32::MAX.to_le_bytes());
+            dev.write_untimed(lane0 + lane::LOG_LEN as usize, &u32::MAX.to_le_bytes());
         }),
     ];
     for (what, damage) in damages {

@@ -28,13 +28,15 @@ fn message(e: PmdkError) -> String {
     }
 }
 
-/// One transaction lane's persisted header.
+/// One busy transaction lane: its header words, and the undo records and
+/// alloc intents its log decodes to (none for a lane that faults).
 #[derive(Debug, Clone)]
 pub struct LaneReport {
     pub index: u64,
     pub state: u32,
-    pub undo_len: u32,
-    pub intent_count: u32,
+    pub log_len: u32,
+    pub records: usize,
+    pub intents: usize,
 }
 
 impl LaneReport {
@@ -56,8 +58,7 @@ pub struct LaneSummary {
     /// Only the non-idle lanes (the interesting ones).
     pub busy: Vec<LaneReport>,
     /// What recovery would refuse: a lane state other than IDLE or ACTIVE,
-    /// or an undo log or intent array of an ACTIVE lane that the shared
-    /// decoder faults.
+    /// or the log of an ACTIVE lane that the shared decoder faults.
     pub errors: Vec<String>,
 }
 
@@ -71,28 +72,29 @@ pub fn read_lanes(dev: &PmemDevice) -> LaneSummary {
     let mut out = LaneSummary::default();
     for i in 0..LANES {
         let base = lane_offset(i);
-        let rep = LaneReport {
-            index: i,
-            state: dev.u32_at(base + lane::STATE),
-            undo_len: dev.u32_at(base + lane::UNDO_LEN),
-            intent_count: dev.u32_at(base + lane::INTENT_COUNT),
-        };
-        match rep.state {
-            LANE_IDLE => out.idle += 1,
-            LANE_ACTIVE => out.active += 1,
-            _ => out.corrupt += 1,
-        }
+        let state = dev.u32_at(base + lane::STATE);
         // What lane recovery would decode, through the decoder it uses.
-        let decoded = match rep.state {
-            LANE_IDLE => Ok(()),
-            LANE_ACTIVE => undo_records(dev, base).and(intents(dev, base)).map(drop),
+        let log = match state {
+            LANE_IDLE => continue,
+            LANE_ACTIVE => lane_log(dev, base),
             s => bad(format!("lane {i} has invalid state {s}")),
         };
-        out.errors.extend(decoded.err().map(message));
-        if rep.state != LANE_IDLE {
-            out.busy.push(rep);
-        }
+        let log = log.unwrap_or_else(|e| {
+            out.errors.push(message(e));
+            vec![]
+        });
+        let intents = log.iter().filter(|r| r.is_intent()).count();
+        out.busy.push(LaneReport {
+            index: i,
+            state,
+            log_len: dev.u32_at(base + lane::LOG_LEN),
+            records: log.len() - intents,
+            intents,
+        });
     }
+    out.active = out.busy.iter().filter(|l| l.state == LANE_ACTIVE).count() as u64;
+    out.corrupt = out.busy.len() as u64 - out.active;
+    out.idle = LANES - out.busy.len() as u64;
     out
 }
 

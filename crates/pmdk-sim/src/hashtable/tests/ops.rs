@@ -284,13 +284,15 @@ fn an_overwrite_group_that_fails_keeps_the_old_value_and_idles_every_lane() {
 /// A one-key overwrite whose fill fails after the carve's count store
 /// rolls its lane back in process, and restores only what the group
 /// stored: its head word, logged before the carve, is written only once
-/// the carve commits, so the abort leaves it as it is. The append of the
-/// head word's and the freed block's records (36 bytes), the alloc slot
-/// (8), the count store (12), the tail (32), the commit header (32), the
-/// rollback's FREE word over the new block (4) and IDLE (4): 6 fences, 7
-/// flushes and 128 bytes written (148 while the rollback's free stored a
-/// merged 32-byte header; 7 fences, 8 flushes and 156 bytes while every
-/// logged word was restored).
+/// the carve commits, so the abort leaves it as it is. The count store —
+/// the lane's header words with the freed block's record, the head
+/// word's and the alloc intent (8 + 12 + 16 + 8 bytes) in one line —, the
+/// tail (32), the commit header (32), the rollback's FREE word over the
+/// new block (4) and IDLE (4): 5 fences, 5 flushes and 116 bytes written
+/// (6, 7 and 128 while the records, the alloc slot and the counts were
+/// three stores; 148 bytes while the rollback's free stored a merged
+/// 32-byte header; 7 fences, 8 flushes and 156 bytes while every logged
+/// word was restored).
 #[test]
 fn a_one_key_overwrite_whose_fill_fails_restores_no_word_it_never_wrote() {
     let (ht, pool, clock) = table(1 << 22, 4);
@@ -300,7 +302,7 @@ fn a_one_key_overwrite_whose_fill_fails_restores_no_word_it_never_wrote() {
     let failing = |_, _, _: [&[u8]; 2]| Err(PmdkError::TxFailure("the serializer failed".into()));
     ht.put_many(&clock, &[(b"key", 8, 0)], failing).unwrap_err();
     let paid = stats().delta_since(&before);
-    assert_eq!((paid.fences, paid.flush_calls, paid.pmem_bytes_written), (6, 7, 128));
+    assert_eq!((paid.fences, paid.flush_calls, paid.pmem_bytes_written), (5, 5, 116));
     assert_eq!(ht.get(&clock, b"key").unwrap(), b"original");
     let idle = |i| pool.device().u32_at(lane_offset(i) + lane::STATE) == LANE_IDLE;
     assert!((0..LANES).all(idle));

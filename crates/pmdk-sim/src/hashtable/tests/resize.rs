@@ -294,10 +294,11 @@ fn a_chunk_costs_one_run_read_and_one_header_read_an_entry() {
         let m = keys.iter().filter(held).count() as u64;
         let (reads, undo) = (seen().0 - reads, seen().1 - undo);
         assert_eq!(reads, 1 + m, "chunk {start}..{end}");
-        // The cursor word (three words when the split retires) and the
-        // relinks: 20 bytes of undo each.
+        // The cursor word (three words when the split retires, with the
+        // old array's 12-byte state word record) and the relinks: 16 bytes
+        // of log each.
         let words = if end == N { 3 } else { 1 };
-        relinked.insert(undo / 20 - words);
+        relinked.insert(undo / 16 - words);
     }
     assert!(
         relinked.len() > 2,
@@ -311,23 +312,26 @@ fn a_chunk_costs_one_run_read_and_one_header_read_an_entry() {
 
 /// The worst relink pattern a 256-bucket chunk can meet: every source
 /// chain is 8 long and alternates lo/hi, so 7 of its 8 next pointers
-/// are rewritten — 35 KB of undo against a 15 KB lane. The chunk ends
+/// are rewritten — 28 KB of undo against a 16 KB lane. The chunk ends
 /// at the last bucket that fits instead of overflowing (an overflow
-/// would fail this and every later mutation).
+/// would fail this and every later mutation). The pattern spans two
+/// chunks' worth of buckets, so the chunk that resumes where the first
+/// stopped meets it too.
 #[test]
 fn one_chunk_of_the_worst_relink_pattern_fits_the_undo_log() {
     const N: u64 = 8192; // the smallest directory whose chunk is 256
     const CHUNK: u64 = 256;
+    const PATTERN: u64 = 2 * CHUNK;
     let (ht, pool, clock) = table(1 << 24, N);
     ht.set_auto_resize(false);
-    // Per source bucket of the first chunk: four keys for each half.
-    let mut picked: Vec<[Vec<String>; 2]> = vec![Default::default(); CHUNK as usize];
+    // Per source bucket of the pattern: four keys for each half.
+    let mut picked: Vec<[Vec<String>; 2]> = vec![Default::default(); PATTERN as usize];
     let mut fillers = Vec::new();
-    let mut missing = CHUNK * 8;
+    let mut missing = PATTERN * 8;
     for i in 0.. {
         let k = format!("w{i}");
         let h = fnv1a(k.as_bytes());
-        if h % N >= CHUNK {
+        if h % N >= PATTERN {
             if (fillers.len() as u64) < N / 2 {
                 fillers.push(k);
             }
@@ -361,12 +365,12 @@ fn one_chunk_of_the_worst_relink_pattern_fits_the_undo_log() {
         registry.snapshot().counter("tx.undo_bytes"),
         ht.geo().cursor,
     );
-    // 7 relinks per bucket + the cursor word, 12 + 8 bytes each, and
+    // 7 relinks per bucket + the cursor word, 8 + 8 bytes each, and
     // room kept for the two more words a retiring chunk would log.
-    assert_eq!(undo, (cursor * 7 + 1) * 20);
-    let capacity = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
-    assert!(undo + 2 * 20 <= capacity && undo + 7 * 20 > capacity - 3 * 20);
-    assert!(cursor < CHUNK, "the whole chunk would have taken 35 KB");
+    assert_eq!(undo, (cursor * 7 + 1) * 16);
+    let capacity = LANE_LOG_BYTES;
+    assert!(undo + 2 * 16 <= capacity && undo + 7 * 16 > capacity - 3 * 16);
+    assert!(cursor < CHUNK, "the whole chunk would have taken 28 KB");
     // The next chunk resumes at that bucket: with the mirror off, one run
     // read from there, one header read an entry of every bucket it walked
     // (the one that no longer fit included), and it is cut short the same

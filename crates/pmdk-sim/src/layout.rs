@@ -10,9 +10,10 @@
 //! lanes end       FLIGHT RECORDER: bounded crash-safe event ring
 //! flight end      HEAP: block-header-prefixed allocations
 //!
-//! lane:             [state u32][undo_len u32][intent_count u32][reserved u32]
-//!                   ...64 B; [intent u64 × LANE_INTENTS]; undo records of
-//!                   [target off u64][len u32][pre-image], contiguous
+//! lane:             [state u32][log_len u32][records…], the first records in
+//!                   the header's 64-byte line; a record is
+//!                   [len << 48 | off  u64][pre-image: len bytes], contiguous,
+//!                   and len 0 is an alloc intent for the payload at off
 //! heap block:       [magic u32][state u32][size u64][reserved u64 × 2]
 //!                   [payload]
 //! hashtable header: [bucket_count u64][reserved u64][heads_off u64]
@@ -57,14 +58,11 @@ pub(crate) const SUPERBLOCK_SIZE: u64 = 4096;
 /// Number of transaction lanes (PMDK uses 1024; 32 is plenty for ≤48 ranks
 /// since transactions are short-lived).
 pub const LANES: u64 = 32;
-/// Bytes per lane: 64 B header + undo log + allocation-intent slots.
+/// Bytes per lane: the two header words and the log.
 pub(crate) const LANE_SIZE: u64 = 16 * 1024;
-/// Lane header size.
-pub(crate) const LANE_HEADER_SIZE: u64 = 64;
-/// Max allocation intents per transaction.
-pub const LANE_INTENTS: u64 = 128;
-/// Bytes reserved at the head of a lane's variable area for intents.
-pub(crate) const LANE_INTENT_BYTES: u64 = LANE_INTENTS * 8;
+/// A lane's first cacheline: the header words and the log's first records,
+/// which one store persists failure-atomically.
+pub(crate) const LANE_LINE: u64 = 64;
 /// Heap block header size.
 pub const BLOCK_HEADER_SIZE: u64 = 32;
 /// Allocation granularity/alignment of heap payloads.
@@ -77,9 +75,9 @@ pub const LANE_IDLE: u32 = 0;
 pub const LANE_ACTIVE: u32 = 1;
 
 /// The on-media format this build reads and writes (superblock version
-/// word); 10: an entry names its value's header length beside a 16-bit key
-/// length (9: a free is a logged state word, and headers hold no back link).
-pub const LAYOUT_VERSION: u64 = 10;
+/// word); 11: a lane is one log of undo records and alloc intents (10: an
+/// entry names its value's header length beside a 16-bit key length).
+pub const LAYOUT_VERSION: u64 = 11;
 
 /// Block states (persisted).
 pub const BLOCK_FREE: u32 = 0;
@@ -109,10 +107,8 @@ pub mod sb {
 /// Lane header field offsets (relative to the lane base).
 pub mod lane {
     pub const STATE: u64 = 0;
-    pub(crate) const UNDO_LEN: u64 = 4; // bytes used in the undo area
-    pub const INTENT_COUNT: u64 = 8;
-    // variable area starts at LANE_HEADER_SIZE:
-    //   [intents: LANE_INTENT_BYTES] [undo entries...]
+    pub const LOG_LEN: u64 = 4; // bytes of records logged
+    pub const RECORDS: u64 = 8; // the first record
 }
 
 /// Heap block header field offsets (relative to the header base); bytes
@@ -326,94 +322,81 @@ impl Superblock {
 
 // ---- transaction lanes ----
 
-/// Bytes of undo log in one lane: what is left after header and intents.
-pub const UNDO_CAPACITY: u64 = LANE_SIZE - LANE_HEADER_SIZE - LANE_INTENT_BYTES;
-/// Undo record header: target offset u64 + pre-image length u32.
-const UNDO_REC_HDR: u64 = 12;
+/// Bytes of log in one lane: all of it past the two header words.
+pub const LANE_LOG_BYTES: u64 = LANE_SIZE - lane::RECORDS;
+/// A record header names its target in its low 48 bits, its length above.
+const OFF_BITS: u32 = 48;
+/// The largest device a pool fits: every offset a record can name.
+pub const MAX_POOL_SIZE: u64 = 1 << OFF_BITS;
+/// Bytes of a record's header: `len << 48 | off`.
+pub(crate) const RECORD_HEADER: u64 = 8;
 
-/// Device offset of the intent array of the lane at `base`.
-pub(crate) const fn lane_intents(base: u64) -> u64 {
-    base + LANE_HEADER_SIZE
+/// Append one log record to `log`: its header, then `pre`, the bytes to
+/// restore at `off` — or, with `pre` empty, an alloc intent for the payload
+/// at `off`. Contiguous, so one store and one flush cover a run of them.
+pub(crate) fn encode_record(log: &mut Vec<u8>, off: u64, pre: &[u8]) {
+    log.extend_from_slice(&((pre.len() as u64) << OFF_BITS | off).to_le_bytes());
+    log.extend_from_slice(pre);
 }
 
-/// Device offset of the undo area of the lane at `base`.
-pub const fn lane_undo(base: u64) -> u64 {
-    lane_intents(base) + LANE_INTENT_BYTES
-}
-
-/// Undo-log bytes a record with a `len`-byte pre-image occupies.
-pub(crate) const fn undo_record_size(len: u64) -> u64 {
-    UNDO_REC_HDR + len
-}
-
-/// One undo record as it is stored: offset, length, pre-image — contiguous,
-/// so one store and one flush cover it.
-pub(crate) fn encode_undo_record(off: u64, pre: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(undo_record_size(pre.len() as u64) as usize);
-    rec.extend_from_slice(&off.to_le_bytes());
-    rec.extend_from_slice(&(pre.len() as u32).to_le_bytes());
-    rec.extend_from_slice(pre);
-    rec
-}
-
-/// One decoded undo record: restore `pre` at `off`.
+/// One decoded log record: restore `pre` at `off`, or, with `pre` empty,
+/// free the block whose payload is at `off` if it came to be.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct UndoRecord {
+pub struct LogRecord {
     pub off: u64,
     pub pre: Vec<u8>,
 }
 
-/// Decode the undo log of the lane at `base`, oldest record first: the
-/// length word, then the logged bytes in one fetch, pre-images included. The
-/// log must fit the lane, every record must end inside the logged length,
-/// and every target must lie in the heap (where everything a transaction
-/// snapshots lives).
-pub(crate) fn undo_records<B: Bytes>(src: &B, base: u64) -> Result<Vec<UndoRecord>> {
-    let undo_len = src.u32_at(base + lane::UNDO_LEN) as u64;
-    if undo_len > UNDO_CAPACITY {
-        return bad(format!(
-            "lane at {base:#x}: undo length {undo_len} past the lane ({UNDO_CAPACITY})"
-        ));
+impl LogRecord {
+    pub fn is_intent(&self) -> bool {
+        self.pre.is_empty()
     }
-    let log = fetch(src, lane_undo(base), undo_len);
-    let (mut cursor, mut out) = (0u64, vec![]);
-    while cursor < undo_len {
-        if undo_len - cursor < UNDO_REC_HDR {
-            return bad(format!(
-                "lane at {base:#x}: undo record at {cursor} runs past the logged {undo_len}"
-            ));
-        }
-        let rec = &log[cursor as usize..];
-        let (off, len) = (le_u64(rec), le_u32(&rec[8..]) as u64);
-        if undo_record_size(len) > undo_len - cursor {
-            return bad(format!(
-                "lane at {base:#x}: undo record at {cursor} (+{len}) runs past the logged {undo_len}"
-            ));
-        }
-        if !src.in_heap(off, len) {
-            return bad(format!(
-                "lane at {base:#x}: undo record targets {off:#x}+{len}, outside the heap"
-            ));
-        }
-        let pre = rec[UNDO_REC_HDR as usize..][..len as usize].to_vec();
-        out.push(UndoRecord { off, pre });
-        cursor += undo_record_size(len);
-    }
-    Ok(out)
 }
 
-/// Fetch the filled intent slots of the lane at `base` — the blocks its
-/// transaction allocates: the count word, then the counted slots in one
-/// fetch.
-pub fn intents<B: Bytes>(src: &B, base: u64) -> Result<Vec<u64>> {
-    let count = src.u32_at(base + lane::INTENT_COUNT) as u64;
-    if count > LANE_INTENTS {
+/// Decode the log of the lane at `base`, oldest record first: the length
+/// word, then the logged bytes in one fetch. The log must fit the lane,
+/// every record must end inside the logged length, every pre-image's
+/// target must lie in the heap (where everything a transaction snapshots
+/// lives), and every intent must name a place a block payload can start.
+pub fn lane_log<B: Bytes>(src: &B, base: u64) -> Result<Vec<LogRecord>> {
+    let len = src.u32_at(base + lane::LOG_LEN) as u64;
+    if len > LANE_LOG_BYTES {
         return bad(format!(
-            "lane at {base:#x}: intent count {count} > {LANE_INTENTS}"
+            "lane at {base:#x}: log length {len} past the lane ({LANE_LOG_BYTES})"
         ));
     }
-    let slots = fetch(src, lane_intents(base), count * 8);
-    Ok(slots.chunks_exact(8).map(le_u64).collect())
+    let log = fetch(src, base + lane::RECORDS, len);
+    let (mut cursor, mut out) = (0u64, vec![]);
+    while cursor < len {
+        // A header cut short by the length reads as the longest record.
+        let word = log[cursor as usize..].get(..8).map_or(u64::MAX, le_u64);
+        let (off, n) = (word & (MAX_POOL_SIZE - 1), word >> OFF_BITS);
+        if RECORD_HEADER + n > len - cursor {
+            return bad(format!(
+                "lane at {base:#x}: log record at {cursor} runs past the logged {len}"
+            ));
+        }
+        // An intent names a payload: on the 32-byte grid block headers
+        // sit on, behind a header and ahead of a payload unit in the heap.
+        let payload = off % BLOCK_HEADER_SIZE == 0 && off >= heap_start() + BLOCK_HEADER_SIZE;
+        if n == 0 && !(payload && src.in_heap(off, HEAP_ALIGN)) {
+            return bad(format!(
+                "lane at {base:#x}: intent {off:#x} names no block payload"
+            ));
+        }
+        if !src.in_heap(off, n) {
+            return bad(format!(
+                "lane at {base:#x}: log record targets {off:#x}+{n}, outside the heap"
+            ));
+        }
+        let at = (cursor + RECORD_HEADER) as usize;
+        out.push(LogRecord {
+            off,
+            pre: log[at..at + n as usize].to_vec(),
+        });
+        cursor += RECORD_HEADER + n;
+    }
+    Ok(out)
 }
 
 // ---- heap block chain ----
@@ -1003,8 +986,9 @@ mod tests {
         }
     }
 
-    /// The fixed-size structures decode from one fetch each, and the lane
-    /// decoders from the count word plus one fetch of what it counts.
+    /// The fixed-size structures decode from one fetch each, and a lane's
+    /// log — its undo records and intents alike — from the length word plus
+    /// one fetch of what it counts.
     #[test]
     fn headers_intents_and_undo_logs_decode_from_one_fetch() {
         let mut src = Recorder {
@@ -1018,38 +1002,23 @@ mod tests {
         for (i, word) in (1u64..=7).enumerate() {
             put(&mut src.image, header + 8 * i as u64, &word.to_le_bytes());
         }
+        let record = |off: u64, pre: &[u8]| LogRecord {
+            off,
+            pre: pre.to_vec(),
+        };
         let records = [
-            UndoRecord {
-                off: heap_start() + 256,
-                pre: b"eight by".to_vec(),
-            },
-            UndoRecord {
-                off: heap_start() + 512,
-                pre: vec![7; 100],
-            },
+            record(heap_start() + 256, b"eight by"),
+            record(heap_start() + 96, &[]),
+            record(heap_start() + 512, &[7; 100]),
+            record(heap_start() + 160, &[]),
         ];
-        let log: Vec<u8> = (records.iter())
-            .flat_map(|r| encode_undo_record(r.off, &r.pre))
-            .collect();
-        put(&mut src.image, lane_undo(base), &log);
-        put(
-            &mut src.image,
-            base + lane::UNDO_LEN,
-            &(log.len() as u32).to_le_bytes(),
-        );
-        let slots = [heap_start() + 64, heap_start() + 128, heap_start() + 192];
-        for (i, slot) in slots.iter().enumerate() {
-            put(
-                &mut src.image,
-                lane_intents(base) + 8 * i as u64,
-                &slot.to_le_bytes(),
-            );
+        let mut log = vec![];
+        for r in &records {
+            encode_record(&mut log, r.off, &r.pre);
         }
-        put(
-            &mut src.image,
-            base + lane::INTENT_COUNT,
-            &3u32.to_le_bytes(),
-        );
+        put(&mut src.image, base + lane::RECORDS, &log);
+        let len = (log.len() as u32).to_le_bytes();
+        put(&mut src.image, base + lane::LOG_LEN, &len);
         let fetches = |src: &Recorder| std::mem::take(&mut *src.reads.borrow_mut());
 
         let g = Geo::read(&src, header).unwrap();
@@ -1058,20 +1027,13 @@ mod tests {
         assert_eq!((g.buckets, g.heads, g.old_buckets), (1, 3, 4));
         assert_eq!((g.old_heads, g.cursor), (5, 6));
 
-        assert_eq!(intents(&src, base).unwrap(), slots);
-        let count = base + lane::INTENT_COUNT;
-        let array = lane_intents(base);
-        assert_eq!(fetches(&src), [count..count + 4, array..array + 24]);
+        assert_eq!(lane_log(&src, base).unwrap(), records);
+        let (len, at) = (base + lane::LOG_LEN, base + lane::RECORDS);
+        assert_eq!(fetches(&src), [len..len + 4, at..at + log.len() as u64]);
 
-        assert_eq!(undo_records(&src, base).unwrap(), records);
-        let (len, undo) = (base + lane::UNDO_LEN, lane_undo(base));
-        assert_eq!(fetches(&src), [len..len + 4, undo..undo + log.len() as u64]);
-
-        // An idle lane is its two count words and nothing else.
-        let idle = lane_offset(4);
-        assert!(intents(&src, idle).unwrap().is_empty());
-        assert!(undo_records(&src, idle).unwrap().is_empty());
-        assert_eq!(fetches(&src).len(), 2);
+        // An idle lane is its length word and nothing else.
+        assert!(lane_log(&src, lane_offset(4)).unwrap().is_empty());
+        assert_eq!(fetches(&src).len(), 1);
     }
 
     #[test]
@@ -1099,9 +1061,12 @@ mod tests {
     fn lane_variable_area_fits_intents_and_log() {
         // Evaluated through runtime bindings so the layout constants are
         // sanity-checked without constant-folding lints.
-        let (hdr, intents, lane) = (LANE_HEADER_SIZE, LANE_INTENT_BYTES, LANE_SIZE);
-        assert!(hdr + intents < lane);
-        // At least 8 KiB of undo space per lane.
-        assert!(lane - hdr - intents >= 8 * 1024);
+        let (log, lane, line) = (LANE_LOG_BYTES, LANE_SIZE, LANE_LINE);
+        // At least 8 KiB of log per lane, its length within the u32 word
+        // and every record's within the header's 16 bits.
+        assert!(log >= 8 * 1024 && log < lane && log < 1 << 16);
+        // A one-key put's records (a head word's, a freed state word's and
+        // an intent) fit the header's line beside the two words.
+        assert!(lane::RECORDS + 16 + 12 + 8 <= line);
     }
 }

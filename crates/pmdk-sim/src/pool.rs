@@ -31,12 +31,7 @@ impl PmemPool {
     /// Format `device` as a fresh pool with the given layout name.
     pub fn create(clock: &Clock, device: Arc<PmemDevice>, layout: &str) -> Result<Arc<Self>> {
         let size = device.size() as u64;
-        if size < min_pool_size() {
-            return Err(PmdkError::BadPool(format!(
-                "device too small: {size} < {}",
-                min_pool_size()
-            )));
-        }
+        check_size(size)?;
         if layout.len() > sb::LAYOUT_NAME_MAX as usize {
             return Err(PmdkError::BadPool("layout name too long".into()));
         }
@@ -114,8 +109,8 @@ impl PmemPool {
             flight,
         });
         // Their blocks are freed through the walked heap.
-        for (base, allocs) in &busy {
-            retire_lane(clock, &pool, *base, &[], allocs);
+        for (base, intents) in &busy {
+            retire_lane(clock, &pool, *base, intents);
         }
         if !busy.is_empty() {
             pool.flight
@@ -303,6 +298,16 @@ impl PmemPool {
         body: impl FnOnce(&mut Tx<'_>) -> Result<T>,
     ) -> Result<T> {
         Tx::run(self, clock, body)
+    }
+}
+
+/// Whether a pool fits a device of `size` bytes: a non-trivial heap, and
+/// every offset within the 48 bits a lane-log record names.
+fn check_size(size: u64) -> Result<()> {
+    let (min, max) = (min_pool_size(), MAX_POOL_SIZE);
+    match (min..=max).contains(&size) {
+        true => Ok(()),
+        false => bad(format!("device of {size} bytes, not {min}..={max}")),
     }
 }
 
@@ -604,5 +609,20 @@ pub(crate) mod tests {
             })
             .unwrap();
         });
+    }
+
+    /// A lane-log record names its target in 48 bits: create refuses a
+    /// device with offsets past them, as it refuses one too small. Checked
+    /// on sizes alone; no such device is made.
+    #[test]
+    fn a_device_whose_offsets_pass_48_bits_is_refused() {
+        assert_eq!(check_size(min_pool_size()), Ok(()));
+        assert_eq!(check_size(MAX_POOL_SIZE), Ok(()));
+        for size in [min_pool_size() - 1, MAX_POOL_SIZE + 1, u64::MAX] {
+            assert!(
+                matches!(check_size(size), Err(PmdkError::BadPool(_))),
+                "{size}"
+            );
+        }
     }
 }

@@ -1,23 +1,26 @@
 //! Undo-log transactions over the pool, PMDK-lane style.
 //!
 //! Each transaction claims a *lane*: a fixed persistent region holding the
-//! lane state, an intent array and an undo log. The protocol is the standard
-//! pmemobj one, each lane transition one store of the lane's header:
+//! lane state, a log length and one log of records — undo records and
+//! alloc intents alike (`layout::lane_log`). The protocol is the standard
+//! pmemobj one, each lane transition one store of the lane's first line:
 //!
-//! * `set(range)` copies the pre-image into the undo log **before** it
-//!   overwrites the range — read from the media, or handed over by a caller
-//!   whose walk still holds it (`set_words`, one append for all); `write_new`
-//!   stores fresh ranges undo-free. The commit flushes both kinds of store.
+//! * `set(range)` logs the pre-image **before** it overwrites the range —
+//!   read from the media, or handed over by a caller whose walk still holds
+//!   it (`set_words`, one record a word); `write_new` stores fresh ranges
+//!   undo-free. The commit flushes both kinds of store.
 //! * `alloc_many` (`alloc` is a group of one) has the heap *plan* the group,
-//!   persists the planned offsets as *allocation intents*, and only then lets
+//!   counts the planned offsets as *allocation intents*, and only then lets
 //!   the heap write block headers: a rollback frees every block that came to
 //!   be, and skips an intent that still lies in a free region.
-//! * `free` is a logged store: the block's ALLOC state word waits for the
-//!   next undo append, and the commit stores FREE over it. The heap takes
-//!   the block once the lane is `IDLE`, never while a crash could undo it.
-//! * Beginning stores nothing. A *count store* (`ACTIVE`, both counts) comes
-//!   before the first store a rollback must undo, not after every append.
-//!   `IDLE`, the state word alone, is every transaction's commit point.
+//! * `free` is a logged store: the block's ALLOC state word is a record,
+//!   and the commit stores FREE over it. The heap takes the block once the
+//!   lane is `IDLE`, never while a crash could undo it.
+//! * Logging stores nothing. A *count store* comes before the first store
+//!   a rollback must undo: the records past the lane's first line, flushed
+//!   and fenced, then one persisted store of that line — `ACTIVE`, the log
+//!   length and the records in it, all of a one-key put's. `IDLE`, the
+//!   state word alone, is every transaction's commit point.
 //! * A rollback — an abort in process, or a mount's for an `ACTIVE` lane —
 //!   stores the pre-images newest first, then frees the intents' blocks.
 //!   A mount restores before its heap walk (the records restore block
@@ -46,9 +49,9 @@ impl LaneTable {
         }
     }
 
-    /// Persist pristine lane headers (pool create).
+    /// Persist pristine lane header lines (pool create).
     pub(crate) fn format(clock: &Clock, device: &Arc<PmemDevice>) {
-        let zeros = vec![0u8; LANE_HEADER_SIZE as usize];
+        let zeros = vec![0u8; LANE_LINE as usize];
         for i in 0..LANES {
             let off = lane_offset(i) as usize;
             device.write_meta(clock, off, &zeros);
@@ -68,7 +71,10 @@ impl LaneTable {
     /// lane that faults refuses the mount before any store), then restore
     /// each ACTIVE one's pre-images behind one drain. Returns each such
     /// lane's base and intents, for [`retire_lane`] on the walked heap.
-    pub(crate) fn restore(clock: &Clock, device: &PmemDevice) -> Result<Vec<(u64, Vec<u64>)>> {
+    pub(crate) fn restore(
+        clock: &Clock,
+        device: &PmemDevice,
+    ) -> Result<Vec<(u64, Vec<LogRecord>)>> {
         let src = Charged { device, clock };
         let (mut records, mut busy) = (Vec::new(), Vec::new());
         for i in 0..LANES {
@@ -76,8 +82,11 @@ impl LaneTable {
             match src.u32_at(base + lane::STATE) {
                 LANE_IDLE => {}
                 LANE_ACTIVE => {
-                    records.extend(undo_records(&src, base)?.into_iter().rev());
-                    busy.push((base, intents(&src, base)?));
+                    let (intents, undo): (Vec<_>, Vec<_>) = lane_log(&src, base)?
+                        .into_iter()
+                        .partition(LogRecord::is_intent);
+                    records.extend(undo.into_iter().rev());
+                    busy.push((base, intents));
                 }
                 s => return bad(format!("lane {i} has invalid state {s}")),
             }
@@ -92,25 +101,21 @@ impl LaneTable {
     }
 }
 
-/// Roll a lane back: the pre-images of `records`, newest first, and FREE
-/// over each live block `allocs` names, one flush each; one drain; `IDLE`;
-/// then the heap takes the blocks.
-pub(crate) fn retire_lane(
-    clock: &Clock,
-    pool: &PmemPool,
-    base: u64,
-    records: &[UndoRecord],
-    allocs: &[u64],
-) {
+/// Roll a lane back: the pre-images of `log`, newest first, and FREE over
+/// each live block an intent of it names, one flush each; one drain;
+/// `IDLE`; then the heap takes the blocks.
+pub(crate) fn retire_lane(clock: &Clock, pool: &PmemPool, base: u64, log: &[LogRecord]) {
     let (dev, free) = (pool.device(), BLOCK_FREE.to_le_bytes());
-    let freed: Vec<u64> = (allocs.iter().copied())
-        .filter(|&off| pool.is_live(off))
+    let freed: Vec<u64> = (log.iter())
+        .filter(|r| r.is_intent() && pool.is_live(r.off))
+        .map(|r| r.off)
         .collect();
     let frees = freed.iter().map(|&off| (state_word(off), &free[..]));
-    for (off, bytes) in (records.iter().rev().map(|r| (r.off, &r.pre[..]))).chain(frees) {
+    // An intent's empty pre-image is no store.
+    for (off, bytes) in (log.iter().rev().map(|r| (r.off, &r.pre[..]))).chain(frees) {
         write_unfenced(clock, dev, off, bytes);
     }
-    if !records.is_empty() || !freed.is_empty() {
+    if log.iter().any(|r| !r.is_intent()) || !freed.is_empty() {
         dev.drain(clock);
     }
     pool.write_u32(clock, base + lane::STATE, LANE_IDLE);
@@ -122,12 +127,11 @@ pub struct Tx<'a> {
     pool: &'a Arc<PmemPool>,
     clock: &'a Clock,
     lane_base: u64,
-    undo_used: u64,
-    intents_used: u64,
-    /// The counts on media, `(undo, intents)`: `None` until a count store
-    /// publishes the lane (an unpublished lane's counts are an older one's).
-    counted: Option<(u64, u64)>,
-    /// Undo records not stored yet: the frees', until the next append.
+    /// The log length on media: `None` until a count store publishes the
+    /// lane (an unpublished lane's length is an older transaction's).
+    counted: Option<u64>,
+    /// Records behind the counted ones, not stored yet: the next count
+    /// store stores and counts them.
     pending: Vec<u8>,
     /// The blocks `free_many` named: stored FREE by the commit.
     frees: Vec<u64>,
@@ -151,8 +155,6 @@ impl<'a> Tx<'a> {
             pool,
             clock,
             lane_base: lane_offset(lane),
-            undo_used: 0,
-            intents_used: 0,
             counted: None,
             pending: Vec::new(),
             frees: Vec::new(),
@@ -161,8 +163,8 @@ impl<'a> Tx<'a> {
         match body(&mut tx) {
             Ok(v) => {
                 machine.metric_counter_add("tx.commits", 1);
-                machine.metric_counter_add("tx.undo_bytes", tx.undo_used);
                 tx.commit();
+                machine.metric_counter_add("tx.undo_bytes", tx.counted.unwrap_or(0));
                 pool.flight().record(clock, EventCode::TxCommit, lane, 0);
                 pool.lanes.release(lane);
                 Ok(v)
@@ -171,13 +173,14 @@ impl<'a> Tx<'a> {
                 // The counted records over ranges the body stored, and the
                 // counted alloc intents, decoded from the lane.
                 if tx.counted.is_some() {
-                    let (src, base) = (pool.charged(clock), tx.lane_base);
-                    let mut records = undo_records(&src, base)?;
-                    records.retain(|r| {
+                    let base = tx.lane_base;
+                    let mut log = lane_log(&pool.charged(clock), base)?;
+                    log.retain(|r| {
                         let end = r.off + r.pre.len() as u64;
-                        (tx.fresh.iter()).any(|&(off, len)| r.off < off + len && off < end)
+                        let stored = |&(off, len): &_| r.off < off + len && off < end;
+                        r.is_intent() || tx.fresh.iter().any(stored)
                     });
-                    retire_lane(clock, pool, base, &records, &intents(&src, base)?);
+                    retire_lane(clock, pool, base, &log);
                 }
                 pool.flight().record(clock, EventCode::TxAbort, lane, 0);
                 pool.lanes.release(lane);
@@ -188,10 +191,9 @@ impl<'a> Tx<'a> {
 
     /// Log `pres` — each a range and the bytes the caller has just read out
     /// of it — so a rollback can restore them, behind the pending records.
-    /// However many records there are, they are one store and one flush,
-    /// uncounted: the next count store counts them, and must come before
-    /// any range is overwritten — by [`Tx::write_new`], whose ranges are all
-    /// an abort restores.
+    /// Nothing is stored: the next count store stores and counts them, and
+    /// must come before any range is overwritten — by [`Tx::write_new`],
+    /// whose ranges are all an abort restores.
     pub(crate) fn log<P: AsRef<[u8]>>(
         &mut self,
         pres: impl IntoIterator<Item = (u64, P)>,
@@ -202,34 +204,30 @@ impl<'a> Tx<'a> {
                 pre,
                 self.pool.device().read_vec_untimed(off as usize, pre.len())
             );
-            self.pending.extend(encode_undo_record(off, pre));
+            encode_record(&mut self.pending, off, pre);
         }
-        self.room()?;
-        self.append();
-        Ok(())
+        self.room(0)
     }
 
-    /// Whether the pending records fit this lane's undo log.
-    fn room(&self) -> Result<()> {
-        match self.undo_used + self.pending.len() as u64 {
-            used if used > UNDO_CAPACITY => Err(PmdkError::TxFailure(format!(
-                "undo log overflow: {used} > {UNDO_CAPACITY}"
+    /// Whether the log, with `more` bytes behind the pending records, fits
+    /// this lane.
+    fn room(&self, more: u64) -> Result<()> {
+        match self.logged() + more {
+            used if used > LANE_LOG_BYTES => Err(PmdkError::TxFailure(format!(
+                "lane log overflow: {used} > {LANE_LOG_BYTES}"
             ))),
             _ => Ok(()),
         }
     }
 
-    /// Store the pending records behind the log: one store, one flush.
-    fn append(&mut self) {
-        let at = lane_undo(self.lane_base) + self.undo_used;
-        write_unfenced(self.clock, self.pool.device(), at, &self.pending);
-        self.undo_used += self.pending.len() as u64;
-        self.pending.clear();
+    /// Bytes of log, counted and pending.
+    fn logged(&self) -> u64 {
+        self.counted.unwrap_or(0) + self.pending.len() as u64
     }
 
-    /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's undo log.
+    /// Whether `words` more 8-byte [`Tx::set`]s fit this lane's log.
     pub(crate) fn undo_fits(&self, words: u64) -> bool {
-        self.undo_used + words * undo_record_size(8) <= UNDO_CAPACITY
+        self.room(words * (RECORD_HEADER + 8)).is_ok()
     }
 
     /// Snapshot + overwrite in one step; the commit flushes the overwrite.
@@ -237,16 +235,17 @@ impl<'a> Tx<'a> {
         let mut pre = vec![0u8; data.len()];
         self.pool.read_bytes(self.clock, off, &mut pre);
         self.log([(off, pre)])?;
-        self.store_header(&[]);
+        self.count(&[]);
         self.write_new(off, data);
         Ok(())
     }
 
     /// [`Tx::set`] of pointer words the caller's walk has just read, each
-    /// `(offset, was, now)`: one append logs them all, and nothing is read.
+    /// `(offset, was, now)`: one count store logs them all, and nothing is
+    /// read.
     pub(crate) fn set_words(&mut self, words: &[(u64, u64, u64)]) -> Result<()> {
         self.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
-        self.store_header(&[]);
+        self.count(&[]);
         for &(off, _, now) in words {
             self.write_new(off, &now.to_le_bytes());
         }
@@ -272,11 +271,11 @@ impl<'a> Tx<'a> {
 
     /// Transactionally allocate a group of blocks in one free-map pass; all
     /// are rolled back together if the tx aborts. Offsets come back in
-    /// request order. The heap plans the group, the offsets go into intent
-    /// slots — durable, and counted with whatever waited for a count store,
-    /// a merged header the carve needs among it — and only then do the
-    /// block headers change: no crash leaves a block allocated that no
-    /// intent names.
+    /// request order. The heap plans the group, the offsets join the
+    /// pending records as intents, and the count store makes them durable
+    /// with whatever waited for it, a merged header the carve needs among
+    /// it; only then do the block headers change: no crash leaves a block
+    /// allocated that no intent names.
     /// `store(i, offsets, header)` fills block `i` led by its header
     /// ([`PmemPool::headers`] stores the headers alone); a fill that fails
     /// fails the transaction, whose rollback frees every block.
@@ -285,11 +284,9 @@ impl<'a> Tx<'a> {
         sizes: &[u64],
         mut store: impl FnMut(usize, &[u64], &[u8]) -> Result<()>,
     ) -> Result<Vec<u64>> {
-        if self.intents_used + sizes.len() as u64 > LANE_INTENTS {
-            return Err(PmdkError::TxFailure("intent table overflow".into()));
-        }
+        self.room(sizes.len() as u64 * RECORD_HEADER)?;
         let (pool, clock) = (self.pool, self.clock);
-        let count = |offs: &[u64], _merged| self.store_header(offs);
+        let count = |offs: &[u64], _merged| self.count(offs);
         pool.alloc_planned(clock, sizes, count, &mut store)
     }
 
@@ -311,37 +308,43 @@ impl<'a> Tx<'a> {
             }
         }
         let alloc = BLOCK_ALLOC.to_le_bytes();
-        let records = offs
-            .iter()
-            .map(|&off| encode_undo_record(state_word(off), &alloc));
-        self.pending.extend(records.flatten());
+        for &off in offs {
+            encode_record(&mut self.pending, state_word(off), &alloc);
+        }
         self.frees.extend_from_slice(offs);
-        self.room()
+        self.room(0)
     }
 
-    /// The count store: the pending records, then the slots of `allocs`,
-    /// one flushed store each; a fence behind all flushed so far; one
-    /// persisted store of the header line, both counts unless media holds
-    /// them, then `ACTIVE`, in program order.
-    fn store_header(&mut self, allocs: &[u64]) {
-        self.append();
-        let (dev, base) = (self.pool.device(), self.lane_base as usize);
-        let slots: Vec<u8> = allocs.iter().flat_map(|off| off.to_le_bytes()).collect();
-        let at = lane_intents(self.lane_base) + self.intents_used * 8;
-        write_unfenced(self.clock, dev, at, &slots);
-        self.intents_used += allocs.len() as u64;
-        dev.drain(self.clock);
-        let (counts, mut line) = ((self.undo_used, self.intents_used), 4);
-        if self.counted != Some(counts) {
-            let words = [counts.0, counts.1].map(|c| (c as u32).to_le_bytes());
-            dev.write_untimed(base + lane::UNDO_LEN as usize, &words.concat());
-            line = 12;
+    /// The count store: `allocs` join the pending records as intents; the
+    /// records that lie past the lane's first line go out as one flushed
+    /// store, then a fence; then one persisted store of that line —
+    /// `ACTIVE`, the log length and the records inside it. Its fence also
+    /// makes durable whatever the caller flushed before it.
+    fn count(&mut self, allocs: &[u64]) {
+        for &off in allocs {
+            encode_record(&mut self.pending, off, &[]);
         }
-        dev.write_untimed(base + lane::STATE as usize, &LANE_ACTIVE.to_le_bytes());
+        let (dev, clock, base) = (self.pool.device(), self.clock, self.lane_base);
+        let at = base + lane::RECORDS + self.counted.unwrap_or(0);
+        let inside = (base + LANE_LINE).saturating_sub(at) as usize;
+        let (line, spill) = self.pending.split_at(inside.min(self.pending.len()));
+        if !spill.is_empty() {
+            write_unfenced(clock, dev, at + line.len() as u64, spill);
+            dev.drain(clock);
+        }
+        let len = self.logged();
+        let words = [LANE_ACTIVE, len as u32].map(u32::to_le_bytes).concat();
+        dev.write_untimed(base as usize, &words);
+        let mut end = base + lane::RECORDS;
+        if !line.is_empty() {
+            dev.write_untimed(at as usize, line);
+            end = at + line.len() as u64;
+        }
         dev.machine()
-            .charge_pmem_write_meta(self.clock, line as u64);
-        dev.persist(self.clock, base, line);
-        self.counted = Some(counts);
+            .charge_pmem_write_meta(clock, (words.len() + line.len()) as u64);
+        dev.persist(clock, base as usize, (end - base) as usize);
+        self.counted = Some(len);
+        self.pending.clear();
     }
 
     fn commit(&mut self) {
@@ -349,9 +352,8 @@ impl<'a> Tx<'a> {
         let _p = dev.machine().phase(clock, "pmdk", "tx.commit");
         // Every free's record is counted before its FREE store: a
         // transaction that freed after its last count store stores one more.
-        let counted = self.counted.map(|(undo, _)| undo) == Some(self.undo_used);
-        if !self.frees.is_empty() && (!counted || !self.pending.is_empty()) {
-            self.store_header(&[]);
+        if !self.frees.is_empty() && !self.pending.is_empty() {
+            self.count(&[]);
         }
         let frees = std::mem::take(&mut self.frees);
         for &off in &frees {
@@ -377,6 +379,7 @@ impl<'a> Tx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashtable::PersistentHashtable;
     use crate::pool::tests::{crashed_at, last_uncommitted};
     use pmem_sim::{Machine, PersistenceMode, PmemDevice};
 
@@ -505,7 +508,7 @@ mod tests {
         let lanes_idle = |pool: &PmemPool| {
             (0..LANES).map(lane_offset).all(|base| {
                 pool.device().u32_at(base + lane::STATE) == LANE_IDLE
-                    && intents(&**pool.device(), base).unwrap().is_empty()
+                    && lane_log(&**pool.device(), base).unwrap().is_empty()
             })
         };
         assert!(lanes_idle(&pool));
@@ -711,27 +714,11 @@ mod tests {
         crash_after_the_carve_does_not_leak(&[4096, 512, 512]);
     }
 
-    /// An image written before PR 22 may hold a reserved, never filled
-    /// (zero) slot in an ACTIVE lane: recovery passes over it.
-    #[test]
-    fn a_zero_intent_slot_of_an_older_image_is_passed_over() {
-        let (pool, clock) = fresh_pool(1 << 21);
-        let baseline = pool.allocated_bytes();
-        let block = pool.alloc(&clock, 64).unwrap();
-        let base = lane_offset(0);
-        pool.write_u64(&clock, lane_intents(base), 0);
-        pool.write_u64(&clock, lane_intents(base) + 8, block);
-        pool.write_u32(&clock, base + lane::INTENT_COUNT, 2);
-        pool.write_u32(&clock, base + lane::STATE, LANE_ACTIVE);
-        let pool = reopen(pool, &clock);
-        assert_eq!(pool.allocated_bytes(), baseline);
-        pool.check_heap().unwrap();
-    }
-
     #[test]
     fn alloc_many_rejects_intent_overflow() {
         let (pool, clock) = fresh_pool(1 << 21);
-        let sizes = vec![64u64; LANE_INTENTS as usize + 1];
+        // Each intent is an 8-byte record: one more than the log holds.
+        let sizes = vec![64u64; (LANE_LOG_BYTES / RECORD_HEADER) as usize + 1];
         let err = pool
             .tx(&clock, |tx| tx.alloc_many(&sizes, pool.headers(&clock)))
             .unwrap_err();
@@ -742,13 +729,14 @@ mod tests {
         pool.device().machine().stats.snapshot().fences
     }
 
-    /// The barrier ledger (DESIGN §8): an undo record is one fence and its
-    /// count store another; however many ranges a transaction stores —
-    /// fresh, or the targets of its records, a freed block's state word
-    /// among them — they share the one fence before the commit point, the
-    /// IDLE store.
+    /// The barrier ledger (DESIGN §8): an undo record is no fence of its
+    /// own — it rides its count store, one persisted store of the lane's
+    /// first line while the log fits it; however many ranges a transaction
+    /// stores — fresh, or the targets of its records, a freed block's state
+    /// word among them — they share the one fence before the commit point,
+    /// the IDLE store.
     #[test]
-    fn fresh_stores_share_one_fence_and_an_undo_record_costs_two() {
+    fn fresh_stores_share_one_fence_and_an_undo_record_costs_one() {
         let (pool, clock) = fresh_pool(1 << 21);
         let root = pool.root(&clock, 64).unwrap();
         let block = pool.alloc(&clock, 1024).unwrap();
@@ -761,14 +749,14 @@ mod tests {
                 tx.set(root, b"publish!")
             })
             .unwrap();
-            // record, its count store (ACTIVE); commit: fresh and data, IDLE.
-            assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1, "k = {k}");
+            // The count store (record, ACTIVE); commit: fresh and data, IDLE.
+            assert_eq!(fences(&pool) - before, 1 + 1 + 1, "k = {k}");
         }
         // A set alone: the commit fences its target. Fresh stores alone
         // publish no lane: their fence is all.
         let before = fences(&pool);
         pool.tx(&clock, |tx| tx.set(root, b"set only")).unwrap();
-        assert_eq!(fences(&pool) - before, 2 + 1 + 1);
+        assert_eq!(fences(&pool) - before, 1 + 1 + 1);
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
             tx.write_new(block, b"fresh only");
@@ -776,7 +764,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(fences(&pool) - before, 1);
-        // Words logged together are one record append, one count store.
+        // Words logged together are one count store.
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
             tx.set_words(&[
@@ -785,22 +773,22 @@ mod tests {
             ])
         })
         .unwrap();
-        assert_eq!(fences(&pool) - before, 2 + 1 + 1);
-        // An allocation, whatever its size: the intent slots, their count
-        // store, then the carve (a split of the last block: the tail
-        // header's drain and the commit header), then IDLE.
+        assert_eq!(fences(&pool) - before, 1 + 1 + 1);
+        // An allocation, whatever its size: the intents' count store, then
+        // the carve (a split of the last block: the tail header's drain and
+        // the commit header), then IDLE.
         for sizes in [&[64u64][..], &[64, 200, 64]] {
             let before = fences(&pool);
             pool.tx(&clock, |tx| {
                 tx.alloc_many(sizes, pool.headers(&clock)).map(drop)
             })
             .unwrap();
-            assert_eq!(fences(&pool) - before, 2 + 2 + 1, "{sizes:?}");
+            assert_eq!(fences(&pool) - before, 1 + 2 + 1, "{sizes:?}");
         }
-        // A free staged before a set rides its record's append and count
-        // store; the commit's fence covers the set's target and the FREE
-        // word: the set's four. Staged after the count store, it needs a
-        // count store of its own in the commit: two more.
+        // A free staged before a set rides its count store; the commit's
+        // fence covers the set's target and the FREE word: the set's three.
+        // Staged after the count store, it needs a count store of its own
+        // in the commit: one more.
         let victims = pool.alloc_many(&clock, &[64, 64]).unwrap();
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
@@ -808,20 +796,22 @@ mod tests {
             tx.set(root, b"freed 0!")
         })
         .unwrap();
-        assert_eq!(fences(&pool) - before, 2 + 1 + 1);
+        assert_eq!(fences(&pool) - before, 1 + 1 + 1);
         let before = fences(&pool);
         pool.tx(&clock, |tx| {
             tx.set(root, b"freed 1!")?;
             tx.free(victims[1])
         })
         .unwrap();
-        assert_eq!(fences(&pool) - before, 2 + 2 + 1 + 1);
+        assert_eq!(fences(&pool) - before, 1 + 1 + 1 + 1);
     }
 
     /// An abort restores every pre-image it stored, one flush each, behind
-    /// one fence: a 64-word `set_words` that fails pays the fences of a
-    /// 1-word one — its count store, the restore's drain and IDLE — where
-    /// each restored record was a fence of its own.
+    /// one fence: a 64-word `set_words` that fails pays the restore's
+    /// fences of a 1-word one — its drain and IDLE — where each restored
+    /// record was a fence of its own. Its count store is one fence more:
+    /// 64 records spill past the lane's first line, and are fenced before
+    /// the line that counts them.
     #[test]
     fn an_aborted_set_words_restores_behind_one_fence_whatever_its_length() {
         let (pool, clock) = fresh_pool(1 << 21);
@@ -839,7 +829,7 @@ mod tests {
             assert!(err.is_err());
             fences(&pool) - before
         };
-        assert_eq!((abort(1), abort(64)), (2 + 1 + 1, 2 + 1 + 1));
+        assert_eq!((abort(1), abort(64)), (1 + 1 + 1, 2 + 1 + 1));
         for i in 0..64 {
             assert_eq!(pool.read_u64(&clock, block + i * 8), i);
         }
@@ -847,18 +837,10 @@ mod tests {
         assert_eq!(pool.read_u64(&clock, block + 63 * 8), 63);
     }
 
-    /// The put path's budget: a 64-key group of fresh keys in distinct
-    /// buckets pays no fence a key. Its values are flushed by the fill, its
-    /// entries stored, its 64 head records are one undo append counted by
-    /// the carve's count store, and one fence before the commit point makes
-    /// all of it durable: 6 for the group (8 while the records had a count
-    /// store of their own after the carve, 12 while every lane transition
-    /// was a store of its own, 266 before the values came first). An
-    /// overwrite of one key adds its free's record to the same append and
-    /// its FREE word to the same commit fence.
-    #[test]
-    fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
-        use crate::hashtable::{fnv1a, PersistentHashtable};
+    /// A table of 4096 buckets on a fresh pool, one key put (its first
+    /// put pays for the dirty flag), and 64 fresh keys in distinct buckets.
+    fn a_table_and_64_spread_keys() -> (Arc<PmemPool>, Clock, PersistentHashtable, Vec<Vec<u8>>) {
+        use crate::hashtable::fnv1a;
         const BUCKETS: u64 = 4096;
         let (pool, clock) = fresh_pool(1 << 22);
         let ht = PersistentHashtable::create(&clock, &pool, BUCKETS).unwrap();
@@ -869,70 +851,116 @@ mod tests {
             .filter(|k| taken.insert(fnv1a(k) % BUCKETS))
             .take(64)
             .collect();
+        (pool, clock, ht, keys)
+    }
+
+    fn put_64(ht: &PersistentHashtable, clock: &Clock, keys: &[Vec<u8>]) {
         let reqs: Vec<(&[u8], u64, u64)> = keys.iter().map(|k| (k.as_slice(), 8, 0)).collect();
+        ht.put_many(clock, &reqs, ht.storing(clock, &[7u8; 8]))
+            .unwrap();
+    }
+
+    /// The put path's budget: a 64-key group of fresh keys in distinct
+    /// buckets pays no fence a key. Its values are flushed by the fill, its
+    /// entries stored, its 64 head records and intents are counted by the
+    /// carve's count store, and one fence before the commit point makes
+    /// all of it durable: 6 for the group (8 while the records had a count
+    /// store of their own after the carve, 12 while every lane transition
+    /// was a store of its own, 266 before the values came first). An
+    /// overwrite of one key adds its free's record to the same count store
+    /// and its FREE word to the same commit fence.
+    #[test]
+    fn a_64_key_reservation_costs_at_most_five_fences_a_key() {
+        let (pool, clock, ht, keys) = a_table_and_64_spread_keys();
         let (before, txs) = (
             fences(&pool),
             pool.device().machine().stats.snapshot().pool_txs,
         );
-        ht.put_many(&clock, &reqs, ht.storing(&clock, &[7u8; 8]))
-            .unwrap();
+        put_64(&ht, &clock, &keys);
         assert_eq!(pool.device().machine().stats.snapshot().pool_txs - txs, 1);
-        // The count store 2 (its fence behind the records and the intent
-        // slots, ACTIVE) + heap carve 2 + commit: heads, entries and values
-        // 1, IDLE 1.
+        // The count store 2 (the records past the lane's first line, then
+        // the line: ACTIVE) + heap carve 2 + commit: heads, entries and
+        // values 1, IDLE 1.
         assert_eq!(fences(&pool) - before, 6);
         let before = fences(&pool);
         ht.put(&clock, &keys[0], b"replaced").unwrap();
-        // The same 6: the free's record rode in the carve's count store and
-        // its FREE word behind the commit's fence (8 while COMMITTING and the
-        // heap's free were stores of their own, 10 while the records had a
-        // count store of their own, 16 while every lane transition was a
-        // store of its own, 20 before that — 21 through `Pmem`, whose value
-        // had a fence of its own).
-        assert_eq!(fences(&pool) - before, 6);
+        // 5: the head word's record, the free's and the intent are one
+        // store of the lane's first line, and the FREE word rides behind
+        // the commit's fence (6 while the records were a store of their
+        // own, 8 while COMMITTING and the heap's free were stores of their
+        // own, 10 while the records had a count store of their own, 16
+        // while every lane transition was a store of its own, 20 before
+        // that — 21 through `Pmem`, whose value had a fence of its own).
+        assert_eq!(fences(&pool) - before, 5);
     }
 
-    /// An overwrite group's lane header is stored twice: `ACTIVE` by the
-    /// carve's count store, which counts the undo records the group stored
-    /// ahead of it — the head word's and the freed block's state word's —
-    /// with the alloc intent; then `IDLE`, the commit point. Each store is
-    /// persisted at once, so each is one run of crash points at which the
-    /// header line is in flight.
+    /// A group whose log spills past the lane's first line pays the fences
+    /// it paid while the records, the intent slots and the header line
+    /// were three stores — the spill is fenced before the line that counts
+    /// it — with one store and one flush fewer: the records and intents
+    /// past the line are one.
+    #[test]
+    fn a_64_key_group_spilling_past_the_first_line_pays_one_store_and_one_flush_fewer() {
+        let (pool, clock, ht, keys) = a_table_and_64_spread_keys();
+        let registry = pmem_sim::MetricsRegistry::new();
+        pool.device().machine().set_metrics(Arc::clone(&registry));
+        let stats = || pool.device().machine().stats.snapshot();
+        let stores = || (registry.snapshot().hists.get("pmem.meta_write")).map_or(0, |h| h.count);
+        let (before, stored) = (stats(), stores());
+        put_64(&ht, &clock, &keys);
+        let spent = stats().delta_since(&before);
+        // (fences, flushes, metadata stores): (6, 134, 134) while the
+        // records, the intent slots and the header line were three stores.
+        let ledger = (spent.fences, spent.flush_calls, stores() - stored);
+        assert_eq!(ledger, (6, 133, 133));
+    }
+
+    /// An overwrite group's lane header line is stored twice: `ACTIVE` by
+    /// the carve's count store, with the whole log in the same line — the
+    /// head word's record, the freed block's state word's and the alloc
+    /// intent; then `IDLE`, the commit point. Each store is persisted at
+    /// once, so each is one run of crash points at which the line is in
+    /// flight.
     #[test]
     fn an_overwrite_group_stores_its_lane_header_at_active_and_idle() {
-        use crate::hashtable::PersistentHashtable;
         use std::sync::Mutex;
         let (pool, clock) = fresh_pool(1 << 22);
         let ht = PersistentHashtable::create(&clock, &pool, 64).unwrap();
         ht.put(&clock, b"key", b"old value").unwrap();
         let base = lane_offset(0);
         // (whether the header line was in flight at the last crash point,
-        // the header of each run: state, undo length, intent count)
+        // the line of each run)
         let runs = Arc::new(Mutex::new((false, Vec::new())));
         let seen = Arc::clone(&runs);
         pool.device().at_crash_points(move |dev| {
             let line = dev
                 .in_flight()
                 .into_iter()
-                .find(|l| l.line as u64 == base / 64);
+                .find(|l| l.line as u64 == base / LANE_LINE);
             let mut runs = seen.lock().unwrap();
             if let (Some(line), false) = (&line, runs.0) {
-                let word = |at: u64| {
-                    u32::from_le_bytes(line.bytes[at as usize..][..4].try_into().unwrap())
-                };
-                runs.1
-                    .push([lane::STATE, lane::UNDO_LEN, lane::INTENT_COUNT].map(word));
+                runs.1.push(line.bytes.to_vec());
             }
             runs.0 = line.is_some();
         });
         ht.put(&clock, b"key", b"new value").unwrap();
         let runs = std::mem::take(&mut runs.lock().unwrap().1);
-        let states: Vec<u32> = runs.iter().map(|r| r[0]).collect();
+        let word =
+            |line: &[u8], at: u64| u32::from_le_bytes(line[at as usize..][..4].try_into().unwrap());
+        let states: Vec<u32> = runs.iter().map(|l| word(l, lane::STATE)).collect();
         assert_eq!(states, [LANE_ACTIVE, LANE_IDLE]);
-        // The head record and the free's; the alloc intent, counted by the
-        // first store.
-        let undo = undo_record_size(4) + undo_record_size(8);
-        assert_eq!(runs[0][1..], [undo as u32, 1]);
+        // The free's record, the head word's and the intent, all in the
+        // line the first store persisted.
+        let log = lane_log(&**pool.device(), base).unwrap();
+        let sizes: Vec<usize> = log.iter().map(|r| r.pre.len()).collect();
+        assert_eq!(sizes, [4, 8, 0]);
+        let mut records = vec![];
+        for r in &log {
+            encode_record(&mut records, r.off, &r.pre);
+        }
+        let len = word(&runs[0], lane::LOG_LEN) as usize;
+        assert_eq!(len, (8 + 4) + (8 + 8) + 8);
+        assert_eq!(runs[0][lane::RECORDS as usize..][..len], records[..]);
         assert_eq!(ht.get(&clock, b"key").unwrap(), b"new value");
     }
 
@@ -991,6 +1019,54 @@ mod tests {
             victim,
             "the freed block is the best fit, once the lane is IDLE"
         );
+    }
+
+    /// The one decoder reads back what the count stores wrote: any
+    /// sequence of undo records and intents, counted over one or more
+    /// count stores — inside the lane's first line, straddling its end and
+    /// past it — decodes to the records in the order they were logged.
+    #[test]
+    fn any_log_counted_over_any_count_stores_decodes_back_identically() {
+        let (pool, clock) = fresh_pool(1 << 21);
+        let block = pool.alloc(&clock, 4096).unwrap();
+        let mut rng = pmem_sim::DetRng::new(48);
+        // (inside the line, straddling its end, past it): count stores seen.
+        let mut seen = [0; 3];
+        for _ in 0..200 {
+            let err = pool.tx(&clock, |tx| {
+                let mut want = vec![];
+                for _ in 0..rng.gen_range(1, 5) {
+                    for _ in 0..rng.gen_range(0, 6) {
+                        let off = match rng.gen_range(0, 3) {
+                            // An intent in the free heap past the block: a
+                            // rollback finds no live block to free there.
+                            0 => block + 4096 + 32 * rng.gen_range(2, 512),
+                            _ => block + rng.gen_range(0, 3800),
+                        };
+                        let pre = match off < block + 4096 {
+                            true => pool
+                                .device()
+                                .read_vec_untimed(off as usize, rng.gen_range(1, 200) as usize),
+                            false => vec![],
+                        };
+                        match pre.is_empty() {
+                            true => encode_record(&mut tx.pending, off, &[]),
+                            false => tx.log([(off, &pre)])?,
+                        }
+                        want.push(LogRecord { off, pre });
+                    }
+                    let (from, to) = (tx.counted.unwrap_or(0), tx.logged());
+                    let inside = LANE_LINE - lane::RECORDS;
+                    seen[(from >= inside) as usize + (to > inside) as usize] += 1;
+                    tx.count(&[]);
+                    assert_eq!(lane_log(&**pool.device(), tx.lane_base).unwrap(), want);
+                }
+                Err::<(), _>(PmdkError::TxFailure("decoded".into()))
+            });
+            assert_eq!(err, Err(PmdkError::TxFailure("decoded".into())));
+        }
+        assert!(seen.iter().all(|&n| n > 10), "{seen:?}");
+        pool.check_heap().unwrap();
     }
 
     #[test]

@@ -10,9 +10,9 @@
 use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap, walk_log};
 use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
-    blk, heap_start, lane, lane_offset, lane_undo, sb, Bytes, Superblock, ENT_HLEN, ENT_KEY,
-    ENT_NEXT, HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_IDLE,
-    LANE_INTENTS, LAYOUT_VERSION, LOG_HEAD, UNDO_CAPACITY,
+    blk, heap_start, lane, lane_offset, sb, Bytes, Superblock, ENT_HLEN, ENT_KEY, ENT_NEXT,
+    HDR_BUCKETS, HDR_HEADS, HDR_OLD_BUCKETS, HDR_OLD_HEADS, LANE_ACTIVE, LANE_IDLE, LANE_LOG_BYTES,
+    LAYOUT_VERSION, LOG_HEAD,
 };
 use pmdk_sim::{PersistentHashtable, PersistentLog, PmdkError, PmemPool};
 use pmem_sim::{Clock, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
@@ -109,20 +109,15 @@ fn lanes_ok(img: &Image) -> bool {
     read_lanes(&img.dev).errors.is_empty()
 }
 
-/// Lane 0's first header word: state (low half) and undo length (high).
-fn lane_word(state: u32, undo_len: u64) -> (u64, u64) {
-    (lane_offset(0) + lane::STATE, state as u64 | undo_len << 32)
+/// Lane 0's header words: state (low half) and log length (high).
+fn lane_word(state: u32, log_len: u64) -> (u64, u64) {
+    (lane_offset(0) + lane::STATE, state as u64 | log_len << 32)
 }
 
-/// Lane 0's intent count.
-fn intent_count(count: u64) -> (u64, u64) {
-    (lane_offset(0) + lane::INTENT_COUNT, count)
-}
-
-/// One undo record header at the start of lane 0's log: target, length.
-fn undo_header(off: u64, len: u64) -> [(u64, u64); 2] {
-    let at = lane_undo(lane_offset(0));
-    [(at, off), (at + 8, len)]
+/// The header of lane 0's `i`-th 8-byte slot of log: a record of `len`
+/// bytes of pre-image targeting `off` (an intent for `len` 0).
+fn record(i: u64, off: u64, len: u64) -> (u64, u64) {
+    (lane_offset(0) + lane::RECORDS + 8 * i, len << 48 | off)
 }
 
 /// The tail entry's length word — key length, header length, value
@@ -146,9 +141,9 @@ const ROWS: &[Row] = &[
         doctor_ok: |img| Superblock::read(img.dev.as_ref()).fault.is_none(),
     },
     Row {
-        // The format before entries named their header length: its
-        // 32-bit key length would read as a key and a header length.
-        name: "superblock layout version 9",
+        // The format before a lane was one log: the words of its intent
+        // array and undo records would read as records.
+        name: "superblock layout version 10",
         corrupt: |_| vec![(sb::VERSION, LAYOUT_VERSION - 1)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
@@ -162,35 +157,43 @@ const ROWS: &[Row] = &[
         doctor_ok: |img| walk_heap(&img.dev).ok(),
     },
     Row {
-        name: "active lane: undo length past the lane",
-        corrupt: |_| vec![lane_word(LANE_ACTIVE, UNDO_CAPACITY + 8)],
+        name: "active lane: log length past the lane",
+        corrupt: |_| vec![lane_word(LANE_ACTIVE, LANE_LOG_BYTES + 8)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: lanes_ok,
     },
     Row {
-        name: "active lane: undo record of 1 MiB in a 20-byte log",
-        corrupt: |img| {
-            let [off, len] = undo_header(img.table, 1 << 20);
-            vec![lane_word(LANE_ACTIVE, 20), off, len]
-        },
+        name: "active lane: log record of 60 000 bytes in a 16-byte log",
+        corrupt: |img| vec![lane_word(LANE_ACTIVE, 16), record(0, img.table, 60_000)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: lanes_ok,
     },
     Row {
-        name: "active lane: undo record targets 1 << 40",
-        corrupt: |_| {
-            let [off, len] = undo_header(1 << 40, 8);
-            vec![lane_word(LANE_ACTIVE, 20), off, len]
-        },
+        name: "active lane: log record header cut by the logged length",
+        corrupt: |img| vec![lane_word(LANE_ACTIVE, 12), record(0, img.table, 0)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: lanes_ok,
     },
     Row {
-        name: "active lane: intent count past the intent array",
-        corrupt: |_| vec![lane_word(LANE_ACTIVE, 0), intent_count(LANE_INTENTS + 1)],
+        name: "active lane: log record targets 1 << 40",
+        corrupt: |_| vec![lane_word(LANE_ACTIVE, 16), record(0, 1 << 40, 8)],
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
+    },
+    Row {
+        name: "active lane: intent naming no block payload (outside the heap)",
+        corrupt: |_| vec![lane_word(LANE_ACTIVE, 8), record(0, 1 << 40, 0)],
+        mounted: |img, clock| img.pool(clock).map(drop),
+        expect: Expect::Refused,
+        doctor_ok: lanes_ok,
+    },
+    Row {
+        name: "active lane: intent naming no block payload (unaligned)",
+        corrupt: |img| vec![lane_word(LANE_ACTIVE, 8), record(0, img.table + 8, 0)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: lanes_ok,
@@ -199,7 +202,7 @@ const ROWS: &[Row] = &[
         // IDLE is every commit point: the state a committing lane once
         // stored is a corrupt lane, refused before anything is written.
         name: "lane state 2, once COMMITTING",
-        corrupt: |_| vec![lane_word(2, 0), intent_count(1)],
+        corrupt: |img| vec![lane_word(2, 8), record(0, img.table, 0)],
         mounted: |img, clock| img.pool(clock).map(drop),
         expect: Expect::Refused,
         doctor_ok: lanes_ok,
@@ -372,22 +375,20 @@ fn mounted_paths_and_the_doctor_reject_the_same_images() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
-/// An idle lane's counts are stale by design: IDLE is its state word
-/// alone, and the next transaction's first count store rewrites both
-/// counts. Counts that would fault in a busy lane, over garbage slots and
-/// a garbage log, are never read: the image mounts, the doctor passes its
+/// An idle lane's log length is stale by design: IDLE is its state word
+/// alone, and the next transaction's first count store rewrites the
+/// length. A length that would fault in a busy lane, over garbage records
+/// — one past the logged length, one targeting 1 << 40 and intents naming
+/// no payload — is never read: the image mounts, the doctor passes its
 /// lanes, and the lane runs a put that survives a remount.
 #[test]
 fn an_idle_lane_with_stale_counts_and_garbage_slots_mounts_clean() {
     let img = build();
-    let [off, len] = undo_header(1 << 40, 1 << 20);
-    // Its first intent slots, right behind the 64-byte header.
-    let slots = (0..4).map(|i| (lane_offset(0) + 64 + 8 * i, 0xdead_beef_0000_0003 + i));
+    let slots = (2..6).map(|i| record(i, 0xdead_beef_0003 + i, 0));
     let garbage = [
-        lane_word(LANE_IDLE, 20),
-        intent_count(LANE_INTENTS + 1),
-        off,
-        len,
+        lane_word(LANE_IDLE, LANE_LOG_BYTES + 8),
+        record(0, 1 << 40, 8),
+        record(1, img.table, 60_000),
     ];
     for (at, word) in garbage.into_iter().chain(slots) {
         img.dev.write_untimed(at as usize, &word.to_le_bytes());

@@ -46,7 +46,7 @@ use mpi_sim::{Comm, World};
 use pmdk_sim::doctor::{read_lanes, walk_hashtable, walk_heap};
 use pmdk_sim::hashtable::fnv1a;
 use pmdk_sim::layout::{
-    heap_start, intents, lane_offset, walk_blocks, BlockHeader, BLOCK_ALLOC, BLOCK_FREE,
+    heap_start, lane_log, lane_offset, walk_blocks, BlockHeader, BLOCK_ALLOC, BLOCK_FREE,
     BLOCK_HEADER_SIZE, ENT_KEY, HDR_HEADS,
 };
 use pmdk_sim::{PersistentHashtable, PmdkError, PmemPool};
@@ -439,8 +439,11 @@ fn holds_an_uncommitted_group(image: &Arc<PmemDevice>) -> bool {
     let says_alloc = |payload: u64| {
         BlockHeader::read(image, payload - BLOCK_HEADER_SIZE).is_ok_and(|h| h.state == BLOCK_ALLOC)
     };
-    (intents(&**image, lane_offset(0)).unwrap_or_default().iter())
-        .any(|&e| free.iter().any(|f| f.contains(&e) && f.start != e) && says_alloc(e))
+    (lane_log(&**image, lane_offset(0))
+        .unwrap_or_default()
+        .iter())
+    .filter(|r| r.is_intent())
+    .any(|r| free.iter().any(|f| f.contains(&r.off) && f.start != r.off) && says_alloc(r.off))
 }
 
 #[test]
@@ -1243,8 +1246,8 @@ fn recovery_is_restartable_from_every_crash_point() {
             .map(|v| v.status)
     };
     let lanes = read_lanes(&first);
-    let undo = lanes.busy.iter().map(|l| l.undo_len).max().unwrap_or(0);
-    assert!(undo >= 16 * 20, "16 word records, each 20 bytes: {lanes:?}");
+    let records = lanes.busy.iter().map(|l| l.records).max().unwrap_or(0);
+    assert!(records >= 16, "16 word records: {lanes:?}");
     let d = diagnose(&first).unwrap();
     use pmemcpy_bench::doctor::Status::{Fail, Info};
     for (check, want) in [("lanes", Fail), ("ht-split", Info), ("wal-pending", Info)] {
