@@ -627,6 +627,29 @@ fn attributes_round_trip_and_enumerate() {
 /// `mmap_refuses_a_damaged_pool_and_leaves_it_as_it_found_it` mounts.
 type Damage = (&'static str, fn(&PmemDevice));
 
+/// A table no device can hold is a typed error from `mmap`, not an
+/// overflow: its heads array's size is refused before it is allocated.
+#[test]
+fn mmap_refuses_a_table_no_pool_can_hold() {
+    for buckets in [(1 << 61) + 1, 1 << 40] {
+        let dev = devdax(8);
+        let world = mpi_sim::World::new(Arc::clone(dev.machine()), 1);
+        let comm = mpi_sim::Comm::new(world, 0);
+        let mut pmem = Pmem::with_options(Options {
+            hashtable_buckets: buckets,
+            ..Options::default()
+        });
+        let mounted = pmem.mmap(MmapTarget::DevDax(&dev), &comm);
+        assert!(
+            matches!(
+                mounted,
+                Err(PmemCpyError::Pmdk(pmdk_sim::PmdkError::OutOfMemory { .. }))
+            ),
+            "{buckets} buckets: {mounted:?}"
+        );
+    }
+}
+
 /// A damaged pool is an error for `pmemcpy-doctor` to examine, never a
 /// fresh pool: `mmap` refuses each corruption with the image untouched.
 /// (Each one used to be formatted over, every key lost.)

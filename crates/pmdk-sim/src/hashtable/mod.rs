@@ -15,7 +15,7 @@ mod ops;
 mod resize;
 mod route;
 
-use crate::error::Result;
+use crate::error::{PmdkError, Result};
 use crate::layout::*;
 use crate::pool::PmemPool;
 use mirror::Mirror;
@@ -52,7 +52,7 @@ pub struct PersistentHashtable {
     /// across a charge or another lock.
     geo: Mutex<Geo>,
     stripes: Vec<Stripe>,
-    /// Serializes split begin/advance and the count's chunks; held across
+    /// Serializes split steps and the count's chunks; held across
     /// geometry publication.
     resize_lock: Mutex<()>,
     /// Buckets below this one are counted in the stripes' `live`: all of
@@ -85,19 +85,23 @@ pub struct ValueRef {
 }
 
 impl PersistentHashtable {
-    /// Allocate and initialize a fresh table with `bucket_count` buckets.
+    /// Allocate and initialize a fresh table with `bucket_count` buckets;
+    /// none, or more than the pool can hold, is refused before any alloc.
     pub fn create(clock: &Clock, pool: &Arc<PmemPool>, bucket_count: u64) -> Result<Self> {
-        assert!(bucket_count > 0, "hashtable needs at least one bucket");
+        if bucket_count == 0 {
+            return bad("a hashtable needs at least one bucket".into());
+        }
+        let bytes = bucket_count.saturating_mul(8);
+        if bytes > pool.free_bytes() {
+            return Err(PmdkError::OutOfMemory { requested: bytes });
+        }
         let header = pool.alloc(clock, HDR_SIZE)?;
-        let heads = pool.alloc(clock, bucket_count * 8)?;
-        pool.device()
-            .zero_meta(clock, header as usize, HDR_SIZE as usize);
-        pool.device()
-            .persist(clock, header as usize, HDR_SIZE as usize);
-        pool.device()
-            .zero_meta(clock, heads as usize, (bucket_count * 8) as usize);
-        pool.device()
-            .persist(clock, heads as usize, (bucket_count * 8) as usize);
+        let heads = pool.alloc(clock, bytes)?;
+        let dev = pool.device();
+        dev.zero_meta(clock, header as usize, HDR_SIZE as usize);
+        dev.persist(clock, header as usize, HDR_SIZE as usize);
+        dev.zero_meta(clock, heads as usize, bytes as usize);
+        dev.persist(clock, heads as usize, bytes as usize);
         pool.write_u64(clock, header + HDR_HEADS, heads);
         pool.write_u64(clock, header + HDR_BUCKETS, bucket_count);
         let g = Geo {

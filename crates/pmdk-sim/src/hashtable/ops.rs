@@ -11,7 +11,6 @@
 use super::mirror::{search, Chain, Key, Known, Mirror};
 use super::route::{mirror_in, Held, Route};
 use super::*;
-use crate::error::PmdkError;
 use pmem_sim::SimTime;
 use std::collections::BTreeMap;
 
@@ -190,9 +189,7 @@ impl PersistentHashtable {
             for (w, i) in heads {
                 words[w].2 = entries[i];
             }
-            for &(off, _, now) in &words {
-                tx.write_new(off, &now.to_le_bytes());
-            }
+            tx.store_words(&words);
             Ok(entries)
         });
         let entries = committed?;

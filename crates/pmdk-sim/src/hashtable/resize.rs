@@ -1,25 +1,22 @@
 //! Incremental resize and the entry count.
 //!
-//! The directory is **online-resizable**: when the live-entry estimate
-//! crosses `bucket_count / SPLIT_FACTOR`, a split doubles the directory by
-//! allocating a fresh heads array, unzeroed, and publishing both tables plus
-//! a persisted `split_cursor` in one transaction. Each subsequent *mutation*
-//! helps migrate one chunk of old buckets (relink lo/hi partitions, write
-//! the destination heads, advance the cursor) inside a single pool
-//! transaction; lookups never migrate. Routing is derived from the
+//! The directory is **online-resizable**: once the live-entry count
+//! crosses `bucket_count / SPLIT_FACTOR`, a split doubles it, one *step* a
+//! mutation (lookups never migrate). Every step is one pool transaction
+//! that migrates one chunk of old buckets — relinks their lo/hi partitions
+//! and writes the destination heads — and publishes the geometry it leaves.
+//! The first step begins the split: it carves the doubled heads array,
+//! unzeroed, and the table's array becomes the old one in place; the step
+//! that reaches the old table's end retires it. Routing is derived from the
 //! persistent triple `(old_buckets, cursor, buckets)`: a key whose old
 //! bucket is at-or-past the cursor still lives in the old table; everything
 //! else lives in the new one. A new-directory slot is thus *reachable* only
-//! once the cursor has passed its source bucket, and a chunk's undo log
-//! carries only what a rollback can reach: the relinked next pointers and
-//! the cursor. A crash at any point replays it back to a consistent cursor
-//! and consistent reachable slots, and the chunk's re-run overwrites what
-//! the failed one — or the allocator — left in unreachable ones: resize
-//! never stops the world, is crash-safe at every step, and costs each
-//! mutation only the chunk it helps with. Because a split's old heads
-//! array *is* the previous table, beginning a split changes no key's
-//! physical slot — only migration does, and migration holds both affected
-//! stripes.
+//! once the cursor has passed its source bucket, so a step logs only what a
+//! rollback can reach, by value: the relinks and the header words it
+//! changes. A crash rolls a step back to a consistent geometry — no split,
+//! if it was the first — and its re-run overwrites what the failed one, or
+//! the allocator, left in unreachable slots: resize never stops the world
+//! and costs each mutation only the chunk it helps with.
 //!
 //! The entry count, which only the split trigger reads, is DRAM state and
 //! never persisted. Inserts and removes bump a per-stripe `live` (no
@@ -35,7 +32,6 @@
 use super::mirror::{search, Chain, Known, Mirror};
 use super::route::{mirror_in, stripe_of, Route};
 use super::*;
-use crate::error::PmdkError;
 use pmem_sim::flight::EventCode;
 use std::ops::Range;
 
@@ -73,115 +69,58 @@ impl PersistentHashtable {
     }
 
     /// Called at the top of every mutation (`put_many`, `remove`) and by
-    /// nothing else — lookups never migrate: advance an in-flight split by
-    /// one chunk, else count what is left of a table not yet counted whole
-    /// and begin a split if the table is over threshold. An error
-    /// beginning a split — e.g. the pool is too full to double the
-    /// directory — defers it rather than failing the caller's operation.
+    /// nothing else: count what is left of a table not yet counted whole,
+    /// then take a split step if a split is in flight or due.
     pub(super) fn maybe_resize(&self, clock: &Clock) -> Result<()> {
         #[cfg(test)]
         if !self.auto_resize.load(Ordering::Relaxed) {
             return Ok(());
         }
         let g = self.geo();
-        if g.old_buckets != 0 {
-            return self.help_migrate(clock);
-        }
-        if self.counted.load(Ordering::Acquire) < g.buckets {
+        if g.old_buckets == 0 && self.counted.load(Ordering::Acquire) < g.buckets {
             self.help_count(clock);
         }
         let due = self.live_estimate().saturating_mul(SPLIT_FACTOR) > g.buckets;
-        if due && self.counted.load(Ordering::Acquire) >= g.buckets {
-            match self.begin_split(clock) {
-                Ok(()) => return self.help_migrate(clock),
-                Err(_) => {
-                    self.pool
-                        .device()
-                        .machine()
-                        .metric_counter_add("ht.split.deferred", 1);
-                }
-            }
+        if g.old_buckets != 0 || due && self.counted.load(Ordering::Acquire) >= g.buckets {
+            return self.help_migrate(clock);
         }
         Ok(())
     }
 
-    /// Double the directory: allocate a new heads array and publish
-    /// `(old_buckets, old_heads, cursor=0, buckets×2, new_heads)` in one
-    /// transaction, a cost that does not grow with the directory. The new
-    /// array is not zeroed: at cursor 0 none of its slots is reachable
-    /// ([`Geo::head_runs`]), and the chunk whose cursor passes a slot writes
-    /// it first, 0 included — so each put that helps pays for the slots it
-    /// migrates, and the put that trips the split pays for none. The old
-    /// heads array becomes the old table in place, so no key's physical
-    /// slot or stripe changes here — routing through the new geometry is
-    /// identical until migration moves a bucket.
-    pub(super) fn begin_split(&self, clock: &Clock) -> Result<()> {
-        // The section opens before the resize lock, as in `help_migrate`.
-        let _atomic = pmem_sim::atomic_section();
-        let Some(_resize) = self.resize_lock.try_lock() else {
-            return Ok(()); // someone else is already splitting
-        };
-        let g = self.geo();
-        if g.old_buckets != 0 || self.live_estimate().saturating_mul(SPLIT_FACTOR) <= g.buckets {
-            return Ok(());
-        }
-        let doubled = g
-            .buckets
-            .checked_mul(2)
-            .ok_or_else(|| PmdkError::TxFailure("bucket count overflow".into()))?;
-        let machine = self.pool.device().machine();
-        let _phase = machine.phase(clock, "pmdk", "ht.resize");
-        let new_heads = self.pool.tx(clock, |tx| {
-            let new_heads = tx.alloc(doubled * 8)?;
-            tx.set(self.header + HDR_OLD_BUCKETS, &g.buckets.to_le_bytes())?;
-            tx.set(self.header + HDR_OLD_HEADS, &g.heads.to_le_bytes())?;
-            tx.set(self.header + HDR_CURSOR, &0u64.to_le_bytes())?;
-            tx.set(self.header + HDR_BUCKETS, &doubled.to_le_bytes())?;
-            tx.set(self.header + HDR_HEADS, &new_heads.to_le_bytes())?;
-            Ok(new_heads)
-        })?;
-        self.geo_store(Geo {
-            buckets: doubled,
-            heads: new_heads,
-            old_buckets: g.buckets,
-            old_heads: g.heads,
-            cursor: 0,
-        });
-        machine.metric_counter_add("ht.splits.begun", 1);
-        self.pool
-            .flight()
-            .record(clock, EventCode::SplitBegin, g.buckets, doubled);
-        Ok(())
-    }
-
-    /// Migrate one chunk of old buckets: partition each chain into lo
-    /// (`hash % new_buckets == b`) and hi (`== b + old_buckets`) by mirrored
-    /// hashes, relink both in place, stream the destination heads into the
-    /// new directory and advance the persisted cursor — one transaction
-    /// under the affected stripes' locks. Only what a rollback can reach is
-    /// snapshotted: the `ENT_NEXT` relinks (still chained off the old head)
-    /// and the cursor / retire words. Destination heads are unreachable
-    /// until the cursor passes their bucket ([`Geo::head_slots`]), so they
-    /// go in undo-free and always, 0 included: a re-run after a crash or
-    /// abort overwrites whatever the failed run left. The old head is never
-    /// routed to again and stays; the final chunk frees the old array.
+    /// One split step, one transaction under the chunk's stripes: from the
+    /// geometry `g` to the next, `g'`. With no split in flight and one due,
+    /// it begins one over `g`'s array. Each chain of the chunk splits into
+    /// lo (`hash % 2n == b`) and hi (`== b + n`) by mirrored hashes,
+    /// relinked in place. The step logs the relinks and each header word
+    /// `g'` changes by value, then carves a begun split's array, whose
+    /// count store counts them all, then stores. Destination heads are
+    /// unreachable until the cursor passes their bucket
+    /// ([`Geo::head_slots`]), so they go in undo-free and always, 0
+    /// included: a re-run overwrites what a failed run left. The last step
+    /// frees the old array. A first step that fails — e.g. the pool is too
+    /// full to double — defers the split instead of failing the caller.
     pub(super) fn help_migrate(&self, clock: &Clock) -> Result<()> {
         // The section opens before the resize lock is taken: a helper that
         // yielded holding it would have the ranks run meanwhile skip their
         // chunks, and the split lag the puts it is paid by.
         let _atomic = pmem_sim::atomic_section();
         let Some(_resize) = self.resize_lock.try_lock() else {
-            return Ok(()); // another helper has this split chunk
+            return Ok(()); // another helper has this split's step
         };
         let g = self.geo();
-        if g.old_buckets == 0 {
+        let begin = g.old_buckets == 0;
+        if begin && self.live_estimate().saturating_mul(SPLIT_FACTOR) <= g.buckets {
             return Ok(());
         }
-        let (n, start) = (g.old_buckets, g.cursor);
-        // The undo log holds relinks only, 20 bytes each against the lane's
-        // ~15 KB: 764 a chunk, where 256 buckets at load 1/2 hold ~192
-        // entries and relink fewer. A chunk that would relink more ends at
-        // the bucket that does not fit.
+        // The old table, `n` buckets at `old_heads`, and the cursor.
+        let (n, old_heads, start) = match begin {
+            true => (g.buckets, g.heads, 0),
+            false => (g.old_buckets, g.old_heads, g.cursor),
+        };
+        // The undo log holds relinks and header words, 16 bytes each
+        // against the lane's 16 KB: 1 017 relinks a chunk, where 256
+        // buckets at load 1/2 hold ~192 entries and relink fewer. A chunk
+        // that would relink more ends at the bucket that does not fit.
         let last = chunk_end(n, start);
         let machine = self.pool.device().machine();
         let _phase = machine.phase(clock, "pmdk", "ht.resize");
@@ -194,85 +133,105 @@ impl PersistentHashtable {
         let sids = (start..last).flat_map(|b| [stripe_of(b), stripe_of(b + n)]);
         let mut held = self.lock_stripes(sids, true);
 
+        // Each header word that differs from `g`'s, `(offset, was, now)`:
+        // `g` mirrors the header (we hold `resize_lock`), so nothing is read.
+        let changed = |to: Geo| {
+            let words = [
+                (HDR_BUCKETS, g.buckets, to.buckets),
+                (HDR_HEADS, g.heads, to.heads),
+                (HDR_OLD_BUCKETS, g.old_buckets, to.old_buckets),
+                (HDR_OLD_HEADS, g.old_heads, to.old_heads),
+                (HDR_CURSOR, g.cursor, to.cursor),
+            ];
+            let differ = words.into_iter().filter(|&(_, was, now)| was != now);
+            differ.map(|(off, was, now)| (self.header + off, was, now))
+        };
         let mut entries_moved = 0u64;
         let src = self.pool.charged(clock);
-        let end = self.pool.tx(clock, |tx| {
+        let step = self.pool.tx(clock, |tx| {
             // Destination heads: slots start..end (lo), start+n.. (hi).
             let mut runs = [Vec::new(), Vec::new()];
-            let (mut end, mut words, mut run) = (start, Vec::new(), None);
+            let (mut end, mut relinks, mut run) = (start, Vec::new(), None);
             for b in start..last {
                 let mirror = mirror_in(&mut held, stripe_of(b));
-                let c = self.whole(clock, &src, mirror, (g.old_heads, start..last), b, &mut run)?;
+                let c = self.whole(clock, &src, mirror, (old_heads, start..last), b, &mut run)?;
                 // Each partition relinks in original order with a nul
                 // tail; next pointers already correct are left untouched.
                 // The mirror holds each pre-image.
-                let (mut relinks, mut heads) = (Vec::new(), [0u64; 2]);
+                let (mut these, mut heads) = (Vec::new(), [0u64; 2]);
                 for k in c.entries.iter().rev() {
-                    let head = &mut heads[(k.e.hash % g.buckets != b) as usize];
+                    let head = &mut heads[(k.e.hash % (2 * n) != b) as usize];
                     if k.e.next != *head {
-                        relinks.push((k.e.at + ENT_NEXT, k.e.next, *head));
+                        these.push((k.e.at + ENT_NEXT, k.e.next, *head));
                     }
                     *head = k.e.at;
                 }
                 let moved = c.entries.len() as u64;
                 mirror.put(b, Some(c));
-                // Room for these, the three retire words and the old
-                // array's state word (smaller than a word's), or stop here.
-                if b > start && !tx.undo_fits((words.len() + relinks.len()) as u64 + 4) {
+                // Room for these, the five header words and the carve's
+                // intent or the old array's state word, or stop here.
+                if b > start && !tx.undo_fits((relinks.len() + these.len()) as u64 + 6) {
                     break;
                 }
-                words.append(&mut relinks);
+                relinks.append(&mut these);
                 for (run, head) in runs.iter_mut().zip(heads) {
                     run.extend_from_slice(&head.to_le_bytes());
                 }
                 entries_moved += moved;
                 end = b + 1;
             }
-            tx.write_new(g.heads + start * 8, &runs[0]);
-            tx.write_new(g.heads + (start + n) * 8, &runs[1]);
-            // `g` mirrors the header (we hold `resize_lock`): no read-back.
-            // One append logs the relinks and the cursor (or retire) words.
+            // `g'`. The step that reaches the old table's end retires the
+            // split: its words are 0. A begun split's array is not carved
+            // yet: until it is, 0 — no offset `g` holds — stands in for it.
+            let on = (end < n) as u64;
+            let mut to = Geo {
+                buckets: 2 * n,
+                heads: if begin { 0 } else { g.heads },
+                old_buckets: n * on,
+                old_heads: old_heads * on,
+                cursor: end * on,
+            };
+            let pres = relinks.iter().copied().chain(changed(to));
+            tx.log(pres.map(|(off, was, _)| (off, was.to_le_bytes())))?;
             if end == n {
-                words.extend([
-                    (self.header + HDR_CURSOR, start, 0),
-                    (self.header + HDR_OLD_BUCKETS, n, 0),
-                    (self.header + HDR_OLD_HEADS, g.old_heads, 0),
-                ]);
-            } else {
-                words.push((self.header + HDR_CURSOR, start, end));
+                tx.free(old_heads)?;
             }
-            if end == n {
-                tx.free(g.old_heads)?;
+            if begin {
+                to.heads = tx.alloc(2 * n * 8)?;
             }
-            tx.set_words(&words)?;
-            Ok(end)
+            relinks.extend(changed(to));
+            tx.store_words(&relinks);
+            tx.write_new(to.heads + start * 8, &runs[0]);
+            tx.write_new(to.heads + (start + n) * 8, &runs[1]);
+            Ok((end, to))
         });
-        // A committed chunk moves the hi half of each source bucket to its
+        let (end, to) = match step {
+            Err(_) if begin => {
+                machine.metric_counter_add("ht.split.deferred", 1);
+                return Ok(());
+            }
+            step => step?,
+        };
+        // A committed step moves the hi half of each source bucket to its
         // destination; the lo half stays, under the same bucket number.
-        for b in start..*end.as_ref().unwrap_or(&start) {
-            let hi = |k: &Known| k.e.hash % g.buckets != b;
-            let moved = mirror_in(&mut held, stripe_of(b)).split(b, g.heads + b * 8, hi);
-            let (slot, mut dest) = (g.heads + (b + n) * 8, Chain::default());
+        for b in start..end {
+            let hi = |k: &Known| k.e.hash % to.buckets != b;
+            let moved = mirror_in(&mut held, stripe_of(b)).split(b, to.heads + b * 8, hi);
+            let (slot, mut dest) = (to.heads + (b + n) * 8, Chain::default());
             dest.relink(slot, &[], moved);
             mirror_in(&mut held, stripe_of(b + n)).put(b + n, Some(dest));
         }
-        let end = end?;
+        self.geo_store(to);
+        let flight = self.pool.flight();
+        if begin {
+            machine.metric_counter_add("ht.splits.begun", 1);
+            flight.record(clock, EventCode::SplitBegin, n, to.buckets);
+        }
         if end == n {
-            self.geo_store(Geo {
-                old_buckets: 0,
-                old_heads: 0,
-                cursor: 0,
-                ..g
-            });
             machine.metric_counter_add("ht.splits", 1);
-            self.pool
-                .flight()
-                .record(clock, EventCode::SplitRetire, n, 0);
+            flight.record(clock, EventCode::SplitRetire, n, 0);
         } else {
-            self.geo_store(Geo { cursor: end, ..g });
-            self.pool
-                .flight()
-                .record(clock, EventCode::SplitChunk, end, entries_moved);
+            flight.record(clock, EventCode::SplitChunk, end, entries_moved);
         }
         machine.metric_counter_add("ht.buckets_migrated", end - start);
         if entries_moved > 0 {

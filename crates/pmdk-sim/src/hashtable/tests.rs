@@ -4,7 +4,6 @@
 
 use super::route::stripe_of;
 use super::*;
-use crate::error::PmdkError;
 use crate::pool::tests::{crashed_at, last_uncommitted};
 use pmem_sim::{DetRng, Machine, MetricsRegistry, PersistenceMode, PmemDevice};
 use std::collections::BTreeMap;

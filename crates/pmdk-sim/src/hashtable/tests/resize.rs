@@ -63,42 +63,46 @@ fn resized_table_survives_reopen_mid_split_and_after() {
     assert_eq!(ht.get(&clock, b"k20").unwrap(), 20u32.to_le_bytes());
 }
 
-/// 33 keys in a 64-bucket table, a split begun over them, and its first
-/// migration chunk; the mark is the chunk's end.
-fn first_chunk(pool: &Arc<PmemPool>, clock: &Clock, passed: &dyn Fn() -> usize) -> (u64, usize) {
-    let ht = PersistentHashtable::create(clock, pool, 64).unwrap();
-    for i in 0..33u32 {
-        ht.put(clock, format!("m{i}").as_bytes(), &i.to_le_bytes())
-            .unwrap();
+/// 33 keys in a 64-bucket table and `k` split steps over them, the first
+/// of which begins the split; the mark is the last step's end.
+fn split_steps(k: usize) -> impl Fn(&Arc<PmemPool>, &Clock, &dyn Fn() -> usize) -> (u64, usize) {
+    move |pool, clock, passed| {
+        let ht = PersistentHashtable::create(clock, pool, 64).unwrap();
+        for i in 0..33u32 {
+            ht.put(clock, format!("m{i}").as_bytes(), &i.to_le_bytes())
+                .unwrap();
+        }
+        for _ in 0..k {
+            ht.help_migrate(clock).unwrap();
+        }
+        (ht.header_offset(), passed())
     }
-    ht.begin_split(clock).unwrap();
-    ht.help_migrate(clock).unwrap();
-    (ht.header_offset(), passed())
 }
 
 #[test]
 fn crash_mid_migration_rolls_back_to_the_cursor() {
-    // Every relink and the cursor are logged and written; the chunk's
-    // transaction has not committed.
-    let (ht, pool, clock) = recovered_before_commit(1 << 23, first_chunk);
-    assert!(
-        ht.splitting(),
-        "split begin committed, migration rolled back"
-    );
-    assert_eq!(ht.geo().cursor, 0);
-    assert_eq!(ht.len(&clock), 33);
-    for i in 0..33u32 {
-        assert_eq!(
-            ht.get(&clock, format!("m{i}").as_bytes()).unwrap(),
-            i.to_le_bytes()
-        );
-    }
-    // The interrupted migration resumes and completes.
-    while ht.splitting() {
+    // Every relink and header word is logged and written; the step's
+    // transaction has not committed. The first step rolls back to no
+    // split, the second to the first's cursor.
+    for (steps, cursor) in [(1, None), (2, Some(8))] {
+        let (ht, pool, clock) = recovered_before_commit(1 << 23, split_steps(steps));
+        assert_eq!(ht.splitting().then(|| ht.geo().cursor), cursor, "{steps} steps");
+        assert_eq!(ht.len(&clock), 33);
+        for i in 0..33u32 {
+            assert_eq!(
+                ht.get(&clock, format!("m{i}").as_bytes()).unwrap(),
+                i.to_le_bytes()
+            );
+        }
+        // The interrupted split resumes, or begins again, and completes.
         ht.put(&clock, b"m33", &33u32.to_le_bytes()).unwrap();
+        assert!(ht.splitting());
+        while ht.splitting() {
+            ht.remove(&clock, b"absent").unwrap();
+        }
+        assert_eq!(ht.len(&clock), 34);
+        pool.check_heap().unwrap();
     }
-    assert_eq!(ht.len(&clock), 34);
-    pool.check_heap().unwrap();
 }
 
 /// A chunk that rolled back may leave its destination heads behind
@@ -108,24 +112,25 @@ fn crash_mid_migration_rolls_back_to_the_cursor() {
 /// skip the empty partition.
 #[test]
 fn a_rerun_chunk_overwrites_the_heads_a_rolled_back_one_left() {
-    // The chunk's destination heads went in undo-free and were fenced
-    // before the cursor's undo record: the crash that rolls the chunk
-    // back leaves them on media.
-    let (ht, pool, clock) = recovered_before_commit(1 << 23, first_chunk);
+    // The chunk's destination heads went in undo-free and were flushed
+    // before its commit point: the crash that rolls the chunk back leaves
+    // them on media.
+    let (ht, pool, clock) = recovered_before_commit(1 << 23, split_steps(2));
     let keys: Vec<String> = (0..33).map(|i| format!("m{i}")).collect();
     let g = ht.geo();
-    assert_eq!((g.old_buckets, g.cursor), (64, 0), "chunk rolled back");
-    // The first chunk is buckets 0..8; its destination heads went in.
-    let in_chunk = |k: &&String| fnv1a(k.as_bytes()) % 64 < 8;
+    assert_eq!((g.old_buckets, g.cursor), (64, 8), "second chunk rolled back");
+    // The second chunk is buckets 8..16; its destination heads went in.
+    let in_chunk = |k: &&String| (8..16).contains(&(fnv1a(k.as_bytes()) % 64));
     let stale = |g: Geo| {
-        let slots = (0..8).flat_map(|b| [b, b + 64]);
+        let slots = (8..16).flat_map(|b| [b, b + 64]);
         slots
             .filter(|b| pool.read_u64(&clock, g.heads + b * 8) != 0)
             .count()
     };
-    assert!(stale(g) > 0, "some key of 33 hashes into the first chunk");
+    assert!(stale(g) > 0, "some key of 33 hashes into the second chunk");
     assert_eq!(ht.keys(&clock).len(), 33, "no walker follows them");
-    assert_eq!(ht.chain_length_histogram(&clock).iter().sum::<u64>(), 64);
+    // 56 old buckets left, 8 migrated into 16.
+    assert_eq!(ht.chain_length_histogram(&clock).iter().sum::<u64>(), 72);
 
     // Empty those partitions without helping, then let the split run.
     ht.set_auto_resize(false);
@@ -149,7 +154,65 @@ fn a_rerun_chunk_overwrites_the_heads_a_rolled_back_one_left() {
     pool.check_heap().unwrap();
 }
 
-/// `begin_split` does not zero the new directory: a slot is read only
+/// A header mid-split at cursor 0 — what a split begun by a transaction of
+/// its own left when a crash came before its first chunk — still mounts:
+/// it passes `Geo::check` and the doctor, the next mutation's step resumes
+/// at cursor 0 (and retires a one-chunk directory's split at once), and
+/// the contents come through intact.
+#[test]
+fn a_header_mid_split_at_cursor_0_mounts_and_its_split_finishes() {
+    for n in [8u64, 64] {
+        let (ht, pool, clock) = table(1 << 23, n);
+        ht.set_auto_resize(false);
+        let keys: Vec<String> = (0..=n / 2).map(|i| format!("h{i}")).collect();
+        for k in &keys {
+            ht.put(&clock, k.as_bytes(), k.as_bytes()).unwrap();
+        }
+        // The doubled array, garbage in every slot, and the five words.
+        let (old, bytes) = (ht.geo().heads, 2 * n * 8);
+        let heads = pool.alloc(&clock, bytes).unwrap();
+        pool.write_bytes(&clock, heads, &vec![0xa5; bytes as usize]);
+        let header = ht.header_offset();
+        for (off, word) in [
+            (HDR_OLD_BUCKETS, n),
+            (HDR_OLD_HEADS, old),
+            (HDR_CURSOR, 0),
+            (HDR_BUCKETS, 2 * n),
+            (HDR_HEADS, heads),
+        ] {
+            pool.write_u64(&clock, header + off, word);
+        }
+        let (ht, pool) = reopen(ht, pool, &clock);
+        let split = |cursor| Geo {
+            buckets: 2 * n,
+            heads,
+            old_buckets: n,
+            old_heads: old,
+            cursor,
+        };
+        assert_eq!(ht.geo(), split(0), "{n} buckets");
+        let doctor = || crate::doctor::walk_hashtable(pool.device(), header);
+        assert!(doctor().ok(), "{n} buckets: {:?}", doctor().errors);
+        assert_eq!(doctor().reachable, keys.len() as u64);
+
+        ht.put(&clock, b"next", b"next").unwrap();
+        let retired = Geo { old_buckets: 0, old_heads: 0, ..split(0) };
+        let want = if n == 8 { retired } else { split(8) };
+        assert_eq!(ht.geo(), want, "{n} buckets: one step");
+        while ht.splitting() {
+            ht.remove(&clock, b"absent").unwrap();
+        }
+        assert_eq!(ht.geo(), retired);
+        for k in keys.iter().map(String::as_bytes).chain([&b"next"[..]]) {
+            assert_eq!(ht.get(&clock, k).unwrap(), k, "{n} buckets");
+        }
+        assert_eq!(ht.len(&clock), keys.len() as u64 + 1);
+        assert!(doctor().ok(), "{n} buckets: {:?}", doctor().errors);
+        pool.check_heap().unwrap();
+    }
+}
+
+/// The step that begins a split does not zero the new directory: a slot is read only
 /// once the chunk whose cursor passes it has written it. Here the new
 /// heads array is handed out from a freed block full of pointer-shaped
 /// garbage — live entries of other buckets, and self-pointers — and no
@@ -236,23 +299,40 @@ fn a_split_onto_a_poisoned_block_follows_none_of_it() {
     pool.check_heap().unwrap();
 }
 
-/// Beginning a split allocates and publishes: the bytes it writes, the
-/// lines it flushes and its fences do not grow with the directory.
+/// The step that begins a split is one pool transaction: it logs each
+/// header word it changes by value and reads none back, and its carve's
+/// count store is its only one. Beyond its own chunk — priced by the next
+/// step, an equal chunk that moves no entry either — it costs the same at
+/// any directory size: `[txs, fences, flushes, bytes read, sim ns]`.
 #[test]
-fn beginning_a_split_costs_the_same_at_any_directory_size() {
-    let cost = |n: u64| {
+fn the_step_that_begins_a_split_is_one_transaction_at_any_directory_size() {
+    let ledger = |n: u64| {
         let (ht, pool, clock) = table(1 << 23, n);
-        for i in 0..=n / 2 {
-            ht.put(&clock, format!("s{i}").as_bytes(), b"v").unwrap();
+        ht.set_auto_resize(false);
+        // n/2 + 1 keys, none in the first two chunks.
+        let chunk = (n / 32).clamp(8, 256);
+        let keys = (0..).map(|i| format!("s{i}"));
+        let keys = keys.filter(|k| fnv1a(k.as_bytes()) % n >= 2 * chunk);
+        for k in keys.take(n as usize / 2 + 1) {
+            ht.put(&clock, k.as_bytes(), b"v").unwrap();
         }
+        ht.set_auto_resize(true);
         let stats = &pool.device().machine().stats;
-        let before = stats.snapshot();
-        ht.begin_split(&clock).unwrap();
-        assert!(ht.splitting(), "{} keys over {n} buckets", n / 2 + 1);
-        let d = stats.snapshot().delta_since(&before);
-        (d.pmem_bytes_written, d.flush_calls, d.fences)
+        let step = || {
+            let (before, t) = (stats.snapshot(), clock.now().as_nanos());
+            ht.maybe_resize(&clock).unwrap();
+            let d = stats.snapshot().delta_since(&before);
+            let ns = clock.now().as_nanos() - t;
+            [d.pool_txs, d.fences, d.flush_calls, d.pmem_bytes_read, ns]
+        };
+        let (begin, next) = (step(), step());
+        assert_eq!(ht.geo().cursor, 2 * chunk, "{n} buckets");
+        (begin, std::array::from_fn(|i| begin[i] - next[i]))
     };
-    assert_eq!(cost(64), cost(4096));
+    let (begin, beyond) = ledger(64);
+    assert_eq!(begin, [1, 6, 12, 0, 2_784], "the step at 64 buckets");
+    assert_eq!(beyond, [0, 3, 7, 0, 1_552], "beyond its chunk");
+    assert_eq!(ledger(4096).1, beyond, "beyond its chunk at 4 096 buckets");
 }
 
 /// A migration chunk of `c` buckets the mirror does not know, holding `m`
@@ -274,15 +354,16 @@ fn a_chunk_costs_one_run_read_and_one_header_read_an_entry() {
     for k in &keys {
         ht.put(&clock, k.as_bytes(), b"v").unwrap();
     }
-    ht.begin_split(&clock).unwrap();
     ht.set_shadow_enabled(false); // every source bucket cold
     let seen = || {
         let snap = registry.snapshot();
         let undo = snap.counter("tx.undo_bytes");
-        (snap.hists["pmem.meta_read"].count, undo)
+        let reads = snap.hists.get("pmem.meta_read").map_or(0, |h| h.count);
+        (reads, undo)
     };
     let mut relinked = std::collections::BTreeSet::new();
-    while ht.splitting() {
+    // The first step begins the split.
+    while relinked.is_empty() || ht.splitting() {
         let (start, (reads, undo)) = (ht.geo().cursor, seen());
         ht.help_migrate(&clock).unwrap();
         let end = match ht.geo().cursor {
@@ -294,10 +375,15 @@ fn a_chunk_costs_one_run_read_and_one_header_read_an_entry() {
         let m = keys.iter().filter(held).count() as u64;
         let (reads, undo) = (seen().0 - reads, seen().1 - undo);
         assert_eq!(reads, 1 + m, "chunk {start}..{end}");
-        // The cursor word (three words when the split retires, with the
-        // old array's 12-byte state word record) and the relinks: 16 bytes
-        // of log each.
-        let words = if end == N { 3 } else { 1 };
+        // The relinks and the header words the step changes, 16 bytes of
+        // log each: five when it begins the split (with the carve's 8-byte
+        // intent), the cursor alone, or three when it retires the split
+        // (with the old array's 12-byte state word record).
+        let words = match (start, end) {
+            (0, _) => 5,
+            (_, N) => 3,
+            _ => 1,
+        };
         relinked.insert(undo / 16 - words);
     }
     assert!(
@@ -353,23 +439,25 @@ fn one_chunk_of_the_worst_relink_pattern_fits_the_undo_log() {
     for k in &all {
         ht.put(&clock, k.as_bytes(), b"v").unwrap();
     }
-    ht.begin_split(&clock).unwrap();
-    assert!(ht.splitting(), "2 x {} keys > {N} buckets", all.len());
     ht.set_auto_resize(true);
 
-    // A mutation that only helps: removing an absent key logs nothing.
+    // A mutation that only helps — removing an absent key logs nothing —
+    // begins the split.
     let registry = MetricsRegistry::new();
     pool.device().machine().set_metrics(Arc::clone(&registry));
     assert!(!ht.remove(&clock, b"absent").unwrap());
+    assert!(ht.splitting(), "2 x {} keys > {N} buckets", all.len());
     let (undo, cursor) = (
         registry.snapshot().counter("tx.undo_bytes"),
         ht.geo().cursor,
     );
-    // 7 relinks per bucket + the cursor word, 8 + 8 bytes each, and
-    // room kept for the two more words a retiring chunk would log.
-    assert_eq!(undo, (cursor * 7 + 1) * 16);
+    // 7 relinks per bucket, the five header words, 8 + 8 bytes each, and
+    // the carve's 8-byte intent. Room is kept for six words beyond the
+    // relinks: a step logs at most five, and an intent or a state word.
+    let relinks = cursor * 7 * 16;
+    assert_eq!(undo, relinks + 5 * 16 + 8);
     let capacity = LANE_LOG_BYTES;
-    assert!(undo + 2 * 16 <= capacity && undo + 7 * 16 > capacity - 3 * 16);
+    assert!(relinks + 6 * 16 <= capacity && relinks + (7 + 6) * 16 > capacity);
     assert!(cursor < CHUNK, "the whole chunk would have taken 28 KB");
     // The next chunk resumes at that bucket: with the mirror off, one run
     // read from there, one header read an entry of every bucket it walked

@@ -231,6 +231,8 @@ impl<'a> Tx<'a> {
     }
 
     /// Snapshot + overwrite in one step; the commit flushes the overwrite.
+    /// It reads its pre-image back and pays a count store of its own, so no
+    /// product path takes it; the benchmark ladder's `tx_set64` rung does.
     pub fn set(&mut self, off: u64, data: &[u8]) -> Result<()> {
         let mut pre = vec![0u8; data.len()];
         self.pool.read_bytes(self.clock, off, &mut pre);
@@ -245,11 +247,19 @@ impl<'a> Tx<'a> {
     /// read.
     pub(crate) fn set_words(&mut self, words: &[(u64, u64, u64)]) -> Result<()> {
         self.log(words.iter().map(|&(off, was, _)| (off, was.to_le_bytes())))?;
-        self.count(&[]);
+        self.store_words(words);
+        Ok(())
+    }
+
+    /// Store words `(offset, was, now)` whose pre-images are logged, behind
+    /// a count store if a record still waits for one.
+    pub(crate) fn store_words(&mut self, words: &[(u64, u64, u64)]) {
+        if !self.pending.is_empty() {
+            self.count(&[]);
+        }
         for &(off, _, now) in words {
             self.write_new(off, &now.to_le_bytes());
         }
-        Ok(())
     }
 
     /// Store without snapshotting or persisting: a freshly-allocated range

@@ -5,7 +5,7 @@
 //! too — wrapping arithmetic used to hand out zero-byte blocks.
 
 use pmdk_sim::layout::{heap_start, walk_blocks, BLOCK_ALLOC, BLOCK_HEADER_SIZE};
-use pmdk_sim::{PersistentLog, PmdkError, PmemPool};
+use pmdk_sim::{PersistentHashtable, PersistentLog, PmdkError, PmemPool};
 use pmem_sim::{Clock, Machine, PersistenceMode, PmemDevice};
 use std::sync::Arc;
 
@@ -138,5 +138,28 @@ fn a_log_no_pool_can_hold_is_refused() {
         .err()
         .unwrap();
     assert!(matches!(err, PmdkError::OutOfMemory { .. }), "{err}");
+    pool.check_heap().unwrap();
+}
+
+/// `Options { hashtable_buckets: (1 << 61) + 1, .. }` reaches here through
+/// `Pmem::mmap`: its heads array's size used to overflow — a panic in a
+/// debug build, an 8-byte array under a 2⁶¹-bucket geometry in release.
+/// No buckets at all is the geometry a mount refuses. Each is refused
+/// before anything is allocated.
+#[test]
+fn a_table_no_pool_can_hold_is_refused() {
+    let (pool, clock) = fresh_pool();
+    let before = blocks(&pool);
+    for buckets in [(1 << 61) + 1, 1 << 40, POOL_BYTES as u64 / 8, 0] {
+        let err = PersistentHashtable::create(&clock, &pool, buckets)
+            .err()
+            .unwrap();
+        let typed = match buckets {
+            0 => matches!(err, PmdkError::BadPool(_)),
+            _ => matches!(err, PmdkError::OutOfMemory { .. }),
+        };
+        assert!(typed, "{buckets} buckets: {err}");
+        assert_eq!(blocks(&pool), before, "{buckets} buckets");
+    }
     pool.check_heap().unwrap();
 }

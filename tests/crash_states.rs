@@ -50,7 +50,7 @@ use pmdk_sim::layout::{
     BLOCK_HEADER_SIZE, ENT_KEY, HDR_HEADS,
 };
 use pmdk_sim::{PersistentHashtable, PmdkError, PmemPool};
-use pmem_sim::flight::EventCode::{SplitBegin, SplitChunk, TxBegin, TxCommit};
+use pmem_sim::flight::EventCode::{SplitBegin, TxBegin, TxCommit};
 use pmem_sim::{crash_subsets, Clock, DetRng, Machine, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem};
 use pmemcpy_bench::doctor::diagnose;
@@ -1231,10 +1231,11 @@ fn recovery_is_restartable_from_every_crash_point() {
     };
     let dev = tracked();
     let timeline = Timeline::of(&dev, || drain_that_splits(&dev, &opts));
-    let chunk = timeline.between(&[SplitBegin, TxBegin], &[TxCommit, SplitChunk]);
-    // The chunk's last crash point before its commit point: every relink
-    // logged, for the rollback to restore.
-    let k = first_active(chunk.iter().rev(), |k| {
+    let step = timeline.between(&[TxBegin], &[TxCommit, SplitBegin]);
+    // The last crash point before the commit point of the step that begins
+    // the split: every relink and header word logged, for the rollback to
+    // restore.
+    let k = first_active(step.iter().rev(), |k| {
         device_with(&crashed(k), PersistenceMode::Fast)
     });
     let image = crashed(k);

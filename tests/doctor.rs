@@ -1,7 +1,7 @@
 //! `pmemcpy-doctor` verdicts, end to end:
 //!
 //! 1. a pool crashed at a crash point inside a WAL append, a checkpoint
-//!    drain, a truncate, a migration chunk, and inside the recovery of
+//!    drain, a truncate, the step that begins a split, and inside the recovery of
 //!    such a crash gets a FAIL verdict naming its last flight
 //!    event, plus the structural verdict that state implies — a busy lane
 //!    FAILs `lanes` [tx], pending records are `wal-pending` INFO, a split in
@@ -22,8 +22,7 @@ mod support;
 use mpi_sim::{run_world_mode, Comm, SchedMode, World};
 use pmdk_sim::layout::{ENT_HLEN, ENT_KEY};
 use pmem_sim::flight::EventCode::{
-    self, CkptBegin, CkptEnd, Recovery, SplitBegin, SplitChunk, TxBegin, TxCommit, WalAppend,
-    WalTruncate,
+    self, CkptBegin, CkptEnd, Recovery, SplitBegin, TxBegin, TxCommit, WalAppend, WalTruncate,
 };
 use pmem_sim::{Machine, MetricsRegistry, PersistenceMode, PmemDevice};
 use pmemcpy::{registry, MmapTarget, Options, Pmem, PmemCpyError};
@@ -100,6 +99,9 @@ enum Pick {
     /// The first whose image holds an ACTIVE lane: a transaction begins
     /// with no store, and its first count store makes its lane ACTIVE.
     FirstActive,
+    /// The last whose image holds an ACTIVE lane: the transaction's stores
+    /// are durable, its commit point is not.
+    LastActive,
 }
 
 /// The crash point `pick` chooses of `run` on a device holding `image` (a
@@ -137,6 +139,9 @@ fn crash_between(
         Pick::FirstActive => first_active(&points, |k| {
             device_with(&image_at(k), PersistenceMode::Fast)
         }),
+        Pick::LastActive => first_active(points.iter().rev(), |k| {
+            device_with(&image_at(k), PersistenceMode::Fast)
+        }),
     };
     image_at(k)
 }
@@ -157,11 +162,7 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
     use Status::{Fail, Info, Pass};
     type Between = (&'static [EventCode], &'static [EventCode], Pick);
     type Implied = &'static [(&'static str, Status)];
-    let chunk: Between = (
-        &[SplitBegin, TxBegin],
-        &[TxCommit, SplitChunk],
-        Pick::FirstActive,
-    );
+    let step: Between = (&[TxBegin], &[TxCommit, SplitBegin], Pick::LastActive);
     // (step, write-behind, where, last flight event, verdicts it implies)
     let steps: [(&str, bool, Between, &str, Implied); 4] = [
         (
@@ -186,9 +187,9 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
             &[("lanes", Pass), ("wal-pending", Info)],
         ),
         (
-            "a migration chunk",
+            "the step that begins a split",
             false,
-            chunk,
+            step,
             "tx.begin",
             &[("lanes", Fail), ("ht-split", Info)],
         ),
@@ -200,19 +201,20 @@ fn crashed_pools_fail_with_the_responsible_subsystem() {
                 (step, image, last, implied)
             })
             .collect();
-        // The mount of the mid-chunk image, crashed inside its lane recovery:
-        // the rollback has not reset the lane.
-        let mid_chunk = crash_between(&[], mode, false, demo, chunk);
+        // The mount of the mid-step image, crashed inside its lane recovery:
+        // the rollback has restored the header, no split in flight, and has
+        // not reset the lane.
+        let mid_step = crash_between(&[], mode, false, demo, step);
         let recovering = crash_between(
-            &mid_chunk,
+            &mid_step,
             mode,
             false,
             remount,
             (&[], &[Recovery], Pick::Last),
         );
-        let implied: Implied = &[("lanes", Fail), ("ht-split", Info)];
+        let implied: Implied = &[("lanes", Fail), ("hashtable", Pass)];
         crashed.push((
-            "the recovery of a crash mid-chunk",
+            "the recovery of a crash mid-step",
             recovering,
             "tx.begin",
             implied,

@@ -1,15 +1,14 @@
 //! Crashes inside incremental resizing, end to end, at the crash points the
 //! flight recorder places there (`support::Timeline`):
 //!
-//! 1. a crash inside a bucket migration chunk rolls the chunk back to the
-//!    persisted cursor (or, past its commit point, forward); reopen lands
-//!    mid-split and the contents are byte-identical to a fixed-geometry
-//!    reference;
+//! 1. a crash inside the step that begins a split rolls it back to no
+//!    split (or, past its commit point, forward to its first chunk done);
+//!    the contents are byte-identical to a fixed-geometry reference;
 //! 2. mutations after the reopen finish the interrupted split and the
 //!    heap checks clean;
-//! 3. write-behind WAL replay works across a table that crashed mid-split
-//!    during its checkpoint drain;
-//! 4. the destination heads a rolled-back chunk wrote (undo-free, so they
+//! 3. write-behind WAL replay works across a table that crashed in the
+//!    step that begins a split during its checkpoint drain;
+//! 4. the destination heads a rolled-back later chunk wrote (undo-free, so they
 //!    survive the rollback) are followed by no walker — `len`, `keys`, the
 //!    chain histogram, the doctor — and the chunk's re-run overwrites them,
 //!    also where the partition they pointed into has been removed since;
@@ -89,26 +88,38 @@ fn crashed(mode: SchedMode, workload: fn(&Arc<PmemDevice>, &Comm), k: usize) -> 
     device_with(&image, PersistenceMode::Fast)
 }
 
-/// Keys 0..33, then the 34th put, which crosses the split trigger:
-/// `begin_split` commits and the put helps migrate the first chunk. A crash
-/// inside the chunk comes before the put's own insert: 33 keys survive.
-fn into_the_first_chunk(dev: &Arc<PmemDevice>, comm: &Comm) {
+/// Keys 0..n on a table of `BUCKETS` buckets.
+fn puts(dev: &Arc<PmemDevice>, comm: &Comm, n: u64) {
     let mut pmem = Pmem::with_options(resize_opts());
     pmem.mmap(MmapTarget::DevDax(dev), comm).unwrap();
-    for i in 0..34 {
+    for i in 0..n {
         put(&pmem, i).unwrap();
     }
 }
 
-/// The crash points inside the first chunk's transaction.
-fn first_chunk(mode: SchedMode) -> Vec<usize> {
+/// Keys 0..33, then the 34th put, which crosses the split trigger: its
+/// step begins the split and migrates the first chunk. A crash inside the
+/// step comes before the put's own insert: 33 keys survive.
+fn into_the_first_step(dev: &Arc<PmemDevice>, comm: &Comm) {
+    puts(dev, comm, 34);
+}
+
+/// The 35th put too, whose step migrates the second chunk: 34 keys
+/// survive a crash inside it.
+fn into_the_second_chunk(dev: &Arc<PmemDevice>, comm: &Comm) {
+    puts(dev, comm, 35);
+}
+
+/// The crash points inside the transaction of the step that begins the
+/// split.
+fn first_step(mode: SchedMode) -> Vec<usize> {
     let points = points(
         mode,
-        into_the_first_chunk,
-        &[SplitBegin, TxBegin],
-        &[TxCommit, SplitChunk],
+        into_the_first_step,
+        &[TxBegin],
+        &[TxCommit, SplitBegin],
     );
-    assert!(!points.is_empty(), "the 34th put migrates a chunk");
+    assert!(!points.is_empty(), "the 34th put begins a split");
     points
 }
 
@@ -165,13 +176,13 @@ fn assert_matches_reference(
     }
 }
 
-/// Crash inside the first migration chunk, at its first crash point and at
-/// its last: reopen lands mid-split with every key readable, and later puts
-/// finish the split.
+/// Crash inside the step that begins the split, at its first crash point
+/// and at its last: reopen lands with no split or with the first chunk
+/// done, every key readable, and later puts finish the split.
 #[test]
 fn crash_mid_split_recovers_and_later_puts_finish_it() {
     for mode in [SchedMode::Deterministic, SchedMode::FreeThreaded] {
-        let points = first_chunk(mode);
+        let points = first_step(mode);
         for k in [points[0], points[points.len() - 1]] {
             crash_mid_split_scenario(k, mode);
         }
@@ -179,29 +190,30 @@ fn crash_mid_split_recovers_and_later_puts_finish_it() {
 }
 
 fn crash_mid_split_scenario(k: usize, mode: SchedMode) {
-    let ctx = format!("crash point {k}, inside the first chunk ({mode:?})");
+    let ctx = format!("crash point {k}, inside the first step ({mode:?})");
     let (ref_keys, ref_records) = fixed_reference(33);
-    let dev = crashed(mode, into_the_first_chunk, k);
+    let dev = crashed(mode, into_the_first_step, k);
     let dev_in = Arc::clone(&dev);
     run_world_mode(Arc::clone(dev.machine()), 1, mode, move |comm| {
         let dev = &dev_in;
         let ctx = &ctx;
-        // Reopen: recovery rolls the migration chunk back to the persisted
-        // cursor (past its commit point, forward) and the table is still
-        // splitting.
+        // Reopen: recovery rolls the step back to no split, or (past its
+        // commit point) the first chunk is done.
         let mut pmem = Pmem::with_options(resize_opts());
         pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
         let shared = registry::shared_pool(&Clock::new(), dev, "pmemcpy", BUCKETS).unwrap();
+        let ht = &shared.hashtable;
+        let at = (ht.bucket_count(), ht.splitting());
         assert!(
-            shared.hashtable.splitting(),
-            "{ctx}: reopen must land mid-split"
+            [(BUCKETS, false), (2 * BUCKETS, true)].contains(&at),
+            "{ctx}: reopen must land before the split or after its first chunk: {at:?}"
         );
         assert_matches_reference(&pmem, &ref_keys, &ref_records, ctx);
 
-        // Every mutation helps migrate a chunk; a handful of fresh puts
-        // must retire the old table.
+        // Every mutation takes a split step; a handful of fresh puts must
+        // begin the split if it rolled back, and retire the old table.
         let mut i = 33u64;
-        while shared.hashtable.splitting() {
+        while ht.bucket_count() == BUCKETS || ht.splitting() {
             put(&pmem, i).unwrap();
             i += 1;
             assert!(i < 33 + 1000, "{ctx}: split never completed");
@@ -217,10 +229,11 @@ fn crash_mid_split_scenario(k: usize, mode: SchedMode) {
     });
 }
 
-/// A chunk stores its destination heads without undo and fences them before
-/// its cursor's undo record, so a crash after that and before the chunk's
-/// commit point leaves them in the new directory while the relinks and the
-/// cursor roll back. Those slots are unreachable until the cursor passes
+/// A chunk stores its destination heads without undo and flushes them
+/// before its commit point, so a crash after that and before the commit
+/// point leaves them in the new directory while the relinks and the cursor
+/// roll back. Here the chunk is the split's second: the first step's
+/// rollback would free the whole new directory. Those slots are unreachable until the cursor passes
 /// their bucket: every walker must skip them, and the re-run must overwrite
 /// them whatever happened to the chains since.
 #[test]
@@ -232,12 +245,18 @@ fn stale_destination_heads_are_skipped_and_overwritten() {
 
 fn stale_destination_scenario(mode: SchedMode) {
     let ctx = format!("stale destination heads ({mode:?})");
-    let (ref_keys, ref_records) = fixed_reference(33);
-    // The chunk's last crash point before its commit point.
-    let k = first_active(first_chunk(mode).iter().rev(), |k| {
-        crashed(mode, into_the_first_chunk, k)
+    let (ref_keys, ref_records) = fixed_reference(34);
+    // The second chunk's last crash point before its commit point.
+    let chunk = points(
+        mode,
+        into_the_second_chunk,
+        &[TxBegin],
+        &[TxCommit, SplitChunk],
+    );
+    let k = first_active(chunk.iter().rev(), |k| {
+        crashed(mode, into_the_second_chunk, k)
     });
-    let dev = crashed(mode, into_the_first_chunk, k);
+    let dev = crashed(mode, into_the_second_chunk, k);
     let dev_in = Arc::clone(&dev);
     run_world_mode(Arc::clone(dev.machine()), 1, mode, move |comm| {
         let dev = &dev_in;
@@ -250,25 +269,26 @@ fn stale_destination_scenario(mode: SchedMode) {
         let d = diagnose(dev).unwrap_or_else(|e| panic!("{ctx}: {e}"));
         let ht = d.hashtable.as_ref().expect("the pool roots a hashtable");
         let g = ht.geo;
-        assert_eq!((g.old_buckets, g.cursor), (BUCKETS, 0), "{ctx}: {g:?}");
-        // The first chunk is source buckets 0..8.
-        let stale = (0..8)
+        assert_eq!((g.old_buckets, g.cursor), (BUCKETS, 8), "{ctx}: {g:?}");
+        // The second chunk is source buckets 8..16.
+        let stale = (8..16)
             .flat_map(|b| [b, b + BUCKETS])
             .filter(|b| dev.u64_at(g.heads + b * 8) != 0)
             .count();
         assert!(stale > 0, "{ctx}: the chunk left no destination head");
 
-        // Every walker sees each of the 33 entries exactly once.
+        // Every walker sees each of the 34 entries exactly once.
         assert!(ht.ok(), "{ctx}: {:?}", ht.errors);
-        assert_eq!(ht.reachable, 33, "{ctx}: doctor");
+        assert_eq!(ht.reachable, 34, "{ctx}: doctor");
         let hashtable = d.verdicts.iter().find(|v| v.check == "hashtable");
         assert_eq!(hashtable.unwrap().status, Status::Pass, "{ctx}");
-        assert_eq!(shared.hashtable.len(&clock), 33, "{ctx}: len");
-        assert_eq!(shared.hashtable.keys(&clock).len(), 33, "{ctx}: keys");
+        assert_eq!(shared.hashtable.len(&clock), 34, "{ctx}: len");
+        assert_eq!(shared.hashtable.keys(&clock).len(), 34, "{ctx}: keys");
         let hist = shared.hashtable.chain_length_histogram(&clock);
-        assert_eq!(hist.iter().sum::<u64>(), BUCKETS, "{ctx}: slots walked");
+        // 56 old buckets left, 8 migrated into 16.
+        assert_eq!(hist.iter().sum::<u64>(), BUCKETS + 8, "{ctx}: slots walked");
         let entries: u64 = hist.iter().zip(0..).map(|(n, len)| n * len).sum();
-        assert_eq!(entries, 33, "{ctx}: histogram");
+        assert_eq!(entries, 34, "{ctx}: histogram");
         assert_matches_reference(&pmem, &ref_keys, &ref_records, ctx);
 
         // Remove the fullest bucket of the rolled-back chunk, then let
@@ -277,12 +297,12 @@ fn stale_destination_scenario(mode: SchedMode) {
             let lives_in = |k: &&String| pmdk_sim::hashtable::fnv1a(k.as_bytes()) % BUCKETS == b;
             ref_keys.iter().filter(lives_in).collect()
         };
-        let doomed = (0..8).map(in_bucket).max_by_key(Vec::len).unwrap();
-        assert!(!doomed.is_empty(), "{ctx}: no key in the first chunk");
+        let doomed = (8..16).map(in_bucket).max_by_key(Vec::len).unwrap();
+        assert!(!doomed.is_empty(), "{ctx}: no key in the second chunk");
         for key in &doomed {
             assert!(pmem.remove(key).unwrap(), "{ctx}: {key} was stored");
         }
-        let mut i = 33u64;
+        let mut i = 34u64;
         while shared.hashtable.splitting() {
             put(&pmem, i).unwrap();
             i += 1;
@@ -340,8 +360,9 @@ fn drain_into_a_split(dev: &Arc<PmemDevice>, comm: &Comm) {
     pmem.checkpoint().unwrap();
 }
 
-/// Write-behind WAL replay across a mid-split table: a crash at the first
-/// crash point of the first migration chunk the checkpoint drain runs;
+/// Write-behind WAL replay across an interrupted split: a crash at the
+/// first crash point of the step that begins the split in the checkpoint
+/// drain;
 /// replay on reopen plus a second checkpoint must converge to the same bytes
 /// as inline mode.
 #[test]
@@ -354,19 +375,19 @@ fn wal_replay_recovers_across_interrupted_split() {
 fn wal_replay_scenario(mode: SchedMode) {
     let ctx = format!("wal-replay-over-split ({mode:?})");
     let (ref_keys, ref_records) = fixed_reference(LOGGED);
-    let chunk = points(
+    let step = points(
         mode,
         drain_into_a_split,
-        &[SplitBegin, TxBegin],
-        &[TxCommit, SplitChunk],
+        &[TxBegin],
+        &[TxCommit, SplitBegin],
     );
-    let dev = crashed(mode, drain_into_a_split, chunk[0]);
+    let dev = crashed(mode, drain_into_a_split, step[0]);
     let dev_in = Arc::clone(&dev);
     run_world_mode(Arc::clone(dev.machine()), 1, mode, move |comm| {
         let dev = &dev_in;
         let ctx = &ctx;
         // Reopen: replay rebuilds the front index over the partially
-        // drained, mid-split table. Every key must read back.
+        // drained table, its split rolled back. Every key must read back.
         let mut pmem = Pmem::with_options(wb_opts());
         pmem.mmap(MmapTarget::DevDax(dev), &comm).unwrap();
         assert_matches_reference(&pmem, &ref_keys, &ref_records, ctx);
